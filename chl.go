@@ -74,7 +74,11 @@ type Options struct {
 	// Alpha is GLL's synchronization threshold (0 = 4, per Figure 5).
 	Alpha float64
 
-	// CommonHubs is η for shared-memory PLaNT (0 = off).
+	// CommonHubs sizes the Common Label Table of shared-memory PLaNT
+	// (§5.3), with Eta's convention: 0 = the default, a table that grows
+	// with every finished batch of trees; η > 0 = the η top hubs only, as
+	// the distributed builders must; negative = off (Algorithm 3
+	// verbatim). The labeling is the same in every case.
 	CommonHubs int
 
 	// PlantFirstSuperstep makes AlgoGLL build its first superstep with

@@ -26,8 +26,9 @@
 //     a small local table, lock-free global reads. Output: the CHL.
 //   - AlgoPLaNT — "Prune Labels and (do) Not (prune) Trees" (§5.2):
 //     embarrassingly parallel canonical labeling via ancestor-tracking
-//     unpruned Dijkstras. Output: the CHL, with no dependence on other
-//     trees' labels.
+//     Dijkstras. What a tree emits depends on no other tree's labels;
+//     finished trees only prune later ones (Options.CommonHubs, §5.3).
+//     Output: the CHL.
 //   - AlgoDParaPLL, AlgoDGLL, AlgoDPLaNT, AlgoHybrid — the distributed
 //     algorithms of §3/§5, executed on a simulated message-passing cluster
 //     that meters every byte (see below).

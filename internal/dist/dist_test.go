@@ -104,6 +104,15 @@ func TestCommonTablePrunesExploration(t *testing.T) {
 	if without.Common != nil || with.Common == nil {
 		t.Fatal("Common table presence wrong")
 	}
+	// The build record says how the pruning happened, and says nothing
+	// when there was none.
+	if m := without.Metrics; m.DistanceQueries != 0 || m.DistPrunes != 0 || m.RankPrunes != 0 {
+		t.Fatalf("η off, yet %d queries, %d query prunes, %d ancestor prunes", m.DistanceQueries, m.DistPrunes, m.RankPrunes)
+	}
+	if m := with.Metrics; m.DistanceQueries == 0 || m.DistPrunes == 0 || m.RankPrunes == 0 || m.MaxNodeQueries == 0 {
+		t.Fatalf("η=16 pruned but reports %d queries (node max %d), %d query prunes, %d ancestor prunes",
+			m.DistanceQueries, m.MaxNodeQueries, m.DistPrunes, m.RankPrunes)
+	}
 	// Identical output either way.
 	if diff := without.Index.Diff(with.Index); diff != "" {
 		t.Fatalf("η changed the labeling: %s", diff)

@@ -55,7 +55,7 @@ func plantRoots(nd *cluster.Node, g *graph.Graph, store *label.ConcurrentStore,
 		go func() {
 			defer wg.Done()
 			s := plant.NewScratch(n)
-			var ex, rx, gen int64
+			var sum plant.TreeStats
 			for {
 				i := int(atomic.AddInt64(&next, 1))
 				if i >= len(mine) {
@@ -66,17 +66,18 @@ func plantRoots(nd *cluster.Node, g *graph.Graph, store *label.ConcurrentStore,
 					store.Append(v, label.L{Hub: uint32(h), Dist: d})
 				})
 				stats[i] = rootStat{root: h, explored: ts.Explored, labels: ts.Labels}
-				ex += ts.Explored
-				rx += ts.Relaxed
-				gen += ts.Labels
+				sum.Add(ts)
 				if perTreeLabels != nil {
 					perTreeLabels[h] = ts.Labels
 					perTreeExplored[h] = ts.Explored
 				}
 			}
-			atomic.AddInt64(&c.explored, ex)
-			atomic.AddInt64(&c.relaxed, rx)
-			atomic.AddInt64(&c.generated, gen)
+			atomic.AddInt64(&c.explored, sum.Explored)
+			atomic.AddInt64(&c.relaxed, sum.Relaxed)
+			atomic.AddInt64(&c.generated, sum.Labels)
+			atomic.AddInt64(&c.dqs, sum.Queries)
+			atomic.AddInt64(&c.dprunes, sum.DistPruned)
+			atomic.AddInt64(&c.rprunes, sum.AncPruned)
 		}()
 	}
 	wg.Wait()

@@ -293,7 +293,9 @@ func (st *State) cleanAndCommit(m *metrics.Build) {
 			return
 		}
 		var qs, es, cl int64
-		out := lv[:0]
+		// Survivors go to a fresh slice: lv is locals[v], which other
+		// workers are merge-joining as the set of one of their hubs.
+		out := make(label.Set, 0, len(lv))
 		for _, l := range lv {
 			if int(l.Hub) != v {
 				qs++

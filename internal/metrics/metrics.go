@@ -25,7 +25,7 @@ type Build struct {
 	VerticesExplored int64 // priority-queue pops across all SPTs
 	EdgesRelaxed     int64
 	DistanceQueries  int64 // pruning DQs during construction
-	RankPrunes       int64 // prunes by rank query
+	RankPrunes       int64 // prunes by rank query (PLaNT: by an ancestor above the Common Label Table's bound)
 	DistPrunes       int64 // prunes by distance query
 	CleanQueries     int64 // DQ_Clean evaluations
 	CleanEntries     int64 // label entries touched by cleaning merge-joins

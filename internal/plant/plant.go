@@ -1,29 +1,75 @@
 // Package plant implements PLaNT — "Prune Labels and (do) Not (prune)
 // Trees" (§5.2, Algorithm 3), the paper's key contribution.
 //
-// A PLaNTed shortest path tree is a full (unpruned) Dijkstra from the root h
-// that propagates, alongside distances, the highest-ranked *ancestor* seen
-// on (any) shortest path from h: a[v] = argmax-rank over the vertices of
-// the best shortest path from h to v, endpoints included. When v is popped,
-// the label (h, δ_v) is emitted iff neither v nor a[v] outranks h — i.e.
-// iff h is the maximum-rank vertex on every... precisely, on the
-// highest-ancestor shortest path, which after the tie-breaking rule of
-// Algorithm 3 line 12 equals the maximum over ALL shortest h–v paths. That
-// is exactly the membership condition of the Canonical Hub Labeling, so
-// PLaNT emits canonical labels using information intrinsic to its own tree:
-// no distance queries against previously generated labels, hence no
-// inter-node communication when trees are distributed across a cluster.
+// A PLaNTed shortest path tree is a Dijkstra from the root h that
+// propagates, alongside distances, the highest-ranked *ancestor* seen on
+// (any) shortest path from h: a[v] = argmax-rank over the vertices of the
+// best shortest path from h to v, endpoints included. When v is popped, the
+// label (h, δ_v) is emitted iff neither v nor a[v] outranks h — i.e. iff h
+// is the maximum-rank vertex on the highest-ancestor shortest path, which
+// after the tie-breaking rule of Algorithm 3 line 12 is the maximum over ALL
+// shortest h–v paths. That is exactly the membership condition of the
+// Canonical Hub Labeling, so PLaNT emits canonical labels using information
+// intrinsic to its own tree: emission never consults a label table, hence
+// no cleaning pass and no inter-node communication when trees are
+// distributed across a cluster.
 //
 // Two optimizations from the paper are included:
 //
 //   - Early termination: a counter tracks how many queued vertices still
 //     have the root as their best ancestor; when it reaches zero no future
 //     pop can produce a label, and the traversal stops (§5.2).
-//   - Common-label pruning (§5.3): given the complete label sets of the η
-//     top-ranked hubs (the Common Label Table, replicated on every node), a
-//     distance query against those hubs alone can prune the PLaNTed tree
-//     without risking redundant or distance-inflated labels — see the
-//     soundness argument in DESIGN.md.
+//   - Common-label pruning (§5.3): given a Common Label Table holding the
+//     *complete* canonical label sets of every hub ranked above some bound,
+//     a popped vertex that one of those hubs covers at ≤ δ_v is cut. A
+//     cluster must broadcast the table, so the distributed builders fix it
+//     at the η top hubs; in shared memory every finished tree's labels are
+//     already in RAM, so Run grows the table batch by batch.
+//
+// # Why pruned PLaNT still emits exactly the CHL
+//
+// Write T for the table, b for its bound (T holds every canonical label
+// whose hub id is < b, and b ≤ h), d for true distances and δ_v for the
+// tentative distance v is popped with. The cut rule is: drop v, without
+// emitting or relaxing, when some hub w < b has d(w,v) + d(w,h) ≤ δ_v.
+//
+//   - Every popped vertex either carries its true distance or is cut.
+//     Suppose v pops with δ_v > d(h,v) and follow a true shortest h–v path
+//     to its first vertex x that was not expanded at its true distance. The
+//     predecessor of x was, so x was queued — and, weights being positive,
+//     popped before v — at d(h,x); not having been expanded it was cut, by
+//     some w < b with d(w,x) + d(w,h) ≤ d(h,x). Then w lies on a shortest
+//     h–v path, so the maximum-rank vertex m of all shortest h–v paths has
+//     m ≤ w < b; m is a canonical hub of both h and v, T holds both labels,
+//     and the query returns d(h,v) < δ_v: v is cut. No label ever carries
+//     an inflated distance.
+//   - A cut vertex never needed the root, nor does anything reached only
+//     through it. A vertex cut at its true distance has a higher-ranked w
+//     on a shortest path from h, so h is not its path maximum; and a
+//     shortest h–u path through that vertex contains w too.
+//   - No vertex that needs the root is lost. If h is the maximum over all
+//     shortest h–u paths, it is the maximum over all shortest paths to every
+//     vertex on them (a higher-ranked detour to a prefix would extend to u).
+//     None of those vertices is covered by a hub above h at its true
+//     distance, so none is cut, every shortest h–u path is explored in full,
+//     and u pops with d(h,u) and ancestor h, exactly as in the unpruned
+//     tree.
+//   - The ancestor shortcut equals the query. If nA = min(v, a[v]) < b,
+//     the explored path of length δ_v contains a vertex ranked above the
+//     bound. Either δ_v is inflated and the first point applies, or nA lies
+//     on a shortest h–v path, the path maximum m ≤ nA < b is in both
+//     canonical label sets, and the query finds d(m,v) + d(m,h) = δ_v.
+//     Both ways the query is certain to succeed, so it is not issued. The
+//     query is still needed when nA ≥ b: the shortest paths through a cut
+//     vertex were never explored, so the ancestors of what lies behind it
+//     do not know about w.
+//   - What the table does not know is harmless. T is only ever used to
+//     cut; emission is decided by ancestors alone. A hub in [b, h) — in
+//     Run, a tree of the same batch, finished or not — is simply not
+//     consulted: vertices it covers are explored as unpruned PLaNT would
+//     and rejected by the ancestor rule. Less knowledge costs exploration,
+//     never correctness, which is also why a tree's work depends on the
+//     batch schedule alone and not on how workers interleave.
 //
 // The package operates in rank space (vertex 0 = highest rank); with
 // positive edge weights every shortest-path predecessor settles before its
@@ -50,6 +96,7 @@ type Scratch struct {
 	settled []bool
 	dirty   []int32
 	heap    *vheap.Heap
+	hd      *label.HashDist // the root's table labels; allocated by the first pruned tree
 }
 
 // NewScratch allocates scratch for graphs with n vertices.
@@ -81,10 +128,12 @@ type Sink func(v int, dist float64)
 
 // TreeStats reports what one PLaNTed tree did.
 type TreeStats struct {
-	Explored int64 // vertices popped
-	Relaxed  int64 // edges relaxed
-	Labels   int64 // labels emitted
-	Pruned   int64 // vertices cut by common-label pruning
+	Explored   int64 // vertices popped
+	Relaxed    int64 // edges relaxed
+	Labels     int64 // labels emitted
+	Queries    int64 // distance queries issued against the Common Label Table
+	AncPruned  int64 // vertices cut by the ancestor shortcut, no query issued
+	DistPruned int64 // vertices cut by a distance query
 }
 
 // Psi is the Ψ ratio of this tree: vertices explored per label generated
@@ -96,16 +145,26 @@ func (t TreeStats) Psi() float64 {
 	return float64(t.Explored) / float64(t.Labels)
 }
 
+// Add accumulates another tree's counts into t.
+func (t *TreeStats) Add(o TreeStats) {
+	t.Explored += o.Explored
+	t.Relaxed += o.Relaxed
+	t.Labels += o.Labels
+	t.Queries += o.Queries
+	t.AncPruned += o.AncPruned
+	t.DistPruned += o.DistPruned
+}
+
 // Tree runs Algorithm 3 (PLaNTDijkstra) from root h over g, emitting labels
 // into sink. If common is non-nil it is the Common Label Table — the
 // complete label sets of hubs ranked above commonBound (= η, or the number
 // of hubs whose trees have completed) — and is used to prune the traversal
-// per §5.3.
+// per §5.3; it is only read.
 //
-// Differences from the paper's pseudo-code, both deliberate (DESIGN.md §3):
-// edge relaxation happens even when the popped vertex produces no label
-// (Figure 1c shows this; otherwise ancestors would not propagate past
-// high-ranked vertices), and settled vertices are never re-relaxed.
+// Differences from the paper's pseudo-code, both deliberate: edge
+// relaxation happens even when the popped vertex produces no label (Figure
+// 1c shows this; otherwise ancestors would not propagate past high-ranked
+// vertices), and settled vertices are never re-relaxed.
 func Tree(g *graph.Graph, h int, s *Scratch, common *label.Index, commonBound uint32, sink Sink) TreeStats {
 	var st TreeStats
 	s.reset()
@@ -115,9 +174,18 @@ func Tree(g *graph.Graph, h int, s *Scratch, common *label.Index, commonBound ui
 	s.heap.Push(h, 0)
 	cnt := 1 // queued vertices whose best ancestor is the root
 
-	var commonH label.Set
-	if common != nil {
-		commonH = common.Labels(h)
+	// Only hubs that outrank the root can cut its tree; the root's own
+	// labels, should the table hold them, must not.
+	bound := commonBound
+	if uint32(h) < bound {
+		bound = uint32(h)
+	}
+	prune := common != nil && bound > 0
+	if prune {
+		if s.hd == nil {
+			s.hd = label.NewHashDist(len(s.dist))
+		}
+		s.hd.Load(common.Labels(h))
 	}
 
 	for !s.heap.Empty() {
@@ -136,19 +204,22 @@ func Tree(g *graph.Graph, h int, s *Scratch, common *label.Index, commonBound ui
 		if int32(v) < nA {
 			nA = int32(v)
 		}
-		// Common-label pruning (§5.3): if a hub ranked above the root
+		// Common-label pruning (§5.3): if a hub ranked above the bound
 		// covers (h, v) at distance ≤ δv, neither v nor anything whose
 		// shortest paths run through v can take h as a hub — cut the
-		// subtree. Sound only because the table holds the *complete*
-		// canonical labels of those top hubs.
-		if common != nil && v != h {
-			bound := commonBound
-			if uint32(h) < bound {
-				bound = uint32(h)
-			}
-			if d, _, ok := label.QueryMergeBounded(common.Labels(v), commonH, bound); ok && d <= dv {
-				st.Pruned++
+		// subtree. An ancestor above the bound is such a cover already
+		// (package doc), so only the other pops pay for a query.
+		if prune {
+			if uint32(nA) < bound {
+				st.AncPruned++
 				continue
+			}
+			if v != h {
+				st.Queries++
+				if s.hd.QueryAgainstBounded(common.Labels(v), dv, bound) {
+					st.DistPruned++
+					continue
+				}
 			}
 		}
 		if nA >= int32(h) { // R[nA] ≤ R[h]: the root is the path maximum
@@ -217,9 +288,13 @@ type Options struct {
 	Workers int
 	// RecordPerTree enables the per-tree series for Figure 3.
 	RecordPerTree bool
-	// CommonHubs (η) enables common-label pruning: the labels of the η
-	// top-ranked hubs are gathered first and used to prune later trees.
-	// Zero disables pruning (pure Algorithm 3).
+	// CommonHubs (η) sizes the Common Label Table that prunes the trees
+	// (§5.3), with dist.Options.Eta's convention. Zero grows the table as
+	// trees finish: roots run in rank-ordered batches and each batch is
+	// pruned against the labels of all earlier ones. η > 0 freezes the
+	// table after the first η trees, as a cluster that must broadcast it
+	// does. Negative disables pruning (Algorithm 3 verbatim). The output
+	// is the CHL in every case.
 	CommonHubs int
 }
 
@@ -230,9 +305,57 @@ func (o Options) normalize() Options {
 	return o
 }
 
-// Run executes shared-memory PLaNT: every root's tree is embarrassingly
-// parallel, so workers simply split the roots dynamically. The output is
-// the CHL — PLaNT needs no cleaning.
+// firstBatch is the size of the first two batches of the growing schedule.
+// The top trees label almost every vertex whatever they are pruned
+// against, so a smaller first batch buys a barrier and no pruning.
+const firstBatch = 16
+
+// batchBounds returns the boundaries of the root batches: batch k is
+// [bounds[k], bounds[k+1]) and its trees are pruned against the labels of
+// every earlier batch. The three pruning modes differ in nothing else.
+func batchBounds(n, commonHubs int) []int {
+	bounds := []int{0}
+	switch {
+	case commonHubs == 0: // [0,16) [16,32) [32,64) …: a function of n alone
+		for b := firstBatch; b < n; b *= 2 {
+			bounds = append(bounds, b)
+		}
+	case commonHubs > 0 && commonHubs < n:
+		bounds = append(bounds, commonHubs)
+	}
+	if n > 0 {
+		bounds = append(bounds, n)
+	}
+	return bounds
+}
+
+// emitted is one label of the batch in flight, filed under its tree.
+type emitted struct {
+	v    uint32
+	dist float64
+}
+
+// worker is one goroutine's state across the batches of a run.
+type worker struct {
+	s     *Scratch
+	out   []emitted // labels of this batch's trees, tree after tree
+	stats TreeStats
+}
+
+// span locates one tree's labels: worker w's out[lo:hi].
+type span struct {
+	w      int32
+	lo, hi int
+}
+
+// Run executes shared-memory PLaNT. Roots are taken in rank order, batch by
+// batch (batchBounds). The trees of a batch are independent, so workers
+// split them dynamically; they prune against a table holding the complete
+// labels of every earlier batch and emit into their own buffers. At the
+// barrier the batch's labels are appended to the table, tree by tree in
+// rank order, which keeps every label set sorted; nothing else ever writes
+// the table, so it needs no lock, and after the last batch it is the index.
+// The output is the CHL — PLaNT needs no cleaning.
 func Run(g *graph.Graph, opts Options) (*label.Index, *metrics.Build) {
 	opts = opts.normalize()
 	n := g.NumVertices()
@@ -241,77 +364,70 @@ func Run(g *graph.Graph, opts Options) (*label.Index, *metrics.Build) {
 		m.LabelsPerTree = make([]int64, n)
 		m.ExploredPerTree = make([]int64, n)
 	}
-	store := label.NewConcurrentStore(n)
 	//chlvet:allow clockcheck -- construction/experiment wall time is the reported measurement itself, not control flow; a fake clock would report fake results
 	start := time.Now()
+	table := label.NewIndex(n)
+	workers := make([]worker, opts.Workers)
+	for w := range workers {
+		workers[w].s = NewScratch(n)
+	}
+	bounds := batchBounds(n, opts.CommonHubs)
 
-	var common *label.Index
-	eta := opts.CommonHubs
-	if eta > n {
-		eta = n
-	}
-	if eta > 0 {
-		// Phase 1: PLaNT the top-η trees unpruned, collect their labels
-		// into the common table.
-		common = label.NewIndex(n)
-		var mu sync.Mutex
-		runTrees(g, 0, eta, opts.Workers, nil, 0, m, opts, func(h int) Sink {
-			return func(v int, d float64) {
-				store.Append(v, label.L{Hub: uint32(h), Dist: d})
-				mu.Lock()
-				common.Append(v, label.L{Hub: uint32(h), Dist: d})
-				mu.Unlock()
-			}
-		})
-	}
-	runTrees(g, eta, n, opts.Workers, common, uint32(eta), m, opts, func(h int) Sink {
-		return func(v int, d float64) {
-			store.Append(v, label.L{Hub: uint32(h), Dist: d})
+	for k := 0; k+1 < len(bounds); k++ {
+		lo, hi := bounds[k], bounds[k+1]
+		spans := make([]span, hi-lo)
+		next := int64(lo) - 1
+		var wg sync.WaitGroup
+		for w := range workers {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				// Locals, written back once: the workers' slots share cache
+				// lines, and out's header changes with every label.
+				wk := &workers[w]
+				out, stats := wk.out[:0], wk.stats
+				sink := func(v int, d float64) { out = append(out, emitted{uint32(v), d}) }
+				for {
+					h := int(atomic.AddInt64(&next, 1))
+					if h >= hi {
+						break
+					}
+					from := len(out)
+					st := Tree(g, h, wk.s, table, uint32(lo), sink)
+					spans[h-lo] = span{int32(w), from, len(out)}
+					stats.Add(st)
+					if opts.RecordPerTree {
+						m.LabelsPerTree[h] = st.Labels
+						m.ExploredPerTree[h] = st.Explored
+					}
+				}
+				wk.out, wk.stats = out, stats
+			}(w)
 		}
-	})
+		wg.Wait()
+		for i, sp := range spans {
+			hub := uint32(lo + i)
+			for _, e := range workers[sp.w].out[sp.lo:sp.hi] {
+				table.Append(int(e.v), label.L{Hub: hub, Dist: e.dist}) // hubs ascend: a plain append
+			}
+		}
+	}
 
-	ix := store.Seal()
 	//chlvet:allow clockcheck -- construction/experiment wall time is the reported measurement itself, not control flow; a fake clock would report fake results
 	m.TotalTime = time.Since(start)
 	m.ConstructTime = m.TotalTime
-	m.Trees = int64(n)
-	m.Labels = ix.TotalLabels()
-	m.LabelsGenerated = m.Labels
-	return ix, m
-}
-
-// runTrees builds the PLaNTed trees for roots in [lo, hi) across workers.
-func runTrees(g *graph.Graph, lo, hi, workers int, common *label.Index, bound uint32, m *metrics.Build, opts Options, mkSink func(h int) Sink) {
-	n := g.NumVertices()
-	next := int64(lo) - 1
-	var explored, relaxed, labels int64
-	var wg sync.WaitGroup
-	for t := 0; t < workers; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := NewScratch(n)
-			var ex, rx, lb int64
-			for {
-				h := int(atomic.AddInt64(&next, 1))
-				if h >= hi {
-					break
-				}
-				st := Tree(g, h, s, common, bound, mkSink(h))
-				ex += st.Explored
-				rx += st.Relaxed
-				lb += st.Labels
-				if opts.RecordPerTree {
-					m.LabelsPerTree[h] = st.Labels
-					m.ExploredPerTree[h] = st.Explored
-				}
-			}
-			atomic.AddInt64(&explored, ex)
-			atomic.AddInt64(&relaxed, rx)
-			atomic.AddInt64(&labels, lb)
-		}()
+	var total TreeStats
+	for w := range workers {
+		total.Add(workers[w].stats)
 	}
-	wg.Wait()
-	atomic.AddInt64(&m.VerticesExplored, explored)
-	atomic.AddInt64(&m.EdgesRelaxed, relaxed)
+	m.Trees = int64(n)
+	m.Labels = total.Labels
+	m.LabelsGenerated = total.Labels
+	m.VerticesExplored = total.Explored
+	m.EdgesRelaxed = total.Relaxed
+	m.DistanceQueries = total.Queries
+	m.DistPrunes = total.DistPruned
+	m.RankPrunes = total.AncPruned
+	m.Synchronizations = int64(len(bounds) - 1)
+	return table, m
 }

@@ -1,10 +1,12 @@
 package plant
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/label"
+	"repro/internal/metrics"
 	"repro/internal/pll"
 	"repro/internal/sssp"
 )
@@ -106,41 +108,147 @@ func TestPsiStats(t *testing.T) {
 	}
 }
 
-func TestRunMatchesSequentialPLL(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		g := graph.BarabasiAlbert(70, 3, seed)
-		want, _ := pll.Sequential(g, pll.Options{})
-		for _, workers := range []int{1, 4} {
-			got, m := Run(g, Options{Workers: workers})
-			if diff := want.Diff(got); diff != "" {
-				t.Fatalf("seed %d workers %d: %s", seed, workers, diff)
-			}
-			if m.Trees != int64(g.NumVertices()) {
-				t.Fatalf("trees = %d", m.Trees)
+// TestRunEqualsSequentialInEveryMode is the property the growing table must
+// keep: whatever a tree is pruned against, the output is seqPLL's. It also
+// pins that the work is decided by the batch schedule and not by how the
+// workers interleave.
+func TestRunEqualsSequentialInEveryMode(t *testing.T) {
+	graphs := map[string]func(seed int64) *graph.Graph{
+		"ba":   func(seed int64) *graph.Graph { return graph.BarabasiAlbert(90, 3, seed) },
+		"grid": func(seed int64) *graph.Graph { return graph.RoadGrid(9, 8, seed) },
+		"er":   func(seed int64) *graph.Graph { return graph.ErdosRenyi(80, 130, 6, seed) }, // disconnected
+	}
+	for name, gen := range graphs {
+		for seed := int64(0); seed < 5; seed++ {
+			g := gen(seed)
+			want, _ := pll.Sequential(g, pll.Options{})
+			for _, hubs := range []int{-1, 0, 5, g.NumVertices() + 10} {
+				explored := int64(-1)
+				for _, workers := range []int{1, 3} {
+					got, m := Run(g, Options{Workers: workers, CommonHubs: hubs})
+					if diff := want.Diff(got); diff != "" {
+						t.Fatalf("%s seed %d CommonHubs %d workers %d: %s", name, seed, hubs, workers, diff)
+					}
+					if m.Labels != want.TotalLabels() || m.LabelsGenerated != m.Labels || m.Trees != int64(g.NumVertices()) {
+						t.Fatalf("%s seed %d CommonHubs %d: metrics count %d trees, %d/%d labels; index holds %d",
+							name, seed, hubs, m.Trees, m.Labels, m.LabelsGenerated, want.TotalLabels())
+					}
+					if explored >= 0 && m.VerticesExplored != explored {
+						t.Fatalf("%s seed %d CommonHubs %d: explored %d with %d workers, %d with 1",
+							name, seed, hubs, m.VerticesExplored, workers, explored)
+					}
+					explored = m.VerticesExplored
+				}
 			}
 		}
 	}
 }
 
-func TestCommonHubPruningReducesExploration(t *testing.T) {
-	g := graph.BarabasiAlbert(300, 3, 7)
-	plain, mPlain := Run(g, Options{Workers: 1})
-	pruned, mPruned := Run(g, Options{Workers: 1, CommonHubs: 16})
-	if diff := plain.Diff(pruned); diff != "" {
-		t.Fatalf("common-hub pruning changed the labeling: %s", diff)
-	}
-	if mPruned.VerticesExplored >= mPlain.VerticesExplored {
-		t.Fatalf("common-hub pruning did not reduce exploration: %d vs %d",
-			mPruned.VerticesExplored, mPlain.VerticesExplored)
+func TestBatchBounds(t *testing.T) {
+	for _, c := range []struct {
+		n, hubs int
+		want    []int
+	}{
+		{0, 0, []int{0}},
+		{5, 0, []int{0, 5}},
+		{16, 0, []int{0, 16}},
+		{100, 0, []int{0, 16, 32, 64, 100}},
+		{100, -1, []int{0, 100}},
+		{100, 7, []int{0, 7, 100}},
+		{100, 100, []int{0, 100}},
+		{100, 500, []int{0, 100}},
+	} {
+		if got := batchBounds(c.n, c.hubs); !slices.Equal(got, c.want) {
+			t.Fatalf("batchBounds(%d, %d) = %v, want %v", c.n, c.hubs, got, c.want)
+		}
 	}
 }
 
-func TestCommonHubsClamped(t *testing.T) {
-	g := graph.Path(5, 1)
-	ix, _ := Run(g, Options{CommonHubs: 100}) // η > n must clamp
-	want, _ := pll.Sequential(g, pll.Options{})
-	if diff := want.Diff(ix); diff != "" {
-		t.Fatal(diff)
+// TestMoreTableLessExploration orders the three modes by how much each tree
+// may prune against, and checks the counters that say why.
+func TestMoreTableLessExploration(t *testing.T) {
+	g := graph.BarabasiAlbert(300, 3, 7)
+	_, off := Run(g, Options{Workers: 2, CommonHubs: -1})
+	_, fixed := Run(g, Options{Workers: 2, CommonHubs: 16})
+	_, grow := Run(g, Options{Workers: 2})
+	if !(grow.VerticesExplored < fixed.VerticesExplored && fixed.VerticesExplored < off.VerticesExplored) {
+		t.Fatalf("explored: grow %d, η=16 %d, off %d — want strictly ascending",
+			grow.VerticesExplored, fixed.VerticesExplored, off.VerticesExplored)
+	}
+	if off.DistanceQueries != 0 || off.DistPrunes != 0 || off.RankPrunes != 0 || off.Synchronizations != 1 {
+		t.Fatalf("unpruned run reports pruning: %+v", off)
+	}
+	for name, m := range map[string]*metrics.Build{"fixed": fixed, "grow": grow} {
+		if m.DistanceQueries == 0 || m.DistPrunes == 0 || m.RankPrunes == 0 {
+			t.Fatalf("%s: queries %d, query prunes %d, ancestor prunes %d — pruning ran but is not counted",
+				name, m.DistanceQueries, m.DistPrunes, m.RankPrunes)
+		}
+		if m.DistPrunes > m.DistanceQueries {
+			t.Fatalf("%s: %d prunes from %d queries", name, m.DistPrunes, m.DistanceQueries)
+		}
+	}
+	if fixed.Synchronizations != 2 || grow.Synchronizations != int64(len(batchBounds(300, 0))-1) {
+		t.Fatalf("barriers: fixed %d, grow %d", fixed.Synchronizations, grow.Synchronizations)
+	}
+}
+
+// TestAncestorShortcutEqualsQuery checks the claim that lets Tree skip the
+// distance query: a popped vertex with an ancestor above the bound is one
+// the query would cut. It reads the scratch a tree leaves behind: settled
+// marks the popped vertices, anc and dist hold what they were popped with.
+func TestAncestorShortcutEqualsQuery(t *testing.T) {
+	for seed := int64(0); seed < 4; seed++ {
+		g := graph.BarabasiAlbert(120, 2, seed)
+		n := g.NumVertices()
+		chl, _ := pll.Sequential(g, pll.Options{})
+		s := NewScratch(n)
+		hd := label.NewHashDist(n)
+		for _, bound := range []uint32{4, 20, 60} {
+			for h := int(bound); h < n; h += 7 {
+				hd.Load(chl.Labels(h))
+				query := func(v int) bool { return hd.QueryAgainstBounded(chl.Labels(v), s.dist[v], bound) }
+				shortcut := func(v int) bool { return s.anc[v] < int32(bound) || v < int(bound) }
+
+				// Unpruned, ancestors summarise every shortest path, so the
+				// two tests are the same test.
+				Tree(g, h, s, nil, 0, func(int, float64) {})
+				for v := 0; v < n; v++ {
+					if s.settled[v] && v != h && shortcut(v) != query(v) {
+						t.Fatalf("seed %d bound %d root %d vertex %d unpruned: shortcut %v, query %v",
+							seed, bound, h, v, shortcut(v), query(v))
+					}
+				}
+
+				// Pruned, paths behind a cut vertex go unexplored, so the
+				// query cuts more than the shortcut — never less — and the
+				// stats say which of the two cut what.
+				st := Tree(g, h, s, chl, bound, func(int, float64) {})
+				var byAnc, asked, byQuery int64
+				for v := 0; v < n; v++ {
+					switch {
+					case !s.settled[v] || v == h:
+					case shortcut(v):
+						byAnc++
+						if !query(v) {
+							t.Fatalf("seed %d bound %d root %d vertex %d: cut by ancestor %d, but the query would keep it",
+								seed, bound, h, v, s.anc[v])
+						}
+					default:
+						asked++
+						if query(v) {
+							byQuery++
+						}
+					}
+				}
+				if st.AncPruned != byAnc || st.Queries != asked || st.DistPruned != byQuery {
+					t.Fatalf("seed %d bound %d root %d: stats %+v, scratch says %d by ancestor, %d queries, %d by query",
+						seed, bound, h, st, byAnc, asked, byQuery)
+				}
+				if st.Explored != 1+byAnc+asked {
+					t.Fatalf("seed %d bound %d root %d: explored %d ≠ root + %d + %d", seed, bound, h, st.Explored, byAnc, asked)
+				}
+			}
+		}
 	}
 }
 

@@ -124,6 +124,30 @@ func TestCanonicalAgreementDistributed(t *testing.T) {
 	}
 }
 
+// notBelowCHL checks the one size bound a covering labeling owes the CHL.
+// The CHL is minimal among labelings that respect R (Lemma 1), not among
+// all covers: paraPLL issues no rank queries, so a tree that runs ahead of
+// a higher-ranked one may label a vertex that outranks its root, and a
+// labeling with such hubs can cover everything with fewer labels than the
+// CHL has. Only with zero hierarchy violations (hub id > vertex id) is
+// "fewer than the CHL" impossible.
+func notBelowCHL(t *testing.T, g *graph.Graph, ix *label.Index) {
+	t.Helper()
+	violations := 0
+	for v := 0; v < ix.NumVertices(); v++ {
+		for _, l := range ix.Labels(v) {
+			if int(l.Hub) > v {
+				violations++
+			}
+		}
+	}
+	if got, chl := ix.TotalLabels(), chlReference(t, g).TotalLabels(); violations == 0 && got < chl {
+		t.Fatalf("%d labels, none violating the hierarchy, yet the CHL has %d — a cover that respects R cannot undercut it", got, chl)
+	} else if got < chl {
+		t.Logf("%d labels undercut the CHL's %d with %d hierarchy violations: allowed", got, chl, violations)
+	}
+}
+
 // TestSparaPLLCoversButMayBeRedundant: the baseline must satisfy the cover
 // property (exact distances) even though its labeling need not be minimal.
 func TestSparaPLLCoversButMayBeRedundant(t *testing.T) {
@@ -136,17 +160,13 @@ func TestSparaPLLCoversButMayBeRedundant(t *testing.T) {
 			if err := verify.Cover(g, ix, 0); err != nil {
 				t.Fatal(err)
 			}
-			want := chlReference(t, g)
-			if ix.TotalLabels() < want.TotalLabels() {
-				t.Fatalf("SparaPLL produced fewer labels (%d) than the CHL (%d) — impossible for a covering labeling that was not cleaned",
-					ix.TotalLabels(), want.TotalLabels())
-			}
+			notBelowCHL(t, g, ix)
 		})
 	}
 }
 
 // TestDParaPLLCovers: the distributed baseline keeps the cover property at
-// any q, with label counts ≥ CHL.
+// any q, with label counts ≥ CHL whenever it respects R (notBelowCHL).
 func TestDParaPLLCovers(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		for _, q := range []int{1, 3} {
@@ -158,10 +178,7 @@ func TestDParaPLLCovers(t *testing.T) {
 				if err := verify.Cover(g, res.Index, 0); err != nil {
 					t.Fatal(err)
 				}
-				want := chlReference(t, g)
-				if res.Index.TotalLabels() < want.TotalLabels() {
-					t.Fatalf("DparaPLL label count %d below CHL %d", res.Index.TotalLabels(), want.TotalLabels())
-				}
+				notBelowCHL(t, g, res.Index)
 			})
 		}
 	}
