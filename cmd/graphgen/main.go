@@ -1,6 +1,7 @@
 // Command graphgen writes synthetic benchmark graphs in DIMACS .gr or edge
 // list format, with reproducible seeds. The named datasets are the
-// laptop-scale twins of the paper's Table 2 (see DESIGN.md §4).
+// laptop-scale twins of the paper's Table 2 (chl.GenerateDataset; cmd/chl
+// -list names them).
 //
 // Usage:
 //

@@ -213,8 +213,8 @@
 // cluster with one goroutine per node and collectives that copy and meter
 // all traffic, so the quantities the paper's distributed evaluation is
 // about — label traffic, synchronizations, per-node memory, label-size
-// growth — are reproduced exactly; see DESIGN.md for the substitution
-// rationale. Use Options.Nodes > 1 with a distributed algorithm, then
+// growth — are reproduced exactly; the internal/cluster package doc gives
+// the substitution rationale. Use Options.Nodes > 1 with a distributed algorithm, then
 // NewQueryEngine to query under QLSN/QFDL/QDOL.
 //
 // # Rankings
@@ -226,11 +226,14 @@
 //
 // # Static analysis
 //
-// The serving stack's invariants — the injectable Clock discipline, the
-// centralized pairKey/flightKeyFor key construction, the JSON error
-// contract, distance bit-exactness, and the snapshot acquire/release
-// pairing — are enforced mechanically by cmd/chlvet, the repository's
-// own vet tool (five analyzers in internal/analysis, run clean by CI on
-// every change). A justified //chlvet:allow annotation exempts a line;
-// see ARCHITECTURE.md ("Static analysis").
+// The serving stack's invariants — the serving tree runs on the
+// injectable Clock (the root package and every internal/ package except
+// the label constructors and the experiment harness, whose timers are
+// measurements, not behaviour), the centralized pairKey/flightKeyFor key
+// construction, the JSON error contract, distance bit-exactness, and the
+// snapshot acquire/release pairing — are enforced mechanically by
+// cmd/chlvet, the repository's own vet tool (five analyzers in
+// internal/analysis, run clean by CI on every change). A justified
+// //chlvet:allow annotation exempts a line; see ARCHITECTURE.md ("Static
+// analysis").
 package chl

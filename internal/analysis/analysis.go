@@ -5,9 +5,10 @@
 // mechanically enforce invariants nine PRs of serving work established
 // by convention:
 //
-//   - clockcheck: all time-driven machinery in library packages reads
-//     the injectable Clock, never package time directly (PR 7 deleted
-//     every sleep-based wait; this keeps them deleted).
+//   - clockcheck: the serving tree runs on the injectable Clock, never
+//     on package time directly (PR 7 deleted every sleep-based wait; this
+//     keeps them deleted). The label constructors and the experiment
+//     harness, whose timers are exported measurements, are out of scope.
 //   - pairkey: vertex-pair cache and singleflight keys flow through
 //     Cache.pairKey / flightKeyFor, so the PR 5 (u,v)/(v,u) directed
 //     aliasing bug class cannot reappear as a hand-rolled u<<32|v.

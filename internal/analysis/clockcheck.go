@@ -24,20 +24,34 @@ var forbiddenTimeFuncs = map[string]bool{
 	"NewTicker": true,
 }
 
-// Clockcheck forbids wall-clock time in library packages: the root
-// package and internal/... must read the injectable Clock (clock.go)
-// so every time-driven behavior — ejection, probation, hedging,
-// quotas, request-latency metrics — is deterministic under a
-// FakeClock. Only clock.go itself (the Clock implementations), cmd/,
-// and examples/ may touch package time. In _test.go files, time.Sleep
-// specifically is flagged: PR 7 deleted every sleep-based wait, and a
-// new one is either a flake or a slow test waiting to happen.
+// measuredPackages are the construction and experiment packages. Their
+// time.Now/time.Since pairs are the measurement they export (ConstructTime,
+// CleanTime, the experiment tables) and decide nothing, so a fake clock would
+// only report fake results; they are outside the invariant.
+var measuredPackages = map[string]bool{
+	"internal/pll":   true,
+	"internal/lcc":   true,
+	"internal/gll":   true,
+	"internal/plant": true,
+	"internal/dist":  true,
+	"internal/exp":   true,
+}
+
+// Clockcheck keeps the serving tree on the Clock: the root package and
+// every internal/ package but the measuredPackages must read the
+// injectable Clock (clock.go), so every time-driven behavior — ejection,
+// probation, hedging, quotas, request-latency metrics — is deterministic
+// under a FakeClock. A new internal/ package is checked by default. Only
+// clock.go itself (the Clock implementations), cmd/, and examples/ may
+// touch package time. In _test.go files, time.Sleep specifically is
+// flagged: PR 7 deleted every sleep-based wait, and a new one is either a
+// flake or a slow test waiting to happen.
 var Clockcheck = &Analyzer{
 	Name: "clockcheck",
-	Doc: "forbid time.Now/Since/Sleep/After/Tick/AfterFunc/NewTimer/NewTicker in library packages; " +
+	Doc: "forbid time.Now/Since/Sleep/After/Tick/AfterFunc/NewTimer/NewTicker in the serving tree; " +
 		"time-driven machinery runs on the injectable Clock (PR 7), and tests step a FakeClock instead of sleeping",
 	AppliesTo: func(rel string) bool {
-		return rel == "" || strings.HasPrefix(rel, "internal/")
+		return rel == "" || strings.HasPrefix(rel, "internal/") && !measuredPackages[rel]
 	},
 	Run: runClockcheck,
 }

@@ -66,6 +66,14 @@ func TestAppliesTo(t *testing.T) {
 	}{
 		{Clockcheck, "", true},
 		{Clockcheck, "internal/label", true},
+		{Clockcheck, "internal/delta", true},
+		{Clockcheck, "internal/ptree", true}, // not on the list: checked by default
+		{Clockcheck, "internal/pll", false},
+		{Clockcheck, "internal/lcc", false},
+		{Clockcheck, "internal/gll", false},
+		{Clockcheck, "internal/plant", false},
+		{Clockcheck, "internal/dist", false},
+		{Clockcheck, "internal/exp", false},
 		{Clockcheck, "cmd/chlquery", false},
 		{Clockcheck, "examples/quickstart", false},
 		{Pairkey, "", true},

@@ -9,7 +9,7 @@
 // count and per-node memory those algorithms generate are machine
 // independent, so the paper's scalability crossovers (PLaNT's zero label
 // traffic vs. DGLL's broadcast storms, DparaPLL's label replication OOMs)
-// reproduce faithfully even though the "cluster" is one box (DESIGN.md §4).
+// reproduce faithfully even though the "cluster" is one box.
 //
 // The collectives follow bulk-synchronous MPI semantics: every node must
 // call the same collective in the same order, or the run deadlocks —

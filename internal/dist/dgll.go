@@ -1,221 +1,39 @@
 package dist
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
 	"repro/internal/label"
 	"repro/internal/metrics"
-	"repro/internal/vheap"
+	"repro/internal/plant"
+	"repro/internal/ptree"
 )
 
-// worker owns one intra-node thread's pruned-Dijkstra scratch state.
-type worker struct {
-	dist  []float64
-	dirty []int32
-	heap  *vheap.Heap
-	hd    *label.HashDist
-}
-
-func newWorker(n int) *worker {
-	w := &worker{
-		dist: make([]float64, n),
-		heap: vheap.New(n),
-		hd:   label.NewHashDist(n),
-	}
-	for i := range w.dist {
-		w.dist[i] = graph.Infinity
-	}
-	return w
-}
-
-func (w *worker) reset() {
-	for _, v := range w.dirty {
-		w.dist[v] = graph.Infinity
-	}
-	w.dirty = w.dirty[:0]
-	w.heap.Clear()
-}
-
-// tree builds the pruned SPT rooted at h for one cluster node: distance
-// queries consult the replicated global table (lock-free — it is immutable
-// during a construction phase) and the node's own local store. rankQuery
-// distinguishes DGLL (true) from DparaPLL (false, per §3).
-func (w *worker) tree(g *graph.Graph, global []label.Set, local *label.ConcurrentStore, h int, rankQuery bool, c *perNodeCounters) int64 {
-	w.reset()
-	w.hd.Reset()
-	for _, l := range global[h] {
-		w.hd.Add(l.Hub, l.Dist)
-	}
-	for _, l := range local.CopyLabels(h) {
-		w.hd.Add(l.Hub, l.Dist)
-	}
-	// Counters accumulate in locals and fold into the shared record once
-	// per tree — an atomic per pop/relaxation would serialize the
-	// node's workers on one cache line.
-	var generated, explored, relaxed, dqs, rprunes, dprunes int64
-	w.dist[h] = 0
-	w.dirty = append(w.dirty, int32(h))
-	w.heap.Push(h, 0)
-	for !w.heap.Empty() {
-		v, dv := w.heap.Pop()
-		explored++
-		if rankQuery && v < h {
-			rprunes++
-			continue
-		}
-		if v != h {
-			dqs++
-			if w.hd.QueryAgainst(global[v], dv) || local.QueryAgainst(w.hd, v, dv) {
-				dprunes++
-				continue
-			}
-		}
-		local.Append(v, label.L{Hub: uint32(h), Dist: dv})
-		generated++
-		heads, wts := g.Neighbors(v)
-		for i, uu := range heads {
-			u := int(uu)
-			nd := dv + wts[i]
-			relaxed++
-			if nd < w.dist[u] {
-				if w.dist[u] == graph.Infinity {
-					w.dirty = append(w.dirty, int32(uu))
-				}
-				w.dist[u] = nd
-				w.heap.Push(u, nd)
-			}
-		}
-	}
-	atomic.AddInt64(&c.explored, explored)
-	atomic.AddInt64(&c.relaxed, relaxed)
-	atomic.AddInt64(&c.dqs, dqs)
-	atomic.AddInt64(&c.rprunes, rprunes)
-	atomic.AddInt64(&c.dprunes, dprunes)
-	return generated
-}
-
-// buildMyRoots constructs the trees this node owns within [lo, hi)
-// (round-robin assignment) across WorkersPerNode threads, appending into
-// the node's local store and recording ownership.
-func buildMyRoots(nd *cluster.Node, g *graph.Graph, global []label.Set, local *label.ConcurrentStore,
-	lo, hi, wpn int, rankQuery bool, rootOwner []int32, c *perNodeCounters) {
-	q, r := nd.Size(), nd.Rank()
+// myRoots lists the roots of [lo, hi) this node owns (round-robin
+// assignment) and records the ownership.
+func myRoots(nd *cluster.Node, lo, hi int, rootOwner []int32) []int {
 	var mine []int
-	for h := lo + r; h < hi; h += q {
-		rootOwner[h] = int32(r)
+	for h := lo + nd.Rank(); h < hi; h += nd.Size() {
+		rootOwner[h] = int32(nd.Rank())
 		mine = append(mine, h)
 	}
-	if len(mine) == 0 {
-		return
-	}
-	n := g.NumVertices()
-	var next int64 = -1
-	var gen int64
-	var wg sync.WaitGroup
-	workers := wpn
-	if workers > len(mine) {
-		workers = len(mine)
-	}
-	for t := 0; t < workers; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := newWorker(n)
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(mine) {
-					return
-				}
-				atomic.AddInt64(&gen, w.tree(g, global, local, mine[i], rankQuery, c))
-			}
-		}()
-	}
-	wg.Wait()
-	atomic.AddInt64(&c.generated, gen)
+	return mine
 }
 
-// cleanShare runs the distributed cleaning pass over the vertices this node
-// owns (v ≡ rank mod q): for every superstep label of an owned vertex, a
-// DQ_Clean merge-join over the allgathered superstep tables decides
-// redundancy. Survivors are returned per vertex; merged is never mutated,
-// so every node sees identical inputs and the pass is deterministic.
-func cleanShare(nd *cluster.Node, merged []label.Set, wpn int, c *perNodeCounters) []label.Set {
-	q, r := nd.Size(), nd.Rank()
-	n := len(merged)
-	surv := make([]label.Set, n)
-	var mine []int
-	for v := r; v < n; v += q {
-		if len(merged[v]) > 0 {
-			mine = append(mine, v)
-		}
-	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	workers := wpn
-	if workers > len(mine) {
-		workers = len(mine)
-	}
-	for t := 0; t < workers; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var qs, es, cl int64
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(mine) {
-					break
-				}
-				v := mine[i]
-				lv := merged[v]
-				out := make(label.Set, 0, len(lv))
-				for _, l := range lv {
-					if int(l.Hub) != v {
-						qs++
-						redundant, e := firstWitness(merged[v], merged[l.Hub], l.Hub, l.Dist)
-						es += e
-						if redundant {
-							cl++
-							continue
-						}
-					}
-					out = append(out, l)
-				}
-				surv[v] = out
-			}
-			atomic.AddInt64(&c.cleanQs, qs)
-			atomic.AddInt64(&c.cleanEntries, es)
-			atomic.AddInt64(&c.cleaned, cl)
-		}()
-	}
-	wg.Wait()
-	return surv
-}
-
-// firstWitness merge-joins two sorted label sets looking for a common hub
-// ranked strictly above bound whose distance sum is ≤ delta (identical to
-// GLL's shared-memory cleaning query).
-func firstWitness(a, b label.Set, bound uint32, delta float64) (found bool, entries int64) {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) && a[i].Hub < bound && b[j].Hub < bound {
-		entries++
-		switch {
-		case a[i].Hub < b[j].Hub:
-			i++
-		case a[i].Hub > b[j].Hub:
-			j++
-		default:
-			if a[i].Dist+b[j].Dist <= delta {
-				return true, entries
-			}
-			i++
-			j++
-		}
-	}
-	return false, entries
+// buildMyRoots constructs the trees this node owns, one scratch per
+// intra-node thread, in GLL's two-table regime: distance queries consult the
+// replicated global table (lock-free — it is immutable during a construction
+// phase) and then the node's own local store, which receives the labels.
+// rankQuery distinguishes DGLL (true) from DparaPLL (false, per §3).
+func buildMyRoots(g *graph.Graph, global []label.Set, local *label.ConcurrentStore,
+	mine []int, scr []*ptree.Scratch, rankQuery bool) ptree.Stats {
+	stats := make([]ptree.Stats, len(scr))
+	ptree.ParallelFor(len(scr), len(mine), func(w, i int) {
+		stats[w].Add(ptree.TwoTableTree(g, mine[i], scr[w], rankQuery, global, local))
+	})
+	return ptree.Sum(stats)
 }
 
 // dgllSupersteps runs DGLL's construction+cleaning supersteps over the
@@ -227,29 +45,26 @@ func dgllSupersteps(nd *cluster.Node, g *graph.Graph, global []label.Set, bounds
 	o Options, clean bool, rootOwner []int32, c *perNodeCounters) bool {
 	n := g.NumVertices()
 	local := label.NewConcurrentStore(n)
+	scr := ptree.NewScratches(o.WorkersPerNode, n)
 	rankQuery := clean // DGLL rank-queries and cleans; DparaPLL does neither (§3)
 	for si := 0; si+1 < len(bounds); si++ {
-		lo, hi := bounds[si], bounds[si+1]
-		buildMyRoots(nd, g, global, local, lo, hi, o.WorkersPerNode, rankQuery, rootOwner, c)
+		mine := myRoots(nd, bounds[si], bounds[si+1], rootOwner)
+		c.Add(buildMyRoots(g, global, local, mine, scr, rankQuery))
 
-		mine := local.Drain()
-		for _, s := range mine {
-			s.Sort()
-		}
-		batch := batchOf(mine)
-		merged := mergeBatches(n, nd.AllGather(batch, batch.count*label.Bytes))
+		batch := batchOf(drainSorted(local))
+		commit := mergeBatches(n, nd.AllGather(batch, batch.count*label.Bytes))
 
-		commit := merged
 		if clean {
-			surv := cleanShare(nd, merged, o.WorkersPerNode, c)
+			// Distributed cleaning: each node cleans the vertices it owns
+			// (v ≡ rank mod q) against the allgathered superstep tables —
+			// read-only, so every node sees identical inputs — and the
+			// survivors are exchanged.
+			surv, st := ptree.Clean(commit, o.WorkersPerNode, nd.Rank(), nd.Size())
+			c.Add(st)
 			sb := batchOf(surv)
 			commit = mergeBatches(n, nd.AllGather(sb, sb.count*label.Bytes))
 		}
-		for v, s := range commit {
-			if len(s) > 0 {
-				global[v] = global[v].Merge(s)
-			}
-		}
+		mergeInto(global, commit)
 		if o.MemoryLimitBytes > 0 && totalLabels(global)*label.Bytes > o.MemoryLimitBytes {
 			return false
 		}
@@ -276,14 +91,13 @@ func DGLL(g *graph.Graph, o Options) (*Result, error) {
 	oom := false
 	bounds := clip(schedule(0, n, o.Beta, o.Supersteps), eta, n)
 
-	//chlvet:allow clockcheck -- construction/experiment wall time is the reported measurement itself, not control flow; a fake clock would report fake results
 	start := time.Now()
 	st := cl.Run(func(nd *cluster.Node) {
 		c := &counters[nd.Rank()]
 		global := make([]label.Set, n)
 		var com *label.Index
 		if eta > 0 {
-			com, _ = plantPhase(nd, g, global, 0, eta, o, rootOwner, nil, nil, c)
+			com, _ = plantPhase(nd, g, global, 0, eta, plant.NewScratches(o.WorkersPerNode, n), rootOwner, nil, nil, c)
 		}
 		if !dgllSupersteps(nd, g, global, bounds, o, true, rootOwner, c) {
 			if nd.Rank() == 0 {
@@ -296,7 +110,6 @@ func DGLL(g *graph.Graph, o Options) (*Result, error) {
 			common = com
 		}
 	})
-	//chlvet:allow clockcheck -- construction/experiment wall time is the reported measurement itself, not control flow; a fake clock would report fake results
 	m.TotalTime = time.Since(start)
 	m.ConstructTime = m.TotalTime
 	m.BytesSent = st.BytesSent

@@ -32,6 +32,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/label"
 	"repro/internal/metrics"
+	"repro/internal/ptree"
 )
 
 // DefaultEta is the Common Label Table size the paper settles on ("we use
@@ -198,19 +199,29 @@ func batchOf(sets []label.Set) labelBatch {
 func mergeBatches(n int, batches []any) []label.Set {
 	merged := make([]label.Set, n)
 	for _, b := range batches {
-		lb := b.(labelBatch)
-		if lb.sets == nil {
-			continue
-		}
-		for v, s := range lb.sets {
-			if len(s) > 0 {
-				merged[v] = merged[v].Merge(s)
-			}
-		}
+		mergeInto(merged, b.(labelBatch).sets)
 	}
 	// Single-contributor vertices come back as clones from Merge's
 	// nil-receiver path, so everything here is node-private.
 	return merged
+}
+
+// mergeInto merges the sorted sets of src into dst, vertex by vertex.
+func mergeInto(dst, src []label.Set) {
+	for v, s := range src {
+		if len(s) > 0 {
+			dst[v] = dst[v].Merge(s)
+		}
+	}
+}
+
+// drainSorted empties a node-local store into sorted per-vertex sets.
+func drainSorted(store *label.ConcurrentStore) []label.Set {
+	sets := store.Drain()
+	for _, s := range sets {
+		s.Sort()
+	}
+	return sets
 }
 
 func totalLabels(sets []label.Set) int64 {
@@ -224,36 +235,18 @@ func totalLabels(sets []label.Set) int64 {
 // perNodeCounters is one node's share of the build metrics; each node
 // writes only its own slot of the shared slice.
 type perNodeCounters struct {
-	explored, relaxed     int64
-	dqs, rprunes, dprunes int64
-	generated             int64
-	cleanQs, cleanEntries int64
-	cleaned               int64
-	storedBytes           int64 // final label storage on this node
+	ptree.Stats
+	storedBytes int64 // final label storage on this node
 }
 
 // fold sums per-node counters into the build record and fills the per-node
 // maxima the cost model needs.
 func fold(m *metrics.Build, cs []perNodeCounters) {
 	for _, c := range cs {
-		m.VerticesExplored += c.explored
-		m.EdgesRelaxed += c.relaxed
-		m.DistanceQueries += c.dqs
-		m.RankPrunes += c.rprunes
-		m.DistPrunes += c.dprunes
-		m.LabelsGenerated += c.generated
-		m.CleanQueries += c.cleanQs
-		m.CleanEntries += c.cleanEntries
-		m.LabelsCleaned += c.cleaned
-		if c.explored > m.MaxNodeExplored {
-			m.MaxNodeExplored = c.explored
-		}
-		if dq := c.dqs + c.cleanQs; dq > m.MaxNodeQueries {
-			m.MaxNodeQueries = dq
-		}
-		if c.storedBytes > m.MaxNodeBytes {
-			m.MaxNodeBytes = c.storedBytes
-		}
+		m.Fold(c.Stats)
+		m.MaxNodeExplored = max(m.MaxNodeExplored, c.Explored)
+		m.MaxNodeQueries = max(m.MaxNodeQueries, c.Queries+c.CleanQueries)
+		m.MaxNodeBytes = max(m.MaxNodeBytes, c.storedBytes)
 	}
 }
 

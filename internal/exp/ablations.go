@@ -8,7 +8,7 @@ import (
 	"repro/internal/lcc"
 )
 
-// The ablations quantify two design decisions DESIGN.md calls out:
+// The ablations quantify two design decisions:
 //
 //   - X2, the Common Label Table (§5.3): how much PLaNT exploration it
 //     prunes and how much DGLL redundancy it prevents, for its O(η·n)

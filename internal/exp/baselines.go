@@ -41,14 +41,12 @@ func QueryBaselines(cfg Config) []QueryBaselineRow {
 		}
 
 		timeIt := func(fn func(u, v int) float64) float64 {
-			//chlvet:allow clockcheck -- construction/experiment wall time is the reported measurement itself, not control flow; a fake clock would report fake results
 			start := time.Now()
 			var sink float64
 			for i := range us {
 				sink += fn(us[i], vs[i])
 			}
 			_ = sink
-			//chlvet:allow clockcheck -- construction/experiment wall time is the reported measurement itself, not control flow; a fake clock would report fake results
 			return float64(time.Since(start).Nanoseconds()) / queries
 		}
 

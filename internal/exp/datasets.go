@@ -1,7 +1,7 @@
 // Package exp is the evaluation harness: one driver per table and figure of
 // the paper's §7, each printing the same rows/series the paper reports.
 // Absolute numbers differ (the substrate is a laptop-scale simulation, not
-// the authors' 36-core server and 64-node cluster — DESIGN.md §4), but the
+// the authors' 36-core server and 64-node cluster), but the
 // shapes the paper's claims rest on are asserted in exp's tests and
 // recorded in EXPERIMENTS.md.
 package exp
@@ -76,7 +76,7 @@ func scalefree(baseN, k int) func(scale float64, seed int64) *graph.Graph {
 // directed paper datasets (WND, BDU, POK, LIJ) are represented by
 // undirected twins: every §7 experiment treats them through the undirected
 // code path (the paper's algorithms are described for undirected graphs;
-// directed support is exercised by dedicated tests instead — DESIGN.md §4).
+// directed support is exercised by dedicated tests instead).
 func Suite(full bool) []Dataset {
 	all := []Dataset{
 		{Name: "CAL", Description: "California road network (twin)", Kind: "road", Gen: road(64)},

@@ -202,7 +202,7 @@ func WriteFigure5(w io.Writer, pts []Figure5Point) {
 type Figure6Point struct {
 	Dataset string
 	PsiTh   float64
-	Modeled float64 // modeled cluster seconds (DESIGN.md §4)
+	Modeled float64 // modeled cluster seconds (metrics.CostModel)
 	Bytes   int64
 }
 

@@ -20,14 +20,13 @@ package gll
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
 	"repro/internal/label"
 	"repro/internal/metrics"
-	"repro/internal/vheap"
+	"repro/internal/ptree"
 )
 
 // DefaultAlpha is the synchronization threshold the paper settles on after
@@ -59,45 +58,49 @@ func (o Options) normalize() Options {
 
 // Run executes GLL and returns the CHL for the identity rank order of g.
 func Run(g *graph.Graph, opts Options) (*label.Index, *metrics.Build) {
-	opts = opts.normalize()
-	n := g.NumVertices()
-	m := &metrics.Build{Algorithm: "GLL", Workers: opts.Workers}
+	return run(g, opts, "GLL", false)
+}
+
+func run(g *graph.Graph, opts Options, algorithm string, plantFirst bool) (*label.Index, *metrics.Build) {
 	st := NewState(g, opts)
-	//chlvet:allow clockcheck -- construction/experiment wall time is the reported measurement itself, not control flow; a fake clock would report fake results
+	m := &metrics.Build{Algorithm: algorithm, Workers: st.opts.Workers, Trees: int64(g.NumVertices())}
 	start := time.Now()
+	if plantFirst {
+		st.plantFirstSuperstep(m)
+	}
 	for !st.Done() {
 		st.Superstep(m)
 	}
-	//chlvet:allow clockcheck -- construction/experiment wall time is the reported measurement itself, not control flow; a fake clock would report fake results
 	m.TotalTime = time.Since(start)
-	m.Trees = int64(n)
 	m.LockAcquisitions = st.LockCount()
 	ix := st.Index()
 	m.Labels = ix.TotalLabels()
 	return ix, m
 }
 
-// State is the shared state of a GLL run, split out so that the distributed
-// algorithms (DGLL) and the GPU-style extension of §5.4 can drive supersteps
-// themselves, and so tests can observe intermediate tables.
+// State is the shared state of a GLL run, split out so that RunPlantFirst
+// can substitute the first superstep and tests can drive supersteps one by
+// one and observe the intermediate tables.
 type State struct {
 	g      *graph.Graph
 	opts   Options
 	global []label.Set // Global Label Table: immutable during construction
 	local  *label.ConcurrentStore
-	next   int64 // next root (atomic)
-	done   int64 // roots fully processed
+	scr    []*ptree.Scratch // one per worker, kept across supersteps
+	next   atomic.Int64     // next root
 	steps  int
 }
 
 // NewState prepares a GLL run over g.
 func NewState(g *graph.Graph, opts Options) *State {
 	opts = opts.normalize()
+	n := g.NumVertices()
 	st := &State{
 		g:      g,
 		opts:   opts,
-		global: make([]label.Set, g.NumVertices()),
-		local:  label.NewConcurrentStore(g.NumVertices()),
+		global: make([]label.Set, n),
+		local:  label.NewConcurrentStore(n),
+		scr:    ptree.NewScratches(opts.Workers, n),
 	}
 	if opts.Profile {
 		st.local.EnableProfiling()
@@ -106,7 +109,7 @@ func NewState(g *graph.Graph, opts Options) *State {
 }
 
 // Done reports whether every root's SPT has been constructed.
-func (st *State) Done() bool { return atomic.LoadInt64(&st.next) >= int64(st.g.NumVertices()) }
+func (st *State) Done() bool { return st.next.Load() >= int64(st.g.NumVertices()) }
 
 // Steps returns the number of supersteps executed so far.
 func (st *State) Steps() int { return st.steps }
@@ -127,143 +130,50 @@ func (st *State) Index() *label.Index {
 // commit phase.
 func (st *State) Superstep(m *metrics.Build) {
 	st.steps++
-	budget := int64(st.opts.Alpha * float64(st.g.NumVertices()))
-	if budget < 1 {
-		budget = 1
-	}
-	//chlvet:allow clockcheck -- construction/experiment wall time is the reported measurement itself, not control flow; a fake clock would report fake results
 	t0 := time.Now()
-	st.construct(budget, m)
-	//chlvet:allow clockcheck -- construction/experiment wall time is the reported measurement itself, not control flow; a fake clock would report fake results
+	m.Fold(st.roots(st.tree))
 	m.ConstructTime += time.Since(t0)
 
-	//chlvet:allow clockcheck -- construction/experiment wall time is the reported measurement itself, not control flow; a fake clock would report fake results
 	t1 := time.Now()
-	st.cleanAndCommit(m)
-	//chlvet:allow clockcheck -- construction/experiment wall time is the reported measurement itself, not control flow; a fake clock would report fake results
+	m.Fold(st.cleanAndCommit())
 	m.CleanTime += time.Since(t1)
 	m.Synchronizations++
 }
 
-// construct pulls roots in rank order and builds pruned SPTs until the
-// generated-label budget for this superstep is exhausted (threads finish the
-// tree they are on, so every root below the high-water mark is complete at
-// the barrier — the property the cleaning correctness argument needs).
-func (st *State) construct(budget int64, m *metrics.Build) {
+// roots is the pool of a construction phase: workers pull roots in rank
+// order and build tree(worker, root) until the generated-label budget α·n of
+// the superstep is exhausted (threads finish the tree they are on, so every
+// root below the high-water mark is complete at the barrier — the property
+// the cleaning correctness argument needs).
+func (st *State) roots(tree func(w, h int) ptree.Stats) ptree.Stats {
 	n := st.g.NumVertices()
-	var generated int64
-	var explored, relaxed, dqs, dprunes, rprunes int64
-	var wg sync.WaitGroup
-	for t := 0; t < st.opts.Workers; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := newWorker(n)
-			var ex, rx, dq, dp, rp int64
-			for atomic.LoadInt64(&generated) < budget {
-				h := int(atomic.AddInt64(&st.next, 1)) - 1
-				if h >= n {
-					atomic.AddInt64(&st.next, -1) // keep next == n
-					break
-				}
-				g := w.tree(st, h, &ex, &rx, &dq, &dp, &rp)
-				atomic.AddInt64(&generated, g)
+	budget := max(int64(st.opts.Alpha*float64(n)), 1)
+	var generated atomic.Int64
+	stats := make([]ptree.Stats, st.opts.Workers)
+	// One task per worker; each loops until the budget is spent.
+	ptree.ParallelFor(st.opts.Workers, st.opts.Workers, func(w, _ int) {
+		for generated.Load() < budget {
+			h := int(st.next.Add(1)) - 1
+			if h >= n {
+				return
 			}
-			atomic.AddInt64(&explored, ex)
-			atomic.AddInt64(&relaxed, rx)
-			atomic.AddInt64(&dqs, dq)
-			atomic.AddInt64(&dprunes, dp)
-			atomic.AddInt64(&rprunes, rp)
-		}()
-	}
-	wg.Wait()
-	m.VerticesExplored += explored
-	m.EdgesRelaxed += relaxed
-	m.DistanceQueries += dqs
-	m.DistPrunes += dprunes
-	m.RankPrunes += rprunes
-	m.LabelsGenerated += atomic.LoadInt64(&generated)
-}
-
-type worker struct {
-	dist  []float64
-	dirty []int32
-	heap  *vheap.Heap
-	hd    *label.HashDist
-}
-
-func newWorker(n int) *worker {
-	w := &worker{
-		dist: make([]float64, n),
-		heap: vheap.New(n),
-		hd:   label.NewHashDist(n),
-	}
-	for i := range w.dist {
-		w.dist[i] = graph.Infinity
-	}
-	return w
-}
-
-func (w *worker) reset() {
-	for _, v := range w.dirty {
-		w.dist[v] = graph.Infinity
-	}
-	w.dirty = w.dirty[:0]
-	w.heap.Clear()
-}
-
-// tree builds the pruned SPT rooted at h. Pruning distance queries consult
-// the lock-free global table first and fall back to the locked local table
-// (footnote 4: "the Label Construction step uses both global and local
-// table to answer distance queries").
-func (w *worker) tree(st *State, h int, explored, relaxed, dqs, dprunes, rprunes *int64) int64 {
-	w.reset()
-	w.hd.Reset()
-	for _, l := range st.global[h] { // global table: immutable, no lock
-		w.hd.Add(l.Hub, l.Dist)
-	}
-	for _, l := range st.local.CopyLabels(h) {
-		w.hd.Add(l.Hub, l.Dist)
-	}
-	var generated int64
-	w.dist[h] = 0
-	w.dirty = append(w.dirty, int32(h))
-	w.heap.Push(h, 0)
-	for !w.heap.Empty() {
-		v, dv := w.heap.Pop()
-		*explored++
-		if v < h { // rank query
-			*rprunes++
-			continue
+			ts := tree(w, h)
+			generated.Add(ts.Labels)
+			stats[w].Add(ts)
 		}
-		if v != h { // distance query: global (lock-free) then local (locked)
-			*dqs++
-			if w.hd.QueryAgainst(st.global[v], dv) || st.local.QueryAgainst(w.hd, v, dv) {
-				*dprunes++
-				continue
-			}
-		}
-		st.local.Append(v, label.L{Hub: uint32(h), Dist: dv})
-		generated++
-		heads, wts := st.g.Neighbors(v)
-		for i, uu := range heads {
-			u := int(uu)
-			nd := dv + wts[i]
-			*relaxed++
-			if nd < w.dist[u] {
-				if w.dist[u] == graph.Infinity {
-					w.dirty = append(w.dirty, int32(uu))
-				}
-				w.dist[u] = nd
-				w.heap.Push(u, nd)
-			}
-		}
-	}
-	return generated
+	})
+	return ptree.Sum(stats)
 }
 
-// cleanAndCommit drains the local table, sorts it, marks redundant local
-// labels with DQ_Clean, and merges the survivors into the global table.
+// tree builds the pruned SPT rooted at h: Algorithm 1 with rank queries,
+// pruned against the lock-free global table and the locked local table,
+// labels going to the local table.
+func (st *State) tree(w, h int) ptree.Stats {
+	return ptree.TwoTableTree(st.g, h, st.scr[w], true, st.global, st.local)
+}
+
+// cleanAndCommit drains the local table, sorts it, drops the local labels
+// DQ_Clean finds redundant, and merges the survivors into the global table.
 //
 // This is where GLL's cleaning advantage comes from (§4.2: "the label
 // cleaning only needs to query for redundant labels on the local table").
@@ -277,102 +187,19 @@ func (w *worker) tree(st *State, h int, explored, relaxed, dqs, dprunes, rprunes
 // cleaning step performs O(n·α²) work (the paper's bound) no matter how
 // large the committed global tables have grown — LCC, by contrast, rescans
 // the full final sets for every label.
-func (st *State) cleanAndCommit(m *metrics.Build) {
-	n := st.g.NumVertices()
+func (st *State) cleanAndCommit() ptree.Stats {
 	locals := st.local.Drain()
-
-	parallelFor(st.opts.Workers, n, func(v int) {
-		locals[v].Sort()
-	})
-
-	var cleaned, queries, entries int64
-	keep := make([]label.Set, n)
-	parallelFor(st.opts.Workers, n, func(v int) {
-		lv := locals[v]
-		if len(lv) == 0 {
-			return
-		}
-		var qs, es, cl int64
-		// Survivors go to a fresh slice: lv is locals[v], which other
-		// workers are merge-joining as the set of one of their hubs.
-		out := make(label.Set, 0, len(lv))
-		for _, l := range lv {
-			if int(l.Hub) != v {
-				qs++
-				h := int(l.Hub)
-				redundant, e1 := firstWitness(locals[v], locals[h], l.Hub, l.Dist)
-				es += e1
-				if redundant {
-					cl++
-					continue
-				}
-			}
-			out = append(out, l)
-		}
-		keep[v] = out
-		atomic.AddInt64(&queries, qs)
-		atomic.AddInt64(&entries, es)
-		atomic.AddInt64(&cleaned, cl)
-	})
-
-	parallelFor(st.opts.Workers, n, func(v int) {
-		if len(keep[v]) > 0 {
-			st.global[v] = st.global[v].Merge(keep[v])
-		}
-	})
-	m.CleanQueries += queries
-	m.CleanEntries += entries
-	m.LabelsCleaned += cleaned
+	ptree.ParallelFor(st.opts.Workers, len(locals), func(_, v int) { locals[v].Sort() })
+	keep, stats := ptree.Clean(locals, st.opts.Workers, 0, 1)
+	st.commit(keep)
+	return stats
 }
 
-// firstWitness merge-joins two sorted label sets looking for a common hub
-// ranked strictly above bound (hub id < bound) whose distance sum is ≤
-// delta — a redundancy witness. Only hubs outranking the label's own hub
-// qualify, so the scan stops at the bound. Returns whether a witness was
-// found and the number of entries touched.
-func firstWitness(a, b label.Set, bound uint32, delta float64) (found bool, entries int64) {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) && a[i].Hub < bound && b[j].Hub < bound {
-		entries++
-		switch {
-		case a[i].Hub < b[j].Hub:
-			i++
-		case a[i].Hub > b[j].Hub:
-			j++
-		default:
-			if a[i].Dist+b[j].Dist <= delta {
-				return true, entries
-			}
-			i++
-			j++
+// commit merges sorted per-vertex sets into the global table.
+func (st *State) commit(sets []label.Set) {
+	ptree.ParallelFor(st.opts.Workers, len(sets), func(_, v int) {
+		if len(sets[v]) > 0 {
+			st.global[v] = st.global[v].Merge(sets[v])
 		}
-	}
-	return false, entries
-}
-
-// parallelFor runs fn(i) for i in [0,n) across the given workers using a
-// shared atomic counter (the same dynamic scheduling as the label loops).
-func parallelFor(workers, n int, fn func(int)) {
-	if workers <= 1 || n < 2 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for t := 0; t < workers; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 }

@@ -113,20 +113,3 @@ func TestDegenerateBudget(t *testing.T) {
 		t.Fatalf("expected many supersteps, got %d", m.Synchronizations)
 	}
 }
-
-// TestCleaningReadsWhatNoOneWrites is the -race regression test for the
-// cleaning pass: a worker deciding the labels of v merge-joins the local
-// sets of v's hubs, which other workers are deciding at the same moment, so
-// nothing may be compacted in place. The grid is large enough that the
-// passes of four workers overlap; run without -race it still pins the CHL.
-func TestCleaningReadsWhatNoOneWrites(t *testing.T) {
-	g := graph.RoadGrid(32, 32, 1)
-	want, _ := pll.Sequential(g, pll.Options{})
-	got, m := Run(g, Options{Workers: 4})
-	if diff := want.Diff(got); diff != "" {
-		t.Fatal(diff)
-	}
-	if m.LabelsCleaned == 0 {
-		t.Fatal("nothing was cleaned: the fixture no longer exercises the cleaning pass")
-	}
-}

@@ -1,14 +1,13 @@
 package gll
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
 	"repro/internal/label"
 	"repro/internal/metrics"
 	"repro/internal/plant"
+	"repro/internal/ptree"
 )
 
 // This file implements the §5.4 / §7.2 extension: "using PLaNT for the
@@ -22,23 +21,7 @@ import (
 // RunPlantFirst executes GLL with a PLaNTed first superstep. Output is the
 // identical CHL.
 func RunPlantFirst(g *graph.Graph, opts Options) (*label.Index, *metrics.Build) {
-	opts = opts.normalize()
-	n := g.NumVertices()
-	m := &metrics.Build{Algorithm: "GLL+PLaNT-first", Workers: opts.Workers}
-	st := NewState(g, opts)
-	//chlvet:allow clockcheck -- construction/experiment wall time is the reported measurement itself, not control flow; a fake clock would report fake results
-	start := time.Now()
-	st.plantFirstSuperstep(m)
-	for !st.Done() {
-		st.Superstep(m)
-	}
-	//chlvet:allow clockcheck -- construction/experiment wall time is the reported measurement itself, not control flow; a fake clock would report fake results
-	m.TotalTime = time.Since(start)
-	m.Trees = int64(n)
-	m.LockAcquisitions = st.LockCount()
-	ix := st.Index()
-	m.Labels = ix.TotalLabels()
-	return ix, m
+	return run(g, opts, "GLL+PLaNT-first", true)
 }
 
 // plantFirstSuperstep PLaNTs roots in rank order until the superstep's
@@ -47,72 +30,19 @@ func RunPlantFirst(g *graph.Graph, opts Options) (*label.Index, *metrics.Build) 
 func (st *State) plantFirstSuperstep(m *metrics.Build) {
 	st.steps++
 	n := st.g.NumVertices()
-	budget := int64(st.opts.Alpha * float64(n))
-	if budget < 1 {
-		budget = 1
-	}
-	//chlvet:allow clockcheck -- construction/experiment wall time is the reported measurement itself, not control flow; a fake clock would report fake results
 	t0 := time.Now()
+	scr := plant.NewScratches(st.opts.Workers, n)
+	planted := label.NewConcurrentStore(n)
+	m.Fold(st.roots(func(w, h int) ptree.Stats {
+		return plant.Tree(st.g, h, scr[w], nil, 0, func(v int, d float64) {
+			planted.Append(v, label.L{Hub: uint32(h), Dist: d})
+		})
+	}))
 
-	type treeOut struct {
-		root   int
-		labels []plantLabel
-	}
-	var mu sync.Mutex
-	var outs []treeOut
-	var generated, explored, relaxed int64
-	var wg sync.WaitGroup
-	for t := 0; t < st.opts.Workers; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := plant.NewScratch(n)
-			for atomic.LoadInt64(&generated) < budget {
-				h := int(atomic.AddInt64(&st.next, 1)) - 1
-				if h >= n {
-					atomic.AddInt64(&st.next, -1)
-					break
-				}
-				var out []plantLabel
-				ts := plant.Tree(st.g, h, s, nil, 0, func(v int, d float64) {
-					out = append(out, plantLabel{v: uint32(v), dist: d})
-				})
-				atomic.AddInt64(&generated, ts.Labels)
-				atomic.AddInt64(&explored, ts.Explored)
-				atomic.AddInt64(&relaxed, ts.Relaxed)
-				mu.Lock()
-				outs = append(outs, treeOut{root: h, labels: out})
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Commit: group by vertex, sort by hub, merge into the (empty or
-	// small) global table. No cleaning: PLaNT output is canonical.
-	perVertex := make([]label.Set, n)
-	for _, o := range outs {
-		for _, pl := range o.labels {
-			perVertex[pl.v] = append(perVertex[pl.v], label.L{Hub: uint32(o.root), Dist: pl.dist})
-		}
-	}
-	parallelFor(st.opts.Workers, n, func(v int) {
-		if len(perVertex[v]) == 0 {
-			return
-		}
-		perVertex[v].Sort()
-		st.global[v] = st.global[v].Merge(perVertex[v])
-	})
-
-	m.VerticesExplored += explored
-	m.EdgesRelaxed += relaxed
-	m.LabelsGenerated += atomic.LoadInt64(&generated)
-	//chlvet:allow clockcheck -- construction/experiment wall time is the reported measurement itself, not control flow; a fake clock would report fake results
+	// Commit without cleaning: PLaNT output is canonical.
+	sets := planted.Drain()
+	ptree.ParallelFor(st.opts.Workers, n, func(_, v int) { sets[v].Sort() })
+	st.commit(sets)
 	m.ConstructTime += time.Since(t0)
 	m.Synchronizations++
-}
-
-type plantLabel struct {
-	v    uint32
-	dist float64
 }

@@ -16,7 +16,7 @@ import (
 //     sparse fringe; degree ranking. PLaNT pays a large exploration overhead
 //     on the fringe, so the Hybrid algorithm wins.
 //
-// RoadGrid and BarabasiAlbert reproduce those regimes (see DESIGN.md §4 for
+// RoadGrid and BarabasiAlbert reproduce those regimes (internal/exp.Suite is
 // the dataset substitution table).
 
 // RoadGrid generates a road-network-like graph: a rows×cols lattice where

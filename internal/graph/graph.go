@@ -8,7 +8,7 @@
 // Vertices are dense integers in [0, N). Edge weights are strictly positive
 // float64 values; every constructor rejects non-positive weights because the
 // labeling algorithms (and the exactness of PLaNT's ancestor propagation,
-// see DESIGN.md §3) rely on them.
+// see the internal/plant package doc) rely on them.
 package graph
 
 import (

@@ -93,15 +93,3 @@ func (h *HashDist) QueryAgainstBounded(lv Set, delta float64, bound uint32) bool
 	}
 	return false
 }
-
-// BestWitness returns the highest-ranked hub h' common to the loaded set and
-// lv with d(v,h') + d(h,h') ≤ δ, for the cleaning query DQ_Clean (Algorithm
-// 2 lines 12–16) which needs the witness's rank, not just existence.
-func (h *HashDist) BestWitness(lv Set, delta float64) (hub uint32, ok bool) {
-	for _, l := range lv { // sorted by hub id = descending rank: first hit is best
-		if h.version[l.Hub] == h.current && l.Dist+h.dist[l.Hub] <= delta {
-			return l.Hub, true
-		}
-	}
-	return 0, false
-}

@@ -129,29 +129,6 @@ func QueryMerge(a, b Set) (dist float64, hub uint32, ok bool) {
 	return dist, hub, ok
 }
 
-// QueryMergeBounded is QueryMerge restricted to hubs ranked strictly higher
-// than (id strictly less than) bound. It implements the restricted pruning
-// experiment of Figure 4 and the common-label-table queries of §5.3.
-func QueryMergeBounded(a, b Set, bound uint32) (dist float64, hub uint32, ok bool) {
-	dist = Infinity
-	i, j := 0, 0
-	for i < len(a) && j < len(b) && a[i].Hub < bound && b[j].Hub < bound {
-		switch {
-		case a[i].Hub < b[j].Hub:
-			i++
-		case a[i].Hub > b[j].Hub:
-			j++
-		default:
-			if d := a[i].Dist + b[j].Dist; d < dist {
-				dist, hub, ok = d, a[i].Hub, true
-			}
-			i++
-			j++
-		}
-	}
-	return dist, hub, ok
-}
-
 // Validate checks structural invariants (sortedness, finite positive
 // distances except the self label, hub ids < n) and returns a descriptive
 // error on the first violation. Tests call it on every produced labeling.

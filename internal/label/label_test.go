@@ -68,24 +68,6 @@ func TestQueryMerge(t *testing.T) {
 	}
 }
 
-func TestQueryMergeBounded(t *testing.T) {
-	a := set(L{0, 10}, L{3, 1})
-	b := set(L{0, 10}, L{3, 1})
-	if d, _, ok := QueryMergeBounded(a, b, 4); !ok || d != 2 {
-		t.Fatalf("bounded(4) = %v,%v", d, ok)
-	}
-	if _, _, ok := QueryMergeBounded(a, b, 3); ok && false {
-		t.Fatal("unreachable")
-	}
-	d, hub, ok := QueryMergeBounded(a, b, 3)
-	if !ok || hub != 0 || d != 20 {
-		t.Fatalf("bounded(3) = %v,%d,%v want 20,0,true", d, hub, ok)
-	}
-	if _, _, ok := QueryMergeBounded(a, b, 0); ok {
-		t.Fatal("bound 0 must see nothing")
-	}
-}
-
 // Property: QueryMerge equals a brute-force intersection minimum.
 func TestQueryMergeProperty(t *testing.T) {
 	mk := func(seed int64) Set {
@@ -224,9 +206,6 @@ func TestHashDistQueries(t *testing.T) {
 	}
 	if !hd.QueryAgainstBounded(lv, 100, 2) {
 		t.Fatal("bounded(2) must include hub 1")
-	}
-	if hub, ok := hd.BestWitness(lv, 11); !ok || hub != 1 {
-		t.Fatalf("BestWitness = %d,%v want 1", hub, ok)
 	}
 }
 

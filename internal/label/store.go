@@ -61,22 +61,16 @@ func (cs *ConcurrentStore) QueryAgainst(hd *HashDist, v int, delta float64) bool
 	return r
 }
 
-// CopyLabels returns a snapshot copy of v's current labels.
-func (cs *ConcurrentStore) CopyLabels(v int) Set {
+// AddTo adds v's current labels to hd under v's lock: the root-hashing step
+// of a concurrent tree ("hashing root labels prior to launching an SPT
+// construction", §3) — labels appended to v afterwards are not consulted.
+func (cs *ConcurrentStore) AddTo(hd *HashDist, v int) {
 	cs.countLock()
 	cs.mu[v].Lock()
-	s := cs.sets[v].Clone()
+	for _, l := range cs.sets[v] {
+		hd.Add(l.Hub, l.Dist)
+	}
 	cs.mu[v].Unlock()
-	return s
-}
-
-// Len returns the current number of labels of v.
-func (cs *ConcurrentStore) Len(v int) int {
-	cs.countLock()
-	cs.mu[v].Lock()
-	n := len(cs.sets[v])
-	cs.mu[v].Unlock()
-	return n
 }
 
 // Seal sorts every set and hands the storage over as an Index. The store

@@ -23,14 +23,10 @@ func TestConcurrentStoreParallelAppend(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	total := 0
-	for v := 0; v < n; v++ {
-		total += cs.Len(v)
-	}
-	if total != workers*per {
+	ix := cs.Seal()
+	if total := ix.TotalLabels(); total != workers*per {
 		t.Fatalf("stored %d labels, want %d", total, workers*per)
 	}
-	ix := cs.Seal()
 	if err := ix.Validate(); err == nil {
 		// Hubs were synthetic and > n, so Validate must fail — this
 		// asserts Seal sorted the sets but kept contents.
@@ -59,15 +55,31 @@ func TestConcurrentStoreQueryAgainst(t *testing.T) {
 	}
 }
 
+func TestConcurrentStoreAddTo(t *testing.T) {
+	cs := NewConcurrentStore(2)
+	cs.Append(1, L{Hub: 0, Dist: 3})
+	cs.Append(1, L{Hub: 1, Dist: 0})
+	hd := NewHashDist(2)
+	hd.Add(0, 5) // AddTo adds, it does not clear: GLL hashes global then local
+	cs.AddTo(hd, 1)
+	if d, ok := hd.Get(0); !ok || d != 3 {
+		t.Fatalf("hub 0 = %v,%v want the improved 3", d, ok)
+	}
+	if d, ok := hd.Get(1); !ok || d != 0 {
+		t.Fatalf("hub 1 = %v,%v want 0", d, ok)
+	}
+	cs.AddTo(hd, 0) // empty set: nothing to add
+}
+
 func TestConcurrentStoreDrain(t *testing.T) {
 	cs := NewConcurrentStore(2)
 	cs.Append(0, L{Hub: 1, Dist: 2})
 	out := cs.Drain()
-	if len(out[0]) != 1 || cs.Len(0) != 0 {
+	if len(out[0]) != 1 || len(cs.Drain()[0]) != 0 {
 		t.Fatal("Drain did not move labels")
 	}
 	cs.Append(0, L{Hub: 2, Dist: 1}) // reusable after Drain
-	if cs.Len(0) != 1 {
+	if again := cs.Drain(); len(again[0]) != 1 || again[0][0].Hub != 2 {
 		t.Fatal("store unusable after Drain")
 	}
 }
@@ -80,7 +92,7 @@ func TestConcurrentStoreProfiling(t *testing.T) {
 	}
 	cs.EnableProfiling()
 	cs.Append(0, L{Hub: 2, Dist: 1})
-	cs.Len(0)
+	cs.AddTo(NewHashDist(3), 0)
 	if cs.LockCount() != 2 {
 		t.Fatalf("lock count = %d, want 2", cs.LockCount())
 	}

@@ -13,14 +13,12 @@ package lcc
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
 	"repro/internal/label"
 	"repro/internal/metrics"
-	"repro/internal/vheap"
+	"repro/internal/ptree"
 )
 
 // Options configures an LCC run.
@@ -44,247 +42,46 @@ func (o Options) normalize() Options {
 func Run(g *graph.Graph, opts Options) (*label.Index, *metrics.Build) {
 	opts = opts.normalize()
 	n := g.NumVertices()
-	m := &metrics.Build{Algorithm: "LCC", Workers: opts.Workers}
+	m := &metrics.Build{Algorithm: "LCC", Workers: opts.Workers, Trees: int64(n)}
 
-	// ---- LCC-I: parallel label construction (Algorithm 2 lines 2–5).
+	// ---- LCC-I: parallel label construction (Algorithm 2 lines 2–5):
+	// concurrent trees with rank queries against one locked table.
 	store := label.NewConcurrentStore(n)
 	if opts.Profile {
 		store.EnableProfiling()
 	}
-	//chlvet:allow clockcheck -- construction/experiment wall time is the reported measurement itself, not control flow; a fake clock would report fake results
 	start := time.Now()
-	Construct(g, store, opts.Workers, m)
+	m.Fold(ptree.LiveForest(g, store, 0, opts.Workers, true))
 	m.LockAcquisitions = store.LockCount()
 	ix := store.Seal() // sort labels by hub rank (Algorithm 2 lines 6–7)
-	//chlvet:allow clockcheck -- construction/experiment wall time is the reported measurement itself, not control flow; a fake clock would report fake results
 	m.ConstructTime = time.Since(start)
-	m.LabelsGenerated = ix.TotalLabels()
 
 	// ---- LCC-II: parallel label cleaning (Algorithm 2 lines 8–11).
-	//chlvet:allow clockcheck -- construction/experiment wall time is the reported measurement itself, not control flow; a fake clock would report fake results
 	cleanStart := time.Now()
-	deleted := Clean(ix, opts.Workers, m)
-	//chlvet:allow clockcheck -- construction/experiment wall time is the reported measurement itself, not control flow; a fake clock would report fake results
+	Clean(ix, opts.Workers, m)
 	m.CleanTime = time.Since(cleanStart)
-	m.LabelsCleaned = deleted
 	m.Labels = ix.TotalLabels()
 	m.TotalTime = m.ConstructTime + m.CleanTime
-	m.Trees = int64(n)
 	return ix, m
 }
 
-// Construct runs the parallel rank-and-distance-query pruned Dijkstras of
-// LCC-I into store. It is exported because DGLL reuses it per superstep.
-func Construct(g *graph.Graph, store *label.ConcurrentStore, workers int, m *metrics.Build) {
-	n := g.NumVertices()
-	var next int64 = -1
-	var explored, relaxed, dqs, dprunes, rprunes int64
-	var wg sync.WaitGroup
-	for t := 0; t < workers; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := newWorker(n)
-			var ex, rx, dq, dp, rp int64
-			for {
-				h := int(atomic.AddInt64(&next, 1))
-				if h >= n {
-					break
-				}
-				w.pruneDijRQ(g, store, h, &ex, &rx, &dq, &dp, &rp)
-			}
-			atomic.AddInt64(&explored, ex)
-			atomic.AddInt64(&relaxed, rx)
-			atomic.AddInt64(&dqs, dq)
-			atomic.AddInt64(&dprunes, dp)
-			atomic.AddInt64(&rprunes, rp)
-		}()
-	}
-	wg.Wait()
-	atomic.AddInt64(&m.VerticesExplored, explored)
-	atomic.AddInt64(&m.EdgesRelaxed, relaxed)
-	atomic.AddInt64(&m.DistanceQueries, dqs)
-	atomic.AddInt64(&m.DistPrunes, dprunes)
-	atomic.AddInt64(&m.RankPrunes, rprunes)
-}
-
-type worker struct {
-	dist  []float64
-	dirty []int32
-	heap  *vheap.Heap
-	hd    *label.HashDist
-}
-
-func newWorker(n int) *worker {
-	w := &worker{
-		dist: make([]float64, n),
-		heap: vheap.New(n),
-		hd:   label.NewHashDist(n),
-	}
-	for i := range w.dist {
-		w.dist[i] = graph.Infinity
-	}
-	return w
-}
-
-func (w *worker) reset() {
-	for _, v := range w.dirty {
-		w.dist[v] = graph.Infinity
-	}
-	w.dirty = w.dirty[:0]
-	w.heap.Clear()
-}
-
-// pruneDijRQ is Algorithm 1: pruned Dijkstra with Rank Queries. Crucially,
-// when a vertex ranked above the root is popped it is pruned AND no label is
-// inserted, even though the distance query might have returned false — this
-// is what makes the constructed labeling respect R (Claim 1) and therefore
-// cleanable.
-func (w *worker) pruneDijRQ(g *graph.Graph, store *label.ConcurrentStore, h int, explored, relaxed, dqs, dprunes, rprunes *int64) {
-	w.reset()
-	// LR = hash(L_h): snapshot of the root's current labels (Alg. 1 line 1).
-	w.hd.Reset()
-	for _, l := range store.CopyLabels(h) {
-		w.hd.Add(l.Hub, l.Dist)
-	}
-	w.dist[h] = 0
-	w.dirty = append(w.dirty, int32(h))
-	w.heap.Push(h, 0)
-	for !w.heap.Empty() {
-		v, dv := w.heap.Pop()
-		*explored++
-		if v < h { // Rank Query (Alg. 1 line 5)
-			*rprunes++
-			continue
-		}
-		if v != h { // Distance Query (Alg. 1 line 6)
-			*dqs++
-			if store.QueryAgainst(w.hd, v, dv) {
-				*dprunes++
-				continue
-			}
-		}
-		store.Append(v, label.L{Hub: uint32(h), Dist: dv})
-		heads, wts := g.Neighbors(v)
-		for i, uu := range heads {
-			u := int(uu)
-			nd := dv + wts[i]
-			*relaxed++
-			if nd < w.dist[u] {
-				if w.dist[u] == graph.Infinity {
-					w.dirty = append(w.dirty, int32(uu))
-				}
-				w.dist[u] = nd
-				w.heap.Push(u, nd)
-			}
-		}
-	}
-}
-
-// Clean is LCC-II: it marks every redundant label with parallel DQ_Clean
-// queries (read-only, so no locking is needed on the sorted sets) and then
-// deletes them. It returns the number of labels removed. Exported because
-// tests use it to clean externally constructed labelings (e.g. the output of
-// Dong et al.'s inter-tree algorithm, which the paper notes is cleanable).
+// Clean is LCC-II: every label of ix is put to the cleaning query DQ_Clean in
+// parallel (read-only, so no locking is needed on the sorted sets) and the
+// redundant ones are dropped. It returns the number of labels removed and,
+// when m is non-nil, counts the pass into it. Exported because tests use it
+// to clean externally constructed labelings (e.g. the output of Dong et
+// al.'s inter-tree algorithm, which the paper notes is cleanable).
 func Clean(ix *label.Index, workers int, m *metrics.Build) int64 {
-	n := ix.NumVertices()
-	redundant := make([][]bool, n)
-	var next int64 = -1
-	var deleted, queries, entries int64
-	var wg sync.WaitGroup
-	for t := 0; t < workers; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var del, qs, es int64
-			for {
-				v := int(atomic.AddInt64(&next, 1))
-				if v >= n {
-					break
-				}
-				lv := ix.Labels(v)
-				var marks []bool
-				for i, l := range lv {
-					if int(l.Hub) == v {
-						continue // self label is never redundant
-					}
-					qs++
-					red, touched := dqClean(lv, ix.Labels(int(l.Hub)), l.Hub, l.Dist)
-					es += touched
-					if red {
-						if marks == nil {
-							marks = make([]bool, len(lv))
-						}
-						marks[i] = true
-						del++
-					}
-				}
-				redundant[v] = marks
-			}
-			atomic.AddInt64(&deleted, del)
-			atomic.AddInt64(&queries, qs)
-			atomic.AddInt64(&entries, es)
-		}()
+	sets := make([]label.Set, ix.NumVertices())
+	for v := range sets {
+		sets[v] = ix.Labels(v)
 	}
-	wg.Wait()
+	surv, st := ptree.Clean(sets, workers, 0, 1)
+	for v, s := range surv {
+		ix.SetLabels(v, s)
+	}
 	if m != nil {
-		atomic.AddInt64(&m.CleanQueries, queries)
-		atomic.AddInt64(&m.CleanEntries, entries)
+		m.Fold(st)
 	}
-
-	// Deletion pass: compact each vertex's set in place.
-	next = -1
-	var wg2 sync.WaitGroup
-	for t := 0; t < workers; t++ {
-		wg2.Add(1)
-		go func() {
-			defer wg2.Done()
-			for {
-				v := int(atomic.AddInt64(&next, 1))
-				if v >= n {
-					break
-				}
-				marks := redundant[v]
-				if marks == nil {
-					continue
-				}
-				lv := ix.Labels(v)
-				out := lv[:0]
-				for i, l := range lv {
-					if !marks[i] {
-						out = append(out, l)
-					}
-				}
-				ix.SetLabels(v, out)
-			}
-		}()
-	}
-	wg2.Wait()
-	return deleted
-}
-
-// dqClean is the Cleaning Query of Algorithm 2 (lines 12–16): label (h, δ)
-// of v is redundant iff the highest-ranked common hub u of L_v and L_h with
-// d(u,v)+d(u,h) ≤ δ is ranked strictly above h. Per footnote 3, the
-// merge-join stops at the first satisfying common hub, which — the sets
-// being sorted by rank — is also the highest ranked.
-func dqClean(lv, lh label.Set, h uint32, delta float64) (redundant bool, entries int64) {
-	i, j := 0, 0
-	for i < len(lv) && j < len(lh) {
-		entries++
-		a, b := lv[i], lh[j]
-		switch {
-		case a.Hub < b.Hub:
-			i++
-		case a.Hub > b.Hub:
-			j++
-		default:
-			if a.Dist+b.Dist <= delta {
-				return a.Hub < h, entries // first satisfying witness; redundant iff ranked above h
-			}
-			i++
-			j++
-		}
-	}
-	return false, entries
+	return st.Cleaned
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/label"
 	"repro/internal/metrics"
 	"repro/internal/pll"
+	"repro/internal/ptree"
 	"repro/internal/verify"
 )
 
@@ -89,8 +90,7 @@ func TestConstructRespectsR(t *testing.T) {
 	// satisfy the cover property.
 	g := graph.ErdosRenyi(45, 100, 5, 9)
 	store := label.NewConcurrentStore(g.NumVertices())
-	m := &metrics.Build{}
-	Construct(g, store, 4, m)
+	st := ptree.LiveForest(g, store, 0, 4, true) // LCC-I
 	ix := store.Seal()
 	if err := verify.Cover(g, ix, 0); err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestConstructRespectsR(t *testing.T) {
 	if err := verify.RespectsR(g, ix, 0); err != nil {
 		t.Fatal(err)
 	}
-	if m.RankPrunes == 0 && m.DistPrunes == 0 {
+	if st.RankPruned == 0 && st.DistPruned == 0 {
 		t.Fatal("no pruning recorded at all")
 	}
 }

@@ -1,14 +1,16 @@
 // Package metrics defines the instrumentation record shared by every
 // labeling algorithm in this repository. The experiment harness turns these
 // counters into the tables and figures of the paper; they are also what
-// makes the evaluation machine-independent (see DESIGN.md §4): label counts,
-// vertices explored, distance queries, communication volume and
-// synchronization counts do not depend on core counts or clock speed.
+// makes the evaluation machine-independent: label counts, vertices explored,
+// distance queries, communication volume and synchronization counts do not
+// depend on core counts or clock speed.
 package metrics
 
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/ptree"
 )
 
 // Build captures everything one labeling run reports.
@@ -52,6 +54,21 @@ type Build struct {
 	MaxNodeQueries   int64 // per-node maximum of distance queries
 	PlantTrees       int64 // trees built by PLaNT before a Hybrid switch
 	SwitchedAtTree   int64 // tree index at which Hybrid switched to DGLL, -1 if never
+}
+
+// Fold adds what a worker's (or a whole pool's) trees and cleaning queries
+// did to the record. It is the one path from ptree.Stats to a Build; Labels,
+// Trees and the timers are the caller's to set.
+func (b *Build) Fold(s ptree.Stats) {
+	b.VerticesExplored += s.Explored
+	b.EdgesRelaxed += s.Relaxed
+	b.LabelsGenerated += s.Labels
+	b.DistanceQueries += s.Queries
+	b.RankPrunes += s.RankPruned
+	b.DistPrunes += s.DistPruned
+	b.CleanQueries += s.CleanQueries
+	b.CleanEntries += s.CleanEntries
+	b.LabelsCleaned += s.Cleaned
 }
 
 // Psi returns the overall Ψ ratio — vertices explored per label generated —

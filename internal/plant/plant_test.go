@@ -8,6 +8,7 @@ import (
 	"repro/internal/label"
 	"repro/internal/metrics"
 	"repro/internal/pll"
+	"repro/internal/ptree"
 	"repro/internal/sssp"
 )
 
@@ -44,8 +45,8 @@ func TestFigure1cGolden(t *testing.T) {
 	}
 	// The tie at v5: d = 12 via both {v2,v1,v4,v5} and {v2,v3,v5}; the
 	// ancestor must be v1 (the higher-ranked path), which blocks the label.
-	if s.dist[4] != 12 {
-		t.Fatalf("d(v5) = %v", s.dist[4])
+	if s.Dist[4] != 12 {
+		t.Fatalf("d(v5) = %v", s.Dist[4])
 	}
 }
 
@@ -102,7 +103,7 @@ func TestPsiStats(t *testing.T) {
 	if st.Psi() < 1 {
 		t.Fatalf("Ψ = %v < 1", st.Psi())
 	}
-	zero := TreeStats{Explored: 7}
+	zero := ptree.Stats{Explored: 7}
 	if zero.Psi() != 7 {
 		t.Fatalf("Ψ of label-free tree = %v, want Explored", zero.Psi())
 	}
@@ -206,7 +207,7 @@ func TestAncestorShortcutEqualsQuery(t *testing.T) {
 		for _, bound := range []uint32{4, 20, 60} {
 			for h := int(bound); h < n; h += 7 {
 				hd.Load(chl.Labels(h))
-				query := func(v int) bool { return hd.QueryAgainstBounded(chl.Labels(v), s.dist[v], bound) }
+				query := func(v int) bool { return hd.QueryAgainstBounded(chl.Labels(v), s.Dist[v], bound) }
 				shortcut := func(v int) bool { return s.anc[v] < int32(bound) || v < int(bound) }
 
 				// Unpruned, ancestors summarise every shortest path, so the
@@ -240,7 +241,7 @@ func TestAncestorShortcutEqualsQuery(t *testing.T) {
 						}
 					}
 				}
-				if st.AncPruned != byAnc || st.Queries != asked || st.DistPruned != byQuery {
+				if st.RankPruned != byAnc || st.Queries != asked || st.DistPruned != byQuery {
 					t.Fatalf("seed %d bound %d root %d: stats %+v, scratch says %d by ancestor, %d queries, %d by query",
 						seed, bound, h, st, byAnc, asked, byQuery)
 				}

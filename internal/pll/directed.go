@@ -1,11 +1,10 @@
 package pll
 
 import (
-	"time"
-
 	"repro/internal/graph"
 	"repro/internal/label"
 	"repro/internal/metrics"
+	"repro/internal/ptree"
 )
 
 // SequentialDirected runs sequential pruned landmark labeling on a directed
@@ -22,76 +21,16 @@ import (
 func SequentialDirected(g *graph.Graph, opts Options) (*label.DirectedIndex, *metrics.Build) {
 	opts = opts.normalize()
 	n := g.NumVertices()
-	m := &metrics.Build{Algorithm: "seqPLL-directed", Workers: 1}
-	if opts.RecordPerTree {
-		m.LabelsPerTree = make([]int64, n)
-		m.ExploredPerTree = make([]int64, n)
-	}
 	lout := label.NewIndex(n) // forward labels, d(v→h)
 	lin := label.NewIndex(n)  // backward labels, d(h→v)
 	gt := g.Transpose()
-	w := newWorker(n)
-	//chlvet:allow clockcheck -- construction/experiment wall time is the reported measurement itself, not control flow; a fake clock would report fake results
-	start := time.Now()
-	for h := 0; h < n; h++ {
+	m := sequential("seqPLL-directed", n, opts, func(s *ptree.Scratch, h int) ptree.Stats {
 		// Forward tree: distances d(h→v); prune via Lout(h) ⋈ Lin(v).
-		l1, e1 := w.prunedDijkstraDirected(g, lout.Labels(h), lin, h, m)
+		st := tree(g, s, lout.Labels(h), lin, h, opts.PruneHubBound, nil)
 		// Backward tree: distances d(u→h); prune via Lin(h) ⋈ Lout(u).
-		l2, e2 := w.prunedDijkstraDirected(gt, lin.Labels(h), lout, h, m)
-		m.Trees += 2
-		if opts.RecordPerTree {
-			m.LabelsPerTree[h] = l1 + l2
-			m.ExploredPerTree[h] = e1 + e2
-		}
-	}
-	//chlvet:allow clockcheck -- construction/experiment wall time is the reported measurement itself, not control flow; a fake clock would report fake results
-	m.ConstructTime = time.Since(start)
-	m.TotalTime = m.ConstructTime
-	m.Labels = lout.TotalLabels() + lin.TotalLabels()
-	m.LabelsGenerated = m.Labels
+		st.Add(tree(gt, s, lin.Labels(h), lout, h, opts.PruneHubBound, nil))
+		return st
+	})
+	m.Trees = 2 * int64(n)
 	return &label.DirectedIndex{Forward: lout, Backward: lin}, m
-}
-
-// prunedDijkstraDirected builds one directed pruned SPT rooted at h over
-// dir (G for forward trees, Gᵀ for backward), pruning against rootLabels
-// (the root's opposite-side labels) joined with into.Labels(v), and
-// inserting labels into `into`.
-func (w *worker) prunedDijkstraDirected(dir *graph.Graph, rootLabels label.Set, into *label.Index, h int, m *metrics.Build) (labels, explored int64) {
-	w.reset()
-	w.hd.Load(rootLabels)
-	w.dist[h] = 0
-	w.dirty = append(w.dirty, int32(h))
-	w.heap.Push(h, 0)
-	for !w.heap.Empty() {
-		v, dv := w.heap.Pop()
-		explored++
-		m.VerticesExplored++
-		if v < h {
-			m.RankPrunes++
-			continue
-		}
-		if v != h {
-			m.DistanceQueries++
-			if w.hd.QueryAgainst(into.Labels(v), dv) {
-				m.DistPrunes++
-				continue
-			}
-		}
-		labels++
-		into.Append(v, label.L{Hub: uint32(h), Dist: dv})
-		heads, wts := dir.Neighbors(v)
-		for i, uu := range heads {
-			u := int(uu)
-			nd := dv + wts[i]
-			m.EdgesRelaxed++
-			if nd < w.dist[u] {
-				if w.dist[u] == graph.Infinity {
-					w.dirty = append(w.dirty, int32(uu))
-				}
-				w.dist[u] = nd
-				w.heap.Push(u, nd)
-			}
-		}
-	}
-	return labels, explored
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/label"
 	"repro/internal/metrics"
+	"repro/internal/ptree"
 	"repro/internal/vheap"
 )
 
@@ -44,7 +45,6 @@ func DongHybrid(g *graph.Graph, opts Options, bfTrees int) (*label.Index, *metri
 	}
 	m := &metrics.Build{Algorithm: "DongHybrid", Workers: opts.Workers}
 	store := label.NewConcurrentStore(n)
-	//chlvet:allow clockcheck -- construction/experiment wall time is the reported measurement itself, not control flow; a fake clock would report fake results
 	start := time.Now()
 
 	// ---- Phase 1: intra-tree parallel pruned Bellman-Ford, sequential
@@ -55,87 +55,16 @@ func DongHybrid(g *graph.Graph, opts Options, bfTrees int) (*label.Index, *metri
 	}
 
 	// ---- Phase 2: inter-tree parallel pruned Dijkstras with rank
-	// queries (concurrent roots in rank order).
-	var next = int64(bfTrees) - 1
-	var explored, relaxed, dqs, dprunes, rprunes int64
-	var wg sync.WaitGroup
-	for t := 0; t < opts.Workers; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := newWorker(n)
-			var ex, rx, dq, dp, rp int64
-			for {
-				h := int(atomic.AddInt64(&next, 1))
-				if h >= n {
-					break
-				}
-				w.dongTree(g, store, h, &ex, &rx, &dq, &dp, &rp)
-			}
-			atomic.AddInt64(&explored, ex)
-			atomic.AddInt64(&relaxed, rx)
-			atomic.AddInt64(&dqs, dq)
-			atomic.AddInt64(&dprunes, dp)
-			atomic.AddInt64(&rprunes, rp)
-		}()
-	}
-	wg.Wait()
-	m.VerticesExplored += explored
-	m.EdgesRelaxed += relaxed
-	m.DistanceQueries += dqs
-	m.DistPrunes += dprunes
-	m.RankPrunes += rprunes
+	// queries (concurrent roots in rank order) — the LCC-I regime.
+	m.Fold(ptree.LiveForest(g, store, bfTrees, opts.Workers, true))
 
 	ix := store.Seal()
-	//chlvet:allow clockcheck -- construction/experiment wall time is the reported measurement itself, not control flow; a fake clock would report fake results
 	m.ConstructTime = time.Since(start)
 	m.TotalTime = m.ConstructTime
 	m.Trees = int64(n)
 	m.Labels = ix.TotalLabels()
 	m.LabelsGenerated = m.Labels
 	return ix, m
-}
-
-// dongTree is the phase-2 tree: pruned Dijkstra with rank queries against
-// the live store (the LCC construction regime).
-func (w *worker) dongTree(g *graph.Graph, store *label.ConcurrentStore, h int, explored, relaxed, dqs, dprunes, rprunes *int64) {
-	w.reset()
-	w.hd.Reset()
-	for _, l := range store.CopyLabels(h) {
-		w.hd.Add(l.Hub, l.Dist)
-	}
-	w.dist[h] = 0
-	w.dirty = append(w.dirty, int32(h))
-	w.heap.Push(h, 0)
-	for !w.heap.Empty() {
-		v, dv := w.heap.Pop()
-		*explored++
-		if v < h {
-			*rprunes++
-			continue
-		}
-		if v != h {
-			*dqs++
-			if store.QueryAgainst(w.hd, v, dv) {
-				*dprunes++
-				continue
-			}
-		}
-		store.Append(v, label.L{Hub: uint32(h), Dist: dv})
-		heads, wts := g.Neighbors(v)
-		for i, uu := range heads {
-			u := int(uu)
-			nd := dv + wts[i]
-			*relaxed++
-			if nd < w.dist[u] {
-				if w.dist[u] == graph.Infinity {
-					w.dirty = append(w.dirty, int32(uu))
-				}
-				w.dist[u] = nd
-				w.heap.Push(u, nd)
-			}
-		}
-	}
 }
 
 // bellmanFord holds the frontier-parallel Bellman-Ford state of phase 1.
@@ -245,9 +174,7 @@ func (bf *bellmanFord) tree(g *graph.Graph, store *label.ConcurrentStore, h int,
 	// distance queries. Ascending distance guarantees witness labels from
 	// this same tree are never needed (PLL never uses same-tree labels).
 	bf.hd.Reset()
-	for _, l := range store.CopyLabels(h) {
-		bf.hd.Add(l.Hub, l.Dist)
-	}
+	store.AddTo(bf.hd, h)
 	bf.heapBuf.Clear()
 	for _, vv := range bf.dirty {
 		bf.heapBuf.Push(int(vv), bf.dist[vv])

@@ -1,11 +1,10 @@
 package pll
 
 import (
-	"time"
-
 	"repro/internal/graph"
 	"repro/internal/label"
 	"repro/internal/metrics"
+	"repro/internal/ptree"
 )
 
 // SequentialWithPaths runs sequential PLL recording, for every label, the
@@ -18,62 +17,25 @@ import (
 func SequentialWithPaths(g *graph.Graph, opts Options) (*label.PathIndex, *metrics.Build) {
 	opts = opts.normalize()
 	n := g.NumVertices()
-	m := &metrics.Build{Algorithm: "seqPLL+paths", Workers: 1}
 	ix := label.NewIndex(n)
 	px := label.NewPathIndex(ix)
 	parents := make([][]uint32, n) // built per vertex in hub order
-
-	w := newWorker(n)
 	parent := make([]int32, n)
-	//chlvet:allow clockcheck -- construction/experiment wall time is the reported measurement itself, not control flow; a fake clock would report fake results
-	start := time.Now()
-	for h := 0; h < n; h++ {
-		w.reset()
-		w.hd.Load(ix.Labels(h))
-		w.dist[h] = 0
+	m := sequential("seqPLL+paths", n, opts, func(s *ptree.Scratch, h int) ptree.Stats {
 		parent[h] = int32(h)
-		w.dirty = append(w.dirty, int32(h))
-		w.heap.Push(h, 0)
-		for !w.heap.Empty() {
-			v, dv := w.heap.Pop()
-			m.VerticesExplored++
-			if v < h {
-				m.RankPrunes++
-				continue
-			}
-			if v != h {
-				m.DistanceQueries++
-				if w.hd.QueryAgainst(ix.Labels(v), dv) {
-					m.DistPrunes++
-					continue
-				}
-			}
-			ix.Append(v, label.L{Hub: uint32(h), Dist: dv})
-			parents[v] = append(parents[v], uint32(parent[v]))
-			heads, wts := g.Neighbors(v)
-			for i, uu := range heads {
-				u := int(uu)
-				nd := dv + wts[i]
-				m.EdgesRelaxed++
-				if nd < w.dist[u] {
-					if w.dist[u] == graph.Infinity {
-						w.dirty = append(w.dirty, int32(uu))
-					}
-					w.dist[u] = nd
-					parent[u] = int32(v)
-					w.heap.Push(u, nd)
-				}
+		st := tree(g, s, ix.Labels(h), ix, h, opts.PruneHubBound, parent)
+		// A popped vertex's distance, hence its parent, is final; the ones
+		// this tree labeled are the touched ones whose last label is h's.
+		for _, v := range s.Dirty {
+			if lv := ix.Labels(int(v)); len(lv) > 0 && lv[len(lv)-1].Hub == uint32(h) {
+				parents[v] = append(parents[v], uint32(parent[v]))
 			}
 		}
-		m.Trees++
-	}
+		return st
+	})
 	for v := 0; v < n; v++ {
 		px.SetParents(v, parents[v])
 	}
-	//chlvet:allow clockcheck -- construction/experiment wall time is the reported measurement itself, not control flow; a fake clock would report fake results
-	m.ConstructTime = time.Since(start)
-	m.TotalTime = m.ConstructTime
-	m.Labels = ix.TotalLabels()
-	m.LabelsGenerated = m.Labels
+	m.Trees = int64(n)
 	return px, m
 }

@@ -12,14 +12,12 @@ package pll
 import (
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
 	"repro/internal/label"
 	"repro/internal/metrics"
-	"repro/internal/vheap"
+	"repro/internal/ptree"
 )
 
 // Options configures a PLL run.
@@ -27,15 +25,16 @@ type Options struct {
 	// Workers is the number of construction goroutines for SparaPLL
 	// (ignored by Sequential). Zero means GOMAXPROCS.
 	Workers int
-	// PruneHubBound restricts pruning distance queries to hubs ranked in
-	// the top PruneHubBound positions (hub id < bound). Zero means
-	// unrestricted. This drives the Figure 4 experiment.
+	// PruneHubBound restricts the sequential constructors' pruning distance
+	// queries to hubs ranked in the top PruneHubBound positions (hub id <
+	// bound). Zero means unrestricted. This drives the Figure 4 experiment.
 	PruneHubBound uint32
-	// DisableDistanceQueries turns off distance-query pruning entirely
-	// (Figure 4's x = 0 point: rank queries only).
+	// DisableDistanceQueries turns off the sequential constructors'
+	// distance-query pruning entirely (Figure 4's x = 0 point: rank queries
+	// only).
 	DisableDistanceQueries bool
-	// RecordPerTree enables the per-tree label/exploration series used by
-	// Figures 2 and 3.
+	// RecordPerTree enables the sequential constructors' per-tree
+	// label/exploration series used by Figures 2 and 3.
 	RecordPerTree bool
 }
 
@@ -62,107 +61,90 @@ const UnrestrictedPruning = math.MaxUint32
 func Sequential(g *graph.Graph, opts Options) (*label.Index, *metrics.Build) {
 	opts = opts.normalize()
 	n := g.NumVertices()
-	m := &metrics.Build{Algorithm: "seqPLL", Workers: 1}
+	ix := label.NewIndex(n)
+	m := sequential("seqPLL", n, opts, func(s *ptree.Scratch, h int) ptree.Stats {
+		return tree(g, s, ix.Labels(h), ix, h, opts.PruneHubBound, nil)
+	})
+	m.Trees = int64(n)
+	return ix, m
+}
+
+// sequential drives the sequential constructors: the trees of roots 0..n-1,
+// strictly in rank order on one scratch, each counted into the build record.
+func sequential(algorithm string, n int, opts Options, root func(s *ptree.Scratch, h int) ptree.Stats) *metrics.Build {
+	m := &metrics.Build{Algorithm: algorithm, Workers: 1}
 	if opts.RecordPerTree {
 		m.LabelsPerTree = make([]int64, n)
 		m.ExploredPerTree = make([]int64, n)
 	}
-	ix := label.NewIndex(n)
-	w := newWorker(n)
-	//chlvet:allow clockcheck -- construction/experiment wall time is the reported measurement itself, not control flow; a fake clock would report fake results
+	s := ptree.NewScratch(n)
 	start := time.Now()
 	for h := 0; h < n; h++ {
-		labels, explored := w.prunedDijkstra(g, ix, h, opts.PruneHubBound, m)
-		m.Trees++
+		st := root(s, h)
+		m.Fold(st)
 		if opts.RecordPerTree {
-			m.LabelsPerTree[h] = labels
-			m.ExploredPerTree[h] = explored
+			m.LabelsPerTree[h] = st.Labels
+			m.ExploredPerTree[h] = st.Explored
 		}
 	}
-	//chlvet:allow clockcheck -- construction/experiment wall time is the reported measurement itself, not control flow; a fake clock would report fake results
 	m.ConstructTime = time.Since(start)
 	m.TotalTime = m.ConstructTime
-	m.Labels = ix.TotalLabels()
-	m.LabelsGenerated = m.Labels
-	return ix, m
+	m.Labels = m.LabelsGenerated // one tree at a time: nothing is ever redundant
+	return m
 }
 
-// worker owns the per-thread scratch state of pruned Dijkstra. The distance
-// array is reset via the dirty list (only elements touched by the previous
-// run are reinitialized — the trick in Algorithm 1's footnote 2).
-type worker struct {
-	dist  []float64
-	dirty []int32
-	heap  *vheap.Heap
-	hd    *label.HashDist
-}
-
-func newWorker(n int) *worker {
-	w := &worker{
-		dist: make([]float64, n),
-		heap: vheap.New(n),
-		hd:   label.NewHashDist(n),
-	}
-	for i := range w.dist {
-		w.dist[i] = graph.Infinity
-	}
-	return w
-}
-
-func (w *worker) reset() {
-	for _, v := range w.dirty {
-		w.dist[v] = graph.Infinity
-	}
-	w.dirty = w.dirty[:0]
-	w.heap.Clear()
-}
-
-// prunedDijkstra builds the pruned SPT rooted at h against (and into) ix.
+// tree builds the pruned SPT rooted at h over dir against — and into — the
+// labeling `into`. root is the set hashed for the distance query: L_h itself
+// on an undirected graph, the root's opposite-side labels on a directed one.
 // Labels are appended in ascending root order so Index.Append stays O(1).
-// Since Sequential is single-threaded, reads and writes to ix need no locks.
-func (w *worker) prunedDijkstra(g *graph.Graph, ix *label.Index, h int, bound uint32, m *metrics.Build) (labels, explored int64) {
-	w.reset()
-	w.hd.Load(ix.Labels(h))
-	w.dist[h] = 0
-	w.dirty = append(w.dirty, int32(h))
-	w.heap.Push(h, 0)
-	for !w.heap.Empty() {
-		v, dv := w.heap.Pop()
-		explored++
-		m.VerticesExplored++
+// parent, when non-nil, receives each reached vertex's predecessor.
+//
+// This loop is deliberately not ptree.Tree: it is the reference every other
+// constructor's output is compared against, and a reference that shares the
+// code under test proves nothing.
+func tree(dir *graph.Graph, s *ptree.Scratch, root label.Set, into *label.Index, h int, bound uint32, parent []int32) ptree.Stats {
+	var st ptree.Stats
+	s.Start(h)
+	s.HD.Load(root)
+	for !s.Heap.Empty() {
+		v, dv := s.Heap.Pop()
+		st.Explored++
 		// Rank query: a vertex ranked above the root can never take the
 		// root as a hub (sequentially, the distance query would prune here
-		// too — see DESIGN.md; the explicit check is faster).
+		// too; the explicit check is faster).
 		if v < h {
-			m.RankPrunes++
+			st.RankPruned++
 			continue
 		}
 		// Distance query DQ(v, h, δ): prune if a previously discovered
 		// common hub already covers the pair at distance ≤ δ.
 		if v != h && bound > 0 {
-			m.DistanceQueries++
-			if w.hd.QueryAgainstBounded(ix.Labels(v), dv, bound) {
-				m.DistPrunes++
+			st.Queries++
+			if s.HD.QueryAgainstBounded(into.Labels(v), dv, bound) {
+				st.DistPruned++
 				continue
 			}
 		}
-		labels++
-		ix.Append(v, label.L{Hub: uint32(h), Dist: dv})
-		heads, wts := g.Neighbors(v)
+		st.Labels++
+		into.Append(v, label.L{Hub: uint32(h), Dist: dv})
+		heads, wts := dir.Neighbors(v)
 		for i, uu := range heads {
 			u := int(uu)
 			nd := dv + wts[i]
-			m.EdgesRelaxed++
-			if nd < w.dist[u] {
-				if w.dist[u] == graph.Infinity {
-					w.dirty = append(w.dirty, int32(uu))
+			st.Relaxed++
+			if nd < s.Dist[u] {
+				if s.Dist[u] == graph.Infinity {
+					s.Dirty = append(s.Dirty, int32(uu))
 				}
-				w.dist[u] = nd
-				w.heap.Push(u, nd)
+				s.Dist[u] = nd
+				if parent != nil {
+					parent[u] = int32(v)
+				}
+				s.Heap.Push(u, nd)
 			}
 		}
 	}
-	return labels, explored
+	return st
 }
 
 // SParaPLL runs the shared-memory paraPLL baseline: Workers goroutines pop
@@ -175,106 +157,13 @@ func (w *worker) prunedDijkstra(g *graph.Graph, ix *label.Index, h int, bound ui
 // redundancy grows with Workers — the effect Table 3 and Figure 9 quantify.
 func SParaPLL(g *graph.Graph, opts Options) (*label.Index, *metrics.Build) {
 	opts = opts.normalize()
-	n := g.NumVertices()
-	m := &metrics.Build{Algorithm: "SparaPLL", Workers: opts.Workers}
-	store := label.NewConcurrentStore(n)
-	var next int64 = -1
-	var explored, relaxed, dqs, prunes int64
-
-	//chlvet:allow clockcheck -- construction/experiment wall time is the reported measurement itself, not control flow; a fake clock would report fake results
+	m := &metrics.Build{Algorithm: "SparaPLL", Workers: opts.Workers, Trees: int64(g.NumVertices())}
+	store := label.NewConcurrentStore(g.NumVertices())
 	start := time.Now()
-	var wg sync.WaitGroup
-	for t := 0; t < opts.Workers; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := newWorker(n)
-			var ex, rx, dq, pr int64
-			for {
-				h := int(atomic.AddInt64(&next, 1))
-				if h >= n {
-					break
-				}
-				w.sparaTree(g, store, h, opts.PruneHubBound, &ex, &rx, &dq, &pr)
-			}
-			atomic.AddInt64(&explored, ex)
-			atomic.AddInt64(&relaxed, rx)
-			atomic.AddInt64(&dqs, dq)
-			atomic.AddInt64(&prunes, pr)
-		}()
-	}
-	wg.Wait()
+	m.Fold(ptree.LiveForest(g, store, 0, opts.Workers, false))
 	ix := store.Seal()
-	//chlvet:allow clockcheck -- construction/experiment wall time is the reported measurement itself, not control flow; a fake clock would report fake results
 	m.ConstructTime = time.Since(start)
 	m.TotalTime = m.ConstructTime
-	m.Trees = int64(n)
-	m.VerticesExplored = explored
-	m.EdgesRelaxed = relaxed
-	m.DistanceQueries = dqs
-	m.DistPrunes = prunes
 	m.Labels = ix.TotalLabels()
-	m.LabelsGenerated = m.Labels
 	return ix, m
-}
-
-// sparaTree is one concurrent pruned Dijkstra of SparaPLL: distance queries
-// against the live concurrent store, no rank queries.
-func (w *worker) sparaTree(g *graph.Graph, store *label.ConcurrentStore, h int, bound uint32, explored, relaxed, dqs, prunes *int64) {
-	w.reset()
-	// "Hashing root labels prior to launching an SPT construction" (§3):
-	// snapshot L_h once; concurrent additions to L_h are not consulted.
-	w.hd.Reset()
-	for _, l := range store.CopyLabels(h) {
-		if l.Hub < bound {
-			w.hd.Add(l.Hub, l.Dist)
-		}
-	}
-	w.dist[h] = 0
-	w.dirty = append(w.dirty, int32(h))
-	w.heap.Push(h, 0)
-	for !w.heap.Empty() {
-		v, dv := w.heap.Pop()
-		*explored++
-		if v != h && bound > 0 {
-			*dqs++
-			if w.sparaQuery(store, v, dv, bound) {
-				*prunes++
-				continue
-			}
-		}
-		store.Append(v, label.L{Hub: uint32(h), Dist: dv})
-		heads, wts := g.Neighbors(v)
-		for i, uu := range heads {
-			u := int(uu)
-			nd := dv + wts[i]
-			*relaxed++
-			if nd < w.dist[u] {
-				if w.dist[u] == graph.Infinity {
-					w.dirty = append(w.dirty, int32(uu))
-				}
-				w.dist[u] = nd
-				w.heap.Push(u, nd)
-			}
-		}
-	}
-}
-
-func (w *worker) sparaQuery(store *label.ConcurrentStore, v int, delta float64, bound uint32) bool {
-	if bound == 0 {
-		return false
-	}
-	// The store's per-vertex lock guards the read (cf. §4.2 on locking).
-	if bound == math.MaxUint32 {
-		return store.QueryAgainst(w.hd, v, delta)
-	}
-	for _, l := range store.CopyLabels(v) {
-		if l.Hub >= bound {
-			continue
-		}
-		if d, ok := w.hd.Get(l.Hub); ok && l.Dist+d <= delta {
-			return true
-		}
-	}
-	return false
 }

@@ -1,0 +1,159 @@
+package ptree_test
+
+import (
+	"slices"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/label"
+	"repro/internal/metrics"
+	"repro/internal/pll"
+	"repro/internal/ptree"
+)
+
+// TestKernelReproducesSequentialPLL pins the kernel to the reference, counter
+// for counter: driven one root at a time with rank queries, the live index as
+// the distance-query table and Index.Append as the sink, ptree.Tree is
+// sequential PLL — the same labels from the same pops, queries, prunes and
+// relaxations as pll.Sequential's own (separate) loop.
+func TestKernelReproducesSequentialPLL(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"ba":   graph.BarabasiAlbert(200, 3, 1),
+		"grid": graph.RoadGrid(12, 11, 2),
+		"er":   graph.ErdosRenyi(150, 260, 6, 3), // disconnected
+	}
+	for name, g := range graphs {
+		want, wm := pll.Sequential(g, pll.Options{})
+
+		n := g.NumVertices()
+		ix := label.NewIndex(n)
+		s := ptree.NewScratch(n)
+		got := &metrics.Build{}
+		for h := 0; h < n; h++ {
+			s.HD.Load(ix.Labels(h))
+			got.Fold(ptree.Tree(g, h, s, true,
+				func(v int, d float64) bool { return s.HD.QueryAgainst(ix.Labels(v), d) },
+				func(v int, d float64) { ix.Append(v, label.L{Hub: uint32(h), Dist: d}) }))
+		}
+
+		if diff := want.Diff(ix); diff != "" {
+			t.Fatalf("%s: %s", name, diff)
+		}
+		for _, c := range []struct {
+			counter   string
+			got, want int64
+		}{
+			{"VerticesExplored", got.VerticesExplored, wm.VerticesExplored},
+			{"DistanceQueries", got.DistanceQueries, wm.DistanceQueries},
+			{"RankPrunes", got.RankPrunes, wm.RankPrunes},
+			{"DistPrunes", got.DistPrunes, wm.DistPrunes},
+			{"EdgesRelaxed", got.EdgesRelaxed, wm.EdgesRelaxed},
+			{"LabelsGenerated", got.LabelsGenerated, wm.LabelsGenerated},
+		} {
+			if c.got != c.want {
+				t.Errorf("%s: kernel %s = %d, pll.Sequential %d", name, c.counter, c.got, c.want)
+			}
+		}
+	}
+}
+
+// TestRedundant covers the cases the cleaning query's three ancestors agreed
+// on in result but not in form (one scanned to the first satisfying hub and
+// then compared its rank, two stopped the scan at h).
+func TestRedundant(t *testing.T) {
+	set := func(ls ...label.L) label.Set { return ls }
+	const h = 5
+	for _, c := range []struct {
+		name    string
+		lv, lh  label.Set
+		delta   float64
+		want    bool
+		entries int64
+	}{
+		{"witness above h",
+			set(label.L{Hub: 2, Dist: 3}, label.L{Hub: h, Dist: 7}), set(label.L{Hub: 2, Dist: 4}, label.L{Hub: h, Dist: 0}), 7, true, 1},
+		{"witness above h, behind non-common and too-long hubs",
+			set(label.L{Hub: 0, Dist: 9}, label.L{Hub: 1, Dist: 1}, label.L{Hub: 3, Dist: 2}, label.L{Hub: h, Dist: 6}),
+			set(label.L{Hub: 0, Dist: 9}, label.L{Hub: 2, Dist: 1}, label.L{Hub: 3, Dist: 4}, label.L{Hub: h, Dist: 0}), 6, true, 4},
+		{"equal-distance tie counts (≤, not <)",
+			set(label.L{Hub: 4, Dist: 1}, label.L{Hub: h, Dist: 3}), set(label.L{Hub: 4, Dist: 2}, label.L{Hub: h, Dist: 0}), 3, true, 1},
+		{"common hub above h, a hair too long",
+			set(label.L{Hub: 4, Dist: 1}, label.L{Hub: h, Dist: 3}), set(label.L{Hub: 4, Dist: 2.5}, label.L{Hub: h, Dist: 0}), 3, false, 1},
+		{"witness only at h: a label is no witness against itself",
+			set(label.L{Hub: h, Dist: 3}), set(label.L{Hub: h, Dist: 0}), 3, false, 0},
+		{"witness only below h",
+			set(label.L{Hub: h, Dist: 3}, label.L{Hub: 8, Dist: 1}), set(label.L{Hub: h, Dist: 0}, label.L{Hub: 8, Dist: 1}), 3, false, 0},
+		{"the scan stops at h in either set",
+			set(label.L{Hub: 1, Dist: 1}, label.L{Hub: 9, Dist: 1}), set(label.L{Hub: 6, Dist: 1}, label.L{Hub: 9, Dist: 1}), 3, false, 0},
+		{"empty lv", nil, set(label.L{Hub: 1, Dist: 1}), 3, false, 0},
+		{"empty lh", set(label.L{Hub: 1, Dist: 1}), nil, 3, false, 0},
+		{"both empty", nil, nil, 3, false, 0},
+	} {
+		got, entries := ptree.Redundant(c.lv, c.lh, h, c.delta)
+		if got != c.want || entries != c.entries {
+			t.Errorf("%s: Redundant = %v after %d entries, want %v after %d", c.name, got, entries, c.want, c.entries)
+		}
+	}
+}
+
+// TestCleanStride checks the pass's ownership arithmetic: with (first,
+// stride) a node decides exactly its own vertices and leaves the rest nil,
+// the strides together decide what (0, 1) decides, and sets is not written.
+func TestCleanStride(t *testing.T) {
+	g := graph.RoadGrid(9, 9, 4)
+	store := label.NewConcurrentStore(g.NumVertices())
+	ptree.LiveForest(g, store, 0, 4, true)
+	dirty := store.Seal()
+	sets := make([]label.Set, g.NumVertices())
+	for v := range sets {
+		sets[v] = dirty.Labels(v)
+	}
+	before := dirty.Clone()
+
+	whole, wst := ptree.Clean(sets, 3, 0, 1)
+	const q = 4
+	var sum ptree.Stats
+	for r := 0; r < q; r++ {
+		part, st := ptree.Clean(sets, 2, r, q)
+		sum.Add(st)
+		for v := range part {
+			if v%q != r {
+				if part[v] != nil {
+					t.Fatalf("stride %d/%d decided vertex %d", r, q, v)
+				}
+				continue
+			}
+			if !slices.Equal(part[v], whole[v]) {
+				t.Fatalf("vertex %d cleaned by stride %d/%d: %v, by the whole pass: %v", v, r, q, part[v], whole[v])
+			}
+		}
+	}
+	if sum != wst {
+		t.Fatalf("strides counted %+v, the whole pass %+v", sum, wst)
+	}
+	if diff := before.Diff(label.FromSets(sets)); diff != "" {
+		t.Fatalf("Clean wrote its input: %s", diff)
+	}
+	want, _ := pll.Sequential(g, pll.Options{})
+	if diff := want.Diff(label.FromSets(whole)); diff != "" {
+		t.Fatalf("cleaned LCC-I output is not the CHL: %s", diff)
+	}
+}
+
+func TestParallelFor(t *testing.T) {
+	for _, c := range []struct{ workers, n int }{{1, 10}, {4, 100}, {8, 3}, {4, 1}, {4, 0}} {
+		hits := make([]atomic.Int32, c.n)
+		ptree.ParallelFor(c.workers, c.n, func(w, i int) {
+			if w < 0 || w >= c.workers {
+				t.Errorf("workers=%d n=%d: worker index %d", c.workers, c.n, w)
+			}
+			hits[i].Add(1)
+		})
+		for i := range hits {
+			if got := hits[i].Load(); got != 1 {
+				t.Fatalf("workers=%d n=%d: item %d ran %d times", c.workers, c.n, i, got)
+			}
+		}
+	}
+}

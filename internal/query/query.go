@@ -31,8 +31,8 @@
 // entries scanned, queries handled) and traffic (bytes, messages). Latency
 // and throughput are then derived via an explicit CostModel, which keeps
 // the numbers machine-independent — on this one-box simulation, wall-clock
-// time would reflect the host scheduler rather than the algorithms
-// (DESIGN.md §4). Table 4's orderings (QLSN lowest latency; QDOL ≈ 1.8×
+// time would reflect the host scheduler rather than the algorithms.
+// Table 4's orderings (QLSN lowest latency; QDOL ≈ 1.8×
 // QFDL throughput; QFDL smallest memory, QDOL ≈ √q/2-fold more, QLSN most)
 // come out of exactly these meters.
 package query

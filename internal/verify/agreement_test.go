@@ -1,6 +1,6 @@
 package verify_test
 
-// The X1 experiment of DESIGN.md: seqPLL, LCC, GLL, shared-memory PLaNT and
+// The agreement experiment (X1): seqPLL, LCC, GLL, shared-memory PLaNT and
 // the distributed algorithms (DGLL, PLaNT, Hybrid at several cluster sizes)
 // must all emit the *identical* Canonical Hub Labeling, which in turn must
 // pass the first-principles CHL contract. This is the strongest single
@@ -16,6 +16,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/label"
 	"repro/internal/lcc"
+	"repro/internal/metrics"
 	"repro/internal/plant"
 	"repro/internal/pll"
 	"repro/internal/verify"
@@ -86,6 +87,36 @@ func TestCanonicalAgreementSharedMemory(t *testing.T) {
 					t.Fatalf("%s output differs from CHL: %s", aname, diff)
 				}
 			})
+		}
+	}
+}
+
+// TestCleaningReadsWhatNoOneWrites is the -race regression test for the
+// cleaning pass every cleaning constructor now shares (ptree.Clean): a worker
+// deciding the labels of v merge-joins the sets of v's hubs, which other
+// workers are deciding at the same moment, so nothing may be compacted in
+// place. The grid is large enough that the passes of four workers overlap;
+// run without -race it still pins the CHL.
+func TestCleaningReadsWhatNoOneWrites(t *testing.T) {
+	g := graph.RoadGrid(32, 32, 1)
+	want := chlReference(t, g)
+	for name, run := range map[string]func() (*label.Index, *metrics.Build){
+		"LCC": func() (*label.Index, *metrics.Build) { return lcc.Run(g, lcc.Options{Workers: 4}) },
+		"GLL": func() (*label.Index, *metrics.Build) { return gll.Run(g, gll.Options{Workers: 4}) },
+		"DGLL": func() (*label.Index, *metrics.Build) {
+			res, err := dist.DGLL(g, dist.Options{Nodes: 2, WorkersPerNode: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Index, res.Metrics
+		},
+	} {
+		got, m := run()
+		if diff := want.Diff(got); diff != "" {
+			t.Fatalf("%s: %s", name, diff)
+		}
+		if m.LabelsCleaned == 0 {
+			t.Fatalf("%s: nothing was cleaned: the fixture no longer exercises the cleaning pass", name)
 		}
 	}
 }
