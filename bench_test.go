@@ -381,6 +381,95 @@ func BenchmarkCompressedQueryParallel(b *testing.B) {
 	})
 }
 
+// patchedEngine serves a 96×96 road grid — the scoreboard's serve-live
+// fixture — under one batch of edge updates drawn so that the overlay
+// holds exactly patchVerts patch vertices: a rotation of deletions,
+// reweights and insertions on vertices no earlier op touched, the last
+// op reusing one when the count is odd. The caller closes the server.
+func patchedEngine(b *testing.B, patchVerts int) (*chl.Server, *chl.Snapshot) {
+	b.Helper()
+	g := chl.GenerateRoadGrid(96, 96, 1)
+	ix, err := chl.Build(g, chl.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fx, err := ix.Freeze()
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := chl.NewServerFromFlat(fx, 0)
+	if err := srv.EnableUpdates(g, ""); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	n := g.NumVertices()
+	used := map[int]bool{}
+	var ops []chl.EdgeOp
+	for len(used) < patchVerts {
+		u := rng.Intn(n)
+		heads, _ := g.Neighbors(u)
+		v := int(heads[rng.Intn(len(heads))])
+		op := chl.EdgeOp{Kind: chl.EdgeOpDel, U: u, V: v}
+		switch len(ops) % 3 {
+		case 1:
+			op = chl.EdgeOp{Kind: chl.EdgeOpSet, U: u, V: v, W: float64(1 + rng.Intn(10))}
+		case 2:
+			v = rng.Intn(n)
+			op = chl.EdgeOp{Kind: chl.EdgeOpAdd, U: u, V: v, W: float64(1 + rng.Intn(20))}
+		}
+		fresh := 0
+		for _, x := range [2]int{u, v} {
+			if !used[x] {
+				fresh++
+			}
+		}
+		_, has := g.HasEdge(u, v)
+		if u == v || has == (op.Kind == chl.EdgeOpAdd) || fresh != min(2, patchVerts-len(used)) {
+			continue
+		}
+		used[u], used[v] = true, true
+		ops = append(ops, op)
+	}
+	if _, err := srv.Update(ops); err != nil {
+		b.Fatal(err)
+	}
+	if got := srv.Stats().Patch.Vertices; got != patchVerts {
+		b.Fatalf("overlay has %d patch vertices, want %d", got, patchVerts)
+	}
+	return srv, srv.Acquire()
+}
+
+// BenchmarkPatchedQuery is the corrected point-to-point query — frozen
+// join, seed scan, correction, the occasional exact fallback — as the
+// overlay grows: the in-process twin of the scoreboard's
+// delta.patched_query_us, one sub-benchmark per |P|.
+func BenchmarkPatchedQuery(b *testing.B) {
+	for _, patchVerts := range []int{8, 32, 57} {
+		b.Run(fmt.Sprintf("P=%d", patchVerts), func(b *testing.B) {
+			srv, sn := patchedEngine(b, patchVerts)
+			defer srv.Close()
+			defer sn.Release()
+			eng, n := sn.Engine(), 96*96
+			rng := rand.New(rand.NewSource(4))
+			us, vs := make([]int, 4096), make([]int, 4096)
+			for i := range us {
+				us[i], vs[i] = rng.Intn(n), rng.Intn(n)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var sink float64
+			for i := 0; i < b.N; i++ {
+				d, _, _ := eng.QueryHub(us[i%4096], vs[i%4096])
+				sink += d
+			}
+			_ = sink
+			b.StopTimer()
+			st := srv.Stats().Patch
+			b.ReportMetric(float64(st.Fallback)/float64(st.Frozen+st.Corrected+st.Fallback), "fallback/op")
+		})
+	}
+}
+
 // TestParallelQueryScratchRace drives the same pattern as the parallel
 // benchmarks under plain `go test`, so the CI -race job proves the
 // per-goroutine-scratch discipline (and the scratch-free compressed

@@ -193,16 +193,19 @@
 // w" / "del u v" / "set u v w" lines, ParsePatchLog) reduce against the
 // base graph, and every query becomes the min of the frozen label join
 // and a corrected path — a Dijkstra over the patch vertices seeded by
-// frozen distances, falling back to an exact search whenever a frozen
-// seed might thread a removed edge. Untouched pairs stay bit-identical;
-// corrected answers that lose the frozen witness report hub -1. Each
+// frozen distances (all of them read off one scan per endpoint of a
+// hub-inverted table of the patch vertices' labels), falling back to an
+// exact search whenever a frozen seed might thread a removed edge.
+// Untouched pairs stay bit-identical; corrected answers that lose the
+// frozen witness report hub -1. Each
 // accepted batch is journaled-ahead (replayed on restart), advances the
 // overlay epoch, and retires the answer caches exactly once — the epoch
 // extends the snapshot identity and the router's singleflight keys the
 // same way content hashes do. In a cluster the router owns the overlay
 // (RouterConfig.BaseGraph / UpdateJournal): shards stay frozen and the
-// router corrects locally against pinned patch-vertex label rows, even
-// for same-shard pairs. POST /compact folds the patches into a fresh
+// router corrects locally — the same delta.Overlay.Query the server
+// calls, fed the endpoint rows it fetches from the shards — even for
+// same-shard pairs. POST /compact folds the patches into a fresh
 // snapshot — rebuild over the patched graph, rename, hot-swap with zero
 // dropped queries, truncate the journal. ARCHITECTURE.md ("Dynamic
 // updates") has the correction math and the operator rules.

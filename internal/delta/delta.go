@@ -38,8 +38,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
+	"repro/internal/label"
 	"repro/internal/sssp"
 )
 
@@ -215,8 +217,8 @@ type insArc struct {
 // Reduction is the patch log reduced against a base graph: the final
 // edge state of every touched key, the removal/insertion diff, and the
 // patch-vertex universe. It is the cheap, shard-free half of overlay
-// construction — building the Overlay on top additionally needs frozen
-// distances between patch vertices (a PairQuerier).
+// construction — building the Overlay on top additionally needs the
+// frozen label runs of the patch vertices.
 type Reduction struct {
 	base     *graph.Graph
 	directed bool
@@ -398,58 +400,113 @@ func ApplyPatch(base *graph.Graph, ops []Op) (*graph.Graph, error) {
 	return red.Materialize()
 }
 
-// PairQuerier returns the frozen (label) shortest distance between two
-// original vertex ids, graph.Infinity when unreachable. The overlay
-// build calls it O(|P|²) times to pin inter-patch-vertex distances.
-type PairQuerier func(u, v int) float64
-
 // Overlay is one immutable patch generation: a Reduction plus the
-// distance tables the seeded correction needs — frozen inter-patch
-// distances for the safety test, exact patched inter-patch distances
-// (|P| build-time Dijkstras) for the correction graph's arcs. Build a
-// new one per accepted batch; queries against an old one stay
-// consistent with the snapshot it was built over.
+// tables the seeded correction needs — the patch vertices' frozen label
+// runs transposed by hub (the seed tables), frozen inter-patch distances
+// for the safety test, exact patched inter-patch distances (|P|
+// build-time Dijkstras) for the correction graph's arcs. Build a new one
+// per accepted batch; queries against an old one stay consistent with
+// the snapshot it was built over.
+//
+// The seed tables are what keep a corrected query at one label scan per
+// endpoint: hub h's postings in toP are (i, d(h, verts[i])), so one pass
+// over L(u) lowers du[i] to min_h d(u,h)+d(h,verts[i]) for every patch
+// vertex at once — the hub join of u against all of P — where joining
+// pair by pair would walk L(u) |P| times. fromP is the same for d(verts[i],
+// h), scanned by v's run. Each table costs 8 bytes per label of P's runs
+// plus 4(n+1) for its offsets.
 type Overlay struct {
 	*Reduction
 	ops   []Op
 	epoch uint64
 	hash  uint64
-	dpq   [][]float64 // frozen d_G(verts[i], verts[j]) — safety test only
-	dpp   [][]float64 // exact patched d'(verts[i], verts[j]) — correction arcs
+	toP   *label.Inverted // backward runs of P by hub: L_out(u) scans it for d(u, verts[i])
+	fromP *label.Inverted // forward runs of P by hub: L_in(v) scans it for d(verts[i], v); toP itself when undirected
+	dpq   [][]float64     // frozen d_G(verts[i], verts[j]) — safety test only
+	dpqT  [][]float64     // dpq transposed, so the test reads columns as slices; dpq itself when undirected
+	dpp   [][]float64     // exact patched d'(verts[i], verts[j]) — correction arcs
 
-	patchedOnce sync.Once
-	patched     *graph.Graph
-	patchedErr  error
+	patched *graph.Graph // base with the patch applied: fallback, rows, paths
+
+	scratch sync.Pool              // *scratch, sized for this overlay's |P|
+	paths   [numPaths]atomic.Int64 // queries answered, by path
 }
 
-// NewOverlay builds the overlay for ops (already reduced to red) with
-// frozen distances supplied by q. epoch tags the patch generation for
-// cache keying; ops is the full accumulated log (its LogHash becomes
-// the overlay's identity contribution). Construction runs one Dijkstra
-// per patch vertex on the materialized patched graph — the one-time
-// cost that makes per-query corrections exact without any inter-patch
-// safety caveat.
-func NewOverlay(red *Reduction, ops []Op, epoch uint64, q PairQuerier) (*Overlay, error) {
-	o := &Overlay{Reduction: red, ops: ops, epoch: epoch, hash: LogHash(ops)}
+// The ways a query through the overlay is answered; each Query takes
+// exactly one.
+const (
+	pathFrozen    = iota // the bracket closed on a safe frozen distance: the label answer stands
+	pathCorrected        // the bracket closed on a different value (or on unreachable)
+	pathFallback         // the bracket stayed open: exact Dijkstra on the patched graph
+	numPaths
+)
+
+// scratch is the working memory of one corrected query.
+type scratch struct {
+	du, dv       []float64 // seeds, |P| each
+	duBad, dvBad []bool    // seeds failing the safety test
+	d            []float64 // correction Dijkstra over |P|+2 nodes
+	done         []bool
+}
+
+// NewOverlay builds the overlay for ops (already reduced to red) over
+// the frozen labels of the patch vertices: fwd[i] and bwd[i] are the
+// forward and backward packed label runs of red.Verts()[i], hubs in rank
+// space and all below the base graph's vertex count. Undirected labels
+// are symmetric, so bwd is not read when the base graph is undirected.
+// epoch tags the patch generation for cache keying; ops is the full
+// accumulated log (its LogHash becomes the overlay's identity
+// contribution). Construction runs one Dijkstra per patch vertex on the
+// materialized patched graph — the one-time cost that makes per-query
+// corrections exact without any inter-patch safety caveat.
+func NewOverlay(red *Reduction, ops []Op, epoch uint64, fwd, bwd [][]uint64) (*Overlay, error) {
 	k := len(red.verts)
+	if !red.directed {
+		bwd = fwd
+	}
+	if len(fwd) != k || len(bwd) != k {
+		return nil, fmt.Errorf("delta: %d patch vertices but %d forward / %d backward label runs", k, len(fwd), len(bwd))
+	}
+	o := &Overlay{Reduction: red, ops: ops, epoch: epoch, hash: LogHash(ops)}
+	o.scratch.New = func() any {
+		return &scratch{
+			du: make([]float64, k), dv: make([]float64, k),
+			duBad: make([]bool, k), dvBad: make([]bool, k),
+			d: make([]float64, k+2), done: make([]bool, k+2),
+		}
+	}
+	n := red.base.NumVertices()
+	o.toP = label.InvertRuns(n, bwd)
+	o.fromP = o.toP
+	if red.directed {
+		o.fromP = label.InvertRuns(n, fwd)
+	}
+	// Row i of the frozen inter-patch table is the seed scan of verts[i]'s
+	// own forward run: d(verts[i], verts[j]) for every j in one pass.
 	o.dpq = make([][]float64, k)
-	for i := 0; i < k; i++ {
+	for i := range o.dpq {
 		o.dpq[i] = make([]float64, k)
-		for j := 0; j < k; j++ {
-			switch {
-			case i == j:
-				o.dpq[i][j] = 0
-			case !red.directed && j < i:
-				o.dpq[i][j] = o.dpq[j][i]
-			default:
-				o.dpq[i][j] = q(red.verts[i], red.verts[j])
+		for j := range o.dpq[i] {
+			o.dpq[i][j] = graph.Infinity
+		}
+		o.toP.ScanMin(o.dpq[i], fwd[i])
+		o.dpq[i][i] = 0
+	}
+	o.dpqT = o.dpq
+	if red.directed {
+		o.dpqT = make([][]float64, k)
+		for j := range o.dpqT {
+			o.dpqT[j] = make([]float64, k)
+			for i := range o.dpq {
+				o.dpqT[j][i] = o.dpq[i][j]
 			}
 		}
 	}
-	pg, err := o.Patched()
+	pg, err := red.Materialize()
 	if err != nil {
 		return nil, err
 	}
+	o.patched = pg
 	o.dpp = make([][]float64, k)
 	for i := 0; i < k; i++ {
 		row := sssp.Dijkstra(pg, red.verts[i])
@@ -470,7 +527,9 @@ func (o *Overlay) Hash() uint64 { return o.hash }
 // Ops returns the accumulated patch log the overlay was built from.
 func (o *Overlay) Ops() []Op { return o.ops }
 
-// Stats describes the overlay's size for /stats and logs.
+// Stats describes the overlay's size, and which way the queries it has
+// answered went, for /stats and logs. An overlay lives for one patch
+// epoch, so the query counts start from zero at every accepted batch.
 type Stats struct {
 	Epoch    uint64 `json:"epoch"`
 	Ops      int    `json:"ops"`
@@ -478,44 +537,112 @@ type Stats struct {
 	Removals int    `json:"removed_edges"`
 	Inserts  int    `json:"inserted_edges"`
 	LogHash  uint64 `json:"log_hash"`
+	// Queries by the path that answered them: the frozen label answer
+	// certified intact, a corrected distance, or the exact Dijkstra
+	// fallback (the expensive one).
+	Frozen    int64 `json:"queries_frozen"`
+	Corrected int64 `json:"queries_corrected"`
+	Fallback  int64 `json:"queries_fallback"`
 }
 
-// Stat returns the overlay's shape.
+// Stat returns the overlay's shape and query counts.
 func (o *Overlay) Stat() Stats {
 	return Stats{
-		Epoch:    o.epoch,
-		Ops:      len(o.ops),
-		Vertices: len(o.verts),
-		Removals: o.nRem,
-		Inserts:  o.nIns,
-		LogHash:  o.hash,
+		Epoch:     o.epoch,
+		Ops:       len(o.ops),
+		Vertices:  len(o.verts),
+		Removals:  o.nRem,
+		Inserts:   o.nIns,
+		LogHash:   o.hash,
+		Frozen:    o.paths[pathFrozen].Load(),
+		Corrected: o.paths[pathCorrected].Load(),
+		Fallback:  o.paths[pathFallback].Load(),
 	}
+}
+
+// Seeds computes the frozen seed vectors of one pair against the patch
+// vertices: du[i] = d(u, verts[i]) from one scan of runU (u's forward
+// run), dv[i] = d(verts[i], v) from one scan of runV (v's backward run;
+// its only run when undirected). Both must have len(Verts()). A patch
+// vertex that shares no hub with the endpoint — or an empty run, as a
+// shard slice holds for vertices it does not own — leaves Infinity, and
+// the diagonal is pinned to 0 whatever the labels hold. Every value is
+// bit-identical to the pairwise hub join it replaces (see
+// label.Inverted.ScanMin).
+func (o *Overlay) Seeds(du, dv []float64, runU, runV []uint64, u, v int) {
+	for i := range du {
+		du[i] = graph.Infinity
+	}
+	for i := range dv {
+		dv[i] = graph.Infinity
+	}
+	o.toP.ScanMin(du, runU)
+	o.fromP.ScanMin(dv, runV)
+	if i, ok := o.slot[u]; ok {
+		du[i] = 0
+	}
+	if i, ok := o.slot[v]; ok {
+		dv[i] = 0
+	}
+}
+
+// Query answers one pair on the patched graph from the endpoints' frozen
+// packed label runs (runU: u's forward run; runV: v's backward run, its
+// only run when undirected) — the one corrected-query path, shared by
+// the engine (runs from its own index) and the router (runs fetched from
+// shards). The frozen join supplies the trunk distance, one scan per
+// endpoint the seeds, correct folds the patched edges in, and a pair
+// correct cannot certify falls back to an exact Dijkstra on the patched
+// graph. dist is graph.Infinity for unreachable pairs. frozen reports
+// that the overlay proved the frozen answer still exact; only then is
+// hub — the frozen join's witness, in rank space — known to lie on a
+// patched shortest path (for u == v the witness is u itself, whatever
+// hub holds).
+func (o *Overlay) Query(runU, runV []uint64, u, v int) (dist float64, hub uint32, frozen bool) {
+	d0, hub, _ := label.JoinPacked(runU, runV)
+	if u == v {
+		d0 = 0
+	}
+	s := o.scratch.Get().(*scratch)
+	o.Seeds(s.du, s.dv, runU, runV, u, v)
+	dist, frozen, exact := o.correct(s, d0)
+	o.scratch.Put(s)
+	switch {
+	case !exact:
+		dist, frozen = sssp.DijkstraTo(o.patched, u, v), false
+		o.paths[pathFallback].Add(1)
+	case frozen:
+		o.paths[pathFrozen].Add(1)
+	default:
+		o.paths[pathCorrected].Add(1)
+	}
+	return dist, hub, frozen
 }
 
 // compromised reports whether the frozen value dab for a pair (a,b) may
 // count a removed edge: some removal (x,y,w) with d(a,x)+w+d(y,b) <=
 // dab means a G-shortest a→b path may thread it, so dab is not provably
-// the G−R distance. dax[x] must hold the frozen d(a, verts[x]); dyb(y)
+// the G−R distance. dax[x] must hold the frozen d(a, verts[x]); dyb[y]
 // the frozen d(verts[y], b). Unreachable pairs are always safe —
 // removing edges cannot create paths.
-func (o *Overlay) compromised(dab float64, dax []float64, dyb func(int) float64) bool {
+func (o *Overlay) compromised(dab float64, dax, dyb []float64) bool {
 	if dab >= graph.Infinity {
 		return false
 	}
 	for _, rm := range o.removals {
-		if dax[rm.x]+rm.w+dyb(rm.y) <= dab {
+		if dax[rm.x]+rm.w+dyb[rm.y] <= dab {
 			return true
 		}
-		if !o.directed && dax[rm.y]+rm.w+dyb(rm.x) <= dab {
+		if !o.directed && dax[rm.y]+rm.w+dyb[rm.x] <= dab {
 			return true
 		}
 	}
 	return false
 }
 
-// Correct computes the patched distance for one pair from its frozen
-// seeds: d0 is the frozen pair distance, du[i] the frozen d(u,
-// verts[i]), dv[i] the frozen d(verts[i], v) (all graph.Infinity when
+// correct computes the patched distance for one pair from its frozen
+// seeds: d0 is the frozen pair distance, s.du[i] the frozen d(u,
+// verts[i]), s.dv[i] the frozen d(verts[i], v) (all graph.Infinity when
 // unreachable). It runs Dijkstra over the |P|+2-node correction graph:
 // seed arcs u→p and p→v, the frozen u→v arc, and exact patched
 // distances between patch vertices. A patched shortest path decomposes
@@ -535,31 +662,23 @@ func (o *Overlay) compromised(dab float64, dax []float64, dyb func(int) float64)
 // everything onto the fallback path.
 //
 // exact=false means the bracket did not close and the caller must fall
-// back to Dist/Row on the materialized patched graph. When exact,
+// back to a Dijkstra on the materialized patched graph. When exact,
 // frozen reports whether the corrected distance equals a safe d0 — the
-// license to keep serving the frozen witness hub.
-func (o *Overlay) Correct(d0 float64, du, dv []float64) (dist float64, frozen, exact bool) {
-	k := len(o.verts)
-	d0Bad := o.compromised(d0, du, func(y int) float64 { return dv[y] })
-	var duBad, dvBad []bool
-	for j := 0; j < k; j++ {
-		if o.compromised(du[j], du, func(y int) float64 { return o.dpq[y][j] }) {
-			if duBad == nil {
-				duBad = make([]bool, k)
-			}
-			duBad[j] = true
-		}
-		if o.compromised(dv[j], o.dpq[j], func(y int) float64 { return dv[y] }) {
-			if dvBad == nil {
-				dvBad = make([]bool, k)
-			}
-			dvBad[j] = true
-		}
+// license to keep serving the frozen witness hub. s holds the seeds and
+// supplies the working arrays.
+func (o *Overlay) correct(s *scratch, d0 float64) (dist float64, frozen, exact bool) {
+	du, dv := s.du, s.dv
+	d0Bad := o.compromised(d0, du, dv)
+	anyBad := d0Bad
+	for j := range o.verts {
+		s.duBad[j] = o.compromised(du[j], du, o.dpqT[j])
+		s.dvBad[j] = o.compromised(dv[j], o.dpq[j], dv)
+		anyBad = anyBad || s.duBad[j] || s.dvBad[j]
 	}
-	upper := o.correctionDijkstra(d0, du, dv, d0Bad, duBad, dvBad)
+	upper := o.correctionDijkstra(s, d0, d0Bad, s.duBad, s.dvBad)
 	lower := upper
-	if d0Bad || duBad != nil || dvBad != nil {
-		lower = o.correctionDijkstra(d0, du, dv, false, nil, nil)
+	if anyBad {
+		lower = o.correctionDijkstra(s, d0, false, nil, nil)
 	}
 	if lower != upper {
 		return 0, false, false
@@ -570,14 +689,13 @@ func (o *Overlay) Correct(d0 float64, du, dv []float64) (dist float64, frozen, e
 // correctionDijkstra runs the dense Dijkstra over nodes {0:u, 1..k:
 // patch verts, k+1: v}; skip flags drop the corresponding frozen seed
 // arc (nil = keep all).
-func (o *Overlay) correctionDijkstra(d0 float64, du, dv []float64, skipD0 bool, skipU, skipV []bool) float64 {
+func (o *Overlay) correctionDijkstra(s *scratch, d0 float64, skipD0 bool, skipU, skipV []bool) float64 {
 	const inf = graph.Infinity
 	k := len(o.verts)
 	t := k + 1
-	d := make([]float64, k+2)
-	done := make([]bool, k+2)
+	du, dv, d, done := s.du, s.dv, s.d, s.done
 	for i := range d {
-		d[i] = inf
+		d[i], done[i] = inf, false
 	}
 	d[0] = 0
 	for {
@@ -591,75 +709,45 @@ func (o *Overlay) correctionDijkstra(d0 float64, du, dv []float64, skipD0 bool, 
 			break
 		}
 		done[at] = true
-		relax := func(to int, w float64) {
-			if w < inf && best+w < d[to] {
-				d[to] = best + w
-			}
-		}
-		switch {
-		case at == 0:
+		if at == 0 {
 			for j := 0; j < k; j++ {
-				if skipU == nil || !skipU[j] {
-					relax(j+1, du[j])
+				if w := du[j]; w < inf && best+w < d[j+1] && (skipU == nil || !skipU[j]) {
+					d[j+1] = best + w
 				}
 			}
-			if !skipD0 {
-				relax(t, d0)
+			if !skipD0 && d0 < inf && best+d0 < d[t] {
+				d[t] = best + d0
 			}
-		default:
-			i := at - 1
-			for j := 0; j < k; j++ {
-				relax(j+1, o.dpp[i][j])
+			continue
+		}
+		i := at - 1
+		for j, w := range o.dpp[i] {
+			if w < inf && best+w < d[j+1] {
+				d[j+1] = best + w
 			}
-			if skipV == nil || !skipV[i] {
-				relax(t, dv[i])
-			}
+		}
+		if w := dv[i]; w < inf && best+w < d[t] && (skipV == nil || !skipV[i]) {
+			d[t] = best + w
 		}
 	}
 	return d[t]
 }
 
-// Patched returns the lazily materialized patched graph, shared by
+// Patched returns the patched graph NewOverlay materialized, shared by
 // every fallback path of this overlay.
-func (o *Overlay) Patched() (*graph.Graph, error) {
-	o.patchedOnce.Do(func() {
-		o.patched, o.patchedErr = o.Materialize()
-	})
-	return o.patched, o.patchedErr
-}
+func (o *Overlay) Patched() *graph.Graph { return o.patched }
 
 // Row returns the full single-source distance row from u on the patched
-// graph — the exact fallback when a frozen seed is unsafe, and the
-// source of /knn and /matrix rows under an overlay.
-func (o *Overlay) Row(u int) ([]float64, error) {
-	g, err := o.Patched()
-	if err != nil {
-		return nil, err
-	}
-	return sssp.Dijkstra(g, u), nil
-}
-
-// Dist returns the exact patched distance for one pair via the fallback
-// Dijkstra.
-func (o *Overlay) Dist(u, v int) (float64, error) {
-	row, err := o.Row(u)
-	if err != nil {
-		return 0, err
-	}
-	return row[v], nil
-}
+// graph — the source of /knn and /matrix rows under an overlay.
+func (o *Overlay) Row(u int) []float64 { return sssp.Dijkstra(o.patched, u) }
 
 // ShortestPath returns an exact shortest u→v vertex walk on the patched
 // graph (nil when unreachable) and its length — the /paths workload
 // under an overlay, where witness-hub expansion is unavailable.
-func (o *Overlay) ShortestPath(u, v int) ([]int, float64, error) {
-	g, err := o.Patched()
-	if err != nil {
-		return nil, 0, err
-	}
-	dist, pred := dijkstraPred(g, u)
+func (o *Overlay) ShortestPath(u, v int) ([]int, float64) {
+	dist, pred := dijkstraPred(o.patched, u)
 	if dist[v] >= graph.Infinity {
-		return nil, graph.Infinity, nil
+		return nil, graph.Infinity
 	}
 	var path []int
 	for at := v; ; at = pred[at] {
@@ -671,7 +759,7 @@ func (o *Overlay) ShortestPath(u, v int) ([]int, float64, error) {
 	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
 		path[i], path[j] = path[j], path[i]
 	}
-	return path, dist[v], nil
+	return path, dist[v]
 }
 
 // dijkstraPred is Dijkstra with predecessor tracking, on a lazy-deletion

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/label"
+	"repro/internal/pll"
 	"repro/internal/sssp"
 )
 
@@ -180,6 +182,47 @@ func (o *oracle) row(u int) []float64 {
 
 func (o *oracle) dist(u, v int) float64 { return o.row(u)[v] }
 
+// frozenLabels is a canonical hub labeling of one graph, packed: what a
+// serving tier holds frozen while the overlay absorbs edge updates.
+// Rank order is vertex order, so a hub rank is a vertex id. bwd is fwd
+// itself on undirected graphs.
+type frozenLabels struct{ fwd, bwd *label.FlatIndex }
+
+func freezeLabels(g *graph.Graph) frozenLabels {
+	if g.Directed() {
+		dx, _ := pll.SequentialDirected(g, pll.Options{})
+		return frozenLabels{label.Freeze(dx.Forward), label.Freeze(dx.Backward)}
+	}
+	ix, _ := pll.Sequential(g, pll.Options{})
+	f := label.Freeze(ix)
+	return frozenLabels{f, f}
+}
+
+// overlay builds the overlay of ops over these labels.
+func (fl frozenLabels) overlay(t testing.TB, g *graph.Graph, ops []Op, epoch uint64) *Overlay {
+	t.Helper()
+	red, err := Reduce(g, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd := make([][]uint64, len(red.Verts()))
+	bwd := make([][]uint64, len(red.Verts()))
+	for i, p := range red.Verts() {
+		fwd[i], bwd[i] = fl.fwd.PackedRun(p), fl.bwd.PackedRun(p)
+	}
+	ov, err := NewOverlay(red, ops, epoch, fwd, bwd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ov
+}
+
+// query asks the overlay for one pair the way a serving tier does: from
+// the endpoints' frozen runs.
+func (fl frozenLabels) query(ov *Overlay, u, v int) (float64, uint32, bool) {
+	return ov.Query(fl.fwd.PackedRun(u), fl.bwd.PackedRun(v), u, v)
+}
+
 // randomOps derives a valid mixed batch (dels and reweights of existing
 // edges, adds of absent ones) from g, deterministically per seed.
 func randomOps(g *graph.Graph, seed int64, nDel, nSet, nAdd int) []Op {
@@ -235,9 +278,10 @@ func randomOps(g *graph.Graph, seed int64, nDel, nSet, nAdd int) []Op {
 }
 
 // TestOverlayExact is the package's core correctness check: over random
-// graphs and random mixed patches, the seeded correction (or, when it
-// declines, the fallback) must agree exactly with Dijkstra on the
-// patched graph for every vertex pair.
+// graphs and random mixed patches, a query through the overlay — seeded
+// correction or, when it declines, the fallback — must agree exactly
+// with Dijkstra on the patched graph for every vertex pair, and every
+// query must be counted under exactly one path.
 func TestOverlayExact(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -252,89 +296,57 @@ func TestOverlayExact(t *testing.T) {
 					g = graph.ErdosRenyi(60, 140, 9, seed)
 				}
 				ops := randomOps(g, seed*101, 3, 3, 4)
-				red, err := Reduce(g, ops)
-				if err != nil {
-					t.Fatal(err)
-				}
-				frozen := newOracle(g)
-				ov, err := NewOverlay(red, ops, 1, frozen.dist)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pg, err := ov.Patched()
-				if err != nil {
-					t.Fatal(err)
-				}
+				frozen := freezeLabels(g)
+				ov := frozen.overlay(t, g, ops, 1)
+				pg := ov.Patched()
 				want := newOracle(pg)
-				verts := ov.Verts()
 				n := g.NumVertices()
-				exactCount, fallbackCount := 0, 0
 				for u := 0; u < n; u++ {
-					du := make([]float64, len(verts))
-					for i, p := range verts {
-						du[i] = frozen.dist(u, p)
-					}
 					for v := 0; v < n; v++ {
-						dv := make([]float64, len(verts))
-						for i, p := range verts {
-							dv[i] = frozen.dist(p, v)
-						}
-						got, _, exact := ov.Correct(frozen.dist(u, v), du, dv)
-						if !exact {
-							fallbackCount++
-							if got, err = ov.Dist(u, v); err != nil {
-								t.Fatal(err)
-							}
-						} else {
-							exactCount++
-						}
+						got, _, _ := frozen.query(ov, u, v)
 						if w := want.dist(u, v); got != w {
-							t.Fatalf("seed %d d'(%d,%d): got %v want %v (exact=%v)", seed, u, v, got, w, exact)
+							t.Fatalf("seed %d d'(%d,%d): got %v want %v", seed, u, v, got, w)
 						}
 					}
 				}
-				if exactCount == 0 {
-					t.Fatalf("seed %d: every pair fell back — the seeded correction never ran", seed)
+				st := ov.Stat()
+				if st.Frozen+st.Corrected+st.Fallback != int64(n*n) {
+					t.Fatalf("seed %d: %d queries counted as %d frozen + %d corrected + %d fallback",
+						seed, n*n, st.Frozen, st.Corrected, st.Fallback)
 				}
-				t.Logf("seed %d: %d corrected, %d fell back", seed, exactCount, fallbackCount)
+				if st.Frozen == 0 || st.Corrected == 0 {
+					t.Fatalf("seed %d: %+v — the seeded correction never ran", seed, st)
+				}
+				t.Logf("seed %d: %d frozen, %d corrected, %d fell back", seed, st.Frozen, st.Corrected, st.Fallback)
 			}
 		})
 	}
 }
 
-// TestOverlayFrozenFlag: when the correction says the frozen answer
-// survives, the frozen distance must equal the patched one — that flag
-// licenses serving the frozen witness hub.
+// TestOverlayFrozenFlag: when the overlay says the frozen answer
+// survives, the frozen distance must equal the patched one and the hub
+// it returns must witness it — that flag licenses serving the frozen
+// witness hub.
 func TestOverlayFrozenFlag(t *testing.T) {
 	g := graph.ErdosRenyi(50, 120, 9, 7)
 	ops := randomOps(g, 77, 2, 2, 3)
-	red, err := Reduce(g, ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frozen := newOracle(g)
-	ov, err := NewOverlay(red, ops, 1, frozen.dist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg, _ := ov.Patched()
-	want := newOracle(pg)
-	verts := ov.Verts()
+	frozen := freezeLabels(g)
+	ov := frozen.overlay(t, g, ops, 1)
+	pg := ov.Patched()
+	base, want := newOracle(g), newOracle(pg)
 	for u := 0; u < 50; u++ {
-		du := make([]float64, len(verts))
-		for i, p := range verts {
-			du[i] = frozen.dist(u, p)
-		}
 		for v := 0; v < 50; v++ {
-			dv := make([]float64, len(verts))
-			for i, p := range verts {
-				dv[i] = frozen.dist(p, v)
+			got, hub, frozenOK := frozen.query(ov, u, v)
+			if !frozenOK {
+				continue
 			}
-			d0 := frozen.dist(u, v)
-			got, frozenOK, exact := ov.Correct(d0, du, dv)
-			if exact && frozenOK && (got != d0 || got != want.dist(u, v)) {
+			if got != base.dist(u, v) || got != want.dist(u, v) {
 				t.Fatalf("(%d,%d): frozen flag set but corrected=%v frozen=%v patched=%v",
-					u, v, got, d0, want.dist(u, v))
+					u, v, got, base.dist(u, v), want.dist(u, v))
+			}
+			if h := int(hub); u != v && want.dist(u, h)+want.dist(h, v) != got {
+				t.Fatalf("(%d,%d): frozen witness %d is off the patched shortest paths: %v + %v != %v",
+					u, v, h, want.dist(u, h), want.dist(h, v), got)
 			}
 		}
 	}
@@ -343,23 +355,12 @@ func TestOverlayFrozenFlag(t *testing.T) {
 func TestShortestPathOnPatched(t *testing.T) {
 	g := graph.ErdosRenyi(40, 90, 9, 3)
 	ops := randomOps(g, 5, 2, 2, 3)
-	red, err := Reduce(g, ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frozen := newOracle(g)
-	ov, err := NewOverlay(red, ops, 1, frozen.dist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg, _ := ov.Patched()
+	ov := freezeLabels(g).overlay(t, g, ops, 1)
+	pg := ov.Patched()
 	want := newOracle(pg)
 	for u := 0; u < 40; u += 3 {
 		for v := 0; v < 40; v += 7 {
-			path, d, err := ov.ShortestPath(u, v)
-			if err != nil {
-				t.Fatal(err)
-			}
+			path, d := ov.ShortestPath(u, v)
 			w := want.dist(u, v)
 			if w >= graph.Infinity {
 				if path != nil {
@@ -433,10 +434,9 @@ func TestOverlayAccessorsAndApplyPatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frozen := newOracle(g)
-	ov, err := NewOverlay(red, ops, 7, frozen.dist)
-	if err != nil {
-		t.Fatal(err)
+	ov := freezeLabels(g).overlay(t, g, ops, 7)
+	if _, err := NewOverlay(red, ops, 7, nil, nil); err == nil {
+		t.Fatal("NewOverlay accepted fewer label runs than patch vertices")
 	}
 	if ov.Epoch() != 7 {
 		t.Fatalf("Epoch() = %d, want 7", ov.Epoch())

@@ -1,7 +1,11 @@
 package delta
 
 import (
+	"math"
 	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/label"
 )
 
 // fuzzSeeds is the regression corpus for the patch-log parser: every
@@ -58,6 +62,93 @@ func FuzzParsePatchLog(f *testing.F) {
 		for i := range ops {
 			if again[i] != ops[i] {
 				t.Fatalf("round trip changed op %d: %+v -> %+v", i, ops[i], again[i])
+			}
+		}
+	})
+}
+
+// fuzzRun carves one packed label run out of data: a length byte, then
+// (hub gap, distance) byte pairs — hubs strictly ascending and below n,
+// as every run the serving tiers hand the overlay is (label.ParsePackedRun
+// rejects anything else), distances in quarter units so the float sums
+// are not all integers. It returns the run and the unread rest.
+func fuzzRun(data []byte, n int) (run []uint64, rest []byte) {
+	if len(data) == 0 {
+		return nil, nil
+	}
+	count, data := int(data[0]%12), data[1:]
+	hub := -1
+	for ; count > 0 && len(data) >= 2; count, data = count-1, data[2:] {
+		if hub += 1 + int(data[0]%5); hub >= n {
+			break
+		}
+		dist := float32(data[1]) / 4
+		run = append(run, uint64(hub)<<32|uint64(math.Float32bits(dist)))
+	}
+	return run, data
+}
+
+// FuzzSeedTable steers the label runs of the patch vertices and of the
+// two endpoints with arbitrary bytes — sparse, empty, disjoint,
+// overlapping — and holds Overlay.Seeds to the pairwise hub joins it
+// replaces, on an undirected overlay (one table) and a directed one
+// (two).
+func FuzzSeedTable(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 3, 7, 3, 0, 4, 1, 8, 2, 12, 3, 0, 4, 1, 8, 2, 12, 2, 0, 5, 0, 5})
+	f.Add([]byte{1, 9, 200, 11, 255, 1, 4, 7, 4, 7, 4, 7, 11, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	const n = 40
+	ops := []Op{{Kind: OpDel, U: 3, V: 4}, {Kind: OpAdd, U: 0, V: 9, W: 2}, {Kind: OpSet, U: 20, V: 21, W: 5}}
+	var reds [2]*Reduction
+	for i, directed := range []bool{false, true} {
+		b := graph.NewBuilder(n, directed)
+		for v := 0; v+1 < n; v++ {
+			b.AddEdge(v, v+1, 1)
+		}
+		g, err := b.Finish()
+		if err != nil {
+			f.Fatal(err)
+		}
+		if reds[i], err = Reduce(g, ops); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		red := reds[data[0]%2]
+		verts := red.Verts()
+		u, v := int(data[1])%n, int(data[2])%n
+		data = data[3:]
+		fwd, bwd := make([][]uint64, len(verts)), make([][]uint64, len(verts))
+		for i := range verts {
+			fwd[i], data = fuzzRun(data, n)
+			bwd[i] = fwd[i]
+			if red.directed {
+				bwd[i], data = fuzzRun(data, n)
+			}
+		}
+		runU, data := fuzzRun(data, n)
+		runV, _ := fuzzRun(data, n)
+		ov, err := NewOverlay(red, ops, 1, fwd, bwd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		du, dv := make([]float64, len(verts)), make([]float64, len(verts))
+		ov.Seeds(du, dv, runU, runV, u, v)
+		for i, p := range verts {
+			wantU, _, _ := label.JoinPacked(runU, bwd[i])
+			wantV, _, _ := label.JoinPacked(fwd[i], runV)
+			if p == u {
+				wantU = 0
+			}
+			if p == v {
+				wantV = 0
+			}
+			if du[i] != wantU || dv[i] != wantV {
+				t.Fatalf("directed=%v (%d,%d) patch vertex %d: seeds (%v,%v), joins (%v,%v)",
+					red.directed, u, v, p, du[i], dv[i], wantU, wantV)
 			}
 		}
 	})

@@ -3,7 +3,7 @@ package label
 import (
 	"container/heap"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Label-inverted index: the transpose of the label store's vertex→hubs
@@ -41,16 +41,19 @@ func invEntryVertex(e uint64) int { return int(uint32(e)) }
 
 func invEntryDist(e uint64) float64 { return float64(math.Float32frombits(uint32(e >> 32))) }
 
-// invert transposes n label runs into an Inverted via two counting-sort
-// passes plus a per-bucket sort.
-func invert(n int, run func(v int) []uint64) *Inverted {
+// invert transposes k label runs over an n-hub rank space into an
+// Inverted via two counting-sort passes plus a per-bucket sort; posting
+// "vertices" are run indexes. run(i) is called twice per run and may
+// reuse one buffer.
+func invert(n, k int, run func(i int) []uint64) *Inverted {
 	iv := &Inverted{offsets: make([]uint32, n+1)}
 	var total int
-	for v := 0; v < n; v++ {
-		for _, e := range run(v) {
+	for i := 0; i < k; i++ {
+		r := run(i)
+		for _, e := range r {
 			iv.offsets[e>>32+1]++
 		}
-		total += len(run(v))
+		total += len(r)
 	}
 	for h := 0; h < n; h++ {
 		iv.offsets[h+1] += iv.offsets[h]
@@ -58,33 +61,62 @@ func invert(n int, run func(v int) []uint64) *Inverted {
 	iv.entries = make([]uint64, total)
 	next := make([]uint32, n)
 	copy(next, iv.offsets[:n])
-	for v := 0; v < n; v++ {
-		for _, e := range run(v) {
+	for i := 0; i < k; i++ {
+		for _, e := range run(i) {
 			h := e >> 32
-			iv.entries[next[h]] = invEntry(uint32(e), v)
+			iv.entries[next[h]] = invEntry(uint32(e), i)
 			next[h]++
 		}
 	}
 	for h := 0; h < n; h++ {
-		bucket := iv.entries[iv.offsets[h]:iv.offsets[h+1]]
-		sort.Slice(bucket, func(i, j int) bool { return bucket[i] < bucket[j] })
+		if bucket := iv.entries[iv.offsets[h]:iv.offsets[h+1]]; len(bucket) > 1 {
+			slices.Sort(bucket)
+		}
 	}
 	return iv
 }
 
 // Invert builds the inverted index of a flat store.
 func Invert(f *FlatIndex) *Inverted {
-	return invert(f.NumVertices(), f.PackedRun)
+	return invert(f.NumVertices(), f.NumVertices(), f.PackedRun)
 }
 
 // InvertCompressed builds the inverted index of a compressed store,
-// decoding each run once.
+// decoding each run into one reused buffer.
 func InvertCompressed(c *CompressedIndex) *Inverted {
 	var buf []uint64
-	return invert(c.NumVertices(), func(v int) []uint64 {
+	return invert(c.NumVertices(), c.NumVertices(), func(v int) []uint64 {
 		buf = c.AppendPackedRun(buf[:0], v)
 		return buf
 	})
+}
+
+// InvertRuns transposes a list of packed label runs whose hubs are all
+// below n: hub h's postings name the runs (by position in runs) that
+// carry h. Over the runs of a few chosen vertices this is the seed
+// table of the delta overlay — memory 8 bytes per label of those runs
+// plus 4(n+1) for the offsets.
+func InvertRuns(n int, runs [][]uint64) *Inverted {
+	return invert(n, len(runs), func(i int) []uint64 { return runs[i] })
+}
+
+// ScanMin lowers dst[i] to d(run,h)+d(h,i) for every posting (h → i) of
+// every hub h in run: after one pass over run, dst[i] is the hub-join
+// distance between run and the i-th inverted run (left untouched — so
+// pre-fill with Infinity — where they share no hub). The sum is the same
+// float32→float64 addition the pairwise kernels form and a minimum does
+// not depend on visiting order, so every dst[i] is bit-identical to
+// JoinPacked(run, runs[i]). Cost: O(len(run) + postings matched).
+func (iv *Inverted) ScanMin(dst []float64, run []uint64) {
+	for _, e := range run {
+		h := e >> 32
+		du := entryDist(e)
+		for _, p := range iv.entries[iv.offsets[h]:iv.offsets[h+1]] {
+			if d := du + invEntryDist(p); d < dst[uint32(p)] {
+				dst[uint32(p)] = d
+			}
+		}
+	}
 }
 
 // Postings returns hub h's posting list, sorted by (distance, vertex).

@@ -42,6 +42,34 @@ func TestInvertTranspose(t *testing.T) {
 	}
 }
 
+// TestScanMinEqualsPairwiseJoins: one ScanMin pass over a run against
+// the transpose of a few chosen runs yields, per chosen run, exactly
+// JoinPacked's distance — Infinity left in place where no hub is shared.
+func TestScanMinEqualsPairwiseJoins(t *testing.T) {
+	f := Freeze(randomIndex(150, 25))
+	n := f.NumVertices()
+	runs := [][]uint64{nil} // an empty run among the chosen
+	for v := 3; v < n; v += 17 {
+		runs = append(runs, f.PackedRun(v))
+	}
+	iv := InvertRuns(n, runs)
+	dst := make([]float64, len(runs))
+	for v := 0; v < n; v++ {
+		for i := range dst {
+			dst[i] = Infinity
+		}
+		iv.ScanMin(dst, f.PackedRun(v))
+		for i, run := range runs {
+			if want, _, _ := JoinPacked(f.PackedRun(v), run); dst[i] != want {
+				t.Fatalf("vertex %d × run %d: scan %v, join %v", v, i, dst[i], want)
+			}
+		}
+	}
+	if dst[0] != Infinity {
+		t.Fatalf("empty run joined at %v", dst[0])
+	}
+}
+
 // TestInvertCompressedParity: inverting a compressed store yields the
 // identical Inverted, word for word — the rich workloads must not care
 // which format backs the index.

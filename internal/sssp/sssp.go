@@ -15,6 +15,19 @@ import (
 // outgoing arcs) and returns the distance array; unreachable vertices get
 // graph.Infinity.
 func Dijkstra(g *graph.Graph, source int) []float64 {
+	return dijkstra(g, source, -1)
+}
+
+// DijkstraTo returns the shortest-path distance from s to t, stopping as
+// soon as t is settled. It pops and relaxes in exactly Dijkstra's order
+// up to that point, so the result is the same float as Dijkstra(g, s)[t].
+func DijkstraTo(g *graph.Graph, s, t int) float64 {
+	return dijkstra(g, s, t)[t]
+}
+
+// dijkstra runs from source until the heap drains or target (-1: none)
+// is settled; dist[target] is final by then, the rest of dist is not.
+func dijkstra(g *graph.Graph, source, target int) []float64 {
 	n := g.NumVertices()
 	dist := make([]float64, n)
 	for i := range dist {
@@ -27,6 +40,9 @@ func Dijkstra(g *graph.Graph, source int) []float64 {
 		u, du := h.Pop()
 		if du > dist[u] {
 			continue
+		}
+		if u == target {
+			break
 		}
 		heads, wts := g.Neighbors(u)
 		for i, v := range heads {

@@ -59,6 +59,48 @@ func TestDijkstraAgainstBellmanFord(t *testing.T) {
 	}
 }
 
+// TestDijkstraToEqualsFullRow: stopping at the target changes nothing
+// about the value — the same float as the full row's cell, on fractional
+// weights (where summation order would show), on directed arcs, and on
+// pairs with no path at all.
+func TestDijkstraToEqualsFullRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	fractional := func(directed bool) *graph.Graph {
+		b := graph.NewBuilder(70, directed)
+		for e := 0; e < 160; e++ {
+			if u, v := rng.Intn(70), rng.Intn(70); u != v {
+				b.AddEdge(u, v, 0.1+rng.Float64()*9)
+			}
+		}
+		g, err := b.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	for name, g := range map[string]*graph.Graph{
+		"weighted":     fractional(false),
+		"directed":     fractional(true),
+		"disconnected": graph.ErdosRenyi(70, 40, 9, 3),
+	} {
+		unreachable := 0
+		for s := 0; s < g.NumVertices(); s++ {
+			row := Dijkstra(g, s)
+			for v, want := range row {
+				if got := DijkstraTo(g, s, v); got != want {
+					t.Fatalf("%s: DijkstraTo(%d,%d) = %v, Dijkstra row says %v", name, s, v, got, want)
+				}
+				if want == graph.Infinity {
+					unreachable++
+				}
+			}
+		}
+		if name == "disconnected" && unreachable == 0 {
+			t.Fatal("disconnected fixture is connected")
+		}
+	}
+}
+
 func TestDijkstraFigure1(t *testing.T) {
 	g := graph.Figure1()
 	// From v2 (id 1), the worked example of Figure 1b: d1=3, d3=10, d4=8,

@@ -1,0 +1,58 @@
+//go:build !race
+
+package chl
+
+// Not built under -race: there sync.Pool drops a share of what is Put
+// back on purpose, so pooled scratch is re-allocated and an allocation
+// count says nothing about the code.
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// TestCorrectedQueryDoesNotAllocate pins the corrected path's allocation
+// budget: a BatchEngine.QueryHub the overlay answers without its exact
+// fallback takes every working array from pooled scratch, on a
+// fixed-width index (zero-copy runs) and a compressed one (runs decoded
+// into a pooled buffer).
+func TestCorrectedQueryDoesNotAllocate(t *testing.T) {
+	g := GenerateRoadGrid(24, 24, 1)
+	ix, err := Build(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed, err := ix.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	compressed, err := packed.Compress()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := randomPatch(g, rand.New(rand.NewSource(2)), 8)
+	for name, fx := range map[string]*FlatIndex{"packed": packed, "compressed": compressed} {
+		eng := NewBatchEngineFlat(fx)
+		eng.SetOverlay(overlayOver(t, fx, g, ops))
+		// Pairs the overlay answers without falling back, found by asking.
+		var pairs [][2]int
+		rng := rand.New(rand.NewSource(3))
+		for len(pairs) < 64 {
+			u, v := rng.Intn(g.NumVertices()), rng.Intn(g.NumVertices())
+			before := eng.Overlay().Stat().Fallback
+			eng.QueryHub(u, v)
+			if eng.Overlay().Stat().Fallback == before {
+				pairs = append(pairs, [2]int{u, v})
+			}
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(500, func() {
+			p := pairs[i%len(pairs)]
+			eng.QueryHub(p[0], p[1])
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: corrected QueryHub allocates %v times per query, want 0", name, allocs)
+		}
+	}
+}

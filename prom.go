@@ -169,3 +169,12 @@ func promGauge(w io.Writer, name, help string, v float64) {
 func promCounter(w io.Writer, name, help string, v int64) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 }
+
+// promOverlayQueries writes the outstanding delta overlay's query counts,
+// one series per path that can answer a query through it.
+func promOverlayQueries(w io.Writer, name string, ps *PatchStats) {
+	fmt.Fprintf(w, "# HELP %s Queries answered through the outstanding delta overlay, by path: frozen answer certified, corrected, or exact Dijkstra fallback. Restarts at every patch batch.\n# TYPE %s counter\n", name, name)
+	fmt.Fprintf(w, "%s{path=\"frozen\"} %d\n", name, ps.Frozen)
+	fmt.Fprintf(w, "%s{path=\"corrected\"} %d\n", name, ps.Corrected)
+	fmt.Fprintf(w, "%s{path=\"fallback\"} %d\n", name, ps.Fallback)
+}

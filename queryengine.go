@@ -142,6 +142,24 @@ func (fx *FlatIndex) backwardRun(v int) []uint64 {
 	return fx.backward().PackedRun(v)
 }
 
+// patchRuns returns the label runs delta.NewOverlay builds its seed
+// tables from: the forward run of every vertex in verts and, on a
+// directed index, the backward run too (nil otherwise — undirected
+// labels are symmetric).
+func (fx *FlatIndex) patchRuns(verts []int) (fwd, bwd [][]uint64) {
+	fwd = make([][]uint64, len(verts))
+	for i, p := range verts {
+		fwd[i] = fx.forwardRun(p)
+	}
+	if fx.Directed() {
+		bwd = make([][]uint64, len(verts))
+		for i, p := range verts {
+			bwd[i] = fx.backwardRun(p)
+		}
+	}
+	return fwd, bwd
+}
+
 // Compress returns a compressed (CHFX v4) copy of the index: the same
 // labels, permutation and directedness, with the label arrays re-encoded
 // as delta+varint blocks (label.CompressBlocks). Saving the result writes
@@ -505,70 +523,44 @@ func (e *BatchEngine) QueryHub(u, v int) (dist float64, hub int, ok bool) {
 	return dist, hub, ok
 }
 
+// runBuf holds the two decoded endpoint runs of one corrected query on
+// a compressed index.
+type runBuf struct{ u, v []uint64 }
+
+var runBufs = sync.Pool{New: func() any { return new(runBuf) }}
+
 // queryHubPatched answers one query against the patched graph: the
-// frozen join supplies the trunk distance and the patch-vertex seeds,
-// the overlay's correction Dijkstra folds the patched edges in, and
-// pairs the correction cannot certify fall back to an exact Dijkstra
-// on the materialized patched graph. The witness hub survives only
-// when the overlay proves the frozen answer still exact (the frozen
-// flag); otherwise the hub is -1 — no hub in the frozen labels is
-// guaranteed to lie on a patched shortest path.
+// endpoints' frozen runs (zero-copy from a fixed-width store, decoded
+// once into a pooled buffer from a compressed one) go to the overlay,
+// which joins, corrects and, where it must, falls back to an exact
+// Dijkstra (delta.Overlay.Query). The witness hub survives only when the
+// overlay proves the frozen answer still exact; otherwise the hub is -1
+// — no hub in the frozen labels is guaranteed to lie on a patched
+// shortest path.
 func (e *BatchEngine) queryHubPatched(u, v int) (dist float64, hub int, ok bool) {
-	d0, h0, ok0 := e.fx.QueryHub(u, v)
-	if !ok0 {
-		d0 = Infinity
+	fx := e.fx
+	var (
+		rank   uint32
+		frozen bool
+	)
+	if fx.cflat != nil {
+		b := runBufs.Get().(*runBuf)
+		b.u = fx.cflat.AppendPackedRun(b.u[:0], u)
+		b.v = fx.cbackward().AppendPackedRun(b.v[:0], v)
+		dist, rank, frozen = e.ov.Query(b.u, b.v, u, v)
+		runBufs.Put(b)
+	} else {
+		dist, rank, frozen = e.ov.Query(fx.flat.PackedRun(u), fx.backward().PackedRun(v), u, v)
 	}
-	if u == v {
-		d0, h0, ok0 = 0, u, true
-	}
-	du, dv := e.patchSeeds(u, v)
-	dist, frozen, exact := e.ov.Correct(d0, du, dv)
-	if !exact {
-		dist = mustOverlayDist(e.ov, u, v)
-		frozen = false
-	}
-	if dist >= Infinity {
+	switch {
+	case dist >= Infinity:
 		return Infinity, 0, false
+	case !frozen:
+		return dist, -1, true
+	case u == v:
+		return dist, u, true
 	}
-	if frozen && ok0 {
-		return dist, h0, true
-	}
-	return dist, -1, true
-}
-
-// patchSeeds computes the frozen seed vectors for one pair against the
-// overlay's patch vertices: du[i] = frozen d(u, p_i), dv[i] = frozen
-// d(p_i, v), in the overlay's vertex order.
-func (e *BatchEngine) patchSeeds(u, v int) (du, dv []float64) {
-	verts := e.ov.Verts()
-	du = make([]float64, len(verts))
-	dv = make([]float64, len(verts))
-	for i, p := range verts {
-		du[i] = e.frozenDist(u, p)
-		dv[i] = e.frozenDist(p, v)
-	}
-	return du, dv
-}
-
-// frozenDist is one frozen-label distance with the diagonal pinned to
-// zero (a join of a vertex with itself always reports 0, but pinning
-// it keeps the seed vectors independent of label contents).
-func (e *BatchEngine) frozenDist(a, b int) float64 {
-	if a == b {
-		return 0
-	}
-	return e.fx.Query(a, b)
-}
-
-// mustOverlayDist is Overlay.Dist for overlays past construction: the
-// patched graph was materialized (and validated) when the overlay was
-// built, so a failure here means a corrupted overlay, not bad input.
-func mustOverlayDist(ov *delta.Overlay, u, v int) float64 {
-	d, err := ov.Dist(u, v)
-	if err != nil {
-		panic(fmt.Sprintf("chl: overlay epoch %d failed to answer (%d,%d) on its own patched graph: %v", ov.Epoch(), u, v, err))
-	}
-	return d
+	return dist, fx.perm[rank], true
 }
 
 // Batch answers every pair and returns the distances in order.

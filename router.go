@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/delta"
 	"repro/internal/label"
 	"repro/internal/shard"
 )
@@ -176,13 +177,14 @@ type Router struct {
 type routerState struct {
 	idents [][]genObs // [shard][replica]
 	cache  *Cache
-	// patch is the outstanding delta overlay plus its pinned patch-vertex
-	// label rows (nil when no edge updates are outstanding). It rides the
+	// patch is the outstanding delta overlay, built over the patch
+	// vertices' label rows as fetched when the batch was applied (nil
+	// when no edge updates are outstanding). It rides the
 	// state pointer so a patch batch swaps overlay and cache in one
 	// atomic publish: every query sees a coherent (overlay, cache) pair,
 	// and the fresh cache instance is the patch-epoch discriminant that
 	// retires pre-patch answers exactly once per batch.
-	patch *routerPatch
+	patch *delta.Overlay
 }
 
 // patchEpoch returns the state's overlay epoch (0 = no outstanding
@@ -192,7 +194,7 @@ func (st *routerState) patchEpoch() uint64 {
 	if st.patch == nil {
 		return 0
 	}
-	return st.patch.ov.Epoch()
+	return st.patch.Epoch()
 }
 
 // genObs is one observed snapshot identity. hash is the snapshot's
@@ -1792,7 +1794,7 @@ func (r *Router) Stats() RouterStats {
 		UptimeSeconds:  r.clock.Now().Sub(r.start).Seconds(),
 	}
 	if p := r.state.Load().patch; p != nil {
-		ps := p.ov.Stat()
+		ps := p.Stat()
 		out.Patch = &ps
 	}
 	for _, c := range r.shards {
@@ -2084,6 +2086,9 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	promCounter(w, "chl_router_shed_total", "HTTP requests shed with a 429 (capacity or client quota).", st.Shed)
 	promCounter(w, "chl_router_resolve_batches_total", "Batched witness-rank resolution round trips.", st.ResolveBatches)
 	promCounter(w, "chl_router_resolve_ranks_total", "Witness ranks resolved through the batcher.", st.ResolveRanks)
+	if st.Patch != nil {
+		promOverlayQueries(w, "chl_router_overlay_queries_total", st.Patch)
+	}
 	if st.Cache != nil {
 		promGauge(w, "chl_router_cache_entries", "Answers currently cached at the router.", float64(st.Cache.Entries))
 		promGauge(w, "chl_router_cache_capacity", "Router answer cache capacity.", float64(st.Cache.Capacity))

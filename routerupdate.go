@@ -8,41 +8,31 @@ import (
 	"sort"
 
 	"repro/internal/delta"
-	"repro/internal/label"
 )
 
 // Dynamic edge updates at the router tier. The shards stay frozen —
 // they serve the mmap'd index files they were built from and never see
 // a patch — so the router owns the whole correction: it keeps the
 // accumulated patch log, builds a delta overlay against the base graph
-// (RouterConfig.BaseGraph), pins the label rows of every patch vertex
-// at patch-apply time, and corrects each query locally by joining the
-// endpoints' fetched rows against the pinned rows. The math is the one
-// the single-process engine uses (delta.Overlay.Correct — see
-// ARCHITECTURE.md "Dynamic updates"); only the frozen-distance plumbing
-// differs: where the engine calls FlatIndex.QueryHub, the router calls
-// label.JoinPacked on packed runs it fetched over the shard protocol.
+// (RouterConfig.BaseGraph) from the label rows of every patch vertex,
+// fetched once at patch-apply time, and corrects each query locally by
+// handing the endpoints' fetched rows to that overlay. It is the very
+// path the single-process engine runs (delta.Overlay.Query — see
+// ARCHITECTURE.md "Dynamic updates"); only where the two runs come from
+// differs: the engine reads them from its own index, the router fetches
+// them over the shard protocol.
 //
 // The overlay rides the routerState pointer, so a patch batch swaps
 // overlay and answer cache in one atomic publish, and the overlay epoch
 // discriminates singleflight keys (flightKey.pepoch): a flight computed
 // before a batch can never feed a query arriving after it.
 //
-// Pinned rows assume the cluster keeps serving the index built from
-// BaseGraph. A shard /reload that changes content while updates are
-// outstanding invalidates them — the same operator contract as the flat
-// server, which refuses to reload under outstanding patches; the router
-// cannot refuse (shards reload out from under it), so this is a
-// documented operator rule instead.
-
-// routerPatch is the router's per-patch-batch correction state: the
-// overlay plus the pinned packed label rows of every patch vertex,
-// keyed by original vertex id. bwd aliases fwd on undirected clusters.
-type routerPatch struct {
-	ov  *delta.Overlay
-	fwd map[int][]uint64
-	bwd map[int][]uint64
-}
+// The overlay's seed tables assume the cluster keeps serving the index
+// built from BaseGraph. A shard /reload that changes content while
+// updates are outstanding invalidates them — the same operator contract
+// as the flat server, which refuses to reload under outstanding patches;
+// the router cannot refuse (shards reload out from under it), so this is
+// a documented operator rule instead.
 
 // errRouterUpdatesDisabled distinguishes "no base graph configured"
 // (409) from a bad patch (400) in handleUpdate.
@@ -110,14 +100,7 @@ func (r *Router) applyPatchOpsLocked(ops []EdgeOp, journal bool) (delta.Stats, e
 	if err != nil {
 		return delta.Stats{}, err
 	}
-	q := func(a, b int) float64 {
-		d, _, ok := label.JoinPacked(fwd[a], bwd[b])
-		if !ok {
-			return Infinity
-		}
-		return d
-	}
-	ov, err := delta.NewOverlay(red, combined, r.patchBatches+1, q)
+	ov, err := delta.NewOverlay(red, combined, r.patchBatches+1, fwd, bwd)
 	if err != nil {
 		return delta.Stats{}, err
 	}
@@ -128,16 +111,16 @@ func (r *Router) applyPatchOpsLocked(ops []EdgeOp, journal bool) (delta.Stats, e
 	}
 	r.patchOps = combined
 	r.patchBatches++
-	var rp *routerPatch
-	if !ov.Empty() {
-		rp = &routerPatch{ov: ov, fwd: fwd, bwd: bwd}
+	patch := ov
+	if ov.Empty() {
+		patch = nil
 	}
 	for {
 		st := r.state.Load()
 		next := &routerState{
 			idents: make([][]genObs, len(st.idents)),
 			cache:  r.newAnswerCache(), // the patch batch retires every pre-patch answer
-			patch:  rp,
+			patch:  patch,
 		}
 		for i, group := range st.idents {
 			next.idents[i] = append([]genObs(nil), group...)
@@ -151,11 +134,10 @@ func (r *Router) applyPatchOpsLocked(ops []EdgeOp, journal bool) (delta.Stats, e
 	return ov.Stat(), nil
 }
 
-// fetchPatchRows fetches the packed label rows of every patch vertex —
-// forward always, backward too on directed clusters — one /shardquery
-// per owning shard. On undirected clusters the returned bwd map aliases
-// fwd (symmetric labels, one copy).
-func (r *Router) fetchPatchRows(verts []int) (fwd, bwd map[int][]uint64, err error) {
+// fetchPatchRows fetches the packed label rows of every patch vertex,
+// in verts order — forward always, backward too on directed clusters
+// (nil otherwise) — one /shardquery per owning shard.
+func (r *Router) fetchPatchRows(verts []int) (fwd, bwd [][]uint64, err error) {
 	byShard := map[int][]int{}
 	for _, v := range verts {
 		sid := r.part.Owner(v)
@@ -166,10 +148,13 @@ func (r *Router) fetchPatchRows(verts []int) (fwd, bwd map[int][]uint64, err err
 		sids = append(sids, sid)
 	}
 	sort.Ints(sids)
-	fwd = make(map[int][]uint64, len(verts))
-	bwd = fwd
+	slot := make(map[int]int, len(verts))
+	for i, v := range verts {
+		slot[v] = i
+	}
+	fwd = make([][]uint64, len(verts))
 	if r.directed {
-		bwd = make(map[int][]uint64, len(verts))
+		bwd = make([][]uint64, len(verts))
 	}
 	for _, sid := range sids {
 		vs := byShard[sid]
@@ -182,10 +167,10 @@ func (r *Router) fetchPatchRows(verts []int) (fwd, bwd map[int][]uint64, err err
 			return nil, nil, &ClusterError{Failed: []*ShardError{serr}}
 		}
 		for v, run := range gotF {
-			fwd[v] = run
+			fwd[slot[v]] = run
 		}
 		for v, run := range gotB {
-			bwd[v] = run
+			bwd[slot[v]] = run
 		}
 		r.noteGenerations(map[repRef]genObs{{sid, rep.id}: o})
 	}
@@ -193,16 +178,15 @@ func (r *Router) fetchPatchRows(verts []int) (fwd, bwd map[int][]uint64, err err
 }
 
 // routePatchedQueryHub is the leader's half of queryHub under a delta
-// overlay: fetch the endpoints' rows, join them against each other and
-// against the pinned patch-vertex rows for the correction seeds, and
-// run the same Correct/fallback bracket the engine tier runs. Even
-// same-shard pairs take this path — the shard's own /dist would answer
-// from frozen labels, which is exactly what the overlay must correct.
-// The witness hub is served only when the overlay certifies the frozen
-// answer intact (frozen); a corrected distance has no label witness and
-// reports hub -1 (see BatchEngine.queryHubPatched — same contract).
+// overlay: fetch the endpoints' rows and hand them to the overlay, which
+// runs the same join/seed/correct/fallback path the engine tier runs.
+// Even same-shard pairs take this path — the shard's own /dist would
+// answer from frozen labels, which is exactly what the overlay must
+// correct. The witness hub is served only when the overlay certifies the
+// frozen answer intact (frozen); a corrected distance has no label
+// witness and reports hub -1 (see BatchEngine.queryHubPatched — same
+// contract).
 func (r *Router) routePatchedQueryHub(st *routerState, u, v int, needHub bool) flightResult {
-	p := st.patch
 	su, sv := r.part.Owner(u), r.part.Owner(v)
 	obs := map[repRef]genObs{}
 
@@ -243,35 +227,7 @@ func (r *Router) routePatchedQueryHub(st *routerState, u, v int, needHub bool) f
 		rowV = rowsB[v]
 	}
 
-	d0, rank0, ok0 := label.JoinPacked(rowU, rowV)
-	if !ok0 {
-		d0 = Infinity
-	}
-	if u == v {
-		d0, ok0 = 0, true
-	}
-	verts := p.ov.Verts()
-	du := make([]float64, len(verts))
-	dv := make([]float64, len(verts))
-	for i, pv := range verts {
-		du[i] = Infinity
-		if pv == u {
-			du[i] = 0
-		} else if d, _, ok := label.JoinPacked(rowU, p.bwd[pv]); ok {
-			du[i] = d
-		}
-		dv[i] = Infinity
-		if pv == v {
-			dv[i] = 0
-		} else if d, _, ok := label.JoinPacked(p.fwd[pv], rowV); ok {
-			dv[i] = d
-		}
-	}
-	dist, frozen, exact := p.ov.Correct(d0, du, dv)
-	if !exact {
-		dist = mustOverlayDist(p.ov, u, v)
-		frozen = false
-	}
+	dist, rank0, frozen := st.patch.Query(rowU, rowV, u, v)
 	if dist >= Infinity {
 		r.cachePut(st, obs, u, v, Answer{Dist: Infinity, Hub: hubUnknown, Reachable: false})
 		return flightResult{dist: Infinity, hub: 0, ok: false}
@@ -283,7 +239,7 @@ func (r *Router) routePatchedQueryHub(st *routerState, u, v int, needHub bool) f
 	// hubUnknown (== -1) so a later hub-needing query recomputes — the
 	// same collision the engine tier documents on its cache.
 	hub := -1
-	if frozen && ok0 {
+	if frozen {
 		switch {
 		case u == v:
 			hub = u

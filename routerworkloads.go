@@ -39,10 +39,7 @@ func (r *Router) Path(u, v int) (dist float64, path []int, reachable bool, err e
 	// from an exact predecessor Dijkstra on the patched graph — the same
 	// fallback the engine tier takes (see BatchEngine.Path).
 	if st := r.state.Load(); st.patch != nil {
-		path, dist, err := st.patch.ov.ShortestPath(u, v)
-		if err != nil {
-			return 0, nil, false, err
-		}
+		path, dist := st.patch.ShortestPath(u, v)
 		if path == nil {
 			return Infinity, nil, false, nil
 		}
@@ -95,7 +92,7 @@ func (r *Router) KNN(u, k int) ([]Neighbor, error) {
 // two tiers' /knn responses identical.
 func (r *Router) routePatchedKNN(st *routerState, u, k int) ([]Neighbor, error) {
 	var qerr error
-	out := topKFromRow(mustOverlayRow(st.patch.ov, u), u, k, func(v int) (float64, int, bool) {
+	out := topKFromRow(st.patch.Row(u), u, k, func(v int) (float64, int, bool) {
 		d, h, ok, err := r.queryHub(u, v, true)
 		if err != nil && qerr == nil {
 			qerr = err
@@ -267,7 +264,7 @@ func (r *Router) Matrix(sources, targets []int, emit func(u int, dists []float64
 	if st := r.state.Load(); st.patch != nil {
 		row := make([]float64, len(targets))
 		for _, u := range sources {
-			full := mustOverlayRow(st.patch.ov, u)
+			full := st.patch.Row(u)
 			for j, t := range targets {
 				row[j] = full[t]
 			}

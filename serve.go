@@ -578,10 +578,8 @@ func (s *Server) applyOps(ops []EdgeOp, journal bool) (*Snapshot, error) {
 	if cur == nil {
 		return nil, fmt.Errorf("chl: Server used after Close")
 	}
-	fx := cur.fx
-	ov, err := delta.NewOverlay(red, combined, s.patchBatches+1, func(u, v int) float64 {
-		return fx.Query(u, v)
-	})
+	fwd, bwd := cur.fx.patchRuns(red.Verts())
+	ov, err := delta.NewOverlay(red, combined, s.patchBatches+1, fwd, bwd)
 	if err != nil {
 		return nil, err
 	}
@@ -1529,6 +1527,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		promGauge(w, "chl_patch_epoch", "Epoch of the outstanding delta overlay.", float64(st.Patch.Epoch))
 		promGauge(w, "chl_patch_ops", "Ops in the outstanding patch log.", float64(st.Patch.Ops))
 		promGauge(w, "chl_patch_vertices", "Patch vertices in the outstanding overlay.", float64(st.Patch.Vertices))
+		promOverlayQueries(w, "chl_overlay_queries_total", st.Patch)
 	}
 	if st.Cache != nil {
 		promGauge(w, "chl_cache_entries", "Answers currently cached.", float64(st.Cache.Entries))

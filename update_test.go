@@ -431,6 +431,83 @@ func TestUpdateJournalReplay(t *testing.T) {
 	})
 }
 
+// TestOverlayPathCounters: every query the overlay answers is counted
+// under the one path that answered it — frozen answer certified,
+// corrected, exact fallback — in /stats and /metrics on both serving
+// tiers, cache hits are not, and a new patch batch starts the counts
+// over (they describe one patch epoch).
+func TestOverlayPathCounters(t *testing.T) {
+	g := chl.GenerateRandom(180, 520, 9, 11)
+	_, fx := buildFrozen(t, g)
+	ops := parityPatchOps(g)
+	n := g.NumVertices()
+	var pairs [][2]int
+	for i := 0; i < 120; i++ {
+		pairs = append(pairs, [2]int{(i * 41) % n, (i*89 + 7) % n}) // 41 is a unit mod 180: all distinct
+	}
+
+	flat := chl.NewServerFromFlat(fx, 1<<10)
+	defer flat.Close()
+	if err := flat.EnableUpdates(g, ""); err != nil {
+		t.Fatal(err)
+	}
+	c := newTestCluster(t, fx, clusterSpec{shards: 3, cacheSize: 1 << 10, tweak: func(cfg *chl.RouterConfig) { cfg.BaseGraph = g }})
+	defer c.close()
+
+	for _, tier := range []struct {
+		name   string
+		h      http.Handler
+		metric string
+		patch  func() *chl.PatchStats
+	}{
+		{"server", flat.Handler(), "chl_overlay_queries_total", func() *chl.PatchStats { return flat.Stats().Patch }},
+		{"router", c.router.Handler(), "chl_router_overlay_queries_total", func() *chl.PatchStats { return c.router.Stats().Patch }},
+	} {
+		t.Run(tier.name, func(t *testing.T) {
+			ts := httptest.NewServer(tier.h)
+			defer ts.Close()
+			postUpdate(t, ts.URL, ops[:len(ops)-1])
+			ask := func() *chl.PatchStats {
+				for _, p := range pairs {
+					if code := getStatus(t, fmt.Sprintf("%s/dist?u=%d&v=%d", ts.URL, p[0], p[1])); code != http.StatusOK {
+						t.Fatalf("/dist (%d,%d): status %d", p[0], p[1], code)
+					}
+				}
+				return tier.patch()
+			}
+			ps := ask()
+			if ps == nil || ps.Frozen+ps.Corrected+ps.Fallback != int64(len(pairs)) {
+				t.Fatalf("%d distinct pairs queried, overlay counted %+v", len(pairs), ps)
+			}
+			if ps.Frozen == 0 || ps.Corrected == 0 {
+				t.Fatalf("fixture exercises one path only: %+v", ps)
+			}
+			// A certified answer is cached whole, so asking again never
+			// reaches the overlay. (Hub-less corrected answers may: the
+			// router recomputes them for a caller that wants a hub.)
+			if again := ask(); again.Frozen != ps.Frozen {
+				t.Fatalf("cache hits were counted: frozen %d -> %d", ps.Frozen, again.Frozen)
+			}
+			ps = tier.patch()
+			resp, err := http.Get(ts.URL + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			for path, want := range map[string]int64{"frozen": ps.Frozen, "corrected": ps.Corrected, "fallback": ps.Fallback} {
+				if line := fmt.Sprintf("%s{path=%q} %d\n", tier.metric, path, want); !strings.Contains(string(body), line) {
+					t.Errorf("/metrics lacks %q", line)
+				}
+			}
+			postUpdate(t, ts.URL, ops[len(ops)-1:])
+			if ps := tier.patch(); ps == nil || ps.Frozen+ps.Corrected+ps.Fallback != 0 {
+				t.Fatalf("counts survived into the next patch epoch: %+v", ps)
+			}
+		})
+	}
+}
+
 // postRaw POSTs body to url and returns the status code.
 func postRaw(t *testing.T, url, body string) int {
 	t.Helper()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/delta"
 	"repro/internal/label"
 )
 
@@ -120,10 +119,7 @@ func (fx *FlatIndex) Path(u, v int) (dist float64, path []int, reachable bool, e
 // dist exactly.
 func (e *BatchEngine) Path(u, v int) (dist float64, path []int, reachable bool, err error) {
 	if e.ov != nil {
-		path, dist, err := e.ov.ShortestPath(u, v)
-		if err != nil {
-			return 0, nil, false, err
-		}
+		path, dist := e.ov.ShortestPath(u, v)
 		if path == nil {
 			return Infinity, nil, false, nil
 		}
@@ -178,7 +174,7 @@ func (fx *FlatIndex) KNNFromRun(run []uint64, k, exclude int) []Neighbor {
 // witness, and the cache deposit agree bit-for-bit with /dist.
 func (e *BatchEngine) KNN(u, k int) []Neighbor {
 	if e.ov != nil {
-		return topKFromRow(mustOverlayRow(e.ov, u), u, k, func(v int) (float64, int, bool) {
+		return topKFromRow(e.ov.Row(u), u, k, func(v int) (float64, int, bool) {
 			return e.QueryHub(u, v)
 		})
 	}
@@ -277,7 +273,7 @@ func (e *BatchEngine) MatrixRows(sources, targets []int, emit func(u int, dists 
 	}
 	row := make([]float64, len(targets))
 	for _, u := range sources {
-		full := mustOverlayRow(e.ov, u)
+		full := e.ov.Row(u)
 		for j, t := range targets {
 			row[j] = full[t]
 		}
@@ -286,14 +282,4 @@ func (e *BatchEngine) MatrixRows(sources, targets []int, emit func(u int, dists 
 		}
 	}
 	return nil
-}
-
-// mustOverlayRow is Overlay.Row for overlays past construction — like
-// mustOverlayDist, failure means a corrupted overlay, not bad input.
-func mustOverlayRow(ov *delta.Overlay, u int) []float64 {
-	row, err := ov.Row(u)
-	if err != nil {
-		panic(fmt.Sprintf("chl: overlay epoch %d failed its patched row for %d: %v", ov.Epoch(), u, err))
-	}
-	return row
 }
