@@ -46,9 +46,16 @@
 //
 // Build once, freeze, serve many times. Freeze packs the labeling into a
 // FlatIndex — CSR offsets plus one contiguous (hub, dist) entry array —
-// which queries ~2× faster than the slice-based Index, persists to a
-// versioned binary format (FlatIndex.Save / LoadFlat), and fans batches
-// out over all cores through NewBatchEngine:
+// which persists to a versioned binary format (FlatIndex.Save /
+// LoadFlat) and fans batches out over all cores through NewBatchEngine.
+// A FlatIndex is two label stores (forward and backward runs; the same
+// store twice when undirected), each fixed-width or compressed, and every
+// pairwise query is one call to label.Join, which picks among the
+// surviving kernels: merge join, hash join on a caller's scratch
+// (BenchmarkFlatQuery vs BenchmarkFlatQueryMerge: 1.55× on a
+// 32768-vertex scale-free graph), or the block-skipping join on
+// compressed labels. BenchmarkQuery is the slice-based Index on the same
+// pairs (0.93–1.01µs, against 0.78–0.87µs merge and 0.52–0.54µs hash).
 //
 //	fx, _ := ix.Freeze()
 //	fx.SaveFile("road.flat")                        // once
@@ -76,14 +83,16 @@
 // label format (CHFX version 4): labels split into blocks whose hub ids
 // are delta+varint coded and whose distances pack as small integers
 // where the float32 bits allow. Files shrink 59–71% on the benchmark
-// fixtures and every query kernel answers bit-identically through a
-// block-skipping merge join, at roughly 2–2.5× the fixed-width query
-// cost. Compress is explicit — Save writes v4 only for a compressed
-// index, so existing v2/v3 outputs stay byte-identical — and Decompress
-// inverts it exactly. Index.FreezeCompressed is Freeze+Compress;
-// cmd/chlquery exposes the conversion as -compress; cmd/chlbench is the
-// standing harness comparing both kernels and both serving formats
-// (BENCH_chl.json). The whole serving stack below — Server, shard
+// fixtures and every query answers bit-identically through a
+// block-skipping merge join, at 2.3–2.5× the fixed-width merge join
+// (the scoreboard's label.join_compressed_ns against
+// label.join_packed_ns; BenchmarkCompressedQuery against
+// BenchmarkFlatQueryMerge). Compress is explicit — Save writes v4 only
+// for a compressed index, so existing v2/v3 outputs stay byte-identical
+// — and Decompress inverts it exactly. Index.FreezeCompressed is
+// Freeze+Compress; cmd/chlquery exposes the conversion as -compress; the
+// scoreboard in bench/ (BENCHMARK.json) measures both formats. The
+// whole serving stack below — Server, shard
 // slicing, replicated clusters, the router — serves either format;
 // FlatIndex.Compressed reports which one an index holds.
 //

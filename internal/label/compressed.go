@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"os"
-	"runtime"
 )
 
 // Compressed label blocks: the CHFX v4 representation of a packed label
@@ -362,6 +360,16 @@ func (c *CompressedIndex) AppendPackedRun(dst []uint64, v int) []uint64 {
 	return dst
 }
 
+// RunInto decodes the run of v into (*buf)[:0] — a fresh slice when buf
+// is nil — and returns it (see Store).
+func (c *CompressedIndex) RunInto(buf *[]uint64, v int) []uint64 {
+	if buf == nil {
+		return c.AppendPackedRun(nil, v)
+	}
+	*buf = c.AppendPackedRun((*buf)[:0], v)
+	return *buf
+}
+
 // Labels reconstructs the label set of v (allocates; query paths use
 // JoinCompressed directly).
 func (c *CompressedIndex) Labels(v int) Set {
@@ -398,7 +406,7 @@ func (c *CompressedIndex) Decompress() *FlatIndex {
 // shard writers use to carve per-shard files out of one index. Kept
 // vertices' blocks are copied verbatim (no re-encoding), with data
 // offsets rebased onto the compacted payload.
-func (c *CompressedIndex) Slice(keep func(v int) bool) *CompressedIndex {
+func (c *CompressedIndex) Slice(keep func(v int) bool) Store {
 	out := &CompressedIndex{
 		n:         c.n,
 		blockSize: c.blockSize,
@@ -421,25 +429,9 @@ func (c *CompressedIndex) Slice(keep func(v int) bool) *CompressedIndex {
 	return out
 }
 
-// Prefault touches one byte per page of a mapped payload, as
-// FlatIndex.Prefault does; on a heap-backed index it is a no-op
-// returning 0.
-func (c *CompressedIndex) Prefault() int {
-	if len(c.raw) == 0 {
-		return 0
-	}
-	madviseAligned(c.raw, adviceWillNeed)
-	defer madviseAligned(c.raw, adviceRandom)
-	page := os.Getpagesize()
-	var sink byte
-	pages := 0
-	for i := 0; i < len(c.raw); i += page {
-		sink += c.raw[i]
-		pages++
-	}
-	runtime.KeepAlive(sink)
-	return pages
-}
+// Prefault faults a mapped payload in (see Store); on a heap-backed index
+// it is a no-op returning 0.
+func (c *CompressedIndex) Prefault() int { return prefault(c.raw) }
 
 // validate checks the structural invariants every loader must establish
 // before the decoding kernels may trust the arrays: monotone vertex

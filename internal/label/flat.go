@@ -79,200 +79,20 @@ func (f *FlatIndex) TotalMemory() int64 {
 	return int64(len(f.offsets))*4 + int64(len(f.entries))*8
 }
 
-// Query answers the PPSD query between u and v by merge-joining the two
-// packed label runs: the minimum d(u,h)+d(h,v) over common hubs h, or
-// Infinity if the pair shares no hub. Distance sums are computed in
-// float64, matching Index.Query exactly whenever the stored distances are
-// float32-exact.
-func (f *FlatIndex) Query(u, v int) float64 {
-	i, iEnd := f.offsets[u], f.offsets[u+1]
-	j, jEnd := f.offsets[v], f.offsets[v+1]
-	best := Infinity
-	for i < iEnd && j < jEnd {
-		ei, ej := f.entries[i], f.entries[j]
-		hi, hj := ei>>32, ej>>32
-		if hi == hj {
-			if d := entryDist(ei) + entryDist(ej); d < best {
-				best = d
-			}
-			i++
-			j++
-		} else if hi < hj {
-			i++
-		} else {
-			j++
-		}
-	}
-	return best
+// PackedRun returns the packed entry run of v, aliasing the index's entry
+// array (zero-copy on a memory-mapped index). The run is sorted ascending
+// by hub id; callers must not modify it.
+func (f *FlatIndex) PackedRun(v int) []uint64 {
+	lo, hi := f.offsets[v], f.offsets[v+1]
+	return f.entries[lo:hi:hi]
 }
 
-// QueryScratch is a per-worker probe buffer for QueryWith: one uint64 slot
-// per vertex packing a version stamp (high 32 bits, the O(1)-reset trick
-// of the construction-time HashDist) with the float32 distance bits (low
-// 32), so scatter and probe each touch a single word. One scratch weighs 8
-// bytes per vertex and must not be shared between goroutines.
-type QueryScratch struct {
-	slot    []uint64
-	current uint32
-}
+// RunInto is PackedRun: a fixed-width store hands out its own array and
+// never touches buf (see Store).
+func (f *FlatIndex) RunInto(_ *[]uint64, v int) []uint64 { return f.PackedRun(v) }
 
-// NewQueryScratch returns a scratch for indexes over n vertices.
-func NewQueryScratch(n int) *QueryScratch {
-	return &QueryScratch{slot: make([]uint64, n), current: 1}
-}
-
-func (s *QueryScratch) bump() {
-	s.current++
-	if s.current == 0 { // wrapped: invalidate everything the slow way
-		for i := range s.slot {
-			s.slot[i] = 0
-		}
-		s.current = 1
-	}
-}
-
-// QueryWith answers the PPSD query via hash-join instead of merge-join:
-// the shorter label run is scattered into the scratch, the longer one
-// probes it. The merge-join's three-way branch is decided by the
-// unpredictable interleaving of two hub sequences and mispredicts
-// constantly; the probe loop's only branch (slot occupied?) is rarely
-// taken and predicts well, which is worth ~2× on indexes whose scratch
-// stays cache-resident. Serving loops keep one scratch per worker — no
-// allocation per query.
-func (f *FlatIndex) QueryWith(s *QueryScratch, u, v int) float64 {
-	i, iEnd := f.offsets[u], f.offsets[u+1]
-	j, jEnd := f.offsets[v], f.offsets[v+1]
-	if iEnd-i > jEnd-j {
-		i, iEnd, j, jEnd = j, jEnd, i, iEnd
-	}
-	if i == iEnd || j == jEnd {
-		return Infinity
-	}
-	// Common hubs live below both runs' maxima: entries past the other
-	// side's last hub (the tail — typically the vertex's own low-rank
-	// hubs and self label) can never match, so truncate both runs.
-	// Comparing packed words compares hubs first; OR-ing the low word
-	// makes the cut inclusive of equal hubs at any distance.
-	iMax, jMax := f.entries[iEnd-1]|0xffffffff, f.entries[jEnd-1]|0xffffffff
-	for iEnd > i && f.entries[iEnd-1] > jMax {
-		iEnd--
-	}
-	s.bump()
-	cur := uint64(s.current) << 32
-	slot := s.slot
-	// Range over subslices: the slice expressions bound-check once, the
-	// loops not at all; scratch probes stay checked (hub ids come from
-	// input data).
-	for _, e := range f.entries[i:iEnd] {
-		// Slot = version | distbits; entry low word is already distbits.
-		slot[e>>32] = cur | e&0xffffffff
-	}
-	best := Infinity
-	for _, e := range f.entries[j:jEnd] {
-		if e > iMax {
-			break
-		}
-		w := slot[e>>32]
-		if w&^uint64(0xffffffff) == cur {
-			if d := float64(math.Float32frombits(uint32(w))) + entryDist(e); d < best {
-				best = d
-			}
-		}
-	}
-	return best
-}
-
-// QueryHubWith is QueryWith plus the witness hub: the hash-join serving
-// kernel for cached engines, whose cache entries store the full answer.
-// The probe run is hub-sorted, so the strict improvement test selects the
-// highest-ranked (smallest id) hub among equal-distance witnesses —
-// exactly QueryHub's tie-break.
-func (f *FlatIndex) QueryHubWith(s *QueryScratch, u, v int) (dist float64, hub uint32, ok bool) {
-	i, iEnd := f.offsets[u], f.offsets[u+1]
-	j, jEnd := f.offsets[v], f.offsets[v+1]
-	if iEnd-i > jEnd-j {
-		i, iEnd, j, jEnd = j, jEnd, i, iEnd
-	}
-	dist = Infinity
-	if i == iEnd || j == jEnd {
-		return dist, 0, false
-	}
-	iMax, jMax := f.entries[iEnd-1]|0xffffffff, f.entries[jEnd-1]|0xffffffff
-	for iEnd > i && f.entries[iEnd-1] > jMax {
-		iEnd--
-	}
-	s.bump()
-	cur := uint64(s.current) << 32
-	slot := s.slot
-	for _, e := range f.entries[i:iEnd] {
-		slot[e>>32] = cur | e&0xffffffff
-	}
-	for _, e := range f.entries[j:jEnd] {
-		if e > iMax {
-			break
-		}
-		w := slot[e>>32]
-		if w&^uint64(0xffffffff) == cur {
-			if d := float64(math.Float32frombits(uint32(w))) + entryDist(e); d < dist {
-				dist, hub, ok = d, uint32(e>>32), true
-			}
-		}
-	}
-	return dist, hub, ok
-}
-
-// QueryHub answers the PPSD query and also reports the witness hub. Among
-// equal-distance witnesses the highest-ranked (smallest id) hub wins, as
-// in QueryMerge.
-func (f *FlatIndex) QueryHub(u, v int) (dist float64, hub uint32, ok bool) {
-	i, iEnd := f.offsets[u], f.offsets[u+1]
-	j, jEnd := f.offsets[v], f.offsets[v+1]
-	dist = Infinity
-	for i < iEnd && j < jEnd {
-		ei, ej := f.entries[i], f.entries[j]
-		hi, hj := ei>>32, ej>>32
-		if hi == hj {
-			if d := entryDist(ei) + entryDist(ej); d < dist {
-				dist, hub, ok = d, uint32(hi), true
-			}
-			i++
-			j++
-		} else if hi < hj {
-			i++
-		} else {
-			j++
-		}
-	}
-	return dist, hub, ok
-}
-
-// QueryCounted is Query plus the number of entries the merge-join touched,
-// for the metered distributed query engines.
-func (f *FlatIndex) QueryCounted(u, v int) (float64, int64) {
-	i, iEnd := f.offsets[u], f.offsets[u+1]
-	j, jEnd := f.offsets[v], f.offsets[v+1]
-	i0, j0 := i, j
-	best := Infinity
-	for i < iEnd && j < jEnd {
-		ei, ej := f.entries[i], f.entries[j]
-		hi, hj := ei>>32, ej>>32
-		if hi == hj {
-			if d := entryDist(ei) + entryDist(ej); d < best {
-				best = d
-			}
-			i++
-			j++
-		} else if hi < hj {
-			i++
-		} else {
-			j++
-		}
-	}
-	return best, int64(i-i0) + int64(j-j0)
-}
-
-// Labels reconstructs the label set of v (allocates; query paths should
-// use Query/QueryHub directly).
+// Labels reconstructs the label set of v (allocates; query paths join
+// the packed runs directly).
 func (f *FlatIndex) Labels(v int) Set {
 	lo, hi := f.offsets[v], f.offsets[v+1]
 	s := make(Set, 0, hi-lo)
@@ -283,12 +103,29 @@ func (f *FlatIndex) Labels(v int) Set {
 	return s
 }
 
-// ToIndex unpacks the flat store back into a slice-based Index.
-func (f *FlatIndex) ToIndex() *Index {
+// Slice returns a new heap-backed FlatIndex over the same vertex-id space
+// that keeps only the label runs of vertices for which keep returns true;
+// every other vertex gets an empty run. This is how a shard-index writer
+// carves one shard's share out of a full index: the sliced index remains a
+// structurally valid FlatIndex (hub ids still reference the full vertex
+// space), so the existing savers, loaders, and serving stack work on it
+// unchanged.
+func (f *FlatIndex) Slice(keep func(v int) bool) Store {
 	n := f.NumVertices()
-	ix := NewIndex(n)
+	out := &FlatIndex{offsets: make([]uint32, n+1)}
+	var total int
 	for v := 0; v < n; v++ {
-		ix.SetLabels(v, f.Labels(v))
+		if keep(v) {
+			total += f.LabelCount(v)
+		}
 	}
-	return ix
+	out.entries = make([]uint64, 0, total)
+	for v := 0; v < n; v++ {
+		out.offsets[v] = uint32(len(out.entries))
+		if keep(v) {
+			out.entries = append(out.entries, f.PackedRun(v)...)
+		}
+	}
+	out.offsets[n] = uint32(len(out.entries))
+	return out
 }

@@ -35,27 +35,6 @@ func randomIndex(n int, seed int64) *Index {
 	return ix
 }
 
-func TestFreezeQueryParity(t *testing.T) {
-	ix := randomIndex(200, 1)
-	f := Freeze(ix)
-	if f.NumVertices() != 200 || f.NumLabels() != ix.TotalLabels() {
-		t.Fatalf("shape mismatch: %d vertices, %d labels", f.NumVertices(), f.NumLabels())
-	}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 2000; i++ {
-		u, v := rng.Intn(200), rng.Intn(200)
-		want, wantHub, wantOK := ix.QueryHub(u, v)
-		got, gotHub, gotOK := f.QueryHub(u, v)
-		if want != got || wantOK != gotOK || (wantOK && wantHub != gotHub) {
-			t.Fatalf("QueryHub(%d,%d): flat (%v,%d,%v) vs slice (%v,%d,%v)",
-				u, v, got, gotHub, gotOK, want, wantHub, wantOK)
-		}
-		if f.Query(u, v) != ix.Query(u, v) {
-			t.Fatalf("Query(%d,%d) mismatch", u, v)
-		}
-	}
-}
-
 func TestFlatRoundTrip(t *testing.T) {
 	ix := randomIndex(150, 3)
 	f := Freeze(ix)
@@ -71,16 +50,7 @@ func TestFlatRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !back.ToIndex().Equal(f.ToIndex()) {
-		t.Fatal("round trip changed the labels")
-	}
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 1000; i++ {
-		u, v := rng.Intn(150), rng.Intn(150)
-		if back.Query(u, v) != f.Query(u, v) {
-			t.Fatalf("reloaded index disagrees at (%d,%d)", u, v)
-		}
-	}
+	sameRuns(t, back, f)
 	// ReadFrom (io.ReaderFrom) path.
 	var g FlatIndex
 	if _, err := g.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
@@ -153,22 +123,5 @@ func TestFlatMemoryAccounting(t *testing.T) {
 	}
 	if f.TotalMemory() >= ix.TotalLabels()*16 {
 		t.Fatal("flat store not smaller than slice entries alone")
-	}
-}
-
-func TestQueryCountedFlatMatchesSlices(t *testing.T) {
-	ix := randomIndex(80, 7)
-	f := Freeze(ix)
-	for u := 0; u < 80; u += 3 {
-		for v := 0; v < 80; v += 5 {
-			fd, fe := f.QueryCounted(u, v)
-			d, _, _ := QueryMerge(ix.Labels(u), ix.Labels(v))
-			if fd != d {
-				t.Fatalf("dist mismatch at (%d,%d)", u, v)
-			}
-			if fe < 0 || fe > int64(len(ix.Labels(u))+len(ix.Labels(v))) {
-				t.Fatalf("entries %d out of range", fe)
-			}
-		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"unsafe"
 )
 
@@ -96,32 +95,12 @@ func MapFlat(data []byte) (*FlatIndex, error) {
 	return f, nil
 }
 
-// Prefault touches one byte per page of the mapped payload, forcing the
-// kernel to fault the whole index in before the first query lands on it —
-// the serving tier calls this before swapping a fresh snapshot in so the
-// first seconds of traffic don't pay major-fault latency. It returns the
-// number of pages walked; on a heap-backed index it is a no-op returning 0.
-func (f *FlatIndex) Prefault() int {
-	if len(f.raw) == 0 {
-		return 0
-	}
-	// The entries region carries MADV_RANDOM (readahead off), which
-	// would turn the sequential walk below into one synchronous
-	// single-page fault per page. Ask for the whole payload eagerly
-	// first — the kernel then reads ahead of the walk — and restore the
-	// random-access hint once everything is resident.
-	madviseAligned(f.raw, adviceWillNeed)
-	defer madviseAligned(f.raw, adviceRandom)
-	page := os.Getpagesize()
-	var sink byte
-	pages := 0
-	for i := 0; i < len(f.raw); i += page {
-		sink += f.raw[i]
-		pages++
-	}
-	runtime.KeepAlive(sink)
-	return pages
-}
+// Prefault faults the whole mapped payload in before the first query lands
+// on it — the serving tier calls this before swapping a fresh snapshot in
+// so the first seconds of traffic don't pay major-fault latency. It
+// returns the number of pages walked; on a heap-backed index it is a
+// no-op returning 0.
+func (f *FlatIndex) Prefault() int { return prefault(f.raw) }
 
 // MapFlatAt memory-maps the file at path and serves the CHLF payload
 // beginning at byte offset off zero-copy. It returns the index and a

@@ -32,8 +32,8 @@ func randomFlat(t *testing.T, n int, seed int64) *FlatIndex {
 	return Freeze(ix)
 }
 
-// The core zero-copy contract: a payload mapped in place answers
-// byte-identically to the same payload decoded by the copying reader.
+// The core zero-copy contract: a payload mapped in place holds, word for
+// word, the runs the copying reader decodes from the same payload.
 func TestMapFlatParityWithReadFlat(t *testing.T) {
 	f := randomFlat(t, 60, 3)
 	var buf bytes.Buffer
@@ -50,23 +50,7 @@ func TestMapFlatParityWithReadFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mapped.NumVertices() != heap.NumVertices() || mapped.NumLabels() != heap.NumLabels() {
-		t.Fatalf("shape mismatch: mapped %d/%d, heap %d/%d",
-			mapped.NumVertices(), mapped.NumLabels(), heap.NumVertices(), heap.NumLabels())
-	}
-	for u := 0; u < 60; u++ {
-		for v := 0; v < 60; v++ {
-			if got, want := mapped.Query(u, v), heap.Query(u, v); got != want {
-				t.Fatalf("mapped query(%d,%d) = %v, heap says %v", u, v, got, want)
-			}
-		}
-	}
-	s := NewQueryScratch(mapped.NumVertices())
-	for u := 0; u < 60; u++ {
-		if got, want := mapped.QueryWith(s, u, 59-u%60), heap.Query(u, 59-u%60); got != want {
-			t.Fatalf("mapped hash-join query(%d,%d) = %v, want %v", u, 59-u%60, got, want)
-		}
-	}
+	sameRuns(t, mapped, heap)
 }
 
 // alignSkew returns the payload base offset (mod 8) that aligns a CHLF
@@ -164,13 +148,7 @@ func TestMapFlatAt(t *testing.T) {
 		}
 		t.Fatal(err)
 	}
-	for u := 0; u < 40; u++ {
-		for v := 0; v < 40; v++ {
-			if got, want := mapped.Query(u, v), f.Query(u, v); got != want {
-				t.Fatalf("mapped-at query(%d,%d) = %v, want %v", u, v, got, want)
-			}
-		}
-	}
+	sameRuns(t, mapped, f)
 	if err := closer(); err != nil {
 		t.Fatalf("closer: %v", err)
 	}

@@ -1,0 +1,75 @@
+package label
+
+import (
+	"os"
+	"runtime"
+)
+
+// Store is the read side of a frozen label store: one hub-sorted label
+// run per vertex, in one of two encodings — fixed-width packed words
+// (*FlatIndex) or delta+varint blocks (*CompressedIndex). Everything
+// above this package holds Stores and never asks which; a directed index
+// is two of them (forward and backward runs), an undirected one the same
+// store twice. The join kernels read the concrete arrays, and Join picks
+// the kernel from the implementation, so the interface is for everything
+// that is not the hot loop: sizing, auditing, slicing, and handing a run
+// to a consumer that wants the fixed-width wire layout.
+//
+// A Store is immutable after construction and safe for concurrent readers.
+type Store interface {
+	NumVertices() int
+	NumLabels() int64
+	// LabelCount returns the number of labels of v without decoding them.
+	LabelCount(v int) int
+	// TotalMemory returns the exact byte footprint of the label arrays.
+	TotalMemory() int64
+	// Prefault touches one byte per page of a memory-mapped store so the
+	// kernel faults it in before the first query, and returns the pages
+	// walked; a heap-backed store returns 0.
+	Prefault() int
+	// Labels reconstructs the label set of v (allocates).
+	Labels(v int) Set
+	// Slice returns a heap-backed store of the same encoding over the same
+	// vertex-id space holding only the runs of the vertices keep selects;
+	// every other vertex gets an empty run.
+	Slice(keep func(v int) bool) Store
+	// RunInto returns the run of v as packed words (hub<<32 |
+	// float32bits(dist), ascending), which the caller must not modify. A
+	// fixed-width store returns its own array and ignores buf; a
+	// compressed store decodes into (*buf)[:0], growing *buf as needed, or
+	// into a fresh slice when buf is nil — so the result is valid until
+	// *buf is next decoded into, and a reused buffer never aliases a
+	// store's (possibly read-only mapped) memory.
+	RunInto(buf *[]uint64, v int) []uint64
+}
+
+// IsCompressed reports whether st holds its labels as compressed blocks
+// rather than fixed-width packed entries.
+func IsCompressed(st Store) bool {
+	_, ok := st.(*CompressedIndex)
+	return ok
+}
+
+// prefault walks raw, the byte region a mapped store aliases, one byte
+// per page, and returns the pages touched (0 for the nil region of a
+// heap-backed store). The entries region carries MADV_RANDOM (readahead
+// off), which would turn the sequential walk into one synchronous
+// single-page fault per page, so the whole region is asked for eagerly
+// first — the kernel then reads ahead of the walk — and the random-access
+// hint is restored once everything is resident.
+func prefault(raw []byte) int {
+	if len(raw) == 0 {
+		return 0
+	}
+	madviseAligned(raw, adviceWillNeed)
+	defer madviseAligned(raw, adviceRandom)
+	page := os.Getpagesize()
+	var sink byte
+	pages := 0
+	for i := 0; i < len(raw); i += page {
+		sink += raw[i]
+		pages++
+	}
+	runtime.KeepAlive(sink)
+	return pages
+}

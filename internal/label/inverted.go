@@ -76,19 +76,13 @@ func invert(n, k int, run func(i int) []uint64) *Inverted {
 	return iv
 }
 
-// Invert builds the inverted index of a flat store.
-func Invert(f *FlatIndex) *Inverted {
-	return invert(f.NumVertices(), f.NumVertices(), f.PackedRun)
-}
-
-// InvertCompressed builds the inverted index of a compressed store,
-// decoding each run into one reused buffer.
-func InvertCompressed(c *CompressedIndex) *Inverted {
+// Invert builds the inverted index of a store, reading each run through
+// one reused buffer (untouched by a fixed-width store, whose runs alias
+// its own array).
+func Invert(st Store) *Inverted {
 	var buf []uint64
-	return invert(c.NumVertices(), c.NumVertices(), func(v int) []uint64 {
-		buf = c.AppendPackedRun(buf[:0], v)
-		return buf
-	})
+	n := st.NumVertices()
+	return invert(n, n, func(v int) []uint64 { return st.RunInto(&buf, v) })
 }
 
 // InvertRuns transposes a list of packed label runs whose hubs are all
@@ -155,7 +149,7 @@ type knnCursor struct {
 // knnHeap orders cursors by their current candidate key
 // (d(src,h)+d(h,v), v, hub) ascending — the same float64 summation and
 // smallest-hub tie-break as the pairwise query kernels, so the first
-// time a vertex is popped its (distance, hub) is exactly QueryHub's
+// time a vertex is popped its (distance, hub) is exactly JoinPacked's
 // answer for that pair.
 type knnHeap []knnCursor
 
@@ -194,7 +188,7 @@ func (h *knnHeap) popCursor() (c knnCursor) { return heap.Pop(h).(knnCursor) }
 // nondecreasing (distance, vertex, hub) order. The first pop of a
 // vertex therefore carries its minimum distance and, among
 // equal-distance witnesses, the smallest hub — bit-identical to
-// QueryHub on the same pair. Results are sorted by (distance, vertex).
+// JoinPacked on the same pair. Results are sorted by (distance, vertex).
 func (iv *Inverted) TopK(run []uint64, k int, exclude int) []Neighbor {
 	if k <= 0 || len(run) == 0 {
 		return nil

@@ -42,63 +42,9 @@ func TestInvertTranspose(t *testing.T) {
 	}
 }
 
-// TestScanMinEqualsPairwiseJoins: one ScanMin pass over a run against
-// the transpose of a few chosen runs yields, per chosen run, exactly
-// JoinPacked's distance — Infinity left in place where no hub is shared.
-func TestScanMinEqualsPairwiseJoins(t *testing.T) {
-	f := Freeze(randomIndex(150, 25))
-	n := f.NumVertices()
-	runs := [][]uint64{nil} // an empty run among the chosen
-	for v := 3; v < n; v += 17 {
-		runs = append(runs, f.PackedRun(v))
-	}
-	iv := InvertRuns(n, runs)
-	dst := make([]float64, len(runs))
-	for v := 0; v < n; v++ {
-		for i := range dst {
-			dst[i] = Infinity
-		}
-		iv.ScanMin(dst, f.PackedRun(v))
-		for i, run := range runs {
-			if want, _, _ := JoinPacked(f.PackedRun(v), run); dst[i] != want {
-				t.Fatalf("vertex %d × run %d: scan %v, join %v", v, i, dst[i], want)
-			}
-		}
-	}
-	if dst[0] != Infinity {
-		t.Fatalf("empty run joined at %v", dst[0])
-	}
-}
-
-// TestInvertCompressedParity: inverting a compressed store yields the
-// identical Inverted, word for word — the rich workloads must not care
-// which format backs the index.
-func TestInvertCompressedParity(t *testing.T) {
-	f := Freeze(randomIndex(120, 22))
-	c, err := Compress(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := Invert(f), InvertCompressed(c)
-	if len(a.offsets) != len(b.offsets) || len(a.entries) != len(b.entries) {
-		t.Fatalf("shape mismatch: %d/%d offsets, %d/%d entries",
-			len(a.offsets), len(b.offsets), len(a.entries), len(b.entries))
-	}
-	for i := range a.offsets {
-		if a.offsets[i] != b.offsets[i] {
-			t.Fatalf("offsets[%d] = %d vs %d", i, a.offsets[i], b.offsets[i])
-		}
-	}
-	for i := range a.entries {
-		if a.entries[i] != b.entries[i] {
-			t.Fatalf("entries[%d] = %x vs %x", i, a.entries[i], b.entries[i])
-		}
-	}
-}
-
 // TestTopKMatchesBruteForce: TopK's k-way merge returns exactly the k
 // nearest targets under the (distance, vertex) order, each with the
-// same witness hub QueryHub picks (smallest among equal-distance
+// same witness hub JoinPacked picks (smallest among equal-distance
 // witnesses) — on a fixture dense with distance ties.
 func TestTopKMatchesBruteForce(t *testing.T) {
 	ix := randomIndex(130, 23)
@@ -119,7 +65,7 @@ func TestTopKMatchesBruteForce(t *testing.T) {
 			if v == u {
 				continue
 			}
-			if d, hub, ok := f.QueryHub(u, v); ok {
+			if d, hub, ok := JoinPacked(f.PackedRun(u), f.PackedRun(v)); ok {
 				all = append(all, cand{v, d, hub})
 			}
 		}
@@ -148,35 +94,5 @@ func TestTopKMatchesBruteForce(t *testing.T) {
 	}
 	if iv.TopK(f.PackedRun(0), 0, -1) != nil {
 		t.Fatal("TopK with k=0 must be empty")
-	}
-}
-
-// TestScatterProbeMatchesJoin: the scatter-once/probe-many matrix
-// kernel answers bit-identically to the pairwise join kernels on both
-// storage formats, smallest-hub tie-break included.
-func TestScatterProbeMatchesJoin(t *testing.T) {
-	f := Freeze(randomIndex(140, 25))
-	c, err := Compress(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := f.NumVertices()
-	s := NewQueryScratch(n)
-	rng := rand.New(rand.NewSource(26))
-	for trial := 0; trial < 60; trial++ {
-		u := rng.Intn(n)
-		rs := ScatterRun(s, f.PackedRun(u))
-		for i := 0; i < 40; i++ {
-			v := rng.Intn(n)
-			wd, wh, wok := JoinPacked(f.PackedRun(u), f.PackedRun(v))
-			gd, gh, gok := rs.Probe(f.PackedRun(v))
-			if gd != wd || gok != wok || (wok && gh != wh) {
-				t.Fatalf("Probe(%d,%d) = (%v,%d,%v), JoinPacked says (%v,%d,%v)", u, v, gd, gh, gok, wd, wh, wok)
-			}
-			cd, ch, cok := rs.ProbeCompressed(c.Run(v))
-			if cd != wd || cok != wok || (wok && ch != wh) {
-				t.Fatalf("ProbeCompressed(%d,%d) = (%v,%d,%v), JoinPacked says (%v,%d,%v)", u, v, cd, ch, cok, wd, wh, wok)
-			}
-		}
 	}
 }

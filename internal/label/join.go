@@ -1,28 +1,120 @@
 package label
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
-// Router-side join kernels: a sharded serving tier answers a cross-shard
-// query by fetching the two packed label runs from their owning shards and
-// hub-joining them locally. The runs are byte-identical slices of each
-// shard's entries array (FlatIndex.PackedRun), so these kernels are the
-// same merge- and hash-joins the single-process query paths run — same
-// float32→float64 summation, same smallest-rank-hub tie-break — which is
-// what makes a routed answer bit-identical to a single-process one.
+// The join kernels. Hub labeling turns a distance query into a list
+// intersection, and this file holds every form of it the serving stack
+// runs: the merge join (JoinPacked), the pairwise hash join
+// (JoinPackedWith), the one-to-many hash join (ScatterRun + Probe /
+// ProbeCompressed) and, in compressed.go, the block-skipping merge over
+// the compressed encoding (JoinCompressed). Inverted.ScanMin/TopK join one
+// run against a transposed table, and QueryMerge over Sets is the
+// builder-side reference all of them are tested against. Join is the one
+// place that chooses between the pairwise kernels.
+//
+// All of them form d(u,h)+d(h,v) as the same float32→float64 sum and break
+// distance ties towards the smallest hub id (highest rank), which is what
+// makes an answer bit-identical whichever kernel, storage format or
+// serving tier — one process, or a router joining rows fetched from two
+// shards — produced it.
 
-// PackedRun returns the packed entry run of v, aliasing the index's entry
-// array (zero-copy on a memory-mapped index). The run is sorted ascending
-// by hub id; callers must not modify it.
-func (f *FlatIndex) PackedRun(v int) []uint64 {
-	lo, hi := f.offsets[v], f.offsets[v+1]
-	return f.entries[lo:hi:hi]
+// QueryScratch is a per-worker probe buffer for the hash joins: one uint64
+// slot per vertex packing a version stamp (high 32 bits, the O(1)-reset
+// trick of the construction-time HashDist) with the float32 distance bits
+// (low 32), so scatter and probe each touch a single word. One scratch
+// weighs 8 bytes per vertex and must not be shared between goroutines.
+type QueryScratch struct {
+	slot    []uint64
+	current uint32
+}
+
+// NewQueryScratch returns a scratch for indexes over n vertices.
+func NewQueryScratch(n int) *QueryScratch {
+	return &QueryScratch{slot: make([]uint64, n), current: 1}
+}
+
+func (s *QueryScratch) bump() {
+	s.current++
+	if s.current == 0 { // wrapped: invalidate everything the slow way
+		for i := range s.slot {
+			s.slot[i] = 0
+		}
+		s.current = 1
+	}
+}
+
+// ScratchPool recycles the scratches of one index (or one router's
+// n-vertex rank space) between requests, so a request allocates and zeroes
+// 8 bytes per vertex only when the pool is dry. The zero value is ready to
+// use; every Get on one pool must name the same n.
+type ScratchPool struct{ p sync.Pool }
+
+// Get takes a scratch for n vertices from the pool, allocating one when it
+// is empty.
+func (sp *ScratchPool) Get(n int) *QueryScratch {
+	if s, ok := sp.p.Get().(*QueryScratch); ok {
+		return s
+	}
+	return NewQueryScratch(n)
+}
+
+// Put returns a scratch to the pool; a nil scratch (merge-join callers
+// hold none) is ignored.
+func (sp *ScratchPool) Put(s *QueryScratch) {
+	if s != nil {
+		sp.p.Put(s)
+	}
+}
+
+// hashJoinMaxVertices bounds the pairwise hash join: one scratch is 8
+// bytes per vertex and random-probed, so past ~1 MiB it is expected to
+// fall out of cache and lose to the sequential merge join. Unverified: the
+// hash join is measured 1.55× faster at 32768 vertices (BenchmarkFlatQuery
+// vs BenchmarkFlatQueryMerge in the root package) and ~1.7× on the
+// scoreboard's 8–9k-vertex fixtures; nothing has been measured near 2^17 —
+// ROADMAP 1(d) asks for the fixture that would place the crossover.
+const hashJoinMaxVertices = 1 << 17
+
+// GetJoin takes the scratch a loop of pairwise joins over n-vertex packed
+// runs should use: a pooled one while the hash join pays, nil — which
+// JoinPackedWith and Join read as "merge-join" — past that size.
+func (sp *ScratchPool) GetJoin(n int) *QueryScratch {
+	if n > hashJoinMaxVertices {
+		return nil
+	}
+	return sp.Get(n)
+}
+
+// GetJoinFor is GetJoin for pairwise queries on st: nil as well when st is
+// compressed, whose blocks only merge-join.
+func (sp *ScratchPool) GetJoinFor(st Store) *QueryScratch {
+	if IsCompressed(st) {
+		return nil
+	}
+	return sp.GetJoin(st.NumVertices())
+}
+
+// Join answers the hub join between fwd's run of u and bwd's run of v —
+// the PPSD query u→v when fwd and bwd are the forward and backward halves
+// of one index (the same store twice when undirected) — returning the
+// distance, the witness hub (rank space) and reachability. It is the one
+// place a pairwise kernel is chosen: compressed stores take the
+// block-skipping merge; fixed-width stores the hash join on s, or the
+// merge join when s is nil. Both stores must be the same implementation,
+// and s must be sized for them.
+func Join(s *QueryScratch, fwd, bwd Store, u, v int) (dist float64, hub uint32, ok bool) {
+	if c, compressed := fwd.(*CompressedIndex); compressed {
+		return JoinCompressed(c.Run(u), bwd.(*CompressedIndex).Run(v))
+	}
+	return JoinPackedWith(s, fwd.(*FlatIndex).PackedRun(u), bwd.(*FlatIndex).PackedRun(v))
 }
 
 // JoinPacked merge-joins two packed label runs, returning the best
-// distance, its witness hub (rank space), and reachability. It is
-// FlatIndex.QueryHub over runs that need not live in the same index —
-// the cross-shard case — and matches it exactly, including the
-// smallest-hub (highest-rank) tie-break among equal-distance witnesses.
+// distance, its witness hub (rank space), and reachability. The runs need
+// not live in the same index — the cross-shard case.
 func JoinPacked(a, b []uint64) (dist float64, hub uint32, ok bool) {
 	dist = Infinity
 	i, j := 0, 0
@@ -44,13 +136,21 @@ func JoinPacked(a, b []uint64) (dist float64, hub uint32, ok bool) {
 	return dist, hub, ok
 }
 
-// JoinPackedWith is JoinPacked through the hash-join serving kernel: the
-// shorter run is scattered into the scratch, the longer one probes it —
-// the same branch-predictable loop QueryHubWith runs, worth ~2× when the
-// scratch stays cache-resident. The scratch must be sized for the index
-// the runs came from (every hub id must be a valid slot); one scratch is
-// owned by one goroutine.
+// JoinPackedWith is JoinPacked as a hash join: the shorter run is
+// scattered into the scratch, the longer one probes it. The merge join's
+// three-way branch is decided by the unpredictable interleaving of two hub
+// sequences and mispredicts constantly; the probe loop's only branch (slot
+// occupied?) is rarely taken and predicts well (the measured ratio is at
+// hashJoinMaxVertices). The
+// probe run is hub-sorted, so the strict improvement test selects the
+// smallest hub among equal-distance witnesses, exactly JoinPacked's
+// tie-break. The scratch must be sized for the index the runs came from
+// (every hub id must be a valid slot) and is owned by one goroutine; a nil
+// scratch means merge-join.
 func JoinPackedWith(s *QueryScratch, a, b []uint64) (dist float64, hub uint32, ok bool) {
+	if s == nil {
+		return JoinPacked(a, b)
+	}
 	if len(a) > len(b) {
 		a, b = b, a
 	}
@@ -58,8 +158,11 @@ func JoinPackedWith(s *QueryScratch, a, b []uint64) (dist float64, hub uint32, o
 	if len(a) == 0 || len(b) == 0 {
 		return dist, 0, false
 	}
-	// Truncate both runs past the other side's maximum hub, as in
-	// QueryWith: entries beyond it can never match.
+	// Common hubs live below both runs' maxima: entries past the other
+	// side's last hub (the tail — typically the vertex's own low-rank
+	// hubs and self label) can never match, so truncate both runs.
+	// Comparing packed words compares hubs first; OR-ing the low word
+	// makes the cut inclusive of equal hubs at any distance.
 	aMax, bMax := a[len(a)-1]|0xffffffff, b[len(b)-1]|0xffffffff
 	for len(a) > 0 && a[len(a)-1] > bMax {
 		a = a[:len(a)-1]
@@ -67,7 +170,10 @@ func JoinPackedWith(s *QueryScratch, a, b []uint64) (dist float64, hub uint32, o
 	s.bump()
 	cur := uint64(s.current) << 32
 	slot := s.slot
+	// Ranging over the runs bound-checks nothing; scratch probes stay
+	// checked (hub ids come from input data).
 	for _, e := range a {
+		// Slot = version | distbits; entry low word is already distbits.
 		slot[e>>32] = cur | e&0xffffffff
 	}
 	for _, e := range b {
@@ -120,7 +226,7 @@ func ScatterRun(s *QueryScratch, run []uint64) RunScatter {
 
 // Probe hub-joins one target run against the scattered source run —
 // the same float64 summation and smallest-hub tie-break as
-// QueryHubWith, so the answer is bit-identical to the pairwise
+// JoinPackedWith, so the answer is bit-identical to the pairwise
 // kernels on the same label sets. Entries past the source's maximum
 // hub can never match and end the scan early.
 func (rs RunScatter) Probe(run []uint64) (dist float64, hub uint32, ok bool) {
@@ -144,29 +250,18 @@ func (rs RunScatter) Probe(run []uint64) (dist float64, hub uint32, ok bool) {
 	return dist, hub, ok
 }
 
-// Slice returns a new heap-backed FlatIndex over the same vertex-id space
-// that keeps only the label runs of vertices for which keep returns true;
-// every other vertex gets an empty run. This is how a shard-index writer
-// carves one shard's share out of a full index: the sliced index remains a
-// structurally valid FlatIndex (hub ids still reference the full vertex
-// space), so the existing savers, loaders, and serving stack work on it
-// unchanged.
-func (f *FlatIndex) Slice(keep func(v int) bool) *FlatIndex {
-	n := f.NumVertices()
-	out := &FlatIndex{offsets: make([]uint32, n+1)}
-	var total int
-	for v := 0; v < n; v++ {
-		if keep(v) {
-			total += f.LabelCount(v)
+// ProbeStore fills dst[j] with the distance from the scattered run to
+// targets[j]'s run in st (Infinity when they share no hub), probing each
+// target with the kernel of st's encoding. dst must have len(targets).
+func (rs RunScatter) ProbeStore(dst []float64, st Store, targets []int) {
+	if c, compressed := st.(*CompressedIndex); compressed {
+		for j, t := range targets {
+			dst[j], _, _ = rs.ProbeCompressed(c.Run(t))
 		}
+		return
 	}
-	out.entries = make([]uint64, 0, total)
-	for v := 0; v < n; v++ {
-		out.offsets[v] = uint32(len(out.entries))
-		if keep(v) {
-			out.entries = append(out.entries, f.PackedRun(v)...)
-		}
+	f := st.(*FlatIndex)
+	for j, t := range targets {
+		dst[j], _, _ = rs.Probe(f.PackedRun(t))
 	}
-	out.offsets[n] = uint32(len(out.entries))
-	return out
 }

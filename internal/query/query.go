@@ -18,16 +18,22 @@
 //     alone. Memory per node is Θ(1/√q) of the labeling; batches spread
 //     across nodes with only two small messages per query.
 //
-// NewEngine freezes the deployed labelings into flat packed stores
-// (label.FlatIndex) — build once, serve many — and Batch fans the queries
-// out over a GOMAXPROCS-sized worker pool with per-worker accumulators, so
-// the real merge-join work runs at memory-bandwidth speed while staying
-// deterministic.
+// The engines answer from the builders' own slice-based labelings
+// (label.Index) with a merge join that counts the entries it advances
+// past, and Batch fans the queries out over a GOMAXPROCS-sized worker
+// pool with per-worker accumulators, so the metered figures stay
+// deterministic. What they model is the cluster, not this machine: the
+// serving stack proper (frozen stores, join kernels, Server, Router) lives
+// in the root package and internal/label and is measured by bench/.
 //
-// The engines run the real merge-join computations (answers are exact for
-// the integer-weight datasets and verified against Dijkstra by the tests;
-// the frozen stores narrow distances to float32, so graphs with fractional
-// edge weights answer to ~7 significant digits) and meter per-node work (label
+// These modelled engines are kept for one artefact: the Table 4 row of
+// README's "Reproducing the paper's evaluation" (exp.Table4, `cmd/experiments`, `chlquery -mode qlsn|qfdl|qdol`) — the
+// paper's QLSN/QFDL/QDOL latency, throughput and memory comparison at
+// q = 16, whose orderings TestTable4Shape pins. Nothing else in README
+// needs them; if that table goes, so does this package.
+//
+// The engines run the real merge-join computations (answers are exact and
+// verified against Dijkstra by the tests) and meter per-node work (label
 // entries scanned, queries handled) and traffic (bytes, messages). Latency
 // and throughput are then derived via an explicit CostModel, which keeps
 // the numbers machine-independent — on this one-box simulation, wall-clock
@@ -87,8 +93,7 @@ func DefaultCostModel() CostModel {
 }
 
 // Engine answers queries under one mode over a fixed deployment of labels
-// to q simulated nodes. The labelings are frozen into flat packed stores
-// at construction.
+// to q simulated nodes.
 type Engine struct {
 	mode    Mode
 	q       int
@@ -96,10 +101,10 @@ type Engine struct {
 	workers int
 
 	// Per-node label storage; layout depends on the mode.
-	full     *label.FlatIndex   // QLSN (shared instance; accounted q times) and QDOL source
-	perNode  []*label.FlatIndex // QFDL partitions
-	zeta     int                // QDOL partition count
-	pairNode [][]int            // QDOL: pairNode[a][b] = node owning partition pair (a≤b)
+	full     *label.Index   // the complete labeling: QLSN (accounted q times) and QDOL answer from it
+	perNode  []*label.Index // QFDL partitions
+	zeta     int            // QDOL partition count
+	pairNode [][]int        // QDOL: pairNode[a][b] = node owning partition pair (a≤b)
 
 	memPerNode []int64
 }
@@ -115,10 +120,8 @@ func NewEngine(mode Mode, full *label.Index, perNode []*label.Index, q int, cm C
 	e := &Engine{
 		mode: mode, q: q, cm: cm,
 		workers:    runtime.GOMAXPROCS(0),
+		full:       full,
 		memPerNode: make([]int64, q),
-	}
-	if mode != QFDL {
-		e.full = label.Freeze(full) // QFDL only ever scans its partitions
 	}
 	fullBytes := full.TotalLabels() * label.Bytes
 	switch mode {
@@ -130,9 +133,8 @@ func NewEngine(mode Mode, full *label.Index, perNode []*label.Index, q int, cm C
 		if len(perNode) != q {
 			return nil, fmt.Errorf("query: QFDL needs %d per-node partitions, got %d", q, len(perNode))
 		}
-		e.perNode = make([]*label.FlatIndex, q)
+		e.perNode = perNode
 		for i, p := range perNode {
-			e.perNode[i] = label.Freeze(p)
 			e.memPerNode[i] = p.TotalLabels() * label.Bytes
 		}
 	case QDOL:
@@ -211,7 +213,7 @@ func (e *Engine) TotalMemory() int64 {
 func (e *Engine) Query(u, v int) (float64, time.Duration) {
 	switch e.mode {
 	case QLSN:
-		d, entries := e.full.QueryCounted(u, v)
+		d, entries := queryCounted(e.full, u, v)
 		return d, time.Duration(float64(entries) * e.cm.SecPerEntry * float64(time.Second))
 	case QFDL:
 		// Broadcast query; all nodes scan their partitions concurrently;
@@ -220,7 +222,7 @@ func (e *Engine) Query(u, v int) (float64, time.Duration) {
 		best := label.Infinity
 		maxEntries := int64(0)
 		for _, p := range e.perNode {
-			d, entries := p.QueryCounted(u, v)
+			d, entries := queryCounted(p, u, v)
 			if d < best {
 				best = d
 			}
@@ -233,7 +235,7 @@ func (e *Engine) Query(u, v int) (float64, time.Duration) {
 	case QDOL:
 		// Route to the owning node (P2P out and back), answered there
 		// against complete label sets.
-		d, entries := e.full.QueryCounted(u, v)
+		d, entries := queryCounted(e.full, u, v)
 		lat := 2*e.cm.P2PLatency + time.Duration(float64(entries)*e.cm.SecPerEntry*float64(time.Second))
 		return d, lat
 	}
@@ -345,7 +347,7 @@ func (e *Engine) batchRange(pairs []Pair, lo, hi int, dists []float64, acc *batc
 	case QLSN:
 		for i := lo; i < hi; i++ {
 			p := pairs[i]
-			d, entries := e.full.QueryCounted(int(p.U), int(p.V))
+			d, entries := queryCounted(e.full, int(p.U), int(p.V))
 			dists[i] = d
 			acc.perNodeEntries[0] += entries
 			acc.latSum += time.Duration(float64(entries) * e.cm.SecPerEntry * float64(time.Second))
@@ -357,7 +359,7 @@ func (e *Engine) batchRange(pairs []Pair, lo, hi int, dists []float64, acc *batc
 			best := label.Infinity
 			var maxE int64
 			for r, part := range e.perNode {
-				d, entries := part.QueryCounted(int(p.U), int(p.V))
+				d, entries := queryCounted(part, int(p.U), int(p.V))
 				if d < best {
 					best = d
 				}
@@ -376,7 +378,7 @@ func (e *Engine) batchRange(pairs []Pair, lo, hi int, dists []float64, acc *batc
 		for i := lo; i < hi; i++ {
 			p := pairs[i]
 			owner := e.ownerOf(int(p.U), int(p.V))
-			d, entries := e.full.QueryCounted(int(p.U), int(p.V))
+			d, entries := queryCounted(e.full, int(p.U), int(p.V))
 			dists[i] = d
 			acc.perNodeEntries[owner] += entries
 			acc.latSum += 2*e.cm.P2PLatency + time.Duration(float64(entries)*e.cm.SecPerEntry*float64(time.Second))
@@ -393,10 +395,11 @@ func (e *Engine) ownerOf(u, v int) int {
 	return e.pairNode[u%e.zeta][v%e.zeta]
 }
 
-// queryCounted merge-joins two sorted label sets, returning the best
-// distance and the number of entries touched (the slice-based reference
-// for the flat path; the tests cross-check the two).
-func queryCounted(a, b label.Set) (float64, int64) {
+// queryCounted merge-joins the label sets of u and v in ix, returning the
+// best distance and the number of entries the join advanced past — the
+// work a node is charged for.
+func queryCounted(ix *label.Index, u, v int) (float64, int64) {
+	a, b := ix.Labels(u), ix.Labels(v)
 	best := label.Infinity
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {

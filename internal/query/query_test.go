@@ -198,9 +198,9 @@ func TestEngineErrors(t *testing.T) {
 	}
 }
 
-func TestQueryCounted(t *testing.T) {
+func TestCountedMergeJoin(t *testing.T) {
 	ix, _ := pll.Sequential(graph.Figure1(), pll.Options{})
-	d, entries := queryCounted(ix.Labels(1), ix.Labels(4))
+	d, entries := queryCounted(ix, 1, 4)
 	if d != 12 {
 		t.Fatalf("d(v2,v5) = %v, want 12", d)
 	}

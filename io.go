@@ -198,9 +198,9 @@ func (fx *FlatIndex) Save(w io.Writer) error {
 	}
 	ver, pad := byte(flatVersion), flatPad(len(fx.perm))
 	switch {
-	case fx.cflat != nil:
+	case fx.Compressed():
 		ver, pad = flatVersionCompressed, flatPadCompressed(len(fx.perm))
-	case fx.bwd != nil:
+	case fx.Directed():
 		ver, pad = flatVersionDirected, flatPadDirected(len(fx.perm))
 	}
 	if err := bw.WriteByte(ver); err != nil {
@@ -215,19 +215,24 @@ func (fx *FlatIndex) Save(w io.Writer) error {
 	if err := label.WritePerm(bw, fx.perm); err != nil {
 		return err
 	}
-	switch {
-	case fx.cflat != nil:
-		if _, err := label.WriteCompressedFlat(bw, fx.cflat, fx.cbwd); err != nil {
-			return err
+	// The container switch: each payload writer takes its concrete halves.
+	var err error
+	switch fwd := fx.fwd.(type) {
+	case *label.CompressedIndex:
+		var bwd *label.CompressedIndex // nil marks the payload undirected
+		if fx.Directed() {
+			bwd = fx.bwd.(*label.CompressedIndex)
 		}
-	case fx.bwd != nil:
-		if _, err := label.WriteDirectedFlat(bw, fx.flat, fx.bwd); err != nil {
-			return err
+		_, err = label.WriteCompressedFlat(bw, fwd, bwd)
+	case *label.FlatIndex:
+		if fx.Directed() {
+			_, err = label.WriteDirectedFlat(bw, fwd, fx.bwd.(*label.FlatIndex))
+		} else {
+			_, err = fwd.WriteTo(bw)
 		}
-	default:
-		if _, err := fx.flat.WriteTo(bw); err != nil {
-			return err
-		}
+	}
+	if err != nil {
+		return err
 	}
 	return bw.Flush()
 }
@@ -295,34 +300,35 @@ func LoadFlat(r io.Reader) (*FlatIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ver == flatVersionCompressed {
+	// The container switch: each version carries its own payload reader.
+	var fwd, bwd label.Store
+	switch ver {
+	case flatVersionCompressed:
 		cf, cb, err := label.ReadCompressedFlat(br)
 		if err != nil {
 			return nil, err
 		}
-		if cf.NumVertices() != len(perm) {
-			return nil, fmt.Errorf("chl: flat index covers %d vertices but permutation has %d", cf.NumVertices(), len(perm))
+		fwd = cf
+		if cb != nil { // a typed nil must not become a non-nil Store
+			bwd = cb
 		}
-		return &FlatIndex{cflat: cf, cbwd: cb, perm: perm}, nil
-	}
-	if ver == flatVersionDirected {
-		fwd, bwd, err := label.ReadDirectedFlat(br)
+	case flatVersionDirected:
+		f, b, err := label.ReadDirectedFlat(br)
 		if err != nil {
 			return nil, err
 		}
-		if fwd.NumVertices() != len(perm) {
-			return nil, fmt.Errorf("chl: flat index covers %d vertices but permutation has %d", fwd.NumVertices(), len(perm))
+		fwd, bwd = f, b
+	default:
+		flat, err := label.ReadFlat(br)
+		if err != nil {
+			return nil, err
 		}
-		return &FlatIndex{flat: fwd, bwd: bwd, perm: perm}, nil
+		fwd = flat
 	}
-	flat, err := label.ReadFlat(br)
-	if err != nil {
-		return nil, err
+	if fwd.NumVertices() != len(perm) {
+		return nil, fmt.Errorf("chl: flat index covers %d vertices but permutation has %d", fwd.NumVertices(), len(perm))
 	}
-	if flat.NumVertices() != len(perm) {
-		return nil, fmt.Errorf("chl: flat index covers %d vertices but permutation has %d", flat.NumVertices(), len(perm))
-	}
-	return &FlatIndex{flat: flat, perm: perm}, nil
+	return newFlatIndex(fwd, bwd, perm), nil
 }
 
 // LoadFlatFile reads a flat index from a file into the heap. It accepts
@@ -366,16 +372,14 @@ func LoadFlatMapped(path string) (*FlatIndex, error) {
 		return nil, fmt.Errorf("chl: bad flat index magic %q", hdr[:4])
 	}
 	off := int64(6)
-	directed, compressed := false, false
-	switch ver := hdr[4]; ver {
+	ver := hdr[4]
+	switch ver {
 	case flatVersionLegacy:
 		// Version 1 has no pad byte: hdr[5] was the first permutation
 		// byte. Its arrays are unaligned anyway, so don't bother
 		// rewinding — report not-mappable and let OpenFlat fall back.
 		return nil, fmt.Errorf("%w: CHFX version 1 predates alignment padding", label.ErrNotMappable)
 	case flatVersion, flatVersionDirected, flatVersionCompressed:
-		directed = ver == flatVersionDirected
-		compressed = ver == flatVersionCompressed
 		off += int64(hdr[5])
 		if _, err := f.Seek(off, io.SeekStart); err != nil {
 			return nil, fmt.Errorf("chl: seeking past flat pad: %w", err)
@@ -410,37 +414,40 @@ func LoadFlatMapped(path string) (*FlatIndex, error) {
 	// Map from the SAME open descriptor the framing was read from: an
 	// atomic-rename deploy racing this load must not pair one inode's
 	// permutation with another's label arrays.
-	if compressed {
-		cf, cb, closer, err := label.MapCompressedFlatFile(f, off)
+	var (
+		fwd, bwd label.Store
+		closer   func() error
+	)
+	switch ver {
+	case flatVersionCompressed:
+		cf, cb, c, err := label.MapCompressedFlatFile(f, off)
 		if err != nil {
 			return nil, err
 		}
-		if cf.NumVertices() != len(perm) {
-			closer()
-			return nil, fmt.Errorf("chl: flat index covers %d vertices but permutation has %d", cf.NumVertices(), len(perm))
+		fwd, closer = cf, c
+		if cb != nil { // a typed nil must not become a non-nil Store
+			bwd = cb
 		}
-		return &FlatIndex{cflat: cf, cbwd: cb, perm: perm, close: closer, mapped: true}, nil
-	}
-	if directed {
-		fwd, bwd, closer, err := label.MapDirectedFlatFile(f, off)
+	case flatVersionDirected:
+		fw, bw, c, err := label.MapDirectedFlatFile(f, off)
 		if err != nil {
 			return nil, err
 		}
-		if fwd.NumVertices() != len(perm) {
-			closer()
-			return nil, fmt.Errorf("chl: flat index covers %d vertices but permutation has %d", fwd.NumVertices(), len(perm))
+		fwd, bwd, closer = fw, bw, c
+	default:
+		flat, c, err := label.MapFlatFile(f, off)
+		if err != nil {
+			return nil, err
 		}
-		return &FlatIndex{flat: fwd, bwd: bwd, perm: perm, close: closer, mapped: true}, nil
+		fwd, closer = flat, c
 	}
-	flat, closer, err := label.MapFlatFile(f, off)
-	if err != nil {
-		return nil, err
-	}
-	if flat.NumVertices() != len(perm) {
+	if fwd.NumVertices() != len(perm) {
 		closer()
-		return nil, fmt.Errorf("chl: flat index covers %d vertices but permutation has %d", flat.NumVertices(), len(perm))
+		return nil, fmt.Errorf("chl: flat index covers %d vertices but permutation has %d", fwd.NumVertices(), len(perm))
 	}
-	return &FlatIndex{flat: flat, perm: perm, close: closer, mapped: true}, nil
+	fx := newFlatIndex(fwd, bwd, perm)
+	fx.close, fx.mapped = closer, true
+	return fx, nil
 }
 
 // OpenFlat opens a flat index file for serving: memory-mapped when the

@@ -56,3 +56,36 @@ func TestCorrectedQueryDoesNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchIntoReusesScratch pins /batch's scratch budget: a worker takes
+// its hash-join probe buffer (8 bytes per vertex, zeroed) from the index's
+// pool and returns it, so a steady-state single-worker BatchInto — here a
+// two-pair batch, where a fresh scratch per call would dwarf the work —
+// allocates nothing on either storage format.
+func TestBatchIntoReusesScratch(t *testing.T) {
+	ix, err := Build(GenerateRoadGrid(24, 24, 1), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed, err := ix.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	compressed, err := packed.Compress()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := []QueryPair{{U: 3, V: 500}, {U: 17, V: 17}}
+	dst := make([]float64, len(pairs))
+	for name, fx := range map[string]*FlatIndex{"packed": packed, "compressed": compressed} {
+		eng := NewBatchEngineFlat(fx)
+		eng.workers = 1
+		eng.BatchInto(dst, pairs) // fills the pool
+		if allocs := testing.AllocsPerRun(200, func() { eng.BatchInto(dst, pairs) }); allocs != 0 {
+			t.Errorf("%s: BatchInto allocates %v times per call, want 0", name, allocs)
+		}
+		if dst[0] != ix.Query(3, 500) || dst[1] != 0 {
+			t.Errorf("%s: BatchInto = %v, want [%v 0]", name, dst, ix.Query(3, 500))
+		}
+	}
+}

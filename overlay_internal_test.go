@@ -104,7 +104,7 @@ func TestSeedsMatchPairwiseQueries(t *testing.T) {
 					unreachable := 0
 					for _, pr := range pairs {
 						u, v := pr[0], pr[1]
-						ov.Seeds(du, dv, fx.forwardRun(u), fx.backwardRun(v), u, v)
+						ov.Seeds(du, dv, fx.fwd.RunInto(nil, u), fx.bwd.RunInto(nil, v), u, v)
 						for i, p := range verts {
 							wantU, wantV := fx.Query(u, p), fx.Query(p, v)
 							if p == u {

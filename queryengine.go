@@ -12,42 +12,34 @@ import (
 )
 
 // FlatIndex is a frozen, serving-oriented view of an Index: all labels
-// packed into two contiguous arrays (CSR offsets + (hub uint32, dist
-// float32) entries, hub-sorted per vertex) plus the rank permutation, so
-// queries on original vertex ids run as straight-line merge-joins over
-// sequential memory. A FlatIndex is immutable, safe for concurrent
-// readers, and is the unit the binary serving format (SaveFlat/LoadFlat)
-// persists — build once with Build, freeze, save, then serve many times
-// without rebuilding.
+// packed into contiguous arrays (hub-sorted per vertex, hub uint32 + dist
+// float32) plus the rank permutation, so queries on original vertex ids
+// run as straight-line joins over sequential memory. A FlatIndex is
+// immutable, safe for concurrent readers, and is the unit the binary
+// serving format (SaveFlat/LoadFlat) persists — build once with Build,
+// freeze, save, then serve many times without rebuilding.
 //
 // A frozen directed index carries both label halves: forward runs (hubs
 // reachable from v) and backward runs (hubs that reach v). A directed
-// query u→v hub-joins forward(u) with backward(v) using the same packed
-// kernels; Query(u, v) and Query(v, u) are then different questions with
-// independently exact answers.
+// query u→v hub-joins forward(u) with backward(v); Query(u, v) and
+// Query(v, u) are then different questions with independently exact
+// answers.
 //
 // Distances are packed as float32: exact for the integer edge weights of
 // every generated dataset and DIMACS graph, approximate beyond ~7
 // significant digits otherwise.
 type FlatIndex struct {
-	// flat holds the packed runs in ORIGINAL-id order (freezing applies
-	// the permutation once), so the serving path needs no per-query rank
-	// translation; hub ids inside the entries stay in rank space, which
-	// is all the merge- and hash-joins compare. For directed indexes it
-	// holds the forward runs.
-	flat *label.FlatIndex
-	// bwd holds the backward runs of a directed index (same vertex
-	// space and ordering as flat); nil for undirected indexes.
-	bwd *label.FlatIndex
-	// cflat/cbwd are the compressed (CHFX v4) siblings of flat/bwd: an
-	// index is either fixed-width (flat non-nil) or compressed (cflat
-	// non-nil), never both. Compressed queries go through
-	// label.JoinCompressed, which skips non-overlapping label blocks via
-	// their (minHub, maxHub) headers; everything else — permutation,
-	// directedness, serving tiers — is format-independent.
-	cflat *label.CompressedIndex
-	cbwd  *label.CompressedIndex
-	perm  []int // rank -> original id, for reporting witness hubs
+	// fwd and bwd hold the label runs in ORIGINAL-id order (freezing
+	// applies the permutation once), so the serving path needs no
+	// per-query rank translation; hub ids inside the entries stay in rank
+	// space, which is all the joins compare. A query u→v joins fwd's run
+	// of u with bwd's run of v. Directedness is "two stores": bwd == fwd
+	// for an undirected index. Storage format is "which implementation":
+	// both are fixed-width (*label.FlatIndex) or both compressed
+	// (*label.CompressedIndex, CHFX v4), and nothing outside the container
+	// code in io.go and Freeze/Compress/Decompress asks which.
+	fwd, bwd label.Store
+	perm     []int // rank -> original id, for reporting witness hubs
 
 	// Set by LoadFlatMapped: the arrays alias a memory-mapped file that
 	// close releases. Heap-backed indexes leave both zero.
@@ -62,99 +54,49 @@ type FlatIndex struct {
 	// slice of it (empty runs invert to no postings).
 	invOnce sync.Once
 	inv     *label.Inverted
+
+	// scratch recycles this index's hash-join probe buffers between
+	// /batch, /matrix and /shardscan requests.
+	scratch label.ScratchPool
+}
+
+// newFlatIndex assembles an index from its label halves; bwd is nil for
+// an undirected index, whose one store serves both sides of the join.
+func newFlatIndex(fwd, bwd label.Store, perm []int) *FlatIndex {
+	if bwd == nil {
+		bwd = fwd
+	}
+	return &FlatIndex{fwd: fwd, bwd: bwd, perm: perm}
 }
 
 // inverted returns the index's label-inverted half, building it on
 // first use (concurrency-safe; subsequent calls are a pointer read).
 func (fx *FlatIndex) inverted() *label.Inverted {
-	fx.invOnce.Do(func() {
-		if fx.cflat != nil {
-			fx.inv = label.InvertCompressed(fx.cbackward())
-		} else {
-			fx.inv = label.Invert(fx.backward())
-		}
-	})
+	fx.invOnce.Do(func() { fx.inv = label.Invert(fx.bwd) })
 	return fx.inv
 }
 
 // Directed reports whether the index holds directed (forward + backward)
 // label runs.
-func (fx *FlatIndex) Directed() bool { return fx.bwd != nil || fx.cbwd != nil }
+func (fx *FlatIndex) Directed() bool { return fx.bwd != fx.fwd }
 
 // Compressed reports whether the index stores its labels as compressed
 // blocks (CHFX v4) rather than fixed-width packed entries.
-func (fx *FlatIndex) Compressed() bool { return fx.cflat != nil }
-
-// backward returns the store the backward run of a vertex comes from:
-// the backward half for directed indexes, the single (symmetric) store
-// for undirected ones.
-func (fx *FlatIndex) backward() *label.FlatIndex {
-	if fx.bwd != nil {
-		return fx.bwd
-	}
-	return fx.flat
-}
-
-// cbackward is backward for a compressed index.
-func (fx *FlatIndex) cbackward() *label.CompressedIndex {
-	if fx.cbwd != nil {
-		return fx.cbwd
-	}
-	return fx.cflat
-}
-
-// labelCount returns the number of forward labels of v in either format —
-// the shard ownership audit walks this over every vertex.
-func (fx *FlatIndex) labelCount(v int) int {
-	if fx.cflat != nil {
-		return fx.cflat.LabelCount(v)
-	}
-	return fx.flat.LabelCount(v)
-}
-
-// backwardLabelCount is labelCount for the backward half of a directed
-// index.
-func (fx *FlatIndex) backwardLabelCount(v int) int {
-	if fx.cbwd != nil {
-		return fx.cbwd.LabelCount(v)
-	}
-	return fx.bwd.LabelCount(v)
-}
-
-// forwardRun returns the forward packed run of v in the fixed-width wire
-// layout regardless of the index's storage format: zero-copy from a
-// fixed-width store, materialized (decoded) from a compressed one. The
-// /shardquery protocol ships these rows, so routed answers are
-// byte-identical whichever format each shard serves.
-func (fx *FlatIndex) forwardRun(v int) []uint64 {
-	if fx.cflat != nil {
-		return fx.cflat.AppendPackedRun(nil, v)
-	}
-	return fx.flat.PackedRun(v)
-}
-
-// backwardRun is forwardRun for the backward half (the forward store for
-// undirected indexes).
-func (fx *FlatIndex) backwardRun(v int) []uint64 {
-	if fx.cflat != nil {
-		return fx.cbackward().AppendPackedRun(nil, v)
-	}
-	return fx.backward().PackedRun(v)
-}
+func (fx *FlatIndex) Compressed() bool { return label.IsCompressed(fx.fwd) }
 
 // patchRuns returns the label runs delta.NewOverlay builds its seed
-// tables from: the forward run of every vertex in verts and, on a
-// directed index, the backward run too (nil otherwise — undirected
-// labels are symmetric).
+// tables from, in the fixed-width layout whichever format stores them:
+// the forward run of every vertex in verts and, on a directed index, the
+// backward run too (nil otherwise — undirected labels are symmetric).
 func (fx *FlatIndex) patchRuns(verts []int) (fwd, bwd [][]uint64) {
 	fwd = make([][]uint64, len(verts))
 	for i, p := range verts {
-		fwd[i] = fx.forwardRun(p)
+		fwd[i] = fx.fwd.RunInto(nil, p)
 	}
 	if fx.Directed() {
 		bwd = make([][]uint64, len(verts))
 		for i, p := range verts {
-			bwd[i] = fx.backwardRun(p)
+			bwd[i] = fx.bwd.RunInto(nil, p)
 		}
 	}
 	return fwd, bwd
@@ -166,16 +108,17 @@ func (fx *FlatIndex) patchRuns(verts []int) (fwd, bwd [][]uint64) {
 // a version-4 file; the original index is untouched, so v2/v3 outputs
 // stay byte-identical.
 func (fx *FlatIndex) Compress() (*FlatIndex, error) {
-	if fx.cflat != nil {
+	f, ok := fx.fwd.(*label.FlatIndex)
+	if !ok {
 		return fx, nil
 	}
-	out := &FlatIndex{perm: append([]int(nil), fx.perm...)}
-	var err error
-	if out.cflat, err = label.Compress(fx.flat); err != nil {
+	cf, err := label.Compress(f)
+	if err != nil {
 		return nil, err
 	}
-	if fx.bwd != nil {
-		if out.cbwd, err = label.Compress(fx.bwd); err != nil {
+	out := newFlatIndex(cf, nil, append([]int(nil), fx.perm...))
+	if fx.Directed() {
+		if out.bwd, err = label.Compress(fx.bwd.(*label.FlatIndex)); err != nil {
 			return nil, err
 		}
 	}
@@ -186,15 +129,13 @@ func (fx *FlatIndex) Compress() (*FlatIndex, error) {
 // inverse of Compress, with identical labels); on a fixed-width index it
 // returns the index itself.
 func (fx *FlatIndex) Decompress() *FlatIndex {
-	if fx.cflat == nil {
+	c, ok := fx.fwd.(*label.CompressedIndex)
+	if !ok {
 		return fx
 	}
-	out := &FlatIndex{
-		flat: fx.cflat.Decompress(),
-		perm: append([]int(nil), fx.perm...),
-	}
-	if fx.cbwd != nil {
-		out.bwd = fx.cbwd.Decompress()
+	out := newFlatIndex(c.Decompress(), nil, append([]int(nil), fx.perm...))
+	if fx.Directed() {
+		out.bwd = fx.bwd.(*label.CompressedIndex).Decompress()
 	}
 	return out
 }
@@ -208,10 +149,8 @@ func (fx *FlatIndex) Mapped() bool { return fx.mapped }
 // of pages walked (0 for heap-backed indexes, which are always resident).
 // Server.SetPrefault runs this on reloads before the hot swap.
 func (fx *FlatIndex) Prefault() int {
-	if fx.cflat != nil {
-		return fx.cflat.Prefault()
-	}
-	return fx.flat.Prefault()
+	// A mapped directed payload is one region, held by the forward half.
+	return fx.fwd.Prefault()
 }
 
 // Close releases the file mapping of a mapped index; the index must not
@@ -233,27 +172,19 @@ func (fx *FlatIndex) Close() error {
 // resulting FlatIndex answers the same ordered queries the in-memory
 // index does.
 func (ix *Index) Freeze() (*FlatIndex, error) {
-	if ix.directed != nil {
-		fwd := label.NewIndex(ix.n)
-		bwd := label.NewIndex(ix.n)
+	// freeze packs one ranked labeling in original-id order.
+	freeze := func(ranked *label.Index) *label.FlatIndex {
+		reordered := label.NewIndex(ix.n)
 		for v := 0; v < ix.n; v++ {
-			fwd.SetLabels(v, ix.directed.Forward.Labels(ix.rank[v])) // aliases, read-only
-			bwd.SetLabels(v, ix.directed.Backward.Labels(ix.rank[v]))
+			reordered.SetLabels(v, ranked.Labels(ix.rank[v])) // aliases, read-only
 		}
-		return &FlatIndex{
-			flat: label.Freeze(fwd),
-			bwd:  label.Freeze(bwd),
-			perm: append([]int(nil), ix.perm...),
-		}, nil
+		return label.Freeze(reordered)
 	}
-	reordered := label.NewIndex(ix.n)
-	for v := 0; v < ix.n; v++ {
-		reordered.SetLabels(v, ix.ranked.Labels(ix.rank[v])) // aliases, read-only
+	perm := append([]int(nil), ix.perm...)
+	if ix.directed != nil {
+		return newFlatIndex(freeze(ix.directed.Forward), freeze(ix.directed.Backward), perm), nil
 	}
-	return &FlatIndex{
-		flat: label.Freeze(reordered),
-		perm: append([]int(nil), ix.perm...),
-	}, nil
+	return newFlatIndex(freeze(ix.ranked), nil, perm), nil
 }
 
 // FreezeCompressed is Freeze followed by Compress: the index packed
@@ -268,25 +199,13 @@ func (ix *Index) FreezeCompressed() (*FlatIndex, error) {
 }
 
 // NumVertices returns the number of vertices the index covers.
-func (fx *FlatIndex) NumVertices() int {
-	if fx.cflat != nil {
-		return fx.cflat.NumVertices()
-	}
-	return fx.flat.NumVertices()
-}
+func (fx *FlatIndex) NumVertices() int { return len(fx.perm) }
 
 // TotalLabels returns the packed label count (both halves for directed
 // indexes).
 func (fx *FlatIndex) TotalLabels() int64 {
-	if fx.cflat != nil {
-		t := fx.cflat.NumLabels()
-		if fx.cbwd != nil {
-			t += fx.cbwd.NumLabels()
-		}
-		return t
-	}
-	t := fx.flat.NumLabels()
-	if fx.bwd != nil {
+	t := fx.fwd.NumLabels()
+	if fx.Directed() {
 		t += fx.bwd.NumLabels()
 	}
 	return t
@@ -296,15 +215,8 @@ func (fx *FlatIndex) TotalLabels() int64 {
 // label + 4 per vertex for the fixed-width format; the encoded block
 // bytes plus headers for a compressed index).
 func (fx *FlatIndex) TotalMemory() int64 {
-	if fx.cflat != nil {
-		t := fx.cflat.TotalMemory()
-		if fx.cbwd != nil {
-			t += fx.cbwd.TotalMemory()
-		}
-		return t
-	}
-	t := fx.flat.TotalMemory()
-	if fx.bwd != nil {
+	t := fx.fwd.TotalMemory()
+	if fx.Directed() {
 		t += fx.bwd.TotalMemory()
 	}
 	return t
@@ -313,32 +225,11 @@ func (fx *FlatIndex) TotalMemory() int64 {
 // Query returns the exact shortest-path distance between original vertex
 // ids u and v (the u→v distance on directed indexes), or Infinity if
 // unreachable.
-func (fx *FlatIndex) Query(u, v int) float64 {
-	if fx.cflat != nil {
-		d, _, _ := label.JoinCompressed(fx.cflat.Run(u), fx.cbackward().Run(v))
-		return d
-	}
-	if fx.bwd != nil {
-		d, _, _ := label.JoinPacked(fx.flat.PackedRun(u), fx.bwd.PackedRun(v))
-		return d
-	}
-	return fx.flat.Query(u, v)
-}
+func (fx *FlatIndex) Query(u, v int) float64 { return fx.QueryWith(nil, u, v) }
 
 // QueryHub additionally reports the witness hub (as an original id).
 func (fx *FlatIndex) QueryHub(u, v int) (dist float64, hub int, ok bool) {
-	var h uint32
-	if fx.cflat != nil {
-		dist, h, ok = label.JoinCompressed(fx.cflat.Run(u), fx.cbackward().Run(v))
-	} else if fx.bwd != nil {
-		dist, h, ok = label.JoinPacked(fx.flat.PackedRun(u), fx.bwd.PackedRun(v))
-	} else {
-		dist, h, ok = fx.flat.QueryHub(u, v)
-	}
-	if !ok {
-		return dist, 0, false
-	}
-	return dist, fx.perm[h], true
+	return fx.QueryHubWith(nil, u, v)
 }
 
 // QueryScratch is a per-worker probe buffer for FlatIndex.QueryWith /
@@ -350,35 +241,22 @@ func (fx *FlatIndex) NewScratch() *QueryScratch {
 	return label.NewQueryScratch(fx.NumVertices())
 }
 
-// QueryWith is Query through a hash-join over the caller's scratch buffer
-// instead of a merge-join — the fast path for serving loops, worth ~2× on
-// indexes whose scratch stays cache-resident (see label.FlatIndex).
-// Compressed indexes have no hash-join (their entries decode blockwise);
-// they answer through the block-skipping merge, ignoring the scratch.
+// QueryWith is Query through a hash join over the caller's scratch buffer
+// instead of a merge join — the fast path for serving loops (label.Join
+// picks the kernel; BenchmarkFlatQuery vs BenchmarkFlatQueryMerge, 1.55×
+// on a 32768-vertex scale-free graph). A nil scratch, or a
+// compressed index (whose entries decode blockwise and only merge-join),
+// answers exactly as Query does.
 func (fx *FlatIndex) QueryWith(s *QueryScratch, u, v int) float64 {
-	if fx.cflat != nil {
-		d, _, _ := label.JoinCompressed(fx.cflat.Run(u), fx.cbackward().Run(v))
-		return d
-	}
-	if fx.bwd != nil {
-		d, _, _ := label.JoinPackedWith(s, fx.flat.PackedRun(u), fx.bwd.PackedRun(v))
-		return d
-	}
-	return fx.flat.QueryWith(s, u, v)
+	d, _, _ := label.Join(s, fx.fwd, fx.bwd, u, v)
+	return d
 }
 
 // QueryHubWith is QueryWith plus the witness hub (as an original id) —
 // the kernel cached engines use to fill cache entries at hash-join
 // speed.
 func (fx *FlatIndex) QueryHubWith(s *QueryScratch, u, v int) (dist float64, hub int, ok bool) {
-	var h uint32
-	if fx.cflat != nil {
-		dist, h, ok = label.JoinCompressed(fx.cflat.Run(u), fx.cbackward().Run(v))
-	} else if fx.bwd != nil {
-		dist, h, ok = label.JoinPackedWith(s, fx.flat.PackedRun(u), fx.bwd.PackedRun(v))
-	} else {
-		dist, h, ok = fx.flat.QueryHubWith(s, u, v)
-	}
+	dist, h, ok := label.Join(s, fx.fwd, fx.bwd, u, v)
 	if !ok {
 		return dist, 0, false
 	}
@@ -387,36 +265,27 @@ func (fx *FlatIndex) QueryHubWith(s *QueryScratch, u, v int) (dist float64, hub 
 
 // Thaw unpacks the flat store back into a queryable Index (labels only —
 // build metrics and per-node partitions are not part of the flat format).
-// A compressed index thaws through its fixed-width expansion; either
-// format thaws to the same Index.
+// Either storage format thaws to the same Index.
 func (fx *FlatIndex) Thaw() *Index {
-	if fx.cflat != nil {
-		return fx.Decompress().Thaw()
-	}
-	n := fx.flat.NumVertices()
+	n := fx.NumVertices()
 	rank := make([]int, n)
 	for pos, v := range fx.perm {
 		rank[v] = pos
 	}
-	ix := &Index{
-		n:    n,
-		perm: append([]int(nil), fx.perm...),
-		rank: rank,
-	}
-	if fx.bwd != nil {
-		fwd, bwd := label.NewIndex(n), label.NewIndex(n)
+	// thaw unpacks one store into rank order.
+	thaw := func(st label.Store) *label.Index {
+		ranked := label.NewIndex(n)
 		for v := 0; v < n; v++ {
-			fwd.SetLabels(rank[v], fx.flat.Labels(v))
-			bwd.SetLabels(rank[v], fx.bwd.Labels(v))
+			ranked.SetLabels(rank[v], st.Labels(v))
 		}
-		ix.directed = &label.DirectedIndex{Forward: fwd, Backward: bwd}
-		return ix
+		return ranked
 	}
-	ranked := label.NewIndex(n)
-	for v := 0; v < n; v++ {
-		ranked.SetLabels(rank[v], fx.flat.Labels(v))
+	ix := &Index{n: n, perm: append([]int(nil), fx.perm...), rank: rank}
+	if fx.Directed() {
+		ix.directed = &label.DirectedIndex{Forward: thaw(fx.fwd), Backward: thaw(fx.bwd)}
+	} else {
+		ix.ranked = thaw(fx.fwd)
 	}
-	ix.ranked = ranked
 	return ix
 }
 
@@ -507,6 +376,14 @@ func (e *BatchEngine) Query(u, v int) float64 {
 // QueryHub answers one query with its witness hub, through the cache
 // when one is attached.
 func (e *BatchEngine) QueryHub(u, v int) (dist float64, hub int, ok bool) {
+	return e.queryHub(nil, u, v)
+}
+
+// queryHub is QueryHub with the frozen join on the caller's scratch (nil:
+// merge-join), so a batch worker's cache misses run the same kernel its
+// uncached pairs do and the cache always holds the complete answer —
+// /dist can reuse a /batch miss and vice versa.
+func (e *BatchEngine) queryHub(s *QueryScratch, u, v int) (dist float64, hub int, ok bool) {
 	if e.cache != nil {
 		if a, hit := e.cache.Get(u, v); hit {
 			return a.Dist, a.Hub, a.Reachable
@@ -515,7 +392,7 @@ func (e *BatchEngine) QueryHub(u, v int) (dist float64, hub int, ok bool) {
 	if e.ov != nil {
 		dist, hub, ok = e.queryHubPatched(u, v)
 	} else {
-		dist, hub, ok = e.fx.QueryHub(u, v)
+		dist, hub, ok = e.fx.QueryHubWith(s, u, v)
 	}
 	if e.cache != nil {
 		e.cache.Put(u, v, Answer{Dist: dist, Hub: hub, Reachable: ok})
@@ -539,19 +416,9 @@ var runBufs = sync.Pool{New: func() any { return new(runBuf) }}
 // shortest path.
 func (e *BatchEngine) queryHubPatched(u, v int) (dist float64, hub int, ok bool) {
 	fx := e.fx
-	var (
-		rank   uint32
-		frozen bool
-	)
-	if fx.cflat != nil {
-		b := runBufs.Get().(*runBuf)
-		b.u = fx.cflat.AppendPackedRun(b.u[:0], u)
-		b.v = fx.cbackward().AppendPackedRun(b.v[:0], v)
-		dist, rank, frozen = e.ov.Query(b.u, b.v, u, v)
-		runBufs.Put(b)
-	} else {
-		dist, rank, frozen = e.ov.Query(fx.flat.PackedRun(u), fx.backward().PackedRun(v), u, v)
-	}
+	b := runBufs.Get().(*runBuf)
+	dist, rank, frozen := e.ov.Query(fx.fwd.RunInto(&b.u, u), fx.bwd.RunInto(&b.v, v), u, v)
+	runBufs.Put(b)
 	switch {
 	case dist >= Infinity:
 		return Infinity, 0, false
@@ -603,66 +470,26 @@ func (e *BatchEngine) BatchInto(dst []float64, pairs []QueryPair) {
 	wg.Wait()
 }
 
-// hashServeMaxVertices bounds the hash-join serving path: one scratch is 8
-// bytes per vertex and random-probed, so past ~1 MiB it thrashes the cache
-// and the sequential merge-join wins.
-const hashServeMaxVertices = 1 << 17
-
-// serveRange answers one worker's contiguous slice of a batch. Every
-// kernel goes through the FlatIndex methods, which answer undirected
-// queries on the single run store and directed ones as the forward(u) ×
-// backward(v) hub join — one cache and scratch-size policy for both.
+// serveRange answers one worker's contiguous slice of a batch on one
+// pooled scratch. Which join kernel that means — hash join, or merge join
+// on a nil scratch — is label's decision (ScratchPool.GetJoinFor, Join);
+// under an overlay every pair takes the corrected single-pair path, which
+// joins on the overlay's own scratch.
 func (e *BatchEngine) serveRange(dst []float64, pairs []QueryPair, lo, hi int) {
 	fx := e.fx
-	if e.ov != nil {
-		// Patched serving: every pair routes through the corrected
-		// single-pair path (cache-aware when a cache is attached). The
-		// zero-allocation kernels below join frozen labels only, so they
-		// cannot see patched edges; the worker fan-out still applies.
-		for i := lo; i < hi; i++ {
-			d, _, _ := e.QueryHub(pairs[i].U, pairs[i].V)
-			dst[i] = d
-		}
-		return
-	}
-	// Compressed indexes have one kernel (the block-skipping merge); the
-	// hash-join cutoff below only applies to fixed-width stores.
-	hashServe := !fx.Compressed() && fx.NumVertices() <= hashServeMaxVertices
-	if e.cache != nil {
-		// Cached path: each worker consults the shared sharded cache and
-		// computes misses with a hub-reporting kernel, so the cache
-		// always holds the complete answer (/dist can reuse a /batch
-		// miss and vice versa). Misses keep the hash-join fast path
-		// whenever the uncached engine would use it.
-		if hashServe {
-			s := label.NewQueryScratch(fx.NumVertices())
+	var s *QueryScratch
+	if e.ov == nil {
+		s = fx.scratch.GetJoinFor(fx.fwd)
+		defer fx.scratch.Put(s)
+		if e.cache == nil {
 			for i := lo; i < hi; i++ {
-				p := pairs[i]
-				if a, hit := e.cache.Get(p.U, p.V); hit {
-					dst[i] = a.Dist
-					continue
-				}
-				d, h, ok := fx.QueryHubWith(s, p.U, p.V)
-				e.cache.Put(p.U, p.V, Answer{Dist: d, Hub: h, Reachable: ok})
-				dst[i] = d
+				dst[i] = fx.QueryWith(s, pairs[i].U, pairs[i].V)
 			}
 			return
 		}
-		for i := lo; i < hi; i++ {
-			d, _, _ := e.QueryHub(pairs[i].U, pairs[i].V)
-			dst[i] = d
-		}
-		return
-	}
-	if hashServe {
-		s := label.NewQueryScratch(fx.NumVertices()) // per-worker probe buffer
-		for i := lo; i < hi; i++ {
-			dst[i] = fx.QueryWith(s, pairs[i].U, pairs[i].V)
-		}
-		return
 	}
 	for i := lo; i < hi; i++ {
-		dst[i] = fx.Query(pairs[i].U, pairs[i].V)
+		dst[i], _, _ = e.queryHub(s, pairs[i].U, pairs[i].V)
 	}
 }
 

@@ -154,7 +154,7 @@ type Router struct {
 	resolveMu sync.Mutex
 	resolvers map[*replica]*resolveBatcher
 
-	scratch sync.Pool // *label.QueryScratch sized n, for cross-shard joins
+	scratch label.ScratchPool // probe buffers sized n, for cross-shard joins
 }
 
 // routerState pairs the answer cache with the per-replica snapshot
@@ -605,7 +605,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		idents: idents,
 		cache:  r.newAnswerCache(),
 	})
-	r.scratch.New = func() any { return label.NewQueryScratch(r.n) }
 	return r, nil
 }
 
@@ -871,12 +870,12 @@ func (r *Router) Batch(pairs []QueryPair) ([]float64, error) {
 		return nil, &ClusterError{Failed: fails}
 	}
 
-	// Hub-join the cross-shard pairs locally, with the same scratch
-	// kernel and size policy the single-process BatchEngine serves with.
-	useScratch := r.n <= hashServeMaxVertices
+	// Hub-join the cross-shard pairs locally, with the same kernel and
+	// scratch-size policy the single-process BatchEngine serves with
+	// (label.ScratchPool.GetJoin; a nil scratch merge-joins).
 	var s *label.QueryScratch
-	if useScratch && len(cross) > 0 {
-		s = r.scratch.Get().(*label.QueryScratch)
+	if len(cross) > 0 {
+		s = r.scratch.GetJoin(r.n)
 		defer r.scratch.Put(s)
 	}
 	for _, i := range cross {
@@ -885,15 +884,7 @@ func (r *Router) Batch(pairs []QueryPair) ([]float64, error) {
 		if r.directed {
 			b = rowsB[p.V]
 		}
-		var (
-			d  float64
-			ok bool
-		)
-		if useScratch {
-			d, _, ok = label.JoinPackedWith(s, a, b)
-		} else {
-			d, _, ok = label.JoinPacked(a, b)
-		}
+		d, _, ok := label.JoinPackedWith(s, a, b)
 		if !ok {
 			d = Infinity
 		}

@@ -291,13 +291,13 @@ func (s *Server) checkShardFile(fx *FlatIndex) error {
 		return fmt.Errorf("chl: index directed=%v but this shard serves a directed=%v cluster — wrong shard file?", fx.Directed(), s.shardDirected)
 	}
 	for v := 0; v < n; v++ {
-		if s.owned[v>>6]&(1<<(v&63)) == 0 && fx.labelCount(v) > 0 {
+		if s.owned[v>>6]&(1<<(v&63)) == 0 && fx.fwd.LabelCount(v) > 0 {
 			return fmt.Errorf("chl: index holds labels for vertex %d, which shard %d does not own — wrong shard file, or a file from a re-split cluster?", v, s.shardID)
 		}
 	}
 	if fx.Directed() {
 		for v := 0; v < n; v++ {
-			if s.owned[v>>6]&(1<<(v&63)) == 0 && fx.backwardLabelCount(v) > 0 {
+			if s.owned[v>>6]&(1<<(v&63)) == 0 && fx.bwd.LabelCount(v) > 0 {
 				return fmt.Errorf("chl: index holds backward labels for vertex %d, which shard %d does not own — wrong shard file, or a file from a re-split cluster?", v, s.shardID)
 			}
 		}
@@ -1175,7 +1175,7 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 			s.misdirected(w, v)
 			return
 		}
-		resp.Rows[strconv.Itoa(v)] = encodePackedRun(sn.fx.forwardRun(v))
+		resp.Rows[strconv.Itoa(v)] = encodePackedRun(sn.fx.fwd.RunInto(nil, v))
 	}
 	if len(req.Backward) > 0 {
 		resp.BackRows = make(map[string]string, len(req.Backward))
@@ -1189,7 +1189,7 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 			s.misdirected(w, v)
 			return
 		}
-		resp.BackRows[strconv.Itoa(v)] = encodePackedRun(sn.fx.backwardRun(v))
+		resp.BackRows[strconv.Itoa(v)] = encodePackedRun(sn.fx.bwd.RunInto(nil, v))
 	}
 	if len(req.Resolve) > 0 {
 		resp.Resolved = make(map[string]int, len(req.Resolve))
@@ -1469,7 +1469,9 @@ func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		resp.Dists = make([]float64, len(req.Targets))
-		sn.fx.MatrixRowInto(label.NewQueryScratch(n), resp.Dists, run, req.Targets)
+		scratch := sn.fx.scratch.Get(n)
+		sn.fx.MatrixRowInto(scratch, resp.Dists, run, req.Targets)
+		sn.fx.scratch.Put(scratch)
 		for i, d := range resp.Dists {
 			if d == Infinity {
 				resp.Dists[i] = -1

@@ -32,23 +32,14 @@ func (fx *FlatIndex) Shard(p *shard.Partition, id int) (*FlatIndex, error) {
 }
 
 // slice carves out a copy of fx keeping only the label runs keep selects,
-// in fx's own format — compressed indexes slice blockwise without
-// re-encoding (label.CompressedIndex.Slice), so compressed shard files
-// inherit the format of the index they were cut from.
+// in fx's own format (label.Store.Slice — compressed blocks are copied
+// without re-encoding), so shard files inherit the format of the index
+// they were cut from. A directed slice keeps both label halves of its
+// vertices: the router joins forward(u) from u's shard with backward(v)
+// from v's.
 func (fx *FlatIndex) slice(keep func(v int) bool) *FlatIndex {
-	out := &FlatIndex{perm: append([]int(nil), fx.perm...)}
-	if fx.cflat != nil {
-		out.cflat = fx.cflat.Slice(keep)
-		if fx.cbwd != nil {
-			out.cbwd = fx.cbwd.Slice(keep)
-		}
-		return out
-	}
-	out.flat = fx.flat.Slice(keep)
-	if fx.bwd != nil {
-		// A directed slice keeps both label halves of its owned vertices:
-		// the router joins forward(u) from u's shard with backward(v)
-		// from v's.
+	out := newFlatIndex(fx.fwd.Slice(keep), nil, append([]int(nil), fx.perm...))
+	if fx.Directed() {
 		out.bwd = fx.bwd.Slice(keep)
 	}
 	return out

@@ -146,7 +146,7 @@ type Neighbor struct {
 // indexes targets are vertices reachable *from* u. The first call
 // builds the index's inverted half (see FlatIndex.inverted).
 func (fx *FlatIndex) KNN(u, k int) []Neighbor {
-	return fx.KNNFromRun(fx.forwardRun(u), k, u)
+	return fx.KNNFromRun(fx.fwd.RunInto(nil, u), k, u)
 }
 
 // KNNFromRun is KNN for a source label run that need not live in this
@@ -222,24 +222,12 @@ func topKFromRow(row []float64, source, k int, pairQ func(v int) (float64, int, 
 
 // MatrixRowInto fills dst[j] with the distance from the source whose
 // forward run is run to targets[j] (Infinity when unreachable) — one
-// scatter of the source run, then one probe per target, instead of a
-// fresh two-sided join per pair. Compressed targets are probed
-// blockwise, skipping blocks whose hub interval cannot intersect the
-// source's (the CHFX v4 header summaries). dst must have
-// len(targets); the scratch is the caller's (one per goroutine).
+// scatter of the source run, then one probe per target
+// (label.RunScatter.ProbeStore), instead of a fresh two-sided join per
+// pair. dst must have len(targets); the scratch is the caller's (one per
+// goroutine).
 func (fx *FlatIndex) MatrixRowInto(s *QueryScratch, dst []float64, run []uint64, targets []int) {
-	rs := label.ScatterRun(s, run)
-	if fx.cflat != nil {
-		cb := fx.cbackward()
-		for j, t := range targets {
-			dst[j], _, _ = rs.ProbeCompressed(cb.Run(t))
-		}
-		return
-	}
-	b := fx.backward()
-	for j, t := range targets {
-		dst[j], _, _ = rs.Probe(b.PackedRun(t))
-	}
+	label.ScatterRun(s, run).ProbeStore(dst, fx.bwd, targets)
 }
 
 // MatrixRows streams the sources × targets distance matrix row by row:
@@ -250,10 +238,12 @@ func (fx *FlatIndex) MatrixRowInto(s *QueryScratch, dst []float64, run []uint64,
 // row, not the full matrix). A non-nil error from emit aborts the
 // scan.
 func (fx *FlatIndex) MatrixRows(sources, targets []int, emit func(u int, dists []float64) error) error {
-	s := fx.NewScratch()
+	s := fx.scratch.Get(fx.NumVertices())
+	defer fx.scratch.Put(s)
 	row := make([]float64, len(targets))
+	var buf []uint64
 	for _, u := range sources {
-		fx.MatrixRowInto(s, row, fx.forwardRun(u), targets)
+		fx.MatrixRowInto(s, row, fx.fwd.RunInto(&buf, u), targets)
 		if err := emit(u, row); err != nil {
 			return err
 		}
