@@ -146,9 +146,15 @@
 // probe readmits them. Directed clusters work end to end: the manifest
 // records directedness, shards slice both label halves, cross-shard
 // joins fetch u's forward and v's backward row, and /dist?u=&v= is the
-// u→v distance on every tier. cmd/chlrouter is the standalone router;
-// ARCHITECTURE.md ("Sharded serving", "Replicated serving", "Directed
-// serving") has the topology, file layout, and protocol.
+// u→v distance on every tier. The two tiers share one wire format
+// (shardproto.go): every shard response is a typed struct carrying one
+// snapshot stamp (generation, epoch, ident, n, directed) that Server
+// fills in one helper and Router checks in one call (callShard: pick →
+// attempt → hedge → fail over → stamp check → observe), which is also
+// the only place the router touches the network. cmd/chlrouter is the
+// standalone router; ARCHITECTURE.md ("Sharded serving" — its "Shard
+// protocol" section has the endpoint table — "Replicated serving",
+// "Directed serving") has the topology, file layout, and protocol.
 //
 // # Traffic shaping
 //
@@ -158,7 +164,9 @@
 // cache's pair discipline plus a needs-witness-hub bit. With
 // RouterConfig.HedgeDelay set, a shard request that has not answered in
 // time fires once more at a second replica and the first answer wins;
-// the canceled loser is health-neutral. RouterConfig.MaxInFlight and
+// the canceled loser is health-neutral — as is every attempt of a /batch
+// or /matrix whose client hung up: those handlers hand their request's
+// context to the fan-out, which stops. RouterConfig.MaxInFlight and
 // ClientQPS/ClientBurst shed excess HTTP load with a 429 whose JSON
 // body carries reason ("over_capacity" or "client_quota") and
 // retry_after_seconds, plus a whole-second Retry-After header; clients

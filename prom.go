@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -19,10 +20,13 @@ import (
 // promContentType is the Prometheus text exposition content type.
 const promContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// latencyBuckets are the histogram upper bounds in seconds: 100µs to 10s,
-// roughly ×2.5 per step — wide enough to separate a cache hit from a
-// cross-shard fan-out from a stuck shard.
+// latencyBuckets are the histogram upper bounds in seconds: 1µs to 10s,
+// roughly ×2.5 per step. The ladder starts where the system lives — the
+// /dist handler is a few µs, a loopback /dist tens of µs (bench:
+// serve.handler_dist_ns, dist_p50_us) — and is wide enough to separate a
+// cache hit from a cross-shard fan-out from a stuck shard.
 var latencyBuckets = [...]float64{
+	0.000001, 0.0000025, 0.000005, 0.00001, 0.000025, 0.00005,
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
 	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 10,
 }
@@ -155,9 +159,9 @@ func (m *httpMetrics) writeTo(w io.Writer, prefix string) {
 }
 
 // formatBucket renders a bucket bound the way Prometheus conventionally
-// prints it (no scientific notation for these magnitudes).
+// prints it (no scientific notation, even for the µs bounds).
 func formatBucket(ub float64) string {
-	return fmt.Sprintf("%g", ub)
+	return strconv.FormatFloat(ub, 'f', -1, 64)
 }
 
 // promGauge writes one unlabelled gauge with HELP/TYPE preamble.

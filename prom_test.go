@@ -11,7 +11,7 @@ import (
 // TestMetricsLatencyBucketsFakeClock steps a FakeClock inside an
 // instrumented handler and asserts exact histogram placement — the
 // deterministic test the Clock threading in httpMetrics.wrap exists
-// for: with the wall clock, a 50µs request could land in any of the
+// for: with the wall clock, a 6µs request could land in any of the
 // first buckets depending on scheduler luck.
 func TestMetricsLatencyBucketsFakeClock(t *testing.T) {
 	fc := NewFakeClock(time.Unix(1000, 0))
@@ -31,9 +31,12 @@ func TestMetricsLatencyBucketsFakeClock(t *testing.T) {
 		status int
 		bucket int // index into latencyBuckets the duration must land in
 	}{
-		{50 * time.Microsecond, 0, 0},     // ≤ 100µs
-		{3 * time.Millisecond, 0, 5},      // ≤ 5ms
-		{700 * time.Millisecond, 503, 12}, // ≤ 1s
+		{800 * time.Nanosecond, 0, 0},     // ≤ 1µs: the ladder's first rung
+		{6 * time.Microsecond, 0, 3},      // ≤ 10µs: a /dist handler
+		{40 * time.Microsecond, 0, 5},     // ≤ 50µs: a loopback /dist
+		{50 * time.Microsecond, 0, 5},     // ≤ 50µs, bound inclusive
+		{3 * time.Millisecond, 0, 11},     // ≤ 5ms
+		{700 * time.Millisecond, 503, 18}, // ≤ 1s
 	}
 	for _, c := range calls {
 		advance, status = c.d, c.status
@@ -73,10 +76,13 @@ func TestMetricsLatencyBucketsFakeClock(t *testing.T) {
 	var sb strings.Builder
 	m.writeTo(&sb, "chl")
 	for _, line := range []string{
-		`chl_http_request_duration_seconds_bucket{endpoint="/dist",le="0.0001"} 1`,
-		`chl_http_request_duration_seconds_bucket{endpoint="/dist",le="0.005"} 2`,
-		`chl_http_request_duration_seconds_bucket{endpoint="/dist",le="1"} 3`,
-		`chl_http_request_duration_seconds_count{endpoint="/dist"} 3`,
+		`chl_http_request_duration_seconds_bucket{endpoint="/dist",le="0.000001"} 1`,
+		`chl_http_request_duration_seconds_bucket{endpoint="/dist",le="0.00001"} 2`,
+		`chl_http_request_duration_seconds_bucket{endpoint="/dist",le="0.00005"} 4`,
+		`chl_http_request_duration_seconds_bucket{endpoint="/dist",le="0.0001"} 4`,
+		`chl_http_request_duration_seconds_bucket{endpoint="/dist",le="0.005"} 5`,
+		`chl_http_request_duration_seconds_bucket{endpoint="/dist",le="1"} 6`,
+		`chl_http_request_duration_seconds_count{endpoint="/dist"} 6`,
 		`chl_http_request_errors_total{endpoint="/dist"} 1`,
 	} {
 		if !strings.Contains(sb.String(), line) {

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -41,6 +42,13 @@ import (
 // unsharded file: the fetched rows are byte-identical slices of the
 // shards' entry arrays and the join kernels are shared (label.JoinPacked
 // / JoinPackedWith).
+//
+// The router speaks the shard protocol (shardproto.go; ARCHITECTURE.md
+// "Shard protocol") through one call and one row fetch: callShard is the
+// only way a request reaches a shard — pick, attempt, hedge, fail over,
+// decode, stamp check, observe — and fetchRows the only way label rows
+// arrive, validated, for every workload that joins or ships them
+// (single pairs, /batch, /knn, /matrix, patch application).
 //
 // Directed clusters (a v3 manifest with directed=true, split from a
 // directed index) serve the same API with ordered semantics: /dist?u=&v=
@@ -98,9 +106,9 @@ type Router struct {
 	// directed mirrors the manifest's flag: the cluster serves a
 	// directed index, so the answer cache keys on ordered pairs and
 	// cross-shard joins fetch forward(u) from u's shard and backward(v)
-	// from v's. Every /shardquery response echoes the shard's own
-	// directedness and a mismatch is a terminal error — manifest drift
-	// must be loud, not silently wrong joins.
+	// from v's. Every shard response's stamp echoes the shard's own
+	// directedness and a mismatch is a terminal error (checkStamp) —
+	// manifest drift must be loud, not silently wrong joins.
 	directed bool
 	shards   []*shardClient
 	client   *http.Client
@@ -211,11 +219,8 @@ type repRef struct {
 	shard, rep int
 }
 
-// errNotShardBackend rejects a 200 response without a snapshot identity:
-// the backend is a plain server, not a shard (started without
-// -manifest/-shard). Its answers may be right today, but its reloads
-// would be invisible to the router's cache retirement — loud refusal
-// beats silent staleness.
+// errNotShardBackend rejects a 200 response without a snapshot identity
+// (see checkStamp).
 var errNotShardBackend = errors.New("backend did not stamp a snapshot identity — is it a shard server (started with -manifest and -shard)?")
 
 // Replica health states.
@@ -316,11 +321,13 @@ func (rep *replica) terminalFail(err error, probation time.Duration, now time.Ti
 	}
 }
 
-// hedgeCanceled records an attempt the router itself canceled (its hedge
-// sibling answered first). Health-neutral — the replica did nothing
-// wrong — but a held probe flag must be released, or a probe attempt
-// that lost a hedge race would lock its replica out of rotation forever.
-func (rep *replica) hedgeCanceled() {
+// neutral records an attempt that says nothing about the replica's
+// health: the router canceled it (its hedge sibling answered first, or
+// the caller's client hung up), or an operator's own request was
+// refused. The replica did nothing wrong — but a held probe flag must be
+// released, or a probe attempt that lost a hedge race would lock its
+// replica out of rotation forever.
+func (rep *replica) neutral() {
 	rep.probing.Store(false)
 }
 
@@ -635,10 +642,20 @@ func (r *Router) QueryHub(u, v int) (dist float64, hub int, ok bool, err error) 
 	return r.queryHub(u, v, true)
 }
 
+// checkRange rejects ids outside the cluster's vertex space.
+func (r *Router) checkRange(ids ...int) error {
+	for _, id := range ids {
+		if id < 0 || id >= r.n {
+			return &VertexRangeError{ID: id, N: r.n}
+		}
+	}
+	return nil
+}
+
 // queryHub is the shared single-query path. needHub=false (Query) skips
-// the witness-rank resolution round trip on cross-shard misses — the
-// hub would be discarded anyway, and Batch already caches hub-less
-// answers the same way.
+// the witness-rank resolution round trip on misses that join rows at the
+// router — the hub would be discarded anyway, and Batch already caches
+// hub-less answers the same way.
 //
 // Concurrent duplicate misses are collapsed (flightGroup): the first
 // caller for a pair routes it, everyone else arriving before it returns
@@ -647,96 +664,160 @@ func (r *Router) QueryHub(u, v int) (dist float64, hub int, ok bool, err error) 
 // pairKey discipline (ordered for directed clusters), split by needHub
 // because a hub-less flight cannot feed a hub-needing caller.
 func (r *Router) queryHub(u, v int, needHub bool) (dist float64, hub int, ok bool, err error) {
-	if u < 0 || u >= r.n {
-		return 0, 0, false, &VertexRangeError{ID: u, N: r.n}
-	}
-	if v < 0 || v >= r.n {
-		return 0, 0, false, &VertexRangeError{ID: v, N: r.n}
+	if err := r.checkRange(u, v); err != nil {
+		return 0, 0, false, err
 	}
 	if err := r.ensurePatch(); err != nil {
 		return 0, 0, false, err
 	}
 	st := r.state.Load()
+	r.queries.Add(1)
 	if st.cache != nil {
 		if a, hit := st.cache.Get(u, v); hit && (!needHub || a.Hub != hubUnknown || !a.Reachable) {
-			r.queries.Add(1)
 			return a.Dist, a.Hub, a.Reachable, nil
 		}
 	}
-	r.queries.Add(1)
 	key := flightKeyFor(flightDist, r.directed, u, v, needHub, st.patchEpoch())
 	res := r.flights.do(key, func() { r.collapsed.Add(1) }, func() flightResult {
-		if st.patch != nil {
-			return r.routePatchedQueryHub(st, u, v, needHub)
-		}
-		return r.routeQueryHub(st, u, v, needHub)
+		// A flight outlives its leader's client — followers that never
+		// hung up are waiting on it — so its shard calls hang off a
+		// background parent, not the leader's request.
+		return r.routePair(context.Background(), st, u, v, needHub)
 	})
-	if res.err != nil {
-		return 0, 0, false, res.err
-	}
-	return res.dist, res.hub, res.ok, nil
+	return res.dist, res.hub, res.ok, res.err
 }
 
-// routeQueryHub is the leader's half of queryHub: route the miss to the
-// owning shard(s) and feed the answer to the cache.
-func (r *Router) routeQueryHub(st *routerState, u, v int, needHub bool) flightResult {
+// routePair is the leader's half of queryHub: answer the miss from the
+// owning shard(s) and feed the cache.
+//
+// A same-shard pair on a frozen cluster is forwarded whole — the shard
+// joins locally, witness included, which saves the resolve hop. Every
+// other pair is answered from rows: fetch u's forward row and v's
+// backward (directed) or forward row, join them here — label.JoinPacked,
+// or under a delta overlay st.patch.Query, which runs the same
+// join/seed/correct/fallback path the engine tier runs (even for
+// same-shard pairs: the shard's own /dist would answer from the frozen
+// labels the overlay exists to correct) — and, when the caller needs the
+// witness, resolve the winning rank to an original id. The rank is
+// meaningful only in the permutation of the snapshot the rows came from,
+// so the resolution is pinned to the replica that served u's row, and a
+// resolution that lands on a different snapshot (that replica hot-swapped
+// between the two requests — a rebuilt index may permute ranks
+// differently) or on a replica that has since died is retried from the
+// row fetch, where a sibling serves both; queries never block a reload,
+// they just redo the work.
+//
+// Hub contract under an overlay: -1 (no label witness) unless the
+// overlay certified the frozen answer intact, in which case the frozen
+// witness still lies on a patched shortest path (see
+// BatchEngine.queryHubPatched — same contract). Hub-less answers cache
+// under hubUnknown (== -1), so a later hub-needing query recomputes.
+func (r *Router) routePair(ctx context.Context, st *routerState, u, v int, needHub bool) flightResult {
 	su, sv := r.part.Owner(u), r.part.Owner(v)
-	obs := map[repRef]genObs{}
-	var (
-		dist float64
-		hub  int
-		ok   bool
-		err  error
-	)
-	if su == sv {
-		dist, hub, ok, err = r.fetchDist(su, u, v, obs)
-	} else {
-		dist, hub, ok, err = r.crossQueryHub(su, sv, u, v, obs, needHub)
+	if st.patch == nil && su == sv {
+		so := newObserver()
+		resp, _, serr := callShard[distResponse](ctx, r, shardCall{sid: su, path: fmt.Sprintf("/dist?u=%d&v=%d", u, v)}, so)
+		if serr != nil {
+			return flightResult{err: &ClusterError{Failed: []*ShardError{serr}}}
+		}
+		res := flightResult{dist: Infinity}
+		if resp.Reachable {
+			res = flightResult{dist: resp.Dist, hub: resp.Hub, ok: true}
+		}
+		r.cachePut(st, so, u, v, res)
+		return res
 	}
-	if err != nil {
-		return flightResult{err: err}
+	fwd, bwd := r.pairNeeds(nil, nil, u, v)
+	var lastErr error
+	for try := 1; try <= 3; try++ {
+		so := newObserver()
+		rows := r.fetchRows(ctx, fwd, bwd, so)
+		if err := so.err(); err != nil {
+			return flightResult{err: err}
+		}
+		rowU, rowV := rows.pair(r.directed, u, v)
+		res := flightResult{hub: hubUnknown}
+		var rank uint32
+		resolve := needHub
+		if st.patch != nil {
+			var frozen bool
+			res.dist, rank, frozen = st.patch.Query(rowU, rowV, u, v)
+			res.ok = res.dist < Infinity
+			resolve = resolve && frozen && u != v
+			if frozen && u == v {
+				res.hub = u
+			}
+		} else {
+			r.crossJoins.Add(1)
+			res.dist, rank, res.ok = label.JoinPacked(rowU, rowV)
+		}
+		if !res.ok {
+			res = flightResult{dist: Infinity}
+			resolve = false
+		}
+		if resolve {
+			// Observing the resolution into so is the identity check: the
+			// pinned replica seen under two identities is a conflict.
+			repU := rows.by[su]
+			hub, serr := r.resolveRankOn(repU, int(rank), so)
+			if serr != nil {
+				lastErr = serr.Err
+				continue
+			}
+			if so.conflict {
+				lastErr = fmt.Errorf("shard %d replica %d reloaded mid-query %d times in a row", su, repU.id, try)
+				continue
+			}
+			res.hub = hub
+		}
+		r.cachePut(st, so, u, v, res)
+		return res
 	}
-	r.cachePut(st, obs, u, v, Answer{Dist: dist, Hub: hub, Reachable: ok})
-	return flightResult{dist: dist, hub: hub, ok: ok}
+	return flightResult{err: &ClusterError{Failed: []*ShardError{{
+		Shard: su, Replica: -1, Addr: r.shards[su].addrList(), Err: lastErr,
+	}}}}
+}
+
+// pairNeeds appends the rows one pair's join needs: u's forward row and
+// v's backward row on a directed cluster, the (symmetric) forward rows
+// of both endpoints otherwise.
+func (r *Router) pairNeeds(fwd, bwd []int, u, v int) ([]int, []int) {
+	if r.directed {
+		return append(fwd, u), append(bwd, v)
+	}
+	return append(fwd, u, v), bwd
 }
 
 // Batch answers a batch of queries through the cluster, returning the
 // distances in order (Infinity for unreachable pairs). Same-shard pairs
 // are forwarded whole, one sub-batch per shard; cross-shard pairs are
 // answered by fetching each involved vertex's label row once per shard
-// and hub-joining at the router. All shard traffic for a batch runs
+// and hub-joining at the router. Under a delta overlay every pair needs
+// the seeded correction, so every miss rides the row fetch and is joined
+// by the overlay (see routePair). All shard traffic for a batch runs
 // concurrently; each shard request load-balances and fails over within
 // the shard's replica group independently.
 func (r *Router) Batch(pairs []QueryPair) ([]float64, error) {
+	// The exported call has no client to hang up; the /batch handler
+	// passes its request's context instead.
+	return r.batch(context.Background(), pairs)
+}
+
+func (r *Router) batch(ctx context.Context, pairs []QueryPair) ([]float64, error) {
 	if err := r.ensurePatch(); err != nil {
 		return nil, err
 	}
 	dists := make([]float64, len(pairs))
 	st := r.state.Load()
 
-	// Under a delta overlay every pair needs the seeded correction; the
-	// batch row-join fast path below answers from frozen labels only, so
-	// it is bypassed — each pair runs the (cached, collapsed) corrected
-	// single-query path instead.
-	if st.patch != nil {
-		for i, p := range pairs {
-			d, _, _, err := r.queryHub(p.U, p.V, false)
-			if err != nil {
-				return nil, err
-			}
-			dists[i] = d
-		}
-		return dists, nil
-	}
-
-	// Cache pass; pending collects the misses.
-	pending := make([]int, 0, len(pairs))
+	// Cache pass; the misses (pending) split into same-shard sub-batches
+	// forwarded whole (direct) and pairs joined here from fetched rows
+	// (joined).
+	var pending, joined, fwd, bwd []int
+	direct := map[int][]int{} // shard id -> indexes into pairs
 	for i, p := range pairs {
-		if p.U < 0 || p.U >= r.n {
-			return nil, &VertexRangeError{ID: p.U, N: r.n}
-		}
-		if p.V < 0 || p.V >= r.n {
-			return nil, &VertexRangeError{ID: p.V, N: r.n}
+		if err := r.checkRange(p.U, p.V); err != nil {
+			return nil, err
 		}
 		if st.cache != nil {
 			if a, hit := st.cache.Get(p.U, p.V); hit {
@@ -745,189 +826,87 @@ func (r *Router) Batch(pairs []QueryPair) ([]float64, error) {
 			}
 		}
 		pending = append(pending, i)
+		if su := r.part.Owner(p.U); st.patch == nil && su == r.part.Owner(p.V) {
+			direct[su] = append(direct[su], i)
+			continue
+		}
+		joined = append(joined, i)
+		fwd, bwd = r.pairNeeds(fwd, bwd, p.U, p.V)
 	}
 	r.queries.Add(int64(len(pairs)))
 	if len(pending) == 0 {
 		return dists, nil
 	}
 
-	// Group the misses: same-shard sub-batches and cross-shard row needs.
-	// On a directed cluster a cross pair (u,v) needs u's forward row and
-	// v's backward row; undirected clusters need only (symmetric) forward
-	// rows for both endpoints.
-	direct := map[int][]int{} // shard id -> indexes into pairs
-	cross := make([]int, 0)
-	needF := map[int]map[int]struct{}{} // shard id -> forward-row vertex set
-	needB := map[int]map[int]struct{}{} // shard id -> backward-row vertex set (directed)
-	addNeed := func(m map[int]map[int]struct{}, s, v int) {
-		if m[s] == nil {
-			m[s] = map[int]struct{}{}
-		}
-		m[s][v] = struct{}{}
-	}
-	for _, i := range pending {
-		p := pairs[i]
-		su, sv := r.part.Owner(p.U), r.part.Owner(p.V)
-		if su == sv {
-			direct[su] = append(direct[su], i)
-			continue
-		}
-		cross = append(cross, i)
-		addNeed(needF, su, p.U)
-		if r.directed {
-			addNeed(needB, sv, p.V)
-		} else {
-			addNeed(needF, sv, p.V)
-		}
-	}
-
-	// Fan out: one /batch per direct shard, one /shardquery per row shard
-	// (carrying that shard's forward and backward needs together).
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		fails    []*ShardError
-		rowsF    = map[int][]uint64{}  // vertex -> decoded forward packed run
-		rowsB    = map[int][]uint64{}  // vertex -> decoded backward packed run
-		obs      = map[repRef]genObs{} // replica -> observed snapshot identity
-		conflict bool                  // one replica answered under two identities
-	)
-	observe := func(k repRef, o genObs, err *ShardError) {
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			fails = append(fails, err)
-			return
-		}
-		// A batch may hit the same replica twice (direct sub-batch + row
-		// fetch). If a reload lands between the two responses, part of
-		// this batch was computed on the retired snapshot, and no single
-		// identity can vouch for all of its answers — skip caching. Two
-		// *different* replicas of one shard answering is not a conflict:
-		// each identity is validated on its own.
-		if prev, seen := obs[k]; seen && prev != o {
-			conflict = true
-		}
-		obs[k] = o
-	}
+	// Fan out: one /batch per direct shard beside the one row fetch.
+	so := newObserver()
+	var wg sync.WaitGroup
 	for sid, idxs := range direct {
 		wg.Add(1)
 		go func(sid int, idxs []int) {
 			defer wg.Done()
-			sub := make([]QueryPair, len(idxs))
-			for k, i := range idxs {
-				sub[k] = pairs[i]
-			}
-			ds, rep, o, err := r.fetchBatch(sid, sub)
-			if err != nil {
-				observe(repRef{}, genObs{}, err)
-				return
-			}
-			for k, i := range idxs {
-				dists[i] = ds[k]
-			}
-			observe(repRef{sid, rep.id}, o, nil)
+			r.forwardBatch(ctx, sid, pairs, idxs, dists, so)
 		}(sid, idxs)
 	}
-	rowShards := map[int]struct{}{}
-	for sid := range needF {
-		rowShards[sid] = struct{}{}
-	}
-	for sid := range needB {
-		rowShards[sid] = struct{}{}
-	}
-	sortedVerts := func(verts map[int]struct{}) []int {
-		vs := make([]int, 0, len(verts))
-		for v := range verts {
-			vs = append(vs, v)
-		}
-		sort.Ints(vs)
-		return vs
-	}
-	for sid := range rowShards {
-		wg.Add(1)
-		go func(sid int) {
-			defer wg.Done()
-			gotF, gotB, rep, o, err := r.fetchRows(sid, sortedVerts(needF[sid]), sortedVerts(needB[sid]))
-			if err != nil {
-				observe(repRef{}, genObs{}, err)
-				return
-			}
-			mu.Lock()
-			for v, run := range gotF {
-				rowsF[v] = run
-			}
-			for v, run := range gotB {
-				rowsB[v] = run
-			}
-			mu.Unlock()
-			observe(repRef{sid, rep.id}, o, nil)
-		}(sid)
+	var rows *rowSet
+	if len(joined) > 0 {
+		rows = r.fetchRows(ctx, fwd, bwd, so)
 	}
 	wg.Wait()
-	if len(fails) > 0 {
-		sort.Slice(fails, func(i, j int) bool { return fails[i].Shard < fails[j].Shard })
-		return nil, &ClusterError{Failed: fails}
+	if err := so.err(); err != nil {
+		return nil, err
 	}
 
-	// Hub-join the cross-shard pairs locally, with the same kernel and
-	// scratch-size policy the single-process BatchEngine serves with
-	// (label.ScratchPool.GetJoin; a nil scratch merge-joins).
+	// Join locally: the overlay when one is outstanding, else the same
+	// kernel and scratch-size policy the single-process BatchEngine serves
+	// with (label.ScratchPool.GetJoin; a nil scratch merge-joins).
 	var s *label.QueryScratch
-	if len(cross) > 0 {
+	if st.patch == nil && len(joined) > 0 {
 		s = r.scratch.GetJoin(r.n)
 		defer r.scratch.Put(s)
+		r.crossJoins.Add(int64(len(joined)))
 	}
-	for _, i := range cross {
-		p := pairs[i]
-		a, b := rowsF[p.U], rowsF[p.V]
-		if r.directed {
-			b = rowsB[p.V]
+	for _, i := range joined {
+		a, b := rows.pair(r.directed, pairs[i].U, pairs[i].V)
+		if st.patch != nil {
+			dists[i], _, _ = st.patch.Query(a, b, pairs[i].U, pairs[i].V)
+		} else if d, _, ok := label.JoinPackedWith(s, a, b); ok {
+			dists[i] = d
+		} else {
+			dists[i] = Infinity
 		}
-		d, _, ok := label.JoinPackedWith(s, a, b)
-		if !ok {
-			d = Infinity
-		}
-		dists[i] = d
 	}
-	r.crossJoins.Add(int64(len(cross)))
 
 	// Populate the cache (hub unknown on this path — /batch never needs
-	// witnesses; QueryHub will recompute and upgrade the entry). A batch
-	// that observed one replica under two identities raced a reload: its
-	// answers are correct for the snapshots that computed them but not
-	// attributable to a single identity, so they are not cached. The
+	// witnesses; QueryHub will recompute and upgrade the entry). The
 	// identity validation runs once for the whole batch, then the
 	// answers are inserted directly.
-	if !conflict && r.cacheValid(st, obs) {
+	if r.cacheValid(st, so) {
 		for _, i := range pending {
-			p := pairs[i]
-			st.cache.Put(p.U, p.V, Answer{Dist: dists[i], Hub: hubUnknown, Reachable: dists[i] != Infinity})
+			st.cache.Put(pairs[i].U, pairs[i].V, Answer{Dist: dists[i], Hub: hubUnknown, Reachable: dists[i] != Infinity})
 		}
-	} else if conflict {
-		r.noteGenerations(obs)
 	}
 	return dists, nil
 }
 
-// cacheValid folds the observations into the router state and reports
-// whether answers computed under them may enter st's cache: the cache
-// instance the request started with must still be the live one, and
-// every replica identity observed while computing must match the live
-// state — an answer that raced a replica reload is simply not cached.
+// cacheValid folds a request's observations into the router state and
+// reports whether answers computed under them may enter st's cache: the
+// cache instance the request started with must still be the live one,
+// and every replica identity observed while computing must match the
+// live state — an answer that raced a replica reload is simply not
+// cached. Nor is anything from a request that saw one replica under two
+// identities (observer.conflict): its answers are correct for the
+// snapshots that computed them but not attributable to a single one.
 // First observations (which adopt identities into the state but keep
-// the cache instance) therefore do not lose their answers. The check is
-// per request, not per answer: callers validate once and Put in bulk.
-func (r *Router) cacheValid(st *routerState, obs map[repRef]genObs) bool {
-	r.noteGenerations(obs)
-	if st.cache == nil {
-		return false
-	}
+// the cache instance) do not lose their answers. The check is per
+// request, not per answer: callers validate once and Put in bulk.
+func (r *Router) cacheValid(st *routerState, so *observer) bool {
+	r.noteGenerations(so.obs)
 	cur := r.state.Load()
-	if cur.cache != st.cache {
-		return false // cache retired by an observed reload/restart
+	if so.conflict || st.cache == nil || cur.cache != st.cache {
+		return false // uncached, or retired by an observed reload/restart
 	}
-	for k, o := range obs {
+	for k, o := range so.obs {
 		if cur.idents[k.shard][k.rep] != o {
 			return false
 		}
@@ -936,9 +915,9 @@ func (r *Router) cacheValid(st *routerState, obs map[repRef]genObs) bool {
 }
 
 // cachePut is cacheValid plus one insertion — the single-query path.
-func (r *Router) cachePut(st *routerState, obs map[repRef]genObs, u, v int, a Answer) {
-	if r.cacheValid(st, obs) {
-		st.cache.Put(u, v, a)
+func (r *Router) cachePut(st *routerState, so *observer, u, v int, res flightResult) {
+	if r.cacheValid(st, so) {
+		st.cache.Put(u, v, Answer{Dist: res.dist, Hub: res.hub, Reachable: res.ok})
 	}
 }
 
@@ -1047,11 +1026,15 @@ func (r *Router) noteGenerations(obs map[repRef]genObs) {
 	}
 }
 
-// --- shard protocol clients ---
+// --- the shard call ---
+//
+// Everything the router asks of a shard goes through callShard, and
+// every row it joins comes from fetchRows; ARCHITECTURE.md ("Shard
+// protocol") tabulates the endpoints and walks the call path.
 
 // terminalError marks a request-level failure — a 4xx or a payload the
 // router cannot use. Retrying a sibling replica would produce the same
-// answer, so withReplica fails the request instead of failing over.
+// answer, so callShard fails the request instead of failing over.
 type terminalError struct {
 	err error
 }
@@ -1059,44 +1042,105 @@ type terminalError struct {
 func (e *terminalError) Error() string { return e.err.Error() }
 func (e *terminalError) Unwrap() error { return e.err }
 
+// statusError is a replica's non-200 response, kept whole so the /reload
+// proxy can relay an operator error verbatim.
+type statusError struct {
+	code int
+	body []byte
+}
+
+func (e *statusError) Error() string {
+	var eb struct {
+		Error string `json:"error"`
+	}
+	if json.Unmarshal(e.body, &eb) == nil && eb.Error != "" {
+		return fmt.Sprintf("status %d: %s", e.code, eb.Error)
+	}
+	return fmt.Sprintf("status %d: %s", e.code, bytes.TrimSpace(e.body))
+}
+
 // terminalErr folds a request-level failure into rep's health state (see
-// replica.terminalFail) and wraps it for the caller. Also used after a
-// successful round trip whose payload turns out unusable (missing rows,
-// vertex-space mismatch) — the accounting is the same.
+// replica.terminalFail) and wraps it for the caller. callShard uses it
+// for terminal attempts; its callers use it after a successful round
+// trip whose payload turns out unusable (missing rows, wrong lengths) —
+// the accounting is the same.
 func (r *Router) terminalErr(rep *replica, err error) *ShardError {
 	rep.terminalFail(err, r.probation, r.clock.Now())
+	return rep.shardErr(err)
+}
+
+// shardErr names rep as the source of err.
+func (rep *replica) shardErr(err error) *ShardError {
 	return &ShardError{Shard: rep.shard, Replica: rep.id, Addr: rep.addr, Err: err}
 }
 
-// tryReplica runs one request attempt against rep with the full health
-// accounting every caller must agree on: request/in-flight counters
-// around call, success resetting the ejection state and releasing any
-// held probe, a terminal failure counted without feeding ejection (but
-// still releasing the probe — terminalFail), and a replica-level
-// failure feeding the ejection/probation machinery. terminal reports
-// which kind of failure occurred: terminal ones must not be retried on
-// a sibling.
-func (r *Router) tryReplica(rep *replica, call func(rep *replica) error) (serr *ShardError, terminal bool) {
-	rep.requests.Add(1)
-	rep.inflight.Add(1)
-	err := call(rep)
-	rep.inflight.Add(-1)
-	if err == nil {
-		rep.succeed()
-		return nil, false
-	}
-	var term *terminalError
-	if errors.As(err, &term) {
-		return r.terminalErr(rep, term.err), true
-	}
-	rep.fail(err, r.ejectAfter, r.probation, r.clock.Now())
-	return &ShardError{Shard: rep.shard, Replica: rep.id, Addr: rep.addr, Err: err}, false
+// observer accumulates what one routed request saw across its fan-out:
+// the snapshot identity of every replica that answered (callShard
+// records them) and the shard failures (the fan-out's goroutines record
+// those). One replica answering under two identities means a reload
+// landed mid-request — a request may hit the same replica twice (direct
+// sub-batch + row fetch, row fetch + rank resolution, scan after scan) —
+// so no single identity can vouch for all of its answers: conflict tells
+// cacheValid not to cache them. Two *different* replicas of one shard
+// answering is not a conflict: each identity is validated on its own.
+type observer struct {
+	mu       sync.Mutex
+	obs      map[repRef]genObs
+	fails    []*ShardError
+	conflict bool
 }
 
-// attemptOutcome is one withReplica attempt's result. canceled marks an
-// attempt the router itself canceled (hedge loser): health-neutral, no
-// error, no answer.
-type attemptOutcome[T any] struct {
+func newObserver() *observer {
+	return &observer{obs: map[repRef]genObs{}}
+}
+
+func (so *observer) observe(k repRef, o genObs) {
+	so.mu.Lock()
+	defer so.mu.Unlock()
+	if prev, seen := so.obs[k]; seen && prev != o {
+		so.conflict = true
+	}
+	so.obs[k] = o
+}
+
+func (so *observer) fail(serr *ShardError) {
+	so.mu.Lock()
+	defer so.mu.Unlock()
+	so.fails = append(so.fails, serr)
+}
+
+// err returns the accumulated fan-out failure, if any, as a
+// ClusterError with deterministically ordered shards.
+func (so *observer) err() error {
+	if len(so.fails) == 0 {
+		return nil
+	}
+	sort.Slice(so.fails, func(i, j int) bool { return so.fails[i].Shard < so.fails[j].Shard })
+	return &ClusterError{Failed: so.fails}
+}
+
+// shardCall is one request of the shard protocol: GET path when body is
+// nil, else POST path with body as JSON.
+type shardCall struct {
+	sid  int
+	path string
+	body any
+	// pin, when set, sends the call to that replica only: no pick, no
+	// hedge, no failover. Witness-rank resolution is pinned by
+	// construction (a sibling is a different process whose identity can
+	// never match the row's); health probes and the /reload proxy address
+	// one process by definition.
+	pin *replica
+	// operator marks a call made on an operator's behalf (the /reload
+	// proxy): a 4xx is their error to read, not a shard failure — it is
+	// returned (as a *statusError) without touching the error counters.
+	operator bool
+}
+
+// attemptOutcome is one callShard attempt's result. canceled marks an
+// attempt whose context was canceled (hedge loser, or the caller's
+// client hung up): health-neutral, no error, no answer.
+type attemptOutcome[T stamped] struct {
 	rep      *replica
 	out      *T
 	serr     *ShardError
@@ -1104,39 +1148,21 @@ type attemptOutcome[T any] struct {
 	canceled bool
 }
 
-// runAttempt runs one request attempt against rep under ctx with the
-// full health accounting: request/in-flight counters around call,
-// success resetting the ejection state and releasing any held probe, a
-// cancellation (the attempt lost a hedge race) health-neutral but still
-// releasing the probe, a terminal failure counted without feeding
-// ejection, and a replica-level failure feeding the ejection/probation
-// machinery.
-func runAttempt[T any](r *Router, ctx context.Context, rep *replica, call func(ctx context.Context, rep *replica) (*T, error)) attemptOutcome[T] {
-	rep.requests.Add(1)
-	rep.inflight.Add(1)
-	out, err := call(ctx, rep)
-	rep.inflight.Add(-1)
-	if err == nil {
-		rep.succeed()
-		return attemptOutcome[T]{rep: rep, out: out}
-	}
-	if ctx.Err() != nil {
-		rep.hedgeCanceled()
-		return attemptOutcome[T]{rep: rep, canceled: true}
-	}
-	var term *terminalError
-	if errors.As(err, &term) {
-		return attemptOutcome[T]{rep: rep, serr: r.terminalErr(rep, term.err), terminal: true}
-	}
-	rep.fail(err, r.ejectAfter, r.probation, r.clock.Now())
-	return attemptOutcome[T]{rep: rep, serr: &ShardError{Shard: rep.shard, Replica: rep.id, Addr: rep.addr, Err: err}}
-}
-
-// withReplica runs one logical shard request against shard sid's replica
-// group: pick a replica (see shardClient.pick), run call against it, and
-// on a replica-level failure fail over to the next untried replica. The
-// request fails only when every replica failed (one ShardError listing
-// each attempt) or a replica produced a terminal error.
+// callShard runs one logical shard request and is the only way the
+// router talks to a shard: pick a replica of c.sid's group (see
+// shardClient.pick; or c.pin), attempt the round trip, hedge, fail over,
+// decode the typed response, check its stamp (checkStamp), and hand the
+// answering replica's snapshot identity to so. The request fails only
+// when every replica failed (one ShardError listing each attempt), a
+// replica produced a terminal error, or ctx was canceled (the context's
+// error).
+//
+// Each attempt carries the full health accounting every caller must
+// agree on: request/in-flight counters around the round trip, success
+// resetting the ejection state and releasing any held probe, a canceled
+// context health-neutral but still releasing the probe, a terminal
+// failure counted without feeding ejection, and a replica-level failure
+// feeding the ejection/probation machinery.
 //
 // When the router hedges (hedgeDelay > 0 and the group has siblings), an
 // attempt that has not answered within hedgeDelay gets a second attempt
@@ -1151,12 +1177,60 @@ func runAttempt[T any](r *Router, ctx context.Context, rep *replica, call func(c
 // A package-level generic (methods cannot have type parameters): each
 // attempt decodes into its own *T, so a canceled loser can never tear
 // the winner's decoded response.
-func withReplica[T any](r *Router, sid int, call func(ctx context.Context, rep *replica) (*T, error)) (*T, *replica, *ShardError) {
-	c := r.shards[sid]
-	tried := make([]bool, len(c.reps))
+func callShard[T stamped](ctx context.Context, r *Router, c shardCall, so *observer) (*T, *replica, *ShardError) {
+	group := r.shards[c.sid]
+	var payload []byte
+	if c.body != nil {
+		var err error
+		if payload, err = json.Marshal(c.body); err != nil {
+			return nil, nil, &ShardError{Shard: c.sid, Replica: -1, Addr: group.addrList(), Err: err}
+		}
+	}
+	attempt := func(ctx context.Context, rep *replica) attemptOutcome[T] {
+		rep.requests.Add(1)
+		rep.inflight.Add(1)
+		out, err := roundTrip[T](ctx, r, rep, c.path, payload)
+		rep.inflight.Add(-1)
+		var term *terminalError
+		var refused *statusError
+		switch {
+		case err == nil:
+			rep.succeed()
+			return attemptOutcome[T]{rep: rep, out: out}
+		case ctx.Err() != nil:
+			rep.neutral()
+			return attemptOutcome[T]{rep: rep, canceled: true}
+		case c.operator && errors.As(err, &refused) && refused.code < 500:
+			rep.neutral()
+			return attemptOutcome[T]{rep: rep, terminal: true, serr: rep.shardErr(refused)}
+		case errors.As(err, &term):
+			return attemptOutcome[T]{rep: rep, terminal: true, serr: r.terminalErr(rep, term.err)}
+		}
+		rep.fail(err, r.ejectAfter, r.probation, r.clock.Now())
+		return attemptOutcome[T]{rep: rep, serr: rep.shardErr(err)}
+	}
+
+	// finish turns the one outcome that ends the call into its result.
+	finish := func(o attemptOutcome[T]) (*T, *replica, *ShardError) {
+		switch {
+		case o.canceled:
+			return nil, nil, &ShardError{Shard: c.sid, Replica: -1, Addr: group.addrList(), Err: ctx.Err()}
+		case o.serr != nil:
+			return nil, nil, o.serr
+		}
+		st := (*o.out).stampOf()
+		so.observe(repRef{c.sid, o.rep.id}, genObs{epoch: st.Epoch, gen: st.Generation, hash: st.Ident})
+		return o.out, o.rep, nil
+	}
+	if c.pin != nil {
+		// Pinned: the attempt alone, on the caller's goroutine.
+		return finish(attempt(ctx, c.pin))
+	}
+
+	tried := make([]bool, len(group.reps))
 	// Buffered to the attempt cap: a loser finishing after return must
 	// never block on a channel nobody reads.
-	outcomes := make(chan attemptOutcome[T], len(c.reps))
+	outcomes := make(chan attemptOutcome[T], len(group.reps))
 	var cancels []context.CancelFunc
 	defer func() {
 		for _, cancel := range cancels {
@@ -1165,15 +1239,20 @@ func withReplica[T any](r *Router, sid int, call func(ctx context.Context, rep *
 	}()
 	outstanding := 0
 	launch := func() bool {
-		rep := c.pick(tried, r.clock.Now().UnixNano())
+		// Checked before pick, which may take a probe flag only an
+		// attempt's outcome releases.
+		if ctx.Err() != nil {
+			return false
+		}
+		rep := group.pick(tried, r.clock.Now().UnixNano())
 		if rep == nil {
 			return false
 		}
 		tried[rep.id] = true
-		ctx, cancel := context.WithCancel(context.Background())
+		actx, cancel := context.WithCancel(ctx)
 		cancels = append(cancels, cancel)
 		outstanding++
-		go func() { outcomes <- runAttempt(r, ctx, rep, call) }()
+		go func() { outcomes <- attempt(actx, rep) }()
 		return true
 	}
 	// The hedge timer is registered before the first attempt launches, so
@@ -1181,7 +1260,7 @@ func withReplica[T any](r *Router, sid int, call func(ctx context.Context, rep *
 	// exists — what lets a FakeClock test Advance past the delay without
 	// racing the registration.
 	var hedgeC <-chan time.Time
-	if r.hedgeDelay > 0 && len(c.reps) > 1 {
+	if r.hedgeDelay > 0 && len(group.reps) > 1 {
 		t := r.clock.NewTimer(r.hedgeDelay)
 		defer t.Stop()
 		hedgeC = t.C()
@@ -1195,11 +1274,8 @@ func withReplica[T any](r *Router, sid int, call func(ctx context.Context, rep *
 			if o.canceled {
 				continue
 			}
-			if o.serr == nil {
-				return o.out, o.rep, nil
-			}
-			if o.terminal {
-				return nil, nil, o.serr
+			if o.serr == nil || o.terminal {
+				return finish(o)
 			}
 			attempts = append(attempts, fmt.Sprintf("replica %d (%s): %v", o.rep.id, o.rep.addr, o.serr.Err))
 			if outstanding == 0 && launch() {
@@ -1212,210 +1288,220 @@ func withReplica[T any](r *Router, sid int, call func(ctx context.Context, rep *
 			}
 		}
 	}
+	if ctx.Err() != nil {
+		return finish(attemptOutcome[T]{canceled: true})
+	}
 	return nil, nil, &ShardError{
-		Shard: sid, Replica: -1, Addr: c.addrList(),
-		Err: fmt.Errorf("all %d replicas failed: %s", len(c.reps), strings.Join(attempts, "; ")),
+		Shard: c.sid, Replica: -1, Addr: group.addrList(),
+		Err: fmt.Errorf("all %d replicas failed: %s", len(group.reps), strings.Join(attempts, "; ")),
 	}
 }
 
-// getJSON GETs path on one replica of shard sid (with failover and
-// hedging) and decodes the response body into a fresh *T per attempt,
-// returning the replica that answered.
-func getJSON[T any](r *Router, sid int, path string) (*T, *replica, *ShardError) {
-	return withReplica(r, sid, func(ctx context.Context, rep *replica) (*T, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.addr+path, nil)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := r.client.Do(req)
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		out := new(T)
-		if err := decodeReplicaResponse(resp, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	})
-}
-
-// postJSON POSTs a JSON body to path on one replica of shard sid (with
-// failover and hedging), returning the replica that answered.
-func postJSON[T any](r *Router, sid int, path string, body any) (*T, *replica, *ShardError) {
-	b, err := json.Marshal(body)
+// roundTrip is one attempt's network exchange with rep — the only
+// function that touches the router's HTTP client — through to a decoded,
+// stamp-checked *T.
+func roundTrip[T stamped](ctx context.Context, r *Router, rep *replica, path string, payload []byte) (*T, error) {
+	method, body := http.MethodGet, io.Reader(nil)
+	if payload != nil {
+		method, body = http.MethodPost, bytes.NewReader(payload)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, rep.addr+path, body)
 	if err != nil {
-		return nil, nil, &ShardError{Shard: sid, Replica: -1, Addr: r.shards[sid].addrList(), Err: err}
+		return nil, err
 	}
-	return withReplica(r, sid, func(ctx context.Context, rep *replica) (*T, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.addr+path, bytes.NewReader(b))
-		if err != nil {
-			return nil, err
-		}
+	if payload != nil {
 		req.Header.Set("Content-Type", "application/json")
-		resp, err := r.client.Do(req)
-		if err != nil {
-			return nil, err
+	}
+	resp, err := r.client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	// 4xx is terminal (the request is wrong — a sibling would say the
+	// same); everything else — 5xx, undecodable bodies — is a replica
+	// failure the caller may retry elsewhere.
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+		err := error(&statusError{code: resp.StatusCode, body: msg})
+		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
+			err = &terminalError{err: err}
 		}
-		defer resp.Body.Close()
-		out := new(T)
-		if err := decodeReplicaResponse(resp, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	})
+		return nil, err
+	}
+	out := new(T)
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return nil, fmt.Errorf("undecodable response: %w", err)
+	}
+	st := (*out).stampOf()
+	if err := r.checkStamp(st); err != nil {
+		return nil, &terminalError{err: err}
+	}
+	rep.lastGen.Store(st.Generation)
+	return out, nil
 }
 
-// decodeReplicaResponse turns one replica's HTTP response into out or an
-// error: 4xx is terminal (the request is wrong — a sibling would say the
-// same), everything else — 5xx, undecodable bodies — is a replica
-// failure the caller may retry elsewhere.
-func decodeReplicaResponse(resp *http.Response, out any) error {
-	if resp.StatusCode != http.StatusOK {
-		var eb struct {
-			Error string `json:"error"`
-		}
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		err := fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
-		if json.Unmarshal(msg, &eb) == nil && eb.Error != "" {
-			err = fmt.Errorf("status %d: %s", resp.StatusCode, eb.Error)
-		}
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-			return &terminalError{err: err}
-		}
-		return err
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("undecodable response: %w", err)
+// checkStamp is the one stamp check, run on every shard response on
+// every path. A response without a snapshot identity comes from a plain
+// server, not a shard (started without -manifest/-shard): its answers
+// may be right today, but its reloads would be invisible to the router's
+// cache retirement — loud refusal beats silent staleness. A shard
+// serving a file over the wrong vertex space or the wrong directedness
+// (manifest drift) must be just as loud: a directed router accepting an
+// undirected shard's symmetric answer would cache d(u,v) as d(u→v).
+func (r *Router) checkStamp(st shardStamp) error {
+	switch {
+	case st.Generation == 0 || st.Epoch == 0:
+		return errNotShardBackend
+	case st.N != r.n:
+		return fmt.Errorf("shard serves %d vertices but the manifest says %d — mismatched index files?", st.N, r.n)
+	case st.Directed != r.directed:
+		return fmt.Errorf("shard serves directed=%v but the manifest says directed=%v — mismatched index files?", st.Directed, r.directed)
 	}
 	return nil
 }
 
-// checkDirected rejects a shard response whose slice directedness
-// disagrees with the manifest — on every routed path, same-shard
-// forwards included: a directed router accepting an undirected shard's
-// symmetric answer would cache d(u,v) as d(u→v), silently wrong.
-func (r *Router) checkDirected(rep *replica, directed bool) *ShardError {
-	if directed == r.directed {
+// forwardBatch forwards the same-shard sub-batch pairs[idxs...] to shard
+// sid whole, translating the wire's -1 back to Infinity into dists.
+func (r *Router) forwardBatch(ctx context.Context, sid int, pairs []QueryPair, idxs []int, dists []float64, so *observer) {
+	body := make([][2]int, len(idxs))
+	for k, i := range idxs {
+		body[k] = [2]int{pairs[i].U, pairs[i].V}
+	}
+	resp, rep, serr := callShard[batchResponse](ctx, r, shardCall{sid: sid, path: "/batch", body: body}, so)
+	if serr == nil && len(resp.Dists) != len(idxs) {
+		serr = r.terminalErr(rep, fmt.Errorf("batch of %d pairs answered with %d distances", len(idxs), len(resp.Dists)))
+	}
+	if serr != nil {
+		so.fail(serr)
+		return
+	}
+	for k, i := range idxs {
+		dists[i] = unwireDist(resp.Dists[k])
+	}
+}
+
+// unwireDist reverses wireDists for one distance.
+func unwireDist(d float64) float64 {
+	if d == -1 {
+		return Infinity
+	}
+	return d
+}
+
+// shardScan runs one /shardscan against shard sid, recording a failure
+// (a matrix fragment of the wrong length included) in so.
+func (r *Router) shardScan(ctx context.Context, sid int, req shardScanRequest, so *observer) *shardScanResponse {
+	resp, rep, serr := callShard[shardScanResponse](ctx, r, shardCall{sid: sid, path: "/shardscan", body: req}, so)
+	if serr == nil && len(resp.Dists) != len(req.Targets) {
+		serr = r.terminalErr(rep, fmt.Errorf("scan of %d targets answered with %d distances", len(req.Targets), len(resp.Dists)))
+	}
+	if serr != nil {
+		so.fail(serr)
 		return nil
 	}
-	return r.terminalErr(rep, fmt.Errorf("shard serves directed=%v but the manifest says directed=%v — mismatched index files?", directed, r.directed))
+	return resp
 }
 
-// distWire is the shard /dist response as the router reads it.
-type distWire struct {
-	Reachable  bool    `json:"reachable"`
-	Dist       float64 `json:"dist"`
-	Hub        int     `json:"hub"`
-	Generation uint64  `json:"generation"`
-	Epoch      uint64  `json:"epoch"`
-	Ident      uint64  `json:"ident"`
-	Directed   bool    `json:"directed"`
+// rowSet is one row fetch's result: validated packed label runs by
+// vertex, and per shard the replica that served them (witness-rank
+// resolution must go back to that exact process; see routePair).
+type rowSet struct {
+	fwd, bwd map[int][]uint64
+	by       map[int]*replica
 }
 
-// batchWire is the shard /batch response as the router reads it.
-type batchWire struct {
-	Dists      []float64 `json:"dists"`
-	Generation uint64    `json:"generation"`
-	Epoch      uint64    `json:"epoch"`
-	Ident      uint64    `json:"ident"`
-	Directed   bool      `json:"directed"`
+// pair returns the two rows the join of (u, v) reads (see pairNeeds).
+func (rs *rowSet) pair(directed bool, u, v int) (rowU, rowV []uint64) {
+	if directed {
+		return rs.fwd[u], rs.bwd[v]
+	}
+	return rs.fwd[u], rs.fwd[v]
 }
 
-// fetchDist forwards a same-shard query whole; the shard answers from its
-// local runs and cache, witness hub included.
-func (r *Router) fetchDist(sid, u, v int, obs map[repRef]genObs) (float64, int, bool, error) {
-	resp, rep, serr := getJSON[distWire](r, sid, fmt.Sprintf("/dist?u=%d&v=%d", u, v))
-	if serr != nil {
-		return 0, 0, false, &ClusterError{Failed: []*ShardError{serr}}
-	}
-	if resp.Generation == 0 {
-		return 0, 0, false, &ClusterError{Failed: []*ShardError{r.terminalErr(rep, errNotShardBackend)}}
-	}
-	if serr := r.checkDirected(rep, resp.Directed); serr != nil {
-		return 0, 0, false, &ClusterError{Failed: []*ShardError{serr}}
-	}
-	rep.lastGen.Store(resp.Generation)
-	obs[repRef{sid, rep.id}] = genObs{epoch: resp.Epoch, gen: resp.Generation, hash: resp.Ident}
-	if !resp.Reachable {
-		return Infinity, 0, false, nil
-	}
-	return resp.Dist, resp.Hub, true, nil
-}
-
-// fetchBatch forwards a same-shard sub-batch, translating the wire's -1
-// back to Infinity.
-func (r *Router) fetchBatch(sid int, pairs []QueryPair) ([]float64, *replica, genObs, *ShardError) {
-	body := make([][2]int, len(pairs))
-	for i, p := range pairs {
-		body[i] = [2]int{p.U, p.V}
-	}
-	resp, rep, serr := postJSON[batchWire](r, sid, "/batch", body)
-	if serr != nil {
-		return nil, nil, genObs{}, serr
-	}
-	if len(resp.Dists) != len(pairs) {
-		return nil, nil, genObs{}, r.terminalErr(rep, fmt.Errorf("batch of %d pairs answered with %d distances", len(pairs), len(resp.Dists)))
-	}
-	if resp.Generation == 0 {
-		return nil, nil, genObs{}, r.terminalErr(rep, errNotShardBackend)
-	}
-	if serr := r.checkDirected(rep, resp.Directed); serr != nil {
-		return nil, nil, genObs{}, serr
-	}
-	for i, d := range resp.Dists {
-		if d == -1 {
-			resp.Dists[i] = Infinity
+// fetchRows is the one row fetch: group the forward and backward vertex
+// needs by owning shard, fan out one /shardquery per shard concurrently
+// (a shard's forward and backward needs ride together), and validate
+// every row with label.ParsePackedRun before it can reach a join kernel
+// (decodePackedRun). Failures — a missing or malformed row is a terminal
+// one — are recorded in so; callers check so.err() before touching the
+// rows.
+func (r *Router) fetchRows(ctx context.Context, fwd, bwd []int, so *observer) *rowSet {
+	needs := map[int]*shardQueryRequest{}
+	need := func(v int) *shardQueryRequest {
+		sid := r.part.Owner(v)
+		if needs[sid] == nil {
+			needs[sid] = &shardQueryRequest{}
 		}
+		return needs[sid]
 	}
-	rep.lastGen.Store(resp.Generation)
-	return resp.Dists, rep, genObs{epoch: resp.Epoch, gen: resp.Generation, hash: resp.Ident}, nil
-}
-
-// fetchRows fetches and validates packed label rows from shard sid —
-// forward runs for fwd, backward runs for bwd (directed clusters only) —
-// returning the replica that served them (witness-rank resolution must
-// go back to that exact process; see crossQueryHub).
-func (r *Router) fetchRows(sid int, fwd, bwd []int) (rowsF, rowsB map[int][]uint64, rep *replica, o genObs, serr *ShardError) {
-	resp, rep, serr := postJSON[shardQueryResponse](r, sid, "/shardquery", shardQueryRequest{Vertices: fwd, Backward: bwd})
-	if serr != nil {
-		return nil, nil, nil, genObs{}, serr
+	for _, v := range fwd {
+		q := need(v)
+		q.Vertices = append(q.Vertices, v)
 	}
-	if resp.Generation == 0 {
-		return nil, nil, nil, genObs{}, r.terminalErr(rep, errNotShardBackend)
+	for _, v := range bwd {
+		q := need(v)
+		q.Backward = append(q.Backward, v)
 	}
-	// A shard serving a file over the wrong vertex space or the wrong
-	// directedness (manifest drift) must be a loud error, not silently
-	// wrong joins.
-	if resp.Vertices != r.n {
-		return nil, nil, nil, genObs{}, r.terminalErr(rep, fmt.Errorf("shard serves %d vertices but the manifest says %d — mismatched index files?", resp.Vertices, r.n))
-	}
-	if serr := r.checkDirected(rep, resp.Directed); serr != nil {
-		return nil, nil, nil, genObs{}, serr
-	}
-	decode := func(vs []int, got map[string]string, side string) (map[int][]uint64, *ShardError) {
-		rows := make(map[int][]uint64, len(vs))
-		for _, v := range vs {
-			enc, found := got[strconv.Itoa(v)]
-			if !found {
-				return nil, r.terminalErr(rep, fmt.Errorf("%s row for vertex %d missing from response", side, v))
+	rows := &rowSet{fwd: make(map[int][]uint64, len(fwd)), bwd: make(map[int][]uint64, len(bwd)), by: make(map[int]*replica, len(needs))}
+	var (
+		wg sync.WaitGroup
+		mu sync.Mutex
+	)
+	for sid, q := range needs {
+		wg.Add(1)
+		go func(sid int, q *shardQueryRequest) {
+			defer wg.Done()
+			q.Vertices, q.Backward = sortedSet(q.Vertices), sortedSet(q.Backward)
+			resp, rep, serr := callShard[shardQueryResponse](ctx, r, shardCall{sid: sid, path: "/shardquery", body: q}, so)
+			if serr != nil {
+				so.fail(serr)
+				return
 			}
-			run, err := decodePackedRun(enc, r.n)
+			gotF, err := r.decodeRows("forward", q.Vertices, resp.Rows)
+			var gotB [][]uint64
+			if err == nil {
+				gotB, err = r.decodeRows("backward", q.Backward, resp.BackRows)
+			}
 			if err != nil {
-				return nil, r.terminalErr(rep, err)
+				so.fail(r.terminalErr(rep, err))
+				return
 			}
-			rows[v] = run
+			mu.Lock()
+			defer mu.Unlock()
+			rows.by[sid] = rep
+			for i, v := range q.Vertices {
+				rows.fwd[v] = gotF[i]
+			}
+			for i, v := range q.Backward {
+				rows.bwd[v] = gotB[i]
+			}
+		}(sid, q)
+	}
+	wg.Wait()
+	return rows
+}
+
+// decodeRows validates the rows one /shardquery response carries for
+// ids, in ids order; side names the half for the error.
+func (r *Router) decodeRows(side string, ids []int, got map[string]string) ([][]uint64, error) {
+	rows := make([][]uint64, len(ids))
+	for i, v := range ids {
+		enc, found := got[strconv.Itoa(v)]
+		if !found {
+			return nil, fmt.Errorf("%s row for vertex %d missing from response", side, v)
 		}
-		return rows, nil
+		var err error
+		if rows[i], err = decodePackedRun(enc, r.n); err != nil {
+			return nil, err
+		}
 	}
-	if rowsF, serr = decode(fwd, resp.Rows, "forward"); serr != nil {
-		return nil, nil, nil, genObs{}, serr
-	}
-	if rowsB, serr = decode(bwd, resp.BackRows, "backward"); serr != nil {
-		return nil, nil, nil, genObs{}, serr
-	}
-	rep.lastGen.Store(resp.Generation)
-	return rowsF, rowsB, rep, genObs{epoch: resp.Epoch, gen: resp.Generation, hash: resp.Ident}, nil
+	return rows, nil
+}
+
+// sortedSet sorts ids and drops duplicates, in place.
+func sortedSet(ids []int) []int {
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // resolveReply is one waiter's share of a batched resolution.
@@ -1445,17 +1531,15 @@ type resolveBatcher struct {
 }
 
 // resolveRankOn translates a rank-space hub to its original vertex id on
-// one specific replica — the one whose snapshot produced the rank. No
-// load balancing, no failover, and no hedging: a sibling replica is a
-// different process whose identity can never match the row's, and a
-// rebuilt index may permute ranks differently. The replica's snapshot
-// identity is returned so the caller can verify the resolution used the
-// same snapshot the rank came from.
+// one specific replica — the one whose snapshot produced the rank (a
+// pinned shardCall: a rebuilt index may permute ranks differently). The
+// replica's snapshot identity at resolution time is observed into so,
+// where a move since the row fetch shows up as a conflict.
 //
 // Resolutions for one replica are batched (see resolveBatcher): the
 // calling goroutine queues its rank and either starts the drain loop or
 // waits for the running one to carry it.
-func (r *Router) resolveRankOn(rep *replica, rank int) (int, genObs, *ShardError) {
+func (r *Router) resolveRankOn(rep *replica, rank int, so *observer) (int, *ShardError) {
 	r.resolveMu.Lock()
 	if r.resolvers == nil {
 		r.resolvers = make(map[*replica]*resolveBatcher)
@@ -1477,13 +1561,17 @@ func (r *Router) resolveRankOn(rep *replica, rank int) (int, genObs, *ShardError
 		rb.mu.Unlock()
 	}
 	reply := <-w.ch
-	return reply.orig, reply.obs, reply.serr
+	if reply.serr == nil {
+		so.observe(repRef{rep.shard, rep.id}, reply.obs)
+	}
+	return reply.orig, reply.serr
 }
 
 // drainResolves services one replica's resolution queue until it is
 // empty: grab everything queued, resolve the deduplicated rank set in
 // one pinned /shardquery call, deliver each waiter its answer, repeat.
 func (r *Router) drainResolves(rep *replica, rb *resolveBatcher) {
+	ref := repRef{rep.shard, rep.id}
 	for {
 		rb.mu.Lock()
 		waiters := rb.queue
@@ -1494,142 +1582,28 @@ func (r *Router) drainResolves(rep *replica, rb *resolveBatcher) {
 			return
 		}
 		rb.mu.Unlock()
-		seen := make(map[int]struct{}, len(waiters))
-		ranks := make([]int, 0, len(waiters))
-		for _, w := range waiters {
-			if _, dup := seen[w.rank]; !dup {
-				seen[w.rank] = struct{}{}
-				ranks = append(ranks, w.rank)
-			}
+		ranks := make([]int, len(waiters))
+		for i, w := range waiters {
+			ranks[i] = w.rank
 		}
-		sort.Ints(ranks)
 		r.resolveBatches.Add(1)
 		r.resolveRanks.Add(int64(len(waiters)))
-		resp, serr := r.resolveOn(rep, ranks)
+		// A drain carries many callers' ranks and outlives any one of
+		// them, so it hangs off a background parent.
+		so := newObserver()
+		resp, _, serr := callShard[shardQueryResponse](context.Background(), r,
+			shardCall{sid: rep.shard, pin: rep, path: "/shardquery", body: shardQueryRequest{Resolve: sortedSet(ranks)}}, so)
 		for _, w := range waiters {
-			if serr != nil {
-				w.ch <- resolveReply{serr: serr}
-				continue
+			reply := resolveReply{serr: serr, obs: so.obs[ref]}
+			if serr == nil {
+				var found bool
+				if reply.orig, found = resp.Resolved[strconv.Itoa(w.rank)]; !found {
+					reply.serr = r.terminalErr(rep, fmt.Errorf("rank %d missing from resolution response", w.rank))
+				}
 			}
-			orig, found := resp.Resolved[strconv.Itoa(w.rank)]
-			if !found {
-				w.ch <- resolveReply{serr: r.terminalErr(rep, fmt.Errorf("rank %d missing from resolution response", w.rank))}
-				continue
-			}
-			w.ch <- resolveReply{orig: orig, obs: genObs{epoch: resp.Epoch, gen: resp.Generation, hash: resp.Ident}}
+			w.ch <- reply
 		}
 	}
-}
-
-// resolveOn runs one pinned, batched rank resolution against rep.
-func (r *Router) resolveOn(rep *replica, ranks []int) (*shardQueryResponse, *ShardError) {
-	b, err := json.Marshal(shardQueryRequest{Resolve: ranks})
-	if err != nil {
-		return nil, &ShardError{Shard: rep.shard, Replica: rep.id, Addr: rep.addr, Err: err}
-	}
-	var resp shardQueryResponse
-	serr, _ := r.tryReplica(rep, func(rep *replica) error {
-		hresp, err := r.client.Post(rep.addr+"/shardquery", "application/json", bytes.NewReader(b))
-		if err != nil {
-			return err
-		}
-		defer hresp.Body.Close()
-		return decodeReplicaResponse(hresp, &resp)
-	})
-	if serr != nil {
-		return nil, serr
-	}
-	rep.lastGen.Store(resp.Generation)
-	return &resp, nil
-}
-
-// crossQueryHub answers a cross-shard query: fetch the two rows
-// concurrently, join locally and — when the caller needs the witness —
-// resolve the winning rank to an original id. The witness rank is
-// meaningful only in the permutation of the snapshot the rows came
-// from, so the resolution is pinned to the replica that served u's row,
-// and a resolution that lands on a different snapshot (that replica
-// hot-swapped between the two requests — a rebuilt index may permute
-// ranks differently) is retried from the row fetch; queries never block
-// a reload, they just redo the work. A resolution whose pinned replica
-// died retries the same way — the refetched row comes from a sibling,
-// which then serves the resolution too. With needHub=false the
-// resolution (and with it the retry loop) is skipped and the hub is
-// hubUnknown.
-func (r *Router) crossQueryHub(su, sv, u, v int, obs map[repRef]genObs, needHub bool) (float64, int, bool, error) {
-	const attempts = 3
-	var lastErr error
-	for try := 0; try < attempts; try++ {
-		var (
-			wg    sync.WaitGroup
-			mu    sync.Mutex
-			fails []*ShardError
-			rowU  []uint64
-			rowV  []uint64
-			repU  *replica
-			repV  *replica
-			obsU  genObs
-			obsV  genObs
-		)
-		fetch := func(sid, vertex int, backward bool, dst *[]uint64, dstRep **replica, rowObs *genObs) {
-			defer wg.Done()
-			var fwd, bwd []int
-			if backward {
-				bwd = []int{vertex}
-			} else {
-				fwd = []int{vertex}
-			}
-			rowsF, rowsB, rep, o, err := r.fetchRows(sid, fwd, bwd)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				fails = append(fails, err)
-				return
-			}
-			if backward {
-				*dst = rowsB[vertex]
-			} else {
-				*dst = rowsF[vertex]
-			}
-			*dstRep = rep
-			*rowObs = o
-			obs[repRef{sid, rep.id}] = o
-		}
-		// Directed clusters join forward(u) with backward(v); undirected
-		// ones use the (symmetric) forward runs for both sides.
-		wg.Add(2)
-		go fetch(su, u, false, &rowU, &repU, &obsU)
-		go fetch(sv, v, r.directed, &rowV, &repV, &obsV)
-		wg.Wait()
-		if len(fails) > 0 {
-			sort.Slice(fails, func(i, j int) bool { return fails[i].Shard < fails[j].Shard })
-			return 0, 0, false, &ClusterError{Failed: fails}
-		}
-		r.crossJoins.Add(1)
-		d, rank, ok := label.JoinPacked(rowU, rowV)
-		if !ok {
-			return Infinity, 0, false, nil
-		}
-		if !needHub {
-			return d, hubUnknown, true, nil
-		}
-		hub, resolveObs, serr := r.resolveRankOn(repU, int(rank))
-		if serr != nil {
-			// The pinned replica died between row fetch and resolution;
-			// refetch (a sibling will serve both) rather than fail.
-			lastErr = serr
-			continue
-		}
-		if resolveObs == obsU {
-			return d, hub, true, nil
-		}
-		// The replica swapped snapshots between row fetch and resolution;
-		// the rank may not mean the same vertex anymore. Retry cleanly.
-		lastErr = fmt.Errorf("shard %d replica %d reloaded mid-query %d times in a row", su, repU.id, try+1)
-	}
-	return 0, 0, false, &ClusterError{Failed: []*ShardError{{
-		Shard: su, Replica: -1, Addr: r.shards[su].addrList(), Err: lastErr,
-	}}}
 }
 
 // --- health, stats, HTTP ---
@@ -1691,24 +1665,14 @@ func (r *Router) Health() []ShardHealth {
 	return out
 }
 
-// probeReplica GETs one replica's /healthz, folding the result into the
-// replica's health state and the router's identity tracking.
+// probeReplica GETs one replica's /healthz (a pinned shardCall), folding
+// the result into the replica's health state and the router's identity
+// tracking.
 func (r *Router) probeReplica(rep *replica) ReplicaHealth {
 	h := ReplicaHealth{ID: rep.id, Addr: rep.addr}
-	var resp struct {
-		OK         bool   `json:"ok"`
-		Generation uint64 `json:"generation"`
-		Epoch      uint64 `json:"epoch"`
-		Ident      uint64 `json:"ident"`
-	}
-	serr, _ := r.tryReplica(rep, func(rep *replica) error {
-		hresp, err := r.client.Get(rep.addr + "/healthz")
-		if err != nil {
-			return err
-		}
-		defer hresp.Body.Close()
-		return decodeReplicaResponse(hresp, &resp)
-	})
+	so := newObserver()
+	// Health is an exported call with no client to hang up.
+	resp, _, serr := callShard[healthResponse](context.Background(), r, shardCall{sid: rep.shard, pin: rep, path: "/healthz"}, so)
 	if serr != nil {
 		h.Error = serr.Err.Error()
 		h.Ejected = rep.state.Load() == replicaEjected
@@ -1716,8 +1680,7 @@ func (r *Router) probeReplica(rep *replica) ReplicaHealth {
 	}
 	h.OK = resp.OK
 	h.Generation = resp.Generation
-	rep.lastGen.Store(resp.Generation)
-	r.noteGenerations(map[repRef]genObs{{rep.shard, rep.id}: {epoch: resp.Epoch, gen: resp.Generation, hash: resp.Ident}})
+	r.noteGenerations(so.obs)
 	return h
 }
 
@@ -1890,10 +1853,7 @@ func (r *Router) shape(h http.HandlerFunc) http.HandlerFunc {
 func routeError(w http.ResponseWriter, err error) {
 	var vr *VertexRangeError
 	if errors.As(err, &vr) {
-		// Same body, byte for byte, as the shard tier's /dist range check
-		// (see Server.handleDist): clients must see one error schema no
-		// matter which tier rejected them.
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("vertex ids must be in [0,%d)", vr.N))
+		vertexIDsOK(w, vr.N, vr.ID) // writes the 400 — the shard tier's body, byte for byte
 		return
 	}
 	var ce *ClusterError
@@ -1912,14 +1872,11 @@ func routeError(w http.ResponseWriter, err error) {
 }
 
 func (r *Router) handleDist(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET /dist?u=&v=")
+	if !allowMethod(w, req, http.MethodGet, "use GET /dist?u=&v=") {
 		return
 	}
-	u, err1 := strconv.Atoi(req.URL.Query().Get("u"))
-	v, err2 := strconv.Atoi(req.URL.Query().Get("v"))
-	if err1 != nil || err2 != nil {
-		httpError(w, http.StatusBadRequest, "u and v must be integer vertex ids")
+	u, v, ok := intPair(w, req, "u", "v", "u and v must be integer vertex ids")
+	if !ok {
 		return
 	}
 	d, hub, ok, err := r.QueryHub(u, v)
@@ -1927,47 +1884,33 @@ func (r *Router) handleDist(w http.ResponseWriter, req *http.Request) {
 		routeError(w, err)
 		return
 	}
-	resp := map[string]any{"u": u, "v": v, "reachable": ok}
-	if ok {
-		resp["dist"] = d
-		resp["hub"] = hub
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeDist(w, u, v, d, hub, ok, shardStamp{})
 }
 
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST a JSON array of [u,v] pairs")
+	if !allowMethod(w, req, http.MethodPost, "POST a JSON array of [u,v] pairs") {
 		return
 	}
 	pairs, ok := decodeBatchBody(w, req, r.n)
 	if !ok {
 		return
 	}
-	dists, err := r.Batch(pairs)
+	dists, err := r.batch(req.Context(), pairs)
 	if err != nil {
 		routeError(w, err)
 		return
 	}
-	for i, d := range dists {
-		if d == Infinity {
-			dists[i] = -1 // JSON has no +Inf
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"dists": dists})
+	writeJSON(w, http.StatusOK, batchResponse{Dists: wireDists(dists)})
 }
 
 func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET /stats")
-		return
+	if allowMethod(w, req, http.MethodGet, "use GET /stats") {
+		writeJSON(w, http.StatusOK, r.Stats())
 	}
-	writeJSON(w, http.StatusOK, r.Stats())
 }
 
 func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET /healthz")
+	if !allowMethod(w, req, http.MethodGet, "use GET /healthz") {
 		return
 	}
 	shards := r.Health()
@@ -1988,77 +1931,58 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 
 // handleReload proxies POST /reload?shard=I[&replica=J][&path=P] to one
 // shard replica (replica 0 when J is omitted), so an operator can
-// hot-swap any serving process through the router. The response is the
-// replica's own /reload response.
+// hot-swap any serving process through the router — a pinned shardCall,
+// so the replica's in-flight count (what power-of-two-choices reads) and
+// health accounting see the reload like any other request. The response
+// is the replica's own /reload response.
 func (r *Router) handleReload(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "use POST /reload?shard=I&replica=J&path=P")
+	if !allowMethod(w, req, http.MethodPost, "use POST /reload?shard=I&replica=J&path=P") {
 		return
 	}
-	sid, err := strconv.Atoi(req.URL.Query().Get("shard"))
-	if err != nil || sid < 0 || sid >= len(r.shards) {
+	q := req.URL.Query()
+	sid, ok := intParam(q, "shard")
+	if !ok || sid < 0 || sid >= len(r.shards) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("shard must name a shard in [0,%d)", len(r.shards)))
 		return
 	}
-	c := r.shards[sid]
+	reps := r.shards[sid].reps
 	rid := 0
-	if rq := req.URL.Query().Get("replica"); rq != "" {
-		rid, err = strconv.Atoi(rq)
-		if err != nil || rid < 0 || rid >= len(c.reps) {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("replica must name a replica of shard %d in [0,%d)", sid, len(c.reps)))
+	if q.Get("replica") != "" {
+		if rid, ok = intParam(q, "replica"); !ok || rid < 0 || rid >= len(reps) {
+			httpError(w, http.StatusBadRequest, fmt.Sprintf("replica must name a replica of shard %d in [0,%d)", sid, len(reps)))
 			return
 		}
 	}
 	path := "/reload"
-	if p := req.URL.Query().Get("path"); p != "" {
+	if p := q.Get("path"); p != "" {
 		path += "?path=" + url.QueryEscape(p)
 	}
-	rep := c.reps[rid]
-	rep.requests.Add(1)
-	resp, err := r.client.Post(rep.addr+path, "application/json", strings.NewReader("{}"))
-	if err != nil {
-		// Transport failure: the replica really is unreachable.
-		rep.fail(err, r.ejectAfter, r.probation, r.clock.Now())
-		routeError(w, &ClusterError{Failed: []*ShardError{{Shard: sid, Replica: rid, Addr: rep.addr, Err: err}}})
-		return
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode != http.StatusOK {
+	so := newObserver()
+	resp, _, serr := callShard[reloadResponse](req.Context(), r, shardCall{sid: sid, pin: reps[rid], path: path, body: struct{}{}, operator: true}, so)
+	var status *statusError
+	switch {
+	case serr == nil:
+		// A successful reload bumped the replica's generation; fold it in
+		// now so the next query doesn't serve one answer from the retired
+		// cache. The ident says whether the reloaded content actually
+		// changed — reloading the same file keeps the cache (see
+		// noteGenerations).
+		r.noteGenerations(so.obs)
+		writeJSON(w, http.StatusOK, resp)
+	case errors.As(serr.Err, &status):
 		// The replica spoke; an operator error (bad path → 400) is relayed
-		// verbatim, not dressed up as a shard failure — it must not trip
-		// error counters or health dashboards.
+		// verbatim, not dressed up as a shard failure.
 		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(resp.StatusCode)
-		w.Write(body)
-		return
+		w.WriteHeader(status.code)
+		w.Write(status.body)
+	default:
+		routeError(w, &ClusterError{Failed: []*ShardError{serr}})
 	}
-	var out map[string]any
-	if err := json.Unmarshal(body, &out); err != nil {
-		routeError(w, &ClusterError{Failed: []*ShardError{r.terminalErr(rep, fmt.Errorf("undecodable reload response: %w", err))}})
-		return
-	}
-	// Successful round trip: the replica is healthy again as far as the
-	// router can tell (mirrors withReplica's success path).
-	rep.succeed()
-	// A successful reload bumped the replica's generation; fold it in now
-	// so the next query doesn't serve one answer from the retired cache.
-	// The ident says whether the reloaded content actually changed —
-	// reloading the same file keeps the cache (see noteGenerations).
-	g, gok := out["generation"].(float64)
-	e, eok := out["epoch"].(float64)
-	id, _ := out["ident"].(float64)
-	if gok && eok {
-		rep.lastGen.Store(uint64(g))
-		r.noteGenerations(map[repRef]genObs{{sid, rid}: {epoch: uint64(e), gen: uint64(g), hash: uint64(id)}})
-	}
-	writeJSON(w, http.StatusOK, out)
 }
 
 // handleMetrics exposes the router in Prometheus text format.
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET /metrics")
+	if !allowMethod(w, req, http.MethodGet, "use GET /metrics") {
 		return
 	}
 	st := r.Stats()

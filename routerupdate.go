@@ -1,11 +1,10 @@
 package chl
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"sort"
 
 	"repro/internal/delta"
 )
@@ -136,134 +135,30 @@ func (r *Router) applyPatchOpsLocked(ops []EdgeOp, journal bool) (delta.Stats, e
 
 // fetchPatchRows fetches the packed label rows of every patch vertex,
 // in verts order — forward always, backward too on directed clusters
-// (nil otherwise) — one /shardquery per owning shard.
+// (nil otherwise).
 func (r *Router) fetchPatchRows(verts []int) (fwd, bwd [][]uint64, err error) {
-	byShard := map[int][]int{}
-	for _, v := range verts {
-		sid := r.part.Owner(v)
-		byShard[sid] = append(byShard[sid], v)
-	}
-	sids := make([]int, 0, len(byShard))
-	for sid := range byShard {
-		sids = append(sids, sid)
-	}
-	sort.Ints(sids)
-	slot := make(map[int]int, len(verts))
-	for i, v := range verts {
-		slot[v] = i
-	}
-	fwd = make([][]uint64, len(verts))
+	var need []int
 	if r.directed {
+		need = verts
 		bwd = make([][]uint64, len(verts))
 	}
-	for _, sid := range sids {
-		vs := byShard[sid]
-		var bvs []int
+	// A patch batch (or the journal replay a first query triggers) builds
+	// state shared by every later query, so it hangs off a background
+	// parent, not whichever caller happened to start it.
+	so := newObserver()
+	rows := r.fetchRows(context.Background(), verts, need, so)
+	if err := so.err(); err != nil {
+		return nil, nil, err
+	}
+	r.noteGenerations(so.obs)
+	fwd = make([][]uint64, len(verts))
+	for i, v := range verts {
+		fwd[i] = rows.fwd[v]
 		if r.directed {
-			bvs = vs
+			bwd[i] = rows.bwd[v]
 		}
-		gotF, gotB, rep, o, serr := r.fetchRows(sid, vs, bvs)
-		if serr != nil {
-			return nil, nil, &ClusterError{Failed: []*ShardError{serr}}
-		}
-		for v, run := range gotF {
-			fwd[slot[v]] = run
-		}
-		for v, run := range gotB {
-			bwd[slot[v]] = run
-		}
-		r.noteGenerations(map[repRef]genObs{{sid, rep.id}: o})
 	}
 	return fwd, bwd, nil
-}
-
-// routePatchedQueryHub is the leader's half of queryHub under a delta
-// overlay: fetch the endpoints' rows and hand them to the overlay, which
-// runs the same join/seed/correct/fallback path the engine tier runs.
-// Even same-shard pairs take this path — the shard's own /dist would
-// answer from frozen labels, which is exactly what the overlay must
-// correct. The witness hub is served only when the overlay certifies the
-// frozen answer intact (frozen); a corrected distance has no label
-// witness and reports hub -1 (see BatchEngine.queryHubPatched — same
-// contract).
-func (r *Router) routePatchedQueryHub(st *routerState, u, v int, needHub bool) flightResult {
-	su, sv := r.part.Owner(u), r.part.Owner(v)
-	obs := map[repRef]genObs{}
-
-	// Fetch u's forward row and v's backward (directed) or forward
-	// (undirected) row — one /shardquery when one shard owns everything.
-	needF := map[int][]int{su: {u}}
-	needB := map[int][]int{}
-	if r.directed {
-		needB[sv] = []int{v}
-	} else if v != u {
-		needF[sv] = append(needF[sv], v)
-	}
-	rowShards := map[int]struct{}{su: {}, sv: {}}
-	rowsF := map[int][]uint64{}
-	rowsB := map[int][]uint64{}
-	var repU *replica
-	for sid := range rowShards {
-		fvs, bvs := needF[sid], needB[sid]
-		sort.Ints(fvs)
-		gotF, gotB, rep, o, serr := r.fetchRows(sid, fvs, bvs)
-		if serr != nil {
-			return flightResult{err: &ClusterError{Failed: []*ShardError{serr}}}
-		}
-		for vert, run := range gotF {
-			rowsF[vert] = run
-		}
-		for vert, run := range gotB {
-			rowsB[vert] = run
-		}
-		if sid == su {
-			repU = rep
-		}
-		obs[repRef{sid, rep.id}] = o
-	}
-	rowU := rowsF[u]
-	rowV := rowsF[v]
-	if r.directed {
-		rowV = rowsB[v]
-	}
-
-	dist, rank0, frozen := st.patch.Query(rowU, rowV, u, v)
-	if dist >= Infinity {
-		r.cachePut(st, obs, u, v, Answer{Dist: Infinity, Hub: hubUnknown, Reachable: false})
-		return flightResult{dist: Infinity, hub: 0, ok: false}
-	}
-	// Hub contract: -1 (no label witness) unless the overlay certified
-	// the frozen answer, in which case the frozen witness still lies on
-	// a patched shortest path. Its rank is resolved to an original id
-	// only when the caller needs it; hub-less answers cache under
-	// hubUnknown (== -1) so a later hub-needing query recomputes — the
-	// same collision the engine tier documents on its cache.
-	hub := -1
-	if frozen {
-		switch {
-		case u == v:
-			hub = u
-		case needHub:
-			h, o, serr := r.resolveRankOn(repU, int(rank0))
-			if serr != nil {
-				return flightResult{err: &ClusterError{Failed: []*ShardError{serr}}}
-			}
-			key := repRef{repU.shard, repU.id}
-			if prev, seen := obs[key]; seen && prev != o {
-				// The shard reloaded between the row fetch and the rank
-				// resolution; the hub is not attributable to the rows that
-				// produced the distance.
-				return flightResult{err: &ClusterError{Failed: []*ShardError{{
-					Shard: repU.shard, Replica: repU.id, Addr: repU.addr,
-					Err: fmt.Errorf("snapshot changed during witness resolution"),
-				}}}}
-			}
-			obs[key] = o
-			hub = h
-		}
-	}
-	r.cachePut(st, obs, u, v, Answer{Dist: dist, Hub: hub, Reachable: true})
-	return flightResult{dist: dist, hub: hub, ok: true}
 }
 
 // handleUpdate is POST /update at the router: the same text patch-log
@@ -271,38 +166,23 @@ func (r *Router) routePatchedQueryHub(st *routerState, u, v int, needHub bool) f
 // the shards. 409 when the router has no base graph, 400 on a malformed
 // or invalid patch, 502 when pinning patch-vertex rows failed.
 func (r *Router) handleUpdate(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST a text patch log (add/del/set lines) to /update")
+	if !allowMethod(w, req, http.MethodPost, "POST a text patch log (add/del/set lines) to /update") {
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxPatchBytes))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("reading patch body: %v", err))
-		return
-	}
-	ops, err := ParsePatchLog(body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if len(ops) == 0 {
-		httpError(w, http.StatusBadRequest, "empty patch: no add/del/set lines")
+	ops, ok := decodePatchBody(w, req)
+	if !ok {
 		return
 	}
 	stat, err := r.Update(ops)
-	if err != nil {
-		switch {
-		case errors.Is(err, errRouterUpdatesDisabled):
-			httpError(w, http.StatusConflict, err.Error())
-		default:
-			var ce *ClusterError
-			if errors.As(err, &ce) {
-				routeError(w, err)
-				return
-			}
-			httpError(w, http.StatusBadRequest, err.Error())
-		}
-		return
+	var ce *ClusterError
+	switch {
+	case err == nil:
+		writeJSON(w, http.StatusOK, map[string]any{"applied": len(ops), "patch": stat})
+	case errors.Is(err, errRouterUpdatesDisabled):
+		httpError(w, http.StatusConflict, err.Error())
+	case errors.As(err, &ce):
+		routeError(w, err)
+	default:
+		httpError(w, http.StatusBadRequest, err.Error())
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"applied": len(ops), "patch": stat})
 }

@@ -1,11 +1,10 @@
 package chl
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 )
 
@@ -25,11 +24,8 @@ import (
 // segment's distance is the same number /dist serves for that pair, bit
 // for bit, and a hot path's segments are answered from cache.
 func (r *Router) Path(u, v int) (dist float64, path []int, reachable bool, err error) {
-	if u < 0 || u >= r.n {
-		return 0, nil, false, &VertexRangeError{ID: u, N: r.n}
-	}
-	if v < 0 || v >= r.n {
-		return 0, nil, false, &VertexRangeError{ID: v, N: r.n}
+	if err := r.checkRange(u, v); err != nil {
+		return 0, nil, false, err
 	}
 	if err := r.ensurePatch(); err != nil {
 		return 0, nil, false, err
@@ -60,8 +56,8 @@ func (r *Router) Path(u, v int) (dist float64, path []int, reachable bool, err e
 // identical (u, k) requests collapse into one fan-out (singleflight,
 // keyed apart from pair flights — see flightKind).
 func (r *Router) KNN(u, k int) ([]Neighbor, error) {
-	if u < 0 || u >= r.n {
-		return nil, &VertexRangeError{ID: u, N: r.n}
+	if err := r.checkRange(u); err != nil {
+		return nil, err
 	}
 	if k < 1 || k > r.n {
 		return nil, fmt.Errorf("chl: k must be in [1,%d], got %d", r.n, k)
@@ -77,7 +73,9 @@ func (r *Router) KNN(u, k int) ([]Neighbor, error) {
 			nbs, err := r.routePatchedKNN(st, u, k)
 			return flightResult{neighbors: nbs, err: err}
 		}
-		nbs, err := r.routeKNN(u, k)
+		// Background parent: a flight outlives its leader's client (see
+		// queryHub).
+		nbs, err := r.routeKNN(context.Background(), st, u, k)
 		return flightResult{neighbors: nbs, err: err}
 	})
 	return res.neighbors, res.err
@@ -105,83 +103,18 @@ func (r *Router) routePatchedKNN(st *routerState, u, k int) ([]Neighbor, error) 
 	return out, nil
 }
 
-// scanObserver accumulates replica snapshot identities across a
-// workload's fan-out, detecting the same race Batch does: one replica
-// answering under two identities means a reload landed mid-request, so
-// the answers are not attributable to a single snapshot and must not
-// seed the cache.
-type scanObserver struct {
-	mu       sync.Mutex
-	obs      map[repRef]genObs
-	fails    []*ShardError
-	conflict bool
-}
-
-func newScanObserver() *scanObserver {
-	return &scanObserver{obs: map[repRef]genObs{}}
-}
-
-func (so *scanObserver) observe(k repRef, o genObs, serr *ShardError) {
-	so.mu.Lock()
-	defer so.mu.Unlock()
-	if serr != nil {
-		so.fails = append(so.fails, serr)
-		return
-	}
-	if prev, seen := so.obs[k]; seen && prev != o {
-		so.conflict = true
-	}
-	so.obs[k] = o
-}
-
-// err returns the accumulated fan-out failure, if any, as a
-// ClusterError with deterministically ordered shards.
-func (so *scanObserver) err() error {
-	if len(so.fails) == 0 {
-		return nil
-	}
-	sort.Slice(so.fails, func(i, j int) bool { return so.fails[i].Shard < so.fails[j].Shard })
-	return &ClusterError{Failed: so.fails}
-}
-
-// shardScan runs one validated /shardscan round trip against shard sid
-// (with the usual failover and hedging) and folds the replica's
-// snapshot identity into so.
-func (r *Router) shardScan(sid int, req shardScanRequest, so *scanObserver) *shardScanResponse {
-	resp, rep, serr := postJSON[shardScanResponse](r, sid, "/shardscan", req)
-	if serr == nil && resp.Generation == 0 {
-		serr = r.terminalErr(rep, errNotShardBackend)
-	}
-	if serr == nil && resp.Vertices != r.n {
-		serr = r.terminalErr(rep, fmt.Errorf("shard serves %d vertices but the manifest says %d — mismatched index files?", resp.Vertices, r.n))
-	}
-	if serr == nil {
-		serr = r.checkDirected(rep, resp.Directed)
-	}
-	if serr != nil {
-		so.observe(repRef{}, genObs{}, serr)
-		return nil
-	}
-	rep.lastGen.Store(resp.Generation)
-	so.observe(repRef{sid, rep.id}, genObs{epoch: resp.Epoch, gen: resp.Generation, hash: resp.Ident}, nil)
-	return resp
-}
-
 // routeKNN is the leader's half of KNN: fetch the source run, broadcast
 // the scan, merge, and seed the pair cache. Each merged neighbor is a
 // complete (distance, witness) pair answer — the same triple QueryHub
 // would compute — so it enters the pair cache under the normal pair
 // key; k itself never reaches the cache keyspace (see Cache).
-func (r *Router) routeKNN(u, k int) ([]Neighbor, error) {
-	st := r.state.Load()
-	so := newScanObserver()
-	su := r.part.Owner(u)
-	rowsF, _, rep, o, serr := r.fetchRows(su, []int{u}, nil)
-	if serr != nil {
-		return nil, &ClusterError{Failed: []*ShardError{serr}}
+func (r *Router) routeKNN(ctx context.Context, st *routerState, u, k int) ([]Neighbor, error) {
+	so := newObserver()
+	rows := r.fetchRows(ctx, []int{u}, nil, so)
+	if err := so.err(); err != nil {
+		return nil, err
 	}
-	so.observe(repRef{su, rep.id}, o, nil)
-	req := shardScanRequest{Run: encodePackedRun(rowsF[u]), K: k, Exclude: u}
+	req := shardScanRequest{Run: encodePackedRun(rows.fwd[u]), K: k, Exclude: u}
 	merged := make([]Neighbor, 0, k)
 	var (
 		wg sync.WaitGroup
@@ -191,13 +124,11 @@ func (r *Router) routeKNN(u, k int) ([]Neighbor, error) {
 		wg.Add(1)
 		go func(sid int) {
 			defer wg.Done()
-			resp := r.shardScan(sid, req, so)
-			if resp == nil {
-				return
+			if resp := r.shardScan(ctx, sid, req, so); resp != nil {
+				mu.Lock()
+				merged = append(merged, resp.Neighbors...)
+				mu.Unlock()
 			}
-			mu.Lock()
-			merged = append(merged, resp.Neighbors...)
-			mu.Unlock()
 		}(sid)
 	}
 	wg.Wait()
@@ -213,12 +144,10 @@ func (r *Router) routeKNN(u, k int) ([]Neighbor, error) {
 	if len(merged) > k {
 		merged = merged[:k]
 	}
-	if !so.conflict && r.cacheValid(st, so.obs) {
+	if r.cacheValid(st, so) {
 		for _, nb := range merged {
 			st.cache.Put(u, nb.V, Answer{Dist: nb.Dist, Hub: nb.Hub, Reachable: true})
 		}
-	} else if so.conflict {
-		r.noteGenerations(so.obs)
 	}
 	return merged, nil
 }
@@ -227,8 +156,8 @@ func (r *Router) routeKNN(u, k int) ([]Neighbor, error) {
 // cluster: emit is called once per source, in order, with a row of
 // len(targets) distances (Infinity for unreachable), exactly as
 // FlatIndex.MatrixRows does on an unsharded index. The router fetches
-// every source's forward run up front — batched, one /shardquery per
-// owning shard — then, per source, fans the run out to the shards
+// every source's forward run up front (fetchRows: one /shardquery per
+// owning shard) then, per source, fans the run out to the shards
 // owning targets (/shardscan with the target fragment each shard owns)
 // and assembles the row in target order. The row slice is reused
 // between emits: the matrix itself is never materialized at the
@@ -240,20 +169,23 @@ func (r *Router) routeKNN(u, k int) ([]Neighbor, error) {
 // re-derive anyway. Observed snapshot identities still feed the
 // cache-retirement machinery (noteGenerations).
 func (r *Router) Matrix(sources, targets []int, emit func(u int, dists []float64) error) error {
-	for _, id := range sources {
-		if id < 0 || id >= r.n {
-			return &VertexRangeError{ID: id, N: r.n}
-		}
+	// The exported call has no client to hang up; the /matrix handler
+	// passes its request's context instead.
+	return r.matrix(context.Background(), sources, targets, emit)
+}
+
+func (r *Router) matrix(ctx context.Context, sources, targets []int, emit func(u int, dists []float64) error) error {
+	if err := r.checkRange(sources...); err != nil {
+		return err
 	}
-	for _, id := range targets {
-		if id < 0 || id >= r.n {
-			return &VertexRangeError{ID: id, N: r.n}
-		}
+	if err := r.checkRange(targets...); err != nil {
+		return err
 	}
 	if err := r.ensurePatch(); err != nil {
 		return err
 	}
 	r.queries.Add(int64(len(sources)) * int64(len(targets)))
+	row := make([]float64, len(targets))
 
 	// Under a delta overlay every cell needs the seeded correction, so
 	// rows come from exact patched single-source Dijkstras projected
@@ -262,7 +194,6 @@ func (r *Router) Matrix(sources, targets []int, emit func(u int, dists []float64
 	// discipline; the shard-scan fan-out below would answer from frozen
 	// labels.
 	if st := r.state.Load(); st.patch != nil {
-		row := make([]float64, len(targets))
 		for _, u := range sources {
 			full := st.patch.Row(u)
 			for j, t := range targets {
@@ -274,96 +205,40 @@ func (r *Router) Matrix(sources, targets []int, emit func(u int, dists []float64
 		}
 		return nil
 	}
-	so := newScanObserver()
-
-	// Source-run prefetch, one /shardquery per owning shard, concurrent.
-	needF := map[int][]int{} // shard id -> deduplicated owned sources
-	seen := map[int]struct{}{}
-	for _, u := range sources {
-		if _, dup := seen[u]; dup {
-			continue
-		}
-		seen[u] = struct{}{}
-		su := r.part.Owner(u)
-		needF[su] = append(needF[su], u)
-	}
-	rowsF := make(map[int][]uint64, len(seen))
-	var (
-		wg sync.WaitGroup
-		mu sync.Mutex
-	)
-	for sid, vs := range needF {
-		wg.Add(1)
-		go func(sid int, vs []int) {
-			defer wg.Done()
-			sort.Ints(vs)
-			got, _, rep, o, serr := r.fetchRows(sid, vs, nil)
-			if serr != nil {
-				so.observe(repRef{}, genObs{}, serr)
-				return
-			}
-			mu.Lock()
-			for v, run := range got {
-				rowsF[v] = run
-			}
-			mu.Unlock()
-			so.observe(repRef{sid, rep.id}, o, nil)
-		}(sid, vs)
-	}
-	wg.Wait()
+	so := newObserver()
+	rows := r.fetchRows(ctx, sources, nil, so)
 	if err := so.err(); err != nil {
 		return err
 	}
 
-	// Group targets by owning shard once; pos remembers each target's
+	// Group targets by owning shard once; tgtPos remembers each target's
 	// column so rows assemble in request order regardless of which shard
 	// answered first.
 	tgtPos := map[int][]int{} // shard id -> positions into targets
+	tgtIDs := map[int][]int{} // shard id -> target ids, same order as tgtPos
 	for j, t := range targets {
 		sid := r.part.Owner(t)
 		tgtPos[sid] = append(tgtPos[sid], j)
+		tgtIDs[sid] = append(tgtIDs[sid], t)
 	}
-	tgtIDs := make(map[int][]int, len(tgtPos)) // shard id -> target ids, same order as tgtPos
-	for sid, pos := range tgtPos {
-		ids := make([]int, len(pos))
-		for i, j := range pos {
-			ids[i] = targets[j]
-		}
-		tgtIDs[sid] = ids
-	}
-
-	row := make([]float64, len(targets))
 	for _, u := range sources {
-		req := shardScanRequest{Run: encodePackedRun(rowsF[u]), Exclude: -1}
-		var rwg sync.WaitGroup
+		req := shardScanRequest{Run: encodePackedRun(rows.fwd[u]), Exclude: -1}
+		var wg sync.WaitGroup
 		for sid := range tgtPos {
-			rwg.Add(1)
+			wg.Add(1)
 			go func(sid int) {
-				defer rwg.Done()
+				defer wg.Done()
 				sreq := req
 				sreq.Targets = tgtIDs[sid]
-				resp := r.shardScan(sid, sreq, so)
-				if resp == nil {
-					return
-				}
-				pos := tgtPos[sid]
-				if len(resp.Dists) != len(pos) {
-					so.observe(repRef{}, genObs{}, &ShardError{Shard: sid, Replica: -1, Addr: r.shards[sid].addrList(),
-						Err: fmt.Errorf("scan of %d targets answered with %d distances", len(pos), len(resp.Dists))})
-					return
-				}
-				mu.Lock()
-				for i, j := range pos {
-					d := resp.Dists[i]
-					if d == -1 {
-						d = Infinity
+				// Each shard's fragment lands in its own columns of row.
+				if resp := r.shardScan(ctx, sid, sreq, so); resp != nil {
+					for i, j := range tgtPos[sid] {
+						row[j] = unwireDist(resp.Dists[i])
 					}
-					row[j] = d
 				}
-				mu.Unlock()
 			}(sid)
 		}
-		rwg.Wait()
+		wg.Wait()
 		if err := so.err(); err != nil {
 			return err
 		}
@@ -378,14 +253,11 @@ func (r *Router) Matrix(sources, targets []int, emit func(u int, dists []float64
 // --- HTTP handlers ---
 
 func (r *Router) handlePaths(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET /paths?u=&v=")
+	if !allowMethod(w, req, http.MethodGet, "use GET /paths?u=&v=") {
 		return
 	}
-	u, err1 := strconv.Atoi(req.URL.Query().Get("u"))
-	v, err2 := strconv.Atoi(req.URL.Query().Get("v"))
-	if err1 != nil || err2 != nil {
-		httpError(w, http.StatusBadRequest, "u and v must be integer vertex ids")
+	u, v, ok := intPair(w, req, "u", "v", "u and v must be integer vertex ids")
+	if !ok {
 		return
 	}
 	d, path, ok, err := r.Path(u, v)
@@ -393,27 +265,15 @@ func (r *Router) handlePaths(w http.ResponseWriter, req *http.Request) {
 		routeError(w, err)
 		return
 	}
-	resp := map[string]any{"u": u, "v": v, "reachable": ok}
-	if ok {
-		resp["dist"] = d
-		resp["path"] = path
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writePath(w, u, v, d, path, ok)
 }
 
 func (r *Router) handleKNN(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET /knn?u=&k=")
+	if !allowMethod(w, req, http.MethodGet, "use GET /knn?u=&k=") {
 		return
 	}
-	u, err1 := strconv.Atoi(req.URL.Query().Get("u"))
-	k, err2 := strconv.Atoi(req.URL.Query().Get("k"))
-	if err1 != nil || err2 != nil {
-		httpError(w, http.StatusBadRequest, "u and k must be integers")
-		return
-	}
-	if k < 1 || k > r.n {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("k must be in [1,%d]", r.n))
+	u, k, ok := knnParams(w, req, r.n)
+	if !ok {
 		return
 	}
 	neighbors, err := r.KNN(u, k)
@@ -421,61 +281,21 @@ func (r *Router) handleKNN(w http.ResponseWriter, req *http.Request) {
 		routeError(w, err)
 		return
 	}
-	if neighbors == nil {
-		neighbors = []Neighbor{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"u": u, "k": k, "neighbors": neighbors})
+	writeKNN(w, u, k, neighbors)
 }
 
 // handleMatrix streams the matrix as NDJSON in the exact shape the
-// single-process Server serves (see streamMatrix): a header line, then
-// one flushed line per source row, -1 for unreachable. The header is
-// written lazily on the first row so a prefetch failure still gets a
-// proper error status; a shard failure after streaming has begun
-// terminates the stream with an {"error": ...} line instead — the
-// status line is long gone.
+// single-process Server serves (serveMatrix); a shard failure after
+// streaming has begun ends the stream with its {"error": ...} line.
 func (r *Router) handleMatrix(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST a JSON {\"sources\":[...],\"targets\":[...]} body")
+	if !allowMethod(w, req, http.MethodPost, "POST a JSON {\"sources\":[...],\"targets\":[...]} body") {
 		return
 	}
 	mreq, ok := decodeMatrixBody(w, req, r.n)
 	if !ok {
 		return
 	}
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	headerWritten := false
-	wire := make([]float64, len(mreq.Targets))
-	err := r.Matrix(mreq.Sources, mreq.Targets, func(u int, dists []float64) error {
-		if !headerWritten {
-			headerWritten = true
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			enc.Encode(map[string]any{"targets": mreq.Targets, "rows": len(mreq.Sources)})
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		for i, d := range dists {
-			if d == Infinity {
-				wire[i] = -1 // JSON has no +Inf
-			} else {
-				wire[i] = d
-			}
-		}
-		if err := enc.Encode(map[string]any{"u": u, "dists": wire}); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
+	serveMatrix(w, mreq, func(sources, targets []int, emit func(u int, dists []float64) error) error {
+		return r.matrix(req.Context(), sources, targets, emit)
 	})
-	if err != nil {
-		if !headerWritten {
-			routeError(w, err)
-			return
-		}
-		enc.Encode(map[string]any{"error": err.Error()})
-	}
 }

@@ -2,13 +2,13 @@ package chl
 
 import (
 	"crypto/rand"
-	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"strconv"
 	"sync"
@@ -801,22 +801,24 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// stamp is the one place a Server fills the shard protocol's snapshot
+// stamp (see shardStamp). Plain servers keep the documented public
+// schema: the zero stamp, every key absent.
+func (s *Server) stamp(sn *Snapshot) shardStamp {
+	if s.part == nil {
+		return shardStamp{}
+	}
+	return shardStamp{Generation: sn.gen, Epoch: s.epoch, Ident: sn.ident, N: sn.fx.NumVertices(), Directed: sn.fx.Directed()}
+}
+
 func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET /dist?u=&v=")
+	if !allowMethod(w, r, http.MethodGet, "use GET /dist?u=&v=") {
 		return
 	}
 	sn := s.Acquire()
 	defer sn.Release()
-	n := sn.fx.NumVertices()
-	u, err1 := strconv.Atoi(r.URL.Query().Get("u"))
-	v, err2 := strconv.Atoi(r.URL.Query().Get("v"))
-	if err1 != nil || err2 != nil {
-		httpError(w, http.StatusBadRequest, "u and v must be integer vertex ids")
-		return
-	}
-	if u < 0 || v < 0 || u >= n || v >= n {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("vertex ids must be in [0,%d)", n))
+	u, v, ok := intPair(w, r, "u", "v", "u and v must be integer vertex ids")
+	if !ok || !vertexIDsOK(w, sn.fx.NumVertices(), u, v) {
 		return
 	}
 	if !s.owns(u) || !s.owns(v) {
@@ -825,21 +827,18 @@ func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
 	}
 	s.queries.Add(1)
 	d, hub, ok := sn.eng.QueryHub(u, v)
-	resp := map[string]any{"u": u, "v": v, "reachable": ok}
-	if s.part != nil {
-		// Snapshot identity for the router's cache retirement, plus the
-		// slice's directedness so the router can reject drift on the
-		// same-shard path too; plain servers keep the documented public
-		// schema.
-		resp["generation"], resp["epoch"] = sn.gen, s.epoch
-		resp["ident"] = sn.ident
-		resp["directed"] = sn.fx.Directed()
+	writeDist(w, u, v, d, hub, ok, s.stamp(sn))
+}
+
+// writeDist writes the /dist body both tiers serve: dist and hub only
+// when the pair is reachable.
+func writeDist(w http.ResponseWriter, u, v int, d float64, hub int, ok bool, st shardStamp) {
+	pair := pairResponse{U: u, V: v, Reachable: ok, shardStamp: st}
+	if !ok {
+		writeJSON(w, http.StatusOK, pair)
+		return
 	}
-	if ok {
-		resp["dist"] = d
-		resp["hub"] = hub
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, distResponse{pairResponse: pair, Dist: d, Hub: hub})
 }
 
 // misdirected rejects a query for vertices this shard does not own. The
@@ -858,8 +857,7 @@ func (s *Server) misdirected(w http.ResponseWriter, us ...int) {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST a JSON array of [u,v] pairs")
+	if !allowMethod(w, r, http.MethodPost, "POST a JSON array of [u,v] pairs") {
 		return
 	}
 	sn := s.Acquire()
@@ -877,19 +875,85 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.queries.Add(int64(len(pairs)))
-	dists := sn.eng.Batch(pairs)
-	for i, d := range dists {
-		if d == Infinity {
-			dists[i] = -1 // JSON has no +Inf
+	writeJSON(w, http.StatusOK, batchResponse{Dists: wireDists(sn.eng.Batch(pairs)), shardStamp: s.stamp(sn)})
+}
+
+// --- front-door helpers shared by Server and Router handlers ---
+
+// allowMethod answers 405 with usage unless the request uses method.
+func allowMethod(w http.ResponseWriter, r *http.Request, method, usage string) bool {
+	if r.Method != method {
+		httpError(w, http.StatusMethodNotAllowed, usage)
+	}
+	return r.Method == method
+}
+
+// intParam parses one integer query parameter.
+func intParam(q url.Values, name string) (int, bool) {
+	x, err := strconv.Atoi(q.Get(name))
+	return x, err == nil
+}
+
+// intPair parses the two integer query parameters every pair endpoint
+// takes; a missing or malformed one is a 400 with msg.
+func intPair(w http.ResponseWriter, r *http.Request, a, b, msg string) (x, y int, ok bool) {
+	q := r.URL.Query()
+	x, okX := intParam(q, a)
+	y, okY := intParam(q, b)
+	if !okX || !okY {
+		httpError(w, http.StatusBadRequest, msg)
+	}
+	return x, y, okX && okY
+}
+
+// vertexIDsOK answers the one 400 body both tiers serve for an id outside
+// [0,n) — clients must see one error schema no matter which tier
+// rejected them.
+func vertexIDsOK(w http.ResponseWriter, n int, ids ...int) bool {
+	for _, id := range ids {
+		if id < 0 || id >= n {
+			httpError(w, http.StatusBadRequest, fmt.Sprintf("vertex ids must be in [0,%d)", n))
+			return false
 		}
 	}
-	resp := map[string]any{"dists": dists}
-	if s.part != nil {
-		resp["generation"], resp["epoch"] = sn.gen, s.epoch
-		resp["ident"] = sn.ident
-		resp["directed"] = sn.fx.Directed()
+	return true
+}
+
+// bodyErrorCode maps a request-body read failure to its status: 413 when
+// the size limit tripped, 400 otherwise.
+func bodyErrorCode(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return http.StatusBadRequest
+}
+
+// decodeBody decodes a JSON request body of at most limit bytes into dst;
+// on failure it answers 400 (413 past the limit) saying the body must be
+// want. With optional set an empty body is fine and leaves dst untouched.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, dst any, want string, optional bool) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(dst)
+	if err == nil || optional && errors.Is(err, io.EOF) {
+		return true
+	}
+	httpError(w, bodyErrorCode(err), "body must be "+want+": "+err.Error())
+	return false
+}
+
+// pathParam reads the file path /reload and /compact take: ?path=, else
+// an optional JSON body {"path": "..."}; an empty body means "my current
+// file". A malformed body is a 400, not a silent action on the old file
+// the operator didn't ask for.
+func pathParam(w http.ResponseWriter, r *http.Request) (string, bool) {
+	if path := r.URL.Query().Get("path"); path != "" {
+		return path, true
+	}
+	var body struct {
+		Path string `json:"path"`
+	}
+	ok := decodeBody(w, r, 1<<20, &body, `empty or a JSON object {"path":"..."}`, true)
+	return body.Path, ok
 }
 
 // decodeBatchBody parses a /batch request body — a JSON array of [u,v]
@@ -901,13 +965,7 @@ func decodeBatchBody(w http.ResponseWriter, r *http.Request, n int) ([]QueryPair
 	// discards excess elements when filling a fixed-size array, and a
 	// malformed pair must be a 400, not a quietly wrong answer.
 	var raw [][]int
-	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBytes)
-	if err := json.NewDecoder(r.Body).Decode(&raw); err != nil {
-		code := http.StatusBadRequest
-		if _, tooLarge := err.(*http.MaxBytesError); tooLarge {
-			code = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, code, "body must be a JSON array of [u,v] pairs: "+err.Error())
+	if !decodeBody(w, r, maxBatchBytes, &raw, "a JSON array of [u,v] pairs", false) {
 		return nil, false
 	}
 	pairs := make([]QueryPair, len(raw))
@@ -925,36 +983,49 @@ func decodeBatchBody(w http.ResponseWriter, r *http.Request, n int) ([]QueryPair
 	return pairs, true
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET /stats")
-		return
+// decodePatchBody reads a /update body — a text patch log of at most
+// maxPatchBytes — into its ops; an unreadable, malformed, or empty log is
+// answered here (400, or 413 past the limit).
+func decodePatchBody(w http.ResponseWriter, r *http.Request) ([]EdgeOp, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPatchBytes))
+	if err != nil {
+		httpError(w, bodyErrorCode(err), "reading patch log body: "+err.Error())
+		return nil, false
 	}
-	writeJSON(w, http.StatusOK, s.Stats())
+	ops, err := ParsePatchLog(body)
+	if err == nil && len(ops) == 0 {
+		err = errors.New("empty update: the body held no add/del/set ops")
+	}
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+	}
+	return ops, err == nil
+}
+
+// wireDists rewrites a distance row for the wire in place: JSON has no
+// +Inf, so -1 marks an unreachable pair.
+func wireDists(dists []float64) []float64 {
+	for i, d := range dists {
+		if d == Infinity {
+			dists[i] = -1
+		}
+	}
+	return dists
+}
+
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	if allowMethod(w, r, http.MethodGet, "use GET /stats") {
+		writeJSON(w, http.StatusOK, s.Stats())
+	}
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "use POST /reload")
+	if !allowMethod(w, r, http.MethodPost, "use POST /reload") {
 		return
 	}
-	path := r.URL.Query().Get("path")
-	if path == "" {
-		// Optional JSON body {"path": "..."}; an empty body means
-		// "reload my current file". A malformed body is a 400, not a
-		// silent reload of the old file the operator didn't ask for.
-		var body struct {
-			Path string `json:"path"`
-		}
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-		switch err := dec.Decode(&body); {
-		case err == nil:
-			path = body.Path
-		case errors.Is(err, io.EOF): // empty body
-		default:
-			httpError(w, http.StatusBadRequest, "body must be empty or a JSON object {\"path\":\"...\"}: "+err.Error())
-			return
-		}
+	path, ok := pathParam(w, r)
+	if !ok {
+		return
 	}
 	sn, err := s.reload(path)
 	if err != nil {
@@ -963,18 +1034,15 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	}
 	// Describe the snapshot this request installed; a racing reload may
 	// already have superseded it, but the response must be coherent.
-	resp := map[string]any{
-		"generation": sn.gen,
-		"path":       sn.path,
-		"mapped":     sn.fx.Mapped(),
-		"compressed": sn.fx.Compressed(),
-		"vertices":   sn.fx.NumVertices(),
-		"labels":     sn.fx.TotalLabels(),
+	resp := reloadResponse{
+		Path:       sn.path,
+		Mapped:     sn.fx.Mapped(),
+		Compressed: sn.fx.Compressed(),
+		Vertices:   sn.fx.NumVertices(),
+		Labels:     sn.fx.TotalLabels(),
+		shardStamp: s.stamp(sn),
 	}
-	if s.part != nil {
-		resp["epoch"] = s.epoch
-		resp["ident"] = sn.ident
-	}
+	resp.Generation = sn.gen // public on plain servers too
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -988,8 +1056,7 @@ const maxPatchBytes = 8 << 20
 // servers reject with 421 (route updates through the router); servers
 // without EnableUpdates reject with 409.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST a text patch log (one \"add u v w\" / \"del u v\" / \"set u v w\" per line)")
+	if !allowMethod(w, r, http.MethodPost, "POST a text patch log (one \"add u v w\" / \"del u v\" / \"set u v w\" per line)") {
 		return
 	}
 	if s.part != nil {
@@ -999,31 +1066,13 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPatchBytes))
-	if err != nil {
-		code := http.StatusBadRequest
-		if _, tooLarge := err.(*http.MaxBytesError); tooLarge {
-			code = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, code, "reading patch log body: "+err.Error())
-		return
-	}
-	ops, err := ParsePatchLog(body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if len(ops) == 0 {
-		httpError(w, http.StatusBadRequest, "empty update: the body held no ops")
+	ops, ok := decodePatchBody(w, r)
+	if !ok {
 		return
 	}
 	sn, err := s.applyOps(ops, true)
 	if err != nil {
-		code := http.StatusBadRequest
-		if !s.updatesEnabled() {
-			code = http.StatusConflict
-		}
-		httpError(w, code, err.Error())
+		httpError(w, s.updateErrorCode(), err.Error())
 		return
 	}
 	resp := map[string]any{
@@ -1037,12 +1086,15 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// updatesEnabled reports whether EnableUpdates has run (mu-guarded —
-// the handlers use it only to pick a status code).
-func (s *Server) updatesEnabled() bool {
+// updateErrorCode picks the status of a failed /update or /compact: 409
+// when EnableUpdates never ran, 400 otherwise.
+func (s *Server) updateErrorCode() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.baseGraph != nil
+	if s.baseGraph == nil {
+		return http.StatusConflict
+	}
+	return http.StatusBadRequest
 }
 
 // handleCompact serves POST /compact: fold the outstanding patch log
@@ -1050,32 +1102,16 @@ func (s *Server) updatesEnabled() bool {
 // body {"path":"..."}) names the file to persist the compacted index
 // to; default is the serving snapshot's own file when it has one.
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "use POST /compact")
+	if !allowMethod(w, r, http.MethodPost, "use POST /compact") {
 		return
 	}
-	path := r.URL.Query().Get("path")
-	if path == "" {
-		var body struct {
-			Path string `json:"path"`
-		}
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-		switch err := dec.Decode(&body); {
-		case err == nil:
-			path = body.Path
-		case errors.Is(err, io.EOF): // empty body
-		default:
-			httpError(w, http.StatusBadRequest, "body must be empty or a JSON object {\"path\":\"...\"}: "+err.Error())
-			return
-		}
+	path, ok := pathParam(w, r)
+	if !ok {
+		return
 	}
 	gen, err := s.Compact(path)
 	if err != nil {
-		code := http.StatusBadRequest
-		if !s.updatesEnabled() {
-			code = http.StatusConflict
-		}
-		httpError(w, code, err.Error())
+		httpError(w, s.updateErrorCode(), err.Error())
 		return
 	}
 	sn := s.Acquire()
@@ -1092,44 +1128,37 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	sn := s.Acquire()
 	defer sn.Release()
-	resp := map[string]any{"ok": true, "generation": sn.gen}
-	if s.part != nil {
-		resp["epoch"] = s.epoch
-		resp["ident"] = sn.ident
-	}
+	resp := healthResponse{OK: true, shardStamp: s.stamp(sn)}
+	resp.Generation = sn.gen // public on plain servers too
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// shardQueryRequest is the POST /shardquery body: label-row fetches for
-// the router's cross-shard hub joins, plus rank→original-id resolution
-// for reporting witness hubs. Vertices asks for forward rows, Backward
-// for backward rows (identical to forward on undirected shards — the
-// halves coincide); a directed cross-shard query u→v fetches forward(u)
-// from u's shard and backward(v) from v's. Any list may be empty.
-type shardQueryRequest struct {
-	Vertices []int `json:"vertices,omitempty"`
-	Backward []int `json:"backward,omitempty"`
-	Resolve  []int `json:"resolve,omitempty"`
+// shardOnly gates the internal shard protocol (raw label-row dumps,
+// shipped-run scans, snapshot stamps): it stays off plain public
+// servers — 404 — so a router misconfigured against one fails loudly on
+// every path, not just the same-shard ones.
+func (s *Server) shardOnly(w http.ResponseWriter, r *http.Request, endpoint, usage string) bool {
+	if s.part == nil {
+		httpError(w, http.StatusNotFound, endpoint+" is only served by shard servers (started with a cluster manifest)")
+		return false
+	}
+	return allowMethod(w, r, http.MethodPost, usage)
 }
 
-// shardQueryResponse carries packed label runs keyed by vertex id. Each
-// row is the vertex's entries array slice — little-endian uint64 words,
-// hub (rank space) in the high 32 bits, float32 distance bits in the low
-// 32 — base64-encoded so the bytes cross the wire exactly as they sit in
-// the shard's (usually memory-mapped) index. Rows answers Vertices
-// (forward runs), BackRows answers Backward. Directed echoes the served
-// slice's directedness so the router can fail loudly on a cluster whose
-// manifest and shard files disagree. Generation lets the router detect
-// shard reloads and retire its answer cache.
-type shardQueryResponse struct {
-	Generation uint64            `json:"generation"`
-	Epoch      uint64            `json:"epoch"`
-	Ident      uint64            `json:"ident"`
-	Vertices   int               `json:"n"`
-	Directed   bool              `json:"directed,omitempty"`
-	Rows       map[string]string `json:"rows,omitempty"`
-	BackRows   map[string]string `json:"back_rows,omitempty"`
-	Resolved   map[string]int    `json:"resolved,omitempty"`
+// ownedIDsOK checks a router-supplied id list against the vertex space
+// (400) and this shard's ownership (421).
+func (s *Server) ownedIDsOK(w http.ResponseWriter, n int, ids []int) bool {
+	for _, v := range ids {
+		if v < 0 || v >= n {
+			httpError(w, http.StatusBadRequest, fmt.Sprintf("vertex id %d out of range [0,%d)", v, n))
+			return false
+		}
+		if !s.owns(v) {
+			s.misdirected(w, v)
+			return false
+		}
+	}
+	return true
 }
 
 // handleShardQuery serves the internal shard-to-router protocol: label
@@ -1137,60 +1166,31 @@ type shardQueryResponse struct {
 // resolution (any shard can resolve — the permutation is global and
 // identical in every shard file).
 func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
-	if s.part == nil {
-		// Not part of a cluster: the internal protocol (raw label-row
-		// dumps, snapshot identities) stays off plain public servers,
-		// and a router misconfigured against one fails loudly on every
-		// path, not just the same-shard ones.
-		httpError(w, http.StatusNotFound, "shardquery is only served by shard servers (started with a cluster manifest)")
-		return
-	}
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST a JSON {\"vertices\":[...],\"resolve\":[...]} body")
+	const usage = `a JSON object {"vertices":[...],"resolve":[...]}`
+	if !s.shardOnly(w, r, "shardquery", "POST "+usage) {
 		return
 	}
 	var req shardQueryRequest
-	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		code := http.StatusBadRequest
-		if _, tooLarge := err.(*http.MaxBytesError); tooLarge {
-			code = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, code, "body must be a JSON object {\"vertices\":[...],\"resolve\":[...]}: "+err.Error())
+	if !decodeBody(w, r, maxBatchBytes, &req, usage, false) {
 		return
 	}
 	sn := s.Acquire()
 	defer sn.Release()
 	n := sn.fx.NumVertices()
-	resp := shardQueryResponse{Generation: sn.gen, Epoch: s.epoch, Ident: sn.ident, Vertices: n, Directed: sn.fx.Directed()}
-	if len(req.Vertices) > 0 {
-		resp.Rows = make(map[string]string, len(req.Vertices))
+	if !s.ownedIDsOK(w, n, req.Vertices) || !s.ownedIDsOK(w, n, req.Backward) {
+		return
 	}
-	for _, v := range req.Vertices {
-		if v < 0 || v >= n {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("vertex id %d out of range [0,%d)", v, n))
-			return
+	rows := func(ids []int, st label.Store) map[string]string {
+		if len(ids) == 0 {
+			return nil
 		}
-		if !s.owns(v) {
-			s.misdirected(w, v)
-			return
+		out := make(map[string]string, len(ids))
+		for _, v := range ids {
+			out[strconv.Itoa(v)] = encodePackedRun(st.RunInto(nil, v))
 		}
-		resp.Rows[strconv.Itoa(v)] = encodePackedRun(sn.fx.fwd.RunInto(nil, v))
+		return out
 	}
-	if len(req.Backward) > 0 {
-		resp.BackRows = make(map[string]string, len(req.Backward))
-	}
-	for _, v := range req.Backward {
-		if v < 0 || v >= n {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("vertex id %d out of range [0,%d)", v, n))
-			return
-		}
-		if !s.owns(v) {
-			s.misdirected(w, v)
-			return
-		}
-		resp.BackRows[strconv.Itoa(v)] = encodePackedRun(sn.fx.bwd.RunInto(nil, v))
-	}
+	resp := shardQueryResponse{shardStamp: s.stamp(sn), Rows: rows(req.Vertices, sn.fx.fwd), BackRows: rows(req.Backward, sn.fx.bwd)}
 	if len(req.Resolve) > 0 {
 		resp.Resolved = make(map[string]int, len(req.Resolve))
 	}
@@ -1205,13 +1205,12 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// rejectRichOnShard rejects a rich-workload request (/paths, /knn,
-// /matrix) sent directly to a shard server: these workloads need the
-// whole vertex space (path waypoints and knn/matrix targets land on
-// arbitrary shards), so only plain servers and the router serve them.
-// 421, like misdirected — the fix is the same: route through the
-// router.
-func (s *Server) rejectRichOnShard(w http.ResponseWriter) bool {
+// richOnShard rejects a rich-workload request (/paths, /knn, /matrix)
+// sent directly to a shard server: these workloads need the whole vertex
+// space (path waypoints and knn/matrix targets land on arbitrary
+// shards), so only plain servers and the router serve them. 421, like
+// misdirected — the fix is the same: route through the router.
+func (s *Server) richOnShard(w http.ResponseWriter) bool {
 	if s.part == nil {
 		return false
 	}
@@ -1223,24 +1222,13 @@ func (s *Server) rejectRichOnShard(w http.ResponseWriter) bool {
 }
 
 func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET /paths?u=&v=")
-		return
-	}
-	if s.rejectRichOnShard(w) {
+	if !allowMethod(w, r, http.MethodGet, "use GET /paths?u=&v=") || s.richOnShard(w) {
 		return
 	}
 	sn := s.Acquire()
 	defer sn.Release()
-	n := sn.fx.NumVertices()
-	u, err1 := strconv.Atoi(r.URL.Query().Get("u"))
-	v, err2 := strconv.Atoi(r.URL.Query().Get("v"))
-	if err1 != nil || err2 != nil {
-		httpError(w, http.StatusBadRequest, "u and v must be integer vertex ids")
-		return
-	}
-	if u < 0 || v < 0 || u >= n || v >= n {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("vertex ids must be in [0,%d)", n))
+	u, v, ok := intPair(w, r, "u", "v", "u and v must be integer vertex ids")
+	if !ok || !vertexIDsOK(w, sn.fx.NumVertices(), u, v) {
 		return
 	}
 	s.queries.Add(1)
@@ -1249,43 +1237,52 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	resp := map[string]any{"u": u, "v": v, "reachable": ok}
-	if ok {
-		resp["dist"] = d
-		resp["path"] = path
+	writePath(w, u, v, d, path, ok)
+}
+
+// writePath writes the /paths body both tiers serve.
+func writePath(w http.ResponseWriter, u, v int, d float64, path []int, ok bool) {
+	pair := pairResponse{U: u, V: v, Reachable: ok}
+	if !ok {
+		writeJSON(w, http.StatusOK, pair)
+		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, pathResponse{pairResponse: pair, Dist: d, Path: path})
 }
 
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET /knn?u=&k=")
-		return
-	}
-	if s.rejectRichOnShard(w) {
+	if !allowMethod(w, r, http.MethodGet, "use GET /knn?u=&k=") || s.richOnShard(w) {
 		return
 	}
 	sn := s.Acquire()
 	defer sn.Release()
-	n := sn.fx.NumVertices()
-	u, err1 := strconv.Atoi(r.URL.Query().Get("u"))
-	k, err2 := strconv.Atoi(r.URL.Query().Get("k"))
-	if err1 != nil || err2 != nil {
-		httpError(w, http.StatusBadRequest, "u and k must be integers")
-		return
-	}
-	if u < 0 || u >= n {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("vertex ids must be in [0,%d)", n))
-		return
-	}
-	if k < 1 || k > n {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("k must be in [1,%d]", n))
+	u, k, ok := knnParams(w, r, sn.fx.NumVertices())
+	if !ok {
 		return
 	}
 	s.queries.Add(1)
-	neighbors := sn.eng.KNN(u, k)
+	writeKNN(w, u, k, sn.eng.KNN(u, k))
+}
+
+// knnParams parses and bounds-checks /knn's u and k for an n-vertex
+// index.
+func knnParams(w http.ResponseWriter, r *http.Request, n int) (u, k int, ok bool) {
+	u, k, ok = intPair(w, r, "u", "k", "u and k must be integers")
+	if !ok || !vertexIDsOK(w, n, u) {
+		return 0, 0, false
+	}
+	if k < 1 || k > n {
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("k must be in [1,%d]", n))
+		return 0, 0, false
+	}
+	return u, k, true
+}
+
+// writeKNN writes the /knn body both tiers serve; an isolated source
+// answers [], not null.
+func writeKNN(w http.ResponseWriter, u, k int, neighbors []Neighbor) {
 	if neighbors == nil {
-		neighbors = []Neighbor{} // an isolated source answers [], not null
+		neighbors = []Neighbor{}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"u": u, "k": k, "neighbors": neighbors})
 }
@@ -1303,46 +1300,22 @@ type matrixRequest struct {
 // ok=false.
 func decodeMatrixBody(w http.ResponseWriter, r *http.Request, n int) (matrixRequest, bool) {
 	var req matrixRequest
-	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		code := http.StatusBadRequest
-		if _, tooLarge := err.(*http.MaxBytesError); tooLarge {
-			code = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, code, "body must be a JSON object {\"sources\":[...],\"targets\":[...]}: "+err.Error())
+	if !decodeBody(w, r, maxBatchBytes, &req, `a JSON object {"sources":[...],"targets":[...]}`, false) {
 		return req, false
 	}
 	if len(req.Sources) == 0 || len(req.Targets) == 0 {
 		httpError(w, http.StatusBadRequest, "sources and targets must both be non-empty")
 		return req, false
 	}
-	for _, id := range req.Sources {
-		if id < 0 || id >= n {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("vertex ids must be in [0,%d)", n))
-			return req, false
-		}
-	}
-	for _, id := range req.Targets {
-		if id < 0 || id >= n {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("vertex ids must be in [0,%d)", n))
-			return req, false
-		}
-	}
-	return req, true
+	return req, vertexIDsOK(w, n, req.Sources...) && vertexIDsOK(w, n, req.Targets...)
 }
 
-// handleMatrix streams the sources × targets distance matrix as
-// NDJSON: one header line {"targets":[...],"rows":N}, then one line
-// {"u":u,"dists":[...]} per source (-1 marks unreachable pairs), each
-// flushed as it is written. The response never materializes more than
-// one row — a many-to-many query over a large index streams in
-// constant memory at both ends.
+// handleMatrix streams the sources × targets distance matrix (see
+// serveMatrix). The response never materializes more than one row — a
+// many-to-many query over a large index streams in constant memory at
+// both ends.
 func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST a JSON {\"sources\":[...],\"targets\":[...]} body")
-		return
-	}
-	if s.rejectRichOnShard(w) {
+	if !allowMethod(w, r, http.MethodPost, "POST a JSON {\"sources\":[...],\"targets\":[...]} body") || s.richOnShard(w) {
 		return
 	}
 	sn := s.Acquire()
@@ -1352,70 +1325,48 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.queries.Add(int64(len(req.Sources)) * int64(len(req.Targets)))
-	streamMatrix(w, sn.eng, req)
+	serveMatrix(w, req, sn.eng.MatrixRows)
 }
 
-// matrixRower streams matrix rows; FlatIndex answers from the frozen
-// kernels, BatchEngine additionally corrects under a delta overlay.
-type matrixRower interface {
-	MatrixRows(sources, targets []int, emit func(u int, dists []float64) error) error
-}
-
-// streamMatrix writes the NDJSON matrix stream over fx; shared shape
-// with the router's handler so both tiers speak one protocol.
-func streamMatrix(w http.ResponseWriter, fx matrixRower, req matrixRequest) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
+// serveMatrix writes the NDJSON matrix stream both tiers serve: one
+// header line {"targets":[...],"rows":N}, then one line
+// {"u":u,"dists":[...]} per source (-1 marks unreachable pairs), each
+// flushed as it is written. rows is the tier's row source (same shape as
+// FlatIndex.MatrixRows). The header is written lazily on the first row,
+// so a failure before any row still gets a proper error status
+// (routeError); a failure after streaming has begun terminates the
+// stream with an {"error": ...} line instead — the status line is long
+// gone.
+func serveMatrix(w http.ResponseWriter, req matrixRequest, rows func(sources, targets []int, emit func(u int, dists []float64) error) error) {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	enc.Encode(map[string]any{"targets": req.Targets, "rows": len(req.Sources)})
-	if flusher != nil {
-		flusher.Flush()
-	}
-	wire := make([]float64, len(req.Targets))
-	fx.MatrixRows(req.Sources, req.Targets, func(u int, dists []float64) error {
-		for i, d := range dists {
-			if d == Infinity {
-				wire[i] = -1 // JSON has no +Inf
-			} else {
-				wire[i] = d
-			}
-		}
-		if err := enc.Encode(map[string]any{"u": u, "dists": wire}); err != nil {
-			return err
-		}
+	started := false
+	line := func(v any) error {
+		err := enc.Encode(v)
 		if flusher != nil {
 			flusher.Flush()
 		}
-		return nil
+		return err
+	}
+	wire := make([]float64, len(req.Targets))
+	err := rows(req.Sources, req.Targets, func(u int, dists []float64) error {
+		if !started {
+			started = true
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			if err := line(map[string]any{"targets": req.Targets, "rows": len(req.Sources)}); err != nil {
+				return err
+			}
+		}
+		copy(wire, dists) // the row source reuses dists between emits
+		return line(map[string]any{"u": u, "dists": wireDists(wire)})
 	})
-}
-
-// shardScanRequest is the router-facing /shardscan body: one source
-// label run shipped to the shard, scanned against the shard's owned
-// vertices — its slice of the inverted index when K > 0 (top-k
-// candidates), its targets' backward runs when Targets is set (one
-// matrix-row fragment). Exclude names a vertex the scan must omit (the
-// source itself); it defaults to -1 (omit nothing).
-type shardScanRequest struct {
-	Run     string `json:"run"`
-	K       int    `json:"k,omitempty"`
-	Exclude int    `json:"exclude"`
-	Targets []int  `json:"targets,omitempty"`
-}
-
-// shardScanResponse carries the scan results plus the same snapshot
-// identity stamps as /shardquery, so the router's cache retirement
-// sees scans too. Neighbor hubs are already resolved to original ids
-// (the permutation is global and identical in every shard file).
-// Dists uses -1 for unreachable, as every wire format here does.
-type shardScanResponse struct {
-	Generation uint64     `json:"generation"`
-	Epoch      uint64     `json:"epoch"`
-	Ident      uint64     `json:"ident"`
-	Vertices   int        `json:"n"`
-	Directed   bool       `json:"directed,omitempty"`
-	Neighbors  []Neighbor `json:"neighbors,omitempty"`
-	Dists      []float64  `json:"dists,omitempty"`
+	switch {
+	case err == nil:
+	case !started:
+		routeError(w, err)
+	default:
+		_ = line(map[string]any{"error": err.Error()}) // best effort: the client may be the reason rows stopped
+	}
 }
 
 // handleShardScan serves the internal scan protocol behind the
@@ -1423,22 +1374,12 @@ type shardScanResponse struct {
 // run once, then ships it to the shards owning the candidates, and
 // each shard scans only its own label rows.
 func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) {
-	if s.part == nil {
-		httpError(w, http.StatusNotFound, "shardscan is only served by shard servers (started with a cluster manifest)")
-		return
-	}
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST a JSON {\"run\":...,\"k\":...,\"targets\":[...]} body")
+	const usage = `a JSON object {"run":...,"k":...,"targets":[...]}`
+	if !s.shardOnly(w, r, "shardscan", "POST "+usage) {
 		return
 	}
 	req := shardScanRequest{Exclude: -1}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		code := http.StatusBadRequest
-		if _, tooLarge := err.(*http.MaxBytesError); tooLarge {
-			code = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, code, "body must be a JSON object {\"run\":...,\"k\":...,\"targets\":[...]}: "+err.Error())
+	if !decodeBody(w, r, maxBatchBytes, &req, usage, false) {
 		return
 	}
 	sn := s.Acquire()
@@ -1453,52 +1394,22 @@ func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("k must be in [0,%d]", n))
 		return
 	}
-	resp := shardScanResponse{Generation: sn.gen, Epoch: s.epoch, Ident: sn.ident, Vertices: n, Directed: sn.fx.Directed()}
+	if !s.ownedIDsOK(w, n, req.Targets) {
+		return
+	}
+	resp := shardScanResponse{shardStamp: s.stamp(sn)}
 	if req.K > 0 {
 		resp.Neighbors = sn.fx.KNNFromRun(run, req.K, req.Exclude)
 	}
 	if len(req.Targets) > 0 {
-		for _, t := range req.Targets {
-			if t < 0 || t >= n {
-				httpError(w, http.StatusBadRequest, fmt.Sprintf("vertex id %d out of range [0,%d)", t, n))
-				return
-			}
-			if !s.owns(t) {
-				s.misdirected(w, t)
-				return
-			}
-		}
 		resp.Dists = make([]float64, len(req.Targets))
 		scratch := sn.fx.scratch.Get(n)
 		sn.fx.MatrixRowInto(scratch, resp.Dists, run, req.Targets)
 		sn.fx.scratch.Put(scratch)
-		for i, d := range resp.Dists {
-			if d == Infinity {
-				resp.Dists[i] = -1
-			}
-		}
+		wireDists(resp.Dists)
 	}
 	s.queries.Add(1)
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// encodePackedRun serializes a packed label run as base64 of its
-// little-endian bytes (label.PackedRunBytes).
-func encodePackedRun(run []uint64) string {
-	return base64.StdEncoding.EncodeToString(label.PackedRunBytes(run))
-}
-
-// decodePackedRun reverses encodePackedRun. The structural validation —
-// whole entries, strictly ascending hubs, every hub < n — lives in
-// label.ParsePackedRun (and is fuzzed there); the router runs it on rows
-// received from shards before they reach the join kernels, whose scratch
-// indexing trusts hub ids.
-func decodePackedRun(enc string, n int) ([]uint64, error) {
-	b, err := base64.StdEncoding.DecodeString(enc)
-	if err != nil {
-		return nil, fmt.Errorf("chl: undecodable label row: %w", err)
-	}
-	return label.ParsePackedRun(b, n)
 }
 
 // handleMetrics exposes the server in Prometheus text format: the
@@ -1506,8 +1417,7 @@ func decodePackedRun(enc string, n int) ([]uint64, error) {
 // Deliberately not instrumented itself — scrapes shouldn't pollute the
 // serving histograms.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET /metrics")
+	if !allowMethod(w, r, http.MethodGet, "use GET /metrics") {
 		return
 	}
 	st := s.Stats()

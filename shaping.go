@@ -3,7 +3,7 @@ package chl
 // Traffic shaping for the Router's front door: singleflight collapsing of
 // identical in-flight pairs, per-client token-bucket quotas, and the 429
 // load-shedding contract. The hedging half of the shaping layer lives in
-// router.go (withReplica) because it is woven into replica selection; the
+// router.go (callShard) because it is woven into replica selection; the
 // pieces here are self-contained and unit-tested against a FakeClock.
 
 import (
