@@ -11,8 +11,12 @@ package chl_test
 // the full-size text report.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -539,6 +543,80 @@ func BenchmarkBatchParallel(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(pairs))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mq/s")
 	})
+}
+
+// batchBench is the fixture of the /batch handler benchmarks: the
+// scoreboard's serve-frozen index (96×96 road grid, cache off) and one
+// request of 10,000 uniform pairs, as the JSON body a client posts.
+var batchBench struct {
+	once  sync.Once
+	fx    *chl.FlatIndex
+	pairs []chl.QueryPair
+	body  []byte
+}
+
+func benchBatchFixture(b *testing.B) (*chl.FlatIndex, []chl.QueryPair, []byte) {
+	b.Helper()
+	batchBench.once.Do(func() {
+		g := chl.GenerateRoadGrid(96, 96, 1)
+		ix, err := chl.Build(g, chl.Options{})
+		if err != nil {
+			panic(err)
+		}
+		fx, err := ix.Freeze()
+		if err != nil {
+			panic(err)
+		}
+		rng := rand.New(rand.NewSource(4))
+		n := g.NumVertices()
+		pairs := make([]chl.QueryPair, 10_000)
+		wire := make([][2]int, len(pairs))
+		for i := range pairs {
+			pairs[i] = chl.QueryPair{U: rng.Intn(n), V: rng.Intn(n)}
+			wire[i] = [2]int{pairs[i].U, pairs[i].V}
+		}
+		body, err := json.Marshal(wire)
+		if err != nil {
+			panic(err)
+		}
+		batchBench.fx, batchBench.pairs, batchBench.body = fx, pairs, body
+	})
+	return batchBench.fx, batchBench.pairs, batchBench.body
+}
+
+// BenchmarkBatchHandler is one POST /batch through the handler — read and
+// parse the body, the join kernel, encode the reply — without a socket.
+// Beside BenchmarkBatchEngineOnly it gives the decode/kernel/encode split
+// of the scoreboard's batch_pairs_per_s.
+func BenchmarkBatchHandler(b *testing.B) {
+	fx, pairs, body := benchBatchFixture(b)
+	srv := chl.NewServerFromFlat(fx, 0)
+	defer srv.Close()
+	h := srv.Handler()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/batch", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("POST /batch: %d %s", rec.Code, rec.Body.String())
+		}
+	}
+	b.ReportMetric(float64(len(pairs))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpairs/s")
+}
+
+// BenchmarkBatchEngineOnly is the kernel share of BenchmarkBatchHandler:
+// the same pairs through BatchInto, no wire format on either side.
+func BenchmarkBatchEngineOnly(b *testing.B) {
+	fx, pairs, _ := benchBatchFixture(b)
+	eng := chl.NewBatchEngineFlat(fx)
+	dst := make([]float64, len(pairs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.BatchInto(dst, pairs)
+	}
+	b.ReportMetric(float64(len(pairs))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpairs/s")
 }
 
 func BenchmarkSaveLoad(b *testing.B) {

@@ -615,14 +615,46 @@ func TestRouter400BodiesMatchShardTier(t *testing.T) {
 			t.Errorf("GET %s: router 400 body %q != shard tier body %q", path, rb, sb)
 		}
 	}
-	for _, body := range []string{`[[1,2,3]]`, `[[1,500]]`, `{"no":"pairs"}`, `[[1,-1]]`} {
-		rc, rb := post(routerTS.URL, "/batch", body)
-		sc, sb := post(singleTS.URL, "/batch", body)
-		if rc != http.StatusBadRequest || sc != http.StatusBadRequest {
-			t.Fatalf("POST /batch %q: router %d, shard tier %d, want 400/400", body, rc, sc)
+	// Bodies encoding/json would decode into a quietly wrong request — null
+	// where an id belongs reads as vertex 0, bytes after the first value are
+	// never looked at — are 400s too, beside the plainly malformed ones.
+	for path, bodies := range map[string][]string{
+		"/batch": {
+			`[[1,2,3]]`, `[[1,500]]`, `{"no":"pairs"}`, `[[1,-1]]`,
+			`[[3,null]]`, `[[null,null]]`, `null`, `[[1,2]] trailing garbage`, `[[1,2]]]`,
+			`[[1.5,2]]`, `[[1e2,2]]`, `[[01,2]]`, `[[9223372036854775808,2]]`, `[[1,2]`, ``,
+		},
+		"/matrix": {
+			`{"sources":[3,null],"targets":[null]}`, `{"sources":null,"targets":[4]}`,
+			`{"sources":[3],"targets":[4]} trailing garbage`, `{"sources":[3],"targets":[4]}}`,
+			`{"sources":[1.5],"targets":[4]}`, `{"sources":[3],"targets":[1e2]}`, `{"sources":[03],"targets":[4]}`,
+			`{"sources":[9223372036854775808],"targets":[4]}`, `{"sources":[3],"targets":[500]}`,
+			`{"sources":[],"targets":[4]}`, `{"sources":[3],"targets":[4]`, `[[3],[4]]`, ``,
+		},
+	} {
+		for _, body := range bodies {
+			rc, rb := post(routerTS.URL, path, body)
+			sc, sb := post(singleTS.URL, path, body)
+			if rc != http.StatusBadRequest || sc != http.StatusBadRequest {
+				t.Fatalf("POST %s %q: router %d, shard tier %d, want 400/400", path, body, rc, sc)
+			}
+			if rb != sb {
+				t.Errorf("POST %s %q: router 400 body %q != shard tier body %q", path, body, rb, sb)
+			}
+			if !strings.HasPrefix(rb, `{"error":"`) {
+				t.Errorf("POST %s %q: 400 body %q is not the {\"error\":...} schema", path, body, rb)
+			}
 		}
-		if rb != sb {
-			t.Errorf("POST /batch %q: router 400 body %q != shard tier body %q", body, rb, sb)
+	}
+	// The strict grammar still takes white space wherever JSON allows it.
+	for path, body := range map[string]string{
+		"/batch":  " [ [ 1 , 2 ] ,\n[ 3 , -0 ] ]\t\r\n",
+		"/matrix": " { \"sources\" : [ 1 , 2 ] , \"targets\" : [ 3 , -0 ] }\n",
+	} {
+		rc, rb := post(routerTS.URL, path, body)
+		sc, sb := post(singleTS.URL, path, body)
+		if rc != http.StatusOK || sc != http.StatusOK || rb != sb {
+			t.Errorf("POST %s %q: router %d %q, shard tier %d %q, want the same 200", path, body, rc, rb, sc, sb)
 		}
 	}
 }

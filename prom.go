@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -92,6 +93,10 @@ type statusRecorder struct {
 	status int
 }
 
+// statusRecorders pools them: one per request is the wrapper's only
+// allocation.
+var statusRecorders = sync.Pool{New: func() any { return new(statusRecorder) }}
+
 func (r *statusRecorder) WriteHeader(code int) {
 	r.status = code
 	r.ResponseWriter.WriteHeader(code)
@@ -115,7 +120,8 @@ func (m *httpMetrics) wrap(name string, h http.HandlerFunc) http.HandlerFunc {
 		return h
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		rec := statusRecorders.Get().(*statusRecorder)
+		rec.ResponseWriter, rec.status = w, http.StatusOK
 		start := m.clock.Now()
 		h(rec, r)
 		e.hist.observe(m.clock.Now().Sub(start))
@@ -123,6 +129,8 @@ func (m *httpMetrics) wrap(name string, h http.HandlerFunc) http.HandlerFunc {
 		if rec.status >= 400 {
 			e.errors.Add(1)
 		}
+		rec.ResponseWriter = nil
+		statusRecorders.Put(rec)
 	}
 }
 

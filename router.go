@@ -1891,11 +1891,12 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	if !allowMethod(w, req, http.MethodPost, "POST a JSON array of [u,v] pairs") {
 		return
 	}
-	pairs, ok := decodeBatchBody(w, req, r.n)
+	bb, ok := decodeBatchBody(w, req, r.n)
 	if !ok {
 		return
 	}
-	dists, err := r.batch(req.Context(), pairs)
+	defer bb.release()
+	dists, err := r.batch(req.Context(), bb.pairs)
 	if err != nil {
 		routeError(w, err)
 		return

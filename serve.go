@@ -862,20 +862,27 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	sn := s.Acquire()
 	defer sn.Release()
-	pairs, ok := decodeBatchBody(w, r, sn.fx.NumVertices())
+	bb, ok := decodeBatchBody(w, r, sn.fx.NumVertices())
 	if !ok {
 		return
 	}
+	defer bb.release()
 	if s.part != nil {
-		for _, p := range pairs {
+		for _, p := range bb.pairs {
 			if !s.owns(p.U) || !s.owns(p.V) {
 				s.misdirected(w, p.U, p.V)
 				return
 			}
 		}
 	}
-	s.queries.Add(int64(len(pairs)))
-	writeJSON(w, http.StatusOK, batchResponse{Dists: wireDists(sn.eng.Batch(pairs)), shardStamp: s.stamp(sn)})
+	s.queries.Add(int64(len(bb.pairs)))
+	// Never nil: an empty batch is answered "dists":[], not null.
+	if bb.dists == nil || cap(bb.dists) < len(bb.pairs) {
+		bb.dists = make([]float64, len(bb.pairs))
+	}
+	bb.dists = bb.dists[:len(bb.pairs)]
+	sn.eng.BatchInto(bb.dists, bb.pairs)
+	writeJSON(w, http.StatusOK, batchResponse{Dists: wireDists(bb.dists), shardStamp: s.stamp(sn)})
 }
 
 // --- front-door helpers shared by Server and Router handlers ---
@@ -956,31 +963,34 @@ func pathParam(w http.ResponseWriter, r *http.Request) (string, bool) {
 	return body.Path, ok
 }
 
-// decodeBatchBody parses a /batch request body — a JSON array of [u,v]
-// pairs — bounds-checking every id against n. On failure it writes the
-// error response and returns ok=false. Shared by the single-process
-// server and the Router, which must reject exactly the same bodies.
-func decodeBatchBody(w http.ResponseWriter, r *http.Request, n int) ([]QueryPair, bool) {
-	// Decode into slices, not [2]int arrays: encoding/json silently
-	// discards excess elements when filling a fixed-size array, and a
-	// malformed pair must be a 400, not a quietly wrong answer.
-	var raw [][]int
-	if !decodeBody(w, r, maxBatchBytes, &raw, "a JSON array of [u,v] pairs", false) {
+// decodeBatchBody reads and parses a /batch request body — a JSON array
+// of [u,v] pairs — into a pooled batchBuf, bounds-checking every id
+// against n; the caller releases the buffer once it has replied. On
+// failure it writes the error response and returns ok=false. Shared by
+// the single-process server and the Router, which must reject exactly the
+// same bodies: a malformed pair must be a 400, not a quietly wrong answer
+// (see parsePairs).
+func decodeBatchBody(w http.ResponseWriter, r *http.Request, n int) (*batchBuf, bool) {
+	const want = "a JSON array of [u,v] pairs"
+	body := wireBufs.Get().(*[]byte)
+	defer putWireBuf(body)
+	var ok bool
+	if *body, ok = readBody(w, r, maxBatchBytes, *body, want); !ok {
 		return nil, false
 	}
-	pairs := make([]QueryPair, len(raw))
-	for i, p := range raw {
-		if len(p) != 2 {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("pair %d has %d elements, want [u,v]", i, len(p)))
-			return nil, false
+	bb := batchBufs.Get().(*batchBuf)
+	var err error
+	if bb.pairs, err = parsePairs(*body, n, bb.pairs); err != nil {
+		bb.release()
+		msg := err.Error()
+		var syntax *syntaxError
+		if errors.As(err, &syntax) {
+			msg = "body must be " + want + ": " + msg
 		}
-		if p[0] < 0 || p[1] < 0 || p[0] >= n || p[1] >= n {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("pair %d = [%d,%d] out of range [0,%d)", i, p[0], p[1], n))
-			return nil, false
-		}
-		pairs[i] = QueryPair{U: p[0], V: p[1]}
+		httpError(w, http.StatusBadRequest, msg)
+		return nil, false
 	}
-	return pairs, true
+	return bb, true
 }
 
 // decodePatchBody reads a /update body — a text patch log of at most
@@ -1290,8 +1300,8 @@ func writeKNN(w http.ResponseWriter, u, k int, neighbors []Neighbor) {
 // matrixRequest is the /matrix body: distances from every source to
 // every target, streamed row by row.
 type matrixRequest struct {
-	Sources []int `json:"sources"`
-	Targets []int `json:"targets"`
+	Sources idList `json:"sources"`
+	Targets idList `json:"targets"`
 }
 
 // decodeMatrixBody parses and bounds-checks a /matrix request body for
@@ -1299,8 +1309,18 @@ type matrixRequest struct {
 // Router. On failure it writes the error response and returns
 // ok=false.
 func decodeMatrixBody(w http.ResponseWriter, r *http.Request, n int) (matrixRequest, bool) {
+	const want = `a JSON object {"sources":[...],"targets":[...]}`
 	var req matrixRequest
-	if !decodeBody(w, r, maxBatchBytes, &req, `a JSON object {"sources":[...],"targets":[...]}`, false) {
+	buf := wireBufs.Get().(*[]byte)
+	defer putWireBuf(buf)
+	var ok bool
+	if *buf, ok = readBody(w, r, maxBatchBytes, *buf, want); !ok {
+		return req, false
+	}
+	// Unmarshal, not a Decoder: bytes after the object are an error, not
+	// ignored; the id lists hold themselves to the strict grammar (idList).
+	if err := json.Unmarshal(*buf, &req); err != nil {
+		httpError(w, http.StatusBadRequest, "body must be "+want+": "+err.Error())
 		return req, false
 	}
 	if len(req.Sources) == 0 || len(req.Targets) == 0 {
@@ -1349,6 +1369,8 @@ func serveMatrix(w http.ResponseWriter, req matrixRequest, rows func(sources, ta
 		return err
 	}
 	wire := make([]float64, len(req.Targets))
+	buf := wireBufs.Get().(*[]byte)
+	defer putWireBuf(buf)
 	err := rows(req.Sources, req.Targets, func(u int, dists []float64) error {
 		if !started {
 			started = true
@@ -1358,7 +1380,14 @@ func serveMatrix(w http.ResponseWriter, req matrixRequest, rows func(sources, ta
 			}
 		}
 		copy(wire, dists) // the row source reuses dists between emits
-		return line(map[string]any{"u": u, "dists": wireDists(wire)})
+		b := appendIntField((*buf)[:0], `{"u":`, int64(u))
+		b = append(appendDists(append(b, `,"dists":`...), wireDists(wire)), "}\n"...)
+		*buf = b
+		_, err := w.Write(b)
+		if flusher != nil {
+			flusher.Flush()
+		}
+		return err
 	})
 	switch {
 	case err == nil:
@@ -1464,8 +1493,35 @@ func httpError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
 }
 
+// jsonContentType is shared by every JSON response, so setting the header
+// allocates nothing; header values are replaced or copied, never written
+// through.
+var jsonContentType = []string{"application/json"}
+
+// writeJSON writes every JSON response. The hot replies encode
+// themselves (wirecodec.go) into a pooled buffer and go out in one Write
+// with their Content-Length; everything else is encoding/json's — the
+// bytes are the same either way.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
+	buf := wireBufs.Get().(*[]byte)
+	defer putWireBuf(buf)
+	b := (*buf)[:0]
+	switch v := v.(type) {
+	case distResponse:
+		b = v.appendJSON(b)
+	case pairResponse:
+		b = v.appendJSON(b)
+	case batchResponse:
+		b = v.appendJSON(b)
+	default:
+		w.WriteHeader(code)
+		json.NewEncoder(w).Encode(v)
+		return
+	}
+	b = append(b, '\n')
+	*buf = b
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	w.Write(b)
 }
