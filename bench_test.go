@@ -233,7 +233,7 @@ func BenchmarkBuildPLaNT(b *testing.B) {
 	ord := chl.RankByDegree(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := chl.Build(g, chl.Options{Algorithm: chl.AlgoPLaNT, Order: ord, Workers: 2, CommonHubs: 16}); err != nil {
+		if _, err := chl.Build(g, chl.Options{Algorithm: chl.AlgoPLaNT, Order: ord, Workers: 2}); err != nil {
 			b.Fatal(err)
 		}
 	}

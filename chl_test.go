@@ -70,6 +70,41 @@ func TestCanonicalALSIdenticalAcrossCHLAlgorithms(t *testing.T) {
 	}
 }
 
+// TestBuildDefaultAlgorithm pins what Options{} builds with: the scoreboard's
+// fastest constructor per directedness (ROADMAP 4(a)), and the same CHL as
+// the reference either way.
+func TestBuildDefaultAlgorithm(t *testing.T) {
+	for _, c := range []struct {
+		g    *chl.Graph
+		want string
+	}{
+		{chl.GenerateScaleFree(120, 3, 4), "PLaNT"},
+		{chl.GenerateRandomDirected(60, 200, 7, 4), "seqPLL-directed"},
+	} {
+		ix, err := chl.Build(c.g, chl.Options{Seed: 1})
+		if err != nil {
+			t.Fatalf("default build (%s): %v", c.want, err)
+		}
+		if got := ix.Metrics().Algorithm; got != c.want {
+			t.Fatalf("default build ran %q, want %q", got, c.want)
+		}
+		ref, err := chl.Build(c.g, chl.Options{Algorithm: chl.AlgoSeqPLL, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hash := func(ix *chl.Index) uint64 {
+			fx, err := ix.Freeze()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fx.ContentHash()
+		}
+		if hash(ix) != hash(ref) {
+			t.Fatalf("default build (%s) and seqPLL froze to different content", c.want)
+		}
+	}
+}
+
 func TestQueryHubIsOnShortestPath(t *testing.T) {
 	g := chl.GenerateRoadGrid(7, 7, 3)
 	ix, err := chl.Build(g, chl.Options{})

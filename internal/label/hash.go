@@ -1,28 +1,34 @@
 package label
 
+import "math"
+
+// absent marks a hub the table does not hold. It is +Inf and not Infinity
+// (MaxFloat64): x + Inf ≤ δ is false for every finite δ, δ = Infinity
+// included, whereas x + MaxFloat64 rounds back to MaxFloat64.
+var absent = math.Inf(1)
+
 // HashDist is the "hash of the root's labels" used by the pruning distance
-// query of Algorithm 1 (line 1: LR = hash(L_h)). It is a dense array of
-// distances indexed by hub id with a version stamp per slot, so loading a
-// root's labels, O(1) lookups, and clearing are all cheap and allocation
-// free across the thousands of SPTs a worker builds.
+// query of Algorithm 1 (line 1: LR = hash(L_h)): one dense array of
+// distances indexed by hub id, +Inf where the root has no label, so the
+// query's test l.Dist + dist[l.Hub] ≤ δ needs no presence check — one
+// dependent load and one branch per scanned entry. The loaded hubs are
+// listed, and clearing walks the list (a root holds tens of labels), so
+// loading, lookups and clearing stay allocation free across the thousands
+// of SPTs a worker builds.
 //
 // A HashDist is owned by a single worker goroutine and must not be shared.
 type HashDist struct {
-	dist    []float64
-	version []uint32
-	current uint32
+	dist   []float64
+	loaded []uint32 // hubs whose slot is finite, in insertion order
 }
 
 // NewHashDist returns a HashDist over hub ids in [0, n).
 func NewHashDist(n int) *HashDist {
-	return &HashDist{
-		dist:    make([]float64, n),
-		version: make([]uint32, n),
-		// current starts above the zeroed version stamps so a fresh table
-		// is empty (version[hub] == current would otherwise hold for
-		// every hub with distance 0).
-		current: 1,
+	h := &HashDist{dist: make([]float64, n)}
+	for i := range h.dist {
+		h.dist[i] = absent
 	}
+	return h
 }
 
 // Load clears the table and inserts every label of s.
@@ -30,49 +36,46 @@ func (h *HashDist) Load(s Set) {
 	h.Reset()
 	for _, l := range s {
 		h.dist[l.Hub] = l.Dist
-		h.version[l.Hub] = h.current
+		h.loaded = append(h.loaded, l.Hub)
 	}
 }
 
 // Add inserts or improves a single entry without clearing.
 func (h *HashDist) Add(hub uint32, d float64) {
-	if h.version[hub] == h.current {
-		if d < h.dist[hub] {
-			h.dist[hub] = d
-		}
+	old := h.dist[hub]
+	if d >= old {
 		return
 	}
+	if old == absent {
+		h.loaded = append(h.loaded, hub)
+	}
 	h.dist[hub] = d
-	h.version[hub] = h.current
 }
 
 // Get returns the stored distance for hub, if present.
 func (h *HashDist) Get(hub uint32) (float64, bool) {
-	if h.version[hub] == h.current {
-		return h.dist[hub], true
+	if d := h.dist[hub]; d != absent {
+		return d, true
 	}
 	return Infinity, false
 }
 
-// Reset clears the table in O(1) by bumping the version stamp. After 2^32
-// resets the stamps are rewound explicitly to stay correct.
+// Reset clears the table in O(entries loaded since the last Reset).
 func (h *HashDist) Reset() {
-	h.current++
-	if h.current == 0 { // wrapped: invalidate everything the slow way
-		for i := range h.version {
-			h.version[i] = 0
-		}
-		h.current = 1
+	for _, hub := range h.loaded {
+		h.dist[hub] = absent
 	}
+	h.loaded = h.loaded[:0]
 }
 
 // QueryAgainst answers the pruning distance query DQ(v, h, δ) of Algorithm 1
 // lines 11–14: does some hub h' appear in both the loaded root labels LR and
 // in lv with d(v,h') + d(h,h') ≤ δ? It returns true if such a witness
-// exists (meaning the tree can be pruned at v).
+// exists (meaning the tree can be pruned at v). δ must be finite.
 func (h *HashDist) QueryAgainst(lv Set, delta float64) bool {
+	dist := h.dist
 	for _, l := range lv {
-		if h.version[l.Hub] == h.current && l.Dist+h.dist[l.Hub] <= delta {
+		if l.Dist+dist[l.Hub] <= delta {
 			return true
 		}
 	}
@@ -83,11 +86,12 @@ func (h *HashDist) QueryAgainst(lv Set, delta float64) bool {
 // (hub id < bound). Figure 4's restricted-pruning experiment and the common
 // label table of §5.3 use it.
 func (h *HashDist) QueryAgainstBounded(lv Set, delta float64, bound uint32) bool {
+	dist := h.dist
 	for _, l := range lv {
 		if l.Hub >= bound {
 			break // lv is sorted by hub id
 		}
-		if h.version[l.Hub] == h.current && l.Dist+h.dist[l.Hub] <= delta {
+		if l.Dist+dist[l.Hub] <= delta {
 			return true
 		}
 	}

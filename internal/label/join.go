@@ -22,9 +22,10 @@ import (
 // shards — produced it.
 
 // QueryScratch is a per-worker probe buffer for the hash joins: one uint64
-// slot per vertex packing a version stamp (high 32 bits, the O(1)-reset
-// trick of the construction-time HashDist) with the float32 distance bits
-// (low 32), so scatter and probe each touch a single word. One scratch
+// slot per vertex packing a version stamp (high 32 bits: reset is O(1))
+// with the float32 distance bits (low 32), so scatter and probe each touch
+// a single word. (The construction-time HashDist keeps one word per slot
+// too, but marks absence with +Inf: its probes mostly hit.) One scratch
 // weighs 8 bytes per vertex and must not be shared between goroutines.
 type QueryScratch struct {
 	slot    []uint64

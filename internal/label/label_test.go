@@ -209,16 +209,127 @@ func TestHashDistQueries(t *testing.T) {
 	}
 }
 
-func TestHashDistVersionWrap(t *testing.T) {
-	hd := NewHashDist(4)
-	hd.current = ^uint32(0) - 1
-	hd.Load(set(L{2, 1}))
-	hd.Reset() // wraps to 0 → explicit rewind path
-	if _, ok := hd.Get(2); ok {
-		t.Fatal("stale entry visible after version wrap")
+// TestHashDistMatchesReference drives one HashDist through Load / Add /
+// Reset cycles beside a map and puts both queries to a naive scan of the
+// map: whatever an earlier cycle stored must be invisible, a duplicate Add
+// keeps the minimum, and a witness at exactly δ counts. Distances are small
+// integers, so sums are exact and ties at δ are common.
+func TestHashDistMatchesReference(t *testing.T) {
+	const n = 96
+	rng := rand.New(rand.NewSource(22))
+	randomSet := func() Set {
+		var s Set
+		for hub := uint32(0); hub < n; hub++ {
+			if rng.Intn(3) == 0 {
+				s = append(s, L{hub, float64(rng.Intn(20))})
+			}
+		}
+		return s
 	}
-	hd.Add(2, 4)
-	if d, ok := hd.Get(2); !ok || d != 4 {
-		t.Fatalf("entry lost after wrap: %v %v", d, ok)
+	hd := NewHashDist(n)
+	ref := map[uint32]float64{}
+	// best is the smallest sum over the hubs below bound that lv and ref share.
+	best := func(lv Set, bound uint32) (float64, bool) {
+		sum, found := Infinity, false
+		for _, l := range lv {
+			if d, ok := ref[l.Hub]; ok && l.Hub < bound && l.Dist+d < sum {
+				sum, found = l.Dist+d, true
+			}
+		}
+		return sum, found
+	}
+	for cycle := 0; cycle < 1500; cycle++ {
+		switch rng.Intn(3) {
+		case 0:
+			s := randomSet()
+			hd.Load(s)
+			ref = map[uint32]float64{}
+			for _, l := range s {
+				ref[l.Hub] = l.Dist
+			}
+		case 1:
+			for k := rng.Intn(12); k > 0; k-- {
+				hub, d := uint32(rng.Intn(n)), float64(rng.Intn(20))
+				hd.Add(hub, d)
+				if old, ok := ref[hub]; !ok || d < old {
+					ref[hub] = d
+				}
+			}
+		default:
+			hd.Reset()
+			ref = map[uint32]float64{}
+		}
+		for hub := uint32(0); hub < n; hub++ {
+			want, present := ref[hub]
+			if !present {
+				want = Infinity
+			}
+			if d, ok := hd.Get(hub); d != want || ok != present {
+				t.Fatalf("cycle %d: Get(%d) = %v,%v, want %v,%v", cycle, hub, d, ok, want, present)
+			}
+		}
+		for q := 0; q < 4; q++ {
+			lv, bound := randomSet(), uint32(rng.Intn(n+1))
+			for _, b := range []uint32{n, bound} {
+				sum, found := best(lv, b)
+				// δ = Infinity (MaxFloat64) is where the sentinel shows: an
+				// absent slot holding MaxFloat64 would witness, since
+				// 1 + MaxFloat64 rounds back to MaxFloat64; +Inf does not.
+				for _, delta := range []float64{float64(rng.Intn(40)), sum, sum - 1, Infinity} {
+					got, want := hd.QueryAgainstBounded(lv, delta, b), found && sum <= delta
+					if got != want || (b == n && hd.QueryAgainst(lv, delta) != want) {
+						t.Fatalf("cycle %d: query(%v, δ=%v, bound %d) = %v with table %v: smallest common sum %v (found %v)",
+							cycle, lv, delta, b, got, ref, sum, found)
+					}
+				}
+			}
+		}
+	}
+}
+
+var pruneSink bool
+
+// BenchmarkPruneQuery times the construction kernel on the mix the road
+// fixture measured (ISSUE 22): a root with 64 labels, 10⁴ label sets of 50
+// entries of which two in three name a hub the root has, no witness — the
+// full scan. One op is one pass over all the sets (8 MB: they leave L2).
+func BenchmarkPruneQuery(b *testing.B) {
+	const (
+		hubs, rootHubs = 9216, 64
+		sets, entries  = 10000, 50
+	)
+	rng := rand.New(rand.NewSource(1))
+	perm := rng.Perm(hubs)
+	var root Set
+	for _, hub := range perm[:rootHubs] {
+		root = append(root, L{uint32(hub), float64(1 + rng.Intn(100))})
+	}
+	root.Sort()
+	lvs := make([]Set, sets)
+	for i := range lvs {
+		lv := make(Set, 0, entries)
+		for _, k := range rng.Perm(rootHubs)[:entries*2/3] {
+			lv = append(lv, L{uint32(perm[k]), float64(1 + rng.Intn(100))})
+		}
+		for seen := map[int]bool{}; len(lv) < entries; {
+			if k := rootHubs + rng.Intn(hubs-rootHubs); !seen[k] {
+				seen[k] = true
+				lv = append(lv, L{uint32(perm[k]), float64(1 + rng.Intn(100))})
+			}
+		}
+		lv.Sort()
+		lvs[i] = lv
+	}
+	hd := NewHashDist(hubs)
+	hd.Load(root)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, lv := range lvs {
+			pruneSink = hd.QueryAgainstBounded(lv, 1, hubs) || pruneSink
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sets*entries), "ns/entry")
+	if pruneSink {
+		b.Fatal("a witness below every distance")
 	}
 }

@@ -24,7 +24,8 @@
 //     a popped vertex that one of those hubs covers at ≤ δ_v is cut. A
 //     cluster must broadcast the table, so the distributed builders fix it
 //     at the η top hubs; in shared memory every finished tree's labels are
-//     already in RAM, so Run grows the table batch by batch.
+//     already in RAM, so Run grows the table batch by batch, each batch an
+//     eighth of the table it is pruned against (batchBounds).
 //
 // # Why pruned PLaNT still emits exactly the CHL
 //
@@ -78,6 +79,7 @@ package plant
 
 import (
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/graph"
@@ -245,8 +247,9 @@ type Options struct {
 	RecordPerTree bool
 	// CommonHubs (η) sizes the Common Label Table that prunes the trees
 	// (§5.3), with dist.Options.Eta's convention. Zero grows the table as
-	// trees finish: roots run in rank-ordered batches and each batch is
-	// pruned against the labels of all earlier ones. η > 0 freezes the
+	// trees finish: roots run in rank-ordered batches (batchBounds) and
+	// each batch is pruned against the labels of all earlier ones — a
+	// table at most a ninth behind the tree's rank. η > 0 freezes the
 	// table after the first η trees, as a cluster that must broadcast it
 	// does. Negative disables pruning (Algorithm 3 verbatim). The output
 	// is the CHL in every case.
@@ -260,9 +263,10 @@ func (o Options) normalize() Options {
 	return o
 }
 
-// firstBatch is the size of the first two batches of the growing schedule.
-// The top trees label almost every vertex whatever they are pruned
-// against, so a smaller first batch buys a barrier and no pruning.
+// firstBatch is the size of the first batches of the growing schedule, and
+// the least any batch grows by. The top trees label almost every vertex
+// whatever they are pruned against, so a smaller batch buys a barrier and
+// no pruning.
 const firstBatch = 16
 
 // batchBounds returns the boundaries of the root batches: batch k is
@@ -271,8 +275,11 @@ const firstBatch = 16
 func batchBounds(n, commonHubs int) []int {
 	bounds := []int{0}
 	switch {
-	case commonHubs == 0: // [0,16) [16,32) [32,64) …: a function of n alone
-		for b := firstBatch; b < n; b *= 2 {
+	case commonHubs == 0:
+		// [0,16) [16,32) … [128,144) [144,162) [162,182) …: each batch is an
+		// eighth of the table it is pruned against, so no tree's table lags
+		// its rank by more than 1/9. A function of n alone.
+		for b := firstBatch; b < n; b += max(firstBatch, b/8) {
 			bounds = append(bounds, b)
 		}
 	case commonHubs > 0 && commonHubs < n:
@@ -300,10 +307,9 @@ type span struct {
 // batch (batchBounds). The trees of a batch are independent, so workers
 // split them dynamically; they prune against a table holding the complete
 // labels of every earlier batch and emit into their own buffers. At the
-// barrier the batch's labels are appended to the table, tree by tree in
-// rank order, which keeps every label set sorted; nothing else ever writes
-// the table, so it needs no lock, and after the last batch it is the index.
-// The output is the CHL — PLaNT needs no cleaning.
+// barrier the batch's labels are appended to the table (commit); nothing
+// else ever writes the table, so it needs no lock, and after the last batch
+// it is the index. The output is the CHL — PLaNT needs no cleaning.
 func Run(g *graph.Graph, opts Options) (*label.Index, *metrics.Build) {
 	opts = opts.normalize()
 	n := g.NumVertices()
@@ -318,10 +324,11 @@ func Run(g *graph.Graph, opts Options) (*label.Index, *metrics.Build) {
 	outs := make([][]emitted, opts.Workers) // labels of the batch in flight: worker w's trees, one after the other
 	stats := make([]ptree.Stats, opts.Workers)
 	bounds := batchBounds(n, opts.CommonHubs)
+	var spans []span // of the batch in flight, one per tree
 
 	for k := 0; k+1 < len(bounds); k++ {
 		lo, hi := bounds[k], bounds[k+1]
-		spans := make([]span, hi-lo)
+		spans = slices.Grow(spans[:0], hi-lo)[:hi-lo]
 		for w := range outs {
 			outs[w] = outs[w][:0]
 		}
@@ -339,12 +346,7 @@ func Run(g *graph.Graph, opts Options) (*label.Index, *metrics.Build) {
 				m.ExploredPerTree[lo+i] = st.Explored
 			}
 		})
-		for i, sp := range spans {
-			hub := uint32(lo + i)
-			for _, e := range outs[sp.w][sp.lo:sp.hi] {
-				table.Append(int(e.v), label.L{Hub: hub, Dist: e.dist}) // hubs ascend: a plain append
-			}
-		}
+		commit(table, opts.Workers, lo, spans, outs)
 	}
 
 	m.TotalTime = time.Since(start)
@@ -353,4 +355,23 @@ func Run(g *graph.Graph, opts Options) (*label.Index, *metrics.Build) {
 	m.Labels = m.LabelsGenerated
 	m.Synchronizations = int64(len(bounds) - 1)
 	return table, m
+}
+
+// commit appends a finished batch to the table. The labelled vertices are
+// split into one contiguous range per worker; every worker walks all the
+// batch's trees in rank order — which keeps each label set sorted — and
+// takes the labels of its own range, so no two workers touch the same set.
+func commit(table *label.Index, workers, lo int, spans []span, outs [][]emitted) {
+	n := table.NumVertices()
+	ptree.ParallelFor(workers, workers, func(_, p int) {
+		from, to := uint32(p*n/workers), uint32((p+1)*n/workers)
+		for i, sp := range spans {
+			hub := uint32(lo + i)
+			for _, e := range outs[sp.w][sp.lo:sp.hi] {
+				if from <= e.v && e.v < to { // hubs ascend: a plain append, not Index.Append's search
+					table.SetLabels(int(e.v), append(table.Labels(int(e.v)), label.L{Hub: hub, Dist: e.dist}))
+				}
+			}
+		}
+	})
 }

@@ -153,7 +153,8 @@ func TestBatchBounds(t *testing.T) {
 		{0, 0, []int{0}},
 		{5, 0, []int{0, 5}},
 		{16, 0, []int{0, 16}},
-		{100, 0, []int{0, 16, 32, 64, 100}},
+		{100, 0, []int{0, 16, 32, 48, 64, 80, 96, 100}},
+		{200, 0, []int{0, 16, 32, 48, 64, 80, 96, 112, 128, 144, 162, 182, 200}}, // +16 while b/8 ≤ 16, then ×9/8
 		{100, -1, []int{0, 100}},
 		{100, 7, []int{0, 7, 100}},
 		{100, 100, []int{0, 100}},
@@ -190,6 +191,35 @@ func TestMoreTableLessExploration(t *testing.T) {
 	}
 	if fixed.Synchronizations != 2 || grow.Synchronizations != int64(len(batchBounds(300, 0))-1) {
 		t.Fatalf("barriers: fixed %d, grow %d", fixed.Synchronizations, grow.Synchronizations)
+	}
+}
+
+// TestGrowingTableTracksSequential pins that the table no longer lags: seqPLL
+// prunes every tree against all earlier ones, and the growing schedule must
+// explore within a constant of that whatever the worker count. Measured 1.27
+// (grid) and 1.15 (scale-free); batches that double gave 1.64 and 1.33.
+func TestGrowingTableTracksSequential(t *testing.T) {
+	const c = 1.30
+	for name, g := range map[string]*graph.Graph{
+		"grid": graph.RoadGrid(32, 32, 1),
+		"ba":   graph.BarabasiAlbert(1000, 3, 1),
+	} {
+		want, seq := pll.Sequential(g, pll.Options{})
+		explored := int64(-1)
+		for workers := 1; workers <= 3; workers++ {
+			got, m := Run(g, Options{Workers: workers})
+			if !got.Equal(want) {
+				t.Fatalf("%s workers %d: %s", name, workers, want.Diff(got))
+			}
+			if explored >= 0 && m.VerticesExplored != explored {
+				t.Fatalf("%s: explored %d with %d workers, %d with fewer", name, m.VerticesExplored, workers, explored)
+			}
+			explored = m.VerticesExplored
+		}
+		if limit := c * float64(seq.VerticesExplored); float64(explored) > limit {
+			t.Fatalf("%s: PLaNT explored %d, seqPLL %d: ratio %.2f > %.2f", name, explored, seq.VerticesExplored,
+				float64(explored)/float64(seq.VerticesExplored), c)
+		}
 	}
 }
 
