@@ -4,17 +4,21 @@
 //
 // Usage:
 //
-//	chl -graph road.gr -algo gll -out road.chl
+//	chl -graph road.gr -out road.chl
 //	chl -dataset SKIT -algo hybrid -nodes 16
-//	chl -graph web.gr -directed -algo seqpll
+//	chl -graph web.gr -directed
 //
 // The graph comes either from a DIMACS .gr file (-graph) or a named
-// synthetic dataset (-dataset, see -list).
+// synthetic dataset (-dataset, see -list). Without -algo the library
+// picks the builder (PLaNT on undirected graphs, seqPLL on directed
+// ones) and the output names the one that ran.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -22,43 +26,53 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "chl:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("chl", flag.ContinueOnError)
 	var (
-		graphPath = flag.String("graph", "", "DIMACS .gr file to label")
-		dataset   = flag.String("dataset", "", "named synthetic dataset (see -list)")
-		scale     = flag.Float64("scale", 1, "scale factor for -dataset")
-		directed  = flag.Bool("directed", false, "treat the input graph as directed")
-		algo      = flag.String("algo", "gll", "algorithm: seqpll|sparapll|lcc|gll|plant|dparapll|dgll|dplant|hybrid")
-		ranking   = flag.String("rank", "auto", "ranking: auto|degree|betweenness|identity")
-		workers   = flag.Int("workers", 0, "shared-memory workers (0 = GOMAXPROCS)")
-		nodes     = flag.Int("nodes", 4, "cluster nodes q for distributed algorithms")
-		wpn       = flag.Int("workers-per-node", 1, "threads per cluster node")
-		alpha     = flag.Float64("alpha", 0, "GLL synchronization threshold α (0 = 4)")
-		eta       = flag.Int("eta", 0, "common label table size η (0 = default, -1 = off)")
-		psi       = flag.Float64("psi", 0, "Hybrid switch threshold Ψth (0 = 100)")
-		seed      = flag.Int64("seed", 1, "seed for generation and ranking")
-		out       = flag.String("out", "", "write the index to this file")
-		list      = flag.Bool("list", false, "list dataset and algorithm names")
+		graphPath = fs.String("graph", "", "DIMACS .gr file to label")
+		dataset   = fs.String("dataset", "", "named synthetic dataset (see -list)")
+		scale     = fs.Float64("scale", 1, "scale factor for -dataset")
+		directed  = fs.Bool("directed", false, "treat the input graph as directed")
+		algo      = fs.String("algo", "", "algorithm: seqpll|sparapll|lcc|gll|plant|dparapll|dgll|dplant|hybrid (default: the library's choice — plant, or seqpll for a directed graph)")
+		ranking   = fs.String("rank", "auto", "ranking: auto|degree|betweenness|identity")
+		workers   = fs.Int("workers", 0, "shared-memory workers (0 = GOMAXPROCS)")
+		nodes     = fs.Int("nodes", 4, "cluster nodes q for distributed algorithms")
+		wpn       = fs.Int("workers-per-node", 1, "threads per cluster node")
+		alpha     = fs.Float64("alpha", 0, "GLL synchronization threshold α (0 = 4)")
+		eta       = fs.Int("eta", 0, "common label table size η (0 = default, -1 = off)")
+		psi       = fs.Float64("psi", 0, "Hybrid switch threshold Ψth (0 = 100)")
+		seed      = fs.Int64("seed", 1, "seed for generation and ranking")
+		out       = fs.String("out", "", "write the index to this file")
+		list      = fs.Bool("list", false, "list dataset and algorithm names")
 	)
-	flag.Parse()
-	if flag.NArg() != 0 {
-		fatal(fmt.Errorf("unexpected arguments %q (chl takes flags only)", flag.Args()))
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() != 0 {
+		return fmt.Errorf("unexpected arguments %q (chl takes flags only)", fs.Args())
 	}
 
 	if *list {
-		fmt.Println("datasets: ", strings.Join(chl.DatasetNames(), " "))
-		fmt.Print("algorithms:")
+		fmt.Fprintln(stdout, "datasets: ", strings.Join(chl.DatasetNames(), " "))
+		fmt.Fprint(stdout, "algorithms:")
 		for _, a := range chl.Algorithms() {
-			fmt.Printf(" %s", a)
+			fmt.Fprintf(stdout, " %s", a)
 		}
-		fmt.Println()
-		return
+		fmt.Fprintln(stdout)
+		return nil
 	}
 
 	g, err := loadGraph(*graphPath, *dataset, *scale, *directed, *seed)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("graph: n=%d m=%d directed=%v\n", g.NumVertices(), g.NumEdges(), g.Directed())
+	fmt.Fprintf(stdout, "graph: n=%d m=%d directed=%v\n", g.NumVertices(), g.NumEdges(), g.Directed())
 
 	var ord *chl.Order
 	switch *ranking {
@@ -71,7 +85,7 @@ func main() {
 	case "identity":
 		ord = chl.RankIdentity(g.NumVertices())
 	default:
-		fatal(fmt.Errorf("unknown ranking %q", *ranking))
+		return fmt.Errorf("unknown ranking %q", *ranking)
 	}
 
 	ix, err := chl.Build(g, chl.Options{
@@ -86,25 +100,26 @@ func main() {
 		Seed:           *seed,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	st := ix.Stats()
 	m := ix.Metrics()
-	fmt.Printf("index: labels=%d ALS=%.2f max=%d bytes=%d\n", st.TotalLabels, st.ALS, st.MaxLabels, st.Bytes)
+	fmt.Fprintf(stdout, "index: labels=%d ALS=%.2f max=%d bytes=%d\n", st.TotalLabels, st.ALS, st.MaxLabels, st.Bytes)
 	if m != nil {
-		fmt.Printf("build: %s\n", m)
+		fmt.Fprintf(stdout, "build: %s\n", m) // leads with m.Algorithm, the builder that actually ran
 		if m.Nodes > 0 {
-			fmt.Printf("cluster: traffic=%d bytes, syncs=%d, peak node storage=%d bytes\n",
+			fmt.Fprintf(stdout, "cluster: traffic=%d bytes, syncs=%d, peak node storage=%d bytes\n",
 				m.BytesSent, m.Synchronizations, m.MaxNodeBytes)
 		}
 	}
 	if *out != "" {
 		if err := ix.SaveFile(*out); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("saved index to %s\n", *out)
+		fmt.Fprintf(stdout, "saved index to %s\n", *out)
 	}
+	return nil
 }
 
 func loadGraph(path, dataset string, scale float64, directed bool, seed int64) (*chl.Graph, error) {
@@ -118,9 +133,4 @@ func loadGraph(path, dataset string, scale float64, directed bool, seed int64) (
 	default:
 		return nil, fmt.Errorf("pass -graph FILE or -dataset NAME (try -list)")
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "chl:", err)
-	os.Exit(1)
 }

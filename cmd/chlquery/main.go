@@ -25,17 +25,17 @@
 // -addrs records the replica topology in the manifest for the router.
 //
 // Directed indexes (built by cmd/chl over a directed graph) serve
-// through the same flags end to end: -save writes a CHFX v3 file packing
+// through the same flags end to end: -save writes one file packing
 // both label halves, -split marks the manifest directed so the router
 // keys its cache on ordered pairs, and /dist?u=&v= answers the u→v
 // distance. Only the simulated -bench modes (qlsn/qfdl/qdol) remain
 // undirected-only.
 //
 // -compress switches -save and -split to the compressed label format
-// (CHFX v4, delta+varint block encoding — typically 25–65% smaller on
-// disk); queries over compressed indexes use the block-skipping merge
-// kernel and answer bit-identically. Without the flag every output stays
-// v2/v3, byte-for-byte:
+// (delta+varint block encoding — typically 25–65% smaller on disk);
+// queries over compressed indexes use the block-skipping merge kernel and
+// answer bit-identically. It is the only encoding choice; every file is
+// the same CHFX container (ARCHITECTURE.md, "On-disk format"):
 //
 //	chlquery -index road.chl -compress -save road.cflat
 //	chlquery -load road.flat -compress -save road.cflat -serve :8080
@@ -86,7 +86,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "seed for -bench query generation; also the consistent-hash ring seed for -split")
 		cacheCap  = flag.Int("cache", 1<<16, "answer cache capacity for -serve (0 disables)")
 		prefault  = flag.Bool("prefault", false, "fault mapped indexes fully in before serving them (and before each hot swap)")
-		comp      = flag.Bool("compress", false, "use the compressed label format (CHFX v4) for -save, -split and in-process serving")
+		comp      = flag.Bool("compress", false, "use the compressed label encoding for -save, -split and in-process serving")
 
 		graphPath = flag.String("graph", "", "for -serve: the graph the index was built from (.gr DIMACS or edge list) — enables POST /update (delta overlay) and /compact")
 		journal   = flag.String("journal", "", "for -serve with -graph: update journal file — accepted patches are appended before serving and replayed on restart")

@@ -22,8 +22,8 @@
 //	chlrouter -serve :8080 -manifest ./cluster/cluster.json \
 //	    -shards 'http://localhost:8081|http://localhost:9081,http://localhost:8082,http://localhost:8083'
 //
-// With -shards omitted the router uses the replica_addrs recorded in a
-// v2 manifest (chlquery -split -addrs). The router then answers:
+// With -shards omitted the router uses the replica_addrs recorded in
+// the manifest (chlquery -split -addrs). The router then answers:
 //
 //	GET  /dist?u=17&v=3942      → same schema as a single server, bit-identical answers
 //	POST /batch  [[u,v],...]    → {"dists":[...]}   (-1 marks unreachable pairs)

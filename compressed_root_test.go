@@ -1,6 +1,6 @@
 package chl_test
 
-// End-to-end coverage of compressed label blocks (CHFX v4): kernel parity
+// End-to-end coverage of compressed label blocks: kernel parity
 // against the fixed-width index on the agreement fixtures, save → heap /
 // mmap load → thaw round trips for both directednesses, the on-disk
 // savings bar, batch serving, and sharded routing over compressed shard
@@ -97,9 +97,9 @@ func TestCompressedDirectedParity(t *testing.T) {
 	}
 }
 
-// Freeze → save v4 → heap/mmap load → thaw on both directednesses. Also
-// pins the acceptance bar: the v4 file is at least 25% smaller on disk
-// than the v2/v3 file of the same fixture.
+// Freeze → save compressed → heap/mmap load → thaw on both
+// directednesses. Also pins the acceptance bar: the compressed file is at
+// least 25% smaller on disk than the fixed-width file of the same fixture.
 func TestCompressedSaveLoadMmapThaw(t *testing.T) {
 	type fixture struct {
 		ix *chl.Index
@@ -124,9 +124,6 @@ func TestCompressedSaveLoadMmapThaw(t *testing.T) {
 			if err := cfx.Save(&comp); err != nil {
 				t.Fatal(err)
 			}
-			if ver := comp.Bytes()[4]; ver != 4 {
-				t.Fatalf("compressed flat file written as CHFX version %d, want 4", ver)
-			}
 			if comp.Len() > plain.Len()*3/4 {
 				t.Fatalf("compressed file is %d bytes vs %d fixed-width — less than 25%% saved", comp.Len(), plain.Len())
 			}
@@ -148,10 +145,10 @@ func TestCompressedSaveLoadMmapThaw(t *testing.T) {
 			}
 			for _, back := range []*chl.FlatIndex{heap, mapped} {
 				if !back.Compressed() {
-					t.Fatal("loaded v4 index reports uncompressed")
+					t.Fatal("loaded compressed index reports uncompressed")
 				}
 				if back.Directed() != f.fx.Directed() {
-					t.Fatal("loaded v4 index changed directedness")
+					t.Fatal("loaded compressed index changed directedness")
 				}
 				if back.TotalLabels() != f.fx.TotalLabels() || back.NumVertices() != f.fx.NumVertices() {
 					t.Fatalf("shape changed: %d/%d labels, %d/%d vertices",
@@ -168,13 +165,13 @@ func TestCompressedSaveLoadMmapThaw(t *testing.T) {
 				u, v := rng.Intn(n), rng.Intn(n)
 				want := f.ix.Query(u, v)
 				if heap.Query(u, v) != want {
-					t.Fatalf("heap-loaded v4 index disagrees at (%d,%d)", u, v)
+					t.Fatalf("heap-loaded compressed index disagrees at (%d,%d)", u, v)
 				}
 				if mapped.Query(u, v) != want {
-					t.Fatalf("mapped v4 index disagrees at (%d,%d)", u, v)
+					t.Fatalf("mapped compressed index disagrees at (%d,%d)", u, v)
 				}
 				if th.Query(u, v) != want {
-					t.Fatalf("thawed v4 index disagrees at (%d,%d)", u, v)
+					t.Fatalf("thawed compressed index disagrees at (%d,%d)", u, v)
 				}
 			}
 			// Decompress is the exact inverse of Compress.
@@ -225,7 +222,7 @@ func TestCompressedBatchEngine(t *testing.T) {
 }
 
 // Sharded serving over compressed shard files: SaveShards of a compressed
-// index writes v4 slices, every shard server loads and audits them, and
+// index writes compressed slices, every shard server loads and audits them, and
 // the router answers byte-identically to the in-memory index — including
 // cross-shard joins, which materialize packed rows out of compressed
 // blocks over /shardquery.

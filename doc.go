@@ -74,24 +74,22 @@
 // Directed indexes (AlgoSeqPLL / AlgoPLaNT over a directed graph) freeze
 // and serve through the same stack: Freeze packs both label halves —
 // forward runs (hubs reachable from v) and backward runs (hubs that
-// reach v) — into a CHFX version-3 file, every kernel answers u→v as
-// the forward(u) × backward(v) hub join, and the answer caches key on
+// reach v) — into one file, every kernel answers u→v as the
+// forward(u) × backward(v) hub join, and the answer caches key on
 // ordered pairs (NewDirectedCache) so d(u→v) and d(v→u) never alias.
-// Undirected files stay version 2, byte-identical.
 //
 // # Compressed labels
 //
 // FlatIndex.Compress converts either directedness to the compressed
-// label format (CHFX version 4): labels split into blocks whose hub ids
+// label encoding: labels split into blocks whose hub ids
 // are delta+varint coded and whose distances pack as small integers
 // where the float32 bits allow. Files shrink 59–71% on the benchmark
 // fixtures and every query answers bit-identically through a
 // block-skipping merge join, at 2.3–2.5× the fixed-width merge join
 // (the scoreboard's label.join_compressed_ns against
 // label.join_packed_ns; BenchmarkCompressedQuery against
-// BenchmarkFlatQueryMerge). Compress is explicit — Save writes v4 only
-// for a compressed index, so existing v2/v3 outputs stay byte-identical
-// — and Decompress inverts it exactly. Index.FreezeCompressed is
+// BenchmarkFlatQueryMerge). Compress is explicit and Decompress inverts
+// it exactly. Index.FreezeCompressed is
 // Freeze+Compress; cmd/chlquery exposes the conversion as -compress; the
 // scoreboard in bench/ (BENCHMARK.json) measures both formats. The
 // whole serving stack below — Server, shard
@@ -140,7 +138,7 @@
 // retires its cluster-level cache whenever a shard reloads, and degrades
 // per shard — failures 502 with a body naming exactly the shards that
 // failed. Any shard may be served by a replica group (several processes
-// over the same slice file, RouterConfig.ReplicaAddrs or a v2
+// over the same slice file, RouterConfig.ReplicaAddrs or a
 // manifest's replica_addrs): the router load-balances across healthy
 // replicas with power-of-two-choices, retries failed requests on the
 // next replica — a query fails only when every replica of a shard is

@@ -1,7 +1,7 @@
 package chl_test
 
 // Tests for the flat packed label store and the parallel batch serving
-// engine: freeze/thaw parity against the slice-based index, the versioned
+// engine: freeze/thaw parity against the slice-based index, the
 // binary round trip, and the save-once/serve-many flow of cmd/chlquery.
 
 import (
@@ -94,7 +94,7 @@ func TestLoadFlatRejectsGarbage(t *testing.T) {
 	full := buf.Bytes()
 	cases := map[string][]byte{
 		"empty":       nil,
-		"wrong magic": append([]byte("CHIX"), full[4:]...), // CHIX is the slice format
+		"wrong magic": append([]byte("CHIX"), full[4:]...), // a retired magic
 		"bad version": append([]byte("CHFX\xff"), full[5:]...),
 		"truncated":   full[:len(full)-9],
 	}
@@ -137,23 +137,5 @@ func TestBatchEngineMatchesSequential(t *testing.T) {
 	// Empty batch is fine.
 	if out := eng.Batch(nil); len(out) != 0 {
 		t.Fatal("empty batch returned distances")
-	}
-}
-
-// Directed freeze/serve coverage lives in directed_test.go; this file
-// keeps asserting that undirected CHFX files are unchanged by the
-// directed format extension.
-func TestUndirectedFlatFileStaysVersion2(t *testing.T) {
-	g := chl.GenerateRoadGrid(6, 6, 3)
-	_, fx := buildFrozen(t, g)
-	var buf bytes.Buffer
-	if err := fx.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if ver := buf.Bytes()[4]; ver != 2 {
-		t.Fatalf("undirected flat file written as CHFX version %d, want 2 (byte compatibility)", ver)
-	}
-	if fx.Directed() {
-		t.Fatal("undirected index reports Directed")
 	}
 }

@@ -3,10 +3,11 @@ package chl_test
 // Golden byte-stability tests for the CHFX container. The builds below
 // are fully deterministic (seeded generators + the sequential PLL
 // constructor), so the saved files must hash to the same SHA-256 on every
-// run, platform, and future PR. The v2/v3 hashes are the regression the
-// compressed-format work promised: adding CHFX v4 must not perturb a
-// single byte of the formats existing deployments mmap. The v4 hashes pin
-// the new format the same way for the next change.
+// run, platform, and future PR. The pins guard container version 5 — all
+// six files it can hold: {slices, packed, compressed} × {undirected,
+// directed} — and were re-pinned once, when v5 replaced the v2/v3/v4
+// framings (the test names keep the suffix of the framing each fixture
+// used to be written in).
 //
 // If one of these fails, a format byte changed. That is occasionally
 // intentional (a deliberate version bump) — then the hash may be updated
@@ -17,14 +18,15 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"io"
 	"testing"
 
 	chl "repro"
 )
 
-// goldenBuild builds the deterministic fixtures the hashes below were
+// goldenIndex builds the deterministic fixtures the hashes below were
 // computed from.
-func goldenBuild(t *testing.T, directed bool) *chl.FlatIndex {
+func goldenIndex(t *testing.T, directed bool) *chl.Index {
 	t.Helper()
 	g := chl.GenerateScaleFree(200, 3, 6)
 	if directed {
@@ -34,57 +36,77 @@ func goldenBuild(t *testing.T, directed bool) *chl.FlatIndex {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx, err := ix.Freeze()
+	return ix
+}
+
+func goldenBuild(t *testing.T, directed bool) *chl.FlatIndex {
+	t.Helper()
+	fx, err := goldenIndex(t, directed).Freeze()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return fx
 }
 
-func goldenCheck(t *testing.T, fx *chl.FlatIndex, wantVer byte, wantSHA string) {
+func goldenCheck(t *testing.T, save func(io.Writer) error, wantSHA string) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := fx.Save(&buf); err != nil {
+	if err := save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if ver := buf.Bytes()[4]; ver != wantVer {
-		t.Fatalf("saved as CHFX version %d, want %d", ver, wantVer)
+	if ver := buf.Bytes()[4]; ver != 5 {
+		t.Fatalf("saved as CHFX version %d, want 5", ver)
 	}
 	sum := sha256.Sum256(buf.Bytes())
 	if got := hex.EncodeToString(sum[:]); got != wantSHA {
-		t.Fatalf("CHFX v%d bytes drifted: sha256 = %s, want %s (%d bytes)", wantVer, got, wantSHA, buf.Len())
+		t.Fatalf("CHFX bytes drifted: sha256 = %s, want %s (%d bytes)", got, wantSHA, buf.Len())
 	}
 }
 
-// Without the compression flag, undirected saves stay version 2 —
-// byte-identical to every file written before CHFX v4 existed.
+// The packed undirected file (what CHFX v2 framed).
 func TestGoldenUndirectedV2BytesStable(t *testing.T) {
-	goldenCheck(t, goldenBuild(t, false), 2,
-		"c7ba1cdb050ab5c2135de0fe695dcf17c47ed15e686044cc44bf68067a2bfe0e")
+	goldenCheck(t, goldenBuild(t, false).Save,
+		"924de873f94b2d787d7fcbcd33756bff2fc959acdc791b5ded7b6a81604cf631")
 }
 
-// Without the compression flag, directed saves stay version 3.
+// The packed directed file (what CHFX v3 framed).
 func TestGoldenDirectedV3BytesStable(t *testing.T) {
-	goldenCheck(t, goldenBuild(t, true), 3,
-		"d75545bf56f430457b4d3e408dec7cf563f80474ce08f10be9ab5af880917574")
+	goldenCheck(t, goldenBuild(t, true).Save,
+		"1c32a40b2a1205948616851c7b0e8ba7a75257ab90f244f3fe89f5d8989f457b")
 }
 
-// Compressed saves are version 4 and themselves byte-stable.
+// The compressed files (what CHFX v4 framed).
 func TestGoldenCompressedV4BytesStable(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		directed bool
 		sha      string
 	}{
-		{"undirected", false, "30b233b1e05bf8c6187e82e468aad76198e3153c259d153e2741b51c281b31db"},
-		{"directed", true, "42292dc0a9ba6dd773101c6f1bb1a97ced1544ee18add0061dcec9e459952b87"},
+		{"undirected", false, "fbc8f52263d69d8b806cf1a02f6ab010e2c80b21476aebf8869e7a720d4cd7f8"},
+		{"directed", true, "2995c1d0b94d9bbb68f75b846d73a9ae895976918916e5ec472c901aa885ebe3"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfx, err := goldenBuild(t, tc.directed).Compress()
 			if err != nil {
 				t.Fatal(err)
 			}
-			goldenCheck(t, cfx, 4, tc.sha)
+			goldenCheck(t, cfx.Save, tc.sha)
+		})
+	}
+}
+
+// The slice-encoded files Index.Save writes (once magic CHIX around CHL1).
+func TestGoldenSlicesBytesStable(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		directed bool
+		sha      string
+	}{
+		{"undirected", false, "0bed0cf15007273715fa06d0966c0e78b92382fd12482b8b45df4f2e169e5be2"},
+		{"directed", true, "e29b39b81c9dfe21e315a4a96ed799cf7ac69d1657d6251de7c337a72847a88d"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			goldenCheck(t, goldenIndex(t, tc.directed).Save, tc.sha)
 		})
 	}
 }

@@ -6,8 +6,8 @@ import (
 	"math"
 )
 
-// Compressed label blocks: the CHFX v4 representation of a packed label
-// store. The fixed-width FlatIndex spends 8 bytes on every entry even
+// Compressed label blocks: the EncCompressed representation of a packed
+// label store. The fixed-width FlatIndex spends 8 bytes on every entry even
 // though per-vertex hub ids are sorted (so consecutive ids are close) and
 // the synthetic/DIMACS distances are small integers (so 32 distance bits
 // are mostly zero). A CompressedIndex splits each vertex's run into
@@ -30,9 +30,8 @@ import (
 // principle per-block min/max summaries serve in columnar scan engines.
 //
 // The arrays are designed for the same zero-copy story as the flat store:
-// headers and vertex offsets are uint32 arrays (4-byte alignment), the
-// block payloads are raw bytes (no alignment), so MapCompressedFlat can
-// alias all of them straight into a memory mapping.
+// headers and vertex offsets are uint32 arrays, the block payloads raw
+// bytes, and the container serves all three in place from a mapping.
 //
 // A CompressedIndex is immutable after construction and safe for
 // concurrent readers.
@@ -43,12 +42,6 @@ type CompressedIndex struct {
 	vertOff   []uint32 // len n+1; blocks of v are heads[4*vertOff[v] : 4*vertOff[v+1]]
 	heads     []uint32 // 4 words per block: minHub, maxHub, dataOff, count|flags<<8|byteLen<<16
 	data      []byte   // block payloads, contiguous in block order
-
-	// raw is the byte region the arrays alias when the index was
-	// constructed by MapCompressedFlat (usually a memory mapping); nil
-	// for heap-backed indexes. For a directed payload the forward half's
-	// raw covers both halves, as in MapDirectedFlat.
-	raw []byte
 }
 
 // CompressedBlockEntries is the block size (entries per full block) this
@@ -428,10 +421,6 @@ func (c *CompressedIndex) Slice(keep func(v int) bool) Store {
 	out.vertOff[c.n] = uint32(len(out.heads) / 4)
 	return out
 }
-
-// Prefault faults a mapped payload in (see Store); on a heap-backed index
-// it is a no-op returning 0.
-func (c *CompressedIndex) Prefault() int { return prefault(c.raw) }
 
 // validate checks the structural invariants every loader must establish
 // before the decoding kernels may trust the arrays: monotone vertex

@@ -1,11 +1,8 @@
 package label
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -40,95 +37,6 @@ func randomLabelIndex(rng *rand.Rand, n int, density float64) *Index {
 		ix.SetLabels(v, s)
 	}
 	return ix
-}
-
-// compressedEqual asserts two compressed indexes hold identical arrays.
-func compressedEqual(t *testing.T, got, want *CompressedIndex) {
-	t.Helper()
-	if got.n != want.n || got.blockSize != want.blockSize || got.total != want.total {
-		t.Fatalf("header mismatch: (%d,%d,%d) vs (%d,%d,%d)",
-			got.n, got.blockSize, got.total, want.n, want.blockSize, want.total)
-	}
-	for i := range want.vertOff {
-		if got.vertOff[i] != want.vertOff[i] {
-			t.Fatalf("vertOff[%d] = %d, want %d", i, got.vertOff[i], want.vertOff[i])
-		}
-	}
-	if len(got.heads) != len(want.heads) {
-		t.Fatalf("%d header words, want %d", len(got.heads), len(want.heads))
-	}
-	for i := range want.heads {
-		if got.heads[i] != want.heads[i] {
-			t.Fatalf("heads[%d] = %#x, want %#x", i, got.heads[i], want.heads[i])
-		}
-	}
-	if !bytes.Equal(got.data, want.data) {
-		t.Fatal("payload bytes differ")
-	}
-}
-
-// TestCompressedFlatRoundTrip writes CHLC payloads (single- and
-// two-half) and reads them back through both the copying reader and the
-// mmap loader, asserting array-exact equality.
-func TestCompressedFlatRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	fwd, err := Compress(Freeze(randomLabelIndex(rng, 60, 0.25)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bwd, err := Compress(Freeze(randomLabelIndex(rng, 60, 0.15)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		bwd  *CompressedIndex
-	}{{"single", nil}, {"directed", bwd}} {
-		t.Run(tc.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			written, err := WriteCompressedFlat(&buf, fwd, tc.bwd)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if written != int64(buf.Len()) {
-				t.Fatalf("WriteCompressedFlat reported %d bytes, wrote %d", written, buf.Len())
-			}
-			rf, rb, err := ReadCompressedFlat(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			compressedEqual(t, rf, fwd)
-			if tc.bwd == nil {
-				if rb != nil {
-					t.Fatal("single-half payload decoded a second half")
-				}
-			} else {
-				compressedEqual(t, rb, tc.bwd)
-			}
-
-			path := filepath.Join(t.TempDir(), "c.chlc")
-			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			fl, err := os.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fl.Close()
-			mf, mb, closer, err := MapCompressedFlatFile(fl, 0)
-			if err != nil {
-				t.Skipf("mmap unavailable: %v", err)
-			}
-			defer closer()
-			compressedEqual(t, mf, fwd)
-			if tc.bwd != nil {
-				compressedEqual(t, mb, tc.bwd)
-			}
-			if mf.Prefault() == 0 {
-				t.Error("Prefault walked 0 pages on a mapped index")
-			}
-		})
-	}
 }
 
 // TestCompressedSavings pins the acceptance bar from ROADMAP item 4 at

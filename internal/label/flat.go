@@ -1,6 +1,9 @@
 package label
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // FlatIndex is a frozen, read-only hub labeling packed into two contiguous
 // arrays: a CSR-style offsets vector and one packed entry stream,
@@ -13,7 +16,7 @@ import "math"
 // bytes vs 16), and keeps both sides of the join on sequential cache
 // lines. Because hubs occupy the high bits, entries are monotonically
 // increasing per vertex, and the in-memory arrays are byte-identical to
-// the serialized CHLF payload.
+// the container's EncPacked sections (see container.go).
 //
 // Distances are narrowed to float32. The synthetic datasets and DIMACS
 // road graphs use small integer edge weights, for which float32 is exact
@@ -25,11 +28,6 @@ import "math"
 type FlatIndex struct {
 	offsets []uint32 // len n+1; labels of v are entries [offsets[v], offsets[v+1])
 	entries []uint64 // hub<<32 | float32bits(dist), ascending per vertex
-
-	// raw is the byte region the arrays alias when the index was
-	// constructed by MapFlat (usually a memory mapping); nil for
-	// heap-backed indexes. Prefault walks it to fault pages in eagerly.
-	raw []byte
 }
 
 func packEntry(hub uint32, dist float64) uint64 {
@@ -128,4 +126,39 @@ func (f *FlatIndex) Slice(keep func(v int) bool) Store {
 	}
 	out.offsets[n] = uint32(len(out.entries))
 	return out
+}
+
+// validate checks the structural invariants every loader (copying or
+// memory-mapped) must establish before the query paths may trust the
+// arrays: the offsets span the entry array monotonically, per-vertex hubs
+// are strictly sorted (entries are ordered by hub in the high bits, so
+// monotonicity of the packed words is exactly hub sortedness), and every
+// hub names a vertex of this index — otherwise the scratch and witness
+// lookups would index out of range.
+func (f *FlatIndex) validate() error {
+	n := f.NumVertices()
+	if n < 0 {
+		return fmt.Errorf("label: flat index has no offsets")
+	}
+	if f.offsets[0] != 0 || int64(f.offsets[n]) != int64(len(f.entries)) {
+		return fmt.Errorf("label: flat offsets do not span the label array")
+	}
+	for v := 0; v < n; v++ {
+		if f.offsets[v] > f.offsets[v+1] {
+			return fmt.Errorf("label: flat offsets not monotone at vertex %d", v)
+		}
+	}
+	for v := 0; v < n; v++ {
+		for k := f.offsets[v] + 1; k < f.offsets[v+1]; k++ {
+			if f.entries[k-1]>>32 >= f.entries[k]>>32 {
+				return fmt.Errorf("label: flat hubs of vertex %d not strictly sorted", v)
+			}
+		}
+	}
+	for k, e := range f.entries {
+		if e>>32 >= uint64(n) {
+			return fmt.Errorf("label: flat entry %d has out-of-range hub %d (n=%d)", k, e>>32, n)
+		}
+	}
+	return nil
 }

@@ -17,16 +17,14 @@ import (
 //
 // A Store is immutable after construction and safe for concurrent readers.
 type Store interface {
-	NumVertices() int
+	// Half is what lets a Store be written to a Container: the vertex
+	// count and the arrays' byte images.
+	Half
 	NumLabels() int64
 	// LabelCount returns the number of labels of v without decoding them.
 	LabelCount(v int) int
 	// TotalMemory returns the exact byte footprint of the label arrays.
 	TotalMemory() int64
-	// Prefault touches one byte per page of a memory-mapped store so the
-	// kernel faults it in before the first query, and returns the pages
-	// walked; a heap-backed store returns 0.
-	Prefault() int
 	// Labels reconstructs the label set of v (allocates).
 	Labels(v int) Set
 	// Slice returns a heap-backed store of the same encoding over the same
@@ -50,9 +48,9 @@ func IsCompressed(st Store) bool {
 	return ok
 }
 
-// prefault walks raw, the byte region a mapped store aliases, one byte
-// per page, and returns the pages touched (0 for the nil region of a
-// heap-backed store). The entries region carries MADV_RANDOM (readahead
+// prefault walks raw, the file mapping a mapped container's arrays alias,
+// one byte per page, and returns the pages touched (0 for the nil region
+// of a heap-backed one). The label bodies carry MADV_RANDOM (readahead
 // off), which would turn the sequential walk into one synchronous
 // single-page fault per page, so the whole region is asked for eagerly
 // first — the kernel then reads ahead of the walk — and the random-access

@@ -5,168 +5,6 @@ import (
 	"testing"
 )
 
-// fuzzFixtureDirected freezes a small directed pair (independent forward
-// and backward halves over one vertex space) for the CHLD fuzzer's seed
-// corpus.
-func fuzzFixtureDirected() (fwd, bwd *FlatIndex) {
-	const n = 24
-	mk := func(stride int) *FlatIndex {
-		ix := NewIndex(n)
-		for v := 0; v < n; v++ {
-			s := Set{}
-			for h := uint32(0); int(h) <= v; h += uint32(stride) {
-				s = append(s, L{Hub: h, Dist: float64(v-int(h)) + 1})
-			}
-			ix.SetLabels(v, s)
-		}
-		return Freeze(ix)
-	}
-	return mk(2), mk(3)
-}
-
-// FuzzReadDirectedFlat drives the CHLD payload decoder — the directed
-// packed-run format a shard file or a hostile peer could hand the
-// serving tier — with arbitrary bytes. Invariants: no panic; anything
-// accepted yields two structurally valid halves over one vertex space
-// whose re-serialization is byte-identical to the accepted prefix.
-func FuzzReadDirectedFlat(f *testing.F) {
-	fwd, bwd := fuzzFixtureDirected()
-	var valid bytes.Buffer
-	if _, err := WriteDirectedFlat(&valid, fwd, bwd); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid.Bytes())
-	// Characteristic corruptions: truncation, header-count lies, a hub
-	// smashed out of range, swapped magic.
-	vb := valid.Bytes()
-	f.Add(vb[:len(vb)-5])
-	f.Add(vb[:DirectedFlatHeaderBytes])
-	lied := append([]byte(nil), vb...)
-	lied[9] = 0xff // totalF low byte
-	f.Add(lied)
-	smashed := append([]byte(nil), vb...)
-	copy(smashed[len(smashed)-4:], []byte{0xff, 0xff, 0xff, 0x7f})
-	f.Add(smashed)
-	f.Add(append([]byte("CHLF"), vb[4:]...))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rf, rb, err := ReadDirectedFlat(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if rf.NumVertices() != rb.NumVertices() {
-			t.Fatalf("accepted halves over %d and %d vertices", rf.NumVertices(), rb.NumVertices())
-		}
-		if err := rf.validate(); err != nil {
-			t.Fatalf("accepted forward half fails validation: %v", err)
-		}
-		if err := rb.validate(); err != nil {
-			t.Fatalf("accepted backward half fails validation: %v", err)
-		}
-		var out bytes.Buffer
-		if _, err := WriteDirectedFlat(&out, rf, rb); err != nil {
-			t.Fatalf("accepted payload does not re-serialize: %v", err)
-		}
-		if !bytes.Equal(out.Bytes(), data[:out.Len()]) {
-			t.Fatal("accepted payload does not round-trip byte-identically")
-		}
-	})
-}
-
-// fuzzFixtureCompressed compresses the directed fixture pair for the
-// CHLC fuzzer's seed corpus.
-func fuzzFixtureCompressed() (fwd, bwd *CompressedIndex) {
-	ff, fb := fuzzFixtureDirected()
-	fwd, err := CompressBlocks(ff, 4)
-	if err != nil {
-		panic(err)
-	}
-	bwd, err = CompressBlocks(fb, 4)
-	if err != nil {
-		panic(err)
-	}
-	return fwd, bwd
-}
-
-// FuzzReadCompressedFlat drives the CHLC block decoder — the compressed
-// label payload a v4 index file or shard slice carries — with arbitrary
-// bytes. Invariants: no panic; anything accepted yields structurally
-// valid halves (every block decodes cleanly, hubs sorted and in range,
-// header summaries true) whose re-serialization is byte-identical to the
-// accepted prefix; and the decoded labels of an accepted half join
-// identically through JoinCompressed and JoinPacked.
-func FuzzReadCompressedFlat(f *testing.F) {
-	cf, cb := fuzzFixtureCompressed()
-	var single, double bytes.Buffer
-	if _, err := WriteCompressedFlat(&single, cf, nil); err != nil {
-		f.Fatal(err)
-	}
-	if _, err := WriteCompressedFlat(&double, cf, cb); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(single.Bytes())
-	f.Add(double.Bytes())
-	// Characteristic corruptions: truncation (header-only and mid-payload),
-	// a block-count lie, a smashed block header word (misaligns every
-	// following payload offset), a garbled varint region, wrong magic.
-	vb := double.Bytes()
-	f.Add(vb[:CompressedFlatHeaderBytes])
-	f.Add(vb[:len(vb)-3])
-	lied := append([]byte(nil), vb...)
-	lied[12] = 0xff // nb1 low byte
-	f.Add(lied)
-	smashed := append([]byte(nil), vb...)
-	copy(smashed[CompressedFlatHeaderBytes+64:], []byte{0xff, 0xff, 0xff, 0xff})
-	f.Add(smashed)
-	garbled := append([]byte(nil), vb...)
-	copy(garbled[len(garbled)-8:], []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80})
-	f.Add(garbled)
-	f.Add(append([]byte("CHLD"), vb[4:]...))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rf, rb, err := ReadCompressedFlat(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if err := rf.validate(); err != nil {
-			t.Fatalf("accepted forward half fails validation: %v", err)
-		}
-		if rb != nil {
-			if rb.NumVertices() != rf.NumVertices() {
-				t.Fatalf("accepted halves over %d and %d vertices", rf.NumVertices(), rb.NumVertices())
-			}
-			if err := rb.validate(); err != nil {
-				t.Fatalf("accepted backward half fails validation: %v", err)
-			}
-		}
-		var out bytes.Buffer
-		if _, err := WriteCompressedFlat(&out, rf, rb); err != nil {
-			t.Fatalf("accepted payload does not re-serialize: %v", err)
-		}
-		if !bytes.Equal(out.Bytes(), data[:out.Len()]) {
-			t.Fatal("accepted payload does not round-trip byte-identically")
-		}
-		// The decoded store must join exactly like its fixed-width
-		// expansion — the invariant every serving path relies on.
-		flat := rf.Decompress()
-		if err := flat.validate(); err != nil {
-			t.Fatalf("accepted half decompresses to an invalid flat index: %v", err)
-		}
-		n := rf.NumVertices()
-		for _, u := range []int{0, n / 2, n - 1} {
-			if u < 0 {
-				continue
-			}
-			gd, gh, gok := JoinCompressed(rf.Run(u), rf.Run(n-1-u))
-			wd, wh, wok := JoinPacked(flat.PackedRun(u), flat.PackedRun(n-1-u))
-			if gok != wok || gh != wh || gd != wd {
-				t.Fatalf("pair (%d,%d): JoinCompressed = (%v,%d,%v), JoinPacked = (%v,%d,%v)",
-					u, n-1-u, gd, gh, gok, wd, wh, wok)
-			}
-		}
-	})
-}
-
 // fuzzFixtureRuns builds the seed corpus the packed-run fuzzer starts
 // from: real runs frozen out of a small index, the same shape the label
 // tests use, so the fuzzer begins at valid inputs and mutates outward.

@@ -22,7 +22,7 @@ import (
 // vertex the first time it surfaces.
 //
 // The index is derived: it is rebuilt from the label arrays whenever a
-// store is loaded or sliced, never serialized (the CHFX formats are
+// store is loaded or sliced, never serialized (the container format is
 // pinned byte-identical by golden tests). Inverting a per-shard slice —
 // whose label arrays hold only the shard's owned vertices — yields
 // posting lists that name only owned vertices, so a shard's inverted

@@ -253,9 +253,6 @@ func TestStoreConformance(t *testing.T) {
 			if st.NumVertices() != n || st.NumLabels() != ix.TotalLabels() {
 				t.Fatalf("shape %d vertices / %d labels, want %d / %d", st.NumVertices(), st.NumLabels(), n, ix.TotalLabels())
 			}
-			if st.Prefault() != 0 {
-				t.Fatal("heap-backed store prefaulted pages")
-			}
 			if st.TotalMemory() <= 0 {
 				t.Fatalf("TotalMemory = %d", st.TotalMemory())
 			}

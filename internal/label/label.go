@@ -2,7 +2,7 @@
 // per-vertex label vectors, a queryable Index, a hash-join accelerator for
 // the distance queries performed during label construction (the LR =
 // hash(L_h) of Algorithm 1), a lock-striped concurrent store for parallel
-// construction, and binary (de)serialization.
+// construction, and the one on-disk container (container.go).
 //
 // Everything in this package operates in rank space: vertex ids have been
 // permuted so that id 0 is the highest-ranked vertex and R(u) > R(v) ⇔

@@ -8,7 +8,7 @@ import (
 	"unsafe"
 )
 
-// The serving path's access-pattern hints (see adviseFlat). Linux is the
+// The serving path's access-pattern hints (see MapContainer). Linux is the
 // only target where syscall.Madvise is guaranteed present in the standard
 // library without an x/sys dependency, so the hints live behind this build
 // tag; every other platform compiles the no-ops in madvise_other.go.
@@ -17,25 +17,10 @@ const (
 	adviceRandom   = syscall.MADV_RANDOM
 )
 
-// madviseSpan applies advice to the pages covering data[off : off+length].
-// data must start on a page boundary (it is an mmap region). The span
-// start is aligned down to the owning page — madvise rejects unaligned
-// addresses — which may extend the hint over at most one page of the
-// neighbouring array; that overlap is harmless for the WILLNEED/RANDOM
-// pair used here. Failures are ignored: hints must never break serving.
-func madviseSpan(data []byte, off, length int64, advice int) {
-	if length <= 0 || off < 0 || off+length > int64(len(data)) {
-		return
-	}
-	page := int64(os.Getpagesize())
-	start := off &^ (page - 1)
-	_ = syscall.Madvise(data[start:off+length], advice)
-}
-
 // madviseAligned applies advice to b from its first page boundary on —
-// for byte slices (like a payload inside a mapping) whose start is not
+// for byte slices (like a section inside a mapping) whose start is not
 // page-aligned; at most one leading partial page goes unadvised.
-// Failures are ignored, as everywhere in this file.
+// Failures are ignored: hints must never break serving.
 func madviseAligned(b []byte, advice int) {
 	if len(b) == 0 {
 		return

@@ -9,6 +9,4 @@ const (
 	adviceRandom   = 0
 )
 
-func madviseSpan(data []byte, off, length int64, advice int) {}
-
 func madviseAligned(b []byte, advice int) {}

@@ -1,7 +1,6 @@
 package label
 
 import (
-	"bytes"
 	"math/rand"
 	"sync"
 	"testing"
@@ -95,77 +94,5 @@ func TestConcurrentStoreProfiling(t *testing.T) {
 	cs.AddTo(NewHashDist(3), 0)
 	if cs.LockCount() != 2 {
 		t.Fatalf("lock count = %d, want 2", cs.LockCount())
-	}
-}
-
-func TestIndexSerializationRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	ix := NewIndex(40)
-	for v := 0; v < 40; v++ {
-		for h := 0; h <= v; h++ {
-			if rng.Float64() < 0.3 {
-				d := float64(rng.Intn(100)) / 4
-				if h == v {
-					d = 0
-				}
-				ix.Append(v, L{Hub: uint32(h), Dist: d})
-			}
-		}
-	}
-	var buf bytes.Buffer
-	if err := WriteIndex(&buf, ix); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := ix.Diff(back); diff != "" {
-		t.Fatalf("round trip changed index: %s", diff)
-	}
-}
-
-func TestReadIndexErrors(t *testing.T) {
-	// Bad magic.
-	if _, err := ReadIndex(bytes.NewReader([]byte("XXXX"))); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	// Truncated stream.
-	ix := NewIndex(3)
-	ix.Append(1, L{Hub: 0, Dist: 2})
-	var buf bytes.Buffer
-	if err := WriteIndex(&buf, ix); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	for _, cut := range []int{3, 5, 9, len(full) - 1} {
-		if _, err := ReadIndex(bytes.NewReader(full[:cut])); err == nil {
-			t.Errorf("truncation at %d accepted", cut)
-		}
-	}
-}
-
-func TestPermSerialization(t *testing.T) {
-	perm := []int{3, 1, 4, 0, 2}
-	var buf bytes.Buffer
-	if err := WritePerm(&buf, perm); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadPerm(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range perm {
-		if perm[i] != back[i] {
-			t.Fatalf("perm mismatch at %d", i)
-		}
-	}
-	// Non-permutation payloads are rejected.
-	var bad bytes.Buffer
-	if err := WritePerm(&bad, []int{0, 0, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadPerm(&bad); err == nil {
-		t.Fatal("duplicate perm entries accepted")
 	}
 }

@@ -35,10 +35,9 @@ import (
 // Partition maps vertex ids to shard ids via a consistent-hash ring.
 // Partitions are immutable and safe for concurrent use.
 type Partition struct {
-	shards   int
-	replicas int
-	seed     uint64
-	points   []ringPoint // sorted by position
+	shards int
+	seed   uint64
+	points []ringPoint // sorted by position
 }
 
 type ringPoint struct {
@@ -72,12 +71,7 @@ func NewPartition(shards, replicas int, seed uint64) (*Partition, error) {
 	if replicas < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 replica per shard, got %d", replicas)
 	}
-	p := &Partition{
-		shards:   shards,
-		replicas: replicas,
-		seed:     seed,
-		points:   make([]ringPoint, 0, shards*replicas),
-	}
+	p := &Partition{shards: shards, seed: seed, points: make([]ringPoint, 0, shards*replicas)}
 	for s := 0; s < shards; s++ {
 		for r := 0; r < replicas; r++ {
 			// ringTag domain-separates point keys from vertex keys:
@@ -96,12 +90,6 @@ func NewPartition(shards, replicas int, seed uint64) (*Partition, error) {
 
 // Shards returns the cluster size the ring was built for.
 func (p *Partition) Shards() int { return p.shards }
-
-// Replicas returns the virtual points per shard.
-func (p *Partition) Replicas() int { return p.replicas }
-
-// Seed returns the ring seed.
-func (p *Partition) Seed() uint64 { return p.seed }
 
 // Owner returns the shard owning vertex v: the first ring point at or
 // after v's hash, wrapping around the ring.
@@ -154,16 +142,11 @@ const ManifestName = "cluster.json"
 // per-shard flat index files, stored relative to the manifest's own
 // directory. It is plain JSON so operators can read and audit it.
 //
-// The schema is versioned. Version 1 describes an unreplicated cluster:
-// one file (and, at serving time, one server) per shard. Version 2 adds
-// ReplicaAddrs, letting the manifest also record the serving topology —
-// the base URLs of every replica of every shard — so a router can be
-// pointed at the manifest alone. Version 3 adds Directed, marking a
-// cluster whose shard files hold directed (forward + backward) label
-// runs; the router then keys its answer cache on ordered pairs and
-// fetches backward rows for cross-shard joins. v1 and v2 manifests still
-// load; a v3 manifest without replica addresses or directedness is
-// equivalent to a v1 one.
+// There is one schema, manifestVersion; a document of any other version
+// is refused with the command that regenerates it (manifests, like the
+// shard files beside them, are derived from the index). ReplicaAddrs and
+// Directed are optional: without them the manifest describes an
+// unreplicated, undirected cluster.
 type Manifest struct {
 	Version  int      `json:"version"`
 	Vertices int      `json:"vertices"`
@@ -171,32 +154,23 @@ type Manifest struct {
 	Replicas int      `json:"replicas"`
 	Seed     uint64   `json:"seed"`
 	Files    []string `json:"files"`
-	// Directed (v3) marks a cluster over a directed index: every shard
-	// file is a CHFX v3 slice carrying both label halves, and serving
-	// components must treat (u,v) and (v,u) as distinct queries.
+	// Directed marks a cluster over a directed index: every shard file
+	// carries both label halves, and serving components must treat (u,v)
+	// and (v,u) as distinct queries.
 	Directed bool `json:"directed,omitempty"`
 	// VertexCounts records how many vertices each shard owns — purely
 	// informational (the ring is authoritative), for operators and the
 	// splitter's balance report.
 	VertexCounts []int `json:"vertex_counts,omitempty"`
-	// ReplicaAddrs (v2) optionally records the serving topology: one list
+	// ReplicaAddrs optionally records the serving topology: one list
 	// of replica base URLs per shard, in shard-id order. Every replica of
 	// a shard serves the same slice file; a router load-balances across
 	// them and fails over when one dies.
 	ReplicaAddrs [][]string `json:"replica_addrs,omitempty"`
 }
 
-// Manifest schema versions. manifestVersion is what writers emit;
-// readers accept everything down to manifestVersionV1.
-// The per-feature constants are pinned: Validate gates each field on
-// the version that introduced it, never on the floating writer version
-// (which a future bump would turn into "reject every existing file").
-const (
-	manifestVersionV1 = 1
-	manifestVersionV2 = 2
-	manifestVersionV3 = 3
-	manifestVersion   = manifestVersionV3
-)
+// manifestVersion is the one manifest schema version written and read.
+const manifestVersion = 3
 
 // Validation bounds: a manifest is a small hand-auditable file, and the
 // ring it describes is materialized in memory (shards × replicas points),
@@ -214,8 +188,8 @@ func (m *Manifest) Partition() (*Partition, error) {
 
 // Validate checks the manifest's internal consistency.
 func (m *Manifest) Validate() error {
-	if m.Version < manifestVersionV1 || m.Version > manifestVersion {
-		return fmt.Errorf("shard: unsupported manifest version %d (want %d..%d)", m.Version, manifestVersionV1, manifestVersion)
+	if m.Version != manifestVersion {
+		return fmt.Errorf("shard: unsupported manifest version %d (want %d): regenerate the cluster with `chlquery -load INDEX -split N -shards-dir DIR`", m.Version, manifestVersion)
 	}
 	if m.Vertices < 0 {
 		return fmt.Errorf("shard: manifest has negative vertex count %d", m.Vertices)
@@ -235,13 +209,7 @@ func (m *Manifest) Validate() error {
 	if m.VertexCounts != nil && len(m.VertexCounts) != m.Shards {
 		return fmt.Errorf("shard: manifest lists %d vertex counts for %d shards", len(m.VertexCounts), m.Shards)
 	}
-	if m.Directed && m.Version < manifestVersionV3 {
-		return fmt.Errorf("shard: directed clusters need manifest version %d, got %d", manifestVersionV3, m.Version)
-	}
 	if m.ReplicaAddrs != nil {
-		if m.Version < manifestVersionV2 {
-			return fmt.Errorf("shard: replica addresses need manifest version %d, got %d", manifestVersionV2, m.Version)
-		}
 		if len(m.ReplicaAddrs) != m.Shards {
 			return fmt.Errorf("shard: manifest lists replica addresses for %d shards, want %d", len(m.ReplicaAddrs), m.Shards)
 		}

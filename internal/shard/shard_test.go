@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -129,34 +131,24 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-// A v1 manifest — written before replica addresses existed — must still
-// parse, validate, and reconstruct its ring.
-func TestManifestV1StillLoads(t *testing.T) {
-	v1 := []byte(`{
-		"version": 1,
-		"vertices": 500,
-		"shards": 2,
-		"replicas": 64,
-		"seed": 7,
-		"files": ["shard-000.flat", "shard-001.flat"]
-	}`)
-	m, err := ParseManifest(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Version != 1 || m.ReplicaAddrs != nil {
-		t.Fatalf("v1 manifest parsed as %+v", m)
-	}
-	if _, err := m.Partition(); err != nil {
-		t.Fatal(err)
-	}
-	// And through the file path.
-	path := filepath.Join(t.TempDir(), ManifestName)
-	if err := os.WriteFile(path, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadManifest(path); err != nil {
-		t.Fatal(err)
+// There is one manifest schema: a v1 or v2 document (no writer in the
+// tree emits either) is refused, by bytes and by file, with the command
+// that regenerates the cluster.
+func TestManifestOldVersionsRefused(t *testing.T) {
+	for _, ver := range []int{1, 2, manifestVersion + 1} {
+		old := []byte(fmt.Sprintf(`{"version": %d, "vertices": 500, "shards": 2, "replicas": 64, "seed": 7,
+			"files": ["shard-000.flat", "shard-001.flat"]}`, ver))
+		_, err := ParseManifest(old)
+		if err == nil || !strings.Contains(err.Error(), "-split") {
+			t.Fatalf("version-%d manifest: err = %v, want a refusal naming -split", ver, err)
+		}
+		path := filepath.Join(t.TempDir(), ManifestName)
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadManifest(path); err == nil {
+			t.Fatalf("version-%d manifest file accepted", ver)
+		}
 	}
 }
 
@@ -184,13 +176,6 @@ func TestManifestV2ReplicaAddrs(t *testing.T) {
 		t.Fatalf("replica addresses mangled: %+v", got.ReplicaAddrs)
 	}
 
-	// Replica addresses are a v2 feature; a "v1" manifest carrying them is
-	// corrupt, not forward-compatible.
-	m.Version = 1
-	if err := m.Validate(); err == nil {
-		t.Error("v1 manifest with replica addresses accepted")
-	}
-	m.Version = 2
 	m.ReplicaAddrs = [][]string{{"http://a1:8081"}}
 	if err := m.Validate(); err == nil {
 		t.Error("replica addresses for 1 of 2 shards accepted")
@@ -209,11 +194,11 @@ func TestManifestV2ReplicaAddrs(t *testing.T) {
 // gigantic ring allocation before anything touches it.
 func TestManifestRejectsImplausibleRing(t *testing.T) {
 	for _, body := range []string{
-		`{"version":1,"vertices":1,"shards":1000000,"files":[],"replicas":64,"seed":1}`,
-		`{"version":1,"vertices":1,"shards":2,"files":["a","b"],"replicas":1073741824,"seed":1}`,
+		`{"version":3,"vertices":1,"shards":1000000,"files":[],"replicas":64,"seed":1}`,
+		`{"version":3,"vertices":1,"shards":2,"files":["a","b"],"replicas":1073741824,"seed":1}`,
 		// shards*replicas wraps int64 to a small value; the bound must
 		// divide, not multiply, or this passes and allocates the ring.
-		`{"version":1,"vertices":1,"shards":4,"files":["a","b","c","d"],"replicas":4611686018427387904,"seed":1}`,
+		`{"version":3,"vertices":1,"shards":4,"files":["a","b","c","d"],"replicas":4611686018427387904,"seed":1}`,
 	} {
 		if _, err := ParseManifest([]byte(body)); err == nil {
 			t.Errorf("implausible manifest accepted: %s", body)

@@ -10,9 +10,10 @@ import (
 func TestLoadRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
-		[]byte("CHIX"),             // truncated after magic
-		[]byte("NOPE\x00\x00\x00"), // wrong magic
-		[]byte("CHIX\x00\x00\x00"), // truncated perm
+		[]byte("CHFX"),                     // truncated after magic
+		[]byte("NOPE\x00\x00\x00\x00"),     // wrong magic
+		[]byte("CHIX\x00\x00\x00\x00"),     // the retired slice-index magic
+		[]byte("CHFX\x05\x01\x01\x00\x00"), // truncated inside the section table
 	}
 	for i, c := range cases {
 		if _, err := chl.Load(bytes.NewReader(c)); err == nil {

@@ -1,8 +1,8 @@
 package chl_test
 
 // The cross-stack parity harness: every query workload (/dist, /paths,
-// /knn, /matrix), over every storage format (fixed-width packed, CHFX
-// v4 compressed), both directednesses, on every serving topology
+// /knn, /matrix), over every storage format (fixed-width packed,
+// compressed), both directednesses, on every serving topology
 // (single process, sharded 3×1, replicated 2×2), answered over HTTP and
 // checked bit-for-bit against a naive in-memory Dijkstra oracle. Labels
 // carry float32-exact integer weights and every tier sums legs in

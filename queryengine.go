@@ -15,8 +15,8 @@ import (
 // packed into contiguous arrays (hub-sorted per vertex, hub uint32 + dist
 // float32) plus the rank permutation, so queries on original vertex ids
 // run as straight-line joins over sequential memory. A FlatIndex is
-// immutable, safe for concurrent readers, and is the unit the binary
-// serving format (SaveFlat/LoadFlat) persists — build once with Build,
+// immutable, safe for concurrent readers, and is the unit the serving
+// files (Save/LoadFlat/OpenFlat) persist — build once with Build,
 // freeze, save, then serve many times without rebuilding.
 //
 // A frozen directed index carries both label halves: forward runs (hubs
@@ -36,20 +36,19 @@ type FlatIndex struct {
 	// of u with bwd's run of v. Directedness is "two stores": bwd == fwd
 	// for an undirected index. Storage format is "which implementation":
 	// both are fixed-width (*label.FlatIndex) or both compressed
-	// (*label.CompressedIndex, CHFX v4), and nothing outside the container
-	// code in io.go and Freeze/Compress/Decompress asks which.
+	// (*label.CompressedIndex), and nothing outside
+	// Freeze/Compress/Decompress asks which.
 	fwd, bwd label.Store
 	perm     []int // rank -> original id, for reporting witness hubs
 
-	// Set by LoadFlatMapped: the arrays alias a memory-mapped file that
-	// close releases. Heap-backed indexes leave both zero.
-	close  func() error
-	mapped bool
+	// file is the mapped container the arrays alias, set by
+	// LoadFlatMapped and released by Close; nil for heap-backed indexes.
+	file *label.Container
 
 	// inv memoizes the label-inverted index (hub → carrying vertices,
 	// distance-sorted) that the /knn workload joins against. It is
 	// derived from the target-side (backward) store on first use —
-	// never serialized, so the pinned CHFX formats are untouched — and
+	// never serialized, so the pinned file bytes are untouched — and
 	// inverting a per-shard slice automatically yields the shard's
 	// slice of it (empty runs invert to no postings).
 	invOnce sync.Once
@@ -81,7 +80,7 @@ func (fx *FlatIndex) inverted() *label.Inverted {
 func (fx *FlatIndex) Directed() bool { return fx.bwd != fx.fwd }
 
 // Compressed reports whether the index stores its labels as compressed
-// blocks (CHFX v4) rather than fixed-width packed entries.
+// blocks rather than fixed-width packed entries.
 func (fx *FlatIndex) Compressed() bool { return label.IsCompressed(fx.fwd) }
 
 // patchRuns returns the label runs delta.NewOverlay builds its seed
@@ -102,11 +101,10 @@ func (fx *FlatIndex) patchRuns(verts []int) (fwd, bwd [][]uint64) {
 	return fwd, bwd
 }
 
-// Compress returns a compressed (CHFX v4) copy of the index: the same
-// labels, permutation and directedness, with the label arrays re-encoded
-// as delta+varint blocks (label.CompressBlocks). Saving the result writes
-// a version-4 file; the original index is untouched, so v2/v3 outputs
-// stay byte-identical.
+// Compress returns a compressed copy of the index: the same labels,
+// permutation and directedness, with the label arrays re-encoded as
+// delta+varint blocks (label.CompressBlocks). Saving the result writes a
+// compressed-encoding file; the original index is untouched.
 func (fx *FlatIndex) Compress() (*FlatIndex, error) {
 	f, ok := fx.fwd.(*label.FlatIndex)
 	if !ok {
@@ -142,15 +140,17 @@ func (fx *FlatIndex) Decompress() *FlatIndex {
 
 // Mapped reports whether the index serves zero-copy from a memory-mapped
 // file (LoadFlatMapped / OpenFlat) rather than from heap arrays.
-func (fx *FlatIndex) Mapped() bool { return fx.mapped }
+func (fx *FlatIndex) Mapped() bool { return fx.file != nil }
 
 // Prefault touches every page of a mapped index's label arrays so the
 // kernel faults the file in before the first query, returning the number
 // of pages walked (0 for heap-backed indexes, which are always resident).
 // Server.SetPrefault runs this on reloads before the hot swap.
 func (fx *FlatIndex) Prefault() int {
-	// A mapped directed payload is one region, held by the forward half.
-	return fx.fwd.Prefault()
+	if fx.file == nil {
+		return 0
+	}
+	return fx.file.Prefault()
 }
 
 // Close releases the file mapping of a mapped index; the index must not
@@ -159,12 +159,10 @@ func (fx *FlatIndex) Prefault() int {
 // snapshot layer (Server) ref-counts to close only after the last query
 // drains.
 func (fx *FlatIndex) Close() error {
-	if fx.close == nil {
+	if fx.file == nil {
 		return nil
 	}
-	c := fx.close
-	fx.close = nil
-	return c()
+	return fx.file.Close()
 }
 
 // Freeze packs the index into its flat serving form. A directed index
@@ -188,8 +186,8 @@ func (ix *Index) Freeze() (*FlatIndex, error) {
 }
 
 // FreezeCompressed is Freeze followed by Compress: the index packed
-// straight into compressed label blocks, ready to save as a CHFX v4 file
-// or serve through the block-skipping kernel.
+// straight into compressed label blocks, ready to save or serve through
+// the block-skipping kernel.
 func (ix *Index) FreezeCompressed() (*FlatIndex, error) {
 	fx, err := ix.Freeze()
 	if err != nil {

@@ -375,9 +375,10 @@ func TestRouterReplicaRestartKeepsCacheSameContent(t *testing.T) {
 	}
 }
 
-// A v1 (unreplicated) manifest — no replica_addrs, version 1 — still
-// loads and serves through the replicated router unchanged.
-func TestRouterV1ManifestStillServes(t *testing.T) {
+// An unreplicated manifest — no replica_addrs — serves through the
+// replicated router given Addrs; the same document stamped with the
+// retired version 1 is refused by the writer, the reader and NewRouter.
+func TestRouterV1ManifestRefused(t *testing.T) {
 	g := chl.GenerateRoadGrid(12, 12, 3)
 	fx, _ := buildFlat(t, g)
 	dir := t.TempDir()
@@ -385,25 +386,29 @@ func TestRouterV1ManifestStillServes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rewrite the manifest as the v1 schema and reload it from disk.
-	m.Version = 1
-	m.ReplicaAddrs = nil
-	if err := shard.WriteManifest(dir+"/"+shard.ManifestName, m); err != nil {
-		t.Fatal(err)
+	v1 := *m
+	v1.Version = 1
+	if err := shard.WriteManifest(dir+"/v1.json", &v1); err == nil {
+		t.Fatal("WriteManifest wrote a version-1 manifest")
+	}
+	if _, err := shard.ParseManifest([]byte(`{"version":1,"vertices":144,"shards":2,"replicas":64,"seed":1,"files":["a","b"]}`)); err == nil || !strings.Contains(err.Error(), "-split") {
+		t.Fatalf("version-1 manifest: err = %v, want a refusal naming -split", err)
+	}
+	if _, err := chl.NewRouter(chl.RouterConfig{Manifest: &v1, Addrs: []string{"http://a", "http://b"}}); err == nil {
+		t.Fatal("NewRouter accepted a version-1 manifest")
 	}
 	m, err = shard.ReadManifest(dir + "/" + shard.ManifestName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Version != 1 {
-		t.Fatalf("manifest round-tripped as version %d, want 1", m.Version)
+	if m.ReplicaAddrs != nil {
+		t.Fatalf("SaveShards recorded replica addresses nobody gave it: %v", m.ReplicaAddrs)
 	}
 	part, err := m.Partition()
 	if err != nil {
 		t.Fatal(err)
 	}
 	addrs := make([]string, 2)
-	var servers []*chl.Server
 	for sid := 0; sid < 2; sid++ {
 		path, err := chl.ShardFilePath(dir+"/"+shard.ManifestName, m, sid)
 		if err != nil {
@@ -419,10 +424,8 @@ func TestRouterV1ManifestStillServes(t *testing.T) {
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
 		defer s.Close()
-		servers = append(servers, s)
 		addrs[sid] = ts.URL
 	}
-	_ = servers
 	r, err := chl.NewRouter(chl.RouterConfig{Manifest: m, Addrs: addrs, CacheSize: 256})
 	if err != nil {
 		t.Fatal(err)
@@ -433,15 +436,15 @@ func TestRouterV1ManifestStillServes(t *testing.T) {
 		u, v := rng.Intn(n), rng.Intn(n)
 		d, err := r.Query(u, v)
 		if err != nil {
-			t.Fatalf("v1 cluster query(%d,%d): %v", u, v, err)
+			t.Fatalf("unreplicated cluster query(%d,%d): %v", u, v, err)
 		}
 		if want := fx.Query(u, v); d != want {
-			t.Fatalf("v1 cluster query(%d,%d) = %v, want %v", u, v, d, want)
+			t.Fatalf("unreplicated cluster query(%d,%d) = %v, want %v", u, v, d, want)
 		}
 	}
 }
 
-// A v2 manifest with replica_addrs is a complete cluster description:
+// A manifest with replica_addrs is a complete cluster description:
 // the router starts from it alone (no Addrs) and serves.
 func TestRouterFromManifestReplicaAddrs(t *testing.T) {
 	g := chl.GenerateScaleFree(200, 3, 14)

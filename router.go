@@ -50,7 +50,7 @@ import (
 // arrive, validated, for every workload that joins or ships them
 // (single pairs, /batch, /knn, /matrix, patch application).
 //
-// Directed clusters (a v3 manifest with directed=true, split from a
+// Directed clusters (a manifest with directed=true, split from a
 // directed index) serve the same API with ordered semantics: /dist?u=&v=
 // is the u→v distance. Same-shard queries forward unchanged (the shard's
 // engine joins forward(u) × backward(v) locally); cross-shard queries
@@ -59,7 +59,7 @@ import (
 // for d(v→u).
 //
 // Each shard may be served by a replica group — several processes over
-// the same slice file (a v2 manifest's replica_addrs, or
+// the same slice file (the manifest's replica_addrs, or
 // RouterConfig.ReplicaAddrs). The router load-balances every shard
 // request across the group's healthy replicas with power-of-two-choices
 // on in-flight counts, and fails over: a request that dies on one
@@ -458,7 +458,7 @@ type RouterConfig struct {
 	// ReplicaAddrs are the per-shard replica groups, indexed by shard id:
 	// every address in group i serves shard i's slice file. Takes
 	// precedence over Addrs; when both are empty the manifest's
-	// replica_addrs (v2) are used.
+	// replica_addrs are used.
 	ReplicaAddrs [][]string
 	// CacheSize bounds the router's answer cache; <= 0 disables it.
 	CacheSize int
@@ -529,7 +529,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		groups = cfg.Manifest.ReplicaAddrs
 	}
 	if groups == nil {
-		return nil, fmt.Errorf("chl: router needs shard addresses: Addrs, ReplicaAddrs, or a v2 manifest with replica_addrs")
+		return nil, fmt.Errorf("chl: router needs shard addresses: Addrs, ReplicaAddrs, or a manifest with replica_addrs")
 	}
 	if len(groups) != cfg.Manifest.Shards {
 		return nil, fmt.Errorf("chl: manifest has %d shards but %d address groups given", cfg.Manifest.Shards, len(groups))

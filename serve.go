@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -639,13 +638,8 @@ func (s *Server) Compact(path string) (uint64, error) {
 		path = cur.path
 	}
 	if path != "" {
-		tmp := path + ".compact.tmp"
-		if err := fx.SaveFile(tmp); err != nil {
+		if err := fx.SaveFile(path); err != nil {
 			return 0, fmt.Errorf("chl: compaction save: %w", err)
-		}
-		if err := os.Rename(tmp, path); err != nil {
-			os.Remove(tmp)
-			return 0, fmt.Errorf("chl: compaction rename: %w", err)
 		}
 		if fx, err = OpenFlat(path); err != nil {
 			return 0, fmt.Errorf("chl: compaction reopen: %w", err)
@@ -1359,10 +1353,9 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 // gone.
 func serveMatrix(w http.ResponseWriter, req matrixRequest, rows func(sources, targets []int, emit func(u int, dists []float64) error) error) {
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
 	started := false
-	line := func(v any) error {
-		err := enc.Encode(v)
+	send := func(line []byte) error {
+		_, err := w.Write(line)
 		if flusher != nil {
 			flusher.Flush()
 		}
@@ -1375,7 +1368,9 @@ func serveMatrix(w http.ResponseWriter, req matrixRequest, rows func(sources, ta
 		if !started {
 			started = true
 			w.Header().Set("Content-Type", "application/x-ndjson")
-			if err := line(map[string]any{"targets": req.Targets, "rows": len(req.Sources)}); err != nil {
+			b := append(matrixHeader{Targets: req.Targets, Rows: len(req.Sources)}.appendJSON((*buf)[:0]), '\n')
+			*buf = b
+			if err := send(b); err != nil {
 				return err
 			}
 		}
@@ -1383,18 +1378,15 @@ func serveMatrix(w http.ResponseWriter, req matrixRequest, rows func(sources, ta
 		b := appendIntField((*buf)[:0], `{"u":`, int64(u))
 		b = append(appendDists(append(b, `,"dists":`...), wireDists(wire)), "}\n"...)
 		*buf = b
-		_, err := w.Write(b)
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return err
+		return send(b)
 	})
 	switch {
 	case err == nil:
 	case !started:
 		routeError(w, err)
 	default:
-		_ = line(map[string]any{"error": err.Error()}) // best effort: the client may be the reason rows stopped
+		b, _ := json.Marshal(map[string]string{"error": err.Error()})
+		_ = send(append(b, '\n')) // best effort: the client may be the reason rows stopped
 	}
 }
 
@@ -1457,7 +1449,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	promGauge(w, "chl_index_memory_bytes", "Byte footprint of the served label arrays.", float64(st.MemoryBytes))
 	promGauge(w, "chl_index_mapped", "1 when the index is served from a memory mapping.", boolGauge(st.Mapped))
 	promGauge(w, "chl_index_directed", "1 when the served index holds directed (forward/backward) labels.", boolGauge(st.Directed))
-	promGauge(w, "chl_index_compressed", "1 when the served index stores compressed label blocks (CHFX v4).", boolGauge(st.Compressed))
+	promGauge(w, "chl_index_compressed", "1 when the served index stores compressed label blocks.", boolGauge(st.Compressed))
 	promGauge(w, "chl_index_generation", "Current snapshot generation.", float64(st.Generation))
 	promGauge(w, "chl_uptime_seconds", "Seconds since the server started.", st.UptimeSeconds)
 	promCounter(w, "chl_queries_total", "Point-to-point queries answered.", st.Queries)

@@ -84,19 +84,16 @@ func TestMappedLoaderParityWithHeapLoader(t *testing.T) {
 	}
 }
 
-// On unix hosts OpenFlat must actually take the zero-copy path for a
-// version-2 file; everywhere it must load version-1 (unpadded legacy)
-// files through the heap fallback.
+// On unix hosts OpenFlat must actually take the zero-copy path; a file of
+// any other container version is refused outright — by the mapped loader,
+// so the heap fallback never sees it — with the command that rebuilds it.
 func TestOpenFlatVersions(t *testing.T) {
 	g := chl.GenerateScaleFree(200, 3, 5)
-	path, ix := saveFlat(t, g, "v2.flat")
+	path, ix := saveFlat(t, g, "cur.flat")
 
-	v2, err := os.ReadFile(path)
+	cur, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if v2[4] != 2 {
-		t.Fatalf("Save wrote version %d, want 2", v2[4])
 	}
 	fx, err := chl.OpenFlat(path)
 	if err != nil {
@@ -106,26 +103,29 @@ func TestOpenFlatVersions(t *testing.T) {
 	if !fx.Mapped() {
 		t.Log("OpenFlat fell back to the heap loader on this platform")
 	}
-
-	// A version-1 file is the same bytes without the pad framing.
-	pad := int(v2[5])
-	v1 := append([]byte("CHFX\x01"), v2[6+pad:]...)
-	v1Path := filepath.Join(t.TempDir(), "v1.flat")
-	if err := os.WriteFile(v1Path, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := chl.OpenFlat(v1Path)
-	if err != nil {
-		t.Fatalf("OpenFlat on a version-1 file: %v", err)
-	}
-	defer legacy.Close()
-	if legacy.Mapped() {
-		t.Fatal("version-1 file claims to be mapped; its arrays are unpadded")
-	}
 	for i := 0; i < 500; i++ {
 		u, v := (i*7)%200, (i*13)%200
-		if legacy.Query(u, v) != ix.Query(u, v) || fx.Query(u, v) != ix.Query(u, v) {
-			t.Fatalf("version disagreement at (%d,%d)", u, v)
+		if fx.Query(u, v) != ix.Query(u, v) {
+			t.Fatalf("opened index disagrees with the build at (%d,%d)", u, v)
+		}
+	}
+	for ver := byte(1); ver <= cur[4]+1; ver++ {
+		if ver == cur[4] {
+			continue
+		}
+		old := append([]byte(nil), cur...)
+		old[4] = ver
+		oldPath := filepath.Join(t.TempDir(), "old.flat")
+		if err := os.WriteFile(oldPath, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for name, open := range map[string]func(string) (*chl.FlatIndex, error){
+			"OpenFlat": chl.OpenFlat, "LoadFlatMapped": chl.LoadFlatMapped, "LoadFlatFile": chl.LoadFlatFile,
+		} {
+			_, err := open(oldPath)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", ver)) || !strings.Contains(err.Error(), "chlquery -save") {
+				t.Fatalf("%s on a version-%d file: err = %v, want a refusal naming the version and the rebuild command", name, ver, err)
+			}
 		}
 	}
 }

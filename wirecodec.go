@@ -342,3 +342,21 @@ func (r batchResponse) appendJSON(b []byte) []byte {
 	b = appendDists(append(b, `{"dists":`...), r.Dists)
 	return append(r.appendStamp(b), '}')
 }
+
+// matrixHeader is the first line of a /matrix stream, in the documented
+// key order. Targets is never empty (decodeMatrixBody refuses that).
+type matrixHeader struct {
+	Targets []int `json:"targets"`
+	Rows    int   `json:"rows"`
+}
+
+func (h matrixHeader) appendJSON(b []byte) []byte {
+	b = append(b, `{"targets":[`...)
+	for i, t := range h.Targets {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(t), 10)
+	}
+	return append(appendIntField(b, `],"rows":`, int64(h.Rows)), '}')
+}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -151,6 +152,37 @@ func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 	check(pathResponse{pairResponse: pair, Dist: 4, Path: []int{1, 5, 2}})
 	check(healthResponse{OK: true, shardStamp: pair.shardStamp})
 	check(&reloadResponse{Path: "x", Vertices: 9, shardStamp: pair.shardStamp})
+}
+
+// TestMatrixHeaderWireOrder pins the first line of a /matrix stream to
+// the bytes README and ARCHITECTURE document — targets, then rows —
+// through the handler, and the encoder to encoding/json's rendering of
+// the same struct.
+func TestMatrixHeaderWireOrder(t *testing.T) {
+	h := matrixHeader{Targets: []int{800, 12, 3}, Rows: 2}
+	want, err := json.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := h.appendJSON(nil); !bytes.Equal(got, want) || string(got) != `{"targets":[800,12,3],"rows":2}` {
+		t.Fatalf("appendJSON = %s, encoding/json = %s", got, want)
+	}
+	ix, err := Build(GenerateRoadGrid(4, 4, 1), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx, err := ix.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServerFromFlat(fx, 0)
+	defer srv.Close()
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/matrix", strings.NewReader(`{"sources":[3,0],"targets":[15,12,3]}`)))
+	first, _, _ := strings.Cut(rec.Body.String(), "\n")
+	if rec.Code != http.StatusOK || first != `{"targets":[15,12,3],"rows":2}` {
+		t.Fatalf("/matrix status %d, header line %q", rec.Code, first)
+	}
 }
 
 // TestBatchPooledBuffersUnderConcurrency posts different batches from 8
