@@ -239,6 +239,20 @@ func BenchmarkBuildPLaNT(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildHybrid is the scoreboard's build_hybrid_s row in small: the
+// road fixture's shape (grid, sampled-betweenness hierarchy) on two one-worker
+// nodes, the regime where the growing Common Label Table pays.
+func BenchmarkBuildHybrid(b *testing.B) {
+	g := chl.GenerateRoadGrid(48, 48, 1)
+	ord := chl.RankByBetweenness(g, 64, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := chl.Build(g, chl.Options{Algorithm: chl.AlgoHybrid, Order: ord, Nodes: 2, WorkersPerNode: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkBuildHybridQ8(b *testing.B) {
 	g := benchGraph(b)
 	ord := chl.RankByDegree(g)

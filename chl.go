@@ -78,11 +78,10 @@ type Options struct {
 	Alpha float64
 
 	// CommonHubs sizes the Common Label Table of shared-memory PLaNT
-	// (§5.3), with Eta's convention: 0 = the default, a table that grows
-	// with every finished batch of trees, each batch an eighth of the
-	// table before it; η > 0 = the η top hubs only, as the distributed
-	// builders must; negative = off (Algorithm 3 verbatim). The labeling
-	// is the same in every case.
+	// (§5.3): 0 = the default, a table that grows with every finished
+	// batch of trees, each batch an eighth of the table before it; η > 0 =
+	// the η top hubs only, as the paper fixes it; negative = off
+	// (Algorithm 3 verbatim). The labeling is the same in every case.
 	CommonHubs int
 
 	// PlantFirstSuperstep makes AlgoGLL build its first superstep with
@@ -99,15 +98,21 @@ type Options struct {
 	Beta float64
 	// Supersteps fixes the synchronization count (0 = ceil(log_β n)).
 	Supersteps int
-	// Eta is the Common Label Table size for the distributed algorithms
-	// (0 = paper default 16 for PLaNT/Hybrid, off for DGLL; negative =
-	// off).
+	// Eta is CommonHubs for the distributed algorithms, one convention:
+	// 0 = AlgoDPLaNT and AlgoHybrid gather every batch's labels into each
+	// node's replica of the table (least exploration, every label crosses
+	// the wire once: hybrid.vertices_explored vs hybrid.bytes_sent in
+	// bench/); η > 0 = only the top η trees' (16 is the paper's setting,
+	// and what AlgoDGLL PLaNTs first when given one); negative = off. With
+	// MemoryLimitBytes set the replica also stops growing where a node's
+	// memory does.
 	Eta int
 	// PsiThreshold is the Hybrid switch threshold Ψth (0 = 100).
 	PsiThreshold float64
 	// MemoryLimitBytes caps per-node label storage for distributed builds
-	// (0 = unlimited). Exceeding it returns ErrOutOfMemory, simulating the
-	// OOM failures of Figure 8.
+	// (0 = unlimited). PLaNTed trees shrink their Common Label Table to
+	// fit; a build that still cannot returns ErrOutOfMemory, simulating
+	// the OOM failures of Figure 8.
 	MemoryLimitBytes int64
 
 	// RecordPerTree keeps per-tree label and exploration counts (Figures
@@ -128,7 +133,6 @@ type Index struct {
 	perm     []int        // rank -> original id
 	rank     []int        // original id -> rank
 	perNode  []*label.Index
-	common   *label.Index
 	metrics  *Metrics
 	directed *label.DirectedIndex // non-nil for directed graphs
 }
@@ -186,7 +190,6 @@ func Build(g *Graph, opt Options) (*Index, error) {
 		}
 		ix.ranked = res.Index
 		ix.perNode = res.PerNode
-		ix.common = res.Common
 		ix.metrics = res.Metrics
 	default:
 		return nil, fmt.Errorf("chl: unknown algorithm %q", opt.Algorithm)

@@ -29,6 +29,7 @@ func main() {
 		Order:        ord,
 		Nodes:        8,
 		PsiThreshold: 100, // §7.1: Ψth = 100 for scale-free networks
+		Eta:          16,  // §7.1's 16-hub table; the default lets it grow, and then Ψ never trips
 	})
 	if err != nil {
 		log.Fatal(err)

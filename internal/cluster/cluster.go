@@ -2,8 +2,9 @@
 // single machine. The paper's distributed algorithms (DparaPLL, DGLL,
 // PLaNT, Hybrid) and query modes (QFDL, QDOL) run on q MPI processes; here
 // every "node" is a goroutine with strictly private state, and all data
-// movement goes through the collectives of this package, which copy
-// payloads (no sharing) and meter every byte, message and synchronization.
+// movement goes through the collectives of this package, which hand
+// payloads over read-only and meter every byte, message and synchronization
+// (a collective is one synchronization, as an MPI program would pay it).
 //
 // That accounting is the point: the communication volume, synchronization
 // count and per-node memory those algorithms generate are machine
@@ -27,7 +28,7 @@ type Stats struct {
 	Nodes         int
 	BytesSent     int64 // payload bytes leaving any node
 	MessagesSent  int64 // point-to-point message count (collectives count q-1 per contributor)
-	Barriers      int64 // barrier/collective synchronizations
+	Barriers      int64 // synchronizations: one per Barrier call or collective
 	BytesPerNode  []int64
 	PeakNodeBytes int64 // max over nodes of BytesPerNode
 }
@@ -168,7 +169,10 @@ func (n *Node) AllGather(payload any, bytes int64) []any {
 	n.Barrier()
 	out := make([]any, c.q)
 	copy(out, c.slots)
-	n.Barrier() // nobody overwrites slots until everyone has read
+	// Nobody overwrites slots until everyone has read. Slot reuse is the
+	// simulation's problem, not a synchronization an MPI program pays, so
+	// this wait is not counted.
+	c.barrier.await()
 	return out
 }
 
@@ -184,7 +188,7 @@ func (n *Node) Broadcast(root int, payload any, bytes int64) any {
 	}
 	n.Barrier()
 	out := c.slots[root]
-	n.Barrier()
+	c.barrier.await() // slot reuse, as in AllGather: not counted
 	return out
 }
 

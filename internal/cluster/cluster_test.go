@@ -198,7 +198,21 @@ func TestStatsPerNode(t *testing.T) {
 	if st.PeakNodeBytes != 20 {
 		t.Fatalf("peak %d", st.PeakNodeBytes)
 	}
-	if st.Barriers == 0 {
-		t.Fatal("no barriers counted")
+	if st.Barriers != 1 {
+		t.Fatalf("one broadcast counted as %d synchronizations", st.Barriers)
+	}
+}
+
+// A collective is one synchronization, whatever the simulation does
+// internally to keep its slots safe.
+func TestCollectivesCountOnce(t *testing.T) {
+	st := New(3).Run(func(n *Node) {
+		n.AllGather(n.Rank(), 8)
+		n.AllReduceInt64(1, func(a, b int64) int64 { return a + b })
+		n.Broadcast(1, "x", 1)
+		n.Barrier()
+	})
+	if st.Barriers != 4 {
+		t.Fatalf("two gathers, a broadcast and a barrier counted as %d synchronizations", st.Barriers)
 	}
 }

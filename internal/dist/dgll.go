@@ -1,13 +1,9 @@
 package dist
 
 import (
-	"time"
-
 	"repro/internal/cluster"
 	"repro/internal/graph"
 	"repro/internal/label"
-	"repro/internal/metrics"
-	"repro/internal/plant"
 	"repro/internal/ptree"
 )
 
@@ -37,18 +33,18 @@ func buildMyRoots(g *graph.Graph, global []label.Set, local *label.ConcurrentSto
 }
 
 // dgllSupersteps runs DGLL's construction+cleaning supersteps over the
-// roots in bounds, mutating the node's replicated global table in place.
-// clean=false gives DparaPLL's exchange-without-cleaning behaviour. It
-// returns false if the per-node memory limit was exceeded (the decision is
-// replicated-deterministic, so every node returns together).
-func dgllSupersteps(nd *cluster.Node, g *graph.Graph, global []label.Set, bounds []int,
-	o Options, clean bool, rootOwner []int32, c *perNodeCounters) bool {
-	n := g.NumVertices()
+// roots in bounds on top of the node's replicated global table, and returns
+// the table. clean=false gives DparaPLL's exchange-without-cleaning
+// behaviour. It returns nil if the table outgrew the per-node memory limit
+// (the decision is replicated-deterministic, so every node returns
+// together).
+func (r *run) dgllSupersteps(nd *cluster.Node, global []label.Set, bounds []int, clean bool, c *perNodeCounters) []label.Set {
+	g, o, n := r.g, r.o, r.n
 	local := label.NewConcurrentStore(n)
 	scr := ptree.NewScratches(o.WorkersPerNode, n)
 	rankQuery := clean // DGLL rank-queries and cleans; DparaPLL does neither (§3)
 	for si := 0; si+1 < len(bounds); si++ {
-		mine := myRoots(nd, bounds[si], bounds[si+1], rootOwner)
+		mine := myRoots(nd, bounds[si], bounds[si+1], r.rootOwner)
 		c.Add(buildMyRoots(g, global, local, mine, scr, rankQuery))
 
 		batch := batchOf(drainSorted(local))
@@ -65,61 +61,35 @@ func dgllSupersteps(nd *cluster.Node, g *graph.Graph, global []label.Set, bounds
 			commit = mergeBatches(n, nd.AllGather(sb, sb.count*label.Bytes))
 		}
 		mergeInto(global, commit)
-		if o.MemoryLimitBytes > 0 && totalLabels(global)*label.Bytes > o.MemoryLimitBytes {
-			return false
+		c.storedBytes = totalLabels(global) * label.Bytes
+		if o.MemoryLimitBytes > 0 && c.storedBytes > o.MemoryLimitBytes {
+			return nil
 		}
 	}
-	c.storedBytes = totalLabels(global) * label.Bytes
-	return true
+	return global
 }
 
 // DGLL runs distributed GLL (§5.1) and returns the CHL for the identity
 // rank order of g. With Eta > 0 the top-η roots are PLaNTed first and their
-// complete labels broadcast as the Common Label Table, removing the
+// complete labels gathered as the Common Label Table, removing the
 // pathological redundancy of the earliest supersteps.
 func DGLL(g *graph.Graph, o Options) (*Result, error) {
-	o = o.normalize()
-	n := guard(g)
-	m := &metrics.Build{Algorithm: "DGLL", Workers: o.WorkersPerNode, Nodes: o.Nodes, Trees: int64(n)}
-	eta := o.eta(0, n)
-
-	cl := cluster.New(o.Nodes)
-	counters := make([]perNodeCounters, o.Nodes)
-	rootOwner := make([]int32, n)
-	var finalSets []label.Set
-	var common *label.Index
-	oom := false
-	bounds := clip(schedule(0, n, o.Beta, o.Supersteps), eta, n)
-
-	start := time.Now()
-	st := cl.Run(func(nd *cluster.Node) {
-		c := &counters[nd.Rank()]
-		global := make([]label.Set, n)
-		var com *label.Index
+	r := newRun("DGLL", g, o)
+	eta := min(max(r.o.Eta, 0), r.n)
+	bounds := clip(schedule(0, r.n, r.o.Beta, r.o.Supersteps), eta, r.n)
+	table := r.exec(func(nd *cluster.Node, c *perNodeCounters) []label.Set {
+		global := make([]label.Set, r.n)
 		if eta > 0 {
-			com, _ = plantPhase(nd, g, global, 0, eta, plant.NewScratches(o.WorkersPerNode, n), rootOwner, nil, nil, c)
+			p := r.newPlanter(nd, c)
+			p.plant(0, eta)
+			p.sync(eta, true)
+			global = p.global
 		}
-		if !dgllSupersteps(nd, g, global, bounds, o, true, rootOwner, c) {
-			if nd.Rank() == 0 {
-				oom = true
-			}
-			return
-		}
-		if nd.Rank() == 0 {
-			finalSets = global
-			common = com
-		}
+		return r.dgllSupersteps(nd, global, bounds, true, c)
 	})
-	m.TotalTime = time.Since(start)
-	m.ConstructTime = m.TotalTime
-	m.BytesSent = st.BytesSent
-	m.MessagesSent = st.MessagesSent
-	m.Synchronizations = st.Barriers
-	fold(m, counters)
-	if oom {
-		return nil, ErrOutOfMemory
+	var common *label.Index
+	if eta > 0 && table != nil {
+		common = label.FromSets(table)
 	}
-	ix := label.FromSets(finalSets)
-	m.Labels = ix.TotalLabels()
-	return &Result{Index: ix, PerNode: assemble(ix, rootOwner, o.Nodes), Common: common, Metrics: m}, nil
+	return r.result(table, common)
 }

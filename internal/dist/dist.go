@@ -11,14 +11,37 @@
 //     construction performs rank queries, and every superstep ends with a
 //     distributed cleaning pass (each node cleans the vertices it owns
 //     against the allgathered superstep labels, then the survivors are
-//     rebroadcast into the replicated global table). Output: the CHL.
-//   - PLaNT (§5.2): trees are embarrassingly parallel and exchange *no*
-//     label traffic; the only communication is the one-time broadcast of
-//     the Common Label Table (§5.3). Labels stay partitioned by the node
-//     that grew the tree. Output: the CHL.
-//   - Hybrid (§5.3): PLaNT while trees are productive, monitored by the
-//     per-tree Ψ ratio; once Ψ exceeds PsiThreshold the remaining roots run
-//     under DGLL (seeded with the PLaNTed labels). Output: the CHL.
+//     rebroadcast into the replicated global table). With Eta > 0 the top
+//     η trees are PLaNTed and gathered first. Output: the CHL.
+//   - PLaNT (§5.2, §5.3): roots run in the rank-ordered batches of
+//     plant.BatchBounds. Every node plants its round-robin share of a batch
+//     against its own replica of the Common Label Table, and one AllGather
+//     per batch carries the batch's finished labels to every replica — the
+//     only label traffic, and every label crosses the wire once because
+//     PLaNT emits nothing redundant. Trees never wait for labels of their
+//     own batch, so emission stays communication-free. Output: the CHL.
+//   - Hybrid (§5.3): that loop with a vote riding each batch's collective:
+//     every node reports its lowest root whose Ψ ratio exceeds PsiThreshold,
+//     and once one does the remaining roots run under DGLL on the table the
+//     batches have already replicated. Output: the CHL.
+//
+// # The Common Label Table is a replica that grows
+//
+// The correctness argument is the one in the internal/plant package doc,
+// unchanged: a node prunes a tree of batch [lo, hi) with bound = lo against
+// a replica that is complete for every hub below lo, because every earlier
+// batch was gathered and appended in hub order on every node. How far the
+// replica grows is Options.Eta — 0 gathers every batch (a tree's table lags
+// its rank by at most a ninth, and after the last batch the replica is the
+// index), η > 0 gathers only the first η trees as the paper does ("η = 16
+// for all experiments"), negative gathers nothing — and, under
+// Options.MemoryLimitBytes, what fits: a node holds the table below its
+// bound plus the trees it grew itself, and when that exceeds the limit it
+// gives up the table's newest batch (lowers its bound) instead of failing.
+// Gathering stops at the first batch the table alone does not fit, and the
+// remaining trees run partitioned with zero label traffic. A smaller table
+// costs exploration, never correctness; the price of a larger one is
+// BytesSent, which the η ablation of internal/exp charts.
 //
 // All functions operate in rank space (vertex 0 = highest rank) and return
 // per-node label partitions alongside the assembled index, which is what
@@ -28,7 +51,9 @@ package dist
 import (
 	"errors"
 	"math"
+	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/graph"
 	"repro/internal/label"
 	"repro/internal/metrics"
@@ -60,13 +85,18 @@ type Options struct {
 	Beta float64
 	// Supersteps fixes the superstep count (0 = ceil(log_β n)).
 	Supersteps int
-	// Eta is the Common Label Table size. 0 means the per-algorithm
-	// default (DefaultEta for PLaNT and Hybrid, off for DParaPLL/DGLL);
-	// negative disables the table everywhere.
+	// Eta (η) sizes the Common Label Table of PLaNT and Hybrid, with
+	// plant.Options.CommonHubs' convention: 0 grows the table batch by
+	// batch, η > 0 freezes it after the first η trees (DefaultEta is the
+	// paper's configuration), negative disables it. DGLL PLaNTs its top η
+	// trees when η > 0; DParaPLL has no table.
 	Eta int
 	// PsiThreshold is Hybrid's switch threshold (0 = DefaultPsiThreshold).
 	PsiThreshold float64
-	// MemoryLimitBytes caps per-node label storage (0 = unlimited).
+	// MemoryLimitBytes caps per-node label storage (0 = unlimited). PLaNT
+	// and Hybrid's PLaNTed trees shrink their table to stay under it; a
+	// node whose own partition does not fit, and any algorithm that must
+	// replicate more than the limit, fails with ErrOutOfMemory.
 	MemoryLimitBytes int64
 	// RecordPerTree keeps per-tree label/exploration counts where the
 	// algorithm builds whole trees (PLaNT and Hybrid's PLaNT phase).
@@ -89,22 +119,6 @@ func (o Options) normalize() Options {
 	return o
 }
 
-// eta resolves the Common Label Table size for an algorithm whose default
-// is def, clamped to the vertex count.
-func (o Options) eta(def, n int) int {
-	e := o.Eta
-	if e == 0 {
-		e = def
-	}
-	if e < 0 {
-		e = 0
-	}
-	if e > n {
-		e = n
-	}
-	return e
-}
-
 // Result is the output of a distributed build.
 type Result struct {
 	// Index is the assembled labeling over all vertices.
@@ -113,8 +127,9 @@ type Result struct {
 	// node grew — every label appears on exactly one node). QFDL deploys
 	// these directly.
 	PerNode []*label.Index
-	// Common is the Common Label Table (labels of the top-η hubs), nil
-	// when the table was disabled.
+	// Common is the replica of the Common Label Table node 0 holds when the
+	// build ends — the whole index when every batch was gathered or DGLL
+	// finished the run — and nil when Eta disabled the table.
 	Common *label.Index
 	// Metrics is the instrumentation record of the build.
 	Metrics *metrics.Build
@@ -239,40 +254,80 @@ type perNodeCounters struct {
 	storedBytes int64 // final label storage on this node
 }
 
-// fold sums per-node counters into the build record and fills the per-node
-// maxima the cost model needs.
-func fold(m *metrics.Build, cs []perNodeCounters) {
-	for _, c := range cs {
+// run is the frame the four builders share: the build record, the simulated
+// cluster's per-node counters and the root→node ownership map.
+type run struct {
+	g         *graph.Graph
+	o         Options
+	n         int
+	m         *metrics.Build
+	counters  []perNodeCounters
+	rootOwner []int32
+}
+
+func newRun(algorithm string, g *graph.Graph, o Options) *run {
+	o = o.normalize()
+	n := g.NumVertices()
+	r := &run{g: g, o: o, n: n, counters: make([]perNodeCounters, o.Nodes), rootOwner: make([]int32, n)}
+	r.m = &metrics.Build{Algorithm: algorithm, Workers: o.WorkersPerNode, Nodes: o.Nodes, Trees: int64(n)}
+	return r
+}
+
+// recordPerTree allocates the per-tree series when the options ask for them.
+func (r *run) recordPerTree() {
+	if r.o.RecordPerTree {
+		r.m.LabelsPerTree = make([]int64, r.n)
+		r.m.ExploredPerTree = make([]int64, r.n)
+	}
+}
+
+// exec runs body on every node of a fresh cluster and folds the traffic and
+// the per-node counters into the build record. body returns the node's
+// replicated label table, or nil if it exceeded the memory limit (a
+// replicated-deterministic decision, so every node returns together); exec
+// returns node 0's.
+func (r *run) exec(body func(nd *cluster.Node, c *perNodeCounters) []label.Set) []label.Set {
+	var table []label.Set
+	start := time.Now()
+	st := cluster.New(r.o.Nodes).Run(func(nd *cluster.Node) {
+		sets := body(nd, &r.counters[nd.Rank()])
+		if nd.Rank() == 0 {
+			table = sets
+		}
+	})
+	m := r.m
+	m.TotalTime = time.Since(start)
+	m.ConstructTime = m.TotalTime
+	m.BytesSent = st.BytesSent
+	m.MessagesSent = st.MessagesSent
+	m.Synchronizations = st.Barriers
+	for _, c := range r.counters {
 		m.Fold(c.Stats)
 		m.MaxNodeExplored = max(m.MaxNodeExplored, c.Explored)
 		m.MaxNodeQueries = max(m.MaxNodeQueries, c.Queries+c.CleanQueries)
 		m.MaxNodeBytes = max(m.MaxNodeBytes, c.storedBytes)
 	}
+	return table
 }
 
-// assemble builds the per-node partitions from the final index and the
-// root→node ownership map (a label belongs to the node that grew its hub's
-// tree).
-func assemble(ix *label.Index, rootOwner []int32, q int) []*label.Index {
-	per := make([]*label.Index, q)
-	for r := range per {
-		per[r] = label.NewIndex(ix.NumVertices())
+// result wraps the final table into a Result, cutting the per-node
+// partitions from the ownership map (a label belongs to the node that grew
+// its hub's tree). A nil table, or a node over the limit, is ErrOutOfMemory.
+func (r *run) result(table []label.Set, common *label.Index) (*Result, error) {
+	if table == nil || r.o.MemoryLimitBytes > 0 && r.m.MaxNodeBytes > r.o.MemoryLimitBytes {
+		return nil, ErrOutOfMemory
 	}
-	for v := 0; v < ix.NumVertices(); v++ {
-		for _, l := range ix.Labels(v) {
-			per[rootOwner[l.Hub]].Append(v, l)
+	ix := label.FromSets(table)
+	r.m.Labels = ix.TotalLabels()
+	per := make([]*label.Index, r.o.Nodes)
+	for q := range per {
+		per[q] = label.NewIndex(r.n)
+	}
+	ptree.ParallelFor(r.o.Nodes*r.o.WorkersPerNode, r.n, func(_, v int) {
+		for _, l := range table[v] { // hubs ascend: a plain append
+			p := per[r.rootOwner[l.Hub]]
+			p.SetLabels(v, append(p.Labels(v), l))
 		}
-	}
-	return per
+	})
+	return &Result{Index: ix, PerNode: per, Common: common, Metrics: r.m}, nil
 }
-
-// indexFromSets wraps per-vertex sets, sorting each (PLaNT sinks append in
-// distance order, not hub order).
-func indexFromSets(sets []label.Set) *label.Index {
-	ix := label.FromSets(sets)
-	ix.SortAll()
-	return ix
-}
-
-// guard panics on nil graphs the same way the shared-memory packages do.
-func guard(g *graph.Graph) int { return g.NumVertices() }

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/label"
+	"repro/internal/plant"
 	"repro/internal/pll"
 )
 
@@ -144,6 +146,15 @@ func TestHybridSwitchMetrics(t *testing.T) {
 	if diff := res.Index.Diff(pure.Index); diff != "" {
 		t.Fatalf("switch point changed the labeling: %s", diff)
 	}
+	// The table DGLL takes over is the one the batches replicated: the
+	// PLaNTed labels are not gathered a second time at the switch, which
+	// cost 150816 bytes on this graph when they were.
+	if m.BytesSent >= 150816 {
+		t.Fatalf("switching run sent %d bytes, want fewer than 150816", m.BytesSent)
+	}
+	if m.LabelsCleaned == 0 || res.Common == nil {
+		t.Fatalf("switching run cleaned %d labels, Common = %v", m.LabelsCleaned, res.Common)
+	}
 }
 
 func TestPLaNTHasNoLabelTrafficWithoutCommonTable(t *testing.T) {
@@ -161,5 +172,124 @@ func TestPLaNTHasNoLabelTrafficWithoutCommonTable(t *testing.T) {
 	}
 	if dg.Metrics.BytesSent <= res.Metrics.BytesSent {
 		t.Fatal("DGLL reported no more traffic than PLaNT")
+	}
+}
+
+// fixtures are the two regimes the builders are measured on. The grid is in
+// generator order — a poor hierarchy, so tables are large and every pruning
+// rule fires.
+func fixtures() map[string]*graph.Graph {
+	return map[string]*graph.Graph{"road": graph.RoadGrid(20, 20, 3), "scale-free": graph.BarabasiAlbert(300, 3, 4)}
+}
+
+// A tree's work depends on the batch schedule alone: however the roots are
+// dealt to nodes and workers, the cluster builders do exactly what plant.Run
+// does, and pay one collective per batch.
+func TestWorkDependsOnScheduleAlone(t *testing.T) {
+	for name, g := range fixtures() {
+		want, wm := plant.Run(g, plant.Options{Workers: 2})
+		for q := 1; q <= 4; q++ {
+			for w := 1; w <= 2; w++ {
+				for algo, run := range map[string]func(*graph.Graph, Options) (*Result, error){"PLaNT": PLaNT, "Hybrid": Hybrid} {
+					res, err := run(g, Options{Nodes: q, WorkersPerNode: w, PsiThreshold: 1e18})
+					if err != nil {
+						t.Fatal(err)
+					}
+					m := res.Metrics
+					if !res.Index.Equal(want) {
+						t.Fatalf("%s %s q=%d w=%d: %s", name, algo, q, w, res.Index.Diff(want))
+					}
+					if m.VerticesExplored != wm.VerticesExplored || m.DistanceQueries != wm.DistanceQueries ||
+						m.RankPrunes != wm.RankPrunes || m.DistPrunes != wm.DistPrunes {
+						t.Fatalf("%s %s q=%d w=%d: explored %d queries %d prunes %d+%d, plant.Run %d %d %d+%d", name, algo, q, w,
+							m.VerticesExplored, m.DistanceQueries, m.RankPrunes, m.DistPrunes,
+							wm.VerticesExplored, wm.DistanceQueries, wm.RankPrunes, wm.DistPrunes)
+					}
+					if m.Synchronizations != wm.Synchronizations {
+						t.Fatalf("%s %s q=%d w=%d: %d synchronizations, plant.Run %d", name, algo, q, w, m.Synchronizations, wm.Synchronizations)
+					}
+				}
+			}
+		}
+	}
+}
+
+// Traffic is what was gathered: every label of a gathered batch reaches the
+// q−1 other replicas once, and nothing else is sent. η = 16 gathers the top
+// 16 trees and explores what it explored before the table could grow.
+func TestTrafficIsWhatWasGathered(t *testing.T) {
+	pinned := map[string][4]int64{ // explored, queries, ancestor prunes, query prunes at η = 16
+		"road":       {116561, 106798, 3042, 995},
+		"scale-free": {17064, 11166, 1188, 5347},
+	}
+	for name, g := range fixtures() {
+		for q := 1; q <= 4; q++ {
+			grown, err := PLaNT(g, Options{Nodes: q})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := grown.Metrics.BytesSent, int64(q-1)*label.Bytes*grown.Index.TotalLabels(); got != want {
+				t.Fatalf("%s q=%d: growing table sent %d bytes, its labels are %d", name, q, got, want)
+			}
+			frozen, err := PLaNT(g, Options{Nodes: q, Eta: DefaultEta})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var top int64
+			for _, c := range frozen.Index.LabelsPerHub()[:DefaultEta] {
+				top += c
+			}
+			m := frozen.Metrics
+			if got, want := m.BytesSent, int64(q-1)*label.Bytes*top; got != want {
+				t.Fatalf("%s q=%d: η=16 sent %d bytes, the top 16 trees' labels are %d", name, q, got, want)
+			}
+			if got := [4]int64{m.VerticesExplored, m.DistanceQueries, m.RankPrunes, m.DistPrunes}; got != pinned[name] {
+				t.Fatalf("%s q=%d: η=16 did %v, pinned %v", name, q, got, pinned[name])
+			}
+			if diff := frozen.Index.Diff(grown.Index); diff != "" {
+				t.Fatalf("%s q=%d: η changed the labeling: %s", name, q, diff)
+			}
+		}
+	}
+}
+
+// The memory limit freezes the table, it does not fail the build: any limit
+// the η = 16 run fits under is enough, and what room there is beyond that
+// buys pruning.
+func TestMemoryLimitFreezesNotFails(t *testing.T) {
+	g := graph.RoadGrid(20, 20, 3)
+	const q = 4
+	grown, _ := PLaNT(g, Options{Nodes: q})
+	frozen, _ := PLaNT(g, Options{Nodes: q, Eta: DefaultEta})
+	lo, hi := frozen.Metrics.MaxNodeBytes, grown.Metrics.MaxNodeBytes
+	if lo >= hi {
+		t.Fatalf("η=16 holds %d bytes a node, the grown table %d", lo, hi)
+	}
+	for _, run := range []func(*graph.Graph, Options) (*Result, error){PLaNT, Hybrid} {
+		for _, limit := range []int64{lo, lo + (hi-lo)/4, (lo + hi) / 2, hi - (hi-lo)/4} {
+			res, err := run(g, Options{Nodes: q, MemoryLimitBytes: limit, PsiThreshold: 1e18})
+			if err != nil {
+				t.Fatalf("limit %d (η=16 needs %d): %v", limit, lo, err)
+			}
+			m := res.Metrics
+			if m.MaxNodeBytes > limit {
+				t.Fatalf("limit %d: a node holds %d bytes", limit, m.MaxNodeBytes)
+			}
+			if diff := res.Index.Diff(grown.Index); diff != "" {
+				t.Fatalf("limit %d changed the labeling: %s", limit, diff)
+			}
+			if m.VerticesExplored <= grown.Metrics.VerticesExplored || m.VerticesExplored > frozen.Metrics.VerticesExplored ||
+				limit > lo && m.VerticesExplored == frozen.Metrics.VerticesExplored {
+				t.Fatalf("limit %d explored %d, want between the grown table's %d and η=16's %d", limit,
+					m.VerticesExplored, grown.Metrics.VerticesExplored, frozen.Metrics.VerticesExplored)
+			}
+			if m.BytesSent >= grown.Metrics.BytesSent {
+				t.Fatalf("limit %d sent %d bytes, the grown table %d", limit, m.BytesSent, grown.Metrics.BytesSent)
+			}
+		}
+		// Below one partition nothing helps.
+		if _, err := run(g, Options{Nodes: q, MemoryLimitBytes: 1024}); !errors.Is(err, ErrOutOfMemory) {
+			t.Fatalf("1 KiB limit: err = %v, want ErrOutOfMemory", err)
+		}
 	}
 }

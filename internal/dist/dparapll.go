@@ -1,12 +1,9 @@
 package dist
 
 import (
-	"time"
-
 	"repro/internal/cluster"
 	"repro/internal/graph"
 	"repro/internal/label"
-	"repro/internal/metrics"
 )
 
 // DParaPLL runs the distributed paraPLL baseline (§3): every node builds
@@ -21,41 +18,9 @@ import (
 // the per-node memory is what trips Options.MemoryLimitBytes first
 // (Figure 8's OOM rows).
 func DParaPLL(g *graph.Graph, o Options) (*Result, error) {
-	o = o.normalize()
-	n := guard(g)
-	m := &metrics.Build{Algorithm: "DparaPLL", Workers: o.WorkersPerNode, Nodes: o.Nodes, Trees: int64(n)}
-
-	cl := cluster.New(o.Nodes)
-	counters := make([]perNodeCounters, o.Nodes)
-	rootOwner := make([]int32, n)
-	var finalSets []label.Set
-	oom := false
-	bounds := schedule(0, n, o.Beta, o.Supersteps)
-
-	start := time.Now()
-	st := cl.Run(func(nd *cluster.Node) {
-		c := &counters[nd.Rank()]
-		global := make([]label.Set, n)
-		if !dgllSupersteps(nd, g, global, bounds, o, false, rootOwner, c) {
-			if nd.Rank() == 0 {
-				oom = true
-			}
-			return
-		}
-		if nd.Rank() == 0 {
-			finalSets = global
-		}
-	})
-	m.TotalTime = time.Since(start)
-	m.ConstructTime = m.TotalTime
-	m.BytesSent = st.BytesSent
-	m.MessagesSent = st.MessagesSent
-	m.Synchronizations = st.Barriers
-	fold(m, counters)
-	if oom {
-		return nil, ErrOutOfMemory
-	}
-	ix := label.FromSets(finalSets)
-	m.Labels = ix.TotalLabels()
-	return &Result{Index: ix, PerNode: assemble(ix, rootOwner, o.Nodes), Metrics: m}, nil
+	r := newRun("DparaPLL", g, o)
+	bounds := schedule(0, r.n, r.o.Beta, r.o.Supersteps)
+	return r.result(r.exec(func(nd *cluster.Node, c *perNodeCounters) []label.Set {
+		return r.dgllSupersteps(nd, make([]label.Set, r.n), bounds, false, c)
+	}), nil)
 }

@@ -1,148 +1,230 @@
 package dist
 
 import (
-	"time"
+	"math"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
 	"repro/internal/label"
-	"repro/internal/metrics"
 	"repro/internal/plant"
 	"repro/internal/ptree"
 )
 
-// rootStat is what one PLaNTed tree did — Hybrid's switch monitor reads
-// its Ψ.
-type rootStat struct {
-	root int
-	ptree.Stats
+// noRoot is the vote of a node none of whose trees tripped Hybrid's Ψ
+// threshold.
+const noRoot = math.MaxInt
+
+// share is one node's contribution to a batch's collective: the trees it
+// has grown since its labels were last gathered — tree i, rooted at
+// hubs[i], emitted outs[spans[i].W][spans[i].Lo:spans[i].Hi] — and its vote.
+// A share handed to a collective is never written again: the receivers read
+// it while the sender plants its next batch.
+type share struct {
+	hubs   []int
+	spans  []plant.Span
+	outs   [][]plant.Emitted
+	labels int64
+	bad    int // lowest root among the node's trees of this batch with Ψ over the threshold, or noRoot
 }
 
-// plantRoots builds the PLaNTed trees this node owns in [lo, hi)
-// (round-robin) into the node-local store, pruning against the Common
-// Label Table when common is non-nil. It returns per-root stats for the
-// roots this node grew.
-func plantRoots(nd *cluster.Node, g *graph.Graph, store *label.ConcurrentStore,
-	common *label.Index, bound uint32, lo, hi int, scr []*plant.Scratch,
-	rootOwner []int32, perTreeLabels, perTreeExplored []int64, c *perNodeCounters) []rootStat {
-	mine := myRoots(nd, lo, hi, rootOwner)
-	stats := make([]rootStat, len(mine))
-	ptree.ParallelFor(len(scr), len(mine), func(w, i int) {
-		h := mine[i]
-		ts := plant.Tree(g, h, scr[w], common, bound, func(v int, d float64) {
-			store.Append(v, label.L{Hub: uint32(h), Dist: d})
+// planter is one node of a PLaNT run: its replica of the Common Label
+// Table, complete for every hub below bound, and the trees it has grown that
+// no other node has seen yet.
+type planter struct {
+	r          *run
+	nd         *cluster.Node
+	c          *perNodeCounters
+	scr        []*plant.Scratch
+	global     []label.Set  // the replica
+	table      *label.Index // the same storage, as plant.Tree and plant.Commit take it
+	bound      int
+	replicated int     // every tree below it has been gathered into the replica
+	psi        float64 // a tree whose Ψ exceeds it votes for Hybrid's switch
+	pend       share
+}
+
+func (r *run) newPlanter(nd *cluster.Node, c *perNodeCounters) *planter {
+	global := make([]label.Set, r.n)
+	return &planter{
+		r: r, nd: nd, c: c, scr: plant.NewScratches(r.o.WorkersPerNode, r.n),
+		global: global, table: label.FromSets(global), psi: math.Inf(1),
+		pend: share{outs: make([][]plant.Emitted, r.o.WorkersPerNode), bad: noRoot},
+	}
+}
+
+// plant grows the trees of [lo, hi) this node owns (round-robin) against its
+// replica, files them under pend and returns how many labels they emitted.
+func (p *planter) plant(lo, hi int) int64 {
+	mine := myRoots(p.nd, lo, hi, p.r.rootOwner)
+	base := len(p.pend.hubs)
+	p.pend.hubs = append(p.pend.hubs, mine...)
+	p.pend.spans = append(p.pend.spans, make([]plant.Span, len(mine))...)
+	stats := make([]ptree.Stats, len(mine))
+	ptree.ParallelFor(len(p.scr), len(mine), func(w, i int) {
+		out := p.pend.outs[w]
+		from := len(out)
+		stats[i] = plant.Tree(p.r.g, mine[i], p.scr[w], p.table, uint32(p.bound), func(v int, d float64) {
+			out = append(out, plant.Emitted{V: uint32(v), Dist: d})
 		})
-		stats[i] = rootStat{h, ts}
-		if perTreeLabels != nil {
-			perTreeLabels[h] = ts.Labels
-			perTreeExplored[h] = ts.Explored
-		}
+		p.pend.outs[w] = out
+		p.pend.spans[base+i] = plant.Span{W: int32(w), Lo: from, Hi: len(out)}
 	})
-	for _, ts := range stats {
-		c.Add(ts.Stats)
-	}
-	return stats
-}
-
-// plantPhase grows the trees of the top-ranked roots [lo, hi) unpruned,
-// allgathers their (canonical, complete) labels — the one label broadcast
-// PLaNT ever pays — merges them into the node's replicated global table,
-// and returns the resulting Common Label Table plus this node's own
-// contribution (its share of the label partition).
-func plantPhase(nd *cluster.Node, g *graph.Graph, global []label.Set, lo, hi int,
-	scr []*plant.Scratch, rootOwner []int32, perTreeLabels, perTreeExplored []int64,
-	c *perNodeCounters) (*label.Index, []label.Set) {
-	n := g.NumVertices()
-	if hi <= lo {
-		return nil, make([]label.Set, n)
-	}
-	store := label.NewConcurrentStore(n)
-	plantRoots(nd, g, store, nil, 0, lo, hi, scr, rootOwner, perTreeLabels, perTreeExplored, c)
-	mine := drainSorted(store)
-	batch := batchOf(mine)
-	merged := mergeBatches(n, nd.AllGather(batch, batch.count*label.Bytes))
-	mergeInto(global, merged)
-	return label.FromSets(merged), mine
-}
-
-// allReduceMin0 is an AllReduce MIN metered as control traffic (zero
-// payload bytes): Hybrid's switch votes are a few bytes against the
-// megabytes of label collectives.
-func allReduceMin0(nd *cluster.Node, x int64) int64 {
-	vals := nd.AllGather(x, 0)
-	min := vals[0].(int64)
-	for _, v := range vals[1:] {
-		if y := v.(int64); y < min {
-			min = y
+	var labels int64
+	m := p.r.m
+	for i, st := range stats {
+		p.c.Add(st)
+		labels += st.Labels
+		if st.Psi() > p.psi {
+			p.pend.bad = min(p.pend.bad, mine[i])
+		}
+		if m.LabelsPerTree != nil {
+			m.LabelsPerTree[mine[i]] = st.Labels
+			m.ExploredPerTree[mine[i]] = st.Explored
 		}
 	}
-	return min
+	p.pend.labels += labels
+	return labels
+}
+
+// sync is the one collective of a batch. With replicate set every node
+// contributes its pending trees — together the roots [p.replicated, to) —
+// and appends all of them to its replica; otherwise only the votes travel,
+// which like any control word are metered as a message of zero payload
+// bytes. It returns the labels gathered and the lowest root any node voted.
+func (p *planter) sync(to int, replicate bool) (labels int64, bad int) {
+	mine := share{bad: p.pend.bad}
+	if replicate {
+		mine, p.pend = p.pend, share{outs: make([][]plant.Emitted, len(p.scr))}
+		for w, out := range mine.outs {
+			p.pend.outs[w] = make([]plant.Emitted, 0, len(out)) // the next batch emits about as much
+		}
+	}
+	p.pend.bad = noRoot
+	got := p.nd.AllGather(mine, mine.labels*label.Bytes)
+	shares := make([]share, len(got))
+	bad = noRoot
+	for i, x := range got {
+		shares[i] = x.(share)
+		bad = min(bad, shares[i].bad)
+	}
+	if replicate {
+		labels = commitShares(p.table, len(p.scr), p.replicated, to, shares)
+		p.replicated = to
+	}
+	return labels, bad
+}
+
+// commitShares appends the trees of shares — together the roots [from, to)
+// — to table in hub order: a plain append, as plant.Run's commit.
+func commitShares(table *label.Index, workers, from, to int, shares []share) (labels int64) {
+	spans := make([]plant.Span, to-from)
+	var outs [][]plant.Emitted
+	for _, sh := range shares {
+		base := int32(len(outs))
+		outs = append(outs, sh.outs...)
+		for i, h := range sh.hubs {
+			sp := sh.spans[i]
+			sp.W += base
+			spans[h-from] = sp
+		}
+		labels += sh.labels
+	}
+	plant.Commit(table, workers, from, spans, outs)
+	return labels
+}
+
+// batches returns the root batches of a PLaNT run: plant.Run's growing
+// schedule, which is also how often Hybrid votes, with a positive η made a
+// boundary so that gathering can stop exactly there.
+func batches(n, eta int) []int {
+	b := plant.BatchBounds(n, 0)
+	if i, found := slices.BinarySearch(b, eta); eta > 0 && eta < n && !found {
+		b = slices.Insert(b, i, eta)
+	}
+	return b
+}
+
+// run plants the batches on this node until they are exhausted or, with
+// p.psi finite, a tree's Ψ trips the vote; it returns the end of the last
+// batch planted and the lowest offending root (noRoot if none).
+//
+// While the table grows every node holds the same labels, so the decision to
+// stop gathering — Eta's, or the memory limit's once the table alone does
+// not fit — is replicated. After that a node holds the table below its bound
+// plus the trees it grew itself; when its own partition pushes that over the
+// limit it lowers its bound by a batch, which the bounded pruning query
+// honours: the labels above the bound are not read again.
+func (p *planter) run() (end, bad int) {
+	o := p.r.o
+	bounds := batches(p.r.n, o.Eta)
+	vote := !math.IsInf(p.psi, 1)
+	grow := o.Eta >= 0
+	var held int64     // labels this node must hold
+	var others []int64 // per gathered batch: the labels in it that other nodes grew
+	kb := 0            // p.bound = bounds[kb]
+	for k := 0; k+1 < len(bounds); k++ {
+		hi := bounds[k+1]
+		own := p.plant(bounds[k], hi)
+		held += own
+		bad = noRoot
+		if grow || vote {
+			var all int64
+			all, bad = p.sync(hi, grow)
+			if grow {
+				others = append(others, all-own)
+				held += all - own
+				kb = k + 1
+			}
+		}
+		for o.MemoryLimitBytes > 0 && held*label.Bytes > o.MemoryLimitBytes && kb > 0 {
+			kb--
+			held -= others[kb]
+		}
+		p.bound = bounds[kb]
+		grow = grow && kb == k+1 && (o.Eta == 0 || hi < o.Eta)
+		p.c.storedBytes = held * label.Bytes
+		if bad != noRoot {
+			return hi, bad
+		}
+	}
+	return p.r.n, noRoot
+}
+
+// plantResult assembles the Result of a run from its nodes as they finished:
+// node 0's replica is the Common Label Table, and the index is the replica
+// plus the trees no gather carried, which are still pending on their nodes.
+func (r *run) plantResult(table []label.Set, nodes []*planter) (*Result, error) {
+	var common *label.Index
+	if r.o.Eta >= 0 && table != nil {
+		common = label.FromSets(table)
+	}
+	if from := nodes[0].replicated; table != nil && from < r.n {
+		pending := make([]share, len(nodes))
+		for i, p := range nodes {
+			pending[i] = p.pend
+		}
+		table = slices.Clone(table) // appends reallocate or write past the replica's lengths: Common keeps its view
+		commitShares(label.FromSets(table), r.o.WorkersPerNode, from, r.n, pending)
+	}
+	return r.result(table, common)
 }
 
 // PLaNT runs distributed PLaNT (§5.2): every node grows the trees of its
-// round-robin root share with zero label traffic; with Eta ≥ 0 (default
-// DefaultEta) the top-η trees are grown first and broadcast once as the
-// Common Label Table (§5.3) to prune the rest. Labels stay partitioned by
-// growing node; Result.Index is their union — the CHL.
+// round-robin root share, batch by batch, pruning against the replica of
+// the Common Label Table the earlier batches' gathers have built (§5.3; see
+// the package doc for how far Eta and MemoryLimitBytes let it grow). With
+// Eta < 0 there is no label traffic at all. Labels belong to the node that
+// grew their tree; Result.Index is their union — the CHL.
 func PLaNT(g *graph.Graph, o Options) (*Result, error) {
-	o = o.normalize()
-	n := guard(g)
-	m := &metrics.Build{Algorithm: "PLaNT", Workers: o.WorkersPerNode, Nodes: o.Nodes, Trees: int64(n)}
-	if o.RecordPerTree {
-		m.LabelsPerTree = make([]int64, n)
-		m.ExploredPerTree = make([]int64, n)
-	}
-	eta := o.eta(DefaultEta, n)
-
-	cl := cluster.New(o.Nodes)
-	counters := make([]perNodeCounters, o.Nodes)
-	rootOwner := make([]int32, n)
-	perNodeSets := make([][]label.Set, o.Nodes)
-	var common *label.Index
-
-	start := time.Now()
-	st := cl.Run(func(nd *cluster.Node) {
-		c := &counters[nd.Rank()]
-		global := make([]label.Set, n)
-		scr := plant.NewScratches(o.WorkersPerNode, n)
-		com, myCommon := plantPhase(nd, g, global, 0, eta, scr, rootOwner, m.LabelsPerTree, m.ExploredPerTree, c)
-		store := label.NewConcurrentStore(n)
-		plantRoots(nd, g, store, com, uint32(eta), eta, n, scr, rootOwner, m.LabelsPerTree, m.ExploredPerTree, c)
-		mine := drainSorted(store)
-		mergeInto(mine, myCommon)
-		perNodeSets[nd.Rank()] = mine
-		var commonBytes int64
-		if com != nil {
-			commonBytes = com.TotalLabels() * label.Bytes
-		}
-		c.storedBytes = totalLabels(mine)*label.Bytes + commonBytes
-		if nd.Rank() == 0 {
-			common = com
-		}
+	r := newRun("PLaNT", g, o)
+	r.recordPerTree()
+	nodes := make([]*planter, r.o.Nodes)
+	table := r.exec(func(nd *cluster.Node, c *perNodeCounters) []label.Set {
+		p := r.newPlanter(nd, c)
+		nodes[nd.Rank()] = p
+		p.run()
+		return p.global
 	})
-	m.TotalTime = time.Since(start)
-	m.ConstructTime = m.TotalTime
-	m.BytesSent = st.BytesSent
-	m.MessagesSent = st.MessagesSent
-	m.Synchronizations = st.Barriers
-	fold(m, counters)
-	if o.MemoryLimitBytes > 0 && m.MaxNodeBytes > o.MemoryLimitBytes {
-		return nil, ErrOutOfMemory
-	}
-	ix, perNode := assemblePartitioned(n, perNodeSets)
-	m.Labels = ix.TotalLabels()
-	m.LabelsGenerated = m.Labels
-	return &Result{Index: ix, PerNode: perNode, Common: common, Metrics: m}, nil
-}
-
-// assemblePartitioned unions per-node label partitions into a full index
-// (hubs are disjoint across nodes, so this is a pure sorted merge).
-func assemblePartitioned(n int, perNodeSets [][]label.Set) (*label.Index, []*label.Index) {
-	full := make([]label.Set, n)
-	perNode := make([]*label.Index, len(perNodeSets))
-	for r, sets := range perNodeSets {
-		mergeInto(full, sets)
-		perNode[r] = label.FromSets(sets)
-	}
-	return label.FromSets(full), perNode
+	return r.plantResult(table, nodes)
 }

@@ -10,26 +10,38 @@ import (
 
 // The ablations quantify two design decisions:
 //
-//   - X2, the Common Label Table (§5.3): how much PLaNT exploration it
-//     prunes and how much DGLL redundancy it prevents, for its O(η·n)
-//     broadcast cost.
+//   - X2, the Common Label Table (§5.3): the communication/computation
+//     trade of distributed PLaNT with the knob the paper did not have — how
+//     much exploration each further batch of replicated labels prunes, and
+//     what it costs in label traffic, collectives and per-node memory, from
+//     no table through the paper's η = 16 to a table that grows with every
+//     batch; DGLL's traffic is the yardstick.
 //   - X3, GLL's two-table scheme (§4.2): how many per-vertex lock
 //     acquisitions the immutable global table avoids relative to LCC's
 //     single locked store.
 
-// CommonTableRow compares a distributed algorithm with and without the
-// Common Label Table on one dataset.
+// CommonTableRow is one distributed build in the η ablation, in the
+// scoreboard's field names.
 type CommonTableRow struct {
-	Dataset   string
-	Algorithm string
-	// Without (η disabled) vs With (η = 16).
-	ExploredWithout, ExploredWith   int64
-	GeneratedWithout, GeneratedWith int64
-	BytesWithout, BytesWith         int64
+	Dataset          string
+	Algorithm        string // "PLaNT" or the "DGLL" yardstick
+	Eta              string // "off", "16", "64", "256", "grow"; DGLL: "-" and "16"
+	VerticesExplored int64
+	LabelsGenerated  int64
+	BytesSent        int64
+	Synchronizations int64
+	MaxNodeBytes     int64
 }
 
 // AblationCommonTableNodes is the cluster size used.
 const AblationCommonTableNodes = 8
+
+// AblationCommonTableEtas are PLaNT's rows, from the smallest table to the
+// largest.
+var AblationCommonTableEtas = []struct {
+	Name string
+	Eta  int
+}{{"off", -1}, {"16", 16}, {"64", 64}, {"256", 256}, {"grow", 0}}
 
 // AblationCommonTable runs the η ablation.
 func AblationCommonTable(cfg Config) []CommonTableRow {
@@ -38,54 +50,35 @@ func AblationCommonTable(cfg Config) []CommonTableRow {
 	for _, name := range figureDatasets() {
 		ds, _ := ByName(name)
 		p := cfg.prepare(ds)
-		q := AblationCommonTableNodes
-
-		pWithout, err := dist.PLaNT(p.ranked, dist.Options{Nodes: q, Eta: -1})
-		if err != nil {
-			panic(err)
+		add := func(algo, eta string, res *dist.Result, err error) {
+			if err != nil {
+				panic(err)
+			}
+			m := res.Metrics
+			rows = append(rows, CommonTableRow{
+				Dataset: name, Algorithm: algo, Eta: eta,
+				VerticesExplored: m.VerticesExplored, LabelsGenerated: m.LabelsGenerated,
+				BytesSent: m.BytesSent, Synchronizations: m.Synchronizations, MaxNodeBytes: m.MaxNodeBytes,
+			})
 		}
-		pWith, err := dist.PLaNT(p.ranked, dist.Options{Nodes: q, Eta: dist.DefaultEta})
-		if err != nil {
-			panic(err)
+		for _, e := range AblationCommonTableEtas {
+			res, err := dist.PLaNT(p.ranked, dist.Options{Nodes: AblationCommonTableNodes, Eta: e.Eta})
+			add("PLaNT", e.Name, res, err)
 		}
-		rows = append(rows, CommonTableRow{
-			Dataset: name, Algorithm: "PLaNT",
-			ExploredWithout:  pWithout.Metrics.VerticesExplored,
-			ExploredWith:     pWith.Metrics.VerticesExplored,
-			GeneratedWithout: pWithout.Metrics.LabelsGenerated,
-			GeneratedWith:    pWith.Metrics.LabelsGenerated,
-			BytesWithout:     pWithout.Metrics.BytesSent,
-			BytesWith:        pWith.Metrics.BytesSent,
-		})
-
-		dWithout, err := dist.DGLL(p.ranked, dist.Options{Nodes: q})
-		if err != nil {
-			panic(err)
-		}
-		dWith, err := dist.DGLL(p.ranked, dist.Options{Nodes: q, Eta: dist.DefaultEta})
-		if err != nil {
-			panic(err)
-		}
-		rows = append(rows, CommonTableRow{
-			Dataset: name, Algorithm: "DGLL",
-			ExploredWithout:  dWithout.Metrics.VerticesExplored,
-			ExploredWith:     dWith.Metrics.VerticesExplored,
-			GeneratedWithout: dWithout.Metrics.LabelsGenerated,
-			GeneratedWith:    dWith.Metrics.LabelsGenerated,
-			BytesWithout:     dWithout.Metrics.BytesSent,
-			BytesWith:        dWith.Metrics.BytesSent,
-		})
+		res, err := dist.DGLL(p.ranked, dist.Options{Nodes: AblationCommonTableNodes})
+		add("DGLL", "-", res, err)
+		res, err = dist.DGLL(p.ranked, dist.Options{Nodes: AblationCommonTableNodes, Eta: dist.DefaultEta})
+		add("DGLL", "16", res, err)
 	}
 	return rows
 }
 
 // WriteAblationCommonTable renders the rows.
 func WriteAblationCommonTable(w io.Writer, rows []CommonTableRow) {
-	section(w, "Ablation X2: Common Label Table (η=16) — exploration, generated labels and traffic")
-	t := newTable("Dataset", "Algorithm", "explored η=0", "explored η=16", "generated η=0", "generated η=16", "bytes η=0", "bytes η=16")
+	section(w, "Ablation X2: Common Label Table — exploration saved against label traffic (q=8)")
+	t := newTable("Dataset", "Algorithm", "η", "vertices_explored", "labels_generated", "bytes_sent", "synchronizations", "max_node_bytes")
 	for _, r := range rows {
-		t.row(r.Dataset, r.Algorithm, r.ExploredWithout, r.ExploredWith,
-			r.GeneratedWithout, r.GeneratedWith, r.BytesWithout, r.BytesWith)
+		t.row(r.Dataset, r.Algorithm, r.Eta, r.VerticesExplored, r.LabelsGenerated, r.BytesSent, r.Synchronizations, r.MaxNodeBytes)
 	}
 	t.write(w)
 }

@@ -282,17 +282,38 @@ func TestFigure9ALSGrowth(t *testing.T) {
 }
 
 func TestAblationCommonTable(t *testing.T) {
-	rows := AblationCommonTable(quickCfg())
-	for _, r := range rows {
-		switch r.Algorithm {
-		case "PLaNT":
-			if r.ExploredWith >= r.ExploredWithout {
-				t.Fatalf("%s/PLaNT: η did not cut exploration (%d vs %d)", r.Dataset, r.ExploredWith, r.ExploredWithout)
+	// The row runs to η = 256: the graphs must have enough trees beyond it
+	// for the growing table to differ.
+	cfg := quickCfg()
+	cfg.Scale = 0.5
+	byDS := map[string]map[string]CommonTableRow{}
+	for _, r := range AblationCommonTable(cfg) {
+		if byDS[r.Dataset] == nil {
+			byDS[r.Dataset] = map[string]CommonTableRow{}
+		}
+		byDS[r.Dataset][r.Algorithm+" "+r.Eta] = r
+	}
+	for ds, rows := range byDS {
+		// Along the row every step buys exploration with traffic, and the
+		// grown table — every label sent once — still undercuts DGLL, which
+		// sends the redundant ones too and the survivors again.
+		prev := rows["PLaNT off"]
+		if prev.BytesSent != 0 || prev.Synchronizations != 0 {
+			t.Fatalf("%s: PLaNT without a table sent %d bytes in %d collectives", ds, prev.BytesSent, prev.Synchronizations)
+		}
+		for _, e := range AblationCommonTableEtas[1:] {
+			r := rows["PLaNT "+e.Name]
+			if r.VerticesExplored >= prev.VerticesExplored || r.BytesSent <= prev.BytesSent || r.MaxNodeBytes <= prev.MaxNodeBytes {
+				t.Fatalf("%s: η=%s explored %d, sent %d, holds %d; η=%s explored %d, sent %d, holds %d", ds,
+					prev.Eta, prev.VerticesExplored, prev.BytesSent, prev.MaxNodeBytes, r.Eta, r.VerticesExplored, r.BytesSent, r.MaxNodeBytes)
 			}
-		case "DGLL":
-			if r.GeneratedWith > r.GeneratedWithout {
-				t.Fatalf("%s/DGLL: η increased generated labels", r.Dataset)
-			}
+			prev = r
+		}
+		if grow, dgll := rows["PLaNT grow"], rows["DGLL -"]; grow.BytesSent >= dgll.BytesSent {
+			t.Fatalf("%s: growing table sent %d bytes, DGLL %d", ds, grow.BytesSent, dgll.BytesSent)
+		}
+		if with, without := rows["DGLL 16"], rows["DGLL -"]; with.LabelsGenerated > without.LabelsGenerated {
+			t.Fatalf("%s/DGLL: η increased generated labels", ds)
 		}
 	}
 }

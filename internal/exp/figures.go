@@ -221,7 +221,9 @@ func Figure6(cfg Config) []Figure6Point {
 		ds, _ := ByName(name)
 		p := cfg.prepare(ds)
 		for _, psi := range Figure6PsiThresholds {
-			res, err := dist.Hybrid(p.ranked, dist.Options{Nodes: Figure6Nodes, PsiThreshold: psi})
+			// η = 16: the figure measures the paper's Hybrid, whose table
+			// does not grow (with one that does, Ψ rarely trips at all).
+			res, err := dist.Hybrid(p.ranked, dist.Options{Nodes: Figure6Nodes, PsiThreshold: psi, Eta: dist.DefaultEta})
 			if err != nil {
 				continue
 			}

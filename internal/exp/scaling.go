@@ -59,6 +59,8 @@ func Figure8(cfg Config) []Figure8Point {
 		chlIx, _ := pll.Sequential(p.ranked, pll.Options{})
 		memLimit := int64(figure8NodeMemoryFactor) * chlIx.TotalLabels() * 12
 
+		// PLaNT and Hybrid run in the paper's configuration, η = 16; what
+		// a table that keeps growing trades is ablation X2's subject.
 		for _, q := range ScalingQs(cfg.Full) {
 			for _, algo := range []struct {
 				name string
@@ -71,11 +73,11 @@ func Figure8(cfg Config) []Figure8Point {
 					return dist.DGLL(p.ranked, dist.Options{Nodes: q, MemoryLimitBytes: memLimit})
 				}},
 				{"PLaNT", func() (*dist.Result, error) {
-					return dist.PLaNT(p.ranked, dist.Options{Nodes: q, MemoryLimitBytes: memLimit})
+					return dist.PLaNT(p.ranked, dist.Options{Nodes: q, MemoryLimitBytes: memLimit, Eta: dist.DefaultEta})
 				}},
 				{"Hybrid", func() (*dist.Result, error) {
 					return dist.Hybrid(p.ranked, dist.Options{
-						Nodes: q, MemoryLimitBytes: memLimit, PsiThreshold: p.ds.PsiThreshold(),
+						Nodes: q, MemoryLimitBytes: memLimit, PsiThreshold: p.ds.PsiThreshold(), Eta: dist.DefaultEta,
 					})
 				}},
 			} {
@@ -137,7 +139,7 @@ func Figure9(cfg Config) []Figure9Point {
 				pt.ALS = float64(dres.Index.TotalLabels()) / float64(p.n)
 			}
 			out = append(out, pt)
-			hres, err := dist.Hybrid(p.ranked, dist.Options{Nodes: q, PsiThreshold: p.ds.PsiThreshold()})
+			hres, err := dist.Hybrid(p.ranked, dist.Options{Nodes: q, PsiThreshold: p.ds.PsiThreshold(), Eta: dist.DefaultEta})
 			if err != nil {
 				panic(err)
 			}

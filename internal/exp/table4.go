@@ -42,6 +42,7 @@ func Table4(cfg Config) []Table4Row {
 			Nodes:          Table4Nodes,
 			WorkersPerNode: 1,
 			PsiThreshold:   ds.PsiThreshold(),
+			Eta:            dist.DefaultEta,
 		})
 		if err != nil {
 			continue

@@ -21,11 +21,12 @@
 //     pop can produce a label, and the traversal stops (§5.2).
 //   - Common-label pruning (§5.3): given a Common Label Table holding the
 //     *complete* canonical label sets of every hub ranked above some bound,
-//     a popped vertex that one of those hubs covers at ≤ δ_v is cut. A
-//     cluster must broadcast the table, so the distributed builders fix it
-//     at the η top hubs; in shared memory every finished tree's labels are
-//     already in RAM, so Run grows the table batch by batch, each batch an
-//     eighth of the table it is pruned against (batchBounds).
+//     a popped vertex that one of those hubs covers at ≤ δ_v is cut. The
+//     paper fixes the table at the η = 16 top hubs; Run grows it batch by
+//     batch, each batch an eighth of the table it is pruned against
+//     (BatchBounds) — in shared memory every finished tree's labels are
+//     already in RAM, and internal/dist runs the same schedule on a cluster
+//     by gathering each batch's labels into every node's replica.
 //
 // # Why pruned PLaNT still emits exactly the CHL
 //
@@ -66,8 +67,8 @@
 //     do not know about w.
 //   - What the table does not know is harmless. T is only ever used to
 //     cut; emission is decided by ancestors alone. A hub in [b, h) — in
-//     Run, a tree of the same batch, finished or not — is simply not
-//     consulted: vertices it covers are explored as unpruned PLaNT would
+//     Run and internal/dist, a tree of the same batch, finished or not, on
+//     this node or another — is simply not consulted: vertices it covers are explored as unpruned PLaNT would
 //     and rejected by the ancestor rule. Less knowledge costs exploration,
 //     never correctness, which is also why a tree's work depends on the
 //     batch schedule alone and not on how workers interleave.
@@ -246,13 +247,13 @@ type Options struct {
 	// RecordPerTree enables the per-tree series for Figure 3.
 	RecordPerTree bool
 	// CommonHubs (η) sizes the Common Label Table that prunes the trees
-	// (§5.3), with dist.Options.Eta's convention. Zero grows the table as
-	// trees finish: roots run in rank-ordered batches (batchBounds) and
-	// each batch is pruned against the labels of all earlier ones — a
-	// table at most a ninth behind the tree's rank. η > 0 freezes the
-	// table after the first η trees, as a cluster that must broadcast it
-	// does. Negative disables pruning (Algorithm 3 verbatim). The output
-	// is the CHL in every case.
+	// (§5.3); dist.Options.Eta follows the same convention. Zero grows
+	// the table as trees finish: roots run in rank-ordered batches
+	// (BatchBounds) and each batch is pruned against the labels of all
+	// earlier ones — a table at most a ninth behind the tree's rank. η > 0
+	// freezes the table after the first η trees, as the paper does ("η =
+	// 16 for all experiments"). Negative disables pruning (Algorithm 3
+	// verbatim). The output is the CHL in every case.
 	CommonHubs int
 }
 
@@ -269,10 +270,10 @@ func (o Options) normalize() Options {
 // no pruning.
 const firstBatch = 16
 
-// batchBounds returns the boundaries of the root batches: batch k is
+// BatchBounds returns the boundaries of the root batches: batch k is
 // [bounds[k], bounds[k+1]) and its trees are pruned against the labels of
 // every earlier batch. The three pruning modes differ in nothing else.
-func batchBounds(n, commonHubs int) []int {
+func BatchBounds(n, commonHubs int) []int {
 	bounds := []int{0}
 	switch {
 	case commonHubs == 0:
@@ -291,20 +292,20 @@ func batchBounds(n, commonHubs int) []int {
 	return bounds
 }
 
-// emitted is one label of the batch in flight, filed under its tree.
-type emitted struct {
-	v    uint32
-	dist float64
+// Emitted is one label of the batch in flight, filed under its tree.
+type Emitted struct {
+	V    uint32
+	Dist float64
 }
 
-// span locates one tree's labels: outs[w][lo:hi].
-type span struct {
-	w      int32
-	lo, hi int
+// Span locates one tree's labels: outs[W][Lo:Hi].
+type Span struct {
+	W      int32
+	Lo, Hi int
 }
 
 // Run executes shared-memory PLaNT. Roots are taken in rank order, batch by
-// batch (batchBounds). The trees of a batch are independent, so workers
+// batch (BatchBounds). The trees of a batch are independent, so workers
 // split them dynamically; they prune against a table holding the complete
 // labels of every earlier batch and emit into their own buffers. At the
 // barrier the batch's labels are appended to the table (commit); nothing
@@ -321,10 +322,10 @@ func Run(g *graph.Graph, opts Options) (*label.Index, *metrics.Build) {
 	start := time.Now()
 	table := label.NewIndex(n)
 	scr := NewScratches(opts.Workers, n)
-	outs := make([][]emitted, opts.Workers) // labels of the batch in flight: worker w's trees, one after the other
+	outs := make([][]Emitted, opts.Workers) // labels of the batch in flight: worker w's trees, one after the other
 	stats := make([]ptree.Stats, opts.Workers)
-	bounds := batchBounds(n, opts.CommonHubs)
-	var spans []span // of the batch in flight, one per tree
+	bounds := BatchBounds(n, opts.CommonHubs)
+	var spans []Span // of the batch in flight, one per tree
 
 	for k := 0; k+1 < len(bounds); k++ {
 		lo, hi := bounds[k], bounds[k+1]
@@ -337,16 +338,16 @@ func Run(g *graph.Graph, opts Options) (*label.Index, *metrics.Build) {
 			// cache lines, and out's header changes with every label.
 			out := outs[w]
 			from := len(out)
-			st := Tree(g, lo+i, scr[w], table, uint32(lo), func(v int, d float64) { out = append(out, emitted{uint32(v), d}) })
+			st := Tree(g, lo+i, scr[w], table, uint32(lo), func(v int, d float64) { out = append(out, Emitted{uint32(v), d}) })
 			outs[w] = out
-			spans[i] = span{int32(w), from, len(out)}
+			spans[i] = Span{int32(w), from, len(out)}
 			stats[w].Add(st)
 			if opts.RecordPerTree {
 				m.LabelsPerTree[lo+i] = st.Labels
 				m.ExploredPerTree[lo+i] = st.Explored
 			}
 		})
-		commit(table, opts.Workers, lo, spans, outs)
+		Commit(table, opts.Workers, lo, spans, outs)
 	}
 
 	m.TotalTime = time.Since(start)
@@ -357,19 +358,21 @@ func Run(g *graph.Graph, opts Options) (*label.Index, *metrics.Build) {
 	return table, m
 }
 
-// commit appends a finished batch to the table. The labelled vertices are
-// split into one contiguous range per worker; every worker walks all the
-// batch's trees in rank order — which keeps each label set sorted — and
-// takes the labels of its own range, so no two workers touch the same set.
-func commit(table *label.Index, workers, lo int, spans []span, outs [][]emitted) {
+// Commit appends the finished trees of roots lo, lo+1, … to the table:
+// spans[i] locates the labels of root lo+i in outs, which is only read. The
+// labelled vertices are split into one contiguous range per worker; every
+// worker walks all the trees in rank order — which keeps each label set
+// sorted — and takes the labels of its own range, so no two workers touch
+// the same set.
+func Commit(table *label.Index, workers, lo int, spans []Span, outs [][]Emitted) {
 	n := table.NumVertices()
 	ptree.ParallelFor(workers, workers, func(_, p int) {
 		from, to := uint32(p*n/workers), uint32((p+1)*n/workers)
 		for i, sp := range spans {
 			hub := uint32(lo + i)
-			for _, e := range outs[sp.w][sp.lo:sp.hi] {
-				if from <= e.v && e.v < to { // hubs ascend: a plain append, not Index.Append's search
-					table.SetLabels(int(e.v), append(table.Labels(int(e.v)), label.L{Hub: hub, Dist: e.dist}))
+			for _, e := range outs[sp.W][sp.Lo:sp.Hi] {
+				if from <= e.V && e.V < to { // hubs ascend: a plain append, not Index.Append's search
+					table.SetLabels(int(e.V), append(table.Labels(int(e.V)), label.L{Hub: hub, Dist: e.Dist}))
 				}
 			}
 		}

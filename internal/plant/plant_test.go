@@ -160,8 +160,8 @@ func TestBatchBounds(t *testing.T) {
 		{100, 100, []int{0, 100}},
 		{100, 500, []int{0, 100}},
 	} {
-		if got := batchBounds(c.n, c.hubs); !slices.Equal(got, c.want) {
-			t.Fatalf("batchBounds(%d, %d) = %v, want %v", c.n, c.hubs, got, c.want)
+		if got := BatchBounds(c.n, c.hubs); !slices.Equal(got, c.want) {
+			t.Fatalf("BatchBounds(%d, %d) = %v, want %v", c.n, c.hubs, got, c.want)
 		}
 	}
 }
@@ -189,7 +189,7 @@ func TestMoreTableLessExploration(t *testing.T) {
 			t.Fatalf("%s: %d prunes from %d queries", name, m.DistPrunes, m.DistanceQueries)
 		}
 	}
-	if fixed.Synchronizations != 2 || grow.Synchronizations != int64(len(batchBounds(300, 0))-1) {
+	if fixed.Synchronizations != 2 || grow.Synchronizations != int64(len(BatchBounds(300, 0))-1) {
 		t.Fatalf("barriers: fixed %d, grow %d", fixed.Synchronizations, grow.Synchronizations)
 	}
 }
