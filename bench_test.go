@@ -19,6 +19,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	chl "repro"
 	"repro/internal/exp"
@@ -226,6 +227,25 @@ func BenchmarkBuildGLL(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkBuildGLLRoad is the scoreboard's build_gll_s row in small: the
+// road fixture's shape (grid, sampled-betweenness hierarchy) with two
+// workers. clean_ms is the cleaning-and-commit share of a build, the part
+// that must cost only the superstep's own labels.
+func BenchmarkBuildGLLRoad(b *testing.B) {
+	g := chl.GenerateRoadGrid(48, 48, 1)
+	ord := chl.RankByBetweenness(g, 64, 1)
+	var clean time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix, err := chl.Build(g, chl.Options{Algorithm: chl.AlgoGLL, Order: ord, Workers: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		clean += ix.Metrics().CleanTime
+	}
+	b.ReportMetric(clean.Seconds()*1e3/float64(b.N), "clean_ms")
 }
 
 func BenchmarkBuildPLaNT(b *testing.B) {

@@ -61,9 +61,9 @@ type Metrics = metrics.Build
 type Options struct {
 	// Algorithm selects the constructor. Default: the fastest on the
 	// scoreboard for the graph's directedness — AlgoPLaNT for undirected
-	// graphs (build_plant_s is the lowest build_*_s of bench/ on both
-	// fixtures, 0.26 s against build_gll_s 0.42 s on build-road), AlgoSeqPLL
-	// for directed ones. Every canonical constructor emits the same labels.
+	// graphs (build_plant_s is the lowest build_*_s of bench/ on build-road,
+	// 0.18 s against build_gll_s 0.20 s, and level with build_gll_s on
+	// build-scalefree, 0.095 s each), AlgoSeqPLL for directed ones. Every canonical constructor emits the same labels.
 	Algorithm Algorithm
 
 	// Order is the network hierarchy R. Nil means RankAuto(g, Seed):

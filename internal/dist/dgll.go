@@ -55,8 +55,8 @@ func (r *run) dgllSupersteps(nd *cluster.Node, global []label.Set, bounds []int,
 			// (v ≡ rank mod q) against the allgathered superstep tables —
 			// read-only, so every node sees identical inputs — and the
 			// survivors are exchanged.
-			surv, st := ptree.Clean(commit, o.WorkersPerNode, nd.Rank(), nd.Size())
-			c.Add(st)
+			surv := make([]label.Set, n)
+			c.Add(ptree.Clean(surv, commit, o.WorkersPerNode, nd.Rank(), nd.Size()))
 			sb := batchOf(surv)
 			commit = mergeBatches(n, nd.AllGather(sb, sb.count*label.Bytes))
 		}

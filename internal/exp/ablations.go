@@ -131,7 +131,11 @@ type TwoTableRow struct {
 	GLLLocks int64
 }
 
-// AblationTwoTables runs the lock-count ablation.
+// AblationTwoTables runs the lock-count ablation. Both tables are
+// label.ConcurrentStore, where a read of an empty set takes no lock, so
+// what is counted is every append and every read of a non-empty set: LCC's
+// one table fills up as it runs, GLL's local table is emptied every
+// superstep.
 func AblationTwoTables(cfg Config) []TwoTableRow {
 	cfg = cfg.Defaults()
 	var rows []TwoTableRow

@@ -13,7 +13,13 @@
 //     cleaning query scans label sets of size O(α) instead of the full sets;
 //   - the global table is immutable during construction, so the (majority
 //     of) pruning queries that it answers need no locks; only the small
-//     local table is locked.
+//     local table is locked, and a vertex with no local labels not even that.
+//
+// Committing costs no more than cleaning: every hub a superstep commits is
+// one of its roots, roots are taken in rank order, so each committed hub has
+// a larger id than every hub already in the global table and the survivors are
+// appended to a vertex's global set, never merged into it. A global set only
+// ever grows at its end; what an earlier superstep committed stays in place.
 //
 // The package operates in rank space (vertex 0 = highest rank).
 package gll
@@ -172,8 +178,8 @@ func (st *State) tree(w, h int) ptree.Stats {
 	return ptree.TwoTableTree(st.g, h, st.scr[w], true, st.global, st.local)
 }
 
-// cleanAndCommit drains the local table, sorts it, drops the local labels
-// DQ_Clean finds redundant, and merges the survivors into the global table.
+// cleanAndCommit drains the local table, sorts it, and appends to the global
+// table the local labels DQ_Clean does not find redundant.
 //
 // This is where GLL's cleaning advantage comes from (§4.2: "the label
 // cleaning only needs to query for redundant labels on the local table").
@@ -186,20 +192,31 @@ func (st *State) tree(w, h int) ptree.Stats {
 // local×local, the cleaning query joins only the two local sets, and a
 // cleaning step performs O(n·α²) work (the paper's bound) no matter how
 // large the committed global tables have grown — LCC, by contrast, rescans
-// the full final sets for every label.
+// the full final sets for every label. The commit is an append (package
+// doc), so it too touches only the superstep's own labels.
 func (st *State) cleanAndCommit() ptree.Stats {
 	locals := st.local.Drain()
-	ptree.ParallelFor(st.opts.Workers, len(locals), func(_, v int) { locals[v].Sort() })
-	keep, stats := ptree.Clean(locals, st.opts.Workers, 0, 1)
-	st.commit(keep)
+	st.sortAll(locals)
+	stats := ptree.Clean(st.global, locals, st.opts.Workers, 0, 1)
+	st.local.Recycle(locals)
 	return stats
 }
 
-// commit merges sorted per-vertex sets into the global table.
+// sortAll sorts drained per-vertex sets.
+func (st *State) sortAll(sets []label.Set) {
+	ptree.ParallelRange(st.opts.Workers, len(sets), func(_, lo, hi int) {
+		for _, s := range sets[lo:hi] {
+			s.Sort()
+		}
+	})
+}
+
+// commit appends sorted per-vertex sets of this superstep's hubs to the
+// global table.
 func (st *State) commit(sets []label.Set) {
-	ptree.ParallelFor(st.opts.Workers, len(sets), func(_, v int) {
-		if len(sets[v]) > 0 {
-			st.global[v] = st.global[v].Merge(sets[v])
+	ptree.ParallelRange(st.opts.Workers, len(sets), func(_, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			st.global[v] = append(st.global[v], sets[v]...)
 		}
 	})
 }

@@ -1,9 +1,11 @@
 package gll
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/label"
 	"repro/internal/metrics"
 	"repro/internal/pll"
 	"repro/internal/verify"
@@ -49,28 +51,67 @@ func TestSuperstepsScaleWithAlpha(t *testing.T) {
 	}
 }
 
+// TestGlobalTableGrowsMonotonically drives supersteps one at a time: the
+// global table stays sorted and every superstep only appends to it — each
+// vertex's set before the superstep is an unchanged prefix of its set after.
 func TestGlobalTableGrowsMonotonically(t *testing.T) {
-	g := graph.BarabasiAlbert(120, 3, 3)
-	st := NewState(g, Options{Workers: 2, Alpha: 1})
-	m := &metrics.Build{}
-	prev := int64(0)
-	for !st.Done() {
-		st.Superstep(m)
-		var total int64
-		for v := 0; v < g.NumVertices(); v++ {
-			s := st.GlobalLabels(v)
-			if !s.IsSorted() {
-				t.Fatalf("global table of %d unsorted mid-run", v)
+	for _, c := range []struct {
+		name       string
+		g          *graph.Graph
+		plantFirst bool
+	}{
+		{"ba", graph.BarabasiAlbert(120, 3, 3), false},
+		{"ba plant-first", graph.BarabasiAlbert(120, 3, 3), true},
+		{"grid", graph.RoadGrid(12, 12, 4), false},
+		{"grid plant-first", graph.RoadGrid(12, 12, 4), true},
+	} {
+		g := c.g
+		n := g.NumVertices()
+		st := NewState(g, Options{Workers: 2, Alpha: 1})
+		m := &metrics.Build{}
+		prev := make([]label.Set, n)
+		for first := true; !st.Done(); first = false {
+			if first && c.plantFirst {
+				st.plantFirstSuperstep(m)
+			} else {
+				st.Superstep(m)
 			}
-			total += int64(len(s))
+			for v := 0; v < n; v++ {
+				s := st.GlobalLabels(v)
+				if !s.IsSorted() {
+					t.Fatalf("%s: global table of %d unsorted after superstep %d", c.name, v, st.Steps())
+				}
+				if len(s) < len(prev[v]) || !slices.Equal(s[:len(prev[v])], prev[v]) {
+					t.Fatalf("%s: superstep %d rewrote the global set of %d: %v, before %v",
+						c.name, st.Steps(), v, s, prev[v])
+				}
+				prev[v] = s.Clone()
+			}
 		}
-		if total < prev {
-			t.Fatalf("global table shrank: %d → %d", prev, total)
+		if err := verify.IsCHL(g, st.Index()); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		prev = total
 	}
-	if err := verify.IsCHL(g, st.Index()); err != nil {
-		t.Fatal(err)
+}
+
+// TestRoadGridMatchesSequential covers integer-weighted grids, where equal
+// distances are common and a tie broken differently would show: GLL and
+// GLL with a PLaNTed first superstep must both build pll.Sequential's CHL.
+func TestRoadGridMatchesSequential(t *testing.T) {
+	for seed := int64(1); seed <= 2; seed++ {
+		g := graph.RoadGrid(11, 13, seed)
+		want, _ := pll.Sequential(g, pll.Options{})
+		for _, workers := range []int{1, 2, 8} {
+			for _, alpha := range []float64{0.5, 4} {
+				opts := Options{Workers: workers, Alpha: alpha}
+				if ix, _ := Run(g, opts); want.Diff(ix) != "" {
+					t.Fatalf("Run seed %d workers %d α=%v: %s", seed, workers, alpha, want.Diff(ix))
+				}
+				if ix, _ := RunPlantFirst(g, opts); want.Diff(ix) != "" {
+					t.Fatalf("RunPlantFirst seed %d workers %d α=%v: %s", seed, workers, alpha, want.Diff(ix))
+				}
+			}
+		}
 	}
 }
 

@@ -41,7 +41,7 @@ func (st *State) plantFirstSuperstep(m *metrics.Build) {
 
 	// Commit without cleaning: PLaNT output is canonical.
 	sets := planted.Drain()
-	ptree.ParallelFor(st.opts.Workers, n, func(_, v int) { sets[v].Sort() })
+	st.sortAll(sets)
 	st.commit(sets)
 	m.ConstructTime += time.Since(t0)
 	m.Synchronizations++

@@ -12,8 +12,10 @@
 package label
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -38,11 +40,11 @@ type Set []L
 // Sort orders the set ascending by hub id; ties (which appear only
 // transiently in construction) keep the smaller distance first.
 func (s Set) Sort() {
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].Hub != s[j].Hub {
-			return s[i].Hub < s[j].Hub
+	slices.SortFunc(s, func(a, b L) int {
+		if c := cmp.Compare(a.Hub, b.Hub); c != 0 {
+			return c
 		}
-		return s[i].Dist < s[j].Dist
+		return cmp.Compare(a.Dist, b.Dist)
 	})
 }
 

@@ -96,3 +96,104 @@ func TestConcurrentStoreProfiling(t *testing.T) {
 		t.Fatalf("lock count = %d, want 2", cs.LockCount())
 	}
 }
+
+func TestConcurrentStoreEmptyReadsTakeNoLock(t *testing.T) {
+	cs := NewConcurrentStore(2)
+	cs.EnableProfiling()
+	hd := NewHashDist(2)
+	if cs.QueryAgainst(hd, 1, 100) {
+		t.Fatal("empty vertex matched")
+	}
+	cs.AddTo(hd, 1)
+	if got := cs.LockCount(); got != 0 {
+		t.Fatalf("reads of an empty set took %d locks", got)
+	}
+	cs.Append(1, L{Hub: 0, Dist: 1})
+	cs.QueryAgainst(hd, 1, 100)
+	cs.AddTo(hd, 1)
+	if got := cs.LockCount(); got != 3 {
+		t.Fatalf("append and two reads of a non-empty set took %d locks, want 3", got)
+	}
+	cs.Recycle(cs.Drain())
+	cs.QueryAgainst(hd, 1, 100)
+	cs.AddTo(hd, 1)
+	if got := cs.LockCount(); got != 3 {
+		t.Fatalf("reads of a drained set took %d more locks", got-3)
+	}
+}
+
+// TestConcurrentStoreRecycle drains a store, hands the storage back and
+// refills it: no label of the earlier round is visible to a read, and the
+// refill reuses the drained capacity.
+func TestConcurrentStoreRecycle(t *testing.T) {
+	cs := NewConcurrentStore(3)
+	for h := uint32(0); h < 4; h++ {
+		cs.Append(0, L{Hub: h, Dist: 1})
+	}
+	cs.Append(1, L{Hub: 0, Dist: 1})
+	drained := cs.Drain()
+	cs.Recycle(drained)
+
+	hd := NewHashDist(8)
+	hd.Add(0, 1)
+	if cs.QueryAgainst(hd, 0, 100) || cs.QueryAgainst(hd, 1, 100) {
+		t.Fatal("a drained label answered a query")
+	}
+	cs.AddTo(hd, 0)
+	if _, ok := hd.Get(3); ok {
+		t.Fatal("AddTo hashed a drained label")
+	}
+
+	cs.Append(0, L{Hub: 7, Dist: 2})
+	probe := NewHashDist(8)
+	cs.AddTo(probe, 0)
+	for h := uint32(0); h < 4; h++ {
+		if _, ok := probe.Get(h); ok {
+			t.Fatalf("hub %d of the drained round is visible after reuse", h)
+		}
+	}
+	if d, ok := probe.Get(7); !ok || d != 2 {
+		t.Fatalf("hub 7 = %v,%v want 2", d, ok)
+	}
+	ix := cs.Seal()
+	if got := ix.Labels(0); len(got) != 1 || got[0].Hub != 7 || &got[0] != &drained[0][0] {
+		t.Fatalf("vertex 0 after reuse = %v, want the one new label in the drained storage", got)
+	}
+	if ix.TotalLabels() != 1 {
+		t.Fatalf("sealed %d labels, want 1", ix.TotalLabels())
+	}
+}
+
+// TestConcurrentStoreReadersBesideAppenders races the lock-free empty check
+// against appends (meant for -race); no append is lost and a reader that
+// hashed nothing matches nothing.
+func TestConcurrentStoreReadersBesideAppenders(t *testing.T) {
+	const n, per = 16, 300
+	cs := NewConcurrentStore(n)
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(2)
+		go func(w int) { // appender: hubs 0, 1, … at distance 1 on every vertex it owns
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				cs.Append(2*(i%(n/2))+w, L{Hub: uint32(i / (n / 2)), Dist: 1})
+			}
+		}(w)
+		go func(w int) { // reader
+			defer wg.Done()
+			hd := NewHashDist(per)
+			for i := 0; i < per; i++ {
+				v := (i*7 + w) % n
+				hd.Reset()
+				cs.AddTo(hd, v)
+				if _, ok := hd.Get(0); !ok && cs.QueryAgainst(hd, v, 100) {
+					t.Error("a query matched against an empty hash")
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := cs.Seal().TotalLabels(); got != 2*per {
+		t.Fatalf("stored %d labels, want %d", got, 2*per)
+	}
+}

@@ -76,7 +76,8 @@ func Clean(ix *label.Index, workers int, m *metrics.Build) int64 {
 	for v := range sets {
 		sets[v] = ix.Labels(v)
 	}
-	surv, st := ptree.Clean(sets, workers, 0, 1)
+	surv := make([]label.Set, len(sets))
+	st := ptree.Clean(surv, sets, workers, 0, 1)
 	for v, s := range surv {
 		ix.SetLabels(v, s)
 	}

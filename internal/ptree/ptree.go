@@ -13,7 +13,8 @@
 //
 // Around them sit what every caller needs to run trees in parallel: the
 // per-worker Scratch, the Stats a tree reports (one value with Add, folded
-// into a metrics.Build by Build.Fold), and the dynamic pool ParallelFor.
+// into a metrics.Build by Build.Fold), and the dynamic pool ParallelFor
+// (ParallelRange where items are too cheap to claim one at a time).
 //
 // Two traversals stay outside on purpose. pll.Sequential is the reference
 // the others are compared against and shares only the Scratch; plant.Tree
@@ -23,6 +24,7 @@
 package ptree
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -243,38 +245,56 @@ func Redundant(lv, lh label.Set, h uint32, delta float64) (redundant bool, entri
 // Clean runs the cleaning pass over the vertices first, first+stride, … of
 // sets (sorted, indexed by vertex; a hub's set is sets[hub]): each label but
 // the self label is put to Redundant, and the survivors of every cleaned
-// vertex are returned at its index, the other indexes nil.
+// vertex v are appended to dst[v]. Other entries of dst are left alone.
 //
-// Survivors go to fresh slices and sets is only read: a worker deciding the
-// labels of v merge-joins the sets of v's hubs, which other workers are
-// deciding at the same moment, so nothing may be compacted in place.
-func Clean(sets []label.Set, workers, first, stride int) ([]label.Set, Stats) {
-	surv := make([]label.Set, len(sets))
+// sets is only read: a worker deciding the labels of v merge-joins the sets
+// of v's hubs, which other workers are deciding at the same moment, so
+// nothing may be compacted in place, and dst must not share storage with
+// sets. A caller that wants the survivors alone passes fresh nil sets; GLL
+// passes its global table, which the survivors extend in order because they
+// are all hubs of the superstep being cleaned.
+func Clean(dst, sets []label.Set, workers, first, stride int) Stats {
 	stats := make([]Stats, workers)
-	ParallelFor(workers, (len(sets)-first+stride-1)/stride, func(w, k int) {
-		v := first + k*stride
-		lv := sets[v]
-		if len(lv) == 0 {
-			return
-		}
-		var st Stats // folded into the shared slice once per vertex
-		out := make(label.Set, 0, len(lv))
-		for _, l := range lv {
-			if int(l.Hub) != v {
-				st.CleanQueries++
-				redundant, entries := Redundant(lv, sets[l.Hub], l.Hub, l.Dist)
-				st.CleanEntries += entries
-				if redundant {
-					st.Cleaned++
-					continue
-				}
+	ParallelRange(workers, (len(sets)-first+stride-1)/stride, func(w, lo, hi int) {
+		var st Stats // folded into the shared slice once per chunk
+		for k := lo; k < hi; k++ {
+			v := first + k*stride
+			lv := sets[v]
+			if len(lv) == 0 {
+				continue
 			}
-			out = append(out, l)
+			out := slices.Grow(dst[v], len(lv))
+			for _, l := range lv {
+				if int(l.Hub) != v {
+					st.CleanQueries++
+					redundant, entries := Redundant(lv, sets[l.Hub], l.Hub, l.Dist)
+					st.CleanEntries += entries
+					if redundant {
+						st.Cleaned++
+						continue
+					}
+				}
+				out = append(out, l)
+			}
+			dst[v] = out
 		}
-		surv[v] = out
 		stats[w].Add(st)
 	})
-	return surv, Sum(stats)
+	return Sum(stats)
+}
+
+// rangeChunk is how many consecutive items ParallelRange hands out at once:
+// enough that the shared counter costs nothing next to even an empty item,
+// few enough that a small input still spreads over the workers.
+const rangeChunk = 32
+
+// ParallelRange is ParallelFor over chunks of consecutive items, for loops
+// whose items are too cheap to claim one at a time: fn(worker, lo, hi)
+// covers the items [lo, hi).
+func ParallelRange(workers, n int, fn func(worker, lo, hi int)) {
+	ParallelFor(workers, (n+rangeChunk-1)/rangeChunk, func(w, c int) {
+		fn(w, c*rangeChunk, min(n, (c+1)*rangeChunk))
+	})
 }
 
 // ParallelFor runs fn(worker, i) for every i in [0, n) on up to workers

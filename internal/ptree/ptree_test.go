@@ -111,11 +111,13 @@ func TestCleanStride(t *testing.T) {
 	}
 	before := dirty.Clone()
 
-	whole, wst := ptree.Clean(sets, 3, 0, 1)
+	whole := make([]label.Set, len(sets))
+	wst := ptree.Clean(whole, sets, 3, 0, 1)
 	const q = 4
 	var sum ptree.Stats
 	for r := 0; r < q; r++ {
-		part, st := ptree.Clean(sets, 2, r, q)
+		part := make([]label.Set, len(sets))
+		st := ptree.Clean(part, sets, 2, r, q)
 		sum.Add(st)
 		for v := range part {
 			if v%q != r {
@@ -141,6 +143,33 @@ func TestCleanStride(t *testing.T) {
 	}
 }
 
+// TestCleanAppends checks that survivors extend dst[v] rather than replace
+// it: a prefix already there is kept, untouched, ahead of them.
+func TestCleanAppends(t *testing.T) {
+	g := graph.RoadGrid(9, 9, 4)
+	store := label.NewConcurrentStore(g.NumVertices())
+	ptree.LiveForest(g, store, 0, 2, true)
+	dirty := store.Seal()
+	sets := make([]label.Set, g.NumVertices())
+	for v := range sets {
+		sets[v] = dirty.Labels(v)
+	}
+	fresh := make([]label.Set, len(sets))
+	ptree.Clean(fresh, sets, 2, 0, 1)
+
+	prefix := label.Set{{Hub: 0, Dist: 1}}
+	dst := make([]label.Set, len(sets))
+	for v := range dst {
+		dst[v] = prefix.Clone()
+	}
+	ptree.Clean(dst, sets, 2, 0, 1)
+	for v := range dst {
+		if want := append(prefix.Clone(), fresh[v]...); !slices.Equal(dst[v], want) {
+			t.Fatalf("vertex %d: %v, want %v", v, dst[v], want)
+		}
+	}
+}
+
 func TestParallelFor(t *testing.T) {
 	for _, c := range []struct{ workers, n int }{{1, 10}, {4, 100}, {8, 3}, {4, 1}, {4, 0}} {
 		hits := make([]atomic.Int32, c.n)
@@ -149,6 +178,25 @@ func TestParallelFor(t *testing.T) {
 				t.Errorf("workers=%d n=%d: worker index %d", c.workers, c.n, w)
 			}
 			hits[i].Add(1)
+		})
+		for i := range hits {
+			if got := hits[i].Load(); got != 1 {
+				t.Fatalf("workers=%d n=%d: item %d ran %d times", c.workers, c.n, i, got)
+			}
+		}
+	}
+}
+
+func TestParallelRange(t *testing.T) {
+	for _, c := range []struct{ workers, n int }{{1, 10}, {4, 100}, {2, 65}, {8, 3}, {4, 0}} {
+		hits := make([]atomic.Int32, c.n)
+		ptree.ParallelRange(c.workers, c.n, func(w, lo, hi int) {
+			if w < 0 || w >= c.workers || lo >= hi {
+				t.Errorf("workers=%d n=%d: worker %d range [%d,%d)", c.workers, c.n, w, lo, hi)
+			}
+			for i := lo; i < hi; i++ {
+				hits[i].Add(1)
+			}
 		})
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
