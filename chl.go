@@ -71,7 +71,8 @@ type Options struct {
 	// road-like graphs (§7.1.1).
 	Order *Order
 
-	// Workers is the shared-memory thread count (0 = GOMAXPROCS).
+	// Workers is the shared-memory thread count (0 = GOMAXPROCS). It also
+	// bounds the sample trees the automatic ranking plants at once.
 	Workers int
 
 	// Alpha is GLL's synchronization threshold (0 = 4, per Figure 5).
@@ -148,7 +149,7 @@ func Build(g *Graph, opt Options) (*Index, error) {
 	}
 	ord := opt.Order
 	if ord == nil {
-		ord = order.ForGraph(g, opt.Seed)
+		ord = order.ForGraph(g, opt.Seed, opt.Workers)
 	}
 	if len(ord.Perm) != g.NumVertices() {
 		return nil, fmt.Errorf("chl: order covers %d vertices, graph has %d", len(ord.Perm), g.NumVertices())

@@ -70,6 +70,28 @@ func TestCanonicalALSIdenticalAcrossCHLAlgorithms(t *testing.T) {
 	}
 }
 
+// TestRankByBetweennessEdgeSizes: an empty graph gets the empty order (it
+// used to panic drawing a sample from zero vertices), one vertex ranks
+// alone, and samples ≤ 0 plant one tree as samples = 1 does.
+func TestRankByBetweennessEdgeSizes(t *testing.T) {
+	if o := chl.RankByBetweenness(chl.NewGraphBuilder(0, false).MustFinish(), 16, 1); len(o.Perm) != 0 {
+		t.Fatalf("empty graph: Perm %v, want empty", o.Perm)
+	}
+	if o := chl.RankByBetweenness(chl.NewGraphBuilder(1, false).MustFinish(), 16, 1); len(o.Perm) != 1 || o.Perm[0] != 0 {
+		t.Fatalf("one vertex: Perm %v, want [0]", o.Perm)
+	}
+	g := chl.GenerateRoadGrid(6, 6, 1)
+	one := chl.RankByBetweenness(g, 1, 3).Perm
+	for _, samples := range []int{0, -1} {
+		got := chl.RankByBetweenness(g, samples, 3).Perm
+		for i := range one {
+			if got[i] != one[i] {
+				t.Fatalf("samples=%d: Perm differs from samples=1 at %d", samples, i)
+			}
+		}
+	}
+}
+
 // TestBuildDefaultAlgorithm pins what Options{} builds with: the scoreboard's
 // fastest constructor per directedness (ROADMAP 4(a)), and the same CHL as
 // the reference either way.

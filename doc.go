@@ -242,8 +242,9 @@
 //
 // Rankings are chl.Order values: RankByDegree (the paper's choice for
 // scale-free graphs), RankByBetweenness (sampled approximate betweenness,
-// the paper's choice for road networks), RankAuto (picks between them),
-// or any custom permutation via RankFromPerm.
+// the paper's choice for road networks; its samples run in parallel and the
+// order does not depend on how many), RankAuto (picks between them), or any
+// custom permutation via RankFromPerm.
 //
 // # Static analysis
 //

@@ -41,13 +41,10 @@ func (d Dataset) PsiThreshold() float64 {
 
 // Order computes the paper's ranking for this dataset: approximate
 // betweenness for road networks, degree for scale-free networks (§7.1.1).
-func (d Dataset) Order(g *graph.Graph, seed int64) *order.Order {
+// workers bounds the betweenness samples planted at once (0 = GOMAXPROCS).
+func (d Dataset) Order(g *graph.Graph, seed int64, workers int) *order.Order {
 	if d.Kind == "road" {
-		samples := 16
-		if g.NumVertices() < samples {
-			samples = g.NumVertices()
-		}
-		return order.ByApproxBetweenness(g, samples, seed)
+		return order.ByApproxBetweenness(g, 16, seed, workers)
 	}
 	return order.ByDegree(g)
 }
@@ -155,7 +152,7 @@ type prepared struct {
 
 func (c Config) prepare(ds Dataset) prepared {
 	g := ds.Gen(c.Scale, c.Seed)
-	ord := ds.Order(g, c.Seed)
+	ord := ds.Order(g, c.Seed, c.Workers)
 	rg, _ := g.Permute(ord.Perm)
 	return prepared{ds: ds, g: g, ranked: rg, n: g.NumVertices()}
 }

@@ -3,13 +3,20 @@
 // order of SPT roots; a good order ranks central vertices first so that few
 // hubs cover many shortest paths (§1). Following §7.1.1 of the paper, degree
 // ordering is used for scale-free networks and sampled approximate
-// betweenness for road networks; both are inexpensive to compute.
+// betweenness for road networks. Degree order is one pass over the graph;
+// betweenness plants one shortest path tree per sample, and on the bench's
+// road fixture (256 samples) it is most of set-up — order.rank_s in bench/.
+// Its samples run in parallel, and the order it returns does not depend on
+// the worker count.
 package order
 
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/vheap"
@@ -86,81 +93,198 @@ func ByDegree(g *graph.Graph) *Order {
 // uses for road networks ("Betweenness is approximated by sampling a few
 // shortest path trees", §7.1.1). Degree is the tie breaker so the order is
 // deterministic for a given seed.
-func ByApproxBetweenness(g *graph.Graph, samples int, seed int64) *Order {
-	n := g.NumVertices()
-	if samples > n {
-		samples = n
+//
+// The sample trees are independent, so `workers` goroutines (0 =
+// GOMAXPROCS) plant them at once, each claiming the next sample as it
+// finishes one. Their dependency vectors are folded into the scores in
+// sample order, so every score sees the same float additions in the same
+// order as a single worker would make: the order does not depend on
+// `workers`. Memory is O(workers·n) and nothing is allocated per sample.
+func ByApproxBetweenness(g *graph.Graph, samples int, seed int64, workers int) *Order {
+	if g.NumVertices() == 0 {
+		return Identity(0)
 	}
-	if samples < 1 {
-		samples = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	score := make([]float64, n)
-
-	dist := make([]float64, n)
-	sigma := make([]float64, n)
-	delta := make([]float64, n)
-	settled := make([]int, 0, n)
-	h := vheap.New(n)
-
-	for s := 0; s < samples; s++ {
-		src := rng.Intn(n)
-		for i := range dist {
-			dist[i] = graph.Infinity
-			sigma[i] = 0
-			delta[i] = 0
-		}
-		settled = settled[:0]
-		h.Clear()
-		dist[src] = 0
-		sigma[src] = 1
-		h.Push(src, 0)
-		for !h.Empty() {
-			u, du := h.Pop()
-			if du > dist[u] {
-				continue
-			}
-			settled = append(settled, u)
-			heads, wts := g.Neighbors(u)
-			for i, vv := range heads {
-				v := int(vv)
-				nd := du + wts[i]
-				if nd < dist[v] {
-					dist[v] = nd
-					sigma[v] = sigma[u]
-					h.Push(v, nd)
-				} else if nd == dist[v] {
-					sigma[v] += sigma[u]
-				}
-			}
-		}
-		// Brandes back-propagation in reverse settle order.
-		for i := len(settled) - 1; i >= 0; i-- {
-			w := settled[i]
-			tails, wts := g.InNeighbors(w)
-			for j, tt := range tails {
-				t := int(tt)
-				if dist[t] != graph.Infinity && dist[t]+wts[j] == dist[w] && sigma[w] > 0 {
-					delta[t] += sigma[t] / sigma[w] * (1 + delta[w])
-				}
-			}
-			if w != src {
-				score[w] += delta[w]
-			}
-		}
-	}
-	// Deterministic tie-break: degree, then id (ByDegree semantics).
-	for v := 0; v < n; v++ {
+	score := sampledBetweenness(g, samples, seed, workers)
+	// Deterministic tie-break: out-degree (in- plus out-degree would be
+	// ByDegree's, which differs on directed graphs), then id.
+	for v := range score {
 		score[v] += float64(g.Degree(v)) * 1e-9
 	}
 	return byScore(score)
 }
 
+// sampledBetweenness is every vertex's summed dependency on the sampled
+// sources, on a non-empty graph.
+func sampledBetweenness(g *graph.Graph, samples int, seed int64, workers int) []float64 {
+	n := g.NumVertices()
+	samples = min(max(samples, 1), n)
+	rng := rand.New(rand.NewSource(seed))
+	srcs := make([]int, samples)
+	for i := range srcs {
+		srcs[i] = rng.Intn(n)
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, samples)
+
+	// Two ring slots per worker let the others run ahead of one slow
+	// sample for a whole round before they wait for its fold.
+	f := newFolder(n, min(2*workers, samples))
+	var next atomic.Int64
+	work := func() {
+		b := newBrandes(n)
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= samples {
+				return
+			}
+			delta := f.acquire(i)
+			b.dependencies(g, srcs[i], delta)
+			f.release(i)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	return f.score
+}
+
+// brandes is one worker's scratch for planting sample trees.
+type brandes struct {
+	dist, sigma []float64
+	settled     []int
+	h           *vheap.Heap
+}
+
+func newBrandes(n int) *brandes {
+	return &brandes{
+		dist:    make([]float64, n),
+		sigma:   make([]float64, n),
+		settled: make([]int, 0, n),
+		h:       vheap.New(n),
+	}
+}
+
+// dependencies plants the shortest path tree of src and writes every
+// vertex's dependency on it into delta: 0 for src itself and for every
+// vertex src does not reach.
+func (b *brandes) dependencies(g *graph.Graph, src int, delta []float64) {
+	dist, sigma := b.dist, b.sigma
+	for i := range dist {
+		dist[i] = graph.Infinity
+		sigma[i] = 0
+		delta[i] = 0
+	}
+	settled := b.settled[:0]
+	h := b.h
+	h.Clear()
+	dist[src] = 0
+	sigma[src] = 1
+	h.Push(src, 0)
+	for !h.Empty() {
+		u, du := h.Pop()
+		if du > dist[u] {
+			continue
+		}
+		settled = append(settled, u)
+		heads, wts := g.Neighbors(u)
+		for i, vv := range heads {
+			v := int(vv)
+			nd := du + wts[i]
+			if nd < dist[v] {
+				dist[v] = nd
+				sigma[v] = sigma[u]
+				h.Push(v, nd)
+			} else if nd == dist[v] {
+				sigma[v] += sigma[u]
+			}
+		}
+	}
+	// Brandes back-propagation in reverse settle order.
+	for i := len(settled) - 1; i >= 0; i-- {
+		w := settled[i]
+		tails, wts := g.InNeighbors(w)
+		for j, tt := range tails {
+			t := int(tt)
+			if dist[t] != graph.Infinity && dist[t]+wts[j] == dist[w] && sigma[w] > 0 {
+				delta[t] += sigma[t] / sigma[w] * (1 + delta[w])
+			}
+		}
+	}
+	// The source's own dependency is not betweenness. Adding this 0 (and
+	// the unreached vertices' 0) to a score leaves it bit for bit as it was.
+	delta[src] = 0
+	b.settled = settled
+}
+
+// folder adds finished samples' dependency vectors into the scores strictly
+// in sample order. Sample i is computed into ring slot i mod len(ring); it
+// may take that slot only once sample i−len(ring) has been folded, so a
+// slot never holds two samples.
+type folder struct {
+	score []float64
+	ring  [][]float64
+
+	mu     sync.Mutex
+	cond   sync.Cond
+	done   []bool // done[slot]: the slot's sample is finished, not yet folded
+	folded int    // samples [0, folded) are in score
+}
+
+func newFolder(n, slots int) *folder {
+	f := &folder{score: make([]float64, n), ring: make([][]float64, slots), done: make([]bool, slots)}
+	for i := range f.ring {
+		f.ring[i] = make([]float64, n)
+	}
+	f.cond.L = &f.mu
+	return f
+}
+
+// acquire waits until sample i's ring slot is free and returns it.
+func (f *folder) acquire(i int) []float64 {
+	f.mu.Lock()
+	for f.folded <= i-len(f.ring) {
+		f.cond.Wait()
+	}
+	f.mu.Unlock()
+	return f.ring[i%len(f.ring)]
+}
+
+// release marks sample i finished and folds every finished sample that is
+// next in order. The fold is n additions against a whole shortest path tree
+// per sample, so holding the lock through it costs the other workers little.
+func (f *folder) release(i int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.done[i%len(f.ring)] = true
+	before := f.folded
+	for slot := f.folded % len(f.ring); f.done[slot]; slot = f.folded % len(f.ring) {
+		for v, d := range f.ring[slot] {
+			f.score[v] += d
+		}
+		f.done[slot] = false
+		f.folded++
+	}
+	if f.folded > before {
+		f.cond.Broadcast()
+	}
+}
+
 // ForGraph picks the paper's default ordering for a graph: approximate
 // betweenness for low-degree high-diameter (road-like) graphs, degree for
 // everything else. The threshold mirrors the structural gap between the two
-// dataset families rather than trying to be a general classifier.
-func ForGraph(g *graph.Graph, seed int64) *Order {
+// dataset families rather than trying to be a general classifier. workers
+// bounds the betweenness samples planted at once (0 = GOMAXPROCS); the order
+// does not depend on it.
+func ForGraph(g *graph.Graph, seed int64, workers int) *Order {
 	n := g.NumVertices()
 	if n == 0 {
 		return Identity(0)
@@ -175,11 +299,7 @@ func ForGraph(g *graph.Graph, seed int64) *Order {
 	// Road networks: near-uniform small degrees. Scale-free: max degree far
 	// above average.
 	if float64(maxDeg) <= 4*avgDeg+8 {
-		samples := 16
-		if n < 16 {
-			samples = n
-		}
-		return ByApproxBetweenness(g, samples, seed)
+		return ByApproxBetweenness(g, 16, seed, workers)
 	}
 	return ByDegree(g)
 }

@@ -1,6 +1,9 @@
 package order
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"repro/internal/graph"
@@ -95,7 +98,7 @@ func TestByApproxBetweenness(t *testing.T) {
 	b.AddEdge(4, 5, 1)
 	b.AddEdge(5, 6, 1)
 	g := b.MustFinish()
-	o := ByApproxBetweenness(g, 10, 1)
+	o := ByApproxBetweenness(g, 10, 1, 0)
 	checkPermutation(t, o, 10)
 	// The bridge vertices 4 and 5 carry all cross-clique shortest paths;
 	// together with the clique gateways (3 and 6) they must fill the top
@@ -113,8 +116,8 @@ func TestByApproxBetweenness(t *testing.T) {
 
 func TestByApproxBetweennessDeterministic(t *testing.T) {
 	g := graph.RoadGrid(8, 8, 3)
-	a := ByApproxBetweenness(g, 12, 7)
-	b := ByApproxBetweenness(g, 12, 7)
+	a := ByApproxBetweenness(g, 12, 7, 2)
+	b := ByApproxBetweenness(g, 12, 7, 2)
 	for i := range a.Perm {
 		if a.Perm[i] != b.Perm[i] {
 			t.Fatal("same seed produced different betweenness orders")
@@ -122,11 +125,101 @@ func TestByApproxBetweennessDeterministic(t *testing.T) {
 	}
 }
 
+// permHash is FNV-1a-64 over the Perm, each entry a little-endian uint32.
+func permHash(o *Order) uint64 {
+	f := fnv.New64a()
+	var b [4]byte
+	for _, v := range o.Perm {
+		binary.LittleEndian.PutUint32(b[:], uint32(v))
+		f.Write(b[:])
+	}
+	return f.Sum64()
+}
+
+// TestByApproxBetweennessPinned pins the hierarchy: the parallel samples
+// must fold to the order one worker produced before they ran in parallel,
+// bit for bit, whatever the worker count.
+func TestByApproxBetweennessPinned(t *testing.T) {
+	disconnected := graph.ErdosRenyi(500, 300, 9, 2)
+	if graph.IsConnected(disconnected) {
+		t.Fatal("fixture meant to be disconnected is connected")
+	}
+	cases := []struct {
+		name    string
+		g       *graph.Graph
+		samples int
+		seed    int64
+		want    uint64
+	}{
+		{"road 96x96, the bench's hierarchy", graph.RoadGrid(96, 96, 1), 256, 1, 0xa2190fd630548b99},
+		{"road 32x32, the tiny profile's", graph.RoadGrid(32, 32, 1), 32, 1, 0xcbc5729c962af09d},
+		{"scale-free", graph.BarabasiAlbert(2000, 3, 1), 64, 7, 0x8790a6dc9a6c4051},
+		{"directed", graph.RandomDirected(600, 2400, 9, 3), 48, 5, 0x5f0a553f215c49a9},
+		{"disconnected", disconnected, 40, 3, 0x22bc3f459adf0a85},
+		{"samples < workers", graph.RoadGrid(8, 8, 2), 2, 4, 0xc98ab401995d3975},
+		{"samples > n", graph.ErdosRenyi(50, 120, 5, 6), 80, 2, 0x7199edf418a6c564},
+	}
+	for _, c := range cases {
+		for workers := 1; workers <= 4; workers++ {
+			o := ByApproxBetweenness(c.g, c.samples, c.seed, workers)
+			checkPermutation(t, o, c.g.NumVertices())
+			if got := permHash(o); got != c.want {
+				t.Errorf("%s, %d workers: Perm hash %#016x, want %#016x", c.name, workers, got, c.want)
+			}
+		}
+	}
+}
+
+// TestSampledBetweennessFoldsInSampleOrder holds the scores, not only the
+// order they sort into, to one worker's bit for bit. Samples from small
+// components finish long before those from the giant one, so the workers
+// finish them out of order, and a fold in finishing order would round
+// differently.
+func TestSampledBetweennessFoldsInSampleOrder(t *testing.T) {
+	for _, g := range []*graph.Graph{graph.ErdosRenyi(500, 300, 9, 2), graph.BarabasiAlbert(800, 3, 4)} {
+		want := sampledBetweenness(g, 64, 3, 1)
+		for rep := 0; rep < 5; rep++ {
+			for workers := 2; workers <= 4; workers++ {
+				got := sampledBetweenness(g, 64, 3, workers)
+				for v := range want {
+					if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+						t.Fatalf("%d workers: score[%d] = %v, one worker's is %v", workers, v, got[v], want[v])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestByApproxBetweennessAllocsFlat: scratch is per worker and per ring
+// slot, never per sample, so 256 samples allocate what 16 do. A heap's
+// array still grows with the widest frontier a worker has seen, so the
+// grid is narrow enough that no frontier outgrows the initial array.
+func TestByApproxBetweennessAllocsFlat(t *testing.T) {
+	g := graph.RoadGrid(4, 128, 1)
+	allocs := func(samples int) float64 {
+		return testing.AllocsPerRun(3, func() { ByApproxBetweenness(g, samples, 1, 2) })
+	}
+	if a16, a256 := allocs(16), allocs(256); a256 != a16 {
+		t.Fatalf("allocations grow with samples: %v at 16, %v at 256", a16, a256)
+	}
+}
+
+// BenchmarkRankBetweenness is the bench's road hierarchy (the 96×96 grid,
+// 256 samples); -cpu sets the worker count.
+func BenchmarkRankBetweenness(b *testing.B) {
+	g := graph.RoadGrid(96, 96, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ByApproxBetweenness(g, 256, 1, 0)
+	}
+}
+
 func TestForGraphPicksByTopology(t *testing.T) {
 	road := graph.RoadGrid(12, 12, 1)
 	ba := graph.BarabasiAlbert(400, 3, 1)
-	ro := ForGraph(road, 1)
-	bo := ForGraph(ba, 1)
+	ro := ForGraph(road, 1, 0)
+	bo := ForGraph(ba, 1, 0)
 	checkPermutation(t, ro, road.NumVertices())
 	checkPermutation(t, bo, ba.NumVertices())
 	// For the scale-free graph the pick must equal the pure degree order.
@@ -136,7 +229,7 @@ func TestForGraphPicksByTopology(t *testing.T) {
 			t.Fatalf("scale-free graph did not get degree order (pos %d)", i)
 		}
 	}
-	if g0 := ForGraph(graph.Path(0, 1), 1); len(g0.Perm) != 0 {
+	if g0 := ForGraph(graph.Path(0, 1), 1, 0); len(g0.Perm) != 0 {
 		t.Fatal("empty graph order not empty")
 	}
 }

@@ -13,14 +13,17 @@ func RankByDegree(g *Graph) *Order { return order.ByDegree(g) }
 
 // RankByBetweenness ranks vertices by approximate betweenness centrality
 // from `samples` sampled shortest path trees — the paper's ordering for
-// road networks.
+// road networks. The samples (clamped to [1, n]) run on GOMAXPROCS
+// goroutines; the order does not depend on how many there are. This is most
+// of set-up on a road graph (order.rank_s in bench/). An empty graph gets
+// the empty order.
 func RankByBetweenness(g *Graph, samples int, seed int64) *Order {
-	return order.ByApproxBetweenness(g, samples, seed)
+	return order.ByApproxBetweenness(g, samples, seed, 0)
 }
 
 // RankAuto picks the paper's default ordering for the graph's topology:
 // sampled betweenness for road-like graphs, degree otherwise.
-func RankAuto(g *Graph, seed int64) *Order { return order.ForGraph(g, seed) }
+func RankAuto(g *Graph, seed int64) *Order { return order.ForGraph(g, seed, 0) }
 
 // RankIdentity ranks vertex 0 highest, then 1, and so on.
 func RankIdentity(n int) *Order { return order.Identity(n) }

@@ -30,7 +30,7 @@ func BuildWithPaths(g *Graph, opt Options) (*PathIndex, error) {
 	}
 	ord := opt.Order
 	if ord == nil {
-		ord = order.ForGraph(g, opt.Seed)
+		ord = order.ForGraph(g, opt.Seed, opt.Workers)
 	}
 	rg, newID := g.Permute(ord.Perm)
 	px, _ := pll.SequentialWithPaths(rg, pll.Options{})
