@@ -62,8 +62,9 @@ type Options struct {
 	// Algorithm selects the constructor. Default: the fastest on the
 	// scoreboard for the graph's directedness — AlgoPLaNT for undirected
 	// graphs (build_plant_s is the lowest build_*_s of bench/ on build-road,
-	// 0.18 s against build_gll_s 0.20 s, and level with build_gll_s on
-	// build-scalefree, 0.095 s each), AlgoSeqPLL for directed ones. Every canonical constructor emits the same labels.
+	// 0.15 s against build_gll_s 0.16 s, and on build-scalefree, 0.058 s
+	// against 0.066 s), AlgoSeqPLL for directed ones. Every canonical
+	// constructor emits the same labels.
 	Algorithm Algorithm
 
 	// Order is the network hierarchy R. Nil means RankAuto(g, Seed):

@@ -335,3 +335,41 @@ func TestRankAccessors(t *testing.T) {
 		t.Fatal("top-ranked vertex mismatch")
 	}
 }
+
+// TestBuilderContentHashPinned pins the frozen content of every undirected
+// builder on the bench's tiny-profile fixtures (the instances, not the
+// renumbered copies a run serves). The CHL is unique, so every builder
+// freezes to one hash per fixture, and a change to the builders' inner
+// loops — the heap, the pruning query, the schedule — may move speed and
+// exploration counts but never these hashes.
+func TestBuilderContentHashPinned(t *testing.T) {
+	road := chl.GenerateRoadGrid(32, 32, 1)
+	sf := chl.GenerateScaleFree(1024, 3, 1)
+	for _, fx := range []struct {
+		name string
+		g    *chl.Graph
+		ord  *chl.Order
+		want uint64
+	}{
+		{"road", road, chl.RankByBetweenness(road, 32, 1), 0x000e0923a5c50af9},
+		{"scale-free", sf, chl.RankByDegree(sf), 0x000c930ec91d0238},
+	} {
+		for _, algo := range []chl.Algorithm{chl.AlgoSeqPLL, chl.AlgoGLL, chl.AlgoLCC, chl.AlgoPLaNT, chl.AlgoDGLL, chl.AlgoHybrid} {
+			opt := chl.Options{Algorithm: algo, Order: fx.ord, Workers: 2}
+			if algo.Distributed() {
+				opt.Nodes, opt.WorkersPerNode = 2, 1
+			}
+			ix, err := chl.Build(fx.g, opt)
+			if err != nil {
+				t.Fatalf("%s %s: %v", fx.name, algo, err)
+			}
+			frozen, err := ix.Freeze()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := frozen.ContentHash(); got != fx.want {
+				t.Errorf("%s %s: ContentHash %#016x, want %#016x", fx.name, algo, got, fx.want)
+			}
+		}
+	}
+}

@@ -218,9 +218,13 @@ func TestWorkDependsOnScheduleAlone(t *testing.T) {
 // q−1 other replicas once, and nothing else is sent. η = 16 gathers the top
 // 16 trees and explores what it explored before the table could grow.
 func TestTrafficIsWhatWasGathered(t *testing.T) {
+	// The counts also record the heap's order among equal keys: PLaNT's
+	// early termination stops at whichever equal-distance pop empties its
+	// count, so a heap that breaks ties differently moves them (and never
+	// the labels).
 	pinned := map[string][4]int64{ // explored, queries, ancestor prunes, query prunes at η = 16
-		"road":       {116561, 106798, 3042, 995},
-		"scale-free": {17064, 11166, 1188, 5347},
+		"road":       {116722, 106960, 3038, 994},
+		"scale-free": {17174, 11276, 1197, 5396},
 	}
 	for name, g := range fixtures() {
 		for q := 1; q <= 4; q++ {

@@ -191,9 +191,6 @@ func (b *brandes) dependencies(g *graph.Graph, src int, delta []float64) {
 	h.Push(src, 0)
 	for !h.Empty() {
 		u, du := h.Pop()
-		if du > dist[u] {
-			continue
-		}
 		settled = append(settled, u)
 		heads, wts := g.Neighbors(u)
 		for i, vv := range heads {

@@ -38,9 +38,6 @@ func dijkstra(g *graph.Graph, source, target int) []float64 {
 	h.Push(source, 0)
 	for !h.Empty() {
 		u, du := h.Pop()
-		if du > dist[u] {
-			continue
-		}
 		if u == target {
 			break
 		}
@@ -87,9 +84,6 @@ func MaxRankOnPath(g *graph.Graph, source int) (best []int32, dist []float64) {
 	order := make([]int, 0, n) // settle order
 	for !h.Empty() {
 		u, du := h.Pop()
-		if du > dist[u] {
-			continue
-		}
 		order = append(order, u)
 		heads, wts := g.Neighbors(u)
 		for i, v := range heads {
@@ -133,8 +127,6 @@ func PointToPoint(g *graph.Graph, s, t int) float64 {
 
 	distF := make(map[int]float64, 64)
 	distB := make(map[int]float64, 64)
-	doneF := make(map[int]bool, 64)
-	doneB := make(map[int]bool, 64)
 	hf := vheap.New(n)
 	hb := vheap.New(n)
 	hf.Push(s, 0)
@@ -143,18 +135,12 @@ func PointToPoint(g *graph.Graph, s, t int) float64 {
 	distB[t] = 0
 	bestMu := graph.Infinity
 
-	relax := func(dir *graph.Graph, h *vheap.Heap, dist map[int]float64, done, otherDone map[int]bool, otherDist map[int]float64) {
+	// A popped vertex is settled: the heap returns it once, so no done set
+	// is needed to skip it.
+	relax := func(dir *graph.Graph, h *vheap.Heap, dist, otherDist map[int]float64) {
 		u, du := h.Pop()
-		if done[u] {
-			return
-		}
-		done[u] = true
-		if otherDist != nil {
-			if db, ok := otherDist[u]; ok {
-				if du+db < bestMu {
-					bestMu = du + db
-				}
-			}
+		if db, ok := otherDist[u]; ok && du+db < bestMu {
+			bestMu = du + db
 		}
 		heads, wts := dir.Neighbors(u)
 		for i, v := range heads {
@@ -173,9 +159,9 @@ func PointToPoint(g *graph.Graph, s, t int) float64 {
 			break
 		}
 		if kf <= kb {
-			relax(g, hf, distF, doneF, doneB, distB)
+			relax(g, hf, distF, distB)
 		} else {
-			relax(gt, hb, distB, doneB, doneF, distF)
+			relax(gt, hb, distB, distF)
 		}
 	}
 	return bestMu

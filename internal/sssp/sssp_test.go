@@ -268,3 +268,16 @@ func TestDeltaSteppingEmptyGraph(t *testing.T) {
 		t.Fatalf("empty graph returned %v", d)
 	}
 }
+
+// dijkstraSink keeps BenchmarkDijkstraRoad's result live.
+var dijkstraSink []float64
+
+// BenchmarkDijkstraRoad is one full Dijkstra over the bench's road grid
+// (96×96): the heap's cost with nothing else around it.
+func BenchmarkDijkstraRoad(b *testing.B) {
+	g := graph.RoadGrid(96, 96, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dijkstraSink = Dijkstra(g, i%g.NumVertices())
+	}
+}

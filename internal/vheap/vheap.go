@@ -1,181 +1,185 @@
-// Package vheap implements an indexed 4-ary min-heap keyed by float64
-// priorities over dense integer items. It is the priority queue behind every
-// Dijkstra variant in this repository (pruned PLL Dijkstra, PLaNT Dijkstra,
-// the reference SSSP) and supports the decrease-key operation those
-// algorithms rely on: each vertex appears in the queue at most once.
+// Package vheap implements a monotone radix heap (Ahuja, Mehlhorn, Orlin &
+// Tarjan, "Faster algorithms for the shortest path problem", JACM 1990)
+// keyed by non-negative float64 priorities over dense integer items. It is
+// the priority queue behind every Dijkstra variant in this repository
+// (pruned PLL Dijkstra, PLaNT Dijkstra, Brandes, the reference SSSP).
 //
-// A 4-ary layout is used instead of binary because Dijkstra performs many
-// more DecreaseKey (sift-up) operations than Pop (sift-down), and the
-// shallower tree makes sift-up cheaper while keeping sift-down competitive —
-// the standard choice in shortest-path codes.
+// Keys are compared as IEEE-754 bit patterns: for non-negative floats the
+// pattern orders like the value it encodes. An entry sits in bucket
+// bits.Len64(key ^ floor), where floor is the last key Pop or Peek
+// returned, so bucket 0 holds the keys equal to the floor and each higher
+// bucket a range above the ones below. When bucket 0 runs dry, the lowest
+// non-empty bucket is redistributed around its minimum, and every entry
+// moves to a strictly lower bucket: an entry is touched at most 65 times,
+// however many vertices are queued.
+//
+// The contract that makes this correct is monotonicity: no key may be pushed
+// below the floor. Push panics on a NaN, a negative key, or a key below the
+// floor, instead of answering wrongly later. Every Dijkstra here meets it
+// because it pushes d(u) + w(u,v) after popping d(u), and graph rejects any
+// weight that is not positive and finite; Dong's label emission pushes all
+// its keys before the first Pop.
+//
+// Decrease-key is lazy: the item's live key is kept per item, a decrease
+// adds a second entry, and the superseded one is dropped when its bucket is
+// redistributed. A popped item stays popped until Clear: pushing it again is
+// a no-op, as is any push not below an item's live key, which is Dijkstra's
+// relaxation rule. So the heap returns each item at most once per Clear.
 package vheap
 
-// Heap is an indexed min-heap over items 0..n-1. The zero value is not
+import (
+	"math"
+	"math/bits"
+)
+
+// Heap is a monotone min-heap over items 0..n-1. The zero value is not
 // usable; call New. A Heap is not safe for concurrent use: every algorithm
 // here owns one heap per worker.
 type Heap struct {
-	keys []float64 // keys[item] = current priority, valid while pos[item] != absent
-	pos  []int32   // pos[item] = index into heap, or absent
-	heap []int32   // heap of items, heap[0] = min
+	floor    uint64      // bits of the last key Pop or Peek returned
+	size     int         // items queued
+	occupied uint64      // bit b-1 set iff buckets[b] (b ≥ 1) holds entries
+	buckets  [65][]entry // buckets[b]: entries whose key differs from floor first at bit b-1
+	// keys[item] is unpushed until the item is pushed, then its live key
+	// while queued, then the key it was popped with. An entry is live iff
+	// its key is its item's key: a popped item's other entries are all
+	// above its popped key, and every later push is at or above it, so
+	// Push leaves a popped item alone.
+	keys    []uint64
+	touched []int32 // items pushed since Clear; capacity n, so it never grows
 }
 
-const absent = int32(-1)
+type entry struct {
+	key  uint64 // bits of the key this entry was pushed with
+	item int32
+}
+
+// unpushed is the key of an item not pushed since Clear: above every valid
+// key's bits (those of a non-negative float), so any push is a decrease.
+const unpushed = math.MaxUint64
+
+// bucketCap is each bucket's initial capacity, from one allocation: a
+// heap reused across trees grows only where a tree queues more than any
+// before it.
+const bucketCap = 64
 
 // New returns an empty heap capable of holding items in [0, n).
 func New(n int) *Heap {
-	h := &Heap{
-		keys: make([]float64, n),
-		pos:  make([]int32, n),
-		heap: make([]int32, 0, 64),
+	h := &Heap{keys: make([]uint64, n), touched: make([]int32, 0, n)}
+	for i := range h.keys {
+		h.keys[i] = unpushed
 	}
-	for i := range h.pos {
-		h.pos[i] = absent
+	c := min(n, bucketCap)
+	arena := make([]entry, len(h.buckets)*c)
+	for b := range h.buckets {
+		h.buckets[b] = arena[b*c : b*c : (b+1)*c]
 	}
 	return h
 }
 
 // Len returns the number of items currently queued.
-func (h *Heap) Len() int { return len(h.heap) }
+func (h *Heap) Len() int { return h.size }
 
 // Empty reports whether the heap holds no items.
-func (h *Heap) Empty() bool { return len(h.heap) == 0 }
+func (h *Heap) Empty() bool { return h.size == 0 }
 
-// Contains reports whether item is currently queued.
-func (h *Heap) Contains(item int) bool { return h.pos[item] != absent }
-
-// Key returns the current priority of a queued item. It must only be called
-// when Contains(item) is true.
-func (h *Heap) Key(item int) float64 { return h.keys[item] }
-
-// Push inserts item with the given key, or decreases its key if the item is
-// already queued with a larger key. Pushing a queued item with a key that is
-// not smaller is a no-op, matching Dijkstra's relaxation semantics. It
-// reports whether the heap changed.
+// Push queues item with the given key, or decreases its key if the item is
+// queued with a larger one. Pushing an item queued with a key that is not
+// larger, or one already popped since the last Clear, is a no-op. It
+// reports whether the heap changed. Push panics if key is NaN, negative, or
+// below the last key Pop or Peek returned.
 func (h *Heap) Push(item int, key float64) bool {
-	if p := h.pos[item]; p != absent {
-		if key >= h.keys[item] {
-			return false
-		}
-		h.keys[item] = key
-		h.up(p)
-		return true
+	if !(key >= 0) {
+		panic("vheap: key is NaN or negative")
 	}
-	h.keys[item] = key
-	h.pos[item] = int32(len(h.heap))
-	h.heap = append(h.heap, int32(item))
-	h.up(int32(len(h.heap) - 1))
+	k := math.Float64bits(key) &^ (1 << 63) // -0 is 0
+	if k < h.floor {
+		panic("vheap: key below the last popped key")
+	}
+	old := h.keys[item]
+	if k >= old {
+		return false
+	}
+	if old == unpushed {
+		h.touched = append(h.touched, int32(item))
+		h.size++
+	}
+	h.keys[item] = k
+	h.add(entry{k, int32(item)})
 	return true
 }
 
-// Pop removes and returns the item with the minimum key.
-// It must only be called on a non-empty heap.
+func (h *Heap) add(e entry) {
+	b := bits.Len64(e.key ^ h.floor)
+	h.buckets[b] = append(h.buckets[b], e)
+	if b > 0 {
+		h.occupied |= 1 << (b - 1)
+	}
+}
+
+// Pop removes and returns the item with the minimum key. Among equal keys
+// the order is unspecified but deterministic. It must only be called on a
+// non-empty heap.
 func (h *Heap) Pop() (item int, key float64) {
-	top := h.heap[0]
-	item, key = int(top), h.keys[top]
-	last := int32(len(h.heap) - 1)
-	h.swap(0, last)
-	h.heap = h.heap[:last]
-	h.pos[top] = absent
-	if last > 0 {
-		h.down(0)
-	}
-	return item, key
+	h.settle()
+	b := h.buckets[0]
+	e := b[len(b)-1]
+	h.buckets[0] = b[:len(b)-1]
+	h.size--
+	return int(e.item), math.Float64frombits(e.key)
 }
 
-// Peek returns the minimum item and key without removing it.
-// It must only be called on a non-empty heap.
+// Peek returns the minimum item and key without removing it; the key
+// becomes the floor. It must only be called on a non-empty heap.
 func (h *Heap) Peek() (item int, key float64) {
-	top := h.heap[0]
-	return int(top), h.keys[top]
+	h.settle()
+	e := h.buckets[0][len(h.buckets[0])-1]
+	return int(e.item), math.Float64frombits(e.key)
 }
 
-// Remove deletes a queued item from the heap.
-func (h *Heap) Remove(item int) {
-	p := h.pos[item]
-	if p == absent {
-		return
+// settle makes bucket 0 non-empty. Bucket 0 never holds a superseded entry:
+// its keys equal the floor, which no decrease can undercut, and an item
+// popped from it leaves it.
+func (h *Heap) settle() {
+	if h.size == 0 {
+		panic("vheap: Pop or Peek on an empty heap")
 	}
-	last := int32(len(h.heap) - 1)
-	h.swap(p, last)
-	h.heap = h.heap[:last]
-	h.pos[item] = absent
-	if p < last {
-		h.down(p)
-		h.up(p)
-	}
-}
-
-// Clear empties the heap in O(size) time, leaving capacity in place so a
-// worker can reuse one heap across many SPT constructions (the
-// initialization-touches-only-modified-state trick of Algorithm 1's
-// footnote).
-func (h *Heap) Clear() {
-	for _, item := range h.heap {
-		h.pos[item] = absent
-	}
-	h.heap = h.heap[:0]
-}
-
-// Resize grows the item universe to n, preserving contents. Shrinking is not
-// supported.
-func (h *Heap) Resize(n int) {
-	for len(h.pos) < n {
-		h.pos = append(h.pos, absent)
-		h.keys = append(h.keys, 0)
-	}
-}
-
-func (h *Heap) swap(i, j int32) {
-	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
-	h.pos[h.heap[i]] = i
-	h.pos[h.heap[j]] = j
-}
-
-func (h *Heap) up(i int32) {
-	item := h.heap[i]
-	key := h.keys[item]
-	for i > 0 {
-		parent := (i - 1) >> 2
-		pitem := h.heap[parent]
-		if h.keys[pitem] <= key {
-			break
-		}
-		h.heap[i] = pitem
-		h.pos[pitem] = i
-		i = parent
-	}
-	h.heap[i] = item
-	h.pos[item] = i
-}
-
-func (h *Heap) down(i int32) {
-	n := int32(len(h.heap))
-	item := h.heap[i]
-	key := h.keys[item]
-	for {
-		first := i<<2 + 1
-		if first >= n {
-			break
-		}
-		best := first
-		bestKey := h.keys[h.heap[first]]
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if k := h.keys[h.heap[c]]; k < bestKey {
-				best, bestKey = c, k
+	for len(h.buckets[0]) == 0 {
+		b := bits.TrailingZeros64(h.occupied) + 1
+		src := h.buckets[b]
+		h.buckets[b] = src[:0]
+		h.occupied &^= 1 << (b - 1)
+		floor := uint64(unpushed)
+		for _, e := range src {
+			if e.key < floor && h.keys[e.item] == e.key {
+				floor = e.key
 			}
 		}
-		if key <= bestKey {
-			break
+		if floor == unpushed {
+			continue // every entry was superseded
 		}
-		child := h.heap[best]
-		h.heap[i] = child
-		h.pos[child] = i
-		i = best
+		h.floor = floor
+		for _, e := range src {
+			if h.keys[e.item] == e.key {
+				h.add(e)
+			}
+		}
 	}
-	h.heap[i] = item
-	h.pos[item] = i
+}
+
+// Clear empties the heap, leaving capacity in place so a worker can reuse
+// one heap across many shortest path trees (the
+// initialization-touches-only-modified-state trick of Algorithm 1's
+// footnote). It costs O(items pushed since the last Clear).
+func (h *Heap) Clear() {
+	for _, item := range h.touched {
+		h.keys[item] = unpushed
+	}
+	h.touched = h.touched[:0]
+	h.buckets[0] = h.buckets[0][:0]
+	for m := h.occupied; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m) + 1
+		h.buckets[b] = h.buckets[b][:0]
+	}
+	h.occupied, h.floor, h.size = 0, 0, 0
 }

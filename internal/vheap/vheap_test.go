@@ -1,6 +1,7 @@
 package vheap
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -11,9 +12,6 @@ func TestEmpty(t *testing.T) {
 	h := New(10)
 	if !h.Empty() || h.Len() != 0 {
 		t.Fatalf("new heap not empty: len=%d", h.Len())
-	}
-	if h.Contains(3) {
-		t.Fatal("empty heap claims to contain an item")
 	}
 }
 
@@ -43,6 +41,9 @@ func TestDecreaseKey(t *testing.T) {
 	if !h.Push(2, 5) {
 		t.Fatal("decrease-key reported no change")
 	}
+	if h.Len() != 3 {
+		t.Fatalf("len %d after decrease-key, want 3", h.Len())
+	}
 	if item, key := h.Peek(); item != 2 || key != 5 {
 		t.Fatalf("peek = (%d,%v), want (2,5)", item, key)
 	}
@@ -50,32 +51,30 @@ func TestDecreaseKey(t *testing.T) {
 	if h.Push(2, 50) {
 		t.Fatal("increase-key unexpectedly changed the heap")
 	}
-	if item, _ := h.Peek(); item != 2 {
-		t.Fatalf("peek = %d after no-op push, want 2", item)
+	for _, want := range []int{2, 0, 1} {
+		if item, _ := h.Pop(); item != want {
+			t.Fatalf("popped %d, want %d", item, want)
+		}
+	}
+	if !h.Empty() {
+		t.Fatal("the superseded key of item 2 was popped too")
 	}
 }
 
-func TestRemove(t *testing.T) {
-	h := New(6)
-	for i := 0; i < 6; i++ {
-		h.Push(i, float64(10-i))
+// A popped item stays popped until Clear: Dijkstra never re-queues a
+// settled vertex, and the heap holds it to that.
+func TestPoppedItemStaysPopped(t *testing.T) {
+	h := New(3)
+	h.Push(0, 1)
+	h.Push(1, 2)
+	if item, _ := h.Pop(); item != 0 {
+		t.Fatalf("popped %d, want 0", item)
 	}
-	h.Remove(5) // current minimum
-	h.Remove(0) // current maximum
-	h.Remove(0) // double remove is a no-op
-	var got []int
-	for !h.Empty() {
-		item, _ := h.Pop()
-		got = append(got, item)
+	if h.Push(0, 1) || h.Push(0, 5) {
+		t.Fatal("a popped item was queued again")
 	}
-	want := []int{4, 3, 2, 1}
-	if len(got) != len(want) {
-		t.Fatalf("drained %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("drained %v, want %v", got, want)
-		}
+	if item, _ := h.Pop(); item != 1 || !h.Empty() {
+		t.Fatalf("popped %d, want 1 and then an empty heap", item)
 	}
 }
 
@@ -84,119 +83,259 @@ func TestClearReuse(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		h.Push(i, float64(i))
 	}
+	h.Pop()
+	h.Pop()
 	h.Clear()
 	if !h.Empty() {
 		t.Fatal("heap not empty after Clear")
 	}
-	for i := 0; i < 8; i++ {
-		if h.Contains(i) {
-			t.Fatalf("item %d still present after Clear", i)
-		}
-	}
+	// Clear forgets the floor and the popped items.
 	h.Push(3, 1)
-	h.Push(4, 0.5)
-	if item, _ := h.Pop(); item != 4 {
-		t.Fatalf("heap broken after Clear: popped %d, want 4", item)
+	h.Push(0, 0.5)
+	if item, _ := h.Pop(); item != 0 {
+		t.Fatalf("heap broken after Clear: popped %d, want 0", item)
+	}
+	if item, _ := h.Pop(); item != 3 || !h.Empty() {
+		t.Fatalf("heap broken after Clear: popped %d, want 3", item)
 	}
 }
 
-func TestResize(t *testing.T) {
+func TestPushPanicsOffContract(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		floor float64
+		key   float64
+	}{
+		{"NaN", 0, math.NaN()},
+		{"negative", 0, -1},
+		{"negative infinity", 0, math.Inf(-1)},
+		{"below the last popped key", 2, 1.5},
+		{"just below the last popped key", 2, math.Nextafter(2, 0)},
+	} {
+		h := New(2)
+		h.Push(0, c.floor)
+		h.Pop()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Push(%v) after popping %v did not panic", c.name, c.key, c.floor)
+				}
+			}()
+			h.Push(1, c.key)
+		}()
+	}
+	// Negative zero is zero, and the last popped key itself is allowed.
 	h := New(2)
-	h.Push(1, 5)
-	h.Resize(10)
-	h.Push(9, 1)
-	if item, _ := h.Pop(); item != 9 {
-		t.Fatalf("popped %d after resize, want 9", item)
+	h.Push(0, math.Copysign(0, -1))
+	if _, k := h.Pop(); k != 0 || math.Signbit(k) {
+		t.Fatalf("-0 popped as %v", k)
 	}
-	if item, _ := h.Pop(); item != 1 {
-		t.Fatalf("popped %d, want 1", item)
+	h.Push(1, 0)
+	if _, k := h.Pop(); k != 0 {
+		t.Fatalf("popped %v, want 0", k)
 	}
 }
 
-// TestHeapSortProperty: pushing arbitrary keys and draining must yield the
-// keys in non-decreasing order — the heap invariant, via testing/quick.
+func TestPopEmptyPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Pop on an empty heap did not panic")
+		}
+	}()
+	New(1).Pop()
+}
+
+// model is a sorted multiset of the queued keys, per item, beside the set of
+// items popped since the last clear.
+type model struct {
+	key    map[int]float64
+	popped map[int]bool
+	floor  float64
+}
+
+func newModel() *model { return &model{key: map[int]float64{}, popped: map[int]bool{}} }
+
+func (m *model) push(item int, key float64) bool {
+	if old, ok := m.key[item]; m.popped[item] || ok && key >= old {
+		return false
+	}
+	m.key[item] = key
+	return true
+}
+
+// min returns the smallest queued key.
+func (m *model) min() float64 {
+	keys := make([]float64, 0, len(m.key))
+	for _, k := range m.key {
+		keys = append(keys, k)
+	}
+	sort.Float64s(keys)
+	return keys[0]
+}
+
+// check holds one Pop or Peek answer to the model and, for a Pop, applies it.
+func (m *model) check(t *testing.T, what string, item int, key float64, pop bool) {
+	t.Helper()
+	if want := m.min(); key != want {
+		t.Fatalf("%s returned key %v, the model's minimum is %v", what, key, want)
+	}
+	if got, ok := m.key[item]; !ok || got != key {
+		t.Fatalf("%s returned (%d,%v), the model holds %v (queued %v)", what, item, key, got, ok)
+	}
+	m.floor = key
+	if pop {
+		delete(m.key, item)
+		m.popped[item] = true
+	}
+}
+
+func (m *model) clear() {
+	m.key, m.popped, m.floor = map[int]float64{}, map[int]bool{}, 0
+}
+
+// TestHeapSortProperty: any monotone interleaving of pushes and pops —
+// every key pushed at or above the last popped one — pops its keys in
+// non-decreasing order, each queued item once, via testing/quick.
 func TestHeapSortProperty(t *testing.T) {
-	prop := func(keys []float64) bool {
-		const cap = 257
-		if len(keys) > cap {
-			keys = keys[:cap]
-		}
-		for i, k := range keys {
-			if k != k { // NaN keys are rejected by the algorithms upstream
-				keys[i] = 0
-			}
-		}
-		h := New(cap)
-		for i, k := range keys {
-			h.Push(i, k)
-		}
-		prev := -1.0
-		first := true
-		for !h.Empty() {
-			_, k := h.Pop()
-			if !first && k < prev {
+	prop := func(deltas []uint16, pops []bool) bool {
+		const n = 257
+		h, m := New(n), newModel()
+		for i, d := range deltas {
+			// Steps of 1/8 collide often, so equal keys are common.
+			key := m.floor + float64(d%512)/8
+			if h.Push(i%n, key) != m.push(i%n, key) {
 				return false
 			}
-			prev, first = k, false
+			if i < len(pops) && pops[i] && !h.Empty() {
+				item, key := h.Pop()
+				if key != m.min() || m.key[item] != key {
+					return false
+				}
+				m.floor = key
+				delete(m.key, item)
+				m.popped[item] = true
+			}
 		}
-		return true
+		prev := m.floor
+		for !h.Empty() {
+			item, key := h.Pop()
+			if key < prev || m.key[item] != key {
+				return false
+			}
+			prev = key
+			delete(m.key, item)
+		}
+		return len(m.key) == 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestRandomOperationsAgainstModel drives the heap with a random op
-// sequence and checks every observation against a naive model.
+// TestRandomOperationsAgainstModel drives the heap with a random monotone
+// op sequence and checks every observation against the model.
 func TestRandomOperationsAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const n = 64
-	h := New(n)
-	model := map[int]float64{}
-
+	h, m := New(n), newModel()
 	for step := 0; step < 20000; step++ {
-		switch op := rng.Intn(4); {
-		case op == 0 || len(model) == 0: // push / decrease
+		switch op := rng.Intn(8); {
+		case op < 4 || len(m.key) == 0: // push / decrease
 			item := rng.Intn(n)
-			key := float64(rng.Intn(1000)) / 7
-			old, ok := model[item]
-			changed := h.Push(item, key)
-			wantChanged := !ok || key < old
-			if changed != wantChanged {
-				t.Fatalf("step %d: Push(%d,%v) changed=%v, want %v", step, item, key, changed, wantChanged)
+			key := m.floor + float64(rng.Intn(1000))/7
+			if rng.Intn(8) == 0 {
+				key = m.floor // equal to the floor
+			} else if old, ok := m.key[item]; ok && rng.Intn(2) == 0 {
+				key = m.floor + (old-m.floor)*rng.Float64() // a decrease
 			}
-			if wantChanged {
-				model[item] = key
+			if got, want := h.Push(item, key), m.push(item, key); got != want {
+				t.Fatalf("step %d: Push(%d,%v) changed=%v, want %v", step, item, key, got, want)
 			}
-		case op == 1: // pop
+		case op < 7:
 			item, key := h.Pop()
-			for mi, mk := range model {
-				if mk < key || (mk == key && false) {
-					t.Fatalf("step %d: popped key %v but model holds (%d,%v)", step, key, mi, mk)
-				}
-			}
-			if model[item] != key {
-				t.Fatalf("step %d: popped (%d,%v), model says %v", step, item, key, model[item])
-			}
-			delete(model, item)
-		case op == 2: // remove
-			item := rng.Intn(n)
-			h.Remove(item)
-			delete(model, item)
-		case op == 3: // contains / key
-			item := rng.Intn(n)
-			_, ok := model[item]
-			if h.Contains(item) != ok {
-				t.Fatalf("step %d: Contains(%d)=%v, model %v", step, item, h.Contains(item), ok)
-			}
-			if ok && h.Key(item) != model[item] {
-				t.Fatalf("step %d: Key(%d)=%v, model %v", step, item, h.Key(item), model[item])
-			}
+			m.check(t, "Pop", item, key, true)
+		case op == 7:
+			item, key := h.Peek()
+			m.check(t, "Peek", item, key, false)
 		}
-		if h.Len() != len(model) {
-			t.Fatalf("step %d: len %d, model %d", step, h.Len(), len(model))
+		if rng.Intn(2000) == 0 {
+			h.Clear()
+			m.clear()
+		}
+		if h.Len() != len(m.key) {
+			t.Fatalf("step %d: len %d, model %d", step, h.Len(), len(m.key))
 		}
 	}
+}
+
+// FuzzHeap steers the heap through pushes at, above and (expecting a panic)
+// below the floor, decrease-keys, Peeks between Pops, and Clears, holding
+// every answer to the model.
+func FuzzHeap(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 0, 2, 3, 0, 1, 9, 1, 1, 2, 4, 1, 1})
+	f.Add([]byte{0, 1, 8, 0, 2, 8, 0, 3, 8, 2, 0, 1, 1, 4, 0, 0, 0, 1, 1, 3, 1, 1})
+	f.Add([]byte{0, 1, 200, 0, 2, 5, 1, 5, 0, 1, 0, 3, 1, 1})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		const n = 16
+		h, m := New(n), newModel()
+		for len(ops) >= 3 {
+			op, a, b := ops[0]%6, int(ops[1]), ops[2]
+			ops = ops[3:]
+			item := a % n
+			switch op {
+			case 0, 1: // push at or above the floor; b = 0 pushes the floor itself
+				key := m.floor + float64(b)/4
+				if op == 1 && b >= 128 {
+					key = m.floor * float64(b) // far above: high buckets
+				}
+				if got, want := h.Push(item, key), m.push(item, key); got != want {
+					t.Fatalf("Push(%d,%v) changed=%v, want %v", item, key, got, want)
+				}
+			case 2: // decrease-key of a queued item
+				if old, ok := m.key[item]; ok && !math.IsInf(old, 1) {
+					key := m.floor + (old-m.floor)*float64(b)/256
+					if got, want := h.Push(item, key), m.push(item, key); got != want {
+						t.Fatalf("decrease Push(%d,%v) from %v changed=%v, want %v", item, key, old, got, want)
+					}
+				}
+			case 3:
+				if !h.Empty() {
+					item, key := h.Pop()
+					m.check(t, "Pop", item, key, true)
+				}
+			case 4:
+				if !h.Empty() {
+					item, key := h.Peek()
+					m.check(t, "Peek", item, key, false)
+				}
+			case 5:
+				if b%4 == 0 {
+					h.Clear()
+					m.clear()
+				} else if m.floor > 0 {
+					key := math.Nextafter(m.floor, 0) * float64(b) / 256
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Fatalf("Push(%v) below the floor %v did not panic", key, m.floor)
+							}
+						}()
+						h.Push(item, key)
+					}()
+				}
+			}
+			if h.Len() != len(m.key) {
+				t.Fatalf("len %d, model %d", h.Len(), len(m.key))
+			}
+		}
+		for !h.Empty() {
+			item, key := h.Pop()
+			m.check(t, "Pop", item, key, true)
+		}
+		if len(m.key) != 0 {
+			t.Fatalf("heap drained with %d items still queued in the model", len(m.key))
+		}
+	})
 }
 
 func TestDuplicateKeysStable(t *testing.T) {
@@ -219,5 +358,30 @@ func TestDuplicateKeysStable(t *testing.T) {
 	}
 	if !sort.Float64sAreSorted(keys) {
 		t.Fatal("equal keys popped out of order")
+	}
+}
+
+// Pushing and draining a Dijkstra-sized load again and again allocates
+// nothing once the buckets have grown to it.
+func TestReuseAllocatesNothing(t *testing.T) {
+	const n = 1000
+	h := New(n)
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]float64, n)
+	for i := range keys {
+		keys[i] = rng.Float64() * 100
+	}
+	run := func() {
+		h.Clear()
+		for i, k := range keys {
+			h.Push(i, k)
+		}
+		for !h.Empty() {
+			h.Pop()
+		}
+	}
+	run()
+	if a := testing.AllocsPerRun(10, run); a != 0 {
+		t.Fatalf("a reused heap allocated %v times per run", a)
 	}
 }
