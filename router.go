@@ -36,7 +36,8 @@ import (
 //     two packed label rows (POST /shardquery) and hub-joins them locally
 //     with the same scratch kernels BatchEngine serves with — one join,
 //     two small messages, Θ(1/N) memory per shard instead of QDOL's
-//     Θ(1/√q).
+//     Θ(1/√q). u's row arrives with its hubs' original ids, so the
+//     witness is read off the same response.
 //
 // Answers are bit-identical to a single-process FlatIndex over the
 // unsharded file: the fetched rows are byte-identical slices of the
@@ -91,8 +92,7 @@ import (
 // shaping" chapter of ARCHITECTURE.md): identical in-flight queries are
 // collapsed to one backend round trip, slow shard calls are hedged at a
 // second replica after HedgeDelay, overload is shed with 429s (global
-// concurrency gate + per-client token buckets), and cross-shard witness
-// resolutions are conflated into batched calls. All of its timers read
+// concurrency gate + per-client token buckets). All of its timers read
 // the injected Clock, so every behavior is testable under a FakeClock.
 //
 // Failures degrade per shard: a query touching only shards with at least
@@ -128,18 +128,16 @@ type Router struct {
 	flights     flightGroup   // collapses identical in-flight pairs
 	quota       *quotaLimiter // nil disables per-client quotas
 
-	metrics        *httpMetrics
-	queries        atomic.Int64
-	crossJoins     atomic.Int64
-	failovers      atomic.Int64
-	cacheResets    atomic.Int64
-	hedges         atomic.Int64 // hedge attempts actually launched
-	collapsed      atomic.Int64 // queries collapsed into another's flight
-	shed           atomic.Int64 // HTTP requests answered 429
-	shapeInFlight  atomic.Int64 // /dist + /batch currently being served
-	resolveRanks   atomic.Int64 // witness ranks resolved (batched or not)
-	resolveBatches atomic.Int64 // /shardquery resolve round trips
-	start          time.Time
+	metrics       *httpMetrics
+	queries       atomic.Int64
+	crossJoins    atomic.Int64
+	failovers     atomic.Int64
+	cacheResets   atomic.Int64
+	hedges        atomic.Int64 // hedge attempts actually launched
+	collapsed     atomic.Int64 // queries collapsed into another's flight
+	shed          atomic.Int64 // HTTP requests answered 429
+	shapeInFlight atomic.Int64 // /dist + /batch currently being served
+	start         time.Time
 
 	// Dynamic-update state (RouterConfig.BaseGraph / UpdateJournal):
 	// baseGraph is the graph the cluster's shard files were built from;
@@ -154,13 +152,6 @@ type Router struct {
 	patchBatches  uint64
 	journalLoaded atomic.Bool
 	updates       atomic.Int64
-
-	// Per-replica witness-resolution batchers (resolveRankOn): conflates
-	// concurrent rank resolutions pinned to one replica into single
-	// batched /shardquery calls. Keyed by replica pointer, so the map is
-	// bounded by the cluster size.
-	resolveMu sync.Mutex
-	resolvers map[*replica]*resolveBatcher
 
 	scratch label.ScratchPool // probe buffers sized n, for cross-shard joins
 }
@@ -473,8 +464,8 @@ type RouterConfig struct {
 	// HedgeDelay is how long a shard request waits before hedging: firing
 	// the same call at a second replica and taking whichever answers
 	// first (the loser is canceled). 0 disables hedging. Only shards with
-	// more than one replica hedge; witness-rank resolution never does
-	// (it is pinned to one process by construction).
+	// more than one replica hedge; calls addressed to one process (health
+	// probes, the /reload proxy) never do.
 	HedgeDelay time.Duration
 	// MaxInFlight caps concurrently served /dist and /batch HTTP
 	// requests; excess requests are shed with a 429 (reason
@@ -629,8 +620,9 @@ func (r *Router) Directed() bool { return r.directed }
 // (batch paths only need distances). QueryHub treats such hits as misses.
 const hubUnknown = -1
 
-// Query answers one point-to-point query through the cluster. Unlike
-// QueryHub it never pays the witness-resolution round trip.
+// Query answers one point-to-point query through the cluster. A miss
+// costs what QueryHub's does (the witness rides the row fetch) and shares
+// its flight; only a cached answer without a witness serves Query alone.
 func (r *Router) Query(u, v int) (float64, error) {
 	d, _, _, err := r.queryHub(u, v, false)
 	return d, err
@@ -652,17 +644,16 @@ func (r *Router) checkRange(ids ...int) error {
 	return nil
 }
 
-// queryHub is the shared single-query path. needHub=false (Query) skips
-// the witness-rank resolution round trip on misses that join rows at the
-// router — the hub would be discarded anyway, and Batch already caches
-// hub-less answers the same way.
+// queryHub is the shared single-query path. needHub only decides cache
+// hits: Query (needHub=false) accepts an answer Batch cached without its
+// witness (hubUnknown), QueryHub refetches it.
 //
 // Concurrent duplicate misses are collapsed (flightGroup): the first
 // caller for a pair routes it, everyone else arriving before it returns
 // waits for that answer — under hot-pair traffic a thundering herd
 // costs one backend round trip. The flight key follows the cache's
-// pairKey discipline (ordered for directed clusters), split by needHub
-// because a hub-less flight cannot feed a hub-needing caller.
+// pairKey discipline (ordered for directed clusters); every flight
+// computes the witness, so Query and QueryHub callers share one.
 func (r *Router) queryHub(u, v int, needHub bool) (dist float64, hub int, ok bool, err error) {
 	if err := r.checkRange(u, v); err != nil {
 		return 0, 0, false, err
@@ -677,12 +668,12 @@ func (r *Router) queryHub(u, v int, needHub bool) (dist float64, hub int, ok boo
 			return a.Dist, a.Hub, a.Reachable, nil
 		}
 	}
-	key := flightKeyFor(flightDist, r.directed, u, v, needHub, st.patchEpoch())
+	key := flightKeyFor(flightDist, r.directed, u, v, st.patchEpoch())
 	res := r.flights.do(key, func() { r.collapsed.Add(1) }, func() flightResult {
 		// A flight outlives its leader's client — followers that never
 		// hung up are waiting on it — so its shard calls hang off a
 		// background parent, not the leader's request.
-		return r.routePair(context.Background(), st, u, v, needHub)
+		return r.routePair(context.Background(), st, u, v)
 	})
 	return res.dist, res.hub, res.ok, res.err
 }
@@ -691,31 +682,25 @@ func (r *Router) queryHub(u, v int, needHub bool) (dist float64, hub int, ok boo
 // owning shard(s) and feed the cache.
 //
 // A same-shard pair on a frozen cluster is forwarded whole — the shard
-// joins locally, witness included, which saves the resolve hop. Every
-// other pair is answered from rows: fetch u's forward row and v's
-// backward (directed) or forward row, join them here — label.JoinPacked,
+// joins locally, witness included. Every other pair is answered from
+// rows: fetch u's forward row, with its hubs' original ids, and v's
+// backward (directed) or forward row; join them here — label.JoinPacked,
 // or under a delta overlay st.patch.Query, which runs the same
 // join/seed/correct/fallback path the engine tier runs (even for
 // same-shard pairs: the shard's own /dist would answer from the frozen
-// labels the overlay exists to correct) — and, when the caller needs the
-// witness, resolve the winning rank to an original id. The rank is
-// meaningful only in the permutation of the snapshot the rows came from,
-// so the resolution is pinned to the replica that served u's row, and a
-// resolution that lands on a different snapshot (that replica hot-swapped
-// between the two requests — a rebuilt index may permute ranks
-// differently) or on a replica that has since died is retried from the
-// row fetch, where a sibling serves both; queries never block a reload,
-// they just redo the work.
+// labels the overlay exists to correct); then read the witness's
+// original id at the joined hub's index in u's row. Row and ids come
+// from one response, so from one snapshot: a reload can never pair a
+// rank with another snapshot's permutation.
 //
 // Hub contract under an overlay: -1 (no label witness) unless the
 // overlay certified the frozen answer intact, in which case the frozen
 // witness still lies on a patched shortest path (see
 // BatchEngine.queryHubPatched — same contract). Hub-less answers cache
 // under hubUnknown (== -1), so a later hub-needing query recomputes.
-func (r *Router) routePair(ctx context.Context, st *routerState, u, v int, needHub bool) flightResult {
-	su, sv := r.part.Owner(u), r.part.Owner(v)
-	if st.patch == nil && su == sv {
-		so := newObserver()
+func (r *Router) routePair(ctx context.Context, st *routerState, u, v int) flightResult {
+	so := newObserver()
+	if su := r.part.Owner(u); st.patch == nil && su == r.part.Owner(v) {
 		resp, _, serr := callShard[distResponse](ctx, r, shardCall{sid: su, path: fmt.Sprintf("/dist?u=%d&v=%d", u, v)}, so)
 		if serr != nil {
 			return flightResult{err: &ClusterError{Failed: []*ShardError{serr}}}
@@ -728,54 +713,36 @@ func (r *Router) routePair(ctx context.Context, st *routerState, u, v int, needH
 		return res
 	}
 	fwd, bwd := r.pairNeeds(nil, nil, u, v)
-	var lastErr error
-	for try := 1; try <= 3; try++ {
-		so := newObserver()
-		rows := r.fetchRows(ctx, fwd, bwd, so)
-		if err := so.err(); err != nil {
-			return flightResult{err: err}
-		}
-		rowU, rowV := rows.pair(r.directed, u, v)
-		res := flightResult{hub: hubUnknown}
-		var rank uint32
-		resolve := needHub
-		if st.patch != nil {
-			var frozen bool
-			res.dist, rank, frozen = st.patch.Query(rowU, rowV, u, v)
-			res.ok = res.dist < Infinity
-			resolve = resolve && frozen && u != v
-			if frozen && u == v {
-				res.hub = u
-			}
-		} else {
-			r.crossJoins.Add(1)
-			res.dist, rank, res.ok = label.JoinPacked(rowU, rowV)
-		}
-		if !res.ok {
-			res = flightResult{dist: Infinity}
-			resolve = false
-		}
-		if resolve {
-			// Observing the resolution into so is the identity check: the
-			// pinned replica seen under two identities is a conflict.
-			repU := rows.by[su]
-			hub, serr := r.resolveRankOn(repU, int(rank), so)
-			if serr != nil {
-				lastErr = serr.Err
-				continue
-			}
-			if so.conflict {
-				lastErr = fmt.Errorf("shard %d replica %d reloaded mid-query %d times in a row", su, repU.id, try)
-				continue
-			}
-			res.hub = hub
-		}
-		r.cachePut(st, so, u, v, res)
-		return res
+	rows := r.fetchRows(ctx, fwd, bwd, []int{u}, so)
+	if err := so.err(); err != nil {
+		return flightResult{err: err}
 	}
-	return flightResult{err: &ClusterError{Failed: []*ShardError{{
-		Shard: su, Replica: -1, Addr: r.shards[su].addrList(), Err: lastErr,
-	}}}}
+	rowU, rowV := rows.pair(r.directed, u, v)
+	res := flightResult{hub: hubUnknown}
+	var rank uint32
+	witness := true
+	if st.patch != nil {
+		var frozen bool
+		res.dist, rank, frozen = st.patch.Query(rowU, rowV, u, v)
+		res.ok = res.dist < Infinity
+		witness = frozen && u != v
+		if frozen && u == v {
+			res.hub = u
+		}
+	} else {
+		r.crossJoins.Add(1)
+		res.dist, rank, res.ok = label.JoinPacked(rowU, rowV)
+	}
+	switch {
+	case !res.ok:
+		res = flightResult{dist: Infinity}
+	case witness:
+		// The joined hub is an entry of rowU, whose words sort by hub.
+		i := sort.Search(len(rowU), func(i int) bool { return uint32(rowU[i]>>32) >= rank })
+		res.hub = rows.hubIDs[u][i]
+	}
+	r.cachePut(st, so, u, v, res)
+	return res
 }
 
 // pairNeeds appends the rows one pair's join needs: u's forward row and
@@ -850,7 +817,7 @@ func (r *Router) batch(ctx context.Context, pairs []QueryPair) ([]float64, error
 	}
 	var rows *rowSet
 	if len(joined) > 0 {
-		rows = r.fetchRows(ctx, fwd, bwd, so)
+		rows = r.fetchRows(ctx, fwd, bwd, nil, so)
 	}
 	wg.Wait()
 	if err := so.err(); err != nil {
@@ -1079,7 +1046,7 @@ func (rep *replica) shardErr(err error) *ShardError {
 // records them) and the shard failures (the fan-out's goroutines record
 // those). One replica answering under two identities means a reload
 // landed mid-request — a request may hit the same replica twice (direct
-// sub-batch + row fetch, row fetch + rank resolution, scan after scan) —
+// sub-batch + row fetch, scan after scan) —
 // so no single identity can vouch for all of its answers: conflict tells
 // cacheValid not to cache them. Two *different* replicas of one shard
 // answering is not a conflict: each identity is validated on its own.
@@ -1126,10 +1093,8 @@ type shardCall struct {
 	path string
 	body any
 	// pin, when set, sends the call to that replica only: no pick, no
-	// hedge, no failover. Witness-rank resolution is pinned by
-	// construction (a sibling is a different process whose identity can
-	// never match the row's); health probes and the /reload proxy address
-	// one process by definition.
+	// hedge, no failover. Health probes and the /reload proxy pin: they
+	// address one process by definition.
 	pin *replica
 	// operator marks a call made on an operator's behalf (the /reload
 	// proxy): a 4xx is their error to read, not a shard failure — it is
@@ -1403,11 +1368,11 @@ func (r *Router) shardScan(ctx context.Context, sid int, req shardScanRequest, s
 }
 
 // rowSet is one row fetch's result: validated packed label runs by
-// vertex, and per shard the replica that served them (witness-rank
-// resolution must go back to that exact process; see routePair).
+// vertex, and for the forward rows fetched with hub ids, each entry's hub
+// as an original id (aligned with the row; see routePair).
 type rowSet struct {
 	fwd, bwd map[int][]uint64
-	by       map[int]*replica
+	hubIDs   map[int][]int
 }
 
 // pair returns the two rows the join of (u, v) reads (see pairNeeds).
@@ -1422,10 +1387,12 @@ func (rs *rowSet) pair(directed bool, u, v int) (rowU, rowV []uint64) {
 // needs by owning shard, fan out one /shardquery per shard concurrently
 // (a shard's forward and backward needs ride together), and validate
 // every row with label.ParsePackedRun before it can reach a join kernel
-// (decodePackedRun). Failures — a missing or malformed row is a terminal
-// one — are recorded in so; callers check so.err() before touching the
-// rows.
-func (r *Router) fetchRows(ctx context.Context, fwd, bwd []int, so *observer) *rowSet {
+// (decodePackedRun). hubs names forward rows, each also in fwd, whose
+// hubs should come back as original ids too, from the snapshot that
+// served the row; the ids are validated as well. Failures — a missing or
+// malformed row or id array is a terminal one — are recorded in so;
+// callers check so.err() before touching the rows.
+func (r *Router) fetchRows(ctx context.Context, fwd, bwd, hubs []int, so *observer) *rowSet {
 	needs := map[int]*shardQueryRequest{}
 	need := func(v int) *shardQueryRequest {
 		sid := r.part.Owner(v)
@@ -1442,7 +1409,11 @@ func (r *Router) fetchRows(ctx context.Context, fwd, bwd []int, so *observer) *r
 		q := need(v)
 		q.Backward = append(q.Backward, v)
 	}
-	rows := &rowSet{fwd: make(map[int][]uint64, len(fwd)), bwd: make(map[int][]uint64, len(bwd)), by: make(map[int]*replica, len(needs))}
+	for _, v := range hubs {
+		q := need(v)
+		q.HubIDs = append(q.HubIDs, v)
+	}
+	rows := &rowSet{fwd: make(map[int][]uint64, len(fwd)), bwd: make(map[int][]uint64, len(bwd)), hubIDs: make(map[int][]int, len(hubs))}
 	var (
 		wg sync.WaitGroup
 		mu sync.Mutex
@@ -1451,7 +1422,7 @@ func (r *Router) fetchRows(ctx context.Context, fwd, bwd []int, so *observer) *r
 		wg.Add(1)
 		go func(sid int, q *shardQueryRequest) {
 			defer wg.Done()
-			q.Vertices, q.Backward = sortedSet(q.Vertices), sortedSet(q.Backward)
+			q.Vertices, q.Backward, q.HubIDs = sortedSet(q.Vertices), sortedSet(q.Backward), sortedSet(q.HubIDs)
 			resp, rep, serr := callShard[shardQueryResponse](ctx, r, shardCall{sid: sid, path: "/shardquery", body: q}, so)
 			if serr != nil {
 				so.fail(serr)
@@ -1459,8 +1430,12 @@ func (r *Router) fetchRows(ctx context.Context, fwd, bwd []int, so *observer) *r
 			}
 			gotF, err := r.decodeRows("forward", q.Vertices, resp.Rows)
 			var gotB [][]uint64
+			var gotH [][]int
 			if err == nil {
 				gotB, err = r.decodeRows("backward", q.Backward, resp.BackRows)
+			}
+			if err == nil {
+				gotH, err = r.decodeHubIDs(q, gotF, resp.HubIDs)
 			}
 			if err != nil {
 				so.fail(r.terminalErr(rep, err))
@@ -1468,12 +1443,14 @@ func (r *Router) fetchRows(ctx context.Context, fwd, bwd []int, so *observer) *r
 			}
 			mu.Lock()
 			defer mu.Unlock()
-			rows.by[sid] = rep
 			for i, v := range q.Vertices {
 				rows.fwd[v] = gotF[i]
 			}
 			for i, v := range q.Backward {
 				rows.bwd[v] = gotB[i]
+			}
+			for i, v := range q.HubIDs {
+				rows.hubIDs[v] = gotH[i]
 			}
 		}(sid, q)
 	}
@@ -1498,112 +1475,34 @@ func (r *Router) decodeRows(side string, ids []int, got map[string]string) ([][]
 	return rows, nil
 }
 
+// decodeHubIDs validates the hub ids one /shardquery response carries for
+// q.HubIDs, in that order: one id per entry of the vertex's forward row
+// (fwd, aligned with q.Vertices), each a vertex id in [0,n).
+func (r *Router) decodeHubIDs(q *shardQueryRequest, fwd [][]uint64, got map[string][]int) ([][]int, error) {
+	out := make([][]int, len(q.HubIDs))
+	for i, v := range q.HubIDs {
+		ids, found := got[strconv.Itoa(v)]
+		if !found {
+			return nil, fmt.Errorf("hub ids for vertex %d missing from response", v)
+		}
+		k, _ := slices.BinarySearch(q.Vertices, v)
+		if len(ids) != len(fwd[k]) {
+			return nil, fmt.Errorf("%d hub ids for vertex %d's row of %d entries", len(ids), v, len(fwd[k]))
+		}
+		for _, id := range ids {
+			if id < 0 || id >= r.n {
+				return nil, fmt.Errorf("hub id %d for vertex %d out of range [0,%d)", id, v, r.n)
+			}
+		}
+		out[i] = ids
+	}
+	return out, nil
+}
+
 // sortedSet sorts ids and drops duplicates, in place.
 func sortedSet(ids []int) []int {
 	slices.Sort(ids)
 	return slices.Compact(ids)
-}
-
-// resolveReply is one waiter's share of a batched resolution.
-type resolveReply struct {
-	orig int
-	obs  genObs
-	serr *ShardError
-}
-
-// resolveWaiter is one queued rank resolution: the rank and the channel
-// its answer is delivered on (buffered — delivery never blocks the
-// drainer).
-type resolveWaiter struct {
-	rank int
-	ch   chan resolveReply
-}
-
-// resolveBatcher conflates concurrent witness-rank resolutions pinned to
-// one replica: while one batched /shardquery call is in flight, newly
-// arriving ranks queue up and ride the next call together. Under a
-// thundering herd of cross-shard QueryHub misses this folds what used to
-// be one round trip per query into one round trip per drain cycle.
-type resolveBatcher struct {
-	mu    sync.Mutex
-	queue []resolveWaiter
-	busy  bool // a drain loop is running
-}
-
-// resolveRankOn translates a rank-space hub to its original vertex id on
-// one specific replica — the one whose snapshot produced the rank (a
-// pinned shardCall: a rebuilt index may permute ranks differently). The
-// replica's snapshot identity at resolution time is observed into so,
-// where a move since the row fetch shows up as a conflict.
-//
-// Resolutions for one replica are batched (see resolveBatcher): the
-// calling goroutine queues its rank and either starts the drain loop or
-// waits for the running one to carry it.
-func (r *Router) resolveRankOn(rep *replica, rank int, so *observer) (int, *ShardError) {
-	r.resolveMu.Lock()
-	if r.resolvers == nil {
-		r.resolvers = make(map[*replica]*resolveBatcher)
-	}
-	rb := r.resolvers[rep]
-	if rb == nil {
-		rb = &resolveBatcher{}
-		r.resolvers[rep] = rb
-	}
-	r.resolveMu.Unlock()
-	w := resolveWaiter{rank: rank, ch: make(chan resolveReply, 1)}
-	rb.mu.Lock()
-	rb.queue = append(rb.queue, w)
-	if !rb.busy {
-		rb.busy = true
-		rb.mu.Unlock()
-		go r.drainResolves(rep, rb)
-	} else {
-		rb.mu.Unlock()
-	}
-	reply := <-w.ch
-	if reply.serr == nil {
-		so.observe(repRef{rep.shard, rep.id}, reply.obs)
-	}
-	return reply.orig, reply.serr
-}
-
-// drainResolves services one replica's resolution queue until it is
-// empty: grab everything queued, resolve the deduplicated rank set in
-// one pinned /shardquery call, deliver each waiter its answer, repeat.
-func (r *Router) drainResolves(rep *replica, rb *resolveBatcher) {
-	ref := repRef{rep.shard, rep.id}
-	for {
-		rb.mu.Lock()
-		waiters := rb.queue
-		rb.queue = nil
-		if len(waiters) == 0 {
-			rb.busy = false
-			rb.mu.Unlock()
-			return
-		}
-		rb.mu.Unlock()
-		ranks := make([]int, len(waiters))
-		for i, w := range waiters {
-			ranks[i] = w.rank
-		}
-		r.resolveBatches.Add(1)
-		r.resolveRanks.Add(int64(len(waiters)))
-		// A drain carries many callers' ranks and outlives any one of
-		// them, so it hangs off a background parent.
-		so := newObserver()
-		resp, _, serr := callShard[shardQueryResponse](context.Background(), r,
-			shardCall{sid: rep.shard, pin: rep, path: "/shardquery", body: shardQueryRequest{Resolve: sortedSet(ranks)}}, so)
-		for _, w := range waiters {
-			reply := resolveReply{serr: serr, obs: so.obs[ref]}
-			if serr == nil {
-				var found bool
-				if reply.orig, found = resp.Resolved[strconv.Itoa(w.rank)]; !found {
-					reply.serr = r.terminalErr(rep, fmt.Errorf("rank %d missing from resolution response", w.rank))
-				}
-			}
-			w.ch <- reply
-		}
-	}
 }
 
 // --- health, stats, HTTP ---
@@ -1712,40 +1611,36 @@ type RouterShardStats struct {
 
 // RouterStats is the router's /stats response.
 type RouterStats struct {
-	Vertices       int                `json:"vertices"`
-	Directed       bool               `json:"directed"`
-	Shards         []RouterShardStats `json:"shards"`
-	Queries        int64              `json:"queries_total"`
-	CrossJoins     int64              `json:"cross_joins_total"`
-	Failovers      int64              `json:"failovers_total"`
-	CacheResets    int64              `json:"cache_resets_total"`
-	Hedges         int64              `json:"hedges_total"`
-	Collapsed      int64              `json:"collapsed_total"`
-	Shed           int64              `json:"shed_total"`
-	ResolveBatches int64              `json:"resolve_batches_total"`
-	ResolveRanks   int64              `json:"resolve_ranks_total"`
-	Updates        int64              `json:"updates_total"`
-	UptimeSeconds  float64            `json:"uptime_seconds"`
-	Cache          *CacheStats        `json:"cache,omitempty"`
-	Patch          *PatchStats        `json:"patch,omitempty"` // outstanding delta overlay, nil when none
+	Vertices      int                `json:"vertices"`
+	Directed      bool               `json:"directed"`
+	Shards        []RouterShardStats `json:"shards"`
+	Queries       int64              `json:"queries_total"`
+	CrossJoins    int64              `json:"cross_joins_total"`
+	Failovers     int64              `json:"failovers_total"`
+	CacheResets   int64              `json:"cache_resets_total"`
+	Hedges        int64              `json:"hedges_total"`
+	Collapsed     int64              `json:"collapsed_total"`
+	Shed          int64              `json:"shed_total"`
+	Updates       int64              `json:"updates_total"`
+	UptimeSeconds float64            `json:"uptime_seconds"`
+	Cache         *CacheStats        `json:"cache,omitempty"`
+	Patch         *PatchStats        `json:"patch,omitempty"` // outstanding delta overlay, nil when none
 }
 
 // Stats reports the router's counters and its view of the cluster.
 func (r *Router) Stats() RouterStats {
 	out := RouterStats{
-		Vertices:       r.n,
-		Directed:       r.directed,
-		Queries:        r.queries.Load(),
-		CrossJoins:     r.crossJoins.Load(),
-		Failovers:      r.failovers.Load(),
-		CacheResets:    r.cacheResets.Load(),
-		Hedges:         r.hedges.Load(),
-		Collapsed:      r.collapsed.Load(),
-		Shed:           r.shed.Load(),
-		ResolveBatches: r.resolveBatches.Load(),
-		ResolveRanks:   r.resolveRanks.Load(),
-		Updates:        r.updates.Load(),
-		UptimeSeconds:  r.clock.Now().Sub(r.start).Seconds(),
+		Vertices:      r.n,
+		Directed:      r.directed,
+		Queries:       r.queries.Load(),
+		CrossJoins:    r.crossJoins.Load(),
+		Failovers:     r.failovers.Load(),
+		CacheResets:   r.cacheResets.Load(),
+		Hedges:        r.hedges.Load(),
+		Collapsed:     r.collapsed.Load(),
+		Shed:          r.shed.Load(),
+		Updates:       r.updates.Load(),
+		UptimeSeconds: r.clock.Now().Sub(r.start).Seconds(),
 	}
 	if p := r.state.Load().patch; p != nil {
 		ps := p.Stat()
@@ -2000,8 +1895,6 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	promCounter(w, "chl_router_hedges_total", "Hedge attempts launched at a second replica after the hedge delay.", st.Hedges)
 	promCounter(w, "chl_router_collapsed_total", "Queries collapsed into an identical in-flight query (singleflight).", st.Collapsed)
 	promCounter(w, "chl_router_shed_total", "HTTP requests shed with a 429 (capacity or client quota).", st.Shed)
-	promCounter(w, "chl_router_resolve_batches_total", "Batched witness-rank resolution round trips.", st.ResolveBatches)
-	promCounter(w, "chl_router_resolve_ranks_total", "Witness ranks resolved through the batcher.", st.ResolveRanks)
 	if st.Patch != nil {
 		promOverlayQueries(w, "chl_router_overlay_queries_total", st.Patch)
 	}

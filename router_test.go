@@ -410,6 +410,120 @@ func TestRouterContentChangeRetiresCache(t *testing.T) {
 	}
 }
 
+// A routed pair costs one shard request per shard it touches: a
+// same-shard QueryHub is forwarded whole, a cross-shard one fetches the
+// two rows and reads the witness id off u's — no third round trip, on
+// undirected and directed clusters alike.
+func TestRouterShardRequestsPerQuery(t *testing.T) {
+	for name, g := range map[string]*chl.Graph{
+		"undirected": chl.GenerateScaleFree(300, 3, 5),
+		"directed":   chl.GenerateRandomDirected(300, 1500, 9, 4),
+	} {
+		t.Run(name, func(t *testing.T) {
+			var fx *chl.FlatIndex
+			if g.Directed() {
+				_, fx = buildDirectedFrozen(t, g)
+			} else {
+				fx, _ = buildFlat(t, g)
+			}
+			c := newTestCluster(t, fx, clusterSpec{shards: 2}) // cache off: every query reaches a shard
+			defer c.close()
+			requests := func() (sum int64) {
+				for _, sh := range c.router.Stats().Shards {
+					for _, rs := range sh.Replicas {
+						sum += rs.Requests
+					}
+				}
+				return sum
+			}
+			n := fx.NumVertices()
+			seen := map[int64]int{}
+			for u := 0; u < n; u += 3 {
+				v := (u*31 + 5) % n
+				want := int64(1)
+				if c.part.Owner(u) != c.part.Owner(v) {
+					want = 2
+				}
+				before := requests()
+				d, hub, ok, err := c.router.QueryHub(u, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wd, wh, wok := fx.QueryHub(u, v); d != wd || ok != wok || ok && hub != wh {
+					t.Fatalf("QueryHub(%d,%d) = (%v,%d,%v), want (%v,%d,%v)", u, v, d, hub, ok, wd, wh, wok)
+				}
+				if got := requests() - before; got != want {
+					t.Fatalf("QueryHub(%d,%d) cost %d shard requests, want %d", u, v, got, want)
+				}
+				seen[want]++
+			}
+			if seen[1] == 0 || seen[2] == 0 {
+				t.Fatalf("fixture degenerate: %d same-shard and %d cross-shard pairs", seen[1], seen[2])
+			}
+		})
+	}
+}
+
+// After the shards reload onto a build with a different rank order, a
+// cross-shard witness is the new file's: the id comes from the snapshot
+// that served u's row, never from a permutation remembered from before.
+func TestRouterWitnessAfterReorderedReload(t *testing.T) {
+	g := chl.GenerateScaleFree(300, 3, 5)
+	fx, _ := buildFlat(t, g)
+	c := newTestCluster(t, fx, clusterSpec{shards: 2})
+	defer c.close()
+	n := fx.NumVertices()
+
+	ix2, err := chl.Build(g, chl.Options{Algorithm: chl.AlgoSeqPLL, Order: chl.RankRandom(n, 7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx2, err := ix2.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir2 := t.TempDir()
+	if _, err := fx2.SaveShards(dir2, 2, 64, 1); err != nil {
+		t.Fatal(err)
+	}
+	var pairs [][2]int
+	for u := 0; u < n; u += 3 {
+		if v := (u*31 + 5) % n; c.part.Owner(u) != c.part.Owner(v) {
+			pairs = append(pairs, [2]int{u, v})
+		}
+	}
+	check := func(want *chl.FlatIndex) (moved int) {
+		t.Helper()
+		for _, p := range pairs {
+			d, hub, ok, err := c.router.QueryHub(p[0], p[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			wd, wh, wok := want.QueryHub(p[0], p[1])
+			if d != wd || ok != wok || ok && hub != wh {
+				t.Fatalf("QueryHub(%d,%d) = (%v,%d,%v), want (%v,%d,%v)", p[0], p[1], d, hub, ok, wd, wh, wok)
+			}
+			if _, oh, _ := fx.QueryHub(p[0], p[1]); ok && oh != wh {
+				moved++
+			}
+		}
+		return moved
+	}
+	check(fx)
+	for sid, s := range c.servers {
+		path, err := chl.ShardFilePath(dir2+"/"+shard.ManifestName, c.manifest, sid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Reload(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if moved := check(fx2); moved == 0 {
+		t.Fatal("fixture degenerate: the reordered build picks the same witnesses")
+	}
+}
+
 // The /reload proxy must escape the path it forwards: a file name with
 // URL metacharacters reaches the shard intact.
 func TestRouterReloadProxyEscapesPath(t *testing.T) {

@@ -146,7 +146,7 @@ func (r *Router) fetchPatchRows(verts []int) (fwd, bwd [][]uint64, err error) {
 	// state shared by every later query, so it hangs off a background
 	// parent, not whichever caller happened to start it.
 	so := newObserver()
-	rows := r.fetchRows(context.Background(), verts, need, so)
+	rows := r.fetchRows(context.Background(), verts, need, nil, so)
 	if err := so.err(); err != nil {
 		return nil, nil, err
 	}

@@ -19,10 +19,10 @@ import (
 // Path reconstructs the shortest-path witness chain between u and v
 // through the cluster, exactly as Server.Path does on an unsharded
 // index. Every segment query runs through the router's own single-query
-// path — answer cache, singleflight, cross-shard row joins, and batched
-// witness-rank resolution (resolveRankOn) — so each consecutive
-// segment's distance is the same number /dist serves for that pair, bit
-// for bit, and a hot path's segments are answered from cache.
+// path — answer cache, singleflight, and cross-shard row joins whose
+// witness ids ride the row fetch — so each consecutive segment's
+// distance is the same number /dist serves for that pair, bit for bit,
+// and a hot path's segments are answered from cache.
 func (r *Router) Path(u, v int) (dist float64, path []int, reachable bool, err error) {
 	if err := r.checkRange(u, v); err != nil {
 		return 0, nil, false, err
@@ -67,7 +67,7 @@ func (r *Router) KNN(u, k int) ([]Neighbor, error) {
 	}
 	r.queries.Add(1)
 	st := r.state.Load()
-	key := flightKeyFor(flightKNN, r.directed, u, k, false, st.patchEpoch())
+	key := flightKeyFor(flightKNN, r.directed, u, k, st.patchEpoch())
 	res := r.flights.do(key, func() { r.collapsed.Add(1) }, func() flightResult {
 		if st.patch != nil {
 			nbs, err := r.routePatchedKNN(st, u, k)
@@ -110,7 +110,7 @@ func (r *Router) routePatchedKNN(st *routerState, u, k int) ([]Neighbor, error) 
 // key; k itself never reaches the cache keyspace (see Cache).
 func (r *Router) routeKNN(ctx context.Context, st *routerState, u, k int) ([]Neighbor, error) {
 	so := newObserver()
-	rows := r.fetchRows(ctx, []int{u}, nil, so)
+	rows := r.fetchRows(ctx, []int{u}, nil, nil, so)
 	if err := so.err(); err != nil {
 		return nil, err
 	}
@@ -206,7 +206,7 @@ func (r *Router) matrix(ctx context.Context, sources, targets []int, emit func(u
 		return nil
 	}
 	so := newObserver()
-	rows := r.fetchRows(ctx, sources, nil, so)
+	rows := r.fetchRows(ctx, sources, nil, nil, so)
 	if err := so.err(); err != nil {
 		return err
 	}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -1166,11 +1167,11 @@ func (s *Server) ownedIDsOK(w http.ResponseWriter, n int, ids []int) bool {
 }
 
 // handleShardQuery serves the internal shard-to-router protocol: label
-// rows for owned vertices (the router joins them locally) and rank
-// resolution (any shard can resolve — the permutation is global and
-// identical in every shard file).
+// rows for owned vertices (the router joins them locally), and for the
+// forward rows named in hub_ids each entry's hub as an original id, from
+// the same snapshot — the witness the router's join picks.
 func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
-	const usage = `a JSON object {"vertices":[...],"resolve":[...]}`
+	const usage = `a JSON object {"vertices":[...],"backward":[...],"hub_ids":[...]}`
 	if !s.shardOnly(w, r, "shardquery", "POST "+usage) {
 		return
 	}
@@ -1194,16 +1195,19 @@ func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		return out
 	}
-	resp := shardQueryResponse{shardStamp: s.stamp(sn), Rows: rows(req.Vertices, sn.fx.fwd), BackRows: rows(req.Backward, sn.fx.bwd)}
-	if len(req.Resolve) > 0 {
-		resp.Resolved = make(map[string]int, len(req.Resolve))
-	}
-	for _, rank := range req.Resolve {
-		if rank < 0 || rank >= n {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("rank %d out of range [0,%d)", rank, n))
+	resp := shardQueryResponse{shardStamp: s.stamp(sn), Rows: rows(req.Vertices, sn.fx.fwd), BackRows: rows(req.Backward, sn.fx.bwd),
+		HubIDs: make(map[string][]int, len(req.HubIDs))}
+	for _, v := range req.HubIDs {
+		if !slices.Contains(req.Vertices, v) {
+			httpError(w, http.StatusBadRequest, fmt.Sprintf("hub_ids names vertex %d, which is not in vertices", v))
 			return
 		}
-		resp.Resolved[strconv.Itoa(rank)] = sn.fx.perm[rank]
+		run := sn.fx.fwd.RunInto(nil, v)
+		ids := make([]int, len(run))
+		for i, e := range run {
+			ids[i] = sn.fx.perm[e>>32]
+		}
+		resp.HubIDs[strconv.Itoa(v)] = ids
 	}
 	s.queries.Add(int64(len(req.Vertices) + len(req.Backward)))
 	writeJSON(w, http.StatusOK, resp)

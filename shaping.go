@@ -35,13 +35,11 @@ const (
 // pair under the cache's key discipline (canonicalized when the cluster
 // is undirected, ordered when directed — the same pairKey rule, so two
 // requests collapse exactly when the cache would have given one the
-// other's answer) plus whether the caller needs the witness hub. A
-// hub-less leader cannot feed a hub-needing follower, so the two kinds
-// fly separately.
+// other's answer). Every pair flight computes the witness hub, so Query
+// and QueryHub callers of one pair share a flight.
 type flightKey struct {
 	kind flightKind
 	pair uint64
-	hub  bool
 	// pepoch is the delta-overlay patch epoch the flight was keyed under
 	// (0 = no outstanding patches). A patch batch changes every answer's
 	// provenance, so a flight led before the batch must not feed a query
@@ -57,14 +55,13 @@ type flightKey struct {
 // sorted when not — PR 5's aliasing fix), so two requests collapse
 // exactly when the cache would share their answer. /knn flights pack
 // (u,k), which is ordered by construction and never canonicalized.
-func flightKeyFor(kind flightKind, directed bool, u, v int, hub bool, pepoch uint64) flightKey {
+func flightKeyFor(kind flightKind, directed bool, u, v int, pepoch uint64) flightKey {
 	if kind == flightDist && !directed && u > v {
 		u, v = v, u
 	}
 	return flightKey{
 		kind:   kind,
 		pair:   uint64(uint32(u))<<32 | uint64(uint32(v)),
-		hub:    hub,
 		pepoch: pepoch,
 	}
 }

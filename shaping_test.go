@@ -32,7 +32,7 @@ import (
 // counts as a collapse).
 func TestFlightGroupCollapsesDuplicates(t *testing.T) {
 	var g flightGroup
-	key := flightKey{pair: 42, hub: false}
+	key := flightKey{pair: 42}
 	const followers = 7
 
 	var calls, joins atomic.Int64
@@ -90,22 +90,23 @@ func TestFlightGroupCollapsesDuplicates(t *testing.T) {
 	}
 }
 
-// Key discipline: callers collapse exactly when their keys match — the
-// same pair with and without the hub witness flies separately, and
-// distinct pairs never share a flight.
+// Key discipline: callers collapse exactly when their keys match — a
+// Query and a QueryHub of one pair share a flight (every pair flight
+// computes the witness), and distinct pairs never share a flight.
 func TestFlightGroupKeyDiscipline(t *testing.T) {
 	cases := []struct {
 		name         string
 		a, b         flightKey
 		wantCollapse bool
 	}{
-		{"same pair same kind", flightKey{pair: 9, hub: false}, flightKey{pair: 9, hub: false}, true},
-		{"same pair hub vs plain", flightKey{pair: 9, hub: false}, flightKey{pair: 9, hub: true}, false},
-		{"different pair", flightKey{pair: 9, hub: false}, flightKey{pair: 10, hub: false}, false},
+		{"same pair same kind", flightKey{pair: 9}, flightKey{pair: 9}, true},
+		// Router.Query and Router.QueryHub both key a pair this way.
+		{"same pair hub vs plain", flightKeyFor(flightDist, false, 0, 9, 0), flightKeyFor(flightDist, false, 0, 9, 0), true},
+		{"different pair", flightKey{pair: 9}, flightKey{pair: 10}, false},
 		// /knn(u=3,k=5) packs the same pair bits as /dist(3,5): the kind
 		// field is what keeps the two workloads in separate flights.
-		{"same bits dist vs knn", flightKey{kind: flightDist, pair: 3<<32 | 5, hub: true},
-			flightKey{kind: flightKNN, pair: 3<<32 | 5, hub: true}, false},
+		{"same bits dist vs knn", flightKey{kind: flightDist, pair: 3<<32 | 5},
+			flightKey{kind: flightKNN, pair: 3<<32 | 5}, false},
 		{"same knn key collapses", flightKey{kind: flightKNN, pair: 3<<32 | 5},
 			flightKey{kind: flightKNN, pair: 3<<32 | 5}, true},
 	}

@@ -2,8 +2,8 @@ package chl_test
 
 // Black-box tests of behavior the one shard call (Router.callShard)
 // gives every path: the /reload proxy is accounted like any other shard
-// request, and a patched single-pair query retries a benign reload race
-// exactly as an unpatched cross-shard one does. The white-box half —
+// request, and a patched cross-shard query stays exact with a reload
+// landing between its two row responses. The white-box half —
 // wire-format conformance and the cancelled-client fan-out — lives in
 // shardproto_internal_test.go.
 
@@ -24,37 +24,45 @@ type roundTripFunc func(*http.Request) (*http.Response, error)
 
 func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
 
-// A reload landing on u's shard between the row fetch and the witness
-// rank resolution is benign — same file, same content, new generation.
-// With a patch outstanding the query used to fail ("snapshot changed
-// during witness resolution") where the unpatched path retried; both
-// retry now, and the answer is the patched graph's.
+// A reload landing between the two shards' row responses of a patched
+// cross-shard query is benign — same file, same content, new generation
+// — and u's witness id rides u's own row, so nothing is left to race: the
+// answer is the patched graph's, with no retry.
 func TestRouterPatchedQuerySurvivesReloadRace(t *testing.T) {
 	g := chl.GenerateRandom(160, 480, 9, 21)
 	_, fx := buildFrozen(t, g)
 	var (
-		c      *testCluster
-		armed  atomic.Bool
+		c *testCluster
+		// race, while set, holds v's row request until u's row (the one
+		// carrying hub ids) is in and every shard has reloaded.
+		race   atomic.Pointer[chan struct{}]
 		raced  atomic.Int64
 		client = &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
-			if req.Body != nil && armed.Load() {
-				body, err := io.ReadAll(req.Body)
-				if err != nil {
+			gate := race.Load()
+			if gate == nil || req.URL.Path != "/shardquery" {
+				return http.DefaultTransport.RoundTrip(req)
+			}
+			body, err := io.ReadAll(req.Body)
+			if err != nil {
+				return nil, err
+			}
+			req.Body = io.NopCloser(bytes.NewReader(body))
+			if !bytes.Contains(body, []byte(`"hub_ids"`)) {
+				<-*gate
+				return http.DefaultTransport.RoundTrip(req)
+			}
+			defer close(*gate)
+			resp, err := http.DefaultTransport.RoundTrip(req)
+			if err != nil {
+				return nil, err
+			}
+			for _, s := range c.servers {
+				if _, err := s.Reload(""); err != nil {
 					return nil, err
 				}
-				req.Body = io.NopCloser(bytes.NewReader(body))
-				if bytes.Contains(body, []byte(`"resolve"`)) && armed.CompareAndSwap(true, false) {
-					// The rows are in; hot-swap every shard before the
-					// resolution reaches its replica.
-					for _, s := range c.servers {
-						if _, err := s.Reload(""); err != nil {
-							return nil, err
-						}
-					}
-					raced.Add(1)
-				}
 			}
-			return http.DefaultTransport.RoundTrip(req)
+			raced.Add(1)
+			return resp, nil
 		})}
 	)
 	c = newTestCluster(t, fx, clusterSpec{shards: 2, tweak: func(cfg *chl.RouterConfig) {
@@ -72,23 +80,27 @@ func TestRouterPatchedQuerySurvivesReloadRace(t *testing.T) {
 	}
 	oracle := newParityOracle(patched)
 
-	// Only a frozen-certified, reachable answer resolves a witness, so
-	// sweep pairs — racing a reload into every resolution — until a few
-	// have been raced; every answer along the way must be exact.
+	// Race a reload into every cross-shard pair of a sweep; every answer
+	// must be exact.
 	n := g.NumVertices()
-	for i := 0; i < n && raced.Load() < 3; i++ {
+	for i := 0; i < n && raced.Load() < 8; i++ {
 		u, v := (i*37)%n, (i*59+11)%n
-		armed.Store(u != v)
+		if c.part.Owner(u) == c.part.Owner(v) {
+			continue // one row request: nothing to race between
+		}
+		gate := make(chan struct{})
+		race.Store(&gate)
 		d, _, ok, err := c.router.QueryHub(u, v)
+		race.Store(nil)
 		if err != nil {
-			t.Fatalf("QueryHub(%d,%d) with a reload racing the resolution: %v", u, v, err)
+			t.Fatalf("QueryHub(%d,%d) with a reload between its row responses: %v", u, v, err)
 		}
 		if want := oracle.from(u)[v]; ok != (want != chl.Infinity) || ok && d != want {
 			t.Fatalf("QueryHub(%d,%d) = %v (reachable %v), patched Dijkstra says %v", u, v, d, ok, want)
 		}
 	}
-	if raced.Load() == 0 {
-		t.Fatal("fixture never resolved a witness rank: the race was not exercised")
+	if raced.Load() < 8 {
+		t.Fatalf("only %d cross-shard queries raced a reload: the race was not exercised", raced.Load())
 	}
 }
 

@@ -83,15 +83,17 @@ type reloadResponse struct {
 }
 
 // shardQueryRequest is the POST /shardquery body: label-row fetches for
-// the router's cross-shard hub joins, plus rank→original-id resolution
-// for reporting witness hubs. Vertices asks for forward rows, Backward
-// for backward rows (identical to forward on undirected shards — the
-// halves coincide); a directed cross-shard query u→v fetches forward(u)
-// from u's shard and backward(v) from v's. Any list may be empty.
+// the router's cross-shard hub joins. Vertices asks for forward rows,
+// Backward for backward rows (identical to forward on undirected shards —
+// the halves coincide); a directed cross-shard query u→v fetches
+// forward(u) from u's shard and backward(v) from v's. HubIDs names
+// forward rows, each also in Vertices, whose hubs should come back as
+// original vertex ids too: the witness of a join over u's row is then read
+// off the same snapshot that served the row. Any list may be empty.
 type shardQueryRequest struct {
 	Vertices []int `json:"vertices,omitempty"`
 	Backward []int `json:"backward,omitempty"`
-	Resolve  []int `json:"resolve,omitempty"`
+	HubIDs   []int `json:"hub_ids,omitempty"`
 }
 
 // shardQueryResponse carries packed label runs keyed by vertex id. Each
@@ -99,12 +101,14 @@ type shardQueryRequest struct {
 // hub (rank space) in the high 32 bits, float32 distance bits in the low
 // 32 — base64-encoded so the bytes cross the wire exactly as they sit in
 // the shard's (usually memory-mapped) index. Rows answers Vertices
-// (forward runs), BackRows answers Backward, Resolved answers Resolve.
+// (forward runs), BackRows answers Backward, and HubIDs answers the
+// request's HubIDs: per named row, the original id of each entry's hub,
+// aligned with the row's entries.
 type shardQueryResponse struct {
 	shardStamp
 	Rows     map[string]string `json:"rows,omitempty"`
 	BackRows map[string]string `json:"back_rows,omitempty"`
-	Resolved map[string]int    `json:"resolved,omitempty"`
+	HubIDs   map[string][]int  `json:"hub_ids,omitempty"`
 }
 
 // shardScanRequest is the router-facing /shardscan body: one source

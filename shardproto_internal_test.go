@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -102,7 +103,7 @@ var protoEndpoints = []protoEndpoint{
 		return http.MethodPost, "/batch", [][2]int{{u, v}, {v, u}}
 	}, decodeAs[batchResponse], nil},
 	{"/shardquery", func(u, v int, _ string) (string, string, any) {
-		return http.MethodPost, "/shardquery", shardQueryRequest{Vertices: []int{u}, Backward: []int{v}, Resolve: []int{0}}
+		return http.MethodPost, "/shardquery", shardQueryRequest{Vertices: []int{u}, Backward: []int{v}, HubIDs: []int{u}}
 	}, decodeAs[shardQueryResponse], nil},
 	{"/shardscan", func(u, v int, run string) (string, string, any) {
 		return http.MethodPost, "/shardscan", shardScanRequest{Run: run, K: 2, Exclude: u, Targets: []int{v}}
@@ -216,14 +217,46 @@ func TestShardProtocolConformance(t *testing.T) {
 	}
 }
 
+// A shard sends hub ids only for rows the same request fetches, each id
+// the permutation image of the entry's hub; naming any other vertex is a
+// 400.
+func TestShardQueryHubIDs(t *testing.T) {
+	c := newProtoCluster(t, GenerateScaleFree(120, 3, 4))
+	h := c.servers[0].Handler()
+	u, v := c.byOwner[0][0], c.byOwner[0][1]
+
+	code, raw := serve(t, h, http.MethodPost, "/shardquery", shardQueryRequest{Vertices: []int{u, v}, HubIDs: []int{u}})
+	var resp shardQueryResponse
+	if err := json.Unmarshal(raw, &resp); code != http.StatusOK || err != nil {
+		t.Fatalf("status %d, decode error %v: %s", code, err, raw)
+	}
+	run := c.fx.fwd.RunInto(nil, u)
+	ids := resp.HubIDs[strconv.Itoa(u)]
+	if len(ids) != len(run) || len(resp.HubIDs) != 1 {
+		t.Fatalf("hub ids %v for a row of %d entries (all ids: %v)", ids, len(run), resp.HubIDs)
+	}
+	for i, e := range run {
+		if want := c.fx.perm[e>>32]; ids[i] != want {
+			t.Fatalf("hub id %d = %d, want %d", i, ids[i], want)
+		}
+	}
+
+	code, raw = serve(t, h, http.MethodPost, "/shardquery", shardQueryRequest{Vertices: []int{u}, Backward: []int{v}, HubIDs: []int{v}})
+	if want := fmt.Sprintf("hub_ids names vertex %d, which is not in vertices", v); code != http.StatusBadRequest || !strings.Contains(string(raw), want) {
+		t.Fatalf("hub ids for an unfetched row: status %d %s, want 400 %q", code, raw, want)
+	}
+}
+
 // Router side of the protocol: whatever path a response arrives on, a
 // backend that stamps no identity, the wrong vertex space, or the wrong
 // directedness is refused as a terminal ShardError naming the replica,
-// with the same message.
+// with the same message. So are hostile hub ids on the row fetch that
+// carries them: missing, misaligned with the row, or out of range.
 func TestRouterStampCheckOnEveryPath(t *testing.T) {
 	c := newProtoCluster(t, GenerateScaleFree(120, 3, 4))
 	n := c.fx.NumVertices()
 	u0, v0, u1 := c.byOwner[0][0], c.byOwner[0][1], c.byOwner[1][0]
+	rowLen := len(c.fx.fwd.RunInto(nil, u0))
 
 	// The backends rewrite the stamp of the responses the current case
 	// aims at; everything else passes through untouched.
@@ -269,18 +302,32 @@ func TestRouterStampCheckOnEveryPath(t *testing.T) {
 	}
 	routerH := rt.Handler()
 
+	// u0's hub ids, as the shard sent them.
+	u0IDs := func(keys map[string]any) []any {
+		return keys["hub_ids"].(map[string]any)[strconv.Itoa(u0)].([]any)
+	}
 	faults := []struct {
 		name   string
 		tamper func(keys map[string]any)
 		want   string
+		// hubs marks a fault in the hub ids, which only the row fetch
+		// carrying them has.
+		hubs bool
 	}{
-		{"no identity", func(keys map[string]any) { delete(keys, "generation") }, errNotShardBackend.Error()},
+		{"no identity", func(keys map[string]any) { delete(keys, "generation") }, errNotShardBackend.Error(), false},
 		{"wrong n", func(keys map[string]any) { keys["n"] = n + 1 },
-			fmt.Sprintf("shard serves %d vertices but the manifest says %d — mismatched index files?", n+1, n)},
+			fmt.Sprintf("shard serves %d vertices but the manifest says %d — mismatched index files?", n+1, n), false},
 		{"wrong directed", func(keys map[string]any) { keys["directed"] = true },
-			"shard serves directed=true but the manifest says directed=false — mismatched index files?"},
+			"shard serves directed=true but the manifest says directed=false — mismatched index files?", false},
+		{"hub ids missing", func(keys map[string]any) { delete(keys, "hub_ids") },
+			fmt.Sprintf("hub ids for vertex %d missing from response", u0), true},
+		{"hub ids misaligned", func(keys map[string]any) {
+			keys["hub_ids"].(map[string]any)[strconv.Itoa(u0)] = u0IDs(keys)[1:]
+		}, fmt.Sprintf("%d hub ids for vertex %d's row of %d entries", rowLen-1, u0, rowLen), true},
+		{"hub id out of range", func(keys map[string]any) { u0IDs(keys)[0] = n },
+			fmt.Sprintf("hub id %d for vertex %d out of range [0,%d)", n, u0, n), true},
 	}
-	resolving := func(body []byte) bool { return bytes.Contains(body, []byte(`"resolve"`)) }
+	carriesHubs := func(body []byte) bool { return bytes.Contains(body, []byte(`"hub_ids"`)) }
 	paths := []struct {
 		name string
 		aim  func(path string, reqBody []byte) bool
@@ -290,9 +337,9 @@ func TestRouterStampCheckOnEveryPath(t *testing.T) {
 			func() error { _, _, _, err := rt.QueryHub(u0, v0); return err }},
 		{"/batch", func(p string, _ []byte) bool { return p == "/batch" },
 			func() error { _, err := rt.Batch([]QueryPair{{U: u0, V: v0}}); return err }},
-		{"rows", func(p string, b []byte) bool { return p == "/shardquery" && !resolving(b) },
+		{"rows", func(p string, b []byte) bool { return p == "/shardquery" && !carriesHubs(b) },
 			func() error { _, err := rt.Query(u0, u1); return err }},
-		{"resolve", func(p string, b []byte) bool { return p == "/shardquery" && resolving(b) },
+		{"rows with hub ids", func(p string, b []byte) bool { return p == "/shardquery" && carriesHubs(b) },
 			func() error { _, _, _, err := rt.QueryHub(u0, u1); return err }},
 		{"scan", func(p string, _ []byte) bool { return p == "/shardscan" },
 			func() error { _, err := rt.KNN(u0, 3); return err }},
@@ -325,6 +372,9 @@ func TestRouterStampCheckOnEveryPath(t *testing.T) {
 	}
 	for _, p := range paths {
 		for _, f := range faults {
+			if f.hubs && p.name != "rows with hub ids" {
+				continue
+			}
 			fault.Store(&stampFault{aim: p.aim, tamper: f.tamper})
 			err := p.call()
 			var ce *ClusterError
@@ -332,15 +382,9 @@ func TestRouterStampCheckOnEveryPath(t *testing.T) {
 				t.Errorf("%s, %s: got %v, want a ClusterError", p.name, f.name, err)
 				continue
 			}
-			// Every refusal names the replica that sent the response —
-			// except on the resolve path, which retries from the row fetch
-			// before giving up on the shard as a whole.
-			wantRep := 0
-			if p.name == "resolve" {
-				wantRep = -1
-			}
-			if se := ce.Failed[0]; se.Err.Error() != f.want || se.Replica != wantRep {
-				t.Errorf("%s, %s: got replica %d: %q, want replica %d: %q", p.name, f.name, se.Replica, se.Err, wantRep, f.want)
+			// Every refusal names the replica that sent the response.
+			if se := ce.Failed[0]; se.Err.Error() != f.want || se.Replica != 0 {
+				t.Errorf("%s, %s: got replica %d: %q, want replica 0: %q", p.name, f.name, se.Replica, se.Err, f.want)
 			}
 		}
 	}

@@ -18,8 +18,8 @@ import (
 // hubQuerier answers one distance-with-witness query during path
 // expansion. The three tiers plug in their own: FlatIndex.QueryHub
 // (never errs), BatchEngine.QueryHub (cache-through), and the router's
-// queryHub (cross-shard rows joined at the router, witness ranks
-// resolved through the resolve batcher).
+// queryHub (cross-shard rows joined at the router, the witness's
+// original id fetched with u's row).
 type hubQuerier func(u, v int) (dist float64, hub int, ok bool, err error)
 
 // expandPath reconstructs the witness chain between u and v by
