@@ -371,9 +371,9 @@ func BenchmarkFlatQueryMerge(b *testing.B) {
 
 // BenchmarkFlatQueryParallel is the hash-join flat query across all
 // available cores. Each RunParallel goroutine allocates its own
-// QueryScratch inside the closure — the scratch carries a generation
-// counter and a versioned bitmap, so sharing one across goroutines
-// would race and silently corrupt answers.
+// QueryScratch inside the closure — a query scatters one run into the
+// scratch and clears it before returning, so sharing one across
+// goroutines would race and silently corrupt answers.
 func BenchmarkFlatQueryParallel(b *testing.B) {
 	_, fx, us, vs := benchServeIndex(b)
 	b.ResetTimer()
@@ -651,6 +651,46 @@ func BenchmarkBatchEngineOnly(b *testing.B) {
 		eng.BatchInto(dst, pairs)
 	}
 	b.ReportMetric(float64(len(pairs))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpairs/s")
+}
+
+// BenchmarkBatchSources is one in-process 10,000-pair Server.Batch (cache
+// off) on the scoreboard's road index — 96×96 grid, 256-sample
+// betweenness hierarchy — as the batch repeats its sources more: drawn
+// from every vertex, from 1,024, and from 16 as serve-live's reader does.
+// /batch scatters a repeated source once, so ns/pair should fall with the
+// source count.
+func BenchmarkBatchSources(b *testing.B) {
+	g := chl.GenerateRoadGrid(96, 96, 1)
+	ix, err := chl.Build(g, chl.Options{Order: chl.RankByBetweenness(g, 256, 1)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fx, err := ix.Freeze()
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := chl.NewServerFromFlat(fx, 0)
+	defer srv.Close()
+	n := g.NumVertices()
+	for _, sources := range []int{n, 1024, 16} {
+		name := fmt.Sprint(sources)
+		if sources == n {
+			name = "all"
+		}
+		b.Run("sources="+name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(4))
+			from := rng.Perm(n)[:sources]
+			pairs := make([]chl.QueryPair, 10_000)
+			for i := range pairs {
+				pairs[i] = chl.QueryPair{U: from[rng.Intn(sources)], V: rng.Intn(n)}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				srv.Batch(pairs)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pairs)), "ns/pair")
+		})
+	}
 }
 
 func BenchmarkSaveLoad(b *testing.B) {

@@ -310,7 +310,7 @@ func JoinCompressed(a, b CRun) (dist float64, hub uint32, ok bool) {
 // loop. Answers are bit-identical to Probe on the decompressed run.
 func (rs RunScatter) ProbeCompressed(r CRun) (dist float64, hub uint32, ok bool) {
 	dist = Infinity
-	if rs.empty {
+	if len(rs.run) == 0 {
 		return dist, 0, false
 	}
 	var buf compBlockBuf
@@ -328,11 +328,8 @@ func (rs RunScatter) ProbeCompressed(r CRun) (dist float64, hub uint32, ok bool)
 			if h > rs.maxHub {
 				break
 			}
-			w := slot[h]
-			if w&^uint64(0xffffffff) == rs.cur {
-				if d := float64(math.Float32frombits(uint32(w))) + entryDist(e); d < dist {
-					dist, hub, ok = d, h, true
-				}
+			if d := slot[h] + entryDist(e); d < dist {
+				dist, hub, ok = d, h, true
 			}
 		}
 	}

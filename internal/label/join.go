@@ -1,9 +1,6 @@
 package label
 
-import (
-	"math"
-	"sync"
-)
+import "sync"
 
 // The join kernels. Hub labeling turns a distance query into a list
 // intersection, and this file holds every form of it the serving stack
@@ -21,36 +18,52 @@ import (
 // serving tier — one process, or a router joining rows fetched from two
 // shards — produced it.
 
-// QueryScratch is a per-worker probe buffer for the hash joins: one uint64
-// slot per vertex packing a version stamp (high 32 bits: reset is O(1))
-// with the float32 distance bits (low 32), so scatter and probe each touch
-// a single word. (The construction-time HashDist keeps one word per slot
-// too, but marks absence with +Inf: its probes mostly hit.) One scratch
-// weighs 8 bytes per vertex and must not be shared between goroutines.
+// QueryScratch is a per-worker probe buffer for the hash joins: one
+// float64 slot per vertex holding the scattered run's distance to that
+// hub, +Inf (absent) where nothing is scattered — HashDist's layout. A
+// probe is then one load and one add, slot[hub] + d(e) < best, with no
+// occupancy test: an absent slot sums to +Inf and never wins. Every
+// kernel that scatters undoes it by walking the run it scattered
+// (JoinPackedWith itself, RunScatter.Release), so a scratch is all +Inf
+// between kernel calls. One scratch weighs 8 bytes per vertex and must not
+// be shared between goroutines.
 type QueryScratch struct {
-	slot    []uint64
-	current uint32
+	slot []float64
 }
 
 // NewQueryScratch returns a scratch for indexes over n vertices.
 func NewQueryScratch(n int) *QueryScratch {
-	return &QueryScratch{slot: make([]uint64, n), current: 1}
+	s := &QueryScratch{slot: make([]float64, n)}
+	for i := range s.slot {
+		s.slot[i] = absent
+	}
+	return s
 }
 
-func (s *QueryScratch) bump() {
-	s.current++
-	if s.current == 0 { // wrapped: invalidate everything the slow way
-		for i := range s.slot {
-			s.slot[i] = 0
-		}
-		s.current = 1
+// scatter loads run into the slots; clear undoes exactly that.
+func (s *QueryScratch) scatter(run []uint64) {
+	slot := s.slot
+	// Ranging over the run bound-checks nothing; scratch stores stay
+	// checked (hub ids come from input data).
+	for _, e := range run {
+		slot[e>>32] = entryDist(e)
+	}
+}
+
+func (s *QueryScratch) clear(run []uint64) {
+	slot := s.slot
+	for _, e := range run {
+		slot[e>>32] = absent
 	}
 }
 
 // ScratchPool recycles the scratches of one index (or one router's
-// n-vertex rank space) between requests, so a request allocates and zeroes
+// n-vertex rank space) between requests, so a request allocates and fills
 // 8 bytes per vertex only when the pool is dry. The zero value is ready to
-// use; every Get on one pool must name the same n.
+// use; every Get on one pool must name the same n. Put only a clean
+// scratch: callers put on their normal return path, never from a defer, so
+// a kernel that panics mid-scatter (a hub id ≥ n) drops its scratch
+// instead of recycling stale slots.
 type ScratchPool struct{ p sync.Pool }
 
 // Get takes a scratch for n vertices from the pool, allocating one when it
@@ -73,10 +86,10 @@ func (sp *ScratchPool) Put(s *QueryScratch) {
 // hashJoinMaxVertices bounds the pairwise hash join: one scratch is 8
 // bytes per vertex and random-probed, so past ~1 MiB it is expected to
 // fall out of cache and lose to the sequential merge join. Unverified: the
-// hash join is measured 1.55× faster at 32768 vertices (BenchmarkFlatQuery
+// hash join is measured 1.95× faster at 32768 vertices (BenchmarkFlatQuery
 // vs BenchmarkFlatQueryMerge in the root package) and ~1.7× on the
 // scoreboard's 8–9k-vertex fixtures; nothing has been measured near 2^17 —
-// ROADMAP 1(d) asks for the fixture that would place the crossover.
+// ROADMAP 1(f) asks for the fixture that would place the crossover.
 const hashJoinMaxVertices = 1 << 17
 
 // GetJoin takes the scratch a loop of pairwise joins over n-vertex packed
@@ -138,16 +151,17 @@ func JoinPacked(a, b []uint64) (dist float64, hub uint32, ok bool) {
 }
 
 // JoinPackedWith is JoinPacked as a hash join: the shorter run is
-// scattered into the scratch, the longer one probes it. The merge join's
-// three-way branch is decided by the unpredictable interleaving of two hub
-// sequences and mispredicts constantly; the probe loop's only branch (slot
-// occupied?) is rarely taken and predicts well (the measured ratio is at
-// hashJoinMaxVertices). The
-// probe run is hub-sorted, so the strict improvement test selects the
-// smallest hub among equal-distance witnesses, exactly JoinPacked's
-// tie-break. The scratch must be sized for the index the runs came from
-// (every hub id must be a valid slot) and is owned by one goroutine; a nil
-// scratch means merge-join.
+// scattered into the scratch, the longer one probes it, and the scatter is
+// cleared before returning. The merge join's three-way branch follows the
+// unpredictable interleaving of two hub sequences and mispredicts
+// constantly. A probe is slot[hub] + d(e) < best, whose one branch is
+// taken only when the distance improves; it does not ask whether the hub
+// is shared, which on the road fixture 21–23% of probe entries are — too
+// many for that branch to predict. The probe run is hub-sorted, so the
+// strict improvement test selects the smallest hub among equal-distance
+// witnesses, exactly JoinPacked's tie-break. The scratch must be sized
+// for the index the runs came from (every hub id must be a valid slot)
+// and is owned by one goroutine; a nil scratch means merge-join.
 func JoinPackedWith(s *QueryScratch, a, b []uint64) (dist float64, hub uint32, ok bool) {
 	if s == nil {
 		return JoinPacked(a, b)
@@ -168,62 +182,52 @@ func JoinPackedWith(s *QueryScratch, a, b []uint64) (dist float64, hub uint32, o
 	for len(a) > 0 && a[len(a)-1] > bMax {
 		a = a[:len(a)-1]
 	}
-	s.bump()
-	cur := uint64(s.current) << 32
+	s.scatter(a)
 	slot := s.slot
-	// Ranging over the runs bound-checks nothing; scratch probes stay
-	// checked (hub ids come from input data).
-	for _, e := range a {
-		// Slot = version | distbits; entry low word is already distbits.
-		slot[e>>32] = cur | e&0xffffffff
-	}
 	for _, e := range b {
 		if e > aMax {
 			break
 		}
-		w := slot[e>>32]
-		if w&^uint64(0xffffffff) == cur {
-			if d := float64(math.Float32frombits(uint32(w))) + entryDist(e); d < dist {
-				dist, hub, ok = d, uint32(e>>32), true
-			}
+		if d := slot[e>>32] + entryDist(e); d < dist {
+			dist, hub, ok = d, uint32(e>>32), true
 		}
 	}
+	s.clear(a)
 	return dist, hub, ok
 }
 
 // RunScatter is one packed label run scattered into a QueryScratch so
 // that many probes can reuse the single scatter — the kernel behind
-// one-to-many and many-to-many (/matrix) queries, which pay one label
-// scan per source row instead of re-scattering for every target pair.
-// The scatter stays valid until the scratch is used by anything else
-// (another scatter or a hash-join query); one scratch is owned by one
-// goroutine.
+// one-to-many and many-to-many (/matrix) queries and /batch's repeated
+// sources, which pay one label scan per source instead of re-scattering
+// for every target pair. The scatter owns the scratch until Release
+// clears it; one scratch is owned by one goroutine.
 type RunScatter struct {
 	s      *QueryScratch
-	cur    uint64 // version stamp of this scatter, pre-shifted
-	minHub uint32 // hub range of the scattered run (skip bounds for probes)
+	run    []uint64 // the scattered run, which Release walks
+	minHub uint32   // hub range of the scattered run (skip bounds for probes)
 	maxHub uint32
-	empty  bool
 }
 
-// ScatterRun scatters run (hub-sorted, as every packed run is) into s.
+// ScatterRun scatters run (hub-sorted, as every packed run is) into s,
+// which must be clean. The run must stay unmodified until Release.
 func ScatterRun(s *QueryScratch, run []uint64) RunScatter {
 	if len(run) == 0 {
-		return RunScatter{s: s, empty: true}
+		return RunScatter{s: s}
 	}
-	s.bump()
-	cur := uint64(s.current) << 32
-	slot := s.slot
-	for _, e := range run {
-		slot[e>>32] = cur | e&0xffffffff
-	}
+	s.scatter(run)
 	return RunScatter{
 		s:      s,
-		cur:    cur,
+		run:    run,
 		minHub: uint32(run[0] >> 32),
 		maxHub: uint32(run[len(run)-1] >> 32),
 	}
 }
+
+// Release clears the scatter from its scratch, leaving the scratch clean
+// for the next kernel or the pool; the RunScatter must not be probed
+// afterwards.
+func (rs RunScatter) Release() { rs.s.clear(rs.run) }
 
 // Probe hub-joins one target run against the scattered source run —
 // the same float64 summation and smallest-hub tie-break as
@@ -232,7 +236,7 @@ func ScatterRun(s *QueryScratch, run []uint64) RunScatter {
 // hub can never match and end the scan early.
 func (rs RunScatter) Probe(run []uint64) (dist float64, hub uint32, ok bool) {
 	dist = Infinity
-	if rs.empty {
+	if len(rs.run) == 0 {
 		return dist, 0, false
 	}
 	maxEntry := uint64(rs.maxHub)<<32 | 0xffffffff
@@ -241,11 +245,8 @@ func (rs RunScatter) Probe(run []uint64) (dist float64, hub uint32, ok bool) {
 		if e > maxEntry {
 			break
 		}
-		w := slot[e>>32]
-		if w&^uint64(0xffffffff) == rs.cur {
-			if d := float64(math.Float32frombits(uint32(w))) + entryDist(e); d < dist {
-				dist, hub, ok = d, uint32(e>>32), true
-			}
+		if d := slot[e>>32] + entryDist(e); d < dist {
+			dist, hub, ok = d, uint32(e>>32), true
 		}
 	}
 	return dist, hub, ok

@@ -20,17 +20,13 @@ import (
 var kernelBlockSizes = []int{1, 2, 3, CompressedBlockEntries, CompressedMaxBlockEntries}
 
 // checkKernels asserts every kernel's answer for the pair (a, b) of label
-// sets, whose hubs must be below n and whose distances float32-exact.
+// sets, whose hubs must be below n and whose distances float32-exact, and
+// that every kernel using the scratch leaves it clean (all +Inf) — the
+// invariant that lets the probes skip an occupancy test.
 func checkKernels(t *testing.T, n int, a, b Set) {
 	t.Helper()
 	wantD, wantH, wantOK := QueryMerge(a, b)
 	selfD, _, _ := QueryMerge(a, a)
-	check := func(kernel string, d float64, h uint32, ok bool) {
-		t.Helper()
-		if ok != wantOK || d != wantD || (ok && h != wantH) {
-			t.Fatalf("%s = (%v, %d, %v), QueryMerge = (%v, %d, %v)\na = %v\nb = %v", kernel, d, h, ok, wantD, wantH, wantOK, a, b)
-		}
-	}
 	// Vertex 0 carries a, vertex 1 carries b, every other vertex nothing.
 	ix := NewIndex(n)
 	ix.SetLabels(0, a)
@@ -38,6 +34,27 @@ func checkKernels(t *testing.T, n int, a, b Set) {
 	f := Freeze(ix)
 	ra, rb := f.PackedRun(0), f.PackedRun(1)
 	s := NewQueryScratch(n)
+	clean := func(kernel string) {
+		t.Helper()
+		for hub, x := range s.slot {
+			if !math.IsInf(x, 1) {
+				t.Fatalf("%s left slot %d = %v in the scratch\na = %v\nb = %v", kernel, hub, x, a, b)
+			}
+		}
+	}
+	check := func(kernel string, d float64, h uint32, ok bool) {
+		t.Helper()
+		if ok != wantOK || d != wantD || (ok && h != wantH) {
+			t.Fatalf("%s = (%v, %d, %v), QueryMerge = (%v, %d, %v)\na = %v\nb = %v", kernel, d, h, ok, wantD, wantH, wantOK, a, b)
+		}
+		clean(kernel)
+	}
+	// scattered runs probe against a scatter of run, then releases it.
+	scattered := func(run []uint64, probe func(RunScatter)) {
+		rs := ScatterRun(s, run)
+		probe(rs)
+		rs.Release()
+	}
 
 	d, h, ok := JoinPacked(ra, rb)
 	check("JoinPacked(a,b)", d, h, ok)
@@ -49,9 +66,9 @@ func checkKernels(t *testing.T, n int, a, b Set) {
 	check("JoinPackedWith(b,a)", d, h, ok)
 	d, h, ok = JoinPackedWith(nil, ra, rb)
 	check("JoinPackedWith(nil scratch)", d, h, ok)
-	d, h, ok = ScatterRun(s, ra).Probe(rb)
+	scattered(ra, func(rs RunScatter) { d, h, ok = rs.Probe(rb) })
 	check("ScatterRun(a).Probe(b)", d, h, ok)
-	d, h, ok = ScatterRun(s, rb).Probe(ra)
+	scattered(rb, func(rs RunScatter) { d, h, ok = rs.Probe(ra) })
 	check("ScatterRun(b).Probe(a)", d, h, ok)
 	d, h, ok = Join(s, f, f, 0, 1)
 	check("Join(scratch, packed)", d, h, ok)
@@ -67,10 +84,11 @@ func checkKernels(t *testing.T, n int, a, b Set) {
 		t.Fatalf("ScanMin = %v, want [+Inf %v %v]\na = %v\nb = %v", dst, wantD, selfD, a, b)
 	}
 	row := make([]float64, 2)
-	ScatterRun(s, ra).ProbeStore(row, f, []int{1, 0})
+	scattered(ra, func(rs RunScatter) { rs.ProbeStore(row, f, []int{1, 0}) })
 	if row[0] != wantD || row[1] != selfD {
 		t.Fatalf("ProbeStore(packed) = %v, want [%v %v]", row, wantD, selfD)
 	}
+	clean("ProbeStore(packed)")
 
 	for _, bs := range kernelBlockSizes {
 		c, err := CompressBlocks(f, bs)
@@ -84,15 +102,62 @@ func checkKernels(t *testing.T, n int, a, b Set) {
 		check("JoinCompressed(a,b)", d, h, ok)
 		d, h, ok = JoinCompressed(c.Run(1), c.Run(0))
 		check("JoinCompressed(b,a)", d, h, ok)
-		d, h, ok = ScatterRun(s, ra).ProbeCompressed(c.Run(1))
+		scattered(ra, func(rs RunScatter) { d, h, ok = rs.ProbeCompressed(c.Run(1)) })
 		check("ScatterRun(a).ProbeCompressed(b)", d, h, ok)
-		d, h, ok = ScatterRun(s, rb).ProbeCompressed(c.Run(0))
+		scattered(rb, func(rs RunScatter) { d, h, ok = rs.ProbeCompressed(c.Run(0)) })
 		check("ScatterRun(b).ProbeCompressed(a)", d, h, ok)
 		d, h, ok = Join(s, c, c, 0, 1)
 		check("Join(compressed)", d, h, ok)
-		ScatterRun(s, ra).ProbeStore(row, c, []int{1, 0})
+		scattered(ra, func(rs RunScatter) { rs.ProbeStore(row, c, []int{1, 0}) })
 		if row[0] != wantD || row[1] != selfD {
 			t.Fatalf("block size %d: ProbeStore(compressed) = %v, want [%v %v]", bs, row, wantD, selfD)
+		}
+		clean("ProbeStore(compressed)")
+	}
+}
+
+// TestPanickedKernelDropsScratch: a run whose hub id is ≥ n panics in the
+// middle of a kernel, after part of it is scattered. The pool discipline —
+// Put on the normal return path only, as every caller does — must leave
+// that scratch out, so the pool never hands out a dirty one.
+func TestPanickedKernelDropsScratch(t *testing.T) {
+	const n = 16
+	var pool ScratchPool
+	// Both runs end at the same out-of-range hub, so the pairwise join's
+	// truncation keeps it and the scatter reaches it.
+	bad := []uint64{packEntry(2, 0), packEntry(5, 0), packEntry(n+3, 0)}
+	var long []uint64
+	for hub := uint32(0); hub < n; hub++ {
+		long = append(long, packEntry(hub, 1))
+	}
+	long = append(long, packEntry(n+3, 1))
+	kernels := map[string]func(s *QueryScratch){
+		"JoinPackedWith": func(s *QueryScratch) { JoinPackedWith(s, bad, long) },
+		"ScatterRun":     func(s *QueryScratch) { ScatterRun(s, bad).Release() },
+	}
+	for name, kernel := range kernels {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s over a hub id ≥ n did not panic", name)
+				}
+			}()
+			s := pool.Get(n)
+			kernel(s)
+			pool.Put(s)
+		}()
+		var held []*QueryScratch
+		for i := 0; i < 8; i++ {
+			s := pool.Get(n)
+			for hub, x := range s.slot {
+				if !math.IsInf(x, 1) {
+					t.Fatalf("after a panicking %s the pool handed out a scratch with slot %d = %v", name, hub, x)
+				}
+			}
+			held = append(held, s)
+		}
+		for _, s := range held {
+			pool.Put(s)
 		}
 	}
 }

@@ -58,10 +58,11 @@ func TestCorrectedQueryDoesNotAllocate(t *testing.T) {
 }
 
 // TestBatchIntoReusesScratch pins /batch's scratch budget: a worker takes
-// its hash-join probe buffer (8 bytes per vertex, zeroed) from the index's
-// pool and returns it, so a steady-state single-worker BatchInto — here a
-// two-pair batch, where a fresh scratch per call would dwarf the work —
-// allocates nothing on either storage format.
+// its hash-join probe buffer (8 bytes per vertex) and its by-source chains
+// from the index's pools and returns them, so a steady-state single-worker
+// BatchInto — here a two-pair batch, where a fresh scratch per call would
+// dwarf the work, and a batch that repeats its sources — allocates nothing
+// on either storage format.
 func TestBatchIntoReusesScratch(t *testing.T) {
 	ix, err := Build(GenerateRoadGrid(24, 24, 1), Options{})
 	if err != nil {
@@ -86,6 +87,21 @@ func TestBatchIntoReusesScratch(t *testing.T) {
 		}
 		if dst[0] != ix.Query(3, 500) || dst[1] != 0 {
 			t.Errorf("%s: BatchInto = %v, want [%v 0]", name, dst, ix.Query(3, 500))
+		}
+
+		repeated := make([]QueryPair, 64)
+		for i := range repeated {
+			repeated[i] = QueryPair{U: []int{3, 17, 40}[i%3], V: 7 * i}
+		}
+		rdst := make([]float64, len(repeated))
+		eng.BatchInto(rdst, repeated)
+		if allocs := testing.AllocsPerRun(200, func() { eng.BatchInto(rdst, repeated) }); allocs != 0 {
+			t.Errorf("%s: BatchInto over repeated sources allocates %v times per call, want 0", name, allocs)
+		}
+		for i, p := range repeated {
+			if want := ix.Query(p.U, p.V); rdst[i] != want {
+				t.Fatalf("%s: repeated-source pair %d (%d,%d) = %v, want %v", name, i, p.U, p.V, rdst[i], want)
+			}
 		}
 	}
 }

@@ -55,8 +55,10 @@ type FlatIndex struct {
 	inv     *label.Inverted
 
 	// scratch recycles this index's hash-join probe buffers between
-	// /batch, /matrix and /shardscan requests.
+	// /batch, /matrix and /shardscan requests; groups recycles /batch's
+	// by-source chains (*sourceGroups).
 	scratch label.ScratchPool
+	groups  sync.Pool
 }
 
 // newFlatIndex assembles an index from its label halves; bwd is nil for
@@ -231,7 +233,8 @@ func (fx *FlatIndex) QueryHub(u, v int) (dist float64, hub int, ok bool) {
 }
 
 // QueryScratch is a per-worker probe buffer for FlatIndex.QueryWith /
-// BatchEngine: 8 bytes per vertex, owned by one goroutine.
+// BatchEngine: 8 bytes per vertex, owned by one goroutine, and clean
+// again whenever a query returns.
 type QueryScratch = label.QueryScratch
 
 // NewScratch allocates a probe buffer sized for this index.
@@ -241,7 +244,7 @@ func (fx *FlatIndex) NewScratch() *QueryScratch {
 
 // QueryWith is Query through a hash join over the caller's scratch buffer
 // instead of a merge join — the fast path for serving loops (label.Join
-// picks the kernel; BenchmarkFlatQuery vs BenchmarkFlatQueryMerge, 1.55×
+// picks the kernel; BenchmarkFlatQuery vs BenchmarkFlatQueryMerge, 1.95×
 // on a 32768-vertex scale-free graph). A nil scratch, or a
 // compressed index (whose entries decode blockwise and only merge-join),
 // answers exactly as Query does.
@@ -468,27 +471,105 @@ func (e *BatchEngine) BatchInto(dst []float64, pairs []QueryPair) {
 	wg.Wait()
 }
 
-// serveRange answers one worker's contiguous slice of a batch on one
-// pooled scratch. Which join kernel that means — hash join, or merge join
-// on a nil scratch — is label's decision (ScratchPool.GetJoinFor, Join);
-// under an overlay every pair takes the corrected single-pair path, which
-// joins on the overlay's own scratch.
+// serveRange answers one worker's contiguous slice of a batch. On the
+// frozen index alone that is batchGrouped. Through a cache every pair is
+// looked up on its own and a miss joins on one pooled scratch — which
+// kernel that means, hash join or merge join on a nil scratch, is label's
+// decision (ScratchPool.GetJoinFor, Join); under an overlay every pair
+// takes the corrected single-pair path, which joins on the overlay's own
+// scratch.
 func (e *BatchEngine) serveRange(dst []float64, pairs []QueryPair, lo, hi int) {
 	fx := e.fx
+	if e.cache == nil && e.ov == nil {
+		fx.batchGrouped(dst[lo:hi], pairs[lo:hi])
+		return
+	}
 	var s *QueryScratch
 	if e.ov == nil {
 		s = fx.scratch.GetJoinFor(fx.fwd)
-		defer fx.scratch.Put(s)
-		if e.cache == nil {
-			for i := lo; i < hi; i++ {
-				dst[i] = fx.QueryWith(s, pairs[i].U, pairs[i].V)
-			}
-			return
-		}
 	}
 	for i := lo; i < hi; i++ {
 		dst[i], _, _ = e.queryHub(s, pairs[i].U, pairs[i].V)
 	}
+	fx.scratch.Put(s) // not deferred: only a clean scratch goes back
+}
+
+// sourceGroups chains one worker's share of a batch by source. first[u]
+// is the position of u's first pair, -1 at rest (serving resets every
+// entry linking set); next[i] is the position of the next pair with pair
+// i's source, -1 after the last. targets and row carry one source's group
+// through MatrixRowInto; run holds a compressed source's decoded run.
+type sourceGroups struct {
+	first, next []int32
+	targets     []int
+	row         []float64
+	run         []uint64
+}
+
+// link chains pairs by source in one backward pass, so every chain runs in
+// batch order.
+func (g *sourceGroups) link(pairs []QueryPair) {
+	if cap(g.next) < len(pairs) {
+		g.next = make([]int32, len(pairs))
+	}
+	g.next = g.next[:len(pairs)]
+	for i := len(pairs) - 1; i >= 0; i-- {
+		u := pairs[i].U
+		g.next[i] = g.first[u]
+		g.first[u] = int32(i)
+	}
+}
+
+// batchGrouped answers pairs into dst on the frozen index, scattering each
+// repeated source once: a source with two or more pairs is one /matrix
+// row (MatrixRowInto) over its targets, and a singleton takes the pairwise
+// kernel (label.Join), whose two-sided truncation a one-sided probe lacks.
+// The answers are bit-identical either way. The chains and scratches come
+// from the index's pools and go back on the normal return path only, so a
+// panic mid-kernel drops them instead of recycling stale state.
+func (fx *FlatIndex) batchGrouped(dst []float64, pairs []QueryPair) {
+	g, _ := fx.groups.Get().(*sourceGroups)
+	if g == nil {
+		g = &sourceGroups{first: make([]int32, fx.NumVertices())}
+		for u := range g.first {
+			g.first[u] = -1
+		}
+	}
+	g.link(pairs)
+	js := fx.scratch.GetJoinFor(fx.fwd) // the singletons' kernel; nil merge-joins
+	gs := js                            // the groups' scatter buffer, taken on first need
+	for i, p := range pairs {
+		if g.first[p.U] != int32(i) {
+			continue // answered with its source's first pair
+		}
+		g.first[p.U] = -1
+		if g.next[i] < 0 {
+			dst[i], _, _ = label.Join(js, fx.fwd, fx.bwd, p.U, p.V)
+			continue
+		}
+		if gs == nil {
+			gs = fx.scratch.Get(fx.NumVertices())
+		}
+		g.targets = g.targets[:0]
+		for j := int32(i); j >= 0; j = g.next[j] {
+			g.targets = append(g.targets, pairs[j].V)
+		}
+		if cap(g.row) < len(g.targets) {
+			g.row = make([]float64, len(g.targets))
+		}
+		row := g.row[:len(g.targets)]
+		fx.MatrixRowInto(gs, row, fx.fwd.RunInto(&g.run, p.U), g.targets)
+		k := 0
+		for j := int32(i); j >= 0; j = g.next[j] {
+			dst[j] = row[k]
+			k++
+		}
+	}
+	fx.scratch.Put(js)
+	if gs != js {
+		fx.scratch.Put(gs)
+	}
+	fx.groups.Put(g)
 }
 
 // QueryMode selects a distributed query strategy (§6 of the paper).

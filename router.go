@@ -830,7 +830,6 @@ func (r *Router) batch(ctx context.Context, pairs []QueryPair) ([]float64, error
 	var s *label.QueryScratch
 	if st.patch == nil && len(joined) > 0 {
 		s = r.scratch.GetJoin(r.n)
-		defer r.scratch.Put(s)
 		r.crossJoins.Add(int64(len(joined)))
 	}
 	for _, i := range joined {
@@ -843,6 +842,7 @@ func (r *Router) batch(ctx context.Context, pairs []QueryPair) ([]float64, error
 			dists[i] = Infinity
 		}
 	}
+	r.scratch.Put(s) // not deferred: only a clean scratch goes back
 
 	// Populate the cache (hub unknown on this path — /batch never needs
 	// witnesses; QueryHub will recompute and upgrade the entry). The

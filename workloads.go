@@ -225,9 +225,11 @@ func topKFromRow(row []float64, source, k int, pairQ func(v int) (float64, int, 
 // scatter of the source run, then one probe per target
 // (label.RunScatter.ProbeStore), instead of a fresh two-sided join per
 // pair. dst must have len(targets); the scratch is the caller's (one per
-// goroutine).
+// goroutine), clean on entry and left clean on return.
 func (fx *FlatIndex) MatrixRowInto(s *QueryScratch, dst []float64, run []uint64, targets []int) {
-	label.ScatterRun(s, run).ProbeStore(dst, fx.bwd, targets)
+	rs := label.ScatterRun(s, run)
+	rs.ProbeStore(dst, fx.bwd, targets)
+	rs.Release()
 }
 
 // MatrixRows streams the sources × targets distance matrix row by row:
@@ -239,16 +241,17 @@ func (fx *FlatIndex) MatrixRowInto(s *QueryScratch, dst []float64, run []uint64,
 // scan.
 func (fx *FlatIndex) MatrixRows(sources, targets []int, emit func(u int, dists []float64) error) error {
 	s := fx.scratch.Get(fx.NumVertices())
-	defer fx.scratch.Put(s)
 	row := make([]float64, len(targets))
 	var buf []uint64
+	var err error
 	for _, u := range sources {
 		fx.MatrixRowInto(s, row, fx.fwd.RunInto(&buf, u), targets)
-		if err := emit(u, row); err != nil {
-			return err
+		if err = emit(u, row); err != nil {
+			break
 		}
 	}
-	return nil
+	fx.scratch.Put(s) // not deferred: a panicking row leaves the scratch dirty
+	return err
 }
 
 // MatrixRows streams the matrix through the engine: the frozen
