@@ -80,10 +80,12 @@ type Options struct {
 	Alpha float64
 
 	// CommonHubs sizes the Common Label Table of shared-memory PLaNT
-	// (§5.3): 0 = the default, a table that grows with every finished
-	// batch of trees, each batch an eighth of the table before it; η > 0 =
-	// the η top hubs only, as the paper fixes it; negative = off
-	// (Algorithm 3 verbatim). The labeling is the same in every case.
+	// (§5.3), on undirected and directed graphs alike (a directed build
+	// keeps a forward and a backward table): 0 = the default, a table that
+	// grows with every finished batch of trees, each batch an eighth of the
+	// table before it; η > 0 = the η top hubs only, as the paper fixes it;
+	// negative = off (Algorithm 3 verbatim). The labeling is the same in
+	// every case.
 	CommonHubs int
 
 	// PlantFirstSuperstep makes AlgoGLL build its first superstep with
@@ -231,7 +233,9 @@ func buildDirected(rg *Graph, ord *Order, newID []int, opt Options) (*Index, err
 		ix.directed = dx
 		ix.metrics = m
 	case AlgoPLaNT:
-		dx, m := plant.RunDirected(rg, plant.Options{Workers: opt.Workers, RecordPerTree: opt.RecordPerTree})
+		dx, m := plant.RunDirected(rg, plant.Options{
+			Workers: opt.Workers, CommonHubs: opt.CommonHubs, RecordPerTree: opt.RecordPerTree,
+		})
 		ix.directed = dx
 		ix.metrics = m
 	default:

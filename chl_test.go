@@ -336,26 +336,34 @@ func TestRankAccessors(t *testing.T) {
 	}
 }
 
-// TestBuilderContentHashPinned pins the frozen content of every undirected
+// TestBuilderContentHashPinned pins the frozen content of every canonical
 // builder on the bench's tiny-profile fixtures (the instances, not the
-// renumbered copies a run serves). The CHL is unique, so every builder
-// freezes to one hash per fixture, and a change to the builders' inner
-// loops — the heap, the pruning query, the schedule — may move speed and
-// exploration counts but never these hashes.
+// renumbered copies a run serves), and of both directed builders on a
+// directed one. The CHL is unique, so every builder freezes to one hash per
+// fixture, and a change to the builders' inner loops — the heap, the pruning
+// query, the schedule — may move speed and exploration counts but never
+// these hashes.
 func TestBuilderContentHashPinned(t *testing.T) {
 	road := chl.GenerateRoadGrid(32, 32, 1)
 	sf := chl.GenerateScaleFree(1024, 3, 1)
+	directed := chl.GenerateRandomDirected(512, 3072, 9, 1)
+	undirected := []chl.Algorithm{chl.AlgoSeqPLL, chl.AlgoGLL, "gll+plant-first", chl.AlgoLCC, chl.AlgoPLaNT, chl.AlgoDGLL, chl.AlgoDPLaNT, chl.AlgoHybrid}
 	for _, fx := range []struct {
-		name string
-		g    *chl.Graph
-		ord  *chl.Order
-		want uint64
+		name  string
+		g     *chl.Graph
+		ord   *chl.Order
+		algos []chl.Algorithm
+		want  uint64
 	}{
-		{"road", road, chl.RankByBetweenness(road, 32, 1), 0x000e0923a5c50af9},
-		{"scale-free", sf, chl.RankByDegree(sf), 0x000c930ec91d0238},
+		{"road", road, chl.RankByBetweenness(road, 32, 1), undirected, 0x000e0923a5c50af9},
+		{"scale-free", sf, chl.RankByDegree(sf), undirected, 0x000c930ec91d0238},
+		{"directed", directed, chl.RankByDegree(directed), []chl.Algorithm{chl.AlgoSeqPLL, chl.AlgoPLaNT}, 0x000eef50eb99604d},
 	} {
-		for _, algo := range []chl.Algorithm{chl.AlgoSeqPLL, chl.AlgoGLL, chl.AlgoLCC, chl.AlgoPLaNT, chl.AlgoDGLL, chl.AlgoHybrid} {
+		for _, algo := range fx.algos {
 			opt := chl.Options{Algorithm: algo, Order: fx.ord, Workers: 2}
+			if algo == "gll+plant-first" {
+				opt.Algorithm, opt.PlantFirstSuperstep = chl.AlgoGLL, true
+			}
 			if algo.Distributed() {
 				opt.Nodes, opt.WorkersPerNode = 2, 1
 			}

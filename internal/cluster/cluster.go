@@ -1,10 +1,11 @@
 // Package cluster simulates a distributed-memory compute cluster on a
-// single machine. The paper's distributed algorithms (DparaPLL, DGLL,
-// PLaNT, Hybrid) and query modes (QFDL, QDOL) run on q MPI processes; here
-// every "node" is a goroutine with strictly private state, and all data
-// movement goes through the collectives of this package, which hand
-// payloads over read-only and meter every byte, message and synchronization
-// (a collective is one synchronization, as an MPI program would pay it).
+// single machine. The paper's distributed construction algorithms
+// (DparaPLL, DGLL, PLaNT, Hybrid, in internal/dist) run on q MPI processes;
+// here every "node" is a goroutine with strictly private state, and all data
+// movement goes through AllGather, which hands payloads over read-only and
+// meters every byte, message and synchronization (a collective is one
+// synchronization, as an MPI program would pay it). The query modes QFDL
+// and QDOL are costed by internal/query's model and do not run here.
 //
 // That accounting is the point: the communication volume, synchronization
 // count and per-node memory those algorithms generate are machine
@@ -12,9 +13,9 @@
 // traffic vs. DGLL's broadcast storms, DparaPLL's label replication OOMs)
 // reproduce faithfully even though the "cluster" is one box.
 //
-// The collectives follow bulk-synchronous MPI semantics: every node must
-// call the same collective in the same order, or the run deadlocks —
-// exactly like MPI. Send/Recv provide point-to-point messaging for QDOL.
+// AllGather and Barrier follow bulk-synchronous MPI semantics: every node
+// must call the same collective in the same order, or the run deadlocks —
+// exactly like MPI.
 package cluster
 
 import (
@@ -27,7 +28,7 @@ import (
 type Stats struct {
 	Nodes         int
 	BytesSent     int64 // payload bytes leaving any node
-	MessagesSent  int64 // point-to-point message count (collectives count q-1 per contributor)
+	MessagesSent  int64 // messages: a gather counts q-1 per contributor
 	Barriers      int64 // synchronizations: one per Barrier call or collective
 	BytesPerNode  []int64
 	PeakNodeBytes int64 // max over nodes of BytesPerNode
@@ -41,14 +42,6 @@ type Cluster struct {
 	bytes    []int64
 	messages []int64
 	barriers int64
-	p2p      []chan message
-}
-
-type message struct {
-	from    int
-	tag     int
-	payload any
-	bytes   int64
 }
 
 // New creates a simulated cluster of q nodes.
@@ -56,18 +49,13 @@ func New(q int) *Cluster {
 	if q < 1 {
 		panic("cluster: need at least one node")
 	}
-	c := &Cluster{
+	return &Cluster{
 		q:        q,
 		barrier:  newBarrier(q),
 		slots:    make([]any, q),
 		bytes:    make([]int64, q),
 		messages: make([]int64, q),
-		p2p:      make([]chan message, q),
 	}
-	for i := range c.p2p {
-		c.p2p[i] = make(chan message, 4*q+16)
-	}
-	return c
 }
 
 // Size returns q.
@@ -150,11 +138,6 @@ func (n *Node) Barrier() {
 	n.c.barrier.await()
 }
 
-func (n *Node) charge(bytes int64, msgs int64) {
-	atomic.AddInt64(&n.c.bytes[n.rank], bytes)
-	atomic.AddInt64(&n.c.messages[n.rank], msgs)
-}
-
 // AllGather contributes one payload per node and returns every node's
 // payload indexed by rank. bytes is the wire size of this node's
 // contribution; each contributor is charged bytes×(q−1) (it must reach
@@ -164,7 +147,8 @@ func (n *Node) AllGather(payload any, bytes int64) []any {
 	c := n.c
 	c.slots[n.rank] = payload
 	if c.q > 1 {
-		n.charge(bytes*int64(c.q-1), int64(c.q-1))
+		atomic.AddInt64(&c.bytes[n.rank], bytes*int64(c.q-1))
+		atomic.AddInt64(&c.messages[n.rank], int64(c.q-1))
 	}
 	n.Barrier()
 	out := make([]any, c.q)
@@ -174,88 +158,6 @@ func (n *Node) AllGather(payload any, bytes int64) []any {
 	// this wait is not counted.
 	c.barrier.await()
 	return out
-}
-
-// Broadcast sends root's payload to every node. bytes is charged to the
-// root only.
-func (n *Node) Broadcast(root int, payload any, bytes int64) any {
-	c := n.c
-	if n.rank == root {
-		c.slots[root] = payload
-		if c.q > 1 {
-			n.charge(bytes*int64(c.q-1), int64(c.q-1))
-		}
-	}
-	n.Barrier()
-	out := c.slots[root]
-	c.barrier.await() // slot reuse, as in AllGather: not counted
-	return out
-}
-
-// AllReduceInt64 combines one int64 per node with op and returns the result
-// on every node. The payload is 8 bytes per node.
-func (n *Node) AllReduceInt64(x int64, op func(a, b int64) int64) int64 {
-	vals := n.AllGather(x, 8)
-	acc := vals[0].(int64)
-	for _, v := range vals[1:] {
-		acc = op(acc, v.(int64))
-	}
-	return acc
-}
-
-// AllReduceFloat64 combines one float64 per node.
-func (n *Node) AllReduceFloat64(x float64, op func(a, b float64) float64) float64 {
-	vals := n.AllGather(x, 8)
-	acc := vals[0].(float64)
-	for _, v := range vals[1:] {
-		acc = op(acc, v.(float64))
-	}
-	return acc
-}
-
-// AllReduceBits ORs bitvectors of equal length across nodes — the
-// redundancy-combining collective of DGLL's cleaning step (§5.1). Every
-// node receives the combined vector.
-func (n *Node) AllReduceBits(bits []uint64) []uint64 {
-	vals := n.AllGather(bits, int64(len(bits)*8))
-	out := make([]uint64, len(bits))
-	copy(out, vals[0].([]uint64))
-	for _, v := range vals[1:] {
-		other := v.([]uint64)
-		if len(other) != len(out) {
-			panic("cluster: AllReduceBits length mismatch across nodes")
-		}
-		for i := range out {
-			out[i] |= other[i]
-		}
-	}
-	return out
-}
-
-// Send delivers a payload to node dst with a tag; it never blocks the
-// sender beyond channel capacity (messages are buffered like MPI eager
-// sends).
-func (n *Node) Send(dst, tag int, payload any, bytes int64) {
-	if dst == n.rank {
-		// Local delivery is free.
-		n.c.p2p[dst] <- message{from: n.rank, tag: tag, payload: payload}
-		return
-	}
-	n.charge(bytes, 1)
-	n.c.p2p[dst] <- message{from: n.rank, tag: tag, payload: payload, bytes: bytes}
-}
-
-// Recv blocks until a message with the given tag arrives and returns its
-// sender and payload. Messages with other tags are requeued, preserving
-// correctness (not order) for concurrent tag use.
-func (n *Node) Recv(tag int) (from int, payload any) {
-	for {
-		msg := <-n.c.p2p[n.rank]
-		if msg.tag == tag {
-			return msg.from, msg.payload
-		}
-		n.c.p2p[n.rank] <- msg
-	}
 }
 
 // barrier is a reusable sense-reversing barrier with an abort path so a

@@ -745,7 +745,7 @@ func (o *Overlay) Row(u int) []float64 { return sssp.Dijkstra(o.patched, u) }
 // graph (nil when unreachable) and its length — the /paths workload
 // under an overlay, where witness-hub expansion is unavailable.
 func (o *Overlay) ShortestPath(u, v int) ([]int, float64) {
-	dist, pred := dijkstraPred(o.patched, u)
+	dist, pred := sssp.ShortestPathTree(o.patched, u)
 	if dist[v] >= graph.Infinity {
 		return nil, graph.Infinity
 	}
@@ -760,71 +760,4 @@ func (o *Overlay) ShortestPath(u, v int) ([]int, float64) {
 		path[i], path[j] = path[j], path[i]
 	}
 	return path, dist[v]
-}
-
-// dijkstraPred is Dijkstra with predecessor tracking, on a lazy-deletion
-// binary heap like the sssp package's kernels.
-func dijkstraPred(g *graph.Graph, source int) (dist []float64, pred []int) {
-	n := g.NumVertices()
-	dist = make([]float64, n)
-	pred = make([]int, n)
-	for i := range dist {
-		dist[i] = graph.Infinity
-		pred[i] = -1
-	}
-	dist[source] = 0
-	type qitem struct {
-		d float64
-		v int
-	}
-	h := []qitem{{0, source}}
-	push := func(it qitem) {
-		h = append(h, it)
-		for i := len(h) - 1; i > 0; {
-			p := (i - 1) / 2
-			if h[p].d <= h[i].d {
-				break
-			}
-			h[p], h[i] = h[i], h[p]
-			i = p
-		}
-	}
-	pop := func() qitem {
-		top := h[0]
-		last := len(h) - 1
-		h[0] = h[last]
-		h = h[:last]
-		for i := 0; ; {
-			l, r := 2*i+1, 2*i+2
-			small := i
-			if l < last && h[l].d < h[small].d {
-				small = l
-			}
-			if r < last && h[r].d < h[small].d {
-				small = r
-			}
-			if small == i {
-				break
-			}
-			h[small], h[i] = h[i], h[small]
-			i = small
-		}
-		return top
-	}
-	for len(h) > 0 {
-		it := pop()
-		if it.d > dist[it.v] {
-			continue
-		}
-		heads, wts := g.Neighbors(it.v)
-		for i, hd := range heads {
-			nd := it.d + wts[i]
-			if nd < dist[hd] {
-				dist[hd] = nd
-				pred[hd] = it.v
-				push(qitem{nd, int(hd)})
-			}
-		}
-	}
-	return dist, pred
 }

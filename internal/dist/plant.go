@@ -16,14 +16,13 @@ import (
 const noRoot = math.MaxInt
 
 // share is one node's contribution to a batch's collective: the trees it
-// has grown since its labels were last gathered — tree i, rooted at
-// hubs[i], emitted outs[spans[i].W][spans[i].Lo:spans[i].Hi] — and its vote.
-// A share handed to a collective is never written again: the receivers read
-// it while the sender plants its next batch.
+// has grown since its labels were last gathered — tree i of the batch is
+// rooted at hubs[i] — and its vote. A share handed to a collective is never
+// written again: the receivers read it while the sender plants its next
+// batch.
 type share struct {
-	hubs   []int
-	spans  []plant.Span
-	outs   [][]plant.Emitted
+	hubs []int
+	plant.Batch
 	labels int64
 	bad    int // lowest root among the node's trees of this batch with Ψ over the threshold, or noRoot
 }
@@ -37,7 +36,7 @@ type planter struct {
 	c          *perNodeCounters
 	scr        []*plant.Scratch
 	global     []label.Set  // the replica
-	table      *label.Index // the same storage, as plant.Tree and plant.Commit take it
+	table      *label.Index // the same storage, as plant.Batch.Plant and plant.Commit take it
 	bound      int
 	replicated int     // every tree below it has been gathered into the replica
 	psi        float64 // a tree whose Ψ exceeds it votes for Hybrid's switch
@@ -49,7 +48,7 @@ func (r *run) newPlanter(nd *cluster.Node, c *perNodeCounters) *planter {
 	return &planter{
 		r: r, nd: nd, c: c, scr: plant.NewScratches(r.o.WorkersPerNode, r.n),
 		global: global, table: label.FromSets(global), psi: math.Inf(1),
-		pend: share{outs: make([][]plant.Emitted, r.o.WorkersPerNode), bad: noRoot},
+		pend: share{Batch: plant.Batch{Outs: make([][]plant.Emitted, r.o.WorkersPerNode)}, bad: noRoot},
 	}
 }
 
@@ -59,16 +58,10 @@ func (p *planter) plant(lo, hi int) int64 {
 	mine := myRoots(p.nd, lo, hi, p.r.rootOwner)
 	base := len(p.pend.hubs)
 	p.pend.hubs = append(p.pend.hubs, mine...)
-	p.pend.spans = append(p.pend.spans, make([]plant.Span, len(mine))...)
+	p.pend.Spans = append(p.pend.Spans, make([]plant.Span, len(mine))...)
 	stats := make([]ptree.Stats, len(mine))
 	ptree.ParallelFor(len(p.scr), len(mine), func(w, i int) {
-		out := p.pend.outs[w]
-		from := len(out)
-		stats[i] = plant.Tree(p.r.g, mine[i], p.scr[w], p.table, uint32(p.bound), func(v int, d float64) {
-			out = append(out, plant.Emitted{V: uint32(v), Dist: d})
-		})
-		p.pend.outs[w] = out
-		p.pend.spans[base+i] = plant.Span{W: int32(w), Lo: from, Hi: len(out)}
+		stats[i] = p.pend.Plant(p.r.g, p.table, p.table, p.bound, p.scr[w], w, base+i, mine[i])
 	})
 	var labels int64
 	m := p.r.m
@@ -95,9 +88,9 @@ func (p *planter) plant(lo, hi int) int64 {
 func (p *planter) sync(to int, replicate bool) (labels int64, bad int) {
 	mine := share{bad: p.pend.bad}
 	if replicate {
-		mine, p.pend = p.pend, share{outs: make([][]plant.Emitted, len(p.scr))}
-		for w, out := range mine.outs {
-			p.pend.outs[w] = make([]plant.Emitted, 0, len(out)) // the next batch emits about as much
+		mine, p.pend = p.pend, share{Batch: plant.Batch{Outs: make([][]plant.Emitted, len(p.scr))}}
+		for w, out := range mine.Outs {
+			p.pend.Outs[w] = make([]plant.Emitted, 0, len(out)) // the next batch emits about as much
 		}
 	}
 	p.pend.bad = noRoot
@@ -122,9 +115,9 @@ func commitShares(table *label.Index, workers, from, to int, shares []share) (la
 	var outs [][]plant.Emitted
 	for _, sh := range shares {
 		base := int32(len(outs))
-		outs = append(outs, sh.outs...)
+		outs = append(outs, sh.Outs...)
 		for i, h := range sh.hubs {
-			sp := sh.spans[i]
+			sp := sh.Spans[i]
 			sp.W += base
 			spans[h-from] = sp
 		}

@@ -210,13 +210,3 @@ func (st *State) sortAll(sets []label.Set) {
 		}
 	})
 }
-
-// commit appends sorted per-vertex sets of this superstep's hubs to the
-// global table.
-func (st *State) commit(sets []label.Set) {
-	ptree.ParallelRange(st.opts.Workers, len(sets), func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			st.global[v] = append(st.global[v], sets[v]...)
-		}
-	})
-}

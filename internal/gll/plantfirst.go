@@ -26,23 +26,21 @@ func RunPlantFirst(g *graph.Graph, opts Options) (*label.Index, *metrics.Build) 
 
 // plantFirstSuperstep PLaNTs roots in rank order until the superstep's
 // label budget is reached, then commits the (canonical, clean) labels
-// directly to the global table.
+// directly to the global table. The roots planted are 0, 1, … in order, so
+// tree h is root h and one plant.Commit appends them all.
 func (st *State) plantFirstSuperstep(m *metrics.Build) {
 	st.steps++
 	n := st.g.NumVertices()
 	t0 := time.Now()
 	scr := plant.NewScratches(st.opts.Workers, n)
-	planted := label.NewConcurrentStore(n)
+	b := plant.Batch{Spans: make([]plant.Span, n), Outs: make([][]plant.Emitted, st.opts.Workers)}
 	m.Fold(st.roots(func(w, h int) ptree.Stats {
-		return plant.Tree(st.g, h, scr[w], nil, 0, func(v int, d float64) {
-			planted.Append(v, label.L{Hub: uint32(h), Dist: d})
-		})
+		return b.Plant(st.g, nil, nil, 0, scr[w], w, h, h)
 	}))
 
 	// Commit without cleaning: PLaNT output is canonical.
-	sets := planted.Drain()
-	st.sortAll(sets)
-	st.commit(sets)
+	planted := min(int(st.next.Load()), n)
+	plant.Commit(label.FromSets(st.global), st.opts.Workers, 0, b.Spans[:planted], b.Outs)
 	m.ConstructTime += time.Since(t0)
 	m.Synchronizations++
 }

@@ -51,7 +51,7 @@ func Run(g *graph.Graph, opts Options) (*label.Index, *metrics.Build) {
 		store.EnableProfiling()
 	}
 	start := time.Now()
-	m.Fold(ptree.LiveForest(g, store, 0, opts.Workers, true))
+	m.Fold(ptree.LiveForest(g, store, opts.Workers, true))
 	m.LockAcquisitions = store.LockCount()
 	ix := store.Seal() // sort labels by hub rank (Algorithm 2 lines 6–7)
 	m.ConstructTime = time.Since(start)
@@ -68,9 +68,9 @@ func Run(g *graph.Graph, opts Options) (*label.Index, *metrics.Build) {
 // Clean is LCC-II: every label of ix is put to the cleaning query DQ_Clean in
 // parallel (read-only, so no locking is needed on the sorted sets) and the
 // redundant ones are dropped. It returns the number of labels removed and,
-// when m is non-nil, counts the pass into it. Exported because tests use it
-// to clean externally constructed labelings (e.g. the output of Dong et
-// al.'s inter-tree algorithm, which the paper notes is cleanable).
+// when m is non-nil, counts the pass into it. It cleans any labeling that
+// respects R — a LiveForest with rank queries, or one built by hand in a
+// test — into the CHL.
 func Clean(ix *label.Index, workers int, m *metrics.Build) int64 {
 	sets := make([]label.Set, ix.NumVertices())
 	for v := range sets {

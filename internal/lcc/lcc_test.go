@@ -90,7 +90,7 @@ func TestConstructRespectsR(t *testing.T) {
 	// satisfy the cover property.
 	g := graph.ErdosRenyi(45, 100, 5, 9)
 	store := label.NewConcurrentStore(g.NumVertices())
-	st := ptree.LiveForest(g, store, 0, 4, true) // LCC-I
+	st := ptree.LiveForest(g, store, 4, true) // LCC-I
 	ix := store.Seal()
 	if err := verify.Cover(g, ix, 0); err != nil {
 		t.Fatal(err)

@@ -27,6 +27,7 @@
 //     (BatchBounds) — in shared memory every finished tree's labels are
 //     already in RAM, and internal/dist runs the same schedule on a cluster
 //     by gathering each batch's labels into every node's replica.
+//     RunDirected keeps a forward and a backward table on that schedule.
 //
 // # Why pruned PLaNT still emits exactly the CHL
 //
@@ -66,12 +67,18 @@
 //     vertex were never explored, so the ancestors of what lies behind it
 //     do not know about w.
 //   - What the table does not know is harmless. T is only ever used to
-//     cut; emission is decided by ancestors alone. A hub in [b, h) — in
-//     Run and internal/dist, a tree of the same batch, finished or not, on
-//     this node or another — is simply not consulted: vertices it covers are explored as unpruned PLaNT would
-//     and rejected by the ancestor rule. Less knowledge costs exploration,
-//     never correctness, which is also why a tree's work depends on the
-//     batch schedule alone and not on how workers interleave.
+//     cut; emission is decided by ancestors alone. A hub in [b, h) — a
+//     tree of the same batch, finished or not, on this node or another —
+//     is simply not consulted: vertices it covers are explored as unpruned
+//     PLaNT would and rejected by the ancestor rule. Less knowledge costs
+//     exploration, never correctness, which is also why a tree's work
+//     depends on the batch schedule alone and not on how workers
+//     interleave.
+//
+// On a directed graph every point holds per orientation. A tree over G reads
+// d(w,h) above as d(h→w) from Lout(h) and d(w,v) as d(w→v) from Lin(v); the
+// maximum-rank vertex of all shortest h→v paths is a hub of both sets. A
+// tree over Gᵀ is the mirror.
 //
 // The package operates in rank space (vertex 0 = highest rank); with
 // positive edge weights every shortest-path predecessor settles before its
@@ -117,16 +124,20 @@ func NewScratches(workers, n int) []*Scratch {
 type Sink func(v int, dist float64)
 
 // Tree runs Algorithm 3 (PLaNTDijkstra) from root h over g, emitting labels
-// into sink. If common is non-nil it is the Common Label Table — the
-// complete label sets of hubs ranked above commonBound (= η, or the number
-// of hubs whose trees have completed) — and is used to prune the traversal
-// per §5.3; it is only read.
+// into sink. The tree is pruned per §5.3 against a Common Label Table that
+// holds the complete label sets of every hub ranked above commonBound (= η,
+// or the first root of the tree's batch): the root's own labels are read
+// from root and hashed, a popped vertex's are read from probe and queried.
+// On an undirected graph the two are one table. A tree over a directed G
+// hashes Lout(h) and probes Lin(v); a tree over Gᵀ does the mirror. The
+// tables are only read, and only below the bound; with commonBound 0 they
+// are not read at all and may be nil.
 //
 // Differences from the paper's pseudo-code, both deliberate: edge
 // relaxation happens even when the popped vertex produces no label (Figure
 // 1c shows this; otherwise ancestors would not propagate past high-ranked
 // vertices), and settled vertices are never re-relaxed.
-func Tree(g *graph.Graph, h int, s *Scratch, common *label.Index, commonBound uint32, sink Sink) ptree.Stats {
+func Tree(g *graph.Graph, h int, s *Scratch, root, probe *label.Index, commonBound uint32, sink Sink) ptree.Stats {
 	var st ptree.Stats
 	for _, v := range s.Dirty {
 		s.settled[v] = false
@@ -141,9 +152,9 @@ func Tree(g *graph.Graph, h int, s *Scratch, common *label.Index, commonBound ui
 	if uint32(h) < bound {
 		bound = uint32(h)
 	}
-	prune := common != nil && bound > 0
+	prune := bound > 0
 	if prune {
-		s.HD.Load(common.Labels(h))
+		s.HD.Load(root.Labels(h))
 	}
 
 	for !s.Heap.Empty() {
@@ -174,7 +185,7 @@ func Tree(g *graph.Graph, h int, s *Scratch, common *label.Index, commonBound ui
 			}
 			if v != h {
 				st.Queries++
-				if s.HD.QueryAgainstBounded(common.Labels(v), dv, bound) {
+				if s.HD.QueryAgainstBounded(probe.Labels(v), dv, bound) {
 					st.DistPruned++
 					continue
 				}
@@ -253,7 +264,8 @@ type Options struct {
 	// earlier ones — a table at most a ninth behind the tree's rank. η > 0
 	// freezes the table after the first η trees, as the paper does ("η =
 	// 16 for all experiments"). Negative disables pruning (Algorithm 3
-	// verbatim). The output is the CHL in every case.
+	// verbatim). RunDirected keeps one table per direction on the same
+	// schedule. The output is the CHL in every case.
 	CommonHubs int
 }
 
@@ -298,10 +310,43 @@ type Emitted struct {
 	Dist float64
 }
 
-// Span locates one tree's labels: outs[W][Lo:Hi].
+// Span locates one tree's labels: Outs[W][Lo:Hi].
 type Span struct {
 	W      int32
 	Lo, Hi int
+}
+
+// Batch holds the trees grown since the last commit, for Commit to append
+// in hub order. It is the one way a PLaNTed label reaches a table: Run,
+// RunDirected, internal/dist's nodes and GLL's PLaNTed first superstep all
+// plant here. Workers plant concurrently, each appending its trees' labels
+// to its own buffer, one tree after the other.
+type Batch struct {
+	Spans []Span      // tree i's labels are Outs[Spans[i].W][Spans[i].Lo:Spans[i].Hi]
+	Outs  [][]Emitted // one buffer per worker
+}
+
+// Plant runs Tree from root h over g on worker w's scratch s, pruned against
+// root and probe below bound, and files the labels as tree i. Concurrent
+// calls need distinct workers and distinct trees.
+func (b *Batch) Plant(g *graph.Graph, root, probe *label.Index, bound int, s *Scratch, w, i, h int) ptree.Stats {
+	// A local, written back once per tree: the workers' slots share cache
+	// lines, and out's header changes with every label.
+	out := b.Outs[w]
+	from := len(out)
+	st := Tree(g, h, s, root, probe, uint32(bound), func(v int, d float64) { out = append(out, Emitted{uint32(v), d}) })
+	b.Outs[w] = out
+	b.Spans[i] = Span{int32(w), from, len(out)}
+	return st
+}
+
+// side is one orientation of a shared-memory run: its trees run over g,
+// hash the root's labels in root, and probe — and at every commit
+// extend — into.
+type side struct {
+	g          *graph.Graph
+	root, into *label.Index
+	Batch
 }
 
 // Run executes shared-memory PLaNT. Roots are taken in rank order, batch by
@@ -312,42 +357,65 @@ type Span struct {
 // else ever writes the table, so it needs no lock, and after the last batch
 // it is the index. The output is the CHL — PLaNT needs no cleaning.
 func Run(g *graph.Graph, opts Options) (*label.Index, *metrics.Build) {
-	opts = opts.normalize()
+	table := label.NewIndex(g.NumVertices())
+	return table, run("PLaNT", opts, &side{g: g, root: table, into: table})
+}
+
+// RunDirected executes PLaNT on a directed graph, producing the directed
+// CHL as forward/backward label sets (footnote 1 of the paper). Every root
+// of a batch plants two trees: one over G whose labels (h, d(h→v)) go to
+// the backward sets Lin(v), and one over Gᵀ whose labels (h, d(u→h)) go to
+// the forward sets Lout(u). Both are committed at the batch's one barrier,
+// so below the bound each table is complete, and the package doc's argument
+// holds per orientation: the maximum-rank vertex of all shortest h→v paths
+// is a hub of both Lout(h) and Lin(v).
+func RunDirected(g *graph.Graph, opts Options) (*label.DirectedIndex, *metrics.Build) {
 	n := g.NumVertices()
-	m := &metrics.Build{Algorithm: "PLaNT", Workers: opts.Workers, Trees: int64(n)}
+	lout, lin := label.NewIndex(n), label.NewIndex(n)
+	m := run("PLaNT-directed", opts, &side{g: g, root: lout, into: lin}, &side{g: g.Transpose(), root: lin, into: lout})
+	return &label.DirectedIndex{Forward: lout, Backward: lin}, m
+}
+
+// run plants every root once per side, batch by batch, and commits each
+// batch into every side's table at one barrier.
+func run(algorithm string, opts Options, sides ...*side) *metrics.Build {
+	opts = opts.normalize()
+	n := sides[0].g.NumVertices()
+	m := &metrics.Build{Algorithm: algorithm, Workers: opts.Workers, Trees: int64(len(sides) * n)}
 	if opts.RecordPerTree {
 		m.LabelsPerTree = make([]int64, n)
 		m.ExploredPerTree = make([]int64, n)
 	}
 	start := time.Now()
-	table := label.NewIndex(n)
 	scr := NewScratches(opts.Workers, n)
-	outs := make([][]Emitted, opts.Workers) // labels of the batch in flight: worker w's trees, one after the other
 	stats := make([]ptree.Stats, opts.Workers)
 	bounds := BatchBounds(n, opts.CommonHubs)
-	var spans []Span // of the batch in flight, one per tree
+	for _, sd := range sides {
+		sd.Outs = make([][]Emitted, opts.Workers)
+	}
 
 	for k := 0; k+1 < len(bounds); k++ {
 		lo, hi := bounds[k], bounds[k+1]
-		spans = slices.Grow(spans[:0], hi-lo)[:hi-lo]
-		for w := range outs {
-			outs[w] = outs[w][:0]
+		for _, sd := range sides {
+			sd.Spans = slices.Grow(sd.Spans[:0], hi-lo)[:hi-lo]
+			for w := range sd.Outs {
+				sd.Outs[w] = sd.Outs[w][:0]
+			}
 		}
 		ptree.ParallelFor(opts.Workers, hi-lo, func(w, i int) {
-			// A local, written back once per tree: the workers' slots share
-			// cache lines, and out's header changes with every label.
-			out := outs[w]
-			from := len(out)
-			st := Tree(g, lo+i, scr[w], table, uint32(lo), func(v int, d float64) { out = append(out, Emitted{uint32(v), d}) })
-			outs[w] = out
-			spans[i] = Span{int32(w), from, len(out)}
+			var st ptree.Stats
+			for _, sd := range sides {
+				st.Add(sd.Plant(sd.g, sd.root, sd.into, lo, scr[w], w, i, lo+i))
+			}
 			stats[w].Add(st)
 			if opts.RecordPerTree {
 				m.LabelsPerTree[lo+i] = st.Labels
 				m.ExploredPerTree[lo+i] = st.Explored
 			}
 		})
-		Commit(table, opts.Workers, lo, spans, outs)
+		for _, sd := range sides {
+			Commit(sd.into, opts.Workers, lo, sd.Spans, sd.Outs)
+		}
 	}
 
 	m.TotalTime = time.Since(start)
@@ -355,7 +423,7 @@ func Run(g *graph.Graph, opts Options) (*label.Index, *metrics.Build) {
 	m.Fold(ptree.Sum(stats))
 	m.Labels = m.LabelsGenerated
 	m.Synchronizations = int64(len(bounds) - 1)
-	return table, m
+	return m
 }
 
 // Commit appends the finished trees of roots lo, lo+1, … to the table:

@@ -21,7 +21,7 @@ func TestFigure1cGolden(t *testing.T) {
 	g := graph.Figure1()
 	s := NewScratch(5)
 	var got []label.L
-	st := Tree(g, 1, s, nil, 0, func(v int, d float64) {
+	st := Tree(g, 1, s, nil, nil, 0, func(v int, d float64) {
 		got = append(got, label.L{Hub: uint32(v), Dist: d}) // Hub field reused as "vertex"
 	})
 	if len(got) != 2 || got[0] != (label.L{Hub: 1, Dist: 0}) || got[1] != (label.L{Hub: 2, Dist: 10}) {
@@ -59,7 +59,7 @@ func TestTreeEqualsMaxRankSemantics(t *testing.T) {
 		s := NewScratch(n)
 		for h := 0; h < n; h += 3 {
 			labeled := map[int]float64{}
-			Tree(g, h, s, nil, 0, func(v int, d float64) { labeled[v] = d })
+			Tree(g, h, s, nil, nil, 0, func(v int, d float64) { labeled[v] = d })
 			best, dist := sssp.MaxRankOnPath(g, h)
 			for v := 0; v < n; v++ {
 				_, got := labeled[v]
@@ -81,7 +81,7 @@ func TestEarlyTermination(t *testing.T) {
 	// no labels can follow.
 	g := graph.Path(100, 1)
 	s := NewScratch(100)
-	st := Tree(g, 99, s, nil, 0, func(int, float64) {})
+	st := Tree(g, 99, s, nil, nil, 0, func(int, float64) {})
 	if st.Labels != 1 {
 		t.Fatalf("tail tree labels = %d, want 1 (self)", st.Labels)
 	}
@@ -90,7 +90,7 @@ func TestEarlyTermination(t *testing.T) {
 		t.Fatalf("explored %d vertices, early termination failed", st.Explored)
 	}
 	// The top-ranked root must explore (and label) everything.
-	st0 := Tree(g, 0, s, nil, 0, func(int, float64) {})
+	st0 := Tree(g, 0, s, nil, nil, 0, func(int, float64) {})
 	if st0.Labels != 100 || st0.Explored != 100 {
 		t.Fatalf("root tree: labels=%d explored=%d", st0.Labels, st0.Explored)
 	}
@@ -99,7 +99,7 @@ func TestEarlyTermination(t *testing.T) {
 func TestPsiStats(t *testing.T) {
 	g := graph.RoadGrid(6, 6, 1)
 	s := NewScratch(g.NumVertices())
-	st := Tree(g, g.NumVertices()-1, s, nil, 0, func(int, float64) {})
+	st := Tree(g, g.NumVertices()-1, s, nil, nil, 0, func(int, float64) {})
 	if st.Psi() < 1 {
 		t.Fatalf("Ψ = %v < 1", st.Psi())
 	}
@@ -242,7 +242,7 @@ func TestAncestorShortcutEqualsQuery(t *testing.T) {
 
 				// Unpruned, ancestors summarise every shortest path, so the
 				// two tests are the same test.
-				Tree(g, h, s, nil, 0, func(int, float64) {})
+				Tree(g, h, s, nil, nil, 0, func(int, float64) {})
 				for v := 0; v < n; v++ {
 					if s.settled[v] && v != h && shortcut(v) != query(v) {
 						t.Fatalf("seed %d bound %d root %d vertex %d unpruned: shortcut %v, query %v",
@@ -253,7 +253,7 @@ func TestAncestorShortcutEqualsQuery(t *testing.T) {
 				// Pruned, paths behind a cut vertex go unexplored, so the
 				// query cuts more than the shortcut — never less — and the
 				// stats say which of the two cut what.
-				st := Tree(g, h, s, chl, bound, func(int, float64) {})
+				st := Tree(g, h, s, chl, chl, bound, func(int, float64) {})
 				var byAnc, asked, byQuery int64
 				for v := 0; v < n; v++ {
 					switch {
@@ -283,17 +283,50 @@ func TestAncestorShortcutEqualsQuery(t *testing.T) {
 	}
 }
 
+// TestDirectedPlantMatchesDirectedPLL holds RunDirected to the reference in
+// every pruning mode, with a forward and a backward table growing on the
+// batch schedule, and pins that its work does not depend on the workers.
 func TestDirectedPlantMatchesDirectedPLL(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		g := graph.RandomDirected(45, 140, 7, seed)
 		want, _ := pll.SequentialDirected(g, pll.Options{})
-		got, _ := RunDirected(g, Options{Workers: 2})
-		if diff := want.Forward.Diff(got.Forward); diff != "" {
-			t.Fatalf("seed %d forward: %s", seed, diff)
+		for _, hubs := range []int{-1, 0, 5, g.NumVertices() + 10} {
+			explored := int64(-1)
+			for _, workers := range []int{1, 3} {
+				got, m := RunDirected(g, Options{Workers: workers, CommonHubs: hubs})
+				if diff := want.Forward.Diff(got.Forward); diff != "" {
+					t.Fatalf("seed %d CommonHubs %d workers %d forward: %s", seed, hubs, workers, diff)
+				}
+				if diff := want.Backward.Diff(got.Backward); diff != "" {
+					t.Fatalf("seed %d CommonHubs %d workers %d backward: %s", seed, hubs, workers, diff)
+				}
+				if explored >= 0 && m.VerticesExplored != explored {
+					t.Fatalf("seed %d CommonHubs %d: explored %d with %d workers, %d with 1",
+						seed, hubs, m.VerticesExplored, workers, explored)
+				}
+				explored = m.VerticesExplored
+			}
 		}
-		if diff := want.Backward.Diff(got.Backward); diff != "" {
-			t.Fatalf("seed %d backward: %s", seed, diff)
-		}
+	}
+}
+
+// TestDirectedMoreTableLessExploration is TestMoreTableLessExploration for
+// RunDirected: the forward and backward tables prune as the one undirected
+// table does.
+func TestDirectedMoreTableLessExploration(t *testing.T) {
+	g := graph.RandomDirected(300, 1500, 7, 7)
+	_, off := RunDirected(g, Options{Workers: 2, CommonHubs: -1})
+	_, fixed := RunDirected(g, Options{Workers: 2, CommonHubs: 16})
+	_, grow := RunDirected(g, Options{Workers: 2})
+	if !(grow.VerticesExplored < fixed.VerticesExplored && fixed.VerticesExplored < off.VerticesExplored) {
+		t.Fatalf("explored: grow %d, η=16 %d, off %d — want strictly ascending",
+			grow.VerticesExplored, fixed.VerticesExplored, off.VerticesExplored)
+	}
+	if off.DistanceQueries != 0 || grow.DistPrunes == 0 || grow.RankPrunes == 0 {
+		t.Fatalf("pruning counters: off %+v, grow %+v", off, grow)
+	}
+	if grow.Synchronizations != int64(len(BatchBounds(300, 0))-1) || grow.Trees != 600 {
+		t.Fatalf("grow: %d barriers, %d trees", grow.Synchronizations, grow.Trees)
 	}
 }
 
@@ -304,9 +337,9 @@ func TestScratchReuseAcrossTrees(t *testing.T) {
 	shared := NewScratch(30)
 	for h := 0; h < 30; h++ {
 		var a, b []label.L
-		Tree(g, h, shared, nil, 0, func(v int, d float64) { a = append(a, label.L{Hub: uint32(v), Dist: d}) })
+		Tree(g, h, shared, nil, nil, 0, func(v int, d float64) { a = append(a, label.L{Hub: uint32(v), Dist: d}) })
 		fresh := NewScratch(30)
-		Tree(g, h, fresh, nil, 0, func(v int, d float64) { b = append(b, label.L{Hub: uint32(v), Dist: d}) })
+		Tree(g, h, fresh, nil, nil, 0, func(v int, d float64) { b = append(b, label.L{Hub: uint32(v), Dist: d}) })
 		if len(a) != len(b) {
 			t.Fatalf("root %d: %d labels with shared scratch, %d with fresh", h, len(a), len(b))
 		}

@@ -4,8 +4,8 @@
 //   - Tree is Algorithm 1 (pruneDijRQ): one pruned Dijkstra, varied at the
 //     three points the paper varies it at — is the rank query asked, which
 //     table answers the distance query (covered), where does the label go
-//     (emit). paraPLL, Dong et al.'s phase 2, LCC, GLL, DparaPLL and DGLL
-//     differ in those arguments and in when they synchronize, nothing else.
+//     (emit). paraPLL, LCC, GLL, DparaPLL and DGLL differ in those
+//     arguments and in when they synchronize, nothing else.
 //     The two table regimes the paper uses are here as well: LiveForest
 //     (one locked table) and TwoTableTree (lock-free global + locked local).
 //   - Redundant is the cleaning query DQ_Clean of Algorithm 2, and Clean the
@@ -178,19 +178,19 @@ func Tree(g *graph.Graph, h int, s *Scratch, rankQuery bool,
 	return st
 }
 
-// LiveForest builds the trees of roots lo, lo+1, … concurrently against — and
+// LiveForest builds the trees of all roots concurrently against — and
 // into — one store locked per vertex: a root's labels are hashed when its
 // tree starts, the distance query joins them with v's labels of the moment,
 // and the label is appended on the spot. This is the construction regime of
 // paraPLL (rankQuery false: cover property only, redundancy grows with
-// workers), and of LCC-I and Dong et al.'s inter-tree phase (true: the
-// output respects R, so cleaning turns it into the CHL).
-func LiveForest(g *graph.Graph, store *label.ConcurrentStore, lo, workers int, rankQuery bool) Stats {
+// workers), and of LCC-I (true: the output respects R, so cleaning turns
+// it into the CHL).
+func LiveForest(g *graph.Graph, store *label.ConcurrentStore, workers int, rankQuery bool) Stats {
 	n := g.NumVertices()
 	scr := NewScratches(workers, n)
 	stats := make([]Stats, workers)
-	ParallelFor(workers, n-lo, func(w, i int) {
-		h, s := lo+i, scr[w]
+	ParallelFor(workers, n, func(w, h int) {
+		s := scr[w]
 		s.HD.Reset()
 		store.AddTo(&s.HD, h)
 		stats[w].Add(Tree(g, h, s, rankQuery,

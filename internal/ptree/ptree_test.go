@@ -103,7 +103,7 @@ func TestRedundant(t *testing.T) {
 func TestCleanStride(t *testing.T) {
 	g := graph.RoadGrid(9, 9, 4)
 	store := label.NewConcurrentStore(g.NumVertices())
-	ptree.LiveForest(g, store, 0, 4, true)
+	ptree.LiveForest(g, store, 4, true)
 	dirty := store.Seal()
 	sets := make([]label.Set, g.NumVertices())
 	for v := range sets {
@@ -148,7 +148,7 @@ func TestCleanStride(t *testing.T) {
 func TestCleanAppends(t *testing.T) {
 	g := graph.RoadGrid(9, 9, 4)
 	store := label.NewConcurrentStore(g.NumVertices())
-	ptree.LiveForest(g, store, 0, 2, true)
+	ptree.LiveForest(g, store, 2, true)
 	dirty := store.Seal()
 	sets := make([]label.Set, g.NumVertices())
 	for v := range sets {

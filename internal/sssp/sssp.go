@@ -1,9 +1,10 @@
 // Package sssp provides reference single-source shortest path routines:
-// plain Dijkstra (the gold standard every labeling is verified against),
-// a Dijkstra variant that also computes the maximum-rank vertex on any
-// shortest path (the quantity Canonical Hub Labeling is defined by), and a
-// bidirectional point-to-point Dijkstra used as the traversal baseline the
-// paper's introduction compares hub labeling to.
+// plain Dijkstra (the gold standard every labeling is verified against,
+// with predecessors where a path is wanted), a Dijkstra variant that also
+// computes the maximum-rank vertex on any shortest path (the quantity
+// Canonical Hub Labeling is defined by), and a bidirectional point-to-point
+// Dijkstra used as the traversal baseline the paper's introduction compares
+// hub labeling to.
 package sssp
 
 import (
@@ -15,19 +16,32 @@ import (
 // outgoing arcs) and returns the distance array; unreachable vertices get
 // graph.Infinity.
 func Dijkstra(g *graph.Graph, source int) []float64 {
-	return dijkstra(g, source, -1)
+	return dijkstra(g, source, -1, nil)
+}
+
+// ShortestPathTree is Dijkstra that also returns, for every vertex reached
+// from source but source itself, its predecessor on a shortest path (-1
+// elsewhere). Walking pred back from v and summing the arc weights from
+// source onwards reproduces dist[v] exactly.
+func ShortestPathTree(g *graph.Graph, source int) (dist []float64, pred []int) {
+	pred = make([]int, g.NumVertices())
+	for i := range pred {
+		pred[i] = -1
+	}
+	return dijkstra(g, source, -1, pred), pred
 }
 
 // DijkstraTo returns the shortest-path distance from s to t, stopping as
 // soon as t is settled. It pops and relaxes in exactly Dijkstra's order
 // up to that point, so the result is the same float as Dijkstra(g, s)[t].
 func DijkstraTo(g *graph.Graph, s, t int) float64 {
-	return dijkstra(g, s, t)[t]
+	return dijkstra(g, s, t, nil)[t]
 }
 
 // dijkstra runs from source until the heap drains or target (-1: none)
-// is settled; dist[target] is final by then, the rest of dist is not.
-func dijkstra(g *graph.Graph, source, target int) []float64 {
+// is settled; dist[target] is final by then, the rest of dist is not. A
+// non-nil pred receives each improved vertex's predecessor.
+func dijkstra(g *graph.Graph, source, target int, pred []int) []float64 {
 	n := g.NumVertices()
 	dist := make([]float64, n)
 	for i := range dist {
@@ -45,6 +59,9 @@ func dijkstra(g *graph.Graph, source, target int) []float64 {
 		for i, v := range heads {
 			if nd := du + wts[i]; nd < dist[v] {
 				dist[v] = nd
+				if pred != nil {
+					pred[v] = u
+				}
 				h.Push(int(v), nd)
 			}
 		}

@@ -17,8 +17,7 @@
 // below the floor. Push panics on a NaN, a negative key, or a key below the
 // floor, instead of answering wrongly later. Every Dijkstra here meets it
 // because it pushes d(u) + w(u,v) after popping d(u), and graph rejects any
-// weight that is not positive and finite; Dong's label emission pushes all
-// its keys before the first Pop.
+// weight that is not positive and finite.
 //
 // Decrease-key is lazy: the item's live key is kept per item, a decrease
 // adds a second entry, and the superseded one is dropped when its bucket is
