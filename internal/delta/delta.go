@@ -121,7 +121,7 @@ func ParsePatchLog(b []byte) ([]Op, error) {
 		op.U, op.V = u, v
 		if want == 4 {
 			w, err := strconv.ParseFloat(f[3], 64)
-			if err != nil || !(w > 0) || w > 1e308 {
+			if err != nil || !validWeight(w) {
 				return nil, fmt.Errorf("delta: line %d: bad weight %q (want positive finite)", ln+1, f[3])
 			}
 			op.W = w
@@ -130,6 +130,10 @@ func ParsePatchLog(b []byte) ([]Op, error) {
 	}
 	return ops, nil
 }
+
+// validWeight is the one weight rule of a patch, parsed or handed to Reduce
+// directly: positive and finite, with headroom below graph.Infinity.
+func validWeight(w float64) bool { return w > 0 && w <= 1e308 }
 
 // FormatPatchLog renders ops in the text format ParsePatchLog reads;
 // Format∘Parse is the identity on valid logs modulo comments and
@@ -225,9 +229,8 @@ type Reduction struct {
 	verts    []int       // sorted patch vertex ids (endpoints of R ∪ I)
 	slot     map[int]int // vertex id -> index into verts
 	removals []removal
-	inserts  [][]insArc          // slot -> inserted arcs out of it
-	override map[edgeKey]float64 // final weight of touched keys still present
-	touched  map[edgeKey]bool
+	inserts  [][]insArc       // slot -> inserted arcs out of it
+	edits    []graph.EdgeEdit // final state of every edge in R ∪ I
 	nRem     int
 	nIns     int
 }
@@ -241,9 +244,10 @@ func (r *Reduction) key(u, v int) edgeKey {
 
 // Reduce validates ops in order against base (add requires the edge
 // absent, del/set require it present — each judged against the state
-// left by the preceding ops) and diffs the final state against base
-// into removals and insertions. A reweight is a removal of the old
-// weight plus an insertion of the new one; ops that cancel out vanish.
+// left by the preceding ops — and add/set a positive finite weight) and
+// diffs the final state against base into removals and insertions. A
+// reweight is a removal of the old weight plus an insertion of the new
+// one; ops that cancel out vanish.
 func Reduce(base *graph.Graph, ops []Op) (*Reduction, error) {
 	if base == nil {
 		return nil, fmt.Errorf("delta: nil base graph")
@@ -253,8 +257,6 @@ func Reduce(base *graph.Graph, ops []Op) (*Reduction, error) {
 		base:     base,
 		directed: base.Directed(),
 		slot:     map[int]int{},
-		override: map[edgeKey]float64{},
-		touched:  map[edgeKey]bool{},
 	}
 	// Final edge state per touched key, carried op to op.
 	type state struct {
@@ -276,15 +278,15 @@ func Reduce(base *graph.Graph, ops []Op) (*Reduction, error) {
 		if op.U == op.V {
 			return nil, fmt.Errorf("delta: op %d (%s): self loop", i, op.String())
 		}
+		if (op.Kind == OpAdd || op.Kind == OpSet) && !validWeight(op.W) {
+			return nil, fmt.Errorf("delta: op %d (%s): bad weight %v (want positive finite)", i, op.String(), op.W)
+		}
 		k := r.key(op.U, op.V)
 		st := lookup(k)
 		switch op.Kind {
 		case OpAdd:
 			if st.present {
 				return nil, fmt.Errorf("delta: op %d (%s): edge exists (use set)", i, op.String())
-			}
-			if !(op.W > 0) {
-				return nil, fmt.Errorf("delta: op %d (%s): non-positive weight", i, op.String())
 			}
 			cur[k] = state{w: op.W, present: true}
 		case OpDel:
@@ -295,9 +297,6 @@ func Reduce(base *graph.Graph, ops []Op) (*Reduction, error) {
 		case OpSet:
 			if !st.present {
 				return nil, fmt.Errorf("delta: op %d (%s): edge does not exist (use add)", i, op.String())
-			}
-			if !(op.W > 0) {
-				return nil, fmt.Errorf("delta: op %d (%s): non-positive weight", i, op.String())
 			}
 			cur[k] = state{w: op.W, present: true}
 		default:
@@ -325,18 +324,17 @@ func Reduce(base *graph.Graph, ops []Op) (*Reduction, error) {
 	seen := map[int]bool{}
 	for _, k := range keys {
 		st := cur[k]
-		r.touched[k] = true
-		if st.present {
-			r.override[k] = st.w
-		}
 		bw, bhas := base.HasEdge(k.u, k.v)
-		if bhas && (!st.present || st.w != bw) {
-			rem = append(rem, diffEdge{k.u, k.v, bw})
-			seen[k.u], seen[k.v] = true, true
+		if bhas == st.present && (!bhas || st.w == bw) {
+			continue // the ops on this edge cancelled out
 		}
-		if st.present && (!bhas || st.w != bw) {
+		r.edits = append(r.edits, graph.EdgeEdit{U: k.u, V: k.v, W: st.w, Del: !st.present})
+		seen[k.u], seen[k.v] = true, true
+		if bhas {
+			rem = append(rem, diffEdge{k.u, k.v, bw})
+		}
+		if st.present {
 			ins = append(ins, diffEdge{k.u, k.v, st.w})
-			seen[k.u], seen[k.v] = true, true
 		}
 	}
 	for v := range seen {
@@ -368,26 +366,11 @@ func (r *Reduction) Verts() []int { return r.verts }
 // cancelled out, so queries can stay on the frozen path.
 func (r *Reduction) Empty() bool { return r.nRem == 0 && r.nIns == 0 }
 
-// Materialize builds the patched graph G' = base − R + I.
+// Materialize builds the patched graph G' = base − R + I. Only the rows
+// of the patch vertices are rebuilt (graph.Splice); every other row is
+// copied from base in bulk.
 func (r *Reduction) Materialize() (*graph.Graph, error) {
-	b := graph.NewBuilder(r.base.NumVertices(), r.directed)
-	for u := 0; u < r.base.NumVertices(); u++ {
-		heads, wts := r.base.Neighbors(u)
-		for i, h := range heads {
-			v := int(h)
-			if !r.directed && u > v {
-				continue // each undirected edge once; the builder mirrors it
-			}
-			if r.touched[r.key(u, v)] {
-				continue
-			}
-			b.AddEdge(u, v, wts[i])
-		}
-	}
-	for k, w := range r.override {
-		b.AddEdge(k.u, k.v, w)
-	}
-	return b.Finish()
+	return r.base.Splice(r.edits)
 }
 
 // ApplyPatch applies a patch log to a graph and returns the patched

@@ -2,9 +2,11 @@ package delta
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -89,6 +91,12 @@ func TestReduceValidation(t *testing.T) {
 	} {
 		if _, err := Reduce(g, line(t, bad)); err == nil {
 			t.Errorf("Reduce(%q): want error, got none", bad)
+		}
+	}
+	// Ops built in code skip the parser; Reduce holds them to its rule.
+	for _, op := range []Op{{OpAdd, 0, 2, math.Inf(1)}, {OpSet, 0, 1, math.NaN()}, {OpSet, 1, 2, 0}} {
+		if _, err := Reduce(g, []Op{op}); err == nil || !strings.Contains(err.Error(), "want positive finite") {
+			t.Errorf("Reduce(%+v): error %v, want a positive-finite refusal", op, err)
 		}
 	}
 	// Ops judged against accumulated state, and cancelling ops vanish.
@@ -406,6 +414,25 @@ func TestMaterializeMatchesHandApplied(t *testing.T) {
 	}
 	if w, has := pg.HasEdge(0, 1); !has || w != 1 {
 		t.Fatalf("untouched edge: got (%v,%v)", w, has)
+	}
+}
+
+// patchedSink keeps BenchmarkApplyPatch's result live.
+var patchedSink *graph.Graph
+
+// BenchmarkApplyPatch is one writer batch of the scoreboard's live
+// workload: 4 ops (two deletions, a reweight, an insertion) on the 96×96
+// road grid under a random renumbering.
+func BenchmarkApplyPatch(b *testing.B) {
+	road := graph.RoadGrid(96, 96, 1)
+	g, _ := road.Permute(rand.New(rand.NewSource(1)).Perm(road.NumVertices()))
+	ops := randomOps(g, 1, 2, 1, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if patchedSink, err = ApplyPatch(g, ops); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

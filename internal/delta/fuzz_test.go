@@ -2,6 +2,8 @@ package delta
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -62,6 +64,89 @@ func FuzzParsePatchLog(f *testing.F) {
 		for i := range ops {
 			if again[i] != ops[i] {
 				t.Fatalf("round trip changed op %d: %+v -> %+v", i, ops[i], again[i])
+			}
+		}
+	})
+}
+
+// FuzzMaterialize holds the spliced patched graph to a Builder-built
+// reference over byte-steered small graphs, directed and undirected, and
+// byte-steered valid op logs. Few vertices and four weights make the logs
+// revisit edges: ops that cancel, a del then an add of one edge, a set to
+// the weight the edge has. Equal rows in both directions and an equal arc
+// count are equal CSR arrays.
+func FuzzMaterialize(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 50; i++ {
+		seed := make([]byte, 8+rng.Intn(90))
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n, directed, m := 2+int(data[0]%7), data[0] >= 128, int(data[1]%24)
+		data = data[2:]
+		type key struct{ u, v int }
+		norm := func(u, v int) key {
+			if !directed && u > v {
+				u, v = v, u
+			}
+			return key{u, v}
+		}
+		weight := func(c byte) float64 { return float64(1+c%4) / 2 }
+		b := graph.NewBuilder(n, directed)
+		for ; m > 0 && len(data) >= 3; m, data = m-1, data[3:] {
+			b.AddEdge(int(data[0])%n, int(data[1])%n, weight(data[2]))
+		}
+		base := b.MustFinish()
+		// edges is the edge set, replayed op by op: the reference's input.
+		edges := map[key]float64{}
+		for u := 0; u < n; u++ {
+			heads, wts := base.Neighbors(u)
+			for i, h := range heads {
+				edges[norm(u, int(h))] = wts[i]
+			}
+		}
+		var ops []Op
+		for ; len(data) >= 3; data = data[3:] {
+			u, v, w := int(data[0])%n, int(data[1])%n, weight(data[2])
+			if u == v {
+				continue
+			}
+			k := norm(u, v)
+			switch _, has := edges[k]; {
+			case !has:
+				ops = append(ops, Op{Kind: OpAdd, U: u, V: v, W: w})
+				edges[k] = w
+			case data[2]&4 != 0:
+				ops = append(ops, Op{Kind: OpDel, U: u, V: v})
+				delete(edges, k)
+			default:
+				ops = append(ops, Op{Kind: OpSet, U: u, V: v, W: w})
+				edges[k] = w
+			}
+		}
+		got, err := ApplyPatch(base, ops)
+		if err != nil {
+			t.Fatalf("valid log %v refused: %v", ops, err)
+		}
+		ref := graph.NewBuilder(n, directed)
+		for k, w := range edges {
+			ref.AddEdge(k.u, k.v, w)
+		}
+		want := ref.MustFinish()
+		if got.NumArcs() != want.NumArcs() {
+			t.Fatalf("directed=%v %v: %d arcs, Builder made %d", directed, ops, got.NumArcs(), want.NumArcs())
+		}
+		for u := 0; u < n; u++ {
+			for _, rows := range []func(*graph.Graph, int) ([]uint32, []float64){(*graph.Graph).Neighbors, (*graph.Graph).InNeighbors} {
+				gh, gw := rows(got, u)
+				wh, ww := rows(want, u)
+				if !slices.Equal(gh, wh) || !slices.Equal(gw, ww) {
+					t.Fatalf("directed=%v %v: row %d is %v %v, Builder made %v %v", directed, ops, u, gh, gw, wh, ww)
+				}
 			}
 		}
 	})

@@ -150,21 +150,137 @@ func (g *Graph) Permute(perm []int) (*Graph, []int) {
 		}
 		newID[oldV] = newV
 	}
-	b := NewBuilder(g.n, g.directed)
-	for newU, oldU := range perm {
-		heads, wts := g.Neighbors(oldU)
-		for i, h := range heads {
-			newV := newID[h]
-			if g.directed || newU < newV {
-				b.AddEdge(newU, newV, wts[i])
-			}
-		}
-	}
-	ng, err := b.Finish()
-	if err != nil {
-		panic("graph: Permute: " + err.Error()) // cannot happen: weights already validated
+	ng := &Graph{n: g.n, directed: g.directed}
+	ng.off, ng.adj, ng.wts = permuteCSR(g.off, g.adj, g.wts, perm, newID)
+	if g.directed {
+		ng.roff, ng.radj, ng.rwts = permuteCSR(g.roff, g.radj, g.rwts, perm, newID)
 	}
 	return ng, newID
+}
+
+// permuteCSR lays out new row i as old row perm[i], its heads relabeled and
+// sorted again. A relabeling is a bijection, so the rows stay free of
+// parallel arcs: the arrays are the ones a Builder would make.
+func permuteCSR(off []int64, adj []uint32, wts []float64, perm, newID []int) ([]int64, []uint32, []float64) {
+	noff := make([]int64, len(off))
+	nadj := make([]uint32, len(adj))
+	nwts := make([]float64, len(wts))
+	for newU, oldU := range perm {
+		lo, hi := off[oldU], off[oldU+1]
+		at, end := noff[newU], noff[newU]+hi-lo
+		noff[newU+1] = end
+		for i, h := range adj[lo:hi] {
+			nadj[at+int64(i)] = uint32(newID[h])
+		}
+		copy(nwts[at:end], wts[lo:hi])
+		sortRow(nadj[at:end], nwts[at:end])
+	}
+	return noff, nadj, nwts
+}
+
+// EdgeEdit is the final state of one edge in a Splice: weight W, or no edge
+// at all when Del is set.
+type EdgeEdit struct {
+	U, V int
+	W    float64
+	Del  bool
+}
+
+// Splice returns g with every edited edge set to its final state: the graph
+// a Builder fed g's edges with the edits applied would make, array for
+// array. It copies the rows no edit touches in bulk and rebuilds only the
+// forward rows of the edit tails and, on a directed graph, the reverse rows
+// of the edit heads (on an undirected one, both endpoints' rows). Deleting
+// an absent edge changes nothing, a self loop is ignored as AddEdge ignores
+// it, and of two edits of one edge the later wins ({u,v} and {v,u} are one
+// undirected edge). An endpoint out of range or a weight that is not
+// positive and finite is an error, as in Builder.
+func (g *Graph) Splice(edits []EdgeEdit) (*Graph, error) {
+	var fwd, rev []arcEdit
+	for _, e := range edits {
+		if err := checkEdge(g.n, e.U, e.V, e.W, !e.Del); err != nil {
+			return nil, err
+		}
+		if e.U == e.V {
+			continue
+		}
+		fwd = append(fwd, arcEdit{uint32(e.U), uint32(e.V), e.W, e.Del})
+		mirror := arcEdit{uint32(e.V), uint32(e.U), e.W, e.Del}
+		if g.directed {
+			rev = append(rev, mirror)
+		} else {
+			fwd = append(fwd, mirror)
+		}
+	}
+	ng := &Graph{n: g.n, directed: g.directed}
+	ng.off, ng.adj, ng.wts = spliceCSR(g.off, g.adj, g.wts, fwd)
+	if g.directed {
+		ng.roff, ng.radj, ng.rwts = spliceCSR(g.roff, g.radj, g.rwts, rev)
+	}
+	return ng, nil
+}
+
+// arcEdit is one arc's final state in a CSR splice.
+type arcEdit struct {
+	tail, head uint32
+	w          float64
+	del        bool
+}
+
+// spliceCSR merges each edited row with its edits and copies each run of
+// rows between two edited ones with one copy, shifting its offsets. A row
+// sorted by head without parallel arcs stays so under the merge.
+func spliceCSR(off []int64, adj []uint32, wts []float64, edits []arcEdit) ([]int64, []uint32, []float64) {
+	sort.SliceStable(edits, func(i, j int) bool {
+		if edits[i].tail != edits[j].tail {
+			return edits[i].tail < edits[j].tail
+		}
+		return edits[i].head < edits[j].head
+	})
+	n := len(off) - 1
+	noff := make([]int64, n+1)
+	nadj := make([]uint32, 0, len(adj)+len(edits))
+	nwts := make([]float64, 0, len(adj)+len(edits))
+	// copyRows lays out the untouched rows [from, to).
+	copyRows := func(from, to int) {
+		shift := int64(len(nadj)) - off[from]
+		nadj = append(nadj, adj[off[from]:off[to]]...)
+		nwts = append(nwts, wts[off[from]:off[to]]...)
+		for u := from; u < to; u++ {
+			noff[u+1] = off[u+1] + shift
+		}
+	}
+	next := 0 // rows [0, next) are laid out
+	for len(edits) > 0 {
+		t := int(edits[0].tail)
+		k := 1
+		for k < len(edits) && int(edits[k].tail) == t {
+			k++
+		}
+		row, rest := edits[:k], edits[k:]
+		copyRows(next, t)
+		heads, ws := adj[off[t]:off[t+1]], wts[off[t]:off[t+1]]
+		i := 0
+		for j, e := range row {
+			if j+1 < len(row) && row[j+1].head == e.head {
+				continue // a later edit of this arc wins
+			}
+			for ; i < len(heads) && heads[i] < e.head; i++ {
+				nadj, nwts = append(nadj, heads[i]), append(nwts, ws[i])
+			}
+			if i < len(heads) && heads[i] == e.head {
+				i++ // the edit replaces or deletes this arc
+			}
+			if !e.del {
+				nadj, nwts = append(nadj, e.head), append(nwts, e.w)
+			}
+		}
+		nadj, nwts = append(nadj, heads[i:]...), append(nwts, ws[i:]...)
+		noff[t+1] = int64(len(nadj))
+		next, edits = t+1, rest
+	}
+	copyRows(next, n)
+	return noff, nadj[:len(nadj):len(nadj)], nwts[:len(nwts):len(nwts)]
 }
 
 // Clone returns a deep copy of g. Algorithms never mutate a Graph, but the
@@ -231,12 +347,7 @@ func (b *Builder) AddEdge(u, v int, w float64) {
 	if b.err != nil {
 		return
 	}
-	if u < 0 || u >= b.n || v < 0 || v >= b.n {
-		b.err = fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n)
-		return
-	}
-	if w <= 0 || math.IsInf(w, 0) || math.IsNaN(w) {
-		b.err = fmt.Errorf("graph: edge (%d,%d) has non-positive weight %v", u, v, w)
+	if b.err = checkEdge(b.n, u, v, w, true); b.err != nil {
 		return
 	}
 	if u == v {
@@ -250,6 +361,18 @@ func (b *Builder) AddEdge(u, v int, w float64) {
 		b.heads = append(b.heads, uint32(u))
 		b.wts = append(b.wts, w)
 	}
+}
+
+// checkEdge is the rule every edge of a Graph meets: endpoints in [0,n) and,
+// when weighted, a weight that is positive and finite.
+func checkEdge(n, u, v int, w float64, weighted bool) error {
+	if u < 0 || u >= n || v < 0 || v >= n {
+		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, n)
+	}
+	if weighted && (w <= 0 || math.IsInf(w, 0) || math.IsNaN(w)) {
+		return fmt.Errorf("graph: edge (%d,%d) has non-positive weight %v", u, v, w)
+	}
+	return nil
 }
 
 // NumPending returns the number of arcs recorded so far.
@@ -304,8 +427,7 @@ func buildCSR(n int, tails, heads []uint32, wts []float64) ([]int64, []uint32, [
 	newOff := make([]int64, n+1)
 	for u := 0; u < n; u++ {
 		lo, hi := off[u], off[u+1]
-		row := arcRow{adj[lo:hi], w[lo:hi]}
-		sort.Sort(row)
+		sortRow(adj[lo:hi], w[lo:hi])
 		newOff[u] = out
 		for i := lo; i < hi; i++ {
 			if i > lo && adj[i] == adj[out-1] {
@@ -321,6 +443,21 @@ func buildCSR(n int, tails, heads []uint32, wts []float64) ([]int64, []uint32, [
 	}
 	newOff[n] = out
 	return newOff, adj[:out:out], w[:out:out]
+}
+
+// sortRow sorts one adjacency row by head: by insertion when it is short,
+// as nearly every row is, through sort.Sort when it is long (a hub's).
+func sortRow(adj []uint32, wts []float64) {
+	if len(adj) > 12 {
+		sort.Sort(arcRow{adj, wts})
+		return
+	}
+	for i := 1; i < len(adj); i++ {
+		for j := i; j > 0 && adj[j] < adj[j-1]; j-- {
+			adj[j], adj[j-1] = adj[j-1], adj[j]
+			wts[j], wts[j-1] = wts[j-1], wts[j]
+		}
+	}
 }
 
 type arcRow struct {

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -115,6 +117,105 @@ func TestPermuteRoundTrip(t *testing.T) {
 			w, ok := pg.HasEdge(newID[u], newID[h])
 			if !ok || w != wts[i] {
 				t.Fatalf("edge (%d,%d,w=%v) lost after permute: got %v,%v", u, h, wts[i], w, ok)
+			}
+		}
+	}
+}
+
+// sameCSR fails unless a and b hold equal CSR arrays. Weights are positive,
+// so == on them is equality bit for bit.
+func sameCSR(t *testing.T, what string, a, b *Graph) {
+	t.Helper()
+	if a.n != b.n || a.directed != b.directed {
+		t.Fatalf("%s: n=%d directed=%v, want n=%d directed=%v", what, a.n, a.directed, b.n, b.directed)
+	}
+	sameArray(t, what+": off", a.off, b.off)
+	sameArray(t, what+": adj", a.adj, b.adj)
+	sameArray(t, what+": wts", a.wts, b.wts)
+	sameArray(t, what+": roff", a.roff, b.roff)
+	sameArray(t, what+": radj", a.radj, b.radj)
+	sameArray(t, what+": rwts", a.rwts, b.rwts)
+}
+
+func sameArray[T comparable](t *testing.T, what string, got, want []T) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d entries, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s[%d] = %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// builderPermute is Permute through a Builder round trip: the reference
+// the direct relabeling is held to.
+func builderPermute(g *Graph, perm []int) *Graph {
+	newID := make([]int, g.n)
+	for newV, oldV := range perm {
+		newID[oldV] = newV
+	}
+	b := NewBuilder(g.n, g.directed)
+	for newU, oldU := range perm {
+		heads, wts := g.Neighbors(oldU)
+		for i, h := range heads {
+			if newV := newID[h]; g.directed || newU < newV {
+				b.AddEdge(newU, newV, wts[i])
+			}
+		}
+	}
+	return b.MustFinish()
+}
+
+// TestPermuteMatchesBuilder: relabeling the rows in place builds the arrays
+// a Builder makes, on a road grid, a scale-free graph with long hub rows and
+// a directed graph (whose reverse rows are relabeled too).
+func TestPermuteMatchesBuilder(t *testing.T) {
+	for name, g := range map[string]*Graph{
+		"road":       RoadGrid(24, 24, 1),
+		"scale-free": BarabasiAlbert(800, 3, 2),
+		"directed":   RandomDirected(300, 1500, 9, 4),
+	} {
+		perm := rand.New(rand.NewSource(5)).Perm(g.NumVertices())
+		pg, _ := g.Permute(perm)
+		sameCSR(t, name, pg, builderPermute(g, perm))
+	}
+}
+
+// TestSplice: a splice is the graph a Builder makes from the edited edge
+// set, and it refuses what AddEdge refuses.
+func TestSplice(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		b := NewBuilder(6, directed)
+		for _, e := range [][3]int{{0, 1, 1}, {1, 2, 2}, {2, 3, 3}, {3, 4, 4}, {4, 5, 5}, {5, 0, 6}} {
+			b.AddEdge(e[0], e[1], float64(e[2]))
+		}
+		g := b.MustFinish()
+		got, err := g.Splice([]EdgeEdit{
+			{U: 1, V: 2, Del: true}, // delete
+			{U: 3, V: 4, W: 9},      // reweight
+			{U: 0, V: 3, W: 7},      // insert
+			{U: 0, V: 4, Del: true}, // delete an absent edge: no-op
+			{U: 2, V: 2, W: 1},      // self loop: ignored
+			{U: 5, V: 2, W: 8},      // insert, then
+			{U: 5, V: 2, W: 2.5},    // the later edit wins
+			{U: 4, V: 5, W: 5},      // set to the same weight
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := NewBuilder(6, directed)
+		for _, e := range []struct {
+			u, v int
+			w    float64
+		}{{0, 1, 1}, {2, 3, 3}, {3, 4, 9}, {4, 5, 5}, {5, 0, 6}, {0, 3, 7}, {5, 2, 2.5}} {
+			want.AddEdge(e.u, e.v, e.w)
+		}
+		sameCSR(t, fmt.Sprintf("directed=%v", directed), got, want.MustFinish())
+		for _, bad := range []EdgeEdit{{U: 0, V: 6, W: 1}, {U: -1, V: 2, Del: true}, {U: 0, V: 2, W: math.Inf(1)}, {U: 0, V: 2, W: math.NaN()}, {U: 0, V: 2}} {
+			if _, err := g.Splice([]EdgeEdit{bad}); err == nil {
+				t.Errorf("directed=%v: Splice accepted %+v", directed, bad)
 			}
 		}
 	}

@@ -7,7 +7,9 @@
 // betweenness plants one shortest path tree per sample, and on the bench's
 // road fixture (256 samples) it is most of set-up — order.rank_s in bench/.
 // Its samples run in parallel, and the order it returns does not depend on
-// the worker count.
+// the worker count. Each sample's Brandes back-propagation walks the
+// shortest-path predecessors its tree recorded, so memory is
+// O(workers·(n+m)).
 package order
 
 import (
@@ -99,7 +101,7 @@ func ByDegree(g *graph.Graph) *Order {
 // finishes one. Their dependency vectors are folded into the scores in
 // sample order, so every score sees the same float additions in the same
 // order as a single worker would make: the order does not depend on
-// `workers`. Memory is O(workers·n) and nothing is allocated per sample.
+// `workers`. Memory is O(workers·(n+m)) and nothing is allocated per sample.
 func ByApproxBetweenness(g *graph.Graph, samples int, seed int64, workers int) *Order {
 	if g.NumVertices() == 0 {
 		return Identity(0)
@@ -133,7 +135,7 @@ func sampledBetweenness(g *graph.Graph, samples int, seed int64, workers int) []
 	f := newFolder(n, min(2*workers, samples))
 	var next atomic.Int64
 	work := func() {
-		b := newBrandes(n)
+		b := newBrandes(g)
 		for {
 			i := int(next.Add(1) - 1)
 			if i >= samples {
@@ -157,27 +159,43 @@ func sampledBetweenness(g *graph.Graph, samples int, seed int64, workers int) []
 	return f.score
 }
 
-// brandes is one worker's scratch for planting sample trees.
+// brandes is one worker's scratch for planting sample trees. Vertex v's
+// shortest-path predecessors P[v] (Brandes 2001) are pred[inOff[v] :
+// inOff[v]+npred[v]]: the slots of v's in-arcs, which is as many as v can
+// have.
 type brandes struct {
 	dist, sigma []float64
 	settled     []int
+	inOff       []int
+	npred       []int32
+	pred        []int32
 	h           *vheap.Heap
 }
 
-func newBrandes(n int) *brandes {
-	return &brandes{
+func newBrandes(g *graph.Graph) *brandes {
+	n := g.NumVertices()
+	b := &brandes{
 		dist:    make([]float64, n),
 		sigma:   make([]float64, n),
 		settled: make([]int, 0, n),
+		inOff:   make([]int, n),
+		npred:   make([]int32, n),
+		pred:    make([]int32, g.NumArcs()),
 		h:       vheap.New(n),
 	}
+	at := 0
+	for v := range b.inOff {
+		b.inOff[v] = at
+		at += g.InDegree(v)
+	}
+	return b
 }
 
 // dependencies plants the shortest path tree of src and writes every
 // vertex's dependency on it into delta: 0 for src itself and for every
 // vertex src does not reach.
 func (b *brandes) dependencies(g *graph.Graph, src int, delta []float64) {
-	dist, sigma := b.dist, b.sigma
+	dist, sigma, inOff, npred, pred := b.dist, b.sigma, b.inOff, b.npred, b.pred
 	for i := range dist {
 		dist[i] = graph.Infinity
 		sigma[i] = 0
@@ -188,7 +206,10 @@ func (b *brandes) dependencies(g *graph.Graph, src int, delta []float64) {
 	h.Clear()
 	dist[src] = 0
 	sigma[src] = 1
+	npred[src] = 0
 	h.Push(src, 0)
+	// A vertex's first strict improvement resets its P, so P is never read
+	// stale: only settled vertices are read, and src has none.
 	for !h.Empty() {
 		u, du := h.Pop()
 		settled = append(settled, u)
@@ -199,21 +220,25 @@ func (b *brandes) dependencies(g *graph.Graph, src int, delta []float64) {
 			if nd < dist[v] {
 				dist[v] = nd
 				sigma[v] = sigma[u]
+				pred[inOff[v]] = int32(u)
+				npred[v] = 1
 				h.Push(v, nd)
 			} else if nd == dist[v] {
 				sigma[v] += sigma[u]
+				pred[inOff[v]+int(npred[v])] = int32(u)
+				npred[v]++
 			}
 		}
 	}
-	// Brandes back-propagation in reverse settle order.
+	// Brandes back-propagation in reverse settle order. P[w] holds exactly
+	// the in-neighbours t with dist[t]+w(t,w) == dist[w], and each t once,
+	// so every delta[t] sees the additions of a scan over w's in-arcs, in
+	// the same order.
 	for i := len(settled) - 1; i >= 0; i-- {
 		w := settled[i]
-		tails, wts := g.InNeighbors(w)
-		for j, tt := range tails {
-			t := int(tt)
-			if dist[t] != graph.Infinity && dist[t]+wts[j] == dist[w] && sigma[w] > 0 {
-				delta[t] += sigma[t] / sigma[w] * (1 + delta[w])
-			}
+		lo := inOff[w]
+		for _, t := range pred[lo : lo+int(npred[w])] {
+			delta[t] += sigma[t] / sigma[w] * (1 + delta[w])
 		}
 	}
 	// The source's own dependency is not betweenness. Adding this 0 (and

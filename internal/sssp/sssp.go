@@ -8,15 +8,45 @@
 package sssp
 
 import (
+	"sync"
+
 	"repro/internal/graph"
 	"repro/internal/vheap"
 )
 
+// scratch is a heap, and a distance buffer for the searches whose row
+// does not leave the package, kept between calls so that a search on a
+// sparse graph does not spend its time allocating and zeroing them. One
+// serves any graph of at most len(dist) vertices.
+type scratch struct {
+	h    *vheap.Heap
+	dist []float64
+}
+
+var scratchPool sync.Pool
+
+// getScratch returns a cleared scratch for a graph of n vertices.
+func getScratch(n int) *scratch {
+	if s, ok := scratchPool.Get().(*scratch); ok && len(s.dist) >= n {
+		return s
+	}
+	return &scratch{h: vheap.New(n), dist: make([]float64, n)}
+}
+
+func putScratch(s *scratch) {
+	s.h.Clear()
+	scratchPool.Put(s)
+}
+
 // Dijkstra computes shortest-path distances from source over g (following
 // outgoing arcs) and returns the distance array; unreachable vertices get
-// graph.Infinity.
+// graph.Infinity. The array is the caller's.
 func Dijkstra(g *graph.Graph, source int) []float64 {
-	return dijkstra(g, source, -1, nil)
+	dist := make([]float64, g.NumVertices())
+	s := getScratch(len(dist))
+	dijkstra(g, s.h, source, -1, dist, nil)
+	putScratch(s)
+	return dist
 }
 
 // ShortestPathTree is Dijkstra that also returns, for every vertex reached
@@ -24,31 +54,38 @@ func Dijkstra(g *graph.Graph, source int) []float64 {
 // elsewhere). Walking pred back from v and summing the arc weights from
 // source onwards reproduces dist[v] exactly.
 func ShortestPathTree(g *graph.Graph, source int) (dist []float64, pred []int) {
-	pred = make([]int, g.NumVertices())
+	dist, pred = make([]float64, g.NumVertices()), make([]int, g.NumVertices())
 	for i := range pred {
 		pred[i] = -1
 	}
-	return dijkstra(g, source, -1, pred), pred
+	s := getScratch(len(dist))
+	dijkstra(g, s.h, source, -1, dist, pred)
+	putScratch(s)
+	return dist, pred
 }
 
 // DijkstraTo returns the shortest-path distance from s to t, stopping as
 // soon as t is settled. It pops and relaxes in exactly Dijkstra's order
 // up to that point, so the result is the same float as Dijkstra(g, s)[t].
+// It allocates nothing once a scratch is pooled.
 func DijkstraTo(g *graph.Graph, s, t int) float64 {
-	return dijkstra(g, s, t, nil)[t]
+	sc := getScratch(g.NumVertices())
+	dist := sc.dist[:g.NumVertices()]
+	dijkstra(g, sc.h, s, t, dist, nil)
+	d := dist[t]
+	putScratch(sc)
+	return d
 }
 
-// dijkstra runs from source until the heap drains or target (-1: none)
-// is settled; dist[target] is final by then, the rest of dist is not. A
-// non-nil pred receives each improved vertex's predecessor.
-func dijkstra(g *graph.Graph, source, target int, pred []int) []float64 {
-	n := g.NumVertices()
-	dist := make([]float64, n)
+// dijkstra runs from source over an empty heap h until it drains or target
+// (-1: none) is settled, writing dist (len n); dist[target] is final by
+// then, the rest of dist is not. A non-nil pred receives each improved
+// vertex's predecessor.
+func dijkstra(g *graph.Graph, h *vheap.Heap, source, target int, dist []float64, pred []int) {
 	for i := range dist {
 		dist[i] = graph.Infinity
 	}
 	dist[source] = 0
-	h := vheap.New(n)
 	h.Push(source, 0)
 	for !h.Empty() {
 		u, du := h.Pop()
@@ -66,7 +103,6 @@ func dijkstra(g *graph.Graph, source, target int, pred []int) []float64 {
 			}
 		}
 	}
-	return dist
 }
 
 // DijkstraReverse computes shortest-path distances *to* target following
@@ -96,7 +132,9 @@ func MaxRankOnPath(g *graph.Graph, source int) (best []int32, dist []float64) {
 	}
 	dist[source] = 0
 	best[source] = int32(source)
-	h := vheap.New(n)
+	s := getScratch(n)
+	defer putScratch(s)
+	h := s.h
 	h.Push(source, 0)
 	order := make([]int, 0, n) // settle order
 	for !h.Empty() {

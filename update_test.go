@@ -13,9 +13,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -623,4 +625,46 @@ func TestUpdateEndpointGuards(t *testing.T) {
 			t.Fatalf("router GET /update: status %d, want 405", got)
 		}
 	})
+}
+
+// TestUpdateRefusesNonFiniteWeight: an op handed to Server.Update in code
+// skips the patch-log parser, so Reduce holds its weight to the parser's
+// rule, and a refused batch is neither journaled nor published.
+func TestUpdateRefusesNonFiniteWeight(t *testing.T) {
+	g := chl.GenerateRandom(120, 320, 9, 13)
+	_, fx := buildFrozen(t, g)
+	s := chl.NewServerFromFlat(fx, 0)
+	defer s.Close()
+	journal := filepath.Join(t.TempDir(), "updates.journal")
+	if err := s.EnableUpdates(g, journal); err != nil {
+		t.Fatal(err)
+	}
+	ops := parityPatchOps(g) // dels, then sets of present edges, then adds of absent ones
+	if _, err := s.Update(ops[:1]); err != nil {
+		t.Fatal(err)
+	}
+	set, add := ops[len(ops)/2], ops[len(ops)-1]
+	if set.Kind != chl.EdgeOpSet || add.Kind != chl.EdgeOpAdd {
+		t.Fatalf("fixture ops changed shape: %v", ops)
+	}
+	wantJournal, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := s.Stats().Generation
+	for _, bad := range []chl.EdgeOp{
+		{Kind: chl.EdgeOpSet, U: set.U, V: set.V, W: math.Inf(1)},
+		{Kind: chl.EdgeOpSet, U: set.U, V: set.V, W: math.NaN()},
+		{Kind: chl.EdgeOpAdd, U: add.U, V: add.V, W: math.Inf(1)},
+	} {
+		if _, err := s.Update([]chl.EdgeOp{bad}); err == nil || !strings.Contains(err.Error(), "want positive finite") {
+			t.Fatalf("Update(%v): error %v, want a positive-finite refusal", bad, err)
+		}
+		if got := s.Stats().Generation; got != gen {
+			t.Fatalf("Update(%v) was refused but moved the generation %d -> %d", bad, gen, got)
+		}
+		if got, err := os.ReadFile(journal); err != nil || !bytes.Equal(got, wantJournal) {
+			t.Fatalf("Update(%v) was refused but the journal is now %q (%v), was %q", bad, got, err, wantJournal)
+		}
+	}
 }
