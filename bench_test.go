@@ -699,9 +699,17 @@ func BenchmarkSaveLoad(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	fx, err := ix.Freeze()
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := b.TempDir() + "/ix.flat"
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := ix.SaveFile(b.TempDir() + "/ix.chl"); err != nil {
+		if err := fx.SaveFile(path); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := chl.LoadFlatFile(path); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -339,7 +339,7 @@ func (ix *Index) Stats() Stats {
 	}
 }
 
-// Metrics returns the build instrumentation, or nil for loaded indexes.
+// Metrics returns the build instrumentation, or nil for a thawed index.
 func (ix *Index) Metrics() *Metrics { return ix.metrics }
 
 // Rank returns the rank position of an original vertex id (0 = highest).

@@ -186,11 +186,15 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
+	fx, err := ix.Freeze()
+	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := chl.Load(&buf)
+	var buf bytes.Buffer
+	if err := fx.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := chl.LoadFlat(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +205,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Fatalf("loaded index disagrees at (%d,%d)", u, v)
 		}
 	}
-	if back.Stats().TotalLabels != ix.Stats().TotalLabels {
+	if back.TotalLabels() != ix.Stats().TotalLabels || back.Thaw().Stats().TotalLabels != ix.Stats().TotalLabels {
 		t.Fatal("label counts differ after round trip")
 	}
 }
@@ -224,15 +228,19 @@ func TestDirectedBuildAndSaveLoad(t *testing.T) {
 				t.Fatalf("%s: directed query(%d→%d) = %v, want %v", algo, u, v, got, want)
 			}
 		}
-		var buf bytes.Buffer
-		if err := ix.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		back, err := chl.Load(&buf)
+		fx, err := ix.Freeze()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if back.Query(1, 2) != ix.Query(1, 2) || !back.Directed() {
+		var buf bytes.Buffer
+		if err := fx.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := chl.LoadFlat(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.Query(1, 2) != ix.Query(1, 2) || back.Query(2, 1) != ix.Query(2, 1) || !back.Directed() {
 			t.Fatal("directed round trip broken")
 		}
 	}

@@ -4,14 +4,16 @@
 //
 // Usage:
 //
-//	chl -graph road.gr -out road.chl
+//	chl -graph road.gr -out road.flat
 //	chl -dataset SKIT -algo hybrid -nodes 16
 //	chl -graph web.gr -directed
 //
 // The graph comes either from a DIMACS .gr file (-graph) or a named
 // synthetic dataset (-dataset, see -list). Without -algo the library
 // picks the builder (PLaNT on undirected graphs, seqPLL on directed
-// ones) and the output names the one that ran.
+// ones) and the output names the one that ran. -out freezes the index
+// and writes the one index file format (float32 distances), which
+// cmd/chlquery -load answers from, serves, compresses and splits.
 package main
 
 import (
@@ -48,7 +50,7 @@ func run(args []string, stdout io.Writer) error {
 		eta       = fs.Int("eta", 0, "common label table η: 0 = dplant/hybrid grow it batch by batch (dgll: none), η > 0 = the top η trees only (16 in the paper), -1 = off")
 		psi       = fs.Float64("psi", 0, "Hybrid switch threshold Ψth (0 = 100)")
 		seed      = fs.Int64("seed", 1, "seed for generation and ranking")
-		out       = fs.String("out", "", "write the index to this file")
+		out       = fs.String("out", "", "freeze the index and write it to this file (chlquery -load reads it)")
 		list      = fs.Bool("list", false, "list dataset and algorithm names")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -114,7 +116,11 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	if *out != "" {
-		if err := ix.SaveFile(*out); err != nil {
+		fx, err := ix.Freeze()
+		if err != nil {
+			return err
+		}
+		if err := fx.SaveFile(*out); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "saved index to %s\n", *out)

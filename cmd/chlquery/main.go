@@ -1,4 +1,4 @@
-// Command chlquery loads a hub-labeling index built by cmd/chl and answers
+// Command chlquery loads an index file written by cmd/chl -out and answers
 // point-to-point shortest distance queries — interactively ("u v" per line
 // on stdin), as a random-batch benchmark in any of the paper's three
 // distributed query modes, or as an HTTP serving process over the flat
@@ -6,11 +6,15 @@
 //
 // Usage:
 //
-//	chlquery -index road.chl 17 3942
-//	chlquery -index road.chl                 # interactive: one "u v" per line
-//	chlquery -index road.chl -bench 100000 -mode qdol -nodes 16
-//	chlquery -index road.chl -save road.flat # freeze once ...
-//	chlquery -load road.flat -serve :8080    # ... serve many times
+//	chlquery -load road.flat 17 3942
+//	chlquery -load road.flat                 # interactive: one "u v" per line
+//	chlquery -load road.flat -bench 100000 -mode qdol -nodes 16
+//	chlquery -load road.flat -serve :8080
+//
+// The modeled -bench modes (qlsn/qfdl/qdol) run on the loaded index thawed
+// back into the builder's slice form (FlatIndex.Thaw); -mode local times
+// the real serving path. Every distance is the file's float32, which is
+// exact for integer weights below 2^24.
 //
 // For indexes too large (or too hot) for one process, -split slices the
 // flat index into per-shard files plus a cluster manifest, and -shard
@@ -25,10 +29,9 @@
 // -addrs records the replica topology in the manifest for the router.
 //
 // Directed indexes (built by cmd/chl over a directed graph) serve
-// through the same flags end to end: -save writes one file packing
-// both label halves, -split marks the manifest directed so the router
-// keys its cache on ordered pairs, and /dist?u=&v= answers the u→v
-// distance. Only the simulated -bench modes (qlsn/qfdl/qdol) remain
+// through the same flags end to end: the file packs both label halves,
+// -split marks the manifest directed so the router keys its cache on
+// ordered pairs, and /dist?u=&v= answers the u→v distance. Only the simulated -bench modes (qlsn/qfdl/qdol) remain
 // undirected-only.
 //
 // -compress switches -save and -split to the compressed label format
@@ -37,7 +40,7 @@
 // answer bit-identically. It is the only encoding choice; every file is
 // the same CHFX container (ARCHITECTURE.md, "On-disk format"):
 //
-//	chlquery -index road.chl -compress -save road.cflat
+//	chlquery -load road.flat -compress -save road.cflat
 //	chlquery -load road.flat -compress -save road.cflat -serve :8080
 //	chlquery -load road.cflat -compress -split 3 -shards-dir ./cluster
 //
@@ -58,6 +61,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -76,9 +80,8 @@ import (
 
 func main() {
 	var (
-		indexPath = flag.String("index", "", "index file written by cmd/chl")
-		loadPath  = flag.String("load", "", "flat index file written by -save")
-		savePath  = flag.String("save", "", "freeze the index and write it to this flat file")
+		loadPath  = flag.String("load", "", "index file written by chl -out or -save")
+		savePath  = flag.String("save", "", "write the loaded index (compressed with -compress) to this file")
 		serveAddr = flag.String("serve", "", "serve queries over HTTP on this address (e.g. :8080)")
 		bench     = flag.Int("bench", 0, "run a random batch of this many queries")
 		mode      = flag.String("mode", "qlsn", "query mode for -bench: qlsn|qfdl|qdol|local")
@@ -108,14 +111,17 @@ func main() {
 	}
 
 	if *serveAddr != "" {
-		runServe(*serveAddr, *indexPath, *loadPath, *savePath, *cacheCap, *prefault, *comp, *shardID, *manifest, *graphPath, *journal)
+		runServe(*serveAddr, *loadPath, *savePath, *cacheCap, *prefault, *comp, *shardID, *manifest, *graphPath, *journal)
 		return
 	}
 	if *graphPath != "" || *journal != "" {
 		fatal(fmt.Errorf("-graph/-journal enable dynamic updates on the serving tier; pass them with -serve"))
 	}
 
-	fx, ix, err := loadIndex(*indexPath, *loadPath)
+	if *loadPath == "" {
+		fatal(errNoLoad)
+	}
+	fx, err := chl.LoadFlatFile(*loadPath)
 	if err != nil {
 		fatal(err)
 	}
@@ -144,14 +150,14 @@ func main() {
 		}
 	}
 	if *bench > 0 {
-		runBench(fx, ix, *bench, *mode, *nodes, *seed)
+		runBench(fx, *bench, *mode, *nodes, *seed)
 		return
 	}
 	if flag.NArg() == 2 {
 		u, err1 := strconv.Atoi(flag.Arg(0))
 		v, err2 := strconv.Atoi(flag.Arg(1))
-		if err1 != nil || err2 != nil {
-			fatal(fmt.Errorf("bad vertex ids %q %q", flag.Arg(0), flag.Arg(1)))
+		if n := fx.NumVertices(); err1 != nil || err2 != nil || u < 0 || v < 0 || u >= n || v >= n {
+			fatal(fmt.Errorf("bad vertex ids %q %q (want ids in [0,%d))", flag.Arg(0), flag.Arg(1), n))
 		}
 		answer(fx, u, v)
 		return
@@ -179,37 +185,8 @@ func main() {
 	}
 }
 
-// loadIndex resolves the two input flavours. The slice-based index is only
-// materialized when it came from -index (the distributed -bench modes need
-// it); a flat load stays flat. Directed indexes freeze like undirected
-// ones — both label halves are packed — so every downstream consumer
-// (-save, -split, -serve, -mode local) takes directed input; only the
-// simulated distributed -bench modes are undirected-only, and runBench
-// rejects those up front with an actionable message.
-func loadIndex(indexPath, loadPath string) (*chl.FlatIndex, *chl.Index, error) {
-	switch {
-	case indexPath != "" && loadPath != "":
-		return nil, nil, fmt.Errorf("pass either -index or -load, not both")
-	case indexPath != "":
-		ix, err := chl.LoadFile(indexPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		fx, err := ix.Freeze()
-		if err != nil {
-			return nil, nil, err
-		}
-		return fx, ix, nil
-	case loadPath != "":
-		fx, err := chl.LoadFlatFile(loadPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		return fx, nil, nil
-	default:
-		return nil, nil, fmt.Errorf("pass -index FILE or -load FILE")
-	}
-}
+// errNoLoad is the refusal of a run without an index file.
+var errNoLoad = errors.New("pass -load FILE: an index file written by chl -out (or by -save)")
 
 func answer(fx *chl.FlatIndex, u, v int) {
 	// Ordered notation for directed indexes: d(u→v) and d(v→u) differ.
@@ -257,23 +234,17 @@ func runSplit(fx *chl.FlatIndex, k int, dir string, replicas int, seed uint64, a
 }
 
 // runServe builds the hot-swappable serving tier and blocks on HTTP. The
-// -load path opens the flat file mmap-backed (chl.OpenFlat); -index
-// freezes in process; -index plus -save freezes, persists, then serves
-// the saved file so /reload and SIGHUP have a file to re-open. With
-// -manifest and -shard the process serves one slice of a split cluster.
-// -compress converts in-process indexes (and -load files being re-saved
-// via -save) to the compressed label format before serving; a plain
-// -load serves whatever format the file already holds.
-func runServe(addr, indexPath, loadPath, savePath string, cacheCap int, prefault, comp bool, shardID int, manifestPath, graphPath, journal string) {
-	var (
-		s   *chl.Server
-		err error
-	)
+// -load file is opened mmap-backed (chl.OpenFlat); with -save it is first
+// copied (compressed with -compress) and the copy is served, so /reload
+// and SIGHUP re-open the file being served. With -manifest and -shard the
+// process serves one slice of a split cluster. A plain -load serves
+// whatever format the file already holds.
+func runServe(addr, loadPath, savePath string, cacheCap int, prefault, comp bool, shardID int, manifestPath, graphPath, journal string) {
 	if manifestPath != "" || shardID >= 0 {
-		if indexPath != "" || loadPath != "" {
-			// The manifest names the shard's file; a conflicting -index
-			// or -load must not be silently discarded.
-			fatal(fmt.Errorf("shard serving takes its file from the manifest; drop -index/-load"))
+		if loadPath != "" {
+			// The manifest names the shard's file; a conflicting -load
+			// must not be silently discarded.
+			fatal(fmt.Errorf("shard serving takes its file from the manifest; drop -load"))
 		}
 		if graphPath != "" || journal != "" {
 			// Shards are frozen by design; the router owns the overlay.
@@ -285,60 +256,29 @@ func runServe(addr, indexPath, loadPath, savePath string, cacheCap int, prefault
 	if journal != "" && graphPath == "" {
 		fatal(fmt.Errorf("-journal needs -graph GRAPH to replay against"))
 	}
-	switch {
-	case indexPath != "" && loadPath != "":
-		fatal(fmt.Errorf("pass either -index or -load, not both"))
-	case loadPath != "":
-		if comp && savePath == "" {
-			// A bare -load serves the file as-is (possibly mmapped); the
-			// format conversion needs a file to write.
-			fatal(fmt.Errorf("-compress with -load needs -save FILE to write the converted index"))
-		}
-		if savePath != "" { // copy the flat file, then serve the copy
-			var fx *chl.FlatIndex
-			if fx, err = chl.LoadFlatFile(loadPath); err != nil {
-				break
-			}
-			if comp {
-				if fx, err = fx.Compress(); err != nil {
-					break
-				}
-			}
-			if err = fx.SaveFile(savePath); err != nil {
-				break
-			}
-			fmt.Printf("saved flat index to %s\n", savePath)
-			loadPath = savePath
-		}
-		s, err = chl.NewServer(loadPath, cacheCap)
-	case indexPath != "":
-		var ix *chl.Index
-		ix, err = chl.LoadFile(indexPath)
-		if err != nil {
-			break
-		}
-		var fx *chl.FlatIndex
-		fx, err = ix.Freeze()
-		if err != nil {
-			break
-		}
-		if comp {
-			if fx, err = fx.Compress(); err != nil {
-				break
-			}
-		}
-		if savePath != "" {
-			if err = fx.SaveFile(savePath); err != nil {
-				break
-			}
-			fmt.Printf("saved flat index to %s\n", savePath)
-			s, err = chl.NewServer(savePath, cacheCap)
-		} else {
-			s = chl.NewServerFromFlat(fx, cacheCap)
-		}
-	default:
-		fatal(fmt.Errorf("pass -index FILE or -load FILE"))
+	if loadPath == "" {
+		fatal(errNoLoad)
 	}
+	if comp && savePath == "" {
+		// A bare -load serves the file as-is (possibly mmapped); the
+		// format conversion needs a file to write.
+		fatal(fmt.Errorf("-compress with -load needs -save FILE to write the converted index"))
+	}
+	if savePath != "" { // copy the flat file, then serve the copy
+		fx, err := chl.LoadFlatFile(loadPath)
+		if err == nil && comp {
+			fx, err = fx.Compress()
+		}
+		if err == nil {
+			err = fx.SaveFile(savePath)
+		}
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("saved flat index to %s\n", savePath)
+		loadPath = savePath
+	}
+	s, err := chl.NewServer(loadPath, cacheCap)
 	if err != nil {
 		fatal(err)
 	}
@@ -434,7 +374,7 @@ func runShardServe(addr string, cacheCap int, prefault bool, shardID int, manife
 	log.Fatal(http.ListenAndServe(addr, s.Handler()))
 }
 
-func runBench(fx *chl.FlatIndex, ix *chl.Index, count int, modeName string, nodes int, seed int64) {
+func runBench(fx *chl.FlatIndex, count int, modeName string, nodes int, seed int64) {
 	// Directed indexes bench on the real serving path only; fail before
 	// any work rather than deep inside the query-engine constructor.
 	if fx.Directed() && !strings.EqualFold(modeName, "local") {
@@ -466,9 +406,6 @@ func runBench(fx *chl.FlatIndex, ix *chl.Index, count int, modeName string, node
 		return
 	}
 
-	if ix == nil {
-		fatal(fmt.Errorf("mode %q needs the slice-based index: pass -index (not -load), or use -mode local", modeName))
-	}
 	var mode chl.QueryMode
 	switch strings.ToLower(modeName) {
 	case "qlsn":
@@ -480,7 +417,7 @@ func runBench(fx *chl.FlatIndex, ix *chl.Index, count int, modeName string, node
 	default:
 		fatal(fmt.Errorf("unknown mode %q", modeName))
 	}
-	qe, err := chl.NewQueryEngine(ix, mode, nodes)
+	qe, err := chl.NewQueryEngine(fx.Thaw(), mode, nodes)
 	if err != nil {
 		fatal(err)
 	}

@@ -49,8 +49,10 @@
 //
 // Build once, freeze, serve many times. Freeze packs the labeling into a
 // FlatIndex — CSR offsets plus one contiguous (hub, dist) entry array —
-// which persists to a versioned binary format (FlatIndex.Save /
-// LoadFlat) and fans batches out over all cores through NewBatchEngine.
+// which is the only form a labeling persists in (FlatIndex.SaveFile /
+// OpenFlat; cmd/chl -out writes it, with float32 distances) and fans
+// batches out over all cores through NewBatchEngine. Thaw turns a loaded
+// FlatIndex back into an Index for the modeled query engines.
 // A FlatIndex is two label stores (forward and backward runs; the same
 // store twice when undirected), each fixed-width or compressed, and every
 // pairwise query is one call to label.Join, which picks among the

@@ -7,6 +7,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
+	"path/filepath"
 
 	chl "repro"
 )
@@ -35,13 +37,21 @@ func main() {
 			q[0], q[1], d, hub)
 	}
 
-	// The index serializes for later use.
-	if err := ix.SaveFile("/tmp/quickstart.chl"); err != nil {
-		log.Fatal(err)
-	}
-	back, err := chl.LoadFile("/tmp/quickstart.chl")
+	// Freeze packs the labels into the one index file format; any number
+	// of serving processes then open it, memory-mapped where the host
+	// allows.
+	fx, err := ix.Freeze()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("reloaded index answers d(0, 4095) = %g\n", back.Query(0, 4095))
+	path := filepath.Join(os.TempDir(), "quickstart.flat")
+	if err := fx.SaveFile(path); err != nil {
+		log.Fatal(err)
+	}
+	back, err := chl.OpenFlat(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer back.Close()
+	fmt.Printf("reopened index answers d(0, 4095) = %g\n", back.Query(0, 4095))
 }

@@ -4,10 +4,10 @@ package chl_test
 // are fully deterministic (seeded generators + the sequential PLL
 // constructor), so the saved files must hash to the same SHA-256 on every
 // run, platform, and future PR. The pins guard container version 5 — all
-// six files it can hold: {slices, packed, compressed} × {undirected,
-// directed} — and were re-pinned once, when v5 replaced the v2/v3/v4
-// framings (the test names keep the suffix of the framing each fixture
-// used to be written in).
+// four files it can hold: {packed, compressed} × {undirected, directed} —
+// and were re-pinned once, when v5 replaced the v2/v3/v4 framings (the
+// test names keep the suffix of the framing each fixture used to be
+// written in).
 //
 // If one of these fails, a format byte changed. That is occasionally
 // intentional (a deliberate version bump) — then the hash may be updated
@@ -91,22 +91,6 @@ func TestGoldenCompressedV4BytesStable(t *testing.T) {
 				t.Fatal(err)
 			}
 			goldenCheck(t, cfx.Save, tc.sha)
-		})
-	}
-}
-
-// The slice-encoded files Index.Save writes (once magic CHIX around CHL1).
-func TestGoldenSlicesBytesStable(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		directed bool
-		sha      string
-	}{
-		{"undirected", false, "0bed0cf15007273715fa06d0966c0e78b92382fd12482b8b45df4f2e169e5be2"},
-		{"directed", true, "e29b39b81c9dfe21e315a4a96ed799cf7ac69d1657d6251de7c337a72847a88d"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			goldenCheck(t, goldenIndex(t, tc.directed).Save, tc.sha)
 		})
 	}
 }

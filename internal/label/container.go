@@ -15,7 +15,7 @@ import (
 //
 //	magic     [4]byte "CHFX"
 //	version   uint8   ContainerVersion
-//	encoding  uint8   EncSlices | EncPacked | EncCompressed
+//	encoding  uint8   EncPacked | EncCompressed
 //	halves    uint8   1 (undirected) or 2 (directed: forward, then backward)
 //	blockSize uint8   entries per full block; 0 unless EncCompressed
 //	lengths   one uint64 byte length per section, in file order
@@ -24,7 +24,6 @@ import (
 // The sections are the rank permutation (uint32 per rank: rank → original
 // id), then per half the encoding's arrays:
 //
-//	EncSlices      offsets (n+1)×uint32 | hubs total×uint32 | dists total×float64
 //	EncPacked      offsets (n+1)×uint32 | entries total×uint64
 //	EncCompressed  vertOff (n+1)×uint32 | heads 4·blocks×uint32 | data bytes
 //
@@ -51,19 +50,18 @@ const ContainerVersion = 5
 // call stalls).
 const ioChunk = 1 << 16
 
-// Encoding names how a container holds its labels.
+// Encoding names how a container holds its labels. Every persisted
+// distance is a float32. Encoding 1 held the builder's float64 slices and
+// is retired: such a file is refused with the rebuild hint.
 type Encoding uint8
 
 const (
-	EncSlices     Encoding = 1 + iota // builder form (*Index): float64 distances
-	EncPacked                         // fixed-width serving form (*FlatIndex)
-	EncCompressed                     // delta+varint blocks (*CompressedIndex)
+	EncPacked     Encoding = 2 // fixed-width serving form (*FlatIndex)
+	EncCompressed Encoding = 3 // delta+varint blocks (*CompressedIndex)
 )
 
 func (e Encoding) String() string {
 	switch e {
-	case EncSlices:
-		return "slices"
 	case EncPacked:
 		return "packed"
 	case EncCompressed:
@@ -75,7 +73,6 @@ func (e Encoding) String() string {
 // encWidths lists, per encoding, the element size in bytes of each array
 // of one half, in file order.
 var encWidths = [...][]int{
-	EncSlices:     {4, 4, 8},
 	EncPacked:     {4, 8},
 	EncCompressed: {4, 4, 1},
 }
@@ -93,22 +90,11 @@ var littleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// Half is one labeling in one encoding — *Index, *FlatIndex or
-// *CompressedIndex — as the container sees it: a vertex count and the
-// byte images of its arrays.
-type Half interface {
-	NumVertices() int
-	encoding() Encoding
-	// arrays returns the half's arrays as little-endian bytes, in file
-	// order (aliasing the arrays themselves on a little-endian host).
-	arrays() [][]byte
-}
-
 // Container is a persisted labeling: the rank permutation and one
-// (undirected) or two (forward, backward) halves of a single encoding.
+// (undirected) or two (forward, backward) Stores of a single encoding.
 type Container struct {
 	Perm   []int // rank → original id
-	Halves []Half
+	Halves []Store
 
 	// mapping is the file mapping the arrays alias when the container
 	// came from MapContainer; nil otherwise.
@@ -229,7 +215,7 @@ func words[T uint32 | uint64](b []byte, alias bool) []T {
 }
 
 // rebuildHint ends every refusal of a file this build does not read.
-const rebuildHint = "index files are derived: rebuild this one with `chl -out` (index) or `chlquery -save` / `-split` (serving files)"
+const rebuildHint = "index files are derived: rebuild this one with `chl -out` (then `chlquery -save` / `-split` for compressed or shard files)"
 
 // splitSections parses the container framing of data and returns the
 // header fields and the sections as sub-slices of data, perm first. Every
@@ -250,8 +236,8 @@ func splitSections(data []byte) (enc Encoding, halves, blockSize int, secs [][]b
 		return fail("CHFX container version %d is not supported (this build reads and writes version %d only); %s", v, ContainerVersion, rebuildHint)
 	}
 	enc, halves, blockSize = Encoding(data[5]), int(data[6]), int(data[7])
-	if enc < EncSlices || enc > EncCompressed {
-		return fail("container declares unknown encoding %d", data[5])
+	if enc != EncPacked && enc != EncCompressed {
+		return fail("container declares encoding %d, which this build does not read; %s", data[5], rebuildHint)
 	}
 	if halves != 1 && halves != 2 {
 		return fail("container declares %d halves (want 1 or 2)", halves)
@@ -344,21 +330,17 @@ func openContainer(data []byte, alias bool) (*Container, [][]byte, error) {
 
 // openHalf builds one half over its sections and runs the encoding's
 // structural validation on it.
-func openHalf(enc Encoding, blockSize int, s [][]byte, alias bool) (Half, error) {
-	switch enc {
-	case EncSlices:
-		return indexFromArrays(words[uint32](s[0], alias), words[uint32](s[1], alias), words[uint64](s[2], alias))
-	case EncPacked:
+func openHalf(enc Encoding, blockSize int, s [][]byte, alias bool) (Store, error) {
+	if enc == EncPacked {
 		f := &FlatIndex{offsets: words[uint32](s[0], alias), entries: words[uint64](s[1], alias)}
 		return f, f.validate()
-	default:
-		c := &CompressedIndex{blockSize: blockSize, vertOff: words[uint32](s[0], alias), heads: words[uint32](s[1], alias), data: s[2]}
-		c.n = len(c.vertOff) - 1
-		if !alias {
-			c.data = append([]byte(nil), s[2]...)
-		}
-		return c, c.validate()
 	}
+	c := &CompressedIndex{blockSize: blockSize, vertOff: words[uint32](s[0], alias), heads: words[uint32](s[1], alias), data: s[2]}
+	c.n = len(c.vertOff) - 1
+	if !alias {
+		c.data = append([]byte(nil), s[2]...)
+	}
+	return c, c.validate()
 }
 
 // ReadContainer reads a whole container from r into the heap: the bytes
@@ -448,62 +430,6 @@ func (c *Container) Close() error {
 		return nil
 	}
 	return munmapBytes(m)
-}
-
-func (ix *Index) encoding() Encoding { return EncSlices }
-
-// arrays flattens the per-vertex Sets into the EncSlices arrays.
-func (ix *Index) arrays() [][]byte {
-	offsets := make([]uint32, 1, len(ix.sets)+1)
-	total := ix.TotalLabels()
-	hubs, dists := make([]uint32, 0, total), make([]uint64, 0, total)
-	for _, s := range ix.sets {
-		for _, l := range s {
-			hubs = append(hubs, l.Hub)
-			dists = append(dists, math.Float64bits(l.Dist))
-		}
-		offsets = append(offsets, uint32(len(hubs)))
-	}
-	return [][]byte{wordBytes(offsets), wordBytes(hubs), wordBytes(dists)}
-}
-
-// indexFromArrays is the inverse of Index.arrays: it checks that the
-// offsets span the label arrays monotonically and that every vertex's
-// hubs are in range and strictly sorted, and cuts the per-vertex Sets out
-// of one backing array.
-func indexFromArrays(offsets, hubs []uint32, dists []uint64) (*Index, error) {
-	n := len(offsets) - 1
-	if n < 0 {
-		return nil, fmt.Errorf("label: slice index has no offsets")
-	}
-	if len(hubs) != len(dists) {
-		return nil, fmt.Errorf("label: slice index has %d hubs but %d distances", len(hubs), len(dists))
-	}
-	if offsets[0] != 0 || int64(offsets[n]) != int64(len(hubs)) {
-		return nil, fmt.Errorf("label: slice offsets do not span the label arrays")
-	}
-	all := make(Set, len(hubs))
-	for k, h := range hubs {
-		if int64(h) >= int64(n) {
-			return nil, fmt.Errorf("label: slice entry %d has out-of-range hub %d (n=%d)", k, h, n)
-		}
-		all[k] = L{Hub: h, Dist: math.Float64frombits(dists[k])}
-	}
-	ix := NewIndex(n)
-	for v := range ix.sets {
-		lo, hi := offsets[v], offsets[v+1]
-		if lo > hi || int64(hi) > int64(len(all)) {
-			return nil, fmt.Errorf("label: slice offsets not monotone at vertex %d", v)
-		}
-		if lo == hi {
-			continue
-		}
-		ix.sets[v] = all[lo:hi:hi]
-		if !ix.sets[v].IsSorted() {
-			return nil, fmt.Errorf("label: vertex %d labels not sorted in input", v)
-		}
-	}
-	return ix, nil
 }
 
 func (f *FlatIndex) encoding() Encoding { return EncPacked }

@@ -17,9 +17,12 @@ import (
 //
 // A Store is immutable after construction and safe for concurrent readers.
 type Store interface {
-	// Half is what lets a Store be written to a Container: the vertex
-	// count and the arrays' byte images.
-	Half
+	NumVertices() int
+	// encoding and arrays are what a Container writes: the encoding byte
+	// and the arrays as little-endian bytes in file order (aliasing the
+	// arrays themselves on a little-endian host).
+	encoding() Encoding
+	arrays() [][]byte
 	NumLabels() int64
 	// LabelCount returns the number of labels of v without decoding them.
 	LabelCount(v int) int

@@ -7,7 +7,7 @@ import (
 
 // Index is a complete hub labeling: one sorted label Set per vertex, in rank
 // space. It answers PPSD queries by merge-join and is the unit of
-// serialization, verification and statistics.
+// verification and statistics; Freeze packs it for persisting.
 type Index struct {
 	sets []Set
 }

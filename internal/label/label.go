@@ -2,7 +2,13 @@
 // per-vertex label vectors, a queryable Index, a hash-join accelerator for
 // the distance queries performed during label construction (the LR =
 // hash(L_h) of Algorithm 1), a lock-striped concurrent store for parallel
-// construction, and the one on-disk container (container.go).
+// construction, the frozen Stores, and the one on-disk container
+// (container.go), which holds only Stores.
+//
+// The slice form (Index) is never persisted. The builders emit it,
+// internal/exp's figures and internal/query's modeled engines read it
+// (FlatIndex.Thaw in the root package rebuilds one from a file), and the
+// bench/ scoreboard builds with it; Freeze packs it for everything else.
 //
 // Everything in this package operates in rank space: vertex ids have been
 // permuted so that id 0 is the highest-ranked vertex and R(u) > R(v) ⇔

@@ -11,69 +11,12 @@ import (
 	"repro/internal/label"
 )
 
-// Every persisted labeling — the builder's Index and the frozen
-// FlatIndex, fixed-width or compressed, directed or not — is one file
-// format: the sectioned CHFX container of internal/label (see
-// ARCHITECTURE.md, "On-disk format"). The functions here choose what goes
-// into a container and what may come out of one; the bytes are
-// label.Container's.
-
-// Save serializes the index (labels + ranking) to w. Build metrics and
-// per-node partitions are not persisted.
-func (ix *Index) Save(w io.Writer) error {
-	c := &label.Container{Perm: ix.perm}
-	if ix.directed != nil {
-		c.Halves = []label.Half{ix.directed.Forward, ix.directed.Backward}
-	} else {
-		c.Halves = []label.Half{ix.ranked}
-	}
-	_, err := c.WriteTo(w)
-	return err
-}
-
-// SaveFile writes the index to a file, atomically (see writeFileAtomic).
-func (ix *Index) SaveFile(path string) error { return writeFileAtomic(path, ix.Save) }
-
-// Load deserializes an index written by Save.
-func Load(r io.Reader) (*Index, error) {
-	c, err := label.ReadContainer(r)
-	if err != nil {
-		return nil, err
-	}
-	return indexFromContainer(c)
-}
-
-// indexFromContainer assembles the builder index over an opened container.
-func indexFromContainer(c *label.Container) (*Index, error) {
-	halves := make([]*label.Index, len(c.Halves))
-	for i, h := range c.Halves {
-		var ok bool
-		if halves[i], ok = h.(*label.Index); !ok {
-			return nil, fmt.Errorf("chl: file holds %s-encoded labels, a frozen index: open it with LoadFlat / OpenFlat (chlquery -load)", c.Encoding())
-		}
-	}
-	rank := make([]int, len(c.Perm))
-	for pos, v := range c.Perm {
-		rank[v] = pos
-	}
-	ix := &Index{n: len(c.Perm), perm: c.Perm, rank: rank}
-	if len(halves) == 2 {
-		ix.directed = &label.DirectedIndex{Forward: halves[0], Backward: halves[1]}
-	} else {
-		ix.ranked = halves[0]
-	}
-	return ix, nil
-}
-
-// LoadFile reads an index from a file.
-func LoadFile(path string) (*Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
-}
+// Every persisted labeling is a frozen FlatIndex, fixed-width or
+// compressed, directed or not, in one file format: the sectioned CHFX
+// container of internal/label (see ARCHITECTURE.md, "On-disk format").
+// A builder's Index is persisted by freezing it (Index.Freeze, then
+// FlatIndex.SaveFile). The functions here choose what goes into a
+// container and what comes out of one; the bytes are label.Container's.
 
 // writeFileAtomic writes what save produces to a temporary file in
 // path's directory and renames it over path. A process that has the old
@@ -103,7 +46,7 @@ func writeFileAtomic(path string, save func(io.Writer) error) error {
 // Save serializes the flat index (label store + ranking) to w in the
 // encoding it is held in.
 func (fx *FlatIndex) Save(w io.Writer) error {
-	c := &label.Container{Perm: fx.perm, Halves: []label.Half{fx.fwd}}
+	c := &label.Container{Perm: fx.perm, Halves: []label.Store{fx.fwd}}
 	if fx.Directed() {
 		c.Halves = append(c.Halves, fx.bwd)
 	}
@@ -135,15 +78,12 @@ func (fx *FlatIndex) ContentHash() uint64 {
 func (fx *FlatIndex) SaveFile(path string) error { return writeFileAtomic(path, fx.Save) }
 
 // flatFromContainer assembles the serving index over an opened container.
-func flatFromContainer(c *label.Container) (*FlatIndex, error) {
-	stores := make([]label.Store, 2)
-	for i, h := range c.Halves {
-		var ok bool
-		if stores[i], ok = h.(label.Store); !ok {
-			return nil, fmt.Errorf("chl: file holds %s-encoded labels, a builder index: open it with Load (chlquery -index) and freeze it (chlquery -save)", c.Encoding())
-		}
+func flatFromContainer(c *label.Container) *FlatIndex {
+	var bwd label.Store
+	if len(c.Halves) == 2 {
+		bwd = c.Halves[1]
 	}
-	return newFlatIndex(stores[0], stores[1], c.Perm), nil
+	return newFlatIndex(c.Halves[0], bwd, c.Perm)
 }
 
 // LoadFlat deserializes a flat index written by FlatIndex.Save into the
@@ -153,7 +93,7 @@ func LoadFlat(r io.Reader) (*FlatIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return flatFromContainer(c)
+	return flatFromContainer(c), nil
 }
 
 // LoadFlatFile reads a flat index from a file into the heap. For the
@@ -193,11 +133,7 @@ func LoadFlatMapped(path string) (*FlatIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	fx, err := flatFromContainer(c)
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
+	fx := flatFromContainer(c)
 	fx.file = c
 	return fx, nil
 }

@@ -28,15 +28,16 @@ const maxBatchBytes = 64 << 20
 // over it: the frozen-only generation plus each patch-batch generation
 // layered on the same labels. The index is closed by whichever release
 // drops the handle's count to zero — patch batches swap snapshots
-// without remapping (or double-closing) the file.
+// without remapping (or double-closing) the file, or hashing it again.
 type fxHandle struct {
 	fx        *FlatIndex
+	ident     uint64 // fx.ContentHash(), computed once per handle
 	refs      atomic.Int64
 	closeOnce sync.Once
 }
 
 func newFxHandle(fx *FlatIndex) *fxHandle {
-	h := &fxHandle{fx: fx}
+	h := &fxHandle{fx: fx, ident: fx.ContentHash()}
 	h.refs.Store(1)
 	return h
 }
@@ -345,7 +346,7 @@ func (s *Server) installHandle(h *fxHandle, path string, ov *delta.Overlay) *Sna
 	eng := NewBatchEngineFlat(fx)
 	eng.SetCache(newCacheFor(fx, s.cacheSize))
 	eng.SetOverlay(ov)
-	ident := fx.ContentHash()
+	ident := h.ident
 	if ov != nil && !ov.Empty() {
 		ident = mixIdent(ident, ov.Hash())
 	}
