@@ -35,6 +35,10 @@ type Graph struct {
 	roff []int64
 	radj []uint32
 	rwts []float64
+
+	// minW and maxW are the lightest and heaviest arc weight (0 for an
+	// edgeless graph), fixed where the CSR is made.
+	minW, maxW float64
 }
 
 // NumVertices returns the number of vertices |V|.
@@ -98,15 +102,30 @@ func (g *Graph) HasEdge(u, v int) (float64, bool) {
 	return w, found
 }
 
+// MinWeight returns the smallest arc weight, or 0 for an edgeless graph.
+func (g *Graph) MinWeight() float64 { return g.minW }
+
 // MaxWeight returns the largest arc weight, or 0 for an edgeless graph.
-func (g *Graph) MaxWeight() float64 {
-	maxw := 0.0
-	for _, w := range g.wts {
-		if w > maxw {
-			maxw = w
+func (g *Graph) MaxWeight() float64 { return g.maxW }
+
+// weightRange returns the smallest and largest of wts, or 0, 0 when it is
+// empty.
+func weightRange(wts []float64) (lo, hi float64) {
+	if len(wts) == 0 {
+		return 0, 0
+	}
+	lo, hi = wts[0], wts[0]
+	for _, w := range wts[1:] {
+		// Plain comparisons: weights are never NaN, and the builtin min and
+		// max of floats branch for it.
+		if w < lo {
+			lo = w
+		}
+		if w > hi {
+			hi = w
 		}
 	}
-	return maxw
+	return lo, hi
 }
 
 // TotalWeight returns the sum of all arc weights (each undirected edge
@@ -129,6 +148,7 @@ func (g *Graph) Transpose() *Graph {
 		n: g.n, directed: true,
 		off: g.roff, adj: g.radj, wts: g.rwts,
 		roff: g.off, radj: g.adj, rwts: g.wts,
+		minW: g.minW, maxW: g.maxW,
 	}
 }
 
@@ -150,7 +170,7 @@ func (g *Graph) Permute(perm []int) (*Graph, []int) {
 		}
 		newID[oldV] = newV
 	}
-	ng := &Graph{n: g.n, directed: g.directed}
+	ng := &Graph{n: g.n, directed: g.directed, minW: g.minW, maxW: g.maxW}
 	ng.off, ng.adj, ng.wts = permuteCSR(g.off, g.adj, g.wts, perm, newID)
 	if g.directed {
 		ng.roff, ng.radj, ng.rwts = permuteCSR(g.roff, g.radj, g.rwts, perm, newID)
@@ -217,6 +237,7 @@ func (g *Graph) Splice(edits []EdgeEdit) (*Graph, error) {
 	if g.directed {
 		ng.roff, ng.radj, ng.rwts = spliceCSR(g.roff, g.radj, g.rwts, rev)
 	}
+	ng.minW, ng.maxW = weightRange(ng.wts)
 	return ng, nil
 }
 
@@ -286,7 +307,7 @@ func spliceCSR(off []int64, adj []uint32, wts []float64, edits []arcEdit) ([]int
 // Clone returns a deep copy of g. Algorithms never mutate a Graph, but the
 // cluster simulator clones graphs to model per-node private copies.
 func (g *Graph) Clone() *Graph {
-	ng := &Graph{n: g.n, directed: g.directed}
+	ng := &Graph{n: g.n, directed: g.directed, minW: g.minW, maxW: g.maxW}
 	ng.off = append([]int64(nil), g.off...)
 	ng.adj = append([]uint32(nil), g.adj...)
 	ng.wts = append([]float64(nil), g.wts...)
@@ -389,6 +410,7 @@ func (b *Builder) Finish() (*Graph, error) {
 	if b.directed {
 		g.roff, g.radj, g.rwts = buildCSR(b.n, b.heads, b.tails, b.wts)
 	}
+	g.minW, g.maxW = weightRange(g.wts)
 	return g, nil
 }
 

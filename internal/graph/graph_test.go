@@ -135,6 +135,9 @@ func sameCSR(t *testing.T, what string, a, b *Graph) {
 	sameArray(t, what+": roff", a.roff, b.roff)
 	sameArray(t, what+": radj", a.radj, b.radj)
 	sameArray(t, what+": rwts", a.rwts, b.rwts)
+	if a.MinWeight() != b.MinWeight() || a.MaxWeight() != b.MaxWeight() {
+		t.Fatalf("%s: weights span [%v, %v], want [%v, %v]", what, a.MinWeight(), a.MaxWeight(), b.MinWeight(), b.MaxWeight())
+	}
 }
 
 func sameArray[T comparable](t *testing.T, what string, got, want []T) {
@@ -184,7 +187,8 @@ func TestPermuteMatchesBuilder(t *testing.T) {
 }
 
 // TestSplice: a splice is the graph a Builder makes from the edited edge
-// set, and it refuses what AddEdge refuses.
+// set, down to the weight span it reports when its lightest edge goes and a
+// heavier one arrives, and it refuses what AddEdge refuses.
 func TestSplice(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		b := NewBuilder(6, directed)
@@ -194,6 +198,7 @@ func TestSplice(t *testing.T) {
 		g := b.MustFinish()
 		got, err := g.Splice([]EdgeEdit{
 			{U: 1, V: 2, Del: true}, // delete
+			{U: 0, V: 1, Del: true}, // delete the lightest edge
 			{U: 3, V: 4, W: 9},      // reweight
 			{U: 0, V: 3, W: 7},      // insert
 			{U: 0, V: 4, Del: true}, // delete an absent edge: no-op
@@ -209,10 +214,13 @@ func TestSplice(t *testing.T) {
 		for _, e := range []struct {
 			u, v int
 			w    float64
-		}{{0, 1, 1}, {2, 3, 3}, {3, 4, 9}, {4, 5, 5}, {5, 0, 6}, {0, 3, 7}, {5, 2, 2.5}} {
+		}{{2, 3, 3}, {3, 4, 9}, {4, 5, 5}, {5, 0, 6}, {0, 3, 7}, {5, 2, 2.5}} {
 			want.AddEdge(e.u, e.v, e.w)
 		}
 		sameCSR(t, fmt.Sprintf("directed=%v", directed), got, want.MustFinish())
+		if lo, hi := got.MinWeight(), got.MaxWeight(); lo != 2.5 || hi != 9 {
+			t.Errorf("directed=%v: spliced weights span [%v, %v]", directed, lo, hi)
+		}
 		for _, bad := range []EdgeEdit{{U: 0, V: 6, W: 1}, {U: -1, V: 2, Del: true}, {U: 0, V: 2, W: math.Inf(1)}, {U: 0, V: 2, W: math.NaN()}, {U: 0, V: 2}} {
 			if _, err := g.Splice([]EdgeEdit{bad}); err == nil {
 				t.Errorf("directed=%v: Splice accepted %+v", directed, bad)

@@ -8,8 +8,9 @@ import (
 // delta-stepping bucket algorithm — one of the "state-of-the-art traversal
 // algorithms" the paper's introduction compares hub labeling against
 // (Meyer & Sanders; the paper cites its parallel descendants [8,11,18,20]).
-// Distances are exact for positive weights; delta ≤ 0 picks a heuristic
-// bucket width (max edge weight / average degree, the standard choice).
+// It is the package's bucket search with buckets delta wide; delta ≤ 0
+// picks a heuristic width (max edge weight / average degree, the standard
+// choice). Distances are exact, and equal Dijkstra's, at any width.
 //
 // It exists here as a query-time baseline: internal/exp measures how many
 // microseconds a traversal-based PPSD query costs versus a label
@@ -17,101 +18,18 @@ import (
 func DeltaStepping(g *graph.Graph, source int, delta float64) []float64 {
 	n := g.NumVertices()
 	dist := make([]float64, n)
-	for i := range dist {
-		dist[i] = graph.Infinity
-	}
 	if n == 0 {
 		return dist
 	}
 	if delta <= 0 {
-		maxW := g.MaxWeight()
-		avgDeg := float64(g.NumArcs()) / float64(n)
-		if avgDeg < 1 {
-			avgDeg = 1
-		}
-		delta = maxW / avgDeg
+		avgDeg := max(float64(g.NumArcs())/float64(n), 1)
+		delta = g.MaxWeight() / avgDeg
 		if delta <= 0 {
 			delta = 1
 		}
 	}
-
-	buckets := make(map[int][]int32)
-	inBucket := make([]int, n) // current bucket index of a vertex, -1 = none
-	for i := range inBucket {
-		inBucket[i] = -1
-	}
-	place := func(v int, d float64) {
-		b := int(d / delta)
-		buckets[b] = append(buckets[b], int32(v))
-		inBucket[v] = b
-	}
-	dist[source] = 0
-	place(source, 0)
-	cur := 0
-
-	relaxInto := func(v int, nd float64) {
-		if nd < dist[v] {
-			dist[v] = nd
-			place(v, nd)
-		}
-	}
-
-	for len(buckets) > 0 {
-		bucket, ok := buckets[cur]
-		if !ok {
-			// advance to the next non-empty bucket
-			next := -1
-			for b := range buckets {
-				if next == -1 || b < next {
-					next = b
-				}
-			}
-			cur = next
-			continue
-		}
-		delete(buckets, cur)
-		// Phase 1: settle light edges, re-collecting vertices that fall
-		// back into the current bucket.
-		var settled []int32
-		for len(bucket) > 0 {
-			frontier := bucket
-			bucket = nil
-			for _, vv := range frontier {
-				v := int(vv)
-				if inBucket[v] != cur || int(dist[v]/delta) != cur {
-					continue // moved to an earlier bucket meanwhile
-				}
-				inBucket[v] = -1
-				settled = append(settled, vv)
-				heads, wts := g.Neighbors(v)
-				for i, u := range heads {
-					if wts[i] <= delta { // light edge
-						nd := dist[v] + wts[i]
-						if nd < dist[int(u)] {
-							dist[int(u)] = nd
-							b := int(nd / delta)
-							if b == cur {
-								bucket = append(bucket, int32(u))
-								inBucket[u] = cur
-							} else {
-								buckets[b] = append(buckets[b], int32(u))
-								inBucket[u] = b
-							}
-						}
-					}
-				}
-			}
-		}
-		// Phase 2: heavy edges from everything settled in this bucket.
-		for _, vv := range settled {
-			v := int(vv)
-			heads, wts := g.Neighbors(v)
-			for i, u := range heads {
-				if wts[i] > delta {
-					relaxInto(int(u), dist[v]+wts[i])
-				}
-			}
-		}
-	}
+	s := getScratch(n)
+	s.search(g, source, -1, delta, dist, nil)
+	putScratch(s)
 	return dist
 }

@@ -1,0 +1,94 @@
+package sssp
+
+import (
+	"testing"
+
+	"repro/internal/graph"
+)
+
+// fuzzWeights spans 1e-300 to 1e300: any two of its first and last entries
+// are more than numBuckets buckets apart, so the search parks distances on
+// the heap, and the largest sums leave the bucket numbers altogether.
+var fuzzWeights = []float64{1e-300, 2.5e-300, 1e-3, 0.1, 0.3, 1, 1.5, 2, 3, 7, 1e3, 1e13, 1e300, 1.7e300}
+
+// fuzzGraph steers a graph of 2–25 vertices out of data: the first byte
+// picks the order and the direction, each later triple (u, v, w) adds an
+// arc, or an edge, with a weight drawn from fuzzWeights and scaled by up to
+// 2 in sixteenths. Few triples leave it disconnected.
+func fuzzGraph(data []byte) *graph.Graph {
+	if len(data) == 0 {
+		data = []byte{0}
+	}
+	n := 2 + int(data[0]>>1)%24
+	b := graph.NewBuilder(n, data[0]&1 == 1)
+	for rest := data[1:]; len(rest) >= 3; rest = rest[3:] {
+		w := fuzzWeights[int(rest[2])%len(fuzzWeights)] * (1 + float64(rest[2]/14)/16)
+		b.AddEdge(int(rest[0])%n, int(rest[1])%n, w)
+	}
+	return b.MustFinish()
+}
+
+// FuzzSSSP holds every entry point of the bucket search to MaxRankOnPath's
+// heap-ordered Dijkstra with ==, from every source of byte-steered directed
+// and undirected graphs: Dijkstra's row, DijkstraTo for every target,
+// ShortestPathTree's row and the exact re-sum of its predecessor walks, and
+// DeltaStepping at the heuristic width, the lightest weight, 1 and 1e250,
+// which puts every distance below 1e250 in bucket 0.
+func FuzzSSSP(f *testing.F) {
+	f.Add([]byte{8, 0, 1, 5, 1, 2, 2, 2, 3, 9, 0, 3, 4})
+	f.Add([]byte{13, 0, 1, 2, 1, 2, 9, 0, 2, 10, 2, 3, 6, 3, 4, 2, 4, 5, 9})      // 1e-3 against 7 and 1e3
+	f.Add([]byte{20, 0, 1, 0, 1, 2, 12, 2, 3, 13, 0, 3, 27, 3, 4, 1, 5, 6, 5})    // 1e-300 against 1e300
+	f.Add([]byte{30, 0, 1, 12, 1, 2, 13, 2, 3, 12, 0, 4, 0, 4, 3, 26, 3, 5, 99})  // sums past MaxFloat64
+	f.Add([]byte{17, 1, 0, 33, 0, 2, 4, 2, 1, 3, 1, 3, 150, 3, 0, 47, 4, 1, 200}) // directed, fractional
+	f.Add([]byte{20, 0, 1, 10, 0, 9, 220, 2, 3, 5, 1, 9, 9, 0, 8, 220})           // parked, then pulled as the window slides
+	f.Add([]byte{20, 0, 1, 10, 1, 5, 10, 0, 9, 220, 9, 5, 5})                     // a parked distance beats one in the window
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := fuzzGraph(data)
+		n := g.NumVertices()
+		for s := 0; s < n; s++ {
+			_, want := MaxRankOnPath(g, s)
+			check := func(what string, got []float64) {
+				t.Helper()
+				for v := range want {
+					if got[v] != want[v] {
+						t.Fatalf("%s from %d: vertex %d at %v, heap Dijkstra says %v", what, s, v, got[v], want[v])
+					}
+				}
+			}
+			check("Dijkstra", Dijkstra(g, s))
+			for v := range want {
+				if got := DijkstraTo(g, s, v); got != want[v] {
+					t.Fatalf("DijkstraTo(%d, %d) = %v, heap Dijkstra says %v", s, v, got, want[v])
+				}
+			}
+			dist, pred := ShortestPathTree(g, s)
+			check("ShortestPathTree", dist)
+			for v := range want {
+				if want[v] == graph.Infinity || v == s {
+					if pred[v] != -1 {
+						t.Fatalf("ShortestPathTree from %d: vertex %d has predecessor %d", s, v, pred[v])
+					}
+					continue
+				}
+				var walk []int
+				for at := v; at != s; at = pred[at] {
+					if len(walk) > n || pred[at] < 0 {
+						t.Fatalf("ShortestPathTree from %d: the walk back from %d does not reach the source", s, v)
+					}
+					walk = append(walk, at)
+				}
+				sum, at := 0.0, s
+				for i := len(walk) - 1; i >= 0; i-- {
+					w, _ := g.HasEdge(at, walk[i])
+					sum, at = sum+w, walk[i]
+				}
+				if sum != want[v] {
+					t.Fatalf("ShortestPathTree from %d: the path to %d re-sums to %v, want %v", s, v, sum, want[v])
+				}
+			}
+			for _, delta := range []float64{0, g.MinWeight(), 1, 1e250} {
+				check("DeltaStepping", DeltaStepping(g, s, delta))
+			}
+		}
+	})
+}

@@ -2,9 +2,24 @@
 // plain Dijkstra (the gold standard every labeling is verified against,
 // with predecessors where a path is wanted), a Dijkstra variant that also
 // computes the maximum-rank vertex on any shortest path (the quantity
-// Canonical Hub Labeling is defined by), and a bidirectional point-to-point
-// Dijkstra used as the traversal baseline the paper's introduction compares
-// hub labeling to.
+// Canonical Hub Labeling is defined by), and Δ-stepping and a bidirectional
+// point-to-point Dijkstra, the traversal baselines the paper's introduction
+// compares hub labeling to.
+//
+// Dijkstra, DijkstraTo, ShortestPathTree and DeltaStepping share one exact
+// bucket search (bucket.go): a circular window of Δ-wide buckets, drained
+// in FIFO rounds that queue a vertex again whenever its distance improves.
+// That makes the search label-correcting, so every row is the minimum over
+// all paths of the left-to-right sum of their weights — the same float a
+// heap-ordered Dijkstra returns — whatever Δ is. Δ is the lightest arc's
+// weight for the Dijkstra entry points, which makes nearly every vertex
+// final when its bucket is first drained. A distance beyond the window is
+// parked in a vheap.Heap until the window reaches it.
+//
+// MaxRankOnPath and PointToPoint stay on the heap alone: the first folds
+// its ancestors in settle order, and is the verifier's reference, kept
+// independent of the bucket search; the second stops on the sum of the two
+// frontiers' minima, which it reads with Peek.
 package sssp
 
 import (
@@ -14,12 +29,13 @@ import (
 	"repro/internal/vheap"
 )
 
-// scratch is a heap, and a distance buffer for the searches whose row
-// does not leave the package, kept between calls so that a search on a
-// sparse graph does not spend its time allocating and zeroing them. One
-// serves any graph of at most len(dist) vertices.
+// scratch is a heap, a bucket window, and a distance buffer for the
+// searches whose row does not leave the package, kept between calls so
+// that a search on a sparse graph does not spend its time allocating and
+// zeroing them. One serves any graph of at most len(dist) vertices.
 type scratch struct {
 	h    *vheap.Heap
+	w    window
 	dist []float64
 }
 
@@ -35,6 +51,7 @@ func getScratch(n int) *scratch {
 
 func putScratch(s *scratch) {
 	s.h.Clear()
+	s.w.clear()
 	scratchPool.Put(s)
 }
 
@@ -44,7 +61,7 @@ func putScratch(s *scratch) {
 func Dijkstra(g *graph.Graph, source int) []float64 {
 	dist := make([]float64, g.NumVertices())
 	s := getScratch(len(dist))
-	dijkstra(g, s.h, source, -1, dist, nil)
+	s.search(g, source, -1, g.MinWeight(), dist, nil)
 	putScratch(s)
 	return dist
 }
@@ -59,57 +76,21 @@ func ShortestPathTree(g *graph.Graph, source int) (dist []float64, pred []int) {
 		pred[i] = -1
 	}
 	s := getScratch(len(dist))
-	dijkstra(g, s.h, source, -1, dist, pred)
+	s.search(g, source, -1, g.MinWeight(), dist, pred)
 	putScratch(s)
 	return dist, pred
 }
 
 // DijkstraTo returns the shortest-path distance from s to t, stopping as
-// soon as t is settled. It pops and relaxes in exactly Dijkstra's order
-// up to that point, so the result is the same float as Dijkstra(g, s)[t].
-// It allocates nothing once a scratch is pooled.
+// soon as t's distance is final: the same float as Dijkstra(g, s)[t]. It
+// allocates nothing once a scratch is pooled.
 func DijkstraTo(g *graph.Graph, s, t int) float64 {
 	sc := getScratch(g.NumVertices())
 	dist := sc.dist[:g.NumVertices()]
-	dijkstra(g, sc.h, s, t, dist, nil)
+	sc.search(g, s, t, g.MinWeight(), dist, nil)
 	d := dist[t]
 	putScratch(sc)
 	return d
-}
-
-// dijkstra runs from source over an empty heap h until it drains or target
-// (-1: none) is settled, writing dist (len n); dist[target] is final by
-// then, the rest of dist is not. A non-nil pred receives each improved
-// vertex's predecessor.
-func dijkstra(g *graph.Graph, h *vheap.Heap, source, target int, dist []float64, pred []int) {
-	for i := range dist {
-		dist[i] = graph.Infinity
-	}
-	dist[source] = 0
-	h.Push(source, 0)
-	for !h.Empty() {
-		u, du := h.Pop()
-		if u == target {
-			break
-		}
-		heads, wts := g.Neighbors(u)
-		for i, v := range heads {
-			if nd := du + wts[i]; nd < dist[v] {
-				dist[v] = nd
-				if pred != nil {
-					pred[v] = u
-				}
-				h.Push(int(v), nd)
-			}
-		}
-	}
-}
-
-// DijkstraReverse computes shortest-path distances *to* target following
-// arcs backwards (equal to Dijkstra on the transpose). For undirected graphs
-// it is identical to Dijkstra.
-func DijkstraReverse(g *graph.Graph, target int) []float64 {
-	return Dijkstra(g.Transpose(), target)
 }
 
 // MaxRankOnPath computes, for every vertex v reachable from source, the
@@ -220,30 +201,4 @@ func PointToPoint(g *graph.Graph, s, t int) float64 {
 		}
 	}
 	return bestMu
-}
-
-// AllPairs computes the full distance matrix by running Dijkstra from every
-// vertex. It is O(n·(m + n log n)) and intended only for verification on
-// small graphs.
-func AllPairs(g *graph.Graph) [][]float64 {
-	n := g.NumVertices()
-	d := make([][]float64, n)
-	for s := 0; s < n; s++ {
-		d[s] = Dijkstra(g, s)
-	}
-	return d
-}
-
-// Eccentricity returns the maximum finite distance from source, i.e. the
-// depth of the shortest path tree. Used by diameter estimates in the
-// experiment harness.
-func Eccentricity(g *graph.Graph, source int) float64 {
-	dist := Dijkstra(g, source)
-	ecc := 0.0
-	for _, d := range dist {
-		if d != graph.Infinity && d > ecc {
-			ecc = d
-		}
-	}
-	return ecc
 }

@@ -131,24 +131,6 @@ func TestDijkstraFigure1(t *testing.T) {
 	}
 }
 
-func TestDijkstraReverseDirected(t *testing.T) {
-	b := graph.NewBuilder(3, true)
-	b.AddEdge(0, 1, 2)
-	b.AddEdge(1, 2, 3)
-	g := b.MustFinish()
-	fwd := Dijkstra(g, 0)
-	if fwd[2] != 5 {
-		t.Fatalf("forward d(0→2) = %v", fwd[2])
-	}
-	rev := DijkstraReverse(g, 2)
-	if rev[0] != 5 || rev[1] != 3 {
-		t.Fatalf("reverse distances %v", rev)
-	}
-	if fwdBack := Dijkstra(g, 2); fwdBack[0] != graph.Infinity {
-		t.Fatal("directed graph should not reach 0 from 2 forwards")
-	}
-}
-
 func TestMaxRankOnPathFigure1(t *testing.T) {
 	g := graph.Figure1()
 	// From v2 (id 1): ancestors per Figure 1c's final state: a(v1)=v1,
@@ -241,20 +223,6 @@ func TestPointToPoint(t *testing.T) {
 	}
 }
 
-func TestAllPairsAndEccentricity(t *testing.T) {
-	g := graph.Path(5, 2)
-	ap := AllPairs(g)
-	if ap[0][4] != 8 || ap[4][0] != 8 || ap[2][2] != 0 {
-		t.Fatalf("all pairs wrong: %v", ap)
-	}
-	if ecc := Eccentricity(g, 0); ecc != 8 {
-		t.Fatalf("eccentricity = %v", ecc)
-	}
-	if ecc := Eccentricity(g, 2); ecc != 4 {
-		t.Fatalf("centre eccentricity = %v", ecc)
-	}
-}
-
 func TestDeltaSteppingMatchesDijkstra(t *testing.T) {
 	graphs := []*graph.Graph{
 		graph.Figure1(),
@@ -286,15 +254,41 @@ func TestDeltaSteppingEmptyGraph(t *testing.T) {
 	}
 }
 
-// dijkstraSink keeps BenchmarkDijkstraRoad's result live.
+// dijkstraSink keeps the Dijkstra benchmarks' results live.
 var dijkstraSink []float64
 
-// BenchmarkDijkstraRoad is one full Dijkstra over the bench's road grid
-// (96×96): the heap's cost with nothing else around it.
-func BenchmarkDijkstraRoad(b *testing.B) {
-	g := graph.RoadGrid(96, 96, 1)
+// benchmarkDijkstra times one full Dijkstra row over g per op, from
+// sources walked in id order.
+func benchmarkDijkstra(b *testing.B, g *graph.Graph) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dijkstraSink = Dijkstra(g, i%g.NumVertices())
 	}
+}
+
+// BenchmarkDijkstraRoad is one full Dijkstra over the bench's road grid
+// (96×96): the queue's cost with nothing else around it.
+func BenchmarkDijkstraRoad(b *testing.B) { benchmarkDijkstra(b, graph.RoadGrid(96, 96, 1)) }
+
+// BenchmarkDijkstraScaleFree is one full Dijkstra over the build-scalefree
+// graph: short hops through high-degree hubs, weights in [1, 90).
+func BenchmarkDijkstraScaleFree(b *testing.B) {
+	benchmarkDijkstra(b, graph.BarabasiAlbert(8192, 3, 1))
+}
+
+// BenchmarkDijkstraWideWeights is the road grid with one extra 1e-3 arc,
+// which makes the buckets 1e-3 wide: nearly every relaxation lands beyond
+// the window, so this times the heap the window parks them on.
+func BenchmarkDijkstraWideWeights(b *testing.B) {
+	benchmarkDijkstra(b, wideWeights())
+}
+
+// wideWeights is the 96×96 road grid plus one 1e-3 arc.
+func wideWeights() *graph.Graph {
+	road := graph.RoadGrid(96, 96, 1)
+	g, err := road.Splice([]graph.EdgeEdit{{U: 0, V: road.NumVertices() - 1, W: 1e-3}})
+	if err != nil {
+		panic(err)
+	}
+	return g
 }

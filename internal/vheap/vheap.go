@@ -1,8 +1,13 @@
 // Package vheap implements a monotone radix heap (Ahuja, Mehlhorn, Orlin &
 // Tarjan, "Faster algorithms for the shortest path problem", JACM 1990)
 // keyed by non-negative float64 priorities over dense integer items. It is
-// the priority queue behind every Dijkstra variant in this repository
-// (pruned PLL Dijkstra, PLaNT Dijkstra, Brandes, the reference SSSP).
+// the priority queue of every search here that needs settle order: the
+// trees of internal/ptree (pruned PLL and PLaNT Dijkstra), which emit a
+// label as a vertex pops; Brandes in internal/order, whose float sums
+// follow its tie order; and internal/sssp's MaxRankOnPath and
+// PointToPoint. internal/sssp's bucket search, behind every plain distance
+// row, parks the distances beyond its window here and pulls them back with
+// PopBelow.
 //
 // Keys are compared as IEEE-754 bit patterns: for non-negative floats the
 // pattern orders like the value it encodes. An entry sits in bucket
@@ -136,6 +141,32 @@ func (h *Heap) Peek() (item int, key float64) {
 	return int(e.item), math.Float64frombits(e.key)
 }
 
+// PopBelow pops the minimum item, as Pop does, if its key is below limit.
+// Otherwise it reports false and leaves every item queued: the floor may
+// rise, but never above limit, so a key at or above limit may still be
+// pushed. A caller that parks the keys beyond a moving window here pulls
+// them back, in key order, as the window's end passes them.
+func (h *Heap) PopBelow(limit float64) (item int, key float64, ok bool) {
+	lim := math.Float64bits(limit)
+	for len(h.buckets[0]) == 0 {
+		if h.occupied == 0 {
+			return 0, 0, false
+		}
+		// Every key in the lowest occupied bucket b shares the floor's bits
+		// above bit b-1 and has bit b-1 set.
+		b := bits.TrailingZeros64(h.occupied) + 1
+		if h.floor>>(b-1)<<(b-1)|1<<(b-1) >= lim {
+			return 0, 0, false
+		}
+		h.spill(lim)
+	}
+	if h.floor >= lim {
+		return 0, 0, false
+	}
+	item, key = h.Pop()
+	return item, key, true
+}
+
 // settle makes bucket 0 non-empty. Bucket 0 never holds a superseded entry:
 // its keys equal the floor, which no decrease can undercut, and an item
 // popped from it leaves it.
@@ -144,24 +175,34 @@ func (h *Heap) settle() {
 		panic("vheap: Pop or Peek on an empty heap")
 	}
 	for len(h.buckets[0]) == 0 {
-		b := bits.TrailingZeros64(h.occupied) + 1
-		src := h.buckets[b]
-		h.buckets[b] = src[:0]
-		h.occupied &^= 1 << (b - 1)
-		floor := uint64(unpushed)
-		for _, e := range src {
-			if e.key < floor && h.keys[e.item] == e.key {
-				floor = e.key
-			}
+		h.spill(unpushed)
+	}
+}
+
+// spill empties the lowest occupied bucket b into lower ones around a new
+// floor: its least live key, or limit if that is lower. limit must lie in
+// bucket b's range or above it; inside it, it too sends every entry of b to
+// a strictly lower bucket, and it leaves every higher bucket's entries where
+// they are. A bucket whose entries were all superseded is dropped, and the
+// floor stays.
+func (h *Heap) spill(limit uint64) {
+	b := bits.TrailingZeros64(h.occupied) + 1
+	src := h.buckets[b]
+	h.buckets[b] = src[:0]
+	h.occupied &^= 1 << (b - 1)
+	floor := uint64(unpushed)
+	for _, e := range src {
+		if e.key < floor && h.keys[e.item] == e.key {
+			floor = e.key
 		}
-		if floor == unpushed {
-			continue // every entry was superseded
-		}
-		h.floor = floor
-		for _, e := range src {
-			if h.keys[e.item] == e.key {
-				h.add(e)
-			}
+	}
+	if floor == unpushed {
+		return // every entry was superseded
+	}
+	h.floor = min(floor, limit)
+	for _, e := range src {
+		if h.keys[e.item] == e.key {
+			h.add(e)
 		}
 	}
 }

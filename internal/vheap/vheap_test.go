@@ -151,6 +151,9 @@ type model struct {
 	key    map[int]float64
 	popped map[int]bool
 	floor  float64
+	// loose is set while a refused PopBelow has left the heap's floor
+	// anywhere up to the model's: a push between them need not panic.
+	loose bool
 }
 
 func newModel() *model { return &model{key: map[int]float64{}, popped: map[int]bool{}} }
@@ -182,7 +185,7 @@ func (m *model) check(t *testing.T, what string, item int, key float64, pop bool
 	if got, ok := m.key[item]; !ok || got != key {
 		t.Fatalf("%s returned (%d,%v), the model holds %v (queued %v)", what, item, key, got, ok)
 	}
-	m.floor = key
+	m.floor, m.loose = key, false
 	if pop {
 		delete(m.key, item)
 		m.popped[item] = true
@@ -190,7 +193,21 @@ func (m *model) check(t *testing.T, what string, item int, key float64, pop bool
 }
 
 func (m *model) clear() {
-	m.key, m.popped, m.floor = map[int]float64{}, map[int]bool{}, 0
+	m.key, m.popped, m.floor, m.loose = map[int]float64{}, map[int]bool{}, 0, false
+}
+
+// popBelow holds one PopBelow answer to the model and applies it.
+func (m *model) popBelow(t *testing.T, h *Heap, limit float64) {
+	t.Helper()
+	item, key, ok := h.PopBelow(limit)
+	if want := len(m.key) > 0 && m.min() < limit; ok != want {
+		t.Fatalf("PopBelow(%v) = %v, want %v", limit, ok, want)
+	}
+	if ok {
+		m.check(t, "PopBelow", item, key, true)
+	} else if limit > m.floor {
+		m.floor, m.loose = limit, true
+	}
 }
 
 // TestHeapSortProperty: any monotone interleaving of pushes and pops —
@@ -233,13 +250,14 @@ func TestHeapSortProperty(t *testing.T) {
 }
 
 // TestRandomOperationsAgainstModel drives the heap with a random monotone
-// op sequence and checks every observation against the model.
+// op sequence, PopBelow among its pops, and checks every observation
+// against the model.
 func TestRandomOperationsAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const n = 64
 	h, m := New(n), newModel()
 	for step := 0; step < 20000; step++ {
-		switch op := rng.Intn(8); {
+		switch op := rng.Intn(9); {
 		case op < 4 || len(m.key) == 0: // push / decrease
 			item := rng.Intn(n)
 			key := m.floor + float64(rng.Intn(1000))/7
@@ -257,6 +275,8 @@ func TestRandomOperationsAgainstModel(t *testing.T) {
 		case op == 7:
 			item, key := h.Peek()
 			m.check(t, "Peek", item, key, false)
+		case op == 8:
+			m.popBelow(t, h, m.floor+float64(rng.Intn(1000))/7)
 		}
 		if rng.Intn(2000) == 0 {
 			h.Clear()
@@ -268,18 +288,81 @@ func TestRandomOperationsAgainstModel(t *testing.T) {
 	}
 }
 
+// TestPopBelow: PopBelow pops in key order while the minimum is below the
+// limit, refuses at it, and a refusal leaves every key at or above the
+// limit pushable, however far its redistribution raised the floor.
+func TestPopBelow(t *testing.T) {
+	h := New(6)
+	for i, k := range []float64{40, 3, 9, 1000, 41} {
+		h.Push(i, k)
+	}
+	for _, want := range []int{1, 2} {
+		if item, _, ok := h.PopBelow(40); !ok || item != want {
+			t.Fatalf("PopBelow(40) = %d, %v; want %d", item, ok, want)
+		}
+	}
+	if _, _, ok := h.PopBelow(40); ok {
+		t.Fatal("PopBelow(40) popped the key 40")
+	}
+	h.Push(5, 40) // at the limit: allowed after the refusal
+	for _, want := range []float64{40, 40, 41} {
+		if _, key, ok := h.PopBelow(999); !ok || key != want {
+			t.Fatalf("PopBelow(999) = %v, %v; want %v", key, ok, want)
+		}
+	}
+	if _, _, ok := h.PopBelow(999); ok || h.Len() != 1 {
+		t.Fatalf("PopBelow(999) popped the key 1000, or dropped it (len %d)", h.Len())
+	}
+	if _, _, ok := New(1).PopBelow(math.Inf(1)); ok {
+		t.Fatal("PopBelow on an empty heap popped")
+	}
+}
+
+// TestPopBelowAgainstModel runs many short random sequences of pushes,
+// decrease-keys, Pops and PopBelows over a few items, where the lowest
+// occupied bucket often holds only superseded entries, and checks every
+// observation against the model.
+func TestPopBelowAgainstModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 20000; trial++ {
+		const n = 8
+		h, m := New(n), newModel()
+		for step := 0; step < 40; step++ {
+			switch rng.Intn(3) {
+			case 0:
+				item := rng.Intn(n)
+				key := m.floor + float64(rng.Intn(64))
+				if old, ok := m.key[item]; ok && rng.Intn(2) == 0 {
+					key = m.floor + (old-m.floor)*rng.Float64()
+				}
+				if got, want := h.Push(item, key), m.push(item, key); got != want {
+					t.Fatalf("trial %d: Push(%d,%v) changed=%v, want %v", trial, item, key, got, want)
+				}
+			case 1:
+				m.popBelow(t, h, m.floor+float64(rng.Intn(64)))
+			case 2:
+				if !h.Empty() {
+					item, key := h.Pop()
+					m.check(t, "Pop", item, key, true)
+				}
+			}
+		}
+	}
+}
+
 // FuzzHeap steers the heap through pushes at, above and (expecting a panic)
-// below the floor, decrease-keys, Peeks between Pops, and Clears, holding
-// every answer to the model.
+// below the floor, decrease-keys, Peeks between Pops, PopBelows on either
+// side of the minimum, and Clears, holding every answer to the model.
 func FuzzHeap(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 2, 3, 0, 1, 9, 1, 1, 2, 4, 1, 1})
 	f.Add([]byte{0, 1, 8, 0, 2, 8, 0, 3, 8, 2, 0, 1, 1, 4, 0, 0, 0, 1, 1, 3, 1, 1})
 	f.Add([]byte{0, 1, 200, 0, 2, 5, 1, 5, 0, 1, 0, 3, 1, 1})
+	f.Add([]byte{0, 1, 40, 0, 2, 90, 6, 0, 20, 0, 3, 80, 6, 0, 200, 6, 0, 200, 3, 0, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const n = 16
 		h, m := New(n), newModel()
 		for len(ops) >= 3 {
-			op, a, b := ops[0]%6, int(ops[1]), ops[2]
+			op, a, b := ops[0]%7, int(ops[1]), ops[2]
 			ops = ops[3:]
 			item := a % n
 			switch op {
@@ -312,7 +395,7 @@ func FuzzHeap(f *testing.F) {
 				if b%4 == 0 {
 					h.Clear()
 					m.clear()
-				} else if m.floor > 0 {
+				} else if m.floor > 0 && !m.loose {
 					key := math.Nextafter(m.floor, 0) * float64(b) / 256
 					func() {
 						defer func() {
