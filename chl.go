@@ -62,8 +62,8 @@ type Options struct {
 	// Algorithm selects the constructor. Default: the fastest on the
 	// scoreboard for the graph's directedness — AlgoPLaNT for undirected
 	// graphs (build_plant_s is the lowest build_*_s of bench/ on build-road,
-	// 0.15 s against build_gll_s 0.16 s, and on build-scalefree, 0.058 s
-	// against 0.066 s), AlgoSeqPLL for directed ones. Every canonical
+	// 0.149 s against build_gll_s 0.187 s, and on build-scalefree, 0.050 s
+	// against 0.074 s), AlgoSeqPLL for directed ones. Every canonical
 	// constructor emits the same labels.
 	Algorithm Algorithm
 
@@ -83,9 +83,9 @@ type Options struct {
 	// (§5.3), on undirected and directed graphs alike (a directed build
 	// keeps a forward and a backward table): 0 = the default, a table that
 	// grows with every finished batch of trees, each batch an eighth of the
-	// table before it; η > 0 = the η top hubs only, as the paper fixes it;
-	// negative = off (Algorithm 3 verbatim). The labeling is the same in
-	// every case.
+	// table before it; η > 0 = the same, frozen at the η top hubs, as the
+	// paper fixes it; negative = off (Algorithm 3 verbatim). The labeling
+	// is the same in every case.
 	CommonHubs int
 
 	// PlantFirstSuperstep makes AlgoGLL build its first superstep with

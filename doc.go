@@ -30,8 +30,8 @@
 //     finished trees only prune later ones (Options.CommonHubs, §5.3).
 //     Output: the CHL. Build's default on undirected graphs, because the
 //     scoreboard says so: build_plant_s is the lowest build_*_s of bench/
-//     on build-road (0.15 s against build_gll_s 0.16 s) and on
-//     build-scalefree (0.058 s against build_gll_s 0.066 s).
+//     on build-road (0.149 s against build_gll_s 0.187 s) and on
+//     build-scalefree (0.050 s against build_gll_s 0.074 s).
 //   - AlgoDParaPLL, AlgoDGLL, AlgoDPLaNT, AlgoHybrid — the distributed
 //     algorithms of §3/§5, executed on a simulated message-passing cluster
 //     that meters every byte (see below).

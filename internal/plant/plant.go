@@ -4,7 +4,7 @@
 // A PLaNTed shortest path tree is a Dijkstra from the root h that
 // propagates, alongside distances, the highest-ranked *ancestor* seen on
 // (any) shortest path from h: a[v] = argmax-rank over the vertices of the
-// best shortest path from h to v, endpoints included. When v is popped, the
+// best shortest path from h to v, endpoints included. When v is settled, the
 // label (h, δ_v) is emitted iff neither v nor a[v] outranks h — i.e. iff h
 // is the maximum-rank vertex on the highest-ancestor shortest path, which
 // after the tie-breaking rule of Algorithm 3 line 12 is the maximum over ALL
@@ -18,10 +18,10 @@
 //
 //   - Early termination: a counter tracks how many queued vertices still
 //     have the root as their best ancestor; when it reaches zero no future
-//     pop can produce a label, and the traversal stops (§5.2).
+//     vertex can produce a label, and the traversal stops (§5.2).
 //   - Common-label pruning (§5.3): given a Common Label Table holding the
 //     *complete* canonical label sets of every hub ranked above some bound,
-//     a popped vertex that one of those hubs covers at ≤ δ_v is cut. The
+//     a settled vertex that one of those hubs covers at ≤ δ_v is cut. The
 //     paper fixes the table at the η = 16 top hubs; Run grows it batch by
 //     batch, each batch an eighth of the table it is pruned against
 //     (BatchBounds) — in shared memory every finished tree's labels are
@@ -33,14 +33,14 @@
 //
 // Write T for the table, b for its bound (T holds every canonical label
 // whose hub id is < b, and b ≤ h), d for true distances and δ_v for the
-// tentative distance v is popped with. The cut rule is: drop v, without
+// tentative distance v is settled with. The cut rule is: drop v, without
 // emitting or relaxing, when some hub w < b has d(w,v) + d(w,h) ≤ δ_v.
 //
-//   - Every popped vertex either carries its true distance or is cut.
-//     Suppose v pops with δ_v > d(h,v) and follow a true shortest h–v path
+//   - Every settled vertex either carries its true distance or is cut.
+//     Suppose v settles with δ_v > d(h,v) and follow a true shortest h–v path
 //     to its first vertex x that was not expanded at its true distance. The
 //     predecessor of x was, so x was queued — and, weights being positive,
-//     popped before v — at d(h,x); not having been expanded it was cut, by
+//     settled before v — at d(h,x); not having been expanded it was cut, by
 //     some w < b with d(w,x) + d(w,h) ≤ d(h,x). Then w lies on a shortest
 //     h–v path, so the maximum-rank vertex m of all shortest h–v paths has
 //     m ≤ w < b; m is a canonical hub of both h and v, T holds both labels,
@@ -55,7 +55,7 @@
 //     vertex on them (a higher-ranked detour to a prefix would extend to u).
 //     None of those vertices is covered by a hub above h at its true
 //     distance, so none is cut, every shortest h–u path is explored in full,
-//     and u pops with d(h,u) and ancestor h, exactly as in the unpruned
+//     and u settles with d(h,u) and ancestor h, exactly as in the unpruned
 //     tree.
 //   - The ancestor shortcut equals the query. If nA = min(v, a[v]) < b,
 //     the explored path of length δ_v contains a vertex ranked above the
@@ -80,9 +80,24 @@
 // maximum-rank vertex of all shortest h→v paths is a hub of both sets. A
 // tree over Gᵀ is the mirror.
 //
-// The package operates in rank space (vertex 0 = highest rank); with
-// positive edge weights every shortest-path predecessor settles before its
-// successor pops, so ancestors are exact at pop time.
+// # Settling a bucket at a time
+//
+// A tree settles from a vheap.Window whose buckets are Δ = w_min/2 wide,
+// w_min the lightest arc, a bucket at a time in FIFO order. Ancestors are
+// exact when a vertex settles. A relaxation d + w from bucket number k has
+// w ≥ 2Δ, so fl(d + w)·(1/Δ) ≥ k + 2 − O(k·2⁻⁵²) > k + 1 for every k below
+// the window's limit of 2^50: it lands in a strictly later bucket, even
+// after rounding. So when a bucket is reached every vertex in it has its
+// final distance and its final best ancestor — each of its shortest-path
+// predecessors lies in an earlier bucket and has settled — and the order
+// within the bucket is free. Past bucket number 2^50, or with Δ below the
+// window's narrowest bucket, the tree settles from the window's heap one
+// vertex at a time, in distance order. Every rule above is applied when a
+// vertex settles, as in a heap-ordered Dijkstra; only early termination may
+// stop at a different vertex of the last bucket, which moves the work
+// counters and never the labels.
+//
+// The package operates in rank space (vertex 0 = highest rank).
 package plant
 
 import (
@@ -94,20 +109,25 @@ import (
 	"repro/internal/label"
 	"repro/internal/metrics"
 	"repro/internal/ptree"
+	"repro/internal/vheap"
 )
 
 // Scratch holds the per-worker state of PLaNT Dijkstra, reusable across
 // trees (reset costs O(touched), not O(n)): the shared Dijkstra scratch plus
-// what ancestor propagation adds. HD holds the root's table labels.
+// what ancestor propagation adds, and the bucket window the tree settles
+// from, which parks its far distances on the shared scratch's heap. HD
+// holds the root's table labels.
 type Scratch struct {
 	*ptree.Scratch
 	anc     []int32 // a[v]: best (minimum-id) ancestor on current best path
 	settled []bool
+	win     *vheap.Window
 }
 
 // NewScratch allocates scratch for graphs with n vertices.
 func NewScratch(n int) *Scratch {
-	return &Scratch{Scratch: ptree.NewScratch(n), anc: make([]int32, n), settled: make([]bool, n)}
+	s := ptree.NewScratch(n)
+	return &Scratch{Scratch: s, anc: make([]int32, n), settled: make([]bool, n), win: vheap.NewWindow(&s.Heap)}
 }
 
 // NewScratches allocates one Scratch per worker of a pool.
@@ -119,22 +139,27 @@ func NewScratches(workers, n int) []*Scratch {
 	return scr
 }
 
-// Sink receives the labels emitted by one PLaNTed tree, in ascending
-// distance order. v is the labeled vertex; the hub is the tree root.
+// Sink receives the labels emitted by one PLaNTed tree, in bucket order:
+// by distance, up to the order of the distances that share a bucket. v is
+// the labeled vertex; the hub is the tree root.
 type Sink func(v int, dist float64)
 
 // Tree runs Algorithm 3 (PLaNTDijkstra) from root h over g, emitting labels
 // into sink. The tree is pruned per §5.3 against a Common Label Table that
 // holds the complete label sets of every hub ranked above commonBound (= η,
 // or the first root of the tree's batch): the root's own labels are read
-// from root and hashed, a popped vertex's are read from probe and queried.
+// from root and hashed, a settled vertex's are read from probe and queried.
 // On an undirected graph the two are one table. A tree over a directed G
 // hashes Lout(h) and probes Lin(v); a tree over Gᵀ does the mirror. The
 // tables are only read, and only below the bound; with commonBound 0 they
 // are not read at all and may be nil.
 //
+// The tree settles a bucket of its window at a time, in FIFO order, with
+// buckets half the lightest arc wide (package doc): every vertex of a
+// bucket has its final distance and ancestor when the bucket is reached.
+//
 // Differences from the paper's pseudo-code, both deliberate: edge
-// relaxation happens even when the popped vertex produces no label (Figure
+// relaxation happens even when the settled vertex produces no label (Figure
 // 1c shows this; otherwise ancestors would not propagate past high-ranked
 // vertices), and settled vertices are never re-relaxed.
 func Tree(g *graph.Graph, h int, s *Scratch, root, probe *label.Index, commonBound uint32, sink Sink) ptree.Stats {
@@ -142,7 +167,7 @@ func Tree(g *graph.Graph, h int, s *Scratch, root, probe *label.Index, commonBou
 	for _, v := range s.Dirty {
 		s.settled[v] = false
 	}
-	s.Start(h)
+	s.Reset(h)
 	s.anc[h] = int32(h)
 	cnt := 1 // queued vertices whose best ancestor is the root
 
@@ -157,86 +182,72 @@ func Tree(g *graph.Graph, h int, s *Scratch, root, probe *label.Index, commonBou
 		s.HD.Load(root.Labels(h))
 	}
 
-	for !s.Heap.Empty() {
-		if cnt == 0 {
-			break // early termination: no queued vertex can yield a label
-		}
-		v, dv := s.Heap.Pop()
-		s.settled[v] = true
-		st.Explored++
-		av := s.anc[v]
-		if av == int32(h) {
-			cnt--
-		}
-		// nA = argmax rank over {v, a[v]} = min id.
-		nA := av
-		if int32(v) < nA {
-			nA = int32(v)
-		}
-		// Common-label pruning (§5.3): if a hub ranked above the bound
-		// covers (h, v) at distance ≤ δv, neither v nor anything whose
-		// shortest paths run through v can take h as a hub — cut the
-		// subtree. An ancestor above the bound is such a cover already
-		// (package doc), so only the other pops pay for a query.
-		if prune {
-			if uint32(nA) < bound {
-				st.RankPruned++
-				continue
+	dist, win := s.Dist, s.win
+	win.Start(g.MinWeight() / 2)
+	win.Queue(h, 0)
+	var explored, relaxed int64
+	for more := true; more && cnt > 0; more = win.Next(dist) {
+		// Every relaxation lands in a later bucket, so this one does not
+		// grow while it is settled.
+		for _, e := range win.Bucket() {
+			if cnt == 0 {
+				break // early termination: no queued vertex can yield a label
 			}
-			if v != h {
-				st.Queries++
-				if s.HD.QueryAgainstBounded(probe.Labels(v), dv, bound) {
-					st.DistPruned++
+			v, dv := int(e.V), e.D
+			if dv != dist[v] {
+				continue // improved since it was queued here
+			}
+			s.settled[v] = true
+			explored++
+			av := s.anc[v]
+			if av == int32(h) {
+				cnt--
+			}
+			// nA = argmax rank over {v, a[v]} = min id.
+			nA := av
+			if int32(v) < nA {
+				nA = int32(v)
+			}
+			// Common-label pruning (§5.3): if a hub ranked above the bound
+			// covers (h, v) at distance ≤ δv, neither v nor anything whose
+			// shortest paths run through v can take h as a hub — cut the
+			// subtree. An ancestor above the bound is such a cover already
+			// (package doc), so only the other vertices pay for a query.
+			if prune {
+				if uint32(nA) < bound {
+					st.RankPruned++
 					continue
 				}
+				if v != h {
+					st.Queries++
+					if s.HD.QueryAgainstBounded(probe.Labels(v), dv, bound) {
+						st.DistPruned++
+						continue
+					}
+				}
 			}
-		}
-		if nA >= int32(h) { // R[nA] ≤ R[h]: the root is the path maximum
-			sink(v, dv)
-			st.Labels++
-		}
-		heads, wts := g.Neighbors(v)
-		for i, uu := range heads {
-			u := int(uu)
-			if s.settled[u] {
-				continue
+			if nA >= int32(h) { // R[nA] ≤ R[h]: the root is the path maximum
+				sink(v, dv)
+				st.Labels++
 			}
-			nd := dv + wts[i]
-			st.Relaxed++
-			du := s.Dist[u]
-			if nd < du {
-				if du == graph.Infinity {
-					s.Dirty = append(s.Dirty, int32(uu))
-				}
-				// a[u] = argmax rank over {nA, u} (Alg. 3 line 11).
-				na := nA
-				if int32(u) < na {
-					na = int32(u)
-				}
-				prev := du != graph.Infinity && s.anc[u] == int32(h)
-				now := na == int32(h)
-				if now && !prev {
-					cnt++
-				} else if !now && prev {
-					cnt--
-				}
-				s.anc[u] = na
-				s.Dist[u] = nd
-				s.Heap.Push(u, nd)
-			} else if nd == du {
-				// Equal-length path: keep the higher-ranked ancestor
-				// (Alg. 3 line 12) so the emitted labels reflect the
-				// maximum over ALL shortest paths.
-				pa := s.anc[u]
-				na := nA
-				if int32(u) < na {
-					na = int32(u)
-				}
-				if pa < na {
-					na = pa
-				}
-				if na != pa {
-					prev := pa == int32(h)
+			heads, wts := g.Neighbors(v)
+			relaxed += int64(len(heads))
+			for i, uu := range heads {
+				u := int(uu)
+				nd := dv + wts[i]
+				// A settled u has dist[u] ≤ nd, so only the equal-length
+				// branch asks whether u is settled.
+				du := dist[u]
+				if nd < du {
+					if du == graph.Infinity {
+						s.Dirty = append(s.Dirty, int32(uu))
+					}
+					// a[u] = argmax rank over {nA, u} (Alg. 3 line 11).
+					na := nA
+					if int32(u) < na {
+						na = int32(u)
+					}
+					prev := du != graph.Infinity && s.anc[u] == int32(h)
 					now := na == int32(h)
 					if now && !prev {
 						cnt++
@@ -244,10 +255,35 @@ func Tree(g *graph.Graph, h int, s *Scratch, root, probe *label.Index, commonBou
 						cnt--
 					}
 					s.anc[u] = na
+					dist[u] = nd
+					win.Queue(u, nd)
+				} else if nd == du && !s.settled[u] {
+					// Equal-length path: keep the higher-ranked ancestor
+					// (Alg. 3 line 12) so the emitted labels reflect the
+					// maximum over ALL shortest paths.
+					pa := s.anc[u]
+					na := nA
+					if int32(u) < na {
+						na = int32(u)
+					}
+					if pa < na {
+						na = pa
+					}
+					if na != pa {
+						prev := pa == int32(h)
+						now := na == int32(h)
+						if now && !prev {
+							cnt++
+						} else if !now && prev {
+							cnt--
+						}
+						s.anc[u] = na
+					}
 				}
 			}
 		}
 	}
+	st.Explored, st.Relaxed = explored, relaxed
 	return st
 }
 
@@ -262,10 +298,11 @@ type Options struct {
 	// the table as trees finish: roots run in rank-ordered batches
 	// (BatchBounds) and each batch is pruned against the labels of all
 	// earlier ones — a table at most a ninth behind the tree's rank. η > 0
-	// freezes the table after the first η trees, as the paper does ("η =
-	// 16 for all experiments"). Negative disables pruning (Algorithm 3
-	// verbatim). RunDirected keeps one table per direction on the same
-	// schedule. The output is the CHL in every case.
+	// grows the table the same way up to the first η trees and freezes it
+	// there, as the paper does ("η = 16 for all experiments"), and as
+	// internal/dist does with the same η. Negative disables pruning
+	// (Algorithm 3 verbatim). RunDirected keeps one table per direction on
+	// the same schedule. The output is the CHL in every case.
 	CommonHubs int
 }
 
@@ -284,19 +321,26 @@ const firstBatch = 16
 
 // BatchBounds returns the boundaries of the root batches: batch k is
 // [bounds[k], bounds[k+1]) and its trees are pruned against the labels of
-// every earlier batch. The three pruning modes differ in nothing else.
+// every earlier batch. The three pruning modes differ in nothing else:
+// η = 0 grows the table to the end, η > 0 grows it the same way up to η
+// and plants [η, n) as one batch (η ≥ n is η = 0), and a negative η plants
+// [0, n) as one.
 func BatchBounds(n, commonHubs int) []int {
 	bounds := []int{0}
-	switch {
-	case commonHubs == 0:
+	if commonHubs >= 0 {
+		end := n
+		if commonHubs > 0 && commonHubs < n {
+			end = commonHubs
+		}
 		// [0,16) [16,32) … [128,144) [144,162) [162,182) …: each batch is an
 		// eighth of the table it is pruned against, so no tree's table lags
-		// its rank by more than 1/9. A function of n alone.
-		for b := firstBatch; b < n; b += max(firstBatch, b/8) {
+		// its rank by more than 1/9. A function of n and η alone.
+		for b := firstBatch; b < end; b += max(firstBatch, b/8) {
 			bounds = append(bounds, b)
 		}
-	case commonHubs > 0 && commonHubs < n:
-		bounds = append(bounds, commonHubs)
+		if end < n {
+			bounds = append(bounds, end)
+		}
 	}
 	if n > 0 {
 		bounds = append(bounds, n)

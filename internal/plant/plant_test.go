@@ -7,6 +7,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/label"
 	"repro/internal/metrics"
+	"repro/internal/order"
 	"repro/internal/pll"
 	"repro/internal/ptree"
 	"repro/internal/sssp"
@@ -157,8 +158,11 @@ func TestBatchBounds(t *testing.T) {
 		{200, 0, []int{0, 16, 32, 48, 64, 80, 96, 112, 128, 144, 162, 182, 200}}, // +16 while b/8 ≤ 16, then ×9/8
 		{100, -1, []int{0, 100}},
 		{100, 7, []int{0, 7, 100}},
-		{100, 100, []int{0, 100}},
-		{100, 500, []int{0, 100}},
+		{100, 16, []int{0, 16, 100}},
+		{100, 40, []int{0, 16, 32, 40, 100}}, // grown up to η, then one batch
+		{200, 144, []int{0, 16, 32, 48, 64, 80, 96, 112, 128, 144, 200}},
+		{100, 100, []int{0, 16, 32, 48, 64, 80, 96, 100}}, // η ≥ n grows to the end
+		{100, 500, []int{0, 16, 32, 48, 64, 80, 96, 100}},
 	} {
 		if got := BatchBounds(c.n, c.hubs); !slices.Equal(got, c.want) {
 			t.Fatalf("BatchBounds(%d, %d) = %v, want %v", c.n, c.hubs, got, c.want)
@@ -349,4 +353,42 @@ func TestScratchReuseAcrossTrees(t *testing.T) {
 			}
 		}
 	}
+}
+
+var plantSink *label.Index
+
+// benchmarkPLaNT times one 2-worker Run over g ranked by ord: the trees,
+// their windows and the commits.
+func benchmarkPLaNT(b *testing.B, g *graph.Graph, ord *order.Order) {
+	rg, _ := g.Permute(ord.Perm)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plantSink, _ = Run(rg, Options{Workers: 2})
+	}
+}
+
+// BenchmarkPLaNTRoad is the build-road fixture's shape: the 96×96 road grid
+// ranked by 256-sample betweenness.
+func BenchmarkPLaNTRoad(b *testing.B) {
+	g := graph.RoadGrid(96, 96, 1)
+	benchmarkPLaNT(b, g, order.ByApproxBetweenness(g, 256, 1, 2))
+}
+
+// BenchmarkPLaNTScaleFree is the build-scalefree fixture's shape: the
+// 8192-vertex scale-free graph ranked by degree.
+func BenchmarkPLaNTScaleFree(b *testing.B) {
+	g := graph.BarabasiAlbert(8192, 3, 1)
+	benchmarkPLaNT(b, g, order.ByDegree(g))
+}
+
+// BenchmarkPLaNTWideWeights is the road benchmark plus one 1e-3 arc, which
+// makes the buckets 5e-4 wide: nearly every relaxation lands beyond the
+// window, so this times the heap the window parks them on.
+func BenchmarkPLaNTWideWeights(b *testing.B) {
+	road := graph.RoadGrid(96, 96, 1)
+	g, err := road.Splice([]graph.EdgeEdit{{U: 0, V: road.NumVertices() - 1, W: 1e-3}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchmarkPLaNT(b, g, order.ByApproxBetweenness(road, 256, 1, 2))
 }

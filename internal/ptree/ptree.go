@@ -17,8 +17,12 @@
 // (ParallelRange where items are too cheap to claim one at a time).
 //
 // Two traversals stay outside on purpose. pll.Sequential is the reference
-// the others are compared against and shares only the Scratch; plant.Tree
-// propagates ancestors and stops early, which Tree would have to branch on.
+// the others are compared against and shares only the Scratch. plant.Tree
+// propagates ancestors and stops early, which Tree would have to branch on,
+// and it settles from another queue: PLaNT's labels do not depend on the
+// order of equal-distance vertices, so its trees settle a bucket of a
+// vheap.Window at a time, while Tree's pruned labels follow the heap's
+// exact pop order (paraPLL's redundant labels depend on it).
 //
 // The package operates in rank space (vertex 0 = highest rank).
 package ptree
@@ -74,15 +78,22 @@ func NewScratches(workers, n int) []*Scratch {
 }
 
 // Start forgets the previous tree in O(touched) and queues root h at
-// distance 0. HD is the caller's to load and is left alone.
+// distance 0 on the heap. HD is the caller's to load and is left alone.
 func (s *Scratch) Start(h int) {
+	s.Reset(h)
+	s.Heap.Clear()
+	s.Heap.Push(h, 0)
+}
+
+// Reset is Start for a tree that queues its root elsewhere: it forgets the
+// previous tree's distances and sets root h's to 0, and leaves the heap
+// alone.
+func (s *Scratch) Reset(h int) {
 	for _, v := range s.Dirty {
 		s.Dist[v] = graph.Infinity
 	}
 	s.Dirty = append(s.Dirty[:0], int32(h))
-	s.Heap.Clear()
 	s.Dist[h] = 0
-	s.Heap.Push(h, 0)
 }
 
 // Stats counts what trees and cleaning passes did. Workers accumulate it by

@@ -7,14 +7,15 @@
 // compares hub labeling to.
 //
 // Dijkstra, DijkstraTo, ShortestPathTree and DeltaStepping share one exact
-// bucket search (bucket.go): a circular window of Δ-wide buckets, drained
-// in FIFO rounds that queue a vertex again whenever its distance improves.
+// bucket search (bucket.go) on vheap.Window, the bucket queue PLaNT's trees
+// settle from too: a circular window of Δ-wide buckets, here drained in
+// FIFO rounds that queue a vertex again whenever its distance improves.
 // That makes the search label-correcting, so every row is the minimum over
 // all paths of the left-to-right sum of their weights — the same float a
 // heap-ordered Dijkstra returns — whatever Δ is. Δ is the lightest arc's
 // weight for the Dijkstra entry points, which makes nearly every vertex
-// final when its bucket is first drained. A distance beyond the window is
-// parked in a vheap.Heap until the window reaches it.
+// final when its bucket is first drained. The window parks a distance
+// beyond its end on its vheap.Heap until it reaches it.
 //
 // MaxRankOnPath and PointToPoint stay on the heap alone: the first folds
 // its ancestors in settle order, and is the verifier's reference, kept
@@ -35,7 +36,7 @@ import (
 // zeroing them. One serves any graph of at most len(dist) vertices.
 type scratch struct {
 	h    *vheap.Heap
-	w    window
+	w    *vheap.Window // parks its far distances on h
 	dist []float64
 }
 
@@ -46,12 +47,12 @@ func getScratch(n int) *scratch {
 	if s, ok := scratchPool.Get().(*scratch); ok && len(s.dist) >= n {
 		return s
 	}
-	return &scratch{h: vheap.New(n), dist: make([]float64, n)}
+	h := vheap.New(n)
+	return &scratch{h: h, w: vheap.NewWindow(h), dist: make([]float64, n)}
 }
 
 func putScratch(s *scratch) {
-	s.h.Clear()
-	s.w.clear()
+	s.w.Clear()
 	scratchPool.Put(s)
 }
 

@@ -1,13 +1,19 @@
-// Package vheap implements a monotone radix heap (Ahuja, Mehlhorn, Orlin &
-// Tarjan, "Faster algorithms for the shortest path problem", JACM 1990)
-// keyed by non-negative float64 priorities over dense integer items. It is
-// the priority queue of every search here that needs settle order: the
-// trees of internal/ptree (pruned PLL and PLaNT Dijkstra), which emit a
-// label as a vertex pops; Brandes in internal/order, whose float sums
-// follow its tie order; and internal/sssp's MaxRankOnPath and
-// PointToPoint. internal/sssp's bucket search, behind every plain distance
-// row, parks the distances beyond its window here and pulls them back with
-// PopBelow.
+// Package vheap holds the two priority queues of the shortest path
+// searches here: a monotone radix heap (Ahuja, Mehlhorn, Orlin & Tarjan,
+// "Faster algorithms for the shortest path problem", JACM 1990) keyed by
+// non-negative float64 priorities over dense integer items, and Window, a
+// circular window of Δ-wide buckets in front of such a heap.
+//
+// The heap is popped by the searches whose result follows the exact order
+// of their pops, or that are kept independent of the window: the trees of
+// internal/ptree (paraPLL's labels depend on tie order), pll.Sequential,
+// the reference builder, Brandes in internal/order, whose float sums
+// follow tie order, and internal/sssp's MaxRankOnPath and PointToPoint.
+// The window serves the searches that may settle a bucket at a time:
+// internal/sssp's label-correcting search behind every plain distance row,
+// and PLaNT's trees (plant.Tree), whose buckets are half the lightest arc
+// wide. It parks the distances beyond its end on the heap and pulls them
+// back with PopBelow.
 //
 // Keys are compared as IEEE-754 bit patterns: for non-negative floats the
 // pattern orders like the value it encodes. An entry sits in bucket
