@@ -79,37 +79,22 @@ type Options struct {
 	// Alpha is GLL's synchronization threshold (0 = 4, per Figure 5).
 	Alpha float64
 
-	// CommonHubs sizes the Common Label Table of shared-memory PLaNT
-	// (§5.3), on undirected and directed graphs alike (a directed build
-	// keeps a forward and a backward table): 0 = the default, a table that
-	// grows with every finished batch of trees, each batch an eighth of the
-	// table before it; η > 0 = the same, frozen at the η top hubs, as the
-	// paper fixes it; negative = off (Algorithm 3 verbatim). The labeling
-	// is the same in every case.
-	CommonHubs int
-
-	// PlantFirstSuperstep makes AlgoGLL build its first superstep with
-	// PLaNTed trees (§5.4): the pathological first cleaning phase
-	// disappears because PLaNT output is canonical by construction.
-	PlantFirstSuperstep bool
-
 	// Nodes is the simulated cluster size q for distributed algorithms
 	// (0 or 1 = single node).
 	Nodes int
 	// WorkersPerNode is the intra-node thread count (0 = 1).
 	WorkersPerNode int
-	// Beta is the DGLL superstep growth factor (0 = 8).
-	Beta float64
-	// Supersteps fixes the synchronization count (0 = ceil(log_β n)).
-	Supersteps int
-	// Eta is CommonHubs for the distributed algorithms, one convention:
-	// 0 = AlgoDPLaNT and AlgoHybrid gather every batch's labels into each
-	// node's replica of the table (least exploration, every label crosses
-	// the wire once: hybrid.vertices_explored vs hybrid.bytes_sent in
-	// bench/); η > 0 = only the top η trees' (16 is the paper's setting,
-	// and what AlgoDGLL PLaNTs first when given one); negative = off. With
-	// MemoryLimitBytes set the replica also stops growing where a node's
-	// memory does.
+	// Eta (η) sizes the Common Label Table of every builder that PLaNTs
+	// (§5.3): AlgoPLaNT (a directed build keeps a forward and a backward
+	// table), AlgoDPLaNT, AlgoHybrid, and AlgoDGLL, which PLaNTs its top η
+	// trees first when η > 0. 0 = the default, a table that grows with
+	// every finished batch of trees, each batch an eighth of the table
+	// before it (the distributed builders gather every batch into each
+	// node's replica, so every label crosses the wire once); η > 0 = the
+	// same, frozen after the top η trees, as the paper does (16); negative
+	// = off (Algorithm 3 verbatim). With MemoryLimitBytes set a replica
+	// also stops growing where a node's memory does. η changes how much the
+	// trees explore, never the labels.
 	Eta int
 	// PsiThreshold is the Hybrid switch threshold Ψth (0 = 100).
 	PsiThreshold float64
@@ -118,10 +103,6 @@ type Options struct {
 	// fit; a build that still cannot returns ErrOutOfMemory, simulating
 	// the OOM failures of Figure 8.
 	MemoryLimitBytes int64
-
-	// RecordPerTree keeps per-tree label and exploration counts (Figures
-	// 2 and 3) in the build metrics.
-	RecordPerTree bool
 
 	// Seed feeds the automatic ranking.
 	Seed int64
@@ -170,22 +151,15 @@ func Build(g *Graph, opt Options) (*Index, error) {
 	var err error
 	switch opt.Algorithm {
 	case AlgoSeqPLL:
-		ix.ranked, ix.metrics = pll.Sequential(rg, pll.Options{RecordPerTree: opt.RecordPerTree})
+		ix.ranked, ix.metrics = pll.Sequential(rg, pll.Options{})
 	case AlgoSParaPLL:
 		ix.ranked, ix.metrics = pll.SParaPLL(rg, pll.Options{Workers: opt.Workers})
 	case AlgoLCC:
 		ix.ranked, ix.metrics = lcc.Run(rg, lcc.Options{Workers: opt.Workers})
 	case AlgoGLL:
-		gopts := gll.Options{Workers: opt.Workers, Alpha: opt.Alpha}
-		if opt.PlantFirstSuperstep {
-			ix.ranked, ix.metrics = gll.RunPlantFirst(rg, gopts)
-		} else {
-			ix.ranked, ix.metrics = gll.Run(rg, gopts)
-		}
+		ix.ranked, ix.metrics = gll.Run(rg, gll.Options{Workers: opt.Workers, Alpha: opt.Alpha})
 	case AlgoPLaNT:
-		ix.ranked, ix.metrics = plant.Run(rg, plant.Options{
-			Workers: opt.Workers, CommonHubs: opt.CommonHubs, RecordPerTree: opt.RecordPerTree,
-		})
+		ix.ranked, ix.metrics = plant.Run(rg, plant.Options{Workers: opt.Workers, Eta: opt.Eta})
 	case AlgoDParaPLL, AlgoDGLL, AlgoDPLaNT, AlgoHybrid:
 		var res *dist.Result
 		res, err = buildDistributed(rg, opt)
@@ -205,12 +179,9 @@ func buildDistributed(rg *Graph, opt Options) (*dist.Result, error) {
 	dopts := dist.Options{
 		Nodes:            opt.Nodes,
 		WorkersPerNode:   opt.WorkersPerNode,
-		Beta:             opt.Beta,
-		Supersteps:       opt.Supersteps,
 		Eta:              opt.Eta,
 		PsiThreshold:     opt.PsiThreshold,
 		MemoryLimitBytes: opt.MemoryLimitBytes,
-		RecordPerTree:    opt.RecordPerTree,
 	}
 	switch opt.Algorithm {
 	case AlgoDParaPLL:
@@ -229,13 +200,11 @@ func buildDirected(rg *Graph, ord *Order, newID []int, opt Options) (*Index, err
 	ix := &Index{n: rg.NumVertices(), perm: append([]int(nil), ord.Perm...), rank: newID}
 	switch opt.Algorithm {
 	case AlgoSeqPLL, "":
-		dx, m := pll.SequentialDirected(rg, pll.Options{RecordPerTree: opt.RecordPerTree})
+		dx, m := pll.SequentialDirected(rg, pll.Options{})
 		ix.directed = dx
 		ix.metrics = m
 	case AlgoPLaNT:
-		dx, m := plant.RunDirected(rg, plant.Options{
-			Workers: opt.Workers, CommonHubs: opt.CommonHubs, RecordPerTree: opt.RecordPerTree,
-		})
+		dx, m := plant.RunDirected(rg, plant.Options{Workers: opt.Workers, Eta: opt.Eta})
 		ix.directed = dx
 		ix.metrics = m
 	default:
@@ -340,6 +309,8 @@ func (ix *Index) Stats() Stats {
 }
 
 // Metrics returns the build instrumentation, or nil for a thawed index.
+// Build never fills the per-tree series (LabelsPerTree, ExploredPerTree):
+// Figures 2 and 3 record them through internal/exp alone.
 func (ix *Index) Metrics() *Metrics { return ix.metrics }
 
 // Rank returns the rank position of an original vertex id (0 = highest).

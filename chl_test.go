@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	chl "repro"
+	"repro/internal/plant"
 	"repro/internal/sssp"
 )
 
@@ -355,7 +356,7 @@ func TestBuilderContentHashPinned(t *testing.T) {
 	road := chl.GenerateRoadGrid(32, 32, 1)
 	sf := chl.GenerateScaleFree(1024, 3, 1)
 	directed := chl.GenerateRandomDirected(512, 3072, 9, 1)
-	undirected := []chl.Algorithm{chl.AlgoSeqPLL, chl.AlgoGLL, "gll+plant-first", chl.AlgoLCC, chl.AlgoPLaNT, chl.AlgoDGLL, chl.AlgoDPLaNT, chl.AlgoHybrid}
+	undirected := []chl.Algorithm{chl.AlgoSeqPLL, chl.AlgoGLL, chl.AlgoLCC, chl.AlgoPLaNT, chl.AlgoDGLL, chl.AlgoDPLaNT, chl.AlgoHybrid}
 	for _, fx := range []struct {
 		name  string
 		g     *chl.Graph
@@ -369,9 +370,6 @@ func TestBuilderContentHashPinned(t *testing.T) {
 	} {
 		for _, algo := range fx.algos {
 			opt := chl.Options{Algorithm: algo, Order: fx.ord, Workers: 2}
-			if algo == "gll+plant-first" {
-				opt.Algorithm, opt.PlantFirstSuperstep = chl.AlgoGLL, true
-			}
 			if algo.Distributed() {
 				opt.Nodes, opt.WorkersPerNode = 2, 1
 			}
@@ -386,6 +384,57 @@ func TestBuilderContentHashPinned(t *testing.T) {
 			if got := frozen.ContentHash(); got != fx.want {
 				t.Errorf("%s %s: ContentHash %#016x, want %#016x", fx.name, algo, got, fx.want)
 			}
+		}
+	}
+}
+
+// TestEtaReachesPLaNT: Options.Eta is the one η. On the pinned road fixture
+// (the default builder) and the pinned directed one (AlgoPLaNT) it must
+// reach plant.Run and plant.RunDirected, so a build explores exactly what
+// PLaNT explores with that η, and a frozen table explores more than a
+// growing one — while the labels keep their pinned hash.
+func TestEtaReachesPLaNT(t *testing.T) {
+	road := chl.GenerateRoadGrid(32, 32, 1)
+	directed := chl.GenerateRandomDirected(512, 3072, 9, 1)
+	for _, fx := range []struct {
+		name string
+		g    *chl.Graph
+		ord  *chl.Order
+		algo chl.Algorithm
+		want uint64
+	}{
+		{"road", road, chl.RankByBetweenness(road, 32, 1), "", 0x000e0923a5c50af9},
+		{"directed", directed, chl.RankByDegree(directed), chl.AlgoPLaNT, 0x000eef50eb99604d},
+	} {
+		rg, _ := fx.g.Permute(fx.ord.Perm)
+		explored := map[int]int64{}
+		for _, eta := range []int{0, 16, -1} {
+			ix, err := chl.Build(fx.g, chl.Options{Algorithm: fx.algo, Order: fx.ord, Workers: 2, Eta: eta})
+			if err != nil {
+				t.Fatal(err)
+			}
+			frozen, err := ix.Freeze()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := frozen.ContentHash(); got != fx.want {
+				t.Errorf("%s η=%d: ContentHash %#016x, want %#016x", fx.name, eta, got, fx.want)
+			}
+			popt := plant.Options{Workers: 2, Eta: eta}
+			var want *chl.Metrics
+			if fx.g.Directed() {
+				_, want = plant.RunDirected(rg, popt)
+			} else {
+				_, want = plant.Run(rg, popt)
+			}
+			got := ix.Metrics().VerticesExplored
+			if got != want.VerticesExplored {
+				t.Errorf("%s η=%d: Build explored %d, plant explored %d", fx.name, eta, got, want.VerticesExplored)
+			}
+			explored[eta] = got
+		}
+		if explored[0] == explored[16] {
+			t.Errorf("%s: η=0 and η=16 both explored %d: Eta never reached PLaNT", fx.name, explored[0])
 		}
 	}
 }

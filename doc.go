@@ -27,7 +27,7 @@
 //   - AlgoPLaNT — "Prune Labels and (do) Not (prune) Trees" (§5.2):
 //     embarrassingly parallel canonical labeling via ancestor-tracking
 //     Dijkstras. What a tree emits depends on no other tree's labels;
-//     finished trees only prune later ones (Options.CommonHubs, §5.3).
+//     finished trees only prune later ones (Options.Eta, §5.3).
 //     Output: the CHL. Build's default on undirected graphs, because the
 //     scoreboard says so: build_plant_s is the lowest build_*_s of bench/
 //     on build-road (0.149 s against build_gll_s 0.187 s) and on

@@ -64,28 +64,3 @@ func TestBuildWithPathsRejectsDirected(t *testing.T) {
 		t.Fatal("directed graph accepted")
 	}
 }
-
-func TestPlantFirstSuperstepSameCHL(t *testing.T) {
-	for seed := int64(0); seed < 3; seed++ {
-		g := chl.GenerateScaleFree(150, 3, seed)
-		ord := chl.RankByDegree(g)
-		plain, err := chl.Build(g, chl.Options{Algorithm: chl.AlgoGLL, Order: ord, Workers: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pf, err := chl.Build(g, chl.Options{Algorithm: chl.AlgoGLL, Order: ord, Workers: 3, PlantFirstSuperstep: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plain.Stats() != pf.Stats() {
-			t.Fatalf("seed %d: stats differ: %+v vs %+v", seed, plain.Stats(), pf.Stats())
-		}
-		rng := rand.New(rand.NewSource(seed))
-		for i := 0; i < 200; i++ {
-			u, v := rng.Intn(150), rng.Intn(150)
-			if plain.Query(u, v) != pf.Query(u, v) {
-				t.Fatalf("seed %d: queries disagree at (%d,%d)", seed, u, v)
-			}
-		}
-	}
-}

@@ -1,16 +1,16 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 )
@@ -33,8 +33,8 @@ type Package struct {
 // module-local import paths resolve against the module directory, the
 // rest (the standard library) through go/importer's source importer,
 // which compiles from GOROOT/src — no compiled export data, no module
-// proxy, no network. Build-constrained files are filtered for the host
-// GOOS/GOARCH, matching what `go build` would compile here.
+// proxy, no network. Files are selected by go/build for the host
+// GOOS/GOARCH and toolchain, exactly as `go build` would select them here.
 //
 // One Loader shares a FileSet, a type-checker cache, and a stdlib
 // importer across every Load, so a whole-module run type-checks each
@@ -167,29 +167,17 @@ func (l *Loader) load(importPath, dir string) (*Package, error) {
 }
 
 func (l *Loader) check(importPath, dir string) (*Package, error) {
-	names, err := goFilesIn(dir)
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, fmt.Errorf("chlvet: %w", err)
+	}
+	files, err := l.parse(dir, bp.GoFiles)
 	if err != nil {
 		return nil, err
 	}
-	var files, testFiles []*ast.File
-	for _, name := range names {
-		full := filepath.Join(dir, name)
-		src, err := os.ReadFile(full)
-		if err != nil {
-			return nil, err
-		}
-		if !buildTagOK(name, src) {
-			continue
-		}
-		f, err := parser.ParseFile(l.Fset, full, src, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		if strings.HasSuffix(name, "_test.go") {
-			testFiles = append(testFiles, f)
-		} else {
-			files = append(files, f)
-		}
+	testFiles, err := l.parse(dir, append(bp.TestGoFiles, bp.XTestGoFiles...))
+	if err != nil {
+		return nil, err
 	}
 	if len(files) == 0 {
 		return nil, fmt.Errorf("chlvet: no buildable Go files in %s", dir)
@@ -221,82 +209,18 @@ func (l *Loader) check(importPath, dir string) (*Package, error) {
 	}, nil
 }
 
-// goFilesIn lists the .go files in dir, sorted for determinism.
-func goFilesIn(dir string) ([]string, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range ents {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasPrefix(e.Name(), ".") {
-			continue
+// parse parses the named files of dir, keeping comments for the
+// analyzers' allow directives.
+func (l *Loader) parse(dir string, names []string) ([]*ast.File, error) {
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
 		}
-		names = append(names, e.Name())
+		files = append(files, f)
 	}
-	sort.Strings(names)
-	return names, nil
-}
-
-// buildTagOK reports whether a file would be compiled on the host
-// platform: filename GOOS/GOARCH suffixes plus the //go:build
-// expression, evaluated against the host GOOS, GOARCH, and go1.N
-// version tags (release tags up to the toolchain's own version all
-// hold). Legacy // +build lines are ignored — the repository uses
-// //go:build throughout, which gofmt keeps in sync.
-func buildTagOK(name string, src []byte) bool {
-	base := strings.TrimSuffix(strings.TrimSuffix(name, ".go"), "_test")
-	if i := strings.LastIndexByte(base, '_'); i >= 0 {
-		if suf := base[i+1:]; knownOS[suf] && suf != runtime.GOOS {
-			return false
-		} else if knownArch[suf] && suf != runtime.GOARCH {
-			return false
-		}
-		// A file like label_linux_amd64.go carries two suffix tags.
-		if rest := base[:i]; true {
-			if j := strings.LastIndexByte(rest, '_'); j >= 0 {
-				if suf := rest[j+1:]; knownOS[suf] && suf != runtime.GOOS {
-					return false
-				}
-			}
-		}
-	}
-	for _, line := range strings.Split(string(src), "\n") {
-		trimmed := strings.TrimSpace(line)
-		if trimmed == "" || strings.HasPrefix(trimmed, "//") {
-			if expr, err := constraint.Parse(trimmed); err == nil {
-				return expr.Eval(func(tag string) bool {
-					if tag == runtime.GOOS || tag == runtime.GOARCH {
-						return true
-					}
-					if strings.HasPrefix(tag, "go1.") {
-						return true // the toolchain building chlvet satisfies the repo's go directive
-					}
-					return tag == "unix" && unixOS[runtime.GOOS]
-				})
-			}
-			continue
-		}
-		break // past the header: no build constraint
-	}
-	return true
-}
-
-var knownOS = map[string]bool{
-	"linux": true, "darwin": true, "windows": true, "freebsd": true,
-	"netbsd": true, "openbsd": true, "dragonfly": true, "solaris": true,
-	"aix": true, "js": true, "wasip1": true, "plan9": true, "android": true, "ios": true,
-}
-
-var knownArch = map[string]bool{
-	"amd64": true, "arm64": true, "386": true, "arm": true, "wasm": true,
-	"ppc64": true, "ppc64le": true, "mips": true, "mipsle": true,
-	"mips64": true, "mips64le": true, "riscv64": true, "s390x": true, "loong64": true,
-}
-
-var unixOS = map[string]bool{
-	"linux": true, "darwin": true, "freebsd": true, "netbsd": true, "openbsd": true,
-	"dragonfly": true, "solaris": true, "aix": true, "android": true, "ios": true,
+	return files, nil
 }
 
 // ExpandPatterns resolves package patterns ("./...", "./internal/label")
@@ -372,15 +296,13 @@ func (l *Loader) ExpandPatterns(patterns []string) ([]string, error) {
 	return out, nil
 }
 
+// hasGoFiles reports whether dir holds a package the go tool would list:
+// one with Go files, test files included, that build for the host.
 func hasGoFiles(dir string) (bool, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return false, err
+	_, err := build.ImportDir(dir, 0)
+	var noGo *build.NoGoError
+	if errors.As(err, &noGo) {
+		return false, nil
 	}
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasPrefix(e.Name(), ".") {
-			return true, nil
-		}
-	}
-	return false, nil
+	return err == nil, err
 }

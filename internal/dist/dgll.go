@@ -76,7 +76,7 @@ func (r *run) dgllSupersteps(nd *cluster.Node, global []label.Set, bounds []int,
 func DGLL(g *graph.Graph, o Options) (*Result, error) {
 	r := newRun("DGLL", g, o)
 	eta := min(max(r.o.Eta, 0), r.n)
-	bounds := clip(schedule(0, r.n, r.o.Beta, r.o.Supersteps), eta, r.n)
+	bounds := clip(schedule(0, r.n), eta, r.n)
 	table := r.exec(func(nd *cluster.Node, c *perNodeCounters) []label.Set {
 		global := make([]label.Set, r.n)
 		if eta > 0 {

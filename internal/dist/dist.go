@@ -81,12 +81,8 @@ type Options struct {
 	Nodes int
 	// WorkersPerNode is the intra-node thread count (0 = 1).
 	WorkersPerNode int
-	// Beta is the superstep growth factor (0 = DefaultBeta).
-	Beta float64
-	// Supersteps fixes the superstep count (0 = ceil(log_β n)).
-	Supersteps int
 	// Eta (η) sizes the Common Label Table of PLaNT and Hybrid, with
-	// plant.Options.CommonHubs' convention: 0 grows the table batch by
+	// plant.Options.Eta's convention: 0 grows the table batch by
 	// batch, η > 0 freezes it after the first η trees (DefaultEta is the
 	// paper's configuration), negative disables it. DGLL PLaNTs its top η
 	// trees when η > 0; DParaPLL has no table.
@@ -98,9 +94,6 @@ type Options struct {
 	// node whose own partition does not fit, and any algorithm that must
 	// replicate more than the limit, fails with ErrOutOfMemory.
 	MemoryLimitBytes int64
-	// RecordPerTree keeps per-tree label/exploration counts where the
-	// algorithm builds whole trees (PLaNT and Hybrid's PLaNT phase).
-	RecordPerTree bool
 }
 
 func (o Options) normalize() Options {
@@ -109,9 +102,6 @@ func (o Options) normalize() Options {
 	}
 	if o.WorkersPerNode < 1 {
 		o.WorkersPerNode = 1
-	}
-	if o.Beta <= 1 {
-		o.Beta = DefaultBeta
 	}
 	if o.PsiThreshold <= 0 {
 		o.PsiThreshold = DefaultPsiThreshold
@@ -137,25 +127,17 @@ type Result struct {
 
 // schedule returns rank-space superstep boundaries covering [lo, hi):
 // schedule[k] ≤ root < schedule[k+1] is superstep k. Superstep sizes grow
-// geometrically by beta — the top-ranked roots generate the most labels per
-// tree and need the tightest synchronization; the long tail of cheap trees
-// runs in a few large steps. With supersteps > 0 the count is fixed;
-// otherwise it is ceil(log_beta(hi-lo)).
-func schedule(lo, hi int, beta float64, supersteps int) []int {
+// geometrically by DefaultBeta over ceil(log_β(hi-lo)) supersteps — the
+// top-ranked roots generate the most labels per tree and need the tightest
+// synchronization; the long tail of cheap trees runs in a few large steps.
+func schedule(lo, hi int) []int {
 	n := hi - lo
 	if n <= 0 {
 		return []int{lo}
 	}
-	s := supersteps
-	if s <= 0 {
-		s = int(math.Ceil(math.Log(float64(n)) / math.Log(beta)))
-		if s < 1 {
-			s = 1
-		}
-	}
-	if s > n {
-		s = n
-	}
+	const beta = DefaultBeta
+	s := max(int(math.Ceil(math.Log(float64(n))/math.Log(beta))), 1)
+	s = min(s, n)
 	total := (math.Pow(beta, float64(s)) - 1) / (beta - 1)
 	bounds := make([]int, 0, s+1)
 	bounds = append(bounds, lo)
@@ -271,14 +253,6 @@ func newRun(algorithm string, g *graph.Graph, o Options) *run {
 	r := &run{g: g, o: o, n: n, counters: make([]perNodeCounters, o.Nodes), rootOwner: make([]int32, n)}
 	r.m = &metrics.Build{Algorithm: algorithm, Workers: o.WorkersPerNode, Nodes: o.Nodes, Trees: int64(n)}
 	return r
-}
-
-// recordPerTree allocates the per-tree series when the options ask for them.
-func (r *run) recordPerTree() {
-	if r.o.RecordPerTree {
-		r.m.LabelsPerTree = make([]int64, r.n)
-		r.m.ExploredPerTree = make([]int64, r.n)
-	}
 }
 
 // exec runs body on every node of a fresh cluster and folds the traffic and

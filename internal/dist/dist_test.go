@@ -11,25 +11,22 @@ import (
 )
 
 func TestScheduleCoversRange(t *testing.T) {
-	for _, tc := range []struct{ lo, hi, supersteps int }{
-		{0, 1, 0}, {0, 2, 0}, {0, 100, 0}, {0, 100, 3}, {16, 100, 0}, {0, 5000, 0}, {7, 8, 0},
+	for _, tc := range []struct{ lo, hi int }{
+		{0, 1}, {0, 2}, {0, 100}, {16, 100}, {0, 5000}, {7, 8},
 	} {
-		b := schedule(tc.lo, tc.hi, 8, tc.supersteps)
+		b := schedule(tc.lo, tc.hi)
 		if b[0] != tc.lo || b[len(b)-1] != tc.hi {
-			t.Fatalf("schedule(%d,%d,%d) = %v does not span the range", tc.lo, tc.hi, tc.supersteps, b)
+			t.Fatalf("schedule(%d,%d) = %v does not span the range", tc.lo, tc.hi, b)
 		}
 		for i := 1; i < len(b); i++ {
 			if b[i] <= b[i-1] {
-				t.Fatalf("schedule(%d,%d,%d) = %v not strictly increasing", tc.lo, tc.hi, tc.supersteps, b)
+				t.Fatalf("schedule(%d,%d) = %v not strictly increasing", tc.lo, tc.hi, b)
 			}
-		}
-		if tc.supersteps > 0 && len(b)-1 > tc.supersteps {
-			t.Fatalf("schedule produced %d supersteps, asked for %d", len(b)-1, tc.supersteps)
 		}
 	}
 	// Geometric growth: later supersteps are at least as large as earlier
 	// ones.
-	b := schedule(0, 5000, 8, 0)
+	b := schedule(0, 5000)
 	for i := 2; i < len(b); i++ {
 		if b[i]-b[i-1] < b[i-1]-b[i-2] {
 			t.Fatalf("superstep sizes not non-decreasing: %v", b)
@@ -220,7 +217,7 @@ func TestWorkDependsOnScheduleAlone(t *testing.T) {
 func TestPlantRunEtaIsDistEta(t *testing.T) {
 	const eta = 64
 	for name, g := range fixtures() {
-		want, wm := plant.Run(g, plant.Options{Workers: 2, CommonHubs: eta})
+		want, wm := plant.Run(g, plant.Options{Workers: 2, Eta: eta})
 		res, err := PLaNT(g, Options{Nodes: 1, Eta: eta})
 		if err != nil {
 			t.Fatal(err)

@@ -19,7 +19,7 @@ import (
 // (Figure 8's OOM rows).
 func DParaPLL(g *graph.Graph, o Options) (*Result, error) {
 	r := newRun("DparaPLL", g, o)
-	bounds := schedule(0, r.n, r.o.Beta, r.o.Supersteps)
+	bounds := schedule(0, r.n)
 	return r.result(r.exec(func(nd *cluster.Node, c *perNodeCounters) []label.Set {
 		return r.dgllSupersteps(nd, make([]label.Set, r.n), bounds, false, c)
 	}), nil)

@@ -16,8 +16,7 @@ import (
 // Output: the CHL, identical at every q.
 func Hybrid(g *graph.Graph, o Options) (*Result, error) {
 	r := newRun("Hybrid", g, o)
-	r.recordPerTree()
-	supersteps := schedule(0, r.n, r.o.Beta, r.o.Supersteps)
+	supersteps := schedule(0, r.n)
 	nodes := make([]*planter, r.o.Nodes)
 	r.m.PlantTrees, r.m.SwitchedAtTree = int64(r.n), -1
 	table := r.exec(func(nd *cluster.Node, c *perNodeCounters) []label.Set {

@@ -64,16 +64,11 @@ func (p *planter) plant(lo, hi int) int64 {
 		stats[i] = p.pend.Plant(p.r.g, p.table, p.table, p.bound, p.scr[w], w, base+i, mine[i])
 	})
 	var labels int64
-	m := p.r.m
 	for i, st := range stats {
 		p.c.Add(st)
 		labels += st.Labels
 		if st.Psi() > p.psi {
 			p.pend.bad = min(p.pend.bad, mine[i])
-		}
-		if m.LabelsPerTree != nil {
-			m.LabelsPerTree[mine[i]] = st.Labels
-			m.ExploredPerTree[mine[i]] = st.Explored
 		}
 	}
 	p.pend.labels += labels
@@ -211,7 +206,6 @@ func (r *run) plantResult(table []label.Set, nodes []*planter) (*Result, error) 
 // grew their tree; Result.Index is their union — the CHL.
 func PLaNT(g *graph.Graph, o Options) (*Result, error) {
 	r := newRun("PLaNT", g, o)
-	r.recordPerTree()
 	nodes := make([]*planter, r.o.Nodes)
 	table := r.exec(func(nd *cluster.Node, c *perNodeCounters) []label.Set {
 		p := r.newPlanter(nd, c)

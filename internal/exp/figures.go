@@ -72,9 +72,9 @@ func Figure3(cfg Config) []FigureSeries {
 	for _, name := range figureDatasets() {
 		ds, _ := ByName(name)
 		p := cfg.prepare(ds)
-		// CommonHubs < 0: the figure is about what PLaNT explores when
+		// Eta < 0: the figure is about what PLaNT explores when
 		// nothing prunes it, which is what motivates §5.3.
-		_, m := plant.Run(p.ranked, plant.Options{Workers: cfg.Workers, RecordPerTree: true, CommonHubs: -1})
+		_, m := plant.Run(p.ranked, plant.Options{Workers: cfg.Workers, RecordPerTree: true, Eta: -1})
 		psi := make([]int64, p.n)
 		for h := 0; h < p.n; h++ {
 			l := m.LabelsPerTree[h]

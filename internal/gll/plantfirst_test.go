@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/order"
 	"repro/internal/pll"
 	"repro/internal/verify"
 )
@@ -53,6 +54,30 @@ func TestRunPlantFirstTinyGraphs(t *testing.T) {
 		ix, _ := RunPlantFirst(g, Options{Workers: 2})
 		if diff := want.Diff(ix); diff != "" {
 			t.Fatal(diff)
+		}
+	}
+}
+
+// TestRunPlantFirstMatchesRunPinnedFixtures runs both GLL variants on the
+// road and scale-free fixtures of the root package's
+// TestBuilderContentHashPinned, ranked as it ranks them: PLaNTing the
+// first superstep must not move a single label.
+func TestRunPlantFirstMatchesRunPinnedFixtures(t *testing.T) {
+	road := graph.RoadGrid(32, 32, 1)
+	sf := graph.BarabasiAlbert(1024, 3, 1)
+	for _, fx := range []struct {
+		name string
+		g    *graph.Graph
+		ord  *order.Order
+	}{
+		{"road", road, order.ByApproxBetweenness(road, 32, 1, 0)},
+		{"scale-free", sf, order.ByDegree(sf)},
+	} {
+		rg, _ := fx.g.Permute(fx.ord.Perm)
+		want, _ := Run(rg, Options{Workers: 2})
+		got, _ := RunPlantFirst(rg, Options{Workers: 2})
+		if diff := want.Diff(got); diff != "" {
+			t.Fatalf("%s: RunPlantFirst differs from Run: %s", fx.name, diff)
 		}
 	}
 }

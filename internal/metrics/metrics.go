@@ -40,8 +40,8 @@ type Build struct {
 	// profiling is enabled (the §4.2 two-table locking ablation).
 	LockAcquisitions int64
 
-	// Per-tree series, recorded only when Options request them
-	// (Figures 2 and 3). Index = root id in rank space.
+	// Per-tree series, recorded only when pll.Options or plant.Options
+	// request them (Figures 2 and 3). Index = root id in rank space.
 	LabelsPerTree   []int64
 	ExploredPerTree []int64
 

@@ -85,7 +85,7 @@ func FuzzPLaNT(f *testing.F) {
 			want, _ := pll.SequentialDirected(g, pll.Options{})
 			for _, workers := range []int{1, 3} {
 				for _, eta := range []int{-1, 0, 5} {
-					got, _ := RunDirected(g, Options{Workers: workers, CommonHubs: eta})
+					got, _ := RunDirected(g, Options{Workers: workers, Eta: eta})
 					if !got.Forward.Equal(want.Forward) || !got.Backward.Equal(want.Backward) {
 						t.Fatalf("RunDirected workers=%d η=%d: forward %s; backward %s", workers, eta,
 							got.Forward.Diff(want.Forward), got.Backward.Diff(want.Backward))
@@ -97,7 +97,7 @@ func FuzzPLaNT(f *testing.F) {
 		want, _ := pll.Sequential(g, pll.Options{})
 		for _, workers := range []int{1, 3} {
 			for _, eta := range []int{-1, 0, 5} {
-				if got, _ := Run(g, Options{Workers: workers, CommonHubs: eta}); !got.Equal(want) {
+				if got, _ := Run(g, Options{Workers: workers, Eta: eta}); !got.Equal(want) {
 					t.Fatalf("Run workers=%d η=%d: %s", workers, eta, got.Diff(want))
 				}
 			}

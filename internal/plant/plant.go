@@ -293,7 +293,7 @@ type Options struct {
 	Workers int
 	// RecordPerTree enables the per-tree series for Figure 3.
 	RecordPerTree bool
-	// CommonHubs (η) sizes the Common Label Table that prunes the trees
+	// Eta (η) sizes the Common Label Table that prunes the trees
 	// (§5.3); dist.Options.Eta follows the same convention. Zero grows
 	// the table as trees finish: roots run in rank-ordered batches
 	// (BatchBounds) and each batch is pruned against the labels of all
@@ -303,7 +303,7 @@ type Options struct {
 	// internal/dist does with the same η. Negative disables pruning
 	// (Algorithm 3 verbatim). RunDirected keeps one table per direction on
 	// the same schedule. The output is the CHL in every case.
-	CommonHubs int
+	Eta int
 }
 
 func (o Options) normalize() Options {
@@ -433,7 +433,7 @@ func run(algorithm string, opts Options, sides ...*side) *metrics.Build {
 	start := time.Now()
 	scr := NewScratches(opts.Workers, n)
 	stats := make([]ptree.Stats, opts.Workers)
-	bounds := BatchBounds(n, opts.CommonHubs)
+	bounds := BatchBounds(n, opts.Eta)
 	for _, sd := range sides {
 		sd.Outs = make([][]Emitted, opts.Workers)
 	}

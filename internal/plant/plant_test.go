@@ -124,20 +124,20 @@ func TestRunEqualsSequentialInEveryMode(t *testing.T) {
 		for seed := int64(0); seed < 5; seed++ {
 			g := gen(seed)
 			want, _ := pll.Sequential(g, pll.Options{})
-			for _, hubs := range []int{-1, 0, 5, g.NumVertices() + 10} {
+			for _, eta := range []int{-1, 0, 5, g.NumVertices() + 10} {
 				explored := int64(-1)
 				for _, workers := range []int{1, 3} {
-					got, m := Run(g, Options{Workers: workers, CommonHubs: hubs})
+					got, m := Run(g, Options{Workers: workers, Eta: eta})
 					if diff := want.Diff(got); diff != "" {
-						t.Fatalf("%s seed %d CommonHubs %d workers %d: %s", name, seed, hubs, workers, diff)
+						t.Fatalf("%s seed %d Eta %d workers %d: %s", name, seed, eta, workers, diff)
 					}
 					if m.Labels != want.TotalLabels() || m.LabelsGenerated != m.Labels || m.Trees != int64(g.NumVertices()) {
-						t.Fatalf("%s seed %d CommonHubs %d: metrics count %d trees, %d/%d labels; index holds %d",
-							name, seed, hubs, m.Trees, m.Labels, m.LabelsGenerated, want.TotalLabels())
+						t.Fatalf("%s seed %d Eta %d: metrics count %d trees, %d/%d labels; index holds %d",
+							name, seed, eta, m.Trees, m.Labels, m.LabelsGenerated, want.TotalLabels())
 					}
 					if explored >= 0 && m.VerticesExplored != explored {
-						t.Fatalf("%s seed %d CommonHubs %d: explored %d with %d workers, %d with 1",
-							name, seed, hubs, m.VerticesExplored, workers, explored)
+						t.Fatalf("%s seed %d Eta %d: explored %d with %d workers, %d with 1",
+							name, seed, eta, m.VerticesExplored, workers, explored)
 					}
 					explored = m.VerticesExplored
 				}
@@ -174,8 +174,8 @@ func TestBatchBounds(t *testing.T) {
 // may prune against, and checks the counters that say why.
 func TestMoreTableLessExploration(t *testing.T) {
 	g := graph.BarabasiAlbert(300, 3, 7)
-	_, off := Run(g, Options{Workers: 2, CommonHubs: -1})
-	_, fixed := Run(g, Options{Workers: 2, CommonHubs: 16})
+	_, off := Run(g, Options{Workers: 2, Eta: -1})
+	_, fixed := Run(g, Options{Workers: 2, Eta: 16})
 	_, grow := Run(g, Options{Workers: 2})
 	if !(grow.VerticesExplored < fixed.VerticesExplored && fixed.VerticesExplored < off.VerticesExplored) {
 		t.Fatalf("explored: grow %d, η=16 %d, off %d — want strictly ascending",
@@ -294,19 +294,19 @@ func TestDirectedPlantMatchesDirectedPLL(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		g := graph.RandomDirected(45, 140, 7, seed)
 		want, _ := pll.SequentialDirected(g, pll.Options{})
-		for _, hubs := range []int{-1, 0, 5, g.NumVertices() + 10} {
+		for _, eta := range []int{-1, 0, 5, g.NumVertices() + 10} {
 			explored := int64(-1)
 			for _, workers := range []int{1, 3} {
-				got, m := RunDirected(g, Options{Workers: workers, CommonHubs: hubs})
+				got, m := RunDirected(g, Options{Workers: workers, Eta: eta})
 				if diff := want.Forward.Diff(got.Forward); diff != "" {
-					t.Fatalf("seed %d CommonHubs %d workers %d forward: %s", seed, hubs, workers, diff)
+					t.Fatalf("seed %d Eta %d workers %d forward: %s", seed, eta, workers, diff)
 				}
 				if diff := want.Backward.Diff(got.Backward); diff != "" {
-					t.Fatalf("seed %d CommonHubs %d workers %d backward: %s", seed, hubs, workers, diff)
+					t.Fatalf("seed %d Eta %d workers %d backward: %s", seed, eta, workers, diff)
 				}
 				if explored >= 0 && m.VerticesExplored != explored {
-					t.Fatalf("seed %d CommonHubs %d: explored %d with %d workers, %d with 1",
-						seed, hubs, m.VerticesExplored, workers, explored)
+					t.Fatalf("seed %d Eta %d: explored %d with %d workers, %d with 1",
+						seed, eta, m.VerticesExplored, workers, explored)
 				}
 				explored = m.VerticesExplored
 			}
@@ -319,8 +319,8 @@ func TestDirectedPlantMatchesDirectedPLL(t *testing.T) {
 // table does.
 func TestDirectedMoreTableLessExploration(t *testing.T) {
 	g := graph.RandomDirected(300, 1500, 7, 7)
-	_, off := RunDirected(g, Options{Workers: 2, CommonHubs: -1})
-	_, fixed := RunDirected(g, Options{Workers: 2, CommonHubs: 16})
+	_, off := RunDirected(g, Options{Workers: 2, Eta: -1})
+	_, fixed := RunDirected(g, Options{Workers: 2, Eta: 16})
 	_, grow := RunDirected(g, Options{Workers: 2})
 	if !(grow.VerticesExplored < fixed.VerticesExplored && fixed.VerticesExplored < off.VerticesExplored) {
 		t.Fatalf("explored: grow %d, η=16 %d, off %d — want strictly ascending",

@@ -74,7 +74,7 @@ func TestCanonicalAgreementSharedMemory(t *testing.T) {
 			return ix
 		},
 		"PLaNT-common": func(g *graph.Graph) *label.Index {
-			ix, _ := plant.Run(g, plant.Options{Workers: 4, CommonHubs: 8})
+			ix, _ := plant.Run(g, plant.Options{Workers: 4, Eta: 8})
 			return ix
 		},
 	}

@@ -245,10 +245,17 @@ func (s *Server) setClock(c Clock) {
 // endpoints then serve only vertices the shard owns (misrouted requests
 // get 421 Misdirected Request), and /shardquery returns label rows for
 // the Router's cross-shard hub joins. Call before serving; shard identity
-// is fixed for the server's lifetime.
+// is fixed for the server's lifetime. A server with updates enabled cannot
+// become a shard, just as a shard cannot enable updates.
 func (s *Server) SetShard(id int, p *shard.Partition) error {
 	if p == nil {
 		return fmt.Errorf("chl: SetShard needs a partition")
+	}
+	s.mu.Lock()
+	updating := s.baseGraph != nil
+	s.mu.Unlock()
+	if updating {
+		return fmt.Errorf("chl: a server with updates enabled cannot become a shard; enable them on the cluster's router instead")
 	}
 	if id < 0 || id >= p.Shards() {
 		return fmt.Errorf("chl: shard id %d out of range [0,%d)", id, p.Shards())
@@ -508,7 +515,8 @@ func (s *Server) Close() error {
 // are replayed now, so a restarted server resumes exactly the patched
 // state it last acknowledged. Shard servers cannot enable updates —
 // corrections need the whole vertex space, so the update path lives on
-// plain servers and the Router.
+// plain servers and the Router. The switch is one-way: a second call is
+// refused, because it would swap the base graph under the patch log.
 func (s *Server) EnableUpdates(g *Graph, journalPath string) error {
 	if g == nil {
 		return fmt.Errorf("chl: EnableUpdates needs the base graph the served index was built from")
@@ -526,6 +534,10 @@ func (s *Server) EnableUpdates(g *Graph, journalPath string) error {
 		return fmt.Errorf("chl: base graph directed=%v but the served index directed=%v", g.Directed(), directed)
 	}
 	s.mu.Lock()
+	if s.baseGraph != nil {
+		s.mu.Unlock()
+		return fmt.Errorf("chl: updates are already enabled on this server")
+	}
 	s.baseGraph, s.journal = g, journalPath
 	s.mu.Unlock()
 	if journalPath != "" {

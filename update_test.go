@@ -25,6 +25,8 @@ import (
 	"testing"
 
 	chl "repro"
+	"repro/internal/shard"
+	"repro/internal/sssp"
 )
 
 // saveFrozen builds and saves an index for g under dir, returning the
@@ -665,6 +667,78 @@ func TestUpdateRefusesNonFiniteWeight(t *testing.T) {
 		}
 		if got, err := os.ReadFile(journal); err != nil || !bytes.Equal(got, wantJournal) {
 			t.Fatalf("Update(%v) was refused but the journal is now %q (%v), was %q", bad, got, err, wantJournal)
+		}
+	}
+}
+
+// TestEnableUpdatesIsOneWay: a second EnableUpdates would swap the base
+// graph under the outstanding patch log, so later batches would be reduced
+// against the wrong graph. It is refused, and answers stay exact.
+func TestEnableUpdatesIsOneWay(t *testing.T) {
+	g := chl.GenerateRoadGrid(6, 6, 1)
+	_, fx := buildFrozen(t, g)
+	s := chl.NewServerFromFlat(fx, 0)
+	defer s.Close()
+	if err := s.EnableUpdates(g, ""); err != nil {
+		t.Fatal(err)
+	}
+	first := []chl.EdgeOp{{Kind: chl.EdgeOpSet, U: 0, V: 1, W: 50}}
+	if _, err := s.Update(first); err != nil {
+		t.Fatal(err)
+	}
+	patched, err := chl.ApplyPatch(g, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.EnableUpdates(patched, ""); err == nil {
+		t.Fatal("a second EnableUpdates was accepted")
+	}
+	second := []chl.EdgeOp{{Kind: chl.EdgeOpSet, U: 2, V: 3, W: 40}}
+	if _, err := s.Update(second); err != nil {
+		t.Fatal(err)
+	}
+	final, err := chl.ApplyPatch(g, append(first, second...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.Query(0, 1), sssp.Dijkstra(final, 0)[1]; got != want {
+		t.Fatalf("Query(0, 1) = %v after the refused switch, Dijkstra on the patched graph says %v", got, want)
+	}
+}
+
+// TestSetShardRefusesUpdatingServer: SetShard refuses a server with updates
+// enabled, just as EnableUpdates refuses a shard — a shard's overlay would
+// see only its own slice of the vertex space. The slice is a valid one: a
+// second server over the same file becomes the shard.
+func TestSetShardRefusesUpdatingServer(t *testing.T) {
+	g := chl.GenerateRoadGrid(6, 6, 1)
+	_, fx := buildFrozen(t, g)
+	dir := t.TempDir()
+	m, err := fx.SaveShards(dir, 2, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := m.Partition()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, err := chl.ShardFilePath(filepath.Join(dir, shard.ManifestName), m, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, updating := range []bool{true, false} {
+		s, err := chl.NewServer(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if updating {
+			if err := s.EnableUpdates(g, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.SetShard(0, part); (err == nil) == updating {
+			t.Fatalf("updates enabled %v: SetShard returned %v", updating, err)
 		}
 	}
 }
