@@ -126,10 +126,15 @@ type Index struct {
 //
 // Directed graphs are supported by AlgoSeqPLL and AlgoPLaNT (forward and
 // backward label sets, cf. footnote 1 of the paper); the remaining
-// algorithms require an undirected graph.
+// algorithms require an undirected graph. Build refuses a graph on which
+// float64 path sums could round (Graph.CheckExact): every builder, and
+// every frozen store after them, counts on exact distances.
 func Build(g *Graph, opt Options) (*Index, error) {
 	if g == nil {
 		return nil, errors.New("chl: nil graph")
+	}
+	if err := g.CheckExact(); err != nil {
+		return nil, fmt.Errorf("chl: %w", err)
 	}
 	ord := opt.Order
 	if ord == nil {

@@ -351,7 +351,9 @@ func TestRankAccessors(t *testing.T) {
 // directed one. The CHL is unique, so every builder freezes to one hash per
 // fixture, and a change to the builders' inner loops — the heap, the pruning
 // query, the schedule — may move speed and exploration counts but never
-// these hashes.
+// these hashes. The hashes are of the frozen file's bytes, so the
+// container's layout is pinned too; FrozenLabelsMatch holds every frozen
+// label to the builder's, so a layout change cannot hide a label change.
 func TestBuilderContentHashPinned(t *testing.T) {
 	road := chl.GenerateRoadGrid(32, 32, 1)
 	sf := chl.GenerateScaleFree(1024, 3, 1)
@@ -364,9 +366,9 @@ func TestBuilderContentHashPinned(t *testing.T) {
 		algos []chl.Algorithm
 		want  uint64
 	}{
-		{"road", road, chl.RankByBetweenness(road, 32, 1), undirected, 0x000e0923a5c50af9},
-		{"scale-free", sf, chl.RankByDegree(sf), undirected, 0x000c930ec91d0238},
-		{"directed", directed, chl.RankByDegree(directed), []chl.Algorithm{chl.AlgoSeqPLL, chl.AlgoPLaNT}, 0x000eef50eb99604d},
+		{"road", road, chl.RankByBetweenness(road, 32, 1), undirected, 0x000b03b024f64def},
+		{"scale-free", sf, chl.RankByDegree(sf), undirected, 0x000bbd21b84ed2ca},
+		{"directed", directed, chl.RankByDegree(directed), []chl.Algorithm{chl.AlgoSeqPLL, chl.AlgoPLaNT}, 0x00178afdd0139f37},
 	} {
 		for _, algo := range fx.algos {
 			opt := chl.Options{Algorithm: algo, Order: fx.ord, Workers: 2}
@@ -383,6 +385,9 @@ func TestBuilderContentHashPinned(t *testing.T) {
 			}
 			if got := frozen.ContentHash(); got != fx.want {
 				t.Errorf("%s %s: ContentHash %#016x, want %#016x", fx.name, algo, got, fx.want)
+			}
+			if err := chl.FrozenLabelsMatch(ix, frozen); err != nil {
+				t.Errorf("%s %s: %v", fx.name, algo, err)
 			}
 		}
 	}
@@ -403,8 +408,8 @@ func TestEtaReachesPLaNT(t *testing.T) {
 		algo chl.Algorithm
 		want uint64
 	}{
-		{"road", road, chl.RankByBetweenness(road, 32, 1), "", 0x000e0923a5c50af9},
-		{"directed", directed, chl.RankByDegree(directed), chl.AlgoPLaNT, 0x000eef50eb99604d},
+		{"road", road, chl.RankByBetweenness(road, 32, 1), "", 0x000b03b024f64def},
+		{"directed", directed, chl.RankByDegree(directed), chl.AlgoPLaNT, 0x00178afdd0139f37},
 	} {
 		rg, _ := fx.g.Permute(fx.ord.Perm)
 		explored := map[int]int64{}
@@ -419,6 +424,9 @@ func TestEtaReachesPLaNT(t *testing.T) {
 			}
 			if got := frozen.ContentHash(); got != fx.want {
 				t.Errorf("%s η=%d: ContentHash %#016x, want %#016x", fx.name, eta, got, fx.want)
+			}
+			if err := chl.FrozenLabelsMatch(ix, frozen); err != nil {
+				t.Errorf("%s η=%d: %v", fx.name, eta, err)
 			}
 			popt := plant.Options{Workers: 2, Eta: eta}
 			var want *chl.Metrics

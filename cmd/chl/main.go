@@ -12,7 +12,7 @@
 // synthetic dataset (-dataset, see -list). Without -algo the library
 // picks the builder (PLaNT on undirected graphs, seqPLL on directed
 // ones) and the output names the one that ran. -out freezes the index
-// and writes the one index file format (float32 distances), which
+// and writes the one index file format (exact uint32 unit counts), which
 // cmd/chlquery -load answers from, serves, compresses and splits.
 package main
 

@@ -13,8 +13,9 @@
 //
 // The modeled -bench modes (qlsn/qfdl/qdol) run on the loaded index thawed
 // back into the builder's slice form (FlatIndex.Thaw); -mode local times
-// the real serving path. Every distance is the file's float32, which is
-// exact for integer weights below 2^24.
+// the real serving path. Every distance is exact: the file counts it in
+// uint32 units of 2^-k (k = 0 for integer weights), and chl -out refuses
+// a label past 2^32 units rather than round it.
 //
 // For indexes too large (or too hot) for one process, -split slices the
 // flat index into per-shard files plus a cluster manifest, and -shard

@@ -1,7 +1,7 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation section (§7) on the synthetic dataset suite and writes a text
-// report. This is the reproduction entry point: compare its output against
-// EXPERIMENTS.md.
+// report. This is the reproduction entry point: README.md, "Reproducing the
+// paper's evaluation", says what to compare its output against.
 //
 // Usage:
 //

@@ -50,7 +50,8 @@
 // Build once, freeze, serve many times. Freeze packs the labeling into a
 // FlatIndex — CSR offsets plus one contiguous (hub, dist) entry array —
 // which is the only form a labeling persists in (FlatIndex.SaveFile /
-// OpenFlat; cmd/chl -out writes it, with float32 distances) and fans
+// OpenFlat; cmd/chl -out writes it, each distance an exact uint32 count of
+// the index's unit 2^-k — 1 on integer-weighted graphs) and fans
 // batches out over all cores through NewBatchEngine. Thaw turns a loaded
 // FlatIndex back into an Index for the modeled query engines.
 // A FlatIndex is two label stores (forward and backward runs; the same
@@ -85,8 +86,7 @@
 //
 // FlatIndex.Compress converts either directedness to the compressed
 // label encoding: labels split into blocks whose hub ids
-// are delta+varint coded and whose distances pack as small integers
-// where the float32 bits allow. Files shrink 59–71% on the benchmark
+// are delta+varint coded and whose unit counts are varint coded. Files shrink 59–71% on the benchmark
 // fixtures and every query answers bit-identically through a
 // block-skipping merge join, at 2.3–2.5× the fixed-width merge join
 // (the scoreboard's label.join_compressed_ns against

@@ -16,8 +16,7 @@
 //     (httpError/writeJSON/writeShed/routeError) with documented status
 //     codes only — no naked http.Error or WriteHeader(4xx/5xx).
 //   - floatexact: distance answers are bit-exact; epsilon comparisons
-//     and silent float32→float64 widening are flagged in the
-//     parity-critical packages.
+//     are flagged in the parity-critical packages.
 //   - snapshotref: every snapshot acquire is matched by a deferred (or
 //     provably-ordered) release or an explicit ownership transfer — the
 //     ref-counted drain rule that keeps hot-swap unmap safe.

@@ -3,87 +3,47 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 )
 
 // Floatexact polices the bit-exactness contract in the parity-critical
 // packages (the root package, internal/label, internal/delta): every
 // tier — flat, compressed, sharded, replicated, patched — must answer
 // queries bit-identically, and the parity harness asserts it with ==.
-// Two patterns erode that contract:
-//
-//  1. epsilon comparisons, math.Abs(a-b) < eps: tolerance windows paper
-//     over real divergence until it grows past the window, and they make
-//     "equal" transitive-ish instead of exact. The approved idiom is ==
-//     on float64 answers or math.Float32bits equality on stored label
-//     distances.
-//
-//  2. silent float32→float64 widening, float64(x) where x is a
-//     float32: label distances live as float32 bit patterns; the one
-//     sanctioned decode is float64(math.Float32frombits(bits)) at the
-//     storage boundary, which is lossless and greppable. Any other
-//     widening site is a second decode path that can disagree with the
-//     first.
+// Stored distances are uint32 counts of a power-of-two unit, so every
+// answer is exact and == is always the right comparison; what erodes the
+// contract is the epsilon comparison, math.Abs(a-b) < eps: a tolerance
+// window papers over real divergence until it grows past the window.
+// (No float32 is left to widen: CI's "one distance domain" step keeps
+// float32 out of the non-test sources.)
 var Floatexact = &Analyzer{
 	Name: "floatexact",
-	Doc: "distance answers are bit-exact: no epsilon-tolerance comparisons, no float32→float64 " +
-		"widening outside the float64(math.Float32frombits(bits)) decode idiom; compare with == or math.Float32bits",
+	Doc:  "distance answers are bit-exact: no epsilon-tolerance comparisons; compare with ==",
 	AppliesTo: func(rel string) bool {
 		return rel == "" || rel == "internal/label" || rel == "internal/delta"
 	},
 	Run: runFloatexact,
 }
 
+// runFloatexact flags math.Abs(a-b) OP x, or x OP math.Abs(a-b): an
+// epsilon tolerance whichever side the threshold sits on. The check is
+// syntactic so it covers _test.go files too — parity tests are exactly
+// where tolerances try to sneak in.
 func runFloatexact(pass *Pass) error {
 	for _, f := range pass.AllFiles() {
-		isTest := pass.IsTest(f)
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.BinaryExpr:
-				// math.Abs(a-b) OP x, or x OP math.Abs(a-b): an epsilon
-				// tolerance whichever side the threshold sits on. This check
-				// is syntactic so it covers _test.go files too — parity
-				// tests are exactly where tolerances try to sneak in.
-				switch n.Op {
-				case token.LSS, token.LEQ, token.GTR, token.GEQ:
-				default:
-					return true
-				}
-				if pass.isAbsOfDiff(f, n.X) || pass.isAbsOfDiff(f, n.Y) {
-					pass.Reportf(n.Pos(),
-						"the contract is bit-exact: compare answers with == (or math.Float32bits equality on label distances)",
-						"epsilon-tolerance comparison (math.Abs of a difference against a threshold)")
-				}
-			case *ast.CallExpr:
-				// float64(x) where x: float32 — needs type info, so
-				// non-test files only.
-				if isTest || len(n.Args) != 1 {
-					return true
-				}
-				fun, ok := unparen(n.Fun).(*ast.Ident)
-				if !ok || fun.Name != "float64" {
-					return true
-				}
-				if obj := pass.TypesInfo.Uses[fun]; obj == nil || obj != types.Universe.Lookup("float64") {
-					return true // shadowed float64, or no type info
-				}
-				arg := unparen(n.Args[0])
-				tv, ok := pass.TypesInfo.Types[arg]
-				if !ok {
-					return true
-				}
-				basic, ok := tv.Type.Underlying().(*types.Basic)
-				if !ok || basic.Kind() != types.Float32 {
-					return true
-				}
-				if call, ok := arg.(*ast.CallExpr); ok {
-					if name, ok := pass.pkgCall(f, call, "math"); ok && name == "Float32frombits" {
-						return true // the sanctioned decode idiom
-					}
-				}
-				pass.Reportf(n.Pos(),
-					"decode stored distances as float64(math.Float32frombits(bits)) at the storage boundary, or stay in float32 and compare bits",
-					"float32 value widened to float64 outside the Float32frombits decode idiom")
+			e, ok := n.(*ast.BinaryExpr)
+			if !ok {
+				return true
+			}
+			switch e.Op {
+			case token.LSS, token.LEQ, token.GTR, token.GEQ:
+			default:
+				return true
+			}
+			if pass.isAbsOfDiff(f, e.X) || pass.isAbsOfDiff(f, e.Y) {
+				pass.Reportf(e.Pos(),
+					"the contract is bit-exact: compare answers with ==",
+					"epsilon-tolerance comparison (math.Abs of a difference against a threshold)")
 			}
 			return true
 		})

@@ -1,5 +1,5 @@
 // Package floatexact exercises the floatexact analyzer: epsilon
-// comparisons, float32 widening, and the two approved idioms.
+// comparisons, and the magnitude math that is not one.
 package floatexact
 
 import "math"
@@ -12,25 +12,10 @@ func epsilonFlipped(a, b, eps float64) bool {
 	return eps > math.Abs(a-b) // want "epsilon-tolerance comparison"
 }
 
-func widen(f float32) float64 {
-	return float64(f) // want "float32 value widened to float64"
-}
-
-// decode is the one sanctioned widening: lossless, at the storage
-// boundary, greppable.
-func decode(bits uint32) float64 {
-	return float64(math.Float32frombits(bits))
-}
-
-// exact is the approved comparison on stored label distances.
-func exact(a, b float32) bool {
-	return math.Float32bits(a) == math.Float32bits(b)
-}
+// exact is the approved comparison.
+func exact(a, b float64) bool { return a == b }
 
 // Abs without a difference inside is magnitude math, not a tolerance.
 func magnitude(a, b float64) bool {
 	return math.Abs(a) < math.Abs(b)
 }
-
-// Widening from float64 expressions or integers is not the pattern.
-func harmless(n int) float64 { return float64(n) }

@@ -356,6 +356,23 @@ func Reduce(base *graph.Graph, ops []Op) (*Reduction, error) {
 		}
 	}
 	r.nRem, r.nIns = len(rem), len(ins)
+	// Refuse a patch whose graph chl.Build would refuse, so /compact can
+	// always rebuild. A base that passes still passes after inserts no
+	// heavier and no finer than its own weights (removals only lower maxW
+	// and the unit); anything else is checked on the patched graph itself.
+	kept := base.CheckExact() == nil
+	for _, e := range ins {
+		kept = kept && e.w <= base.MaxWeight() && graph.UnitExp(e.w) <= base.WeightUnitExp()
+	}
+	if !kept {
+		pg, err := r.Materialize()
+		if err != nil {
+			return nil, err
+		}
+		if err := pg.CheckExact(); err != nil {
+			return nil, fmt.Errorf("delta: the patched graph could not be rebuilt: %w", err)
+		}
+	}
 	return r, nil
 }
 
@@ -400,14 +417,15 @@ func ApplyPatch(base *graph.Graph, ops []Op) (*graph.Graph, error) {
 // plus 4(n+1) for its offsets.
 type Overlay struct {
 	*Reduction
-	ops   []Op
-	epoch uint64
-	hash  uint64
-	toP   *label.Inverted // backward runs of P by hub: L_out(u) scans it for d(u, verts[i])
-	fromP *label.Inverted // forward runs of P by hub: L_in(v) scans it for d(verts[i], v); toP itself when undirected
-	dpq   [][]float64     // frozen d_G(verts[i], verts[j]) — safety test only
-	dpqT  [][]float64     // dpq transposed, so the test reads columns as slices; dpq itself when undirected
-	dpp   [][]float64     // exact patched d'(verts[i], verts[j]) — correction arcs
+	ops     []Op
+	epoch   uint64
+	hash    uint64
+	unitExp int             // the frozen runs count units of 2^-unitExp
+	toP     *label.Inverted // backward runs of P by hub: L_out(u) scans it for d(u, verts[i])
+	fromP   *label.Inverted // forward runs of P by hub: L_in(v) scans it for d(verts[i], v); toP itself when undirected
+	dpq     [][]float64     // frozen d_G(verts[i], verts[j]) — safety test only
+	dpqT    [][]float64     // dpq transposed, so the test reads columns as slices; dpq itself when undirected
+	dpp     [][]float64     // exact patched d'(verts[i], verts[j]) — correction arcs
 
 	patched *graph.Graph // base with the patch applied: fallback, rows, paths
 
@@ -435,14 +453,16 @@ type scratch struct {
 // NewOverlay builds the overlay for ops (already reduced to red) over
 // the frozen labels of the patch vertices: fwd[i] and bwd[i] are the
 // forward and backward packed label runs of red.Verts()[i], hubs in rank
-// space and all below the base graph's vertex count. Undirected labels
-// are symmetric, so bwd is not read when the base graph is undirected.
+// space and all below the base graph's vertex count, counting distances in
+// units of 2^-unitExp — the unit every run later handed to Query and Seeds
+// must count too. Undirected labels are symmetric, so bwd is not read when
+// the base graph is undirected.
 // epoch tags the patch generation for cache keying; ops is the full
 // accumulated log (its LogHash becomes the overlay's identity
 // contribution). Construction runs one Dijkstra per patch vertex on the
 // materialized patched graph — the one-time cost that makes per-query
 // corrections exact without any inter-patch safety caveat.
-func NewOverlay(red *Reduction, ops []Op, epoch uint64, fwd, bwd [][]uint64) (*Overlay, error) {
+func NewOverlay(red *Reduction, ops []Op, epoch uint64, unitExp int, fwd, bwd [][]uint64) (*Overlay, error) {
 	k := len(red.verts)
 	if !red.directed {
 		bwd = fwd
@@ -450,7 +470,7 @@ func NewOverlay(red *Reduction, ops []Op, epoch uint64, fwd, bwd [][]uint64) (*O
 	if len(fwd) != k || len(bwd) != k {
 		return nil, fmt.Errorf("delta: %d patch vertices but %d forward / %d backward label runs", k, len(fwd), len(bwd))
 	}
-	o := &Overlay{Reduction: red, ops: ops, epoch: epoch, hash: LogHash(ops)}
+	o := &Overlay{Reduction: red, ops: ops, epoch: epoch, hash: LogHash(ops), unitExp: unitExp}
 	o.scratch.New = func() any {
 		return &scratch{
 			du: make([]float64, k), dv: make([]float64, k),
@@ -473,6 +493,7 @@ func NewOverlay(red *Reduction, ops []Op, epoch uint64, fwd, bwd [][]uint64) (*O
 			o.dpq[i][j] = graph.Infinity
 		}
 		o.toP.ScanMin(o.dpq[i], fwd[i])
+		o.fromUnits(o.dpq[i])
 		o.dpq[i][i] = 0
 	}
 	o.dpqT = o.dpq
@@ -561,6 +582,8 @@ func (o *Overlay) Seeds(du, dv []float64, runU, runV []uint64, u, v int) {
 	}
 	o.toP.ScanMin(du, runU)
 	o.fromP.ScanMin(dv, runV)
+	o.fromUnits(du)
+	o.fromUnits(dv)
 	if i, ok := o.slot[u]; ok {
 		du[i] = 0
 	}
@@ -583,6 +606,7 @@ func (o *Overlay) Seeds(du, dv []float64, runU, runV []uint64, u, v int) {
 // hub holds).
 func (o *Overlay) Query(runU, runV []uint64, u, v int) (dist float64, hub uint32, frozen bool) {
 	d0, hub, _ := label.JoinPacked(runU, runV)
+	d0 = label.FromUnits(d0, o.unitExp)
 	if u == v {
 		d0 = 0
 	}
@@ -600,6 +624,17 @@ func (o *Overlay) Query(runU, runV []uint64, u, v int) (dist float64, hub uint32
 		o.paths[pathCorrected].Add(1)
 	}
 	return dist, hub, frozen
+}
+
+// fromUnits converts a row of seed-table scans (label.Inverted.ScanMin
+// answers in units) into distances, in place.
+func (o *Overlay) fromUnits(row []float64) {
+	if o.unitExp == 0 {
+		return
+	}
+	for i, d := range row {
+		row[i] = label.FromUnits(d, o.unitExp)
+	}
 }
 
 // compromised reports whether the frozen value dab for a pair (a,b) may

@@ -218,7 +218,7 @@ func (fl frozenLabels) overlay(t testing.TB, g *graph.Graph, ops []Op, epoch uin
 	for i, p := range red.Verts() {
 		fwd[i], bwd[i] = fl.fwd.PackedRun(p), fl.bwd.PackedRun(p)
 	}
-	ov, err := NewOverlay(red, ops, epoch, fwd, bwd)
+	ov, err := NewOverlay(red, ops, epoch, fl.fwd.UnitExp(), fwd, bwd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +462,7 @@ func TestOverlayAccessorsAndApplyPatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	ov := freezeLabels(g).overlay(t, g, ops, 7)
-	if _, err := NewOverlay(red, ops, 7, nil, nil); err == nil {
+	if _, err := NewOverlay(red, ops, 7, 0, nil, nil); err == nil {
 		t.Fatal("NewOverlay accepted fewer label runs than patch vertices")
 	}
 	if ov.Epoch() != 7 {
@@ -529,5 +529,32 @@ func TestJournalErrorPaths(t *testing.T) {
 	}
 	if err := TruncateJournal(filepath.Join(dir, "never-written.log")); err != nil {
 		t.Fatalf("TruncateJournal on a missing file: %v", err)
+	}
+}
+
+// Reduce refuses a patch whose graph chl.Build would refuse, so /compact
+// can always rebuild — and only such a patch: one that removes the weight
+// that broke the base is accepted.
+func TestReduceRefusesUnbuildablePatch(t *testing.T) {
+	path := func(ws ...float64) *graph.Graph {
+		b := graph.NewBuilder(len(ws)+1, false)
+		for i, w := range ws {
+			b.AddEdge(i, i+1, w)
+		}
+		return b.MustFinish()
+	}
+	base := path(1, 2, 3)
+	if _, err := Reduce(base, []Op{{Kind: OpAdd, U: 0, V: 3, W: 0.1}}); err == nil || !strings.Contains(err.Error(), "weight 0.1") {
+		t.Fatalf("adding a 0.1 edge: %v, want a refusal naming the weight", err)
+	}
+	if _, err := Reduce(base, []Op{{Kind: OpSet, U: 1, V: 2, W: 1 << 52}}); err == nil || !strings.Contains(err.Error(), "maximum weight") {
+		t.Fatalf("reweighting to 2^52: %v, want a refusal naming the maximum weight", err)
+	}
+	if _, err := Reduce(base, []Op{{Kind: OpAdd, U: 0, V: 3, W: 0.25}}); err != nil {
+		t.Fatalf("adding a 0.25 edge: %v", err)
+	}
+	broken := path(1, 0.1, 3)
+	if _, err := Reduce(broken, []Op{{Kind: OpSet, U: 1, V: 2, W: 2}}); err != nil {
+		t.Fatalf("reweighting the 0.1 edge away: %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package delta
 
 import (
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -155,8 +154,8 @@ func FuzzMaterialize(f *testing.F) {
 // fuzzRun carves one packed label run out of data: a length byte, then
 // (hub gap, distance) byte pairs — hubs strictly ascending and below n,
 // as every run the serving tiers hand the overlay is (label.ParsePackedRun
-// rejects anything else), distances in quarter units so the float sums
-// are not all integers. It returns the run and the unread rest.
+// rejects anything else), distances counted in quarter units (k = 2) so
+// the sums are not all integers. It returns the run and the unread rest.
 func fuzzRun(data []byte, n int) (run []uint64, rest []byte) {
 	if len(data) == 0 {
 		return nil, nil
@@ -167,8 +166,7 @@ func fuzzRun(data []byte, n int) (run []uint64, rest []byte) {
 		if hub += 1 + int(data[0]%5); hub >= n {
 			break
 		}
-		dist := float32(data[1]) / 4
-		run = append(run, uint64(hub)<<32|uint64(math.Float32bits(dist)))
+		run = append(run, uint64(hub)<<32|uint64(data[1]))
 	}
 	return run, data
 }
@@ -216,7 +214,7 @@ func FuzzSeedTable(f *testing.F) {
 		}
 		runU, data := fuzzRun(data, n)
 		runV, _ := fuzzRun(data, n)
-		ov, err := NewOverlay(red, ops, 1, fwd, bwd)
+		ov, err := NewOverlay(red, ops, 1, 2, fwd, bwd)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,6 +223,7 @@ func FuzzSeedTable(f *testing.F) {
 		for i, p := range verts {
 			wantU, _, _ := label.JoinPacked(runU, bwd[i])
 			wantV, _, _ := label.JoinPacked(fwd[i], runV)
+			wantU, wantV = label.FromUnits(wantU, 2), label.FromUnits(wantV, 2)
 			if p == u {
 				wantU = 0
 			}

@@ -2,8 +2,8 @@
 // the paper's §7, each printing the same rows/series the paper reports.
 // Absolute numbers differ (the substrate is a laptop-scale simulation, not
 // the authors' 36-core server and 64-node cluster), but the
-// shapes the paper's claims rest on are asserted in exp's tests and
-// recorded in EXPERIMENTS.md.
+// shapes the paper's claims rest on are asserted in exp's tests; README.md,
+// "Reproducing the paper's evaluation", walks through them.
 package exp
 
 import (

@@ -14,6 +14,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -36,9 +37,10 @@ type Graph struct {
 	radj []uint32
 	rwts []float64
 
-	// minW and maxW are the lightest and heaviest arc weight (0 for an
-	// edgeless graph), fixed where the CSR is made.
-	minW, maxW float64
+	// minW and maxW are the lightest and heaviest arc weight, and fineW
+	// the first weight of the largest UnitExp (all 0 for an edgeless
+	// graph), fixed where the CSR is made.
+	minW, maxW, fineW float64
 }
 
 // NumVertices returns the number of vertices |V|.
@@ -108,14 +110,19 @@ func (g *Graph) MinWeight() float64 { return g.minW }
 // MaxWeight returns the largest arc weight, or 0 for an edgeless graph.
 func (g *Graph) MaxWeight() float64 { return g.maxW }
 
-// weightRange returns the smallest and largest of wts, or 0, 0 when it is
-// empty.
-func weightRange(wts []float64) (lo, hi float64) {
+// WeightUnitExp returns the largest UnitExp of an arc weight: every weight
+// is a whole number of units 2^-k (0 on integer weights).
+func (g *Graph) WeightUnitExp() int { return UnitExp(g.fineW) }
+
+// weightRange returns the smallest and largest of wts and the first of
+// the largest UnitExp, or 0, 0, 0 when it is empty.
+func weightRange(wts []float64) (lo, hi, fine float64) {
 	if len(wts) == 0 {
-		return 0, 0
+		return 0, 0, 0
 	}
 	lo, hi = wts[0], wts[0]
-	for _, w := range wts[1:] {
+	k := -1
+	for _, w := range wts {
 		// Plain comparisons: weights are never NaN, and the builtin min and
 		// max of floats branch for it.
 		if w < lo {
@@ -124,8 +131,43 @@ func weightRange(wts []float64) (lo, hi float64) {
 		if w > hi {
 			hi = w
 		}
+		// Every integer has UnitExp 0: only the first needs asking.
+		if k < 0 || w != math.Trunc(w) {
+			if kw := UnitExp(w); kw > k {
+				k, fine = kw, w
+			}
+		}
 	}
-	return lo, hi
+	return lo, hi, fine
+}
+
+// UnitExp returns the smallest k ≥ 0 for which w is a whole number of
+// units 2^-k: 0 for every integer, 2 for 2.25, 55 for 0.1 (the float64
+// nearest 0.1 is a dyadic fraction too, just a fine one). w must be finite
+// and non-negative; anything else answers 0.
+func UnitExp(w float64) int {
+	if !(w > 0) || math.IsInf(w, 1) {
+		return 0
+	}
+	frac, exp := math.Frexp(w) // w = frac · 2^exp, frac in [0.5, 1)
+	mant := uint64(math.Ldexp(frac, 53))
+	return max(0, 53-exp-bits.TrailingZeros64(mant))
+}
+
+// CheckExact reports whether float64 arithmetic on g's path lengths is
+// exact, which every builder assumes: two label distances summed, each at
+// most (n−1)·maxW, must stay below 2^53 units of the weights' own unit
+// 2^-k (WeightUnitExp). On integer weights that is (n−1)·maxW below 2^52;
+// a weight such as 0.1, whose unit is 2^-55, fails on every graph of three
+// or more vertices. Compared in float64: the product is exact up to its
+// last rounding, which can only refuse a graph at the edge, never pass one
+// over it.
+func (g *Graph) CheckExact() error {
+	k := g.WeightUnitExp()
+	if sum := 2 * float64(g.n-1) * math.Ldexp(g.maxW, k); g.n > 1 && sum >= 1<<53 {
+		return fmt.Errorf("graph: path sums are not exact in float64: weight %v needs a unit of 2^-%d, and with maximum weight %v over %d vertices two label distances sum to up to %.3g units, past 2^53; scale the weights to integers (or coarser dyadic fractions) that keep 2·(n−1)·maxW below 2^53 units", g.fineW, k, g.maxW, g.n, sum)
+	}
+	return nil
 }
 
 // TotalWeight returns the sum of all arc weights (each undirected edge
@@ -148,7 +190,7 @@ func (g *Graph) Transpose() *Graph {
 		n: g.n, directed: true,
 		off: g.roff, adj: g.radj, wts: g.rwts,
 		roff: g.off, radj: g.adj, rwts: g.wts,
-		minW: g.minW, maxW: g.maxW,
+		minW: g.minW, maxW: g.maxW, fineW: g.fineW,
 	}
 }
 
@@ -170,7 +212,7 @@ func (g *Graph) Permute(perm []int) (*Graph, []int) {
 		}
 		newID[oldV] = newV
 	}
-	ng := &Graph{n: g.n, directed: g.directed, minW: g.minW, maxW: g.maxW}
+	ng := &Graph{n: g.n, directed: g.directed, minW: g.minW, maxW: g.maxW, fineW: g.fineW}
 	ng.off, ng.adj, ng.wts = permuteCSR(g.off, g.adj, g.wts, perm, newID)
 	if g.directed {
 		ng.roff, ng.radj, ng.rwts = permuteCSR(g.roff, g.radj, g.rwts, perm, newID)
@@ -237,7 +279,7 @@ func (g *Graph) Splice(edits []EdgeEdit) (*Graph, error) {
 	if g.directed {
 		ng.roff, ng.radj, ng.rwts = spliceCSR(g.roff, g.radj, g.rwts, rev)
 	}
-	ng.minW, ng.maxW = weightRange(ng.wts)
+	ng.minW, ng.maxW, ng.fineW = weightRange(ng.wts)
 	return ng, nil
 }
 
@@ -307,7 +349,7 @@ func spliceCSR(off []int64, adj []uint32, wts []float64, edits []arcEdit) ([]int
 // Clone returns a deep copy of g. Algorithms never mutate a Graph, but the
 // cluster simulator clones graphs to model per-node private copies.
 func (g *Graph) Clone() *Graph {
-	ng := &Graph{n: g.n, directed: g.directed, minW: g.minW, maxW: g.maxW}
+	ng := &Graph{n: g.n, directed: g.directed, minW: g.minW, maxW: g.maxW, fineW: g.fineW}
 	ng.off = append([]int64(nil), g.off...)
 	ng.adj = append([]uint32(nil), g.adj...)
 	ng.wts = append([]float64(nil), g.wts...)
@@ -410,7 +452,7 @@ func (b *Builder) Finish() (*Graph, error) {
 	if b.directed {
 		g.roff, g.radj, g.rwts = buildCSR(b.n, b.heads, b.tails, b.wts)
 	}
-	g.minW, g.maxW = weightRange(g.wts)
+	g.minW, g.maxW, g.fineW = weightRange(g.wts)
 	return g, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -423,5 +424,53 @@ func TestMemoryBytesAndHistogram(t *testing.T) {
 	}
 	if g.TotalWeight() != 20 { // 10 edges × weight 1 × 2 arcs
 		t.Fatalf("total weight %v", g.TotalWeight())
+	}
+}
+
+func TestUnitExp(t *testing.T) {
+	for _, tc := range []struct {
+		w    float64
+		want int
+	}{
+		{0, 0}, {1, 0}, {3, 0}, {1 << 40, 0}, {1e300, 0},
+		{0.5, 1}, {2.25, 2}, {0.375, 3}, {math.Ldexp(3, -60), 60},
+		{0.1, 55}, {0.3, 54},
+	} {
+		if got := UnitExp(tc.w); got != tc.want {
+			t.Errorf("UnitExp(%v) = %d, want %d", tc.w, got, tc.want)
+		}
+	}
+}
+
+// CheckExact: the float64 sums of every path stay exact, or the graph is
+// refused naming the weight that set the unit.
+func TestCheckExact(t *testing.T) {
+	path := func(ws ...float64) *Graph {
+		b := NewBuilder(len(ws)+1, false)
+		for i, w := range ws {
+			b.AddEdge(i, i+1, w)
+		}
+		return b.MustFinish()
+	}
+	for _, g := range []*Graph{RoadGrid(8, 8, 1), path(2.25, 0.5, 7), path(1<<50, 1), NewBuilder(5, false).MustFinish()} {
+		if err := g.CheckExact(); err != nil {
+			t.Errorf("%d-vertex graph refused: %v", g.NumVertices(), err)
+		}
+	}
+	for _, tc := range []struct {
+		g    *Graph
+		name string
+	}{
+		{path(0.1, 0.2), "weight 0.1"},                           // unit 2^-55: 2·2·0.2·2^55 ≥ 2^53
+		{path(1<<51, 1), "maximum weight 2.251799813685248e+15"}, // 2·2·2^51 = 2^53
+		{path(3, 0.25, 1<<49), "weight 0.25"},                    // 2·3·2^49·4 > 2^53
+	} {
+		err := tc.g.CheckExact()
+		if err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("CheckExact = %v, want a refusal naming %q", err, tc.name)
+		}
+	}
+	if k := path(3, 0.25, 0.5).WeightUnitExp(); k != 2 {
+		t.Errorf("WeightUnitExp = %d, want 2", k)
 	}
 }

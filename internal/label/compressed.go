@@ -9,25 +9,25 @@ import (
 // Compressed label blocks: the EncCompressed representation of a packed
 // label store. The fixed-width FlatIndex spends 8 bytes on every entry even
 // though per-vertex hub ids are sorted (so consecutive ids are close) and
-// the synthetic/DIMACS distances are small integers (so 32 distance bits
-// are mostly zero). A CompressedIndex splits each vertex's run into
+// distances are mostly small unit counts (so 32 distance bits are mostly
+// zero). A CompressedIndex splits each vertex's run into
 // fixed-count blocks of CompressedBlockEntries entries (the last block of
 // a vertex may be shorter) and encodes each block as
 //
 //	hub plane:  uvarint(hub[i] − hub[i−1] − 1) for i ≥ 1
 //	            (hub[0] is the block header's minHub; strict sortedness
 //	            makes every delta ≥ 1, so 1 is subtracted before encoding)
-//	dist plane: all distances in the block float32-exact small integers →
-//	            uvarint(int(dist)) each; otherwise raw float32 bits, 4
-//	            bytes each (the block's flag records which)
+//	dist plane: uvarint(units) for each entry — the same unit count
+//	            (of the index's 2^-k) the packed entry holds
 //
 // Every block is headed by four uint32 words — minHub, maxHub, dataOff,
-// count|flags|byteLen — kept in one contiguous header array. The
-// (minHub, maxHub) summary is what buys query speed back: JoinCompressed
-// merge-joins two label runs at block granularity and skips — without
-// decoding a single varint — every block whose hub interval cannot
-// intersect the other side's current block, the same data-skipping
-// principle per-block min/max summaries serve in columnar scan engines.
+// count|byteLen<<16 (bits 8–15 are zero) — kept in one contiguous header
+// array. The (minHub, maxHub) summary is what buys query speed back:
+// JoinCompressed merge-joins two label runs at block granularity and
+// skips — without decoding a single varint — every block whose hub
+// interval cannot intersect the other side's current block, the same
+// data-skipping principle per-block min/max summaries serve in columnar
+// scan engines.
 //
 // The arrays are designed for the same zero-copy story as the flat store:
 // headers and vertex offsets are uint32 arrays, the block payloads raw
@@ -40,8 +40,9 @@ type CompressedIndex struct {
 	blockSize int      // entries per full block (CompressedBlockEntries in files this package writes)
 	total     int64    // label count across all blocks
 	vertOff   []uint32 // len n+1; blocks of v are heads[4*vertOff[v] : 4*vertOff[v+1]]
-	heads     []uint32 // 4 words per block: minHub, maxHub, dataOff, count|flags<<8|byteLen<<16
+	heads     []uint32 // 4 words per block: minHub, maxHub, dataOff, count|byteLen<<16
 	data      []byte   // block payloads, contiguous in block order
+	unitExp   int      // k: a decoded count is units of 2^-k, as in FlatIndex
 }
 
 // CompressedBlockEntries is the block size (entries per full block) this
@@ -54,31 +55,11 @@ const CompressedBlockEntries = 64
 // blocks into stack buffers of this size.
 const CompressedMaxBlockEntries = 255
 
-// compFlagIntDists marks a block whose distance plane is uvarint-encoded
-// small integers rather than raw float32 bits.
-const compFlagIntDists = 1
-
 // maxCompressedBlockBytes is the worst-case payload of one block:
 // CompressedMaxBlockEntries−1 hub deltas and CompressedMaxBlockEntries
 // distances at ≤ 5 varint bytes each — comfortably inside the header's
 // 16-bit byteLen field.
 const maxCompressedBlockBytes = (CompressedMaxBlockEntries - 1 + CompressedMaxBlockEntries) * 5
-
-// distSmallInt reports whether the float32 distance bits encode a
-// non-negative integer small enough for the uvarint distance plane to
-// reproduce the exact same bits (integers below 2^24 are float32-exact;
-// −0.0 and NaN fail the bit round-trip and stay on the float plane).
-func distSmallInt(bits uint32) (uint32, bool) {
-	d := math.Float32frombits(bits)
-	if !(d >= 0) || d >= 1<<24 {
-		return 0, false
-	}
-	t := uint32(d)
-	if math.Float32bits(float32(t)) != bits {
-		return 0, false
-	}
-	return t, true
-}
 
 // Compress packs a flat index into compressed label blocks of the default
 // block size. The flat index must satisfy the structural invariants every
@@ -101,6 +82,7 @@ func CompressBlocks(f *FlatIndex, blockSize int) (*CompressedIndex, error) {
 		blockSize: blockSize,
 		total:     f.NumLabels(),
 		vertOff:   make([]uint32, n+1),
+		unitExp:   f.unitExp,
 	}
 	var scratch [binary.MaxVarintLen64]byte
 	for v := 0; v < n; v++ {
@@ -120,32 +102,14 @@ func CompressBlocks(f *FlatIndex, blockSize int) (*CompressedIndex, error) {
 				m := binary.PutUvarint(scratch[:], (blk[i]>>32)-(blk[i-1]>>32)-1)
 				c.data = append(c.data, scratch[:m]...)
 			}
-			flags := uint32(0)
-			intPlane := true
 			for _, e := range blk {
-				if _, ok := distSmallInt(uint32(e)); !ok {
-					intPlane = false
-					break
-				}
-			}
-			if intPlane {
-				flags = compFlagIntDists
-				for _, e := range blk {
-					t, _ := distSmallInt(uint32(e))
-					m := binary.PutUvarint(scratch[:], uint64(t))
-					c.data = append(c.data, scratch[:m]...)
-				}
-			} else {
-				for _, e := range blk {
-					var b [4]byte
-					binary.LittleEndian.PutUint32(b[:], uint32(e))
-					c.data = append(c.data, b[:]...)
-				}
+				m := binary.PutUvarint(scratch[:], uint64(uint32(e)))
+				c.data = append(c.data, scratch[:m]...)
 			}
 			byteLen := len(c.data) - dataOff
 			c.heads = append(c.heads,
 				uint32(blk[0]>>32), uint32(blk[cnt-1]>>32), uint32(dataOff),
-				uint32(cnt)|flags<<8|uint32(byteLen)<<16)
+				uint32(cnt)|uint32(byteLen)<<16)
 		}
 	}
 	c.vertOff[n] = uint32(len(c.heads) / 4)
@@ -157,6 +121,9 @@ func (c *CompressedIndex) NumVertices() int { return c.n }
 
 // NumLabels returns the total number of encoded labels.
 func (c *CompressedIndex) NumLabels() int64 { return c.total }
+
+// UnitExp returns k: decoded entries count units of 2^-k.
+func (c *CompressedIndex) UnitExp() int { return c.unitExp }
 
 // NumBlocks returns the number of label blocks.
 func (c *CompressedIndex) NumBlocks() int { return len(c.heads) / 4 }
@@ -199,7 +166,7 @@ func (c *CompressedIndex) Run(v int) CRun {
 // NumBlocks returns the number of blocks in the run.
 func (r CRun) NumBlocks() int { return len(r.heads) / 4 }
 
-// compBlockBuf holds one decoded block as packed hub<<32|distbits
+// compBlockBuf holds one decoded block as packed hub<<32|units
 // entries — the exact word layout the packed join kernels compare — so
 // the within-block merge of JoinCompressed is the same loop as JoinPacked.
 type compBlockBuf [CompressedMaxBlockEntries]uint64
@@ -221,26 +188,19 @@ func (r CRun) decodeBlock(b int, buf *compBlockBuf) int {
 		hub += d + 1
 		buf[i] = hub << 32
 	}
-	if w3>>8&0xff&compFlagIntDists != 0 {
-		for i := 0; i < count; i++ {
-			v, m := binary.Uvarint(p[k:])
-			k += m
-			buf[i] |= uint64(math.Float32bits(float32(uint32(v))))
-		}
-	} else {
-		for i := 0; i < count; i++ {
-			buf[i] |= uint64(binary.LittleEndian.Uint32(p[k:]))
-			k += 4
-		}
+	for i := 0; i < count; i++ {
+		v, m := binary.Uvarint(p[k:])
+		k += m
+		buf[i] |= v
 	}
 	return count
 }
 
 // JoinCompressed merge-joins two compressed label runs, returning the
-// best distance, its witness hub (rank space), and reachability — the
-// compressed sibling of JoinPacked, and bit-identical to it on the same
-// label sets: same float32→float64 summation, same smallest-hub
-// tie-break among equal-distance witnesses.
+// best distance in units, its witness hub (rank space), and reachability
+// — the compressed sibling of JoinPacked, and bit-identical to it on the
+// same label sets: same sum of unit counts, same smallest-hub tie-break
+// among equal-distance witnesses.
 //
 // The join walks both runs block by block. A block pair whose
 // [minHub, maxHub] intervals do not intersect is resolved from the
@@ -278,7 +238,7 @@ func JoinCompressed(a, b CRun) (dist float64, hub uint32, ok bool) {
 			ea, eb := ba[pa], bb[pb]
 			ha, hb := ea>>32, eb>>32
 			if ha == hb {
-				if d := entryDist(ea) + entryDist(eb); d < dist {
+				if d := entryUnits(ea) + entryUnits(eb); d < dist {
 					dist, hub, ok = d, uint32(ha), true
 				}
 				pa++
@@ -328,7 +288,7 @@ func (rs RunScatter) ProbeCompressed(r CRun) (dist float64, hub uint32, ok bool)
 			if h > rs.maxHub {
 				break
 			}
-			if d := slot[h] + entryDist(e); d < dist {
+			if d := slot[h] + entryUnits(e); d < dist {
 				dist, hub, ok = d, h, true
 			}
 		}
@@ -362,18 +322,7 @@ func (c *CompressedIndex) RunInto(buf *[]uint64, v int) []uint64 {
 
 // Labels reconstructs the label set of v (allocates; query paths use
 // JoinCompressed directly).
-func (c *CompressedIndex) Labels(v int) Set {
-	var buf compBlockBuf
-	r := c.Run(v)
-	s := make(Set, 0, c.LabelCount(v))
-	for b := 0; b < len(r.heads)/4; b++ {
-		cnt := r.decodeBlock(b, &buf)
-		for _, e := range buf[:cnt] {
-			s = append(s, L{Hub: entryHub(e), Dist: entryDist(e)})
-		}
-	}
-	return s
-}
+func (c *CompressedIndex) Labels(v int) Set { return runLabels(c.AppendPackedRun(nil, v), c.unitExp) }
 
 // Decompress expands the compressed index back into a fixed-width flat
 // index with identical labels.
@@ -381,6 +330,7 @@ func (c *CompressedIndex) Decompress() *FlatIndex {
 	f := &FlatIndex{
 		offsets: make([]uint32, c.n+1),
 		entries: make([]uint64, 0, c.total),
+		unitExp: c.unitExp,
 	}
 	for v := 0; v < c.n; v++ {
 		f.offsets[v] = uint32(len(f.entries))
@@ -401,6 +351,7 @@ func (c *CompressedIndex) Slice(keep func(v int) bool) Store {
 		n:         c.n,
 		blockSize: c.blockSize,
 		vertOff:   make([]uint32, c.n+1),
+		unitExp:   c.unitExp,
 	}
 	for v := 0; v < c.n; v++ {
 		out.vertOff[v] = uint32(len(out.heads) / 4)
@@ -426,7 +377,8 @@ func (c *CompressedIndex) Slice(keep func(v int) bool) Store {
 // holds exactly blockSize entries), and — by decoding every block once —
 // well-formed varints consuming exactly byteLen bytes, strictly ascending
 // in-range hubs matching the header's (minHub, maxHub) summary, and
-// int-plane distances below 2^24. It also recomputes the label total.
+// unit counts below 2^32. Bits 8–15 of a block's last header word are
+// zero. It also recomputes the label total.
 func (c *CompressedIndex) validate() error {
 	if c.n < 0 || len(c.vertOff) != c.n+1 {
 		return fmt.Errorf("label: compressed index has no vertex offsets")
@@ -455,7 +407,6 @@ func (c *CompressedIndex) validate() error {
 			h := c.heads[4*b : 4*b+4]
 			minHub, maxHub, off, w3 := h[0], h[1], h[2], h[3]
 			count := int(w3 & 0xff)
-			flags := w3 >> 8 & 0xff
 			byteLen := w3 >> 16
 			if count < 1 || count > c.blockSize {
 				return fmt.Errorf("label: block %d of vertex %d holds %d entries (block size %d)", b, v, count, c.blockSize)
@@ -463,8 +414,8 @@ func (c *CompressedIndex) validate() error {
 			if b+1 < c.vertOff[v+1] && count != c.blockSize {
 				return fmt.Errorf("label: non-final block %d of vertex %d holds %d entries, want %d", b, v, count, c.blockSize)
 			}
-			if flags&^uint32(compFlagIntDists) != 0 {
-				return fmt.Errorf("label: block %d has unknown flags %#x", b, flags)
+			if flags := w3 >> 8 & 0xff; flags != 0 {
+				return fmt.Errorf("label: block %d has flag bits %#x set (this format has none)", b, flags)
 			}
 			if off != dataOff {
 				return fmt.Errorf("label: block %d payload at offset %d, want contiguous %d", b, off, dataOff)
@@ -478,14 +429,13 @@ func (c *CompressedIndex) validate() error {
 			if uint64(maxHub) >= uint64(c.n) {
 				return fmt.Errorf("label: block %d has out-of-range hub %d (n=%d)", b, maxHub, c.n)
 			}
-			cnt, decoded, err := decodeBlockChecked(c.data[off:off+byteLen], minHub, maxHub, count, flags, &buf)
+			decoded, err := decodeBlockChecked(c.data[off:off+byteLen], minHub, maxHub, count, &buf)
 			if err != nil {
 				return fmt.Errorf("label: block %d of vertex %d: %w", b, v, err)
 			}
 			if decoded != int(byteLen) {
 				return fmt.Errorf("label: block %d of vertex %d encodes %d bytes, header says %d", b, v, decoded, byteLen)
 			}
-			_ = cnt
 			prevMax = int64(maxHub)
 			dataOff += byteLen
 			total += int64(count)
@@ -500,47 +450,37 @@ func (c *CompressedIndex) validate() error {
 
 // decodeBlockChecked is the untrusting sibling of CRun.decodeBlock: it
 // decodes one block payload with every read bounds- and shape-checked,
-// for validation and the fuzz target. It returns the entry count and the
-// number of payload bytes consumed.
-func decodeBlockChecked(p []byte, minHub, maxHub uint32, count int, flags uint32, buf *compBlockBuf) (int, int, error) {
+// for validation and the fuzz target. It returns the number of payload
+// bytes consumed.
+func decodeBlockChecked(p []byte, minHub, maxHub uint32, count int, buf *compBlockBuf) (int, error) {
 	hub := uint64(minHub)
 	buf[0] = hub << 32
 	k := 0
 	for i := 1; i < count; i++ {
 		d, m := binary.Uvarint(p[k:])
 		if m <= 0 {
-			return 0, 0, fmt.Errorf("bad hub delta varint at entry %d", i)
+			return 0, fmt.Errorf("bad hub delta varint at entry %d", i)
 		}
 		k += m
 		hub += d + 1
 		if hub > uint64(maxHub) {
-			return 0, 0, fmt.Errorf("hub %d at entry %d exceeds block maximum %d", hub, i, maxHub)
+			return 0, fmt.Errorf("hub %d at entry %d exceeds block maximum %d", hub, i, maxHub)
 		}
 		buf[i] = hub << 32
 	}
 	if hub != uint64(maxHub) {
-		return 0, 0, fmt.Errorf("last hub %d does not match block maximum %d", hub, maxHub)
+		return 0, fmt.Errorf("last hub %d does not match block maximum %d", hub, maxHub)
 	}
-	if flags&compFlagIntDists != 0 {
-		for i := 0; i < count; i++ {
-			v, m := binary.Uvarint(p[k:])
-			if m <= 0 {
-				return 0, 0, fmt.Errorf("bad distance varint at entry %d", i)
-			}
-			if v >= 1<<24 {
-				return 0, 0, fmt.Errorf("int-plane distance %d at entry %d is not float32-exact", v, i)
-			}
-			k += m
-			buf[i] |= uint64(math.Float32bits(float32(uint32(v))))
+	for i := 0; i < count; i++ {
+		v, m := binary.Uvarint(p[k:])
+		if m <= 0 {
+			return 0, fmt.Errorf("bad distance varint at entry %d", i)
 		}
-	} else {
-		if len(p)-k < 4*count {
-			return 0, 0, fmt.Errorf("float distance plane truncated: %d bytes for %d entries", len(p)-k, count)
+		if v > math.MaxUint32 {
+			return 0, fmt.Errorf("distance of %d units at entry %d does not fit 32 bits", v, i)
 		}
-		for i := 0; i < count; i++ {
-			buf[i] |= uint64(binary.LittleEndian.Uint32(p[k:]))
-			k += 4
-		}
+		k += m
+		buf[i] |= v
 	}
-	return count, k, nil
+	return k, nil
 }

@@ -8,11 +8,11 @@ import (
 
 // randomLabelIndex builds a random label index over n vertices whose
 // per-vertex hub sets are drawn from [0, n) with the given density.
-// Distances mix small integers (the uvarint plane), fractional values
-// and huge values (the float plane), plus the occasional -0.0 — the bit
-// pattern the int plane must refuse so parity stays exact. All of them
-// are float32-exact, so freezing loses nothing and the frozen kernels
-// can be held to QueryMerge on the sets themselves.
+// Distances mix small integers, halves (a unit of 2^-1), values past 2^24
+// (which float32 could not hold, a uint32 count can) and the occasional
+// -0.0, which freezes to 0. All of them are whole numbers of units below
+// 2^32, so freezing loses nothing and the frozen kernels can be held to
+// QueryMerge on the sets themselves.
 func randomLabelIndex(rng *rand.Rand, n int, density float64) *Index {
 	ix := NewIndex(n)
 	for v := 0; v < n; v++ {
@@ -24,13 +24,13 @@ func randomLabelIndex(rng *rand.Rand, n int, density float64) *Index {
 			var d float64
 			switch rng.Intn(6) {
 			case 0, 1, 2:
-				d = float64(rng.Intn(1 << 10)) // small int: varint plane
+				d = float64(rng.Intn(1 << 10))
 			case 3:
-				d = float64(rng.Intn(1<<10)) + 0.5 // fractional: float plane
+				d = float64(rng.Intn(1<<10)) + 0.5
 			case 4:
-				d = float64(1<<24 + 2*rng.Intn(1<<9)) // too big for the int plane
+				d = float64(1<<24 + 2*rng.Intn(1<<9))
 			default:
-				d = math.Copysign(0, -1) // -0.0: must stay on the float plane
+				d = math.Copysign(0, -1)
 			}
 			s = append(s, L{Hub: uint32(h), Dist: d})
 		}

@@ -18,6 +18,7 @@ import (
 //	encoding  uint8   EncPacked | EncCompressed
 //	halves    uint8   1 (undirected) or 2 (directed: forward, then backward)
 //	blockSize uint8   entries per full block; 0 unless EncCompressed
+//	unitExp   uint8   k in [0, MaxUnitExp]: every stored distance counts units of 2^-k
 //	lengths   one uint64 byte length per section, in file order
 //	sections  each starting at the next multiple of 8, zero padded
 //
@@ -41,7 +42,10 @@ var containerMagic = [4]byte{'C', 'H', 'F', 'X'}
 // ContainerVersion is the one container version this build writes and
 // reads. Index files are derived artefacts, so older ones are refused
 // (with the command that rebuilds them) rather than converted.
-const ContainerVersion = 5
+const ContainerVersion = 6
+
+// headerLen is the fixed header before the section lengths.
+const headerLen = 9
 
 // ioChunk caps one Write or Read of container bytes. Handing the kernel a
 // whole multi-megabyte array at once measured several times slower, with
@@ -51,8 +55,9 @@ const ContainerVersion = 5
 const ioChunk = 1 << 16
 
 // Encoding names how a container holds its labels. Every persisted
-// distance is a float32. Encoding 1 held the builder's float64 slices and
-// is retired: such a file is refused with the rebuild hint.
+// distance is a uint32 count of the header's unit. Encoding 1 held the
+// builder's float64 slices and is retired: such a file is refused with the
+// rebuild hint.
 type Encoding uint8
 
 const (
@@ -91,7 +96,8 @@ var littleEndian = func() bool {
 }()
 
 // Container is a persisted labeling: the rank permutation and one
-// (undirected) or two (forward, backward) Stores of a single encoding.
+// (undirected) or two (forward, backward) Stores of a single encoding and
+// a single unit.
 type Container struct {
 	Perm   []int // rank → original id
 	Halves []Store
@@ -110,10 +116,13 @@ func (c *Container) WriteTo(w io.Writer) (int64, error) {
 	if len(c.Halves) != 1 && len(c.Halves) != 2 {
 		return 0, fmt.Errorf("label: container has %d halves (want 1 or 2)", len(c.Halves))
 	}
-	enc, blockSize := c.Encoding(), 0
+	enc, blockSize, k := c.Encoding(), 0, c.Halves[0].UnitExp()
 	for _, h := range c.Halves {
 		if h.encoding() != enc {
 			return 0, fmt.Errorf("label: container halves are %s and %s encoded", enc, h.encoding())
+		}
+		if h.UnitExp() != k {
+			return 0, fmt.Errorf("label: container halves count units of 2^-%d and 2^-%d", k, h.UnitExp())
 		}
 		if h.NumVertices() != len(c.Perm) {
 			return 0, fmt.Errorf("label: container half covers %d vertices but permutation has %d", h.NumVertices(), len(c.Perm))
@@ -133,11 +142,11 @@ func (c *Container) WriteTo(w io.Writer) (int64, error) {
 	for _, h := range c.Halves {
 		secs = append(secs, h.arrays()...)
 	}
-	hdr := make([]byte, 8+8*len(secs))
+	hdr := make([]byte, headerLen+8*len(secs))
 	copy(hdr, containerMagic[:])
-	hdr[4], hdr[5], hdr[6], hdr[7] = ContainerVersion, byte(enc), byte(len(c.Halves)), byte(blockSize)
+	hdr[4], hdr[5], hdr[6], hdr[7], hdr[8] = ContainerVersion, byte(enc), byte(len(c.Halves)), byte(blockSize), byte(k)
 	for i, s := range secs {
-		binary.LittleEndian.PutUint64(hdr[8+8*i:], uint64(len(s)))
+		binary.LittleEndian.PutUint64(hdr[headerLen+8*i:], uint64(len(s)))
 	}
 	var written int64
 	write := func(p []byte) error {
@@ -222,11 +231,11 @@ const rebuildHint = "index files are derived: rebuild this one with `chl -out` (
 // length is checked against the bytes present before it is used, pad bytes
 // must be zero and the last section must end the file, so an accepted
 // input is exactly what WriteTo produces for its content.
-func splitSections(data []byte) (enc Encoding, halves, blockSize int, secs [][]byte, err error) {
-	fail := func(format string, args ...any) (Encoding, int, int, [][]byte, error) {
-		return 0, 0, 0, nil, fmt.Errorf("label: "+format, args...)
+func splitSections(data []byte) (enc Encoding, halves, blockSize, k int, secs [][]byte, err error) {
+	fail := func(format string, args ...any) (Encoding, int, int, int, [][]byte, error) {
+		return 0, 0, 0, 0, nil, fmt.Errorf("label: "+format, args...)
 	}
-	if len(data) < 8 {
+	if len(data) < headerLen {
 		return fail("container too short (%d bytes)", len(data))
 	}
 	if [4]byte(data[:4]) != containerMagic {
@@ -235,7 +244,7 @@ func splitSections(data []byte) (enc Encoding, halves, blockSize int, secs [][]b
 	if v := data[4]; v != ContainerVersion {
 		return fail("CHFX container version %d is not supported (this build reads and writes version %d only); %s", v, ContainerVersion, rebuildHint)
 	}
-	enc, halves, blockSize = Encoding(data[5]), int(data[6]), int(data[7])
+	enc, halves, blockSize, k = Encoding(data[5]), int(data[6]), int(data[7]), int(data[8])
 	if enc != EncPacked && enc != EncCompressed {
 		return fail("container declares encoding %d, which this build does not read; %s", data[5], rebuildHint)
 	}
@@ -245,9 +254,12 @@ func splitSections(data []byte) (enc Encoding, halves, blockSize int, secs [][]b
 	if (enc == EncCompressed) != (blockSize != 0) {
 		return fail("container declares block size %d for %s labels", blockSize, enc)
 	}
+	if k > MaxUnitExp {
+		return fail("container declares a unit of 2^-%d (k must be in [0,%d])", k, MaxUnitExp)
+	}
 	widths := encWidths[enc]
 	nsec := 1 + halves*len(widths)
-	pos := 8 + 8*nsec
+	pos := headerLen + 8*nsec
 	if len(data) < pos {
 		return fail("container truncated inside the section table (%d bytes, table ends at %d)", len(data), pos)
 	}
@@ -258,7 +270,7 @@ func splitSections(data []byte) (enc Encoding, halves, blockSize int, secs [][]b
 				return fail("container section %d is not preceded by zero padding", i)
 			}
 		}
-		length := binary.LittleEndian.Uint64(data[8+8*i:])
+		length := binary.LittleEndian.Uint64(data[headerLen+8*i:])
 		if length > uint64(len(data)-pos) {
 			return fail("container section %d declares %d bytes, %d remain", i, length, len(data)-pos)
 		}
@@ -276,7 +288,7 @@ func splitSections(data []byte) (enc Encoding, halves, blockSize int, secs [][]b
 	if pos != len(data) {
 		return fail("container has %d trailing bytes", len(data)-pos)
 	}
-	return enc, halves, blockSize, secs, nil
+	return enc, halves, blockSize, k, secs, nil
 }
 
 // OpenContainer parses and validates a container held in data — the one
@@ -294,7 +306,7 @@ func OpenContainer(data []byte, alias bool) (*Container, error) {
 
 // openContainer is OpenContainer, also returning the sections it cut.
 func openContainer(data []byte, alias bool) (*Container, [][]byte, error) {
-	enc, halves, blockSize, secs, err := splitSections(data)
+	enc, halves, blockSize, unitExp, secs, err := splitSections(data)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -316,7 +328,7 @@ func openContainer(data []byte, alias bool) (*Container, [][]byte, error) {
 	}
 	k := len(encWidths[enc])
 	for h := 0; h < halves; h++ {
-		half, err := openHalf(enc, blockSize, secs[1+h*k:1+(h+1)*k], alias)
+		half, err := openHalf(enc, blockSize, unitExp, secs[1+h*k:1+(h+1)*k], alias)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s half: %w", [...]string{"forward", "backward"}[h], err)
 		}
@@ -330,12 +342,12 @@ func openContainer(data []byte, alias bool) (*Container, [][]byte, error) {
 
 // openHalf builds one half over its sections and runs the encoding's
 // structural validation on it.
-func openHalf(enc Encoding, blockSize int, s [][]byte, alias bool) (Store, error) {
+func openHalf(enc Encoding, blockSize, unitExp int, s [][]byte, alias bool) (Store, error) {
 	if enc == EncPacked {
-		f := &FlatIndex{offsets: words[uint32](s[0], alias), entries: words[uint64](s[1], alias)}
+		f := &FlatIndex{offsets: words[uint32](s[0], alias), entries: words[uint64](s[1], alias), unitExp: unitExp}
 		return f, f.validate()
 	}
-	c := &CompressedIndex{blockSize: blockSize, vertOff: words[uint32](s[0], alias), heads: words[uint32](s[1], alias), data: s[2]}
+	c := &CompressedIndex{blockSize: blockSize, vertOff: words[uint32](s[0], alias), heads: words[uint32](s[1], alias), data: s[2], unitExp: unitExp}
 	c.n = len(c.vertOff) - 1
 	if !alias {
 		c.data = append([]byte(nil), s[2]...)

@@ -25,8 +25,8 @@ type shape struct {
 	directed bool
 	// fromBuilder marks the rows that keep the name of the retired slice
 	// encoding chl -out used to write: a packed file frozen from builder
-	// labels whose float64 distances are not all integers, which is what
-	// chl -out writes now.
+	// labels whose distances are not all integers (a unit 2^-3), which is
+	// what chl -out writes now.
 	fromBuilder bool
 }
 
@@ -48,27 +48,32 @@ func (s shape) String() string {
 }
 
 // container builds a valid container of the shape over n vertices: a
-// shuffled permutation and independent random halves with distances on
-// every plane the compressed encoding distinguishes.
+// shuffled permutation and independent random halves frozen at one unit,
+// with distances of every size a unit count can take.
 func (s shape) container(t testing.TB, n int, seed int64) *Container {
 	rng := rand.New(rand.NewSource(seed))
 	c := &Container{Perm: rng.Perm(n)}
-	halves := 1
+	ixs := []*Index{randomLabelIndex(rng, n, 0.2)}
 	if s.directed {
-		halves = 2
+		ixs = append(ixs, randomLabelIndex(rng, n, 0.2))
 	}
-	for h := 0; h < halves; h++ {
-		ix := randomLabelIndex(rng, n, 0.2)
-		for v := 0; s.fromBuilder && v < n; v += 3 { // float64-only values: Freeze narrows them
+	for _, ix := range ixs {
+		for v := 0; s.fromBuilder && v < n; v += 3 { // eighths: the file's unit is 2^-3
 			if ls := ix.Labels(v); len(ls) > 0 {
-				ls[0].Dist = 0.1 + float64(v)
+				ls[0].Dist = 0.375 + float64(v)
 			}
 		}
+	}
+	fs, err := FreezeHalves(ixs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fs {
 		switch s.enc {
 		case EncPacked:
-			c.Halves = append(c.Halves, Freeze(ix))
+			c.Halves = append(c.Halves, f)
 		case EncCompressed:
-			ci, err := CompressBlocks(Freeze(ix), 7)
+			ci, err := CompressBlocks(f, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,7 +122,7 @@ func sameContainer(t *testing.T, got, want *Container) {
 		switch w := w.(type) {
 		case *CompressedIndex:
 			g := got.Halves[i].(*CompressedIndex)
-			if g.n != w.n || g.blockSize != w.blockSize || g.total != w.total ||
+			if g.n != w.n || g.blockSize != w.blockSize || g.total != w.total || g.unitExp != w.unitExp ||
 				!reflect.DeepEqual(g.vertOff, w.vertOff) || !reflect.DeepEqual(g.heads, w.heads) || !bytes.Equal(g.data, w.data) {
 				t.Fatalf("half %d: compressed arrays differ", i)
 			}
@@ -197,8 +202,10 @@ func TestContainerRoundTrip(t *testing.T) {
 
 // frame lays sections out the way WriteTo does, from raw parts — the
 // hostile rows are built with it so each can lie about exactly one thing.
-func frame(version, enc, halves, blockSize byte, lengths []uint64, secs ...[]byte) []byte {
-	out := append([]byte("CHFX"), version, enc, halves, blockSize)
+// hdr is the header after the magic: version, encoding, halves, block
+// size and unit exponent (or, for a retired version, what it held).
+func frame(hdr []byte, lengths []uint64, secs ...[]byte) []byte {
+	out := append([]byte("CHFX"), hdr...)
 	for _, l := range lengths {
 		out = binary.LittleEndian.AppendUint64(out, l)
 	}
@@ -217,7 +224,7 @@ const blobRow = "random 1 MiB blob"
 // valid container of the shape.
 func hostileRows(t testing.TB, s shape) map[string][]byte {
 	good := containerBytes(t, s.container(t, 12, 55))
-	enc, halves, blockSize, secs, err := splitSections(good)
+	enc, halves, blockSize, k, secs, err := splitSections(good)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,24 +236,25 @@ func hostileRows(t testing.TB, s shape) map[string][]byte {
 		return ls
 	}
 	reframe := func(mut func(hdr []byte, ls []uint64, secs [][]byte)) []byte {
-		hdr, ls := []byte{ContainerVersion, byte(enc), byte(halves), byte(blockSize)}, lengths()
+		hdr, ls := []byte{ContainerVersion, byte(enc), byte(halves), byte(blockSize), byte(k)}, lengths()
 		cp := make([][]byte, len(secs))
 		for i := range secs {
 			cp[i] = append([]byte(nil), secs[i]...)
 		}
 		mut(hdr, ls, cp)
-		return frame(hdr[0], hdr[1], hdr[2], hdr[3], ls, cp...)
+		return frame(hdr, ls, cp...)
 	}
 	if !bytes.Equal(reframe(func([]byte, []uint64, [][]byte) {}), good) {
 		t.Fatal("frame does not reproduce WriteTo's layout")
 	}
 	last := len(secs) - 1
+	table := headerLen + 8*len(secs) // where the section table ends
 	rows := map[string][]byte{
 		"empty":                     nil,
 		"short magic":               []byte("CHF"),
-		"header only":               good[:8],
-		"truncated in the table":    good[:8+8*len(secs)-3],
-		"truncated before sections": good[:8+8*len(secs)],
+		"header only":               good[:headerLen],
+		"truncated in the table":    good[:table-3],
+		"truncated before sections": good[:table],
 		"truncated mid-file":        good[:len(good)/2],
 		"truncated by one byte":     good[:len(good)-1],
 		"trailing byte":             append(append([]byte(nil), good...), 0),
@@ -273,7 +281,12 @@ func hostileRows(t testing.TB, s shape) map[string][]byte {
 			b := reframe(func(_ []byte, ls []uint64, secs [][]byte) {
 				secs[0], ls[0] = secs[0][:4*11], 4*11 // 11 ranks: 4 pad bytes follow the perm
 			})
-			b[8+8*len(secs)+4*11] = 1
+			b[(table+7)&^7+4*11] = 1
+			return b
+		}(),
+		"nonzero padding after the table": func() []byte {
+			b := reframe(func([]byte, []uint64, [][]byte) {})
+			b[table] = 1
 			return b
 		}(),
 		"offsets not spanning the labels": reframe(func(_ []byte, _ []uint64, secs [][]byte) {
@@ -287,6 +300,7 @@ func hostileRows(t testing.TB, s shape) map[string][]byte {
 				hdr[3] = 0
 			}
 		}),
+		"unit exponent out of range": reframe(func(hdr []byte, _ []uint64, _ [][]byte) { hdr[4] = MaxUnitExp + 1 }),
 		blobRow: func() []byte {
 			b := make([]byte, 1<<20)
 			rand.New(rand.NewSource(9)).Read(b)
@@ -342,6 +356,9 @@ func hostileRows(t testing.TB, s shape) map[string][]byte {
 		rows["block count lie"] = reframe(func(_ []byte, _ []uint64, secs [][]byte) {
 			secs[2][12] ^= 0x7f // count byte of the first block header's packed word
 		})
+		rows["block flag bits set"] = reframe(func(_ []byte, _ []uint64, secs [][]byte) {
+			secs[2][13] |= 1 // the bit that once marked an integer distance plane
+		})
 	}
 	// One refusal per retired magic, per retired CHFX version, and for the
 	// retired slice encoding (float64 builder labels).
@@ -352,6 +369,8 @@ func hostileRows(t testing.TB, s shape) map[string][]byte {
 	for v := byte(1); v < ContainerVersion; v++ {
 		rows[fmt.Sprintf("retired CHFX v%d", v)] = reframe(func(hdr []byte, _ []uint64, _ [][]byte) { hdr[0] = v })
 	}
+	// A file in v5's framing: an 8-byte header with no unit.
+	rows["retired CHFX v5 file"] = frame([]byte{5, byte(enc), byte(halves), byte(blockSize)}, lengths(), secs...)
 	rows["future CHFX version"] = reframe(func(hdr []byte, _ []uint64, _ [][]byte) { hdr[0] = ContainerVersion + 1 })
 	return rows
 }
@@ -434,6 +453,19 @@ func TestContainerMisalignedBase(t *testing.T) {
 	}
 }
 
+// halfUnit returns f's labels counted in units of 2^-1.
+func halfUnit(f *FlatIndex) *FlatIndex {
+	ix := NewIndex(f.NumVertices())
+	for v := 0; v < f.NumVertices(); v++ {
+		ix.SetLabels(v, f.Labels(v))
+	}
+	hs, err := freezeAt(1, []*Index{ix})
+	if err != nil {
+		panic(err)
+	}
+	return hs[0]
+}
+
 // The writer refuses halves that do not belong in one file.
 func TestWriteDirectedFlatRejectsMismatchedHalves(t *testing.T) {
 	mk := func(n int, seed int64) *FlatIndex { return Freeze(randomIndex(n, seed)) }
@@ -450,6 +482,7 @@ func TestWriteDirectedFlatRejectsMismatchedHalves(t *testing.T) {
 		"perm length differs":  {Perm: perm[:9], Halves: []Store{mk(10, 1)}},
 		"encodings differ":     {Perm: perm, Halves: []Store{mk(10, 1), comp(mk(10, 2), 4)}},
 		"block sizes differ":   {Perm: perm, Halves: []Store{comp(mk(10, 1), 4), comp(mk(10, 2), 5)}},
+		"units differ":         {Perm: perm, Halves: []Store{mk(10, 1), halfUnit(mk(10, 2))}},
 		"no halves":            {Perm: perm},
 		"three halves":         {Perm: perm, Halves: []Store{mk(10, 1), mk(10, 2), mk(10, 3)}},
 	} {
@@ -459,14 +492,14 @@ func TestWriteDirectedFlatRejectsMismatchedHalves(t *testing.T) {
 	}
 }
 
-// The packed file is the arrays plus 32 (one half) or 48 (two) header
+// The packed file is the arrays plus 33 (one half) or 49 (two) header
 // bytes and the padding that 8-aligns each section — nothing else.
 func TestContainerSizeAccounting(t *testing.T) {
 	pad8 := func(x int) int { return (x + 7) &^ 7 }
 	for _, n := range []int{50, 51} {
 		for _, directed := range []bool{false, true} {
 			c := shape{EncPacked, directed, false}.container(t, n, 3)
-			want := 8 + 8*(1+2*len(c.Halves)) + 4*n
+			want := pad8(headerLen+8*(1+2*len(c.Halves))) + 4*n
 			for _, h := range c.Halves {
 				want = pad8(want) + 4*(n+1)
 				want = pad8(want) + 8*int(h.(*FlatIndex).NumLabels())

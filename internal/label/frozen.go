@@ -34,8 +34,10 @@ type Store interface {
 	// vertex-id space holding only the runs of the vertices keep selects;
 	// every other vertex gets an empty run.
 	Slice(keep func(v int) bool) Store
-	// RunInto returns the run of v as packed words (hub<<32 |
-	// float32bits(dist), ascending), which the caller must not modify. A
+	// UnitExp returns k: the store counts distances in units of 2^-k.
+	UnitExp() int
+	// RunInto returns the run of v as packed words (hub<<32 | units,
+	// ascending), which the caller must not modify. A
 	// fixed-width store returns its own array and ignores buf; a
 	// compressed store decodes into (*buf)[:0], growing *buf as needed, or
 	// into a fresh slice when buf is nil — so the result is valid until

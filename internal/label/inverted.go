@@ -2,7 +2,6 @@ package label
 
 import (
 	"container/heap"
-	"math"
 	"slices"
 )
 
@@ -13,11 +12,10 @@ import (
 // names the hubs and every vertex reachable through one of those hubs
 // is a candidate target.
 //
-// Each posting is a single uint64 with the IEEE-754 bits of the float32
-// distance d(h,v) in the high 32 bits and the vertex id in the low 32.
-// Non-negative float32 bit patterns order like the floats they encode,
-// so sorting the packed words ascending sorts each hub's posting list
-// by (distance, vertex) — which is what lets TopK's k-way merge pop
+// Each posting is a single uint64 with the distance d(h,v) in the high
+// 32 bits, as the unit count the label run holds, and the vertex id in
+// the low 32, so sorting the packed words ascending sorts each hub's
+// posting list by (distance, vertex) — which is what lets TopK's k-way merge pop
 // candidates in globally nondecreasing distance order and settle each
 // vertex the first time it surfaces.
 //
@@ -28,18 +26,21 @@ import (
 // posting lists that name only owned vertices, so a shard's inverted
 // index is automatically the shard's slice of the full one.
 //
+// Like the kernels over runs, ScanMin and TopK answer in units; the
+// caller converts (FromUnits at the unit of the runs it inverted).
+//
 // An Inverted is immutable after construction and safe for concurrent
 // readers.
 type Inverted struct {
 	offsets []uint32 // len n+1; postings of hub h are entries [offsets[h], offsets[h+1])
-	entries []uint64 // float32bits(dist)<<32 | vertex, ascending per hub
+	entries []uint64 // units<<32 | vertex, ascending per hub
 }
 
-func invEntry(distBits uint32, v int) uint64 { return uint64(distBits)<<32 | uint64(uint32(v)) }
+func invEntry(units uint32, v int) uint64 { return uint64(units)<<32 | uint64(uint32(v)) }
 
 func invEntryVertex(e uint64) int { return int(uint32(e)) }
 
-func invEntryDist(e uint64) float64 { return float64(math.Float32frombits(uint32(e >> 32))) }
+func invEntryUnits(e uint64) float64 { return float64(uint32(e >> 32)) }
 
 // invert transposes k label runs over an n-hub rank space into an
 // Inverted via two counting-sort passes plus a per-bucket sort; posting
@@ -97,16 +98,16 @@ func InvertRuns(n int, runs [][]uint64) *Inverted {
 // ScanMin lowers dst[i] to d(run,h)+d(h,i) for every posting (h → i) of
 // every hub h in run: after one pass over run, dst[i] is the hub-join
 // distance between run and the i-th inverted run (left untouched — so
-// pre-fill with Infinity — where they share no hub). The sum is the same
-// float32→float64 addition the pairwise kernels form and a minimum does
-// not depend on visiting order, so every dst[i] is bit-identical to
-// JoinPacked(run, runs[i]). Cost: O(len(run) + postings matched).
+// pre-fill with Infinity — where they share no hub), in units. The sum
+// is the same addition of unit counts the pairwise kernels form and a
+// minimum does not depend on visiting order, so every dst[i] is
+// bit-identical to JoinPacked(run, runs[i]). Cost: O(len(run) + postings matched).
 func (iv *Inverted) ScanMin(dst []float64, run []uint64) {
 	for _, e := range run {
 		h := e >> 32
-		du := entryDist(e)
+		du := entryUnits(e)
 		for _, p := range iv.entries[iv.offsets[h]:iv.offsets[h+1]] {
-			if d := du + invEntryDist(p); d < dst[uint32(p)] {
+			if d := du + invEntryUnits(p); d < dst[uint32(p)] {
 				dst[uint32(p)] = d
 			}
 		}
@@ -129,7 +130,8 @@ func (iv *Inverted) TotalMemory() int64 {
 }
 
 // Neighbor is one top-k result in rank space: a target vertex, its
-// exact distance from the source, and the witness hub that proved it.
+// exact distance from the source in units, and the witness hub that
+// proved it.
 type Neighbor struct {
 	V    int
 	Dist float64
@@ -140,7 +142,7 @@ type Neighbor struct {
 // distance to the hub, the hub's posting list, and how far the merge
 // has consumed it.
 type knnCursor struct {
-	srcDist  float64 // d(source, hub), float64 of the stored float32
+	srcDist  float64 // d(source, hub) in units
 	hub      uint32
 	postings []uint64
 	pos      int
@@ -156,7 +158,7 @@ type knnHeap []knnCursor
 func (h knnHeap) key(i int) (float64, int, uint32) {
 	c := &h[i]
 	e := c.postings[c.pos]
-	return c.srcDist + invEntryDist(e), invEntryVertex(e), c.hub
+	return c.srcDist + invEntryUnits(e), invEntryVertex(e), c.hub
 }
 
 func (h knnHeap) Len() int { return len(h) }
@@ -199,7 +201,7 @@ func (iv *Inverted) TopK(run []uint64, k int, exclude int) []Neighbor {
 		if len(p) == 0 {
 			continue
 		}
-		h = append(h, knnCursor{srcDist: entryDist(e), hub: uint32(e >> 32), postings: p})
+		h = append(h, knnCursor{srcDist: entryUnits(e), hub: uint32(e >> 32), postings: p})
 	}
 	heap.Init(&h)
 	out := make([]Neighbor, 0, k)

@@ -12,14 +12,17 @@ import "sync"
 // builder-side reference all of them are tested against. Join is the one
 // place that chooses between the pairwise kernels.
 //
-// All of them form d(u,h)+d(h,v) as the same float32→float64 sum and break
-// distance ties towards the smallest hub id (highest rank), which is what
-// makes an answer bit-identical whichever kernel, storage format or
-// serving tier — one process, or a router joining rows fetched from two
-// shards — produced it.
+// All of them form d(u,h)+d(h,v) as the same float64 sum of two uint32
+// unit counts — exact, since it stays below 2^33 — and break distance
+// ties towards the smallest hub id (highest rank), which is what makes an
+// answer bit-identical whichever kernel, storage format or serving tier —
+// one process, or a router joining rows fetched from two shards —
+// produced it. The kernels over runs answer in units; Join and
+// ProbeStore, which read Stores, answer in distances (FromUnits at the
+// store's unit), and so does everything above this package.
 
 // QueryScratch is a per-worker probe buffer for the hash joins: one
-// float64 slot per vertex holding the scattered run's distance to that
+// float64 slot per vertex holding the scattered run's unit count to that
 // hub, +Inf (absent) where nothing is scattered — HashDist's layout. A
 // probe is then one load and one add, slot[hub] + d(e) < best, with no
 // occupancy test: an absent slot sums to +Inf and never wins. Every
@@ -46,7 +49,7 @@ func (s *QueryScratch) scatter(run []uint64) {
 	// Ranging over the run bound-checks nothing; scratch stores stay
 	// checked (hub ids come from input data).
 	for _, e := range run {
-		slot[e>>32] = entryDist(e)
+		slot[e>>32] = entryUnits(e)
 	}
 }
 
@@ -117,17 +120,19 @@ func (sp *ScratchPool) GetJoinFor(st Store) *QueryScratch {
 // distance, the witness hub (rank space) and reachability. It is the one
 // place a pairwise kernel is chosen: compressed stores take the
 // block-skipping merge; fixed-width stores the hash join on s, or the
-// merge join when s is nil. Both stores must be the same implementation,
-// and s must be sized for them.
+// merge join when s is nil. Both stores must be the same implementation
+// with the same unit, and s must be sized for them.
 func Join(s *QueryScratch, fwd, bwd Store, u, v int) (dist float64, hub uint32, ok bool) {
 	if c, compressed := fwd.(*CompressedIndex); compressed {
-		return JoinCompressed(c.Run(u), bwd.(*CompressedIndex).Run(v))
+		dist, hub, ok = JoinCompressed(c.Run(u), bwd.(*CompressedIndex).Run(v))
+	} else {
+		dist, hub, ok = JoinPackedWith(s, fwd.(*FlatIndex).PackedRun(u), bwd.(*FlatIndex).PackedRun(v))
 	}
-	return JoinPackedWith(s, fwd.(*FlatIndex).PackedRun(u), bwd.(*FlatIndex).PackedRun(v))
+	return FromUnits(dist, fwd.UnitExp()), hub, ok
 }
 
 // JoinPacked merge-joins two packed label runs, returning the best
-// distance, its witness hub (rank space), and reachability. The runs need
+// distance in units, its witness hub (rank space), and reachability. The runs need
 // not live in the same index — the cross-shard case.
 func JoinPacked(a, b []uint64) (dist float64, hub uint32, ok bool) {
 	dist = Infinity
@@ -136,7 +141,7 @@ func JoinPacked(a, b []uint64) (dist float64, hub uint32, ok bool) {
 		ei, ej := a[i], b[j]
 		hi, hj := ei>>32, ej>>32
 		if hi == hj {
-			if d := entryDist(ei) + entryDist(ej); d < dist {
+			if d := entryUnits(ei) + entryUnits(ej); d < dist {
 				dist, hub, ok = d, uint32(hi), true
 			}
 			i++
@@ -188,7 +193,7 @@ func JoinPackedWith(s *QueryScratch, a, b []uint64) (dist float64, hub uint32, o
 		if e > aMax {
 			break
 		}
-		if d := slot[e>>32] + entryDist(e); d < dist {
+		if d := slot[e>>32] + entryUnits(e); d < dist {
 			dist, hub, ok = d, uint32(e>>32), true
 		}
 	}
@@ -230,7 +235,7 @@ func ScatterRun(s *QueryScratch, run []uint64) RunScatter {
 func (rs RunScatter) Release() { rs.s.clear(rs.run) }
 
 // Probe hub-joins one target run against the scattered source run —
-// the same float64 summation and smallest-hub tie-break as
+// the same sum of unit counts and smallest-hub tie-break as
 // JoinPackedWith, so the answer is bit-identical to the pairwise
 // kernels on the same label sets. Entries past the source's maximum
 // hub can never match and end the scan early.
@@ -245,7 +250,7 @@ func (rs RunScatter) Probe(run []uint64) (dist float64, hub uint32, ok bool) {
 		if e > maxEntry {
 			break
 		}
-		if d := slot[e>>32] + entryDist(e); d < dist {
+		if d := slot[e>>32] + entryUnits(e); d < dist {
 			dist, hub, ok = d, uint32(e>>32), true
 		}
 	}
@@ -254,16 +259,22 @@ func (rs RunScatter) Probe(run []uint64) (dist float64, hub uint32, ok bool) {
 
 // ProbeStore fills dst[j] with the distance from the scattered run to
 // targets[j]'s run in st (Infinity when they share no hub), probing each
-// target with the kernel of st's encoding. dst must have len(targets).
+// target with the kernel of st's encoding. The scattered run must count
+// st's unit. dst must have len(targets).
 func (rs RunScatter) ProbeStore(dst []float64, st Store, targets []int) {
 	if c, compressed := st.(*CompressedIndex); compressed {
 		for j, t := range targets {
 			dst[j], _, _ = rs.ProbeCompressed(c.Run(t))
 		}
-		return
+	} else {
+		f := st.(*FlatIndex)
+		for j, t := range targets {
+			dst[j], _, _ = rs.Probe(f.PackedRun(t))
+		}
 	}
-	f := st.(*FlatIndex)
-	for j, t := range targets {
-		dst[j], _, _ = rs.Probe(f.PackedRun(t))
+	if k := st.UnitExp(); k != 0 {
+		for j, d := range dst {
+			dst[j] = FromUnits(d, k)
+		}
 	}
 }

@@ -20,9 +20,11 @@ import (
 var kernelBlockSizes = []int{1, 2, 3, CompressedBlockEntries, CompressedMaxBlockEntries}
 
 // checkKernels asserts every kernel's answer for the pair (a, b) of label
-// sets, whose hubs must be below n and whose distances float32-exact, and
-// that every kernel using the scratch leaves it clean (all +Inf) — the
-// invariant that lets the probes skip an occupancy test.
+// sets, whose hubs must be below n and whose distances fit a unit count,
+// and that every kernel using the scratch leaves it clean (all +Inf) — the
+// invariant that lets the probes skip an occupancy test. The kernels over
+// runs answer in units of the frozen index's 2^-k, scaled here by
+// FromUnits; Join and ProbeStore answer in distances themselves.
 func checkKernels(t *testing.T, n int, a, b Set) {
 	t.Helper()
 	wantD, wantH, wantOK := QueryMerge(a, b)
@@ -32,6 +34,7 @@ func checkKernels(t *testing.T, n int, a, b Set) {
 	ix.SetLabels(0, a)
 	ix.SetLabels(1, b)
 	f := Freeze(ix)
+	k := f.UnitExp()
 	ra, rb := f.PackedRun(0), f.PackedRun(1)
 	s := NewQueryScratch(n)
 	clean := func(kernel string) {
@@ -49,6 +52,10 @@ func checkKernels(t *testing.T, n int, a, b Set) {
 		}
 		clean(kernel)
 	}
+	raw := func(kernel string, units float64, h uint32, ok bool) {
+		t.Helper()
+		check(kernel, FromUnits(units, k), h, ok)
+	}
 	// scattered runs probe against a scatter of run, then releases it.
 	scattered := func(run []uint64, probe func(RunScatter)) {
 		rs := ScatterRun(s, run)
@@ -57,19 +64,19 @@ func checkKernels(t *testing.T, n int, a, b Set) {
 	}
 
 	d, h, ok := JoinPacked(ra, rb)
-	check("JoinPacked(a,b)", d, h, ok)
+	raw("JoinPacked(a,b)", d, h, ok)
 	d, h, ok = JoinPacked(rb, ra)
-	check("JoinPacked(b,a)", d, h, ok)
+	raw("JoinPacked(b,a)", d, h, ok)
 	d, h, ok = JoinPackedWith(s, ra, rb)
-	check("JoinPackedWith(a,b)", d, h, ok)
+	raw("JoinPackedWith(a,b)", d, h, ok)
 	d, h, ok = JoinPackedWith(s, rb, ra)
-	check("JoinPackedWith(b,a)", d, h, ok)
+	raw("JoinPackedWith(b,a)", d, h, ok)
 	d, h, ok = JoinPackedWith(nil, ra, rb)
-	check("JoinPackedWith(nil scratch)", d, h, ok)
+	raw("JoinPackedWith(nil scratch)", d, h, ok)
 	scattered(ra, func(rs RunScatter) { d, h, ok = rs.Probe(rb) })
-	check("ScatterRun(a).Probe(b)", d, h, ok)
+	raw("ScatterRun(a).Probe(b)", d, h, ok)
 	scattered(rb, func(rs RunScatter) { d, h, ok = rs.Probe(ra) })
-	check("ScatterRun(b).Probe(a)", d, h, ok)
+	raw("ScatterRun(b).Probe(a)", d, h, ok)
 	d, h, ok = Join(s, f, f, 0, 1)
 	check("Join(scratch, packed)", d, h, ok)
 	d, h, ok = Join(nil, f, f, 0, 1)
@@ -80,6 +87,9 @@ func checkKernels(t *testing.T, n int, a, b Set) {
 	// self-join.
 	dst := []float64{Infinity, Infinity, Infinity}
 	InvertRuns(n, [][]uint64{nil, rb, ra}).ScanMin(dst, ra)
+	for i := range dst {
+		dst[i] = FromUnits(dst[i], k)
+	}
 	if dst[0] != Infinity || dst[1] != wantD || dst[2] != selfD {
 		t.Fatalf("ScanMin = %v, want [+Inf %v %v]\na = %v\nb = %v", dst, wantD, selfD, a, b)
 	}
@@ -99,13 +109,13 @@ func checkKernels(t *testing.T, n int, a, b Set) {
 			t.Fatalf("block size %d: compressed index fails validation: %v", bs, err)
 		}
 		d, h, ok = JoinCompressed(c.Run(0), c.Run(1))
-		check("JoinCompressed(a,b)", d, h, ok)
+		raw("JoinCompressed(a,b)", d, h, ok)
 		d, h, ok = JoinCompressed(c.Run(1), c.Run(0))
-		check("JoinCompressed(b,a)", d, h, ok)
+		raw("JoinCompressed(b,a)", d, h, ok)
 		scattered(ra, func(rs RunScatter) { d, h, ok = rs.ProbeCompressed(c.Run(1)) })
-		check("ScatterRun(a).ProbeCompressed(b)", d, h, ok)
+		raw("ScatterRun(a).ProbeCompressed(b)", d, h, ok)
 		scattered(rb, func(rs RunScatter) { d, h, ok = rs.ProbeCompressed(c.Run(0)) })
-		check("ScatterRun(b).ProbeCompressed(a)", d, h, ok)
+		raw("ScatterRun(b).ProbeCompressed(a)", d, h, ok)
 		d, h, ok = Join(s, c, c, 0, 1)
 		check("Join(compressed)", d, h, ok)
 		scattered(ra, func(rs RunScatter) { rs.ProbeStore(row, c, []int{1, 0}) })
@@ -204,7 +214,8 @@ func TestJoinKernels(t *testing.T) {
 		{"shared hubs only at both ends", 300,
 			append(append(Set{{Hub: 0, Dist: 9}}, span(10, 2, 100, unit)...), L{Hub: 299, Dist: 1}),
 			append(append(Set{{Hub: 0, Dist: 9}}, span(11, 2, 100, unit)...), L{Hub: 299, Dist: 1})},
-		// Distances off the integer plane: fractional, beyond 2^24, -0.0.
+		// Distances float32 could not hold as integers: fractional (the
+		// unit becomes 2^-2), beyond 2^24, -0.0 (which freezes to 0).
 		{"float-plane distances", 8,
 			Set{{Hub: 1, Dist: 0.5}, {Hub: 2, Dist: 1<<24 + 2}, {Hub: 5, Dist: math.Copysign(0, -1)}},
 			Set{{Hub: 1, Dist: 2.25}, {Hub: 2, Dist: 1}, {Hub: 5, Dist: 3}}},
@@ -227,8 +238,8 @@ func TestJoinKernels(t *testing.T) {
 
 // fuzzSets turns fuzz bytes into two label sets over a shared hub space:
 // each byte pair advances the hub by 1–4, puts it in a, b or both, and
-// draws small distances (so witnesses tie often) that one bit each moves
-// onto the fractional and the beyond-2^24 float planes.
+// draws small distances (so witnesses tie often) that one bit each makes
+// fractional (a unit of 2^-1) or moves past 2^24.
 func fuzzSets(data []byte) (n int, a, b Set) {
 	if len(data) > 1200 {
 		data = data[:1200]
@@ -242,7 +253,7 @@ func fuzzSets(data []byte) (n int, a, b Set) {
 			da += 0.5
 		}
 		if x&0x80 != 0 {
-			db = 1<<24 + 2*db // even, so still float32-exact
+			db = 1<<24 + 2*db
 		}
 		if in := x >> 2 & 3; in != 2 {
 			a = append(a, L{Hub: uint32(hub), Dist: da})
@@ -291,8 +302,8 @@ func sameRuns(t *testing.T, got, want Store) {
 }
 
 // TestStoreConformance holds both Store implementations to the contract
-// the layers above rely on, over one labeling with distances on every
-// plane: counts add up, the run accessor and Labels agree with the source
+// the layers above rely on, over one labeling with fractional, large and
+// -0.0 distances: counts add up, the run accessor and Labels agree with the source
 // sets, Slice keeps exactly the selected vertices, and the two formats
 // transpose to the identical inverted index.
 func TestStoreConformance(t *testing.T) {
@@ -332,9 +343,9 @@ func TestStoreConformance(t *testing.T) {
 						v, st.LabelCount(v), len(run), len(fresh), len(labels), len(want))
 				}
 				for i, l := range want {
-					// Bits, not ==: -0.0 must survive every encoding.
-					if e := packEntry(l.Hub, l.Dist); run[i] != e || fresh[i] != e ||
-						labels[i].Hub != l.Hub || math.Float64bits(labels[i].Dist) != math.Float64bits(l.Dist) {
+					// ==, so -0.0 freezes to the unit count 0.
+					if e := packEntry(l.Hub, uint32(math.Ldexp(l.Dist, st.UnitExp()))); run[i] != e || fresh[i] != e ||
+						labels[i].Hub != l.Hub || labels[i].Dist != l.Dist {
 						t.Fatalf("vertex %d label %d: run %#x, fresh %#x, Labels %+v, want %+v", v, i, run[i], fresh[i], labels[i], l)
 					}
 				}

@@ -30,6 +30,8 @@ import (
 	"math"
 	"os"
 	"sort"
+
+	"repro/internal/label"
 )
 
 // Partition maps vertex ids to shard ids via a consistent-hash ring.
@@ -144,9 +146,9 @@ const ManifestName = "cluster.json"
 //
 // There is one schema, manifestVersion; a document of any other version
 // is refused with the command that regenerates it (manifests, like the
-// shard files beside them, are derived from the index). ReplicaAddrs and
-// Directed are optional: without them the manifest describes an
-// unreplicated, undirected cluster.
+// shard files beside them, are derived from the index). ReplicaAddrs,
+// Directed and UnitExp are optional: without them the manifest describes
+// an unreplicated, undirected cluster counting whole units.
 type Manifest struct {
 	Version  int      `json:"version"`
 	Vertices int      `json:"vertices"`
@@ -158,6 +160,10 @@ type Manifest struct {
 	// carries both label halves, and serving components must treat (u,v)
 	// and (v,u) as distinct queries.
 	Directed bool `json:"directed,omitempty"`
+	// UnitExp is k of the shard files' unit 2^-k: their label rows count
+	// distances in it, and the router converts its own joins by it. 0 —
+	// the unit 1 of every integer-weighted graph — is omitted.
+	UnitExp int `json:"unit_exp,omitempty"`
 	// VertexCounts records how many vertices each shard owns — purely
 	// informational (the ring is authoritative), for operators and the
 	// splitter's balance report.
@@ -193,6 +199,9 @@ func (m *Manifest) Validate() error {
 	}
 	if m.Vertices < 0 {
 		return fmt.Errorf("shard: manifest has negative vertex count %d", m.Vertices)
+	}
+	if m.UnitExp < 0 || m.UnitExp > label.MaxUnitExp {
+		return fmt.Errorf("shard: manifest has unit 2^-%d (k must be in [0,%d])", m.UnitExp, label.MaxUnitExp)
 	}
 	if m.Shards < 1 || m.Shards > maxShards {
 		return fmt.Errorf("shard: manifest has %d shards (want 1..%d)", m.Shards, maxShards)

@@ -108,6 +108,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.UnitExp = 2
 	path := filepath.Join(t.TempDir(), ManifestName)
 	if err := WriteManifest(path, m); err != nil {
 		t.Fatal(err)
@@ -116,7 +117,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Vertices != 1000 || got.Shards != 3 || got.Replicas != 64 || got.Seed != 42 || len(got.Files) != 3 {
+	if got.Vertices != 1000 || got.Shards != 3 || got.Replicas != 64 || got.Seed != 42 || len(got.Files) != 3 || got.UnitExp != 2 {
 		t.Fatalf("round trip mangled manifest: %+v", got)
 	}
 	p, err := got.Partition()
@@ -215,6 +216,12 @@ func TestManifestRejectsBadInputs(t *testing.T) {
 	}
 	if _, err := NewPartition(2, 0, 1); err == nil {
 		t.Error("zero replicas accepted")
+	}
+	for _, k := range []int{-1, 64} {
+		body := fmt.Sprintf(`{"version":3,"vertices":1,"shards":1,"files":["a"],"replicas":64,"seed":1,"unit_exp":%d}`, k)
+		if _, err := ParseManifest([]byte(body)); err == nil {
+			t.Errorf("unit 2^-%d accepted", k)
+		}
 	}
 	bad := filepath.Join(t.TempDir(), "bad.json")
 	if err := os.WriteFile(bad, []byte(`{"version":99}`), 0o644); err != nil {

@@ -21,7 +21,7 @@ func overlayOver(t testing.TB, fx *FlatIndex, g *Graph, ops []EdgeOp) *delta.Ove
 		t.Fatal(err)
 	}
 	fwd, bwd := fx.patchRuns(red.Verts())
-	ov, err := delta.NewOverlay(red, ops, 1, fwd, bwd)
+	ov, err := delta.NewOverlay(red, ops, 1, fx.unitExp(), fwd, bwd)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,15 @@
 package chl_test
 
-// The cross-stack parity harness: every query workload (/dist, /paths,
-// /knn, /matrix), over every storage format (fixed-width packed,
+// The cross-stack parity harness: every query workload (/dist, /batch,
+// /paths, /knn, /matrix), over every storage format (fixed-width packed,
 // compressed), both directednesses, on every serving topology
 // (single process, sharded 3×1, replicated 2×2), answered over HTTP and
 // checked bit-for-bit against a naive in-memory Dijkstra oracle. Labels
-// carry float32-exact integer weights and every tier sums legs in
-// float64, so the assertions are ==, not approximately-equal: one bit
-// of drift anywhere in the stack fails the matrix.
+// count exact units and every tier converts its sums of them exactly, so
+// the assertions are ==, not approximately-equal: one bit of drift
+// anywhere in the stack fails the matrix. Every fixture counts whole
+// units but one, whose weights are quarters (a unit of 2^-2): it is the
+// fixture that catches a tier forgetting to scale.
 
 import (
 	"bufio"
@@ -85,9 +87,8 @@ func parityStacks(t *testing.T, fx *chl.FlatIndex, g *chl.Graph) []parityStack {
 
 // parityPatchOps derives a deterministic patch batch from g exercising
 // all three op kinds: deletions and reweights of existing edges spread
-// across the vertex range, insertions of absent ones. Weights stay
-// small integers so every patched distance remains float32-exact and
-// the parity assertions stay ==.
+// across the vertex range, insertions of absent ones. Weights are small
+// integers, a whole number of every fixture's unit.
 func parityPatchOps(g *chl.Graph) []chl.EdgeOp {
 	n := g.NumVertices()
 	var dels, sets []chl.EdgeOp
@@ -154,6 +155,21 @@ func postUpdate(t *testing.T, base string, ops []chl.EdgeOp) {
 	}
 }
 
+// postCompact POSTs /compact to the stack.
+func postCompact(t *testing.T, base string) {
+	t.Helper()
+	resp, err := http.Post(base+"/compact", "text/plain", nil)
+	if err != nil {
+		t.Fatalf("POST /compact: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		body := new(bytes.Buffer)
+		body.ReadFrom(resp.Body)
+		t.Fatalf("POST /compact: status %d: %s", resp.StatusCode, body.String())
+	}
+}
+
 // getParity GETs url and decodes the JSON body into out, failing the
 // test on any non-200.
 func getParity(t *testing.T, url string, out any) {
@@ -200,6 +216,36 @@ func checkDistParity(t *testing.T, base string, o *parityOracle, pairs [][2]int)
 		}
 		if r.Reachable && r.Dist != want {
 			t.Fatalf("/dist(%d,%d) = %v, oracle says %v", u, v, r.Dist, want)
+		}
+	}
+}
+
+// checkBatchParity POSTs pairs as one /batch and checks every distance
+// against the oracle, -1 marking unreachable.
+func checkBatchParity(t *testing.T, base string, o *parityOracle, pairs [][2]int) {
+	t.Helper()
+	body, _ := json.Marshal(pairs)
+	resp, err := http.Post(base+"/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /batch: %v", err)
+	}
+	defer resp.Body.Close()
+	var r struct {
+		Dists []float64 `json:"dists"`
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /batch: status %d", resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&r); err != nil || len(r.Dists) != len(pairs) {
+		t.Fatalf("POST /batch: %d dists for %d pairs (%v)", len(r.Dists), len(pairs), err)
+	}
+	for i, p := range pairs {
+		want := o.from(p[0])[p[1]]
+		if want == chl.Infinity {
+			want = -1
+		}
+		if r.Dists[i] != want {
+			t.Fatalf("/batch(%d,%d) = %v, oracle says %v", p[0], p[1], r.Dists[i], want)
 		}
 	}
 }
@@ -382,10 +428,12 @@ func checkMatrixParity(t *testing.T, base string, o *parityOracle, sources, targ
 }
 
 // TestWorkloadParityMatrix is the harness: {packed, compressed} ×
-// {undirected, directed} × {flat, sharded, replicated} × {dist, paths,
-// knn, matrix}, all against the Dijkstra oracle. The undirected fixture
-// is deliberately disconnected so Infinity flows through every workload
-// and wire format.
+// {undirected, directed, quarter-units} × {flat, sharded, replicated} ×
+// {dist, batch, paths, knn, matrix}, all against the Dijkstra oracle,
+// before and after an /update, and on the single process after the
+// /compact that folds it in. The undirected fixture is deliberately
+// disconnected so Infinity flows through every workload and wire format;
+// the quarter-units one is the road grid with every weight divided by 4.
 func TestWorkloadParityMatrix(t *testing.T) {
 	type fixture struct {
 		g  *chl.Graph
@@ -401,6 +449,11 @@ func TestWorkloadParityMatrix(t *testing.T) {
 		g := chl.GenerateRandomDirected(220, 1100, 9, 8)
 		_, fx := buildDirectedFrozen(t, g)
 		fixtures["directed"] = fixture{g, fx}
+	}
+	{
+		g := mapWeights(chl.GenerateRoadGrid(12, 12, 3), func(w float64) float64 { return w / 4 })
+		_, fx := buildFrozen(t, g)
+		fixtures["quarter-units"] = fixture{g, fx}
 	}
 	for dirName, f := range fixtures {
 		for _, format := range []string{"packed", "compressed"} {
@@ -432,10 +485,19 @@ func TestWorkloadParityMatrix(t *testing.T) {
 
 				for _, st := range parityStacks(t, fx, f.g) {
 					t.Run(st.name, func(t *testing.T) {
-						checkDistParity(t, st.base, o, pairs)
-						checkPathsParity(t, st.base, o, pairs[:24])
-						checkKNNParity(t, st.base, o, n, sources, []int{1, 3, 9, n})
-						checkMatrixParity(t, st.base, o, sources, targets)
+						checkAll := func(o *parityOracle) {
+							t.Helper()
+							// /batch first: the router caches its
+							// answers without a witness, so /dist still
+							// joins afresh, but a /batch after /dist would
+							// be served from the cache.
+							checkBatchParity(t, st.base, o, pairs)
+							checkDistParity(t, st.base, o, pairs)
+							checkPathsParity(t, st.base, o, pairs[:24])
+							checkKNNParity(t, st.base, o, n, sources, []int{1, 3, 9, n})
+							checkMatrixParity(t, st.base, o, sources, targets)
+						}
+						checkAll(o)
 
 						// Patched pass: POST the edge updates, then every
 						// workload must answer from the mutated graph —
@@ -443,10 +505,14 @@ func TestWorkloadParityMatrix(t *testing.T) {
 						// happened; the stack serves frozen labels plus
 						// the delta overlay correction.
 						postUpdate(t, st.base, ops)
-						checkDistParity(t, st.base, po, pairs)
-						checkPathsParity(t, st.base, po, pairs[:24])
-						checkKNNParity(t, st.base, po, n, sources, []int{1, 3, 9, n})
-						checkMatrixParity(t, st.base, po, sources, targets)
+						checkAll(po)
+
+						// The single process folds the patch into a
+						// rebuilt index (the router has no /compact).
+						if st.name == "flat" {
+							postCompact(t, st.base)
+							checkAll(po)
+						}
 					})
 				}
 			})

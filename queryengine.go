@@ -13,11 +13,12 @@ import (
 
 // FlatIndex is a frozen, serving-oriented view of an Index: all labels
 // packed into contiguous arrays (hub-sorted per vertex, hub uint32 + dist
-// float32) plus the rank permutation, so queries on original vertex ids
-// run as straight-line joins over sequential memory. A FlatIndex is
-// immutable, safe for concurrent readers, and is the unit the serving
-// files (Save/LoadFlat/OpenFlat) persist — build once with Build,
-// freeze, save, then serve many times without rebuilding.
+// uint32, a count of the index's unit 2^-k) plus the rank permutation, so
+// queries on original vertex ids run as straight-line joins over
+// sequential memory. A FlatIndex is immutable, safe for concurrent
+// readers, and is the unit the serving files (Save/LoadFlat/OpenFlat)
+// persist — build once with Build, freeze, save, then serve many times
+// without rebuilding.
 //
 // A frozen directed index carries both label halves: forward runs (hubs
 // reachable from v) and backward runs (hubs that reach v). A directed
@@ -25,9 +26,10 @@ import (
 // Query(v, u) are then different questions with independently exact
 // answers.
 //
-// Distances are packed as float32: exact for the integer edge weights of
-// every generated dataset and DIMACS graph, approximate beyond ~7
-// significant digits otherwise.
+// Distances are exact. The unit is the coarsest power of two that counts
+// every label distance — 1 on every integer-weighted graph — and Freeze
+// refuses a label past 2^32 units rather than round it; answers leave the
+// index as units · 2^-k, which is exact too.
 type FlatIndex struct {
 	// fwd and bwd hold the label runs in ORIGINAL-id order (freezing
 	// applies the permutation once), so the serving path needs no
@@ -81,12 +83,16 @@ func (fx *FlatIndex) inverted() *label.Inverted {
 // label runs.
 func (fx *FlatIndex) Directed() bool { return fx.bwd != fx.fwd }
 
+// unitExp returns k: the index counts distances in units of 2^-k.
+func (fx *FlatIndex) unitExp() int { return fx.fwd.UnitExp() }
+
 // Compressed reports whether the index stores its labels as compressed
 // blocks rather than fixed-width packed entries.
 func (fx *FlatIndex) Compressed() bool { return label.IsCompressed(fx.fwd) }
 
 // patchRuns returns the label runs delta.NewOverlay builds its seed
-// tables from, in the fixed-width layout whichever format stores them:
+// tables from (at the index's unitExp), in the fixed-width layout
+// whichever format stores them:
 // the forward run of every vertex in verts and, on a directed index, the
 // backward run too (nil otherwise — undirected labels are symmetric).
 func (fx *FlatIndex) patchRuns(verts []int) (fwd, bwd [][]uint64) {
@@ -168,23 +174,31 @@ func (fx *FlatIndex) Close() error {
 }
 
 // Freeze packs the index into its flat serving form. A directed index
-// freezes both label halves (forward and backward runs per vertex); the
-// resulting FlatIndex answers the same ordered queries the in-memory
-// index does.
+// freezes both label halves (forward and backward runs per vertex) at one
+// unit; the resulting FlatIndex answers the same ordered queries the
+// in-memory index does. It refuses, naming the label, a distance that is
+// not a whole number of units below 2^32 (label.FreezeHalves).
 func (ix *Index) Freeze() (*FlatIndex, error) {
-	// freeze packs one ranked labeling in original-id order.
-	freeze := func(ranked *label.Index) *label.FlatIndex {
-		reordered := label.NewIndex(ix.n)
+	halves := []*label.Index{ix.ranked}
+	if ix.directed != nil {
+		halves = []*label.Index{ix.directed.Forward, ix.directed.Backward}
+	}
+	// Each ranked labeling is packed in original-id order.
+	for i, ranked := range halves {
+		halves[i] = label.NewIndex(ix.n)
 		for v := 0; v < ix.n; v++ {
-			reordered.SetLabels(v, ranked.Labels(ix.rank[v])) // aliases, read-only
+			halves[i].SetLabels(v, ranked.Labels(ix.rank[v])) // aliases, read-only
 		}
-		return label.Freeze(reordered)
+	}
+	fs, err := label.FreezeHalves(halves...)
+	if err != nil {
+		return nil, fmt.Errorf("chl: freezing: %w", err)
 	}
 	perm := append([]int(nil), ix.perm...)
-	if ix.directed != nil {
-		return newFlatIndex(freeze(ix.directed.Forward), freeze(ix.directed.Backward), perm), nil
+	if len(fs) == 2 {
+		return newFlatIndex(fs[0], fs[1], perm), nil
 	}
-	return newFlatIndex(freeze(ix.ranked), nil, perm), nil
+	return newFlatIndex(fs[0], nil, perm), nil
 }
 
 // FreezeCompressed is Freeze followed by Compress: the index packed

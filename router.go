@@ -110,8 +110,12 @@ type Router struct {
 	// directedness and a mismatch is a terminal error (checkStamp) —
 	// manifest drift must be loud, not silently wrong joins.
 	directed bool
-	shards   []*shardClient
-	client   *http.Client
+	// unitExp mirrors the manifest's unit: every shard's label rows count
+	// units of 2^-unitExp, which the router's own joins convert back
+	// (label.FromUnits). Every stamp echoes it, checked like directed.
+	unitExp int
+	shards  []*shardClient
+	client  *http.Client
 
 	cacheSize int
 	state     atomic.Pointer[routerState]
@@ -568,6 +572,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		n:           cfg.Manifest.Vertices,
 		part:        part,
 		directed:    cfg.Manifest.Directed,
+		unitExp:     cfg.Manifest.UnitExp,
 		client:      client,
 		cacheSize:   cfg.CacheSize,
 		ejectAfter:  ejectAfter,
@@ -732,6 +737,7 @@ func (r *Router) routePair(ctx context.Context, st *routerState, u, v int) fligh
 	} else {
 		r.crossJoins.Add(1)
 		res.dist, rank, res.ok = label.JoinPacked(rowU, rowV)
+		res.dist = label.FromUnits(res.dist, r.unitExp)
 	}
 	switch {
 	case !res.ok:
@@ -837,7 +843,7 @@ func (r *Router) batch(ctx context.Context, pairs []QueryPair) ([]float64, error
 		if st.patch != nil {
 			dists[i], _, _ = st.patch.Query(a, b, pairs[i].U, pairs[i].V)
 		} else if d, _, ok := label.JoinPackedWith(s, a, b); ok {
-			dists[i] = d
+			dists[i] = label.FromUnits(d, r.unitExp)
 		} else {
 			dists[i] = Infinity
 		}
@@ -1310,9 +1316,10 @@ func roundTrip[T stamped](ctx context.Context, r *Router, rep *replica, path str
 // server, not a shard (started without -manifest/-shard): its answers
 // may be right today, but its reloads would be invisible to the router's
 // cache retirement — loud refusal beats silent staleness. A shard
-// serving a file over the wrong vertex space or the wrong directedness
-// (manifest drift) must be just as loud: a directed router accepting an
-// undirected shard's symmetric answer would cache d(u,v) as d(u→v).
+// serving a file over the wrong vertex space, the wrong directedness or
+// the wrong unit (manifest drift) must be just as loud: a directed router
+// accepting an undirected shard's symmetric answer would cache d(u,v) as
+// d(u→v), and rows counted in another unit would join to wrong sums.
 func (r *Router) checkStamp(st shardStamp) error {
 	switch {
 	case st.Generation == 0 || st.Epoch == 0:
@@ -1321,6 +1328,8 @@ func (r *Router) checkStamp(st shardStamp) error {
 		return fmt.Errorf("shard serves %d vertices but the manifest says %d — mismatched index files?", st.N, r.n)
 	case st.Directed != r.directed:
 		return fmt.Errorf("shard serves directed=%v but the manifest says directed=%v — mismatched index files?", st.Directed, r.directed)
+	case st.UnitExp != r.unitExp:
+		return fmt.Errorf("shard counts distances in units of 2^-%d but the manifest says 2^-%d — mismatched index files?", st.UnitExp, r.unitExp)
 	}
 	return nil
 }

@@ -99,7 +99,7 @@ func (r *Router) applyPatchOpsLocked(ops []EdgeOp, journal bool) (delta.Stats, e
 	if err != nil {
 		return delta.Stats{}, err
 	}
-	ov, err := delta.NewOverlay(red, combined, r.patchBatches+1, fwd, bwd)
+	ov, err := delta.NewOverlay(red, combined, r.patchBatches+1, r.unitExp, fwd, bwd)
 	if err != nil {
 		return delta.Stats{}, err
 	}

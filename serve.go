@@ -592,7 +592,7 @@ func (s *Server) applyOps(ops []EdgeOp, journal bool) (*Snapshot, error) {
 		return nil, fmt.Errorf("chl: Server used after Close")
 	}
 	fwd, bwd := cur.fx.patchRuns(red.Verts())
-	ov, err := delta.NewOverlay(red, combined, s.patchBatches+1, fwd, bwd)
+	ov, err := delta.NewOverlay(red, combined, s.patchBatches+1, cur.fx.unitExp(), fwd, bwd)
 	if err != nil {
 		return nil, err
 	}
@@ -816,7 +816,7 @@ func (s *Server) stamp(sn *Snapshot) shardStamp {
 	if s.part == nil {
 		return shardStamp{}
 	}
-	return shardStamp{Generation: sn.gen, Epoch: s.epoch, Ident: sn.ident, N: sn.fx.NumVertices(), Directed: sn.fx.Directed()}
+	return shardStamp{Generation: sn.gen, Epoch: s.epoch, Ident: sn.ident, N: sn.fx.NumVertices(), Directed: sn.fx.Directed(), UnitExp: sn.fx.unitExp()}
 }
 
 func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {

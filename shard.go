@@ -82,6 +82,7 @@ func (fx *FlatIndex) SaveShards(dir string, shards, replicas int, seed uint64) (
 		return nil, err
 	}
 	m.Directed = fx.Directed()
+	m.UnitExp = fx.unitExp()
 	m.VertexCounts = counts
 	if err := shard.WriteManifest(filepath.Join(dir, shard.ManifestName), m); err != nil {
 		return nil, err

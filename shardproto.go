@@ -16,7 +16,8 @@ import (
 // shardStamp is the snapshot stamp every shard-facing response carries:
 // which snapshot answered (Generation within the process, Epoch across
 // restarts, Ident = Snapshot.Ident, the durable content hash) and over
-// what cluster shape (N vertices, Directed). A plain server stamps
+// what cluster shape (N vertices, Directed, and UnitExp: the label rows
+// count units of 2^-UnitExp). A plain server stamps
 // nothing — every key is absent from its bodies except generation on
 // /healthz and /reload, which is public there — so the router can tell a
 // shard backend from a misconfigured plain one by the stamp alone.
@@ -26,6 +27,7 @@ type shardStamp struct {
 	Ident      uint64 `json:"ident,omitempty"`
 	N          int    `json:"n,omitempty"`
 	Directed   bool   `json:"directed,omitempty"`
+	UnitExp    int    `json:"unit_exp,omitempty"`
 }
 
 // stampOf is promoted into every response type below; it is how
@@ -98,8 +100,8 @@ type shardQueryRequest struct {
 
 // shardQueryResponse carries packed label runs keyed by vertex id. Each
 // row is the vertex's entries array slice — little-endian uint64 words,
-// hub (rank space) in the high 32 bits, float32 distance bits in the low
-// 32 — base64-encoded so the bytes cross the wire exactly as they sit in
+// hub (rank space) in the high 32 bits, the distance in units of the
+// stamp's 2^-UnitExp in the low 32 — base64-encoded so the bytes cross the wire exactly as they sit in
 // the shard's (usually memory-mapped) index. Rows answers Vertices
 // (forward runs), BackRows answers Backward, and HubIDs answers the
 // request's HubIDs: per named row, the original id of each entry's hub,

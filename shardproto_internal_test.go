@@ -33,6 +33,21 @@ type protoCluster struct {
 	byOwner  [2][]int
 }
 
+// quarterWeights returns undirected g with every weight divided by 4,
+// which a frozen index counts in units of 2^-2.
+func quarterWeights(g *Graph) *Graph {
+	b := NewGraphBuilder(g.NumVertices(), false)
+	for u := 0; u < g.NumVertices(); u++ {
+		heads, wts := g.Neighbors(u)
+		for i, h := range heads {
+			if u < int(h) {
+				b.AddEdge(u, int(h), wts[i]/4)
+			}
+		}
+	}
+	return b.MustFinish()
+}
+
 func newProtoCluster(t *testing.T, g *Graph) *protoCluster {
 	t.Helper()
 	ix, err := Build(g, Options{Algorithm: AlgoSeqPLL, Seed: 1})
@@ -136,10 +151,15 @@ func serve(t *testing.T, h http.Handler, method, target string, body any) (int, 
 // appears (generation excepted where it is public) and the row
 // endpoints do not exist.
 func TestShardProtocolConformance(t *testing.T) {
-	for name, g := range map[string]*Graph{
-		"undirected": GenerateScaleFree(120, 3, 4),
-		"directed":   GenerateRandomDirected(120, 700, 9, 4),
+	for name, fixture := range map[string]struct {
+		g       *Graph
+		unitExp int
+	}{
+		"undirected":    {GenerateScaleFree(120, 3, 4), 0},
+		"directed":      {GenerateRandomDirected(120, 700, 9, 4), 0},
+		"quarter units": {quarterWeights(GenerateScaleFree(120, 3, 4)), 2},
 	} {
+		g := fixture.g
 		t.Run(name, func(t *testing.T) {
 			c := newProtoCluster(t, g)
 			s, u, v := c.servers[0], c.byOwner[0][0], c.byOwner[0][1]
@@ -163,7 +183,7 @@ func TestShardProtocolConformance(t *testing.T) {
 				}
 			}
 			sn := s.Acquire()
-			want := shardStamp{Generation: sn.Generation(), Epoch: s.epoch, Ident: sn.Ident(), N: g.NumVertices(), Directed: g.Directed()}
+			want := shardStamp{Generation: sn.Generation(), Epoch: s.epoch, Ident: sn.Ident(), N: g.NumVertices(), Directed: g.Directed(), UnitExp: fixture.unitExp}
 			sn.Release()
 			if want.Generation == 0 || want.Epoch == 0 || want.Ident == 0 {
 				t.Fatalf("incomplete stamp to begin with: %+v", want)
@@ -319,6 +339,8 @@ func TestRouterStampCheckOnEveryPath(t *testing.T) {
 			fmt.Sprintf("shard serves %d vertices but the manifest says %d — mismatched index files?", n+1, n), false},
 		{"wrong directed", func(keys map[string]any) { keys["directed"] = true },
 			"shard serves directed=true but the manifest says directed=false — mismatched index files?", false},
+		{"wrong unit", func(keys map[string]any) { keys["unit_exp"] = 2 },
+			"shard counts distances in units of 2^-2 but the manifest says 2^-0 — mismatched index files?", false},
 		{"hub ids missing", func(keys map[string]any) { delete(keys, "hub_ids") },
 			fmt.Sprintf("hub ids for vertex %d missing from response", u0), true},
 		{"hub ids misaligned", func(keys map[string]any) {

@@ -215,7 +215,7 @@ func TestRouterMatrixMidStreamShardDeath(t *testing.T) {
 // flat server: apply patches over HTTP, hammer /dist and /knn from
 // concurrent clients, recompact into a fresh snapshot mid-load — zero
 // dropped queries — and verify the post-compaction answers equal a
-// from-scratch rebuild over the patched graph (strict ==, float32-exact
+// from-scratch rebuild over the patched graph (strict ==, integer
 // weights). Run with -race in CI.
 func TestServerCompactionUnderLoad(t *testing.T) {
 	dir := t.TempDir()

@@ -318,6 +318,9 @@ func (s shardStamp) appendStamp(b []byte) []byte {
 	if s.Directed {
 		b = append(b, `,"directed":true`...)
 	}
+	if s.UnitExp != 0 {
+		b = appendIntField(b, `,"unit_exp":`, int64(s.UnitExp))
+	}
 	return b
 }
 

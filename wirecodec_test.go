@@ -118,12 +118,12 @@ func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 			dists = append(dists, float64(i%(1<<54)), float64(i))
 		}
 		ok := true
-		for mask := 0; mask < 32 && ok; mask++ {
+		for mask := 0; mask < 64 && ok; mask++ {
 			s := st
 			s.Directed = true
 			for bit, zero := range []func(){
 				func() { s.Generation = 0 }, func() { s.Epoch = 0 }, func() { s.Ident = 0 },
-				func() { s.N = 0 }, func() { s.Directed = false },
+				func() { s.N = 0 }, func() { s.Directed = false }, func() { s.UnitExp = 0 },
 			} {
 				if mask&(1<<bit) != 0 {
 					zero()

@@ -10,7 +10,7 @@ import (
 // Rich query workloads over the packed-label substrate: shortest-path
 // reconstruction (/paths), top-k nearest targets (/knn), and
 // one-to-many/many-to-many distance matrices (/matrix). Every workload
-// reuses the pairwise join kernels — same float64 summation, same
+// reuses the pairwise join kernels — same sum of unit counts, same
 // smallest-hub tie-break — so its numbers agree bit-for-bit with /dist
 // on every tier and storage format. ARCHITECTURE.md ("Query workloads")
 // walks through each one.
@@ -153,12 +153,12 @@ func (fx *FlatIndex) KNN(u, k int) []Neighbor {
 // index — the shard-scan case, where the router ships the source's
 // forward run to every shard and each shard scans only its own
 // vertices' postings. exclude names a vertex to omit (the source), or
-// -1.
+// -1. The run must count this index's unit.
 func (fx *FlatIndex) KNNFromRun(run []uint64, k, exclude int) []Neighbor {
 	raw := fx.inverted().TopK(run, k, exclude)
 	out := make([]Neighbor, len(raw))
 	for i, nb := range raw {
-		out[i] = Neighbor{V: nb.V, Dist: nb.Dist, Hub: fx.perm[nb.Hub]}
+		out[i] = Neighbor{V: nb.V, Dist: label.FromUnits(nb.Dist, fx.unitExp()), Hub: fx.perm[nb.Hub]}
 	}
 	return out
 }
