@@ -33,7 +33,6 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -159,47 +158,6 @@ func LogHash(ops []Op) uint64 {
 		s = 1
 	}
 	return s
-}
-
-// AppendJournal appends ops to the patch journal at path (creating it
-// if needed) and syncs, so an accepted /update batch survives a crash.
-func AppendJournal(path string, ops []Op) error {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(FormatPatchLog(ops)); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ReadJournal parses the journal at path; a missing file is an empty
-// journal, not an error.
-func ReadJournal(path string) ([]Op, error) {
-	b, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	return ParsePatchLog(b)
-}
-
-// TruncateJournal empties the journal after a compaction folded its ops
-// into a fresh snapshot. A missing file is fine.
-func TruncateJournal(path string) error {
-	err := os.Truncate(path, 0)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	return err
 }
 
 // edgeKey identifies one edge: ordered for directed graphs, normalized
@@ -391,7 +349,7 @@ func (r *Reduction) Materialize() (*graph.Graph, error) {
 }
 
 // ApplyPatch applies a patch log to a graph and returns the patched
-// graph — the reference mutation tests and compaction both build on.
+// graph — the reference mutation tests build on (compaction: Log.Patched).
 func ApplyPatch(base *graph.Graph, ops []Op) (*graph.Graph, error) {
 	red, err := Reduce(base, ops)
 	if err != nil {
@@ -520,6 +478,15 @@ func NewOverlay(red *Reduction, ops []Op, epoch uint64, unitExp int, fwd, bwd []
 		}
 	}
 	return o, nil
+}
+
+// Serving returns the overlay queries go through: o itself, or nil when
+// its log cancels out and so changes no answer.
+func (o *Overlay) Serving() *Overlay {
+	if o.Empty() {
+		return nil
+	}
+	return o
 }
 
 // Epoch returns the patch generation this overlay was applied at.

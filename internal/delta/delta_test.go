@@ -139,18 +139,18 @@ func TestLogHashDeterministic(t *testing.T) {
 
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "patch.log")
-	if ops, err := ReadJournal(path); err != nil || ops != nil {
+	if ops, err := readJournal(path); err != nil || ops != nil {
 		t.Fatalf("missing journal: got %v, %v", ops, err)
 	}
 	first := line(t, "add 1 2 3")
 	second := line(t, "del 1 2\nset 4 5 6")
-	if err := AppendJournal(path, first); err != nil {
+	if err := appendJournal(path, first); err != nil {
 		t.Fatal(err)
 	}
-	if err := AppendJournal(path, second); err != nil {
+	if err := appendJournal(path, second); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJournal(path)
+	got, err := readJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,10 +163,10 @@ func TestJournalRoundTrip(t *testing.T) {
 			t.Fatalf("op %d: got %+v want %+v", i, got[i], want[i])
 		}
 	}
-	if err := TruncateJournal(path); err != nil {
+	if err := truncateJournal(path); err != nil {
 		t.Fatal(err)
 	}
-	if ops, err := ReadJournal(path); err != nil || len(ops) != 0 {
+	if ops, err := readJournal(path); err != nil || len(ops) != 0 {
 		t.Fatalf("truncated journal: got %v, %v", ops, err)
 	}
 }
@@ -509,26 +509,26 @@ func TestOverlayAccessorsAndApplyPatch(t *testing.T) {
 	}
 }
 
-// TestJournalErrorPaths: an unwritable journal path fails AppendJournal
-// loudly, an unreadable one fails ReadJournal, a corrupt one fails
-// parsing, and TruncateJournal treats a missing file as already empty.
+// TestJournalErrorPaths: an unwritable journal path fails appendJournal
+// loudly, an unreadable one fails readJournal, a corrupt one fails
+// parsing, and truncateJournal treats a missing file as already empty.
 func TestJournalErrorPaths(t *testing.T) {
 	dir := t.TempDir()
-	if err := AppendJournal(dir, line(t, "add 1 2 3")); err == nil {
-		t.Fatal("AppendJournal to a directory path succeeded")
+	if err := appendJournal(dir, line(t, "add 1 2 3")); err == nil {
+		t.Fatal("appendJournal to a directory path succeeded")
 	}
-	if _, err := ReadJournal(dir); err == nil {
-		t.Fatal("ReadJournal on a directory path succeeded")
+	if _, err := readJournal(dir); err == nil {
+		t.Fatal("readJournal on a directory path succeeded")
 	}
 	bad := filepath.Join(dir, "corrupt.log")
 	if err := os.WriteFile(bad, []byte("add 1 2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadJournal(bad); err == nil {
-		t.Fatal("ReadJournal parsed a truncated add line")
+	if _, err := readJournal(bad); err == nil {
+		t.Fatal("readJournal parsed a truncated add line")
 	}
-	if err := TruncateJournal(filepath.Join(dir, "never-written.log")); err != nil {
-		t.Fatalf("TruncateJournal on a missing file: %v", err)
+	if err := truncateJournal(filepath.Join(dir, "never-written.log")); err != nil {
+		t.Fatalf("truncateJournal on a missing file: %v", err)
 	}
 }
 

@@ -20,7 +20,7 @@ func overlayOver(t testing.TB, fx *FlatIndex, g *Graph, ops []EdgeOp) *delta.Ove
 	if err != nil {
 		t.Fatal(err)
 	}
-	fwd, bwd := fx.patchRuns(red.Verts())
+	fwd, bwd, _ := fx.patchRuns(red.Verts())
 	ov, err := delta.NewOverlay(red, ops, 1, fx.unitExp(), fwd, bwd)
 	if err != nil {
 		t.Fatal(err)

@@ -90,12 +90,12 @@ func (fx *FlatIndex) unitExp() int { return fx.fwd.UnitExp() }
 // blocks rather than fixed-width packed entries.
 func (fx *FlatIndex) Compressed() bool { return label.IsCompressed(fx.fwd) }
 
-// patchRuns returns the label runs delta.NewOverlay builds its seed
-// tables from (at the index's unitExp), in the fixed-width layout
-// whichever format stores them:
-// the forward run of every vertex in verts and, on a directed index, the
-// backward run too (nil otherwise — undirected labels are symmetric).
-func (fx *FlatIndex) patchRuns(verts []int) (fwd, bwd [][]uint64) {
+// patchRuns is the server's delta.Runs: the label runs of verts an
+// overlay builds its seed tables from (at the index's unitExp), in the
+// fixed-width layout whichever format stores them — forward runs and, on
+// a directed index, backward runs too (nil otherwise: undirected labels
+// are symmetric). It never fails.
+func (fx *FlatIndex) patchRuns(verts []int) (fwd, bwd [][]uint64, err error) {
 	fwd = make([][]uint64, len(verts))
 	for i, p := range verts {
 		fwd[i] = fx.fwd.RunInto(nil, p)
@@ -106,7 +106,7 @@ func (fx *FlatIndex) patchRuns(verts []int) (fwd, bwd [][]uint64) {
 			bwd[i] = fx.bwd.RunInto(nil, p)
 		}
 	}
-	return fwd, bwd
+	return fwd, bwd, nil
 }
 
 // Compress returns a compressed copy of the index: the same labels,
@@ -360,20 +360,13 @@ func newCacheFor(fx *FlatIndex, capacity int) *Cache {
 // Cache returns the engine's attached cache, or nil.
 func (e *BatchEngine) Cache() *Cache { return e.cache }
 
-// SetOverlay attaches a delta overlay to the engine (nil detaches).
-// With an overlay attached, every query routes through the corrected
-// path: the frozen join plus the overlay's patch-seeded correction
-// Dijkstra, falling back to an exact patched-graph Dijkstra for the
-// pairs the correction cannot certify. An attached cache must be
-// scoped to exactly one (index, overlay) pair — Server and Router
-// start a fresh cache on every patch batch, which is what keeps
-// pre-patch answers from outliving the graph they were true of.
-func (e *BatchEngine) SetOverlay(ov *delta.Overlay) {
-	if ov != nil && ov.Empty() {
-		ov = nil
-	}
-	e.ov = ov
-}
+// SetOverlay attaches the delta overlay a delta.Log serves (nil
+// detaches). With an overlay attached, every query routes through the
+// corrected path (queryPatched). An attached cache must be scoped to
+// exactly one (index, overlay) pair — Server and Router start a fresh
+// cache on every patch batch, which is what keeps pre-patch answers
+// from outliving the graph they were true of.
+func (e *BatchEngine) SetOverlay(ov *delta.Overlay) { e.ov = ov }
 
 // Overlay returns the engine's attached delta overlay, or nil.
 func (e *BatchEngine) Overlay() *delta.Overlay { return e.ov }
@@ -405,7 +398,11 @@ func (e *BatchEngine) queryHub(s *QueryScratch, u, v int) (dist float64, hub int
 		}
 	}
 	if e.ov != nil {
-		dist, hub, ok = e.queryHubPatched(u, v)
+		// Endpoint runs zero-copy from a fixed-width store, decoded once
+		// into a pooled buffer from a compressed one.
+		fx, b := e.fx, runBufs.Get().(*runBuf)
+		dist, hub, ok = queryPatched(e.ov, fx.fwd.RunInto(&b.u, u), fx.bwd.RunInto(&b.v, v), u, v, func(rank uint32) int { return fx.perm[rank] })
+		runBufs.Put(b)
 	} else {
 		dist, hub, ok = e.fx.QueryHubWith(s, u, v)
 	}
@@ -421,19 +418,17 @@ type runBuf struct{ u, v []uint64 }
 
 var runBufs = sync.Pool{New: func() any { return new(runBuf) }}
 
-// queryHubPatched answers one query against the patched graph: the
-// endpoints' frozen runs (zero-copy from a fixed-width store, decoded
-// once into a pooled buffer from a compressed one) go to the overlay,
-// which joins, corrects and, where it must, falls back to an exact
-// Dijkstra (delta.Overlay.Query). The witness hub survives only when the
-// overlay proves the frozen answer still exact; otherwise the hub is -1
-// — no hub in the frozen labels is guaranteed to lie on a patched
+// queryPatched answers one pair under overlay ov on either tier: the
+// endpoints' frozen runs (runU: u's forward run; runV: v's backward run,
+// its only run when undirected) go to the overlay, which joins, corrects
+// and, where it must, falls back to an exact Dijkstra
+// (delta.Overlay.Query). The witness hub survives only when the overlay
+// proves the frozen answer still exact — hubOf maps its rank to an
+// original id, and for u == v it is u itself; otherwise the hub is -1,
+// since no hub in the frozen labels is guaranteed to lie on a patched
 // shortest path.
-func (e *BatchEngine) queryHubPatched(u, v int) (dist float64, hub int, ok bool) {
-	fx := e.fx
-	b := runBufs.Get().(*runBuf)
-	dist, rank, frozen := e.ov.Query(fx.fwd.RunInto(&b.u, u), fx.bwd.RunInto(&b.v, v), u, v)
-	runBufs.Put(b)
+func queryPatched(ov *delta.Overlay, runU, runV []uint64, u, v int, hubOf func(rank uint32) int) (dist float64, hub int, ok bool) {
+	dist, rank, frozen := ov.Query(runU, runV, u, v)
 	switch {
 	case dist >= Infinity:
 		return Infinity, 0, false
@@ -442,7 +437,7 @@ func (e *BatchEngine) queryHubPatched(u, v int) (dist float64, hub int, ok bool)
 	case u == v:
 		return dist, u, true
 	}
-	return dist, fx.perm[rank], true
+	return dist, hubOf(rank), true
 }
 
 // Batch answers every pair and returns the distances in order.

@@ -143,17 +143,14 @@ type Router struct {
 	shapeInFlight atomic.Int64 // /dist + /batch currently being served
 	start         time.Time
 
-	// Dynamic-update state (RouterConfig.BaseGraph / UpdateJournal):
-	// baseGraph is the graph the cluster's shard files were built from;
-	// patchOps is the patch log accumulated so far, guarded by patchMu
-	// along with patchBatches. journalLoaded flips once the journal has
-	// been replayed — lazily, on the first query or update, because
-	// NewRouter must not contact shards (replay pins patch-vertex rows).
-	baseGraph     *Graph
-	journal       string
+	// Dynamic-update state (RouterConfig.BaseGraph / UpdateJournal): log
+	// is the patch log over the graph the cluster's shard files were
+	// built from (nil: updates are off), guarded by patchMu.
+	// journalLoaded flips once the journal has been replayed — lazily, on
+	// the first query or update, because NewRouter must not contact
+	// shards (replay pins patch-vertex rows).
+	log           *delta.Log
 	patchMu       sync.Mutex
-	patchOps      []EdgeOp
-	patchBatches  uint64
 	journalLoaded atomic.Bool
 	updates       atomic.Int64
 
@@ -188,6 +185,16 @@ type routerState struct {
 	// and the fresh cache instance is the patch-epoch discriminant that
 	// retires pre-patch answers exactly once per batch.
 	patch *delta.Overlay
+}
+
+// with returns a copy of st serving cache and patch, its identities
+// copied so the caller may edit them.
+func (st *routerState) with(cache *Cache, patch *delta.Overlay) *routerState {
+	next := &routerState{idents: make([][]genObs, len(st.idents)), cache: cache, patch: patch}
+	for i, group := range st.idents {
+		next.idents[i] = append([]genObs(nil), group...)
+	}
+	return next
 }
 
 // patchEpoch returns the state's overlay epoch (0 = no outstanding
@@ -560,13 +567,12 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.UpdateJournal != "" && cfg.BaseGraph == nil {
 		return nil, fmt.Errorf("chl: UpdateJournal requires BaseGraph — the journal is replayed against it")
 	}
+	var log *delta.Log
 	if cfg.BaseGraph != nil {
-		if cfg.BaseGraph.NumVertices() != cfg.Manifest.Vertices {
-			return nil, fmt.Errorf("chl: base graph has %d vertices but the manifest says %d — not the graph this cluster was built from?", cfg.BaseGraph.NumVertices(), cfg.Manifest.Vertices)
+		if err := fitsBase(cfg.BaseGraph, cfg.Manifest.Vertices, cfg.Manifest.Directed); err != nil {
+			return nil, err
 		}
-		if cfg.BaseGraph.Directed() != cfg.Manifest.Directed {
-			return nil, fmt.Errorf("chl: base graph directedness (%v) does not match the manifest (%v)", cfg.BaseGraph.Directed(), cfg.Manifest.Directed)
-		}
+		log = delta.NewLog(cfg.BaseGraph, cfg.UpdateJournal)
 	}
 	r := &Router{
 		n:           cfg.Manifest.Vertices,
@@ -583,10 +589,9 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		quota:       newQuotaLimiter(clock, cfg.ClientQPS, cfg.ClientBurst),
 		metrics:     newHTTPMetrics(clock, "/dist", "/batch", "/paths", "/knn", "/matrix", "/stats", "/reload", "/update", "/healthz"),
 		start:       clock.Now(),
-		baseGraph:   cfg.BaseGraph,
-		journal:     cfg.UpdateJournal,
+		log:         log,
 	}
-	if r.journal == "" {
+	if cfg.UpdateJournal == "" {
 		r.journalLoaded.Store(true) // nothing to replay; skip the mutex fast path
 	}
 	idents := make([][]genObs, len(groups))
@@ -690,19 +695,14 @@ func (r *Router) queryHub(u, v int, needHub bool) (dist float64, hub int, ok boo
 // joins locally, witness included. Every other pair is answered from
 // rows: fetch u's forward row, with its hubs' original ids, and v's
 // backward (directed) or forward row; join them here — label.JoinPacked,
-// or under a delta overlay st.patch.Query, which runs the same
-// join/seed/correct/fallback path the engine tier runs (even for
-// same-shard pairs: the shard's own /dist would answer from the frozen
-// labels the overlay exists to correct); then read the witness's
-// original id at the joined hub's index in u's row. Row and ids come
-// from one response, so from one snapshot: a reload can never pair a
-// rank with another snapshot's permutation.
-//
-// Hub contract under an overlay: -1 (no label witness) unless the
-// overlay certified the frozen answer intact, in which case the frozen
-// witness still lies on a patched shortest path (see
-// BatchEngine.queryHubPatched — same contract). Hub-less answers cache
-// under hubUnknown (== -1), so a later hub-needing query recomputes.
+// or under a delta overlay queryPatched, the engine tier's own corrected
+// pair path and hub contract (even for same-shard pairs: the shard's own
+// /dist would answer from the frozen labels the overlay exists to
+// correct); then read the witness's original id at the joined hub's
+// index in u's row. Row and ids come from one response, so from one
+// snapshot: a reload can never pair a rank with another snapshot's
+// permutation. Hub-less corrected answers cache under hubUnknown (== -1),
+// so a later hub-needing query recomputes.
 func (r *Router) routePair(ctx context.Context, st *routerState, u, v int) flightResult {
 	so := newObserver()
 	if su := r.part.Owner(u); st.patch == nil && su == r.part.Owner(v) {
@@ -723,29 +723,19 @@ func (r *Router) routePair(ctx context.Context, st *routerState, u, v int) fligh
 		return flightResult{err: err}
 	}
 	rowU, rowV := rows.pair(r.directed, u, v)
-	res := flightResult{hub: hubUnknown}
-	var rank uint32
-	witness := true
-	if st.patch != nil {
-		var frozen bool
-		res.dist, rank, frozen = st.patch.Query(rowU, rowV, u, v)
-		res.ok = res.dist < Infinity
-		witness = frozen && u != v
-		if frozen && u == v {
-			res.hub = u
-		}
-	} else {
-		r.crossJoins.Add(1)
-		res.dist, rank, res.ok = label.JoinPacked(rowU, rowV)
-		res.dist = label.FromUnits(res.dist, r.unitExp)
-	}
-	switch {
-	case !res.ok:
-		res = flightResult{dist: Infinity}
-	case witness:
+	hubOf := func(rank uint32) int {
 		// The joined hub is an entry of rowU, whose words sort by hub.
 		i := sort.Search(len(rowU), func(i int) bool { return uint32(rowU[i]>>32) >= rank })
-		res.hub = rows.hubIDs[u][i]
+		return rows.hubIDs[u][i]
+	}
+	res := flightResult{dist: Infinity}
+	if st.patch != nil {
+		res.dist, res.hub, res.ok = queryPatched(st.patch, rowU, rowV, u, v, hubOf)
+	} else {
+		r.crossJoins.Add(1)
+		if d, rank, ok := label.JoinPacked(rowU, rowV); ok {
+			res = flightResult{dist: label.FromUnits(d, r.unitExp), hub: hubOf(rank), ok: true}
+		}
 	}
 	r.cachePut(st, so, u, v, res)
 	return res
@@ -974,14 +964,7 @@ func (r *Router) noteGenerations(obs map[repRef]genObs) {
 		if !changed && !adopted {
 			return
 		}
-		next := &routerState{
-			idents: make([][]genObs, len(st.idents)),
-			cache:  st.cache,
-			patch:  st.patch,
-		}
-		for i, group := range st.idents {
-			next.idents[i] = append([]genObs(nil), group...)
-		}
+		next := st.with(st.cache, st.patch)
 		for k, o := range obs {
 			if apply(k, o) {
 				next.idents[k.shard][k.rep] = o

@@ -2,40 +2,22 @@ package chl
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 
 	"repro/internal/delta"
 )
 
-// Dynamic edge updates at the router tier. The shards stay frozen —
-// they serve the mmap'd index files they were built from and never see
-// a patch — so the router owns the whole correction: it keeps the
-// accumulated patch log, builds a delta overlay against the base graph
-// (RouterConfig.BaseGraph) from the label rows of every patch vertex,
-// fetched once at patch-apply time, and corrects each query locally by
-// handing the endpoints' fetched rows to that overlay. It is the very
-// path the single-process engine runs (delta.Overlay.Query — see
-// ARCHITECTURE.md "Dynamic updates"); only where the two runs come from
-// differs: the engine reads them from its own index, the router fetches
-// them over the shard protocol.
-//
-// The overlay rides the routerState pointer, so a patch batch swaps
-// overlay and answer cache in one atomic publish, and the overlay epoch
-// discriminates singleflight keys (flightKey.pepoch): a flight computed
-// before a batch can never feed a query arriving after it.
-//
-// The overlay's seed tables assume the cluster keeps serving the index
-// built from BaseGraph. A shard /reload that changes content while
-// updates are outstanding invalidates them — the same operator contract
-// as the flat server, which refuses to reload under outstanding patches;
-// the router cannot refuse (shards reload out from under it), so this is
-// a documented operator rule instead.
-
-// errRouterUpdatesDisabled distinguishes "no base graph configured"
-// (409) from a bad patch (400) in handleUpdate.
-var errRouterUpdatesDisabled = errors.New("chl: router updates disabled — configure RouterConfig.BaseGraph (cmd/chlrouter: -graph) to accept /update")
+// Dynamic edge updates at the router tier (ARCHITECTURE.md "Tier
+// split"). The shards stay frozen and never see a patch: the router runs
+// the flat server's own patch log (delta.Log) over RouterConfig.BaseGraph,
+// fetching the patch vertices' label rows once per batch, and publishes
+// each overlay on the routerState pointer — overlay and answer cache swap
+// in one atomic publish, and the overlay epoch discriminates singleflight
+// keys (flightKey.pepoch), so a flight computed before a batch never
+// feeds a query after it. A shard /reload that changes content while
+// updates are outstanding invalidates the overlay's seed tables; the
+// router cannot refuse it, so that is an operator rule (ROADMAP 8(e)).
 
 // ensurePatch replays the update journal once, lazily, on the first
 // query or update after construction — NewRouter must never contact
@@ -51,14 +33,8 @@ func (r *Router) ensurePatch() error {
 	if r.journalLoaded.Load() {
 		return nil
 	}
-	ops, err := delta.ReadJournal(r.journal)
-	if err != nil {
-		return fmt.Errorf("chl: replaying update journal %s: %w", r.journal, err)
-	}
-	if len(ops) > 0 {
-		if _, err := r.applyPatchOpsLocked(ops, false); err != nil {
-			return fmt.Errorf("chl: replaying update journal %s: %w", r.journal, err)
-		}
+	if _, err := r.publishLocked(r.log.Replay(r.unitExp, r.fetchPatchRows)); err != nil {
+		return err
 	}
 	r.journalLoaded.Store(true)
 	return nil
@@ -69,68 +45,38 @@ func (r *Router) ensurePatch() error {
 // journal is configured. The returned stats describe the accumulated
 // overlay after the batch.
 func (r *Router) Update(ops []EdgeOp) (delta.Stats, error) {
-	if r.baseGraph == nil {
-		return delta.Stats{}, errRouterUpdatesDisabled
-	}
-	if len(ops) == 0 {
-		return delta.Stats{}, fmt.Errorf("chl: empty patch")
+	if r.log == nil {
+		return delta.Stats{}, fmt.Errorf("%w on this router: configure RouterConfig.BaseGraph (cmd/chlrouter: -graph) to accept /update", errUpdatesDisabled)
 	}
 	if err := r.ensurePatch(); err != nil {
 		return delta.Stats{}, err
 	}
 	r.patchMu.Lock()
 	defer r.patchMu.Unlock()
-	return r.applyPatchOpsLocked(ops, true)
+	ov, err := r.publishLocked(r.log.Apply(ops, r.unitExp, r.fetchPatchRows))
+	if err != nil {
+		return delta.Stats{}, err
+	}
+	return ov.Stat(), nil
 }
 
-// applyPatchOpsLocked validates ops against the accumulated log, builds
-// the new overlay (fetching and pinning patch-vertex rows from the
-// shards), journals, and publishes the new state. Callers hold patchMu.
-// The journal append happens after validation but before any state
-// changes — a batch is observable iff it is durable.
-func (r *Router) applyPatchOpsLocked(ops []EdgeOp, journal bool) (delta.Stats, error) {
-	combined := make([]EdgeOp, 0, len(r.patchOps)+len(ops))
-	combined = append(append(combined, r.patchOps...), ops...)
-	red, err := delta.Reduce(r.baseGraph, combined)
-	if err != nil {
-		return delta.Stats{}, err
+// publishLocked publishes the overlay a patch-log step (Apply or Replay)
+// built from the rows fetchPatchRows pinned, if it built one, with a
+// fresh answer cache. Callers hold patchMu.
+func (r *Router) publishLocked(ov *delta.Overlay, err error) (*delta.Overlay, error) {
+	if err != nil || ov == nil {
+		return nil, err
 	}
-	fwd, bwd, err := r.fetchPatchRows(red.Verts())
-	if err != nil {
-		return delta.Stats{}, err
-	}
-	ov, err := delta.NewOverlay(red, combined, r.patchBatches+1, r.unitExp, fwd, bwd)
-	if err != nil {
-		return delta.Stats{}, err
-	}
-	if journal && r.journal != "" {
-		if err := delta.AppendJournal(r.journal, ops); err != nil {
-			return delta.Stats{}, fmt.Errorf("chl: journaling update: %w", err)
-		}
-	}
-	r.patchOps = combined
-	r.patchBatches++
-	patch := ov
-	if ov.Empty() {
-		patch = nil
-	}
+	// The patch batch retires every pre-patch answer.
 	for {
 		st := r.state.Load()
-		next := &routerState{
-			idents: make([][]genObs, len(st.idents)),
-			cache:  r.newAnswerCache(), // the patch batch retires every pre-patch answer
-			patch:  patch,
-		}
-		for i, group := range st.idents {
-			next.idents[i] = append([]genObs(nil), group...)
-		}
-		if r.state.CompareAndSwap(st, next) {
+		if r.state.CompareAndSwap(st, st.with(r.newAnswerCache(), ov.Serving())) {
 			break
 		}
 	}
 	r.cacheResets.Add(1)
 	r.updates.Add(1)
-	return ov.Stat(), nil
+	return ov, nil
 }
 
 // fetchPatchRows fetches the packed label rows of every patch vertex,
@@ -140,7 +86,6 @@ func (r *Router) fetchPatchRows(verts []int) (fwd, bwd [][]uint64, err error) {
 	var need []int
 	if r.directed {
 		need = verts
-		bwd = make([][]uint64, len(verts))
 	}
 	// A patch batch (or the journal replay a first query triggers) builds
 	// state shared by every later query, so it hangs off a background
@@ -151,11 +96,10 @@ func (r *Router) fetchPatchRows(verts []int) (fwd, bwd [][]uint64, err error) {
 		return nil, nil, err
 	}
 	r.noteGenerations(so.obs)
-	fwd = make([][]uint64, len(verts))
-	for i, v := range verts {
-		fwd[i] = rows.fwd[v]
+	for _, v := range verts {
+		fwd = append(fwd, rows.fwd[v])
 		if r.directed {
-			bwd[i] = rows.bwd[v]
+			bwd = append(bwd, rows.bwd[v])
 		}
 	}
 	return fwd, bwd, nil
@@ -163,8 +107,8 @@ func (r *Router) fetchPatchRows(verts []int) (fwd, bwd [][]uint64, err error) {
 
 // handleUpdate is POST /update at the router: the same text patch-log
 // body the flat server accepts, applied to the cluster without touching
-// the shards. 409 when the router has no base graph, 400 on a malformed
-// or invalid patch, 502 when pinning patch-vertex rows failed.
+// the shards. Its statuses are the flat server's (updateStatus); a 502
+// names the shards that could not supply patch-vertex rows.
 func (r *Router) handleUpdate(w http.ResponseWriter, req *http.Request) {
 	if !allowMethod(w, req, http.MethodPost, "POST a text patch log (add/del/set lines) to /update") {
 		return
@@ -174,15 +118,12 @@ func (r *Router) handleUpdate(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	stat, err := r.Update(ops)
-	var ce *ClusterError
-	switch {
+	switch code := updateStatus(err); {
 	case err == nil:
 		writeJSON(w, http.StatusOK, map[string]any{"applied": len(ops), "patch": stat})
-	case errors.Is(err, errRouterUpdatesDisabled):
-		httpError(w, http.StatusConflict, err.Error())
-	case errors.As(err, &ce):
+	case code == http.StatusBadGateway:
 		routeError(w, err)
 	default:
-		httpError(w, http.StatusBadRequest, err.Error())
+		httpError(w, code, err.Error())
 	}
 }

@@ -30,21 +30,14 @@ func (r *Router) Path(u, v int) (dist float64, path []int, reachable bool, err e
 	if err := r.ensurePatch(); err != nil {
 		return 0, nil, false, err
 	}
-	// Under a delta overlay witness-hub expansion is unavailable (frozen
-	// hubs need not lie on patched shortest paths), so the chain comes
-	// from an exact predecessor Dijkstra on the patched graph — the same
-	// fallback the engine tier takes (see BatchEngine.Path).
 	if st := r.state.Load(); st.patch != nil {
-		path, dist := st.patch.ShortestPath(u, v)
-		if path == nil {
-			return Infinity, nil, false, nil
-		}
-		return dist, path, true, nil
+		return pathPatched(st.patch, u, v)
 	}
-	return expandPath(u, v, r.n, func(a, b int) (float64, int, bool, error) {
-		return r.queryHub(a, b, true)
-	})
+	return expandPath(u, v, r.n, r.hubQuery)
 }
+
+// hubQuery is queryHub with the witness as a hubQuerier.
+func (r *Router) hubQuery(u, v int) (float64, int, bool, error) { return r.queryHub(u, v, true) }
 
 // KNN returns up to k nearest targets from u through the cluster,
 // sorted by (distance, vertex) with witness hubs, exactly as
@@ -70,7 +63,7 @@ func (r *Router) KNN(u, k int) ([]Neighbor, error) {
 	key := flightKeyFor(flightKNN, r.directed, u, k, st.patchEpoch())
 	res := r.flights.do(key, func() { r.collapsed.Add(1) }, func() flightResult {
 		if st.patch != nil {
-			nbs, err := r.routePatchedKNN(st, u, k)
+			nbs, err := knnPatched(st.patch, u, k, r.hubQuery)
 			return flightResult{neighbors: nbs, err: err}
 		}
 		// Background parent: a flight outlives its leader's client (see
@@ -79,28 +72,6 @@ func (r *Router) KNN(u, k int) ([]Neighbor, error) {
 		return flightResult{neighbors: nbs, err: err}
 	})
 	return res.neighbors, res.err
-}
-
-// routePatchedKNN is KNN under a delta overlay: the shard-side inverted
-// scans would rank candidates by frozen distances, so candidates come
-// from an exact patched-graph row instead, and each winner is
-// re-answered through the router's corrected pair path so distance,
-// witness, and the cache deposit agree bit-for-bit with /dist — the
-// same topKFromRow funnel the engine tier uses, which is what keeps the
-// two tiers' /knn responses identical.
-func (r *Router) routePatchedKNN(st *routerState, u, k int) ([]Neighbor, error) {
-	var qerr error
-	out := topKFromRow(st.patch.Row(u), u, k, func(v int) (float64, int, bool) {
-		d, h, ok, err := r.queryHub(u, v, true)
-		if err != nil && qerr == nil {
-			qerr = err
-		}
-		return d, h, ok
-	})
-	if qerr != nil {
-		return nil, qerr
-	}
-	return out, nil
 }
 
 // routeKNN is the leader's half of KNN: fetch the source run, broadcast
@@ -185,26 +156,12 @@ func (r *Router) matrix(ctx context.Context, sources, targets []int, emit func(u
 		return err
 	}
 	r.queries.Add(int64(len(sources)) * int64(len(targets)))
-	row := make([]float64, len(targets))
-
-	// Under a delta overlay every cell needs the seeded correction, so
-	// rows come from exact patched single-source Dijkstras projected
-	// onto the target set (the engine tier's exact policy — see
-	// BatchEngine.MatrixRows), preserving the one-row streaming
-	// discipline; the shard-scan fan-out below would answer from frozen
-	// labels.
+	// Under a delta overlay the shard-scan fan-out below would answer
+	// from frozen labels.
 	if st := r.state.Load(); st.patch != nil {
-		for _, u := range sources {
-			full := st.patch.Row(u)
-			for j, t := range targets {
-				row[j] = full[t]
-			}
-			if err := emit(u, row); err != nil {
-				return err
-			}
-		}
-		return nil
+		return matrixPatched(st.patch, sources, targets, emit)
 	}
+	row := make([]float64, len(targets))
 	so := newObserver()
 	rows := r.fetchRows(ctx, sources, nil, nil, so)
 	if err := so.err(); err != nil {

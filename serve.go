@@ -66,7 +66,6 @@ type Snapshot struct {
 	handle   *fxHandle
 	fx       *FlatIndex
 	eng      *BatchEngine
-	ov       *delta.Overlay // nil: frozen index only
 	path     string
 	gen      uint64
 	ident    uint64 // snapshot identity: content hash, mixed with the patch-log hash under an overlay
@@ -102,7 +101,7 @@ func (sn *Snapshot) Ident() uint64 { return sn.ident }
 
 // Overlay returns the snapshot's delta overlay (nil when no edge
 // updates are outstanding).
-func (sn *Snapshot) Overlay() *delta.Overlay { return sn.ov }
+func (sn *Snapshot) Overlay() *delta.Overlay { return sn.eng.Overlay() }
 
 // Release returns a reference taken by Server.Acquire. The last release
 // of a retired snapshot drops its index reference; the mapping closes
@@ -137,18 +136,12 @@ type Server struct {
 	clock     Clock // time source for uptime, load stamps, and metrics; FakeClock in tests
 	metrics   *httpMetrics
 
-	// Dynamic-update state (EnableUpdates), all guarded by mu. baseGraph
-	// is the graph the served labels were built from; patchOps is the
-	// patch log accumulated since the last compaction (the journal's
-	// contents); patchBatches counts applied batches and stamps overlay
-	// epochs. The query path never reads these — it sees only the
-	// overlay frozen into the current snapshot.
-	baseGraph    *Graph
-	journal      string
-	patchOps     []EdgeOp
-	patchBatches uint64
-	updates      atomic.Int64
-	compactions  atomic.Int64
+	// log is the patch log since the last compaction (nil: updates are
+	// off; see EnableUpdates), guarded by mu. The query path never reads
+	// it — it sees only the overlay frozen into the current snapshot.
+	log         *delta.Log
+	updates     atomic.Int64
+	compactions atomic.Int64
 
 	// epoch is a per-process stamp reported alongside the generation on
 	// the router-facing responses. Generations restart at 1 in every
@@ -252,7 +245,7 @@ func (s *Server) SetShard(id int, p *shard.Partition) error {
 		return fmt.Errorf("chl: SetShard needs a partition")
 	}
 	s.mu.Lock()
-	updating := s.baseGraph != nil
+	updating := s.log != nil
 	s.mu.Unlock()
 	if updating {
 		return fmt.Errorf("chl: a server with updates enabled cannot become a shard; enable them on the cluster's router instead")
@@ -354,14 +347,13 @@ func (s *Server) installHandle(h *fxHandle, path string, ov *delta.Overlay) *Sna
 	eng.SetCache(newCacheFor(fx, s.cacheSize))
 	eng.SetOverlay(ov)
 	ident := h.ident
-	if ov != nil && !ov.Empty() {
+	if ov != nil {
 		ident = mixIdent(ident, ov.Hash())
 	}
 	sn := &Snapshot{
 		handle:   h,
 		fx:       fx,
 		eng:      eng,
-		ov:       eng.Overlay(),
 		path:     path,
 		gen:      s.gen.Add(1),
 		ident:    ident,
@@ -441,8 +433,8 @@ func (s *Server) Reload(path string) (uint64, error) {
 func (s *Server) reload(path string) (*Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.patchOps) > 0 {
-		return nil, fmt.Errorf("chl: %d edge updates are outstanding; compact (POST /compact) before reloading — a reload would silently drop them", len(s.patchOps))
+	if s.log != nil && s.log.Len() > 0 {
+		return nil, fmt.Errorf("chl: %d edge updates are outstanding; compact (POST /compact) before reloading — a reload would silently drop them", s.log.Len())
 	}
 	if path == "" {
 		cur := s.cur.Load()
@@ -473,14 +465,10 @@ func (s *Server) reload(path string) (*Snapshot, error) {
 	// served labels: a reload may swap in a rebuild of the same graph
 	// (same vertex space, same directedness — compaction writes exactly
 	// that), not an arbitrary other index.
-	if s.baseGraph != nil {
-		if n := fx.NumVertices(); n != s.baseGraph.NumVertices() {
+	if s.log != nil {
+		if err := fitsBase(s.log.Base(), fx.NumVertices(), fx.Directed()); err != nil {
 			fx.Close()
-			return nil, fmt.Errorf("chl: reload %s rejected: index covers %d vertices but updates are enabled over a %d-vertex base graph", path, n, s.baseGraph.NumVertices())
-		}
-		if fx.Directed() != s.baseGraph.Directed() {
-			fx.Close()
-			return nil, fmt.Errorf("chl: reload %s rejected: index directed=%v but updates are enabled over a directed=%v base graph", path, fx.Directed(), s.baseGraph.Directed())
+			return nil, fmt.Errorf("chl: reload %s rejected: %w", path, err)
 		}
 	}
 	if s.prefault.Load() {
@@ -525,34 +513,36 @@ func (s *Server) EnableUpdates(g *Graph, journalPath string) error {
 		return fmt.Errorf("chl: shard servers cannot serve updates; enable them on the cluster's router instead")
 	}
 	sn := s.Acquire()
-	n, directed := sn.fx.NumVertices(), sn.fx.Directed()
+	err := fitsBase(g, sn.fx.NumVertices(), sn.fx.Directed())
 	sn.Release()
-	if g.NumVertices() != n {
-		return fmt.Errorf("chl: base graph covers %d vertices but the served index covers %d", g.NumVertices(), n)
-	}
-	if g.Directed() != directed {
-		return fmt.Errorf("chl: base graph directed=%v but the served index directed=%v", g.Directed(), directed)
+	if err != nil {
+		return err
 	}
 	s.mu.Lock()
-	if s.baseGraph != nil {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.log != nil {
 		return fmt.Errorf("chl: updates are already enabled on this server")
 	}
-	s.baseGraph, s.journal = g, journalPath
-	s.mu.Unlock()
-	if journalPath != "" {
-		ops, err := delta.ReadJournal(journalPath)
-		if err != nil {
-			return fmt.Errorf("chl: reading update journal: %w", err)
-		}
-		if len(ops) > 0 {
-			if _, err := s.applyOps(ops, false); err != nil {
-				return fmt.Errorf("chl: replaying update journal %s: %w", journalPath, err)
-			}
-		}
+	log := delta.NewLog(g, journalPath)
+	if _, err := s.applyLocked(log.Replay); err != nil {
+		return err
+	}
+	s.log = log
+	return nil
+}
+
+// fitsBase refuses labels over n vertices (directed or not) that cannot
+// have been built from base, the graph updates correct them against.
+func fitsBase(base *Graph, n int, directed bool) error {
+	if n != base.NumVertices() || directed != base.Directed() {
+		return fmt.Errorf("chl: the index covers %d vertices (directed=%v) but the base graph %d (directed=%v) — not the graph it was built from?", n, directed, base.NumVertices(), base.Directed())
 	}
 	return nil
 }
+
+// errUpdatesDisabled is the one refusal of /update and /compact on a
+// tier whose updates are off (409 on both).
+var errUpdatesDisabled = errors.New("chl: updates are not enabled")
 
 // Update applies a batch of edge operations: the ops are validated
 // against the patched graph so far, journaled (when a journal is
@@ -562,51 +552,39 @@ func (s *Server) EnableUpdates(g *Graph, journalPath string) error {
 // from here on is overlay-corrected. Returns the installed snapshot's
 // generation.
 func (s *Server) Update(ops []EdgeOp) (uint64, error) {
-	sn, err := s.applyOps(ops, true)
+	sn, err := s.update(ops)
 	if err != nil {
 		return 0, err
 	}
 	return sn.gen, nil
 }
 
-// applyOps folds ops onto the outstanding patch log and publishes the
-// resulting overlay. journal=false replays already-journaled ops
-// (EnableUpdates) without re-appending them.
-func (s *Server) applyOps(ops []EdgeOp, journal bool) (*Snapshot, error) {
-	if len(ops) == 0 {
-		return nil, fmt.Errorf("chl: empty update batch")
-	}
+func (s *Server) update(ops []EdgeOp) (*Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.baseGraph == nil {
-		return nil, fmt.Errorf("chl: updates are not enabled on this server (EnableUpdates, or start with -graph)")
+	if s.log == nil {
+		return nil, fmt.Errorf("%w on this server (EnableUpdates, or start with -graph)", errUpdatesDisabled)
 	}
-	combined := make([]EdgeOp, 0, len(s.patchOps)+len(ops))
-	combined = append(append(combined, s.patchOps...), ops...)
-	red, err := delta.Reduce(s.baseGraph, combined)
-	if err != nil {
-		return nil, err
-	}
+	return s.applyLocked(func(unitExp int, runs delta.Runs) (*delta.Overlay, error) {
+		return s.log.Apply(ops, unitExp, runs)
+	})
+}
+
+// applyLocked runs one patch-log step (Apply or Replay) over the current
+// snapshot's label runs and publishes the overlay it built as a new
+// generation sharing that snapshot's index; nil when it built none.
+// Callers hold mu.
+func (s *Server) applyLocked(step func(unitExp int, runs delta.Runs) (*delta.Overlay, error)) (*Snapshot, error) {
 	cur := s.cur.Load()
 	if cur == nil {
 		return nil, fmt.Errorf("chl: Server used after Close")
 	}
-	fwd, bwd := cur.fx.patchRuns(red.Verts())
-	ov, err := delta.NewOverlay(red, combined, s.patchBatches+1, cur.fx.unitExp(), fwd, bwd)
-	if err != nil {
+	ov, err := step(cur.fx.unitExp(), cur.fx.patchRuns)
+	if err != nil || ov == nil {
 		return nil, err
 	}
-	// Journal-ahead: the batch is durable before any query can observe
-	// it, so a crash between here and the swap replays to a state at
-	// least as new as anything a client saw acknowledged.
-	if journal && s.journal != "" {
-		if err := delta.AppendJournal(s.journal, ops); err != nil {
-			return nil, fmt.Errorf("chl: journaling update: %w", err)
-		}
-	}
-	s.patchOps, s.patchBatches = combined, s.patchBatches+1
 	s.updates.Add(1)
-	return s.installHandle(cur.handle.acquire(), cur.path, ov), nil
+	return s.installHandle(cur.handle.acquire(), cur.path, ov.Serving()), nil
 }
 
 // Compact folds the outstanding patch log into a fresh frozen index:
@@ -621,13 +599,10 @@ func (s *Server) applyOps(ops []EdgeOp, journal bool) (*Snapshot, error) {
 func (s *Server) Compact(path string) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.baseGraph == nil {
-		return 0, fmt.Errorf("chl: updates are not enabled on this server")
+	if s.log == nil {
+		return 0, fmt.Errorf("%w on this server", errUpdatesDisabled)
 	}
-	if len(s.patchOps) == 0 {
-		return 0, fmt.Errorf("chl: nothing to compact: no edge updates are outstanding")
-	}
-	patched, err := delta.ApplyPatch(s.baseGraph, s.patchOps)
+	patched, err := s.log.Patched()
 	if err != nil {
 		return 0, err
 	}
@@ -663,11 +638,8 @@ func (s *Server) Compact(path string) (uint64, error) {
 		fx.Prefault()
 	}
 	sn := s.installHandle(newFxHandle(fx), path, nil)
-	s.baseGraph, s.patchOps = patched, nil
-	if s.journal != "" {
-		if err := delta.TruncateJournal(s.journal); err != nil {
-			return 0, fmt.Errorf("chl: truncating journal after compaction (updates ARE compacted into generation %d; clear %s by hand before restarting): %w", sn.gen, s.journal, err)
-		}
+	if err := s.log.Compacted(patched); err != nil {
+		return 0, fmt.Errorf("chl: truncating journal after compaction (updates ARE compacted into generation %d; clear the journal by hand before restarting): %w", sn.gen, err)
 	}
 	s.compactions.Add(1)
 	return sn.gen, nil
@@ -770,8 +742,8 @@ func (s *Server) Stats() ServerStats {
 		Updates:       s.updates.Load(),
 		Compactions:   s.compactions.Load(),
 	}
-	if sn.ov != nil {
-		ps := sn.ov.Stat()
+	if ov := sn.Overlay(); ov != nil {
+		ps := ov.Stat()
 		st.Patch = &ps
 	}
 	if c := sn.eng.Cache(); c != nil {
@@ -1088,9 +1060,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	sn, err := s.applyOps(ops, true)
+	sn, err := s.update(ops)
 	if err != nil {
-		httpError(w, s.updateErrorCode(), err.Error())
+		httpError(w, updateStatus(err), err.Error())
 		return
 	}
 	resp := map[string]any{
@@ -1098,21 +1070,26 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		"generation": sn.gen,
 		"ident":      sn.ident,
 	}
-	if sn.ov != nil {
-		resp["patch"] = sn.ov.Stat()
+	if ov := sn.Overlay(); ov != nil {
+		resp["patch"] = ov.Stat()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// updateErrorCode picks the status of a failed /update or /compact: 409
-// when EnableUpdates never ran, 400 otherwise.
-func (s *Server) updateErrorCode() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.baseGraph == nil {
+// updateStatus is the status of a failed /update or /compact on either
+// tier: 409 when updates are off, 400 for what the patch log refuses, 502
+// when shards could not supply patch-vertex rows, 500 for the rest.
+func updateStatus(err error) int {
+	var ce *ClusterError
+	switch {
+	case errors.Is(err, errUpdatesDisabled):
 		return http.StatusConflict
+	case delta.Refused(err):
+		return http.StatusBadRequest
+	case errors.As(err, &ce):
+		return http.StatusBadGateway
 	}
-	return http.StatusBadRequest
+	return http.StatusInternalServerError
 }
 
 // handleCompact serves POST /compact: fold the outstanding patch log
@@ -1129,7 +1106,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	}
 	gen, err := s.Compact(path)
 	if err != nil {
-		httpError(w, s.updateErrorCode(), err.Error())
+		httpError(w, updateStatus(err), err.Error())
 		return
 	}
 	sn := s.Acquire()

@@ -618,6 +618,7 @@ func TestUpdateEndpointGuards(t *testing.T) {
 			"garbage":             {"del", http.StatusBadRequest},
 			"empty":               {"\n\n", http.StatusBadRequest},
 			"out-of-range vertex": {"add 0 99999 2", http.StatusBadRequest},
+			"oversized":           {strings.Repeat("# padding line\n", 1<<20), http.StatusRequestEntityTooLarge},
 		} {
 			if got := postRaw(t, ts.URL+"/update", want.body); got != want.code {
 				t.Fatalf("router /update %s: status %d, want %d", name, got, want.code)
@@ -629,46 +630,70 @@ func TestUpdateEndpointGuards(t *testing.T) {
 	})
 }
 
-// TestUpdateRefusesNonFiniteWeight: an op handed to Server.Update in code
-// skips the patch-log parser, so Reduce holds its weight to the parser's
-// rule, and a refused batch is neither journaled nor published.
+// TestUpdateRefusesNonFiniteWeight: an op handed to Update in code skips
+// the patch-log parser, so Reduce holds its weight to the parser's rule,
+// and a refused batch is neither journaled nor published — on the server
+// (its generation stays put) and on a journaled router (its patch epoch
+// does).
 func TestUpdateRefusesNonFiniteWeight(t *testing.T) {
 	g := chl.GenerateRandom(120, 320, 9, 13)
 	_, fx := buildFrozen(t, g)
-	s := chl.NewServerFromFlat(fx, 0)
-	defer s.Close()
-	journal := filepath.Join(t.TempDir(), "updates.journal")
-	if err := s.EnableUpdates(g, journal); err != nil {
-		t.Fatal(err)
-	}
 	ops := parityPatchOps(g) // dels, then sets of present edges, then adds of absent ones
-	if _, err := s.Update(ops[:1]); err != nil {
-		t.Fatal(err)
-	}
 	set, add := ops[len(ops)/2], ops[len(ops)-1]
 	if set.Kind != chl.EdgeOpSet || add.Kind != chl.EdgeOpAdd {
 		t.Fatalf("fixture ops changed shape: %v", ops)
 	}
-	wantJournal, err := os.ReadFile(journal)
-	if err != nil {
-		t.Fatal(err)
+	// refuses applies one batch through update, then checks that each
+	// non-finite op is refused and leaves the journal and mark() as they were.
+	refuses := func(t *testing.T, journal string, update func([]chl.EdgeOp) error, mark func() uint64) {
+		if err := update(ops[:1]); err != nil {
+			t.Fatal(err)
+		}
+		wantJournal, err := os.ReadFile(journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := mark()
+		for _, bad := range []chl.EdgeOp{
+			{Kind: chl.EdgeOpSet, U: set.U, V: set.V, W: math.Inf(1)},
+			{Kind: chl.EdgeOpSet, U: set.U, V: set.V, W: math.NaN()},
+			{Kind: chl.EdgeOpAdd, U: add.U, V: add.V, W: math.Inf(1)},
+		} {
+			if err := update([]chl.EdgeOp{bad}); err == nil || !strings.Contains(err.Error(), "want positive finite") {
+				t.Fatalf("Update(%v): error %v, want a positive-finite refusal", bad, err)
+			}
+			if got := mark(); got != before {
+				t.Fatalf("Update(%v) was refused but moved %d -> %d", bad, before, got)
+			}
+			if got, err := os.ReadFile(journal); err != nil || !bytes.Equal(got, wantJournal) {
+				t.Fatalf("Update(%v) was refused but the journal is now %q (%v), was %q", bad, got, err, wantJournal)
+			}
+		}
 	}
-	gen := s.Stats().Generation
-	for _, bad := range []chl.EdgeOp{
-		{Kind: chl.EdgeOpSet, U: set.U, V: set.V, W: math.Inf(1)},
-		{Kind: chl.EdgeOpSet, U: set.U, V: set.V, W: math.NaN()},
-		{Kind: chl.EdgeOpAdd, U: add.U, V: add.V, W: math.Inf(1)},
-	} {
-		if _, err := s.Update([]chl.EdgeOp{bad}); err == nil || !strings.Contains(err.Error(), "want positive finite") {
-			t.Fatalf("Update(%v): error %v, want a positive-finite refusal", bad, err)
+
+	t.Run("server", func(t *testing.T) {
+		s := chl.NewServerFromFlat(fx, 0)
+		defer s.Close()
+		journal := filepath.Join(t.TempDir(), "updates.journal")
+		if err := s.EnableUpdates(g, journal); err != nil {
+			t.Fatal(err)
 		}
-		if got := s.Stats().Generation; got != gen {
-			t.Fatalf("Update(%v) was refused but moved the generation %d -> %d", bad, gen, got)
-		}
-		if got, err := os.ReadFile(journal); err != nil || !bytes.Equal(got, wantJournal) {
-			t.Fatalf("Update(%v) was refused but the journal is now %q (%v), was %q", bad, got, err, wantJournal)
-		}
-	}
+		refuses(t, journal,
+			func(b []chl.EdgeOp) error { _, err := s.Update(b); return err },
+			func() uint64 { return s.Stats().Generation })
+	})
+
+	t.Run("router", func(t *testing.T) {
+		journal := filepath.Join(t.TempDir(), "updates.journal")
+		c := newTestCluster(t, fx, clusterSpec{shards: 2, cacheSize: 1 << 8, tweak: func(cfg *chl.RouterConfig) {
+			cfg.BaseGraph = g
+			cfg.UpdateJournal = journal
+		}})
+		defer c.close()
+		refuses(t, journal,
+			func(b []chl.EdgeOp) error { _, err := c.router.Update(b); return err },
+			func() uint64 { return c.router.Stats().Patch.Epoch })
+	})
 }
 
 // TestEnableUpdatesIsOneWay: a second EnableUpdates would swap the base

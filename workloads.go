@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/delta"
 	"repro/internal/label"
 )
 
@@ -112,23 +113,18 @@ func (fx *FlatIndex) Path(u, v int) (dist float64, path []int, reachable bool, e
 
 // Path is FlatIndex.Path through the engine's cache: every segment
 // query fills (and is served from) the pair cache when one is
-// attached. Under a delta overlay witness-hub expansion is unavailable
-// (frozen hubs need not lie on patched shortest paths), so the chain
-// comes from an exact predecessor Dijkstra on the patched graph; each
-// leg is a patched edge, so consecutive Query distances still sum to
-// dist exactly.
+// attached; under a delta overlay it is pathPatched.
 func (e *BatchEngine) Path(u, v int) (dist float64, path []int, reachable bool, err error) {
 	if e.ov != nil {
-		path, dist := e.ov.ShortestPath(u, v)
-		if path == nil {
-			return Infinity, nil, false, nil
-		}
-		return dist, path, true, nil
+		return pathPatched(e.ov, u, v)
 	}
-	return expandPath(u, v, e.fx.NumVertices(), func(a, b int) (float64, int, bool, error) {
-		d, h, ok := e.QueryHub(a, b)
-		return d, h, ok, nil
-	})
+	return expandPath(u, v, e.fx.NumVertices(), e.hubQuery)
+}
+
+// hubQuery is QueryHub as a hubQuerier.
+func (e *BatchEngine) hubQuery(u, v int) (float64, int, bool, error) {
+	d, h, ok := e.QueryHub(u, v)
+	return d, h, ok, nil
 }
 
 // Neighbor is one top-k result: a target vertex, its exact distance
@@ -168,15 +164,11 @@ func (fx *FlatIndex) KNNFromRun(run []uint64, k, exclude int) []Neighbor {
 // engine's pair cache — later /dist queries for those pairs hit
 // without touching the label arrays. Only true pair answers enter the
 // cache; the k parameter never leaks into the pair keyspace. Under a
-// delta overlay the inverted-index scan would rank by frozen
-// distances, so candidates come from an exact patched-graph row
-// instead; each winner is re-answered through QueryHub so distance,
-// witness, and the cache deposit agree bit-for-bit with /dist.
+// delta overlay it is knnPatched, each winner answered through QueryHub.
 func (e *BatchEngine) KNN(u, k int) []Neighbor {
 	if e.ov != nil {
-		return topKFromRow(e.ov.Row(u), u, k, func(v int) (float64, int, bool) {
-			return e.QueryHub(u, v)
-		})
+		out, _ := knnPatched(e.ov, u, k, e.hubQuery)
+		return out
 	}
 	out := e.fx.KNN(u, k)
 	if e.cache != nil {
@@ -187,16 +179,18 @@ func (e *BatchEngine) KNN(u, k int) []Neighbor {
 	return out
 }
 
-// topKFromRow selects the k nearest targets from a full distance row —
-// ordered by (distance, vertex), excluding the source — and answers
-// each winner through the tier's own pair querier so the reported
-// (distance, hub) triple is exactly the tier's /dist answer for that
-// pair. Both overlay-serving tiers (engine and router) funnel their
-// /knn through this so their outputs stay identical.
-func topKFromRow(row []float64, source, k int, pairQ func(v int) (float64, int, bool)) []Neighbor {
+// knnPatched is /knn under overlay ov on either tier. An inverted-index
+// scan would rank by frozen distances, so the k nearest targets —
+// ordered by (distance, vertex), excluding the source — come from an
+// exact patched-graph row, and each winner is answered through the
+// tier's own pair querier, so distance, witness and any cache deposit
+// are exactly the tier's /dist answer for that pair. The first querier
+// error ends the scan.
+func knnPatched(ov *delta.Overlay, source, k int, pairQ hubQuerier) ([]Neighbor, error) {
 	if k <= 0 {
-		return []Neighbor{}
+		return []Neighbor{}, nil
 	}
+	row := ov.Row(source)
 	cand := make([]int, 0, len(row))
 	for v, d := range row {
 		if v != source && d < Infinity {
@@ -214,10 +208,13 @@ func topKFromRow(row []float64, source, k int, pairQ func(v int) (float64, int, 
 	}
 	out := make([]Neighbor, len(cand))
 	for i, v := range cand {
-		d, h, _ := pairQ(v)
+		d, h, _, err := pairQ(source, v)
+		if err != nil {
+			return nil, err
+		}
 		out[i] = Neighbor{V: v, Dist: d, Hub: h}
 	}
-	return out
+	return out, nil
 }
 
 // MatrixRowInto fills dst[j] with the distance from the source whose
@@ -254,19 +251,37 @@ func (fx *FlatIndex) MatrixRows(sources, targets []int, emit func(u int, dists [
 	return err
 }
 
+// pathPatched is /paths under overlay ov on either tier. Witness-hub
+// expansion is unavailable there (frozen hubs need not lie on patched
+// shortest paths), so the chain comes from an exact predecessor Dijkstra
+// on the patched graph; each leg is a patched edge, so consecutive Query
+// distances still sum to dist exactly.
+func pathPatched(ov *delta.Overlay, u, v int) (dist float64, path []int, reachable bool, err error) {
+	path, dist = ov.ShortestPath(u, v)
+	if path == nil {
+		return Infinity, nil, false, nil
+	}
+	return dist, path, true, nil
+}
+
 // MatrixRows streams the matrix through the engine: the frozen
-// scatter-probe kernel when no overlay is attached, exact patched
-// single-source rows under one. The patched rows are whole-graph
-// Dijkstras projected onto the target set — every cell is the exact
-// patched distance, bit-identical to /dist on the same pair, and the
-// one-row-at-a-time streaming discipline is preserved.
+// scatter-probe kernel when no overlay is attached, matrixPatched under
+// one.
 func (e *BatchEngine) MatrixRows(sources, targets []int, emit func(u int, dists []float64) error) error {
 	if e.ov == nil {
 		return e.fx.MatrixRows(sources, targets, emit)
 	}
+	return matrixPatched(e.ov, sources, targets, emit)
+}
+
+// matrixPatched is /matrix under overlay ov on either tier: every row is
+// a whole-graph Dijkstra on the patched graph projected onto the target
+// set — each cell the exact patched distance, bit-identical to /dist on
+// the same pair — streamed one reused row at a time.
+func matrixPatched(ov *delta.Overlay, sources, targets []int, emit func(u int, dists []float64) error) error {
 	row := make([]float64, len(targets))
 	for _, u := range sources {
-		full := e.ov.Row(u)
+		full := ov.Row(u)
 		for j, t := range targets {
 			row[j] = full[t]
 		}
