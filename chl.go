@@ -111,15 +111,18 @@ type Options struct {
 // ErrOutOfMemory mirrors dist.ErrOutOfMemory for public consumption.
 var ErrOutOfMemory = dist.ErrOutOfMemory
 
-// Index is a queryable hub labeling over the original vertex ids.
+// Index is a queryable hub labeling over the original vertex ids. It holds
+// its labels the way FlatIndex does: a forward and a backward half in rank
+// space, the same half twice for an undirected graph (footnote 1 of the
+// paper). A query u→v joins the forward labels of u with the backward
+// labels of v.
 type Index struct {
 	n        int
-	ranked   *label.Index // labels in rank space
+	fwd, bwd *label.Index // labels in rank space; bwd == fwd when undirected
 	perm     []int        // rank -> original id
 	rank     []int        // original id -> rank
 	perNode  []*label.Index
 	metrics  *Metrics
-	directed *label.DirectedIndex // non-nil for directed graphs
 }
 
 // Build constructs a hub labeling for g.
@@ -130,54 +133,66 @@ type Index struct {
 // float64 path sums could round (Graph.CheckExact): every builder, and
 // every frozen store after them, counts on exact distances.
 func Build(g *Graph, opt Options) (*Index, error) {
+	rg, ix, err := newIndex(g, opt)
+	if err != nil {
+		return nil, err
+	}
+	if g.Directed() {
+		var dx *label.DirectedIndex
+		switch opt.Algorithm {
+		case AlgoSeqPLL, "":
+			dx, ix.metrics = pll.SequentialDirected(rg, pll.Options{})
+		case AlgoPLaNT:
+			dx, ix.metrics = plant.RunDirected(rg, plant.Options{Workers: opt.Workers, Eta: opt.Eta})
+		default:
+			return nil, fmt.Errorf("chl: algorithm %q supports undirected graphs only (use AlgoSeqPLL or AlgoPLaNT for directed graphs)", opt.Algorithm)
+		}
+		ix.fwd, ix.bwd = dx.Forward, dx.Backward
+		return ix, nil
+	}
+	switch opt.Algorithm {
+	case AlgoSeqPLL:
+		ix.fwd, ix.metrics = pll.Sequential(rg, pll.Options{})
+	case AlgoSParaPLL:
+		ix.fwd, ix.metrics = pll.SParaPLL(rg, pll.Options{Workers: opt.Workers})
+	case AlgoLCC:
+		ix.fwd, ix.metrics = lcc.Run(rg, lcc.Options{Workers: opt.Workers})
+	case AlgoGLL:
+		ix.fwd, ix.metrics = gll.Run(rg, gll.Options{Workers: opt.Workers, Alpha: opt.Alpha})
+	case AlgoPLaNT, "":
+		ix.fwd, ix.metrics = plant.Run(rg, plant.Options{Workers: opt.Workers, Eta: opt.Eta})
+	case AlgoDParaPLL, AlgoDGLL, AlgoDPLaNT, AlgoHybrid:
+		res, err := buildDistributed(rg, opt)
+		if err != nil {
+			return nil, err
+		}
+		ix.fwd, ix.perNode, ix.metrics = res.Index, res.PerNode, res.Metrics
+	default:
+		return nil, fmt.Errorf("chl: unknown algorithm %q", opt.Algorithm)
+	}
+	ix.bwd = ix.fwd
+	return ix, nil
+}
+
+// newIndex is the prelude of every build: it refuses a nil graph, one whose
+// path sums could round, and an order of the wrong length, then returns g
+// in rank space beside an Index holding the permutation (labels unset).
+func newIndex(g *Graph, opt Options) (*Graph, *Index, error) {
 	if g == nil {
-		return nil, errors.New("chl: nil graph")
+		return nil, nil, errors.New("chl: nil graph")
 	}
 	if err := g.CheckExact(); err != nil {
-		return nil, fmt.Errorf("chl: %w", err)
+		return nil, nil, fmt.Errorf("chl: %w", err)
 	}
 	ord := opt.Order
 	if ord == nil {
 		ord = order.ForGraph(g, opt.Seed, opt.Workers)
 	}
 	if len(ord.Perm) != g.NumVertices() {
-		return nil, fmt.Errorf("chl: order covers %d vertices, graph has %d", len(ord.Perm), g.NumVertices())
+		return nil, nil, fmt.Errorf("chl: order covers %d vertices, graph has %d", len(ord.Perm), g.NumVertices())
 	}
 	rg, newID := g.Permute(ord.Perm)
-
-	if g.Directed() {
-		return buildDirected(rg, ord, newID, opt)
-	}
-	if opt.Algorithm == "" {
-		opt.Algorithm = AlgoPLaNT
-	}
-
-	ix := &Index{n: g.NumVertices(), perm: append([]int(nil), ord.Perm...), rank: newID}
-	var err error
-	switch opt.Algorithm {
-	case AlgoSeqPLL:
-		ix.ranked, ix.metrics = pll.Sequential(rg, pll.Options{})
-	case AlgoSParaPLL:
-		ix.ranked, ix.metrics = pll.SParaPLL(rg, pll.Options{Workers: opt.Workers})
-	case AlgoLCC:
-		ix.ranked, ix.metrics = lcc.Run(rg, lcc.Options{Workers: opt.Workers})
-	case AlgoGLL:
-		ix.ranked, ix.metrics = gll.Run(rg, gll.Options{Workers: opt.Workers, Alpha: opt.Alpha})
-	case AlgoPLaNT:
-		ix.ranked, ix.metrics = plant.Run(rg, plant.Options{Workers: opt.Workers, Eta: opt.Eta})
-	case AlgoDParaPLL, AlgoDGLL, AlgoDPLaNT, AlgoHybrid:
-		var res *dist.Result
-		res, err = buildDistributed(rg, opt)
-		if err != nil {
-			return nil, err
-		}
-		ix.ranked = res.Index
-		ix.perNode = res.PerNode
-		ix.metrics = res.Metrics
-	default:
-		return nil, fmt.Errorf("chl: unknown algorithm %q", opt.Algorithm)
-	}
-	return ix, err
+	return rg, &Index{n: g.NumVertices(), perm: append([]int(nil), ord.Perm...), rank: newID}, nil
 }
 
 func buildDistributed(rg *Graph, opt Options) (*dist.Result, error) {
@@ -201,50 +216,23 @@ func buildDistributed(rg *Graph, opt Options) (*dist.Result, error) {
 	panic("chl: unreachable")
 }
 
-func buildDirected(rg *Graph, ord *Order, newID []int, opt Options) (*Index, error) {
-	ix := &Index{n: rg.NumVertices(), perm: append([]int(nil), ord.Perm...), rank: newID}
-	switch opt.Algorithm {
-	case AlgoSeqPLL, "":
-		dx, m := pll.SequentialDirected(rg, pll.Options{})
-		ix.directed = dx
-		ix.metrics = m
-	case AlgoPLaNT:
-		dx, m := plant.RunDirected(rg, plant.Options{Workers: opt.Workers, Eta: opt.Eta})
-		ix.directed = dx
-		ix.metrics = m
-	default:
-		return nil, fmt.Errorf("chl: algorithm %q supports undirected graphs only (use AlgoSeqPLL or AlgoPLaNT for directed graphs)", opt.Algorithm)
-	}
-	return ix, nil
-}
-
 // NumVertices returns the number of vertices the index covers.
 func (ix *Index) NumVertices() int { return ix.n }
 
 // Directed reports whether the index holds directed (forward/backward)
 // labels.
-func (ix *Index) Directed() bool { return ix.directed != nil }
+func (ix *Index) Directed() bool { return ix.bwd != ix.fwd }
 
 // Query returns the exact shortest-path distance between the original
 // vertex ids u and v, or Infinity if v is unreachable from u.
 func (ix *Index) Query(u, v int) float64 {
-	ru, rv := ix.rank[u], ix.rank[v]
-	if ix.directed != nil {
-		return ix.directed.Query(ru, rv)
-	}
-	return ix.ranked.Query(ru, rv)
+	d, _, _ := label.QueryMerge(ix.fwd.Labels(ix.rank[u]), ix.bwd.Labels(ix.rank[v]))
+	return d
 }
 
 // QueryHub additionally reports the witness hub (as an original vertex id).
 func (ix *Index) QueryHub(u, v int) (dist float64, hub int, ok bool) {
-	if ix.directed != nil {
-		d, h, k := label.QueryMerge(ix.directed.Forward.Labels(ix.rank[u]), ix.directed.Backward.Labels(ix.rank[v]))
-		if !k {
-			return d, 0, false
-		}
-		return d, ix.perm[h], true
-	}
-	d, h, k := ix.ranked.QueryHub(ix.rank[u], ix.rank[v])
+	d, h, k := label.QueryMerge(ix.fwd.Labels(ix.rank[u]), ix.bwd.Labels(ix.rank[v]))
 	if !k {
 		return d, 0, false
 	}
@@ -255,12 +243,7 @@ func (ix *Index) QueryHub(u, v int) (dist float64, hub int, ok bool) {
 // pairs, ordered from highest-ranked hub to lowest. For directed indexes it
 // returns the forward (out-) labels.
 func (ix *Index) Labels(u int) []HubLabel {
-	var s label.Set
-	if ix.directed != nil {
-		s = ix.directed.Forward.Labels(ix.rank[u])
-	} else {
-		s = ix.ranked.Labels(ix.rank[u])
-	}
+	s := ix.fwd.Labels(ix.rank[u])
 	out := make([]HubLabel, len(s))
 	for i, l := range s {
 		out[i] = HubLabel{Hub: ix.perm[l.Hub], Dist: l.Dist}
@@ -275,42 +258,21 @@ type HubLabel struct {
 }
 
 // Stats summarises the index.
-type Stats struct {
-	Vertices    int
-	TotalLabels int64
-	ALS         float64
-	MaxLabels   int
-	Bytes       int64
-}
+type Stats = label.Stats
 
 // Stats computes label statistics (ALS is the paper's "average label
-// size").
+// size"). A directed index counts both halves; its MaxLabels is the larger
+// of theirs.
 func (ix *Index) Stats() Stats {
-	var st label.Stats
-	if ix.directed != nil {
-		f := ix.directed.Forward.Stats()
-		b := ix.directed.Backward.Stats()
-		st = label.Stats{
-			Vertices:    f.Vertices,
-			TotalLabels: f.TotalLabels + b.TotalLabels,
-			ALS:         f.ALS + b.ALS,
-			Bytes:       f.Bytes + b.Bytes,
-		}
-		if b.MaxLabels > f.MaxLabels {
-			st.MaxLabels = b.MaxLabels
-		} else {
-			st.MaxLabels = f.MaxLabels
-		}
-	} else {
-		st = ix.ranked.Stats()
+	st := ix.fwd.Stats()
+	if ix.Directed() {
+		b := ix.bwd.Stats()
+		st.TotalLabels += b.TotalLabels
+		st.ALS += b.ALS
+		st.MaxLabels = max(st.MaxLabels, b.MaxLabels)
+		st.Bytes += b.Bytes
 	}
-	return Stats{
-		Vertices:    st.Vertices,
-		TotalLabels: st.TotalLabels,
-		ALS:         st.ALS,
-		MaxLabels:   st.MaxLabels,
-		Bytes:       st.Bytes,
-	}
+	return st
 }
 
 // Metrics returns the build instrumentation, or nil for a thawed index.

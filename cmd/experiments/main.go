@@ -28,7 +28,7 @@ func main() {
 		workers = flag.Int("workers", 0, "shared-memory workers (0 = GOMAXPROCS)")
 		full    = flag.Bool("full", false, "include the large datasets (CTR, USA, POK, LIJ) and q up to 64")
 		batch   = flag.Int("queries", 100_000, "query batch size for Table 4")
-		only    = flag.String("only", "", "comma-separated subset: intro,table3,table4,fig2..fig9,x2,x3,x4")
+		only    = flag.String("only", "", "comma-separated subset: "+strings.Join(exp.Names(), ","))
 		out     = flag.String("o", "", "output file (default stdout)")
 	)
 	flag.Parse()
@@ -71,39 +71,16 @@ func runReport(w io.Writer, cfg exp.Config, only string) error {
 		exp.RunAll(w, cfg)
 		return nil
 	}
+	var run []exp.Experiment
 	for _, name := range strings.Split(only, ",") {
-		switch strings.TrimSpace(strings.ToLower(name)) {
-		case "intro":
-			exp.WriteQueryBaselines(w, exp.QueryBaselines(cfg))
-		case "table3":
-			exp.WriteTable3(w, exp.Table3(cfg))
-		case "table4":
-			exp.WriteTable4(w, exp.Table4(cfg))
-		case "fig2":
-			exp.WriteFigure2(w, exp.Figure2(cfg))
-		case "fig3":
-			exp.WriteFigure3(w, exp.Figure3(cfg))
-		case "fig4":
-			exp.WriteFigure4(w, exp.Figure4(cfg))
-		case "fig5":
-			exp.WriteFigure5(w, exp.Figure5(cfg))
-		case "fig6":
-			exp.WriteFigure6(w, exp.Figure6(cfg))
-		case "fig7":
-			exp.WriteFigure7(w, exp.Figure7(cfg))
-		case "fig8":
-			exp.WriteFigure8(w, exp.Figure8(cfg))
-		case "fig9":
-			exp.WriteFigure9(w, exp.Figure9(cfg))
-		case "x2":
-			exp.WriteAblationCommonTable(w, exp.AblationCommonTable(cfg))
-		case "x3":
-			exp.WriteAblationTwoTables(w, exp.AblationTwoTables(cfg))
-		case "x4":
-			exp.WriteAblationPlantFirst(w, exp.AblationPlantFirst(cfg))
-		default:
-			return fmt.Errorf("unknown experiment %q (have intro, table3, table4, fig2..fig9, x2, x3, x4)", name)
+		e, err := exp.Lookup(name)
+		if err != nil {
+			return err
 		}
+		run = append(run, e)
+	}
+	for _, e := range run {
+		e.Run(w, cfg)
 	}
 	return nil
 }

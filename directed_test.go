@@ -520,6 +520,39 @@ func TestDirectedShardReloadRejectsUndirectedFile(t *testing.T) {
 	}
 }
 
+// A shard file counting another unit cannot be reloaded into a cluster
+// slot either: the slice's unit exponent is pinned at SetShard, and the
+// refused reload leaves the generation where it was.
+func TestShardReloadRejectsOtherUnit(t *testing.T) {
+	g := chl.GenerateRoadGrid(8, 8, 1)
+	fx, _ := buildFlat(t, g)
+	c := startCluster(t, fx, 2, 0)
+	defer c.close()
+	// The same grid with every weight ÷4 (unit 2^-2), split the same way.
+	qfx, _ := buildFlat(t, mapWeights(g, func(w float64) float64 { return w / 4 }))
+	part, err := c.manifest.Partition()
+	if err != nil {
+		t.Fatal(err)
+	}
+	slice, err := qfx.Shard(part, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/quarters.flat"
+	if err := slice.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	before := c.servers[0].Stats().Generation
+	if _, err := c.servers[0].Reload(path); err == nil {
+		t.Fatal("shard reloaded a slice counting quarter units")
+	} else if !strings.Contains(err.Error(), "2^-2") {
+		t.Fatalf("rejection does not name the unit: %v", err)
+	}
+	if after := c.servers[0].Stats().Generation; after != before {
+		t.Fatalf("refused reload moved the generation %d -> %d", before, after)
+	}
+}
+
 // A router whose manifest says directed must reject answers from shards
 // serving undirected slices — on the same-shard forward path too, where
 // the symmetric answer would otherwise be cached as d(u→v) silently.

@@ -45,6 +45,13 @@
 //	if err != nil { ... }
 //	d := ix.Query(17, 3942)                         // exact shortest distance
 //
+// BuildWithPaths is Build with sequential PLL recording every label's SPT
+// parent (§5.4): its PathIndex is an Index of the same labels, under the
+// same checks, plus Path(u, v), the vertex walk of a shortest path. It
+// freezes like any Index, but the frozen form is the plain CHL — the file
+// keeps the distances and drops the parents (a served index retrieves
+// paths by witness-hub expansion, /paths).
+//
 // # Serving
 //
 // Build once, freeze, serve many times. Freeze packs the labeling into a

@@ -10,11 +10,8 @@ import (
 // halves differ from the builder labels of ix (float64 ==), or nil: the
 // guard that a re-pinned file hash moved only because the byte layout did.
 func FrozenLabelsMatch(ix *Index, fx *FlatIndex) error {
-	ranked := []*label.Index{ix.ranked}
-	if ix.directed != nil {
-		ranked = []*label.Index{ix.directed.Forward, ix.directed.Backward}
-	}
-	for h, st := range []label.Store{fx.fwd, fx.bwd}[:len(ranked)] {
+	ranked := []*label.Index{ix.fwd, ix.bwd}
+	for h, st := range []label.Store{fx.fwd, fx.bwd} {
 		for v := 0; v < ix.n; v++ {
 			want, got := ranked[h].Labels(ix.rank[v]), st.Labels(v)
 			if len(got) != len(want) {

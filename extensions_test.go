@@ -5,6 +5,7 @@ package chl_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	chl "repro"
@@ -55,6 +56,51 @@ func TestBuildWithPathsRetrievesRealPaths(t *testing.T) {
 		if p, d, ok := px.Path(5, 5); !ok || d != 0 || len(p) != 1 {
 			t.Fatalf("self path = %v,%v,%v", p, d, ok)
 		}
+		// A path index is the sequential-PLL Index of its order: the same
+		// labels, and a frozen form answering as it does.
+		ord := make([]int, 80)
+		for r := range ord {
+			ord[r] = px.VertexAtRank(r)
+		}
+		o, err := chl.RankFromPerm(ord)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := chl.Build(g, chl.Options{Algorithm: chl.AlgoSeqPLL, Order: o})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fx, err := px.Freeze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := 0; u < 80; u++ {
+			if got, want := px.Labels(u), ix.Labels(u); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: path index labels of %d = %v, AlgoSeqPLL %v", seed, u, got, want)
+			}
+			for v := 0; v < 80; v++ {
+				if got, want := fx.Query(u, v), px.Query(u, v); got != want {
+					t.Fatalf("seed %d: frozen path index d(%d,%d) = %v, Query %v", seed, u, v, got, want)
+				}
+			}
+		}
+	}
+}
+
+// BuildWithPaths runs Build's checks: an order of the wrong length and a
+// graph whose path sums could round are refused, not built.
+func TestBuildWithPathsRunsBuildChecks(t *testing.T) {
+	g := chl.GenerateRoadGrid(4, 4, 1)
+	short := chl.RankIdentity(g.NumVertices() - 1)
+	_, buildErr := chl.Build(g, chl.Options{Order: short})
+	if _, err := chl.BuildWithPaths(g, chl.Options{Order: short}); err == nil || buildErr == nil || err.Error() != buildErr.Error() {
+		t.Fatalf("BuildWithPaths over a short order: %v, want Build's %v", err, buildErr)
+	}
+
+	decimal := pathGraph(0.1, 0.2)
+	_, buildErr = chl.Build(decimal, chl.Options{})
+	if _, err := chl.BuildWithPaths(decimal, chl.Options{}); err == nil || buildErr == nil || err.Error() != buildErr.Error() {
+		t.Fatalf("BuildWithPaths over 0.1/0.2 weights: %v, want Build's %v", err, buildErr)
 	}
 }
 

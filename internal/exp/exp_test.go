@@ -344,3 +344,25 @@ func TestAblationTwoTables(t *testing.T) {
 		}
 	}
 }
+
+// The experiment table is the one list RunAll, -only and its help text
+// read: every name is unique and resolves, in any case, to its own entry.
+func TestExperimentNamesResolve(t *testing.T) {
+	seen := map[string]bool{}
+	for _, name := range Names() {
+		if seen[name] {
+			t.Fatalf("experiment name %q listed twice", name)
+		}
+		seen[name] = true
+		e, err := Lookup(" " + strings.ToUpper(name) + " ")
+		if err != nil || e.Name != name || e.Title == "" || e.Run == nil {
+			t.Fatalf("Lookup(%q) = %+v, %v", name, e, err)
+		}
+	}
+	if len(seen) != 14 {
+		t.Fatalf("%d experiments, want the 14 of the report", len(seen))
+	}
+	if _, err := Lookup("fig10"); err == nil || !strings.Contains(err.Error(), "x4") {
+		t.Fatalf("Lookup(fig10) = %v, want an error listing the names", err)
+	}
+}

@@ -438,9 +438,6 @@ func checkEdge(n, u, v int, w float64, weighted bool) error {
 	return nil
 }
 
-// NumPending returns the number of arcs recorded so far.
-func (b *Builder) NumPending() int { return len(b.tails) }
-
 // Finish sorts the accumulated arcs into CSR form, deduplicates parallel
 // arcs (keeping the minimum weight), and returns the immutable Graph.
 func (b *Builder) Finish() (*Graph, error) {

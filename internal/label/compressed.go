@@ -125,13 +125,6 @@ func (c *CompressedIndex) NumLabels() int64 { return c.total }
 // UnitExp returns k: decoded entries count units of 2^-k.
 func (c *CompressedIndex) UnitExp() int { return c.unitExp }
 
-// NumBlocks returns the number of label blocks.
-func (c *CompressedIndex) NumBlocks() int { return len(c.heads) / 4 }
-
-// BlockSize returns the entries-per-full-block this index was encoded
-// with.
-func (c *CompressedIndex) BlockSize() int { return c.blockSize }
-
 // LabelCount returns the number of labels of v by summing its block
 // counts — O(blocks of v), no decoding.
 func (c *CompressedIndex) LabelCount(v int) int {
@@ -162,9 +155,6 @@ func (c *CompressedIndex) Run(v int) CRun {
 	lo, hi := c.vertOff[v], c.vertOff[v+1]
 	return CRun{heads: c.heads[4*lo : 4*hi : 4*hi], data: c.data}
 }
-
-// NumBlocks returns the number of blocks in the run.
-func (r CRun) NumBlocks() int { return len(r.heads) / 4 }
 
 // compBlockBuf holds one decoded block as packed hub<<32|units
 // entries — the exact word layout the packed join kernels compare — so

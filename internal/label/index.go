@@ -61,14 +61,6 @@ func (ix *Index) QueryHub(u, v int) (float64, uint32, bool) {
 	return QueryMerge(ix.sets[u], ix.sets[v])
 }
 
-// SortAll sorts every vertex's label set (used after parallel construction
-// phases that append out of order, cf. Algorithm 2 lines 6–7).
-func (ix *Index) SortAll() {
-	for _, s := range ix.sets {
-		s.Sort()
-	}
-}
-
 // Clone deep-copies the index.
 func (ix *Index) Clone() *Index {
 	c := NewIndex(len(ix.sets))

@@ -179,9 +179,9 @@ func (fx *FlatIndex) Close() error {
 // in-memory index does. It refuses, naming the label, a distance that is
 // not a whole number of units below 2^32 (label.FreezeHalves).
 func (ix *Index) Freeze() (*FlatIndex, error) {
-	halves := []*label.Index{ix.ranked}
-	if ix.directed != nil {
-		halves = []*label.Index{ix.directed.Forward, ix.directed.Backward}
+	halves := []*label.Index{ix.fwd, ix.bwd}
+	if !ix.Directed() {
+		halves = halves[:1]
 	}
 	// Each ranked labeling is packed in original-id order.
 	for i, ranked := range halves {
@@ -194,11 +194,7 @@ func (ix *Index) Freeze() (*FlatIndex, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chl: freezing: %w", err)
 	}
-	perm := append([]int(nil), ix.perm...)
-	if len(fs) == 2 {
-		return newFlatIndex(fs[0], fs[1], perm), nil
-	}
-	return newFlatIndex(fs[0], nil, perm), nil
+	return newFlatIndex(fs[0], fs[len(fs)-1], append([]int(nil), ix.perm...)), nil
 }
 
 // FreezeCompressed is Freeze followed by Compress: the index packed
@@ -295,11 +291,10 @@ func (fx *FlatIndex) Thaw() *Index {
 		}
 		return ranked
 	}
-	ix := &Index{n: n, perm: append([]int(nil), fx.perm...), rank: rank}
+	ix := &Index{n: n, fwd: thaw(fx.fwd), perm: append([]int(nil), fx.perm...), rank: rank}
+	ix.bwd = ix.fwd
 	if fx.Directed() {
-		ix.directed = &label.DirectedIndex{Forward: thaw(fx.fwd), Backward: thaw(fx.bwd)}
-	} else {
-		ix.ranked = thaw(fx.fwd)
+		ix.bwd = thaw(fx.bwd)
 	}
 	return ix
 }
@@ -615,7 +610,7 @@ type QueryEngine struct {
 // they serve through the flat stack (Freeze/BatchEngine, Server, Router),
 // which handles them end to end.
 func NewQueryEngine(ix *Index, mode QueryMode, q int) (*QueryEngine, error) {
-	if ix.directed != nil {
+	if ix.Directed() {
 		return nil, fmt.Errorf("chl: the simulated query engines support undirected indexes only; directed indexes serve through Freeze/BatchEngine, Server, or Router")
 	}
 	var perNode []*label.Index
@@ -628,7 +623,7 @@ func NewQueryEngine(ix *Index, mode QueryMode, q int) (*QueryEngine, error) {
 		}
 		perNode = ix.perNode
 	}
-	eng, err := query.NewEngine(mode, ix.ranked, perNode, q, query.DefaultCostModel())
+	eng, err := query.NewEngine(mode, ix.fwd, perNode, q, query.DefaultCostModel())
 	if err != nil {
 		return nil, err
 	}

@@ -167,8 +167,12 @@ type Server struct {
 	// shardDirected pins the directedness of the slice this shard serves
 	// (recorded by SetShard): a reload must not swap a directed slice for
 	// an undirected one or vice versa — the router's join protocol and
-	// cache keying depend on every shard agreeing.
+	// cache keying depend on every shard agreeing. shardUnit pins the
+	// slice's unit exponent k the same way: the router stamps answers with
+	// the cluster's unit, so a slice counting another unit would have
+	// every response refused.
 	shardDirected bool
+	shardUnit     int
 
 	// prefault asks reload to fault a fresh mapping fully in before the
 	// swap (FlatIndex.Prefault), trading reload latency for a warm first
@@ -266,7 +270,7 @@ func (s *Server) SetShard(id int, p *shard.Partition) error {
 		}
 	}
 	s.shardID, s.part, s.shardN, s.owned = id, p, n, owned
-	s.shardDirected = sn.fx.Directed()
+	s.shardDirected, s.shardUnit = sn.fx.Directed(), sn.fx.unitExp()
 	if err := s.checkShardFile(sn.fx); err != nil {
 		s.shardID, s.part, s.shardN, s.owned = -1, nil, 0, nil
 		return err
@@ -290,6 +294,9 @@ func (s *Server) checkShardFile(fx *FlatIndex) error {
 	}
 	if fx.Directed() != s.shardDirected {
 		return fmt.Errorf("chl: index directed=%v but this shard serves a directed=%v cluster — wrong shard file?", fx.Directed(), s.shardDirected)
+	}
+	if k := fx.unitExp(); k != s.shardUnit {
+		return fmt.Errorf("chl: index counts units of 2^-%d but this shard serves a cluster counting 2^-%d — wrong shard file?", k, s.shardUnit)
 	}
 	for v := 0; v < n; v++ {
 		if s.owned[v>>6]&(1<<(v&63)) == 0 && fx.fwd.LabelCount(v) > 0 {

@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	chl "repro"
+	"repro/internal/sssp"
 )
 
 // saveFlat builds an index over g and writes its flat form to a temp
@@ -128,6 +129,57 @@ func TestOpenFlatVersions(t *testing.T) {
 			}
 		}
 	}
+}
+
+// A mapped server with prefault on stays mapped and exact across a Reload
+// and a Compact: both swap in a fresh mapping and fault it in first.
+func TestPrefaultedServerReloadAndCompact(t *testing.T) {
+	g := chl.GenerateRoadGrid(8, 8, 3)
+	path, _ := saveFlat(t, g, "prefault.flat")
+	srv, err := chl.NewServer(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if !srv.Stats().Mapped {
+		t.Skip("OpenFlat falls back to the heap loader on this platform")
+	}
+	srv.SetPrefault(true)
+	exact := func(what string, g *chl.Graph) {
+		t.Helper()
+		if !srv.Stats().Mapped {
+			t.Fatalf("%s: server no longer mapped", what)
+		}
+		for u := 0; u < g.NumVertices(); u++ {
+			want := sssp.Dijkstra(g, u)
+			for v, w := range want {
+				if got := srv.Query(u, v); got != w {
+					t.Fatalf("%s: d(%d,%d) = %v, want %v", what, u, v, got, w)
+				}
+			}
+		}
+	}
+	exact("prefault on", g)
+	if _, err := srv.Reload(path); err != nil {
+		t.Fatal(err)
+	}
+	exact("after Reload", g)
+
+	if err := srv.EnableUpdates(g, ""); err != nil {
+		t.Fatal(err)
+	}
+	ops := []chl.EdgeOp{{Kind: chl.EdgeOpAdd, U: 0, V: 63, W: 2}}
+	if _, err := srv.Update(ops); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Compact(""); err != nil {
+		t.Fatal(err)
+	}
+	patched, err := chl.ApplyPatch(g, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact("after Compact", patched)
 }
 
 func TestServerQueryAndCache(t *testing.T) {
