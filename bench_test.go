@@ -390,8 +390,9 @@ func BenchmarkFlatQueryParallel(b *testing.B) {
 }
 
 // BenchmarkCompressedQuery is BenchmarkFlatQueryMerge on the compressed
-// (CHFX v4) sibling of the same index: block-skipping merge-join over
-// delta+varint label blocks instead of fixed-width packed entries.
+// sibling of the same index: a merge join that decodes one delta+varint
+// stream per side as it goes instead of reading fixed-width packed
+// entries.
 func BenchmarkCompressedQuery(b *testing.B) {
 	cfx, us, vs := benchServeCompressed(b)
 	b.ResetTimer()
@@ -403,8 +404,8 @@ func BenchmarkCompressedQuery(b *testing.B) {
 }
 
 // BenchmarkCompressedQueryParallel runs the compressed kernel across all
-// cores. The compressed path is scratch-free (block buffers live on the
-// stack), so there is no per-goroutine state to allocate.
+// cores. The compressed path is scratch-free (it decodes in registers),
+// so there is no per-goroutine state to allocate.
 func BenchmarkCompressedQueryParallel(b *testing.B) {
 	cfx, us, vs := benchServeCompressed(b)
 	b.ResetTimer()

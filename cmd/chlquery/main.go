@@ -36,9 +36,10 @@
 // undirected-only.
 //
 // -compress switches -save and -split to the compressed label format
-// (delta+varint block encoding — typically 25–65% smaller on disk);
-// queries over compressed indexes use the block-skipping merge kernel and
-// answer bit-identically. It is the only encoding choice; every file is
+// (one delta+varint stream per vertex — 71–72% smaller on disk than the
+// fixed-width file on the benchmark fixtures); queries over compressed
+// indexes use a merge kernel that decodes as it joins and answer
+// bit-identically. It is the only encoding choice; every file is
 // the same CHFX container (ARCHITECTURE.md, "On-disk format"):
 //
 //	chlquery -load road.flat -compress -save road.cflat

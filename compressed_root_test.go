@@ -1,6 +1,6 @@
 package chl_test
 
-// End-to-end coverage of compressed label blocks: kernel parity
+// End-to-end coverage of compressed label streams: kernel parity
 // against the fixed-width index on the agreement fixtures, save → heap /
 // mmap load → thaw round trips for both directednesses, the on-disk
 // savings bar, batch serving, and sharded routing over compressed shard
@@ -225,7 +225,7 @@ func TestCompressedBatchEngine(t *testing.T) {
 // index writes compressed slices, every shard server loads and audits them, and
 // the router answers byte-identically to the in-memory index — including
 // cross-shard joins, which materialize packed rows out of compressed
-// blocks over /shardquery.
+// streams over /shardquery.
 func TestCompressedShardedRouterParity(t *testing.T) {
 	type fixture struct {
 		ix *chl.Index

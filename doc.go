@@ -66,7 +66,7 @@
 // pairwise query is one call to label.Join, which picks among the
 // surviving kernels: merge join, hash join on a caller's scratch
 // (BenchmarkFlatQuery vs BenchmarkFlatQueryMerge: 1.55× on a
-// 32768-vertex scale-free graph), or the block-skipping join on
+// 32768-vertex scale-free graph), or the streaming merge join on
 // compressed labels. BenchmarkQuery is the slice-based Index on the same
 // pairs (0.93–1.01µs, against 0.78–0.87µs merge and 0.52–0.54µs hash).
 //
@@ -92,12 +92,12 @@
 // # Compressed labels
 //
 // FlatIndex.Compress converts either directedness to the compressed
-// label encoding: labels split into blocks whose hub ids
-// are delta+varint coded and whose unit counts are varint coded. Files shrink 59–71% on the benchmark
-// fixtures and every query answers bit-identically through a
-// block-skipping merge join, at 2.3–2.5× the fixed-width merge join
-// (the scoreboard's label.join_compressed_ns against
-// label.join_packed_ns; BenchmarkCompressedQuery against
+// label encoding: one stream per vertex of varint-coded hub gaps and unit
+// counts. Files shrink 71–72% on the benchmark fixtures and every query
+// answers bit-identically through a merge join that decodes as it goes,
+// at 1.5–1.7× the fixed-width merge join on the road fixture (the
+// scoreboard's label.join_compressed_ns against label.join_packed_ns) and
+// 2.0–2.2× on 32768-vertex scale-free (BenchmarkCompressedQuery against
 // BenchmarkFlatQueryMerge). Compress is explicit and Decompress inverts
 // it exactly. Index.FreezeCompressed is
 // Freeze+Compress; cmd/chlquery exposes the conversion as -compress; the

@@ -17,7 +17,7 @@ import (
 //	version   uint8   ContainerVersion
 //	encoding  uint8   EncPacked | EncCompressed
 //	halves    uint8   1 (undirected) or 2 (directed: forward, then backward)
-//	blockSize uint8   entries per full block; 0 unless EncCompressed
+//	reserved  uint8   0
 //	unitExp   uint8   k in [0, MaxUnitExp]: every stored distance counts units of 2^-k
 //	lengths   one uint64 byte length per section, in file order
 //	sections  each starting at the next multiple of 8, zero padded
@@ -26,11 +26,11 @@ import (
 // id), then per half the encoding's arrays:
 //
 //	EncPacked      offsets (n+1)×uint32 | entries total×uint64
-//	EncCompressed  vertOff (n+1)×uint32 | heads 4·blocks×uint32 | data bytes
+//	EncCompressed  offsets (n+1)×uint32 | data bytes (one varint stream per vertex)
 //
-// Nothing but the lengths is declared: n, the label total and the block
-// count are what the sections' sizes say they are, and a length is never
-// used before it has been checked against the bytes actually present.
+// Nothing but the lengths is declared: n and the label total are what the
+// sections say they are, and a length is never used before it has been
+// checked against the bytes actually present.
 // Because every section starts 8-aligned relative to the file, every
 // array is aligned for its element type wherever the file is based, so a
 // little-endian host serves all of them in place — from a memory mapping
@@ -56,13 +56,14 @@ const ioChunk = 1 << 16
 
 // Encoding names how a container holds its labels. Every persisted
 // distance is a uint32 count of the header's unit. Encoding 1 held the
-// builder's float64 slices and is retired: such a file is refused with the
-// rebuild hint.
+// builder's float64 slices and encoding 3 compressed runs as indexed
+// blocks; both are retired, and such a file is refused with the rebuild
+// hint.
 type Encoding uint8
 
 const (
 	EncPacked     Encoding = 2 // fixed-width serving form (*FlatIndex)
-	EncCompressed Encoding = 3 // delta+varint blocks (*CompressedIndex)
+	EncCompressed Encoding = 4 // one delta+varint stream per vertex (*CompressedIndex)
 )
 
 func (e Encoding) String() string {
@@ -79,7 +80,7 @@ func (e Encoding) String() string {
 // of one half, in file order.
 var encWidths = [...][]int{
 	EncPacked:     {4, 8},
-	EncCompressed: {4, 4, 1},
+	EncCompressed: {4, 1},
 }
 
 // ErrNotMappable reports that a container cannot be served in place on
@@ -116,7 +117,7 @@ func (c *Container) WriteTo(w io.Writer) (int64, error) {
 	if len(c.Halves) != 1 && len(c.Halves) != 2 {
 		return 0, fmt.Errorf("label: container has %d halves (want 1 or 2)", len(c.Halves))
 	}
-	enc, blockSize, k := c.Encoding(), 0, c.Halves[0].UnitExp()
+	enc, k := c.Encoding(), c.Halves[0].UnitExp()
 	for _, h := range c.Halves {
 		if h.encoding() != enc {
 			return 0, fmt.Errorf("label: container halves are %s and %s encoded", enc, h.encoding())
@@ -126,12 +127,6 @@ func (c *Container) WriteTo(w io.Writer) (int64, error) {
 		}
 		if h.NumVertices() != len(c.Perm) {
 			return 0, fmt.Errorf("label: container half covers %d vertices but permutation has %d", h.NumVertices(), len(c.Perm))
-		}
-		if ci, ok := h.(*CompressedIndex); ok {
-			if blockSize != 0 && ci.blockSize != blockSize {
-				return 0, fmt.Errorf("label: compressed halves use block sizes %d and %d", blockSize, ci.blockSize)
-			}
-			blockSize = ci.blockSize
 		}
 	}
 	perm := make([]uint32, len(c.Perm))
@@ -144,7 +139,7 @@ func (c *Container) WriteTo(w io.Writer) (int64, error) {
 	}
 	hdr := make([]byte, headerLen+8*len(secs))
 	copy(hdr, containerMagic[:])
-	hdr[4], hdr[5], hdr[6], hdr[7], hdr[8] = ContainerVersion, byte(enc), byte(len(c.Halves)), byte(blockSize), byte(k)
+	hdr[4], hdr[5], hdr[6], hdr[8] = ContainerVersion, byte(enc), byte(len(c.Halves)), byte(k)
 	for i, s := range secs {
 		binary.LittleEndian.PutUint64(hdr[headerLen+8*i:], uint64(len(s)))
 	}
@@ -231,9 +226,9 @@ const rebuildHint = "index files are derived: rebuild this one with `chl -out` (
 // length is checked against the bytes present before it is used, pad bytes
 // must be zero and the last section must end the file, so an accepted
 // input is exactly what WriteTo produces for its content.
-func splitSections(data []byte) (enc Encoding, halves, blockSize, k int, secs [][]byte, err error) {
-	fail := func(format string, args ...any) (Encoding, int, int, int, [][]byte, error) {
-		return 0, 0, 0, 0, nil, fmt.Errorf("label: "+format, args...)
+func splitSections(data []byte) (enc Encoding, halves, k int, secs [][]byte, err error) {
+	fail := func(format string, args ...any) (Encoding, int, int, [][]byte, error) {
+		return 0, 0, 0, nil, fmt.Errorf("label: "+format, args...)
 	}
 	if len(data) < headerLen {
 		return fail("container too short (%d bytes)", len(data))
@@ -244,15 +239,15 @@ func splitSections(data []byte) (enc Encoding, halves, blockSize, k int, secs []
 	if v := data[4]; v != ContainerVersion {
 		return fail("CHFX container version %d is not supported (this build reads and writes version %d only); %s", v, ContainerVersion, rebuildHint)
 	}
-	enc, halves, blockSize, k = Encoding(data[5]), int(data[6]), int(data[7]), int(data[8])
+	enc, halves, k = Encoding(data[5]), int(data[6]), int(data[8])
 	if enc != EncPacked && enc != EncCompressed {
 		return fail("container declares encoding %d, which this build does not read; %s", data[5], rebuildHint)
 	}
 	if halves != 1 && halves != 2 {
 		return fail("container declares %d halves (want 1 or 2)", halves)
 	}
-	if (enc == EncCompressed) != (blockSize != 0) {
-		return fail("container declares block size %d for %s labels", blockSize, enc)
+	if data[7] != 0 {
+		return fail("container header byte 7 is %d (reserved, must be 0)", data[7])
 	}
 	if k > MaxUnitExp {
 		return fail("container declares a unit of 2^-%d (k must be in [0,%d])", k, MaxUnitExp)
@@ -288,7 +283,7 @@ func splitSections(data []byte) (enc Encoding, halves, blockSize, k int, secs []
 	if pos != len(data) {
 		return fail("container has %d trailing bytes", len(data)-pos)
 	}
-	return enc, halves, blockSize, k, secs, nil
+	return enc, halves, k, secs, nil
 }
 
 // OpenContainer parses and validates a container held in data — the one
@@ -306,7 +301,7 @@ func OpenContainer(data []byte, alias bool) (*Container, error) {
 
 // openContainer is OpenContainer, also returning the sections it cut.
 func openContainer(data []byte, alias bool) (*Container, [][]byte, error) {
-	enc, halves, blockSize, unitExp, secs, err := splitSections(data)
+	enc, halves, unitExp, secs, err := splitSections(data)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -328,7 +323,7 @@ func openContainer(data []byte, alias bool) (*Container, [][]byte, error) {
 	}
 	k := len(encWidths[enc])
 	for h := 0; h < halves; h++ {
-		half, err := openHalf(enc, blockSize, unitExp, secs[1+h*k:1+(h+1)*k], alias)
+		half, err := openHalf(enc, unitExp, secs[1+h*k:1+(h+1)*k], alias)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s half: %w", [...]string{"forward", "backward"}[h], err)
 		}
@@ -342,15 +337,15 @@ func openContainer(data []byte, alias bool) (*Container, [][]byte, error) {
 
 // openHalf builds one half over its sections and runs the encoding's
 // structural validation on it.
-func openHalf(enc Encoding, blockSize, unitExp int, s [][]byte, alias bool) (Store, error) {
+func openHalf(enc Encoding, unitExp int, s [][]byte, alias bool) (Store, error) {
 	if enc == EncPacked {
 		f := &FlatIndex{offsets: words[uint32](s[0], alias), entries: words[uint64](s[1], alias), unitExp: unitExp}
 		return f, f.validate()
 	}
-	c := &CompressedIndex{blockSize: blockSize, vertOff: words[uint32](s[0], alias), heads: words[uint32](s[1], alias), data: s[2], unitExp: unitExp}
-	c.n = len(c.vertOff) - 1
+	c := &CompressedIndex{offsets: words[uint32](s[0], alias), data: s[1], unitExp: unitExp}
+	c.n = len(c.offsets) - 1
 	if !alias {
-		c.data = append([]byte(nil), s[2]...)
+		c.data = append([]byte(nil), s[1]...)
 	}
 	return c, c.validate()
 }
@@ -413,10 +408,10 @@ func MapContainer(f *os.File) (*Container, error) {
 		return nil, err
 	}
 	c.mapping = data
-	// Paging hints (no-ops off Linux): the permutation, offsets and block
-	// headers are touched by every query, so prefetch and keep them; the
-	// label bodies — the last array of each half — are probed at two
-	// random vertices per query, so readahead there is wasted.
+	// Paging hints (no-ops off Linux): the permutation and offsets are
+	// touched by every query, so prefetch and keep them; the label
+	// bodies — the last array of each half — are probed at two random
+	// vertices per query, so readahead there is wasted.
 	k := (len(secs) - 1) / len(c.Halves)
 	for i, s := range secs {
 		if i > 0 && i%k == 0 {
@@ -451,5 +446,5 @@ func (f *FlatIndex) arrays() [][]byte {
 
 func (c *CompressedIndex) encoding() Encoding { return EncCompressed }
 func (c *CompressedIndex) arrays() [][]byte {
-	return [][]byte{wordBytes(c.vertOff), wordBytes(c.heads), c.data}
+	return [][]byte{wordBytes(c.offsets), c.data}
 }

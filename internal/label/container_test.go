@@ -73,7 +73,7 @@ func (s shape) container(t testing.TB, n int, seed int64) *Container {
 		case EncPacked:
 			c.Halves = append(c.Halves, f)
 		case EncCompressed:
-			ci, err := CompressBlocks(f, 7)
+			ci, err := Compress(f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,8 +122,8 @@ func sameContainer(t *testing.T, got, want *Container) {
 		switch w := w.(type) {
 		case *CompressedIndex:
 			g := got.Halves[i].(*CompressedIndex)
-			if g.n != w.n || g.blockSize != w.blockSize || g.total != w.total || g.unitExp != w.unitExp ||
-				!reflect.DeepEqual(g.vertOff, w.vertOff) || !reflect.DeepEqual(g.heads, w.heads) || !bytes.Equal(g.data, w.data) {
+			if g.n != w.n || g.total != w.total || g.unitExp != w.unitExp ||
+				!reflect.DeepEqual(g.offsets, w.offsets) || !bytes.Equal(g.data, w.data) {
 				t.Fatalf("half %d: compressed arrays differ", i)
 			}
 		case *FlatIndex:
@@ -202,8 +202,9 @@ func TestContainerRoundTrip(t *testing.T) {
 
 // frame lays sections out the way WriteTo does, from raw parts — the
 // hostile rows are built with it so each can lie about exactly one thing.
-// hdr is the header after the magic: version, encoding, halves, block
-// size and unit exponent (or, for a retired version, what it held).
+// hdr is the header after the magic: version, encoding, halves, the
+// reserved byte and unit exponent (or, for a retired version, what it
+// held).
 func frame(hdr []byte, lengths []uint64, secs ...[]byte) []byte {
 	out := append([]byte("CHFX"), hdr...)
 	for _, l := range lengths {
@@ -224,7 +225,7 @@ const blobRow = "random 1 MiB blob"
 // valid container of the shape.
 func hostileRows(t testing.TB, s shape) map[string][]byte {
 	good := containerBytes(t, s.container(t, 12, 55))
-	enc, halves, blockSize, k, secs, err := splitSections(good)
+	enc, halves, k, secs, err := splitSections(good)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func hostileRows(t testing.TB, s shape) map[string][]byte {
 		return ls
 	}
 	reframe := func(mut func(hdr []byte, ls []uint64, secs [][]byte)) []byte {
-		hdr, ls := []byte{ContainerVersion, byte(enc), byte(halves), byte(blockSize), byte(k)}, lengths()
+		hdr, ls := []byte{ContainerVersion, byte(enc), byte(halves), 0, byte(k)}, lengths()
 		cp := make([][]byte, len(secs))
 		for i := range secs {
 			cp[i] = append([]byte(nil), secs[i]...)
@@ -292,14 +293,14 @@ func hostileRows(t testing.TB, s shape) map[string][]byte {
 		"offsets not spanning the labels": reframe(func(_ []byte, _ []uint64, secs [][]byte) {
 			binary.LittleEndian.PutUint32(secs[1][len(secs[1])-4:], 1<<30)
 		}),
-		"unknown encoding": reframe(func(hdr []byte, _ []uint64, _ [][]byte) { hdr[1] = 9 }),
-		"zero halves":      reframe(func(hdr []byte, _ []uint64, _ [][]byte) { hdr[2] = 0 }),
-		"three halves":     reframe(func(hdr []byte, _ []uint64, _ [][]byte) { hdr[2] = 3 }),
-		"block size on the wrong encoding": reframe(func(hdr []byte, _ []uint64, _ [][]byte) {
-			if hdr[3] = 64; enc == EncCompressed {
-				hdr[3] = 0
-			}
+		"offsets ending before the labels": reframe(func(_ []byte, _ []uint64, secs [][]byte) {
+			end := secs[1][len(secs[1])-4:]
+			binary.LittleEndian.PutUint32(end, binary.LittleEndian.Uint32(end)-1)
 		}),
+		"unknown encoding":           reframe(func(hdr []byte, _ []uint64, _ [][]byte) { hdr[1] = 9 }),
+		"zero halves":                reframe(func(hdr []byte, _ []uint64, _ [][]byte) { hdr[2] = 0 }),
+		"three halves":               reframe(func(hdr []byte, _ []uint64, _ [][]byte) { hdr[2] = 3 }),
+		"reserved byte 7 set":        reframe(func(hdr []byte, _ []uint64, _ [][]byte) { hdr[3] = 64 }),
 		"unit exponent out of range": reframe(func(hdr []byte, _ []uint64, _ [][]byte) { hdr[4] = MaxUnitExp + 1 }),
 		blobRow: func() []byte {
 			b := make([]byte, 1<<20)
@@ -307,62 +308,67 @@ func hostileRows(t testing.TB, s shape) map[string][]byte {
 			return b
 		}(),
 	}
-	// Smash a hub out of range: the high half of the last packed entry,
-	// the last compressed block header's maxHub.
-	rows["hub out of range"] = reframe(func(_ []byte, _ []uint64, secs [][]byte) {
-		if enc == EncPacked {
+	if enc == EncPacked {
+		// Smash the high half of the last entry: a hub out of range.
+		rows["hub out of range"] = reframe(func(_ []byte, _ []uint64, secs [][]byte) {
 			copy(secs[last][len(secs[last])-4:], []byte{0xff, 0xff, 0xff, 0x7f})
-		} else {
-			copy(secs[last-1][len(secs[last-1])-12:], []byte{0xff, 0xff, 0xff, 0x7f})
-		}
-	})
-	// Break the hub order the join kernels rely on, in the first half: swap
-	// the first two packed entries of a vertex holding at least two
-	// labels; compressed hubs are deltas and cannot run backwards
-	// inside a block, so reverse a block's (minHub, maxHub) summary instead.
-	swap := func(b []byte, i, j, width int) {
-		tmp := append([]byte(nil), b[i*width:(i+1)*width]...)
-		copy(b[i*width:], b[j*width:(j+1)*width])
-		copy(b[j*width:], tmp)
-	}
-	rows["unsorted hubs"] = reframe(func(_ []byte, _ []uint64, secs [][]byte) {
-		if enc == EncCompressed {
-			for b := 0; b+8 <= len(secs[2]); b += 16 {
-				if !bytes.Equal(secs[2][b:b+4], secs[2][b+4:b+8]) {
-					swap(secs[2][b:], 0, 1, 4)
+		})
+		// Break the hub order the join kernels rely on, in the first half:
+		// swap the first two entries of a vertex holding at least two.
+		rows["unsorted hubs"] = reframe(func(_ []byte, _ []uint64, secs [][]byte) {
+			for v := 0; 4*v+8 <= len(secs[1]); v++ {
+				lo, hi := binary.LittleEndian.Uint32(secs[1][4*v:]), binary.LittleEndian.Uint32(secs[1][4*v+4:])
+				if hi-lo >= 2 {
+					e := secs[2][8*lo : 8*lo+16]
+					copy(e, append(append([]byte(nil), e[8:]...), e[:8]...))
 					return
 				}
 			}
-		}
-		for v := 0; enc != EncCompressed && 4*v+8 <= len(secs[1]); v++ {
-			lo, hi := binary.LittleEndian.Uint32(secs[1][4*v:]), binary.LittleEndian.Uint32(secs[1][4*v+4:])
-			if hi-lo >= 2 {
-				swap(secs[2], int(lo), int(lo)+1, encWidths[enc][1])
-				return
-			}
-		}
-		t.Fatalf("%s: fixture has no vertex with two labels", s)
-	})
-	if enc == EncCompressed {
-		rows["hub delta off by one"] = reframe(func(_ []byte, _ []uint64, secs [][]byte) {
-			for b := 0; b+16 <= len(secs[2]); b += 16 { // first block with a delta to break
-				if secs[2][b+12] >= 2 {
-					secs[3][binary.LittleEndian.Uint32(secs[2][b+8:])] ^= 1 // its last hub no longer is maxHub
-					return
+			t.Fatalf("%s: fixture has no vertex with two labels", s)
+		})
+	} else {
+		// Replace the stream of vertex 0 in the first half with run,
+		// shifting the offsets after it.
+		restream := func(run ...byte) []byte {
+			return reframe(func(_ []byte, ls []uint64, secs [][]byte) {
+				off := words[uint32](secs[1], false)
+				data := append(append(append([]byte(nil), secs[2][:off[0]]...), run...), secs[2][off[1]:]...)
+				shift := uint32(len(run)) - (off[1] - off[0])
+				for v := 1; v < len(off); v++ {
+					off[v] += shift
 				}
+				secs[1], secs[2], ls[2] = encodeWords(off), data, uint64(len(data))
+			})
+		}
+		// stream encodes (hub gap, units) pairs; a gap of 2^64−1 wraps to
+		// the previous hub, 2^64−2 to the one before it.
+		stream := func(pairs ...uint64) []byte {
+			var b []byte
+			for _, x := range pairs {
+				b = binary.AppendUvarint(b, x)
 			}
-			t.Fatalf("%s: fixture has no block with two entries", s)
-		})
-		rows["block count lie"] = reframe(func(_ []byte, _ []uint64, secs [][]byte) {
-			secs[2][12] ^= 0x7f // count byte of the first block header's packed word
-		})
-		rows["block flag bits set"] = reframe(func(_ []byte, _ []uint64, secs [][]byte) {
-			secs[2][13] |= 1 // the bit that once marked an integer distance plane
+			return b
+		}
+		n := uint64(len(secs[0]) / 4)
+		rows["hub out of range"] = restream(stream(n, 1)...)
+		rows["unsorted hubs"] = restream(stream(3, 1, 1<<64-2, 1)...)
+		rows["repeated hub"] = restream(stream(3, 1, 1<<64-1, 1)...)
+		rows["unit count of 2^32"] = restream(stream(0, 1<<32)...)
+		rows["run ending mid-varint"] = restream(0x00, 0x81)
+		rows["run ending between hub and units"] = restream(0x00, 0x01, 0x02)
+		rows["overlong varint"] = restream(0x80, 0x00, 0x01)
+		rows["offsets not monotone"] = reframe(func(_ []byte, _ []uint64, secs [][]byte) {
+			if binary.LittleEndian.Uint32(secs[1][8:]) == uint32(len(secs[2])) {
+				t.Fatalf("%s: fixture has no labels past vertex 1", s)
+			}
+			binary.LittleEndian.PutUint32(secs[1][4:], uint32(len(secs[2])))
 		})
 	}
 	// One refusal per retired magic, per retired CHFX version, and for the
 	// retired slice encoding (float64 builder labels).
-	rows["retired encoding 1"] = reframe(func(hdr []byte, _ []uint64, _ [][]byte) { hdr[1], hdr[3] = 1, 0 })
+	rows["retired encoding 1"] = reframe(func(hdr []byte, _ []uint64, _ [][]byte) { hdr[1] = 1 })
+	// Encoding 3: compressed runs as indexed blocks, the block size in byte 7.
+	rows["retired encoding 3"] = reframe(func(hdr []byte, _ []uint64, _ [][]byte) { hdr[1], hdr[3] = 3, 64 })
 	for _, magic := range []string{"CHL1", "CHIX", "CHLF", "CHLD", "CHLC"} {
 		rows["retired magic "+magic] = append([]byte(magic), good[4:]...)
 	}
@@ -370,7 +376,7 @@ func hostileRows(t testing.TB, s shape) map[string][]byte {
 		rows[fmt.Sprintf("retired CHFX v%d", v)] = reframe(func(hdr []byte, _ []uint64, _ [][]byte) { hdr[0] = v })
 	}
 	// A file in v5's framing: an 8-byte header with no unit.
-	rows["retired CHFX v5 file"] = frame([]byte{5, byte(enc), byte(halves), byte(blockSize)}, lengths(), secs...)
+	rows["retired CHFX v5 file"] = frame([]byte{5, byte(enc), byte(halves), 0}, lengths(), secs...)
 	rows["future CHFX version"] = reframe(func(hdr []byte, _ []uint64, _ [][]byte) { hdr[0] = ContainerVersion + 1 })
 	return rows
 }
@@ -469,8 +475,8 @@ func halfUnit(f *FlatIndex) *FlatIndex {
 // The writer refuses halves that do not belong in one file.
 func TestWriteDirectedFlatRejectsMismatchedHalves(t *testing.T) {
 	mk := func(n int, seed int64) *FlatIndex { return Freeze(randomIndex(n, seed)) }
-	comp := func(f *FlatIndex, bs int) *CompressedIndex {
-		c, err := CompressBlocks(f, bs)
+	comp := func(f *FlatIndex) *CompressedIndex {
+		c, err := Compress(f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -480,8 +486,7 @@ func TestWriteDirectedFlatRejectsMismatchedHalves(t *testing.T) {
 	for name, c := range map[string]*Container{
 		"vertex counts differ": {Perm: perm, Halves: []Store{mk(10, 1), mk(11, 2)}},
 		"perm length differs":  {Perm: perm[:9], Halves: []Store{mk(10, 1)}},
-		"encodings differ":     {Perm: perm, Halves: []Store{mk(10, 1), comp(mk(10, 2), 4)}},
-		"block sizes differ":   {Perm: perm, Halves: []Store{comp(mk(10, 1), 4), comp(mk(10, 2), 5)}},
+		"encodings differ":     {Perm: perm, Halves: []Store{mk(10, 1), comp(mk(10, 2))}},
 		"units differ":         {Perm: perm, Halves: []Store{mk(10, 1), halfUnit(mk(10, 2))}},
 		"no halves":            {Perm: perm},
 		"three halves":         {Perm: perm, Halves: []Store{mk(10, 1), mk(10, 2), mk(10, 3)}},
@@ -596,7 +601,7 @@ func TestDirectedFlatRejectsGarbage(t *testing.T) {
 // fuzzContainer is the fuzz targets' one body. Invariants: no panic; an
 // accepted input re-saves to the identical bytes, opens identically in
 // place, holds halves over the permutation's vertex space that re-validate
-// (sorted in-range hubs, true block summaries), and — when compressed —
+// (sorted in-range hubs, well-formed streams), and — when compressed —
 // joins exactly like its fixed-width expansion.
 func fuzzContainer(t *testing.T, data []byte) {
 	c, err := OpenContainer(data, false)

@@ -7,7 +7,7 @@ import (
 
 // Store is the read side of a frozen label store: one hub-sorted label
 // run per vertex, in one of two encodings — fixed-width packed words
-// (*FlatIndex) or delta+varint blocks (*CompressedIndex). Everything
+// (*FlatIndex) or one delta+varint stream per vertex (*CompressedIndex). Everything
 // above this package holds Stores and never asks which; a directed index
 // is two of them (forward and backward runs), an undirected one the same
 // store twice. The join kernels read the concrete arrays, and Join picks
@@ -24,7 +24,9 @@ type Store interface {
 	encoding() Encoding
 	arrays() [][]byte
 	NumLabels() int64
-	// LabelCount returns the number of labels of v without decoding them.
+	// LabelCount returns the number of labels of v: O(1) on a fixed-width
+	// store, one pass over v's stream bytes on a compressed one (counting
+	// varint ends, decoding none).
 	LabelCount(v int) int
 	// TotalMemory returns the exact byte footprint of the label arrays.
 	TotalMemory() int64
@@ -46,8 +48,8 @@ type Store interface {
 	RunInto(buf *[]uint64, v int) []uint64
 }
 
-// IsCompressed reports whether st holds its labels as compressed blocks
-// rather than fixed-width packed entries.
+// IsCompressed reports whether st holds its labels as compressed varint
+// streams rather than fixed-width packed entries.
 func IsCompressed(st Store) bool {
 	_, ok := st.(*CompressedIndex)
 	return ok

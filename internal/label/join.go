@@ -6,9 +6,9 @@ import "sync"
 // intersection, and this file holds every form of it the serving stack
 // runs: the merge join (JoinPacked), the pairwise hash join
 // (JoinPackedWith), the one-to-many hash join (ScatterRun + Probe /
-// ProbeCompressed) and, in compressed.go, the block-skipping merge over
-// the compressed encoding (JoinCompressed). Inverted.ScanMin/TopK join one
-// run against a transposed table, and QueryMerge over Sets is the
+// ProbeCompressed) and, in compressed.go, the merge over the compressed
+// encoding's varint streams (JoinCompressed). Inverted.ScanMin/TopK join
+// one run against a transposed table, and QueryMerge over Sets is the
 // builder-side reference all of them are tested against. Join is the one
 // place that chooses between the pairwise kernels.
 //
@@ -106,7 +106,7 @@ func (sp *ScratchPool) GetJoin(n int) *QueryScratch {
 }
 
 // GetJoinFor is GetJoin for pairwise queries on st: nil as well when st is
-// compressed, whose blocks only merge-join.
+// compressed, whose streams only merge-join.
 func (sp *ScratchPool) GetJoinFor(st Store) *QueryScratch {
 	if IsCompressed(st) {
 		return nil
@@ -119,7 +119,7 @@ func (sp *ScratchPool) GetJoinFor(st Store) *QueryScratch {
 // of one index (the same store twice when undirected) — returning the
 // distance, the witness hub (rank space) and reachability. It is the one
 // place a pairwise kernel is chosen: compressed stores take the
-// block-skipping merge; fixed-width stores the hash join on s, or the
+// streaming merge; fixed-width stores the hash join on s, or the
 // merge join when s is nil. Both stores must be the same implementation
 // with the same unit, and s must be sized for them.
 func Join(s *QueryScratch, fwd, bwd Store, u, v int) (dist float64, hub uint32, ok bool) {
@@ -210,8 +210,7 @@ func JoinPackedWith(s *QueryScratch, a, b []uint64) (dist float64, hub uint32, o
 type RunScatter struct {
 	s      *QueryScratch
 	run    []uint64 // the scattered run, which Release walks
-	minHub uint32   // hub range of the scattered run (skip bounds for probes)
-	maxHub uint32
+	maxHub uint32   // the scattered run's last hub, where probes stop
 }
 
 // ScatterRun scatters run (hub-sorted, as every packed run is) into s,
@@ -224,7 +223,6 @@ func ScatterRun(s *QueryScratch, run []uint64) RunScatter {
 	return RunScatter{
 		s:      s,
 		run:    run,
-		minHub: uint32(run[0] >> 32),
 		maxHub: uint32(run[len(run)-1] >> 32),
 	}
 }

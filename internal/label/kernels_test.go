@@ -1,23 +1,17 @@
 package label
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
 // One table for every join kernel. checkKernels feeds the same pair of
-// label sets to each surviving kernel — through every entry point and, for
-// the compressed ones, at block sizes that put block boundaries in
-// different places — and holds all of them to QueryMerge, the builder-side
+// label sets to each surviving kernel — through every entry point, packed
+// and compressed — and holds all of them to QueryMerge, the builder-side
 // reference: == distance, identical witness hub (so identical smallest-hub
 // tie-break), identical reachability. TestJoinKernels runs it over named
 // shapes and random sets, FuzzJoinKernels over byte-steered ones.
-
-// kernelBlockSizes: single-entry blocks, blocks that split short runs, the
-// default, and the maximum.
-var kernelBlockSizes = []int{1, 2, 3, CompressedBlockEntries, CompressedMaxBlockEntries}
 
 // checkKernels asserts every kernel's answer for the pair (a, b) of label
 // sets, whose hubs must be below n and whose distances fit a unit count,
@@ -100,30 +94,29 @@ func checkKernels(t *testing.T, n int, a, b Set) {
 	}
 	clean("ProbeStore(packed)")
 
-	for _, bs := range kernelBlockSizes {
-		c, err := CompressBlocks(f, bs)
-		if err != nil {
-			t.Fatalf("CompressBlocks(%d): %v", bs, err)
-		}
-		if err := c.validate(); err != nil {
-			t.Fatalf("block size %d: compressed index fails validation: %v", bs, err)
-		}
-		d, h, ok = JoinCompressed(c.Run(0), c.Run(1))
-		raw("JoinCompressed(a,b)", d, h, ok)
-		d, h, ok = JoinCompressed(c.Run(1), c.Run(0))
-		raw("JoinCompressed(b,a)", d, h, ok)
-		scattered(ra, func(rs RunScatter) { d, h, ok = rs.ProbeCompressed(c.Run(1)) })
-		raw("ScatterRun(a).ProbeCompressed(b)", d, h, ok)
-		scattered(rb, func(rs RunScatter) { d, h, ok = rs.ProbeCompressed(c.Run(0)) })
-		raw("ScatterRun(b).ProbeCompressed(a)", d, h, ok)
-		d, h, ok = Join(s, c, c, 0, 1)
-		check("Join(compressed)", d, h, ok)
-		scattered(ra, func(rs RunScatter) { rs.ProbeStore(row, c, []int{1, 0}) })
-		if row[0] != wantD || row[1] != selfD {
-			t.Fatalf("block size %d: ProbeStore(compressed) = %v, want [%v %v]", bs, row, wantD, selfD)
-		}
-		clean("ProbeStore(compressed)")
+	c, err := Compress(f)
+	if err != nil {
+		t.Fatalf("Compress: %v", err)
 	}
+	if err := c.validate(); err != nil {
+		t.Fatalf("compressed index fails validation: %v", err)
+	}
+	sameRuns(t, c, f)
+	d, h, ok = JoinCompressed(c.Run(0), c.Run(1))
+	raw("JoinCompressed(a,b)", d, h, ok)
+	d, h, ok = JoinCompressed(c.Run(1), c.Run(0))
+	raw("JoinCompressed(b,a)", d, h, ok)
+	scattered(ra, func(rs RunScatter) { d, h, ok = rs.ProbeCompressed(c.Run(1)) })
+	raw("ScatterRun(a).ProbeCompressed(b)", d, h, ok)
+	scattered(rb, func(rs RunScatter) { d, h, ok = rs.ProbeCompressed(c.Run(0)) })
+	raw("ScatterRun(b).ProbeCompressed(a)", d, h, ok)
+	d, h, ok = Join(s, c, c, 0, 1)
+	check("Join(compressed)", d, h, ok)
+	scattered(ra, func(rs RunScatter) { rs.ProbeStore(row, c, []int{1, 0}) })
+	if row[0] != wantD || row[1] != selfD {
+		t.Fatalf("ProbeStore(compressed) = %v, want [%v %v]", row, wantD, selfD)
+	}
+	clean("ProbeStore(compressed)")
 }
 
 // TestPanickedKernelDropsScratch: a run whose hub id is ≥ n panics in the
@@ -201,11 +194,27 @@ func TestJoinKernels(t *testing.T) {
 		{"equal-distance witnesses", 8,
 			Set{{Hub: 1, Dist: 5}, {Hub: 3, Dist: 3}, {Hub: 7, Dist: 1}},
 			Set{{Hub: 1, Dist: 1}, {Hub: 3, Dist: 3}, {Hub: 7, Dist: 5}}},
+		// Long runs with many equal-distance witnesses, and a lone
+		// shared hub in the middle of a long run (at the entries the
+		// retired 64-entry blocks of the compressed encoding split at).
 		{"equal-distance witnesses across blocks", 400, span(0, 3, 130, unit), span(0, 2, 190, unit)},
-		// The only shared hub is the last entry of a's first default-size
-		// block, then the first entry of its second.
-		{"block-boundary hub, end of block", 200, span(0, 1, 130, unit), Set{{Hub: CompressedBlockEntries - 1, Dist: 2}}},
-		{"block-boundary hub, start of block", 200, span(0, 1, 130, unit), Set{{Hub: CompressedBlockEntries, Dist: 2}}},
+		{"block-boundary hub, end of block", 200, span(0, 1, 130, unit), Set{{Hub: 63, Dist: 2}}},
+		{"block-boundary hub, start of block", 200, span(0, 1, 130, unit), Set{{Hub: 64, Dist: 2}}},
+		// The stream shapes of the compressed encoding beyond the empty
+		// runs and the one-entry runs at hub 0 (a first gap of 0) above: a
+		// one-entry run against a long one, hub gaps of 1, 2 and 3 varint
+		// bytes (below 2^7, 2^14 and 2^21), and unit counts of 1, 2, 3 and
+		// 5 bytes up to 2^32−1 (below 2^7, 2^14, 2^21, and past 2^28).
+		{"one-entry run", 200, Set{{Hub: 150, Dist: 1}}, span(0, 1, 200, byHub)},
+		{"hub gaps of 1, 2 and 3 varint bytes", 40000,
+			Set{{Hub: 0, Dist: 1}, {Hub: 127, Dist: 1}, {Hub: 128 + 16383, Dist: 1}, {Hub: 128 + 16383 + 1 + 16384, Dist: 1}},
+			Set{{Hub: 127, Dist: 4}, {Hub: 128 + 16383 + 1 + 16384, Dist: 2}}},
+		{"unit counts of 1, 2, 3 and 5 varint bytes", 8,
+			Set{{Hub: 1, Dist: 127}, {Hub: 2, Dist: 16383}, {Hub: 3, Dist: 1<<21 - 1}, {Hub: 4, Dist: math.MaxUint32}},
+			Set{{Hub: 1, Dist: 1 << 31}, {Hub: 2, Dist: 1 << 7}, {Hub: 3, Dist: 1 << 14}, {Hub: 4, Dist: 1 << 28}}},
+		{"units = 2^32-1 on both sides", 4,
+			Set{{Hub: 0, Dist: math.MaxUint32}, {Hub: 3, Dist: math.MaxUint32}},
+			Set{{Hub: 3, Dist: math.MaxUint32}}},
 		// A short run of high-rank hubs against a long one whose tail of
 		// low-rank hubs the hash join truncates.
 		{"long tail past the other side's maximum", 400, span(0, 1, 5, byHub), span(2, 1, 390, unit)},
@@ -236,10 +245,48 @@ func TestJoinKernels(t *testing.T) {
 	})
 }
 
+// TestJoinCompressedWideHubGaps covers the hub gaps no n-vertex table
+// above can afford: 4- and 5-byte varints (gaps of 2^21 and 2^28 and
+// more, up to hub 2^32−1). The streams round-trip through the decoder
+// and join exactly like the packed runs: two witnesses tie at 6, and the
+// smaller hub, 2^21+1, wins.
+func TestJoinCompressedWideHubGaps(t *testing.T) {
+	const h1, h2 = 1<<21 + 1, 1<<21 + 1<<28 + 2
+	runs := [][]uint64{
+		{packEntry(0, 3), packEntry(h1, 5), packEntry(h2, 1), packEntry(math.MaxUint32, 2)},
+		{packEntry(h1, 1), packEntry(h2, 5), packEntry(math.MaxUint32, math.MaxUint32)},
+	}
+	sa, sb := appendStream(nil, runs[0]), appendStream(nil, runs[1])
+	// (gap, units) varint bytes: a (1,1) (4,1) (5,1) (5,1); b (4,1) (5,1) (5,5).
+	if len(sa) != 19 || len(sb) != 21 {
+		t.Fatalf("streams of %d and %d bytes, want 19 and 21", len(sa), len(sb))
+	}
+	c := &CompressedIndex{n: 2, offsets: []uint32{0, uint32(len(sa)), uint32(len(sa) + len(sb))}, data: append(sa, sb...)}
+	for v, want := range runs {
+		got := c.AppendPackedRun(nil, v)
+		if len(got) != len(want) {
+			t.Fatalf("run %d decodes to %d entries, want %d", v, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("run %d entry %d = %#x, want %#x", v, i, got[i], want[i])
+			}
+		}
+	}
+	for _, p := range [][2]int{{0, 1}, {1, 0}} {
+		d, h, ok := JoinCompressed(c.Run(p[0]), c.Run(p[1]))
+		wd, wh, wok := JoinPacked(runs[p[0]], runs[p[1]])
+		if d != wd || h != wh || ok != wok || d != 6 || h != h1 {
+			t.Fatalf("JoinCompressed%v = (%v, %d, %v), JoinPacked = (%v, %d, %v), want (6, %d, true)", p, d, h, ok, wd, wh, wok, h1)
+		}
+	}
+}
+
 // fuzzSets turns fuzz bytes into two label sets over a shared hub space:
-// each byte pair advances the hub by 1–4, puts it in a, b or both, and
-// draws small distances (so witnesses tie often) that one bit each makes
-// fractional (a unit of 2^-1) or moves past 2^24.
+// each byte pair advances the hub by 1–4 (one bit adds 200, a two-byte
+// varint gap), puts it in a, b or both, and draws small distances (so
+// witnesses tie often) that one bit each makes fractional (a unit of
+// 2^-1), moves past 2^24, or moves past 2^29 (a five-byte unit count).
 func fuzzSets(data []byte) (n int, a, b Set) {
 	if len(data) > 1200 {
 		data = data[:1200]
@@ -248,7 +295,13 @@ func fuzzSets(data []byte) (n int, a, b Set) {
 	for i := 0; i+1 < len(data); i += 2 {
 		x, y := data[i], data[i+1]
 		hub += 1 + int(x&3)
+		if x&0x10 != 0 {
+			hub += 200
+		}
 		da, db := float64(y&0xf), float64(y>>4)
+		if x&0x20 != 0 {
+			da += 1 << 29
+		}
 		if x&0x40 != 0 {
 			da += 0.5
 		}
@@ -269,7 +322,7 @@ func FuzzJoinKernels(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x11, 0x04, 0x22, 0x08, 0x33})
 	f.Add([]byte{0x0c, 0x15, 0x0c, 0x33, 0x0c, 0x51}) // three witnesses, all summing to 6
-	long := make([]byte, 2*3*CompressedBlockEntries)
+	long := make([]byte, 384)
 	for i := range long {
 		long[i] = byte(i * 37)
 	}
@@ -303,22 +356,24 @@ func sameRuns(t *testing.T, got, want Store) {
 
 // TestStoreConformance holds both Store implementations to the contract
 // the layers above rely on, over one labeling with fractional, large and
-// -0.0 distances: counts add up, the run accessor and Labels agree with the source
-// sets, Slice keeps exactly the selected vertices, and the two formats
+// -0.0 distances and the compressed streams' edge shapes (an empty run, a
+// one-entry run at hub 0, a two-byte hub gap, a unit count of 2^32−1):
+// counts add up, the run accessor and Labels agree with the source sets,
+// Slice keeps exactly the selected vertices, and the two formats
 // transpose to the identical inverted index.
 func TestStoreConformance(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	const n = 90
-	ix := randomLabelIndex(rng, n, 0.3)
+	const n = 200
+	ix := randomLabelIndex(rng, n, 0.1)
+	ix.SetLabels(1, nil)
+	ix.SetLabels(2, Set{{Hub: 0, Dist: math.MaxUint32 / 2.0}}) // 2^32−1 half units
+	ix.SetLabels(3, Set{{Hub: 0, Dist: 1}, {Hub: 1, Dist: 0.5}, {Hub: 190, Dist: 7}})
 	flat := Freeze(ix)
-	stores := map[string]Store{"packed": flat}
-	for _, bs := range []int{5, CompressedBlockEntries} {
-		c, err := CompressBlocks(flat, bs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stores[fmt.Sprintf("compressed/%d", bs)] = c
+	c, err := Compress(flat)
+	if err != nil {
+		t.Fatal(err)
 	}
+	stores := map[string]Store{"packed": flat, "compressed": c}
 	keep := func(v int) bool { return v%3 == 0 }
 	wantInv := Invert(flat)
 	for name, st := range stores {

@@ -2,8 +2,10 @@
 // per-vertex label vectors, a queryable Index, a hash-join accelerator for
 // the distance queries performed during label construction (the LR =
 // hash(L_h) of Algorithm 1), a lock-striped concurrent store for parallel
-// construction, the frozen Stores, and the one on-disk container
-// (container.go), which holds only Stores.
+// construction, the frozen Stores — fixed-width packed words (flat.go) or
+// one delta+varint stream per vertex (compressed.go), joined by the
+// kernels of join.go — and the one on-disk container (container.go),
+// which holds only Stores.
 //
 // The slice form (Index) is never persisted. The builders emit it,
 // internal/exp's figures and internal/query's modeled engines read it

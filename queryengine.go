@@ -87,7 +87,7 @@ func (fx *FlatIndex) Directed() bool { return fx.bwd != fx.fwd }
 func (fx *FlatIndex) unitExp() int { return fx.fwd.UnitExp() }
 
 // Compressed reports whether the index stores its labels as compressed
-// blocks rather than fixed-width packed entries.
+// varint streams rather than fixed-width packed entries.
 func (fx *FlatIndex) Compressed() bool { return label.IsCompressed(fx.fwd) }
 
 // patchRuns is the server's delta.Runs: the label runs of verts an
@@ -110,9 +110,10 @@ func (fx *FlatIndex) patchRuns(verts []int) (fwd, bwd [][]uint64, err error) {
 }
 
 // Compress returns a compressed copy of the index: the same labels,
-// permutation and directedness, with the label arrays re-encoded as
-// delta+varint blocks (label.CompressBlocks). Saving the result writes a
-// compressed-encoding file; the original index is untouched.
+// permutation and directedness, with each vertex's run re-encoded as one
+// delta+varint stream (label.Compress). Saving the result writes a
+// compressed-encoding file; the original index is untouched. An index
+// that is already compressed is returned as it is, not copied.
 func (fx *FlatIndex) Compress() (*FlatIndex, error) {
 	f, ok := fx.fwd.(*label.FlatIndex)
 	if !ok {
@@ -198,8 +199,8 @@ func (ix *Index) Freeze() (*FlatIndex, error) {
 }
 
 // FreezeCompressed is Freeze followed by Compress: the index packed
-// straight into compressed label blocks, ready to save or serve through
-// the block-skipping kernel.
+// straight into compressed label streams, ready to save or serve through
+// the streaming merge kernel.
 func (ix *Index) FreezeCompressed() (*FlatIndex, error) {
 	fx, err := ix.Freeze()
 	if err != nil {
@@ -222,8 +223,8 @@ func (fx *FlatIndex) TotalLabels() int64 {
 }
 
 // TotalMemory returns the byte footprint of the label arrays (8 bytes per
-// label + 4 per vertex for the fixed-width format; the encoded block
-// bytes plus headers for a compressed index).
+// label + 4 per vertex for the fixed-width format; the stream bytes plus
+// 4 per vertex for a compressed index).
 func (fx *FlatIndex) TotalMemory() int64 {
 	t := fx.fwd.TotalMemory()
 	if fx.Directed() {
@@ -256,7 +257,7 @@ func (fx *FlatIndex) NewScratch() *QueryScratch {
 // instead of a merge join — the fast path for serving loops (label.Join
 // picks the kernel; BenchmarkFlatQuery vs BenchmarkFlatQueryMerge, 1.95×
 // on a 32768-vertex scale-free graph). A nil scratch, or a
-// compressed index (whose entries decode blockwise and only merge-join),
+// compressed index (whose streams decode as they merge-join),
 // answers exactly as Query does.
 func (fx *FlatIndex) QueryWith(s *QueryScratch, u, v int) float64 {
 	d, _, _ := label.Join(s, fx.fwd, fx.bwd, u, v)

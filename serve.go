@@ -1450,7 +1450,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	promGauge(w, "chl_index_memory_bytes", "Byte footprint of the served label arrays.", float64(st.MemoryBytes))
 	promGauge(w, "chl_index_mapped", "1 when the index is served from a memory mapping.", boolGauge(st.Mapped))
 	promGauge(w, "chl_index_directed", "1 when the served index holds directed (forward/backward) labels.", boolGauge(st.Directed))
-	promGauge(w, "chl_index_compressed", "1 when the served index stores compressed label blocks.", boolGauge(st.Compressed))
+	promGauge(w, "chl_index_compressed", "1 when the served index stores compressed label streams.", boolGauge(st.Compressed))
 	promGauge(w, "chl_index_generation", "Current snapshot generation.", float64(st.Generation))
 	promGauge(w, "chl_uptime_seconds", "Seconds since the server started.", st.UptimeSeconds)
 	promCounter(w, "chl_queries_total", "Point-to-point queries answered.", st.Queries)

@@ -32,7 +32,7 @@ func (fx *FlatIndex) Shard(p *shard.Partition, id int) (*FlatIndex, error) {
 }
 
 // slice carves out a copy of fx keeping only the label runs keep selects,
-// in fx's own format (label.Store.Slice — compressed blocks are copied
+// in fx's own format (label.Store.Slice — compressed streams are copied
 // without re-encoding), so shard files inherit the format of the index
 // they were cut from. A directed slice keeps both label halves of its
 // vertices: the router joins forward(u) from u's shard with backward(v)

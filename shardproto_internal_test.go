@@ -501,3 +501,56 @@ func TestRouterCancelledClientStopsFanOut(t *testing.T) {
 		}
 	}
 }
+
+// TestShardReloadRefusesForeignRuns: a file with the cluster's vertex
+// space, directedness and unit, but runs of vertices another shard owns,
+// is refused by checkShardFile, which counts every run it must find empty
+// (Store.LabelCount, a stream walk on a compressed file). The shard keeps
+// serving the file it had. Both formats, and on a directed cluster a file
+// whose forward runs are the shard's own and only the backward half is
+// foreign.
+func TestShardReloadRefusesForeignRuns(t *testing.T) {
+	for _, g := range []*Graph{GenerateScaleFree(120, 3, 4), GenerateRandomDirected(120, 700, 9, 4)} {
+		c := newProtoCluster(t, g)
+		s, u, v := c.servers[0], c.byOwner[0][0], c.byOwner[0][1]
+		want := c.fx.Query(u, v)
+		for _, compressed := range []bool{false, true} {
+			fx := c.fx
+			if compressed {
+				var err error
+				if fx, err = fx.Compress(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			owned := func(id int) func(int) bool { return func(w int) bool { return c.part.Owner(w) == id } }
+			mine, theirs := fx.slice(owned(0)), fx.slice(owned(1))
+			type foreign struct {
+				fx     *FlatIndex
+				refuse string
+			}
+			files := map[string]foreign{"shard 1's slice": {theirs, "holds labels for vertex"}}
+			if g.Directed() {
+				files["shard 1's backward runs"] = foreign{newFlatIndex(mine.fwd, theirs.bwd, mine.perm), "holds backward labels for vertex"}
+			}
+			for name, f := range files {
+				t.Run(fmt.Sprintf("directed=%v/compressed=%v/%s", g.Directed(), compressed, name), func(t *testing.T) {
+					path := filepath.Join(t.TempDir(), "foreign.flat")
+					if err := f.fx.SaveFile(path); err != nil {
+						t.Fatal(err)
+					}
+					before := s.Stats().Generation
+					_, err := s.Reload(path)
+					if err == nil || !strings.Contains(err.Error(), f.refuse) || !strings.Contains(err.Error(), "which shard 0 does not own") {
+						t.Fatalf("reload of %s: %v, want a refusal naming %q and shard 0", name, err, f.refuse)
+					}
+					if after := s.Stats().Generation; after != before {
+						t.Fatalf("refused reload moved the generation %d -> %d", before, after)
+					}
+					if got := s.Query(u, v); got != want {
+						t.Fatalf("after the refused reload d(%d,%d) = %v, want %v", u, v, got, want)
+					}
+				})
+			}
+		}
+	}
+}
