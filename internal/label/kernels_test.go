@@ -3,6 +3,7 @@ package label
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -355,108 +356,132 @@ func sameRuns(t *testing.T, got, want Store) {
 }
 
 // TestStoreConformance holds both Store implementations to the contract
-// the layers above rely on, over one labeling with fractional, large and
+// the layers above rely on, over two labelings with fractional, large and
 // -0.0 distances and the compressed streams' edge shapes (an empty run, a
-// one-entry run at hub 0, a two-byte hub gap, a unit count of 2^32−1):
-// counts add up, the run accessor and Labels agree with the source sets,
-// Slice keeps exactly the selected vertices, and the two formats
-// transpose to the identical inverted index.
+// one-entry run at hub 0, a two-byte hub gap, a unit count of 2^32−1). The
+// labelings differ in their mean hub gap, which names the subtest: 5 (long
+// runs of one-byte gaps) and 64 (short runs, many gaps of two varint bytes).
+// Per store: counts add up, the run accessor and Labels agree with the
+// source sets, Slice keeps exactly the selected vertices, and the two
+// formats transpose to the identical inverted index.
 func TestStoreConformance(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	const n = 200
-	ix := randomLabelIndex(rng, n, 0.1)
-	ix.SetLabels(1, nil)
-	ix.SetLabels(2, Set{{Hub: 0, Dist: math.MaxUint32 / 2.0}}) // 2^32−1 half units
-	ix.SetLabels(3, Set{{Hub: 0, Dist: 1}, {Hub: 1, Dist: 0.5}, {Hub: 190, Dist: 7}})
-	flat := Freeze(ix)
-	c, err := Compress(flat)
-	if err != nil {
-		t.Fatal(err)
+	type labeling struct {
+		ix   *Index
+		flat *FlatIndex
+		c    *CompressedIndex
 	}
-	stores := map[string]Store{"packed": flat, "compressed": c}
-	keep := func(v int) bool { return v%3 == 0 }
-	wantInv := Invert(flat)
-	for name, st := range stores {
-		t.Run(name, func(t *testing.T) {
-			if IsCompressed(st) != (st != Store(flat)) {
-				t.Fatalf("IsCompressed = %v", IsCompressed(st))
-			}
-			if st.NumVertices() != n || st.NumLabels() != ix.TotalLabels() {
-				t.Fatalf("shape %d vertices / %d labels, want %d / %d", st.NumVertices(), st.NumLabels(), n, ix.TotalLabels())
-			}
-			if st.TotalMemory() <= 0 {
-				t.Fatalf("TotalMemory = %d", st.TotalMemory())
-			}
-			var sum int64
-			var buf []uint64
-			for v := 0; v < n; v++ {
-				want := ix.Labels(v)
-				sum += int64(st.LabelCount(v))
-				run, fresh, labels := st.RunInto(&buf, v), st.RunInto(nil, v), st.Labels(v)
-				if st.LabelCount(v) != len(want) || len(run) != len(want) || len(fresh) != len(want) || len(labels) != len(want) {
-					t.Fatalf("vertex %d: LabelCount %d, run %d, fresh run %d, Labels %d, want %d",
-						v, st.LabelCount(v), len(run), len(fresh), len(labels), len(want))
+	gaps := []int{5, 64}
+	labelings := make([]labeling, len(gaps))
+	for i, gap := range gaps {
+		ix := randomLabelIndex(rng, 200, 1/float64(gap))
+		ix.SetLabels(1, nil)
+		ix.SetLabels(2, Set{{Hub: 0, Dist: math.MaxUint32 / 2.0}}) // 2^32−1 half units
+		ix.SetLabels(3, Set{{Hub: 0, Dist: 1}, {Hub: 1, Dist: 0.5}, {Hub: 190, Dist: 7}})
+		flat := Freeze(ix)
+		c, err := Compress(flat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		labelings[i] = labeling{ix, flat, c}
+	}
+	for _, format := range []string{"packed", "compressed"} {
+		t.Run(format, func(t *testing.T) {
+			for i, gap := range gaps {
+				l := labelings[i]
+				st := Store(l.flat)
+				if format == "compressed" {
+					st = l.c
 				}
-				for i, l := range want {
-					// ==, so -0.0 freezes to the unit count 0.
-					if e := packEntry(l.Hub, uint32(math.Ldexp(l.Dist, st.UnitExp()))); run[i] != e || fresh[i] != e ||
-						labels[i].Hub != l.Hub || labels[i].Dist != l.Dist {
-						t.Fatalf("vertex %d label %d: run %#x, fresh %#x, Labels %+v, want %+v", v, i, run[i], fresh[i], labels[i], l)
-					}
-				}
-			}
-			if sum != st.NumLabels() {
-				t.Fatalf("Σ LabelCount = %d, NumLabels = %d", sum, st.NumLabels())
-			}
-			if !IsCompressed(st) && buf != nil {
-				t.Fatal("a fixed-width store wrote to the caller's buffer")
-			}
-
-			sl := st.Slice(keep)
-			if IsCompressed(sl) != IsCompressed(st) || sl.NumVertices() != n {
-				t.Fatalf("slice changed format or vertex space (%d vertices)", sl.NumVertices())
-			}
-			switch sl := sl.(type) {
-			case *FlatIndex:
-				if err := sl.validate(); err != nil {
-					t.Fatalf("slice not structurally valid: %v", err)
-				}
-			case *CompressedIndex:
-				if err := sl.validate(); err != nil {
-					t.Fatalf("slice not structurally valid: %v", err)
-				}
-			}
-			var kept int64
-			for v := 0; v < n; v++ {
-				switch {
-				case keep(v):
-					kept += int64(len(ix.Labels(v)))
-				case sl.LabelCount(v) != 0 || len(sl.RunInto(nil, v)) != 0:
-					t.Fatalf("dropped vertex %d still has %d labels", v, sl.LabelCount(v))
-				}
-			}
-			if sl.NumLabels() != kept {
-				t.Fatalf("slice holds %d labels, want %d", sl.NumLabels(), kept)
-			}
-			sameRuns(t, sl, flat.Slice(keep))
-
-			iv := Invert(st)
-			if len(iv.offsets) != len(wantInv.offsets) || len(iv.entries) != len(wantInv.entries) {
-				t.Fatalf("inverted shape %d/%d, want %d/%d", len(iv.offsets), len(iv.entries), len(wantInv.offsets), len(wantInv.entries))
-			}
-			for i := range wantInv.offsets {
-				if iv.offsets[i] != wantInv.offsets[i] {
-					t.Fatalf("inverted offsets[%d] = %d, want %d", i, iv.offsets[i], wantInv.offsets[i])
-				}
-			}
-			for i := range wantInv.entries {
-				if iv.entries[i] != wantInv.entries[i] {
-					t.Fatalf("inverted entries[%d] = %#x, want %#x", i, iv.entries[i], wantInv.entries[i])
-				}
-			}
-			if c, ok := st.(*CompressedIndex); ok {
-				sameRuns(t, c.Decompress(), flat)
+				t.Run(strconv.Itoa(gap), func(t *testing.T) { checkStore(t, l.ix, l.flat, st) })
 			}
 		})
+	}
+}
+
+// checkStore is TestStoreConformance's contract for st, which holds the
+// labels of ix, frozen as flat.
+func checkStore(t *testing.T, ix *Index, flat *FlatIndex, st Store) {
+	t.Helper()
+	n := ix.NumVertices()
+	keep := func(v int) bool { return v%3 == 0 }
+	if IsCompressed(st) != (st != Store(flat)) {
+		t.Fatalf("IsCompressed = %v", IsCompressed(st))
+	}
+	if st.NumVertices() != n || st.NumLabels() != ix.TotalLabels() {
+		t.Fatalf("shape %d vertices / %d labels, want %d / %d", st.NumVertices(), st.NumLabels(), n, ix.TotalLabels())
+	}
+	if st.TotalMemory() <= 0 {
+		t.Fatalf("TotalMemory = %d", st.TotalMemory())
+	}
+	var sum int64
+	var buf []uint64
+	for v := 0; v < n; v++ {
+		want := ix.Labels(v)
+		sum += int64(st.LabelCount(v))
+		run, fresh, labels := st.RunInto(&buf, v), st.RunInto(nil, v), st.Labels(v)
+		if st.LabelCount(v) != len(want) || len(run) != len(want) || len(fresh) != len(want) || len(labels) != len(want) {
+			t.Fatalf("vertex %d: LabelCount %d, run %d, fresh run %d, Labels %d, want %d",
+				v, st.LabelCount(v), len(run), len(fresh), len(labels), len(want))
+		}
+		for i, l := range want {
+			// ==, so -0.0 freezes to the unit count 0.
+			if e := packEntry(l.Hub, uint32(math.Ldexp(l.Dist, st.UnitExp()))); run[i] != e || fresh[i] != e ||
+				labels[i].Hub != l.Hub || labels[i].Dist != l.Dist {
+				t.Fatalf("vertex %d label %d: run %#x, fresh %#x, Labels %+v, want %+v", v, i, run[i], fresh[i], labels[i], l)
+			}
+		}
+	}
+	if sum != st.NumLabels() {
+		t.Fatalf("Σ LabelCount = %d, NumLabels = %d", sum, st.NumLabels())
+	}
+	if !IsCompressed(st) && buf != nil {
+		t.Fatal("a fixed-width store wrote to the caller's buffer")
+	}
+
+	sl := st.Slice(keep)
+	if IsCompressed(sl) != IsCompressed(st) || sl.NumVertices() != n {
+		t.Fatalf("slice changed format or vertex space (%d vertices)", sl.NumVertices())
+	}
+	switch sl := sl.(type) {
+	case *FlatIndex:
+		if err := sl.validate(); err != nil {
+			t.Fatalf("slice not structurally valid: %v", err)
+		}
+	case *CompressedIndex:
+		if err := sl.validate(); err != nil {
+			t.Fatalf("slice not structurally valid: %v", err)
+		}
+	}
+	var kept int64
+	for v := 0; v < n; v++ {
+		switch {
+		case keep(v):
+			kept += int64(len(ix.Labels(v)))
+		case sl.LabelCount(v) != 0 || len(sl.RunInto(nil, v)) != 0:
+			t.Fatalf("dropped vertex %d still has %d labels", v, sl.LabelCount(v))
+		}
+	}
+	if sl.NumLabels() != kept {
+		t.Fatalf("slice holds %d labels, want %d", sl.NumLabels(), kept)
+	}
+	sameRuns(t, sl, flat.Slice(keep))
+
+	iv, wantInv := Invert(st), Invert(flat)
+	if len(iv.offsets) != len(wantInv.offsets) || len(iv.entries) != len(wantInv.entries) {
+		t.Fatalf("inverted shape %d/%d, want %d/%d", len(iv.offsets), len(iv.entries), len(wantInv.offsets), len(wantInv.entries))
+	}
+	for i := range wantInv.offsets {
+		if iv.offsets[i] != wantInv.offsets[i] {
+			t.Fatalf("inverted offsets[%d] = %d, want %d", i, iv.offsets[i], wantInv.offsets[i])
+		}
+	}
+	for i := range wantInv.entries {
+		if iv.entries[i] != wantInv.entries[i] {
+			t.Fatalf("inverted entries[%d] = %#x, want %#x", i, iv.entries[i], wantInv.entries[i])
+		}
+	}
+	if c, ok := st.(*CompressedIndex); ok {
+		sameRuns(t, c.Decompress(), flat)
 	}
 }
