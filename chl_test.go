@@ -94,8 +94,8 @@ func TestRankByBetweennessEdgeSizes(t *testing.T) {
 }
 
 // TestBuildDefaultAlgorithm pins what Options{} builds with: the scoreboard's
-// fastest constructor per directedness (ROADMAP 4(a)), and the same CHL as
-// the reference either way.
+// fastest constructor per directedness, and the same CHL as the reference
+// either way.
 func TestBuildDefaultAlgorithm(t *testing.T) {
 	for _, c := range []struct {
 		g    *chl.Graph

@@ -115,7 +115,7 @@
 // out.
 //
 //	s, _ := chl.NewServer("road.flat", 1<<16)       // mmap + 64k-answer cache
-//	http.ListenAndServe(":8080", s.Handler())       // /dist /batch /stats /reload /healthz
+//	http.ListenAndServe(":8080", s.Handler())       // /dist /batch /paths /knn /matrix /stats /reload /update /healthz /metrics
 //	s.Reload("road-v2.flat")                        // hot swap, no downtime
 //
 // cmd/chlquery wraps this flow (-save / -load / -serve / -cache /

@@ -13,7 +13,7 @@
 //     Cache.pairKey / flightKeyFor, so the PR 5 (u,v)/(v,u) directed
 //     aliasing bug class cannot reappear as a hand-rolled u<<32|v.
 //   - errcontract: handler files emit errors through the JSON helpers
-//     (httpError/writeJSON/writeShed/routeError) with documented status
+//     (httpError/writeJSON/writeShed/writeError) with documented status
 //     codes only — no naked http.Error or WriteHeader(4xx/5xx).
 //   - floatexact: distance answers are bit-exact; epsilon comparisons
 //     are flagged in the parity-critical packages.

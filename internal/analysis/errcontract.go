@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/constant"
+	"go/token"
 	"sort"
 	"strconv"
 	"strings"
@@ -12,6 +13,7 @@ import (
 // where HTTP responses are written and the JSON error contract
 // therefore applies.
 var handlerFiles = map[string]bool{
+	"front.go":           true,
 	"serve.go":           true,
 	"router.go":          true,
 	"routerupdate.go":    true,
@@ -21,13 +23,14 @@ var handlerFiles = map[string]bool{
 
 // errHelpers are the sanctioned response writers. httpError and
 // writeJSON take the status as their second argument; writeShed is the
-// 429 contract (status fixed inside); routeError maps routing failures.
-// Their own bodies are the one place WriteHeader may be called.
+// 429 contract (status fixed inside); writeError maps every error a
+// handler returns to its status, a requestError to its own code. Their
+// own bodies are the one place WriteHeader may be called.
 var errHelpers = map[string]bool{
 	"httpError":  true,
 	"writeJSON":  true,
 	"writeShed":  true,
-	"routeError": true,
+	"writeError": true,
 }
 
 // documentedStatuses is the per-endpoint error vocabulary README.md and
@@ -49,7 +52,7 @@ var documentedStatuses = map[int64]bool{
 // status outside the documented per-endpoint sets.
 var Errcontract = &Analyzer{
 	Name: "errcontract",
-	Doc: "handler files must emit errors through httpError/writeJSON/writeShed/routeError with " +
+	Doc: "handler files must emit errors through httpError/writeJSON/writeShed/writeError with " +
 		"documented status codes (400/404/405/409/413/421/429/500/502/503); naked http.Error and " +
 		"WriteHeader(4xx/5xx) bypass the JSON error contract",
 	AppliesTo: func(rel string) bool { return rel == "" },
@@ -62,6 +65,10 @@ func runErrcontract(pass *Pass) error {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.CompositeLit); ok {
+				pass.checkRequestError(lit)
+				return true
+			}
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
@@ -83,16 +90,40 @@ func runErrcontract(pass *Pass) error {
 						"direct WriteHeader(%d) outside the error helpers", code)
 				}
 			case callee == "httpError" || callee == "writeJSON":
-				if code, ok := pass.constStatus(call, 1); ok && code >= 400 && !documentedStatuses[code] {
-					pass.Reportf(call.Pos(),
-						"document the new status in README.md/ARCHITECTURE.md and add it to errcontract's set, or use a documented one",
-						"undocumented error status %d", code)
+				if code, ok := pass.constStatus(call, 1); ok {
+					pass.checkStatus(call.Pos(), code)
 				}
 			}
 			return true
 		})
 	}
 	return nil
+}
+
+// checkRequestError holds a requestError literal's code — the status
+// writeError answers it with — to the documented set too.
+func (p *Pass) checkRequestError(lit *ast.CompositeLit) {
+	if id, ok := unparen(lit.Type).(*ast.Ident); !ok || id.Name != "requestError" {
+		return
+	}
+	for _, elt := range lit.Elts {
+		if kv, ok := elt.(*ast.KeyValueExpr); ok {
+			if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "code" {
+				if code, ok := p.constExprStatus(kv.Value); ok {
+					p.checkStatus(kv.Pos(), code)
+				}
+			}
+		}
+	}
+}
+
+// checkStatus reports an error status outside the documented set.
+func (p *Pass) checkStatus(pos token.Pos, code int64) {
+	if code >= 400 && !documentedStatuses[code] {
+		p.Reportf(pos,
+			"document the new status in README.md/ARCHITECTURE.md and add it to errcontract's set, or use a documented one",
+			"undocumented error status %d", code)
+	}
 }
 
 // calleeName returns the called function's bare name for plain and
@@ -114,7 +145,12 @@ func (p *Pass) constStatus(call *ast.CallExpr, arg int) (int64, bool) {
 	if arg >= len(call.Args) {
 		return 0, false
 	}
-	e := unparen(call.Args[arg])
+	return p.constExprStatus(call.Args[arg])
+}
+
+// constExprStatus is constStatus for one expression.
+func (p *Pass) constExprStatus(e ast.Expr) (int64, bool) {
+	e = unparen(e)
 	if tv, ok := p.TypesInfo.Types[e]; ok && tv.Value != nil && tv.Value.Kind() == constant.Int {
 		if v, ok := constant.Int64Val(tv.Value); ok {
 			return v, true

@@ -39,8 +39,8 @@ func randomLabelIndex(rng *rand.Rand, n int, density float64) *Index {
 	return ix
 }
 
-// TestCompressedSavings pins the acceptance bar from ROADMAP item 4 at
-// the package level: on integer-weighted label sets (what the graph
+// TestCompressedSavings pins the compressed store's acceptance bar at the
+// package level: on integer-weighted label sets (what the graph
 // generators emit), the compressed arrays are at least 25% smaller than
 // the fixed-width flat arrays.
 func TestCompressedSavings(t *testing.T) {

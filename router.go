@@ -132,7 +132,7 @@ type Router struct {
 	flights     flightGroup   // collapses identical in-flight pairs
 	quota       *quotaLimiter // nil disables per-client quotas
 
-	metrics       *httpMetrics
+	api           *http.ServeMux
 	queries       atomic.Int64
 	crossJoins    atomic.Int64
 	failovers     atomic.Int64
@@ -587,7 +587,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		hedgeDelay:  hedgeDelay,
 		maxInFlight: int64(cfg.MaxInFlight),
 		quota:       newQuotaLimiter(clock, cfg.ClientQPS, cfg.ClientBurst),
-		metrics:     newHTTPMetrics(clock, "/dist", "/batch", "/paths", "/knn", "/matrix", "/stats", "/reload", "/update", "/healthz"),
 		start:       clock.Now(),
 		log:         log,
 	}
@@ -613,6 +612,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		idents: idents,
 		cache:  r.newAnswerCache(),
 	})
+	r.api = newFront(clock, "chl_router", func() backend { return r }, r.shape)
 	return r, nil
 }
 
@@ -641,17 +641,7 @@ func (r *Router) Query(u, v int) (float64, error) {
 // QueryHub answers one query with its witness hub (an original vertex
 // id), exactly as Server.QueryHub does on the unsharded index.
 func (r *Router) QueryHub(u, v int) (dist float64, hub int, ok bool, err error) {
-	return r.queryHub(u, v, true)
-}
-
-// checkRange rejects ids outside the cluster's vertex space.
-func (r *Router) checkRange(ids ...int) error {
-	for _, id := range ids {
-		if id < 0 || id >= r.n {
-			return &VertexRangeError{ID: id, N: r.n}
-		}
-	}
-	return nil
+	return r.dist(u, v)
 }
 
 // queryHub is the shared single-query path. needHub only decides cache
@@ -665,7 +655,7 @@ func (r *Router) checkRange(ids ...int) error {
 // pairKey discipline (ordered for directed clusters); every flight
 // computes the witness, so Query and QueryHub callers share one.
 func (r *Router) queryHub(u, v int, needHub bool) (dist float64, hub int, ok bool, err error) {
-	if err := r.checkRange(u, v); err != nil {
+	if err := inRange(r.n, u, v); err != nil {
 		return 0, 0, false, err
 	}
 	if err := r.ensurePatch(); err != nil {
@@ -763,14 +753,18 @@ func (r *Router) pairNeeds(fwd, bwd []int, u, v int) ([]int, []int) {
 func (r *Router) Batch(pairs []QueryPair) ([]float64, error) {
 	// The exported call has no client to hang up; the /batch handler
 	// passes its request's context instead.
-	return r.batch(context.Background(), pairs)
-}
-
-func (r *Router) batch(ctx context.Context, pairs []QueryPair) ([]float64, error) {
-	if err := r.ensurePatch(); err != nil {
+	dists := make([]float64, len(pairs))
+	if err := r.batch(context.Background(), dists, pairs); err != nil {
 		return nil, err
 	}
-	dists := make([]float64, len(pairs))
+	return dists, nil
+}
+
+// batch is Batch answering into dists (len(pairs) long).
+func (r *Router) batch(ctx context.Context, dists []float64, pairs []QueryPair) error {
+	if err := r.ensurePatch(); err != nil {
+		return err
+	}
 	st := r.state.Load()
 
 	// Cache pass; the misses (pending) split into same-shard sub-batches
@@ -779,8 +773,8 @@ func (r *Router) batch(ctx context.Context, pairs []QueryPair) ([]float64, error
 	var pending, joined, fwd, bwd []int
 	direct := map[int][]int{} // shard id -> indexes into pairs
 	for i, p := range pairs {
-		if err := r.checkRange(p.U, p.V); err != nil {
-			return nil, err
+		if err := inRange(r.n, p.U, p.V); err != nil {
+			return err
 		}
 		if st.cache != nil {
 			if a, hit := st.cache.Get(p.U, p.V); hit {
@@ -798,7 +792,7 @@ func (r *Router) batch(ctx context.Context, pairs []QueryPair) ([]float64, error
 	}
 	r.queries.Add(int64(len(pairs)))
 	if len(pending) == 0 {
-		return dists, nil
+		return nil
 	}
 
 	// Fan out: one /batch per direct shard beside the one row fetch.
@@ -817,7 +811,7 @@ func (r *Router) batch(ctx context.Context, pairs []QueryPair) ([]float64, error
 	}
 	wg.Wait()
 	if err := so.err(); err != nil {
-		return nil, err
+		return err
 	}
 
 	// Join locally: the overlay when one is outstanding, else the same
@@ -849,7 +843,7 @@ func (r *Router) batch(ctx context.Context, pairs []QueryPair) ([]float64, error
 			st.cache.Put(pairs[i].U, pairs[i].V, Answer{Dist: dists[i], Hub: hubUnknown, Reachable: dists[i] != Infinity})
 		}
 	}
-	return dists, nil
+	return nil
 }
 
 // cacheValid folds a request's observations into the router state and
@@ -1675,27 +1669,11 @@ func (r *Router) Stats() RouterStats {
 	return out
 }
 
-// Handler returns the router's HTTP API — the same public surface as a
-// single-process Server (GET /dist, POST /batch, GET /paths, GET /knn,
-// POST /matrix, GET /stats, GET /healthz, GET /metrics) plus POST
-// /reload?shard=I[&replica=J][&path=P], which proxies a hot reload to
-// one shard replica. Errors are JSON bodies; shard failures are 502s
-// listing the failed shards; shed requests are 429s with a retry-after
-// body (see shape).
-func (r *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/dist", r.metrics.wrap("/dist", r.shape(r.handleDist)))
-	mux.HandleFunc("/batch", r.metrics.wrap("/batch", r.shape(r.handleBatch)))
-	mux.HandleFunc("/paths", r.metrics.wrap("/paths", r.shape(r.handlePaths)))
-	mux.HandleFunc("/knn", r.metrics.wrap("/knn", r.shape(r.handleKNN)))
-	mux.HandleFunc("/matrix", r.metrics.wrap("/matrix", r.shape(r.handleMatrix)))
-	mux.HandleFunc("/stats", r.metrics.wrap("/stats", r.handleStats))
-	mux.HandleFunc("/healthz", r.metrics.wrap("/healthz", r.handleHealthz))
-	mux.HandleFunc("/reload", r.metrics.wrap("/reload", r.handleReload))
-	mux.HandleFunc("/update", r.metrics.wrap("/update", r.handleUpdate))
-	mux.HandleFunc("/metrics", r.handleMetrics)
-	return mux
-}
+// Handler returns the router's HTTP API: a Server's public endpoints,
+// where POST /reload?shard=I[&replica=J][&path=P] proxies a hot reload to
+// one shard replica. Shard failures are 502s listing the failed shards;
+// shed requests are 429s with a retry-after body (see shape).
+func (r *Router) Handler() http.Handler { return r.api }
 
 // shape is the admission-control middleware on the query endpoints
 // (/dist, /batch, /paths, /knn, and /matrix only — health, stats, and
@@ -1736,71 +1714,24 @@ func (r *Router) shape(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// routeError maps a routing failure to its HTTP response.
-func routeError(w http.ResponseWriter, err error) {
-	var vr *VertexRangeError
-	if errors.As(err, &vr) {
-		vertexIDsOK(w, vr.N, vr.ID) // writes the 400 — the shard tier's body, byte for byte
-		return
-	}
-	var ce *ClusterError
-	if errors.As(err, &ce) {
-		failed := make([]map[string]any, len(ce.Failed))
-		for i, f := range ce.Failed {
-			failed[i] = map[string]any{"shard": f.Shard, "replica": f.Replica, "addr": f.Addr, "error": f.Err.Error()}
-		}
-		writeJSON(w, http.StatusBadGateway, map[string]any{
-			"error":         ce.Error(),
-			"failed_shards": failed,
-		})
-		return
-	}
-	httpError(w, http.StatusBadGateway, err.Error())
-}
+// --- the Router's backend: the router itself ---
 
-func (r *Router) handleDist(w http.ResponseWriter, req *http.Request) {
-	if !allowMethod(w, req, http.MethodGet, "use GET /dist?u=&v=") {
-		return
-	}
-	u, v, ok := intPair(w, req, "u", "v", "u and v must be integer vertex ids")
-	if !ok {
-		return
-	}
-	d, hub, ok, err := r.QueryHub(u, v)
-	if err != nil {
-		routeError(w, err)
-		return
-	}
-	writeDist(w, u, v, d, hub, ok, shardStamp{})
-}
+func (r *Router) vertices() int     { return r.n }
+func (r *Router) shard() int        { return -1 }
+func (r *Router) owns(int) bool     { return true }
+func (r *Router) stamp() shardStamp { return shardStamp{} }
+func (r *Router) release()          {}
 
-func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
-	if !allowMethod(w, req, http.MethodPost, "POST a JSON array of [u,v] pairs") {
-		return
-	}
-	bb, ok := decodeBatchBody(w, req, r.n)
-	if !ok {
-		return
-	}
-	defer bb.release()
-	dists, err := r.batch(req.Context(), bb.pairs)
-	if err != nil {
-		routeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, batchResponse{Dists: wireDists(dists)})
-}
+// dist is QueryHub, also the hubQuerier its Path and KNN expand with.
+func (r *Router) dist(u, v int) (float64, int, bool, error) { return r.queryHub(u, v, true) }
 
-func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
-	if allowMethod(w, req, http.MethodGet, "use GET /stats") {
-		writeJSON(w, http.StatusOK, r.Stats())
-	}
-}
+func (r *Router) paths(u, v int) (float64, []int, bool, error) { return r.Path(u, v) }
 
-func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
-	if !allowMethod(w, req, http.MethodGet, "use GET /healthz") {
-		return
-	}
+func (r *Router) knn(u, k int) ([]Neighbor, error) { return r.KNN(u, k) }
+
+func (r *Router) stats() any { return r.Stats() }
+
+func (r *Router) health() (int, any) {
 	shards := r.Health()
 	ok := true
 	degraded := false
@@ -1814,68 +1745,50 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{"ok": ok, "degraded": degraded, "shards": shards})
+	return code, map[string]any{"ok": ok, "degraded": degraded, "shards": shards}
 }
 
-// handleReload proxies POST /reload?shard=I[&replica=J][&path=P] to one
-// shard replica (replica 0 when J is omitted), so an operator can
-// hot-swap any serving process through the router — a pinned shardCall,
-// so the replica's in-flight count (what power-of-two-choices reads) and
-// health accounting see the reload like any other request. The response
-// is the replica's own /reload response.
-func (r *Router) handleReload(w http.ResponseWriter, req *http.Request) {
-	if !allowMethod(w, req, http.MethodPost, "use POST /reload?shard=I&replica=J&path=P") {
-		return
-	}
-	q := req.URL.Query()
+// reload proxies POST /reload to replica J (default 0) of shard I as a
+// pinned shardCall, so the replica's in-flight count and health
+// accounting see it like any other request. The response is the
+// replica's own; an operator error it answers (a bad path is a 400) is
+// relayed verbatim, not dressed up as a shard failure.
+func (r *Router) reload(ctx context.Context, path string, q url.Values) (any, error) {
 	sid, ok := intParam(q, "shard")
 	if !ok || sid < 0 || sid >= len(r.shards) {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("shard must name a shard in [0,%d)", len(r.shards)))
-		return
+		return nil, badRequest(fmt.Sprintf("shard must name a shard in [0,%d)", len(r.shards)))
 	}
 	reps := r.shards[sid].reps
 	rid := 0
 	if q.Get("replica") != "" {
 		if rid, ok = intParam(q, "replica"); !ok || rid < 0 || rid >= len(reps) {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("replica must name a replica of shard %d in [0,%d)", sid, len(reps)))
-			return
+			return nil, badRequest(fmt.Sprintf("replica must name a replica of shard %d in [0,%d)", sid, len(reps)))
 		}
 	}
-	path := "/reload"
-	if p := q.Get("path"); p != "" {
-		path += "?path=" + url.QueryEscape(p)
+	call := "/reload"
+	if path != "" {
+		call += "?path=" + url.QueryEscape(path)
 	}
 	so := newObserver()
-	resp, _, serr := callShard[reloadResponse](req.Context(), r, shardCall{sid: sid, pin: reps[rid], path: path, body: struct{}{}, operator: true}, so)
-	var status *statusError
-	switch {
-	case serr == nil:
-		// A successful reload bumped the replica's generation; fold it in
-		// now so the next query doesn't serve one answer from the retired
-		// cache. The ident says whether the reloaded content actually
-		// changed — reloading the same file keeps the cache (see
-		// noteGenerations).
-		r.noteGenerations(so.obs)
-		writeJSON(w, http.StatusOK, resp)
-	case errors.As(serr.Err, &status):
-		// The replica spoke; an operator error (bad path → 400) is relayed
-		// verbatim, not dressed up as a shard failure.
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status.code)
-		w.Write(status.body)
-	default:
-		routeError(w, &ClusterError{Failed: []*ShardError{serr}})
+	resp, _, serr := callShard[reloadResponse](ctx, r, shardCall{sid: sid, pin: reps[rid], path: call, body: struct{}{}, operator: true}, so)
+	if serr != nil {
+		var status *statusError
+		if errors.As(serr.Err, &status) {
+			return nil, status
+		}
+		return nil, &ClusterError{Failed: []*ShardError{serr}}
 	}
+	// A successful reload bumped the replica's generation; fold it in now
+	// so the next query doesn't serve one answer from the retired cache.
+	// The ident says whether the reloaded content actually changed —
+	// reloading the same file keeps the cache (see noteGenerations).
+	r.noteGenerations(so.obs)
+	return resp, nil
 }
 
-// handleMetrics exposes the router in Prometheus text format.
-func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	if !allowMethod(w, req, http.MethodGet, "use GET /metrics") {
-		return
-	}
+// gauges writes the router's Prometheus gauges and counters.
+func (r *Router) gauges(w io.Writer) {
 	st := r.Stats()
-	w.Header().Set("Content-Type", promContentType)
-	r.metrics.writeTo(w, "chl_router")
 	promGauge(w, "chl_router_vertices", "Vertex-id space served by the cluster.", float64(st.Vertices))
 	promGauge(w, "chl_router_directed", "1 when the cluster serves a directed index.", boolGauge(st.Directed))
 	promGauge(w, "chl_router_shard_count", "Shards behind this router.", float64(len(st.Shards)))

@@ -781,51 +781,6 @@ func TestMetricsEndpoints(t *testing.T) {
 	}
 }
 
-// Router request validation: bad ids and malformed bodies are 400s with
-// JSON error bodies, exactly like the single-process API.
-func TestRouterBadRequests(t *testing.T) {
-	g := chl.GenerateScaleFree(100, 3, 3)
-	fx, _ := buildFlat(t, g)
-	c := startCluster(t, fx, 2, 0)
-	defer c.close()
-	routerTS := httptest.NewServer(c.router.Handler())
-	defer routerTS.Close()
-
-	for _, url := range []string{"/dist", "/dist?u=a&v=2", "/dist?u=1&v=100", "/dist?u=-1&v=2"} {
-		resp, err := http.Get(routerTS.URL + url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var m map[string]any
-		json.NewDecoder(resp.Body).Decode(&m)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || m["error"] == nil {
-			t.Errorf("%s: status %d body %v, want 400 with error", url, resp.StatusCode, m)
-		}
-	}
-	for _, body := range []string{`[[1,2,3]]`, `[[1,1000]]`, `{"no":"pairs"}`} {
-		resp, err := http.Post(routerTS.URL+"/batch", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var m map[string]any
-		json.NewDecoder(resp.Body).Decode(&m)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || m["error"] == nil {
-			t.Errorf("batch %q: status %d body %v, want 400 with error", body, resp.StatusCode, m)
-		}
-	}
-	// /reload without a valid shard id.
-	resp, err := http.Post(routerTS.URL+"/reload?shard=9", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("reload of unknown shard: %d, want 400", resp.StatusCode)
-	}
-}
-
 // A shard server pins its cluster's vertex space: reloading a file from
 // a different cluster build is a loud 400, relayed verbatim by the
 // router's proxy (not dressed up as a 502 shard failure), and the shard

@@ -3,7 +3,6 @@ package chl
 import (
 	"context"
 	"fmt"
-	"net/http"
 
 	"repro/internal/delta"
 )
@@ -105,25 +104,13 @@ func (r *Router) fetchPatchRows(verts []int) (fwd, bwd [][]uint64, err error) {
 	return fwd, bwd, nil
 }
 
-// handleUpdate is POST /update at the router: the same text patch-log
-// body the flat server accepts, applied to the cluster without touching
-// the shards. Its statuses are the flat server's (updateStatus); a 502
-// names the shards that could not supply patch-vertex rows.
-func (r *Router) handleUpdate(w http.ResponseWriter, req *http.Request) {
-	if !allowMethod(w, req, http.MethodPost, "POST a text patch log (add/del/set lines) to /update") {
-		return
-	}
-	ops, ok := decodePatchBody(w, req)
-	if !ok {
-		return
-	}
+// update is POST /update at the router: the same text patch-log body the
+// flat server accepts, applied to the cluster without touching the
+// shards; a 502 names the shards that could not supply patch-vertex rows.
+func (r *Router) update(ops []EdgeOp) (any, error) {
 	stat, err := r.Update(ops)
-	switch code := updateStatus(err); {
-	case err == nil:
-		writeJSON(w, http.StatusOK, map[string]any{"applied": len(ops), "patch": stat})
-	case code == http.StatusBadGateway:
-		routeError(w, err)
-	default:
-		httpError(w, code, err.Error())
+	if err != nil {
+		return nil, err
 	}
+	return map[string]any{"applied": len(ops), "patch": stat}, nil
 }

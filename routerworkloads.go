@@ -3,7 +3,6 @@ package chl
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"sort"
 	"sync"
 )
@@ -24,7 +23,7 @@ import (
 // distance is the same number /dist serves for that pair, bit for bit,
 // and a hot path's segments are answered from cache.
 func (r *Router) Path(u, v int) (dist float64, path []int, reachable bool, err error) {
-	if err := r.checkRange(u, v); err != nil {
+	if err := inRange(r.n, u, v); err != nil {
 		return 0, nil, false, err
 	}
 	if err := r.ensurePatch(); err != nil {
@@ -33,11 +32,8 @@ func (r *Router) Path(u, v int) (dist float64, path []int, reachable bool, err e
 	if st := r.state.Load(); st.patch != nil {
 		return pathPatched(st.patch, u, v)
 	}
-	return expandPath(u, v, r.n, r.hubQuery)
+	return expandPath(u, v, r.n, r.dist)
 }
-
-// hubQuery is queryHub with the witness as a hubQuerier.
-func (r *Router) hubQuery(u, v int) (float64, int, bool, error) { return r.queryHub(u, v, true) }
 
 // KNN returns up to k nearest targets from u through the cluster,
 // sorted by (distance, vertex) with witness hubs, exactly as
@@ -49,7 +45,7 @@ func (r *Router) hubQuery(u, v int) (float64, int, bool, error) { return r.query
 // identical (u, k) requests collapse into one fan-out (singleflight,
 // keyed apart from pair flights — see flightKind).
 func (r *Router) KNN(u, k int) ([]Neighbor, error) {
-	if err := r.checkRange(u); err != nil {
+	if err := inRange(r.n, u); err != nil {
 		return nil, err
 	}
 	if k < 1 || k > r.n {
@@ -63,7 +59,7 @@ func (r *Router) KNN(u, k int) ([]Neighbor, error) {
 	key := flightKeyFor(flightKNN, r.directed, u, k, st.patchEpoch())
 	res := r.flights.do(key, func() { r.collapsed.Add(1) }, func() flightResult {
 		if st.patch != nil {
-			nbs, err := knnPatched(st.patch, u, k, r.hubQuery)
+			nbs, err := knnPatched(st.patch, u, k, r.dist)
 			return flightResult{neighbors: nbs, err: err}
 		}
 		// Background parent: a flight outlives its leader's client (see
@@ -146,10 +142,10 @@ func (r *Router) Matrix(sources, targets []int, emit func(u int, dists []float64
 }
 
 func (r *Router) matrix(ctx context.Context, sources, targets []int, emit func(u int, dists []float64) error) error {
-	if err := r.checkRange(sources...); err != nil {
+	if err := inRange(r.n, sources...); err != nil {
 		return err
 	}
-	if err := r.checkRange(targets...); err != nil {
+	if err := inRange(r.n, targets...); err != nil {
 		return err
 	}
 	if err := r.ensurePatch(); err != nil {
@@ -205,54 +201,4 @@ func (r *Router) matrix(ctx context.Context, sources, targets []int, emit func(u
 	}
 	r.noteGenerations(so.obs)
 	return nil
-}
-
-// --- HTTP handlers ---
-
-func (r *Router) handlePaths(w http.ResponseWriter, req *http.Request) {
-	if !allowMethod(w, req, http.MethodGet, "use GET /paths?u=&v=") {
-		return
-	}
-	u, v, ok := intPair(w, req, "u", "v", "u and v must be integer vertex ids")
-	if !ok {
-		return
-	}
-	d, path, ok, err := r.Path(u, v)
-	if err != nil {
-		routeError(w, err)
-		return
-	}
-	writePath(w, u, v, d, path, ok)
-}
-
-func (r *Router) handleKNN(w http.ResponseWriter, req *http.Request) {
-	if !allowMethod(w, req, http.MethodGet, "use GET /knn?u=&k=") {
-		return
-	}
-	u, k, ok := knnParams(w, req, r.n)
-	if !ok {
-		return
-	}
-	neighbors, err := r.KNN(u, k)
-	if err != nil {
-		routeError(w, err)
-		return
-	}
-	writeKNN(w, u, k, neighbors)
-}
-
-// handleMatrix streams the matrix as NDJSON in the exact shape the
-// single-process Server serves (serveMatrix); a shard failure after
-// streaming has begun ends the stream with its {"error": ...} line.
-func (r *Router) handleMatrix(w http.ResponseWriter, req *http.Request) {
-	if !allowMethod(w, req, http.MethodPost, "POST a JSON {\"sources\":[...],\"targets\":[...]} body") {
-		return
-	}
-	mreq, ok := decodeMatrixBody(w, req, r.n)
-	if !ok {
-		return
-	}
-	serveMatrix(w, mreq, func(sources, targets []int, emit func(u int, dists []float64) error) error {
-		return r.matrix(req.Context(), sources, targets, emit)
-	})
 }

@@ -1,9 +1,9 @@
 package chl
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -19,10 +19,6 @@ import (
 	"repro/internal/label"
 	"repro/internal/shard"
 )
-
-// maxBatchBytes bounds a /batch request body; past this the decoder never
-// runs, so a hostile client cannot make the server buffer gigabytes.
-const maxBatchBytes = 64 << 20
 
 // fxHandle owns one FlatIndex shared by every snapshot generation built
 // over it: the frozen-only generation plus each patch-batch generation
@@ -63,6 +59,7 @@ func (h *fxHandle) release() {
 // the old generation retires naturally, with no query ever touching
 // unmapped memory and no reader ever blocking a reload.
 type Snapshot struct {
+	srv      *Server // the server that published it
 	handle   *fxHandle
 	fx       *FlatIndex
 	eng      *BatchEngine
@@ -120,9 +117,11 @@ func (sn *Snapshot) Release() {
 // unmapped only after its last query drains. A failed reload leaves the
 // current snapshot serving untouched.
 //
-// Handler exposes the HTTP API (/dist, /batch, /stats, /reload,
-// /healthz, /metrics, /shardquery) documented in README.md; the query
-// methods serve embedders directly. SetShard turns the server into one
+// Handler exposes the HTTP API documented in README.md — the endpoints a
+// Router serves too (/dist, /batch, /paths, /knn, /matrix, /stats,
+// /healthz, /reload, /update, /metrics) plus /compact and the shard
+// protocol's /shardquery and /shardscan; the query methods serve
+// embedders directly. SetShard turns the server into one
 // shard of a split cluster (see Router); SetPrefault warms fresh
 // mappings before they go live.
 type Server struct {
@@ -133,8 +132,8 @@ type Server struct {
 	queries   atomic.Int64
 	reloads   atomic.Int64
 	start     time.Time
-	clock     Clock // time source for uptime, load stamps, and metrics; FakeClock in tests
-	metrics   *httpMetrics
+	clock     Clock // time source for uptime, load stamps, and metrics
+	api       *http.ServeMux
 
 	// log is the patch log since the last compaction (nil: updates are
 	// off; see EnableUpdates), guarded by mu. The query path never reads
@@ -218,24 +217,30 @@ func newServer(cacheSize int) *Server {
 	//chlvet:allow clockcheck -- the epoch is a process identity ordered by real start time across restarts; a fake clock here would break restart detection, the one thing it exists for
 	epoch := uint64(time.Now().UnixMilli())<<10 | uint64(binary.LittleEndian.Uint16(e[:])&0x3ff)
 	clock := Clock(realClock{})
-	return &Server{
+	s := &Server{
 		cacheSize: cacheSize,
 		start:     clock.Now(),
 		clock:     clock,
 		epoch:     epoch & (1<<53 - 1),
 		shardID:   -1,
-		metrics: newHTTPMetrics(clock, "/dist", "/batch", "/paths", "/knn", "/matrix",
-			"/stats", "/reload", "/update", "/compact", "/healthz", "/shardquery", "/shardscan"),
 	}
+	// /shardquery and /shardscan check their method after shardOnly: a
+	// plain server 404s them whatever the method.
+	s.api = newFront(clock, "chl", s.pin, nil,
+		route{"/compact", http.MethodPost, "use POST /compact", snapshotRoute((*Snapshot).compact)},
+		route{"/shardquery", "", "", snapshotRoute((*Snapshot).shardQuery)},
+		route{"/shardscan", "", "", snapshotRoute((*Snapshot).shardScan)})
+	return s
 }
 
-// setClock swaps the server's time source (tests inject a FakeClock).
-// It re-stamps the start time so uptime counts in the new clock's
-// frame, and points the metrics middleware at the same source.
-func (s *Server) setClock(c Clock) {
-	s.clock = c
-	s.start = c.Now()
-	s.metrics.clock = c
+// pin is the front's per-request acquire: the snapshot current when the
+// request arrived answers all of it.
+func (s *Server) pin() backend { return s.Acquire() }
+
+// snapshotRoute adapts a Server-only endpoint to the front, whose backend
+// on a Server is the request's snapshot.
+func snapshotRoute(serve func(sn *Snapshot, w http.ResponseWriter, r *http.Request) error) func(http.ResponseWriter, *http.Request, backend) error {
+	return func(w http.ResponseWriter, r *http.Request, b backend) error { return serve(b.(*Snapshot), w, r) }
 }
 
 // SetShard declares this server to be shard id of partition p: the query
@@ -327,13 +332,6 @@ func (s *Server) SetPrefault(on bool) {
 	}
 }
 
-// owns reports whether this server serves vertex v (always true for a
-// non-shard server). Shard ownership is a bitmap test, not a ring
-// lookup — SetShard precomputed it.
-func (s *Server) owns(v int) bool {
-	return s.part == nil || s.owned[v>>6]&(1<<(v&63)) != 0
-}
-
 // install publishes fx as the next generation and retires the previous
 // snapshot (dropping the server's reference; the mapping closes when the
 // last in-flight query releases).
@@ -358,6 +356,7 @@ func (s *Server) installHandle(h *fxHandle, path string, ov *delta.Overlay) *Sna
 		ident = mixIdent(ident, ov.Hash())
 	}
 	sn := &Snapshot{
+		srv:      s,
 		handle:   h,
 		fx:       fx,
 		eng:      eng,
@@ -433,7 +432,7 @@ func (s *Server) Reload(path string) (uint64, error) {
 	return sn.gen, nil
 }
 
-// reload returns the installed snapshot so handleReload can describe
+// reload returns the installed snapshot so POST /reload can describe
 // exactly the generation it installed (not whatever a racing reload has
 // since published). The caller holds no reference: only the snapshot's
 // immutable metadata may be read, never its label arrays.
@@ -604,22 +603,32 @@ func (s *Server) applyLocked(step func(unitExp int, runs delta.Runs) (*delta.Ove
 // reloads/updates/compactions serialize behind it. Returns the new
 // generation.
 func (s *Server) Compact(path string) (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.log == nil {
-		return 0, fmt.Errorf("%w on this server", errUpdatesDisabled)
-	}
-	patched, err := s.log.Patched()
+	sn, err := s.compact(path)
 	if err != nil {
 		return 0, err
 	}
+	return sn.gen, nil
+}
+
+// compact returns the installed snapshot so POST /compact describes the
+// generation it installed, as reload does; the caller holds no reference.
+func (s *Server) compact(path string) (*Snapshot, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.log == nil {
+		return nil, fmt.Errorf("%w on this server", errUpdatesDisabled)
+	}
+	patched, err := s.log.Patched()
+	if err != nil {
+		return nil, err
+	}
 	ix, err := Build(patched, Options{})
 	if err != nil {
-		return 0, fmt.Errorf("chl: compaction rebuild: %w", err)
+		return nil, fmt.Errorf("chl: compaction rebuild: %w", err)
 	}
 	cur := s.cur.Load()
 	if cur == nil {
-		return 0, fmt.Errorf("chl: Server used after Close")
+		return nil, fmt.Errorf("chl: Server used after Close")
 	}
 	var fx *FlatIndex
 	if cur.fx.Compressed() {
@@ -628,17 +637,17 @@ func (s *Server) Compact(path string) (uint64, error) {
 		fx, err = ix.Freeze()
 	}
 	if err != nil {
-		return 0, fmt.Errorf("chl: compaction freeze: %w", err)
+		return nil, fmt.Errorf("chl: compaction freeze: %w", err)
 	}
 	if path == "" {
 		path = cur.path
 	}
 	if path != "" {
 		if err := fx.SaveFile(path); err != nil {
-			return 0, fmt.Errorf("chl: compaction save: %w", err)
+			return nil, fmt.Errorf("chl: compaction save: %w", err)
 		}
 		if fx, err = OpenFlat(path); err != nil {
-			return 0, fmt.Errorf("chl: compaction reopen: %w", err)
+			return nil, fmt.Errorf("chl: compaction reopen: %w", err)
 		}
 	}
 	if s.prefault.Load() {
@@ -646,10 +655,10 @@ func (s *Server) Compact(path string) (uint64, error) {
 	}
 	sn := s.installHandle(newFxHandle(fx), path, nil)
 	if err := s.log.Compacted(patched); err != nil {
-		return 0, fmt.Errorf("chl: truncating journal after compaction (updates ARE compacted into generation %d; clear the journal by hand before restarting): %w", sn.gen, err)
+		return nil, fmt.Errorf("chl: truncating journal after compaction (updates ARE compacted into generation %d; clear the journal by hand before restarting): %w", sn.gen, err)
 	}
 	s.compactions.Add(1)
-	return sn.gen, nil
+	return sn, nil
 }
 
 // Query answers one point-to-point query on the current snapshot,
@@ -664,16 +673,17 @@ func (s *Server) Query(u, v int) float64 {
 func (s *Server) QueryHub(u, v int) (dist float64, hub int, ok bool) {
 	sn := s.Acquire()
 	defer sn.Release()
-	s.queries.Add(1)
-	return sn.eng.QueryHub(u, v)
+	dist, hub, ok, _ = sn.dist(u, v)
+	return dist, hub, ok
 }
 
 // Batch answers a batch of queries on the current snapshot.
 func (s *Server) Batch(pairs []QueryPair) []float64 {
 	sn := s.Acquire()
 	defer sn.Release()
-	s.queries.Add(int64(len(pairs)))
-	return sn.eng.Batch(pairs)
+	dists := make([]float64, len(pairs))
+	sn.batch(context.Background(), dists, pairs)
+	return dists
 }
 
 // Path reconstructs the shortest-path witness chain between u and v on
@@ -682,8 +692,7 @@ func (s *Server) Batch(pairs []QueryPair) []float64 {
 func (s *Server) Path(u, v int) (dist float64, path []int, reachable bool, err error) {
 	sn := s.Acquire()
 	defer sn.Release()
-	s.queries.Add(1)
-	return sn.eng.Path(u, v)
+	return sn.paths(u, v)
 }
 
 // KNN returns up to k nearest targets from u on the current snapshot,
@@ -692,8 +701,8 @@ func (s *Server) Path(u, v int) (dist float64, path []int, reachable bool, err e
 func (s *Server) KNN(u, k int) []Neighbor {
 	sn := s.Acquire()
 	defer sn.Release()
-	s.queries.Add(1)
-	return sn.eng.KNN(u, k)
+	neighbors, _ := sn.knn(u, k)
+	return neighbors
 }
 
 // ServerStats is the /stats response: the current snapshot's shape and
@@ -733,6 +742,11 @@ type ShardStats struct {
 func (s *Server) Stats() ServerStats {
 	sn := s.Acquire()
 	defer sn.Release()
+	return s.statsOf(sn)
+}
+
+// statsOf reports the server's counters beside sn's shape and provenance.
+func (s *Server) statsOf(sn *Snapshot) ServerStats {
 	st := ServerStats{
 		Vertices:      sn.fx.NumVertices(),
 		Labels:        sn.fx.TotalLabels(),
@@ -763,688 +777,106 @@ func (s *Server) Stats() ServerStats {
 	return st
 }
 
-// Handler returns the HTTP API: GET /dist, POST /batch, GET /paths,
-// GET /knn, POST /matrix (NDJSON-streamed), GET /stats, POST /reload,
-// GET /healthz, GET /metrics (Prometheus text format with per-endpoint
-// latency histograms), and — for the sharded tier — POST /shardquery
-// and POST /shardscan. Every error is a JSON body {"error": "..."}
-// with a precise status code; see README.md for the full
-// request/response schemas.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/dist", s.metrics.wrap("/dist", s.handleDist))
-	mux.HandleFunc("/batch", s.metrics.wrap("/batch", s.handleBatch))
-	mux.HandleFunc("/paths", s.metrics.wrap("/paths", s.handlePaths))
-	mux.HandleFunc("/knn", s.metrics.wrap("/knn", s.handleKNN))
-	mux.HandleFunc("/matrix", s.metrics.wrap("/matrix", s.handleMatrix))
-	mux.HandleFunc("/stats", s.metrics.wrap("/stats", s.handleStats))
-	mux.HandleFunc("/reload", s.metrics.wrap("/reload", s.handleReload))
-	mux.HandleFunc("/update", s.metrics.wrap("/update", s.handleUpdate))
-	mux.HandleFunc("/compact", s.metrics.wrap("/compact", s.handleCompact))
-	mux.HandleFunc("/healthz", s.metrics.wrap("/healthz", s.handleHealthz))
-	mux.HandleFunc("/shardquery", s.metrics.wrap("/shardquery", s.handleShardQuery))
-	mux.HandleFunc("/shardscan", s.metrics.wrap("/shardscan", s.handleShardScan))
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	return mux
+// Handler returns the HTTP API (see the Server type and README.md): every
+// error is a JSON body {"error": "..."} with a precise status code.
+func (s *Server) Handler() http.Handler { return s.api }
+
+// --- the Server's backend: one snapshot per request ---
+
+func (sn *Snapshot) vertices() int { return sn.fx.NumVertices() }
+func (sn *Snapshot) shard() int    { return sn.srv.shardID }
+func (sn *Snapshot) stats() any    { return sn.srv.statsOf(sn) }
+func (sn *Snapshot) release()      { sn.Release() }
+
+// owns is a bitmap test, not a ring lookup: SetShard precomputed it.
+func (sn *Snapshot) owns(v int) bool {
+	s := sn.srv
+	return s.part == nil || s.owned[v>>6]&(1<<(v&63)) != 0
 }
 
 // stamp is the one place a Server fills the shard protocol's snapshot
-// stamp (see shardStamp). Plain servers keep the documented public
-// schema: the zero stamp, every key absent.
-func (s *Server) stamp(sn *Snapshot) shardStamp {
+// stamp (see shardStamp); a plain server's is zero, every key absent.
+func (sn *Snapshot) stamp() shardStamp {
+	s := sn.srv
 	if s.part == nil {
 		return shardStamp{}
 	}
 	return shardStamp{Generation: sn.gen, Epoch: s.epoch, Ident: sn.ident, N: sn.fx.NumVertices(), Directed: sn.fx.Directed(), UnitExp: sn.fx.unitExp()}
 }
 
-func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodGet, "use GET /dist?u=&v=") {
-		return
-	}
-	sn := s.Acquire()
-	defer sn.Release()
-	u, v, ok := intPair(w, r, "u", "v", "u and v must be integer vertex ids")
-	if !ok || !vertexIDsOK(w, sn.fx.NumVertices(), u, v) {
-		return
-	}
-	if !s.owns(u) || !s.owns(v) {
-		s.misdirected(w, u, v)
-		return
-	}
-	s.queries.Add(1)
+// The query methods below are where a Server counts its queries, for
+// the HTTP front and the exported query methods alike.
+
+func (sn *Snapshot) dist(u, v int) (float64, int, bool, error) {
+	sn.srv.queries.Add(1)
 	d, hub, ok := sn.eng.QueryHub(u, v)
-	writeDist(w, u, v, d, hub, ok, s.stamp(sn))
+	return d, hub, ok, nil
 }
 
-// writeDist writes the /dist body both tiers serve: dist and hub only
-// when the pair is reachable.
-func writeDist(w http.ResponseWriter, u, v int, d float64, hub int, ok bool, st shardStamp) {
-	pair := pairResponse{U: u, V: v, Reachable: ok, shardStamp: st}
-	if !ok {
-		writeJSON(w, http.StatusOK, pair)
-		return
-	}
-	writeJSON(w, http.StatusOK, distResponse{pairResponse: pair, Dist: d, Hub: hub})
+func (sn *Snapshot) batch(_ context.Context, dst []float64, pairs []QueryPair) error {
+	sn.srv.queries.Add(int64(len(pairs)))
+	sn.eng.BatchInto(dst, pairs)
+	return nil
 }
 
-// misdirected rejects a query for vertices this shard does not own. The
-// router never produces these; a 421 therefore means a client bypassed
-// the router or the cluster's manifests disagree.
-func (s *Server) misdirected(w http.ResponseWriter, us ...int) {
-	for _, u := range us {
-		if !s.owns(u) {
-			writeJSON(w, http.StatusMisdirectedRequest, map[string]any{
-				"error": fmt.Sprintf("vertex %d is not owned by shard %d; route through the cluster's router", u, s.shardID),
-				"shard": s.shardID,
-			})
-			return
-		}
-	}
+func (sn *Snapshot) paths(u, v int) (float64, []int, bool, error) {
+	sn.srv.queries.Add(1)
+	return sn.eng.Path(u, v)
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodPost, "POST a JSON array of [u,v] pairs") {
-		return
-	}
-	sn := s.Acquire()
-	defer sn.Release()
-	bb, ok := decodeBatchBody(w, r, sn.fx.NumVertices())
-	if !ok {
-		return
-	}
-	defer bb.release()
-	if s.part != nil {
-		for _, p := range bb.pairs {
-			if !s.owns(p.U) || !s.owns(p.V) {
-				s.misdirected(w, p.U, p.V)
-				return
-			}
-		}
-	}
-	s.queries.Add(int64(len(bb.pairs)))
-	// Never nil: an empty batch is answered "dists":[], not null.
-	if bb.dists == nil || cap(bb.dists) < len(bb.pairs) {
-		bb.dists = make([]float64, len(bb.pairs))
-	}
-	bb.dists = bb.dists[:len(bb.pairs)]
-	sn.eng.BatchInto(bb.dists, bb.pairs)
-	writeJSON(w, http.StatusOK, batchResponse{Dists: wireDists(bb.dists), shardStamp: s.stamp(sn)})
+func (sn *Snapshot) knn(u, k int) ([]Neighbor, error) {
+	sn.srv.queries.Add(1)
+	return sn.eng.KNN(u, k), nil
 }
 
-// --- front-door helpers shared by Server and Router handlers ---
-
-// allowMethod answers 405 with usage unless the request uses method.
-func allowMethod(w http.ResponseWriter, r *http.Request, method, usage string) bool {
-	if r.Method != method {
-		httpError(w, http.StatusMethodNotAllowed, usage)
-	}
-	return r.Method == method
+func (sn *Snapshot) matrix(_ context.Context, sources, targets []int, emit func(u int, dists []float64) error) error {
+	sn.srv.queries.Add(int64(len(sources)) * int64(len(targets)))
+	return sn.eng.MatrixRows(sources, targets, emit)
 }
 
-// intParam parses one integer query parameter.
-func intParam(q url.Values, name string) (int, bool) {
-	x, err := strconv.Atoi(q.Get(name))
-	return x, err == nil
-}
-
-// intPair parses the two integer query parameters every pair endpoint
-// takes; a missing or malformed one is a 400 with msg.
-func intPair(w http.ResponseWriter, r *http.Request, a, b, msg string) (x, y int, ok bool) {
-	q := r.URL.Query()
-	x, okX := intParam(q, a)
-	y, okY := intParam(q, b)
-	if !okX || !okY {
-		httpError(w, http.StatusBadRequest, msg)
-	}
-	return x, y, okX && okY
-}
-
-// vertexIDsOK answers the one 400 body both tiers serve for an id outside
-// [0,n) — clients must see one error schema no matter which tier
-// rejected them.
-func vertexIDsOK(w http.ResponseWriter, n int, ids ...int) bool {
-	for _, id := range ids {
-		if id < 0 || id >= n {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("vertex ids must be in [0,%d)", n))
-			return false
-		}
-	}
-	return true
-}
-
-// bodyErrorCode maps a request-body read failure to its status: 413 when
-// the size limit tripped, 400 otherwise.
-func bodyErrorCode(err error) int {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
-
-// decodeBody decodes a JSON request body of at most limit bytes into dst;
-// on failure it answers 400 (413 past the limit) saying the body must be
-// want. With optional set an empty body is fine and leaves dst untouched.
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, dst any, want string, optional bool) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(dst)
-	if err == nil || optional && errors.Is(err, io.EOF) {
-		return true
-	}
-	httpError(w, bodyErrorCode(err), "body must be "+want+": "+err.Error())
-	return false
-}
-
-// pathParam reads the file path /reload and /compact take: ?path=, else
-// an optional JSON body {"path": "..."}; an empty body means "my current
-// file". A malformed body is a 400, not a silent action on the old file
-// the operator didn't ask for.
-func pathParam(w http.ResponseWriter, r *http.Request) (string, bool) {
-	if path := r.URL.Query().Get("path"); path != "" {
-		return path, true
-	}
-	var body struct {
-		Path string `json:"path"`
-	}
-	ok := decodeBody(w, r, 1<<20, &body, `empty or a JSON object {"path":"..."}`, true)
-	return body.Path, ok
-}
-
-// decodeBatchBody reads and parses a /batch request body — a JSON array
-// of [u,v] pairs — into a pooled batchBuf, bounds-checking every id
-// against n; the caller releases the buffer once it has replied. On
-// failure it writes the error response and returns ok=false. Shared by
-// the single-process server and the Router, which must reject exactly the
-// same bodies: a malformed pair must be a 400, not a quietly wrong answer
-// (see parsePairs).
-func decodeBatchBody(w http.ResponseWriter, r *http.Request, n int) (*batchBuf, bool) {
-	const want = "a JSON array of [u,v] pairs"
-	body := wireBufs.Get().(*[]byte)
-	defer putWireBuf(body)
-	var ok bool
-	if *body, ok = readBody(w, r, maxBatchBytes, *body, want); !ok {
-		return nil, false
-	}
-	bb := batchBufs.Get().(*batchBuf)
-	var err error
-	if bb.pairs, err = parsePairs(*body, n, bb.pairs); err != nil {
-		bb.release()
-		msg := err.Error()
-		var syntax *syntaxError
-		if errors.As(err, &syntax) {
-			msg = "body must be " + want + ": " + msg
-		}
-		httpError(w, http.StatusBadRequest, msg)
-		return nil, false
-	}
-	return bb, true
-}
-
-// decodePatchBody reads a /update body — a text patch log of at most
-// maxPatchBytes — into its ops; an unreadable, malformed, or empty log is
-// answered here (400, or 413 past the limit).
-func decodePatchBody(w http.ResponseWriter, r *http.Request) ([]EdgeOp, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPatchBytes))
+func (sn *Snapshot) update(ops []EdgeOp) (any, error) {
+	next, err := sn.srv.update(ops)
 	if err != nil {
-		httpError(w, bodyErrorCode(err), "reading patch log body: "+err.Error())
-		return nil, false
-	}
-	ops, err := ParsePatchLog(body)
-	if err == nil && len(ops) == 0 {
-		err = errors.New("empty update: the body held no add/del/set ops")
-	}
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-	}
-	return ops, err == nil
-}
-
-// wireDists rewrites a distance row for the wire in place: JSON has no
-// +Inf, so -1 marks an unreachable pair.
-func wireDists(dists []float64) []float64 {
-	for i, d := range dists {
-		if d == Infinity {
-			dists[i] = -1
-		}
-	}
-	return dists
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if allowMethod(w, r, http.MethodGet, "use GET /stats") {
-		writeJSON(w, http.StatusOK, s.Stats())
-	}
-}
-
-func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodPost, "use POST /reload") {
-		return
-	}
-	path, ok := pathParam(w, r)
-	if !ok {
-		return
-	}
-	sn, err := s.reload(path)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	// Describe the snapshot this request installed; a racing reload may
-	// already have superseded it, but the response must be coherent.
-	resp := reloadResponse{
-		Path:       sn.path,
-		Mapped:     sn.fx.Mapped(),
-		Compressed: sn.fx.Compressed(),
-		Vertices:   sn.fx.NumVertices(),
-		Labels:     sn.fx.TotalLabels(),
-		shardStamp: s.stamp(sn),
-	}
-	resp.Generation = sn.gen // public on plain servers too
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// maxPatchBytes bounds a /update request body — patch logs are text,
-// and a batch bigger than this is an operator error, not a workload.
-const maxPatchBytes = 8 << 20
-
-// handleUpdate serves POST /update: the body is a text patch log (one
-// "add u v w" / "del u v" / "set u v w" op per line, '#' comments), the
-// response describes the overlay generation that now serves it. Shard
-// servers reject with 421 (route updates through the router); servers
-// without EnableUpdates reject with 409.
-func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodPost, "POST a text patch log (one \"add u v w\" / \"del u v\" / \"set u v w\" per line)") {
-		return
-	}
-	if s.part != nil {
-		writeJSON(w, http.StatusMisdirectedRequest, map[string]any{
-			"error": fmt.Sprintf("shard %d serves a frozen slice; route edge updates through the cluster's router", s.shardID),
-			"shard": s.shardID,
-		})
-		return
-	}
-	ops, ok := decodePatchBody(w, r)
-	if !ok {
-		return
-	}
-	sn, err := s.update(ops)
-	if err != nil {
-		httpError(w, updateStatus(err), err.Error())
-		return
+		return nil, err
 	}
 	resp := map[string]any{
 		"applied":    len(ops),
-		"generation": sn.gen,
-		"ident":      sn.ident,
+		"generation": next.gen,
+		"ident":      next.ident,
 	}
-	if ov := sn.Overlay(); ov != nil {
+	if ov := next.Overlay(); ov != nil {
 		resp["patch"] = ov.Stat()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
-// updateStatus is the status of a failed /update or /compact on either
-// tier: 409 when updates are off, 400 for what the patch log refuses, 502
-// when shards could not supply patch-vertex rows, 500 for the rest.
-func updateStatus(err error) int {
-	var ce *ClusterError
-	switch {
-	case errors.Is(err, errUpdatesDisabled):
-		return http.StatusConflict
-	case delta.Refused(err):
-		return http.StatusBadRequest
-	case errors.As(err, &ce):
-		return http.StatusBadGateway
-	}
-	return http.StatusInternalServerError
-}
-
-// handleCompact serves POST /compact: fold the outstanding patch log
-// into a fresh frozen index and swap it in. Optional ?path= (or JSON
-// body {"path":"..."}) names the file to persist the compacted index
-// to; default is the serving snapshot's own file when it has one.
-func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodPost, "use POST /compact") {
-		return
-	}
-	path, ok := pathParam(w, r)
-	if !ok {
-		return
-	}
-	gen, err := s.Compact(path)
+// reload describes the snapshot this request installed, even if a racing
+// reload superseded it; every failure is the operator's (400).
+func (sn *Snapshot) reload(_ context.Context, path string, _ url.Values) (any, error) {
+	next, err := sn.srv.reload(path)
 	if err != nil {
-		httpError(w, updateStatus(err), err.Error())
-		return
+		return nil, badRequest(err.Error())
 	}
-	sn := s.Acquire()
-	defer sn.Release()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"generation": gen,
-		"path":       sn.path,
-		"vertices":   sn.fx.NumVertices(),
-		"labels":     sn.fx.TotalLabels(),
-		"compressed": sn.fx.Compressed(),
-	})
+	resp := reloadResponse{
+		Path:       next.path,
+		Mapped:     next.fx.Mapped(),
+		Compressed: next.fx.Compressed(),
+		Vertices:   next.fx.NumVertices(),
+		Labels:     next.fx.TotalLabels(),
+		shardStamp: next.stamp(),
+	}
+	resp.Generation = next.gen // public on plain servers too
+	return resp, nil
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	sn := s.Acquire()
-	defer sn.Release()
-	resp := healthResponse{OK: true, shardStamp: s.stamp(sn)}
+func (sn *Snapshot) health() (int, any) {
+	resp := healthResponse{OK: true, shardStamp: sn.stamp()}
 	resp.Generation = sn.gen // public on plain servers too
-	writeJSON(w, http.StatusOK, resp)
+	return http.StatusOK, resp
 }
 
-// shardOnly gates the internal shard protocol (raw label-row dumps,
-// shipped-run scans, snapshot stamps): it stays off plain public
-// servers — 404 — so a router misconfigured against one fails loudly on
-// every path, not just the same-shard ones.
-func (s *Server) shardOnly(w http.ResponseWriter, r *http.Request, endpoint, usage string) bool {
-	if s.part == nil {
-		httpError(w, http.StatusNotFound, endpoint+" is only served by shard servers (started with a cluster manifest)")
-		return false
-	}
-	return allowMethod(w, r, http.MethodPost, usage)
-}
-
-// ownedIDsOK checks a router-supplied id list against the vertex space
-// (400) and this shard's ownership (421).
-func (s *Server) ownedIDsOK(w http.ResponseWriter, n int, ids []int) bool {
-	for _, v := range ids {
-		if v < 0 || v >= n {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("vertex id %d out of range [0,%d)", v, n))
-			return false
-		}
-		if !s.owns(v) {
-			s.misdirected(w, v)
-			return false
-		}
-	}
-	return true
-}
-
-// handleShardQuery serves the internal shard-to-router protocol: label
-// rows for owned vertices (the router joins them locally), and for the
-// forward rows named in hub_ids each entry's hub as an original id, from
-// the same snapshot — the witness the router's join picks.
-func (s *Server) handleShardQuery(w http.ResponseWriter, r *http.Request) {
-	const usage = `a JSON object {"vertices":[...],"backward":[...],"hub_ids":[...]}`
-	if !s.shardOnly(w, r, "shardquery", "POST "+usage) {
-		return
-	}
-	var req shardQueryRequest
-	if !decodeBody(w, r, maxBatchBytes, &req, usage, false) {
-		return
-	}
-	sn := s.Acquire()
-	defer sn.Release()
-	n := sn.fx.NumVertices()
-	if !s.ownedIDsOK(w, n, req.Vertices) || !s.ownedIDsOK(w, n, req.Backward) {
-		return
-	}
-	rows := func(ids []int, st label.Store) map[string]string {
-		if len(ids) == 0 {
-			return nil
-		}
-		out := make(map[string]string, len(ids))
-		for _, v := range ids {
-			out[strconv.Itoa(v)] = encodePackedRun(st.RunInto(nil, v))
-		}
-		return out
-	}
-	resp := shardQueryResponse{shardStamp: s.stamp(sn), Rows: rows(req.Vertices, sn.fx.fwd), BackRows: rows(req.Backward, sn.fx.bwd),
-		HubIDs: make(map[string][]int, len(req.HubIDs))}
-	for _, v := range req.HubIDs {
-		if !slices.Contains(req.Vertices, v) {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("hub_ids names vertex %d, which is not in vertices", v))
-			return
-		}
-		run := sn.fx.fwd.RunInto(nil, v)
-		ids := make([]int, len(run))
-		for i, e := range run {
-			ids[i] = sn.fx.perm[e>>32]
-		}
-		resp.HubIDs[strconv.Itoa(v)] = ids
-	}
-	s.queries.Add(int64(len(req.Vertices) + len(req.Backward)))
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// richOnShard rejects a rich-workload request (/paths, /knn, /matrix)
-// sent directly to a shard server: these workloads need the whole vertex
-// space (path waypoints and knn/matrix targets land on arbitrary
-// shards), so only plain servers and the router serve them. 421, like
-// misdirected — the fix is the same: route through the router.
-func (s *Server) richOnShard(w http.ResponseWriter) bool {
-	if s.part == nil {
-		return false
-	}
-	writeJSON(w, http.StatusMisdirectedRequest, map[string]any{
-		"error": fmt.Sprintf("shard %d serves only its owned label rows; route rich query workloads through the cluster's router", s.shardID),
-		"shard": s.shardID,
-	})
-	return true
-}
-
-func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodGet, "use GET /paths?u=&v=") || s.richOnShard(w) {
-		return
-	}
-	sn := s.Acquire()
-	defer sn.Release()
-	u, v, ok := intPair(w, r, "u", "v", "u and v must be integer vertex ids")
-	if !ok || !vertexIDsOK(w, sn.fx.NumVertices(), u, v) {
-		return
-	}
-	s.queries.Add(1)
-	d, path, ok, err := sn.eng.Path(u, v)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	writePath(w, u, v, d, path, ok)
-}
-
-// writePath writes the /paths body both tiers serve.
-func writePath(w http.ResponseWriter, u, v int, d float64, path []int, ok bool) {
-	pair := pairResponse{U: u, V: v, Reachable: ok}
-	if !ok {
-		writeJSON(w, http.StatusOK, pair)
-		return
-	}
-	writeJSON(w, http.StatusOK, pathResponse{pairResponse: pair, Dist: d, Path: path})
-}
-
-func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodGet, "use GET /knn?u=&k=") || s.richOnShard(w) {
-		return
-	}
-	sn := s.Acquire()
-	defer sn.Release()
-	u, k, ok := knnParams(w, r, sn.fx.NumVertices())
-	if !ok {
-		return
-	}
-	s.queries.Add(1)
-	writeKNN(w, u, k, sn.eng.KNN(u, k))
-}
-
-// knnParams parses and bounds-checks /knn's u and k for an n-vertex
-// index.
-func knnParams(w http.ResponseWriter, r *http.Request, n int) (u, k int, ok bool) {
-	u, k, ok = intPair(w, r, "u", "k", "u and k must be integers")
-	if !ok || !vertexIDsOK(w, n, u) {
-		return 0, 0, false
-	}
-	if k < 1 || k > n {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("k must be in [1,%d]", n))
-		return 0, 0, false
-	}
-	return u, k, true
-}
-
-// writeKNN writes the /knn body both tiers serve; an isolated source
-// answers [], not null.
-func writeKNN(w http.ResponseWriter, u, k int, neighbors []Neighbor) {
-	if neighbors == nil {
-		neighbors = []Neighbor{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"u": u, "k": k, "neighbors": neighbors})
-}
-
-// matrixRequest is the /matrix body: distances from every source to
-// every target, streamed row by row.
-type matrixRequest struct {
-	Sources idList `json:"sources"`
-	Targets idList `json:"targets"`
-}
-
-// decodeMatrixBody parses and bounds-checks a /matrix request body for
-// an n-vertex index; shared by the single-process server and the
-// Router. On failure it writes the error response and returns
-// ok=false.
-func decodeMatrixBody(w http.ResponseWriter, r *http.Request, n int) (matrixRequest, bool) {
-	const want = `a JSON object {"sources":[...],"targets":[...]}`
-	var req matrixRequest
-	buf := wireBufs.Get().(*[]byte)
-	defer putWireBuf(buf)
-	var ok bool
-	if *buf, ok = readBody(w, r, maxBatchBytes, *buf, want); !ok {
-		return req, false
-	}
-	// Unmarshal, not a Decoder: bytes after the object are an error, not
-	// ignored; the id lists hold themselves to the strict grammar (idList).
-	if err := json.Unmarshal(*buf, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "body must be "+want+": "+err.Error())
-		return req, false
-	}
-	if len(req.Sources) == 0 || len(req.Targets) == 0 {
-		httpError(w, http.StatusBadRequest, "sources and targets must both be non-empty")
-		return req, false
-	}
-	return req, vertexIDsOK(w, n, req.Sources...) && vertexIDsOK(w, n, req.Targets...)
-}
-
-// handleMatrix streams the sources × targets distance matrix (see
-// serveMatrix). The response never materializes more than one row — a
-// many-to-many query over a large index streams in constant memory at
-// both ends.
-func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodPost, "POST a JSON {\"sources\":[...],\"targets\":[...]} body") || s.richOnShard(w) {
-		return
-	}
-	sn := s.Acquire()
-	defer sn.Release()
-	req, ok := decodeMatrixBody(w, r, sn.fx.NumVertices())
-	if !ok {
-		return
-	}
-	s.queries.Add(int64(len(req.Sources)) * int64(len(req.Targets)))
-	serveMatrix(w, req, sn.eng.MatrixRows)
-}
-
-// serveMatrix writes the NDJSON matrix stream both tiers serve: one
-// header line {"targets":[...],"rows":N}, then one line
-// {"u":u,"dists":[...]} per source (-1 marks unreachable pairs), each
-// flushed as it is written. rows is the tier's row source (same shape as
-// FlatIndex.MatrixRows). The header is written lazily on the first row,
-// so a failure before any row still gets a proper error status
-// (routeError); a failure after streaming has begun terminates the
-// stream with an {"error": ...} line instead — the status line is long
-// gone.
-func serveMatrix(w http.ResponseWriter, req matrixRequest, rows func(sources, targets []int, emit func(u int, dists []float64) error) error) {
-	flusher, _ := w.(http.Flusher)
-	started := false
-	send := func(line []byte) error {
-		_, err := w.Write(line)
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return err
-	}
-	wire := make([]float64, len(req.Targets))
-	buf := wireBufs.Get().(*[]byte)
-	defer putWireBuf(buf)
-	err := rows(req.Sources, req.Targets, func(u int, dists []float64) error {
-		if !started {
-			started = true
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			b := append(matrixHeader{Targets: req.Targets, Rows: len(req.Sources)}.appendJSON((*buf)[:0]), '\n')
-			*buf = b
-			if err := send(b); err != nil {
-				return err
-			}
-		}
-		copy(wire, dists) // the row source reuses dists between emits
-		b := appendIntField((*buf)[:0], `{"u":`, int64(u))
-		b = append(appendDists(append(b, `,"dists":`...), wireDists(wire)), "}\n"...)
-		*buf = b
-		return send(b)
-	})
-	switch {
-	case err == nil:
-	case !started:
-		routeError(w, err)
-	default:
-		b, _ := json.Marshal(map[string]string{"error": err.Error()})
-		_ = send(append(b, '\n')) // best effort: the client may be the reason rows stopped
-	}
-}
-
-// handleShardScan serves the internal scan protocol behind the
-// router's /knn and /matrix: the router fetches the source's forward
-// run once, then ships it to the shards owning the candidates, and
-// each shard scans only its own label rows.
-func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) {
-	const usage = `a JSON object {"run":...,"k":...,"targets":[...]}`
-	if !s.shardOnly(w, r, "shardscan", "POST "+usage) {
-		return
-	}
-	req := shardScanRequest{Exclude: -1}
-	if !decodeBody(w, r, maxBatchBytes, &req, usage, false) {
-		return
-	}
-	sn := s.Acquire()
-	defer sn.Release()
-	n := sn.fx.NumVertices()
-	run, err := decodePackedRun(req.Run, n)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if req.K < 0 || req.K > n {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("k must be in [0,%d]", n))
-		return
-	}
-	if !s.ownedIDsOK(w, n, req.Targets) {
-		return
-	}
-	resp := shardScanResponse{shardStamp: s.stamp(sn)}
-	if req.K > 0 {
-		resp.Neighbors = sn.fx.KNNFromRun(run, req.K, req.Exclude)
-	}
-	if len(req.Targets) > 0 {
-		resp.Dists = make([]float64, len(req.Targets))
-		scratch := sn.fx.scratch.Get(n)
-		sn.fx.MatrixRowInto(scratch, resp.Dists, run, req.Targets)
-		sn.fx.scratch.Put(scratch)
-		wireDists(resp.Dists)
-	}
-	s.queries.Add(1)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleMetrics exposes the server in Prometheus text format: the
-// per-endpoint latency histograms plus index-shape and counter gauges.
-// Deliberately not instrumented itself — scrapes shouldn't pollute the
-// serving histograms.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodGet, "use GET /metrics") {
-		return
-	}
-	st := s.Stats()
-	w.Header().Set("Content-Type", promContentType)
-	s.metrics.writeTo(w, "chl")
+func (sn *Snapshot) gauges(w io.Writer) {
+	st := sn.srv.statsOf(sn)
 	promGauge(w, "chl_index_vertices", "Vertices covered by the served index.", float64(st.Vertices))
 	promGauge(w, "chl_index_labels", "Labels in the served index.", float64(st.Labels))
 	promGauge(w, "chl_index_memory_bytes", "Byte footprint of the served label arrays.", float64(st.MemoryBytes))
@@ -1475,46 +907,149 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// --- the Server's own endpoints ---
+
+// compact serves POST /compact (see Server.Compact): ?path= or a JSON
+// body {"path":"..."} names the file to persist to. The response
+// describes the generation the compaction installed.
+func (sn *Snapshot) compact(w http.ResponseWriter, r *http.Request) error {
+	path, err := pathParam(w, r, r.URL.Query())
+	if err != nil {
+		return err
+	}
+	next, err := sn.srv.compact(path)
+	if err != nil {
+		return err
+	}
+	writeJSON(w, http.StatusOK, map[string]any{
+		"generation": next.gen,
+		"path":       next.path,
+		"vertices":   next.fx.NumVertices(),
+		"labels":     next.fx.TotalLabels(),
+		"compressed": next.fx.Compressed(),
+	})
+	return nil
+}
+
+// shardOnly gates the internal shard protocol (raw label-row dumps,
+// shipped-run scans, snapshot stamps): it stays off plain public
+// servers — 404 — so a router misconfigured against one fails loudly on
+// every path, not just the same-shard ones.
+func (sn *Snapshot) shardOnly(r *http.Request, endpoint, usage string) error {
+	if sn.srv.part == nil {
+		return &requestError{code: http.StatusNotFound, msg: endpoint + " is only served by shard servers (started with a cluster manifest)"}
+	}
+	if r.Method != http.MethodPost {
+		return &requestError{code: http.StatusMethodNotAllowed, msg: usage}
+	}
+	return nil
+}
+
+// ownedIDs checks a router-supplied id list against the vertex space
+// (400) and this shard's ownership (421).
+func (sn *Snapshot) ownedIDs(ids []int) error {
+	n := sn.fx.NumVertices()
+	for _, v := range ids {
+		if v < 0 || v >= n {
+			return badRequest(fmt.Sprintf("vertex id %d out of range [0,%d)", v, n))
+		}
+		if err := owned(sn, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// shardQuery serves the internal shard-to-router protocol: label rows for
+// owned vertices (the router joins them locally), and for the forward
+// rows named in hub_ids each entry's hub as an original id, from the same
+// snapshot — the witness the router's join picks.
+func (sn *Snapshot) shardQuery(w http.ResponseWriter, r *http.Request) error {
+	const usage = `a JSON object {"vertices":[...],"backward":[...],"hub_ids":[...]}`
+	if err := sn.shardOnly(r, "shardquery", "POST "+usage); err != nil {
+		return err
+	}
+	var req shardQueryRequest
+	if err := decodeBody(w, r, maxBatchBytes, &req, usage, false); err != nil {
+		return err
+	}
+	if err := sn.ownedIDs(req.Vertices); err != nil {
+		return err
+	}
+	if err := sn.ownedIDs(req.Backward); err != nil {
+		return err
+	}
+	rows := func(ids []int, st label.Store) map[string]string {
+		if len(ids) == 0 {
+			return nil
+		}
+		out := make(map[string]string, len(ids))
+		for _, v := range ids {
+			out[strconv.Itoa(v)] = encodePackedRun(st.RunInto(nil, v))
+		}
+		return out
+	}
+	resp := shardQueryResponse{shardStamp: sn.stamp(), Rows: rows(req.Vertices, sn.fx.fwd), BackRows: rows(req.Backward, sn.fx.bwd),
+		HubIDs: make(map[string][]int, len(req.HubIDs))}
+	for _, v := range req.HubIDs {
+		if !slices.Contains(req.Vertices, v) {
+			return badRequest(fmt.Sprintf("hub_ids names vertex %d, which is not in vertices", v))
+		}
+		run := sn.fx.fwd.RunInto(nil, v)
+		ids := make([]int, len(run))
+		for i, e := range run {
+			ids[i] = sn.fx.perm[e>>32]
+		}
+		resp.HubIDs[strconv.Itoa(v)] = ids
+	}
+	sn.srv.queries.Add(int64(len(req.Vertices) + len(req.Backward)))
+	writeJSON(w, http.StatusOK, resp)
+	return nil
+}
+
+// shardScan serves the internal scan protocol behind the router's /knn
+// and /matrix: the router fetches the source's forward run once, then
+// ships it to the shards owning the candidates, and each shard scans only
+// its own label rows.
+func (sn *Snapshot) shardScan(w http.ResponseWriter, r *http.Request) error {
+	const usage = `a JSON object {"run":...,"k":...,"targets":[...]}`
+	if err := sn.shardOnly(r, "shardscan", "POST "+usage); err != nil {
+		return err
+	}
+	req := shardScanRequest{Exclude: -1}
+	if err := decodeBody(w, r, maxBatchBytes, &req, usage, false); err != nil {
+		return err
+	}
+	n := sn.fx.NumVertices()
+	run, err := decodePackedRun(req.Run, n)
+	if err != nil {
+		return badRequest(err.Error())
+	}
+	if req.K < 0 || req.K > n {
+		return badRequest(fmt.Sprintf("k must be in [0,%d]", n))
+	}
+	if err := sn.ownedIDs(req.Targets); err != nil {
+		return err
+	}
+	resp := shardScanResponse{shardStamp: sn.stamp()}
+	if req.K > 0 {
+		resp.Neighbors = sn.fx.KNNFromRun(run, req.K, req.Exclude)
+	}
+	if len(req.Targets) > 0 {
+		resp.Dists = make([]float64, len(req.Targets))
+		scratch := sn.fx.scratch.Get(n)
+		sn.fx.MatrixRowInto(scratch, resp.Dists, run, req.Targets)
+		sn.fx.scratch.Put(scratch)
+		wireDists(resp.Dists)
+	}
+	sn.srv.queries.Add(1)
+	writeJSON(w, http.StatusOK, resp)
+	return nil
+}
+
 func boolGauge(b bool) float64 {
 	if b {
 		return 1
 	}
 	return 0
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
-}
-
-// jsonContentType is shared by every JSON response, so setting the header
-// allocates nothing; header values are replaced or copied, never written
-// through.
-var jsonContentType = []string{"application/json"}
-
-// writeJSON writes every JSON response. The hot replies encode
-// themselves (wirecodec.go) into a pooled buffer and go out in one Write
-// with their Content-Length; everything else is encoding/json's — the
-// bytes are the same either way.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header()["Content-Type"] = jsonContentType
-	buf := wireBufs.Get().(*[]byte)
-	defer putWireBuf(buf)
-	b := (*buf)[:0]
-	switch v := v.(type) {
-	case distResponse:
-		b = v.appendJSON(b)
-	case pairResponse:
-		b = v.appendJSON(b)
-	case batchResponse:
-		b = v.appendJSON(b)
-	default:
-		w.WriteHeader(code)
-		json.NewEncoder(w).Encode(v)
-		return
-	}
-	b = append(b, '\n')
-	*buf = b
-	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
-	w.WriteHeader(code)
-	w.Write(b)
 }

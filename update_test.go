@@ -767,3 +767,108 @@ func TestSetShardRefusesUpdatingServer(t *testing.T) {
 		}
 	}
 }
+
+// TestCompactDescribesItsOwnGeneration interleaves /compact with /reload
+// of a different file (same vertex space, compressed, so a different
+// size): every /compact body must describe the generation the compaction
+// installed — its generation, the compaction's path — never one a racing
+// reload published after it, and no generation may be described twice.
+func TestCompactDescribesItsOwnGeneration(t *testing.T) {
+	dir := t.TempDir()
+	g := chl.GenerateRandom(120, 320, 9, 13)
+	path := saveFrozen(t, g, dir, "base.flat")
+	ix, _ := buildFrozen(t, g)
+	cfx, err := ix.FreezeCompressed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := filepath.Join(dir, "other.cflat")
+	if err := cfx.SaveFile(other); err != nil {
+		t.Fatal(err)
+	}
+	s, err := chl.NewServer(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.EnableUpdates(g, ""); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	var edge string // "set u v " over some edge of g
+	for u := 0; edge == ""; u++ {
+		if heads, _ := g.Neighbors(u); len(heads) > 0 {
+			edge = fmt.Sprintf("set %d %d ", u, heads[0])
+		}
+	}
+	compacted := filepath.Join(dir, "compacted.flat")
+
+	type described struct {
+		Generation uint64 `json:"generation"`
+		Path       string `json:"path"`
+	}
+	post := func(url, body string) (int, described) {
+		resp, err := http.Post(url, "text/plain", strings.NewReader(body))
+		if err != nil {
+			t.Errorf("POST %s: %v", url, err)
+			return 0, described{}
+		}
+		defer resp.Body.Close()
+		var d described
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
+				t.Errorf("POST %s: %v", url, err)
+			}
+		}
+		return resp.StatusCode, d
+	}
+
+	var (
+		mu   sync.Mutex
+		seen = map[uint64]string{} // generation -> the path its body named
+	)
+	note := func(who string, d described) {
+		mu.Lock()
+		defer mu.Unlock()
+		if prev, dup := seen[d.Generation]; dup {
+			t.Errorf("%s described generation %d (%s), already described as %s", who, d.Generation, d.Path, prev)
+		}
+		seen[d.Generation] = d.Path
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// Refused (400) while updates are outstanding; lands between
+				// a compaction and the next update.
+				if code, d := post(ts.URL+"/reload?path="+other, ""); code == http.StatusOK {
+					note("/reload", d)
+				}
+			}
+		}()
+	}
+	for i := 0; i < 100; i++ {
+		if code, _ := post(ts.URL+"/update", edge+fmt.Sprint(11+i%3)); code != http.StatusOK {
+			t.Fatalf("update %d: status %d", i, code)
+		}
+		code, d := post(ts.URL+"/compact?path="+compacted, "")
+		if code != http.StatusOK {
+			t.Fatalf("compact %d: status %d", i, code)
+		}
+		if d.Path != compacted {
+			t.Errorf("compact %d answered generation %d with path %q, not the %q it wrote", i, d.Generation, d.Path, compacted)
+		}
+		note("/compact", d)
+	}
+	close(stop)
+	wg.Wait()
+}

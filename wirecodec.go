@@ -58,9 +58,8 @@ func (bb *batchBuf) release() {
 }
 
 // readBody reads a request body of at most limit bytes into buf[:0],
-// growing it as needed. On failure it answers 400 (413 past the limit)
-// saying the body must be want, and reports false.
-func readBody(w http.ResponseWriter, r *http.Request, limit int64, buf []byte, want string) ([]byte, bool) {
+// growing it as needed; the error is the read's (see bodyError).
+func readBody(w http.ResponseWriter, r *http.Request, limit int64, buf []byte) ([]byte, error) {
 	body := http.MaxBytesReader(w, r.Body, limit)
 	buf = buf[:0]
 	for {
@@ -70,11 +69,10 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64, buf []byte, w
 		n, err := body.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
 		if err == io.EOF {
-			return buf, true
+			return buf, nil
 		}
 		if err != nil {
-			httpError(w, bodyErrorCode(err), "body must be "+want+": "+err.Error())
-			return buf, false
+			return buf, err
 		}
 	}
 }

@@ -35,8 +35,8 @@ func handlerAllocs(t *testing.T, h http.Handler, req *http.Request, body []byte)
 	return testing.AllocsPerRun(100, serve)
 }
 
-// TestDistHandlerAllocs pins GET /dist's allocation budget (ROADMAP 2(a)):
-// 14, against 15 before the reply was appended into a pooled buffer. The
+// TestDistHandlerAllocs pins GET /dist's allocation budget through the
+// shared HTTP front: 14, against 15 before the reply was appended into a pooled buffer. The
 // encoder itself never allocated — encoding/json pools its state — so
 // the append path's own saving is CPU; the allocations that went are the
 // metrics wrapper's status recorder and the Content-Type value, and

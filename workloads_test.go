@@ -226,65 +226,6 @@ func TestServerWorkloadGoAPI(t *testing.T) {
 	}
 }
 
-// TestWorkloadEndpointErrors: every malformed request draws the right
-// status with a JSON error body, on both the single-process server and
-// the router — bad ids and parameters must never reach a kernel.
-func TestWorkloadEndpointErrors(t *testing.T) {
-	g := chl.GenerateScaleFree(120, 3, 37)
-	fx, _ := buildFlat(t, g)
-	flatTS := httptest.NewServer(chl.NewServerFromFlat(fx, 0).Handler())
-	defer flatTS.Close()
-	tc := newTestCluster(t, fx, clusterSpec{shards: 2, cacheSize: 0})
-	defer tc.close()
-	routerTS := httptest.NewServer(tc.router.Handler())
-	defer routerTS.Close()
-
-	for _, base := range []string{flatTS.URL, routerTS.URL} {
-		probes := []struct {
-			method, path, body string
-			want               int
-		}{
-			{http.MethodGet, "/paths", "", http.StatusBadRequest},           // missing params
-			{http.MethodGet, "/paths?u=0&v=120", "", http.StatusBadRequest}, // v out of range
-			{http.MethodGet, "/paths?u=-1&v=0", "", http.StatusBadRequest},  // u out of range
-			{http.MethodPost, "/paths?u=0&v=1", "", http.StatusMethodNotAllowed},
-			{http.MethodGet, "/knn?u=0", "", http.StatusBadRequest},         // missing k
-			{http.MethodGet, "/knn?u=0&k=0", "", http.StatusBadRequest},     // k too small
-			{http.MethodGet, "/knn?u=0&k=bogus", "", http.StatusBadRequest}, // k not a number
-			{http.MethodGet, "/knn?u=120&k=3", "", http.StatusBadRequest},   // u out of range
-			{http.MethodPost, "/knn?u=0&k=3", "", http.StatusMethodNotAllowed},
-			{http.MethodGet, "/matrix", "", http.StatusMethodNotAllowed},
-			{http.MethodPost, "/matrix", "not json", http.StatusBadRequest},
-			{http.MethodPost, "/matrix", `{"sources":[],"targets":[1]}`, http.StatusBadRequest},
-			{http.MethodPost, "/matrix", `{"sources":[1],"targets":[]}`, http.StatusBadRequest},
-			{http.MethodPost, "/matrix", `{"sources":[500],"targets":[1]}`, http.StatusBadRequest},
-			{http.MethodPost, "/matrix", `{"sources":[1],"targets":[-3]}`, http.StatusBadRequest},
-		}
-		for _, p := range probes {
-			req, err := http.NewRequest(p.method, base+p.path, bytes.NewReader([]byte(p.body)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var body struct {
-				Error string `json:"error"`
-			}
-			dec := json.NewDecoder(resp.Body)
-			decErr := dec.Decode(&body)
-			resp.Body.Close()
-			if resp.StatusCode != p.want {
-				t.Fatalf("%s %s (%q) on %s: status %d, want %d", p.method, p.path, p.body, base, resp.StatusCode, p.want)
-			}
-			if decErr != nil || body.Error == "" {
-				t.Fatalf("%s %s on %s: no JSON error body (%v)", p.method, p.path, base, decErr)
-			}
-		}
-	}
-}
-
 // TestRichWorkloadsRejectedOnShards: a shard server owns only its slice
 // of the vertex space, so /paths, /knn, and /matrix sent directly to it
 // must 421 (route through the router); /shardscan, the internal scan
