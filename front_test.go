@@ -11,14 +11,21 @@ import (
 	chl "repro"
 )
 
-// TestEndpointTableBothTiers runs one table of refused requests against a
-// plain server and a router over the same 120-vertex index: every row
-// must draw its status, Content-Type and JSON error body byte for byte
-// identically from both tiers, except the rows whose error names the
-// tier (sameBody false), which must still agree on the status. Bad ids
-// and parameters must never reach a kernel, and every shared endpoint
-// answers a wrong method with its one usage text.
-func TestEndpointTableBothTiers(t *testing.T) {
+// endpointRow is one refused request of the endpoint table: the status
+// both tiers must answer it with, and whether their bodies must match
+// byte for byte (false for the rows whose error names the tier).
+type endpointRow struct {
+	method, path, body string
+	want               int
+	sameBody           bool
+}
+
+// runEndpointTable runs rows against a plain server and a router over the
+// same 120-vertex index: every row must draw its status, Content-Type and
+// JSON error body identically from both tiers, except that a row with
+// sameBody false need only agree on the status.
+func runEndpointTable(t *testing.T, rows []endpointRow) {
+	t.Helper()
 	g := chl.GenerateScaleFree(120, 3, 37)
 	fx, _ := buildFlat(t, g)
 	server := chl.NewServerFromFlat(fx, 0)
@@ -27,55 +34,6 @@ func TestEndpointTableBothTiers(t *testing.T) {
 	defer tc.close()
 	tiers := []http.Handler{server.Handler(), tc.router.Handler()}
 
-	type row struct {
-		method, path, body string
-		want               int
-		sameBody           bool
-	}
-	rows := []row{
-		// Pair parameters.
-		{http.MethodGet, "/dist", "", 400, true},
-		{http.MethodGet, "/dist?u=a&v=2", "", 400, true},
-		{http.MethodGet, "/dist?u=1&v=120", "", 400, true},
-		{http.MethodGet, "/dist?u=-1&v=2", "", 400, true},
-		{http.MethodGet, "/paths", "", 400, true},
-		{http.MethodGet, "/paths?u=0&v=120", "", 400, true},
-		{http.MethodGet, "/paths?u=-1&v=0", "", 400, true},
-		{http.MethodGet, "/knn?u=0", "", 400, true},
-		{http.MethodGet, "/knn?u=0&k=0", "", 400, true},
-		{http.MethodGet, "/knn?u=0&k=121", "", 400, true},
-		{http.MethodGet, "/knn?u=0&k=bogus", "", 400, true},
-		{http.MethodGet, "/knn?u=120&k=3", "", 400, true},
-		// Bodies.
-		{http.MethodPost, "/batch", `[[1,2,3]]`, 400, true},
-		{http.MethodPost, "/batch", `[[1,1000]]`, 400, true},
-		{http.MethodPost, "/batch", `{"no":"pairs"}`, 400, true},
-		{http.MethodPost, "/batch", `[[3,null]]`, 400, true},
-		{http.MethodPost, "/matrix", "not json", 400, true},
-		{http.MethodPost, "/matrix", `{"sources":[],"targets":[1]}`, 400, true},
-		{http.MethodPost, "/matrix", `{"sources":[1],"targets":[]}`, 400, true},
-		{http.MethodPost, "/matrix", `{"sources":[500],"targets":[1]}`, 400, true},
-		{http.MethodPost, "/matrix", `{"sources":[1],"targets":[-3]}`, 400, true},
-		{http.MethodPost, "/update", "not a patch log", 400, true},
-		{http.MethodPost, "/update", "# comments only\n", 400, true},
-		{http.MethodPost, "/reload", "{broken json", 400, true},
-		// Neither tier enabled updates; each names its own remedy.
-		{http.MethodPost, "/update", "add 0 1 2", 409, false},
-		// A plain server reloads from a path it does not have; a router
-		// needs a shard to proxy to.
-		{http.MethodPost, "/reload?shard=9", "", 400, false},
-		// One usage text per endpoint for a wrong method.
-		{http.MethodPost, "/dist?u=0&v=1", "", 405, true},
-		{http.MethodGet, "/batch", "", 405, true},
-		{http.MethodPost, "/paths?u=0&v=1", "", 405, true},
-		{http.MethodPost, "/knn?u=0&k=3", "", 405, true},
-		{http.MethodGet, "/matrix", "", 405, true},
-		{http.MethodPost, "/stats", "", 405, true},
-		{http.MethodPost, "/healthz", "", 405, true},
-		{http.MethodGet, "/reload", "", 405, true},
-		{http.MethodGet, "/update", "", 405, true},
-		{http.MethodPut, "/metrics", "", 405, true},
-	}
 	for _, r := range rows {
 		var got [2]*httptest.ResponseRecorder
 		for i, h := range tiers {
@@ -100,6 +58,69 @@ func TestEndpointTableBothTiers(t *testing.T) {
 			t.Errorf("%s %s (%q): server body %q, router body %q", r.method, r.path, r.body, got[0].Body, got[1].Body)
 		}
 	}
+}
+
+// TestRouterBadRequests: bad /dist ids and malformed /batch bodies are
+// 400s with the single-process server's JSON error bodies, and /reload of
+// a shard the router does not have is a 400.
+func TestRouterBadRequests(t *testing.T) {
+	runEndpointTable(t, []endpointRow{
+		{http.MethodGet, "/dist", "", 400, true},
+		{http.MethodGet, "/dist?u=a&v=2", "", 400, true},
+		{http.MethodGet, "/dist?u=1&v=120", "", 400, true},
+		{http.MethodGet, "/dist?u=-1&v=2", "", 400, true},
+		{http.MethodPost, "/batch", `[[1,2,3]]`, 400, true},
+		{http.MethodPost, "/batch", `[[1,1000]]`, 400, true},
+		{http.MethodPost, "/batch", `{"no":"pairs"}`, 400, true},
+		{http.MethodPost, "/batch", `[[3,null]]`, 400, true},
+		// A plain server reloads from a path it does not have; a router
+		// needs a shard to proxy to.
+		{http.MethodPost, "/reload?shard=9", "", 400, false},
+	})
+}
+
+// TestWorkloadEndpointErrors: every malformed /paths, /knn and /matrix
+// request draws the same status and JSON error body from the server and
+// the router — bad ids and parameters must never reach a kernel.
+func TestWorkloadEndpointErrors(t *testing.T) {
+	runEndpointTable(t, []endpointRow{
+		{http.MethodGet, "/paths", "", 400, true},
+		{http.MethodGet, "/paths?u=0&v=120", "", 400, true},
+		{http.MethodGet, "/paths?u=-1&v=0", "", 400, true},
+		{http.MethodPost, "/paths?u=0&v=1", "", 405, true},
+		{http.MethodGet, "/knn?u=0", "", 400, true},
+		{http.MethodGet, "/knn?u=0&k=0", "", 400, true},
+		{http.MethodGet, "/knn?u=0&k=121", "", 400, true},
+		{http.MethodGet, "/knn?u=0&k=bogus", "", 400, true},
+		{http.MethodGet, "/knn?u=120&k=3", "", 400, true},
+		{http.MethodPost, "/knn?u=0&k=3", "", 405, true},
+		{http.MethodGet, "/matrix", "", 405, true},
+		{http.MethodPost, "/matrix", "not json", 400, true},
+		{http.MethodPost, "/matrix", `{"sources":[],"targets":[1]}`, 400, true},
+		{http.MethodPost, "/matrix", `{"sources":[1],"targets":[]}`, 400, true},
+		{http.MethodPost, "/matrix", `{"sources":[500],"targets":[1]}`, 400, true},
+		{http.MethodPost, "/matrix", `{"sources":[1],"targets":[-3]}`, 400, true},
+	})
+}
+
+// TestEndpointTableBothTiers runs the endpoint table's remaining rows:
+// /update and /reload bodies, and one usage text per shared endpoint for
+// a wrong method.
+func TestEndpointTableBothTiers(t *testing.T) {
+	runEndpointTable(t, []endpointRow{
+		{http.MethodPost, "/update", "not a patch log", 400, true},
+		{http.MethodPost, "/update", "# comments only\n", 400, true},
+		{http.MethodPost, "/reload", "{broken json", 400, true},
+		// Neither tier enabled updates; each names its own remedy.
+		{http.MethodPost, "/update", "add 0 1 2", 409, false},
+		{http.MethodPost, "/dist?u=0&v=1", "", 405, true},
+		{http.MethodGet, "/batch", "", 405, true},
+		{http.MethodPost, "/stats", "", 405, true},
+		{http.MethodPost, "/healthz", "", 405, true},
+		{http.MethodGet, "/reload", "", 405, true},
+		{http.MethodGet, "/update", "", 405, true},
+		{http.MethodPut, "/metrics", "", 405, true},
+	})
 }
 
 // TestEndpointUsageTexts pins the 405 bodies the table above only

@@ -159,6 +159,26 @@ func TestSParaPLLWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestSParaPLLHoldsCHL: every CHL label is in SparaPLL's output with its
+// distance, whatever the workers' interleaving. A lower-ranked tree that
+// labeled a root before the root's labels were hashed used to let the
+// root's tree prune through a lower hub and drop CHL labels.
+func TestSParaPLLHoldsCHL(t *testing.T) {
+	g := graph.RoadGrid(9, 9, 2)
+	want, _ := Sequential(g, Options{})
+	for run := 0; run < 40; run++ {
+		workers := 2 + run%4
+		ix, _ := SParaPLL(g, Options{Workers: workers})
+		for v := 0; v < g.NumVertices(); v++ {
+			for _, l := range want.Labels(v) {
+				if d, ok := ix.Labels(v).Find(l.Hub); !ok || d != l.Dist {
+					t.Fatalf("run %d, workers=%d: L_%d lacks CHL label (%d,%v): got %v,%v", run, workers, v, l.Hub, l.Dist, d, ok)
+				}
+			}
+		}
+	}
+}
+
 func TestEmptyAndTinyGraphs(t *testing.T) {
 	empty := graph.Path(0, 1)
 	ix, m := Sequential(empty, Options{})

@@ -196,17 +196,38 @@ func Tree(g *graph.Graph, h int, s *Scratch, rankQuery bool,
 // paraPLL (rankQuery false: cover property only, redundancy grows with
 // workers), and of LCC-I (true: the output respects R, so cleaning turns
 // it into the CHL).
+//
+// Roots are claimed in rank order, and a root's labels are hashed before
+// the next root can be claimed. Without rank queries a lower-ranked tree
+// may label h; had it done so before h's hash, h's tree could prune a
+// vertex through that lower hub and drop a CHL label. Hashed first, every
+// hub that prunes h's tree outranks h, so paraPLL's output holds the CHL
+// and only adds redundant labels to it.
 func LiveForest(g *graph.Graph, store *label.ConcurrentStore, workers int, rankQuery bool) Stats {
 	n := g.NumVertices()
 	scr := NewScratches(workers, n)
 	stats := make([]Stats, workers)
-	ParallelFor(workers, n, func(w, h int) {
+	var claim sync.Mutex
+	next := 0
+	// One task per worker; each claims roots until none is left.
+	ParallelFor(workers, workers, func(w, _ int) {
 		s := scr[w]
-		s.HD.Reset()
-		store.AddTo(&s.HD, h)
-		stats[w].Add(Tree(g, h, s, rankQuery,
-			func(v int, dist float64) bool { return store.QueryAgainst(&s.HD, v, dist) },
-			func(v int, dist float64) { store.Append(v, label.L{Hub: uint32(h), Dist: dist}) }))
+		for {
+			claim.Lock()
+			h := next
+			next++
+			if h < n {
+				s.HD.Reset()
+				store.AddTo(&s.HD, h)
+			}
+			claim.Unlock()
+			if h >= n {
+				return
+			}
+			stats[w].Add(Tree(g, h, s, rankQuery,
+				func(v int, dist float64) bool { return store.QueryAgainst(&s.HD, v, dist) },
+				func(v int, dist float64) { store.Append(v, label.L{Hub: uint32(h), Dist: dist}) }))
+		}
 	})
 	return Sum(stats)
 }
