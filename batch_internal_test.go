@@ -20,7 +20,7 @@ func twoComponents(n int, directed bool) *Graph {
 		for u := 0; u < n; u++ {
 			heads, wts := g.Neighbors(u)
 			for k, v := range heads {
-				b.AddEdge(half*n+u, half*n+int(v), wts[k])
+				b.AddEdge(half*n+u, half*n+int(v), g.FromUnits(uint64(wts[k])))
 			}
 		}
 	}
@@ -110,7 +110,7 @@ func TestBatchIntoGroupsSources(t *testing.T) {
 // share no hub.
 func TestBatchIntoDropsScratchAfterPanic(t *testing.T) {
 	const n = 8
-	ix := label.NewIndex(n)
+	ix := label.NewIndex(n, 0)
 	for v := 0; v < n; v++ {
 		ix.SetLabels(v, label.Set{{Hub: uint32(v), Dist: 0}})
 	}

@@ -129,10 +129,13 @@ type Index struct {
 //
 // Directed graphs are supported by AlgoSeqPLL and AlgoPLaNT (forward and
 // backward label sets, cf. footnote 1 of the paper); the remaining
-// algorithms require an undirected graph. Build refuses a graph on which
-// float64 path sums could round (Graph.CheckExact): every builder, and
-// every frozen store after them, counts on exact distances.
-func Build(g *Graph, opt Options) (*Index, error) {
+// algorithms require an undirected graph. Every builder counts distances
+// exactly in the graph's unit 2^-k (the graph itself refuses weights it
+// could not count, at NewGraphBuilder's Finish), and Build refuses a
+// labeling with a label of 2^32 units or more, which no frozen store could
+// hold, naming the label.
+func Build(g *Graph, opt Options) (ix *Index, err error) {
+	defer refuse(&ix, &err)
 	rg, ix, err := newIndex(g, opt)
 	if err != nil {
 		return nil, err
@@ -174,15 +177,26 @@ func Build(g *Graph, opt Options) (*Index, error) {
 	return ix, nil
 }
 
-// newIndex is the prelude of every build: it refuses a nil graph, one whose
-// path sums could round, and an order of the wrong length, then returns g
-// in rank space beside an Index holding the permutation (labels unset).
+// refuse, deferred, turns a builder's refusal of a label past 2^32 units —
+// a *label.DistError panic, raised on the caller's goroutine by
+// ptree.ParallelFor and the cluster simulator — into a nil *v and that
+// error. Any other panic goes on.
+func refuse[T any](v **T, err *error) {
+	if p := recover(); p != nil {
+		var de *label.DistError
+		if e, ok := p.(error); !ok || !errors.As(e, &de) {
+			panic(p)
+		}
+		*v, *err = nil, fmt.Errorf("chl: %w", de)
+	}
+}
+
+// newIndex is the prelude of every build: it refuses a nil graph and an
+// order of the wrong length, then returns g in rank space beside an Index
+// holding the permutation (labels unset).
 func newIndex(g *Graph, opt Options) (*Graph, *Index, error) {
 	if g == nil {
 		return nil, nil, errors.New("chl: nil graph")
-	}
-	if err := g.CheckExact(); err != nil {
-		return nil, nil, fmt.Errorf("chl: %w", err)
 	}
 	ord := opt.Order
 	if ord == nil {
@@ -226,17 +240,17 @@ func (ix *Index) Directed() bool { return ix.bwd != ix.fwd }
 // Query returns the exact shortest-path distance between the original
 // vertex ids u and v, or Infinity if v is unreachable from u.
 func (ix *Index) Query(u, v int) float64 {
-	d, _, _ := label.QueryMerge(ix.fwd.Labels(ix.rank[u]), ix.bwd.Labels(ix.rank[v]))
+	d, _, _ := ix.QueryHub(u, v)
 	return d
 }
 
 // QueryHub additionally reports the witness hub (as an original vertex id).
 func (ix *Index) QueryHub(u, v int) (dist float64, hub int, ok bool) {
-	d, h, k := label.QueryMerge(ix.fwd.Labels(ix.rank[u]), ix.bwd.Labels(ix.rank[v]))
-	if !k {
+	d, h, ok := label.QueryMerge(ix.fwd.Labels(ix.rank[u]), ix.bwd.Labels(ix.rank[v]))
+	if !ok {
 		return d, 0, false
 	}
-	return d, ix.perm[h], true
+	return label.FromUnits(d, ix.fwd.UnitExp()), ix.perm[h], true
 }
 
 // Labels returns vertex u's hub labels as (original hub id, distance)
@@ -246,7 +260,7 @@ func (ix *Index) Labels(u int) []HubLabel {
 	s := ix.fwd.Labels(ix.rank[u])
 	out := make([]HubLabel, len(s))
 	for i, l := range s {
-		out[i] = HubLabel{Hub: ix.perm[l.Hub], Dist: l.Dist}
+		out[i] = HubLabel{Hub: ix.perm[l.Hub], Dist: label.FromUnits(float64(l.Dist), ix.fwd.UnitExp())}
 	}
 	return out
 }

@@ -1,9 +1,10 @@
 package chl_test
 
-// Exact distances end to end: the frozen stores count distances in a unit
-// 2^-k derived from the labels, so answers past 2^24 — where a float32
-// distance rounds — come back exact from every tier, and what no uint32
-// count or float64 sum holds exactly is refused, naming the value.
+// Exact distances end to end: the graph counts its weights in a unit 2^-k,
+// and the builders and frozen stores count distances in it, so answers
+// past 2^24 — where a float32 distance rounds — come back exact from every
+// tier, and what no uint32 count or float64 sum holds exactly is refused,
+// naming the value.
 
 import (
 	"bytes"
@@ -20,16 +21,25 @@ import (
 
 // mapWeights returns g with every arc weight replaced by f(weight).
 func mapWeights(g *chl.Graph, f func(float64) float64) *chl.Graph {
+	mg, err := tryMapWeights(g, f)
+	if err != nil {
+		panic(err)
+	}
+	return mg
+}
+
+// tryMapWeights is mapWeights, returning Finish's refusal.
+func tryMapWeights(g *chl.Graph, f func(float64) float64) (*chl.Graph, error) {
 	b := chl.NewGraphBuilder(g.NumVertices(), g.Directed())
 	for u := 0; u < g.NumVertices(); u++ {
 		heads, wts := g.Neighbors(u)
 		for i, h := range heads {
 			if g.Directed() || u < int(h) {
-				b.AddEdge(u, int(h), f(wts[i]))
+				b.AddEdge(u, int(h), f(g.FromUnits(uint64(wts[i]))))
 			}
 		}
 	}
-	return b.MustFinish()
+	return b.Finish()
 }
 
 // pathGraph returns the undirected path 0 – 1 – … with the given weights.
@@ -132,28 +142,61 @@ func TestOddOffsetRoadGrids(t *testing.T) {
 	}
 }
 
-// Freeze refuses a label distance no uint32 count holds: 2^32 units.
-func TestFreezeRefusesPast32BitUnits(t *testing.T) {
-	ix, err := chl.Build(pathGraph(1<<32), chl.Options{})
+// Build refuses a labeling with a label no uint32 count holds, 2^32 units,
+// naming the label, on a graph every weight of which the graph itself
+// counts: the path 0 –(2^31)– 1 –(2^31)– 2 with vertex 0
+// ranked first, whose label (0, 2^32) at vertex 2 is canonical. Every
+// builder refuses it where a tree would emit it, PLaNT, GLL and seqPLL
+// first among them, on both orientations. (The paraPLL builders may race
+// to the mirror label (2, 2^32) at vertex 0 first.)
+func TestBuildRefusesPast32BitLabels(t *testing.T) {
+	g := pathGraph(1<<31, 1<<31)
+	ord, err := chl.RankFromPerm([]int{0, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.Query(0, 1) != 1<<32 {
-		t.Fatalf("Index.Query(0,1) = %v, want 2^32", ix.Query(0, 1))
+	want := "vertex 2's label at hub 0 (rank) has distance 4.294967296e+09, which is not a whole number of units 2^-0 below 2^32"
+	for _, algo := range []chl.Algorithm{chl.AlgoPLaNT, chl.AlgoGLL, chl.AlgoSeqPLL, chl.AlgoSParaPLL, chl.AlgoLCC, chl.AlgoDParaPLL, chl.AlgoDGLL, chl.AlgoDPLaNT, chl.AlgoHybrid} {
+		opt := chl.Options{Algorithm: algo, Order: ord, Workers: 2}
+		if algo.Distributed() {
+			opt.Nodes, opt.WorkersPerNode = 2, 2
+		}
+		name := want
+		if algo == chl.AlgoSParaPLL || algo == chl.AlgoDParaPLL {
+			name = "has distance 4.294967296e+09, which is not a whole number of units 2^-0 below 2^32"
+		}
+		if ix, err := chl.Build(g, opt); ix != nil || err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: Build = %v, %v; want a refusal naming the label", algo, ix, err)
+		}
 	}
-	_, err = ix.Freeze()
-	if err == nil || !strings.Contains(err.Error(), "4.294967296e+09") {
-		t.Fatalf("Freeze of a 2^32 distance: %v, want a refusal naming 4.294967296e+09", err)
+	b := chl.NewGraphBuilder(3, true)
+	b.AddEdge(0, 1, 1<<31)
+	b.AddEdge(1, 2, 1<<31)
+	for _, algo := range []chl.Algorithm{chl.AlgoPLaNT, chl.AlgoSeqPLL} {
+		if ix, err := chl.Build(b.MustFinish(), chl.Options{Algorithm: algo, Order: ord}); ix != nil || err == nil || !strings.Contains(err.Error(), "4.294967296e+09") {
+			t.Errorf("directed %s: Build = %v, %v; want a refusal naming the label", algo, ix, err)
+		}
+	}
+	if px, err := chl.BuildWithPaths(g, chl.Options{Order: ord}); px != nil || err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("BuildWithPaths = %v, %v; want a refusal naming the label", px, err)
+	}
+	// One unit less, and every label fits.
+	ix, err := chl.Build(pathGraph(1<<31, 1<<31-1), chl.Options{Order: ord})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fx, err := ix.Freeze(); err != nil || fx.Query(0, 2) != 1<<32-1 {
+		t.Fatalf("Freeze: %v; d(0,2) = %v, want 2^32-1", err, fx.Query(0, 2))
 	}
 }
 
-// Build refuses weights on a 0.1 grid: their unit is 2^-55 or finer, so
-// path sums are not exact in float64 and the builders could disagree.
+// Weights on a 0.1 grid are refused where the graph is made: their unit is
+// 2^-55 or finer, so no uint32 counts them, path sums are not exact in
+// float64, and the builders could disagree.
 func TestBuildRefusesDecimalWeights(t *testing.T) {
-	g := mapWeights(chl.GenerateRoadGrid(4, 4, 1), func(w float64) float64 { return w / 10 })
-	_, err := chl.Build(g, chl.Options{})
+	_, err := tryMapWeights(chl.GenerateRoadGrid(4, 4, 1), func(w float64) float64 { return w / 10 })
 	if err == nil || !strings.Contains(err.Error(), "weight 0.") {
-		t.Fatalf("Build over 0.1-step weights: %v, want a refusal naming the weight", err)
+		t.Fatalf("a graph of 0.1-step weights: %v, want a refusal naming the weight", err)
 	}
 	// The same grid in quarters builds: its unit is 2^-2.
 	if _, err := chl.Build(mapWeights(chl.GenerateRoadGrid(4, 4, 1), func(w float64) float64 { return w / 4 }), chl.Options{}); err != nil {

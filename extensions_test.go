@@ -88,7 +88,8 @@ func TestBuildWithPathsRetrievesRealPaths(t *testing.T) {
 }
 
 // BuildWithPaths runs Build's checks: an order of the wrong length and a
-// graph whose path sums could round are refused, not built.
+// label past 2^32 units are refused, not built. (A graph whose path sums
+// could round is refused before either, by its own Finish.)
 func TestBuildWithPathsRunsBuildChecks(t *testing.T) {
 	g := chl.GenerateRoadGrid(4, 4, 1)
 	short := chl.RankIdentity(g.NumVertices() - 1)
@@ -97,10 +98,11 @@ func TestBuildWithPathsRunsBuildChecks(t *testing.T) {
 		t.Fatalf("BuildWithPaths over a short order: %v, want Build's %v", err, buildErr)
 	}
 
-	decimal := pathGraph(0.1, 0.2)
-	_, buildErr = chl.Build(decimal, chl.Options{})
-	if _, err := chl.BuildWithPaths(decimal, chl.Options{}); err == nil || buildErr == nil || err.Error() != buildErr.Error() {
-		t.Fatalf("BuildWithPaths over 0.1/0.2 weights: %v, want Build's %v", err, buildErr)
+	far := pathGraph(1<<31, 1<<31)
+	ord := chl.RankIdentity(far.NumVertices())
+	_, buildErr = chl.Build(far, chl.Options{Algorithm: chl.AlgoSeqPLL, Order: ord})
+	if _, err := chl.BuildWithPaths(far, chl.Options{Order: ord}); err == nil || buildErr == nil || err.Error() != buildErr.Error() {
+		t.Fatalf("BuildWithPaths with a label of 2^32 units: %v, want Build's %v", err, buildErr)
 	}
 }
 

@@ -94,6 +94,9 @@ func (c *Cluster) Run(body func(n *Node)) Stats {
 			}
 			continue
 		}
+		if err, ok := p.(error); ok { // wrapped, so errors.As still finds it
+			panic(fmt.Errorf("cluster: node %d panicked: %w", r, err))
+		}
 		panic(fmt.Sprintf("cluster: node %d panicked: %v", r, p))
 	}
 	if fallback != "" {

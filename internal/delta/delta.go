@@ -187,8 +187,8 @@ type Reduction struct {
 	verts    []int       // sorted patch vertex ids (endpoints of R ∪ I)
 	slot     map[int]int // vertex id -> index into verts
 	removals []removal
-	inserts  [][]insArc       // slot -> inserted arcs out of it
-	edits    []graph.EdgeEdit // final state of every edge in R ∪ I
+	inserts  [][]insArc   // slot -> inserted arcs out of it
+	patched  *graph.Graph // base − R + I
 	nRem     int
 	nIns     int
 }
@@ -279,6 +279,7 @@ func Reduce(base *graph.Graph, ops []Op) (*Reduction, error) {
 		w    float64
 	}
 	var rem, ins []diffEdge
+	var edits []graph.EdgeEdit // the final state of every edge in R ∪ I
 	seen := map[int]bool{}
 	for _, k := range keys {
 		st := cur[k]
@@ -286,7 +287,7 @@ func Reduce(base *graph.Graph, ops []Op) (*Reduction, error) {
 		if bhas == st.present && (!bhas || st.w == bw) {
 			continue // the ops on this edge cancelled out
 		}
-		r.edits = append(r.edits, graph.EdgeEdit{U: k.u, V: k.v, W: st.w, Del: !st.present})
+		edits = append(edits, graph.EdgeEdit{U: k.u, V: k.v, W: st.w, Del: !st.present})
 		seen[k.u], seen[k.v] = true, true
 		if bhas {
 			rem = append(rem, diffEdge{k.u, k.v, bw})
@@ -315,21 +316,10 @@ func Reduce(base *graph.Graph, ops []Op) (*Reduction, error) {
 	}
 	r.nRem, r.nIns = len(rem), len(ins)
 	// Refuse a patch whose graph chl.Build would refuse, so /compact can
-	// always rebuild. A base that passes still passes after inserts no
-	// heavier and no finer than its own weights (removals only lower maxW
-	// and the unit); anything else is checked on the patched graph itself.
-	kept := base.CheckExact() == nil
-	for _, e := range ins {
-		kept = kept && e.w <= base.MaxWeight() && graph.UnitExp(e.w) <= base.WeightUnitExp()
-	}
-	if !kept {
-		pg, err := r.Materialize()
-		if err != nil {
-			return nil, err
-		}
-		if err := pg.CheckExact(); err != nil {
-			return nil, fmt.Errorf("delta: the patched graph could not be rebuilt: %w", err)
-		}
+	// always rebuild: Splice refuses what graph.Finish refuses.
+	var err error
+	if r.patched, err = base.Splice(edits); err != nil {
+		return nil, fmt.Errorf("delta: the patched graph could not be rebuilt: %w", err)
 	}
 	return r, nil
 }
@@ -341,12 +331,10 @@ func (r *Reduction) Verts() []int { return r.verts }
 // cancelled out, so queries can stay on the frozen path.
 func (r *Reduction) Empty() bool { return r.nRem == 0 && r.nIns == 0 }
 
-// Materialize builds the patched graph G' = base − R + I. Only the rows
-// of the patch vertices are rebuilt (graph.Splice); every other row is
-// copied from base in bulk.
-func (r *Reduction) Materialize() (*graph.Graph, error) {
-	return r.base.Splice(r.edits)
-}
+// Materialize returns the patched graph G' = base − R + I, which Reduce
+// spliced: only the rows of the patch vertices are rebuilt (graph.Splice);
+// every other row is copied from base in bulk.
+func (r *Reduction) Materialize() *graph.Graph { return r.patched }
 
 // ApplyPatch applies a patch log to a graph and returns the patched
 // graph — the reference mutation tests build on (compaction: Log.Patched).
@@ -355,7 +343,7 @@ func ApplyPatch(base *graph.Graph, ops []Op) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return red.Materialize()
+	return red.Materialize(), nil
 }
 
 // Overlay is one immutable patch generation: a Reduction plus the
@@ -464,10 +452,7 @@ func NewOverlay(red *Reduction, ops []Op, epoch uint64, unitExp int, fwd, bwd []
 			}
 		}
 	}
-	pg, err := red.Materialize()
-	if err != nil {
-		return nil, err
-	}
+	pg := red.Materialize()
 	o.patched = pg
 	o.dpp = make([][]float64, k)
 	for i := 0; i < k; i++ {

@@ -105,7 +105,7 @@ func FuzzMaterialize(f *testing.F) {
 		for u := 0; u < n; u++ {
 			heads, wts := base.Neighbors(u)
 			for i, h := range heads {
-				edges[norm(u, int(h))] = wts[i]
+				edges[norm(u, int(h))] = base.FromUnits(uint64(wts[i]))
 			}
 		}
 		var ops []Op
@@ -136,11 +136,12 @@ func FuzzMaterialize(f *testing.F) {
 			ref.AddEdge(k.u, k.v, w)
 		}
 		want := ref.MustFinish()
-		if got.NumArcs() != want.NumArcs() {
-			t.Fatalf("directed=%v %v: %d arcs, Builder made %d", directed, ops, got.NumArcs(), want.NumArcs())
+		if got.NumArcs() != want.NumArcs() || got.WeightUnitExp() != want.WeightUnitExp() {
+			t.Fatalf("directed=%v %v: %d arcs in units of 2^-%d, Builder made %d in 2^-%d", directed, ops,
+				got.NumArcs(), got.WeightUnitExp(), want.NumArcs(), want.WeightUnitExp())
 		}
 		for u := 0; u < n; u++ {
-			for _, rows := range []func(*graph.Graph, int) ([]uint32, []float64){(*graph.Graph).Neighbors, (*graph.Graph).InNeighbors} {
+			for _, rows := range []func(*graph.Graph, int) ([]uint32, []uint32){(*graph.Graph).Neighbors, (*graph.Graph).InNeighbors} {
 				gh, gw := rows(got, u)
 				wh, ww := rows(want, u)
 				if !slices.Equal(gh, wh) || !slices.Equal(gw, ww) {

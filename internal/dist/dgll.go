@@ -89,7 +89,7 @@ func DGLL(g *graph.Graph, o Options) (*Result, error) {
 	})
 	var common *label.Index
 	if eta > 0 && table != nil {
-		common = label.FromSets(table)
+		common = label.FromSets(table, r.g.WeightUnitExp())
 	}
 	return r.result(table, common)
 }

@@ -291,11 +291,11 @@ func (r *run) result(table []label.Set, common *label.Index) (*Result, error) {
 	if table == nil || r.o.MemoryLimitBytes > 0 && r.m.MaxNodeBytes > r.o.MemoryLimitBytes {
 		return nil, ErrOutOfMemory
 	}
-	ix := label.FromSets(table)
+	ix := label.FromSets(table, r.g.WeightUnitExp())
 	r.m.Labels = ix.TotalLabels()
 	per := make([]*label.Index, r.o.Nodes)
 	for q := range per {
-		per[q] = label.NewIndex(r.n)
+		per[q] = label.NewIndex(r.n, r.g.WeightUnitExp())
 	}
 	ptree.ParallelFor(r.o.Nodes*r.o.WorkersPerNode, r.n, func(_, v int) {
 		for _, l := range table[v] { // hubs ascend: a plain append

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/graph"
 	"repro/internal/label"
+	"repro/internal/metrics"
 	"repro/internal/plant"
 	"repro/internal/ptree"
 )
@@ -47,7 +48,7 @@ func (r *run) newPlanter(nd *cluster.Node, c *perNodeCounters) *planter {
 	global := make([]label.Set, r.n)
 	return &planter{
 		r: r, nd: nd, c: c, scr: plant.NewScratches(r.o.WorkersPerNode, r.n),
-		global: global, table: label.FromSets(global), psi: math.Inf(1),
+		global: global, table: label.FromSets(global, r.g.WeightUnitExp()), psi: math.Inf(1),
 		pend: share{Batch: plant.Batch{Outs: make([][]plant.Emitted, r.o.WorkersPerNode)}, bad: noRoot},
 	}
 }
@@ -67,7 +68,7 @@ func (p *planter) plant(lo, hi int) int64 {
 	for i, st := range stats {
 		p.c.Add(st)
 		labels += st.Labels
-		if st.Psi() > p.psi {
+		if metrics.Psi(st.Explored, st.Labels) > p.psi {
 			p.pend.bad = min(p.pend.bad, mine[i])
 		}
 	}
@@ -185,7 +186,7 @@ func (p *planter) run() (end, bad int) {
 func (r *run) plantResult(table []label.Set, nodes []*planter) (*Result, error) {
 	var common *label.Index
 	if r.o.Eta >= 0 && table != nil {
-		common = label.FromSets(table)
+		common = label.FromSets(table, r.g.WeightUnitExp())
 	}
 	if from := nodes[0].replicated; table != nil && from < r.n {
 		pending := make([]share, len(nodes))
@@ -193,7 +194,7 @@ func (r *run) plantResult(table []label.Set, nodes []*planter) (*Result, error) 
 			pending[i] = p.pend
 		}
 		table = slices.Clone(table) // appends reallocate or write past the replica's lengths: Common keeps its view
-		commitShares(label.FromSets(table), r.o.WorkersPerNode, from, r.n, pending)
+		commitShares(label.FromSets(table, r.g.WeightUnitExp()), r.o.WorkersPerNode, from, r.n, pending)
 	}
 	return r.result(table, common)
 }

@@ -128,7 +128,7 @@ func (st *State) GlobalLabels(v int) label.Set { return st.global[v] }
 
 // Index seals the run into a queryable index. Call only after Done.
 func (st *State) Index() *label.Index {
-	return label.FromSets(st.global)
+	return label.FromSets(st.global, st.g.WeightUnitExp())
 }
 
 // Superstep runs one Label Construction phase (until the local table holds

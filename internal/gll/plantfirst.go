@@ -40,7 +40,7 @@ func (st *State) plantFirstSuperstep(m *metrics.Build) {
 
 	// Commit without cleaning: PLaNT output is canonical.
 	planted := min(int(st.next.Load()), n)
-	plant.Commit(label.FromSets(st.global), st.opts.Workers, 0, b.Spans[:planted], b.Outs)
+	plant.Commit(label.FromSets(st.global, st.g.WeightUnitExp()), st.opts.Workers, 0, b.Spans[:planted], b.Outs)
 	m.ConstructTime += time.Since(t0)
 	m.Synchronizations++
 }

@@ -87,7 +87,7 @@ func LargestComponent(g *Graph) (*Graph, []int) {
 				continue
 			}
 			if g.Directed() || newU < newV {
-				b.AddEdge(newU, newV, wts[i])
+				b.AddEdge(newU, newV, g.FromUnits(uint64(wts[i])))
 			}
 		}
 	}

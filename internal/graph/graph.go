@@ -5,21 +5,30 @@
 // networks), DIMACS and edge-list I/O, and basic structural utilities
 // (transpose, permutation, connected components).
 //
-// Vertices are dense integers in [0, N). Edge weights are strictly positive
-// float64 values; every constructor rejects non-positive weights because the
-// labeling algorithms (and the exactness of PLaNT's ancestor propagation,
-// see the internal/plant package doc) rely on them.
+// Vertices are dense integers in [0, N). Edge weights are given as strictly
+// positive float64 values and stored as uint32 counts of the graph's unit
+// 2^-k (WeightUnitExp): the finest unit any weight needs, 0 on integer weights.
+// This package decides the unit. Every search and builder below it adds
+// counts in uint64, exactly, and float64 appears again only at the API edge
+// (FromUnits, sssp.Dijkstra's rows, the label stores' answers). Finish and
+// Splice refuse a graph whose counts or path sums would not be exact (see
+// Finish).
 package graph
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
 // Infinity is the distance assigned to unreachable vertices.
 const Infinity = math.MaxFloat64
+
+// Unreached is the distance in units of a vertex no path reaches: above
+// every distance a search can compute.
+const Unreached = math.MaxUint64
 
 // Graph is an immutable weighted graph in CSR form. For undirected graphs
 // every edge {u,v} is stored as the two arcs u→v and v→u. Use a Builder to
@@ -27,20 +36,20 @@ const Infinity = math.MaxFloat64
 type Graph struct {
 	n        int
 	directed bool
-	off      []int64   // len n+1; arcs of u are adj[off[u]:off[u+1]]
-	adj      []uint32  // arc heads
-	wts      []float64 // arc weights, parallel to adj
+	off      []int64  // len n+1; arcs of u are adj[off[u]:off[u+1]]
+	adj      []uint32 // arc heads
+	wts      []uint32 // arc weights in units of 2^-k, parallel to adj
 
 	// reverse CSR, present only for directed graphs (lazily built by
 	// Builder.Finish so that Graph itself stays immutable).
 	roff []int64
 	radj []uint32
-	rwts []float64
+	rwts []uint32
 
-	// minW and maxW are the lightest and heaviest arc weight, and fineW
-	// the first weight of the largest UnitExp (all 0 for an edgeless
-	// graph), fixed where the CSR is made.
-	minW, maxW, fineW float64
+	// k is the unit exponent, and minW and maxW the lightest and heaviest
+	// arc in units (0 for an edgeless graph), fixed where the CSR is made.
+	k          int
+	minW, maxW uint32
 }
 
 // NumVertices returns the number of vertices |V|.
@@ -73,17 +82,17 @@ func (g *Graph) InDegree(u int) int {
 	return int(g.roff[u+1] - g.roff[u])
 }
 
-// Neighbors returns the arc heads and weights of u's outgoing arcs. The
-// returned slices alias the graph's internal storage and must not be
-// modified.
-func (g *Graph) Neighbors(u int) ([]uint32, []float64) {
+// Neighbors returns the arc heads and weights, in units, of u's outgoing
+// arcs. The returned slices alias the graph's internal storage and must
+// not be modified.
+func (g *Graph) Neighbors(u int) ([]uint32, []uint32) {
 	lo, hi := g.off[u], g.off[u+1]
 	return g.adj[lo:hi], g.wts[lo:hi]
 }
 
 // InNeighbors returns the arc tails and weights of u's incoming arcs. For an
 // undirected graph this is identical to Neighbors.
-func (g *Graph) InNeighbors(u int) ([]uint32, []float64) {
+func (g *Graph) InNeighbors(u int) ([]uint32, []uint32) {
 	if !g.directed {
 		return g.Neighbors(u)
 	}
@@ -91,54 +100,41 @@ func (g *Graph) InNeighbors(u int) ([]uint32, []float64) {
 	return g.radj[lo:hi], g.rwts[lo:hi]
 }
 
-// HasEdge reports whether an arc u→v exists, and returns its weight. If
-// parallel arcs exist the minimum weight is returned.
+// HasEdge reports whether an arc u→v exists, and returns its weight (the
+// lightest of parallel arcs, which is all Finish keeps).
 func (g *Graph) HasEdge(u, v int) (float64, bool) {
-	w, found := Infinity, false
 	heads, wts := g.Neighbors(u)
 	for i, h := range heads {
-		if int(h) == v && wts[i] < w {
-			w, found = wts[i], true
+		if int(h) == v {
+			return g.FromUnits(uint64(wts[i])), true
 		}
 	}
-	return w, found
+	return Infinity, false
 }
 
 // MinWeight returns the smallest arc weight, or 0 for an edgeless graph.
-func (g *Graph) MinWeight() float64 { return g.minW }
+func (g *Graph) MinWeight() float64 { return g.FromUnits(uint64(g.minW)) }
 
 // MaxWeight returns the largest arc weight, or 0 for an edgeless graph.
-func (g *Graph) MaxWeight() float64 { return g.maxW }
+func (g *Graph) MaxWeight() float64 { return g.FromUnits(uint64(g.maxW)) }
 
-// WeightUnitExp returns the largest UnitExp of an arc weight: every weight
-// is a whole number of units 2^-k (0 on integer weights).
-func (g *Graph) WeightUnitExp() int { return UnitExp(g.fineW) }
+// MinUnits returns the smallest arc weight in units, or 0 for an edgeless
+// graph.
+func (g *Graph) MinUnits() uint32 { return g.minW }
 
-// weightRange returns the smallest and largest of wts and the first of
-// the largest UnitExp, or 0, 0, 0 when it is empty.
-func weightRange(wts []float64) (lo, hi, fine float64) {
-	if len(wts) == 0 {
-		return 0, 0, 0
+// WeightUnitExp returns k, the graph's unit exponent: every weight is a
+// whole number of units 2^-k, and k is the least such (0 on integer
+// weights).
+func (g *Graph) WeightUnitExp() int { return g.k }
+
+// FromUnits converts a distance in units into the distance itself, exactly
+// (a power-of-two scaling of a count below 2^53); Unreached becomes
+// Infinity.
+func (g *Graph) FromUnits(d uint64) float64 {
+	if d == Unreached {
+		return Infinity
 	}
-	lo, hi = wts[0], wts[0]
-	k := -1
-	for _, w := range wts {
-		// Plain comparisons: weights are never NaN, and the builtin min and
-		// max of floats branch for it.
-		if w < lo {
-			lo = w
-		}
-		if w > hi {
-			hi = w
-		}
-		// Every integer has UnitExp 0: only the first needs asking.
-		if k < 0 || w != math.Trunc(w) {
-			if kw := UnitExp(w); kw > k {
-				k, fine = kw, w
-			}
-		}
-	}
-	return lo, hi, fine
+	return float64(d) / float64(uint64(1)<<g.k)
 }
 
 // UnitExp returns the smallest k ≥ 0 for which w is a whole number of
@@ -154,30 +150,56 @@ func UnitExp(w float64) int {
 	return max(0, 53-exp-bits.TrailingZeros64(mant))
 }
 
-// CheckExact reports whether float64 arithmetic on g's path lengths is
-// exact, which every builder assumes: two label distances summed, each at
-// most (n−1)·maxW, must stay below 2^53 units of the weights' own unit
-// 2^-k (WeightUnitExp). On integer weights that is (n−1)·maxW below 2^52;
-// a weight such as 0.1, whose unit is 2^-55, fails on every graph of three
-// or more vertices. Compared in float64: the product is exact up to its
-// last rounding, which can only refuse a graph at the edge, never pass one
-// over it.
-func (g *Graph) CheckExact() error {
-	k := g.WeightUnitExp()
-	if sum := 2 * float64(g.n-1) * math.Ldexp(g.maxW, k); g.n > 1 && sum >= 1<<53 {
-		return fmt.Errorf("graph: path sums are not exact in float64: weight %v needs a unit of 2^-%d, and with maximum weight %v over %d vertices two label distances sum to up to %.3g units, past 2^53; scale the weights to integers (or coarser dyadic fractions) that keep 2·(n−1)·maxW below 2^53 units", g.fineW, k, g.maxW, g.n, sum)
+// settle fixes the unit and weight range of arrays laid out in units of
+// 2^-k: it coarsens the unit while every weight is even (a deleted or
+// deduplicated arc may have needed it), then refuses the graph if float64
+// path sums could round, as every distance row assumes they do not: two
+// label distances, each at most (n−1)·maxW, must sum below 2^53 units.
+func (g *Graph) settle() error {
+	var all uint32
+	for _, w := range g.wts {
+		all |= w
+	}
+	if s := min(g.k, bits.TrailingZeros32(all)); s > 0 && len(g.wts) > 0 {
+		for _, ws := range [][]uint32{g.wts, g.rwts} {
+			for i := range ws {
+				ws[i] >>= s
+			}
+		}
+		g.k -= s
+	}
+	g.minW, g.maxW = 0, 0
+	if len(g.wts) > 0 {
+		g.minW, g.maxW = slices.Min(g.wts), slices.Max(g.wts)
+	}
+	if sum := 2 * float64(g.n-1) * float64(g.maxW); g.n > 1 && sum >= 1<<53 {
+		return fmt.Errorf("graph: path sums are not exact in float64: with maximum weight %v, %d units of 2^-%d, over %d vertices two label distances sum to up to %.3g units, past 2^53; scale the weights to integers (or coarser dyadic fractions) that keep 2·(n−1)·maxW below 2^53 units", g.MaxWeight(), g.maxW, g.k, g.n, sum)
 	}
 	return nil
+}
+
+// MaxUnitExp bounds k: a finer unit could count no weight of 2^-31 or
+// more, and the frozen stores declare k in [0, MaxUnitExp].
+const MaxUnitExp = 63
+
+// toUnits returns w as a count of units 2^-k, which must be at least w's
+// own UnitExp, or refuses, naming w, a count of 2^32 or more or a k past
+// MaxUnitExp.
+func toUnits(w float64, k int) (uint32, error) {
+	if u := w * float64(uint64(1)<<k); u < 1<<32 && k <= MaxUnitExp {
+		return uint32(u), nil
+	}
+	return 0, fmt.Errorf("graph: weight %v is %.6g units of 2^-%d, past 2^32 or a unit finer than 2^-%d; scale the weights so that each is below 2^32 units of the finest unit among them", w, math.Ldexp(w, k), k, MaxUnitExp)
 }
 
 // TotalWeight returns the sum of all arc weights (each undirected edge
 // counted twice).
 func (g *Graph) TotalWeight() float64 {
-	s := 0.0
+	var s uint64
 	for _, w := range g.wts {
-		s += w
+		s += uint64(w)
 	}
-	return s
+	return g.FromUnits(s)
 }
 
 // Transpose returns the reverse graph (arcs flipped). For undirected graphs
@@ -190,7 +212,7 @@ func (g *Graph) Transpose() *Graph {
 		n: g.n, directed: true,
 		off: g.roff, adj: g.radj, wts: g.rwts,
 		roff: g.off, radj: g.adj, rwts: g.wts,
-		minW: g.minW, maxW: g.maxW, fineW: g.fineW,
+		k: g.k, minW: g.minW, maxW: g.maxW,
 	}
 }
 
@@ -212,7 +234,7 @@ func (g *Graph) Permute(perm []int) (*Graph, []int) {
 		}
 		newID[oldV] = newV
 	}
-	ng := &Graph{n: g.n, directed: g.directed, minW: g.minW, maxW: g.maxW, fineW: g.fineW}
+	ng := &Graph{n: g.n, directed: g.directed, k: g.k, minW: g.minW, maxW: g.maxW}
 	ng.off, ng.adj, ng.wts = permuteCSR(g.off, g.adj, g.wts, perm, newID)
 	if g.directed {
 		ng.roff, ng.radj, ng.rwts = permuteCSR(g.roff, g.radj, g.rwts, perm, newID)
@@ -223,10 +245,10 @@ func (g *Graph) Permute(perm []int) (*Graph, []int) {
 // permuteCSR lays out new row i as old row perm[i], its heads relabeled and
 // sorted again. A relabeling is a bijection, so the rows stay free of
 // parallel arcs: the arrays are the ones a Builder would make.
-func permuteCSR(off []int64, adj []uint32, wts []float64, perm, newID []int) ([]int64, []uint32, []float64) {
+func permuteCSR(off []int64, adj, wts []uint32, perm, newID []int) ([]int64, []uint32, []uint32) {
 	noff := make([]int64, len(off))
 	nadj := make([]uint32, len(adj))
-	nwts := make([]float64, len(wts))
+	nwts := make([]uint32, len(wts))
 	for newU, oldU := range perm {
 		lo, hi := off[oldU], off[oldU+1]
 		at, end := noff[newU], noff[newU]+hi-lo
@@ -258,42 +280,73 @@ type EdgeEdit struct {
 // undirected edge). An endpoint out of range or a weight that is not
 // positive and finite is an error, as in Builder.
 func (g *Graph) Splice(edits []EdgeEdit) (*Graph, error) {
-	var fwd, rev []arcEdit
+	k := g.k
 	for _, e := range edits {
 		if err := checkEdge(g.n, e.U, e.V, e.W, !e.Del); err != nil {
 			return nil, err
 		}
+		if !e.Del {
+			k = max(k, UnitExp(e.W))
+		}
+	}
+	var fwd, rev []arcEdit
+	for _, e := range edits {
 		if e.U == e.V {
 			continue
 		}
-		fwd = append(fwd, arcEdit{uint32(e.U), uint32(e.V), e.W, e.Del})
-		mirror := arcEdit{uint32(e.V), uint32(e.U), e.W, e.Del}
+		var w uint32
+		if !e.Del {
+			var err error
+			if w, err = toUnits(e.W, k); err != nil {
+				return nil, err
+			}
+		}
+		fwd = append(fwd, arcEdit{uint32(e.U), uint32(e.V), w, e.Del})
+		mirror := arcEdit{uint32(e.V), uint32(e.U), w, e.Del}
 		if g.directed {
 			rev = append(rev, mirror)
 		} else {
 			fwd = append(fwd, mirror)
 		}
 	}
-	ng := &Graph{n: g.n, directed: g.directed}
-	ng.off, ng.adj, ng.wts = spliceCSR(g.off, g.adj, g.wts, fwd)
-	if g.directed {
-		ng.roff, ng.radj, ng.rwts = spliceCSR(g.roff, g.radj, g.rwts, rev)
+	wts, rwts := g.wts, g.rwts
+	if s := k - g.k; s > 0 { // an edit needs a finer unit: recount every weight in it
+		if _, err := toUnits(g.MaxWeight(), k); err != nil {
+			return nil, err
+		}
+		wts, rwts = shifted(wts, s), shifted(rwts, s)
 	}
-	ng.minW, ng.maxW, ng.fineW = weightRange(ng.wts)
+	ng := &Graph{n: g.n, directed: g.directed, k: k}
+	ng.off, ng.adj, ng.wts = spliceCSR(g.off, g.adj, wts, fwd)
+	if g.directed {
+		ng.roff, ng.radj, ng.rwts = spliceCSR(g.roff, g.radj, rwts, rev)
+	}
+	if err := ng.settle(); err != nil {
+		return nil, err
+	}
 	return ng, nil
+}
+
+// shifted returns ws, every weight multiplied by 2^s.
+func shifted(ws []uint32, s int) []uint32 {
+	out := make([]uint32, len(ws))
+	for i, w := range ws {
+		out[i] = w << s
+	}
+	return out
 }
 
 // arcEdit is one arc's final state in a CSR splice.
 type arcEdit struct {
 	tail, head uint32
-	w          float64
+	w          uint32
 	del        bool
 }
 
 // spliceCSR merges each edited row with its edits and copies each run of
 // rows between two edited ones with one copy, shifting its offsets. A row
 // sorted by head without parallel arcs stays so under the merge.
-func spliceCSR(off []int64, adj []uint32, wts []float64, edits []arcEdit) ([]int64, []uint32, []float64) {
+func spliceCSR(off []int64, adj, wts []uint32, edits []arcEdit) ([]int64, []uint32, []uint32) {
 	sort.SliceStable(edits, func(i, j int) bool {
 		if edits[i].tail != edits[j].tail {
 			return edits[i].tail < edits[j].tail
@@ -303,7 +356,7 @@ func spliceCSR(off []int64, adj []uint32, wts []float64, edits []arcEdit) ([]int
 	n := len(off) - 1
 	noff := make([]int64, n+1)
 	nadj := make([]uint32, 0, len(adj)+len(edits))
-	nwts := make([]float64, 0, len(adj)+len(edits))
+	nwts := make([]uint32, 0, len(adj)+len(edits))
 	// copyRows lays out the untouched rows [from, to).
 	copyRows := func(from, to int) {
 		shift := int64(len(nadj)) - off[from]
@@ -349,13 +402,13 @@ func spliceCSR(off []int64, adj []uint32, wts []float64, edits []arcEdit) ([]int
 // Clone returns a deep copy of g. Algorithms never mutate a Graph, but the
 // cluster simulator clones graphs to model per-node private copies.
 func (g *Graph) Clone() *Graph {
-	ng := &Graph{n: g.n, directed: g.directed, minW: g.minW, maxW: g.maxW, fineW: g.fineW}
+	ng := &Graph{n: g.n, directed: g.directed, k: g.k, minW: g.minW, maxW: g.maxW}
 	ng.off = append([]int64(nil), g.off...)
 	ng.adj = append([]uint32(nil), g.adj...)
-	ng.wts = append([]float64(nil), g.wts...)
+	ng.wts = append([]uint32(nil), g.wts...)
 	ng.roff = append([]int64(nil), g.roff...)
 	ng.radj = append([]uint32(nil), g.radj...)
-	ng.rwts = append([]float64(nil), g.rwts...)
+	ng.rwts = append([]uint32(nil), g.rwts...)
 	return ng
 }
 
@@ -364,7 +417,7 @@ func (g *Graph) Clone() *Graph {
 func (g *Graph) MemoryBytes() int64 {
 	b := int64(len(g.off)+len(g.roff)) * 8
 	b += int64(len(g.adj)+len(g.radj)) * 4
-	b += int64(len(g.wts)+len(g.rwts)) * 8
+	b += int64(len(g.wts)+len(g.rwts)) * 4
 	return b
 }
 
@@ -439,17 +492,36 @@ func checkEdge(n, u, v int, w float64, weighted bool) error {
 }
 
 // Finish sorts the accumulated arcs into CSR form, deduplicates parallel
-// arcs (keeping the minimum weight), and returns the immutable Graph.
+// arcs (keeping the minimum weight), and returns the immutable Graph, its
+// weights counted in the least unit 2^-k they all share. It refuses, naming
+// the weight, a graph whose counts or path sums would not be exact: a weight
+// of 2^32 units or more, or a maximum weight that lets two label distances
+// sum to 2^53 units (settle).
 func (b *Builder) Finish() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	g := &Graph{n: b.n, directed: b.directed}
-	g.off, g.adj, g.wts = buildCSR(b.n, b.tails, b.heads, b.wts)
-	if b.directed {
-		g.roff, g.radj, g.rwts = buildCSR(b.n, b.heads, b.tails, b.wts)
+	k := 0
+	for _, w := range b.wts {
+		if w != math.Trunc(w) { // every integer has UnitExp 0
+			k = max(k, UnitExp(w))
+		}
 	}
-	g.minW, g.maxW, g.fineW = weightRange(g.wts)
+	units := make([]uint32, len(b.wts))
+	for i, w := range b.wts {
+		var err error
+		if units[i], err = toUnits(w, k); err != nil {
+			return nil, err
+		}
+	}
+	g := &Graph{n: b.n, directed: b.directed, k: k}
+	g.off, g.adj, g.wts = buildCSR(b.n, b.tails, b.heads, units)
+	if b.directed {
+		g.roff, g.radj, g.rwts = buildCSR(b.n, b.heads, b.tails, units)
+	}
+	if err := g.settle(); err != nil {
+		return nil, err
+	}
 	return g, nil
 }
 
@@ -465,7 +537,7 @@ func (b *Builder) MustFinish() *Graph {
 
 // buildCSR counting-sorts the arc list by tail, then sorts each adjacency
 // row by head and removes parallel duplicates keeping the lightest arc.
-func buildCSR(n int, tails, heads []uint32, wts []float64) ([]int64, []uint32, []float64) {
+func buildCSR(n int, tails, heads, wts []uint32) ([]int64, []uint32, []uint32) {
 	off := make([]int64, n+1)
 	for _, t := range tails {
 		off[t+1]++
@@ -474,7 +546,7 @@ func buildCSR(n int, tails, heads []uint32, wts []float64) ([]int64, []uint32, [
 		off[i+1] += off[i]
 	}
 	adj := make([]uint32, len(heads))
-	w := make([]float64, len(heads))
+	w := make([]uint32, len(heads))
 	next := make([]int64, n)
 	copy(next, off[:n])
 	for i, t := range tails {
@@ -508,7 +580,7 @@ func buildCSR(n int, tails, heads []uint32, wts []float64) ([]int64, []uint32, [
 
 // sortRow sorts one adjacency row by head: by insertion when it is short,
 // as nearly every row is, through sort.Sort when it is long (a hub's).
-func sortRow(adj []uint32, wts []float64) {
+func sortRow(adj, wts []uint32) {
 	if len(adj) > 12 {
 		sort.Sort(arcRow{adj, wts})
 		return
@@ -522,8 +594,7 @@ func sortRow(adj []uint32, wts []float64) {
 }
 
 type arcRow struct {
-	adj []uint32
-	wts []float64
+	adj, wts []uint32
 }
 
 func (r arcRow) Len() int           { return len(r.adj) }

@@ -116,8 +116,8 @@ func TestPermuteRoundTrip(t *testing.T) {
 		heads, wts := g.Neighbors(u)
 		for i, h := range heads {
 			w, ok := pg.HasEdge(newID[u], newID[h])
-			if !ok || w != wts[i] {
-				t.Fatalf("edge (%d,%d,w=%v) lost after permute: got %v,%v", u, h, wts[i], w, ok)
+			if want := g.FromUnits(uint64(wts[i])); !ok || w != want {
+				t.Fatalf("edge (%d,%d,w=%v) lost after permute: got %v,%v", u, h, want, w, ok)
 			}
 		}
 	}
@@ -127,8 +127,8 @@ func TestPermuteRoundTrip(t *testing.T) {
 // so == on them is equality bit for bit.
 func sameCSR(t *testing.T, what string, a, b *Graph) {
 	t.Helper()
-	if a.n != b.n || a.directed != b.directed {
-		t.Fatalf("%s: n=%d directed=%v, want n=%d directed=%v", what, a.n, a.directed, b.n, b.directed)
+	if a.n != b.n || a.directed != b.directed || a.k != b.k {
+		t.Fatalf("%s: n=%d directed=%v k=%d, want n=%d directed=%v k=%d", what, a.n, a.directed, a.k, b.n, b.directed, b.k)
 	}
 	sameArray(t, what+": off", a.off, b.off)
 	sameArray(t, what+": adj", a.adj, b.adj)
@@ -165,7 +165,7 @@ func builderPermute(g *Graph, perm []int) *Graph {
 		heads, wts := g.Neighbors(oldU)
 		for i, h := range heads {
 			if newV := newID[h]; g.directed || newU < newV {
-				b.AddEdge(newU, newV, wts[i])
+				b.AddEdge(newU, newV, g.FromUnits(uint64(wts[i])))
 			}
 		}
 	}
@@ -442,35 +442,64 @@ func TestUnitExp(t *testing.T) {
 	}
 }
 
-// CheckExact: the float64 sums of every path stay exact, or the graph is
-// refused naming the weight that set the unit.
+// CheckExact: Finish counts every weight in the least unit 2^-k they
+// share, or refuses the graph naming a weight: a count of 2^32 units or
+// more, or path sums that could round in float64.
 func TestCheckExact(t *testing.T) {
-	path := func(ws ...float64) *Graph {
+	path := func(ws ...float64) (*Graph, error) {
 		b := NewBuilder(len(ws)+1, false)
 		for i, w := range ws {
 			b.AddEdge(i, i+1, w)
 		}
-		return b.MustFinish()
+		return b.Finish()
 	}
-	for _, g := range []*Graph{RoadGrid(8, 8, 1), path(2.25, 0.5, 7), path(1<<50, 1), NewBuilder(5, false).MustFinish()} {
-		if err := g.CheckExact(); err != nil {
-			t.Errorf("%d-vertex graph refused: %v", g.NumVertices(), err)
+	for _, ws := range [][]float64{{2.25, 0.5, 7}, {1<<32 - 1, 1}, {0.5, 1<<31 - 1}} {
+		if _, err := path(ws...); err != nil {
+			t.Errorf("path %v refused: %v", ws, err)
 		}
 	}
 	for _, tc := range []struct {
-		g    *Graph
+		ws   []float64
 		name string
 	}{
-		{path(0.1, 0.2), "weight 0.1"},                           // unit 2^-55: 2·2·0.2·2^55 ≥ 2^53
-		{path(1<<51, 1), "maximum weight 2.251799813685248e+15"}, // 2·2·2^51 = 2^53
-		{path(3, 0.25, 1<<49), "weight 0.25"},                    // 2·3·2^49·4 > 2^53
+		{[]float64{0.1, 0.2}, "weight 0.1"},                        // unit 2^-55: 0.1 is 3.6e15 units
+		{[]float64{1 << 32, 1}, "weight 4.294967296e+09"},          // 2^32 units
+		{[]float64{3, 0.25, 1 << 30}, "weight 1.073741824e+09 is"}, // 2^32 quarter units
+		{[]float64{0x1p-70}, "weight 8.470329472543003e-22 is 1 units of 2^-70"},
 	} {
-		err := tc.g.CheckExact()
+		_, err := path(tc.ws...)
 		if err == nil || !strings.Contains(err.Error(), tc.name) {
-			t.Errorf("CheckExact = %v, want a refusal naming %q", err, tc.name)
+			t.Errorf("Finish = %v, want a refusal naming %q", err, tc.name)
 		}
 	}
-	if k := path(3, 0.25, 0.5).WeightUnitExp(); k != 2 {
+	// 2·(n−1)·maxW reaches 2^53 units with every weight below 2^32 only
+	// past a million vertices: an edgeless graph of that many and one edge.
+	b := NewBuilder(1<<20+2, false)
+	b.AddEdge(0, 1, 1<<32-1)
+	if _, err := b.Finish(); err == nil || !strings.Contains(err.Error(), "maximum weight 4.294967295e+09") {
+		t.Errorf("Finish = %v, want a refusal naming the maximum weight", err)
+	}
+	g, err := path(3, 0.25, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := g.WeightUnitExp(); k != 2 {
 		t.Errorf("WeightUnitExp = %d, want 2", k)
+	}
+	if _, wts := g.Neighbors(1); wts[0] != 12 || wts[1] != 1 {
+		t.Errorf("weights of vertex 1 in quarter units = %v, want [12 1]", wts)
+	}
+	// The unit is the least the weights the graph holds need: deleting the
+	// one quarter coarsens it to integers, and a weight that needs 2^-31
+	// would recount 3 as 3·2^31 units.
+	if g, _ = path(3, 0.25, 1); g.WeightUnitExp() != 2 {
+		t.Fatalf("WeightUnitExp = %d, want 2", g.WeightUnitExp())
+	}
+	sg, err := g.Splice([]EdgeEdit{{U: 1, V: 2, Del: true}})
+	if err != nil || sg.WeightUnitExp() != 0 || sg.MinUnits() != 1 {
+		t.Errorf("Splice deleting the 0.25 edge: k=%d min %d units (%v), want k=0, 1 unit", sg.WeightUnitExp(), sg.MinUnits(), err)
+	}
+	if _, err := g.Splice([]EdgeEdit{{U: 0, V: 3, W: 0x1p-31}}); err == nil || !strings.Contains(err.Error(), "weight 3 is") {
+		t.Errorf("Splice to a unit of 2^-31: %v, want a refusal naming weight 3", err)
 	}
 }

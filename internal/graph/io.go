@@ -80,7 +80,7 @@ func WriteDIMACS(w io.Writer, g *Graph) error {
 	for u := 0; u < g.NumVertices(); u++ {
 		heads, wts := g.Neighbors(u)
 		for i, h := range heads {
-			fmt.Fprintf(bw, "a %d %d %s\n", u+1, int(h)+1, formatWeight(wts[i]))
+			fmt.Fprintf(bw, "a %d %d %s\n", u+1, int(h)+1, formatWeight(g.FromUnits(uint64(wts[i]))))
 		}
 	}
 	return bw.Flush()
@@ -149,7 +149,7 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 		heads, wts := g.Neighbors(u)
 		for i, h := range heads {
 			if g.Directed() || u < int(h) {
-				fmt.Fprintf(bw, "%d %d %s\n", u, h, formatWeight(wts[i]))
+				fmt.Fprintf(bw, "%d %d %s\n", u, h, formatWeight(g.FromUnits(uint64(wts[i]))))
 			}
 		}
 	}

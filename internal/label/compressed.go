@@ -226,7 +226,7 @@ func (c *CompressedIndex) RunInto(buf *[]uint64, v int) []uint64 {
 
 // Labels reconstructs the label set of v (allocates; query paths use
 // JoinCompressed directly).
-func (c *CompressedIndex) Labels(v int) Set { return runLabels(c.AppendPackedRun(nil, v), c.unitExp) }
+func (c *CompressedIndex) Labels(v int) Set { return runLabels(c.AppendPackedRun(nil, v)) }
 
 // Decompress expands the compressed index back into a fixed-width flat
 // index with identical labels.

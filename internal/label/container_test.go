@@ -57,18 +57,18 @@ func (s shape) container(t testing.TB, n int, seed int64) *Container {
 	if s.directed {
 		ixs = append(ixs, randomLabelIndex(rng, n, 0.2))
 	}
-	for _, ix := range ixs {
-		for v := 0; s.fromBuilder && v < n; v += 3 { // eighths: the file's unit is 2^-3
-			if ls := ix.Labels(v); len(ls) > 0 {
-				ls[0].Dist = 0.375 + float64(v)
+	for i, ix := range ixs {
+		if !s.fromBuilder {
+			continue
+		}
+		ixs[i] = inUnit(ix, 3) // eighths: the file's unit is 2^-3
+		for v := 0; v < n; v += 3 {
+			if ls := ixs[i].Labels(v); len(ls) > 0 {
+				ls[0].Dist = 3 + 8*uint32(v)
 			}
 		}
 	}
-	fs, err := FreezeHalves(ixs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range fs {
+	for _, f := range FreezeHalves(ixs...) {
 		switch s.enc {
 		case EncPacked:
 			c.Halves = append(c.Halves, f)
@@ -459,17 +459,27 @@ func TestContainerMisalignedBase(t *testing.T) {
 	}
 }
 
-// halfUnit returns f's labels counted in units of 2^-1.
+// halfUnit returns f's labels, counted in units of 2^0, counted in units of
+// 2^-1.
 func halfUnit(f *FlatIndex) *FlatIndex {
-	ix := NewIndex(f.NumVertices())
+	ix := NewIndex(f.NumVertices(), 0)
 	for v := 0; v < f.NumVertices(); v++ {
 		ix.SetLabels(v, f.Labels(v))
 	}
-	hs, err := freezeAt(1, []*Index{ix})
-	if err != nil {
-		panic(err)
+	return Freeze(inUnit(ix, 1))
+}
+
+// inUnit returns ix's labels counted in units of 2^-k, k at least ix's own.
+func inUnit(ix *Index, k int) *Index {
+	out := NewIndex(ix.NumVertices(), k)
+	for v := range ix.NumVertices() {
+		s := ix.Labels(v).Clone()
+		for i := range s {
+			s[i].Dist <<= k - ix.UnitExp()
+		}
+		out.SetLabels(v, s)
 	}
-	return hs[0]
+	return out
 }
 
 // The writer refuses halves that do not belong in one file.

@@ -33,9 +33,8 @@ type FlatIndex struct {
 	unitExp int      // k: a stored count is units of 2^-k
 }
 
-// MaxUnitExp bounds k: a finer unit could count no distance of 2^-31 or
-// more. A header byte claiming more is refused.
-const MaxUnitExp = 63
+// MaxUnitExp bounds k, as in graph.Finish; a header claiming more is refused.
+const MaxUnitExp = graph.MaxUnitExp
 
 func packEntry(hub, units uint32) uint64 { return uint64(hub)<<32 | uint64(units) }
 
@@ -56,85 +55,29 @@ func FromUnits(units float64, k int) float64 {
 }
 
 // FreezeHalves packs the halves of one labeling (one Index undirected,
-// forward and backward directed) into FlatIndexes at one unit 2^-k: the
-// coarsest that counts every label distance of every half, 0 on every
-// integer-weighted graph. It refuses, naming the label, a distance that
-// is not a whole number of units below 2^32 — the frozen stores hold
-// nothing they would round. The source sets must be sorted (they always
-// are outside of construction phases).
-func FreezeHalves(ixs ...*Index) ([]*FlatIndex, error) {
-	// Integer labels, the common case, pack in one pass at k = 0; only a
-	// refusal there pays for the pass that finds k. Past MaxUnitExp the
-	// finest unit a store holds refuses the label that needs a finer one.
-	fs, err := freezeAt(0, ixs)
-	if err != nil {
-		if k := unitExpOf(ixs); k > 0 {
-			return freezeAt(min(k, MaxUnitExp), ixs)
-		}
-	}
-	return fs, err
-}
-
-// Freeze is FreezeHalves for one Index. It panics where FreezeHalves
-// errs — on labels past 2^32 units; (*chl.Index).Freeze, the serving
-// path, reports that as an error instead.
-func Freeze(ix *Index) *FlatIndex {
-	fs, err := FreezeHalves(ix)
-	if err != nil {
-		panic(err)
-	}
-	return fs[0]
-}
-
-// unitExpOf returns the smallest k ≥ 0 for which every label distance of
-// the indexes is a whole number of units 2^-k.
-func unitExpOf(ixs []*Index) int {
-	k := 0
-	for _, ix := range ixs {
-		for _, s := range ix.sets {
-			for _, l := range s {
-				if l.Dist != float64(int64(l.Dist)) { // integers need not ask
-					k = max(k, graph.UnitExp(l.Dist))
-				}
-			}
-		}
-	}
-	return k
-}
-
-// freezeAt packs every index at unit 2^-k, or refuses the first label
-// that is not a whole number of units below 2^32.
-func freezeAt(k int, ixs []*Index) ([]*FlatIndex, error) {
+// forward and backward directed) into FlatIndexes, in one pass, at the
+// unit 2^-k of the graph they were built on (0 on integer weights). Every
+// label distance is already a whole number of units below 2^32: the
+// builders refuse any other (Units). The source sets must be sorted (they
+// always are outside of construction phases).
+func FreezeHalves(ixs ...*Index) []*FlatIndex {
 	fs := make([]*FlatIndex, len(ixs))
-	scale := math.Ldexp(1, k) // exact: a power of two
 	for h, ix := range ixs {
-		n := ix.NumVertices()
-		f := &FlatIndex{
-			offsets: make([]uint32, n+1),
-			entries: make([]uint64, ix.TotalLabels()),
-			unitExp: k,
-		}
-		i := 0
-		for v := 0; v < n; v++ {
-			f.offsets[v] = uint32(i)
-			for _, l := range ix.Labels(v) {
-				u := l.Dist * scale
-				// Whatever uint32(u) makes of a u outside [0, 2^32), it
-				// converts back to a value in that range: != catches
-				// negatives, NaN and overflow as well as fractions.
-				units := uint32(u)
-				if float64(units) != u {
-					return nil, fmt.Errorf("label: vertex %d's label at hub %d (rank) has distance %v, which is not a whole number of units 2^-%d below 2^32; keep the graph's distances below 2^32 units (scale its weights down, or to coarser dyadic fractions)", v, l.Hub, l.Dist, k)
-				}
-				f.entries[i] = packEntry(l.Hub, units)
-				i++
+		f := &FlatIndex{offsets: make([]uint32, len(ix.sets)+1), unitExp: ix.k}
+		f.entries = make([]uint64, 0, ix.TotalLabels())
+		for v, s := range ix.sets {
+			for _, l := range s {
+				f.entries = append(f.entries, packEntry(l.Hub, l.Dist))
 			}
+			f.offsets[v+1] = uint32(len(f.entries))
 		}
-		f.offsets[n] = uint32(i)
 		fs[h] = f
 	}
-	return fs, nil
+	return fs
 }
+
+// Freeze is FreezeHalves for one Index.
+func Freeze(ix *Index) *FlatIndex { return FreezeHalves(ix)[0] }
 
 // UnitExp returns k: the index's entries count units of 2^-k.
 func (f *FlatIndex) UnitExp() int { return f.unitExp }
@@ -171,13 +114,13 @@ func (f *FlatIndex) RunInto(_ *[]uint64, v int) []uint64 { return f.PackedRun(v)
 
 // Labels reconstructs the label set of v (allocates; query paths join
 // the packed runs directly).
-func (f *FlatIndex) Labels(v int) Set { return runLabels(f.PackedRun(v), f.unitExp) }
+func (f *FlatIndex) Labels(v int) Set { return runLabels(f.PackedRun(v)) }
 
-// runLabels converts a packed run counting units of 2^-k into a Set.
-func runLabels(run []uint64, k int) Set {
+// runLabels converts a packed run into a Set, in the same units.
+func runLabels(run []uint64) Set {
 	s := make(Set, len(run))
 	for i, e := range run {
-		s[i] = L{Hub: entryHub(e), Dist: FromUnits(entryUnits(e), k)}
+		s[i] = L{Hub: entryHub(e), Dist: uint32(e)}
 	}
 	return s
 }

@@ -1,7 +1,6 @@
 package label
 
 import (
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -11,7 +10,7 @@ import (
 // sets and integer distances.
 func randomIndex(n int, seed int64) *Index {
 	rng := rand.New(rand.NewSource(seed))
-	ix := NewIndex(n)
+	ix := NewIndex(n, 0)
 	for v := 0; v < n; v++ {
 		used := map[uint32]bool{}
 		s := Set{}
@@ -21,7 +20,7 @@ func randomIndex(n int, seed int64) *Index {
 				continue
 			}
 			used[h] = true
-			d := float64(rng.Intn(1000))
+			d := uint32(rng.Intn(1000))
 			if int(h) == v {
 				d = 0
 			}
@@ -43,17 +42,14 @@ func TestFlatMemoryAccounting(t *testing.T) {
 	if f.TotalMemory() != want {
 		t.Fatalf("TotalMemory = %d, want %d", f.TotalMemory(), want)
 	}
-	if f.TotalMemory() >= ix.TotalLabels()*16 {
-		t.Fatal("flat store not smaller than slice entries alone")
-	}
 }
 
-// FreezeHalves packs at the coarsest unit that counts every label of
-// every half, and refuses what no uint32 count of a unit up to 2^-63
-// holds, naming the distance.
+// FreezeHalves packs every half at its index's unit, the graph's, in one
+// pass; the refusal of a label no uint32 count holds happens where a tree
+// would emit it (Units), naming the distance.
 func TestFreezeHalvesUnit(t *testing.T) {
-	one := func(dists ...float64) *Index {
-		ix := NewIndex(1)
+	one := func(k int, dists ...uint32) *Index {
+		ix := NewIndex(1, k)
 		s := Set{}
 		for h, d := range dists {
 			s = append(s, L{Hub: uint32(h), Dist: d})
@@ -61,10 +57,7 @@ func TestFreezeHalvesUnit(t *testing.T) {
 		ix.SetLabels(0, s)
 		return ix
 	}
-	fs, err := FreezeHalves(one(0, 3), one(0.5, 2.25))
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := FreezeHalves(one(2, 0, 12), one(2, 2, 9))
 	for i, want := range [][]uint32{{0, 12}, {2, 9}} {
 		if fs[i].UnitExp() != 2 {
 			t.Fatalf("half %d: UnitExp %d, want 2", i, fs[i].UnitExp())
@@ -75,20 +68,29 @@ func TestFreezeHalvesUnit(t *testing.T) {
 			}
 		}
 	}
-	if f := Freeze(one(7, 1<<32-1)); f.UnitExp() != 0 || uint32(f.PackedRun(0)[1]) != 1<<32-1 {
+	if f := Freeze(one(0, 7, 1<<32-1)); f.UnitExp() != 0 || uint32(f.PackedRun(0)[1]) != 1<<32-1 {
 		t.Fatalf("integer labels froze at 2^-%d, last entry %#x", f.UnitExp(), f.PackedRun(0)[1])
 	}
+	if d := Units(0, 0, 1<<32-1, 0); d != 1<<32-1 {
+		t.Fatalf("Units(2^32-1) = %d", d)
+	}
 	for _, tc := range []struct {
-		dist float64
-		name string
+		units uint64
+		k     int
+		name  string
 	}{
-		{1 << 32, "4.294967296e+09"},
-		{0.1, "0.1"},                                  // 2^-55 units: 0.1 counts 3.6e15 of them
-		{math.Ldexp(1, -70), "8.470329472543003e-22"}, // needs 2^-70
-		{-1, "-1"},
+		{1 << 32, 0, "4.294967296e+09"},
+		{1 << 33, 2, "2.147483648e+09"},
+		{1 << 60, 0, "1.152921504606847e+18"},
 	} {
-		if _, err := FreezeHalves(one(tc.dist)); err == nil || !strings.Contains(err.Error(), tc.name) {
-			t.Errorf("distance %v: %v, want a refusal naming %s", tc.dist, err, tc.name)
-		}
+		func() {
+			defer func() {
+				err, _ := recover().(*DistError)
+				if err == nil || !strings.Contains(err.Error(), tc.name) || !strings.Contains(err.Error(), "below 2^32") {
+					t.Errorf("Units(%d, k=%d): %v, want a refusal naming %s", tc.units, tc.k, err, tc.name)
+				}
+			}()
+			Units(3, 1, tc.units, tc.k)
+		}()
 	}
 }

@@ -30,7 +30,8 @@ type Store interface {
 	LabelCount(v int) int
 	// TotalMemory returns the exact byte footprint of the label arrays.
 	TotalMemory() int64
-	// Labels reconstructs the label set of v (allocates).
+	// Labels reconstructs the label set of v, in units of 2^-UnitExp()
+	// (allocates).
 	Labels(v int) Set
 	// Slice returns a heap-backed store of the same encoding over the same
 	// vertex-id space holding only the runs of the vertices keep selects;

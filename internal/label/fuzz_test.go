@@ -10,11 +10,11 @@ import (
 // tests use, so the fuzzer begins at valid inputs and mutates outward.
 func fuzzFixtureRuns() (*FlatIndex, int) {
 	const n = 32
-	ix := NewIndex(n)
+	ix := NewIndex(n, 1)
 	for v := 0; v < n; v++ {
 		s := Set{}
 		for h := uint32(0); int(h) <= v; h += 3 {
-			s = append(s, L{Hub: h, Dist: float64(v-int(h)) + 0.5})
+			s = append(s, L{Hub: h, Dist: 2*uint32(v-int(h)) + 1})
 		}
 		ix.SetLabels(v, s)
 	}

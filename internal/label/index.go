@@ -6,17 +6,24 @@ import (
 )
 
 // Index is a complete hub labeling: one sorted label Set per vertex, in rank
-// space. It answers PPSD queries by merge-join and is the unit of
-// verification and statistics; Freeze packs it for persisting.
+// space, its distances counting units 2^-k of the graph it was built on.
+// It answers PPSD queries by merge-join and is the unit of verification and
+// statistics; Freeze packs it for persisting.
 type Index struct {
 	sets []Set
+	k    int
 }
 
-// NewIndex returns an empty index over n vertices.
-func NewIndex(n int) *Index { return &Index{sets: make([]Set, n)} }
+// NewIndex returns an empty index over n vertices counting units of 2^-k.
+func NewIndex(n, k int) *Index { return &Index{sets: make([]Set, n), k: k} }
 
-// FromSets wraps per-vertex sets (takes ownership) into an Index.
-func FromSets(sets []Set) *Index { return &Index{sets: sets} }
+// FromSets wraps per-vertex sets (takes ownership) counting units of 2^-k
+// into an Index.
+func FromSets(sets []Set, k int) *Index { return &Index{sets: sets, k: k} }
+
+// UnitExp returns k: the index's distances count units of 2^-k, the unit
+// of the graph it was built on.
+func (ix *Index) UnitExp() int { return ix.k }
 
 // NumVertices returns the number of vertices the index covers.
 func (ix *Index) NumVertices() int { return len(ix.sets) }
@@ -52,18 +59,19 @@ func (ix *Index) Append(v int, l L) {
 // Query answers the PPSD query between u and v: the minimum distance via a
 // common hub, Infinity if none exists.
 func (ix *Index) Query(u, v int) float64 {
-	d, _, _ := QueryMerge(ix.sets[u], ix.sets[v])
+	d, _, _ := ix.QueryHub(u, v)
 	return d
 }
 
 // QueryHub answers the PPSD query and also reports the witness hub.
 func (ix *Index) QueryHub(u, v int) (float64, uint32, bool) {
-	return QueryMerge(ix.sets[u], ix.sets[v])
+	d, hub, ok := QueryMerge(ix.sets[u], ix.sets[v])
+	return FromUnits(d, ix.k), hub, ok
 }
 
 // Clone deep-copies the index.
 func (ix *Index) Clone() *Index {
-	c := NewIndex(len(ix.sets))
+	c := NewIndex(len(ix.sets), ix.k)
 	for v, s := range ix.sets {
 		c.sets[v] = s.Clone()
 	}
@@ -71,31 +79,18 @@ func (ix *Index) Clone() *Index {
 }
 
 // Equal reports whether two indexes hold exactly the same labels (hubs and
-// distances). It is how the tests assert that LCC, GLL, PLaNT, Hybrid and
-// sequential PLL all emit the identical CHL.
-func (ix *Index) Equal(other *Index) bool {
-	if len(ix.sets) != len(other.sets) {
-		return false
-	}
-	for v := range ix.sets {
-		a, b := ix.sets[v], other.sets[v]
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-	}
-	return true
-}
+// distances, in the same unit). It is how the tests assert that LCC, GLL,
+// PLaNT, Hybrid and sequential PLL all emit the identical CHL.
+func (ix *Index) Equal(other *Index) bool { return ix.Diff(other) == "" }
 
 // Diff returns a human-readable description of the first difference between
 // two indexes, or "" if they are equal. Test failure messages use it.
 func (ix *Index) Diff(other *Index) string {
 	if len(ix.sets) != len(other.sets) {
 		return fmt.Sprintf("vertex counts differ: %d vs %d", len(ix.sets), len(other.sets))
+	}
+	if ix.k != other.k {
+		return fmt.Sprintf("units differ: 2^-%d vs 2^-%d", ix.k, other.k)
 	}
 	for v := range ix.sets {
 		a, b := ix.sets[v], other.sets[v]
@@ -182,5 +177,5 @@ type DirectedIndex struct {
 // Query answers the directed PPSD query u→v.
 func (dx *DirectedIndex) Query(u, v int) float64 {
 	d, _, _ := QueryMerge(dx.Forward.Labels(u), dx.Backward.Labels(v))
-	return d
+	return FromUnits(d, dx.Forward.k)
 }

@@ -1,6 +1,9 @@
 package label
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
 // The join kernels. Hub labeling turns a distance query into a list
 // intersection, and this file holds every form of it the serving stack
@@ -23,8 +26,8 @@ import "sync"
 
 // QueryScratch is a per-worker probe buffer for the hash joins: one
 // float64 slot per vertex holding the scattered run's unit count to that
-// hub, +Inf (absent) where nothing is scattered — HashDist's layout. A
-// probe is then one load and one add, slot[hub] + d(e) < best, with no
+// hub, +Inf (unscattered) where nothing is scattered. A probe is then one
+// load and one add, slot[hub] + d(e) < best, with no
 // occupancy test: an absent slot sums to +Inf and never wins. Every
 // kernel that scatters undoes it by walking the run it scattered
 // (JoinPackedWith itself, RunScatter.Release), so a scratch is all +Inf
@@ -34,11 +37,14 @@ type QueryScratch struct {
 	slot []float64
 }
 
+// unscattered marks a slot no run is scattered in.
+var unscattered = math.Inf(1)
+
 // NewQueryScratch returns a scratch for indexes over n vertices.
 func NewQueryScratch(n int) *QueryScratch {
 	s := &QueryScratch{slot: make([]float64, n)}
 	for i := range s.slot {
-		s.slot[i] = absent
+		s.slot[i] = unscattered
 	}
 	return s
 }
@@ -56,7 +62,7 @@ func (s *QueryScratch) scatter(run []uint64) {
 func (s *QueryScratch) clear(run []uint64) {
 	slot := s.slot
 	for _, e := range run {
-		slot[e>>32] = absent
+		slot[e>>32] = unscattered
 	}
 }
 

@@ -15,21 +15,21 @@ import (
 // shapes and random sets, FuzzJoinKernels over byte-steered ones.
 
 // checkKernels asserts every kernel's answer for the pair (a, b) of label
-// sets, whose hubs must be below n and whose distances fit a unit count,
-// and that every kernel using the scratch leaves it clean (all +Inf) — the
-// invariant that lets the probes skip an occupancy test. The kernels over
-// runs answer in units of the frozen index's 2^-k, scaled here by
-// FromUnits; Join and ProbeStore answer in distances themselves.
-func checkKernels(t *testing.T, n int, a, b Set) {
+// sets, whose hubs must be below n and whose distances count units of
+// 2^-k, and that every kernel using the scratch leaves it clean (all +Inf)
+// — the invariant that lets the probes skip an occupancy test. The kernels
+// over runs answer in units, scaled here by FromUnits; Join and ProbeStore
+// answer in distances themselves.
+func checkKernels(t *testing.T, n, k int, a, b Set) {
 	t.Helper()
 	wantD, wantH, wantOK := QueryMerge(a, b)
 	selfD, _, _ := QueryMerge(a, a)
+	wantD, selfD = FromUnits(wantD, k), FromUnits(selfD, k)
 	// Vertex 0 carries a, vertex 1 carries b, every other vertex nothing.
-	ix := NewIndex(n)
+	ix := NewIndex(n, k)
 	ix.SetLabels(0, a)
 	ix.SetLabels(1, b)
 	f := Freeze(ix)
-	k := f.UnitExp()
 	ra, rb := f.PackedRun(0), f.PackedRun(1)
 	s := NewQueryScratch(n)
 	clean := func(kernel string) {
@@ -168,7 +168,7 @@ func TestPanickedKernelDropsScratch(t *testing.T) {
 
 // span returns the set {lo, lo+step, …} of count hubs, hub h at distance
 // dist(h).
-func span(lo, step, count int, dist func(h int) float64) Set {
+func span(lo, step, count int, dist func(h int) uint32) Set {
 	s := make(Set, count)
 	for i := range s {
 		h := lo + i*step
@@ -178,8 +178,8 @@ func span(lo, step, count int, dist func(h int) float64) Set {
 }
 
 func TestJoinKernels(t *testing.T) {
-	unit := func(int) float64 { return 1 }
-	byHub := func(h int) float64 { return float64(h) }
+	unit := func(int) uint32 { return 1 }
+	byHub := func(h int) uint32 { return uint32(h) }
 	cases := []struct {
 		name string
 		n    int
@@ -190,7 +190,7 @@ func TestJoinKernels(t *testing.T) {
 		{"single shared hub", 8, Set{{Hub: 0, Dist: 3}}, Set{{Hub: 0, Dist: 4}}},
 		{"disjoint hub ranges", 300, span(0, 1, 70, unit), span(100, 1, 70, unit)},
 		{"interleaved, nothing shared", 300, span(0, 2, 140, unit), span(1, 2, 140, unit)},
-		{"full overlap", 200, span(0, 1, 200, byHub), span(0, 1, 200, func(h int) float64 { return float64(400 - h) })},
+		{"full overlap", 200, span(0, 1, 200, byHub), span(0, 1, 200, func(h int) uint32 { return uint32(400 - h) })},
 		// Every witness sums to 6: the smallest hub must win.
 		{"equal-distance witnesses", 8,
 			Set{{Hub: 1, Dist: 5}, {Hub: 3, Dist: 3}, {Hub: 7, Dist: 1}},
@@ -224,22 +224,24 @@ func TestJoinKernels(t *testing.T) {
 		{"shared hubs only at both ends", 300,
 			append(append(Set{{Hub: 0, Dist: 9}}, span(10, 2, 100, unit)...), L{Hub: 299, Dist: 1}),
 			append(append(Set{{Hub: 0, Dist: 9}}, span(11, 2, 100, unit)...), L{Hub: 299, Dist: 1})},
-		// Distances float32 could not hold as integers: fractional (the
-		// unit becomes 2^-2), beyond 2^24, -0.0 (which freezes to 0).
-		{"float-plane distances", 8,
-			Set{{Hub: 1, Dist: 0.5}, {Hub: 2, Dist: 1<<24 + 2}, {Hub: 5, Dist: math.Copysign(0, -1)}},
-			Set{{Hub: 1, Dist: 2.25}, {Hub: 2, Dist: 1}, {Hub: 5, Dist: 3}}},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) { checkKernels(t, tc.n, tc.a, tc.b) })
+		t.Run(tc.name, func(t *testing.T) { checkKernels(t, tc.n, 0, tc.a, tc.b) })
 	}
+	// Distances float32 could not hold as integers: fractional (a unit of
+	// 2^-2: 0.5 and 2.25 count 2 and 9 units), beyond 2^24.
+	t.Run("float-plane distances", func(t *testing.T) {
+		checkKernels(t, 8, 2,
+			Set{{Hub: 1, Dist: 2}, {Hub: 2, Dist: (1<<24 + 2) * 4}, {Hub: 5, Dist: 0}},
+			Set{{Hub: 1, Dist: 9}, {Hub: 2, Dist: 4}, {Hub: 5, Dist: 12}})
+	})
 	t.Run("random", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(42))
 		for _, density := range []float64{0.02, 0.2, 0.7} {
 			for _, n := range []int{48, 300} {
 				ix := randomLabelIndex(rng, n, density)
 				for trial := 0; trial < 8; trial++ {
-					checkKernels(t, n, ix.Labels(rng.Intn(n)), ix.Labels(rng.Intn(n)))
+					checkKernels(t, n, ix.UnitExp(), ix.Labels(rng.Intn(n)), ix.Labels(rng.Intn(n)))
 				}
 			}
 		}
@@ -286,8 +288,8 @@ func TestJoinCompressedWideHubGaps(t *testing.T) {
 // fuzzSets turns fuzz bytes into two label sets over a shared hub space:
 // each byte pair advances the hub by 1–4 (one bit adds 200, a two-byte
 // varint gap), puts it in a, b or both, and draws small distances (so
-// witnesses tie often) that one bit each makes fractional (a unit of
-// 2^-1), moves past 2^24, or moves past 2^29 (a five-byte unit count).
+// witnesses tie often), counted in half units, that one bit each makes
+// fractional, moves past 2^24, or moves past 2^29 (a five-byte unit count).
 func fuzzSets(data []byte) (n int, a, b Set) {
 	if len(data) > 1200 {
 		data = data[:1200]
@@ -299,15 +301,15 @@ func fuzzSets(data []byte) (n int, a, b Set) {
 		if x&0x10 != 0 {
 			hub += 200
 		}
-		da, db := float64(y&0xf), float64(y>>4)
+		da, db := 2*uint32(y&0xf), 2*uint32(y>>4)
 		if x&0x20 != 0 {
-			da += 1 << 29
+			da += 1 << 30
 		}
 		if x&0x40 != 0 {
-			da += 0.5
+			da++
 		}
 		if x&0x80 != 0 {
-			db = 1<<24 + 2*db
+			db = 2 * (1<<24 + db)
 		}
 		if in := x >> 2 & 3; in != 2 {
 			a = append(a, L{Hub: uint32(hub), Dist: da})
@@ -330,7 +332,7 @@ func FuzzJoinKernels(f *testing.F) {
 	f.Add(long)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, a, b := fuzzSets(data)
-		checkKernels(t, n, a, b)
+		checkKernels(t, n, 1, a, b)
 	})
 }
 
@@ -357,7 +359,7 @@ func sameRuns(t *testing.T, got, want Store) {
 
 // TestStoreConformance holds both Store implementations to the contract
 // the layers above rely on, over two labelings with fractional, large and
-// -0.0 distances and the compressed streams' edge shapes (an empty run, a
+// zero distances and the compressed streams' edge shapes (an empty run, a
 // one-entry run at hub 0, a two-byte hub gap, a unit count of 2^32−1). The
 // labelings differ in their mean hub gap, which names the subtest: 5 (long
 // runs of one-byte gaps) and 64 (short runs, many gaps of two varint bytes).
@@ -376,8 +378,8 @@ func TestStoreConformance(t *testing.T) {
 	for i, gap := range gaps {
 		ix := randomLabelIndex(rng, 200, 1/float64(gap))
 		ix.SetLabels(1, nil)
-		ix.SetLabels(2, Set{{Hub: 0, Dist: math.MaxUint32 / 2.0}}) // 2^32−1 half units
-		ix.SetLabels(3, Set{{Hub: 0, Dist: 1}, {Hub: 1, Dist: 0.5}, {Hub: 190, Dist: 7}})
+		ix.SetLabels(2, Set{{Hub: 0, Dist: math.MaxUint32}}) // 2^32−1 half units
+		ix.SetLabels(3, Set{{Hub: 0, Dist: 2}, {Hub: 1, Dist: 1}, {Hub: 190, Dist: 14}})
 		flat := Freeze(ix)
 		c, err := Compress(flat)
 		if err != nil {
@@ -425,8 +427,7 @@ func checkStore(t *testing.T, ix *Index, flat *FlatIndex, st Store) {
 				v, st.LabelCount(v), len(run), len(fresh), len(labels), len(want))
 		}
 		for i, l := range want {
-			// ==, so -0.0 freezes to the unit count 0.
-			if e := packEntry(l.Hub, uint32(math.Ldexp(l.Dist, st.UnitExp()))); run[i] != e || fresh[i] != e ||
+			if e := packEntry(l.Hub, l.Dist); run[i] != e || fresh[i] != e ||
 				labels[i].Hub != l.Hub || labels[i].Dist != l.Dist {
 				t.Fatalf("vertex %d label %d: run %#x, fresh %#x, Labels %+v, want %+v", v, i, run[i], fresh[i], labels[i], l)
 			}

@@ -30,15 +30,33 @@ import (
 // Infinity mirrors graph.Infinity for query results on disconnected pairs.
 const Infinity = math.MaxFloat64
 
-// Bytes is the accounted size of one label: a 4-byte hub id plus an 8-byte
-// distance. All communication-volume and memory numbers in the experiment
-// harness are multiples of this.
-const Bytes = 12
+// Bytes is the size of one label: a 4-byte hub id plus a 4-byte distance.
+// All communication-volume and memory numbers in the experiment harness
+// are multiples of this.
+const Bytes = 8
 
 // L is a single hub label (h, d(v,h)) as defined in Table 1 of the paper.
+// Dist counts units 2^-k of the graph the labels were built on (the Index's
+// UnitExp): every builder counts exactly, and refuses a label of 2^32 units
+// or more (Units).
 type L struct {
-	Hub  uint32
-	Dist float64
+	Hub, Dist uint32
+}
+
+// DistError is a builder's refusal of a label it cannot hold: a distance
+// of 2^32 units or more.
+type DistError struct{ error }
+
+// Units returns d, a tree's distance from hub to v in units of 2^-k, as a
+// label distance. A tree that reaches 2^32 units or more cannot emit the
+// label, so Units panics with a *DistError, which chl.Build returns as its
+// error (ptree.ParallelFor and the cluster simulator carry it to the
+// caller's goroutine).
+func Units(v int, hub uint32, d uint64, k int) uint32 {
+	if d >= 1<<32 {
+		panic(&DistError{fmt.Errorf("label: vertex %d's label at hub %d (rank) has distance %v, which is not a whole number of units 2^-%d below 2^32; keep the graph's distances below 2^32 units (scale its weights down, or to coarser dyadic fractions)", v, hub, FromUnits(float64(d), k), k)})
+	}
+	return uint32(d)
 }
 
 // Set is the label vector of one vertex, sorted ascending by Hub
@@ -67,13 +85,13 @@ func (s Set) IsSorted() bool {
 	return true
 }
 
-// Find returns the distance to hub h, if present.
-func (s Set) Find(h uint32) (float64, bool) {
+// Find returns the distance to hub h in units, if present.
+func (s Set) Find(h uint32) (uint32, bool) {
 	i := sort.Search(len(s), func(i int) bool { return s[i].Hub >= h })
 	if i < len(s) && s[i].Hub == h {
 		return s[i].Dist, true
 	}
-	return Infinity, false
+	return 0, false
 }
 
 // Clone returns a copy of the set.
@@ -115,10 +133,11 @@ func (s Set) Merge(other Set) Set {
 }
 
 // QueryMerge answers a PPSD query by merge-joining two sorted label sets.
-// It returns the minimum d(u,h)+d(h,v) over common hubs h, the hub achieving
-// it, and ok=false if the sets share no hub. Among equal-distance witnesses
-// the highest-ranked (smallest id) hub is returned, the "rank priority" used
-// by Lemma 2.
+// It returns the minimum d(u,h)+d(h,v) over common hubs h in units, summed
+// in float64 as the frozen kernels sum (exact below 2^33), the hub
+// achieving it, and ok=false (and Infinity) if the sets share no hub.
+// Among equal-distance witnesses the highest-ranked (smallest id) hub is
+// returned, the "rank priority" used by Lemma 2.
 func QueryMerge(a, b Set) (dist float64, hub uint32, ok bool) {
 	dist = Infinity
 	i, j := 0, 0
@@ -129,7 +148,7 @@ func QueryMerge(a, b Set) (dist float64, hub uint32, ok bool) {
 		case a[i].Hub > b[j].Hub:
 			j++
 		default:
-			if d := a[i].Dist + b[j].Dist; d < dist {
+			if d := float64(a[i].Dist) + float64(b[j].Dist); d < dist {
 				dist, hub, ok = d, a[i].Hub, true
 			}
 			i++
@@ -139,9 +158,9 @@ func QueryMerge(a, b Set) (dist float64, hub uint32, ok bool) {
 	return dist, hub, ok
 }
 
-// Validate checks structural invariants (sortedness, finite positive
-// distances except the self label, hub ids < n) and returns a descriptive
-// error on the first violation. Tests call it on every produced labeling.
+// Validate checks structural invariants (sortedness, a zero self label,
+// hub ids < n) and returns a descriptive error on the first violation.
+// Tests call it on every produced labeling.
 func (s Set) Validate(owner int, n int) error {
 	for i, l := range s {
 		if int(l.Hub) >= n {
@@ -149,9 +168,6 @@ func (s Set) Validate(owner int, n int) error {
 		}
 		if i > 0 && s[i-1].Hub >= l.Hub {
 			return fmt.Errorf("label: vertex %d labels not strictly sorted at %d", owner, i)
-		}
-		if math.IsNaN(l.Dist) || l.Dist < 0 || math.IsInf(l.Dist, 0) {
-			return fmt.Errorf("label: vertex %d hub %d has bad distance %v", owner, l.Hub, l.Dist)
 		}
 		if int(l.Hub) == owner && l.Dist != 0 {
 			return fmt.Errorf("label: vertex %d self label has distance %v", owner, l.Dist)

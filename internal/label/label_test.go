@@ -1,16 +1,18 @@
 package label
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func set(pairs ...L) Set { return Set(pairs) }
 
 func TestSetSortFindClone(t *testing.T) {
-	s := set(L{5, 2}, L{1, 3}, L{9, 0.5})
+	s := set(L{5, 2}, L{1, 3}, L{9, 1})
 	s.Sort()
 	if !s.IsSorted() {
 		t.Fatalf("not sorted: %v", s)
@@ -73,9 +75,9 @@ func TestQueryMergeProperty(t *testing.T) {
 	mk := func(seed int64) Set {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(20)
-		m := map[uint32]float64{}
+		m := map[uint32]uint32{}
 		for i := 0; i < n; i++ {
-			m[uint32(rng.Intn(30))] = float64(rng.Intn(50)) / 2
+			m[uint32(rng.Intn(30))] = uint32(rng.Intn(50))
 		}
 		s := make(Set, 0, len(m))
 		for h, d := range m {
@@ -89,8 +91,8 @@ func TestQueryMergeProperty(t *testing.T) {
 		want := Infinity
 		for _, la := range a {
 			for _, lb := range b {
-				if la.Hub == lb.Hub && la.Dist+lb.Dist < want {
-					want = la.Dist + lb.Dist
+				if d := float64(la.Dist + lb.Dist); la.Hub == lb.Hub && d < want {
+					want = d
 				}
 			}
 		}
@@ -103,7 +105,7 @@ func TestQueryMergeProperty(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	good := set(L{1, 2}, L{3, 0.5}, L{4, 0})
+	good := set(L{1, 2}, L{3, 1}, L{4, 0})
 	if err := good.Validate(4, 10); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +116,6 @@ func TestValidate(t *testing.T) {
 		{set(L{3, 1}, L{1, 1}), 0}, // unsorted
 		{set(L{1, 1}, L{1, 2}), 0}, // duplicate hub
 		{set(L{12, 1}), 0},         // out of range
-		{set(L{1, -1}), 0},         // negative distance
 		{set(L{2, 5}), 2},          // self label nonzero
 	}
 	for i, c := range bad {
@@ -125,7 +126,7 @@ func TestValidate(t *testing.T) {
 }
 
 func TestIndexAppendKeepsSorted(t *testing.T) {
-	ix := NewIndex(3)
+	ix := NewIndex(3, 0)
 	ix.Append(0, L{5, 1})
 	ix.Append(0, L{2, 3})
 	ix.Append(0, L{7, 2})
@@ -140,7 +141,7 @@ func TestIndexAppendKeepsSorted(t *testing.T) {
 }
 
 func TestIndexEqualAndDiff(t *testing.T) {
-	a := NewIndex(2)
+	a := NewIndex(2, 0)
 	a.Append(0, L{0, 0})
 	a.Append(1, L{0, 2})
 	b := a.Clone()
@@ -151,15 +152,26 @@ func TestIndexEqualAndDiff(t *testing.T) {
 	if a.Equal(b) || a.Diff(b) == "" {
 		t.Fatal("difference not detected")
 	}
+	// The same counts in another unit are other distances.
+	if c := FromSets(a.Clone().sets, 1); a.Equal(c) || a.Diff(c) == "" {
+		t.Fatal("difference in unit not detected")
+	}
+}
+
+// A label is one 8-byte word, and Bytes accounts it at that.
+func TestLabelIsEightBytes(t *testing.T) {
+	if unsafe.Sizeof(L{}) != 8 || Bytes != 8 {
+		t.Fatalf("unsafe.Sizeof(L{}) = %d, Bytes = %d, want 8 and 8", unsafe.Sizeof(L{}), Bytes)
+	}
 }
 
 func TestIndexStats(t *testing.T) {
-	ix := NewIndex(4)
+	ix := NewIndex(4, 0)
 	ix.Append(0, L{0, 0})
 	ix.Append(1, L{0, 1})
 	ix.Append(1, L{1, 0})
 	st := ix.Stats()
-	if st.TotalLabels != 3 || st.ALS != 0.75 || st.MaxLabels != 2 || st.Bytes != 36 {
+	if st.TotalLabels != 3 || st.ALS != 0.75 || st.MaxLabels != 2 || st.Bytes != 24 {
 		t.Fatalf("stats = %+v", st)
 	}
 	per := ix.LabelsPerHub()
@@ -198,8 +210,19 @@ func TestHashDistQueries(t *testing.T) {
 	if !hd.QueryAgainst(lv, 9) { // 4+5 = 9 ≤ 9
 		t.Fatal("witness at exactly δ missed")
 	}
-	if hd.QueryAgainst(lv, 8.5) {
-		t.Fatal("phantom witness below 9") // 4+5=9 > 8.5; 9+2=11 > 8.5
+	if hd.QueryAgainst(lv, 8) {
+		t.Fatal("phantom witness below 9") // 4+5=9 > 8; 9+2=11 > 8
+	}
+	// An absent hub never covers, whatever δ: not at 2^32 units and past,
+	// where the sum of a label and a uint32 sentinel would, nor at 2^64−1.
+	hd.Load(set(L{1, 5}))
+	for _, delta := range []uint64{1<<32 - 1, 1 << 32, 1 << 33, 1 << 62, 1<<63 - 1, 1 << 63, math.MaxUint64} {
+		if hd.QueryAgainst(set(L{3, 0}, L{4, math.MaxUint32}), delta) || hd.QueryAgainstBounded(set(L{3, 0}), delta, 10) {
+			t.Fatalf("an absent hub covered δ = %d", delta)
+		}
+		if !hd.QueryAgainst(set(L{1, math.MaxUint32}), delta) == (delta >= 1<<32+4) {
+			t.Fatalf("a present hub at 2^32+4 units: cover of δ = %d wrong", delta)
+		}
 	}
 	if hd.QueryAgainstBounded(lv, 100, 1) {
 		t.Fatal("bounded(1) must exclude hub 1 and above")
@@ -221,19 +244,19 @@ func TestHashDistMatchesReference(t *testing.T) {
 		var s Set
 		for hub := uint32(0); hub < n; hub++ {
 			if rng.Intn(3) == 0 {
-				s = append(s, L{hub, float64(rng.Intn(20))})
+				s = append(s, L{hub, uint32(rng.Intn(20))})
 			}
 		}
 		return s
 	}
 	hd := NewHashDist(n)
-	ref := map[uint32]float64{}
+	ref := map[uint32]uint32{}
 	// best is the smallest sum over the hubs below bound that lv and ref share.
-	best := func(lv Set, bound uint32) (float64, bool) {
-		sum, found := Infinity, false
+	best := func(lv Set, bound uint32) (uint64, bool) {
+		sum, found := uint64(math.MaxUint64), false
 		for _, l := range lv {
-			if d, ok := ref[l.Hub]; ok && l.Hub < bound && l.Dist+d < sum {
-				sum, found = l.Dist+d, true
+			if d, ok := ref[l.Hub]; ok && l.Hub < bound && uint64(l.Dist+d) < sum {
+				sum, found = uint64(l.Dist+d), true
 			}
 		}
 		return sum, found
@@ -243,13 +266,13 @@ func TestHashDistMatchesReference(t *testing.T) {
 		case 0:
 			s := randomSet()
 			hd.Load(s)
-			ref = map[uint32]float64{}
+			ref = map[uint32]uint32{}
 			for _, l := range s {
 				ref[l.Hub] = l.Dist
 			}
 		case 1:
 			for k := rng.Intn(12); k > 0; k-- {
-				hub, d := uint32(rng.Intn(n)), float64(rng.Intn(20))
+				hub, d := uint32(rng.Intn(n)), uint32(rng.Intn(20))
 				hd.Add(hub, d)
 				if old, ok := ref[hub]; !ok || d < old {
 					ref[hub] = d
@@ -257,13 +280,10 @@ func TestHashDistMatchesReference(t *testing.T) {
 			}
 		default:
 			hd.Reset()
-			ref = map[uint32]float64{}
+			ref = map[uint32]uint32{}
 		}
 		for hub := uint32(0); hub < n; hub++ {
 			want, present := ref[hub]
-			if !present {
-				want = Infinity
-			}
 			if d, ok := hd.Get(hub); d != want || ok != present {
 				t.Fatalf("cycle %d: Get(%d) = %v,%v, want %v,%v", cycle, hub, d, ok, want, present)
 			}
@@ -272,10 +292,9 @@ func TestHashDistMatchesReference(t *testing.T) {
 			lv, bound := randomSet(), uint32(rng.Intn(n+1))
 			for _, b := range []uint32{n, bound} {
 				sum, found := best(lv, b)
-				// δ = Infinity (MaxFloat64) is where the sentinel shows: an
-				// absent slot holding MaxFloat64 would witness, since
-				// 1 + MaxFloat64 rounds back to MaxFloat64; +Inf does not.
-				for _, delta := range []float64{float64(rng.Intn(40)), sum, sum - 1, Infinity} {
+				// δ = 2^64−1 is where the sentinel shows: an absent slot
+				// holding 2^64−1 would witness, since 1 + (2^64−1) wraps.
+				for _, delta := range []uint64{uint64(rng.Intn(40)), sum, sum - 1, math.MaxUint64} {
 					got, want := hd.QueryAgainstBounded(lv, delta, b), found && sum <= delta
 					if got != want || (b == n && hd.QueryAgainst(lv, delta) != want) {
 						t.Fatalf("cycle %d: query(%v, δ=%v, bound %d) = %v with table %v: smallest common sum %v (found %v)",
@@ -302,19 +321,19 @@ func BenchmarkPruneQuery(b *testing.B) {
 	perm := rng.Perm(hubs)
 	var root Set
 	for _, hub := range perm[:rootHubs] {
-		root = append(root, L{uint32(hub), float64(1 + rng.Intn(100))})
+		root = append(root, L{uint32(hub), uint32(1 + rng.Intn(100))})
 	}
 	root.Sort()
 	lvs := make([]Set, sets)
 	for i := range lvs {
 		lv := make(Set, 0, entries)
 		for _, k := range rng.Perm(rootHubs)[:entries*2/3] {
-			lv = append(lv, L{uint32(perm[k]), float64(1 + rng.Intn(100))})
+			lv = append(lv, L{uint32(perm[k]), uint32(1 + rng.Intn(100))})
 		}
 		for seen := map[int]bool{}; len(lv) < entries; {
 			if k := rootHubs + rng.Intn(hubs-rootHubs); !seen[k] {
 				seen[k] = true
-				lv = append(lv, L{uint32(perm[k]), float64(1 + rng.Intn(100))})
+				lv = append(lv, L{uint32(perm[k]), uint32(1 + rng.Intn(100))})
 			}
 		}
 		lv.Sort()

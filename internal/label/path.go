@@ -49,7 +49,7 @@ func (px *PathIndex) Path(u, v int) (path []int, dist float64, ok bool) {
 	if u == v {
 		return []int{u}, 0, true
 	}
-	dist, hub, ok := QueryMerge(px.ix.Labels(u), px.ix.Labels(v))
+	dist, hub, ok := px.ix.QueryHub(u, v)
 	if !ok {
 		return nil, Infinity, false
 	}

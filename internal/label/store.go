@@ -66,7 +66,7 @@ func (cs *ConcurrentStore) Append(v int, l L) {
 
 // QueryAgainst runs hd.QueryAgainst(labels of v) under v's lock, or reports
 // false without locking when v has no labels.
-func (cs *ConcurrentStore) QueryAgainst(hd *HashDist, v int, delta float64) bool {
+func (cs *ConcurrentStore) QueryAgainst(hd *HashDist, v int, delta uint64) bool {
 	if cs.slots[v].n.Load() == 0 {
 		return false
 	}
@@ -91,17 +91,17 @@ func (cs *ConcurrentStore) AddTo(hd *HashDist, v int) {
 	s.mu.Unlock()
 }
 
-// Seal sorts every set and hands the storage over as an Index. The store
-// must not be used afterwards. Seal is called once construction workers have
-// quiesced, so it takes no locks.
-func (cs *ConcurrentStore) Seal() *Index {
+// Seal sorts every set and hands the storage over as an Index counting
+// units of 2^-k. The store must not be used afterwards. Seal is called once
+// construction workers have quiesced, so it takes no locks.
+func (cs *ConcurrentStore) Seal(k int) *Index {
 	sets := make([]Set, len(cs.slots))
 	for v := range cs.slots {
 		sets[v] = cs.slots[v].set
 		sets[v].Sort()
 	}
 	cs.slots = nil
-	return &Index{sets: sets}
+	return &Index{sets: sets, k: k}
 }
 
 // Drain moves every vertex's pending labels out of the store, leaving it

@@ -22,7 +22,7 @@ func TestConcurrentStoreParallelAppend(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	ix := cs.Seal()
+	ix := cs.Seal(0)
 	if total := ix.TotalLabels(); total != workers*per {
 		t.Fatalf("stored %d labels, want %d", total, workers*per)
 	}
@@ -46,7 +46,7 @@ func TestConcurrentStoreQueryAgainst(t *testing.T) {
 	if !cs.QueryAgainst(hd, 1, 7) {
 		t.Fatal("witness 3+4 ≤ 7 missed")
 	}
-	if cs.QueryAgainst(hd, 1, 6.5) {
+	if cs.QueryAgainst(hd, 1, 6) {
 		t.Fatal("phantom witness")
 	}
 	if cs.QueryAgainst(hd, 0, 100) {
@@ -155,7 +155,7 @@ func TestConcurrentStoreRecycle(t *testing.T) {
 	if d, ok := probe.Get(7); !ok || d != 2 {
 		t.Fatalf("hub 7 = %v,%v want 2", d, ok)
 	}
-	ix := cs.Seal()
+	ix := cs.Seal(0)
 	if got := ix.Labels(0); len(got) != 1 || got[0].Hub != 7 || &got[0] != &drained[0][0] {
 		t.Fatalf("vertex 0 after reuse = %v, want the one new label in the drained storage", got)
 	}
@@ -193,7 +193,7 @@ func TestConcurrentStoreReadersBesideAppenders(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := cs.Seal().TotalLabels(); got != 2*per {
+	if got := cs.Seal(0).TotalLabels(); got != 2*per {
 		t.Fatalf("stored %d labels, want %d", got, 2*per)
 	}
 }

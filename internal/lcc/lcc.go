@@ -53,7 +53,7 @@ func Run(g *graph.Graph, opts Options) (*label.Index, *metrics.Build) {
 	start := time.Now()
 	m.Fold(ptree.LiveForest(g, store, opts.Workers, true))
 	m.LockAcquisitions = store.LockCount()
-	ix := store.Seal() // sort labels by hub rank (Algorithm 2 lines 6–7)
+	ix := store.Seal(g.WeightUnitExp()) // sort labels by hub rank (Algorithm 2 lines 6–7)
 	m.ConstructTime = time.Since(start)
 
 	// ---- LCC-II: parallel label cleaning (Algorithm 2 lines 8–11).

@@ -53,7 +53,7 @@ func TestCleanRemovesInjectedRedundancy(t *testing.T) {
 			if d == label.Infinity {
 				continue
 			}
-			dirty.Append(v, label.L{Hub: uint32(h), Dist: d})
+			dirty.Append(v, label.L{Hub: uint32(h), Dist: uint32(d)}) // integer weights: the unit is 1
 			injected++
 		}
 	}
@@ -91,7 +91,7 @@ func TestConstructRespectsR(t *testing.T) {
 	g := graph.ErdosRenyi(45, 100, 5, 9)
 	store := label.NewConcurrentStore(g.NumVertices())
 	st := ptree.LiveForest(g, store, 4, true) // LCC-I
-	ix := store.Seal()
+	ix := store.Seal(g.WeightUnitExp())
 	if err := verify.Cover(g, ix, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -74,11 +74,15 @@ func (b *Build) Fold(s ptree.Stats) {
 // Psi returns the overall Ψ ratio — vertices explored per label generated —
 // the quantity Figure 3 plots per tree and the Hybrid algorithm thresholds
 // on.
-func (b *Build) Psi() float64 {
-	if b.LabelsGenerated == 0 {
-		return float64(b.VerticesExplored)
+func (b *Build) Psi() float64 { return Psi(b.VerticesExplored, b.LabelsGenerated) }
+
+// Psi is the Ψ ratio of any count of vertices explored and labels
+// generated (a tree's, say). With no labels generated it reports explored.
+func Psi(explored, labels int64) float64 {
+	if labels == 0 {
+		return float64(explored)
 	}
-	return float64(b.VerticesExplored) / float64(b.LabelsGenerated)
+	return float64(explored) / float64(labels)
 }
 
 // ALS returns the average label size given the vertex count.

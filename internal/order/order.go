@@ -164,18 +164,19 @@ func sampledBetweenness(g *graph.Graph, samples int, seed int64, workers int) []
 // inOff[v]+npred[v]]: the slots of v's in-arcs, which is as many as v can
 // have.
 type brandes struct {
-	dist, sigma []float64
-	settled     []int
-	inOff       []int
-	npred       []int32
-	pred        []int32
-	h           *vheap.Heap
+	dist    []uint64 // in units of the graph's 2^-k
+	sigma   []float64
+	settled []int
+	inOff   []int
+	npred   []int32
+	pred    []int32
+	h       *vheap.Heap
 }
 
 func newBrandes(g *graph.Graph) *brandes {
 	n := g.NumVertices()
 	b := &brandes{
-		dist:    make([]float64, n),
+		dist:    make([]uint64, n),
 		sigma:   make([]float64, n),
 		settled: make([]int, 0, n),
 		inOff:   make([]int, n),
@@ -197,7 +198,7 @@ func newBrandes(g *graph.Graph) *brandes {
 func (b *brandes) dependencies(g *graph.Graph, src int, delta []float64) {
 	dist, sigma, inOff, npred, pred := b.dist, b.sigma, b.inOff, b.npred, b.pred
 	for i := range dist {
-		dist[i] = graph.Infinity
+		dist[i] = graph.Unreached
 		sigma[i] = 0
 		delta[i] = 0
 	}
@@ -216,7 +217,7 @@ func (b *brandes) dependencies(g *graph.Graph, src int, delta []float64) {
 		heads, wts := g.Neighbors(u)
 		for i, vv := range heads {
 			v := int(vv)
-			nd := du + wts[i]
+			nd := du + uint64(wts[i])
 			if nd < dist[v] {
 				dist[v] = nd
 				sigma[v] = sigma[u]

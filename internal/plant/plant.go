@@ -82,20 +82,19 @@
 //
 // # Settling a bucket at a time
 //
-// A tree settles from a vheap.Window whose buckets are Δ = w_min/2 wide,
-// w_min the lightest arc, a bucket at a time in FIFO order. Ancestors are
-// exact when a vertex settles. A relaxation d + w from bucket number k has
-// w ≥ 2Δ, so fl(d + w)·(1/Δ) ≥ k + 2 − O(k·2⁻⁵²) > k + 1 for every k below
-// the window's limit of 2^50: it lands in a strictly later bucket, even
-// after rounding. So when a bucket is reached every vertex in it has its
-// final distance and its final best ancestor — each of its shortest-path
-// predecessors lies in an earlier bucket and has settled — and the order
-// within the bucket is free. Past bucket number 2^50, or with Δ below the
-// window's narrowest bucket, the tree settles from the window's heap one
-// vertex at a time, in distance order. Every rule above is applied when a
-// vertex settles, as in a heap-ordered Dijkstra; only early termination may
-// stop at a different vertex of the last bucket, which moves the work
-// counters and never the labels.
+// A tree runs in the graph's integer units (internal/graph) and settles
+// from a vheap.Window a bucket at a time, in FIFO order. Bucket number k
+// holds the distances d with d >> s = k, where 2^s is the largest power of
+// two not above w_min, the lightest arc. A relaxation d + w from bucket k
+// has w ≥ w_min ≥ 2^s, so (d + w) >> s ≥ k + 1: it lands in a strictly
+// later bucket, by integer arithmetic. So when a bucket is reached every
+// vertex in it has its final distance and its final best ancestor — each
+// of its shortest-path predecessors lies in an earlier bucket and has
+// settled — and the order within the bucket is free. Every rule above is
+// applied when a vertex settles, as in a heap-ordered Dijkstra; only early
+// termination may stop at a different vertex of the last bucket, which
+// moves the work counters and never the labels. A tree that would emit a
+// label of 2^32 units or more refuses it (label.Units).
 //
 // The package operates in rank space (vertex 0 = highest rank).
 package plant
@@ -142,7 +141,7 @@ func NewScratches(workers, n int) []*Scratch {
 // Sink receives the labels emitted by one PLaNTed tree, in bucket order:
 // by distance, up to the order of the distances that share a bucket. v is
 // the labeled vertex; the hub is the tree root.
-type Sink func(v int, dist float64)
+type Sink func(v int, dist uint32)
 
 // Tree runs Algorithm 3 (PLaNTDijkstra) from root h over g, emitting labels
 // into sink. The tree is pruned per §5.3 against a Common Label Table that
@@ -155,7 +154,7 @@ type Sink func(v int, dist float64)
 // are not read at all and may be nil.
 //
 // The tree settles a bucket of its window at a time, in FIFO order, with
-// buckets half the lightest arc wide (package doc): every vertex of a
+// buckets no wider than the lightest arc (package doc): every vertex of a
 // bucket has its final distance and ancestor when the bucket is reached.
 //
 // Differences from the paper's pseudo-code, both deliberate: edge
@@ -182,8 +181,8 @@ func Tree(g *graph.Graph, h int, s *Scratch, root, probe *label.Index, commonBou
 		s.HD.Load(root.Labels(h))
 	}
 
-	dist, win := s.Dist, s.win
-	win.Start(g.MinWeight() / 2)
+	dist, win, k := s.Dist, s.win, g.WeightUnitExp()
+	win.Start(g.MinUnits())
 	win.Queue(h, 0)
 	var explored, relaxed int64
 	for more := true; more && cnt > 0; more = win.Next(dist) {
@@ -227,19 +226,19 @@ func Tree(g *graph.Graph, h int, s *Scratch, root, probe *label.Index, commonBou
 				}
 			}
 			if nA >= int32(h) { // R[nA] ≤ R[h]: the root is the path maximum
-				sink(v, dv)
+				sink(v, label.Units(v, uint32(h), dv, k))
 				st.Labels++
 			}
 			heads, wts := g.Neighbors(v)
 			relaxed += int64(len(heads))
 			for i, uu := range heads {
 				u := int(uu)
-				nd := dv + wts[i]
+				nd := dv + uint64(wts[i])
 				// A settled u has dist[u] ≤ nd, so only the equal-length
 				// branch asks whether u is settled.
 				du := dist[u]
 				if nd < du {
-					if du == graph.Infinity {
+					if du == graph.Unreached {
 						s.Dirty = append(s.Dirty, int32(uu))
 					}
 					// a[u] = argmax rank over {nA, u} (Alg. 3 line 11).
@@ -247,7 +246,7 @@ func Tree(g *graph.Graph, h int, s *Scratch, root, probe *label.Index, commonBou
 					if int32(u) < na {
 						na = int32(u)
 					}
-					prev := du != graph.Infinity && s.anc[u] == int32(h)
+					prev := du != graph.Unreached && s.anc[u] == int32(h)
 					now := na == int32(h)
 					if now && !prev {
 						cnt++
@@ -350,8 +349,7 @@ func BatchBounds(n, commonHubs int) []int {
 
 // Emitted is one label of the batch in flight, filed under its tree.
 type Emitted struct {
-	V    uint32
-	Dist float64
+	V, Dist uint32
 }
 
 // Span locates one tree's labels: Outs[W][Lo:Hi].
@@ -378,7 +376,7 @@ func (b *Batch) Plant(g *graph.Graph, root, probe *label.Index, bound int, s *Sc
 	// lines, and out's header changes with every label.
 	out := b.Outs[w]
 	from := len(out)
-	st := Tree(g, h, s, root, probe, uint32(bound), func(v int, d float64) { out = append(out, Emitted{uint32(v), d}) })
+	st := Tree(g, h, s, root, probe, uint32(bound), func(v int, d uint32) { out = append(out, Emitted{uint32(v), d}) })
 	b.Outs[w] = out
 	b.Spans[i] = Span{int32(w), from, len(out)}
 	return st
@@ -401,7 +399,7 @@ type side struct {
 // else ever writes the table, so it needs no lock, and after the last batch
 // it is the index. The output is the CHL — PLaNT needs no cleaning.
 func Run(g *graph.Graph, opts Options) (*label.Index, *metrics.Build) {
-	table := label.NewIndex(g.NumVertices())
+	table := label.NewIndex(g.NumVertices(), g.WeightUnitExp())
 	return table, run("PLaNT", opts, &side{g: g, root: table, into: table})
 }
 
@@ -415,7 +413,7 @@ func Run(g *graph.Graph, opts Options) (*label.Index, *metrics.Build) {
 // is a hub of both Lout(h) and Lin(v).
 func RunDirected(g *graph.Graph, opts Options) (*label.DirectedIndex, *metrics.Build) {
 	n := g.NumVertices()
-	lout, lin := label.NewIndex(n), label.NewIndex(n)
+	lout, lin := label.NewIndex(n, g.WeightUnitExp()), label.NewIndex(n, g.WeightUnitExp())
 	m := run("PLaNT-directed", opts, &side{g: g, root: lout, into: lin}, &side{g: g.Transpose(), root: lin, into: lout})
 	return &label.DirectedIndex{Forward: lout, Backward: lin}, m
 }

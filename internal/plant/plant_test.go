@@ -9,8 +9,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/order"
 	"repro/internal/pll"
-	"repro/internal/ptree"
-	"repro/internal/sssp"
+	"repro/internal/verify"
 )
 
 // TestFigure1cGolden replays the PLaNT trace of Figure 1c step by step:
@@ -22,7 +21,7 @@ func TestFigure1cGolden(t *testing.T) {
 	g := graph.Figure1()
 	s := NewScratch(5)
 	var got []label.L
-	st := Tree(g, 1, s, nil, nil, 0, func(v int, d float64) {
+	st := Tree(g, 1, s, nil, nil, 0, func(v int, d uint32) {
 		got = append(got, label.L{Hub: uint32(v), Dist: d}) // Hub field reused as "vertex"
 	})
 	if len(got) != 2 || got[0] != (label.L{Hub: 1, Dist: 0}) || got[1] != (label.L{Hub: 2, Dist: 10}) {
@@ -53,22 +52,22 @@ func TestFigure1cGolden(t *testing.T) {
 
 func TestTreeEqualsMaxRankSemantics(t *testing.T) {
 	// PLaNT's label condition is exactly "root is the max-rank vertex on
-	// any shortest path" — cross-check against sssp.MaxRankOnPath.
+	// any shortest path" — cross-check against verify.MaxRankOnPath.
 	for seed := int64(0); seed < 6; seed++ {
 		g := graph.ErdosRenyi(40, 90, 5, seed)
 		n := g.NumVertices()
 		s := NewScratch(n)
 		for h := 0; h < n; h += 3 {
-			labeled := map[int]float64{}
-			Tree(g, h, s, nil, nil, 0, func(v int, d float64) { labeled[v] = d })
-			best, dist := sssp.MaxRankOnPath(g, h)
+			labeled := map[int]uint32{}
+			Tree(g, h, s, nil, nil, 0, func(v int, d uint32) { labeled[v] = d })
+			best, dist := verify.MaxRankOnPath(g, h)
 			for v := 0; v < n; v++ {
 				_, got := labeled[v]
 				want := dist[v] != graph.Infinity && int(best[v]) == h
 				if got != want {
 					t.Fatalf("seed %d root %d vertex %d: labeled=%v, canonical=%v", seed, h, v, got, want)
 				}
-				if want && labeled[v] != dist[v] {
+				if want && g.FromUnits(uint64(labeled[v])) != dist[v] {
 					t.Fatalf("seed %d root %d vertex %d: label dist %v, true %v", seed, h, v, labeled[v], dist[v])
 				}
 			}
@@ -82,7 +81,7 @@ func TestEarlyTermination(t *testing.T) {
 	// no labels can follow.
 	g := graph.Path(100, 1)
 	s := NewScratch(100)
-	st := Tree(g, 99, s, nil, nil, 0, func(int, float64) {})
+	st := Tree(g, 99, s, nil, nil, 0, func(int, uint32) {})
 	if st.Labels != 1 {
 		t.Fatalf("tail tree labels = %d, want 1 (self)", st.Labels)
 	}
@@ -91,7 +90,7 @@ func TestEarlyTermination(t *testing.T) {
 		t.Fatalf("explored %d vertices, early termination failed", st.Explored)
 	}
 	// The top-ranked root must explore (and label) everything.
-	st0 := Tree(g, 0, s, nil, nil, 0, func(int, float64) {})
+	st0 := Tree(g, 0, s, nil, nil, 0, func(int, uint32) {})
 	if st0.Labels != 100 || st0.Explored != 100 {
 		t.Fatalf("root tree: labels=%d explored=%d", st0.Labels, st0.Explored)
 	}
@@ -100,13 +99,12 @@ func TestEarlyTermination(t *testing.T) {
 func TestPsiStats(t *testing.T) {
 	g := graph.RoadGrid(6, 6, 1)
 	s := NewScratch(g.NumVertices())
-	st := Tree(g, g.NumVertices()-1, s, nil, nil, 0, func(int, float64) {})
-	if st.Psi() < 1 {
-		t.Fatalf("Ψ = %v < 1", st.Psi())
+	st := Tree(g, g.NumVertices()-1, s, nil, nil, 0, func(int, uint32) {})
+	if psi := metrics.Psi(st.Explored, st.Labels); psi < 1 {
+		t.Fatalf("Ψ = %v < 1", psi)
 	}
-	zero := ptree.Stats{Explored: 7}
-	if zero.Psi() != 7 {
-		t.Fatalf("Ψ of label-free tree = %v, want Explored", zero.Psi())
+	if psi := metrics.Psi(7, 0); psi != 7 {
+		t.Fatalf("Ψ of label-free tree = %v, want Explored", psi)
 	}
 }
 
@@ -246,7 +244,7 @@ func TestAncestorShortcutEqualsQuery(t *testing.T) {
 
 				// Unpruned, ancestors summarise every shortest path, so the
 				// two tests are the same test.
-				Tree(g, h, s, nil, nil, 0, func(int, float64) {})
+				Tree(g, h, s, nil, nil, 0, func(int, uint32) {})
 				for v := 0; v < n; v++ {
 					if s.settled[v] && v != h && shortcut(v) != query(v) {
 						t.Fatalf("seed %d bound %d root %d vertex %d unpruned: shortcut %v, query %v",
@@ -257,7 +255,7 @@ func TestAncestorShortcutEqualsQuery(t *testing.T) {
 				// Pruned, paths behind a cut vertex go unexplored, so the
 				// query cuts more than the shortcut — never less — and the
 				// stats say which of the two cut what.
-				st := Tree(g, h, s, chl, chl, bound, func(int, float64) {})
+				st := Tree(g, h, s, chl, chl, bound, func(int, uint32) {})
 				var byAnc, asked, byQuery int64
 				for v := 0; v < n; v++ {
 					switch {
@@ -341,9 +339,9 @@ func TestScratchReuseAcrossTrees(t *testing.T) {
 	shared := NewScratch(30)
 	for h := 0; h < 30; h++ {
 		var a, b []label.L
-		Tree(g, h, shared, nil, nil, 0, func(v int, d float64) { a = append(a, label.L{Hub: uint32(v), Dist: d}) })
+		Tree(g, h, shared, nil, nil, 0, func(v int, d uint32) { a = append(a, label.L{Hub: uint32(v), Dist: d}) })
 		fresh := NewScratch(30)
-		Tree(g, h, fresh, nil, nil, 0, func(v int, d float64) { b = append(b, label.L{Hub: uint32(v), Dist: d}) })
+		Tree(g, h, fresh, nil, nil, 0, func(v int, d uint32) { b = append(b, label.L{Hub: uint32(v), Dist: d}) })
 		if len(a) != len(b) {
 			t.Fatalf("root %d: %d labels with shared scratch, %d with fresh", h, len(a), len(b))
 		}
@@ -381,12 +379,13 @@ func BenchmarkPLaNTScaleFree(b *testing.B) {
 	benchmarkPLaNT(b, g, order.ByDegree(g))
 }
 
-// BenchmarkPLaNTWideWeights is the road benchmark plus one 1e-3 arc, which
-// makes the buckets 5e-4 wide: nearly every relaxation lands beyond the
-// window, so this times the heap the window parks them on.
+// BenchmarkPLaNTWideWeights is the road benchmark plus one 2^-10 arc, which
+// makes the unit, and the buckets, 2^-10 wide: the window spans one unit of
+// the grid's integer weights, so nearly every relaxation lands beyond it,
+// and this times the heap the window parks them on.
 func BenchmarkPLaNTWideWeights(b *testing.B) {
 	road := graph.RoadGrid(96, 96, 1)
-	g, err := road.Splice([]graph.EdgeEdit{{U: 0, V: road.NumVertices() - 1, W: 1e-3}})
+	g, err := road.Splice([]graph.EdgeEdit{{U: 0, V: road.NumVertices() - 1, W: 0x1p-10}})
 	if err != nil {
 		b.Fatal(err)
 	}

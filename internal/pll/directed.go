@@ -21,8 +21,8 @@ import (
 func SequentialDirected(g *graph.Graph, opts Options) (*label.DirectedIndex, *metrics.Build) {
 	opts = opts.normalize()
 	n := g.NumVertices()
-	lout := label.NewIndex(n) // forward labels, d(v→h)
-	lin := label.NewIndex(n)  // backward labels, d(h→v)
+	lout := label.NewIndex(n, g.WeightUnitExp()) // forward labels, d(v→h)
+	lin := label.NewIndex(n, g.WeightUnitExp())  // backward labels, d(h→v)
 	gt := g.Transpose()
 	m := sequential("seqPLL-directed", n, opts, func(s *ptree.Scratch, h int) ptree.Stats {
 		// Forward tree: distances d(h→v); prune via Lout(h) ⋈ Lin(v).

@@ -17,7 +17,7 @@ import (
 func SequentialWithPaths(g *graph.Graph, opts Options) (*label.PathIndex, *metrics.Build) {
 	opts = opts.normalize()
 	n := g.NumVertices()
-	ix := label.NewIndex(n)
+	ix := label.NewIndex(n, g.WeightUnitExp())
 	px := label.NewPathIndex(ix)
 	parents := make([][]uint32, n) // built per vertex in hub order
 	parent := make([]int32, n)

@@ -61,7 +61,7 @@ const UnrestrictedPruning = math.MaxUint32
 func Sequential(g *graph.Graph, opts Options) (*label.Index, *metrics.Build) {
 	opts = opts.normalize()
 	n := g.NumVertices()
-	ix := label.NewIndex(n)
+	ix := label.NewIndex(n, g.WeightUnitExp())
 	m := sequential("seqPLL", n, opts, func(s *ptree.Scratch, h int) ptree.Stats {
 		return tree(g, s, ix.Labels(h), ix, h, opts.PruneHubBound, nil)
 	})
@@ -126,14 +126,14 @@ func tree(dir *graph.Graph, s *ptree.Scratch, root label.Set, into *label.Index,
 			}
 		}
 		st.Labels++
-		into.Append(v, label.L{Hub: uint32(h), Dist: dv})
+		into.Append(v, label.L{Hub: uint32(h), Dist: label.Units(v, uint32(h), dv, dir.WeightUnitExp())})
 		heads, wts := dir.Neighbors(v)
 		for i, uu := range heads {
 			u := int(uu)
-			nd := dv + wts[i]
+			nd := dv + uint64(wts[i])
 			st.Relaxed++
 			if nd < s.Dist[u] {
-				if s.Dist[u] == graph.Infinity {
+				if s.Dist[u] == graph.Unreached {
 					s.Dirty = append(s.Dirty, int32(uu))
 				}
 				s.Dist[u] = nd
@@ -161,7 +161,7 @@ func SParaPLL(g *graph.Graph, opts Options) (*label.Index, *metrics.Build) {
 	store := label.NewConcurrentStore(g.NumVertices())
 	start := time.Now()
 	m.Fold(ptree.LiveForest(g, store, opts.Workers, false))
-	ix := store.Seal()
+	ix := store.Seal(g.WeightUnitExp())
 	m.ConstructTime = time.Since(start)
 	m.TotalTime = m.ConstructTime
 	m.Labels = ix.TotalLabels()

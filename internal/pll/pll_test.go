@@ -18,7 +18,7 @@ func TestFigure1Golden(t *testing.T) {
 	ix, m := Sequential(g, Options{RecordPerTree: true})
 
 	// Labels from SPT_v1 (Figure 1a): every vertex takes v1 as hub.
-	wantV1 := []float64{0, 3, 11, 5, 9}
+	wantV1 := []uint32{0, 3, 11, 5, 9}
 	for v, d := range wantV1 {
 		got, ok := ix.Labels(v).Find(0)
 		if !ok || got != d {

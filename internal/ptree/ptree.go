@@ -48,8 +48,8 @@ import (
 // (Side by side they do, and a 2-worker GLL build ran 30% longer.)
 type Scratch struct {
 	_     [64]byte
-	Dist  []float64
-	Dirty []int32 // vertices whose Dist is finite, in first-touched order
+	Dist  []uint64 // in units of the graph's 2^-k
+	Dirty []int32  // vertices whose Dist is finite, in first-touched order
 	Heap  vheap.Heap
 	HD    label.HashDist // LR = hash(L_h); loaded by the caller
 	_     [64]byte
@@ -58,12 +58,12 @@ type Scratch struct {
 // NewScratch allocates scratch for graphs with n vertices.
 func NewScratch(n int) *Scratch {
 	s := &Scratch{
-		Dist: make([]float64, n),
+		Dist: make([]uint64, n),
 		Heap: *vheap.New(n),
 		HD:   *label.NewHashDist(n),
 	}
 	for i := range s.Dist {
-		s.Dist[i] = graph.Infinity
+		s.Dist[i] = graph.Unreached
 	}
 	return s
 }
@@ -90,7 +90,7 @@ func (s *Scratch) Start(h int) {
 // alone.
 func (s *Scratch) Reset(h int) {
 	for _, v := range s.Dirty {
-		s.Dist[v] = graph.Infinity
+		s.Dist[v] = graph.Unreached
 	}
 	s.Dirty = append(s.Dirty[:0], int32(h))
 	s.Dist[h] = 0
@@ -133,28 +133,22 @@ func Sum(stats []Stats) Stats {
 	return total
 }
 
-// Psi is the Ψ ratio: vertices explored per label generated (Figure 3).
-// With no labels generated it reports Explored.
-func (s Stats) Psi() float64 {
-	if s.Labels == 0 {
-		return float64(s.Explored)
-	}
-	return float64(s.Explored) / float64(s.Labels)
-}
-
 // Tree is Algorithm 1: the pruned Dijkstra from root h over g. A popped
 // vertex v at tentative distance δ is cut — no label, no relaxation — when
 // rankQuery is set and v outranks h, or when covered(v, δ) says an existing
 // hub already covers the pair (h, v) within δ; otherwise emit(v, δ) receives
-// the label and v's edges are relaxed. The root is never queried. covered
-// and emit run on the calling goroutine, in ascending distance order.
+// the label and v's edges are relaxed. δ counts units of g's 2^-k, and emit
+// receives it as a label distance, refusing 2^32 units or more (label.Units).
+// The root is never queried. covered and emit run on the calling goroutine,
+// in ascending distance order.
 //
 // The rank query is what makes a racy labeling respect R (Claim 1) and
 // therefore cleanable: a vertex ranked above the root gets no label even
 // when the distance query would have let it through.
 func Tree(g *graph.Graph, h int, s *Scratch, rankQuery bool,
-	covered func(v int, dist float64) bool, emit func(v int, dist float64)) Stats {
+	covered func(v int, dist uint64) bool, emit func(v int, dist uint32)) Stats {
 	var st Stats
+	k := g.WeightUnitExp()
 	s.Start(h)
 	for !s.Heap.Empty() {
 		v, dv := s.Heap.Pop()
@@ -170,15 +164,15 @@ func Tree(g *graph.Graph, h int, s *Scratch, rankQuery bool,
 				continue
 			}
 		}
-		emit(v, dv)
+		emit(v, label.Units(v, uint32(h), dv, k))
 		st.Labels++
 		heads, wts := g.Neighbors(v)
 		for i, uu := range heads {
 			u := int(uu)
-			nd := dv + wts[i]
+			nd := dv + uint64(wts[i])
 			st.Relaxed++
 			if nd < s.Dist[u] {
-				if s.Dist[u] == graph.Infinity {
+				if s.Dist[u] == graph.Unreached {
 					s.Dirty = append(s.Dirty, int32(uu))
 				}
 				s.Dist[u] = nd
@@ -225,8 +219,8 @@ func LiveForest(g *graph.Graph, store *label.ConcurrentStore, workers int, rankQ
 				return
 			}
 			stats[w].Add(Tree(g, h, s, rankQuery,
-				func(v int, dist float64) bool { return store.QueryAgainst(&s.HD, v, dist) },
-				func(v int, dist float64) { store.Append(v, label.L{Hub: uint32(h), Dist: dist}) }))
+				func(v int, dist uint64) bool { return store.QueryAgainst(&s.HD, v, dist) },
+				func(v int, dist uint32) { store.Append(v, label.L{Hub: uint32(h), Dist: dist}) }))
 		}
 	})
 	return Sum(stats)
@@ -243,10 +237,10 @@ func TwoTableTree(g *graph.Graph, h int, s *Scratch, rankQuery bool, global []la
 	s.HD.Load(global[h])
 	local.AddTo(&s.HD, h)
 	return Tree(g, h, s, rankQuery,
-		func(v int, dist float64) bool {
+		func(v int, dist uint64) bool {
 			return s.HD.QueryAgainst(global[v], dist) || local.QueryAgainst(&s.HD, v, dist)
 		},
-		func(v int, dist float64) { local.Append(v, label.L{Hub: uint32(h), Dist: dist}) })
+		func(v int, dist uint32) { local.Append(v, label.L{Hub: uint32(h), Dist: dist}) })
 }
 
 // Redundant is the Cleaning Query of Algorithm 2 (lines 12–16): the label
@@ -255,7 +249,7 @@ func TwoTableTree(g *graph.Graph, h int, s *Scratch, rankQuery bool, global []la
 // with the two distances summing to at most δ. Only hubs outranking h
 // qualify, so the merge-join stops at h in either set; per footnote 3 it
 // also stops at the first satisfying hub. entries counts the steps taken.
-func Redundant(lv, lh label.Set, h uint32, delta float64) (redundant bool, entries int64) {
+func Redundant(lv, lh label.Set, h, delta uint32) (redundant bool, entries int64) {
 	i, j := 0, 0
 	for i < len(lv) && j < len(lh) && lv[i].Hub < h && lh[j].Hub < h {
 		entries++
@@ -264,7 +258,7 @@ func Redundant(lv, lh label.Set, h uint32, delta float64) (redundant bool, entri
 			i++
 		case a.Hub > b.Hub:
 			j++
-		case a.Dist+b.Dist <= delta:
+		case uint64(a.Dist)+uint64(b.Dist) <= uint64(delta):
 			return true, entries
 		default:
 			i++
@@ -333,7 +327,9 @@ func ParallelRange(workers, n int, fn func(worker, lo, hi int)) {
 // goroutines that pull the next i from a shared counter — dynamic task
 // assignment, so items are started in ascending order, which is the rank
 // order the label loops need. worker is in [0, workers) and identifies the
-// calling goroutine, for per-worker scratch. One worker runs inline.
+// calling goroutine, for per-worker scratch. One worker runs inline. A
+// panic in fn (a tree's label.Units refusal, say) stops the claiming and is
+// raised again on the caller's goroutine once every worker has returned.
 func ParallelFor(workers, n int, fn func(worker, i int)) {
 	if workers > n {
 		workers = n
@@ -346,14 +342,25 @@ func ParallelFor(workers, n int, fn func(worker, i int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var fault sync.Once
+	var raised any
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					next.Store(int64(n))
+					fault.Do(func() { raised = p })
+				}
+			}()
 			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 				fn(w, i)
 			}
 		}(w)
 	}
 	wg.Wait()
+	if raised != nil {
+		panic(raised)
+	}
 }

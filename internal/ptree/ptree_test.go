@@ -27,14 +27,14 @@ func TestKernelReproducesSequentialPLL(t *testing.T) {
 		want, wm := pll.Sequential(g, pll.Options{})
 
 		n := g.NumVertices()
-		ix := label.NewIndex(n)
+		ix := label.NewIndex(n, g.WeightUnitExp())
 		s := ptree.NewScratch(n)
 		got := &metrics.Build{}
 		for h := 0; h < n; h++ {
 			s.HD.Load(ix.Labels(h))
 			got.Fold(ptree.Tree(g, h, s, true,
-				func(v int, d float64) bool { return s.HD.QueryAgainst(ix.Labels(v), d) },
-				func(v int, d float64) { ix.Append(v, label.L{Hub: uint32(h), Dist: d}) }))
+				func(v int, d uint64) bool { return s.HD.QueryAgainst(ix.Labels(v), d) },
+				func(v int, d uint32) { ix.Append(v, label.L{Hub: uint32(h), Dist: d}) }))
 		}
 
 		if diff := want.Diff(ix); diff != "" {
@@ -67,7 +67,7 @@ func TestRedundant(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		lv, lh  label.Set
-		delta   float64
+		delta   uint32
 		want    bool
 		entries int64
 	}{
@@ -79,7 +79,7 @@ func TestRedundant(t *testing.T) {
 		{"equal-distance tie counts (≤, not <)",
 			set(label.L{Hub: 4, Dist: 1}, label.L{Hub: h, Dist: 3}), set(label.L{Hub: 4, Dist: 2}, label.L{Hub: h, Dist: 0}), 3, true, 1},
 		{"common hub above h, a hair too long",
-			set(label.L{Hub: 4, Dist: 1}, label.L{Hub: h, Dist: 3}), set(label.L{Hub: 4, Dist: 2.5}, label.L{Hub: h, Dist: 0}), 3, false, 1},
+			set(label.L{Hub: 4, Dist: 2}, label.L{Hub: h, Dist: 6}), set(label.L{Hub: 4, Dist: 5}, label.L{Hub: h, Dist: 0}), 6, false, 1},
 		{"witness only at h: a label is no witness against itself",
 			set(label.L{Hub: h, Dist: 3}), set(label.L{Hub: h, Dist: 0}), 3, false, 0},
 		{"witness only below h",
@@ -104,7 +104,7 @@ func TestCleanStride(t *testing.T) {
 	g := graph.RoadGrid(9, 9, 4)
 	store := label.NewConcurrentStore(g.NumVertices())
 	ptree.LiveForest(g, store, 4, true)
-	dirty := store.Seal()
+	dirty := store.Seal(g.WeightUnitExp())
 	sets := make([]label.Set, g.NumVertices())
 	for v := range sets {
 		sets[v] = dirty.Labels(v)
@@ -134,11 +134,11 @@ func TestCleanStride(t *testing.T) {
 	if sum != wst {
 		t.Fatalf("strides counted %+v, the whole pass %+v", sum, wst)
 	}
-	if diff := before.Diff(label.FromSets(sets)); diff != "" {
+	if diff := before.Diff(label.FromSets(sets, g.WeightUnitExp())); diff != "" {
 		t.Fatalf("Clean wrote its input: %s", diff)
 	}
 	want, _ := pll.Sequential(g, pll.Options{})
-	if diff := want.Diff(label.FromSets(whole)); diff != "" {
+	if diff := want.Diff(label.FromSets(whole, g.WeightUnitExp())); diff != "" {
 		t.Fatalf("cleaned LCC-I output is not the CHL: %s", diff)
 	}
 }
@@ -149,7 +149,7 @@ func TestCleanAppends(t *testing.T) {
 	g := graph.RoadGrid(9, 9, 4)
 	store := label.NewConcurrentStore(g.NumVertices())
 	ptree.LiveForest(g, store, 2, true)
-	dirty := store.Seal()
+	dirty := store.Seal(g.WeightUnitExp())
 	sets := make([]label.Set, g.NumVertices())
 	for v := range sets {
 		sets[v] = dirty.Labels(v)

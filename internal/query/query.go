@@ -409,12 +409,12 @@ func queryCounted(ix *label.Index, u, v int) (float64, int64) {
 		case a[i].Hub > b[j].Hub:
 			j++
 		default:
-			if d := a[i].Dist + b[j].Dist; d < best {
+			if d := float64(a[i].Dist) + float64(b[j].Dist); d < best {
 				best = d
 			}
 			i++
 			j++
 		}
 	}
-	return best, int64(i + j)
+	return label.FromUnits(best, ix.UnitExp()), int64(i + j)
 }

@@ -73,7 +73,7 @@ func TestMemoryOrdering(t *testing.T) {
 	if !(mem[QLSN] >= mem[QDOL] && mem[QDOL] >= mem[QFDL]) {
 		t.Fatalf("memory ordering violated: QLSN=%d QDOL=%d QFDL=%d", mem[QLSN], mem[QDOL], mem[QFDL])
 	}
-	fullBytes := res.Index.TotalLabels() * 12
+	fullBytes := res.Index.TotalLabels() * label.Bytes
 	if mem[QLSN] != fullBytes {
 		t.Fatalf("QLSN per-node = %d, want full %d", mem[QLSN], fullBytes)
 	}
@@ -91,8 +91,8 @@ func TestQFDLPartitionMemorySums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.TotalMemory() != res.Index.TotalLabels()*12 {
-		t.Fatalf("QFDL total memory %d != label bytes %d", eng.TotalMemory(), res.Index.TotalLabels()*12)
+	if eng.TotalMemory() != res.Index.TotalLabels()*label.Bytes {
+		t.Fatalf("QFDL total memory %d != label bytes %d", eng.TotalMemory(), res.Index.TotalLabels()*label.Bytes)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/verify"
 )
 
 // bellmanFord is an independent O(nm) reference used to cross-check
@@ -24,7 +25,7 @@ func bellmanFord(g *graph.Graph, src int) []float64 {
 			}
 			heads, wts := g.Neighbors(u)
 			for i, v := range heads {
-				if nd := dist[u] + wts[i]; nd < dist[v] {
+				if nd := dist[u] + g.FromUnits(uint64(wts[i])); nd < dist[v] {
 					dist[v] = nd
 					changed = true
 				}
@@ -61,7 +62,7 @@ func TestDijkstraAgainstBellmanFord(t *testing.T) {
 
 // TestDijkstraToEqualsFullRow: stopping at the target changes nothing
 // about the value — the same float as the full row's cell, on fractional
-// weights (where summation order would show), on directed arcs, and on
+// weights (sixty-fourths, the finest a row adds here), on directed arcs, and on
 // pairs with no path at all. ShortestPathTree's row is the same too, and its
 // predecessor walk re-sums to it exactly.
 func TestDijkstraToEqualsFullRow(t *testing.T) {
@@ -70,7 +71,7 @@ func TestDijkstraToEqualsFullRow(t *testing.T) {
 		b := graph.NewBuilder(70, directed)
 		for e := 0; e < 160; e++ {
 			if u, v := rng.Intn(70), rng.Intn(70); u != v {
-				b.AddEdge(u, v, 0.1+rng.Float64()*9)
+				b.AddEdge(u, v, float64(1+rng.Intn(9*64))/64)
 			}
 		}
 		g, err := b.Finish()
@@ -136,7 +137,7 @@ func TestMaxRankOnPathFigure1(t *testing.T) {
 	// From v2 (id 1): ancestors per Figure 1c's final state: a(v1)=v1,
 	// a(v3)=v2, a(v4)=v1, a(v5)=v1 (the tie at v5 resolves to the path
 	// through v1).
-	best, dist := MaxRankOnPath(g, 1)
+	best, dist := verify.MaxRankOnPath(g, 1)
 	want := []int32{0, 1, 1, 0, 0}
 	for v, w := range want {
 		if best[v] != w {
@@ -148,18 +149,19 @@ func TestMaxRankOnPathFigure1(t *testing.T) {
 	}
 }
 
-// TestMaxRankOnPathBrute cross-checks against exhaustive path enumeration
-// on small random graphs.
+// TestMaxRankOnPathBrute cross-checks verify's float64 reference against
+// exhaustive path enumeration over this package's rows, on small random
+// graphs.
 func TestMaxRankOnPathBrute(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		g := graph.ErdosRenyi(12, 22, 4, seed)
 		n := g.NumVertices()
 		for src := 0; src < n; src++ {
-			best, dist := MaxRankOnPath(g, src)
+			best, dist := verify.MaxRankOnPath(g, src)
 			wantDist := Dijkstra(g, src)
 			for v := 0; v < n; v++ {
 				if dist[v] != wantDist[v] {
-					t.Fatalf("seed %d: dist(%d,%d) = %v want %v", seed, src, v, dist[v], wantDist[v])
+					t.Fatalf("seed %d: dist(%d,%d) = %v, want %v", seed, src, v, dist[v], wantDist[v])
 				}
 				if dist[v] == graph.Infinity {
 					if best[v] != -1 {
@@ -276,17 +278,18 @@ func BenchmarkDijkstraScaleFree(b *testing.B) {
 	benchmarkDijkstra(b, graph.BarabasiAlbert(8192, 3, 1))
 }
 
-// BenchmarkDijkstraWideWeights is the road grid with one extra 1e-3 arc,
-// which makes the buckets 1e-3 wide: nearly every relaxation lands beyond
-// the window, so this times the heap the window parks them on.
+// BenchmarkDijkstraWideWeights is the road grid with one extra 2^-10 arc,
+// which makes the unit, and the buckets, 2^-10 wide: the window spans one
+// unit of the grid's integer weights, so nearly every relaxation lands
+// beyond it, and this times the heap the window parks them on.
 func BenchmarkDijkstraWideWeights(b *testing.B) {
 	benchmarkDijkstra(b, wideWeights())
 }
 
-// wideWeights is the 96×96 road grid plus one 1e-3 arc.
+// wideWeights is the 96×96 road grid plus one 2^-10 arc.
 func wideWeights() *graph.Graph {
 	road := graph.RoadGrid(96, 96, 1)
-	g, err := road.Splice([]graph.EdgeEdit{{U: 0, V: road.NumVertices() - 1, W: 1e-3}})
+	g, err := road.Splice([]graph.EdgeEdit{{U: 0, V: road.NumVertices() - 1, W: 0x1p-10}})
 	if err != nil {
 		panic(err)
 	}

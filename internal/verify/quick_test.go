@@ -117,7 +117,7 @@ func dijkstraDist(g *graph.Graph, u, v int) float64 {
 		}
 		heads, wts := g.Neighbors(cur.v)
 		for i, h := range heads {
-			if nd := cur.d + wts[i]; nd < dist[h] {
+			if nd := cur.d + g.FromUnits(uint64(wts[i])); nd < dist[h] {
 				dist[h] = nd
 				queue = append(queue, qi{int(h), nd})
 			}

@@ -9,13 +9,101 @@
 package verify
 
 import (
+	"container/heap"
 	"fmt"
 	"math/rand"
 
 	"repro/internal/graph"
 	"repro/internal/label"
-	"repro/internal/sssp"
 )
+
+// Dijkstra is the oracle every labeling is held to: a textbook float64
+// Dijkstra over the input weights (graph.FromUnits of each arc) on
+// container/heap, sharing no code with internal/sssp or internal/vheap,
+// which run in integer units. A labeling's answer must equal its row bit
+// for bit, so the two domains are checked against each other. Unreachable
+// vertices get graph.Infinity.
+func Dijkstra(g *graph.Graph, source int) []float64 {
+	dist, _ := settle(g, source)
+	return dist
+}
+
+// MaxRankOnPath computes, for every vertex v reachable from source, the
+// highest-ranked vertex that appears on ANY shortest path from source to v
+// (endpoints included). Rank is position: vertex 0 is the highest ranked, so
+// "highest-ranked" means minimum id. This is exactly the quantity that
+// defines the Canonical Hub Labeling (Definition 3 / Lemma 1): hub h belongs
+// to L_v iff h == MaxRankOnPath(h→v). It is the independent ground truth
+// for PLaNT's ancestor propagation, over the oracle's float64 distances.
+//
+// best holds, per vertex, the id of that maximum-rank vertex, or -1 if
+// unreachable, and dist the oracle's row.
+func MaxRankOnPath(g *graph.Graph, source int) (best []int32, dist []float64) {
+	dist, order := settle(g, source)
+	best = make([]int32, len(dist))
+	for i := range best {
+		best[i] = -1
+	}
+	// With positive weights, predecessors on shortest paths settle strictly
+	// before their successors, so one pass in settle order computes the
+	// max-rank (minimum id) over all shortest paths exactly.
+	for _, u := range order {
+		bu := int32(u)
+		tails, wts := g.InNeighbors(u)
+		for i, t := range tails {
+			if bt := best[t]; bt >= 0 && bt < bu && dist[t]+g.FromUnits(uint64(wts[i])) == dist[u] {
+				bu = bt
+			}
+		}
+		best[u] = bu
+	}
+	return best, dist
+}
+
+// settle runs the oracle from source: the row, and the vertices it reached
+// in the order they settled.
+func settle(g *graph.Graph, source int) (dist []float64, order []int) {
+	dist = make([]float64, g.NumVertices())
+	for i := range dist {
+		dist[i] = graph.Infinity
+	}
+	dist[source] = 0
+	q := &floatQueue{{source, 0}}
+	for q.Len() > 0 {
+		e := heap.Pop(q).(queued)
+		if e.d > dist[e.v] {
+			continue // a stale entry
+		}
+		order = append(order, e.v)
+		heads, wts := g.Neighbors(e.v)
+		for i, h := range heads {
+			if nd := e.d + g.FromUnits(uint64(wts[i])); nd < dist[h] {
+				dist[h] = nd
+				heap.Push(q, queued{int(h), nd})
+			}
+		}
+	}
+	return dist, order
+}
+
+// queued is a vertex on the oracle's queue at a tentative distance.
+type queued struct {
+	v int
+	d float64
+}
+
+type floatQueue []queued
+
+func (q floatQueue) Len() int           { return len(q) }
+func (q floatQueue) Less(i, j int) bool { return q[i].d < q[j].d }
+func (q floatQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *floatQueue) Push(x any)        { *q = append(*q, x.(queued)) }
+func (q *floatQueue) Pop() any {
+	old := *q
+	e := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return e
+}
 
 // Cover checks the cover property exhaustively for sources in [0,
 // maxSources) (all sources if maxSources ≤ 0): for every vertex pair (s,v),
@@ -29,7 +117,7 @@ func Cover(g *graph.Graph, ix *label.Index, maxSources int) error {
 		maxSources = n
 	}
 	for s := 0; s < maxSources; s++ {
-		dist := sssp.Dijkstra(g, s)
+		dist := Dijkstra(g, s)
 		for v := 0; v < n; v++ {
 			got := ix.Query(s, v)
 			if got != dist[v] {
@@ -50,7 +138,7 @@ func CoverSampled(g *graph.Graph, ix *label.Index, samples int, seed int64) erro
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < samples; i++ {
 		s := rng.Intn(n)
-		dist := sssp.Dijkstra(g, s)
+		dist := Dijkstra(g, s)
 		for v := 0; v < n; v++ {
 			got := ix.Query(s, v)
 			if got != dist[v] {
@@ -70,22 +158,23 @@ func RespectsR(g *graph.Graph, ix *label.Index, sources int) error {
 		sources = n
 	}
 	for s := 0; s < sources; s++ {
-		best, dist := sssp.MaxRankOnPath(g, s)
+		best, dist := MaxRankOnPath(g, s)
 		ls := ix.Labels(s)
+		at := func(d uint32) float64 { return label.FromUnits(float64(d), ix.UnitExp()) }
 		for v := 0; v < n; v++ {
 			if dist[v] == graph.Infinity {
 				continue
 			}
 			w := uint32(best[v])
 			dw, ok := ls.Find(w)
-			if !ok || dw != dist[best[v]] {
+			if !ok || at(dw) != dist[best[v]] {
 				return fmt.Errorf("verify: pair (%d,%d): max-rank hub %d missing from L_%d (or wrong distance %v, want %v)",
-					s, v, w, s, dw, dist[best[v]])
+					s, v, w, s, at(dw), dist[best[v]])
 			}
 			dv, ok := ix.Labels(v).Find(w)
-			if !ok || dv != dist[v]-dist[best[v]] {
+			if !ok || at(dv) != dist[v]-dist[best[v]] {
 				return fmt.Errorf("verify: pair (%d,%d): max-rank hub %d missing from L_%d (or wrong distance %v, want %v)",
-					s, v, w, v, dv, dist[v]-dist[best[v]])
+					s, v, w, v, at(dv), dist[v]-dist[best[v]])
 			}
 		}
 	}
@@ -122,10 +211,10 @@ func CanonicalDistances(g *graph.Graph, ix *label.Index, maxHubs int) error {
 		maxHubs = n
 	}
 	for h := 0; h < maxHubs; h++ {
-		dist := sssp.Dijkstra(g, h)
+		dist := Dijkstra(g, h)
 		for v := 0; v < n; v++ {
-			if d, ok := ix.Labels(v).Find(uint32(h)); ok && d != dist[v] {
-				return fmt.Errorf("verify: label (hub %d) at vertex %d stores %v, true distance %v", h, v, d, dist[v])
+			if d, ok := ix.Labels(v).Find(uint32(h)); ok && label.FromUnits(float64(d), ix.UnitExp()) != dist[v] {
+				return fmt.Errorf("verify: label (hub %d) at vertex %d stores %v units of 2^-%d, true distance %v", h, v, d, ix.UnitExp(), dist[v])
 			}
 		}
 	}
@@ -155,7 +244,7 @@ func IsCHL(g *graph.Graph, ix *label.Index) error {
 
 // witnessAbove reports the first satisfying common hub if it is ranked
 // strictly above h.
-func witnessAbove(lv, lh label.Set, h uint32, delta float64) (uint32, bool) {
+func witnessAbove(lv, lh label.Set, h, delta uint32) (uint32, bool) {
 	i, j := 0, 0
 	for i < len(lv) && j < len(lh) {
 		a, b := lv[i], lh[j]
@@ -165,7 +254,7 @@ func witnessAbove(lv, lh label.Set, h uint32, delta float64) (uint32, bool) {
 		case a.Hub > b.Hub:
 			j++
 		default:
-			if a.Dist+b.Dist <= delta {
+			if uint64(a.Dist)+uint64(b.Dist) <= uint64(delta) {
 				return a.Hub, a.Hub < h
 			}
 			i++

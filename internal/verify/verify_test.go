@@ -52,7 +52,7 @@ func TestCoverDetectsWrongDistance(t *testing.T) {
 		s := bad.Labels(v).Clone()
 		for i := range s {
 			if int(s[i].Hub) != v {
-				s[i].Dist += 0.5 // inflate one label
+				s[i].Dist++ // inflate one label
 				bad.SetLabels(v, s)
 				if err := verify.Cover(g, bad, 0); err == nil {
 					t.Fatalf("cover check accepted an inflated distance at vertex %d hub %d", v, s[i].Hub)
@@ -100,7 +100,7 @@ func TestMinimalDetectsRedundantLabel(t *testing.T) {
 			if d == label.Infinity {
 				continue
 			}
-			bad.Append(v, label.L{Hub: uint32(h), Dist: d})
+			bad.Append(v, label.L{Hub: uint32(h), Dist: uint32(d)}) // integer weights: the unit is 1
 			if err := verify.Minimal(bad); err == nil {
 				t.Fatalf("minimality check accepted redundant label (v=%d h=%d)", v, h)
 			}
@@ -141,7 +141,7 @@ func TestCoverSampledMatchesCover(t *testing.T) {
 	}
 	// And on an empty graph both are vacuous.
 	empty := graph.Path(0, 1)
-	eix := label.NewIndex(0)
+	eix := label.NewIndex(0, 0)
 	if err := verify.Cover(empty, eix, 0); err != nil {
 		t.Fatal(err)
 	}

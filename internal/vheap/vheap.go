@@ -1,34 +1,32 @@
 // Package vheap holds the two priority queues of the shortest path
 // searches here: a monotone radix heap (Ahuja, Mehlhorn, Orlin & Tarjan,
 // "Faster algorithms for the shortest path problem", JACM 1990) keyed by
-// non-negative float64 priorities over dense integer items, and Window, a
-// circular window of Δ-wide buckets in front of such a heap.
+// uint64 distances over dense integer items, and Window, a circular window
+// of buckets in front of such a heap.
 //
 // The heap is popped by the searches whose result follows the exact order
 // of their pops, or that are kept independent of the window: the trees of
 // internal/ptree (paraPLL's labels depend on tie order), pll.Sequential,
 // the reference builder, Brandes in internal/order, whose float sums
-// follow tie order, and internal/sssp's MaxRankOnPath and PointToPoint.
-// The window serves the searches that may settle a bucket at a time:
-// internal/sssp's label-correcting search behind every plain distance row,
-// and PLaNT's trees (plant.Tree), whose buckets are half the lightest arc
-// wide. It parks the distances beyond its end on the heap and pulls them
-// back with PopBelow.
+// follow tie order, and internal/sssp's PointToPoint.
+// The window serves the searches that settle a bucket at a time:
+// internal/sssp's search behind every plain distance row, and PLaNT's
+// trees (plant.Tree). It parks the distances beyond its end on the heap
+// and pulls them back with PopBelow.
 //
-// Keys are compared as IEEE-754 bit patterns: for non-negative floats the
-// pattern orders like the value it encodes. An entry sits in bucket
-// bits.Len64(key ^ floor), where floor is the last key Pop or Peek
-// returned, so bucket 0 holds the keys equal to the floor and each higher
-// bucket a range above the ones below. When bucket 0 runs dry, the lowest
-// non-empty bucket is redistributed around its minimum, and every entry
-// moves to a strictly lower bucket: an entry is touched at most 65 times,
-// however many vertices are queued.
+// Keys are distances in units of the graph's 2^-k (internal/graph). An
+// entry sits in bucket bits.Len64(key ^ floor), where floor is the last
+// key Pop or Peek returned, so bucket 0 holds the keys equal to the floor
+// and each higher bucket a range above the ones below. When bucket 0 runs
+// dry, the lowest non-empty bucket is redistributed around its minimum,
+// and every entry moves to a strictly lower bucket: an entry is touched at
+// most 65 times, however many vertices are queued.
 //
 // The contract that makes this correct is monotonicity: no key may be pushed
-// below the floor. Push panics on a NaN, a negative key, or a key below the
-// floor, instead of answering wrongly later. Every Dijkstra here meets it
-// because it pushes d(u) + w(u,v) after popping d(u), and graph rejects any
-// weight that is not positive and finite.
+// below the floor. Push panics on a key below the floor instead of
+// answering wrongly later. Every Dijkstra here meets it because it pushes
+// d(u) + w(u,v) after popping d(u), and graph stores every weight as a
+// positive count.
 //
 // Decrease-key is lazy: the item's live key is kept per item, a decrease
 // adds a second entry, and the superseded one is dropped when its bucket is
@@ -46,7 +44,7 @@ import (
 // usable; call New. A Heap is not safe for concurrent use: every algorithm
 // here owns one heap per worker.
 type Heap struct {
-	floor    uint64      // bits of the last key Pop or Peek returned
+	floor    uint64      // the last key Pop or Peek returned
 	size     int         // items queued
 	occupied uint64      // bit b-1 set iff buckets[b] (b ≥ 1) holds entries
 	buckets  [65][]entry // buckets[b]: entries whose key differs from floor first at bit b-1
@@ -60,12 +58,12 @@ type Heap struct {
 }
 
 type entry struct {
-	key  uint64 // bits of the key this entry was pushed with
+	key  uint64 // the key this entry was pushed with
 	item int32
 }
 
-// unpushed is the key of an item not pushed since Clear: above every valid
-// key's bits (those of a non-negative float), so any push is a decrease.
+// unpushed is the key of an item not pushed since Clear: above every
+// distance a search computes (graph.Unreached), so any push is a decrease.
 const unpushed = math.MaxUint64
 
 // bucketCap is each bucket's initial capacity, from one allocation: a
@@ -96,13 +94,9 @@ func (h *Heap) Empty() bool { return h.size == 0 }
 // Push queues item with the given key, or decreases its key if the item is
 // queued with a larger one. Pushing an item queued with a key that is not
 // larger, or one already popped since the last Clear, is a no-op. It
-// reports whether the heap changed. Push panics if key is NaN, negative, or
-// below the last key Pop or Peek returned.
-func (h *Heap) Push(item int, key float64) bool {
-	if !(key >= 0) {
-		panic("vheap: key is NaN or negative")
-	}
-	k := math.Float64bits(key) &^ (1 << 63) // -0 is 0
+// reports whether the heap changed. Push panics if key is below the last
+// key Pop or Peek returned.
+func (h *Heap) Push(item int, k uint64) bool {
 	if k < h.floor {
 		panic("vheap: key below the last popped key")
 	}
@@ -130,30 +124,29 @@ func (h *Heap) add(e entry) {
 // Pop removes and returns the item with the minimum key. Among equal keys
 // the order is unspecified but deterministic. It must only be called on a
 // non-empty heap.
-func (h *Heap) Pop() (item int, key float64) {
+func (h *Heap) Pop() (item int, key uint64) {
 	h.settle()
 	b := h.buckets[0]
 	e := b[len(b)-1]
 	h.buckets[0] = b[:len(b)-1]
 	h.size--
-	return int(e.item), math.Float64frombits(e.key)
+	return int(e.item), e.key
 }
 
 // Peek returns the minimum item and key without removing it; the key
 // becomes the floor. It must only be called on a non-empty heap.
-func (h *Heap) Peek() (item int, key float64) {
+func (h *Heap) Peek() (item int, key uint64) {
 	h.settle()
 	e := h.buckets[0][len(h.buckets[0])-1]
-	return int(e.item), math.Float64frombits(e.key)
+	return int(e.item), e.key
 }
 
-// PopBelow pops the minimum item, as Pop does, if its key is below limit.
+// PopBelow pops the minimum item, as Pop does, if its key is below lim.
 // Otherwise it reports false and leaves every item queued: the floor may
-// rise, but never above limit, so a key at or above limit may still be
+// rise, but never above lim, so a key at or above lim may still be
 // pushed. A caller that parks the keys beyond a moving window here pulls
 // them back, in key order, as the window's end passes them.
-func (h *Heap) PopBelow(limit float64) (item int, key float64, ok bool) {
-	lim := math.Float64bits(limit)
+func (h *Heap) PopBelow(lim uint64) (item int, key uint64, ok bool) {
 	for len(h.buckets[0]) == 0 {
 		if h.occupied == 0 {
 			return 0, 0, false

@@ -3,7 +3,7 @@ package vheap
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -17,7 +17,7 @@ func TestEmpty(t *testing.T) {
 
 func TestPushPopOrdered(t *testing.T) {
 	h := New(5)
-	keys := []float64{3.5, 1.25, 9, 0.5, 7}
+	keys := []uint64{14, 5, 36, 2, 28}
 	for i, k := range keys {
 		h.Push(i, k)
 	}
@@ -81,7 +81,7 @@ func TestPoppedItemStaysPopped(t *testing.T) {
 func TestClearReuse(t *testing.T) {
 	h := New(8)
 	for i := 0; i < 8; i++ {
-		h.Push(i, float64(i))
+		h.Push(i, uint64(i))
 	}
 	h.Pop()
 	h.Pop()
@@ -90,8 +90,8 @@ func TestClearReuse(t *testing.T) {
 		t.Fatal("heap not empty after Clear")
 	}
 	// Clear forgets the floor and the popped items.
-	h.Push(3, 1)
-	h.Push(0, 0.5)
+	h.Push(3, 2)
+	h.Push(0, 1)
 	if item, _ := h.Pop(); item != 0 {
 		t.Fatalf("heap broken after Clear: popped %d, want 0", item)
 	}
@@ -103,14 +103,11 @@ func TestClearReuse(t *testing.T) {
 func TestPushPanicsOffContract(t *testing.T) {
 	for _, c := range []struct {
 		name  string
-		floor float64
-		key   float64
+		floor uint64
+		key   uint64
 	}{
-		{"NaN", 0, math.NaN()},
-		{"negative", 0, -1},
-		{"negative infinity", 0, math.Inf(-1)},
-		{"below the last popped key", 2, 1.5},
-		{"just below the last popped key", 2, math.Nextafter(2, 0)},
+		{"below the last popped key", 2, 0},
+		{"just below the last popped key", 1 << 52, 1<<52 - 1},
 	} {
 		h := New(2)
 		h.Push(0, c.floor)
@@ -124,12 +121,10 @@ func TestPushPanicsOffContract(t *testing.T) {
 			h.Push(1, c.key)
 		}()
 	}
-	// Negative zero is zero, and the last popped key itself is allowed.
+	// The last popped key itself is allowed.
 	h := New(2)
-	h.Push(0, math.Copysign(0, -1))
-	if _, k := h.Pop(); k != 0 || math.Signbit(k) {
-		t.Fatalf("-0 popped as %v", k)
-	}
+	h.Push(0, 0)
+	h.Pop()
 	h.Push(1, 0)
 	if _, k := h.Pop(); k != 0 {
 		t.Fatalf("popped %v, want 0", k)
@@ -148,17 +143,17 @@ func TestPopEmptyPanics(t *testing.T) {
 // model is a sorted multiset of the queued keys, per item, beside the set of
 // items popped since the last clear.
 type model struct {
-	key    map[int]float64
+	key    map[int]uint64
 	popped map[int]bool
-	floor  float64
+	floor  uint64
 	// loose is set while a refused PopBelow has left the heap's floor
 	// anywhere up to the model's: a push between them need not panic.
 	loose bool
 }
 
-func newModel() *model { return &model{key: map[int]float64{}, popped: map[int]bool{}} }
+func newModel() *model { return &model{key: map[int]uint64{}, popped: map[int]bool{}} }
 
-func (m *model) push(item int, key float64) bool {
+func (m *model) push(item int, key uint64) bool {
 	if old, ok := m.key[item]; m.popped[item] || ok && key >= old {
 		return false
 	}
@@ -167,17 +162,16 @@ func (m *model) push(item int, key float64) bool {
 }
 
 // min returns the smallest queued key.
-func (m *model) min() float64 {
-	keys := make([]float64, 0, len(m.key))
+func (m *model) min() uint64 {
+	keys := make([]uint64, 0, len(m.key))
 	for _, k := range m.key {
 		keys = append(keys, k)
 	}
-	sort.Float64s(keys)
-	return keys[0]
+	return slices.Min(keys)
 }
 
 // check holds one Pop or Peek answer to the model and, for a Pop, applies it.
-func (m *model) check(t *testing.T, what string, item int, key float64, pop bool) {
+func (m *model) check(t *testing.T, what string, item int, key uint64, pop bool) {
 	t.Helper()
 	if want := m.min(); key != want {
 		t.Fatalf("%s returned key %v, the model's minimum is %v", what, key, want)
@@ -193,11 +187,11 @@ func (m *model) check(t *testing.T, what string, item int, key float64, pop bool
 }
 
 func (m *model) clear() {
-	m.key, m.popped, m.floor, m.loose = map[int]float64{}, map[int]bool{}, 0, false
+	m.key, m.popped, m.floor, m.loose = map[int]uint64{}, map[int]bool{}, 0, false
 }
 
 // popBelow holds one PopBelow answer to the model and applies it.
-func (m *model) popBelow(t *testing.T, h *Heap, limit float64) {
+func (m *model) popBelow(t *testing.T, h *Heap, limit uint64) {
 	t.Helper()
 	item, key, ok := h.PopBelow(limit)
 	if want := len(m.key) > 0 && m.min() < limit; ok != want {
@@ -218,8 +212,8 @@ func TestHeapSortProperty(t *testing.T) {
 		const n = 257
 		h, m := New(n), newModel()
 		for i, d := range deltas {
-			// Steps of 1/8 collide often, so equal keys are common.
-			key := m.floor + float64(d%512)/8
+			// Steps below 512 collide often, so equal keys are common.
+			key := m.floor + uint64(d%512)
 			if h.Push(i%n, key) != m.push(i%n, key) {
 				return false
 			}
@@ -260,11 +254,11 @@ func TestRandomOperationsAgainstModel(t *testing.T) {
 		switch op := rng.Intn(9); {
 		case op < 4 || len(m.key) == 0: // push / decrease
 			item := rng.Intn(n)
-			key := m.floor + float64(rng.Intn(1000))/7
+			key := m.floor + uint64(rng.Intn(1000))
 			if rng.Intn(8) == 0 {
 				key = m.floor // equal to the floor
 			} else if old, ok := m.key[item]; ok && rng.Intn(2) == 0 {
-				key = m.floor + (old-m.floor)*rng.Float64() // a decrease
+				key = m.floor + uint64(rng.Int63n(int64(old-m.floor)+1)) // a decrease
 			}
 			if got, want := h.Push(item, key), m.push(item, key); got != want {
 				t.Fatalf("step %d: Push(%d,%v) changed=%v, want %v", step, item, key, got, want)
@@ -276,7 +270,7 @@ func TestRandomOperationsAgainstModel(t *testing.T) {
 			item, key := h.Peek()
 			m.check(t, "Peek", item, key, false)
 		case op == 8:
-			m.popBelow(t, h, m.floor+float64(rng.Intn(1000))/7)
+			m.popBelow(t, h, m.floor+uint64(rng.Intn(1000)))
 		}
 		if rng.Intn(2000) == 0 {
 			h.Clear()
@@ -293,7 +287,7 @@ func TestRandomOperationsAgainstModel(t *testing.T) {
 // limit pushable, however far its redistribution raised the floor.
 func TestPopBelow(t *testing.T) {
 	h := New(6)
-	for i, k := range []float64{40, 3, 9, 1000, 41} {
+	for i, k := range []uint64{40, 3, 9, 1000, 41} {
 		h.Push(i, k)
 	}
 	for _, want := range []int{1, 2} {
@@ -305,7 +299,7 @@ func TestPopBelow(t *testing.T) {
 		t.Fatal("PopBelow(40) popped the key 40")
 	}
 	h.Push(5, 40) // at the limit: allowed after the refusal
-	for _, want := range []float64{40, 40, 41} {
+	for _, want := range []uint64{40, 40, 41} {
 		if _, key, ok := h.PopBelow(999); !ok || key != want {
 			t.Fatalf("PopBelow(999) = %v, %v; want %v", key, ok, want)
 		}
@@ -313,7 +307,7 @@ func TestPopBelow(t *testing.T) {
 	if _, _, ok := h.PopBelow(999); ok || h.Len() != 1 {
 		t.Fatalf("PopBelow(999) popped the key 1000, or dropped it (len %d)", h.Len())
 	}
-	if _, _, ok := New(1).PopBelow(math.Inf(1)); ok {
+	if _, _, ok := New(1).PopBelow(math.MaxUint64); ok {
 		t.Fatal("PopBelow on an empty heap popped")
 	}
 }
@@ -331,15 +325,15 @@ func TestPopBelowAgainstModel(t *testing.T) {
 			switch rng.Intn(3) {
 			case 0:
 				item := rng.Intn(n)
-				key := m.floor + float64(rng.Intn(64))
+				key := m.floor + uint64(rng.Intn(64))
 				if old, ok := m.key[item]; ok && rng.Intn(2) == 0 {
-					key = m.floor + (old-m.floor)*rng.Float64()
+					key = m.floor + uint64(rng.Int63n(int64(old-m.floor)+1))
 				}
 				if got, want := h.Push(item, key), m.push(item, key); got != want {
 					t.Fatalf("trial %d: Push(%d,%v) changed=%v, want %v", trial, item, key, got, want)
 				}
 			case 1:
-				m.popBelow(t, h, m.floor+float64(rng.Intn(64)))
+				m.popBelow(t, h, m.floor+uint64(rng.Intn(64)))
 			case 2:
 				if !h.Empty() {
 					item, key := h.Pop()
@@ -367,16 +361,16 @@ func FuzzHeap(f *testing.F) {
 			item := a % n
 			switch op {
 			case 0, 1: // push at or above the floor; b = 0 pushes the floor itself
-				key := m.floor + float64(b)/4
+				key := m.floor + uint64(b)/4
 				if op == 1 && b >= 128 {
-					key = m.floor * float64(b) // far above: high buckets
+					key = m.floor + uint64(b)<<32 // far above: high buckets
 				}
 				if got, want := h.Push(item, key), m.push(item, key); got != want {
 					t.Fatalf("Push(%d,%v) changed=%v, want %v", item, key, got, want)
 				}
 			case 2: // decrease-key of a queued item
-				if old, ok := m.key[item]; ok && !math.IsInf(old, 1) {
-					key := m.floor + (old-m.floor)*float64(b)/256
+				if old, ok := m.key[item]; ok {
+					key := m.floor + (old-m.floor)*uint64(b)/256
 					if got, want := h.Push(item, key), m.push(item, key); got != want {
 						t.Fatalf("decrease Push(%d,%v) from %v changed=%v, want %v", item, key, old, got, want)
 					}
@@ -396,7 +390,7 @@ func FuzzHeap(f *testing.F) {
 					h.Clear()
 					m.clear()
 				} else if m.floor > 0 && !m.loose {
-					key := math.Nextafter(m.floor, 0) * float64(b) / 256
+					key := (m.floor - 1) * uint64(b) / 256
 					func() {
 						defer func() {
 							if recover() == nil {
@@ -427,7 +421,7 @@ func TestDuplicateKeysStable(t *testing.T) {
 		h.Push(i, 7)
 	}
 	seen := make(map[int]bool)
-	keys := make([]float64, 0, 100)
+	keys := make([]uint64, 0, 100)
 	for !h.Empty() {
 		item, k := h.Pop()
 		if seen[item] {
@@ -439,7 +433,7 @@ func TestDuplicateKeysStable(t *testing.T) {
 	if len(seen) != 100 {
 		t.Fatalf("popped %d items, want 100", len(seen))
 	}
-	if !sort.Float64sAreSorted(keys) {
+	if !slices.IsSorted(keys) {
 		t.Fatal("equal keys popped out of order")
 	}
 }
@@ -450,9 +444,9 @@ func TestReuseAllocatesNothing(t *testing.T) {
 	const n = 1000
 	h := New(n)
 	rng := rand.New(rand.NewSource(1))
-	keys := make([]float64, n)
+	keys := make([]uint64, n)
 	for i := range keys {
-		keys[i] = rng.Float64() * 100
+		keys[i] = uint64(rng.Intn(100000))
 	}
 	run := func() {
 		h.Clear()

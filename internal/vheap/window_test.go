@@ -3,34 +3,19 @@ package vheap
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
-
-// TestWindowEnd: windowEnd is the least distance whose bucket number is
-// cur+numBuckets, or maxBucket when that is sooner, for widths that make
-// k·Δ round either way and for one where it overflows.
-func TestWindowEnd(t *testing.T) {
-	for _, delta := range []float64{minWidth, 1e-300, 1e-3, 0.1, 1.0 / 3, 0.5, 1, 7, 1e250, 1e306} {
-		inv := 1 / delta
-		for _, cur := range []uint64{0, 1, 977, 1 << 20, maxBucket - numBuckets - 1, maxBucket - 1} {
-			k := float64(min(cur+numBuckets, maxBucket))
-			end := windowEnd(cur, delta, inv)
-			if end*inv < k || math.Nextafter(end, 0)*inv >= k {
-				t.Fatalf("Δ=%v cur=%d: windowEnd %v is not the least distance of bucket number %v", delta, cur, end, k)
-			}
-		}
-	}
-}
 
 // arc is an arc to v of weight w in the window's test graphs.
 type arc struct {
 	v int
-	w float64
+	w uint64
 }
 
 // randomArcs returns a random digraph on n vertices with m arcs as
 // out-lists, every weight drawn from weights.
-func randomArcs(rng *rand.Rand, n, m int, weights []float64) [][]arc {
+func randomArcs(rng *rand.Rand, n, m int, weights []uint64) [][]arc {
 	out := make([][]arc, n)
 	for range m {
 		u := rng.Intn(n)
@@ -40,10 +25,10 @@ func randomArcs(rng *rand.Rand, n, m int, weights []float64) [][]arc {
 }
 
 // heapDijkstra is the reference: Dijkstra on the heap alone.
-func heapDijkstra(g [][]arc, source int) []float64 {
-	dist := make([]float64, len(g))
+func heapDijkstra(g [][]arc, source int) []uint64 {
+	dist := make([]uint64, len(g))
 	for i := range dist {
-		dist[i] = math.Inf(1)
+		dist[i] = math.MaxUint64
 	}
 	dist[source] = 0
 	h := New(len(g))
@@ -61,35 +46,33 @@ func heapDijkstra(g [][]arc, source int) []float64 {
 }
 
 // TestWindowSettlesBucketByBucket runs the label-setting search PLaNT runs
-// on the window, buckets half the lightest weight wide, each bucket settled
-// in one pass: every vertex is settled once, at its heap Dijkstra distance,
-// in ascending bucket order, and once keys settle from the heap, in
-// ascending order. The weights park distances on the heap, and reach
-// bucket numbers past maxBucket; a width below minWidth settles everything
-// from the heap.
+// on the window, each bucket settled in one pass: every vertex is settled
+// once, at its heap Dijkstra distance, in ascending bucket order. The
+// weights park distances on the heap and jump the window across empty
+// stretches; buckets are the lightest weight's power of two wide, or one
+// unit.
 func TestWindowSettlesBucketByBucket(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 300; trial++ {
-		weights := []float64{1, 1.5, 2, 7, 600, 1e6 + 0.5, 1e15}[:1+rng.Intn(7)]
+		weights := []uint64{3, 2, 4, 14, 1200, 2e6 + 1, 2e15}[:1+rng.Intn(7)]
 		n := 1 + rng.Intn(60)
 		g := randomArcs(rng, n, rng.Intn(4*n), weights)
 		source := rng.Intn(n)
 		want := heapDijkstra(g, source)
 
-		delta := weights[0] / 2
+		minArc := uint32(slices.Min(weights))
 		if trial%10 == 9 {
-			delta = minWidth / 2
+			minArc = 1
 		}
-		dist := make([]float64, n)
+		dist := make([]uint64, n)
 		for i := range dist {
-			dist[i] = math.Inf(1)
+			dist[i] = math.MaxUint64
 		}
 		settled := make([]bool, n)
 		w := NewWindow(New(n))
-		w.Start(delta)
+		w.Start(minArc)
 		dist[source] = 0
 		w.Queue(source, 0)
-		last := 0.0
 		for more := true; more; more = w.Next(dist) {
 			for _, e := range w.Bucket() {
 				v := int(e.V)
@@ -103,10 +86,9 @@ func TestWindowSettlesBucketByBucket(t *testing.T) {
 				if e.D != want[v] {
 					t.Fatalf("trial %d: vertex %d settled at %v, heap Dijkstra says %v", trial, v, e.D, want[v])
 				}
-				if w.far && e.D < last || !w.far && bucketOf(e.D, w.inv) != w.cur {
-					t.Fatalf("trial %d: vertex %d at %v settled out of order (bucket %d, last %v)", trial, v, e.D, w.cur, last)
+				if e.D>>w.shift != w.cur {
+					t.Fatalf("trial %d: vertex %d at %v settled in bucket %d", trial, v, e.D, w.cur)
 				}
-				last = e.D
 				for _, a := range g[v] {
 					if nd := e.D + a.w; nd < dist[a.v] {
 						dist[a.v] = nd
@@ -119,7 +101,7 @@ func TestWindowSettlesBucketByBucket(t *testing.T) {
 			}
 		}
 		for v, d := range want {
-			if settled[v] != !math.IsInf(d, 1) {
+			if settled[v] != (d != math.MaxUint64) {
 				t.Fatalf("trial %d: vertex %d at %v, settled %v", trial, v, d, settled[v])
 			}
 		}
@@ -131,15 +113,15 @@ func TestWindowSettlesBucketByBucket(t *testing.T) {
 func TestWindowReuseAllocatesNothing(t *testing.T) {
 	const n = 1000
 	rng := rand.New(rand.NewSource(1))
-	g := randomArcs(rng, n, 4*n, []float64{1, 2, 3, 900})
-	dist := make([]float64, n)
+	g := randomArcs(rng, n, 4*n, []uint64{1, 2, 3, 900})
+	dist := make([]uint64, n)
 	w := NewWindow(New(n))
 	run := func() {
 		for i := range dist {
-			dist[i] = math.Inf(1)
+			dist[i] = math.MaxUint64
 		}
 		dist[0] = 0
-		w.Start(0.5)
+		w.Start(1)
 		w.Queue(0, 0)
 		for more := true; more; more = w.Next(dist) {
 			for _, e := range w.Bucket() {

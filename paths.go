@@ -22,7 +22,8 @@ type PathIndex struct {
 // PLL records parents (the distance-only algorithms are lighter; build with
 // them when paths are not needed), so opt.Algorithm is ignored.
 // Undirected graphs only; every other check is Build's.
-func BuildWithPaths(g *Graph, opt Options) (*PathIndex, error) {
+func BuildWithPaths(g *Graph, opt Options) (px *PathIndex, err error) {
+	defer refuse(&px, &err)
 	if g != nil && g.Directed() {
 		return nil, errors.New("chl: BuildWithPaths supports undirected graphs only")
 	}
@@ -30,9 +31,9 @@ func BuildWithPaths(g *Graph, opt Options) (*PathIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	px, m := pll.SequentialWithPaths(rg, pll.Options{})
-	ix.fwd, ix.bwd, ix.metrics = px.Index(), px.Index(), m
-	return &PathIndex{Index: ix, px: px}, nil
+	lx, m := pll.SequentialWithPaths(rg, pll.Options{})
+	ix.fwd, ix.bwd, ix.metrics = lx.Index(), lx.Index(), m
+	return &PathIndex{Index: ix, px: lx}, nil
 }
 
 // Path returns the vertices of a shortest u–v path (inclusive, original

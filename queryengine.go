@@ -26,10 +26,10 @@ import (
 // Query(v, u) are then different questions with independently exact
 // answers.
 //
-// Distances are exact. The unit is the coarsest power of two that counts
-// every label distance — 1 on every integer-weighted graph — and Freeze
-// refuses a label past 2^32 units rather than round it; answers leave the
-// index as units · 2^-k, which is exact too.
+// Distances are exact. The unit is the graph's own 2^-k — 1 on every
+// integer-weighted graph — and Build refuses a label past 2^32 units rather
+// than round it; answers leave the index as units · 2^-k, which is exact
+// too.
 type FlatIndex struct {
 	// fwd and bwd hold the label runs in ORIGINAL-id order (freezing
 	// applies the permutation once), so the serving path needs no
@@ -177,8 +177,8 @@ func (fx *FlatIndex) Close() error {
 // Freeze packs the index into its flat serving form. A directed index
 // freezes both label halves (forward and backward runs per vertex) at one
 // unit; the resulting FlatIndex answers the same ordered queries the
-// in-memory index does. It refuses, naming the label, a distance that is
-// not a whole number of units below 2^32 (label.FreezeHalves).
+// in-memory index does. It does not fail on an Index Build returned: Build
+// refuses a label it could not count in a uint32.
 func (ix *Index) Freeze() (*FlatIndex, error) {
 	halves := []*label.Index{ix.fwd, ix.bwd}
 	if !ix.Directed() {
@@ -186,15 +186,12 @@ func (ix *Index) Freeze() (*FlatIndex, error) {
 	}
 	// Each ranked labeling is packed in original-id order.
 	for i, ranked := range halves {
-		halves[i] = label.NewIndex(ix.n)
+		halves[i] = label.NewIndex(ix.n, ranked.UnitExp())
 		for v := 0; v < ix.n; v++ {
 			halves[i].SetLabels(v, ranked.Labels(ix.rank[v])) // aliases, read-only
 		}
 	}
-	fs, err := label.FreezeHalves(halves...)
-	if err != nil {
-		return nil, fmt.Errorf("chl: freezing: %w", err)
-	}
+	fs := label.FreezeHalves(halves...)
 	return newFlatIndex(fs[0], fs[len(fs)-1], append([]int(nil), ix.perm...)), nil
 }
 
@@ -286,7 +283,7 @@ func (fx *FlatIndex) Thaw() *Index {
 	}
 	// thaw unpacks one store into rank order.
 	thaw := func(st label.Store) *label.Index {
-		ranked := label.NewIndex(n)
+		ranked := label.NewIndex(n, st.UnitExp())
 		for v := 0; v < n; v++ {
 			ranked.SetLabels(rank[v], st.Labels(v))
 		}

@@ -41,7 +41,7 @@ func quarterWeights(g *Graph) *Graph {
 		heads, wts := g.Neighbors(u)
 		for i, h := range heads {
 			if u < int(h) {
-				b.AddEdge(u, int(h), wts[i]/4)
+				b.AddEdge(u, int(h), g.FromUnits(uint64(wts[i]))/4)
 			}
 		}
 	}
