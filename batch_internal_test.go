@@ -112,9 +112,9 @@ func TestBatchIntoDropsScratchAfterPanic(t *testing.T) {
 	const n = 8
 	ix := label.NewIndex(n, 0)
 	for v := 0; v < n; v++ {
-		ix.SetLabels(v, label.Set{{Hub: uint32(v), Dist: 0}})
+		ix.SetLabels(v, label.Set{label.Pack(uint32(v), 0)})
 	}
-	ix.SetLabels(0, label.Set{{Hub: 1, Dist: 0}, {Hub: 2, Dist: 0}, {Hub: n + 3, Dist: 0}})
+	ix.SetLabels(0, label.Set{label.Pack(1, 0), label.Pack(2, 0), label.Pack(n+3, 0)})
 	perm := make([]int, n)
 	for v := range perm {
 		perm[v] = v

@@ -61,10 +61,9 @@ type Metrics = metrics.Build
 type Options struct {
 	// Algorithm selects the constructor. Default: the fastest on the
 	// scoreboard for the graph's directedness — AlgoPLaNT for undirected
-	// graphs (build_plant_s is the lowest build_*_s of bench/ on build-road,
-	// 0.149 s against build_gll_s 0.187 s, and on build-scalefree, 0.050 s
-	// against 0.074 s), AlgoSeqPLL for directed ones. Every canonical
-	// constructor emits the same labels.
+	// graphs (build_plant_s is the lowest build_*_s of bench/ on both
+	// build-road and build-scalefree), AlgoSeqPLL for directed ones. Every
+	// canonical constructor emits the same labels.
 	Algorithm Algorithm
 
 	// Order is the network hierarchy R. Nil means RankAuto(g, Seed):
@@ -260,7 +259,7 @@ func (ix *Index) Labels(u int) []HubLabel {
 	s := ix.fwd.Labels(ix.rank[u])
 	out := make([]HubLabel, len(s))
 	for i, l := range s {
-		out[i] = HubLabel{Hub: ix.perm[l.Hub], Dist: label.FromUnits(float64(l.Dist), ix.fwd.UnitExp())}
+		out[i] = HubLabel{Hub: ix.perm[label.Hub(l)], Dist: label.FromUnits(float64(label.Dist(l)), ix.fwd.UnitExp())}
 	}
 	return out
 }

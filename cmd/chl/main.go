@@ -8,8 +8,9 @@
 //	chl -dataset SKIT -algo hybrid -nodes 16
 //	chl -graph web.gr -directed
 //
-// The graph comes either from a DIMACS .gr file (-graph) or a named
-// synthetic dataset (-dataset, see -list). Without -algo the library
+// The graph comes either from a file (-graph: DIMACS for a .gr file, a
+// 0-indexed edge list otherwise, as chlquery and chlrouter read it) or a
+// named synthetic dataset (-dataset, see -list). Without -algo the library
 // picks the builder (PLaNT on undirected graphs, seqPLL on directed
 // ones) and the output names the one that ran. -out freezes the index
 // and writes the one index file format (exact uint32 unit counts), which
@@ -37,7 +38,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("chl", flag.ContinueOnError)
 	var (
-		graphPath = fs.String("graph", "", "DIMACS .gr file to label")
+		graphPath = fs.String("graph", "", "graph file to label (.gr DIMACS or edge list)")
 		dataset   = fs.String("dataset", "", "named synthetic dataset (see -list)")
 		scale     = fs.Float64("scale", 1, "scale factor for -dataset")
 		directed  = fs.Bool("directed", false, "treat the input graph as directed")
@@ -133,7 +134,7 @@ func loadGraph(path, dataset string, scale float64, directed bool, seed int64) (
 	case path != "" && dataset != "":
 		return nil, fmt.Errorf("pass either -graph or -dataset, not both")
 	case path != "":
-		return chl.ReadDIMACSFile(path, directed)
+		return chl.ReadGraphFile(path, directed)
 	case dataset != "":
 		return chl.GenerateDataset(dataset, scale, seed)
 	default:

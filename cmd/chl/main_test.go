@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -60,5 +62,32 @@ func TestDefaultAlgorithmPerDirectedness(t *testing.T) {
 	// An explicit choice that cannot run is still an error, not a silent swap.
 	if err := run([]string{"-dataset", "WND", "-scale", "0.05", "-algo", "gll"}, &bytes.Buffer{}); err == nil {
 		t.Error("chl -algo gll on a directed graph succeeded")
+	}
+}
+
+// chl reads -graph as chlquery and chlrouter do: DIMACS for a .gr file, an
+// edge list otherwise, so every graph the serving tools accept also builds.
+func TestGraphFileByExtension(t *testing.T) {
+	g := chl.GenerateRoadGrid(6, 6, 1)
+	dir := t.TempDir()
+	for name, write := range map[string]func(*bytes.Buffer) error{
+		"g.gr":  func(b *bytes.Buffer) error { return chl.WriteDIMACS(b, g) },
+		"g.txt": func(b *bytes.Buffer) error { return chl.WriteEdgeList(b, g) },
+	} {
+		var b bytes.Buffer
+		if err := write(&b); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var stdout bytes.Buffer
+		if err := run([]string{"-graph", path}, &stdout); err != nil {
+			t.Fatalf("chl -graph %s: %v\n%s", name, err, &stdout)
+		}
+		if want := fmt.Sprintf("graph: n=%d m=%d", g.NumVertices(), g.NumEdges()); !strings.Contains(stdout.String(), want) {
+			t.Errorf("chl -graph %s printed no %q line:\n%s", name, want, &stdout)
+		}
 	}
 }

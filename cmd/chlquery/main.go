@@ -288,7 +288,7 @@ func runServe(addr, loadPath, savePath string, cacheCap int, prefault, comp bool
 		s.SetPrefault(true)
 	}
 	if graphPath != "" {
-		g, err := loadGraph(graphPath, s.Stats().Directed)
+		g, err := chl.ReadGraphFile(graphPath, s.Stats().Directed)
 		if err != nil {
 			fatal(err)
 		}
@@ -312,21 +312,6 @@ func runServe(addr, loadPath, savePath string, cacheCap int, prefault, comp bool
 	}
 	fmt.Printf("serving on %s (%s)\n", addr, endpoints)
 	log.Fatal(http.ListenAndServe(addr, s.Handler()))
-}
-
-// loadGraph reads the base graph for dynamic updates: DIMACS .gr by
-// extension, 0-indexed edge list otherwise, with the directedness the
-// served index was built with.
-func loadGraph(path string, directed bool) (*chl.Graph, error) {
-	if strings.HasSuffix(path, ".gr") {
-		return chl.ReadDIMACSFile(path, directed)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return chl.ReadEdgeList(f, directed)
 }
 
 // runShardServe serves one shard of a split cluster: the shard's slice

@@ -107,7 +107,7 @@ func main() {
 	}
 	var baseGraph *chl.Graph
 	if *graphPath != "" {
-		if baseGraph, err = loadGraph(*graphPath, m.Directed); err != nil {
+		if baseGraph, err = chl.ReadGraphFile(*graphPath, m.Directed); err != nil {
 			fatal(err)
 		}
 	} else if *journalPath != "" {
@@ -155,21 +155,6 @@ func main() {
 	}
 	fmt.Printf("routing on %s (%s)\n", *serveAddr, endpoints)
 	log.Fatal(http.ListenAndServe(*serveAddr, r.Handler()))
-}
-
-// loadGraph reads the base graph for dynamic updates: DIMACS .gr by
-// extension, 0-indexed edge list otherwise, with the cluster's
-// directedness from the manifest.
-func loadGraph(path string, directed bool) (*chl.Graph, error) {
-	if strings.HasSuffix(path, ".gr") {
-		return chl.ReadDIMACSFile(path, directed)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return chl.ReadEdgeList(f, directed)
 }
 
 func fatal(err error) {

@@ -30,8 +30,7 @@
 //     finished trees only prune later ones (Options.Eta, §5.3).
 //     Output: the CHL. Build's default on undirected graphs, because the
 //     scoreboard says so: build_plant_s is the lowest build_*_s of bench/
-//     on build-road (0.149 s against build_gll_s 0.187 s) and on
-//     build-scalefree (0.050 s against build_gll_s 0.074 s).
+//     on both build-road and build-scalefree.
 //   - AlgoDParaPLL, AlgoDGLL, AlgoDPLaNT, AlgoHybrid — the distributed
 //     algorithms of §3/§5, executed on a simulated message-passing cluster
 //     that meters every byte (see below).
@@ -40,7 +39,7 @@
 //
 // # Quick start
 //
-//	g := chl.GenerateRoadGrid(64, 64, 1)            // or chl.ReadDIMACSFile(...)
+//	g := chl.GenerateRoadGrid(64, 64, 1)            // or chl.ReadGraphFile(...)
 //	ix, err := chl.Build(g, chl.Options{})          // AlgoPLaNT unless Options.Algorithm says otherwise
 //	if err != nil { ... }
 //	d := ix.Query(17, 3942)                         // exact shortest distance

@@ -18,8 +18,8 @@ func FrozenLabelsMatch(ix *Index, fx *FlatIndex) error {
 				return fmt.Errorf("half %d vertex %d: %d frozen labels, builder %d", h, v, len(got), len(want))
 			}
 			for i, l := range want {
-				if got[i].Hub != l.Hub || got[i].Dist != l.Dist {
-					return fmt.Errorf("half %d vertex %d label %d: frozen %+v, builder %+v", h, v, i, got[i], l)
+				if got[i] != l {
+					return fmt.Errorf("half %d vertex %d label %d: frozen %#x, builder %#x", h, v, i, got[i], l)
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package chl
 import (
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/delta"
 	"repro/internal/graph"
@@ -64,14 +65,19 @@ func ReadDIMACS(r io.Reader, directed bool) (*Graph, error) {
 	return graph.ReadDIMACS(r, directed)
 }
 
-// ReadDIMACSFile parses a DIMACS .gr file from disk.
-func ReadDIMACSFile(path string, directed bool) (*Graph, error) {
+// ReadGraphFile reads a graph from disk by its extension: DIMACS for a
+// .gr file, a 0-indexed edge list (ReadEdgeList) otherwise. The command
+// line tools read every -graph file through it.
+func ReadGraphFile(path string, directed bool) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return graph.ReadDIMACS(f, directed)
+	if strings.HasSuffix(path, ".gr") {
+		return graph.ReadDIMACS(f, directed)
+	}
+	return graph.ReadEdgeList(f, directed)
 }
 
 // WriteDIMACS writes a graph in DIMACS .gr format.

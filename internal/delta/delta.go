@@ -170,15 +170,11 @@ type removal struct {
 	w    float64
 }
 
-// insArc is one inserted arc out of a patch vertex, in slot space.
-type insArc struct {
-	to int
-	w  float64
-}
-
 // Reduction is the patch log reduced against a base graph: the final
-// edge state of every touched key, the removal/insertion diff, and the
-// patch-vertex universe. It is the cheap, shard-free half of overlay
+// edge state of every touched key, the removed edges and the count of
+// inserted ones (inserted arcs reach queries only through the Overlay's
+// exact patched distances between patch vertices), and the patch-vertex
+// universe. It is the cheap, shard-free half of overlay
 // construction — building the Overlay on top additionally needs the
 // frozen label runs of the patch vertices.
 type Reduction struct {
@@ -187,7 +183,6 @@ type Reduction struct {
 	verts    []int       // sorted patch vertex ids (endpoints of R ∪ I)
 	slot     map[int]int // vertex id -> index into verts
 	removals []removal
-	inserts  [][]insArc   // slot -> inserted arcs out of it
 	patched  *graph.Graph // base − R + I
 	nRem     int
 	nIns     int
@@ -278,7 +273,7 @@ func Reduce(base *graph.Graph, ops []Op) (*Reduction, error) {
 		u, v int
 		w    float64
 	}
-	var rem, ins []diffEdge
+	var rem []diffEdge
 	var edits []graph.EdgeEdit // the final state of every edge in R ∪ I
 	seen := map[int]bool{}
 	for _, k := range keys {
@@ -293,7 +288,7 @@ func Reduce(base *graph.Graph, ops []Op) (*Reduction, error) {
 			rem = append(rem, diffEdge{k.u, k.v, bw})
 		}
 		if st.present {
-			ins = append(ins, diffEdge{k.u, k.v, st.w})
+			r.nIns++
 		}
 	}
 	for v := range seen {
@@ -303,18 +298,10 @@ func Reduce(base *graph.Graph, ops []Op) (*Reduction, error) {
 	for i, v := range r.verts {
 		r.slot[v] = i
 	}
-	r.inserts = make([][]insArc, len(r.verts))
 	for _, e := range rem {
 		r.removals = append(r.removals, removal{x: r.slot[e.u], y: r.slot[e.v], w: e.w})
 	}
-	for _, e := range ins {
-		su, sv := r.slot[e.u], r.slot[e.v]
-		r.inserts[su] = append(r.inserts[su], insArc{to: sv, w: e.w})
-		if !r.directed {
-			r.inserts[sv] = append(r.inserts[sv], insArc{to: su, w: e.w})
-		}
-	}
-	r.nRem, r.nIns = len(rem), len(ins)
+	r.nRem = len(rem)
 	// Refuse a patch whose graph chl.Build would refuse, so /compact can
 	// always rebuild: Splice refuses what graph.Finish refuses.
 	var err error

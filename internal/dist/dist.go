@@ -299,7 +299,7 @@ func (r *run) result(table []label.Set, common *label.Index) (*Result, error) {
 	}
 	ptree.ParallelFor(r.o.Nodes*r.o.WorkersPerNode, r.n, func(_, v int) {
 		for _, l := range table[v] { // hubs ascend: a plain append
-			p := per[r.rootOwner[l.Hub]]
+			p := per[r.rootOwner[label.Hub(l)]]
 			p.SetLabels(v, append(p.Labels(v), l))
 		}
 	})

@@ -81,9 +81,6 @@ func section(w io.Writer, title string) {
 	fmt.Fprintf(w, "\n## %s\n\n", title)
 }
 
-// mb formats bytes as mebibytes.
-func mb(b int64) string { return fmt.Sprintf("%.2f", float64(b)/(1<<20)) }
-
 // bucketSeries compresses a per-tree series into log-spaced buckets (the
 // figures plot thousands of trees; the text report shows the aggregate per
 // bucket). agg is "sum" or "max".

@@ -176,11 +176,10 @@ func JoinCompressed(a, b CRun) (dist float64, hub uint32, ok bool) {
 // the scan early. Answers are bit-identical to Probe on the decompressed
 // run.
 func (rs RunScatter) ProbeCompressed(r CRun) (dist float64, hub uint32, ok bool) {
-	dist = Infinity
 	if len(rs.run) == 0 {
-		return dist, 0, false
+		return Infinity, 0, false
 	}
-	slot := rs.s.slot
+	slot, best := rs.s.slot, uint64(absent)
 	maxHub := uint64(rs.maxHub)
 	h := uint64(0)
 	for i := 0; i < len(r); h++ {
@@ -190,11 +189,11 @@ func (rs RunScatter) ProbeCompressed(r CRun) (dist float64, hub uint32, ok bool)
 			break
 		}
 		units, i = r.uvarint(i)
-		if d := slot[h] + float64(units); d < dist {
-			dist, hub, ok = d, uint32(h), true
+		if d := slot[h] + units; d < best {
+			best, hub = d, uint32(h)
 		}
 	}
-	return dist, hub, ok
+	return minProbe(best, hub)
 }
 
 // AppendPackedRun appends the decoded (fixed-width packed) entries of v to
@@ -226,7 +225,7 @@ func (c *CompressedIndex) RunInto(buf *[]uint64, v int) []uint64 {
 
 // Labels reconstructs the label set of v (allocates; query paths use
 // JoinCompressed directly).
-func (c *CompressedIndex) Labels(v int) Set { return runLabels(c.AppendPackedRun(nil, v)) }
+func (c *CompressedIndex) Labels(v int) Set { return c.AppendPackedRun(nil, v) }
 
 // Decompress expands the compressed index back into a fixed-width flat
 // index with identical labels.

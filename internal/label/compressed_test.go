@@ -28,7 +28,7 @@ func randomLabelIndex(rng *rand.Rand, n int, density float64) *Index {
 			case 4:
 				d = 2 * uint32(1<<24+2*rng.Intn(1<<9))
 			}
-			s = append(s, L{Hub: uint32(h), Dist: d})
+			s = append(s, Pack(uint32(h), d))
 		}
 		ix.SetLabels(v, s)
 	}
@@ -46,7 +46,7 @@ func TestCompressedSavings(t *testing.T) {
 		s := Set{}
 		for h := 0; h < 200; h++ {
 			if rng.Float64() < 0.15 {
-				s = append(s, L{Hub: uint32(h), Dist: uint32(rng.Intn(512))})
+				s = append(s, Pack(uint32(h), uint32(rng.Intn(512))))
 			}
 		}
 		ix.SetLabels(v, s)

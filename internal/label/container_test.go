@@ -64,7 +64,7 @@ func (s shape) container(t testing.TB, n int, seed int64) *Container {
 		ixs[i] = inUnit(ix, 3) // eighths: the file's unit is 2^-3
 		for v := 0; v < n; v += 3 {
 			if ls := ixs[i].Labels(v); len(ls) > 0 {
-				ls[0].Dist = 3 + 8*uint32(v)
+				ls[0] = Pack(Hub(ls[0]), 3+8*uint32(v))
 			}
 		}
 	}
@@ -475,7 +475,7 @@ func inUnit(ix *Index, k int) *Index {
 	for v := range ix.NumVertices() {
 		s := ix.Labels(v).Clone()
 		for i := range s {
-			s[i].Dist <<= k - ix.UnitExp()
+			s[i] = Pack(Hub(s[i]), Dist(s[i])<<(k-ix.UnitExp()))
 		}
 		out.SetLabels(v, s)
 	}

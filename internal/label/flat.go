@@ -8,18 +8,16 @@ import (
 )
 
 // FlatIndex is a frozen, read-only hub labeling packed into two contiguous
-// arrays: a CSR-style offsets vector and one packed entry stream,
-// hub-sorted per vertex. Each entry is a single uint64 with the hub id in
-// the high 32 bits and the distance in the low 32, as a count of the
-// index's unit 2^-k (see UnitExp) — so a merge-join step issues exactly
-// one load per side, the hub comparison is a shift, and the distance
-// comes for free from the word already in a register. Compared with
-// Index's per-vertex Go slices this removes two pointer chases per query
-// side, halves the entry size (8 bytes vs 16), and keeps both sides of
-// the join on sequential cache lines. Because hubs occupy the high bits,
-// entries are monotonically increasing per vertex, and the in-memory
-// arrays are byte-identical to the container's EncPacked sections (see
-// container.go).
+// arrays: a CSR-style offsets vector and one stream of label words (see
+// Pack), hub-sorted per vertex, each distance a count of the index's unit
+// 2^-k (see UnitExp) — so a merge-join step issues exactly one load per
+// side, the hub comparison is a shift, and the distance comes for free
+// from the word already in a register. The words are those of Index's
+// Sets; what freezing removes is the slice header per vertex and the
+// pointer chase to each set, which keeps both sides of the join on
+// sequential cache lines. Because hubs occupy the high bits, entries are
+// monotonically increasing per vertex, and the in-memory arrays are
+// byte-identical to the container's EncPacked sections (see container.go).
 //
 // Distances are exact: a unit count converts to float64 without rounding
 // and Freeze refuses a label it cannot count. On every integer-weighted
@@ -35,14 +33,6 @@ type FlatIndex struct {
 
 // MaxUnitExp bounds k, as in graph.Finish; a header claiming more is refused.
 const MaxUnitExp = graph.MaxUnitExp
-
-func packEntry(hub, units uint32) uint64 { return uint64(hub)<<32 | uint64(units) }
-
-func entryHub(e uint64) uint32 { return uint32(e >> 32) }
-
-// entryUnits is the distance of a packed entry in units. Every kernel sums
-// two of them in float64, where sums below 2^33 are exact.
-func entryUnits(e uint64) float64 { return float64(uint32(e)) }
 
 // FromUnits converts a kernel's answer in units of 2^-k into a distance,
 // exactly (a power-of-two scaling); Infinity, the answer of runs that
@@ -66,9 +56,7 @@ func FreezeHalves(ixs ...*Index) []*FlatIndex {
 		f := &FlatIndex{offsets: make([]uint32, len(ix.sets)+1), unitExp: ix.k}
 		f.entries = make([]uint64, 0, ix.TotalLabels())
 		for v, s := range ix.sets {
-			for _, l := range s {
-				f.entries = append(f.entries, packEntry(l.Hub, l.Dist))
-			}
+			f.entries = append(f.entries, s...)
 			f.offsets[v+1] = uint32(len(f.entries))
 		}
 		fs[h] = f
@@ -94,8 +82,8 @@ func (f *FlatIndex) LabelCount(v int) int {
 }
 
 // TotalMemory returns the exact byte footprint of the packed arrays: 8
-// bytes per label plus 4 bytes per vertex of offsets — versus 16 bytes per
-// label plus a slice header per vertex for the slice-based Index.
+// bytes per label plus 4 bytes per vertex of offsets — the slice-based
+// Index holds the same 8 bytes per label plus a slice header per vertex.
 func (f *FlatIndex) TotalMemory() int64 {
 	return int64(len(f.offsets))*4 + int64(len(f.entries))*8
 }
@@ -112,18 +100,10 @@ func (f *FlatIndex) PackedRun(v int) []uint64 {
 // never touches buf (see Store).
 func (f *FlatIndex) RunInto(_ *[]uint64, v int) []uint64 { return f.PackedRun(v) }
 
-// Labels reconstructs the label set of v (allocates; query paths join
-// the packed runs directly).
-func (f *FlatIndex) Labels(v int) Set { return runLabels(f.PackedRun(v)) }
-
-// runLabels converts a packed run into a Set, in the same units.
-func runLabels(run []uint64) Set {
-	s := make(Set, len(run))
-	for i, e := range run {
-		s[i] = L{Hub: entryHub(e), Dist: uint32(e)}
-	}
-	return s
-}
+// Labels returns a copy of the label set of v (allocates; query paths
+// join the packed runs directly, and Set(f.PackedRun(v)) is the same set
+// without the copy).
+func (f *FlatIndex) Labels(v int) Set { return Set(f.PackedRun(v)).Clone() }
 
 // Slice returns a new heap-backed FlatIndex over the same vertex-id space
 // that keeps only the label runs of vertices for which keep returns true;
@@ -157,7 +137,7 @@ func (f *FlatIndex) Slice(keep func(v int) bool) Store {
 // arrays: the offsets span the entry array monotonically, per-vertex hubs
 // are strictly sorted (entries are ordered by hub in the high bits, so
 // monotonicity of the packed words is exactly hub sortedness), and every
-// hub names a vertex of this index — otherwise the scratch and witness
+// hub names a vertex of this index — otherwise the hub table and witness
 // lookups would index out of range.
 func (f *FlatIndex) validate() error {
 	n := f.NumVertices()

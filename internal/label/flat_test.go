@@ -24,10 +24,10 @@ func randomIndex(n int, seed int64) *Index {
 			if int(h) == v {
 				d = 0
 			}
-			s = append(s, L{Hub: h, Dist: d})
+			s = append(s, Pack(h, d))
 		}
 		if !used[uint32(v)] {
-			s = append(s, L{Hub: uint32(v), Dist: 0})
+			s = append(s, Pack(uint32(v), 0))
 		}
 		s.Sort()
 		ix.SetLabels(v, s)
@@ -52,7 +52,7 @@ func TestFreezeHalvesUnit(t *testing.T) {
 		ix := NewIndex(1, k)
 		s := Set{}
 		for h, d := range dists {
-			s = append(s, L{Hub: uint32(h), Dist: d})
+			s = append(s, Pack(uint32(h), d))
 		}
 		ix.SetLabels(0, s)
 		return ix

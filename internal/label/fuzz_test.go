@@ -14,7 +14,7 @@ func fuzzFixtureRuns() (*FlatIndex, int) {
 	for v := 0; v < n; v++ {
 		s := Set{}
 		for h := uint32(0); int(h) <= v; h += 3 {
-			s = append(s, L{Hub: h, Dist: 2*uint32(v-int(h)) + 1})
+			s = append(s, Pack(h, 2*uint32(v-int(h))+1))
 		}
 		ix.SetLabels(v, s)
 	}

@@ -2,6 +2,7 @@ package label
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -35,25 +36,21 @@ func (ix *Index) Labels(v int) Set { return ix.sets[v] }
 // SetLabels replaces the label set of v (takes ownership of s).
 func (ix *Index) SetLabels(v int, s Set) { ix.sets[v] = s }
 
-// Append adds one label to v's set, keeping it sorted (amortized O(1) when
-// hubs arrive in ascending order, as they do from rank-ordered SPTs).
-func (ix *Index) Append(v int, l L) {
+// Append adds label word l to v's set, keeping it sorted (amortized O(1)
+// when hubs arrive in ascending order, as they do from rank-ordered SPTs);
+// on a hub v already carries, the smaller distance stays.
+func (ix *Index) Append(v int, l uint64) {
 	s := ix.sets[v]
-	if n := len(s); n == 0 || s[n-1].Hub < l.Hub {
+	if n := len(s); n == 0 || Hub(s[n-1]) < Hub(l) {
 		ix.sets[v] = append(s, l)
 		return
 	}
-	i := sort.Search(len(s), func(i int) bool { return s[i].Hub >= l.Hub })
-	if i < len(s) && s[i].Hub == l.Hub {
-		if l.Dist < s[i].Dist {
-			s[i].Dist = l.Dist
-		}
+	i := sort.Search(len(s), func(i int) bool { return Hub(s[i]) >= Hub(l) })
+	if i < len(s) && Hub(s[i]) == Hub(l) {
+		s[i] = min(s[i], l)
 		return
 	}
-	s = append(s, L{})
-	copy(s[i+1:], s[i:])
-	s[i] = l
-	ix.sets[v] = s
+	ix.sets[v] = slices.Insert(s, i, l)
 }
 
 // Query answers the PPSD query between u and v: the minimum distance via a
@@ -159,7 +156,7 @@ func (ix *Index) LabelsPerHub() []int64 {
 	counts := make([]int64, len(ix.sets))
 	for _, s := range ix.sets {
 		for _, l := range s {
-			counts[l.Hub]++
+			counts[Hub(l)]++
 		}
 	}
 	return counts

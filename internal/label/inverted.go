@@ -105,7 +105,7 @@ func InvertRuns(n int, runs [][]uint64) *Inverted {
 func (iv *Inverted) ScanMin(dst []float64, run []uint64) {
 	for _, e := range run {
 		h := e >> 32
-		du := entryUnits(e)
+		du := float64(Dist(e))
 		for _, p := range iv.entries[iv.offsets[h]:iv.offsets[h+1]] {
 			if d := du + invEntryUnits(p); d < dst[uint32(p)] {
 				dst[uint32(p)] = d
@@ -201,7 +201,7 @@ func (iv *Inverted) TopK(run []uint64, k int, exclude int) []Neighbor {
 		if len(p) == 0 {
 			continue
 		}
-		h = append(h, knnCursor{srcDist: entryUnits(e), hub: uint32(e >> 32), postings: p})
+		h = append(h, knnCursor{srcDist: float64(Dist(e)), hub: Hub(e), postings: p})
 	}
 	heap.Init(&h)
 	out := make([]Neighbor, 0, k)

@@ -1,9 +1,6 @@
 package label
 
-import (
-	"math"
-	"sync"
-)
+import "sync"
 
 // The join kernels. Hub labeling turns a distance query into a list
 // intersection, and this file holds every form of it the serving stack
@@ -15,84 +12,42 @@ import (
 // builder-side reference all of them are tested against. Join is the one
 // place that chooses between the pairwise kernels.
 //
-// All of them form d(u,h)+d(h,v) as the same float64 sum of two uint32
-// unit counts — exact, since it stays below 2^33 — and break distance
-// ties towards the smallest hub id (highest rank), which is what makes an
+// All of them form d(u,h)+d(h,v) as the same exact sum of two uint32
+// unit counts — below 2^33, so exact in a uint64 or a float64 — and break
+// distance ties towards the smallest hub id (highest rank), which is what makes an
 // answer bit-identical whichever kernel, storage format or serving tier —
 // one process, or a router joining rows fetched from two shards —
 // produced it. The kernels over runs answer in units; Join and
 // ProbeStore, which read Stores, answer in distances (FromUnits at the
 // store's unit), and so does everything above this package.
 
-// QueryScratch is a per-worker probe buffer for the hash joins: one
-// float64 slot per vertex holding the scattered run's unit count to that
-// hub, +Inf (unscattered) where nothing is scattered. A probe is then one
-// load and one add, slot[hub] + d(e) < best, with no
-// occupancy test: an absent slot sums to +Inf and never wins. Every
-// kernel that scatters undoes it by walking the run it scattered
-// (JoinPackedWith itself, RunScatter.Release), so a scratch is all +Inf
-// between kernel calls. One scratch weighs 8 bytes per vertex and must not
-// be shared between goroutines.
-type QueryScratch struct {
-	slot []float64
-}
-
-// unscattered marks a slot no run is scattered in.
-var unscattered = math.Inf(1)
-
-// NewQueryScratch returns a scratch for indexes over n vertices.
-func NewQueryScratch(n int) *QueryScratch {
-	s := &QueryScratch{slot: make([]float64, n)}
-	for i := range s.slot {
-		s.slot[i] = unscattered
-	}
-	return s
-}
-
-// scatter loads run into the slots; clear undoes exactly that.
-func (s *QueryScratch) scatter(run []uint64) {
-	slot := s.slot
-	// Ranging over the run bound-checks nothing; scratch stores stay
-	// checked (hub ids come from input data).
-	for _, e := range run {
-		slot[e>>32] = entryUnits(e)
-	}
-}
-
-func (s *QueryScratch) clear(run []uint64) {
-	slot := s.slot
-	for _, e := range run {
-		slot[e>>32] = unscattered
-	}
-}
-
-// ScratchPool recycles the scratches of one index (or one router's
+// ScratchPool recycles the hub tables of one index (or one router's
 // n-vertex rank space) between requests, so a request allocates and fills
 // 8 bytes per vertex only when the pool is dry. The zero value is ready to
 // use; every Get on one pool must name the same n. Put only a clean
-// scratch: callers put on their normal return path, never from a defer, so
-// a kernel that panics mid-scatter (a hub id ≥ n) drops its scratch
+// table: callers put on their normal return path, never from a defer, so
+// a kernel that panics mid-scatter (a hub id ≥ n) drops its table
 // instead of recycling stale slots.
 type ScratchPool struct{ p sync.Pool }
 
-// Get takes a scratch for n vertices from the pool, allocating one when it
+// Get takes a table for n vertices from the pool, allocating one when it
 // is empty.
-func (sp *ScratchPool) Get(n int) *QueryScratch {
-	if s, ok := sp.p.Get().(*QueryScratch); ok {
+func (sp *ScratchPool) Get(n int) *HubTable {
+	if s, ok := sp.p.Get().(*HubTable); ok {
 		return s
 	}
-	return NewQueryScratch(n)
+	return NewHubTable(n)
 }
 
-// Put returns a scratch to the pool; a nil scratch (merge-join callers
+// Put returns a table to the pool; a nil table (merge-join callers
 // hold none) is ignored.
-func (sp *ScratchPool) Put(s *QueryScratch) {
+func (sp *ScratchPool) Put(s *HubTable) {
 	if s != nil {
 		sp.p.Put(s)
 	}
 }
 
-// hashJoinMaxVertices bounds the pairwise hash join: one scratch is 8
+// hashJoinMaxVertices bounds the pairwise hash join: one table is 8
 // bytes per vertex and random-probed, so past ~1 MiB it is expected to
 // fall out of cache and lose to the sequential merge join. Unverified: the
 // hash join is measured 1.95× faster at 32768 vertices (BenchmarkFlatQuery
@@ -101,10 +56,10 @@ func (sp *ScratchPool) Put(s *QueryScratch) {
 // ROADMAP 1(f) asks for the fixture that would place the crossover.
 const hashJoinMaxVertices = 1 << 17
 
-// GetJoin takes the scratch a loop of pairwise joins over n-vertex packed
+// GetJoin takes the table a loop of pairwise joins over n-vertex packed
 // runs should use: a pooled one while the hash join pays, nil — which
 // JoinPackedWith and Join read as "merge-join" — past that size.
-func (sp *ScratchPool) GetJoin(n int) *QueryScratch {
+func (sp *ScratchPool) GetJoin(n int) *HubTable {
 	if n > hashJoinMaxVertices {
 		return nil
 	}
@@ -113,7 +68,7 @@ func (sp *ScratchPool) GetJoin(n int) *QueryScratch {
 
 // GetJoinFor is GetJoin for pairwise queries on st: nil as well when st is
 // compressed, whose streams only merge-join.
-func (sp *ScratchPool) GetJoinFor(st Store) *QueryScratch {
+func (sp *ScratchPool) GetJoinFor(st Store) *HubTable {
 	if IsCompressed(st) {
 		return nil
 	}
@@ -128,7 +83,7 @@ func (sp *ScratchPool) GetJoinFor(st Store) *QueryScratch {
 // streaming merge; fixed-width stores the hash join on s, or the
 // merge join when s is nil. Both stores must be the same implementation
 // with the same unit, and s must be sized for them.
-func Join(s *QueryScratch, fwd, bwd Store, u, v int) (dist float64, hub uint32, ok bool) {
+func Join(s *HubTable, fwd, bwd Store, u, v int) (dist float64, hub uint32, ok bool) {
 	if c, compressed := fwd.(*CompressedIndex); compressed {
 		dist, hub, ok = JoinCompressed(c.Run(u), bwd.(*CompressedIndex).Run(v))
 	} else {
@@ -147,7 +102,7 @@ func JoinPacked(a, b []uint64) (dist float64, hub uint32, ok bool) {
 		ei, ej := a[i], b[j]
 		hi, hj := ei>>32, ej>>32
 		if hi == hj {
-			if d := entryUnits(ei) + entryUnits(ej); d < dist {
+			if d := float64(Dist(ei)) + float64(Dist(ej)); d < dist {
 				dist, hub, ok = d, uint32(hi), true
 			}
 			i++
@@ -162,7 +117,7 @@ func JoinPacked(a, b []uint64) (dist float64, hub uint32, ok bool) {
 }
 
 // JoinPackedWith is JoinPacked as a hash join: the shorter run is
-// scattered into the scratch, the longer one probes it, and the scatter is
+// scattered into the table, the longer one probes it, and the scatter is
 // cleared before returning. The merge join's three-way branch follows the
 // unpredictable interleaving of two hub sequences and mispredicts
 // constantly. A probe is slot[hub] + d(e) < best, whose one branch is
@@ -170,19 +125,18 @@ func JoinPacked(a, b []uint64) (dist float64, hub uint32, ok bool) {
 // is shared, which on the road fixture 21–23% of probe entries are — too
 // many for that branch to predict. The probe run is hub-sorted, so the
 // strict improvement test selects the smallest hub among equal-distance
-// witnesses, exactly JoinPacked's tie-break. The scratch must be sized
+// witnesses, exactly JoinPacked's tie-break. The table must be sized
 // for the index the runs came from (every hub id must be a valid slot)
-// and is owned by one goroutine; a nil scratch means merge-join.
-func JoinPackedWith(s *QueryScratch, a, b []uint64) (dist float64, hub uint32, ok bool) {
+// and is owned by one goroutine; a nil table means merge-join.
+func JoinPackedWith(s *HubTable, a, b []uint64) (dist float64, hub uint32, ok bool) {
 	if s == nil {
 		return JoinPacked(a, b)
 	}
 	if len(a) > len(b) {
 		a, b = b, a
 	}
-	dist = Infinity
 	if len(a) == 0 || len(b) == 0 {
-		return dist, 0, false
+		return Infinity, 0, false
 	}
 	// Common hubs live below both runs' maxima: entries past the other
 	// side's last hub (the tail — typically the vertex's own low-rank
@@ -194,34 +148,34 @@ func JoinPackedWith(s *QueryScratch, a, b []uint64) (dist float64, hub uint32, o
 		a = a[:len(a)-1]
 	}
 	s.scatter(a)
-	slot := s.slot
+	slot, best := s.slot, uint64(absent)
 	for _, e := range b {
 		if e > aMax {
 			break
 		}
-		if d := slot[e>>32] + entryUnits(e); d < dist {
-			dist, hub, ok = d, uint32(e>>32), true
+		if d := slot[e>>32] + uint64(Dist(e)); d < best {
+			best, hub = d, Hub(e)
 		}
 	}
 	s.clear(a)
-	return dist, hub, ok
+	return minProbe(best, hub)
 }
 
-// RunScatter is one packed label run scattered into a QueryScratch so
+// RunScatter is one packed label run scattered into a HubTable so
 // that many probes can reuse the single scatter — the kernel behind
 // one-to-many and many-to-many (/matrix) queries and /batch's repeated
 // sources, which pay one label scan per source instead of re-scattering
-// for every target pair. The scatter owns the scratch until Release
-// clears it; one scratch is owned by one goroutine.
+// for every target pair. The scatter owns the table until Release
+// clears it; one table is owned by one goroutine.
 type RunScatter struct {
-	s      *QueryScratch
+	s      *HubTable
 	run    []uint64 // the scattered run, which Release walks
 	maxHub uint32   // the scattered run's last hub, where probes stop
 }
 
 // ScatterRun scatters run (hub-sorted, as every packed run is) into s,
 // which must be clean. The run must stay unmodified until Release.
-func ScatterRun(s *QueryScratch, run []uint64) RunScatter {
+func ScatterRun(s *HubTable, run []uint64) RunScatter {
 	if len(run) == 0 {
 		return RunScatter{s: s}
 	}
@@ -233,7 +187,7 @@ func ScatterRun(s *QueryScratch, run []uint64) RunScatter {
 	}
 }
 
-// Release clears the scatter from its scratch, leaving the scratch clean
+// Release clears the scatter from its table, leaving the table clean
 // for the next kernel or the pool; the RunScatter must not be probed
 // afterwards.
 func (rs RunScatter) Release() { rs.s.clear(rs.run) }
@@ -244,21 +198,20 @@ func (rs RunScatter) Release() { rs.s.clear(rs.run) }
 // kernels on the same label sets. Entries past the source's maximum
 // hub can never match and end the scan early.
 func (rs RunScatter) Probe(run []uint64) (dist float64, hub uint32, ok bool) {
-	dist = Infinity
 	if len(rs.run) == 0 {
-		return dist, 0, false
+		return Infinity, 0, false
 	}
 	maxEntry := uint64(rs.maxHub)<<32 | 0xffffffff
-	slot := rs.s.slot
+	slot, best := rs.s.slot, uint64(absent)
 	for _, e := range run {
 		if e > maxEntry {
 			break
 		}
-		if d := slot[e>>32] + entryUnits(e); d < dist {
-			dist, hub, ok = d, uint32(e>>32), true
+		if d := slot[e>>32] + uint64(Dist(e)); d < best {
+			best, hub = d, Hub(e)
 		}
 	}
-	return dist, hub, ok
+	return minProbe(best, hub)
 }
 
 // ProbeStore fills dst[j] with the distance from the scattered run to

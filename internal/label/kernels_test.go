@@ -16,8 +16,8 @@ import (
 
 // checkKernels asserts every kernel's answer for the pair (a, b) of label
 // sets, whose hubs must be below n and whose distances count units of
-// 2^-k, and that every kernel using the scratch leaves it clean (all +Inf)
-// — the invariant that lets the probes skip an occupancy test. The kernels
+// 2^-k, and that every kernel using the table leaves it clean (all
+// absent) — the invariant that lets the probes skip an occupancy test. The kernels
 // over runs answer in units, scaled here by FromUnits; Join and ProbeStore
 // answer in distances themselves.
 func checkKernels(t *testing.T, n, k int, a, b Set) {
@@ -31,12 +31,12 @@ func checkKernels(t *testing.T, n, k int, a, b Set) {
 	ix.SetLabels(1, b)
 	f := Freeze(ix)
 	ra, rb := f.PackedRun(0), f.PackedRun(1)
-	s := NewQueryScratch(n)
+	s := NewHubTable(n)
 	clean := func(kernel string) {
 		t.Helper()
 		for hub, x := range s.slot {
-			if !math.IsInf(x, 1) {
-				t.Fatalf("%s left slot %d = %v in the scratch\na = %v\nb = %v", kernel, hub, x, a, b)
+			if x != absent {
+				t.Fatalf("%s left slot %d = %v in the table\na = %v\nb = %v", kernel, hub, x, a, b)
 			}
 		}
 	}
@@ -129,15 +129,15 @@ func TestPanickedKernelDropsScratch(t *testing.T) {
 	var pool ScratchPool
 	// Both runs end at the same out-of-range hub, so the pairwise join's
 	// truncation keeps it and the scatter reaches it.
-	bad := []uint64{packEntry(2, 0), packEntry(5, 0), packEntry(n+3, 0)}
+	bad := []uint64{Pack(2, 0), Pack(5, 0), Pack(n+3, 0)}
 	var long []uint64
 	for hub := uint32(0); hub < n; hub++ {
-		long = append(long, packEntry(hub, 1))
+		long = append(long, Pack(hub, 1))
 	}
-	long = append(long, packEntry(n+3, 1))
-	kernels := map[string]func(s *QueryScratch){
-		"JoinPackedWith": func(s *QueryScratch) { JoinPackedWith(s, bad, long) },
-		"ScatterRun":     func(s *QueryScratch) { ScatterRun(s, bad).Release() },
+	long = append(long, Pack(n+3, 1))
+	kernels := map[string]func(s *HubTable){
+		"JoinPackedWith": func(s *HubTable) { JoinPackedWith(s, bad, long) },
+		"ScatterRun":     func(s *HubTable) { ScatterRun(s, bad).Release() },
 	}
 	for name, kernel := range kernels {
 		func() {
@@ -150,12 +150,12 @@ func TestPanickedKernelDropsScratch(t *testing.T) {
 			kernel(s)
 			pool.Put(s)
 		}()
-		var held []*QueryScratch
+		var held []*HubTable
 		for i := 0; i < 8; i++ {
 			s := pool.Get(n)
 			for hub, x := range s.slot {
-				if !math.IsInf(x, 1) {
-					t.Fatalf("after a panicking %s the pool handed out a scratch with slot %d = %v", name, hub, x)
+				if x != absent {
+					t.Fatalf("after a panicking %s the pool handed out a table with slot %d = %v", name, hub, x)
 				}
 			}
 			held = append(held, s)
@@ -172,7 +172,7 @@ func span(lo, step, count int, dist func(h int) uint32) Set {
 	s := make(Set, count)
 	for i := range s {
 		h := lo + i*step
-		s[i] = L{Hub: uint32(h), Dist: dist(h)}
+		s[i] = Pack(uint32(h), dist(h))
 	}
 	return s
 }
@@ -187,43 +187,43 @@ func TestJoinKernels(t *testing.T) {
 	}{
 		{"both empty", 4, nil, nil},
 		{"one empty", 40, span(0, 1, 30, byHub), nil},
-		{"single shared hub", 8, Set{{Hub: 0, Dist: 3}}, Set{{Hub: 0, Dist: 4}}},
+		{"single shared hub", 8, Set{Pack(0, 3)}, Set{Pack(0, 4)}},
 		{"disjoint hub ranges", 300, span(0, 1, 70, unit), span(100, 1, 70, unit)},
 		{"interleaved, nothing shared", 300, span(0, 2, 140, unit), span(1, 2, 140, unit)},
 		{"full overlap", 200, span(0, 1, 200, byHub), span(0, 1, 200, func(h int) uint32 { return uint32(400 - h) })},
 		// Every witness sums to 6: the smallest hub must win.
 		{"equal-distance witnesses", 8,
-			Set{{Hub: 1, Dist: 5}, {Hub: 3, Dist: 3}, {Hub: 7, Dist: 1}},
-			Set{{Hub: 1, Dist: 1}, {Hub: 3, Dist: 3}, {Hub: 7, Dist: 5}}},
+			Set{Pack(1, 5), Pack(3, 3), Pack(7, 1)},
+			Set{Pack(1, 1), Pack(3, 3), Pack(7, 5)}},
 		// Long runs with many equal-distance witnesses, and a lone
 		// shared hub in the middle of a long run (at the entries the
 		// retired 64-entry blocks of the compressed encoding split at).
 		{"equal-distance witnesses across blocks", 400, span(0, 3, 130, unit), span(0, 2, 190, unit)},
-		{"block-boundary hub, end of block", 200, span(0, 1, 130, unit), Set{{Hub: 63, Dist: 2}}},
-		{"block-boundary hub, start of block", 200, span(0, 1, 130, unit), Set{{Hub: 64, Dist: 2}}},
+		{"block-boundary hub, end of block", 200, span(0, 1, 130, unit), Set{Pack(63, 2)}},
+		{"block-boundary hub, start of block", 200, span(0, 1, 130, unit), Set{Pack(64, 2)}},
 		// The stream shapes of the compressed encoding beyond the empty
 		// runs and the one-entry runs at hub 0 (a first gap of 0) above: a
 		// one-entry run against a long one, hub gaps of 1, 2 and 3 varint
 		// bytes (below 2^7, 2^14 and 2^21), and unit counts of 1, 2, 3 and
 		// 5 bytes up to 2^32−1 (below 2^7, 2^14, 2^21, and past 2^28).
-		{"one-entry run", 200, Set{{Hub: 150, Dist: 1}}, span(0, 1, 200, byHub)},
+		{"one-entry run", 200, Set{Pack(150, 1)}, span(0, 1, 200, byHub)},
 		{"hub gaps of 1, 2 and 3 varint bytes", 40000,
-			Set{{Hub: 0, Dist: 1}, {Hub: 127, Dist: 1}, {Hub: 128 + 16383, Dist: 1}, {Hub: 128 + 16383 + 1 + 16384, Dist: 1}},
-			Set{{Hub: 127, Dist: 4}, {Hub: 128 + 16383 + 1 + 16384, Dist: 2}}},
+			Set{Pack(0, 1), Pack(127, 1), Pack(128+16383, 1), Pack(128+16383+1+16384, 1)},
+			Set{Pack(127, 4), Pack(128+16383+1+16384, 2)}},
 		{"unit counts of 1, 2, 3 and 5 varint bytes", 8,
-			Set{{Hub: 1, Dist: 127}, {Hub: 2, Dist: 16383}, {Hub: 3, Dist: 1<<21 - 1}, {Hub: 4, Dist: math.MaxUint32}},
-			Set{{Hub: 1, Dist: 1 << 31}, {Hub: 2, Dist: 1 << 7}, {Hub: 3, Dist: 1 << 14}, {Hub: 4, Dist: 1 << 28}}},
+			Set{Pack(1, 127), Pack(2, 16383), Pack(3, 1<<21-1), Pack(4, math.MaxUint32)},
+			Set{Pack(1, 1<<31), Pack(2, 1<<7), Pack(3, 1<<14), Pack(4, 1<<28)}},
 		{"units = 2^32-1 on both sides", 4,
-			Set{{Hub: 0, Dist: math.MaxUint32}, {Hub: 3, Dist: math.MaxUint32}},
-			Set{{Hub: 3, Dist: math.MaxUint32}}},
+			Set{Pack(0, math.MaxUint32), Pack(3, math.MaxUint32)},
+			Set{Pack(3, math.MaxUint32)}},
 		// A short run of high-rank hubs against a long one whose tail of
 		// low-rank hubs the hash join truncates.
 		{"long tail past the other side's maximum", 400, span(0, 1, 5, byHub), span(2, 1, 390, unit)},
 		// The better witness is both runs' last entry, which the hash
 		// join's truncation must keep.
 		{"shared hubs only at both ends", 300,
-			append(append(Set{{Hub: 0, Dist: 9}}, span(10, 2, 100, unit)...), L{Hub: 299, Dist: 1}),
-			append(append(Set{{Hub: 0, Dist: 9}}, span(11, 2, 100, unit)...), L{Hub: 299, Dist: 1})},
+			append(append(Set{Pack(0, 9)}, span(10, 2, 100, unit)...), Pack(299, 1)),
+			append(append(Set{Pack(0, 9)}, span(11, 2, 100, unit)...), Pack(299, 1))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { checkKernels(t, tc.n, 0, tc.a, tc.b) })
@@ -232,8 +232,8 @@ func TestJoinKernels(t *testing.T) {
 	// 2^-2: 0.5 and 2.25 count 2 and 9 units), beyond 2^24.
 	t.Run("float-plane distances", func(t *testing.T) {
 		checkKernels(t, 8, 2,
-			Set{{Hub: 1, Dist: 2}, {Hub: 2, Dist: (1<<24 + 2) * 4}, {Hub: 5, Dist: 0}},
-			Set{{Hub: 1, Dist: 9}, {Hub: 2, Dist: 4}, {Hub: 5, Dist: 12}})
+			Set{Pack(1, 2), Pack(2, (1<<24+2)*4), Pack(5, 0)},
+			Set{Pack(1, 9), Pack(2, 4), Pack(5, 12)})
 	})
 	t.Run("random", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(42))
@@ -256,8 +256,8 @@ func TestJoinKernels(t *testing.T) {
 func TestJoinCompressedWideHubGaps(t *testing.T) {
 	const h1, h2 = 1<<21 + 1, 1<<21 + 1<<28 + 2
 	runs := [][]uint64{
-		{packEntry(0, 3), packEntry(h1, 5), packEntry(h2, 1), packEntry(math.MaxUint32, 2)},
-		{packEntry(h1, 1), packEntry(h2, 5), packEntry(math.MaxUint32, math.MaxUint32)},
+		{Pack(0, 3), Pack(h1, 5), Pack(h2, 1), Pack(math.MaxUint32, 2)},
+		{Pack(h1, 1), Pack(h2, 5), Pack(math.MaxUint32, math.MaxUint32)},
 	}
 	sa, sb := appendStream(nil, runs[0]), appendStream(nil, runs[1])
 	// (gap, units) varint bytes: a (1,1) (4,1) (5,1) (5,1); b (4,1) (5,1) (5,5).
@@ -312,10 +312,10 @@ func fuzzSets(data []byte) (n int, a, b Set) {
 			db = 2 * (1<<24 + db)
 		}
 		if in := x >> 2 & 3; in != 2 {
-			a = append(a, L{Hub: uint32(hub), Dist: da})
+			a = append(a, Pack(uint32(hub), da))
 		}
 		if in := x >> 2 & 3; in != 1 {
-			b = append(b, L{Hub: uint32(hub), Dist: db})
+			b = append(b, Pack(uint32(hub), db))
 		}
 	}
 	return hub + 3, a, b
@@ -378,8 +378,8 @@ func TestStoreConformance(t *testing.T) {
 	for i, gap := range gaps {
 		ix := randomLabelIndex(rng, 200, 1/float64(gap))
 		ix.SetLabels(1, nil)
-		ix.SetLabels(2, Set{{Hub: 0, Dist: math.MaxUint32}}) // 2^32−1 half units
-		ix.SetLabels(3, Set{{Hub: 0, Dist: 2}, {Hub: 1, Dist: 1}, {Hub: 190, Dist: 14}})
+		ix.SetLabels(2, Set{Pack(0, math.MaxUint32)}) // 2^32−1 half units
+		ix.SetLabels(3, Set{Pack(0, 2), Pack(1, 1), Pack(190, 14)})
 		flat := Freeze(ix)
 		c, err := Compress(flat)
 		if err != nil {
@@ -427,9 +427,8 @@ func checkStore(t *testing.T, ix *Index, flat *FlatIndex, st Store) {
 				v, st.LabelCount(v), len(run), len(fresh), len(labels), len(want))
 		}
 		for i, l := range want {
-			if e := packEntry(l.Hub, l.Dist); run[i] != e || fresh[i] != e ||
-				labels[i].Hub != l.Hub || labels[i].Dist != l.Dist {
-				t.Fatalf("vertex %d label %d: run %#x, fresh %#x, Labels %+v, want %+v", v, i, run[i], fresh[i], labels[i], l)
+			if run[i] != l || fresh[i] != l || labels[i] != l {
+				t.Fatalf("vertex %d label %d: run %#x, fresh %#x, Labels %#x, want %#x", v, i, run[i], fresh[i], labels[i], l)
 			}
 		}
 	}

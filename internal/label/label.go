@@ -1,11 +1,11 @@
 // Package label defines hub labels and the data structures that hold them:
-// per-vertex label vectors, a queryable Index, a hash-join accelerator for
-// the distance queries performed during label construction (the LR =
-// hash(L_h) of Algorithm 1), a lock-striped concurrent store for parallel
-// construction, the frozen Stores — fixed-width packed words (flat.go) or
-// one delta+varint stream per vertex (compressed.go), joined by the
-// kernels of join.go — and the one on-disk container (container.go),
-// which holds only Stores.
+// per-vertex label vectors of packed words, a queryable Index, the one hub
+// table both the construction's distance queries (the LR = hash(L_h) of
+// Algorithm 1) and the serving hash joins probe (table.go), a lock-striped
+// concurrent store for parallel construction, the frozen Stores —
+// fixed-width packed words (flat.go) or one delta+varint stream per vertex
+// (compressed.go), joined by the kernels of join.go — and the one on-disk
+// container (container.go), which holds only Stores.
 //
 // The slice form (Index) is never persisted. The builders emit it,
 // internal/exp's figures and internal/query's modeled engines read it
@@ -20,7 +20,6 @@
 package label
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -35,13 +34,23 @@ const Infinity = math.MaxFloat64
 // are multiples of this.
 const Bytes = 8
 
-// L is a single hub label (h, d(v,h)) as defined in Table 1 of the paper.
-// Dist counts units 2^-k of the graph the labels were built on (the Index's
-// UnitExp): every builder counts exactly, and refuses a label of 2^32 units
-// or more (Units).
-type L struct {
-	Hub, Dist uint32
-}
+// A label (h, d(v,h)) of Table 1 of the paper is one packed word,
+// hub<<32 | units: the hub id in the high 32 bits and the distance in the
+// low 32, as a count of units 2^-k of the graph the labels were built on
+// (the Index's UnitExp). Every builder counts exactly, and refuses a label
+// of 2^32 units or more (Units). Because the hub fills the high bits, word
+// order is hub order, with ties (which appear only transiently in
+// construction) broken by distance. A builder's Set, a frozen run, a shard
+// row and a kernel input are the same bytes.
+
+// Pack returns the label word of hub at the given distance in units.
+func Pack(hub, units uint32) uint64 { return uint64(hub)<<32 | uint64(units) }
+
+// Hub returns the hub id of label word e.
+func Hub(e uint64) uint32 { return uint32(e >> 32) }
+
+// Dist returns the distance of label word e, in units.
+func Dist(e uint64) uint32 { return uint32(e) }
 
 // DistError is a builder's refusal of a label it cannot hold: a distance
 // of 2^32 units or more.
@@ -59,26 +68,19 @@ func Units(v int, hub uint32, d uint64, k int) uint32 {
 	return uint32(d)
 }
 
-// Set is the label vector of one vertex, sorted ascending by Hub
-// (descending by rank).
-type Set []L
+// Set is the label vector of one vertex: label words sorted ascending,
+// that is by hub (descending by rank).
+type Set []uint64
 
 // Sort orders the set ascending by hub id; ties (which appear only
 // transiently in construction) keep the smaller distance first.
-func (s Set) Sort() {
-	slices.SortFunc(s, func(a, b L) int {
-		if c := cmp.Compare(a.Hub, b.Hub); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Dist, b.Dist)
-	})
-}
+func (s Set) Sort() { slices.Sort(s) }
 
 // IsSorted reports whether the set is sorted ascending by hub id with no
 // duplicate hubs.
 func (s Set) IsSorted() bool {
 	for i := 1; i < len(s); i++ {
-		if s[i-1].Hub >= s[i].Hub {
+		if Hub(s[i-1]) >= Hub(s[i]) {
 			return false
 		}
 	}
@@ -87,9 +89,9 @@ func (s Set) IsSorted() bool {
 
 // Find returns the distance to hub h in units, if present.
 func (s Set) Find(h uint32) (uint32, bool) {
-	i := sort.Search(len(s), func(i int) bool { return s[i].Hub >= h })
-	if i < len(s) && s[i].Hub == h {
-		return s[i].Dist, true
+	i := sort.Search(len(s), func(i int) bool { return Hub(s[i]) >= h })
+	if i < len(s) && Hub(s[i]) == h {
+		return Dist(s[i]), true
 	}
 	return 0, false
 }
@@ -98,8 +100,8 @@ func (s Set) Find(h uint32) (uint32, bool) {
 func (s Set) Clone() Set { return append(Set(nil), s...) }
 
 // Merge merges the sorted set other into s (both sorted, disjoint hubs are
-// the common case; on a duplicate hub the smaller distance wins) and returns
-// the merged sorted set.
+// the common case; on a duplicate hub the smaller distance, and so the
+// smaller word, wins) and returns the merged sorted set.
 func (s Set) Merge(other Set) Set {
 	if len(other) == 0 {
 		return s
@@ -110,19 +112,15 @@ func (s Set) Merge(other Set) Set {
 	out := make(Set, 0, len(s)+len(other))
 	i, j := 0, 0
 	for i < len(s) && j < len(other) {
-		switch {
-		case s[i].Hub < other[j].Hub:
+		switch hi, hj := Hub(s[i]), Hub(other[j]); {
+		case hi < hj:
 			out = append(out, s[i])
 			i++
-		case s[i].Hub > other[j].Hub:
+		case hi > hj:
 			out = append(out, other[j])
 			j++
 		default:
-			l := s[i]
-			if other[j].Dist < l.Dist {
-				l.Dist = other[j].Dist
-			}
-			out = append(out, l)
+			out = append(out, min(s[i], other[j]))
 			i++
 			j++
 		}
@@ -142,14 +140,14 @@ func QueryMerge(a, b Set) (dist float64, hub uint32, ok bool) {
 	dist = Infinity
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].Hub < b[j].Hub:
+		switch ha, hb := Hub(a[i]), Hub(b[j]); {
+		case ha < hb:
 			i++
-		case a[i].Hub > b[j].Hub:
+		case ha > hb:
 			j++
 		default:
-			if d := float64(a[i].Dist) + float64(b[j].Dist); d < dist {
-				dist, hub, ok = d, a[i].Hub, true
+			if d := float64(Dist(a[i])) + float64(Dist(b[j])); d < dist {
+				dist, hub, ok = d, ha, true
 			}
 			i++
 			j++
@@ -163,14 +161,14 @@ func QueryMerge(a, b Set) (dist float64, hub uint32, ok bool) {
 // Tests call it on every produced labeling.
 func (s Set) Validate(owner int, n int) error {
 	for i, l := range s {
-		if int(l.Hub) >= n {
-			return fmt.Errorf("label: vertex %d has out-of-range hub %d (n=%d)", owner, l.Hub, n)
+		if int(Hub(l)) >= n {
+			return fmt.Errorf("label: vertex %d has out-of-range hub %d (n=%d)", owner, Hub(l), n)
 		}
-		if i > 0 && s[i-1].Hub >= l.Hub {
+		if i > 0 && Hub(s[i-1]) >= Hub(l) {
 			return fmt.Errorf("label: vertex %d labels not strictly sorted at %d", owner, i)
 		}
-		if int(l.Hub) == owner && l.Dist != 0 {
-			return fmt.Errorf("label: vertex %d self label has distance %v", owner, l.Dist)
+		if int(Hub(l)) == owner && Dist(l) != 0 {
+			return fmt.Errorf("label: vertex %d self label has distance %v", owner, Dist(l))
 		}
 	}
 	return nil

@@ -9,10 +9,10 @@ import (
 	"unsafe"
 )
 
-func set(pairs ...L) Set { return Set(pairs) }
+func set(labels ...uint64) Set { return Set(labels) }
 
 func TestSetSortFindClone(t *testing.T) {
-	s := set(L{5, 2}, L{1, 3}, L{9, 1})
+	s := set(Pack(5, 2), Pack(1, 3), Pack(9, 1))
 	s.Sort()
 	if !s.IsSorted() {
 		t.Fatalf("not sorted: %v", s)
@@ -24,15 +24,15 @@ func TestSetSortFindClone(t *testing.T) {
 		t.Fatal("phantom hub 4")
 	}
 	c := s.Clone()
-	c[0].Dist = 99
-	if s[0].Dist == 99 {
+	c[0] = Pack(Hub(c[0]), 99)
+	if Dist(s[0]) == 99 {
 		t.Fatal("Clone aliases storage")
 	}
 }
 
 func TestMerge(t *testing.T) {
-	a := set(L{1, 5}, L{3, 2}, L{7, 1})
-	b := set(L{2, 4}, L{3, 9}, L{8, 3})
+	a := set(Pack(1, 5), Pack(3, 2), Pack(7, 1))
+	b := set(Pack(2, 4), Pack(3, 9), Pack(8, 3))
 	m := a.Merge(b)
 	if !m.IsSorted() || len(m) != 5 {
 		t.Fatalf("merge = %v", m)
@@ -49,20 +49,20 @@ func TestMerge(t *testing.T) {
 }
 
 func TestQueryMerge(t *testing.T) {
-	a := set(L{0, 10}, L{2, 1}, L{5, 7})
-	b := set(L{1, 1}, L{2, 2}, L{5, 1})
+	a := set(Pack(0, 10), Pack(2, 1), Pack(5, 7))
+	b := set(Pack(1, 1), Pack(2, 2), Pack(5, 1))
 	d, hub, ok := QueryMerge(a, b)
 	if !ok || d != 3 || hub != 2 {
 		t.Fatalf("QueryMerge = %v,%d,%v want 3,2,true", d, hub, ok)
 	}
 	// Tie: highest-ranked (smallest id) witness wins.
-	a2 := set(L{1, 2}, L{4, 1})
-	b2 := set(L{1, 2}, L{4, 3})
+	a2 := set(Pack(1, 2), Pack(4, 1))
+	b2 := set(Pack(1, 2), Pack(4, 3))
 	d2, hub2, _ := QueryMerge(a2, b2)
 	if d2 != 4 || hub2 != 1 {
 		t.Fatalf("tie broke to hub %d at %v, want hub 1 at 4", hub2, d2)
 	}
-	if _, _, ok := QueryMerge(set(L{1, 1}), set(L{2, 1})); ok {
+	if _, _, ok := QueryMerge(set(Pack(1, 1)), set(Pack(2, 1))); ok {
 		t.Fatal("disjoint sets reported a hub")
 	}
 	if d, _, _ := QueryMerge(nil, nil); d != Infinity {
@@ -81,9 +81,9 @@ func TestQueryMergeProperty(t *testing.T) {
 		}
 		s := make(Set, 0, len(m))
 		for h, d := range m {
-			s = append(s, L{h, d})
+			s = append(s, Pack(h, d))
 		}
-		sort.Slice(s, func(i, j int) bool { return s[i].Hub < s[j].Hub })
+		sort.Slice(s, func(i, j int) bool { return Hub(s[i]) < Hub(s[j]) })
 		return s
 	}
 	prop := func(sa, sb int64) bool {
@@ -91,7 +91,7 @@ func TestQueryMergeProperty(t *testing.T) {
 		want := Infinity
 		for _, la := range a {
 			for _, lb := range b {
-				if d := float64(la.Dist + lb.Dist); la.Hub == lb.Hub && d < want {
+				if d := float64(Dist(la) + Dist(lb)); Hub(la) == Hub(lb) && d < want {
 					want = d
 				}
 			}
@@ -105,7 +105,7 @@ func TestQueryMergeProperty(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	good := set(L{1, 2}, L{3, 1}, L{4, 0})
+	good := set(Pack(1, 2), Pack(3, 1), Pack(4, 0))
 	if err := good.Validate(4, 10); err != nil {
 		t.Fatal(err)
 	}
@@ -113,10 +113,10 @@ func TestValidate(t *testing.T) {
 		s     Set
 		owner int
 	}{
-		{set(L{3, 1}, L{1, 1}), 0}, // unsorted
-		{set(L{1, 1}, L{1, 2}), 0}, // duplicate hub
-		{set(L{12, 1}), 0},         // out of range
-		{set(L{2, 5}), 2},          // self label nonzero
+		{set(Pack(3, 1), Pack(1, 1)), 0}, // unsorted
+		{set(Pack(1, 1), Pack(1, 2)), 0}, // duplicate hub
+		{set(Pack(12, 1)), 0},            // out of range
+		{set(Pack(2, 5)), 2},             // self label nonzero
 	}
 	for i, c := range bad {
 		if err := c.s.Validate(c.owner, 10); err == nil {
@@ -127,10 +127,10 @@ func TestValidate(t *testing.T) {
 
 func TestIndexAppendKeepsSorted(t *testing.T) {
 	ix := NewIndex(3, 0)
-	ix.Append(0, L{5, 1})
-	ix.Append(0, L{2, 3})
-	ix.Append(0, L{7, 2})
-	ix.Append(0, L{2, 1}) // duplicate hub: min dist kept
+	ix.Append(0, Pack(5, 1))
+	ix.Append(0, Pack(2, 3))
+	ix.Append(0, Pack(7, 2))
+	ix.Append(0, Pack(2, 1)) // duplicate hub: min dist kept
 	s := ix.Labels(0)
 	if !s.IsSorted() || len(s) != 3 {
 		t.Fatalf("labels = %v", s)
@@ -142,13 +142,13 @@ func TestIndexAppendKeepsSorted(t *testing.T) {
 
 func TestIndexEqualAndDiff(t *testing.T) {
 	a := NewIndex(2, 0)
-	a.Append(0, L{0, 0})
-	a.Append(1, L{0, 2})
+	a.Append(0, Pack(0, 0))
+	a.Append(1, Pack(0, 2))
 	b := a.Clone()
 	if !a.Equal(b) || a.Diff(b) != "" {
 		t.Fatal("clone not equal")
 	}
-	b.Append(1, L{1, 0})
+	b.Append(1, Pack(1, 0))
 	if a.Equal(b) || a.Diff(b) == "" {
 		t.Fatal("difference not detected")
 	}
@@ -160,16 +160,16 @@ func TestIndexEqualAndDiff(t *testing.T) {
 
 // A label is one 8-byte word, and Bytes accounts it at that.
 func TestLabelIsEightBytes(t *testing.T) {
-	if unsafe.Sizeof(L{}) != 8 || Bytes != 8 {
-		t.Fatalf("unsafe.Sizeof(L{}) = %d, Bytes = %d, want 8 and 8", unsafe.Sizeof(L{}), Bytes)
+	if size := unsafe.Sizeof(Set{}[0]); size != Bytes || Bytes != 8 {
+		t.Fatalf("a Set element is %d bytes, Bytes = %d, want 8 and 8", size, Bytes)
 	}
 }
 
 func TestIndexStats(t *testing.T) {
 	ix := NewIndex(4, 0)
-	ix.Append(0, L{0, 0})
-	ix.Append(1, L{0, 1})
-	ix.Append(1, L{1, 0})
+	ix.Append(0, Pack(0, 0))
+	ix.Append(1, Pack(0, 1))
+	ix.Append(1, Pack(1, 0))
 	st := ix.Stats()
 	if st.TotalLabels != 3 || st.ALS != 0.75 || st.MaxLabels != 2 || st.Bytes != 24 {
 		t.Fatalf("stats = %+v", st)
@@ -181,19 +181,19 @@ func TestIndexStats(t *testing.T) {
 }
 
 func TestHashDist(t *testing.T) {
-	hd := NewHashDist(10)
-	hd.Load(set(L{1, 5}, L{4, 2}))
+	hd := NewHubTable(10)
+	hd.Load(set(Pack(1, 5), Pack(4, 2)))
 	if d, ok := hd.Get(1); !ok || d != 5 {
 		t.Fatalf("Get(1) = %v,%v", d, ok)
 	}
 	if _, ok := hd.Get(2); ok {
 		t.Fatal("phantom entry")
 	}
-	hd.Add(1, 7) // worse: ignored
+	hd.Add(Pack(1, 7)) // worse: ignored
 	if d, _ := hd.Get(1); d != 5 {
 		t.Fatalf("Add worsened entry to %v", d)
 	}
-	hd.Add(1, 3)
+	hd.Add(Pack(1, 3))
 	if d, _ := hd.Get(1); d != 3 {
 		t.Fatalf("Add did not improve entry: %v", d)
 	}
@@ -204,25 +204,14 @@ func TestHashDist(t *testing.T) {
 }
 
 func TestHashDistQueries(t *testing.T) {
-	hd := NewHashDist(10)
-	hd.Load(set(L{1, 5}, L{4, 2}))
-	lv := set(L{1, 4}, L{3, 1}, L{4, 9})
+	hd := NewHubTable(10)
+	hd.Load(set(Pack(1, 5), Pack(4, 2)))
+	lv := set(Pack(1, 4), Pack(3, 1), Pack(4, 9))
 	if !hd.QueryAgainst(lv, 9) { // 4+5 = 9 ≤ 9
 		t.Fatal("witness at exactly δ missed")
 	}
 	if hd.QueryAgainst(lv, 8) {
 		t.Fatal("phantom witness below 9") // 4+5=9 > 8; 9+2=11 > 8
-	}
-	// An absent hub never covers, whatever δ: not at 2^32 units and past,
-	// where the sum of a label and a uint32 sentinel would, nor at 2^64−1.
-	hd.Load(set(L{1, 5}))
-	for _, delta := range []uint64{1<<32 - 1, 1 << 32, 1 << 33, 1 << 62, 1<<63 - 1, 1 << 63, math.MaxUint64} {
-		if hd.QueryAgainst(set(L{3, 0}, L{4, math.MaxUint32}), delta) || hd.QueryAgainstBounded(set(L{3, 0}), delta, 10) {
-			t.Fatalf("an absent hub covered δ = %d", delta)
-		}
-		if !hd.QueryAgainst(set(L{1, math.MaxUint32}), delta) == (delta >= 1<<32+4) {
-			t.Fatalf("a present hub at 2^32+4 units: cover of δ = %d wrong", delta)
-		}
 	}
 	if hd.QueryAgainstBounded(lv, 100, 1) {
 		t.Fatal("bounded(1) must exclude hub 1 and above")
@@ -232,7 +221,67 @@ func TestHashDistQueries(t *testing.T) {
 	}
 }
 
-// TestHashDistMatchesReference drives one HashDist through Load / Add /
+// TestAbsentHubNeverCounts holds both probes of the one HubTable to its
+// absent sentinel: a hub the table does not hold never covers a δ, however
+// large — not at 2^32 units and past, where the sum of a label and a
+// uint32 sentinel would, nor at 2^64−1 — and never wins a min-probe,
+// however small the probing label's distance, also on a run whose hubs
+// are all absent. A present hub covers exactly the δ at or above its sum.
+func TestAbsentHubNeverCounts(t *testing.T) {
+	const n = 16
+	root := set(Pack(2, 7), Pack(9, math.MaxUint32))
+	for _, c := range []struct {
+		name  string
+		probe Set
+		sum   uint64 // the smallest sum through a present hub
+		hub   uint32 // its hub
+		ok    bool   // whether the probe shares any hub with root
+	}{
+		{"every hub absent", set(Pack(0, 0), Pack(3, 0), Pack(8, math.MaxUint32), Pack(15, 0)), 0, 0, false},
+		{"absent hubs at 0 around a present one", set(Pack(1, 0), Pack(2, 5), Pack(4, 0)), 12, 2, true},
+		{"absent at 0 before a present hub at 2^32−1", set(Pack(3, 0), Pack(9, math.MaxUint32)), 1<<33 - 2, 9, true},
+	} {
+		cover := NewHubTable(n)
+		cover.Load(root)
+		for _, delta := range []uint64{0, 11, 12, 1<<32 - 1, 1 << 32, 1<<33 - 2, 1 << 62, 1<<63 - 1, 1 << 63, math.MaxUint64} {
+			want := c.ok && c.sum <= delta
+			if got := cover.QueryAgainst(c.probe, delta); got != want {
+				t.Errorf("%s: QueryAgainst(δ = %d) = %v, want %v", c.name, delta, got, want)
+			}
+			if got := cover.QueryAgainstBounded(c.probe, delta, n); got != want {
+				t.Errorf("%s: QueryAgainstBounded(δ = %d) = %v, want %v", c.name, delta, got, want)
+			}
+		}
+
+		wantD, wantH := Infinity, uint32(0)
+		if c.ok {
+			wantD, wantH = float64(c.sum), c.hub
+		}
+		ix := NewIndex(n, 0)
+		ix.SetLabels(0, c.probe)
+		cx, err := Compress(Freeze(ix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		crun := cx.Run(0)
+		probe := NewHubTable(n)
+		rs := ScatterRun(probe, root)
+		for kernel, answer := range map[string]func() (float64, uint32, bool){
+			"Probe":           func() (float64, uint32, bool) { return rs.Probe(c.probe) },
+			"ProbeCompressed": func() (float64, uint32, bool) { return rs.ProbeCompressed(crun) },
+		} {
+			if d, h, ok := answer(); d != wantD || h != wantH || ok != c.ok {
+				t.Errorf("%s: %s = (%v, %d, %v), want (%v, %d, %v)", c.name, kernel, d, h, ok, wantD, wantH, c.ok)
+			}
+		}
+		rs.Release()
+		if d, h, ok := JoinPackedWith(probe, root, c.probe); d != wantD || h != wantH || ok != c.ok {
+			t.Errorf("%s: JoinPackedWith = (%v, %d, %v), want (%v, %d, %v)", c.name, d, h, ok, wantD, wantH, c.ok)
+		}
+	}
+}
+
+// TestHashDistMatchesReference drives one HubTable through Load / Add /
 // Reset cycles beside a map and puts both queries to a naive scan of the
 // map: whatever an earlier cycle stored must be invisible, a duplicate Add
 // keeps the minimum, and a witness at exactly δ counts. Distances are small
@@ -244,19 +293,19 @@ func TestHashDistMatchesReference(t *testing.T) {
 		var s Set
 		for hub := uint32(0); hub < n; hub++ {
 			if rng.Intn(3) == 0 {
-				s = append(s, L{hub, uint32(rng.Intn(20))})
+				s = append(s, Pack(hub, uint32(rng.Intn(20))))
 			}
 		}
 		return s
 	}
-	hd := NewHashDist(n)
+	hd := NewHubTable(n)
 	ref := map[uint32]uint32{}
 	// best is the smallest sum over the hubs below bound that lv and ref share.
 	best := func(lv Set, bound uint32) (uint64, bool) {
 		sum, found := uint64(math.MaxUint64), false
 		for _, l := range lv {
-			if d, ok := ref[l.Hub]; ok && l.Hub < bound && uint64(l.Dist+d) < sum {
-				sum, found = uint64(l.Dist+d), true
+			if d, ok := ref[Hub(l)]; ok && Hub(l) < bound && uint64(Dist(l)+d) < sum {
+				sum, found = uint64(Dist(l)+d), true
 			}
 		}
 		return sum, found
@@ -268,12 +317,12 @@ func TestHashDistMatchesReference(t *testing.T) {
 			hd.Load(s)
 			ref = map[uint32]uint32{}
 			for _, l := range s {
-				ref[l.Hub] = l.Dist
+				ref[Hub(l)] = Dist(l)
 			}
 		case 1:
 			for k := rng.Intn(12); k > 0; k-- {
 				hub, d := uint32(rng.Intn(n)), uint32(rng.Intn(20))
-				hd.Add(hub, d)
+				hd.Add(Pack(hub, d))
 				if old, ok := ref[hub]; !ok || d < old {
 					ref[hub] = d
 				}
@@ -321,25 +370,25 @@ func BenchmarkPruneQuery(b *testing.B) {
 	perm := rng.Perm(hubs)
 	var root Set
 	for _, hub := range perm[:rootHubs] {
-		root = append(root, L{uint32(hub), uint32(1 + rng.Intn(100))})
+		root = append(root, Pack(uint32(hub), uint32(1+rng.Intn(100))))
 	}
 	root.Sort()
 	lvs := make([]Set, sets)
 	for i := range lvs {
 		lv := make(Set, 0, entries)
 		for _, k := range rng.Perm(rootHubs)[:entries*2/3] {
-			lv = append(lv, L{uint32(perm[k]), uint32(1 + rng.Intn(100))})
+			lv = append(lv, Pack(uint32(perm[k]), uint32(1+rng.Intn(100))))
 		}
 		for seen := map[int]bool{}; len(lv) < entries; {
 			if k := rootHubs + rng.Intn(hubs-rootHubs); !seen[k] {
 				seen[k] = true
-				lv = append(lv, L{uint32(perm[k]), uint32(1 + rng.Intn(100))})
+				lv = append(lv, Pack(uint32(perm[k]), uint32(1+rng.Intn(100))))
 			}
 		}
 		lv.Sort()
 		lvs[i] = lv
 	}
-	hd := NewHashDist(hubs)
+	hd := NewHubTable(hubs)
 	hd.Load(root)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -7,7 +7,7 @@ package label
 // edges in the paths".
 //
 // parents[v][i] is the predecessor of v in the SPT rooted at
-// Labels(v)[i].Hub, on the tree path the label's distance was achieved
+// Hub(Labels(v)[i]), on the tree path the label's distance was achieved
 // through; the root's own label has itself as parent. Walking parents from
 // both query endpoints to their common hub reconstructs the path: the
 // canonical labeling guarantees every vertex on the hub-to-endpoint path
@@ -35,7 +35,7 @@ func (px *PathIndex) SetParents(v int, parents []uint32) { px.parents[v] = paren
 func (px *PathIndex) Parent(v int, hub uint32) (uint32, bool) {
 	s := px.ix.Labels(v)
 	for i, l := range s {
-		if l.Hub == hub {
+		if Hub(l) == hub {
 			return px.parents[v][i], true
 		}
 	}

@@ -10,7 +10,7 @@ import (
 // little-endian bytes of its uint64 entries, exactly as they sit in the
 // owning shard's (usually memory-mapped) entries array; the router
 // re-validates the structure before the bytes reach the join kernels,
-// whose scratch indexing trusts hub ids.
+// whose hub-table indexing trusts hub ids.
 
 // PackedRunBytes serializes a packed label run (FlatIndex.PackedRun) as
 // its little-endian bytes.

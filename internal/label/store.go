@@ -56,8 +56,9 @@ func (cs *ConcurrentStore) lock(v int) *slot {
 // NumVertices returns the vertex count.
 func (cs *ConcurrentStore) NumVertices() int { return len(cs.slots) }
 
-// Append adds a label to v's set (unsorted; callers sort when sealing).
-func (cs *ConcurrentStore) Append(v int, l L) {
+// Append adds label word l to v's set (unsorted; callers sort when
+// sealing).
+func (cs *ConcurrentStore) Append(v int, l uint64) {
 	s := cs.lock(v)
 	s.set = append(s.set, l)
 	s.n.Store(int32(len(s.set)))
@@ -66,7 +67,7 @@ func (cs *ConcurrentStore) Append(v int, l L) {
 
 // QueryAgainst runs hd.QueryAgainst(labels of v) under v's lock, or reports
 // false without locking when v has no labels.
-func (cs *ConcurrentStore) QueryAgainst(hd *HashDist, v int, delta uint64) bool {
+func (cs *ConcurrentStore) QueryAgainst(hd *HubTable, v int, delta uint64) bool {
 	if cs.slots[v].n.Load() == 0 {
 		return false
 	}
@@ -80,13 +81,13 @@ func (cs *ConcurrentStore) QueryAgainst(hd *HashDist, v int, delta uint64) bool 
 // of a concurrent tree ("hashing root labels prior to launching an SPT
 // construction", §3) — labels appended to v afterwards are not consulted.
 // An empty set is skipped without locking.
-func (cs *ConcurrentStore) AddTo(hd *HashDist, v int) {
+func (cs *ConcurrentStore) AddTo(hd *HubTable, v int) {
 	if cs.slots[v].n.Load() == 0 {
 		return
 	}
 	s := cs.lock(v)
 	for _, l := range s.set {
-		hd.Add(l.Hub, l.Dist)
+		hd.Add(l)
 	}
 	s.mu.Unlock()
 }

@@ -17,7 +17,7 @@ func TestConcurrentStoreParallelAppend(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < per; i++ {
 				v := rng.Intn(n)
-				cs.Append(v, L{Hub: uint32(w*per + i), Dist: 1})
+				cs.Append(v, Pack(uint32(w*per+i), 1))
 			}
 		}(w)
 	}
@@ -40,9 +40,9 @@ func TestConcurrentStoreParallelAppend(t *testing.T) {
 
 func TestConcurrentStoreQueryAgainst(t *testing.T) {
 	cs := NewConcurrentStore(3)
-	cs.Append(1, L{Hub: 2, Dist: 3})
-	hd := NewHashDist(5)
-	hd.Add(2, 4)
+	cs.Append(1, Pack(2, 3))
+	hd := NewHubTable(5)
+	hd.Add(Pack(2, 4))
 	if !cs.QueryAgainst(hd, 1, 7) {
 		t.Fatal("witness 3+4 ≤ 7 missed")
 	}
@@ -56,10 +56,10 @@ func TestConcurrentStoreQueryAgainst(t *testing.T) {
 
 func TestConcurrentStoreAddTo(t *testing.T) {
 	cs := NewConcurrentStore(2)
-	cs.Append(1, L{Hub: 0, Dist: 3})
-	cs.Append(1, L{Hub: 1, Dist: 0})
-	hd := NewHashDist(2)
-	hd.Add(0, 5) // AddTo adds, it does not clear: GLL hashes global then local
+	cs.Append(1, Pack(0, 3))
+	cs.Append(1, Pack(1, 0))
+	hd := NewHubTable(2)
+	hd.Add(Pack(0, 5)) // AddTo adds, it does not clear: GLL hashes global then local
 	cs.AddTo(hd, 1)
 	if d, ok := hd.Get(0); !ok || d != 3 {
 		t.Fatalf("hub 0 = %v,%v want the improved 3", d, ok)
@@ -72,26 +72,26 @@ func TestConcurrentStoreAddTo(t *testing.T) {
 
 func TestConcurrentStoreDrain(t *testing.T) {
 	cs := NewConcurrentStore(2)
-	cs.Append(0, L{Hub: 1, Dist: 2})
+	cs.Append(0, Pack(1, 2))
 	out := cs.Drain()
 	if len(out[0]) != 1 || len(cs.Drain()[0]) != 0 {
 		t.Fatal("Drain did not move labels")
 	}
-	cs.Append(0, L{Hub: 2, Dist: 1}) // reusable after Drain
-	if again := cs.Drain(); len(again[0]) != 1 || again[0][0].Hub != 2 {
+	cs.Append(0, Pack(2, 1)) // reusable after Drain
+	if again := cs.Drain(); len(again[0]) != 1 || Hub(again[0][0]) != 2 {
 		t.Fatal("store unusable after Drain")
 	}
 }
 
 func TestConcurrentStoreProfiling(t *testing.T) {
 	cs := NewConcurrentStore(2)
-	cs.Append(0, L{Hub: 1, Dist: 1})
+	cs.Append(0, Pack(1, 1))
 	if cs.LockCount() != 0 {
 		t.Fatal("profiling counted while disabled")
 	}
 	cs.EnableProfiling()
-	cs.Append(0, L{Hub: 2, Dist: 1})
-	cs.AddTo(NewHashDist(3), 0)
+	cs.Append(0, Pack(2, 1))
+	cs.AddTo(NewHubTable(3), 0)
 	if cs.LockCount() != 2 {
 		t.Fatalf("lock count = %d, want 2", cs.LockCount())
 	}
@@ -100,7 +100,7 @@ func TestConcurrentStoreProfiling(t *testing.T) {
 func TestConcurrentStoreEmptyReadsTakeNoLock(t *testing.T) {
 	cs := NewConcurrentStore(2)
 	cs.EnableProfiling()
-	hd := NewHashDist(2)
+	hd := NewHubTable(2)
 	if cs.QueryAgainst(hd, 1, 100) {
 		t.Fatal("empty vertex matched")
 	}
@@ -108,7 +108,7 @@ func TestConcurrentStoreEmptyReadsTakeNoLock(t *testing.T) {
 	if got := cs.LockCount(); got != 0 {
 		t.Fatalf("reads of an empty set took %d locks", got)
 	}
-	cs.Append(1, L{Hub: 0, Dist: 1})
+	cs.Append(1, Pack(0, 1))
 	cs.QueryAgainst(hd, 1, 100)
 	cs.AddTo(hd, 1)
 	if got := cs.LockCount(); got != 3 {
@@ -128,14 +128,14 @@ func TestConcurrentStoreEmptyReadsTakeNoLock(t *testing.T) {
 func TestConcurrentStoreRecycle(t *testing.T) {
 	cs := NewConcurrentStore(3)
 	for h := uint32(0); h < 4; h++ {
-		cs.Append(0, L{Hub: h, Dist: 1})
+		cs.Append(0, Pack(h, 1))
 	}
-	cs.Append(1, L{Hub: 0, Dist: 1})
+	cs.Append(1, Pack(0, 1))
 	drained := cs.Drain()
 	cs.Recycle(drained)
 
-	hd := NewHashDist(8)
-	hd.Add(0, 1)
+	hd := NewHubTable(8)
+	hd.Add(Pack(0, 1))
 	if cs.QueryAgainst(hd, 0, 100) || cs.QueryAgainst(hd, 1, 100) {
 		t.Fatal("a drained label answered a query")
 	}
@@ -144,8 +144,8 @@ func TestConcurrentStoreRecycle(t *testing.T) {
 		t.Fatal("AddTo hashed a drained label")
 	}
 
-	cs.Append(0, L{Hub: 7, Dist: 2})
-	probe := NewHashDist(8)
+	cs.Append(0, Pack(7, 2))
+	probe := NewHubTable(8)
 	cs.AddTo(probe, 0)
 	for h := uint32(0); h < 4; h++ {
 		if _, ok := probe.Get(h); ok {
@@ -156,7 +156,7 @@ func TestConcurrentStoreRecycle(t *testing.T) {
 		t.Fatalf("hub 7 = %v,%v want 2", d, ok)
 	}
 	ix := cs.Seal(0)
-	if got := ix.Labels(0); len(got) != 1 || got[0].Hub != 7 || &got[0] != &drained[0][0] {
+	if got := ix.Labels(0); len(got) != 1 || Hub(got[0]) != 7 || &got[0] != &drained[0][0] {
 		t.Fatalf("vertex 0 after reuse = %v, want the one new label in the drained storage", got)
 	}
 	if ix.TotalLabels() != 1 {
@@ -176,12 +176,12 @@ func TestConcurrentStoreReadersBesideAppenders(t *testing.T) {
 		go func(w int) { // appender: hubs 0, 1, … at distance 1 on every vertex it owns
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				cs.Append(2*(i%(n/2))+w, L{Hub: uint32(i / (n / 2)), Dist: 1})
+				cs.Append(2*(i%(n/2))+w, Pack(uint32(i/(n/2)), 1))
 			}
 		}(w)
 		go func(w int) { // reader
 			defer wg.Done()
-			hd := NewHashDist(per)
+			hd := NewHubTable(per)
 			for i := 0; i < per; i++ {
 				v := (i*7 + w) % n
 				hd.Reset()

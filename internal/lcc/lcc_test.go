@@ -53,7 +53,7 @@ func TestCleanRemovesInjectedRedundancy(t *testing.T) {
 			if d == label.Infinity {
 				continue
 			}
-			dirty.Append(v, label.L{Hub: uint32(h), Dist: uint32(d)}) // integer weights: the unit is 1
+			dirty.Append(v, label.Pack(uint32(h), uint32(d))) // integer weights: the unit is 1
 			injected++
 		}
 	}

@@ -482,7 +482,7 @@ func Commit(table *label.Index, workers, lo int, spans []Span, outs [][]Emitted)
 			hub := uint32(lo + i)
 			for _, e := range outs[sp.W][sp.Lo:sp.Hi] {
 				if from <= e.V && e.V < to { // hubs ascend: a plain append, not Index.Append's search
-					table.SetLabels(int(e.V), append(table.Labels(int(e.V)), label.L{Hub: hub, Dist: e.Dist}))
+					table.SetLabels(int(e.V), append(table.Labels(int(e.V)), label.Pack(hub, e.Dist)))
 				}
 			}
 		}

@@ -20,11 +20,11 @@ import (
 func TestFigure1cGolden(t *testing.T) {
 	g := graph.Figure1()
 	s := NewScratch(5)
-	var got []label.L
+	var got []uint64
 	st := Tree(g, 1, s, nil, nil, 0, func(v int, d uint32) {
-		got = append(got, label.L{Hub: uint32(v), Dist: d}) // Hub field reused as "vertex"
+		got = append(got, label.Pack(uint32(v), d)) // hub half reused as "vertex"
 	})
-	if len(got) != 2 || got[0] != (label.L{Hub: 1, Dist: 0}) || got[1] != (label.L{Hub: 2, Dist: 10}) {
+	if len(got) != 2 || got[0] != label.Pack(1, 0) || got[1] != label.Pack(2, 10) {
 		t.Fatalf("labels = %v, want [(v2,0) (v3,10)]", got)
 	}
 	if st.Labels != 2 {
@@ -235,7 +235,7 @@ func TestAncestorShortcutEqualsQuery(t *testing.T) {
 		n := g.NumVertices()
 		chl, _ := pll.Sequential(g, pll.Options{})
 		s := NewScratch(n)
-		hd := label.NewHashDist(n)
+		hd := label.NewHubTable(n)
 		for _, bound := range []uint32{4, 20, 60} {
 			for h := int(bound); h < n; h += 7 {
 				hd.Load(chl.Labels(h))
@@ -338,10 +338,10 @@ func TestScratchReuseAcrossTrees(t *testing.T) {
 	g := graph.ErdosRenyi(30, 70, 4, 11)
 	shared := NewScratch(30)
 	for h := 0; h < 30; h++ {
-		var a, b []label.L
-		Tree(g, h, shared, nil, nil, 0, func(v int, d uint32) { a = append(a, label.L{Hub: uint32(v), Dist: d}) })
+		var a, b []uint64
+		Tree(g, h, shared, nil, nil, 0, func(v int, d uint32) { a = append(a, label.Pack(uint32(v), d)) })
 		fresh := NewScratch(30)
-		Tree(g, h, fresh, nil, nil, 0, func(v int, d uint32) { b = append(b, label.L{Hub: uint32(v), Dist: d}) })
+		Tree(g, h, fresh, nil, nil, 0, func(v int, d uint32) { b = append(b, label.Pack(uint32(v), d)) })
 		if len(a) != len(b) {
 			t.Fatalf("root %d: %d labels with shared scratch, %d with fresh", h, len(a), len(b))
 		}

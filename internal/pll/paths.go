@@ -27,7 +27,7 @@ func SequentialWithPaths(g *graph.Graph, opts Options) (*label.PathIndex, *metri
 		// A popped vertex's distance, hence its parent, is final; the ones
 		// this tree labeled are the touched ones whose last label is h's.
 		for _, v := range s.Dirty {
-			if lv := ix.Labels(int(v)); len(lv) > 0 && lv[len(lv)-1].Hub == uint32(h) {
+			if lv := ix.Labels(int(v)); len(lv) > 0 && label.Hub(lv[len(lv)-1]) == uint32(h) {
 				parents[v] = append(parents[v], uint32(parent[v]))
 			}
 		}

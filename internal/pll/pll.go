@@ -126,7 +126,7 @@ func tree(dir *graph.Graph, s *ptree.Scratch, root label.Set, into *label.Index,
 			}
 		}
 		st.Labels++
-		into.Append(v, label.L{Hub: uint32(h), Dist: label.Units(v, uint32(h), dv, dir.WeightUnitExp())})
+		into.Append(v, label.Pack(uint32(h), label.Units(v, uint32(h), dv, dir.WeightUnitExp())))
 		heads, wts := dir.Neighbors(v)
 		for i, uu := range heads {
 			u := int(uu)

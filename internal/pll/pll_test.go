@@ -171,8 +171,8 @@ func TestSParaPLLHoldsCHL(t *testing.T) {
 		ix, _ := SParaPLL(g, Options{Workers: workers})
 		for v := 0; v < g.NumVertices(); v++ {
 			for _, l := range want.Labels(v) {
-				if d, ok := ix.Labels(v).Find(l.Hub); !ok || d != l.Dist {
-					t.Fatalf("run %d, workers=%d: L_%d lacks CHL label (%d,%v): got %v,%v", run, workers, v, l.Hub, l.Dist, d, ok)
+				if d, ok := ix.Labels(v).Find(label.Hub(l)); !ok || d != label.Dist(l) {
+					t.Fatalf("run %d, workers=%d: L_%d lacks CHL label (%d,%v): got %v,%v", run, workers, v, label.Hub(l), label.Dist(l), d, ok)
 				}
 			}
 		}

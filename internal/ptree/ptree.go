@@ -51,7 +51,7 @@ type Scratch struct {
 	Dist  []uint64 // in units of the graph's 2^-k
 	Dirty []int32  // vertices whose Dist is finite, in first-touched order
 	Heap  vheap.Heap
-	HD    label.HashDist // LR = hash(L_h); loaded by the caller
+	HD    label.HubTable // LR = hash(L_h); loaded by the caller
 	_     [64]byte
 }
 
@@ -60,7 +60,7 @@ func NewScratch(n int) *Scratch {
 	s := &Scratch{
 		Dist: make([]uint64, n),
 		Heap: *vheap.New(n),
-		HD:   *label.NewHashDist(n),
+		HD:   *label.NewHubTable(n),
 	}
 	for i := range s.Dist {
 		s.Dist[i] = graph.Unreached
@@ -220,7 +220,7 @@ func LiveForest(g *graph.Graph, store *label.ConcurrentStore, workers int, rankQ
 			}
 			stats[w].Add(Tree(g, h, s, rankQuery,
 				func(v int, dist uint64) bool { return store.QueryAgainst(&s.HD, v, dist) },
-				func(v int, dist uint32) { store.Append(v, label.L{Hub: uint32(h), Dist: dist}) }))
+				func(v int, dist uint32) { store.Append(v, label.Pack(uint32(h), dist)) }))
 		}
 	})
 	return Sum(stats)
@@ -240,7 +240,7 @@ func TwoTableTree(g *graph.Graph, h int, s *Scratch, rankQuery bool, global []la
 		func(v int, dist uint64) bool {
 			return s.HD.QueryAgainst(global[v], dist) || local.QueryAgainst(&s.HD, v, dist)
 		},
-		func(v int, dist uint32) { local.Append(v, label.L{Hub: uint32(h), Dist: dist}) })
+		func(v int, dist uint32) { local.Append(v, label.Pack(uint32(h), dist)) })
 }
 
 // Redundant is the Cleaning Query of Algorithm 2 (lines 12–16): the label
@@ -250,15 +250,15 @@ func TwoTableTree(g *graph.Graph, h int, s *Scratch, rankQuery bool, global []la
 // qualify, so the merge-join stops at h in either set; per footnote 3 it
 // also stops at the first satisfying hub. entries counts the steps taken.
 func Redundant(lv, lh label.Set, h, delta uint32) (redundant bool, entries int64) {
-	i, j := 0, 0
-	for i < len(lv) && j < len(lh) && lv[i].Hub < h && lh[j].Hub < h {
+	i, j, end := 0, 0, uint64(h)<<32
+	for i < len(lv) && j < len(lh) && lv[i] < end && lh[j] < end {
 		entries++
 		switch a, b := lv[i], lh[j]; {
-		case a.Hub < b.Hub:
+		case label.Hub(a) < label.Hub(b):
 			i++
-		case a.Hub > b.Hub:
+		case label.Hub(a) > label.Hub(b):
 			j++
-		case uint64(a.Dist)+uint64(b.Dist) <= uint64(delta):
+		case uint64(label.Dist(a))+uint64(label.Dist(b)) <= uint64(delta):
 			return true, entries
 		default:
 			i++
@@ -291,9 +291,9 @@ func Clean(dst, sets []label.Set, workers, first, stride int) Stats {
 			}
 			out := slices.Grow(dst[v], len(lv))
 			for _, l := range lv {
-				if int(l.Hub) != v {
+				if h := label.Hub(l); int(h) != v {
 					st.CleanQueries++
-					redundant, entries := Redundant(lv, sets[l.Hub], l.Hub, l.Dist)
+					redundant, entries := Redundant(lv, sets[h], h, label.Dist(l))
 					st.CleanEntries += entries
 					if redundant {
 						st.Cleaned++

@@ -34,7 +34,7 @@ func TestKernelReproducesSequentialPLL(t *testing.T) {
 			s.HD.Load(ix.Labels(h))
 			got.Fold(ptree.Tree(g, h, s, true,
 				func(v int, d uint64) bool { return s.HD.QueryAgainst(ix.Labels(v), d) },
-				func(v int, d uint32) { ix.Append(v, label.L{Hub: uint32(h), Dist: d}) }))
+				func(v int, d uint32) { ix.Append(v, label.Pack(uint32(h), d)) }))
 		}
 
 		if diff := want.Diff(ix); diff != "" {
@@ -62,7 +62,7 @@ func TestKernelReproducesSequentialPLL(t *testing.T) {
 // on in result but not in form (one scanned to the first satisfying hub and
 // then compared its rank, two stopped the scan at h).
 func TestRedundant(t *testing.T) {
-	set := func(ls ...label.L) label.Set { return ls }
+	set := func(ls ...uint64) label.Set { return ls }
 	const h = 5
 	for _, c := range []struct {
 		name    string
@@ -72,22 +72,22 @@ func TestRedundant(t *testing.T) {
 		entries int64
 	}{
 		{"witness above h",
-			set(label.L{Hub: 2, Dist: 3}, label.L{Hub: h, Dist: 7}), set(label.L{Hub: 2, Dist: 4}, label.L{Hub: h, Dist: 0}), 7, true, 1},
+			set(label.Pack(2, 3), label.Pack(h, 7)), set(label.Pack(2, 4), label.Pack(h, 0)), 7, true, 1},
 		{"witness above h, behind non-common and too-long hubs",
-			set(label.L{Hub: 0, Dist: 9}, label.L{Hub: 1, Dist: 1}, label.L{Hub: 3, Dist: 2}, label.L{Hub: h, Dist: 6}),
-			set(label.L{Hub: 0, Dist: 9}, label.L{Hub: 2, Dist: 1}, label.L{Hub: 3, Dist: 4}, label.L{Hub: h, Dist: 0}), 6, true, 4},
+			set(label.Pack(0, 9), label.Pack(1, 1), label.Pack(3, 2), label.Pack(h, 6)),
+			set(label.Pack(0, 9), label.Pack(2, 1), label.Pack(3, 4), label.Pack(h, 0)), 6, true, 4},
 		{"equal-distance tie counts (≤, not <)",
-			set(label.L{Hub: 4, Dist: 1}, label.L{Hub: h, Dist: 3}), set(label.L{Hub: 4, Dist: 2}, label.L{Hub: h, Dist: 0}), 3, true, 1},
+			set(label.Pack(4, 1), label.Pack(h, 3)), set(label.Pack(4, 2), label.Pack(h, 0)), 3, true, 1},
 		{"common hub above h, a hair too long",
-			set(label.L{Hub: 4, Dist: 2}, label.L{Hub: h, Dist: 6}), set(label.L{Hub: 4, Dist: 5}, label.L{Hub: h, Dist: 0}), 6, false, 1},
+			set(label.Pack(4, 2), label.Pack(h, 6)), set(label.Pack(4, 5), label.Pack(h, 0)), 6, false, 1},
 		{"witness only at h: a label is no witness against itself",
-			set(label.L{Hub: h, Dist: 3}), set(label.L{Hub: h, Dist: 0}), 3, false, 0},
+			set(label.Pack(h, 3)), set(label.Pack(h, 0)), 3, false, 0},
 		{"witness only below h",
-			set(label.L{Hub: h, Dist: 3}, label.L{Hub: 8, Dist: 1}), set(label.L{Hub: h, Dist: 0}, label.L{Hub: 8, Dist: 1}), 3, false, 0},
+			set(label.Pack(h, 3), label.Pack(8, 1)), set(label.Pack(h, 0), label.Pack(8, 1)), 3, false, 0},
 		{"the scan stops at h in either set",
-			set(label.L{Hub: 1, Dist: 1}, label.L{Hub: 9, Dist: 1}), set(label.L{Hub: 6, Dist: 1}, label.L{Hub: 9, Dist: 1}), 3, false, 0},
-		{"empty lv", nil, set(label.L{Hub: 1, Dist: 1}), 3, false, 0},
-		{"empty lh", set(label.L{Hub: 1, Dist: 1}), nil, 3, false, 0},
+			set(label.Pack(1, 1), label.Pack(9, 1)), set(label.Pack(6, 1), label.Pack(9, 1)), 3, false, 0},
+		{"empty lv", nil, set(label.Pack(1, 1)), 3, false, 0},
+		{"empty lh", set(label.Pack(1, 1)), nil, 3, false, 0},
 		{"both empty", nil, nil, 3, false, 0},
 	} {
 		got, entries := ptree.Redundant(c.lv, c.lh, h, c.delta)
@@ -157,7 +157,7 @@ func TestCleanAppends(t *testing.T) {
 	fresh := make([]label.Set, len(sets))
 	ptree.Clean(fresh, sets, 2, 0, 1)
 
-	prefix := label.Set{{Hub: 0, Dist: 1}}
+	prefix := label.Set{label.Pack(0, 1)}
 	dst := make([]label.Set, len(sets))
 	for v := range dst {
 		dst[v] = prefix.Clone()

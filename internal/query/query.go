@@ -403,13 +403,13 @@ func queryCounted(ix *label.Index, u, v int) (float64, int64) {
 	best := label.Infinity
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].Hub < b[j].Hub:
+		switch ha, hb := label.Hub(a[i]), label.Hub(b[j]); {
+		case ha < hb:
 			i++
-		case a[i].Hub > b[j].Hub:
+		case ha > hb:
 			j++
 		default:
-			if d := float64(a[i].Dist) + float64(b[j].Dist); d < best {
+			if d := float64(label.Dist(a[i])) + float64(label.Dist(b[j])); d < best {
 				best = d
 			}
 			i++

@@ -15,8 +15,7 @@
 // partition pair — Θ(1/√q) of the labeling per node. A shard here stores
 // only its own vertices' labels, Θ(1/N) per node, and the router completes
 // cross-shard queries with one hub join over two fetched label runs
-// instead of pair replication. ZetaFor exposes QDOL's ζ sizing formula for
-// comparisons and capacity planning.
+// instead of pair replication.
 //
 // A cluster is described on disk by a Manifest (cluster.json next to the
 // shard files), written by the shard-index writer (chl.FlatIndex.
@@ -27,7 +26,6 @@ package shard
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"sort"
 
@@ -104,35 +102,15 @@ func (p *Partition) Owner(v int) int {
 	return int(p.points[i].shard)
 }
 
-// Counts tallies how many of the vertices [0,n) each shard owns — the
-// balance diagnostic the splitter prints.
+// Counts tallies how many of the vertices [0,n) each shard owns, the
+// ring's balance. (The splitter prints Manifest.VertexCounts, which
+// SaveShards counts as it assigns vertices.)
 func (p *Partition) Counts(n int) []int {
 	c := make([]int, p.shards)
 	for v := 0; v < n; v++ {
 		c[p.Owner(v)]++
 	}
 	return c
-}
-
-// ZetaFor returns QDOL's partition count ζ for a q-node cluster: the
-// largest ζ with C(ζ,2) ≤ q (internal/query uses the same formula). Under
-// QDOL a q-node cluster serves C(ζ,2) partition pairs with Θ(1/ζ) =
-// Θ(1/√q) of the labeling per node; the sharded serving tier's router
-// replaces the pair replication with a hub join, so its N shards each
-// store Θ(1/N). The formula remains useful to size a shard cluster that
-// should match a QDOL deployment's per-node memory.
-func ZetaFor(q int) int {
-	if q < 1 {
-		return 0
-	}
-	zeta := int((1 + math.Sqrt(1+8*float64(q))) / 2)
-	for zeta > 2 && zeta*(zeta-1)/2 > q {
-		zeta--
-	}
-	if zeta < 2 {
-		zeta = 2
-	}
-	return zeta
 }
 
 // ManifestName is the file name SaveShards writes the Manifest under,

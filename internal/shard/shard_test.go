@@ -90,19 +90,6 @@ func TestPartitionStabilityUnderResize(t *testing.T) {
 	}
 }
 
-func TestZetaFor(t *testing.T) {
-	for _, tc := range []struct{ q, zeta int }{
-		{1, 2}, {3, 3}, {6, 4}, {10, 5}, {16, 6}, {64, 11},
-	} {
-		if got := ZetaFor(tc.q); got != tc.zeta {
-			t.Errorf("ZetaFor(%d) = %d, want %d", tc.q, got, tc.zeta)
-		}
-	}
-	if ZetaFor(0) != 0 {
-		t.Error("ZetaFor(0) should be 0")
-	}
-}
-
 func TestManifestRoundTrip(t *testing.T) {
 	m, err := NewManifest(1000, 3, 64, 42, []string{"shard-000.flat", "shard-001.flat", "shard-002.flat"})
 	if err != nil {

@@ -167,7 +167,7 @@ func notBelowCHL(t *testing.T, g *graph.Graph, ix *label.Index) {
 	violations := 0
 	for v := 0; v < ix.NumVertices(); v++ {
 		for _, l := range ix.Labels(v) {
-			if int(l.Hub) > v {
+			if int(label.Hub(l)) > v {
 				violations++
 			}
 		}

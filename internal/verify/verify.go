@@ -189,12 +189,13 @@ func Minimal(ix *label.Index) error {
 	n := ix.NumVertices()
 	for v := 0; v < n; v++ {
 		for _, l := range ix.Labels(v) {
-			if int(l.Hub) == v {
+			h, d := label.Hub(l), label.Dist(l)
+			if int(h) == v {
 				continue
 			}
-			if hub, bad := witnessAbove(ix.Labels(v), ix.Labels(int(l.Hub)), l.Hub, l.Dist); bad {
+			if hub, bad := witnessAbove(ix.Labels(v), ix.Labels(int(h)), h, d); bad {
 				return fmt.Errorf("verify: redundant label (hub %d, d=%v) at vertex %d: witnessed by higher-ranked hub %d",
-					l.Hub, l.Dist, v, hub)
+					h, d, v, hub)
 			}
 		}
 	}
@@ -248,14 +249,14 @@ func witnessAbove(lv, lh label.Set, h, delta uint32) (uint32, bool) {
 	i, j := 0, 0
 	for i < len(lv) && j < len(lh) {
 		a, b := lv[i], lh[j]
-		switch {
-		case a.Hub < b.Hub:
+		switch ha, hb := label.Hub(a), label.Hub(b); {
+		case ha < hb:
 			i++
-		case a.Hub > b.Hub:
+		case ha > hb:
 			j++
 		default:
-			if uint64(a.Dist)+uint64(b.Dist) <= uint64(delta) {
-				return a.Hub, a.Hub < h
+			if uint64(label.Dist(a))+uint64(label.Dist(b)) <= uint64(delta) {
+				return ha, ha < h
 			}
 			i++
 			j++

@@ -39,9 +39,9 @@ func TestCoverDetectsMissingLabel(t *testing.T) {
 	removed := s[0]
 	bad.SetLabels(v, s[1:])
 	if err := verify.Cover(g, bad, 0); err == nil {
-		// The pair (v, removed.Hub) may still be covered via another
+		// The pair (v, hub of removed) may still be covered via another
 		// common hub only if removed was redundant — impossible in a CHL.
-		t.Fatalf("cover check missed the removal of label (hub %d) at vertex %d", removed.Hub, v)
+		t.Fatalf("cover check missed the removal of label (hub %d) at vertex %d", label.Hub(removed), v)
 	}
 }
 
@@ -51,11 +51,11 @@ func TestCoverDetectsWrongDistance(t *testing.T) {
 	for v := 0; v < g.NumVertices(); v++ {
 		s := bad.Labels(v).Clone()
 		for i := range s {
-			if int(s[i].Hub) != v {
-				s[i].Dist++ // inflate one label
+			if h := label.Hub(s[i]); int(h) != v {
+				s[i] = label.Pack(h, label.Dist(s[i])+1) // inflate one label
 				bad.SetLabels(v, s)
 				if err := verify.Cover(g, bad, 0); err == nil {
-					t.Fatalf("cover check accepted an inflated distance at vertex %d hub %d", v, s[i].Hub)
+					t.Fatalf("cover check accepted an inflated distance at vertex %d hub %d", v, h)
 				}
 				return
 			}
@@ -71,10 +71,10 @@ func TestRespectsRDetectsMissingCanonicalHub(t *testing.T) {
 	// the max on any shortest path to the vertex, respects-R must fail.
 	for v := g.NumVertices() - 1; v > 0; v-- {
 		s := bad.Labels(v)
-		if len(s) >= 2 && s[0].Hub != uint32(v) {
+		if len(s) >= 2 && label.Hub(s[0]) != uint32(v) {
 			bad.SetLabels(v, s[1:].Clone())
 			if err := verify.RespectsR(g, bad, 0); err == nil {
-				t.Fatalf("respects-R missed the dropped hub %d at vertex %d", s[0].Hub, v)
+				t.Fatalf("respects-R missed the dropped hub %d at vertex %d", label.Hub(s[0]), v)
 			}
 			return
 		}
@@ -100,7 +100,7 @@ func TestMinimalDetectsRedundantLabel(t *testing.T) {
 			if d == label.Infinity {
 				continue
 			}
-			bad.Append(v, label.L{Hub: uint32(h), Dist: uint32(d)}) // integer weights: the unit is 1
+			bad.Append(v, label.Pack(uint32(h), uint32(d))) // integer weights: the unit is 1
 			if err := verify.Minimal(bad); err == nil {
 				t.Fatalf("minimality check accepted redundant label (v=%d h=%d)", v, h)
 			}
@@ -117,7 +117,8 @@ func TestCanonicalDistancesDetectsCorruption(t *testing.T) {
 	if len(s) == 0 {
 		t.Skip("no labels")
 	}
-	s[len(s)-1].Dist += 1
+	last := s[len(s)-1]
+	s[len(s)-1] = label.Pack(label.Hub(last), label.Dist(last)+1)
 	bad.SetLabels(3, s)
 	if err := verify.CanonicalDistances(g, bad, 0); err == nil {
 		t.Fatal("distance corruption not detected")

@@ -241,13 +241,14 @@ func (fx *FlatIndex) QueryHub(u, v int) (dist float64, hub int, ok bool) {
 }
 
 // QueryScratch is a per-worker probe buffer for FlatIndex.QueryWith /
-// BatchEngine: 8 bytes per vertex, owned by one goroutine, and clean
+// BatchEngine — label.HubTable, the table the builders' pruning query
+// probes too: 8 bytes per vertex, owned by one goroutine, and clean
 // again whenever a query returns.
-type QueryScratch = label.QueryScratch
+type QueryScratch = label.HubTable
 
 // NewScratch allocates a probe buffer sized for this index.
 func (fx *FlatIndex) NewScratch() *QueryScratch {
-	return label.NewQueryScratch(fx.NumVertices())
+	return label.NewHubTable(fx.NumVertices())
 }
 
 // QueryWith is Query through a hash join over the caller's scratch buffer

@@ -817,7 +817,7 @@ func (r *Router) batch(ctx context.Context, dists []float64, pairs []QueryPair) 
 	// Join locally: the overlay when one is outstanding, else the same
 	// kernel and scratch-size policy the single-process BatchEngine serves
 	// with (label.ScratchPool.GetJoin; a nil scratch merge-joins).
-	var s *label.QueryScratch
+	var s *label.HubTable
 	if st.patch == nil && len(joined) > 0 {
 		s = r.scratch.GetJoin(r.n)
 		r.crossJoins.Add(int64(len(joined)))
