@@ -14,7 +14,7 @@ import (
 // failed request through: one row per error kind, status and body byte
 // for byte.
 func TestWriteErrorTable(t *testing.T) {
-	_, refused := delta.NewLog(GenerateRoadGrid(2, 2, 1), "").Apply(nil, 0, nil)
+	_, refused := delta.NewLog(GenerateRoadGrid(2, 2, 1), "").Apply(nil, 0)
 	if !delta.Refused(refused) {
 		t.Fatalf("an empty patch is not a refusal: %v", refused)
 	}

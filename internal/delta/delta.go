@@ -5,28 +5,17 @@
 // the *patched* graph — without rebuilding labels.
 //
 // The scheme: a patch log of edge operations reduces (against the base
-// graph) to a set R of removed edges and a set I of inserted edges; the
-// patch vertices P are the endpoints of R ∪ I. Any shortest path in the
-// patched graph G' = G − R + I decomposes into inserted edges and
-// maximal segments that avoid every patched edge — and each such
-// segment runs between members of {u} ∪ P ∪ {v}, so its length is the
-// G−R distance between its endpoints. When no G-shortest path between a
-// segment's endpoints threads a removed edge (the "safety" test below),
-// that G−R distance equals the frozen label distance, and the corrected
-// query is a Dijkstra over a tiny graph of |P|+2 nodes whose arcs are
-// frozen distances plus inserted edges. When safety cannot be shown the
-// overlay falls back to an exact Dijkstra on the materialized patched
-// graph. Untouched pairs under an empty overlay never leave the frozen
-// path, so their answers stay bit-identical.
-//
-// Safety test: a frozen value d(a,b) is possibly compromised iff some
-// removal (x,y,w) satisfies d(a,x) + w + d(y,b) == d(a,b) (both
-// orientations for undirected graphs) — i.e. a G-shortest a→b path may
-// cross the removed edge. All the distances the test needs are between
-// members of {a} ∪ P ∪ {b}, which are exactly the seeds the correction
-// already has. Since a→x→(edge)→y→b is a real G-walk, the sum can never
-// be below d(a,b); the test uses <= so float noise errs toward the
-// exact fallback, never toward a wrong answer.
+// graph G) to a set R of removed edges and a set I of inserted edges; the
+// patch vertices P are the endpoints of R ∪ I. A shortest path in the
+// patched graph G′ = G − R + I either touches P — then it is at most
+// min over p in P of d′(u,p) + d′(p,v), read off exact G′ rows of every
+// patch vertex the overlay keeps — or uses only unchanged edges, and then
+// it is no shorter than the frozen label distance d(u,v). When no
+// G-shortest u→v path threads a removed edge (the safety test, on base
+// rows of the removal endpoints), d(u,v) survives into G′ and the smaller
+// of the two is exact. When safety fails and the patched rows do not beat
+// the frozen distance, the overlay falls back to an exact Dijkstra on the
+// patched graph. See Overlay.Query for the argument.
 package delta
 
 import (
@@ -36,7 +25,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -164,24 +152,23 @@ func LogHash(ops []Op) uint64 {
 // u<v for undirected ones.
 type edgeKey struct{ u, v int }
 
-// removal is one edge of R in patch-vertex slot space.
+// removal is one edge of R by the positions of its endpoints in
+// Reduction.ends.
 type removal struct {
-	x, y int // slots of the removed edge's endpoints
+	x, y int
 	w    float64
 }
 
 // Reduction is the patch log reduced against a base graph: the final
 // edge state of every touched key, the removed edges and the count of
 // inserted ones (inserted arcs reach queries only through the Overlay's
-// exact patched distances between patch vertices), and the patch-vertex
-// universe. It is the cheap, shard-free half of overlay
-// construction — building the Overlay on top additionally needs the
-// frozen label runs of the patch vertices.
+// rows on the patched graph), the patch-vertex universe and the patched
+// graph itself. Building the Overlay on top runs the Dijkstras.
 type Reduction struct {
 	base     *graph.Graph
 	directed bool
-	verts    []int       // sorted patch vertex ids (endpoints of R ∪ I)
-	slot     map[int]int // vertex id -> index into verts
+	verts    []int // sorted patch vertex ids (endpoints of R ∪ I)
+	ends     []int // sorted distinct endpoints of R
 	removals []removal
 	patched  *graph.Graph // base − R + I
 	nRem     int
@@ -209,7 +196,6 @@ func Reduce(base *graph.Graph, ops []Op) (*Reduction, error) {
 	r := &Reduction{
 		base:     base,
 		directed: base.Directed(),
-		slot:     map[int]int{},
 	}
 	// Final edge state per touched key, carried op to op.
 	type state struct {
@@ -291,15 +277,17 @@ func Reduce(base *graph.Graph, ops []Op) (*Reduction, error) {
 			r.nIns++
 		}
 	}
-	for v := range seen {
-		r.verts = append(r.verts, v)
+	r.verts = sortedKeys(seen)
+	end := map[int]int{}
+	for _, e := range rem {
+		end[e.u], end[e.v] = 0, 0
 	}
-	sort.Ints(r.verts)
-	for i, v := range r.verts {
-		r.slot[v] = i
+	r.ends = sortedKeys(end)
+	for i, v := range r.ends {
+		end[v] = i
 	}
 	for _, e := range rem {
-		r.removals = append(r.removals, removal{x: r.slot[e.u], y: r.slot[e.v], w: e.w})
+		r.removals = append(r.removals, removal{x: end[e.u], y: end[e.v], w: e.w})
 	}
 	r.nRem = len(rem)
 	// Refuse a patch whose graph chl.Build would refuse, so /compact can
@@ -309,6 +297,16 @@ func Reduce(base *graph.Graph, ops []Op) (*Reduction, error) {
 		return nil, fmt.Errorf("delta: the patched graph could not be rebuilt: %w", err)
 	}
 	return r, nil
+}
+
+// sortedKeys returns the keys of m in ascending order.
+func sortedKeys[V any](m map[int]V) []int {
+	keys := make([]int, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	return keys
 }
 
 // Verts returns the sorted patch vertex ids.
@@ -333,123 +331,72 @@ func ApplyPatch(base *graph.Graph, ops []Op) (*graph.Graph, error) {
 	return red.Materialize(), nil
 }
 
-// Overlay is one immutable patch generation: a Reduction plus the
-// tables the seeded correction needs — the patch vertices' frozen label
-// runs transposed by hub (the seed tables), frozen inter-patch distances
-// for the safety test, exact patched inter-patch distances (|P|
-// build-time Dijkstras) for the correction graph's arcs. Build a new one
-// per accepted batch; queries against an old one stay consistent with
-// the snapshot it was built over.
-//
-// The seed tables are what keep a corrected query at one label scan per
-// endpoint: hub h's postings in toP are (i, d(h, verts[i])), so one pass
-// over L(u) lowers du[i] to min_h d(u,h)+d(h,verts[i]) for every patch
-// vertex at once — the hub join of u against all of P — where joining
-// pair by pair would walk L(u) |P| times. fromP is the same for d(verts[i],
-// h), scanned by v's run. Each table costs 8 bytes per label of P's runs
-// plus 4(n+1) for its offsets.
+// Overlay is one immutable patch generation: a Reduction plus the exact
+// distance rows a corrected query reads. NewOverlay runs one Dijkstra per
+// patch vertex on the patched graph G′ and one per removal endpoint on
+// the base graph G (and each again on the reverse graph when directed),
+// and keeps every row whole, stored vertex-major: vertex x's distances to
+// all |P| patch vertices sit contiguously, so a query reads two short
+// vectors, not n-entry rows. Build a new one per accepted batch; queries
+// against an old one stay consistent with the snapshot it was built over.
+// Memory: (|P| + removal endpoints)·n·8 bytes, doubled when directed.
 type Overlay struct {
 	*Reduction
 	ops     []Op
 	epoch   uint64
 	hash    uint64
-	unitExp int             // the frozen runs count units of 2^-unitExp
-	toP     *label.Inverted // backward runs of P by hub: L_out(u) scans it for d(u, verts[i])
-	fromP   *label.Inverted // forward runs of P by hub: L_in(v) scans it for d(verts[i], v); toP itself when undirected
-	dpq     [][]float64     // frozen d_G(verts[i], verts[j]) — safety test only
-	dpqT    [][]float64     // dpq transposed, so the test reads columns as slices; dpq itself when undirected
-	dpp     [][]float64     // exact patched d'(verts[i], verts[j]) — correction arcs
+	unitExp int // the frozen runs handed to Query count units of 2^-unitExp
 
-	patched *graph.Graph // base with the patch applied: fallback, rows, paths
+	// Vertex-major rows: with k sources, entry x·k+i is x's distance to or
+	// from source i. The from-table is the to-table itself when undirected.
+	toP, fromP []float64 // d′(x, verts[i]), d′(verts[i], x) on G′
+	toE, fromE []float64 // d(x, ends[j]), d(ends[j], x) on G: the safety test
 
-	scratch sync.Pool              // *scratch, sized for this overlay's |P|
-	paths   [numPaths]atomic.Int64 // queries answered, by path
+	paths [numPaths]atomic.Int64 // queries answered, by path
 }
 
 // The ways a query through the overlay is answered; each Query takes
 // exactly one.
 const (
-	pathFrozen    = iota // the bracket closed on a safe frozen distance: the label answer stands
-	pathCorrected        // the bracket closed on a different value (or on unreachable)
-	pathFallback         // the bracket stayed open: exact Dijkstra on the patched graph
+	pathFrozen    = iota // the frozen join is safe and no patch vertex beats it: the label answer stands
+	pathCorrected        // answered from the patched rows (or unreachable)
+	pathFallback         // neither proved exact: exact Dijkstra on the patched graph
 	numPaths
 )
 
-// scratch is the working memory of one corrected query.
-type scratch struct {
-	du, dv       []float64 // seeds, |P| each
-	duBad, dvBad []bool    // seeds failing the safety test
-	d            []float64 // correction Dijkstra over |P|+2 nodes
-	done         []bool
+// NewOverlay builds the overlay for ops (already reduced to red): ops is
+// the full accumulated log (its LogHash becomes the overlay's identity
+// contribution), epoch tags the patch generation for cache keying, and
+// the frozen runs later handed to Query count distances in units of
+// 2^-unitExp. Its cost is the Dijkstras that fill the rows, paid once per
+// batch so that no query repeats them.
+func NewOverlay(red *Reduction, ops []Op, epoch uint64, unitExp int) *Overlay {
+	o := &Overlay{Reduction: red, ops: ops, epoch: epoch, hash: LogHash(ops), unitExp: unitExp}
+	o.toP, o.fromP = rows(red.patched, red.verts)
+	o.toE, o.fromE = rows(red.base, red.ends)
+	return o
 }
 
-// NewOverlay builds the overlay for ops (already reduced to red) over
-// the frozen labels of the patch vertices: fwd[i] and bwd[i] are the
-// forward and backward packed label runs of red.Verts()[i], hubs in rank
-// space and all below the base graph's vertex count, counting distances in
-// units of 2^-unitExp — the unit every run later handed to Query and Seeds
-// must count too. Undirected labels are symmetric, so bwd is not read when
-// the base graph is undirected.
-// epoch tags the patch generation for cache keying; ops is the full
-// accumulated log (its LogHash becomes the overlay's identity
-// contribution). Construction runs one Dijkstra per patch vertex on the
-// materialized patched graph — the one-time cost that makes per-query
-// corrections exact without any inter-patch safety caveat.
-func NewOverlay(red *Reduction, ops []Op, epoch uint64, unitExp int, fwd, bwd [][]uint64) (*Overlay, error) {
-	k := len(red.verts)
-	if !red.directed {
-		bwd = fwd
+// rows runs one Dijkstra from every source over g, and on a directed g
+// one over its transpose too, and lays the distances out vertex-major:
+// to[x·k+i] = d(x, srcs[i]), from[x·k+i] = d(srcs[i], x).
+func rows(g *graph.Graph, srcs []int) (to, from []float64) {
+	from = vertexMajor(g, srcs)
+	if !g.Directed() {
+		return from, from
 	}
-	if len(fwd) != k || len(bwd) != k {
-		return nil, fmt.Errorf("delta: %d patch vertices but %d forward / %d backward label runs", k, len(fwd), len(bwd))
-	}
-	o := &Overlay{Reduction: red, ops: ops, epoch: epoch, hash: LogHash(ops), unitExp: unitExp}
-	o.scratch.New = func() any {
-		return &scratch{
-			du: make([]float64, k), dv: make([]float64, k),
-			duBad: make([]bool, k), dvBad: make([]bool, k),
-			d: make([]float64, k+2), done: make([]bool, k+2),
+	return vertexMajor(g.Transpose(), srcs), from
+}
+
+func vertexMajor(g *graph.Graph, srcs []int) []float64 {
+	k := len(srcs)
+	out := make([]float64, g.NumVertices()*k)
+	for i, s := range srcs {
+		for x, d := range sssp.Dijkstra(g, s) {
+			out[x*k+i] = d
 		}
 	}
-	n := red.base.NumVertices()
-	o.toP = label.InvertRuns(n, bwd)
-	o.fromP = o.toP
-	if red.directed {
-		o.fromP = label.InvertRuns(n, fwd)
-	}
-	// Row i of the frozen inter-patch table is the seed scan of verts[i]'s
-	// own forward run: d(verts[i], verts[j]) for every j in one pass.
-	o.dpq = make([][]float64, k)
-	for i := range o.dpq {
-		o.dpq[i] = make([]float64, k)
-		for j := range o.dpq[i] {
-			o.dpq[i][j] = graph.Infinity
-		}
-		o.toP.ScanMin(o.dpq[i], fwd[i])
-		o.fromUnits(o.dpq[i])
-		o.dpq[i][i] = 0
-	}
-	o.dpqT = o.dpq
-	if red.directed {
-		o.dpqT = make([][]float64, k)
-		for j := range o.dpqT {
-			o.dpqT[j] = make([]float64, k)
-			for i := range o.dpq {
-				o.dpqT[j][i] = o.dpq[i][j]
-			}
-		}
-	}
-	pg := red.Materialize()
-	o.patched = pg
-	o.dpp = make([][]float64, k)
-	for i := 0; i < k; i++ {
-		row := sssp.Dijkstra(pg, red.verts[i])
-		o.dpp[i] = make([]float64, k)
-		for j := 0; j < k; j++ {
-			o.dpp[i][j] = row[red.verts[j]]
-		}
-	}
-	return o, nil
+	return out
 }
 
 // Serving returns the overlay queries go through: o itself, or nil when
@@ -503,191 +450,72 @@ func (o *Overlay) Stat() Stats {
 	}
 }
 
-// Seeds computes the frozen seed vectors of one pair against the patch
-// vertices: du[i] = d(u, verts[i]) from one scan of runU (u's forward
-// run), dv[i] = d(verts[i], v) from one scan of runV (v's backward run;
-// its only run when undirected). Both must have len(Verts()). A patch
-// vertex that shares no hub with the endpoint — or an empty run, as a
-// shard slice holds for vertices it does not own — leaves Infinity, and
-// the diagonal is pinned to 0 whatever the labels hold. Every value is
-// bit-identical to the pairwise hub join it replaces (see
-// label.Inverted.ScanMin).
-func (o *Overlay) Seeds(du, dv []float64, runU, runV []uint64, u, v int) {
-	for i := range du {
-		du[i] = graph.Infinity
-	}
-	for i := range dv {
-		dv[i] = graph.Infinity
-	}
-	o.toP.ScanMin(du, runU)
-	o.fromP.ScanMin(dv, runV)
-	o.fromUnits(du)
-	o.fromUnits(dv)
-	if i, ok := o.slot[u]; ok {
-		du[i] = 0
-	}
-	if i, ok := o.slot[v]; ok {
-		dv[i] = 0
-	}
-}
-
-// Query answers one pair on the patched graph from the endpoints' frozen
-// packed label runs (runU: u's forward run; runV: v's backward run, its
-// only run when undirected) — the one corrected-query path, shared by
-// the engine (runs from its own index) and the router (runs fetched from
-// shards). The frozen join supplies the trunk distance, one scan per
-// endpoint the seeds, correct folds the patched edges in, and a pair
-// correct cannot certify falls back to an exact Dijkstra on the patched
-// graph. dist is graph.Infinity for unreachable pairs. frozen reports
-// that the overlay proved the frozen answer still exact; only then is
-// hub — the frozen join's witness, in rank space — known to lie on a
-// patched shortest path (for u == v the witness is u itself, whatever
-// hub holds).
+// Query answers one pair on the patched graph — the one corrected-query
+// path, shared by the engine (runs from its own index) and the router
+// (runs fetched from shards). runU is u's forward packed label run, runV
+// v's backward run (its only run when undirected); their join is the
+// frozen distance d0 = d(u,v) on the base graph. With A = minᵢ d′(u,pᵢ) +
+// d′(pᵢ,v) read off the rows:
+//
+//   - safe (no G-shortest u→v path threads a removed edge): min(A, d0);
+//   - unsafe and A ≤ d0: A;
+//   - otherwise an exact Dijkstra on the patched graph.
+//
+// Each term of A is a G′ walk, so A ≥ d′, with equality when a shortest
+// G′ path touches P; a G′ path that touches no patch vertex uses only
+// unchanged edges, so it is at least d0. Hence d′ ≥ min(A, d0). Safe means
+// a G-shortest path survives into G′, so d′ ≤ d0, and unsafe with A ≤ d0
+// gives d′ ≤ A ≤ min(A, d0): both closed forms are exact.
+//
+// dist is graph.Infinity for unreachable pairs. frozen reports that the
+// frozen answer stands (safe, d0 ≤ A, d0 finite); only then is hub — the
+// frozen join's witness, in rank space — known to lie on a patched
+// shortest path (for u == v the witness is u itself, whatever hub holds).
 func (o *Overlay) Query(runU, runV []uint64, u, v int) (dist float64, hub uint32, frozen bool) {
 	d0, hub, _ := label.JoinPacked(runU, runV)
 	d0 = label.FromUnits(d0, o.unitExp)
 	if u == v {
 		d0 = 0
 	}
-	s := o.scratch.Get().(*scratch)
-	o.Seeds(s.du, s.dv, runU, runV, u, v)
-	dist, frozen, exact := o.correct(s, d0)
-	o.scratch.Put(s)
-	switch {
-	case !exact:
-		dist, frozen = sssp.DijkstraTo(o.patched, u, v), false
-		o.paths[pathFallback].Add(1)
-	case frozen:
-		o.paths[pathFrozen].Add(1)
-	default:
-		o.paths[pathCorrected].Add(1)
+	k := len(o.verts)
+	a, uP, pV := graph.Infinity, o.toP[u*k:u*k+k], o.fromP[v*k:v*k+k]
+	for i, du := range uP {
+		if d := du + pV[i]; d < a {
+			a = d
+		}
 	}
+	path := pathCorrected
+	switch {
+	case !o.compromised(u, v, d0):
+		dist, frozen = min(a, d0), d0 <= a && d0 < graph.Infinity
+	case a <= d0:
+		dist = a
+	default:
+		dist, path = sssp.DijkstraTo(o.patched, u, v), pathFallback
+	}
+	if frozen {
+		path = pathFrozen
+	}
+	o.paths[path].Add(1)
 	return dist, hub, frozen
 }
 
-// fromUnits converts a row of seed-table scans (label.Inverted.ScanMin
-// answers in units) into distances, in place.
-func (o *Overlay) fromUnits(row []float64) {
-	if o.unitExp == 0 {
-		return
-	}
-	for i, d := range row {
-		row[i] = label.FromUnits(d, o.unitExp)
-	}
-}
-
-// compromised reports whether the frozen value dab for a pair (a,b) may
-// count a removed edge: some removal (x,y,w) with d(a,x)+w+d(y,b) <=
-// dab means a G-shortest a→b path may thread it, so dab is not provably
-// the G−R distance. dax[x] must hold the frozen d(a, verts[x]); dyb[y]
-// the frozen d(verts[y], b). Unreachable pairs are always safe —
-// removing edges cannot create paths.
-func (o *Overlay) compromised(dab float64, dax, dyb []float64) bool {
-	if dab >= graph.Infinity {
+// compromised reports whether a G-shortest u→v path may thread a removed
+// edge: some removal (x,y,w) has d(u,x) + w + d(y,v) ≤ d0 (either
+// orientation when undirected), read off the base-graph rows. An
+// unreachable pair never is — removing edges creates no path.
+func (o *Overlay) compromised(u, v int, d0 float64) bool {
+	if d0 >= graph.Infinity {
 		return false
 	}
+	m := len(o.ends)
+	ux, yv := o.toE[u*m:u*m+m], o.fromE[v*m:v*m+m]
 	for _, rm := range o.removals {
-		if dax[rm.x]+rm.w+dyb[rm.y] <= dab {
-			return true
-		}
-		if !o.directed && dax[rm.y]+rm.w+dyb[rm.x] <= dab {
+		if ux[rm.x]+rm.w+yv[rm.y] <= d0 || !o.directed && ux[rm.y]+rm.w+yv[rm.x] <= d0 {
 			return true
 		}
 	}
 	return false
-}
-
-// correct computes the patched distance for one pair from its frozen
-// seeds: d0 is the frozen pair distance, s.du[i] the frozen d(u,
-// verts[i]), s.dv[i] the frozen d(verts[i], v) (all graph.Infinity when
-// unreachable). It runs Dijkstra over the |P|+2-node correction graph:
-// seed arcs u→p and p→v, the frozen u→v arc, and exact patched
-// distances between patch vertices. A patched shortest path decomposes
-// at its first and last patch-vertex visit — the prefix and suffix
-// cross no patched edge (any patched edge would visit a patch vertex
-// first), so safe frozen seeds cover them exactly, and the build-time
-// dpp table covers the middle exactly.
-//
-// The exactness argument runs through a bracket. A frozen seed is
-// always d_G ≤ d_{G−R}, so the correction Dijkstra over ALL frozen
-// seeds is a lower bound L ≤ d'. A seed that passes the safety test
-// equals d_{G−R} and is realizable in G', so the correction Dijkstra
-// over only the SAFE seeds is an upper bound C ≥ d'. When L == C the
-// answer is pinned exactly; only when a compromised seed actually moves
-// the optimum (L < C) does the query fall back — so ubiquitous
-// shortest-path ties in small integer-weighted graphs do not force
-// everything onto the fallback path.
-//
-// exact=false means the bracket did not close and the caller must fall
-// back to a Dijkstra on the materialized patched graph. When exact,
-// frozen reports whether the corrected distance equals a safe d0 — the
-// license to keep serving the frozen witness hub. s holds the seeds and
-// supplies the working arrays.
-func (o *Overlay) correct(s *scratch, d0 float64) (dist float64, frozen, exact bool) {
-	du, dv := s.du, s.dv
-	d0Bad := o.compromised(d0, du, dv)
-	anyBad := d0Bad
-	for j := range o.verts {
-		s.duBad[j] = o.compromised(du[j], du, o.dpqT[j])
-		s.dvBad[j] = o.compromised(dv[j], o.dpq[j], dv)
-		anyBad = anyBad || s.duBad[j] || s.dvBad[j]
-	}
-	upper := o.correctionDijkstra(s, d0, d0Bad, s.duBad, s.dvBad)
-	lower := upper
-	if anyBad {
-		lower = o.correctionDijkstra(s, d0, false, nil, nil)
-	}
-	if lower != upper {
-		return 0, false, false
-	}
-	return upper, upper < graph.Infinity && !d0Bad && upper == d0, true
-}
-
-// correctionDijkstra runs the dense Dijkstra over nodes {0:u, 1..k:
-// patch verts, k+1: v}; skip flags drop the corresponding frozen seed
-// arc (nil = keep all).
-func (o *Overlay) correctionDijkstra(s *scratch, d0 float64, skipD0 bool, skipU, skipV []bool) float64 {
-	const inf = graph.Infinity
-	k := len(o.verts)
-	t := k + 1
-	du, dv, d, done := s.du, s.dv, s.d, s.done
-	for i := range d {
-		d[i], done[i] = inf, false
-	}
-	d[0] = 0
-	for {
-		at, best := -1, inf
-		for i, dd := range d {
-			if !done[i] && dd < best {
-				at, best = i, dd
-			}
-		}
-		if at < 0 || at == t {
-			break
-		}
-		done[at] = true
-		if at == 0 {
-			for j := 0; j < k; j++ {
-				if w := du[j]; w < inf && best+w < d[j+1] && (skipU == nil || !skipU[j]) {
-					d[j+1] = best + w
-				}
-			}
-			if !skipD0 && d0 < inf && best+d0 < d[t] {
-				d[t] = best + d0
-			}
-			continue
-		}
-		i := at - 1
-		for j, w := range o.dpp[i] {
-			if w < inf && best+w < d[j+1] {
-				d[j+1] = best + w
-			}
-		}
-		if w := dv[i]; w < inf && best+w < d[t] && (skipV == nil || !skipV[i]) {
-			d[t] = best + w
-		}
-	}
-	return d[t]
 }
 
 // Patched returns the patched graph NewOverlay materialized, shared by

@@ -213,16 +213,7 @@ func (fl frozenLabels) overlay(t testing.TB, g *graph.Graph, ops []Op, epoch uin
 	if err != nil {
 		t.Fatal(err)
 	}
-	fwd := make([][]uint64, len(red.Verts()))
-	bwd := make([][]uint64, len(red.Verts()))
-	for i, p := range red.Verts() {
-		fwd[i], bwd[i] = fl.fwd.PackedRun(p), fl.bwd.PackedRun(p)
-	}
-	ov, err := NewOverlay(red, ops, epoch, fl.fwd.UnitExp(), fwd, bwd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ov
+	return NewOverlay(red, ops, epoch, fl.fwd.UnitExp())
 }
 
 // query asks the overlay for one pair the way a serving tier does: from
@@ -462,9 +453,6 @@ func TestOverlayAccessorsAndApplyPatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	ov := freezeLabels(g).overlay(t, g, ops, 7)
-	if _, err := NewOverlay(red, ops, 7, 0, nil, nil); err == nil {
-		t.Fatal("NewOverlay accepted fewer label runs than patch vertices")
-	}
 	if ov.Epoch() != 7 {
 		t.Fatalf("Epoch() = %d, want 7", ov.Epoch())
 	}

@@ -68,72 +68,90 @@ func FuzzParsePatchLog(f *testing.F) {
 	})
 }
 
-// FuzzMaterialize holds the spliced patched graph to a Builder-built
-// reference over byte-steered small graphs, directed and undirected, and
-// byte-steered valid op logs. Few vertices and four weights make the logs
-// revisit edges: ops that cancel, a del then an add of one edge, a set to
-// the weight the edge has. Equal rows in both directions and an equal arc
-// count are equal CSR arrays.
-func FuzzMaterialize(f *testing.F) {
+// fuzzCorpus seeds the fuzzers that steer a graph and a log by bytes.
+func fuzzCorpus(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 50; i++ {
 		seed := make([]byte, 8+rng.Intn(90))
 		rng.Read(seed)
 		f.Add(seed)
 	}
+}
+
+// edgeSet is a graph's edges by endpoints, normalized u < v when
+// undirected, with their weights.
+type edgeSet map[[2]int]float64
+
+// fuzzLog steers a small base graph, directed or not, and a valid op log
+// over it by bytes (nil when data is too short). Few vertices and four
+// weights, all multiples of half a unit, make the logs revisit edges: ops
+// that cancel, a del then an add of one edge, a set to the weight the edge
+// has. edges is the edge set the log leaves.
+func fuzzLog(data []byte) (base *graph.Graph, ops []Op, edges edgeSet) {
+	if len(data) < 2 {
+		return nil, nil, nil
+	}
+	n, directed, m := 2+int(data[0]%7), data[0] >= 128, int(data[1]%24)
+	data = data[2:]
+	norm := func(u, v int) [2]int {
+		if !directed && u > v {
+			u, v = v, u
+		}
+		return [2]int{u, v}
+	}
+	weight := func(c byte) float64 { return float64(1+c%4) / 2 }
+	b := graph.NewBuilder(n, directed)
+	for ; m > 0 && len(data) >= 3; m, data = m-1, data[3:] {
+		b.AddEdge(int(data[0])%n, int(data[1])%n, weight(data[2]))
+	}
+	base = b.MustFinish()
+	// edges is the edge set, replayed op by op.
+	edges = edgeSet{}
+	for u := 0; u < n; u++ {
+		heads, wts := base.Neighbors(u)
+		for i, h := range heads {
+			edges[norm(u, int(h))] = base.FromUnits(uint64(wts[i]))
+		}
+	}
+	for ; len(data) >= 3; data = data[3:] {
+		u, v, w := int(data[0])%n, int(data[1])%n, weight(data[2])
+		if u == v {
+			continue
+		}
+		k := norm(u, v)
+		switch _, has := edges[k]; {
+		case !has:
+			ops = append(ops, Op{Kind: OpAdd, U: u, V: v, W: w})
+			edges[k] = w
+		case data[2]&4 != 0:
+			ops = append(ops, Op{Kind: OpDel, U: u, V: v})
+			delete(edges, k)
+		default:
+			ops = append(ops, Op{Kind: OpSet, U: u, V: v, W: w})
+			edges[k] = w
+		}
+	}
+	return base, ops, edges
+}
+
+// FuzzMaterialize holds the spliced patched graph to a Builder-built
+// reference over fuzzLog's graphs and logs. Equal rows in both directions
+// and an equal arc count are equal CSR arrays.
+func FuzzMaterialize(f *testing.F) {
+	fuzzCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 {
+		base, ops, edges := fuzzLog(data)
+		if base == nil {
 			return
 		}
-		n, directed, m := 2+int(data[0]%7), data[0] >= 128, int(data[1]%24)
-		data = data[2:]
-		type key struct{ u, v int }
-		norm := func(u, v int) key {
-			if !directed && u > v {
-				u, v = v, u
-			}
-			return key{u, v}
-		}
-		weight := func(c byte) float64 { return float64(1+c%4) / 2 }
-		b := graph.NewBuilder(n, directed)
-		for ; m > 0 && len(data) >= 3; m, data = m-1, data[3:] {
-			b.AddEdge(int(data[0])%n, int(data[1])%n, weight(data[2]))
-		}
-		base := b.MustFinish()
-		// edges is the edge set, replayed op by op: the reference's input.
-		edges := map[key]float64{}
-		for u := 0; u < n; u++ {
-			heads, wts := base.Neighbors(u)
-			for i, h := range heads {
-				edges[norm(u, int(h))] = base.FromUnits(uint64(wts[i]))
-			}
-		}
-		var ops []Op
-		for ; len(data) >= 3; data = data[3:] {
-			u, v, w := int(data[0])%n, int(data[1])%n, weight(data[2])
-			if u == v {
-				continue
-			}
-			k := norm(u, v)
-			switch _, has := edges[k]; {
-			case !has:
-				ops = append(ops, Op{Kind: OpAdd, U: u, V: v, W: w})
-				edges[k] = w
-			case data[2]&4 != 0:
-				ops = append(ops, Op{Kind: OpDel, U: u, V: v})
-				delete(edges, k)
-			default:
-				ops = append(ops, Op{Kind: OpSet, U: u, V: v, W: w})
-				edges[k] = w
-			}
-		}
+		n, directed := base.NumVertices(), base.Directed()
 		got, err := ApplyPatch(base, ops)
 		if err != nil {
 			t.Fatalf("valid log %v refused: %v", ops, err)
 		}
 		ref := graph.NewBuilder(n, directed)
 		for k, w := range edges {
-			ref.AddEdge(k.u, k.v, w)
+			ref.AddEdge(k[0], k[1], w)
 		}
 		want := ref.MustFinish()
 		if got.NumArcs() != want.NumArcs() || got.WeightUnitExp() != want.WeightUnitExp() {
@@ -152,88 +170,40 @@ func FuzzMaterialize(f *testing.F) {
 	})
 }
 
-// fuzzRun carves one packed label run out of data: a length byte, then
-// (hub gap, distance) byte pairs — hubs strictly ascending and below n,
-// as every run the serving tiers hand the overlay is (label.ParsePackedRun
-// rejects anything else), distances counted in quarter units (k = 2) so
-// the sums are not all integers. It returns the run and the unread rest.
-func fuzzRun(data []byte, n int) (run []uint64, rest []byte) {
-	if len(data) == 0 {
-		return nil, nil
-	}
-	count, data := int(data[0]%12), data[1:]
-	hub := -1
-	for ; count > 0 && len(data) >= 2; count, data = count-1, data[2:] {
-		if hub += 1 + int(data[0]%5); hub >= n {
-			break
-		}
-		run = append(run, uint64(hub)<<32|uint64(data[1]))
-	}
-	return run, data
-}
-
-// FuzzSeedTable steers the label runs of the patch vertices and of the
-// two endpoints with arbitrary bytes — sparse, empty, disjoint,
-// overlapping — and holds Overlay.Seeds to the pairwise hub joins it
-// replaces, on an undirected overlay (one table) and a directed one
-// (two).
-func FuzzSeedTable(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0, 3, 7, 3, 0, 4, 1, 8, 2, 12, 3, 0, 4, 1, 8, 2, 12, 2, 0, 5, 0, 5})
-	f.Add([]byte{1, 9, 200, 11, 255, 1, 4, 7, 4, 7, 4, 7, 11, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
-	const n = 40
-	ops := []Op{{Kind: OpDel, U: 3, V: 4}, {Kind: OpAdd, U: 0, V: 9, W: 2}, {Kind: OpSet, U: 20, V: 21, W: 5}}
-	var reds [2]*Reduction
-	for i, directed := range []bool{false, true} {
-		b := graph.NewBuilder(n, directed)
-		for v := 0; v+1 < n; v++ {
-			b.AddEdge(v, v+1, 1)
-		}
-		g, err := b.Finish()
-		if err != nil {
-			f.Fatal(err)
-		}
-		if reds[i], err = Reduce(g, ops); err != nil {
-			f.Fatal(err)
-		}
-	}
+// FuzzOverlayQuery holds every pair's Overlay.Query, over labels frozen
+// from fuzzLog's base graph by pll.Sequential (SequentialDirected when
+// directed), to a Dijkstra on the patched graph with ==. An answer flagged
+// frozen must be the frozen join's, with a witness hub on a patched
+// shortest path.
+func FuzzOverlayQuery(f *testing.F) {
+	fuzzCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 3 {
+		base, ops, _ := fuzzLog(data)
+		if base == nil {
 			return
 		}
-		red := reds[data[0]%2]
-		verts := red.Verts()
-		u, v := int(data[1])%n, int(data[2])%n
-		data = data[3:]
-		fwd, bwd := make([][]uint64, len(verts)), make([][]uint64, len(verts))
-		for i := range verts {
-			fwd[i], data = fuzzRun(data, n)
-			bwd[i] = fwd[i]
-			if red.directed {
-				bwd[i], data = fuzzRun(data, n)
-			}
-		}
-		runU, data := fuzzRun(data, n)
-		runV, _ := fuzzRun(data, n)
-		ov, err := NewOverlay(red, ops, 1, 2, fwd, bwd)
+		red, err := Reduce(base, ops)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("valid log %v refused: %v", ops, err)
 		}
-		du, dv := make([]float64, len(verts)), make([]float64, len(verts))
-		ov.Seeds(du, dv, runU, runV, u, v)
-		for i, p := range verts {
-			wantU, _, _ := label.JoinPacked(runU, bwd[i])
-			wantV, _, _ := label.JoinPacked(fwd[i], runV)
-			wantU, wantV = label.FromUnits(wantU, 2), label.FromUnits(wantV, 2)
-			if p == u {
-				wantU = 0
-			}
-			if p == v {
-				wantV = 0
-			}
-			if du[i] != wantU || dv[i] != wantV {
-				t.Fatalf("directed=%v (%d,%d) patch vertex %d: seeds (%v,%v), joins (%v,%v)",
-					red.directed, u, v, p, du[i], dv[i], wantU, wantV)
+		fl := freezeLabels(base)
+		ov := NewOverlay(red, ops, 1, fl.fwd.UnitExp())
+		want := newOracle(red.Materialize())
+		n := base.NumVertices()
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				got, hub, frozen := fl.query(ov, u, v)
+				if w := want.dist(u, v); got != w {
+					t.Fatalf("directed=%v %v: d′(%d,%d) = %v, Dijkstra says %v", base.Directed(), ops, u, v, got, w)
+				}
+				if !frozen || u == v {
+					continue
+				}
+				d0, _, _ := label.JoinPacked(fl.fwd.PackedRun(u), fl.bwd.PackedRun(v))
+				if h := int(hub); got != label.FromUnits(d0, fl.fwd.UnitExp()) || want.dist(u, h)+want.dist(h, v) != got {
+					t.Fatalf("directed=%v %v: (%d,%d) flagged frozen at %v, but the frozen join says %v and witness %d is off the patched shortest paths",
+						base.Directed(), ops, u, v, got, label.FromUnits(d0, fl.fwd.UnitExp()), h)
+				}
 			}
 		}
 	})

@@ -22,11 +22,6 @@ type Log struct {
 	ov      *Overlay // built over ops; nil while ops is empty
 }
 
-// Runs supplies the frozen label runs an overlay seeds its tables from:
-// the forward run of every vertex in verts and, on a directed index, the
-// backward run too (nil otherwise).
-type Runs func(verts []int) (fwd, bwd [][]uint64, err error)
-
 // NewLog starts an empty log over base, journaled at journal ("": none);
 // ops already in the journal wait for Replay.
 func NewLog(base *graph.Graph, journal string) *Log {
@@ -39,26 +34,25 @@ func (l *Log) Base() *graph.Graph { return l.base }
 // Len returns the number of outstanding ops.
 func (l *Log) Len() int { return len(l.ops) }
 
-// Apply adopts ops and returns the next overlay, built from the runs
-// supplied for its patch vertices (counting units of 2^-unitExp). An
-// empty batch, or one Reduce refuses, fails with an error Refused
-// recognizes.
-func (l *Log) Apply(ops []Op, unitExp int, runs Runs) (*Overlay, error) {
+// Apply adopts ops and returns the next overlay, which answers over
+// frozen runs counting units of 2^-unitExp. An empty batch, or one Reduce
+// refuses, fails with an error Refused recognizes.
+func (l *Log) Apply(ops []Op, unitExp int) (*Overlay, error) {
 	if len(ops) == 0 {
 		return nil, refusal{errors.New("delta: empty patch")}
 	}
-	return l.apply(ops, unitExp, runs, true)
+	return l.apply(ops, unitExp, true)
 }
 
 // Replay applies the ops already in the journal as one batch, appending
 // nothing, and returns its overlay — nil when there was nothing to replay.
-func (l *Log) Replay(unitExp int, runs Runs) (ov *Overlay, err error) {
+func (l *Log) Replay(unitExp int) (ov *Overlay, err error) {
 	if l.journal == "" {
 		return nil, nil
 	}
 	ops, err := readJournal(l.journal)
 	if err == nil && len(ops) > 0 {
-		ov, err = l.apply(ops, unitExp, runs, false)
+		ov, err = l.apply(ops, unitExp, false)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("delta: replaying journal %s: %w", l.journal, err)
@@ -68,7 +62,7 @@ func (l *Log) Replay(unitExp int, runs Runs) (ov *Overlay, err error) {
 
 // apply is every batch's one path. Only a fresh batch is journaled, and
 // only its Reduce failure is a refusal.
-func (l *Log) apply(ops []Op, unitExp int, runs Runs, fresh bool) (*Overlay, error) {
+func (l *Log) apply(ops []Op, unitExp int, fresh bool) (*Overlay, error) {
 	combined := append(l.ops[:len(l.ops):len(l.ops)], ops...)
 	red, err := Reduce(l.base, combined)
 	if err != nil {
@@ -77,14 +71,7 @@ func (l *Log) apply(ops []Op, unitExp int, runs Runs, fresh bool) (*Overlay, err
 		}
 		return nil, err
 	}
-	fwd, bwd, err := runs(red.Verts())
-	if err != nil {
-		return nil, err
-	}
-	ov, err := NewOverlay(red, combined, l.epoch+1, unitExp, fwd, bwd)
-	if err != nil {
-		return nil, err
-	}
+	ov := NewOverlay(red, combined, l.epoch+1, unitExp)
 	if fresh && l.journal != "" {
 		if err := appendJournal(l.journal, ops); err != nil {
 			return nil, fmt.Errorf("delta: journaling the batch: %w", err)

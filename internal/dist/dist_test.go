@@ -81,7 +81,7 @@ func TestMemoryLimitOOM(t *testing.T) {
 	// A partitioned PLaNT node stores ~1/q of the labels plus the common
 	// table; a generous limit must not trip.
 	chl, _ := pll.Sequential(g, pll.Options{})
-	if _, err := PLaNT(g, Options{Nodes: 4, MemoryLimitBytes: chl.TotalLabels() * 12}); err != nil {
+	if _, err := PLaNT(g, Options{Nodes: 4, MemoryLimitBytes: chl.TotalLabels() * label.Bytes}); err != nil {
 		t.Fatalf("PLaNT tripped a full-labeling-sized limit: %v", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/dist"
+	"repro/internal/label"
 	"repro/internal/metrics"
 	"repro/internal/pll"
 )
@@ -44,8 +45,9 @@ type Figure8Point struct {
 
 // figure8NodeMemory simulates each node's 64GB DRAM, scaled to the
 // laptop-sized datasets: a node may hold at most this × the dataset's CHL
-// label bytes. DparaPLL replicates the (redundancy-inflated) labeling on
-// every node and trips this on scale-free graphs at high q; the
+// label bytes (label.Bytes per label). DparaPLL replicates the
+// (redundancy-inflated) labeling on every node and trips this once its
+// ALS passes 4× the CHL's — on the road graphs CAL and EAS at q = 16; the
 // partitioned algorithms never come close.
 const figure8NodeMemoryFactor = 4
 
@@ -57,7 +59,7 @@ func Figure8(cfg Config) []Figure8Point {
 	for _, ds := range Suite(cfg.Full) {
 		p := cfg.prepare(ds)
 		chlIx, _ := pll.Sequential(p.ranked, pll.Options{})
-		memLimit := int64(figure8NodeMemoryFactor) * chlIx.TotalLabels() * 12
+		memLimit := int64(figure8NodeMemoryFactor) * chlIx.TotalLabels() * label.Bytes
 
 		// PLaNT and Hybrid run in the paper's configuration, η = 16; what
 		// a table that keeps growing trades is ablation X2's subject.

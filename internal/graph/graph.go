@@ -152,7 +152,8 @@ func UnitExp(w float64) int {
 
 // settle fixes the unit and weight range of arrays laid out in units of
 // 2^-k: it coarsens the unit while every weight is even (a deleted or
-// deduplicated arc may have needed it), then refuses the graph if float64
+// deduplicated arc may have needed it; with no arc left, to 2^0, as a
+// Builder given no edge counts), then refuses the graph if float64
 // path sums could round, as every distance row assumes they do not: two
 // label distances, each at most (n−1)·maxW, must sum below 2^53 units.
 func (g *Graph) settle() error {
@@ -160,7 +161,7 @@ func (g *Graph) settle() error {
 	for _, w := range g.wts {
 		all |= w
 	}
-	if s := min(g.k, bits.TrailingZeros32(all)); s > 0 && len(g.wts) > 0 {
+	if s := min(g.k, bits.TrailingZeros32(all)); s > 0 {
 		for _, ws := range [][]uint32{g.wts, g.rwts} {
 			for i := range ws {
 				ws[i] >>= s

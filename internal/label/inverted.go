@@ -26,8 +26,8 @@ import (
 // posting lists that name only owned vertices, so a shard's inverted
 // index is automatically the shard's slice of the full one.
 //
-// Like the kernels over runs, ScanMin and TopK answer in units; the
-// caller converts (FromUnits at the unit of the runs it inverted).
+// Like the kernels over runs, TopK answers in units; the caller
+// converts (FromUnits at the unit of the store it inverted).
 //
 // An Inverted is immutable after construction and safe for concurrent
 // readers.
@@ -42,15 +42,17 @@ func invEntryVertex(e uint64) int { return int(uint32(e)) }
 
 func invEntryUnits(e uint64) float64 { return float64(uint32(e >> 32)) }
 
-// invert transposes k label runs over an n-hub rank space into an
-// Inverted via two counting-sort passes plus a per-bucket sort; posting
-// "vertices" are run indexes. run(i) is called twice per run and may
-// reuse one buffer.
-func invert(n, k int, run func(i int) []uint64) *Inverted {
+// Invert builds the inverted index of a store via two counting-sort
+// passes plus a per-bucket sort, reading each run twice through one reused
+// buffer (untouched by a fixed-width store, whose runs alias its own
+// array).
+func Invert(st Store) *Inverted {
+	var buf []uint64
+	n := st.NumVertices()
 	iv := &Inverted{offsets: make([]uint32, n+1)}
 	var total int
-	for i := 0; i < k; i++ {
-		r := run(i)
+	for v := 0; v < n; v++ {
+		r := st.RunInto(&buf, v)
 		for _, e := range r {
 			iv.offsets[e>>32+1]++
 		}
@@ -62,10 +64,10 @@ func invert(n, k int, run func(i int) []uint64) *Inverted {
 	iv.entries = make([]uint64, total)
 	next := make([]uint32, n)
 	copy(next, iv.offsets[:n])
-	for i := 0; i < k; i++ {
-		for _, e := range run(i) {
+	for v := 0; v < n; v++ {
+		for _, e := range st.RunInto(&buf, v) {
 			h := e >> 32
-			iv.entries[next[h]] = invEntry(uint32(e), i)
+			iv.entries[next[h]] = invEntry(uint32(e), v)
 			next[h]++
 		}
 	}
@@ -75,43 +77,6 @@ func invert(n, k int, run func(i int) []uint64) *Inverted {
 		}
 	}
 	return iv
-}
-
-// Invert builds the inverted index of a store, reading each run through
-// one reused buffer (untouched by a fixed-width store, whose runs alias
-// its own array).
-func Invert(st Store) *Inverted {
-	var buf []uint64
-	n := st.NumVertices()
-	return invert(n, n, func(v int) []uint64 { return st.RunInto(&buf, v) })
-}
-
-// InvertRuns transposes a list of packed label runs whose hubs are all
-// below n: hub h's postings name the runs (by position in runs) that
-// carry h. Over the runs of a few chosen vertices this is the seed
-// table of the delta overlay — memory 8 bytes per label of those runs
-// plus 4(n+1) for the offsets.
-func InvertRuns(n int, runs [][]uint64) *Inverted {
-	return invert(n, len(runs), func(i int) []uint64 { return runs[i] })
-}
-
-// ScanMin lowers dst[i] to d(run,h)+d(h,i) for every posting (h → i) of
-// every hub h in run: after one pass over run, dst[i] is the hub-join
-// distance between run and the i-th inverted run (left untouched — so
-// pre-fill with Infinity — where they share no hub), in units. The sum
-// is the same addition of unit counts the pairwise kernels form and a
-// minimum does not depend on visiting order, so every dst[i] is
-// bit-identical to JoinPacked(run, runs[i]). Cost: O(len(run) + postings matched).
-func (iv *Inverted) ScanMin(dst []float64, run []uint64) {
-	for _, e := range run {
-		h := e >> 32
-		du := float64(Dist(e))
-		for _, p := range iv.entries[iv.offsets[h]:iv.offsets[h+1]] {
-			if d := du + invEntryUnits(p); d < dst[uint32(p)] {
-				dst[uint32(p)] = d
-			}
-		}
-	}
 }
 
 // Postings returns hub h's posting list, sorted by (distance, vertex).

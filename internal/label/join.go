@@ -7,7 +7,7 @@ import "sync"
 // runs: the merge join (JoinPacked), the pairwise hash join
 // (JoinPackedWith), the one-to-many hash join (ScatterRun + Probe /
 // ProbeCompressed) and, in compressed.go, the merge over the compressed
-// encoding's varint streams (JoinCompressed). Inverted.ScanMin/TopK join
+// encoding's varint streams (JoinCompressed). Inverted.TopK joins
 // one run against a transposed table, and QueryMerge over Sets is the
 // builder-side reference all of them are tested against. Join is the one
 // place that chooses between the pairwise kernels.

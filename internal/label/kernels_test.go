@@ -77,17 +77,6 @@ func checkKernels(t *testing.T, n, k int, a, b Set) {
 	d, h, ok = Join(nil, f, f, 0, 1)
 	check("Join(nil, packed)", d, h, ok)
 
-	// One scan of a against the transpose of {nothing, b, a}: the empty
-	// run stays unreached, b's slot is the pair's distance, a's its
-	// self-join.
-	dst := []float64{Infinity, Infinity, Infinity}
-	InvertRuns(n, [][]uint64{nil, rb, ra}).ScanMin(dst, ra)
-	for i := range dst {
-		dst[i] = FromUnits(dst[i], k)
-	}
-	if dst[0] != Infinity || dst[1] != wantD || dst[2] != selfD {
-		t.Fatalf("ScanMin = %v, want [+Inf %v %v]\na = %v\nb = %v", dst, wantD, selfD, a, b)
-	}
 	row := make([]float64, 2)
 	scattered(ra, func(rs RunScatter) { rs.ProbeStore(row, f, []int{1, 0}) })
 	if row[0] != wantD || row[1] != selfD {

@@ -9,7 +9,45 @@ package chl
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/delta"
 )
+
+// overlayOver builds the overlay of ops on fx the way Server.Update does.
+func overlayOver(t testing.TB, fx *FlatIndex, g *Graph, ops []EdgeOp) *delta.Overlay {
+	t.Helper()
+	red, err := delta.Reduce(g, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return delta.NewOverlay(red, ops, 1, fx.unitExp())
+}
+
+// randomPatch draws a valid batch over g: deletions and reweights of
+// existing edges, insertions of absent ones, no edge touched twice.
+func randomPatch(g *Graph, rng *rand.Rand, count int) []EdgeOp {
+	n := g.NumVertices()
+	taken := map[[2]int]bool{}
+	var ops []EdgeOp
+	for len(ops) < count {
+		u, v := rng.Intn(n), rng.Intn(n)
+		op := EdgeOp{Kind: EdgeOpAdd, U: u, V: v, W: float64(1 + rng.Intn(9))}
+		if heads, _ := g.Neighbors(u); len(ops)%3 != 2 && len(heads) > 0 {
+			v = int(heads[rng.Intn(len(heads))])
+			op = EdgeOp{Kind: EdgeOpDel, U: u, V: v}
+			if len(ops)%3 == 1 {
+				op = EdgeOp{Kind: EdgeOpSet, U: u, V: v, W: float64(1 + rng.Intn(9))}
+			}
+		}
+		_, has := g.HasEdge(u, v)
+		if u == v || has == (op.Kind == EdgeOpAdd) || taken[[2]int{u, v}] || taken[[2]int{v, u}] {
+			continue
+		}
+		taken[[2]int{u, v}] = true
+		ops = append(ops, op)
+	}
+	return ops
+}
 
 // TestCorrectedQueryDoesNotAllocate pins the corrected path's allocation
 // budget: a BatchEngine.QueryHub the overlay answers without its exact

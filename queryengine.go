@@ -90,25 +90,6 @@ func (fx *FlatIndex) unitExp() int { return fx.fwd.UnitExp() }
 // varint streams rather than fixed-width packed entries.
 func (fx *FlatIndex) Compressed() bool { return label.IsCompressed(fx.fwd) }
 
-// patchRuns is the server's delta.Runs: the label runs of verts an
-// overlay builds its seed tables from (at the index's unitExp), in the
-// fixed-width layout whichever format stores them — forward runs and, on
-// a directed index, backward runs too (nil otherwise: undirected labels
-// are symmetric). It never fails.
-func (fx *FlatIndex) patchRuns(verts []int) (fwd, bwd [][]uint64, err error) {
-	fwd = make([][]uint64, len(verts))
-	for i, p := range verts {
-		fwd[i] = fx.fwd.RunInto(nil, p)
-	}
-	if fx.Directed() {
-		bwd = make([][]uint64, len(verts))
-		for i, p := range verts {
-			bwd[i] = fx.bwd.RunInto(nil, p)
-		}
-	}
-	return fwd, bwd, nil
-}
-
 // Compress returns a compressed copy of the index: the same labels,
 // permutation and directedness, with each vertex's run re-encoded as one
 // delta+varint stream (label.Compress). Saving the result writes a

@@ -147,8 +147,7 @@ type Router struct {
 	// is the patch log over the graph the cluster's shard files were
 	// built from (nil: updates are off), guarded by patchMu.
 	// journalLoaded flips once the journal has been replayed — lazily, on
-	// the first query or update, because NewRouter must not contact
-	// shards (replay pins patch-vertex rows).
+	// the first query or update (ensurePatch).
 	log           *delta.Log
 	patchMu       sync.Mutex
 	journalLoaded atomic.Bool
@@ -746,7 +745,7 @@ func (r *Router) pairNeeds(fwd, bwd []int, u, v int) ([]int, []int) {
 // are forwarded whole, one sub-batch per shard; cross-shard pairs are
 // answered by fetching each involved vertex's label row once per shard
 // and hub-joining at the router. Under a delta overlay every pair needs
-// the seeded correction, so every miss rides the row fetch and is joined
+// the overlay's correction, so every miss rides the row fetch and is joined
 // by the overlay (see routePair). All shard traffic for a batch runs
 // concurrently; each shard request load-balances and fails over within
 // the shard's replica group independently.

@@ -1,7 +1,6 @@
 package chl
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/delta"
@@ -10,19 +9,21 @@ import (
 // Dynamic edge updates at the router tier (ARCHITECTURE.md "Tier
 // split"). The shards stay frozen and never see a patch: the router runs
 // the flat server's own patch log (delta.Log) over RouterConfig.BaseGraph,
-// fetching the patch vertices' label rows once per batch, and publishes
-// each overlay on the routerState pointer — overlay and answer cache swap
-// in one atomic publish, and the overlay epoch discriminates singleflight
-// keys (flightKey.pepoch), so a flight computed before a batch never
-// feeds a query after it. A shard /reload that changes content while
-// updates are outstanding invalidates the overlay's seed tables; the
-// router cannot refuse it, so that is an operator rule (ROADMAP 8(e)).
+// whose overlay reads its rows off that graph, so a batch contacts no
+// shard. Each overlay is published on the routerState pointer — overlay
+// and answer cache swap in one atomic publish, and the overlay epoch
+// discriminates singleflight keys (flightKey.pepoch), so a flight computed
+// before a batch never feeds a query after it. Queries still join the
+// shards' frozen runs, so a shard /reload that changes content while
+// updates are outstanding leaves the overlay correcting labels of another
+// graph; the router cannot refuse it, so that is an operator rule (ROADMAP
+// 8(e)).
 
 // ensurePatch replays the update journal once, lazily, on the first
-// query or update after construction — NewRouter must never contact
-// shards, and replay pins patch-vertex rows. Failed replays are
-// retried by the next caller; nothing is marked loaded until the
-// journal has been applied in full.
+// query or update after construction, so a journal that cannot be read
+// fails requests (500) instead of NewRouter. Failed replays are retried
+// by the next caller; nothing is marked loaded until the journal has been
+// applied in full.
 func (r *Router) ensurePatch() error {
 	if r.journalLoaded.Load() {
 		return nil
@@ -32,7 +33,7 @@ func (r *Router) ensurePatch() error {
 	if r.journalLoaded.Load() {
 		return nil
 	}
-	if _, err := r.publishLocked(r.log.Replay(r.unitExp, r.fetchPatchRows)); err != nil {
+	if _, err := r.publishLocked(r.log.Replay(r.unitExp)); err != nil {
 		return err
 	}
 	r.journalLoaded.Store(true)
@@ -52,7 +53,7 @@ func (r *Router) Update(ops []EdgeOp) (delta.Stats, error) {
 	}
 	r.patchMu.Lock()
 	defer r.patchMu.Unlock()
-	ov, err := r.publishLocked(r.log.Apply(ops, r.unitExp, r.fetchPatchRows))
+	ov, err := r.publishLocked(r.log.Apply(ops, r.unitExp))
 	if err != nil {
 		return delta.Stats{}, err
 	}
@@ -60,8 +61,7 @@ func (r *Router) Update(ops []EdgeOp) (delta.Stats, error) {
 }
 
 // publishLocked publishes the overlay a patch-log step (Apply or Replay)
-// built from the rows fetchPatchRows pinned, if it built one, with a
-// fresh answer cache. Callers hold patchMu.
+// built, if it built one, with a fresh answer cache. Callers hold patchMu.
 func (r *Router) publishLocked(ov *delta.Overlay, err error) (*delta.Overlay, error) {
 	if err != nil || ov == nil {
 		return nil, err
@@ -78,35 +78,9 @@ func (r *Router) publishLocked(ov *delta.Overlay, err error) (*delta.Overlay, er
 	return ov, nil
 }
 
-// fetchPatchRows fetches the packed label rows of every patch vertex,
-// in verts order — forward always, backward too on directed clusters
-// (nil otherwise).
-func (r *Router) fetchPatchRows(verts []int) (fwd, bwd [][]uint64, err error) {
-	var need []int
-	if r.directed {
-		need = verts
-	}
-	// A patch batch (or the journal replay a first query triggers) builds
-	// state shared by every later query, so it hangs off a background
-	// parent, not whichever caller happened to start it.
-	so := newObserver()
-	rows := r.fetchRows(context.Background(), verts, need, nil, so)
-	if err := so.err(); err != nil {
-		return nil, nil, err
-	}
-	r.noteGenerations(so.obs)
-	for _, v := range verts {
-		fwd = append(fwd, rows.fwd[v])
-		if r.directed {
-			bwd = append(bwd, rows.bwd[v])
-		}
-	}
-	return fwd, bwd, nil
-}
-
 // update is POST /update at the router: the same text patch-log body the
 // flat server accepts, applied to the cluster without touching the
-// shards; a 502 names the shards that could not supply patch-vertex rows.
+// shards.
 func (r *Router) update(ops []EdgeOp) (any, error) {
 	stat, err := r.Update(ops)
 	if err != nil {

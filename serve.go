@@ -571,21 +571,20 @@ func (s *Server) update(ops []EdgeOp) (*Snapshot, error) {
 	if s.log == nil {
 		return nil, fmt.Errorf("%w on this server (EnableUpdates, or start with -graph)", errUpdatesDisabled)
 	}
-	return s.applyLocked(func(unitExp int, runs delta.Runs) (*delta.Overlay, error) {
-		return s.log.Apply(ops, unitExp, runs)
+	return s.applyLocked(func(unitExp int) (*delta.Overlay, error) {
+		return s.log.Apply(ops, unitExp)
 	})
 }
 
-// applyLocked runs one patch-log step (Apply or Replay) over the current
-// snapshot's label runs and publishes the overlay it built as a new
-// generation sharing that snapshot's index; nil when it built none.
-// Callers hold mu.
-func (s *Server) applyLocked(step func(unitExp int, runs delta.Runs) (*delta.Overlay, error)) (*Snapshot, error) {
+// applyLocked runs one patch-log step (Apply or Replay) at the current
+// snapshot's unit and publishes the overlay it built as a new generation
+// sharing that snapshot's index; nil when it built none. Callers hold mu.
+func (s *Server) applyLocked(step func(unitExp int) (*delta.Overlay, error)) (*Snapshot, error) {
 	cur := s.cur.Load()
 	if cur == nil {
 		return nil, fmt.Errorf("chl: Server used after Close")
 	}
-	ov, err := step(cur.fx.unitExp(), cur.fx.patchRuns)
+	ov, err := step(cur.fx.unitExp())
 	if err != nil || ov == nil {
 		return nil, err
 	}

@@ -435,6 +435,54 @@ func TestUpdateJournalReplay(t *testing.T) {
 	})
 }
 
+// TestRouterUpdateWithShardDown: a router /update reads nothing from the
+// shards — the overlay's rows come from the base graph — so it succeeds
+// with every replica of one shard down, and a later query between live
+// shards is exact on the patched graph.
+func TestRouterUpdateWithShardDown(t *testing.T) {
+	g := chl.GenerateRandom(120, 320, 9, 13)
+	_, fx := buildFrozen(t, g)
+	c := newTestCluster(t, fx, clusterSpec{shards: 3, replicas: 2, cacheSize: 1 << 8, tweak: func(cfg *chl.RouterConfig) { cfg.BaseGraph = g }})
+	defer c.close()
+	const dead = 2
+	for _, b := range c.backends[dead] {
+		b.Close()
+	}
+	ts := httptest.NewServer(c.router.Handler())
+	defer ts.Close()
+	ops := parityPatchOps(g)
+	if got := postRaw(t, ts.URL+"/update", string(chl.FormatPatchLog(ops))); got != http.StatusOK {
+		t.Fatalf("router /update with shard %d down: status %d, want 200", dead, got)
+	}
+	if st := c.router.Stats(); st.Patch == nil || st.Patch.Ops != len(ops) {
+		t.Fatalf("patch state after the update: %+v, want %d ops", st.Patch, len(ops))
+	}
+	patched, err := chl.ApplyPatch(g, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	po := newParityOracle(patched)
+	asked := 0
+	for u := 0; u < g.NumVertices(); u += 7 {
+		for v := 1; v < g.NumVertices(); v += 11 {
+			if c.part.Owner(u) == dead || c.part.Owner(v) == dead {
+				continue
+			}
+			got, err := c.router.Query(u, v)
+			if err != nil {
+				t.Fatalf("live-shard query (%d,%d): %v", u, v, err)
+			}
+			if want := po.from(u)[v]; got != want {
+				t.Fatalf("live-shard d(%d,%d) = %v, patched oracle says %v", u, v, got, want)
+			}
+			asked++
+		}
+	}
+	if asked < 50 {
+		t.Fatalf("only %d live-shard pairs asked", asked)
+	}
+}
+
 // TestOverlayPathCounters: every query the overlay answers is counted
 // under the one path that answered it — frozen answer certified,
 // corrected, exact fallback — in /stats and /metrics on both serving
