@@ -1,6 +1,6 @@
 // Command chlquery loads an index file written by cmd/chl -out and answers
 // point-to-point shortest distance queries — interactively ("u v" per line
-// on stdin), as a random-batch benchmark in any of the paper's three
+// on stdin), as a random-batch benchmark in the paper's QLSN and QDOL
 // distributed query modes, or as an HTTP serving process over the flat
 // packed label store.
 //
@@ -11,11 +11,13 @@
 //	chlquery -load road.flat -bench 100000 -mode qdol -nodes 16
 //	chlquery -load road.flat -serve :8080
 //
-// The modeled -bench modes (qlsn/qfdl/qdol) run on the loaded index thawed
-// back into the builder's slice form (FlatIndex.Thaw); -mode local times
-// the real serving path. Every distance is exact: the file counts it in
-// uint32 units of 2^-k (k = 0 for integer weights), and chl refuses to
-// build a label past 2^32 units rather than round it.
+// The modeled -bench modes (qlsn/qdol) run on the loaded index thawed
+// back into the builder's slice form (FlatIndex.Thaw); QFDL needs the
+// per-node partitions of a distributed build, which no file keeps, so it
+// is not offered. -mode local times the real serving path. Every
+// distance is exact: the file counts it in uint32 units of 2^-k (k = 0
+// for integer weights), and chl refuses to build a label past 2^32 units
+// rather than round it.
 //
 // For indexes too large (or too hot) for one process, -split slices the
 // flat index into per-shard files plus a cluster manifest, and -shard
@@ -32,8 +34,8 @@
 // Directed indexes (built by cmd/chl over a directed graph) serve
 // through the same flags end to end: the file packs both label halves,
 // -split marks the manifest directed so the router keys its cache on
-// ordered pairs, and /dist?u=&v= answers the u→v distance. Only the simulated -bench modes (qlsn/qfdl/qdol) remain
-// undirected-only.
+// ordered pairs, and /dist?u=&v= answers the u→v distance. Only the
+// simulated -bench modes (qlsn/qdol) remain undirected-only.
 //
 // -compress switches -save and -split to the compressed label format
 // (one delta+varint stream per vertex — 71–72% smaller on disk than the
@@ -86,7 +88,7 @@ func main() {
 		savePath  = flag.String("save", "", "write the loaded index (compressed with -compress) to this file")
 		serveAddr = flag.String("serve", "", "serve queries over HTTP on this address (e.g. :8080)")
 		bench     = flag.Int("bench", 0, "run a random batch of this many queries")
-		mode      = flag.String("mode", "qlsn", "query mode for -bench: qlsn|qfdl|qdol|local")
+		mode      = flag.String("mode", "qlsn", "query mode for -bench: qlsn|qdol|local")
 		nodes     = flag.Int("nodes", 16, "simulated cluster size for -bench")
 		seed      = flag.Int64("seed", 1, "seed for -bench query generation; also the consistent-hash ring seed for -split")
 		cacheCap  = flag.Int("cache", 1<<16, "answer cache capacity for -serve (0 disables)")
@@ -110,6 +112,12 @@ func main() {
 	// mode, which reads as a hang when the user mistyped a flag.
 	if n := flag.NArg(); n != 0 && n != 2 {
 		fatal(fmt.Errorf("expected no positional arguments or exactly two vertex ids, got %d: %q", n, flag.Args()))
+	}
+
+	if *bench > 0 && !strings.EqualFold(*mode, "local") {
+		if _, ok := benchModes[strings.ToLower(*mode)]; !ok {
+			fatal(fmt.Errorf("unknown -mode %q for -bench (want qlsn|qdol|local)", *mode))
+		}
 	}
 
 	if *serveAddr != "" {
@@ -361,6 +369,9 @@ func runShardServe(addr string, cacheCap int, prefault bool, shardID int, manife
 	log.Fatal(http.ListenAndServe(addr, s.Handler()))
 }
 
+// benchModes are the modeled cluster modes -bench runs on a loaded index.
+var benchModes = map[string]chl.QueryMode{"qlsn": chl.ModeQLSN, "qdol": chl.ModeQDOL}
+
 func runBench(fx *chl.FlatIndex, count int, modeName string, nodes int, seed int64) {
 	// Directed indexes bench on the real serving path only; fail before
 	// any work rather than deep inside the query-engine constructor.
@@ -393,17 +404,7 @@ func runBench(fx *chl.FlatIndex, count int, modeName string, nodes int, seed int
 		return
 	}
 
-	var mode chl.QueryMode
-	switch strings.ToLower(modeName) {
-	case "qlsn":
-		mode = chl.ModeQLSN
-	case "qfdl":
-		mode = chl.ModeQFDL
-	case "qdol":
-		mode = chl.ModeQDOL
-	default:
-		fatal(fmt.Errorf("unknown mode %q", modeName))
-	}
+	mode := benchModes[strings.ToLower(modeName)]
 	qe, err := chl.NewQueryEngine(fx.Thaw(), mode, nodes)
 	if err != nil {
 		fatal(err)

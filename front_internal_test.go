@@ -14,7 +14,11 @@ import (
 // failed request through: one row per error kind, status and body byte
 // for byte.
 func TestWriteErrorTable(t *testing.T) {
-	_, refused := delta.NewLog(GenerateRoadGrid(2, 2, 1), "").Apply(nil, 0)
+	log, _, err := delta.OpenLog(GenerateRoadGrid(2, 2, 1), "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, refused := log.Apply(nil, 0)
 	if !delta.Refused(refused) {
 		t.Fatalf("an empty patch is not a refusal: %v", refused)
 	}

@@ -518,10 +518,6 @@ func (o *Overlay) compromised(u, v int, d0 float64) bool {
 	return false
 }
 
-// Patched returns the patched graph NewOverlay materialized, shared by
-// every fallback path of this overlay.
-func (o *Overlay) Patched() *graph.Graph { return o.patched }
-
 // Row returns the full single-source distance row from u on the patched
 // graph — the source of /knn and /matrix rows under an overlay.
 func (o *Overlay) Row(u int) []float64 { return sssp.Dijkstra(o.patched, u) }

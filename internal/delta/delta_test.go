@@ -297,7 +297,7 @@ func TestOverlayExact(t *testing.T) {
 				ops := randomOps(g, seed*101, 3, 3, 4)
 				frozen := freezeLabels(g)
 				ov := frozen.overlay(t, g, ops, 1)
-				pg := ov.Patched()
+				pg := ov.Materialize()
 				want := newOracle(pg)
 				n := g.NumVertices()
 				for u := 0; u < n; u++ {
@@ -331,7 +331,7 @@ func TestOverlayFrozenFlag(t *testing.T) {
 	ops := randomOps(g, 77, 2, 2, 3)
 	frozen := freezeLabels(g)
 	ov := frozen.overlay(t, g, ops, 1)
-	pg := ov.Patched()
+	pg := ov.Materialize()
 	base, want := newOracle(g), newOracle(pg)
 	for u := 0; u < 50; u++ {
 		for v := 0; v < 50; v++ {
@@ -355,7 +355,7 @@ func TestShortestPathOnPatched(t *testing.T) {
 	g := graph.ErdosRenyi(40, 90, 9, 3)
 	ops := randomOps(g, 5, 2, 2, 3)
 	ov := freezeLabels(g).overlay(t, g, ops, 1)
-	pg := ov.Patched()
+	pg := ov.Materialize()
 	want := newOracle(pg)
 	for u := 0; u < 40; u += 3 {
 		for v := 0; v < 40; v += 7 {

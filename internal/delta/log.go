@@ -22,10 +22,26 @@ type Log struct {
 	ov      *Overlay // built over ops; nil while ops is empty
 }
 
-// NewLog starts an empty log over base, journaled at journal ("": none);
-// ops already in the journal wait for Replay.
-func NewLog(base *graph.Graph, journal string) *Log {
-	return &Log{base: base, journal: journal}
+// OpenLog opens the log over base journaled at journal ("": none) with
+// the ops already in the journal replayed as one batch, appending nothing,
+// and returns it with that batch's overlay, which answers over frozen runs
+// counting units of 2^-unitExp. A missing journal is an empty log and a
+// nil overlay; a journal that cannot be read or replayed fails with an
+// error naming it.
+func OpenLog(base *graph.Graph, journal string, unitExp int) (*Log, *Overlay, error) {
+	l := &Log{base: base, journal: journal}
+	if journal == "" {
+		return l, nil, nil
+	}
+	ops, err := readJournal(journal)
+	var ov *Overlay
+	if err == nil && len(ops) > 0 {
+		ov, err = l.apply(ops, unitExp, false)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("delta: replaying journal %s: %w", journal, err)
+	}
+	return l, ov, nil
 }
 
 // Base returns the graph the log's ops are reduced against.
@@ -42,22 +58,6 @@ func (l *Log) Apply(ops []Op, unitExp int) (*Overlay, error) {
 		return nil, refusal{errors.New("delta: empty patch")}
 	}
 	return l.apply(ops, unitExp, true)
-}
-
-// Replay applies the ops already in the journal as one batch, appending
-// nothing, and returns its overlay — nil when there was nothing to replay.
-func (l *Log) Replay(unitExp int) (ov *Overlay, err error) {
-	if l.journal == "" {
-		return nil, nil
-	}
-	ops, err := readJournal(l.journal)
-	if err == nil && len(ops) > 0 {
-		ov, err = l.apply(ops, unitExp, false)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("delta: replaying journal %s: %w", l.journal, err)
-	}
-	return ov, nil
 }
 
 // apply is every batch's one path. Only a fresh batch is journaled, and
@@ -87,7 +87,7 @@ func (l *Log) Patched() (*graph.Graph, error) {
 	if l.ov == nil {
 		return nil, refusal{errors.New("delta: nothing to compact: no edge updates are outstanding")}
 	}
-	return l.ov.Patched(), nil
+	return l.ov.Materialize(), nil
 }
 
 // Compacted makes patched, which a fresh index now serves, the base: the

@@ -4,14 +4,16 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 // TestLogLifecycle walks one Log through its steps: a batch whose
 // journal append fails is not adopted; refusals are Refused and other
-// failures are not; Replay appends nothing; and after
-// Compacted the next batch reduces against the new base, with an empty
-// journal and the epoch still counting.
+// failures are not; OpenLog replays the journal and appends nothing,
+// refuses a journal it cannot read, and opens a missing one empty; and
+// after Compacted the next batch reduces against the new base, with an
+// empty journal and the epoch still counting.
 func TestLogLifecycle(t *testing.T) {
 	g := pathGraph(6, false)
 	fl := freezeLabels(g)
@@ -25,14 +27,30 @@ func TestLogLifecycle(t *testing.T) {
 		}
 		return b
 	}
-	unwritable := NewLog(g, t.TempDir())
+	open := func(journal string) *Log {
+		t.Helper()
+		l, ov, err := OpenLog(g, journal, unit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ov != nil || l.Len() != 0 {
+			t.Fatalf("OpenLog(%q) = %d ops, overlay %v; want an empty log", journal, l.Len(), ov)
+		}
+		return l
+	}
+	// A journal that turns into a directory after the log opened it.
+	unwritableAt := filepath.Join(t.TempDir(), "j")
+	unwritable := open(unwritableAt)
+	if err := os.Mkdir(unwritableAt, 0o755); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := unwritable.Apply(line(t, "del 1 2"), unit); err == nil || Refused(err) {
 		t.Fatalf("a journal that is a directory: %v, want a failure that is not a refusal", err)
 	}
 	if _, err := unwritable.Patched(); unwritable.Len() != 0 || !Refused(err) {
 		t.Fatalf("a batch whose journal append failed was adopted: %d ops", unwritable.Len())
 	}
-	l := NewLog(g, journal)
+	l := open(journal)
 	for _, bad := range [][]Op{nil, line(t, "del 0 5")} {
 		if _, err := l.Apply(bad, unit); !Refused(err) {
 			t.Fatalf("Apply(%v): %v, want a refusal", bad, err)
@@ -56,15 +74,17 @@ func TestLogLifecycle(t *testing.T) {
 		t.Fatalf("journal %q", want)
 	}
 
-	replayed := NewLog(g, journal)
-	if ov, err := replayed.Replay(unit); err != nil || ov.Serving() != nil || replayed.Len() != 4 || ov.Epoch() != 1 {
-		t.Fatalf("Replay = %v, %v with %d ops; want an overlay at epoch 1 that serves as none, 4 ops", ov, err, replayed.Len())
-	}
-	if ov, err := NewLog(g, filepath.Join(t.TempDir(), "absent.log")).Replay(unit); ov != nil || err != nil {
-		t.Fatalf("replaying a missing journal = %v, %v; want nothing", ov, err)
+	replayed, ov, err := OpenLog(g, journal, unit)
+	if err != nil || ov.Serving() != nil || replayed.Len() != 4 || ov.Epoch() != 1 {
+		t.Fatalf("OpenLog = %v, %v with %d ops; want an overlay at epoch 1 that serves as none, 4 ops", ov, err, replayed.Len())
 	}
 	if got := readJ(); !bytes.Equal(got, want) {
-		t.Fatalf("Replay appended: journal %q, was %q", got, want)
+		t.Fatalf("OpenLog appended: journal %q, was %q", got, want)
+	}
+	open(filepath.Join(t.TempDir(), "absent.log"))
+	dir := t.TempDir()
+	if l, ov, err := OpenLog(g, dir, unit); l != nil || ov != nil || err == nil || Refused(err) || !strings.Contains(err.Error(), dir) {
+		t.Fatalf("OpenLog over a journal that is a directory = %v, %v, %v; want a failure naming it", l, ov, err)
 	}
 
 	if _, err := l.Apply(line(t, "del 2 3"), unit); err != nil {

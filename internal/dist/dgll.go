@@ -87,9 +87,5 @@ func DGLL(g *graph.Graph, o Options) (*Result, error) {
 		}
 		return r.dgllSupersteps(nd, global, bounds, true, c)
 	})
-	var common *label.Index
-	if eta > 0 && table != nil {
-		common = label.FromSets(table, r.g.WeightUnitExp())
-	}
-	return r.result(table, common)
+	return r.result(table)
 }

@@ -117,10 +117,6 @@ type Result struct {
 	// node grew — every label appears on exactly one node). QFDL deploys
 	// these directly.
 	PerNode []*label.Index
-	// Common is the replica of the Common Label Table node 0 holds when the
-	// build ends — the whole index when every batch was gathered or DGLL
-	// finished the run — and nil when Eta disabled the table.
-	Common *label.Index
 	// Metrics is the instrumentation record of the build.
 	Metrics *metrics.Build
 }
@@ -287,7 +283,7 @@ func (r *run) exec(body func(nd *cluster.Node, c *perNodeCounters) []label.Set) 
 // result wraps the final table into a Result, cutting the per-node
 // partitions from the ownership map (a label belongs to the node that grew
 // its hub's tree). A nil table, or a node over the limit, is ErrOutOfMemory.
-func (r *run) result(table []label.Set, common *label.Index) (*Result, error) {
+func (r *run) result(table []label.Set) (*Result, error) {
 	if table == nil || r.o.MemoryLimitBytes > 0 && r.m.MaxNodeBytes > r.o.MemoryLimitBytes {
 		return nil, ErrOutOfMemory
 	}
@@ -303,5 +299,5 @@ func (r *run) result(table []label.Set, common *label.Index) (*Result, error) {
 			p.SetLabels(v, append(p.Labels(v), l))
 		}
 	})
-	return &Result{Index: ix, PerNode: per, Common: common, Metrics: r.m}, nil
+	return &Result{Index: ix, PerNode: per, Metrics: r.m}, nil
 }

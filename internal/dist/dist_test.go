@@ -100,9 +100,6 @@ func TestCommonTablePrunesExploration(t *testing.T) {
 		t.Fatalf("η=16 explored %d, η=0 explored %d — no pruning",
 			with.Metrics.VerticesExplored, without.Metrics.VerticesExplored)
 	}
-	if without.Common != nil || with.Common == nil {
-		t.Fatal("Common table presence wrong")
-	}
 	// The build record says how the pruning happened, and says nothing
 	// when there was none.
 	if m := without.Metrics; m.DistanceQueries != 0 || m.DistPrunes != 0 || m.RankPrunes != 0 {
@@ -149,8 +146,8 @@ func TestHybridSwitchMetrics(t *testing.T) {
 	if m.BytesSent >= 150816 {
 		t.Fatalf("switching run sent %d bytes, want fewer than 150816", m.BytesSent)
 	}
-	if m.LabelsCleaned == 0 || res.Common == nil {
-		t.Fatalf("switching run cleaned %d labels, Common = %v", m.LabelsCleaned, res.Common)
+	if m.LabelsCleaned == 0 {
+		t.Fatal("switching run cleaned no labels")
 	}
 }
 

@@ -22,5 +22,5 @@ func DParaPLL(g *graph.Graph, o Options) (*Result, error) {
 	bounds := schedule(0, r.n)
 	return r.result(r.exec(func(nd *cluster.Node, c *perNodeCounters) []label.Set {
 		return r.dgllSupersteps(nd, make([]label.Set, r.n), bounds, false, c)
-	}), nil)
+	}))
 }

@@ -184,19 +184,14 @@ func (p *planter) run() (end, bad int) {
 // node 0's replica is the Common Label Table, and the index is the replica
 // plus the trees no gather carried, which are still pending on their nodes.
 func (r *run) plantResult(table []label.Set, nodes []*planter) (*Result, error) {
-	var common *label.Index
-	if r.o.Eta >= 0 && table != nil {
-		common = label.FromSets(table, r.g.WeightUnitExp())
-	}
 	if from := nodes[0].replicated; table != nil && from < r.n {
 		pending := make([]share, len(nodes))
 		for i, p := range nodes {
 			pending[i] = p.pend
 		}
-		table = slices.Clone(table) // appends reallocate or write past the replica's lengths: Common keeps its view
 		commitShares(label.FromSets(table, r.g.WeightUnitExp()), r.o.WorkersPerNode, from, r.n, pending)
 	}
-	return r.result(table, common)
+	return r.result(table)
 }
 
 // PLaNT runs distributed PLaNT (§5.2): every node grows the trees of its

@@ -2,8 +2,9 @@ package chl_test
 
 // Tests for the one patch log both update tiers run (delta.Log): the same
 // batches leave the same journal and patch state on a Server and a
-// Router, and a failure of the process applying a batch — not of the
-// batch — answers 500 and publishes nothing.
+// Router, a failure of the process applying a batch — not of the batch —
+// answers 500 and publishes nothing, and a journal that cannot be
+// replayed refuses the router outright.
 
 import (
 	"bytes"
@@ -12,6 +13,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	chl "repro"
@@ -173,25 +175,24 @@ func TestServerJournalFailureIs500(t *testing.T) {
 	}
 }
 
-// TestRouterJournalFailureIs500: a router whose journal cannot be read
-// answers its first /update with 500, and publishes nothing.
-func TestRouterJournalFailureIs500(t *testing.T) {
+// TestRouterRefusesUnreadableJournal: NewRouter replays the journal, so
+// a router whose journal cannot be read is never built — the error names
+// the journal — rather than failing its requests.
+func TestRouterRefusesUnreadableJournal(t *testing.T) {
 	g := chl.GenerateRandom(120, 320, 9, 13)
 	_, fx := buildFrozen(t, g)
-	c := newTestCluster(t, fx, clusterSpec{shards: 2, cacheSize: 1 << 8, tweak: func(cfg *chl.RouterConfig) {
-		cfg.BaseGraph = g
-		cfg.UpdateJournal = t.TempDir() // a directory
-	}})
-	defer c.close()
-	ts := httptest.NewServer(c.router.Handler())
-	defer ts.Close()
-	before := c.router.Stats()
-	if got := postRaw(t, ts.URL+"/update", string(chl.FormatPatchLog(parityPatchOps(g)[:1]))); got != http.StatusInternalServerError {
-		t.Fatalf("router /update over an unreadable journal: status %d, want 500", got)
+	m, err := fx.SaveShards(t.TempDir(), 2, 64, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	after := c.router.Stats()
-	if after.Patch != nil || after.Updates != before.Updates || after.CacheResets != before.CacheResets {
-		t.Fatalf("a failed replay published: before %+v, after %+v (patch %+v)", before, after, after.Patch)
+	journal := t.TempDir() // a directory
+	// NewRouter contacts no shard, so the replicas need not exist.
+	r, err := chl.NewRouter(chl.RouterConfig{
+		Manifest: m, ReplicaAddrs: [][]string{{"http://127.0.0.1:1"}, {"http://127.0.0.1:1"}},
+		BaseGraph: g, UpdateJournal: journal,
+	})
+	if r != nil || err == nil || !strings.Contains(err.Error(), journal) {
+		t.Fatalf("NewRouter over a journal that is a directory: router built %v, error %v; want none and an error naming %s", r != nil, err, journal)
 	}
 }
 

@@ -596,7 +596,7 @@ func NewQueryEngine(ix *Index, mode QueryMode, q int) (*QueryEngine, error) {
 	var perNode []*label.Index
 	if mode == ModeQFDL {
 		if ix.perNode == nil {
-			return nil, fmt.Errorf("chl: QFDL needs a distributed build (Options.Nodes=%d, got a shared-memory index)", q)
+			return nil, fmt.Errorf("chl: QFDL needs the per-node label partitions of a distributed Build (AlgoDGLL, AlgoDPLaNT or AlgoHybrid); this index has none — a shared-memory build or one read from a file")
 		}
 		if len(ix.perNode) != q {
 			return nil, fmt.Errorf("chl: QFDL cluster size %d does not match the build's %d nodes", q, len(ix.perNode))

@@ -145,13 +145,11 @@ type Router struct {
 
 	// Dynamic-update state (RouterConfig.BaseGraph / UpdateJournal): log
 	// is the patch log over the graph the cluster's shard files were
-	// built from (nil: updates are off), guarded by patchMu.
-	// journalLoaded flips once the journal has been replayed — lazily, on
-	// the first query or update (ensurePatch).
-	log           *delta.Log
-	patchMu       sync.Mutex
-	journalLoaded atomic.Bool
-	updates       atomic.Int64
+	// built from, its journal replayed by NewRouter (nil: updates are
+	// off), guarded by patchMu.
+	log     *delta.Log
+	patchMu sync.Mutex
+	updates atomic.Int64
 
 	scratch label.ScratchPool // probe buffers sized n, for cross-shard joins
 }
@@ -176,13 +174,13 @@ type Router struct {
 type routerState struct {
 	idents [][]genObs // [shard][replica]
 	cache  *Cache
-	// patch is the outstanding delta overlay, built over the patch
-	// vertices' label rows as fetched when the batch was applied (nil
-	// when no edge updates are outstanding). It rides the
-	// state pointer so a patch batch swaps overlay and cache in one
-	// atomic publish: every query sees a coherent (overlay, cache) pair,
-	// and the fresh cache instance is the patch-epoch discriminant that
-	// retires pre-patch answers exactly once per batch.
+	// patch is the outstanding delta overlay, its rows read off
+	// RouterConfig.BaseGraph and the patched graph (nil when no edge
+	// updates are outstanding). It rides the state pointer so a patch
+	// batch swaps overlay and cache in one atomic publish: every query
+	// sees a coherent (overlay, cache) pair, and the fresh cache instance
+	// is the patch-epoch discriminant that retires pre-patch answers
+	// exactly once per batch.
 	patch *delta.Overlay
 }
 
@@ -497,8 +495,8 @@ type RouterConfig struct {
 	BaseGraph *Graph
 	// UpdateJournal names the router's patch journal: accepted batches
 	// are appended (and fsynced) before they serve, and journaled ops
-	// are replayed on the first query after a restart. "" disables
-	// journaling. Requires BaseGraph.
+	// are replayed by NewRouter, which fails when the journal cannot be
+	// read or replayed. "" disables journaling. Requires BaseGraph.
 	UpdateJournal string
 	// Clock overrides the router's time source — hedging, ejection,
 	// probation, quotas, and uptime all read it. Nil means the real
@@ -566,13 +564,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.UpdateJournal != "" && cfg.BaseGraph == nil {
 		return nil, fmt.Errorf("chl: UpdateJournal requires BaseGraph — the journal is replayed against it")
 	}
-	var log *delta.Log
-	if cfg.BaseGraph != nil {
-		if err := fitsBase(cfg.BaseGraph, cfg.Manifest.Vertices, cfg.Manifest.Directed); err != nil {
-			return nil, err
-		}
-		log = delta.NewLog(cfg.BaseGraph, cfg.UpdateJournal)
-	}
 	r := &Router{
 		n:           cfg.Manifest.Vertices,
 		part:        part,
@@ -587,10 +578,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		maxInFlight: int64(cfg.MaxInFlight),
 		quota:       newQuotaLimiter(clock, cfg.ClientQPS, cfg.ClientBurst),
 		start:       clock.Now(),
-		log:         log,
-	}
-	if cfg.UpdateJournal == "" {
-		r.journalLoaded.Store(true) // nothing to replay; skip the mutex fast path
 	}
 	idents := make([][]genObs, len(groups))
 	for i, group := range groups {
@@ -611,6 +598,19 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		idents: idents,
 		cache:  r.newAnswerCache(),
 	})
+	if cfg.BaseGraph != nil {
+		if err := fitsBase(cfg.BaseGraph, cfg.Manifest.Vertices, cfg.Manifest.Directed); err != nil {
+			return nil, err
+		}
+		log, ov, err := delta.OpenLog(cfg.BaseGraph, cfg.UpdateJournal, r.unitExp)
+		if err != nil {
+			return nil, err
+		}
+		r.log = log
+		if ov != nil {
+			r.publishLocked(ov)
+		}
+	}
 	r.api = newFront(clock, "chl_router", func() backend { return r }, r.shape)
 	return r, nil
 }
@@ -655,9 +655,6 @@ func (r *Router) QueryHub(u, v int) (dist float64, hub int, ok bool, err error) 
 // computes the witness, so Query and QueryHub callers share one.
 func (r *Router) queryHub(u, v int, needHub bool) (dist float64, hub int, ok bool, err error) {
 	if err := inRange(r.n, u, v); err != nil {
-		return 0, 0, false, err
-	}
-	if err := r.ensurePatch(); err != nil {
 		return 0, 0, false, err
 	}
 	st := r.state.Load()
@@ -761,9 +758,6 @@ func (r *Router) Batch(pairs []QueryPair) ([]float64, error) {
 
 // batch is Batch answering into dists (len(pairs) long).
 func (r *Router) batch(ctx context.Context, dists []float64, pairs []QueryPair) error {
-	if err := r.ensurePatch(); err != nil {
-		return err
-	}
 	st := r.state.Load()
 
 	// Cache pass; the misses (pending) split into same-shard sub-batches

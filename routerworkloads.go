@@ -26,9 +26,6 @@ func (r *Router) Path(u, v int) (dist float64, path []int, reachable bool, err e
 	if err := inRange(r.n, u, v); err != nil {
 		return 0, nil, false, err
 	}
-	if err := r.ensurePatch(); err != nil {
-		return 0, nil, false, err
-	}
 	if st := r.state.Load(); st.patch != nil {
 		return pathPatched(st.patch, u, v)
 	}
@@ -50,9 +47,6 @@ func (r *Router) KNN(u, k int) ([]Neighbor, error) {
 	}
 	if k < 1 || k > r.n {
 		return nil, fmt.Errorf("chl: k must be in [1,%d], got %d", r.n, k)
-	}
-	if err := r.ensurePatch(); err != nil {
-		return nil, err
 	}
 	r.queries.Add(1)
 	st := r.state.Load()
@@ -146,9 +140,6 @@ func (r *Router) matrix(ctx context.Context, sources, targets []int, emit func(u
 		return err
 	}
 	if err := inRange(r.n, targets...); err != nil {
-		return err
-	}
-	if err := r.ensurePatch(); err != nil {
 		return err
 	}
 	r.queries.Add(int64(len(sources)) * int64(len(targets)))

@@ -518,22 +518,26 @@ func (s *Server) EnableUpdates(g *Graph, journalPath string) error {
 	if s.part != nil {
 		return fmt.Errorf("chl: shard servers cannot serve updates; enable them on the cluster's router instead")
 	}
-	sn := s.Acquire()
-	err := fitsBase(g, sn.fx.NumVertices(), sn.fx.Directed())
-	sn.Release()
-	if err != nil {
-		return err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.log != nil {
 		return fmt.Errorf("chl: updates are already enabled on this server")
 	}
-	log := delta.NewLog(g, journalPath)
-	if _, err := s.applyLocked(log.Replay); err != nil {
+	cur := s.cur.Load()
+	if cur == nil {
+		return fmt.Errorf("chl: Server used after Close")
+	}
+	if err := fitsBase(g, cur.fx.NumVertices(), cur.fx.Directed()); err != nil {
+		return err
+	}
+	log, ov, err := delta.OpenLog(g, journalPath, cur.fx.unitExp())
+	if err != nil {
 		return err
 	}
 	s.log = log
+	if ov != nil {
+		s.publishLocked(cur, ov)
+	}
 	return nil
 }
 
@@ -571,25 +575,22 @@ func (s *Server) update(ops []EdgeOp) (*Snapshot, error) {
 	if s.log == nil {
 		return nil, fmt.Errorf("%w on this server (EnableUpdates, or start with -graph)", errUpdatesDisabled)
 	}
-	return s.applyLocked(func(unitExp int) (*delta.Overlay, error) {
-		return s.log.Apply(ops, unitExp)
-	})
-}
-
-// applyLocked runs one patch-log step (Apply or Replay) at the current
-// snapshot's unit and publishes the overlay it built as a new generation
-// sharing that snapshot's index; nil when it built none. Callers hold mu.
-func (s *Server) applyLocked(step func(unitExp int) (*delta.Overlay, error)) (*Snapshot, error) {
 	cur := s.cur.Load()
 	if cur == nil {
 		return nil, fmt.Errorf("chl: Server used after Close")
 	}
-	ov, err := step(cur.fx.unitExp())
-	if err != nil || ov == nil {
+	ov, err := s.log.Apply(ops, cur.fx.unitExp())
+	if err != nil {
 		return nil, err
 	}
+	return s.publishLocked(cur, ov), nil
+}
+
+// publishLocked publishes ov as a new generation sharing cur's index.
+// Callers hold mu.
+func (s *Server) publishLocked(cur *Snapshot, ov *delta.Overlay) *Snapshot {
 	s.updates.Add(1)
-	return s.installHandle(cur.handle.acquire(), cur.path, ov.Serving()), nil
+	return s.installHandle(cur.handle.acquire(), cur.path, ov.Serving())
 }
 
 // Compact folds the outstanding patch log into a fresh frozen index:

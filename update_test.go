@@ -402,8 +402,8 @@ func TestUpdateJournalReplay(t *testing.T) {
 		defer ts.Close()
 		postUpdate(t, ts.URL, ops)
 
-		// A second router over the same journal and live backends: its
-		// first query triggers the lazy replay.
+		// A second router over the same journal and live backends holds
+		// the replayed overlay before its first query.
 		groups := make([][]string, len(c.backends))
 		for sid, reps := range c.backends {
 			for _, b := range reps {
@@ -416,6 +416,9 @@ func TestUpdateJournalReplay(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if st := r2.Stats(); st.Patch == nil || int(st.Patch.Ops) != len(ops) {
+			t.Fatalf("router patch state right after NewRouter %+v, want %d replayed ops", st.Patch, len(ops))
 		}
 		for _, p := range pairs {
 			got, err := r2.Query(p[0], p[1])
