@@ -24,7 +24,7 @@ type Build struct {
 	LabelsGenerated int64 // labels generated before cleaning
 	LabelsCleaned   int64 // redundant labels removed by cleaning
 
-	VerticesExplored int64 // priority-queue pops across all SPTs
+	VerticesExplored int64 // vertices settled across all SPTs
 	EdgesRelaxed     int64
 	DistanceQueries  int64 // pruning DQs during construction
 	RankPrunes       int64 // prunes by rank query (PLaNT: by an ancestor above the Common Label Table's bound)

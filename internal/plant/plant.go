@@ -108,25 +108,21 @@ import (
 	"repro/internal/label"
 	"repro/internal/metrics"
 	"repro/internal/ptree"
-	"repro/internal/vheap"
 )
 
 // Scratch holds the per-worker state of PLaNT Dijkstra, reusable across
-// trees (reset costs O(touched), not O(n)): the shared Dijkstra scratch plus
-// what ancestor propagation adds, and the bucket window the tree settles
-// from, which parks its far distances on the shared scratch's heap. HD
-// holds the root's table labels.
+// trees (reset costs O(touched), not O(n)): the shared Dijkstra scratch,
+// whose bucket window the tree settles from, plus what ancestor propagation
+// adds. HD holds the root's table labels.
 type Scratch struct {
 	*ptree.Scratch
 	anc     []int32 // a[v]: best (minimum-id) ancestor on current best path
 	settled []bool
-	win     *vheap.Window
 }
 
 // NewScratch allocates scratch for graphs with n vertices.
 func NewScratch(n int) *Scratch {
-	s := ptree.NewScratch(n)
-	return &Scratch{Scratch: s, anc: make([]int32, n), settled: make([]bool, n), win: vheap.NewWindow(&s.Heap)}
+	return &Scratch{Scratch: ptree.NewScratch(n), anc: make([]int32, n), settled: make([]bool, n)}
 }
 
 // NewScratches allocates one Scratch per worker of a pool.
@@ -181,7 +177,7 @@ func Tree(g *graph.Graph, h int, s *Scratch, root, probe *label.Index, commonBou
 		s.HD.Load(root.Labels(h))
 	}
 
-	dist, win, k := s.Dist, s.win, g.WeightUnitExp()
+	dist, win, k := s.Dist, s.Win, g.WeightUnitExp()
 	win.Start(g.MinUnits())
 	win.Queue(h, 0)
 	var explored, relaxed int64

@@ -16,13 +16,13 @@
 // into a metrics.Build by Build.Fold), and the dynamic pool ParallelFor
 // (ParallelRange where items are too cheap to claim one at a time).
 //
-// Two traversals stay outside on purpose. pll.Sequential is the reference
-// the others are compared against and shares only the Scratch. plant.Tree
-// propagates ancestors and stops early, which Tree would have to branch on,
-// and it settles from another queue: PLaNT's labels do not depend on the
-// order of equal-distance vertices, so its trees settle a bucket of a
-// vheap.Window at a time, while Tree's pruned labels follow the heap's
-// exact pop order (paraPLL's redundant labels depend on it).
+// Tree settles from the worker's vheap.Window a bucket at a time, as
+// plant.Tree does: which labels a tree emits, and every counter it keeps,
+// do not depend on the order in which equal-distance vertices settle
+// (Tree's doc). Two traversals stay outside on purpose. pll.Sequential is the reference the
+// others are compared against, shares only the Scratch, and still pops its
+// heap (Start). plant.Tree propagates ancestors and stops early, which Tree
+// would have to branch on.
 //
 // The package operates in rank space (vertex 0 = highest rank).
 package ptree
@@ -42,15 +42,21 @@ import (
 // touched by the previous run are reinitialized — the trick in Algorithm
 // 1's footnote 2). A Scratch is owned by one goroutine at a time.
 //
+// Win is the bucket queue the trees settle from (Tree, plant.Tree); it
+// parks its far distances on Heap, which pll.Sequential's reference loop
+// pops directly (Start).
+//
 // The heap's and the dirty list's slice headers are written on every pop
 // and push, so the whole state is one struct padded on both sides: wherever
 // the allocator puts the workers' scratches, no two share a cache line.
-// (Side by side they do, and a 2-worker GLL build ran 30% longer.)
+// (Side by side they do, and a 2-worker GLL build ran 30% longer.) The
+// window is padded on its own.
 type Scratch struct {
 	_     [64]byte
 	Dist  []uint64 // in units of the graph's 2^-k
 	Dirty []int32  // vertices whose Dist is finite, in first-touched order
 	Heap  vheap.Heap
+	Win   *vheap.Window  // over Heap
 	HD    label.HubTable // LR = hash(L_h); loaded by the caller
 	_     [64]byte
 }
@@ -62,6 +68,7 @@ func NewScratch(n int) *Scratch {
 		Heap: *vheap.New(n),
 		HD:   *label.NewHubTable(n),
 	}
+	s.Win = vheap.NewWindow(&s.Heap)
 	for i := range s.Dist {
 		s.Dist[i] = graph.Unreached
 	}
@@ -85,8 +92,8 @@ func (s *Scratch) Start(h int) {
 	s.Heap.Push(h, 0)
 }
 
-// Reset is Start for a tree that queues its root elsewhere: it forgets the
-// previous tree's distances and sets root h's to 0, and leaves the heap
+// Reset is Start for a tree that queues its root on the window: it forgets
+// the previous tree's distances and sets root h's to 0, and leaves the heap
 // alone.
 func (s *Scratch) Reset(h int) {
 	for _, v := range s.Dirty {
@@ -99,12 +106,12 @@ func (s *Scratch) Reset(h int) {
 // Stats counts what trees and cleaning passes did. Workers accumulate it by
 // value and sum with Add; no counter is shared while a tree runs.
 type Stats struct {
-	Explored   int64 // vertices popped
+	Explored   int64 // vertices settled
 	Relaxed    int64 // edges relaxed
 	Labels     int64 // labels emitted
 	Queries    int64 // pruning distance queries issued
-	RankPruned int64 // pops cut by the rank query (PLaNT: by an ancestor above the Common Label Table's bound)
-	DistPruned int64 // pops cut by a distance query
+	RankPruned int64 // settled vertices cut by the rank query (PLaNT: by an ancestor above the Common Label Table's bound)
+	DistPruned int64 // settled vertices cut by a distance query
 
 	CleanQueries int64 // cleaning queries evaluated
 	CleanEntries int64 // label entries their merge-joins touched
@@ -133,14 +140,24 @@ func Sum(stats []Stats) Stats {
 	return total
 }
 
-// Tree is Algorithm 1: the pruned Dijkstra from root h over g. A popped
-// vertex v at tentative distance δ is cut — no label, no relaxation — when
-// rankQuery is set and v outranks h, or when covered(v, δ) says an existing
-// hub already covers the pair (h, v) within δ; otherwise emit(v, δ) receives
+// Tree is Algorithm 1: the pruned Dijkstra from root h over g. A settled
+// vertex v at distance δ is cut — no label, no relaxation — when rankQuery
+// is set and v outranks h, or when covered(v, δ) says an existing hub
+// already covers the pair (h, v) within δ; otherwise emit(v, δ) receives
 // the label and v's edges are relaxed. δ counts units of g's 2^-k, and emit
 // receives it as a label distance, refusing 2^32 units or more (label.Units).
 // The root is never queried. covered and emit run on the calling goroutine,
-// in ascending distance order.
+// in bucket order: by distance, up to the order of the distances that share
+// a bucket.
+//
+// The tree settles a bucket of s.Win at a time, with buckets 2^⌊log₂ w_min⌋
+// units wide (w_min the lightest arc): every relaxation lands in a later
+// bucket, so a vertex's distance is final when its bucket is reached, and
+// each vertex settles once, at that distance, whatever the order within
+// the bucket. The cuts read no label the tree has emitted: the root's
+// labels are hashed before it starts, and a vertex is queried before it
+// has a label of its own. So the labels and every counter are those of a
+// heap-ordered pruned Dijkstra (FuzzTree).
 //
 // The rank query is what makes a racy labeling respect R (Claim 1) and
 // therefore cleanable: a vertex ranked above the root gets no label even
@@ -149,34 +166,44 @@ func Tree(g *graph.Graph, h int, s *Scratch, rankQuery bool,
 	covered func(v int, dist uint64) bool, emit func(v int, dist uint32)) Stats {
 	var st Stats
 	k := g.WeightUnitExp()
-	s.Start(h)
-	for !s.Heap.Empty() {
-		v, dv := s.Heap.Pop()
-		st.Explored++
-		if rankQuery && v < h { // Rank Query (Alg. 1 line 5)
-			st.RankPruned++
-			continue
-		}
-		if v != h { // Distance Query (Alg. 1 line 6)
-			st.Queries++
-			if covered(v, dv) {
-				st.DistPruned++
+	s.Reset(h)
+	dist, win := s.Dist, s.Win
+	win.Start(g.MinUnits())
+	win.Queue(h, 0)
+	for more := true; more; more = win.Next(dist) {
+		// Every relaxation lands in a later bucket, so this one does not
+		// grow while it is settled.
+		for _, e := range win.Bucket() {
+			v, dv := int(e.V), e.D
+			if dv != dist[v] {
+				continue // improved since it was queued here
+			}
+			st.Explored++
+			if rankQuery && v < h { // Rank Query (Alg. 1 line 5)
+				st.RankPruned++
 				continue
 			}
-		}
-		emit(v, label.Units(v, uint32(h), dv, k))
-		st.Labels++
-		heads, wts := g.Neighbors(v)
-		for i, uu := range heads {
-			u := int(uu)
-			nd := dv + uint64(wts[i])
-			st.Relaxed++
-			if nd < s.Dist[u] {
-				if s.Dist[u] == graph.Unreached {
-					s.Dirty = append(s.Dirty, int32(uu))
+			if v != h { // Distance Query (Alg. 1 line 6)
+				st.Queries++
+				if covered(v, dv) {
+					st.DistPruned++
+					continue
 				}
-				s.Dist[u] = nd
-				s.Heap.Push(u, nd)
+			}
+			emit(v, label.Units(v, uint32(h), dv, k))
+			st.Labels++
+			heads, wts := g.Neighbors(v)
+			st.Relaxed += int64(len(heads))
+			for i, uu := range heads {
+				u := int(uu)
+				nd := dv + uint64(wts[i])
+				if du := dist[u]; nd < du {
+					if du == graph.Unreached {
+						s.Dirty = append(s.Dirty, int32(uu))
+					}
+					dist[u] = nd
+					win.Queue(u, nd)
+				}
 			}
 		}
 	}

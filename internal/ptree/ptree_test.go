@@ -15,13 +15,16 @@ import (
 // TestKernelReproducesSequentialPLL pins the kernel to the reference, counter
 // for counter: driven one root at a time with rank queries, the live index as
 // the distance-query table and Index.Append as the sink, ptree.Tree is
-// sequential PLL — the same labels from the same pops, queries, prunes and
-// relaxations as pll.Sequential's own (separate) loop.
+// sequential PLL — the same labels and counters (explored vertices, queries,
+// prunes, relaxations) as pll.Sequential's own (separate) loop, which pops
+// its heap while Tree settles a bucket at a time. On the unit grid every
+// bucket holds a whole distance class, ties as many as they can be.
 func TestKernelReproducesSequentialPLL(t *testing.T) {
 	graphs := map[string]*graph.Graph{
-		"ba":   graph.BarabasiAlbert(200, 3, 1),
-		"grid": graph.RoadGrid(12, 11, 2),
-		"er":   graph.ErdosRenyi(150, 260, 6, 3), // disconnected
+		"ba":        graph.BarabasiAlbert(200, 3, 1),
+		"grid":      graph.RoadGrid(12, 11, 2),
+		"er":        graph.ErdosRenyi(150, 260, 6, 3), // disconnected
+		"unit grid": unitGrid(13, 12),
 	}
 	for name, g := range graphs {
 		want, wm := pll.Sequential(g, pll.Options{})
@@ -56,6 +59,24 @@ func TestKernelReproducesSequentialPLL(t *testing.T) {
 			}
 		}
 	}
+}
+
+// unitGrid is a rows×cols lattice whose edges all weigh 1.
+func unitGrid(rows, cols int) *graph.Graph {
+	b := graph.NewBuilder(rows*cols, false)
+	for v := 0; v < rows*cols; v++ {
+		if v%cols+1 < cols {
+			b.AddEdge(v, v+1, 1)
+		}
+		if v+cols < rows*cols {
+			b.AddEdge(v, v+cols, 1)
+		}
+	}
+	g, err := b.Finish()
+	if err != nil {
+		panic(err)
+	}
+	return g
 }
 
 // TestRedundant covers the cases the cleaning query's three ancestors agreed

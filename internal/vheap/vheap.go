@@ -5,14 +5,14 @@
 // of buckets in front of such a heap.
 //
 // The heap is popped by the searches whose result follows the exact order
-// of their pops, or that are kept independent of the window: the trees of
-// internal/ptree (paraPLL's labels depend on tie order), pll.Sequential,
-// the reference builder, Brandes in internal/order, whose float sums
-// follow tie order, and internal/sssp's PointToPoint.
+// of their pops, or that are kept independent of the window:
+// pll.Sequential, the reference builder, Brandes in internal/order, whose
+// float sums follow tie order, and internal/sssp's PointToPoint.
 // The window serves the searches that settle a bucket at a time:
-// internal/sssp's search behind every plain distance row, and PLaNT's
-// trees (plant.Tree). It parks the distances beyond its end on the heap
-// and pulls them back with PopBelow.
+// internal/sssp's search behind every plain distance row, and the trees of
+// every pruned-Dijkstra builder (ptree.Tree, plant.Tree), one window per
+// worker's ptree.Scratch. It parks the distances beyond its end on the
+// heap and pulls them back with PopBelow.
 //
 // Keys are distances in units of the graph's 2^-k (internal/graph). An
 // entry sits in bucket bits.Len64(key ^ floor), where floor is the last
