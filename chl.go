@@ -3,11 +3,11 @@ package chl
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/dist"
 	"repro/internal/gll"
 	"repro/internal/label"
-	"repro/internal/lcc"
 	"repro/internal/metrics"
 	"repro/internal/order"
 	"repro/internal/plant"
@@ -76,6 +76,8 @@ type Options struct {
 	Workers int
 
 	// Alpha is GLL's synchronization threshold (0 = 4, per Figure 5).
+	// +Inf is LCC (§4.1): one superstep takes every root and is cleaned
+	// once, at the end. AlgoLCC is AlgoGLL at +Inf.
 	Alpha float64
 
 	// Nodes is the simulated cluster size q for distributed algorithms
@@ -158,7 +160,7 @@ func Build(g *Graph, opt Options) (ix *Index, err error) {
 	case AlgoSParaPLL:
 		ix.fwd, ix.metrics = pll.SParaPLL(rg, pll.Options{Workers: opt.Workers})
 	case AlgoLCC:
-		ix.fwd, ix.metrics = lcc.Run(rg, lcc.Options{Workers: opt.Workers})
+		ix.fwd, ix.metrics = gll.Run(rg, gll.Options{Workers: opt.Workers, Alpha: math.Inf(1)})
 	case AlgoGLL:
 		ix.fwd, ix.metrics = gll.Run(rg, gll.Options{Workers: opt.Workers, Alpha: opt.Alpha})
 	case AlgoPLaNT, "":
@@ -245,7 +247,7 @@ func (ix *Index) Query(u, v int) float64 {
 
 // QueryHub additionally reports the witness hub (as an original vertex id).
 func (ix *Index) QueryHub(u, v int) (dist float64, hub int, ok bool) {
-	d, h, ok := label.QueryMerge(ix.fwd.Labels(ix.rank[u]), ix.bwd.Labels(ix.rank[v]))
+	d, h, ok := label.JoinPacked(ix.fwd.Labels(ix.rank[u]), ix.bwd.Labels(ix.rank[v]))
 	if !ok {
 		return d, 0, false
 	}

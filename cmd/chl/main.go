@@ -47,7 +47,7 @@ func run(args []string, stdout io.Writer) error {
 		workers   = fs.Int("workers", 0, "shared-memory workers (0 = GOMAXPROCS)")
 		nodes     = fs.Int("nodes", 4, "cluster nodes q for distributed algorithms")
 		wpn       = fs.Int("workers-per-node", 1, "threads per cluster node")
-		alpha     = fs.Float64("alpha", 0, "GLL synchronization threshold α (0 = 4)")
+		alpha     = fs.Float64("alpha", 0, "GLL synchronization threshold α (0 = 4; +Inf cleans once, at the end: LCC)")
 		eta       = fs.Int("eta", 0, "common label table η of plant, dplant, hybrid and dgll: 0 = grow it batch by batch (dgll: none), η > 0 = the top η trees only (16 in the paper), -1 = off")
 		psi       = fs.Float64("psi", 0, "Hybrid switch threshold Ψth (0 = 100)")
 		seed      = fs.Int64("seed", 1, "seed for generation and ranking")

@@ -21,7 +21,8 @@
 //     but NOT canonical (redundant labels grow with the thread count).
 //   - AlgoLCC — parallel Label Construction and Cleaning (§4.1): rank
 //     queries make optimistic parallel mistakes recoverable; a cleaning
-//     pass deletes them. Output: the CHL.
+//     pass deletes them. Output: the CHL. It is AlgoGLL with Alpha = +Inf:
+//     one superstep, cleaned once.
 //   - AlgoGLL — Global Local Labeling (§4.2): interleaved cleaning against
 //     a small local table, lock-free global reads. Output: the CHL.
 //   - AlgoPLaNT — "Prune Labels and (do) Not (prune) Trees" (§5.2):

@@ -30,7 +30,6 @@ var forbiddenTimeFuncs = map[string]bool{
 // only report fake results; they are outside the invariant.
 var measuredPackages = map[string]bool{
 	"internal/pll":   true,
-	"internal/lcc":   true,
 	"internal/gll":   true,
 	"internal/plant": true,
 	"internal/dist":  true,

@@ -69,7 +69,6 @@ func TestAppliesTo(t *testing.T) {
 		{Clockcheck, "internal/delta", true},
 		{Clockcheck, "internal/ptree", true}, // not on the list: checked by default
 		{Clockcheck, "internal/pll", false},
-		{Clockcheck, "internal/lcc", false},
 		{Clockcheck, "internal/gll", false},
 		{Clockcheck, "internal/plant", false},
 		{Clockcheck, "internal/dist", false},

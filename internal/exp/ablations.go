@@ -2,10 +2,10 @@ package exp
 
 import (
 	"io"
+	"math"
 
 	"repro/internal/dist"
 	"repro/internal/gll"
-	"repro/internal/lcc"
 )
 
 // The ablations quantify two design decisions:
@@ -141,7 +141,7 @@ func AblationTwoTables(cfg Config) []TwoTableRow {
 	var rows []TwoTableRow
 	for _, ds := range Suite(false) {
 		p := cfg.prepare(ds)
-		_, lm := lcc.Run(p.ranked, lcc.Options{Workers: cfg.Workers, Profile: true})
+		_, lm := gll.Run(p.ranked, gll.Options{Workers: cfg.Workers, Alpha: math.Inf(1), Profile: true}) // LCC
 		_, gm := gll.Run(p.ranked, gll.Options{Workers: cfg.Workers, Profile: true})
 		rows = append(rows, TwoTableRow{Dataset: ds.Name, LCCLocks: lm.LockAcquisitions, GLLLocks: gm.LockAcquisitions})
 	}

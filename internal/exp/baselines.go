@@ -11,14 +11,13 @@ import (
 
 // QueryBaselineRow quantifies the paper's motivating claim (§1): traversal
 // algorithms answer PPSD queries orders of magnitude slower than a hub
-// label merge-join. All four methods return identical (exact) distances —
+// label merge-join. All three methods return identical (exact) distances —
 // the tests assert it — so the comparison is purely about time per query.
 type QueryBaselineRow struct {
 	Dataset       string
 	HubLabelNS    float64 // mean ns/query, label merge-join
 	BidirectNS    float64 // bidirectional Dijkstra
 	DijkstraNS    float64 // full single-source Dijkstra
-	DeltaStepNS   float64 // delta-stepping
 	SpeedupVsBest float64 // best traversal / hub label
 }
 
@@ -54,16 +53,8 @@ func QueryBaselines(cfg Config) []QueryBaselineRow {
 		row.HubLabelNS = timeIt(func(u, v int) float64 { return ix.Query(u, v) })
 		row.BidirectNS = timeIt(func(u, v int) float64 { return sssp.PointToPoint(p.ranked, u, v) })
 		row.DijkstraNS = timeIt(func(u, v int) float64 { return sssp.Dijkstra(p.ranked, u)[v] })
-		row.DeltaStepNS = timeIt(func(u, v int) float64 { return sssp.DeltaStepping(p.ranked, u, 0)[v] })
-		best := row.BidirectNS
-		if row.DijkstraNS < best {
-			best = row.DijkstraNS
-		}
-		if row.DeltaStepNS < best {
-			best = row.DeltaStepNS
-		}
 		if row.HubLabelNS > 0 {
-			row.SpeedupVsBest = best / row.HubLabelNS
+			row.SpeedupVsBest = min(row.BidirectNS, row.DijkstraNS) / row.HubLabelNS
 		}
 		rows = append(rows, row)
 	}
@@ -73,9 +64,9 @@ func QueryBaselines(cfg Config) []QueryBaselineRow {
 // WriteQueryBaselines renders the comparison.
 func WriteQueryBaselines(w io.Writer, rows []QueryBaselineRow) {
 	section(w, "Intro claim: PPSD query cost — hub labels vs traversal algorithms (ns/query)")
-	t := newTable("Dataset", "hub labels", "bidir Dijkstra", "Dijkstra", "delta-stepping", "speedup vs best traversal")
+	t := newTable("Dataset", "hub labels", "bidir Dijkstra", "Dijkstra", "speedup vs best traversal")
 	for _, r := range rows {
-		t.row(r.Dataset, r.HubLabelNS, r.BidirectNS, r.DijkstraNS, r.DeltaStepNS, r.SpeedupVsBest)
+		t.row(r.Dataset, r.HubLabelNS, r.BidirectNS, r.DijkstraNS, r.SpeedupVsBest)
 	}
 	t.write(w)
 }

@@ -2,11 +2,11 @@ package exp
 
 import (
 	"io"
+	"math"
 	"time"
 
 	"repro/internal/dist"
 	"repro/internal/gll"
-	"repro/internal/lcc"
 	"repro/internal/plant"
 	"repro/internal/pll"
 )
@@ -271,7 +271,7 @@ func Figure7(cfg Config) []Figure7Row {
 	for _, ds := range Suite(false) {
 		p := cfg.prepare(ds)
 		_, gm := gll.Run(p.ranked, gll.Options{Workers: cfg.Workers})
-		_, lm := lcc.Run(p.ranked, lcc.Options{Workers: cfg.Workers})
+		_, lm := gll.Run(p.ranked, gll.Options{Workers: cfg.Workers, Alpha: math.Inf(1)}) // LCC
 		gt := gm.TotalTime.Seconds()
 		rows = append(rows, Figure7Row{
 			Dataset:         ds.Name,

@@ -2,10 +2,10 @@ package exp
 
 import (
 	"io"
+	"math"
 	"time"
 
 	"repro/internal/gll"
-	"repro/internal/lcc"
 	"repro/internal/pll"
 )
 
@@ -47,7 +47,7 @@ func Table3(cfg Config) []Table3Row {
 			row.SeqSkipped = true
 		}
 
-		lccIx, lccM := lcc.Run(p.ranked, lcc.Options{Workers: cfg.Workers})
+		lccIx, lccM := gll.Run(p.ranked, gll.Options{Workers: cfg.Workers, Alpha: math.Inf(1)}) // LCC
 		row.LCCTime = lccM.TotalTime
 
 		gllIx, gllM := gll.Run(p.ranked, gll.Options{Workers: cfg.Workers})

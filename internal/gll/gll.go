@@ -21,10 +21,17 @@
 // appended to a vertex's global set, never merged into it. A global set only
 // ever grows at its end; what an earlier superstep committed stays in place.
 //
+// LCC (§4.1) is GLL at α = +Inf: the budget is never spent, so the one
+// superstep builds every tree with rank queries against one locked table —
+// the local one, beside an empty global table — which is LCC-I, and its one
+// cleaning pass runs over the full sets, which is LCC-II. Run names such a
+// build "LCC".
+//
 // The package operates in rank space (vertex 0 = highest rank).
 package gll
 
 import (
+	"math"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -45,7 +52,7 @@ type Options struct {
 	Workers int
 	// Alpha is the synchronization threshold: a superstep's construction
 	// phase ends once α·n labels sit in the local table. Zero means
-	// DefaultAlpha.
+	// DefaultAlpha; +Inf is LCC (package doc).
 	Alpha float64
 	// Profile enables lock-acquisition counting on the local table (the
 	// two-table ablation).
@@ -56,14 +63,18 @@ func (o Options) normalize() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.Alpha <= 0 {
+	if !(o.Alpha > 0) { // NaN too
 		o.Alpha = DefaultAlpha
 	}
 	return o
 }
 
 // Run executes GLL and returns the CHL for the identity rank order of g.
+// At Alpha = +Inf that is LCC, and the build record says so.
 func Run(g *graph.Graph, opts Options) (*label.Index, *metrics.Build) {
+	if math.IsInf(opts.Alpha, 1) {
+		return run(g, opts, "LCC", false)
+	}
 	return run(g, opts, "GLL", false)
 }
 
@@ -153,7 +164,11 @@ func (st *State) Superstep(m *metrics.Build) {
 // the cleaning correctness argument needs).
 func (st *State) roots(tree func(w, h int) ptree.Stats) ptree.Stats {
 	n := st.g.NumVertices()
-	budget := max(int64(st.opts.Alpha*float64(n)), 1)
+	// α·n saturates at MaxInt64, a budget no run spends (α = +Inf: LCC).
+	budget := int64(math.MaxInt64)
+	if b := st.opts.Alpha * float64(n); b < math.MaxInt64 {
+		budget = max(int64(b), 1)
+	}
 	var generated atomic.Int64
 	stats := make([]ptree.Stats, st.opts.Workers)
 	// One task per worker; each loops until the budget is spent.
@@ -191,9 +206,10 @@ func (st *State) tree(w, h int) ptree.Stats {
 // the label. Hence every possible witness for a local label is itself
 // local×local, the cleaning query joins only the two local sets, and a
 // cleaning step performs O(n·α²) work (the paper's bound) no matter how
-// large the committed global tables have grown — LCC, by contrast, rescans
-// the full final sets for every label. The commit is an append (package
-// doc), so it too touches only the superstep's own labels.
+// large the committed global tables have grown — LCC, the one superstep of
+// α = +Inf, by contrast rescans the full final sets for every label. The
+// commit is an append (package doc), so it too touches only the
+// superstep's own labels.
 func (st *State) cleanAndCommit() ptree.Stats {
 	locals := st.local.Drain()
 	st.sortAll(locals)

@@ -1,6 +1,7 @@
 package gll
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -23,6 +24,53 @@ func TestRunProducesCHL(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestLCCProducesCHL: at α = +Inf, Run is LCC — one superstep whose one
+// cleaning pass deletes exactly the labels the racy construction generated
+// beyond the CHL.
+func TestLCCProducesCHL(t *testing.T) {
+	for seed := int64(0); seed < 5; seed++ {
+		g := graph.ErdosRenyi(50, 120, 6, seed)
+		for _, workers := range []int{1, 2, 8} {
+			ix, m := Run(g, Options{Workers: workers, Alpha: math.Inf(1)})
+			if err := verify.IsCHL(g, ix); err != nil {
+				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
+			}
+			if m.Algorithm != "LCC" || m.Synchronizations != 1 {
+				t.Fatalf("seed %d workers %d: %s in %d supersteps, want LCC in 1", seed, workers, m.Algorithm, m.Synchronizations)
+			}
+			if m.LabelsCleaned != m.LabelsGenerated-m.Labels {
+				t.Fatalf("cleaned accounting off: %d != %d-%d", m.LabelsCleaned, m.LabelsGenerated, m.Labels)
+			}
+		}
+	}
+}
+
+// TestUnboundedBudgetIsOneSuperstep: an α·n at or past 2^63 saturates the
+// label budget instead of overflowing the conversion, so the first
+// superstep takes every root.
+func TestUnboundedBudgetIsOneSuperstep(t *testing.T) {
+	g := graph.RoadGrid(8, 8, 1)
+	for _, alpha := range []float64{math.Inf(1), 1e30} {
+		st := NewState(g, Options{Workers: 2, Alpha: alpha})
+		st.Superstep(&metrics.Build{})
+		if !st.Done() || st.Steps() != 1 {
+			t.Fatalf("α=%v: done=%v after %d supersteps, want every root in 1", alpha, st.Done(), st.Steps())
+		}
+	}
+}
+
+// TestLCCPhaseTimers: both phases of Figure 7's LCC breakdown are timed.
+func TestLCCPhaseTimers(t *testing.T) {
+	g := graph.RoadGrid(8, 8, 1)
+	_, m := Run(g, Options{Workers: 2, Alpha: math.Inf(1)})
+	if m.ConstructTime <= 0 || m.CleanTime <= 0 {
+		t.Fatalf("phase timers empty: construct=%v clean=%v", m.ConstructTime, m.CleanTime)
+	}
+	if m.TotalTime < m.ConstructTime+m.CleanTime {
+		t.Fatalf("total %v < construct %v + clean %v", m.TotalTime, m.ConstructTime, m.CleanTime)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // per-vertex hub sets are drawn from [0, n) with the given density.
 // Distances count half units (k = 1) and mix small integers, halves,
 // values past 2^24 (which float32 could not hold, a uint32 count can) and
-// the occasional 0, so the frozen kernels can be held to QueryMerge on the
+// the occasional 0, so the frozen kernels can be held to bruteJoin on the
 // sets themselves.
 func randomLabelIndex(rng *rand.Rand, n int, density float64) *Index {
 	ix := NewIndex(n, 1)

@@ -62,7 +62,7 @@ func (ix *Index) Query(u, v int) float64 {
 
 // QueryHub answers the PPSD query and also reports the witness hub.
 func (ix *Index) QueryHub(u, v int) (float64, uint32, bool) {
-	d, hub, ok := QueryMerge(ix.sets[u], ix.sets[v])
+	d, hub, ok := JoinPacked(ix.sets[u], ix.sets[v])
 	return FromUnits(d, ix.k), hub, ok
 }
 
@@ -173,6 +173,6 @@ type DirectedIndex struct {
 
 // Query answers the directed PPSD query u→v.
 func (dx *DirectedIndex) Query(u, v int) float64 {
-	d, _, _ := QueryMerge(dx.Forward.Labels(u), dx.Backward.Labels(v))
+	d, _, _ := JoinPacked(dx.Forward.Labels(u), dx.Backward.Labels(v))
 	return FromUnits(d, dx.Forward.k)
 }

@@ -8,9 +8,11 @@ import "sync"
 // (JoinPackedWith), the one-to-many hash join (ScatterRun + Probe /
 // ProbeCompressed) and, in compressed.go, the merge over the compressed
 // encoding's varint streams (JoinCompressed). Inverted.TopK joins
-// one run against a transposed table, and QueryMerge over Sets is the
-// builder-side reference all of them are tested against. Join is the one
-// place that chooses between the pairwise kernels.
+// one run against a transposed table. JoinPacked also answers the
+// builders' slice labelings (Index, DirectedIndex): a Set is a packed run.
+// The tests hold every kernel to a brute-force minimum that shares none
+// of their loops. Join is the one place that chooses between the
+// pairwise kernels.
 //
 // All of them form d(u,h)+d(h,v) as the same exact sum of two uint32
 // unit counts — below 2^33, so exact in a uint64 or a float64 — and break

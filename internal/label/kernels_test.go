@@ -9,10 +9,32 @@ import (
 
 // One table for every join kernel. checkKernels feeds the same pair of
 // label sets to each surviving kernel — through every entry point, packed
-// and compressed — and holds all of them to QueryMerge, the builder-side
-// reference: == distance, identical witness hub (so identical smallest-hub
-// tie-break), identical reachability. TestJoinKernels runs it over named
-// shapes and random sets, FuzzJoinKernels over byte-steered ones.
+// and compressed — and holds all of them to bruteJoin: == distance,
+// identical witness hub (so identical smallest-hub tie-break), identical
+// reachability. TestJoinKernels runs it over named shapes and random sets,
+// FuzzJoinKernels over byte-steered ones.
+
+// bruteJoin is the reference, and shares no loop with the kernels under
+// test: the minimum of d(u,h)+d(h,v) in units over the hubs b shares with
+// a hub→units map of a, the smallest hub on ties, and ok=false (and
+// Infinity) when there is none.
+func bruteJoin(a, b Set) (dist float64, hub uint32, ok bool) {
+	units := make(map[uint32]uint32, len(a))
+	for _, l := range a {
+		units[Hub(l)] = Dist(l)
+	}
+	dist = Infinity
+	for _, l := range b {
+		du, shared := units[Hub(l)]
+		if !shared {
+			continue
+		}
+		if d := float64(du) + float64(Dist(l)); d < dist || d == dist && Hub(l) < hub {
+			dist, hub, ok = d, Hub(l), true
+		}
+	}
+	return dist, hub, ok
+}
 
 // checkKernels asserts every kernel's answer for the pair (a, b) of label
 // sets, whose hubs must be below n and whose distances count units of
@@ -22,8 +44,8 @@ import (
 // answer in distances themselves.
 func checkKernels(t *testing.T, n, k int, a, b Set) {
 	t.Helper()
-	wantD, wantH, wantOK := QueryMerge(a, b)
-	selfD, _, _ := QueryMerge(a, a)
+	wantD, wantH, wantOK := bruteJoin(a, b)
+	selfD, _, _ := bruteJoin(a, a)
 	wantD, selfD = FromUnits(wantD, k), FromUnits(selfD, k)
 	// Vertex 0 carries a, vertex 1 carries b, every other vertex nothing.
 	ix := NewIndex(n, k)
@@ -43,7 +65,7 @@ func checkKernels(t *testing.T, n, k int, a, b Set) {
 	check := func(kernel string, d float64, h uint32, ok bool) {
 		t.Helper()
 		if ok != wantOK || d != wantD || (ok && h != wantH) {
-			t.Fatalf("%s = (%v, %d, %v), QueryMerge = (%v, %d, %v)\na = %v\nb = %v", kernel, d, h, ok, wantD, wantH, wantOK, a, b)
+			t.Fatalf("%s = (%v, %d, %v), bruteJoin = (%v, %d, %v)\na = %v\nb = %v", kernel, d, h, ok, wantD, wantH, wantOK, a, b)
 		}
 		clean(kernel)
 	}
@@ -267,9 +289,9 @@ func TestJoinCompressedWideHubGaps(t *testing.T) {
 	}
 	for _, p := range [][2]int{{0, 1}, {1, 0}} {
 		d, h, ok := JoinCompressed(c.Run(p[0]), c.Run(p[1]))
-		wd, wh, wok := JoinPacked(runs[p[0]], runs[p[1]])
+		wd, wh, wok := bruteJoin(runs[p[0]], runs[p[1]])
 		if d != wd || h != wh || ok != wok || d != 6 || h != h1 {
-			t.Fatalf("JoinCompressed%v = (%v, %d, %v), JoinPacked = (%v, %d, %v), want (6, %d, true)", p, d, h, ok, wd, wh, wok, h1)
+			t.Fatalf("JoinCompressed%v = (%v, %d, %v), bruteJoin = (%v, %d, %v), want (6, %d, true)", p, d, h, ok, wd, wh, wok, h1)
 		}
 	}
 }

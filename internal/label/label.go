@@ -130,32 +130,6 @@ func (s Set) Merge(other Set) Set {
 	return out
 }
 
-// QueryMerge answers a PPSD query by merge-joining two sorted label sets.
-// It returns the minimum d(u,h)+d(h,v) over common hubs h in units, summed
-// in float64 as the frozen kernels sum (exact below 2^33), the hub
-// achieving it, and ok=false (and Infinity) if the sets share no hub.
-// Among equal-distance witnesses the highest-ranked (smallest id) hub is
-// returned, the "rank priority" used by Lemma 2.
-func QueryMerge(a, b Set) (dist float64, hub uint32, ok bool) {
-	dist = Infinity
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch ha, hb := Hub(a[i]), Hub(b[j]); {
-		case ha < hb:
-			i++
-		case ha > hb:
-			j++
-		default:
-			if d := float64(Dist(a[i])) + float64(Dist(b[j])); d < dist {
-				dist, hub, ok = d, ha, true
-			}
-			i++
-			j++
-		}
-	}
-	return dist, hub, ok
-}
-
 // Validate checks structural invariants (sortedness, a zero self label,
 // hub ids < n) and returns a descriptive error on the first violation.
 // Tests call it on every produced labeling.

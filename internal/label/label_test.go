@@ -3,9 +3,7 @@ package label
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
-	"testing/quick"
 	"unsafe"
 )
 
@@ -48,59 +46,30 @@ func TestMerge(t *testing.T) {
 	}
 }
 
-func TestQueryMerge(t *testing.T) {
-	a := set(Pack(0, 10), Pack(2, 1), Pack(5, 7))
-	b := set(Pack(1, 1), Pack(2, 2), Pack(5, 1))
-	d, hub, ok := QueryMerge(a, b)
-	if !ok || d != 3 || hub != 2 {
-		t.Fatalf("QueryMerge = %v,%d,%v want 3,2,true", d, hub, ok)
-	}
-	// Tie: highest-ranked (smallest id) witness wins.
-	a2 := set(Pack(1, 2), Pack(4, 1))
-	b2 := set(Pack(1, 2), Pack(4, 3))
-	d2, hub2, _ := QueryMerge(a2, b2)
-	if d2 != 4 || hub2 != 1 {
-		t.Fatalf("tie broke to hub %d at %v, want hub 1 at 4", hub2, d2)
-	}
-	if _, _, ok := QueryMerge(set(Pack(1, 1)), set(Pack(2, 1))); ok {
-		t.Fatal("disjoint sets reported a hub")
-	}
-	if d, _, _ := QueryMerge(nil, nil); d != Infinity {
-		t.Fatal("empty query not Infinity")
-	}
-}
-
-// Property: QueryMerge equals a brute-force intersection minimum.
-func TestQueryMergeProperty(t *testing.T) {
-	mk := func(seed int64) Set {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(20)
-		m := map[uint32]uint32{}
-		for i := 0; i < n; i++ {
-			m[uint32(rng.Intn(30))] = uint32(rng.Intn(50))
+// TestIndexQueryHub: the builders' Index answers through JoinPacked, in
+// distances, with the smallest hub on ties and Infinity for no common hub.
+func TestIndexQueryHub(t *testing.T) {
+	ix := NewIndex(8, 1) // half units
+	ix.SetLabels(0, set(Pack(0, 0), Pack(2, 1), Pack(5, 7)))
+	ix.SetLabels(1, set(Pack(0, 20), Pack(1, 0), Pack(2, 2), Pack(5, 1)))
+	ix.SetLabels(3, set(Pack(1, 2), Pack(3, 0), Pack(4, 4)))
+	ix.SetLabels(4, set(Pack(1, 2), Pack(4, 0)))
+	ix.SetLabels(6, set(Pack(6, 0)))
+	for _, c := range []struct {
+		u, v int
+		d    float64
+		hub  uint32
+		ok   bool
+	}{
+		{0, 1, 1.5, 2, true},
+		{3, 4, 2, 1, true}, // hubs 1 and 4 both sum to 4 units: 1 wins
+		{0, 6, Infinity, 0, false},
+		{6, 6, 0, 6, true},
+		{7, 7, Infinity, 0, false},
+	} {
+		if d, hub, ok := ix.QueryHub(c.u, c.v); d != c.d || ok != c.ok || ok && hub != c.hub {
+			t.Errorf("QueryHub(%d, %d) = %v,%d,%v, want %v,%d,%v", c.u, c.v, d, hub, ok, c.d, c.hub, c.ok)
 		}
-		s := make(Set, 0, len(m))
-		for h, d := range m {
-			s = append(s, Pack(h, d))
-		}
-		sort.Slice(s, func(i, j int) bool { return Hub(s[i]) < Hub(s[j]) })
-		return s
-	}
-	prop := func(sa, sb int64) bool {
-		a, b := mk(sa), mk(sb)
-		want := Infinity
-		for _, la := range a {
-			for _, lb := range b {
-				if d := float64(Dist(la) + Dist(lb)); Hub(la) == Hub(lb) && d < want {
-					want = d
-				}
-			}
-		}
-		got, _, _ := QueryMerge(a, b)
-		return got == want
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 

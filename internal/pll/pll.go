@@ -160,7 +160,7 @@ func SParaPLL(g *graph.Graph, opts Options) (*label.Index, *metrics.Build) {
 	m := &metrics.Build{Algorithm: "SparaPLL", Workers: opts.Workers, Trees: int64(g.NumVertices())}
 	store := label.NewConcurrentStore(g.NumVertices())
 	start := time.Now()
-	m.Fold(ptree.LiveForest(g, store, opts.Workers, false))
+	m.Fold(ptree.LiveForest(g, store, opts.Workers))
 	ix := store.Seal(g.WeightUnitExp())
 	m.ConstructTime = time.Since(start)
 	m.TotalTime = m.ConstructTime

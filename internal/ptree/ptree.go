@@ -4,10 +4,11 @@
 //   - Tree is Algorithm 1 (pruneDijRQ): one pruned Dijkstra, varied at the
 //     three points the paper varies it at — is the rank query asked, which
 //     table answers the distance query (covered), where does the label go
-//     (emit). paraPLL, LCC, GLL, DparaPLL and DGLL differ in those
-//     arguments and in when they synchronize, nothing else.
+//     (emit). paraPLL, GLL (and LCC, its α = +Inf case), DparaPLL and DGLL
+//     differ in those arguments and in when they synchronize, nothing else.
 //     The two table regimes the paper uses are here as well: LiveForest
-//     (one locked table) and TwoTableTree (lock-free global + locked local).
+//     (paraPLL's one locked table) and TwoTableTree (lock-free global +
+//     locked local; with an empty global table, LCC's one locked table).
 //   - Redundant is the cleaning query DQ_Clean of Algorithm 2, and Clean the
 //     pass that applies it to whole label sets.
 //
@@ -210,13 +211,12 @@ func Tree(g *graph.Graph, h int, s *Scratch, rankQuery bool,
 	return st
 }
 
-// LiveForest builds the trees of all roots concurrently against — and
-// into — one store locked per vertex: a root's labels are hashed when its
-// tree starts, the distance query joins them with v's labels of the moment,
-// and the label is appended on the spot. This is the construction regime of
-// paraPLL (rankQuery false: cover property only, redundancy grows with
-// workers), and of LCC-I (true: the output respects R, so cleaning turns
-// it into the CHL).
+// LiveForest builds the trees of all roots concurrently, without rank
+// queries, against — and into — one store locked per vertex: a root's
+// labels are hashed when its tree starts, the distance query joins them
+// with v's labels of the moment, and the label is appended on the spot.
+// This is the construction regime of paraPLL: the cover property only,
+// with redundancy that grows with workers.
 //
 // Roots are claimed in rank order, and a root's labels are hashed before
 // the next root can be claimed. Without rank queries a lower-ranked tree
@@ -224,7 +224,7 @@ func Tree(g *graph.Graph, h int, s *Scratch, rankQuery bool,
 // vertex through that lower hub and drop a CHL label. Hashed first, every
 // hub that prunes h's tree outranks h, so paraPLL's output holds the CHL
 // and only adds redundant labels to it.
-func LiveForest(g *graph.Graph, store *label.ConcurrentStore, workers int, rankQuery bool) Stats {
+func LiveForest(g *graph.Graph, store *label.ConcurrentStore, workers int) Stats {
 	n := g.NumVertices()
 	scr := NewScratches(workers, n)
 	stats := make([]Stats, workers)
@@ -245,7 +245,7 @@ func LiveForest(g *graph.Graph, store *label.ConcurrentStore, workers int, rankQ
 			if h >= n {
 				return
 			}
-			stats[w].Add(Tree(g, h, s, rankQuery,
+			stats[w].Add(Tree(g, h, s, false,
 				func(v int, dist uint64) bool { return store.QueryAgainst(&s.HD, v, dist) },
 				func(v int, dist uint32) { store.Append(v, label.Pack(uint32(h), dist)) }))
 		}
@@ -258,8 +258,9 @@ func LiveForest(g *graph.Graph, store *label.ConcurrentStore, workers int, rankQ
 // receives the tree's labels. The root's labels in both are hashed first;
 // distance queries consult global, then local (footnote 4: "the Label
 // Construction step uses both global and local table to answer distance
-// queries"). DGLL and DparaPLL run it on every node, the replicated table as
-// global — DparaPLL without rank queries (§3).
+// queries"). GLL runs it with rank queries (LCC-I, at α = +Inf, over a
+// global table that stays empty); DGLL and DparaPLL run it on every node,
+// the replicated table as global — DparaPLL without rank queries (§3).
 func TwoTableTree(g *graph.Graph, h int, s *Scratch, rankQuery bool, global []label.Set, local *label.ConcurrentStore) Stats {
 	s.HD.Load(global[h])
 	local.AddTo(&s.HD, h)

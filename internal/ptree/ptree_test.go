@@ -10,6 +10,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/pll"
 	"repro/internal/ptree"
+	"repro/internal/verify"
 )
 
 // TestKernelReproducesSequentialPLL pins the kernel to the reference, counter
@@ -123,14 +124,8 @@ func TestRedundant(t *testing.T) {
 // the strides together decide what (0, 1) decides, and sets is not written.
 func TestCleanStride(t *testing.T) {
 	g := graph.RoadGrid(9, 9, 4)
-	store := label.NewConcurrentStore(g.NumVertices())
-	ptree.LiveForest(g, store, 4, true)
-	dirty := store.Seal(g.WeightUnitExp())
-	sets := make([]label.Set, g.NumVertices())
-	for v := range sets {
-		sets[v] = dirty.Labels(v)
-	}
-	before := dirty.Clone()
+	sets, _ := lccI(g, 4)
+	before := label.FromSets(sets, g.WeightUnitExp()).Clone()
 
 	whole := make([]label.Set, len(sets))
 	wst := ptree.Clean(whole, sets, 3, 0, 1)
@@ -168,13 +163,7 @@ func TestCleanStride(t *testing.T) {
 // it: a prefix already there is kept, untouched, ahead of them.
 func TestCleanAppends(t *testing.T) {
 	g := graph.RoadGrid(9, 9, 4)
-	store := label.NewConcurrentStore(g.NumVertices())
-	ptree.LiveForest(g, store, 2, true)
-	dirty := store.Seal(g.WeightUnitExp())
-	sets := make([]label.Set, g.NumVertices())
-	for v := range sets {
-		sets[v] = dirty.Labels(v)
-	}
+	sets, _ := lccI(g, 2)
 	fresh := make([]label.Set, len(sets))
 	ptree.Clean(fresh, sets, 2, 0, 1)
 
@@ -188,6 +177,106 @@ func TestCleanAppends(t *testing.T) {
 		if want := append(prefix.Clone(), fresh[v]...); !slices.Equal(dst[v], want) {
 			t.Fatalf("vertex %d: %v, want %v", v, dst[v], want)
 		}
+	}
+}
+
+// lccI is LCC-I, the labeling the cleaning pass is for: every root's tree,
+// rank-queried, run concurrently by TwoTableTree into one locked table
+// beside an empty global table, as GLL's one superstep at α = +Inf runs
+// them. It returns the sorted sets and the trees' stats.
+func lccI(g *graph.Graph, workers int) ([]label.Set, ptree.Stats) {
+	n := g.NumVertices()
+	global, local := make([]label.Set, n), label.NewConcurrentStore(n)
+	scr := ptree.NewScratches(workers, n)
+	stats := make([]ptree.Stats, workers)
+	ptree.ParallelFor(workers, n, func(w, h int) {
+		stats[w].Add(ptree.TwoTableTree(g, h, scr[w], true, global, local))
+	})
+	return setsOf(local.Seal(g.WeightUnitExp())), ptree.Sum(stats)
+}
+
+// setsOf returns the label sets of ix, indexed by vertex.
+func setsOf(ix *label.Index) []label.Set {
+	s := make([]label.Set, ix.NumVertices())
+	for v := range s {
+		s[v] = ix.Labels(v)
+	}
+	return s
+}
+
+// TestLCCIRespectsR: before cleaning, the racy labeling already respects R
+// and covers every pair (Claim 1), and cleaning it gives the CHL.
+func TestLCCIRespectsR(t *testing.T) {
+	g := graph.ErdosRenyi(45, 100, 5, 9)
+	dirty, st := lccI(g, 4)
+	ix := label.FromSets(dirty, g.WeightUnitExp())
+	if err := verify.Cover(g, ix, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := verify.RespectsR(g, ix, 0); err != nil {
+		t.Fatal(err)
+	}
+	if st.RankPruned == 0 && st.DistPruned == 0 {
+		t.Fatal("no pruning recorded at all")
+	}
+	clean := make([]label.Set, len(dirty))
+	ptree.Clean(clean, dirty, 4, 0, 1)
+	if err := verify.IsCHL(g, label.FromSets(clean, g.WeightUnitExp())); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCleanRemovesInjectedRedundancy takes the CHL and injects labels a
+// labeling respecting R could hold (true distances, hub not the path
+// maximum): Clean must delete exactly those and restore the CHL.
+func TestCleanRemovesInjectedRedundancy(t *testing.T) {
+	g := graph.RoadGrid(6, 6, 3)
+	chl, _ := pll.Sequential(g, pll.Options{})
+	dirty := chl.Clone()
+	injected := 0
+	n := g.NumVertices()
+	for v := 0; v < n; v += 3 {
+		for h := 1; h < n; h += 7 {
+			if h == v {
+				continue
+			}
+			if _, ok := dirty.Labels(v).Find(uint32(h)); ok {
+				continue
+			}
+			d := chl.Query(v, h) // exact: the CHL covers every pair
+			if d == label.Infinity {
+				continue
+			}
+			dirty.Append(v, label.Pack(uint32(h), uint32(d))) // integer weights: the unit is 1
+			injected++
+		}
+	}
+	if injected == 0 {
+		t.Fatal("test vacuous: nothing injected")
+	}
+	clean := make([]label.Set, n)
+	st := ptree.Clean(clean, setsOf(dirty), 4, 0, 1)
+	if st.Cleaned != int64(injected) {
+		t.Fatalf("cleaned %d, injected %d", st.Cleaned, injected)
+	}
+	if diff := chl.Diff(label.FromSets(clean, g.WeightUnitExp())); diff != "" {
+		t.Fatalf("cleaning did not restore the CHL: %s", diff)
+	}
+	if st.CleanQueries == 0 {
+		t.Fatal("no cleaning queries recorded")
+	}
+}
+
+// TestCleanKeepsCHLIntact: the CHL is minimal, so Clean deletes nothing.
+func TestCleanKeepsCHLIntact(t *testing.T) {
+	g := graph.BarabasiAlbert(80, 3, 2)
+	chl, _ := pll.Sequential(g, pll.Options{})
+	clean := make([]label.Set, g.NumVertices())
+	if st := ptree.Clean(clean, setsOf(chl), 4, 0, 1); st.Cleaned != 0 {
+		t.Fatalf("Clean deleted %d labels from a minimal labeling", st.Cleaned)
+	}
+	if diff := chl.Diff(label.FromSets(clean, g.WeightUnitExp())); diff != "" {
+		t.Fatal(diff)
 	}
 }
 

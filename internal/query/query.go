@@ -27,7 +27,7 @@
 // in the root package and internal/label and is measured by bench/.
 //
 // These modelled engines are kept for one artefact: the Table 4 row of
-// README's "Reproducing the paper's evaluation" (exp.Table4, `cmd/experiments`, `chlquery -mode qlsn|qfdl|qdol`) — the
+// README's "Reproducing the paper's evaluation" (exp.Table4 and `cmd/experiments`, all three modes; `chlquery -bench -mode qlsn|qdol`, without the per-node partitions QFDL needs) — the
 // paper's QLSN/QFDL/QDOL latency, throughput and memory comparison at
 // q = 16, whose orderings TestTable4Shape pins. Nothing else in README
 // needs them; if that table goes, so does this package.

@@ -8,20 +8,20 @@ import (
 // cell), and, if pred is non-nil, each improved vertex's predecessor. It
 // stops once the queue drains or target (-1: none) is final; the rest of
 // dist is not final then. It runs on the scratch's bucket window
-// (vheap.Window), buckets the largest power of two units not above minArc
-// wide, which it leaves for putScratch.
+// (vheap.Window), buckets the largest power of two units not above the
+// lightest arc wide, which it leaves for putScratch.
 //
-// minArc is at most the lightest arc, so a relaxation d + w from bucket k
-// lands in bucket k+1 or later: when a bucket is reached every vertex in it
-// has its final distance, and the bucket drains in one pass. dist is the
+// A bucket is then no wider than any arc, so a relaxation d + w from bucket
+// k lands in bucket k+1 or later: when a bucket is reached every vertex in
+// it has its final distance, and the bucket drains in one pass. dist is the
 // least path sum, exactly, as a heap-ordered Dijkstra computes it.
-func (s *scratch) search(g *graph.Graph, source, target int, minArc uint32, dist []uint64, pred []int) {
+func (s *scratch) search(g *graph.Graph, source, target int, dist []uint64, pred []int) {
 	for i := range dist {
 		dist[i] = graph.Unreached
 	}
 	dist[source] = 0
 	w := s.w
-	w.Start(minArc)
+	w.Start(g.MinUnits())
 	w.Queue(source, 0)
 	for {
 		for _, e := range w.Bucket() {

@@ -2,17 +2,17 @@
 // plain Dijkstra (the gold standard every labeling is verified against,
 // with predecessors where a path is wanted), a Dijkstra variant that also
 // computes the maximum-rank vertex on any shortest path (the quantity
-// Canonical Hub Labeling is defined by), and Δ-stepping and a bidirectional
-// point-to-point Dijkstra, the traversal baselines the paper's introduction
-// compares hub labeling to.
+// Canonical Hub Labeling is defined by), and a bidirectional point-to-point
+// Dijkstra, the traversal baseline the paper's introduction compares hub
+// labeling to.
 //
 // Every search runs in the graph's integer units (internal/graph) and
-// returns float64 distances only at the edge: the rows of Dijkstra,
-// ShortestPathTree and DeltaStepping and the answers of DijkstraTo and
-// PointToPoint are graph.FromUnits of exact sums.
+// returns float64 distances only at the edge: the rows of Dijkstra and
+// ShortestPathTree and the answers of DijkstraTo and PointToPoint are
+// graph.FromUnits of exact sums.
 //
-// Dijkstra, DijkstraTo, ShortestPathTree and DeltaStepping share one bucket
-// search (bucket.go) on vheap.Window, the bucket queue PLaNT's trees settle
+// Dijkstra, DijkstraTo and ShortestPathTree share one bucket search
+// (bucket.go) on vheap.Window, the bucket queue PLaNT's trees settle
 // from too: buckets a power of two units wide, never wider than the
 // lightest arc, so every vertex is final when its bucket is reached and
 // each bucket drains in one pass. The window parks a distance beyond its
@@ -56,14 +56,13 @@ func putScratch(s *scratch) {
 // Dijkstra computes shortest-path distances from source over g (following
 // outgoing arcs) and returns the distance array; unreachable vertices get
 // graph.Infinity. The array is the caller's.
-func Dijkstra(g *graph.Graph, source int) []float64 { return row(g, source, g.MinUnits(), nil) }
+func Dijkstra(g *graph.Graph, source int) []float64 { return row(g, source, nil) }
 
-// row runs the search from source, buckets at most minArc units wide, and
-// returns its distances as a row.
-func row(g *graph.Graph, source int, minArc uint32, pred []int) []float64 {
+// row runs the search from source and returns its distances as a row.
+func row(g *graph.Graph, source int, pred []int) []float64 {
 	s := getScratch(g.NumVertices())
 	dist := s.dist[:g.NumVertices()]
-	s.search(g, source, -1, minArc, dist, pred)
+	s.search(g, source, -1, dist, pred)
 	row := make([]float64, len(dist))
 	for v, d := range dist {
 		row[v] = g.FromUnits(d)
@@ -81,7 +80,7 @@ func ShortestPathTree(g *graph.Graph, source int) (dist []float64, pred []int) {
 	for i := range pred {
 		pred[i] = -1
 	}
-	return row(g, source, g.MinUnits(), pred), pred
+	return row(g, source, pred), pred
 }
 
 // DijkstraTo returns the shortest-path distance from s to t, stopping as
@@ -90,7 +89,7 @@ func ShortestPathTree(g *graph.Graph, source int) (dist []float64, pred []int) {
 func DijkstraTo(g *graph.Graph, s, t int) float64 {
 	sc := getScratch(g.NumVertices())
 	dist := sc.dist[:g.NumVertices()]
-	sc.search(g, s, t, g.MinUnits(), dist, nil)
+	sc.search(g, s, t, dist, nil)
 	d := dist[t]
 	putScratch(sc)
 	return g.FromUnits(d)

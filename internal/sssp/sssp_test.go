@@ -225,37 +225,6 @@ func TestPointToPoint(t *testing.T) {
 	}
 }
 
-func TestDeltaSteppingMatchesDijkstra(t *testing.T) {
-	graphs := []*graph.Graph{
-		graph.Figure1(),
-		graph.Path(20, 3),
-		graph.RoadGrid(8, 8, 1),
-		graph.BarabasiAlbert(80, 3, 2),
-		graph.ErdosRenyi(50, 80, 9, 3), // disconnected
-	}
-	for gi, g := range graphs {
-		for src := 0; src < g.NumVertices(); src += 5 {
-			want := Dijkstra(g, src)
-			for _, delta := range []float64{0, 1, 2.5, 100} {
-				got := DeltaStepping(g, src, delta)
-				for v := range want {
-					if got[v] != want[v] {
-						t.Fatalf("graph %d src %d δ=%v vertex %d: %v want %v",
-							gi, src, delta, v, got[v], want[v])
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestDeltaSteppingEmptyGraph(t *testing.T) {
-	g := graph.Path(0, 1)
-	if d := DeltaStepping(g, 0, 1); len(d) != 0 {
-		t.Fatalf("empty graph returned %v", d)
-	}
-}
-
 // dijkstraSink keeps the Dijkstra benchmarks' results live.
 var dijkstraSink []float64
 

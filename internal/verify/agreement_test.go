@@ -9,13 +9,13 @@ package verify_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/dist"
 	"repro/internal/gll"
 	"repro/internal/graph"
 	"repro/internal/label"
-	"repro/internal/lcc"
 	"repro/internal/metrics"
 	"repro/internal/plant"
 	"repro/internal/pll"
@@ -62,7 +62,7 @@ func TestSequentialPLLIsCHL(t *testing.T) {
 func TestCanonicalAgreementSharedMemory(t *testing.T) {
 	algos := map[string]func(*graph.Graph) *label.Index{
 		"LCC": func(g *graph.Graph) *label.Index {
-			ix, _ := lcc.Run(g, lcc.Options{Workers: 4})
+			ix, _ := gll.Run(g, gll.Options{Workers: 4, Alpha: math.Inf(1)})
 			return ix
 		},
 		"GLL": func(g *graph.Graph) *label.Index {
@@ -101,7 +101,7 @@ func TestCleaningReadsWhatNoOneWrites(t *testing.T) {
 	g := graph.RoadGrid(32, 32, 1)
 	want := chlReference(t, g)
 	for name, run := range map[string]func() (*label.Index, *metrics.Build){
-		"LCC": func() (*label.Index, *metrics.Build) { return lcc.Run(g, lcc.Options{Workers: 4}) },
+		"LCC": func() (*label.Index, *metrics.Build) { return gll.Run(g, gll.Options{Workers: 4, Alpha: math.Inf(1)}) },
 		"GLL": func() (*label.Index, *metrics.Build) { return gll.Run(g, gll.Options{Workers: 4}) },
 		"DGLL": func() (*label.Index, *metrics.Build) {
 			res, err := dist.DGLL(g, dist.Options{Nodes: 2, WorkersPerNode: 4})

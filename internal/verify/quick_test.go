@@ -1,13 +1,13 @@
 package verify_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/gll"
 	"repro/internal/graph"
-	"repro/internal/lcc"
 	"repro/internal/plant"
 	"repro/internal/pll"
 	"repro/internal/verify"
@@ -36,7 +36,7 @@ func TestQuickCHLContract(t *testing.T) {
 		}
 		for name, run := range map[string]func() bool{
 			"lcc": func() bool {
-				ix, _ := lcc.Run(rg, lcc.Options{Workers: 3})
+				ix, _ := gll.Run(rg, gll.Options{Workers: 3, Alpha: math.Inf(1)})
 				return want.Equal(ix)
 			},
 			"gll": func() bool {
