@@ -40,7 +40,8 @@ func Algorithms() []Algorithm {
 
 // Canonical reports whether the algorithm's output is guaranteed to be the
 // Canonical Hub Labeling (minimal for the given ranking). The paraPLL
-// baselines only guarantee the cover property.
+// baselines hold the CHL plus redundant labels, which grow with the
+// thread and node counts.
 func (a Algorithm) Canonical() bool {
 	return a != AlgoSParaPLL && a != AlgoDParaPLL
 }

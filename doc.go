@@ -18,7 +18,8 @@
 //   - AlgoSeqPLL — sequential pruned landmark labeling (Akiba et al.), the
 //     reference CHL constructor.
 //   - AlgoSParaPLL — shared-memory paraPLL (Qiu et al.): fast, parallel,
-//     but NOT canonical (redundant labels grow with the thread count).
+//     but NOT canonical: it holds the CHL plus redundant labels, which grow
+//     with the thread count.
 //   - AlgoLCC — parallel Label Construction and Cleaning (§4.1): rank
 //     queries make optimistic parallel mistakes recoverable; a cleaning
 //     pass deletes them. Output: the CHL. It is AlgoGLL with Alpha = +Inf:

@@ -18,20 +18,6 @@ func myRoots(nd *cluster.Node, lo, hi int, rootOwner []int32) []int {
 	return mine
 }
 
-// buildMyRoots constructs the trees this node owns, one scratch per
-// intra-node thread, in GLL's two-table regime: distance queries consult the
-// replicated global table (lock-free — it is immutable during a construction
-// phase) and then the node's own local store, which receives the labels.
-// rankQuery distinguishes DGLL (true) from DparaPLL (false, per §3).
-func buildMyRoots(g *graph.Graph, global []label.Set, local *label.ConcurrentStore,
-	mine []int, scr []*ptree.Scratch, rankQuery bool) ptree.Stats {
-	stats := make([]ptree.Stats, len(scr))
-	ptree.ParallelFor(len(scr), len(mine), func(w, i int) {
-		stats[w].Add(ptree.TwoTableTree(g, mine[i], scr[w], rankQuery, global, local))
-	})
-	return ptree.Sum(stats)
-}
-
 // dgllSupersteps runs DGLL's construction+cleaning supersteps over the
 // roots in bounds on top of the node's replicated global table, and returns
 // the table. clean=false gives DparaPLL's exchange-without-cleaning
@@ -45,9 +31,9 @@ func (r *run) dgllSupersteps(nd *cluster.Node, global []label.Set, bounds []int,
 	rankQuery := clean // DGLL rank-queries and cleans; DparaPLL does neither (§3)
 	for si := 0; si+1 < len(bounds); si++ {
 		mine := myRoots(nd, bounds[si], bounds[si+1], r.rootOwner)
-		c.Add(buildMyRoots(g, global, local, mine, scr, rankQuery))
+		c.Add(ptree.Forest(g, mine, scr, rankQuery, global, local))
 
-		batch := batchOf(drainSorted(local))
+		batch := batchOf(ptree.DrainSorted(local, o.WorkersPerNode))
 		commit := mergeBatches(n, nd.AllGather(batch, batch.count*label.Bytes))
 
 		if clean {

@@ -4,9 +4,10 @@
 //   - DParaPLL — distributed paraPLL (§3): roots are split round-robin
 //     across nodes, every node prunes against a fully replicated label
 //     table, and each superstep's new labels are exchanged with an
-//     AllGather. No rank queries and no cleaning, so the output satisfies
-//     the cover property but inflates with q (Figure 9) and the replicated
-//     table is what OOMs in Figure 8.
+//     AllGather. A node claims its roots in rank order, so the output
+//     holds the CHL; with no rank queries and no cleaning it adds redundant
+//     labels that grow with q (Figure 9), and the replicated table is what
+//     OOMs in Figure 8.
 //   - DGLL — distributed GLL (§5.1): the same superstep structure, but
 //     construction performs rank queries, and every superstep ends with a
 //     distributed cleaning pass (each node cleans the vertices it owns
@@ -206,15 +207,6 @@ func mergeInto(dst, src []label.Set) {
 			dst[v] = dst[v].Merge(s)
 		}
 	}
-}
-
-// drainSorted empties a node-local store into sorted per-vertex sets.
-func drainSorted(store *label.ConcurrentStore) []label.Set {
-	sets := store.Drain()
-	for _, s := range sets {
-		s.Sort()
-	}
-	return sets
 }
 
 func totalLabels(sets []label.Set) int64 {

@@ -313,3 +313,33 @@ func TestMemoryLimitFreezesNotFails(t *testing.T) {
 		}
 	}
 }
+
+// TestDParaPLLHoldsCHL: every CHL label is in DparaPLL's output with its
+// distance, at any q and whatever each node's workers interleave. A node's
+// later root that labeled an earlier one before the earlier root's labels
+// were hashed used to let that root's tree prune through the lower hub and
+// drop CHL labels (ptree.Forest's claim rule).
+func TestDParaPLLHoldsCHL(t *testing.T) {
+	g := graph.RoadGrid(9, 9, 2)
+	want, _ := pll.Sequential(g, pll.Options{})
+	runs := 50
+	if testing.Short() {
+		runs = 12
+	}
+	for q := 1; q <= 3; q++ {
+		for run := 0; run < runs; run++ {
+			workers := 2 + run%4
+			res, err := DParaPLL(g, Options{Nodes: q, WorkersPerNode: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := 0; v < g.NumVertices(); v++ {
+				for _, l := range want.Labels(v) {
+					if d, ok := res.Index.Labels(v).Find(label.Hub(l)); !ok || d != label.Dist(l) {
+						t.Fatalf("q=%d, run %d, workers=%d: L_%d lacks CHL label (%d,%v): got %v,%v", q, run, workers, v, label.Hub(l), label.Dist(l), d, ok)
+					}
+				}
+			}
+		}
+	}
+}

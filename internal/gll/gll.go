@@ -190,7 +190,9 @@ func (st *State) roots(tree func(w, h int) ptree.Stats) ptree.Stats {
 // pruned against the lock-free global table and the locked local table,
 // labels going to the local table.
 func (st *State) tree(w, h int) ptree.Stats {
-	return ptree.TwoTableTree(st.g, h, st.scr[w], true, st.global, st.local)
+	s := st.scr[w]
+	s.HashRoot(h, st.global, st.local)
+	return ptree.TwoTableTree(st.g, h, s, true, st.global, st.local)
 }
 
 // cleanAndCommit drains the local table, sorts it, and appends to the global
@@ -211,18 +213,8 @@ func (st *State) tree(w, h int) ptree.Stats {
 // commit is an append (package doc), so it too touches only the
 // superstep's own labels.
 func (st *State) cleanAndCommit() ptree.Stats {
-	locals := st.local.Drain()
-	st.sortAll(locals)
+	locals := ptree.DrainSorted(st.local, st.opts.Workers)
 	stats := ptree.Clean(st.global, locals, st.opts.Workers, 0, 1)
 	st.local.Recycle(locals)
 	return stats
-}
-
-// sortAll sorts drained per-vertex sets.
-func (st *State) sortAll(sets []label.Set) {
-	ptree.ParallelRange(st.opts.Workers, len(sets), func(_, lo, hi int) {
-		for _, s := range sets[lo:hi] {
-			s.Sort()
-		}
-	})
 }

@@ -56,8 +56,8 @@ func (cs *ConcurrentStore) lock(v int) *slot {
 // NumVertices returns the vertex count.
 func (cs *ConcurrentStore) NumVertices() int { return len(cs.slots) }
 
-// Append adds label word l to v's set (unsorted; callers sort when
-// sealing).
+// Append adds label word l to v's set (unsorted; callers sort what Drain
+// returns).
 func (cs *ConcurrentStore) Append(v int, l uint64) {
 	s := cs.lock(v)
 	s.set = append(s.set, l)
@@ -92,23 +92,10 @@ func (cs *ConcurrentStore) AddTo(hd *HubTable, v int) {
 	s.mu.Unlock()
 }
 
-// Seal sorts every set and hands the storage over as an Index counting
-// units of 2^-k. The store must not be used afterwards. Seal is called once
-// construction workers have quiesced, so it takes no locks.
-func (cs *ConcurrentStore) Seal(k int) *Index {
-	sets := make([]Set, len(cs.slots))
-	for v := range cs.slots {
-		sets[v] = cs.slots[v].set
-		sets[v].Sort()
-	}
-	cs.slots = nil
-	return &Index{sets: sets, k: k}
-}
-
 // Drain moves every vertex's pending labels out of the store, leaving it
 // empty but reusable, without sorting. The caller owns the returned sets;
-// Recycle hands their storage back. Like Seal, Drain is called once
-// construction workers have quiesced and takes no locks.
+// Recycle hands their storage back. Drain is called once construction
+// workers have quiesced and takes no locks.
 func (cs *ConcurrentStore) Drain() []Set {
 	out := make([]Set, len(cs.slots))
 	for v := range cs.slots {

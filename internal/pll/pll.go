@@ -1,9 +1,9 @@
 // Package pll implements Pruned Landmark Labeling: the sequential algorithm
 // of Akiba et al. (the paper's seqPLL baseline, which outputs the Canonical
 // Hub Labeling), and the shared-memory paraPLL of Qiu et al. (SparaPLL — the
-// state-of-the-art baseline the paper compares against, which satisfies the
-// cover property but NOT minimality because concurrent trees are built
-// without rank queries).
+// state-of-the-art baseline the paper compares against, which holds the CHL
+// but NOT minimality: concurrent trees are built without rank queries and
+// add redundant labels).
 //
 // All functions operate in rank space: the input graph must already be
 // permuted so vertex 0 is the highest-ranked vertex.
@@ -147,21 +147,26 @@ func tree(dir *graph.Graph, s *ptree.Scratch, root label.Set, into *label.Index,
 	return st
 }
 
-// SParaPLL runs the shared-memory paraPLL baseline: Workers goroutines pop
-// the highest-ranked unprocessed root from a shared counter (dynamic task
-// assignment) and run pruned Dijkstra concurrently, with the root's label
-// set hashed prior to the traversal and per-vertex locking on label reads
-// and appends. No rank queries are performed, so concurrently built trees
-// may label vertices ranked above their root: the output satisfies the
-// cover property but contains redundant labels (it is not the CHL), and the
+// SParaPLL runs the shared-memory paraPLL baseline: Workers goroutines claim
+// the highest-ranked unprocessed root (dynamic task assignment) and run
+// pruned Dijkstra concurrently, with the root's label set hashed before the
+// next claim and per-vertex locking on label reads and appends — ptree.Forest
+// over every root, beside an empty global table. No rank queries are
+// performed, so concurrently built trees may label vertices ranked above
+// their root: the output holds the CHL plus redundant labels, and the
 // redundancy grows with Workers — the effect Table 3 and Figure 9 quantify.
 func SParaPLL(g *graph.Graph, opts Options) (*label.Index, *metrics.Build) {
 	opts = opts.normalize()
 	m := &metrics.Build{Algorithm: "SparaPLL", Workers: opts.Workers, Trees: int64(g.NumVertices())}
-	store := label.NewConcurrentStore(g.NumVertices())
+	n := g.NumVertices()
+	roots := make([]int, n)
+	for h := range roots {
+		roots[h] = h
+	}
+	local := label.NewConcurrentStore(n)
 	start := time.Now()
-	m.Fold(ptree.LiveForest(g, store, opts.Workers))
-	ix := store.Seal(g.WeightUnitExp())
+	m.Fold(ptree.Forest(g, roots, ptree.NewScratches(opts.Workers, n), false, make([]label.Set, n), local))
+	ix := label.FromSets(ptree.DrainSorted(local, opts.Workers), g.WeightUnitExp())
 	m.ConstructTime = time.Since(start)
 	m.TotalTime = m.ConstructTime
 	m.Labels = ix.TotalLabels()

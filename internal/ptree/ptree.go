@@ -6,9 +6,10 @@
 //     table answers the distance query (covered), where does the label go
 //     (emit). paraPLL, GLL (and LCC, its α = +Inf case), DparaPLL and DGLL
 //     differ in those arguments and in when they synchronize, nothing else.
-//     The two table regimes the paper uses are here as well: LiveForest
-//     (paraPLL's one locked table) and TwoTableTree (lock-free global +
-//     locked local; with an empty global table, LCC's one locked table).
+//     Their one table regime is here as well: a lock-free global table
+//     beside a locked local one (with the global table empty, paraPLL's
+//     and LCC's one locked table): Forest is its root pool, TwoTableTree
+//     one tree of it, and DrainSorted turns the local table into sets.
 //   - Redundant is the cleaning query DQ_Clean of Algorithm 2, and Clean the
 //     pass that applies it to whole label sets.
 //
@@ -211,64 +212,74 @@ func Tree(g *graph.Graph, h int, s *Scratch, rankQuery bool,
 	return st
 }
 
-// LiveForest builds the trees of all roots concurrently, without rank
-// queries, against — and into — one store locked per vertex: a root's
-// labels are hashed when its tree starts, the distance query joins them
-// with v's labels of the moment, and the label is appended on the spot.
-// This is the construction regime of paraPLL: the cover property only,
-// with redundancy that grows with workers.
+// Forest builds the trees of roots concurrently, one worker per scratch, in
+// GLL's two-table regime (§4.2): distance queries consult global, which is
+// immutable while the forest grows and read without locks, then local,
+// which is locked per vertex and receives the labels (footnote 4). SparaPLL
+// runs it over every root beside an empty global table; every DparaPLL and
+// DGLL node over its round-robin share of a superstep, the replicated table
+// as global.
 //
-// Roots are claimed in rank order, and a root's labels are hashed before
-// the next root can be claimed. Without rank queries a lower-ranked tree
-// may label h; had it done so before h's hash, h's tree could prune a
-// vertex through that lower hub and drop a CHL label. Hashed first, every
-// hub that prunes h's tree outranks h, so paraPLL's output holds the CHL
-// and only adds redundant labels to it.
-func LiveForest(g *graph.Graph, store *label.ConcurrentStore, workers int) Stats {
-	n := g.NumVertices()
-	scr := NewScratches(workers, n)
-	stats := make([]Stats, workers)
+// Roots are claimed in the order given, and a root's labels in both tables
+// are hashed before the next claim. Without rank queries a later root's
+// tree may label h; had it done so before h's hash, h's tree could prune
+// through that lower hub and drop a CHL label. Hashed first, every hub that
+// prunes h's tree was claimed before h, so over roots in rank order
+// paraPLL's output holds the CHL plus redundant labels.
+func Forest(g *graph.Graph, roots []int, scr []*Scratch, rankQuery bool, global []label.Set, local *label.ConcurrentStore) Stats {
+	stats := make([]Stats, len(scr))
 	var claim sync.Mutex
 	next := 0
 	// One task per worker; each claims roots until none is left.
-	ParallelFor(workers, workers, func(w, _ int) {
+	ParallelFor(len(scr), len(scr), func(w, _ int) {
 		s := scr[w]
 		for {
 			claim.Lock()
-			h := next
+			i := next
 			next++
-			if h < n {
-				s.HD.Reset()
-				store.AddTo(&s.HD, h)
+			if i < len(roots) {
+				s.HashRoot(roots[i], global, local)
 			}
 			claim.Unlock()
-			if h >= n {
+			if i >= len(roots) {
 				return
 			}
-			stats[w].Add(Tree(g, h, s, false,
-				func(v int, dist uint64) bool { return store.QueryAgainst(&s.HD, v, dist) },
-				func(v int, dist uint32) { store.Append(v, label.Pack(uint32(h), dist)) }))
+			stats[w].Add(TwoTableTree(g, roots[i], s, rankQuery, global, local))
 		}
 	})
 	return Sum(stats)
 }
 
-// TwoTableTree is Tree in GLL's regime (§4.2): global is immutable during a
-// construction phase and read without locks, local is locked per vertex and
-// receives the tree's labels. The root's labels in both are hashed first;
-// distance queries consult global, then local (footnote 4: "the Label
-// Construction step uses both global and local table to answer distance
-// queries"). GLL runs it with rank queries (LCC-I, at α = +Inf, over a
-// global table that stays empty); DGLL and DparaPLL run it on every node,
-// the replicated table as global — DparaPLL without rank queries (§3).
-func TwoTableTree(g *graph.Graph, h int, s *Scratch, rankQuery bool, global []label.Set, local *label.ConcurrentStore) Stats {
+// HashRoot loads root h's labels in both tables into s.HD, for
+// TwoTableTree.
+func (s *Scratch) HashRoot(h int, global []label.Set, local *label.ConcurrentStore) {
 	s.HD.Load(global[h])
 	local.AddTo(&s.HD, h)
+}
+
+// TwoTableTree is one tree of Forest's regime, from h against the labels
+// HashRoot loaded. GLL's pool runs it directly: its rank queries make the
+// claim order irrelevant, and its α·n label budget ends a superstep.
+func TwoTableTree(g *graph.Graph, h int, s *Scratch, rankQuery bool, global []label.Set, local *label.ConcurrentStore) Stats {
 	return Tree(g, h, s, rankQuery,
 		func(v int, dist uint64) bool {
 			return s.HD.QueryAgainst(global[v], dist) || local.QueryAgainst(&s.HD, v, dist)
 		},
 		func(v int, dist uint32) { local.Append(v, label.Pack(uint32(h), dist)) })
+}
+
+// DrainSorted empties local into per-vertex sets and sorts them on up to
+// workers goroutines: what a forest's labels go through before anything
+// reads them as sets (an index, a cleaning pass, an AllGather). The store
+// stays usable; Recycle hands it the sets' storage back.
+func DrainSorted(local *label.ConcurrentStore, workers int) []label.Set {
+	sets := local.Drain()
+	ParallelRange(workers, len(sets), func(_, lo, hi int) {
+		for _, s := range sets[lo:hi] {
+			s.Sort()
+		}
+	})
+	return sets
 }
 
 // Redundant is the Cleaning Query of Algorithm 2 (lines 12–16): the label

@@ -181,18 +181,17 @@ func TestCleanAppends(t *testing.T) {
 }
 
 // lccI is LCC-I, the labeling the cleaning pass is for: every root's tree,
-// rank-queried, run concurrently by TwoTableTree into one locked table
-// beside an empty global table, as GLL's one superstep at α = +Inf runs
-// them. It returns the sorted sets and the trees' stats.
+// rank-queried, grown concurrently by Forest into one locked table beside
+// an empty global table. It returns the sorted sets and the trees' stats.
 func lccI(g *graph.Graph, workers int) ([]label.Set, ptree.Stats) {
 	n := g.NumVertices()
-	global, local := make([]label.Set, n), label.NewConcurrentStore(n)
-	scr := ptree.NewScratches(workers, n)
-	stats := make([]ptree.Stats, workers)
-	ptree.ParallelFor(workers, n, func(w, h int) {
-		stats[w].Add(ptree.TwoTableTree(g, h, scr[w], true, global, local))
-	})
-	return setsOf(local.Seal(g.WeightUnitExp())), ptree.Sum(stats)
+	roots := make([]int, n)
+	for h := range roots {
+		roots[h] = h
+	}
+	local := label.NewConcurrentStore(n)
+	st := ptree.Forest(g, roots, ptree.NewScratches(workers, n), true, make([]label.Set, n), local)
+	return ptree.DrainSorted(local, workers), st
 }
 
 // setsOf returns the label sets of ix, indexed by vertex.

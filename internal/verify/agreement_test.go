@@ -155,32 +155,25 @@ func TestCanonicalAgreementDistributed(t *testing.T) {
 	}
 }
 
-// notBelowCHL checks the one size bound a covering labeling owes the CHL.
-// The CHL is minimal among labelings that respect R (Lemma 1), not among
-// all covers: paraPLL issues no rank queries, so a tree that runs ahead of
-// a higher-ranked one may label a vertex that outranks its root, and a
-// labeling with such hubs can cover everything with fewer labels than the
-// CHL has. Only with zero hierarchy violations (hub id > vertex id) is
-// "fewer than the CHL" impossible.
-func notBelowCHL(t *testing.T, g *graph.Graph, ix *label.Index) {
+// holdsCHL checks that ix holds every label of the CHL with its distance:
+// paraPLL claims roots in rank order and hashes a root's labels before the
+// next claim, so a tree is pruned only through hubs that outrank its root,
+// and its output is the CHL plus redundant labels.
+func holdsCHL(t *testing.T, g *graph.Graph, ix *label.Index) {
 	t.Helper()
-	violations := 0
-	for v := 0; v < ix.NumVertices(); v++ {
-		for _, l := range ix.Labels(v) {
-			if int(label.Hub(l)) > v {
-				violations++
+	want := chlReference(t, g)
+	for v := 0; v < want.NumVertices(); v++ {
+		for _, l := range want.Labels(v) {
+			if d, ok := ix.Labels(v).Find(label.Hub(l)); !ok || d != label.Dist(l) {
+				t.Fatalf("L_%d lacks CHL label (%d,%v): got %v,%v", v, label.Hub(l), label.Dist(l), d, ok)
 			}
 		}
-	}
-	if got, chl := ix.TotalLabels(), chlReference(t, g).TotalLabels(); violations == 0 && got < chl {
-		t.Fatalf("%d labels, none violating the hierarchy, yet the CHL has %d — a cover that respects R cannot undercut it", got, chl)
-	} else if got < chl {
-		t.Logf("%d labels undercut the CHL's %d with %d hierarchy violations: allowed", got, chl, violations)
 	}
 }
 
 // TestSparaPLLCoversButMayBeRedundant: the baseline must satisfy the cover
-// property (exact distances) even though its labeling need not be minimal.
+// property (exact distances) and hold the CHL, though its labeling need not
+// be minimal.
 func TestSparaPLLCoversButMayBeRedundant(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		t.Run(name, func(t *testing.T) {
@@ -191,13 +184,13 @@ func TestSparaPLLCoversButMayBeRedundant(t *testing.T) {
 			if err := verify.Cover(g, ix, 0); err != nil {
 				t.Fatal(err)
 			}
-			notBelowCHL(t, g, ix)
+			holdsCHL(t, g, ix)
 		})
 	}
 }
 
 // TestDParaPLLCovers: the distributed baseline keeps the cover property at
-// any q, with label counts ≥ CHL whenever it respects R (notBelowCHL).
+// any q and holds the CHL (holdsCHL).
 func TestDParaPLLCovers(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		for _, q := range []int{1, 3} {
@@ -209,7 +202,7 @@ func TestDParaPLLCovers(t *testing.T) {
 				if err := verify.Cover(g, res.Index, 0); err != nil {
 					t.Fatal(err)
 				}
-				notBelowCHL(t, g, res.Index)
+				holdsCHL(t, g, res.Index)
 			})
 		}
 	}
