@@ -231,9 +231,9 @@
 // extends the snapshot identity and the router's singleflight keys the
 // same way content hashes do. In a cluster the router owns the overlay
 // (RouterConfig.BaseGraph / UpdateJournal): shards stay frozen and the
-// router corrects locally — the same delta.Overlay.Query the server
-// calls, fed the endpoint rows it fetches from the shards — even for
-// same-shard pairs. POST /compact folds the patches into a fresh
+// router corrects locally — it joins the endpoint rows it fetches from
+// the shards and hands that distance to the same delta.Overlay.Query the
+// server calls — even for same-shard pairs. POST /compact folds the patches into a fresh
 // snapshot — rebuild over the patched graph, rename, hot-swap with zero
 // dropped queries, truncate the journal. ARCHITECTURE.md ("Dynamic
 // updates") has the correction math and the operator rules.

@@ -14,11 +14,11 @@ import (
 // failed request through: one row per error kind, status and body byte
 // for byte.
 func TestWriteErrorTable(t *testing.T) {
-	log, _, err := delta.OpenLog(GenerateRoadGrid(2, 2, 1), "", 0)
+	log, _, err := delta.OpenLog(GenerateRoadGrid(2, 2, 1), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, refused := log.Apply(nil, 0)
+	_, refused := log.Apply(nil)
 	if !delta.Refused(refused) {
 		t.Fatalf("an empty patch is not a refusal: %v", refused)
 	}

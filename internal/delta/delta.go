@@ -1,8 +1,10 @@
 // Package delta layers a mutable edge-patch overlay over a frozen hub
 // labeling. The frozen index answers exact distances for the graph it
 // was built from; the overlay tracks edges inserted, deleted, or
-// reweighted since, and corrects queries so every answer is exact for
-// the *patched* graph — without rebuilding labels.
+// reweighted since, and corrects those answers so every one is exact for
+// the *patched* graph — without rebuilding labels. The overlay never
+// reads a label: each serving tier runs its own frozen join and hands
+// the overlay the distance it found (Overlay.Query).
 //
 // The scheme: a patch log of edge operations reduces (against the base
 // graph G) to a set R of removed edges and a set I of inserted edges; the
@@ -28,7 +30,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/graph"
-	"repro/internal/label"
 	"repro/internal/sssp"
 )
 
@@ -342,10 +343,9 @@ func ApplyPatch(base *graph.Graph, ops []Op) (*graph.Graph, error) {
 // Memory: (|P| + removal endpoints)·n·8 bytes, doubled when directed.
 type Overlay struct {
 	*Reduction
-	ops     []Op
-	epoch   uint64
-	hash    uint64
-	unitExp int // the frozen runs handed to Query count units of 2^-unitExp
+	ops   []Op
+	epoch uint64
+	hash  uint64
 
 	// Vertex-major rows: with k sources, entry x·k+i is x's distance to or
 	// from source i. The from-table is the to-table itself when undirected.
@@ -366,12 +366,11 @@ const (
 
 // NewOverlay builds the overlay for ops (already reduced to red): ops is
 // the full accumulated log (its LogHash becomes the overlay's identity
-// contribution), epoch tags the patch generation for cache keying, and
-// the frozen runs later handed to Query count distances in units of
-// 2^-unitExp. Its cost is the Dijkstras that fill the rows, paid once per
-// batch so that no query repeats them.
-func NewOverlay(red *Reduction, ops []Op, epoch uint64, unitExp int) *Overlay {
-	o := &Overlay{Reduction: red, ops: ops, epoch: epoch, hash: LogHash(ops), unitExp: unitExp}
+// contribution) and epoch tags the patch generation for cache keying.
+// Its cost is the Dijkstras that fill the rows, paid once per batch so
+// that no query repeats them.
+func NewOverlay(red *Reduction, ops []Op, epoch uint64) *Overlay {
+	o := &Overlay{Reduction: red, ops: ops, epoch: epoch, hash: LogHash(ops)}
 	o.toP, o.fromP = rows(red.patched, red.verts)
 	o.toE, o.fromE = rows(red.base, red.ends)
 	return o
@@ -450,12 +449,10 @@ func (o *Overlay) Stat() Stats {
 	}
 }
 
-// Query answers one pair on the patched graph — the one corrected-query
-// path, shared by the engine (runs from its own index) and the router
-// (runs fetched from shards). runU is u's forward packed label run, runV
-// v's backward run (its only run when undirected); their join is the
-// frozen distance d0 = d(u,v) on the base graph. With A = minᵢ d′(u,pᵢ) +
-// d′(pᵢ,v) read off the rows:
+// Query corrects d0 = d(u,v), the frozen label answer on the base graph,
+// into the distance on the patched graph — the one correction path,
+// shared by the engine and the router, each of which joins its own frozen
+// labels first. With A = minᵢ d′(u,pᵢ) + d′(pᵢ,v) read off the rows:
 //
 //   - safe (no G-shortest u→v path threads a removed edge): min(A, d0);
 //   - unsafe and A ≤ d0: A;
@@ -468,12 +465,9 @@ func (o *Overlay) Stat() Stats {
 // gives d′ ≤ A ≤ min(A, d0): both closed forms are exact.
 //
 // dist is graph.Infinity for unreachable pairs. frozen reports that the
-// frozen answer stands (safe, d0 ≤ A, d0 finite); only then is hub — the
-// frozen join's witness, in rank space — known to lie on a patched
-// shortest path (for u == v the witness is u itself, whatever hub holds).
-func (o *Overlay) Query(runU, runV []uint64, u, v int) (dist float64, hub uint32, frozen bool) {
-	d0, hub, _ := label.JoinPacked(runU, runV)
-	d0 = label.FromUnits(d0, o.unitExp)
+// frozen answer stands (safe, d0 ≤ A, d0 finite); only then does the
+// frozen join's witness hub lie on a patched shortest path.
+func (o *Overlay) Query(d0 float64, u, v int) (dist float64, frozen bool) {
 	if u == v {
 		d0 = 0
 	}
@@ -497,7 +491,7 @@ func (o *Overlay) Query(runU, runV []uint64, u, v int) (dist float64, hub uint32
 		path = pathFrozen
 	}
 	o.paths[path].Add(1)
-	return dist, hub, frozen
+	return dist, frozen
 }
 
 // compromised reports whether a G-shortest u→v path may thread a removed

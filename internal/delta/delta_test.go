@@ -213,13 +213,15 @@ func (fl frozenLabels) overlay(t testing.TB, g *graph.Graph, ops []Op, epoch uin
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewOverlay(red, ops, epoch, fl.fwd.UnitExp())
+	return NewOverlay(red, ops, epoch)
 }
 
-// query asks the overlay for one pair the way a serving tier does: from
-// the endpoints' frozen runs.
+// query asks the overlay for one pair the way a serving tier does: the
+// frozen join's distance, corrected, with the join's witness hub.
 func (fl frozenLabels) query(ov *Overlay, u, v int) (float64, uint32, bool) {
-	return ov.Query(fl.fwd.PackedRun(u), fl.bwd.PackedRun(v), u, v)
+	d0, hub, _ := label.Join(nil, fl.fwd, fl.bwd, u, v)
+	dist, frozen := ov.Query(d0, u, v)
+	return dist, hub, frozen
 }
 
 // randomOps derives a valid mixed batch (dels and reweights of existing

@@ -187,7 +187,7 @@ func FuzzOverlayQuery(f *testing.F) {
 			t.Fatalf("valid log %v refused: %v", ops, err)
 		}
 		fl := freezeLabels(base)
-		ov := NewOverlay(red, ops, 1, fl.fwd.UnitExp())
+		ov := NewOverlay(red, ops, 1)
 		want := newOracle(red.Materialize())
 		n := base.NumVertices()
 		for u := 0; u < n; u++ {

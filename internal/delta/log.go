@@ -24,11 +24,10 @@ type Log struct {
 
 // OpenLog opens the log over base journaled at journal ("": none) with
 // the ops already in the journal replayed as one batch, appending nothing,
-// and returns it with that batch's overlay, which answers over frozen runs
-// counting units of 2^-unitExp. A missing journal is an empty log and a
-// nil overlay; a journal that cannot be read or replayed fails with an
-// error naming it.
-func OpenLog(base *graph.Graph, journal string, unitExp int) (*Log, *Overlay, error) {
+// and returns it with that batch's overlay. A missing journal is an empty
+// log and a nil overlay; a journal that cannot be read or replayed fails
+// with an error naming it.
+func OpenLog(base *graph.Graph, journal string) (*Log, *Overlay, error) {
 	l := &Log{base: base, journal: journal}
 	if journal == "" {
 		return l, nil, nil
@@ -36,7 +35,7 @@ func OpenLog(base *graph.Graph, journal string, unitExp int) (*Log, *Overlay, er
 	ops, err := readJournal(journal)
 	var ov *Overlay
 	if err == nil && len(ops) > 0 {
-		ov, err = l.apply(ops, unitExp, false)
+		ov, err = l.apply(ops, false)
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("delta: replaying journal %s: %w", journal, err)
@@ -50,19 +49,18 @@ func (l *Log) Base() *graph.Graph { return l.base }
 // Len returns the number of outstanding ops.
 func (l *Log) Len() int { return len(l.ops) }
 
-// Apply adopts ops and returns the next overlay, which answers over
-// frozen runs counting units of 2^-unitExp. An empty batch, or one Reduce
-// refuses, fails with an error Refused recognizes.
-func (l *Log) Apply(ops []Op, unitExp int) (*Overlay, error) {
+// Apply adopts ops and returns the next overlay. An empty batch, or one
+// Reduce refuses, fails with an error Refused recognizes.
+func (l *Log) Apply(ops []Op) (*Overlay, error) {
 	if len(ops) == 0 {
 		return nil, refusal{errors.New("delta: empty patch")}
 	}
-	return l.apply(ops, unitExp, true)
+	return l.apply(ops, true)
 }
 
 // apply is every batch's one path. Only a fresh batch is journaled, and
 // only its Reduce failure is a refusal.
-func (l *Log) apply(ops []Op, unitExp int, fresh bool) (*Overlay, error) {
+func (l *Log) apply(ops []Op, fresh bool) (*Overlay, error) {
 	combined := append(l.ops[:len(l.ops):len(l.ops)], ops...)
 	red, err := Reduce(l.base, combined)
 	if err != nil {
@@ -71,7 +69,7 @@ func (l *Log) apply(ops []Op, unitExp int, fresh bool) (*Overlay, error) {
 		}
 		return nil, err
 	}
-	ov := NewOverlay(red, combined, l.epoch+1, unitExp)
+	ov := NewOverlay(red, combined, l.epoch+1)
 	if fresh && l.journal != "" {
 		if err := appendJournal(l.journal, ops); err != nil {
 			return nil, fmt.Errorf("delta: journaling the batch: %w", err)

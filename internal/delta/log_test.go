@@ -16,8 +16,6 @@ import (
 // empty journal and the epoch still counting.
 func TestLogLifecycle(t *testing.T) {
 	g := pathGraph(6, false)
-	fl := freezeLabels(g)
-	unit := fl.fwd.UnitExp()
 	journal := filepath.Join(t.TempDir(), "patch.log")
 	readJ := func() []byte {
 		t.Helper()
@@ -29,7 +27,7 @@ func TestLogLifecycle(t *testing.T) {
 	}
 	open := func(journal string) *Log {
 		t.Helper()
-		l, ov, err := OpenLog(g, journal, unit)
+		l, ov, err := OpenLog(g, journal)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +42,7 @@ func TestLogLifecycle(t *testing.T) {
 	if err := os.Mkdir(unwritableAt, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := unwritable.Apply(line(t, "del 1 2"), unit); err == nil || Refused(err) {
+	if _, err := unwritable.Apply(line(t, "del 1 2")); err == nil || Refused(err) {
 		t.Fatalf("a journal that is a directory: %v, want a failure that is not a refusal", err)
 	}
 	if _, err := unwritable.Patched(); unwritable.Len() != 0 || !Refused(err) {
@@ -52,7 +50,7 @@ func TestLogLifecycle(t *testing.T) {
 	}
 	l := open(journal)
 	for _, bad := range [][]Op{nil, line(t, "del 0 5")} {
-		if _, err := l.Apply(bad, unit); !Refused(err) {
+		if _, err := l.Apply(bad); !Refused(err) {
 			t.Fatalf("Apply(%v): %v, want a refusal", bad, err)
 		}
 	}
@@ -61,12 +59,12 @@ func TestLogLifecycle(t *testing.T) {
 	}
 
 	first := line(t, "del 1 2\nadd 0 5 1")
-	ov, err := l.Apply(first, unit)
+	ov, err := l.Apply(first)
 	if err != nil || ov.Serving() == nil || ov.Epoch() != 1 {
 		t.Fatalf("Apply(%v) = %v, %v; want a serving overlay at epoch 1", first, ov, err)
 	}
 	// The second batch cancels the first: its overlay serves as none.
-	if ov, err := l.Apply(line(t, "add 1 2 1\ndel 0 5"), unit); err != nil || ov.Serving() != nil || l.Len() != 4 || ov.Epoch() != 2 {
+	if ov, err := l.Apply(line(t, "add 1 2 1\ndel 0 5")); err != nil || ov.Serving() != nil || l.Len() != 4 || ov.Epoch() != 2 {
 		t.Fatalf("cancelling batch = %v, %v with %d ops; want an overlay at epoch 2 that serves as none, 4 ops", ov, err, l.Len())
 	}
 	want := readJ()
@@ -74,7 +72,7 @@ func TestLogLifecycle(t *testing.T) {
 		t.Fatalf("journal %q", want)
 	}
 
-	replayed, ov, err := OpenLog(g, journal, unit)
+	replayed, ov, err := OpenLog(g, journal)
 	if err != nil || ov.Serving() != nil || replayed.Len() != 4 || ov.Epoch() != 1 {
 		t.Fatalf("OpenLog = %v, %v with %d ops; want an overlay at epoch 1 that serves as none, 4 ops", ov, err, replayed.Len())
 	}
@@ -83,11 +81,11 @@ func TestLogLifecycle(t *testing.T) {
 	}
 	open(filepath.Join(t.TempDir(), "absent.log"))
 	dir := t.TempDir()
-	if l, ov, err := OpenLog(g, dir, unit); l != nil || ov != nil || err == nil || Refused(err) || !strings.Contains(err.Error(), dir) {
+	if l, ov, err := OpenLog(g, dir); l != nil || ov != nil || err == nil || Refused(err) || !strings.Contains(err.Error(), dir) {
 		t.Fatalf("OpenLog over a journal that is a directory = %v, %v, %v; want a failure naming it", l, ov, err)
 	}
 
-	if _, err := l.Apply(line(t, "del 2 3"), unit); err != nil {
+	if _, err := l.Apply(line(t, "del 2 3")); err != nil {
 		t.Fatal(err)
 	}
 	patched, err := l.Patched()
@@ -103,11 +101,11 @@ func TestLogLifecycle(t *testing.T) {
 	if j := readJ(); len(j) != 0 || l.Len() != 0 || l.Base() != patched {
 		t.Fatalf("after Compacted: journal %q, %d ops", j, l.Len())
 	}
-	fl = freezeLabels(patched)
-	if _, err := l.Apply(line(t, "del 2 3"), unit); !Refused(err) {
+	fl := freezeLabels(patched)
+	if _, err := l.Apply(line(t, "del 2 3")); !Refused(err) {
 		t.Fatalf("deleting an edge the new base lacks: %v, want a refusal", err)
 	}
-	ov, err = l.Apply(line(t, "add 2 3 2"), unit)
+	ov, err = l.Apply(line(t, "add 2 3 2"))
 	if err != nil || ov == nil || ov.Epoch() != 4 {
 		t.Fatalf("first batch after compaction = %v, %v; want an overlay at epoch 4", ov, err)
 	}

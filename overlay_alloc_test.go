@@ -20,7 +20,7 @@ func overlayOver(t testing.TB, fx *FlatIndex, g *Graph, ops []EdgeOp) *delta.Ove
 	if err != nil {
 		t.Fatal(err)
 	}
-	return delta.NewOverlay(red, ops, 1, fx.unitExp())
+	return delta.NewOverlay(red, ops, 1)
 }
 
 // randomPatch draws a valid batch over g: deletions and reweights of
@@ -49,11 +49,28 @@ func randomPatch(g *Graph, rng *rand.Rand, count int) []EdgeOp {
 	return ops
 }
 
+// unfallenPairs finds, by asking, count pairs eng's overlay answers
+// without its exact fallback.
+func unfallenPairs(eng *BatchEngine, count int) []QueryPair {
+	var pairs []QueryPair
+	n := eng.fx.NumVertices()
+	rng := rand.New(rand.NewSource(3))
+	for len(pairs) < count {
+		u, v := rng.Intn(n), rng.Intn(n)
+		before := eng.Overlay().Stat().Fallback
+		eng.QueryHub(u, v)
+		if eng.Overlay().Stat().Fallback == before {
+			pairs = append(pairs, QueryPair{U: u, V: v})
+		}
+	}
+	return pairs
+}
+
 // TestCorrectedQueryDoesNotAllocate pins the corrected path's allocation
 // budget: a BatchEngine.QueryHub the overlay answers without its exact
 // fallback takes every working array from pooled scratch, on a
-// fixed-width index (zero-copy runs) and a compressed one (runs decoded
-// into a pooled buffer).
+// fixed-width index (zero-copy runs) and a compressed one (runs that
+// stream-merge inside label.Join).
 func TestCorrectedQueryDoesNotAllocate(t *testing.T) {
 	g := GenerateRoadGrid(24, 24, 1)
 	ix, err := Build(g, Options{})
@@ -72,21 +89,11 @@ func TestCorrectedQueryDoesNotAllocate(t *testing.T) {
 	for name, fx := range map[string]*FlatIndex{"packed": packed, "compressed": compressed} {
 		eng := NewBatchEngineFlat(fx)
 		eng.SetOverlay(overlayOver(t, fx, g, ops))
-		// Pairs the overlay answers without falling back, found by asking.
-		var pairs [][2]int
-		rng := rand.New(rand.NewSource(3))
-		for len(pairs) < 64 {
-			u, v := rng.Intn(g.NumVertices()), rng.Intn(g.NumVertices())
-			before := eng.Overlay().Stat().Fallback
-			eng.QueryHub(u, v)
-			if eng.Overlay().Stat().Fallback == before {
-				pairs = append(pairs, [2]int{u, v})
-			}
-		}
+		pairs := unfallenPairs(eng, 64)
 		i := 0
 		allocs := testing.AllocsPerRun(500, func() {
 			p := pairs[i%len(pairs)]
-			eng.QueryHub(p[0], p[1])
+			eng.QueryHub(p.U, p.V)
 			i++
 		})
 		if allocs != 0 {
@@ -99,10 +106,12 @@ func TestCorrectedQueryDoesNotAllocate(t *testing.T) {
 // its hash-join probe buffer (8 bytes per vertex) and its by-source chains
 // from the index's pools and returns them, so a steady-state single-worker
 // BatchInto — here a two-pair batch, where a fresh scratch per call would
-// dwarf the work, and a batch that repeats its sources — allocates nothing
-// on either storage format.
+// dwarf the work, a batch that repeats its sources, and a batch under an
+// overlay that corrects every pair without falling back — allocates
+// nothing on either storage format.
 func TestBatchIntoReusesScratch(t *testing.T) {
-	ix, err := Build(GenerateRoadGrid(24, 24, 1), Options{})
+	g := GenerateRoadGrid(24, 24, 1)
+	ix, err := Build(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,6 +148,19 @@ func TestBatchIntoReusesScratch(t *testing.T) {
 		for i, p := range repeated {
 			if want := ix.Query(p.U, p.V); rdst[i] != want {
 				t.Fatalf("%s: repeated-source pair %d (%d,%d) = %v, want %v", name, i, p.U, p.V, rdst[i], want)
+			}
+		}
+
+		eng.SetOverlay(overlayOver(t, fx, g, randomPatch(g, rand.New(rand.NewSource(2)), 8)))
+		corrected := unfallenPairs(eng, 64)
+		cdst := make([]float64, len(corrected))
+		eng.BatchInto(cdst, corrected)
+		if allocs := testing.AllocsPerRun(200, func() { eng.BatchInto(cdst, corrected) }); allocs != 0 {
+			t.Errorf("%s: BatchInto under an overlay allocates %v times per call, want 0", name, allocs)
+		}
+		for i, p := range corrected {
+			if want, _, _ := eng.QueryHub(p.U, p.V); cdst[i] != want {
+				t.Fatalf("%s: corrected pair %d (%d,%d) = %v, QueryHub says %v", name, i, p.U, p.V, cdst[i], want)
 			}
 		}
 	}

@@ -372,14 +372,9 @@ func (e *BatchEngine) queryHub(s *QueryScratch, u, v int) (dist float64, hub int
 			return a.Dist, a.Hub, a.Reachable
 		}
 	}
+	dist, hub, ok = e.fx.QueryHubWith(s, u, v)
 	if e.ov != nil {
-		// Endpoint runs zero-copy from a fixed-width store, decoded once
-		// into a pooled buffer from a compressed one.
-		fx, b := e.fx, runBufs.Get().(*runBuf)
-		dist, hub, ok = queryPatched(e.ov, fx.fwd.RunInto(&b.u, u), fx.bwd.RunInto(&b.v, v), u, v, func(rank uint32) int { return fx.perm[rank] })
-		runBufs.Put(b)
-	} else {
-		dist, hub, ok = e.fx.QueryHubWith(s, u, v)
+		dist, hub, ok = queryPatched(e.ov, u, v, dist, hub)
 	}
 	if e.cache != nil {
 		e.cache.Put(u, v, Answer{Dist: dist, Hub: hub, Reachable: ok})
@@ -387,23 +382,15 @@ func (e *BatchEngine) queryHub(s *QueryScratch, u, v int) (dist float64, hub int
 	return dist, hub, ok
 }
 
-// runBuf holds the two decoded endpoint runs of one corrected query on
-// a compressed index.
-type runBuf struct{ u, v []uint64 }
-
-var runBufs = sync.Pool{New: func() any { return new(runBuf) }}
-
-// queryPatched answers one pair under overlay ov on either tier: the
-// endpoints' frozen runs (runU: u's forward run; runV: v's backward run,
-// its only run when undirected) go to the overlay, which joins, corrects
-// and, where it must, falls back to an exact Dijkstra
-// (delta.Overlay.Query). The witness hub survives only when the overlay
-// proves the frozen answer still exact — hubOf maps its rank to an
-// original id, and for u == v it is u itself; otherwise the hub is -1,
-// since no hub in the frozen labels is guaranteed to lie on a patched
-// shortest path.
-func queryPatched(ov *delta.Overlay, runU, runV []uint64, u, v int, hubOf func(rank uint32) int) (dist float64, hub int, ok bool) {
-	dist, rank, frozen := ov.Query(runU, runV, u, v)
+// queryPatched corrects one pair's frozen answer under overlay ov on
+// either tier: d0 and hub are the tier's own frozen join of u→v (hub an
+// original id), which the overlay corrects and, where it must, replaces
+// with an exact Dijkstra (delta.Overlay.Query). The witness hub survives
+// only when the overlay proves the frozen answer still exact, and for
+// u == v it is u itself; otherwise the hub is -1, since no hub in the
+// frozen labels is guaranteed to lie on a patched shortest path.
+func queryPatched(ov *delta.Overlay, u, v int, d0 float64, hub int) (float64, int, bool) {
+	dist, frozen := ov.Query(d0, u, v)
 	switch {
 	case dist >= Infinity:
 		return Infinity, 0, false
@@ -412,7 +399,7 @@ func queryPatched(ov *delta.Overlay, runU, runV []uint64, u, v int, hubOf func(r
 	case u == v:
 		return dist, u, true
 	}
-	return dist, hubOf(rank), true
+	return dist, hub, true
 }
 
 // Batch answers every pair and returns the distances in order.
@@ -456,22 +443,17 @@ func (e *BatchEngine) BatchInto(dst []float64, pairs []QueryPair) {
 }
 
 // serveRange answers one worker's contiguous slice of a batch. On the
-// frozen index alone that is batchGrouped. Through a cache every pair is
-// looked up on its own and a miss joins on one pooled scratch — which
-// kernel that means, hash join or merge join on a nil scratch, is label's
-// decision (ScratchPool.GetJoinFor, Join); under an overlay every pair
-// takes the corrected single-pair path, which joins on the overlay's own
-// scratch.
+// frozen index alone that is batchGrouped. Through a cache or an overlay
+// every pair takes the single-pair path, its frozen join on one pooled
+// scratch — which kernel that means, hash join or merge join on a nil
+// scratch, is label's decision (ScratchPool.GetJoinFor, Join).
 func (e *BatchEngine) serveRange(dst []float64, pairs []QueryPair, lo, hi int) {
 	fx := e.fx
 	if e.cache == nil && e.ov == nil {
 		fx.batchGrouped(dst[lo:hi], pairs[lo:hi])
 		return
 	}
-	var s *QueryScratch
-	if e.ov == nil {
-		s = fx.scratch.GetJoinFor(fx.fwd)
-	}
+	s := fx.scratch.GetJoinFor(fx.fwd)
 	for i := lo; i < hi; i++ {
 		dst[i], _, _ = e.queryHub(s, pairs[i].U, pairs[i].V)
 	}

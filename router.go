@@ -599,10 +599,10 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		cache:  r.newAnswerCache(),
 	})
 	if cfg.BaseGraph != nil {
-		if err := fitsBase(cfg.BaseGraph, cfg.Manifest.Vertices, cfg.Manifest.Directed); err != nil {
+		if err := fitsBase(cfg.BaseGraph, cfg.Manifest.Vertices, cfg.Manifest.Directed, cfg.Manifest.UnitExp); err != nil {
 			return nil, err
 		}
-		log, ov, err := delta.OpenLog(cfg.BaseGraph, cfg.UpdateJournal, r.unitExp)
+		log, ov, err := delta.OpenLog(cfg.BaseGraph, cfg.UpdateJournal)
 		if err != nil {
 			return nil, err
 		}
@@ -680,12 +680,13 @@ func (r *Router) queryHub(u, v int, needHub bool) (dist float64, hub int, ok boo
 // A same-shard pair on a frozen cluster is forwarded whole — the shard
 // joins locally, witness included. Every other pair is answered from
 // rows: fetch u's forward row, with its hubs' original ids, and v's
-// backward (directed) or forward row; join them here — label.JoinPacked,
-// or under a delta overlay queryPatched, the engine tier's own corrected
-// pair path and hub contract (even for same-shard pairs: the shard's own
-// /dist would answer from the frozen labels the overlay exists to
-// correct); then read the witness's original id at the joined hub's
-// index in u's row. Row and ids come from one response, so from one
+// backward (directed) or forward row; join them here with
+// label.JoinPacked and read the witness's original id at the joined
+// hub's index in u's row. Under a delta overlay every pair takes this
+// path, even a same-shard one (the shard's own /dist would answer from
+// the frozen labels the overlay exists to correct), and queryPatched —
+// the engine tier's own correction and hub contract — corrects the join.
+// Row and ids come from one response, so from one
 // snapshot: a reload can never pair a rank with another snapshot's
 // permutation. Hub-less corrected answers cache under hubUnknown (== -1),
 // so a later hub-needing query recomputes.
@@ -709,19 +710,16 @@ func (r *Router) routePair(ctx context.Context, st *routerState, u, v int) fligh
 		return flightResult{err: err}
 	}
 	rowU, rowV := rows.pair(r.directed, u, v)
-	hubOf := func(rank uint32) int {
+	res := flightResult{dist: Infinity}
+	if d, rank, ok := label.JoinPacked(rowU, rowV); ok {
 		// The joined hub is an entry of rowU, whose words sort by hub.
 		i := sort.Search(len(rowU), func(i int) bool { return uint32(rowU[i]>>32) >= rank })
-		return rows.hubIDs[u][i]
+		res = flightResult{dist: label.FromUnits(d, r.unitExp), hub: rows.hubIDs[u][i], ok: true}
 	}
-	res := flightResult{dist: Infinity}
 	if st.patch != nil {
-		res.dist, res.hub, res.ok = queryPatched(st.patch, rowU, rowV, u, v, hubOf)
+		res.dist, res.hub, res.ok = queryPatched(st.patch, u, v, res.dist, res.hub)
 	} else {
 		r.crossJoins.Add(1)
-		if d, rank, ok := label.JoinPacked(rowU, rowV); ok {
-			res = flightResult{dist: label.FromUnits(d, r.unitExp), hub: hubOf(rank), ok: true}
-		}
 	}
 	r.cachePut(st, so, u, v, res)
 	return res
@@ -807,22 +805,24 @@ func (r *Router) batch(ctx context.Context, dists []float64, pairs []QueryPair) 
 		return err
 	}
 
-	// Join locally: the overlay when one is outstanding, else the same
-	// kernel and scratch-size policy the single-process BatchEngine serves
-	// with (label.ScratchPool.GetJoin; a nil scratch merge-joins).
+	// Join locally with the same kernel and scratch-size policy the
+	// single-process BatchEngine serves with (label.ScratchPool.GetJoin; a
+	// nil scratch merge-joins), then let the overlay, when one is
+	// outstanding, correct each answer.
 	var s *label.HubTable
-	if st.patch == nil && len(joined) > 0 {
+	if len(joined) > 0 {
 		s = r.scratch.GetJoin(r.n)
+	}
+	if st.patch == nil {
 		r.crossJoins.Add(int64(len(joined)))
 	}
 	for _, i := range joined {
-		a, b := rows.pair(r.directed, pairs[i].U, pairs[i].V)
+		p := pairs[i]
+		a, b := rows.pair(r.directed, p.U, p.V)
+		d, _, _ := label.JoinPackedWith(s, a, b)
+		dists[i] = label.FromUnits(d, r.unitExp)
 		if st.patch != nil {
-			dists[i], _, _ = st.patch.Query(a, b, pairs[i].U, pairs[i].V)
-		} else if d, _, ok := label.JoinPackedWith(s, a, b); ok {
-			dists[i] = label.FromUnits(d, r.unitExp)
-		} else {
-			dists[i] = Infinity
+			dists[i], _ = st.patch.Query(dists[i], p.U, p.V)
 		}
 	}
 	r.scratch.Put(s) // not deferred: only a clean scratch goes back

@@ -29,7 +29,7 @@ func (r *Router) Update(ops []EdgeOp) (delta.Stats, error) {
 	}
 	r.patchMu.Lock()
 	defer r.patchMu.Unlock()
-	ov, err := r.log.Apply(ops, r.unitExp)
+	ov, err := r.log.Apply(ops)
 	if err != nil {
 		return delta.Stats{}, err
 	}

@@ -469,10 +469,10 @@ func (s *Server) reload(path string) (*Snapshot, error) {
 	}
 	// An updates-enabled server's base graph must keep describing the
 	// served labels: a reload may swap in a rebuild of the same graph
-	// (same vertex space, same directedness — compaction writes exactly
-	// that), not an arbitrary other index.
+	// (same vertex space, directedness and unit — compaction writes
+	// exactly that), not an arbitrary other index.
 	if s.log != nil {
-		if err := fitsBase(s.log.Base(), fx.NumVertices(), fx.Directed()); err != nil {
+		if err := fitsBase(s.log.Base(), fx.NumVertices(), fx.Directed(), fx.unitExp()); err != nil {
 			fx.Close()
 			return nil, fmt.Errorf("chl: reload %s rejected: %w", path, err)
 		}
@@ -527,10 +527,10 @@ func (s *Server) EnableUpdates(g *Graph, journalPath string) error {
 	if cur == nil {
 		return fmt.Errorf("chl: Server used after Close")
 	}
-	if err := fitsBase(g, cur.fx.NumVertices(), cur.fx.Directed()); err != nil {
+	if err := fitsBase(g, cur.fx.NumVertices(), cur.fx.Directed(), cur.fx.unitExp()); err != nil {
 		return err
 	}
-	log, ov, err := delta.OpenLog(g, journalPath, cur.fx.unitExp())
+	log, ov, err := delta.OpenLog(g, journalPath)
 	if err != nil {
 		return err
 	}
@@ -541,11 +541,15 @@ func (s *Server) EnableUpdates(g *Graph, journalPath string) error {
 	return nil
 }
 
-// fitsBase refuses labels over n vertices (directed or not) that cannot
-// have been built from base, the graph updates correct them against.
-func fitsBase(base *Graph, n int, directed bool) error {
+// fitsBase refuses labels over n vertices (directed or not), counting
+// units of 2^-k, that cannot have been built from base, the graph updates
+// correct them against: a labeling counts in its graph's own unit.
+func fitsBase(base *Graph, n int, directed bool, k int) error {
 	if n != base.NumVertices() || directed != base.Directed() {
 		return fmt.Errorf("chl: the index covers %d vertices (directed=%v) but the base graph %d (directed=%v) — not the graph it was built from?", n, directed, base.NumVertices(), base.Directed())
+	}
+	if k != base.WeightUnitExp() {
+		return fmt.Errorf("chl: the index counts distances in units of 2^-%d but the base graph weighs its edges in units of 2^-%d — not the graph it was built from?", k, base.WeightUnitExp())
 	}
 	return nil
 }
@@ -579,7 +583,7 @@ func (s *Server) update(ops []EdgeOp) (*Snapshot, error) {
 	if cur == nil {
 		return nil, fmt.Errorf("chl: Server used after Close")
 	}
-	ov, err := s.log.Apply(ops, cur.fx.unitExp())
+	ov, err := s.log.Apply(ops)
 	if err != nil {
 		return nil, err
 	}

@@ -782,6 +782,84 @@ func TestEnableUpdatesIsOneWay(t *testing.T) {
 	}
 }
 
+// halfWeights is g with every edge at half its weight: the same vertices,
+// edges and directedness, counted in a finer unit.
+func halfWeights(g *chl.Graph) *chl.Graph {
+	b := chl.NewGraphBuilder(g.NumVertices(), g.Directed())
+	for u := 0; u < g.NumVertices(); u++ {
+		heads, ws := g.Neighbors(u)
+		for i, h := range heads {
+			if v := int(h); g.Directed() || u < v {
+				b.AddEdge(u, v, g.FromUnits(uint64(ws[i]))/2)
+			}
+		}
+	}
+	return b.MustFinish()
+}
+
+// TestBaseGraphUnitRefused: labels count distances in their graph's own
+// unit 2^-k, so a base graph in another unit is not the graph they were
+// built from, even over the same vertices and edges. Accepting one
+// corrects the labels against the wrong weights — with the edges at half
+// weight, del 0 1 would serve d(0,35) = 22 where the frozen labels say 34,
+// and a deletion cannot shorten a path. EnableUpdates, a reload on an
+// updating server and NewRouter each refuse it, naming both units.
+func TestBaseGraphUnitRefused(t *testing.T) {
+	g := chl.GenerateRoadGrid(6, 6, 1)
+	half := halfWeights(g)
+	ix, err := chl.Build(g, chl.Options{Algorithm: chl.AlgoSeqPLL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx, err := ix.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, kHalf := g.WeightUnitExp(), half.WeightUnitExp()
+	if k == kHalf {
+		t.Fatalf("fixture: halving the weights kept the unit 2^-%d", k)
+	}
+	namesBoth := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: labels and a base graph in different units (2^-%d, 2^-%d) were accepted together", what, k, kHalf)
+		}
+		for _, unit := range []string{fmt.Sprintf("2^-%d ", k), fmt.Sprintf("2^-%d ", kHalf)} {
+			if !strings.Contains(err.Error()+" ", unit) {
+				t.Fatalf("%s: %q does not name the unit %s", what, err, unit)
+			}
+		}
+	}
+
+	s := chl.NewServerFromFlat(fx, 0)
+	defer s.Close()
+	namesBoth("EnableUpdates", s.EnableUpdates(half, ""))
+
+	dir := t.TempDir()
+	own, other := filepath.Join(dir, "own.flat"), saveFrozen(t, half, dir, "half.flat")
+	if err := fx.SaveFile(own); err != nil {
+		t.Fatal(err)
+	}
+	updating, err := chl.NewServer(own, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer updating.Close()
+	if err := updating.EnableUpdates(g, ""); err != nil {
+		t.Fatal(err)
+	}
+	_, err = updating.Reload(other)
+	namesBoth("Reload", err)
+
+	m, err := fx.SaveShards(filepath.Join(dir, "cluster"), 2, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The refusal comes before any shard is contacted.
+	_, err = chl.NewRouter(chl.RouterConfig{Manifest: m, Addrs: []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}, BaseGraph: half})
+	namesBoth("NewRouter", err)
+}
+
 // TestSetShardRefusesUpdatingServer: SetShard refuses a server with updates
 // enabled, just as EnableUpdates refuses a shard — a shard's overlay would
 // see only its own slice of the vertex space. The slice is a valid one: a
