@@ -55,12 +55,17 @@
 //
 //	GET  /dist?u=17&v=3942      → {"u":17,"v":3942,"reachable":true,"dist":42,"hub":106}
 //	POST /batch  [[u,v],...]    → {"dists":[...]}   (-1 marks unreachable pairs)
-//	GET  /paths?u=17&v=3942     → {"dist":42,"path":[17,106,...,3942]} actual vertex walk via witness hubs
+//	GET  /paths?u=17&v=3942     → {"dist":42,"path":[17,106,...,3942]} one shortest path's vertices in order
 //	GET  /knn?u=17&k=8          → {"neighbors":[{"v":...,"dist":...,"hub":...},...]} k nearest by label scan
 //	POST /matrix {"sources":[...],"targets":[...]} → NDJSON stream, one distance row per source
 //	GET  /stats                 → index shape, generation, cache hit/miss counters
 //	POST /reload?path=new.flat  → hot-swap to a new flat file (empty path: re-open the current file)
 //	GET  /healthz               → {"ok":true,"generation":N}
+//
+// On a frozen index /paths returns the witness chain, refined by witness
+// hubs only as far as the labels allow, so consecutive vertices need not
+// share an edge; under an outstanding overlay (POST /update, served with
+// -graph) it returns the patched graph's edge walk.
 package main
 
 import (

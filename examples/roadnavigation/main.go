@@ -1,8 +1,7 @@
 // Road navigation: the paper's motivating route-planning workload. Builds
-// the CHL for a road network, compares hub-label queries against
-// bidirectional Dijkstra for correctness and work, and demonstrates that
-// PLaNT alone is both scalable and efficient on high-diameter road
-// topologies (§7.3 "Graph Topologies").
+// the CHL for a road network, times hub-label route queries, and
+// demonstrates that PLaNT alone is both scalable and efficient on
+// high-diameter road topologies (§7.3 "Graph Topologies").
 //
 // Run with: go run ./examples/roadnavigation
 package main

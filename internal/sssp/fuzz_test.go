@@ -56,7 +56,7 @@ func FuzzSSSP(f *testing.F) {
 	f.Add([]byte{17, 1, 0, 33, 0, 2, 4, 2, 1, 3, 1, 3, 150, 3, 0, 47, 4, 1, 200})  // directed, fractional
 	f.Add([]byte{20, 0, 1, 10, 0, 9, 220, 2, 3, 5, 1, 9, 9, 0, 8, 220})            // parked, then pulled as the window slides
 	f.Add([]byte{20, 0, 1, 10, 1, 5, 10, 0, 9, 220, 9, 5, 5})                      // a parked distance beats one in the window
-	f.Add([]byte{17, 1, 0, 6, 0, 2, 20, 2, 1, 61, 1, 3, 150, 3, 0, 204, 4, 1, 20}) // directed, fractional, in domain
+	f.Add([]byte{17, 1, 0, 6, 0, 2, 20, 2, 1, 61, 1, 3, 150, 3, 0, 204, 4, 1, 20}) // directed, fractional, in domain; 4→1 one way, 5–9 isolated
 	f.Add([]byte{8, 0, 1, 5, 1, 2, 6, 2, 3, 9, 0, 3, 61})                          // undirected, fractional, in domain
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, tame, err := fuzzGraph(data)

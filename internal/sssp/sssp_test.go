@@ -197,34 +197,6 @@ func bruteMaxRank(g *graph.Graph, src, v int, distSrc []float64) int {
 	return best
 }
 
-func TestPointToPoint(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		g := graph.ErdosRenyi(40, 90, 7, seed)
-		rng := rand.New(rand.NewSource(seed))
-		for i := 0; i < 30; i++ {
-			s, v := rng.Intn(40), rng.Intn(40)
-			want := Dijkstra(g, s)[v]
-			if got := PointToPoint(g, s, v); got != want {
-				t.Fatalf("seed %d: ptp(%d,%d) = %v, want %v", seed, s, v, got, want)
-			}
-		}
-	}
-	// Directed asymmetry.
-	b := graph.NewBuilder(3, true)
-	b.AddEdge(0, 1, 1)
-	b.AddEdge(1, 2, 1)
-	g := b.MustFinish()
-	if d := PointToPoint(g, 0, 2); d != 2 {
-		t.Fatalf("directed ptp = %v", d)
-	}
-	if d := PointToPoint(g, 2, 0); d != graph.Infinity {
-		t.Fatalf("reverse directed ptp = %v, want Infinity", d)
-	}
-	if d := PointToPoint(g, 1, 1); d != 0 {
-		t.Fatalf("self ptp = %v", d)
-	}
-}
-
 // dijkstraSink keeps the Dijkstra benchmarks' results live.
 var dijkstraSink []float64
 
@@ -245,6 +217,35 @@ func BenchmarkDijkstraRoad(b *testing.B) { benchmarkDijkstra(b, graph.RoadGrid(9
 // graph: short hops through high-degree hubs, weights in [1, 90).
 func BenchmarkDijkstraScaleFree(b *testing.B) {
 	benchmarkDijkstra(b, graph.BarabasiAlbert(8192, 3, 1))
+}
+
+// dijkstraToSink keeps the DijkstraTo benchmarks' answers live.
+var dijkstraToSink float64
+
+// benchmarkDijkstraTo times one DijkstraTo over g per op, cycling through
+// 256 pairs drawn once from a fixed seed.
+func benchmarkDijkstraTo(b *testing.B, g *graph.Graph) {
+	rng := rand.New(rand.NewSource(1))
+	pairs := make([][2]int, 256)
+	for i := range pairs {
+		pairs[i] = [2]int{rng.Intn(g.NumVertices()), rng.Intn(g.NumVertices())}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i%len(pairs)]
+		dijkstraToSink = DijkstraTo(g, p[0], p[1])
+	}
+}
+
+// BenchmarkDijkstraToRoad is one point-to-point search over the road grid
+// (96×96): the traversal a hub-label query is measured against, and the
+// overlay's fallback.
+func BenchmarkDijkstraToRoad(b *testing.B) { benchmarkDijkstraTo(b, graph.RoadGrid(96, 96, 1)) }
+
+// BenchmarkDijkstraToScaleFree is one point-to-point search over the
+// build-scalefree graph.
+func BenchmarkDijkstraToScaleFree(b *testing.B) {
+	benchmarkDijkstraTo(b, graph.BarabasiAlbert(8192, 3, 1))
 }
 
 // BenchmarkDijkstraWideWeights is the road grid with one extra 2^-10 arc,

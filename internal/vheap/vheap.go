@@ -6,8 +6,8 @@
 //
 // The heap is popped by the searches whose result follows the exact order
 // of their pops, or that are kept independent of the window:
-// pll.Sequential, the reference builder, Brandes in internal/order, whose
-// float sums follow tie order, and internal/sssp's PointToPoint.
+// pll.Sequential, the reference builder, and Brandes in internal/order,
+// whose float sums follow tie order.
 // The window serves the searches that settle a bucket at a time:
 // internal/sssp's search behind every plain distance row, and the trees of
 // every pruned-Dijkstra builder (ptree.Tree, plant.Tree), one window per
@@ -16,7 +16,7 @@
 //
 // Keys are distances in units of the graph's 2^-k (internal/graph). An
 // entry sits in bucket bits.Len64(key ^ floor), where floor is the last
-// key Pop or Peek returned, so bucket 0 holds the keys equal to the floor
+// key Pop returned, so bucket 0 holds the keys equal to the floor
 // and each higher bucket a range above the ones below. When bucket 0 runs
 // dry, the lowest non-empty bucket is redistributed around its minimum,
 // and every entry moves to a strictly lower bucket: an entry is touched at
@@ -44,7 +44,7 @@ import (
 // usable; call New. A Heap is not safe for concurrent use: every algorithm
 // here owns one heap per worker.
 type Heap struct {
-	floor    uint64      // the last key Pop or Peek returned
+	floor    uint64      // the last key Pop returned
 	size     int         // items queued
 	occupied uint64      // bit b-1 set iff buckets[b] (b ≥ 1) holds entries
 	buckets  [65][]entry // buckets[b]: entries whose key differs from floor first at bit b-1
@@ -95,7 +95,7 @@ func (h *Heap) Empty() bool { return h.size == 0 }
 // queued with a larger one. Pushing an item queued with a key that is not
 // larger, or one already popped since the last Clear, is a no-op. It
 // reports whether the heap changed. Push panics if key is below the last
-// key Pop or Peek returned.
+// key Pop returned.
 func (h *Heap) Push(item int, k uint64) bool {
 	if k < h.floor {
 		panic("vheap: key below the last popped key")
@@ -124,20 +124,20 @@ func (h *Heap) add(e entry) {
 // Pop removes and returns the item with the minimum key. Among equal keys
 // the order is unspecified but deterministic. It must only be called on a
 // non-empty heap.
+//
+// Bucket 0 never holds a superseded entry: its keys equal the floor, which
+// no decrease can undercut, and an item popped from it leaves it.
 func (h *Heap) Pop() (item int, key uint64) {
-	h.settle()
+	if h.size == 0 {
+		panic("vheap: Pop on an empty heap")
+	}
+	for len(h.buckets[0]) == 0 {
+		h.spill(unpushed)
+	}
 	b := h.buckets[0]
 	e := b[len(b)-1]
 	h.buckets[0] = b[:len(b)-1]
 	h.size--
-	return int(e.item), e.key
-}
-
-// Peek returns the minimum item and key without removing it; the key
-// becomes the floor. It must only be called on a non-empty heap.
-func (h *Heap) Peek() (item int, key uint64) {
-	h.settle()
-	e := h.buckets[0][len(h.buckets[0])-1]
 	return int(e.item), e.key
 }
 
@@ -164,18 +164,6 @@ func (h *Heap) PopBelow(lim uint64) (item int, key uint64, ok bool) {
 	}
 	item, key = h.Pop()
 	return item, key, true
-}
-
-// settle makes bucket 0 non-empty. Bucket 0 never holds a superseded entry:
-// its keys equal the floor, which no decrease can undercut, and an item
-// popped from it leaves it.
-func (h *Heap) settle() {
-	if h.size == 0 {
-		panic("vheap: Pop or Peek on an empty heap")
-	}
-	for len(h.buckets[0]) == 0 {
-		h.spill(unpushed)
-	}
 }
 
 // spill empties the lowest occupied bucket b into lower ones around a new

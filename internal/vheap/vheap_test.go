@@ -44,16 +44,13 @@ func TestDecreaseKey(t *testing.T) {
 	if h.Len() != 3 {
 		t.Fatalf("len %d after decrease-key, want 3", h.Len())
 	}
-	if item, key := h.Peek(); item != 2 || key != 5 {
-		t.Fatalf("peek = (%d,%v), want (2,5)", item, key)
-	}
 	// Increasing the key must be a no-op (Dijkstra semantics).
 	if h.Push(2, 50) {
 		t.Fatal("increase-key unexpectedly changed the heap")
 	}
-	for _, want := range []int{2, 0, 1} {
-		if item, _ := h.Pop(); item != want {
-			t.Fatalf("popped %d, want %d", item, want)
+	for _, want := range [][2]uint64{{2, 5}, {0, 10}, {1, 20}} {
+		if item, key := h.Pop(); uint64(item) != want[0] || key != want[1] {
+			t.Fatalf("popped (%d,%v), want (%d,%v)", item, key, want[0], want[1])
 		}
 	}
 	if !h.Empty() {
@@ -170,8 +167,8 @@ func (m *model) min() uint64 {
 	return slices.Min(keys)
 }
 
-// check holds one Pop or Peek answer to the model and, for a Pop, applies it.
-func (m *model) check(t *testing.T, what string, item int, key uint64, pop bool) {
+// check holds one Pop answer to the model and applies it.
+func (m *model) check(t *testing.T, what string, item int, key uint64) {
 	t.Helper()
 	if want := m.min(); key != want {
 		t.Fatalf("%s returned key %v, the model's minimum is %v", what, key, want)
@@ -180,10 +177,8 @@ func (m *model) check(t *testing.T, what string, item int, key uint64, pop bool)
 		t.Fatalf("%s returned (%d,%v), the model holds %v (queued %v)", what, item, key, got, ok)
 	}
 	m.floor, m.loose = key, false
-	if pop {
-		delete(m.key, item)
-		m.popped[item] = true
-	}
+	delete(m.key, item)
+	m.popped[item] = true
 }
 
 func (m *model) clear() {
@@ -198,7 +193,7 @@ func (m *model) popBelow(t *testing.T, h *Heap, limit uint64) {
 		t.Fatalf("PopBelow(%v) = %v, want %v", limit, ok, want)
 	}
 	if ok {
-		m.check(t, "PopBelow", item, key, true)
+		m.check(t, "PopBelow", item, key)
 	} else if limit > m.floor {
 		m.floor, m.loose = limit, true
 	}
@@ -265,11 +260,8 @@ func TestRandomOperationsAgainstModel(t *testing.T) {
 			}
 		case op < 7:
 			item, key := h.Pop()
-			m.check(t, "Pop", item, key, true)
-		case op == 7:
-			item, key := h.Peek()
-			m.check(t, "Peek", item, key, false)
-		case op == 8:
+			m.check(t, "Pop", item, key)
+		default:
 			m.popBelow(t, h, m.floor+uint64(rng.Intn(1000)))
 		}
 		if rng.Intn(2000) == 0 {
@@ -337,7 +329,7 @@ func TestPopBelowAgainstModel(t *testing.T) {
 			case 2:
 				if !h.Empty() {
 					item, key := h.Pop()
-					m.check(t, "Pop", item, key, true)
+					m.check(t, "Pop", item, key)
 				}
 			}
 		}
@@ -345,18 +337,19 @@ func TestPopBelowAgainstModel(t *testing.T) {
 }
 
 // FuzzHeap steers the heap through pushes at, above and (expecting a panic)
-// below the floor, decrease-keys, Peeks between Pops, PopBelows on either
-// side of the minimum, and Clears, holding every answer to the model.
+// below the floor, decrease-keys, Pops, PopBelows on either side of the
+// minimum, and Clears, holding every answer to the model.
 func FuzzHeap(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 2, 3, 0, 1, 9, 1, 1, 2, 4, 1, 1})
 	f.Add([]byte{0, 1, 8, 0, 2, 8, 0, 3, 8, 2, 0, 1, 1, 4, 0, 0, 0, 1, 1, 3, 1, 1})
 	f.Add([]byte{0, 1, 200, 0, 2, 5, 1, 5, 0, 1, 0, 3, 1, 1})
-	f.Add([]byte{0, 1, 40, 0, 2, 90, 6, 0, 20, 0, 3, 80, 6, 0, 200, 6, 0, 200, 3, 0, 0})
+	f.Add([]byte{0, 1, 40, 0, 2, 90, 4, 0, 20, 0, 3, 80, 4, 0, 200, 4, 0, 200, 3, 0, 0})
+	f.Add([]byte{0, 1, 0, 4, 0, 0, 4, 0, 1}) // PopBelow refuses at the minimum, pops just above it
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const n = 16
 		h, m := New(n), newModel()
 		for len(ops) >= 3 {
-			op, a, b := ops[0]%7, int(ops[1]), ops[2]
+			op, a, b := ops[0]%6, int(ops[1]), ops[2]
 			ops = ops[3:]
 			item := a % n
 			switch op {
@@ -378,13 +371,10 @@ func FuzzHeap(f *testing.F) {
 			case 3:
 				if !h.Empty() {
 					item, key := h.Pop()
-					m.check(t, "Pop", item, key, true)
+					m.check(t, "Pop", item, key)
 				}
-			case 4:
-				if !h.Empty() {
-					item, key := h.Peek()
-					m.check(t, "Peek", item, key, false)
-				}
+			case 4: // PopBelow a limit up to 255 above the floor
+				m.popBelow(t, h, m.floor+uint64(b))
 			case 5:
 				if b%4 == 0 {
 					h.Clear()
@@ -407,7 +397,7 @@ func FuzzHeap(f *testing.F) {
 		}
 		for !h.Empty() {
 			item, key := h.Pop()
-			m.check(t, "Pop", item, key, true)
+			m.check(t, "Pop", item, key)
 		}
 		if len(m.key) != 0 {
 			t.Fatalf("heap drained with %d items still queued in the model", len(m.key))

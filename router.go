@@ -25,19 +25,22 @@ import (
 
 // Router fronts a cluster of shard servers and answers the same query API
 // a single-process Server does, over an index too large for one process.
-// Routing is QDOL-style (internal/query, §6 of the paper): every query is
-// sent point-to-point to the shards owning its endpoints, never broadcast.
+// Vertices are placed on a consistent-hash ring (internal/shard): each
+// vertex's label runs live on one shard, and every query is sent
+// point-to-point to the shards owning its endpoints, never broadcast.
 //
 //   - Both endpoints on one shard: the router forwards the query whole;
 //     the shard answers it alone from its local label runs (and its own
-//     per-snapshot answer cache), exactly QDOL's owner-node case.
-//   - Endpoints on two shards: where QDOL would have pre-replicated the
-//     partition pair onto a common node, the router instead fetches the
-//     two packed label rows (POST /shardquery) and hub-joins them locally
-//     with the same scratch kernels BatchEngine serves with — one join,
-//     two small messages, Θ(1/N) memory per shard instead of QDOL's
-//     Θ(1/√q). u's row arrives with its hubs' original ids, so the
-//     witness is read off the same response.
+//     per-snapshot answer cache).
+//   - Endpoints on two shards: the router fetches the two packed label
+//     rows (POST /shardquery) and joins them itself with the same scratch
+//     kernels BatchEngine serves with — one join, two small messages,
+//     Θ(1/N) memory per shard. u's row arrives with its hubs' original
+//     ids, so the witness is read off the same response.
+//
+// This is not the paper's QDOL (§6), which places every partition pair on
+// one node so that one node answers any pair; internal/query models QDOL,
+// and ROADMAP 16 holds pair placement for the router.
 //
 // Answers are bit-identical to a single-process FlatIndex over the
 // unsharded file: the fetched rows are byte-identical slices of the
