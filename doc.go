@@ -50,8 +50,8 @@
 // parent (§5.4): its PathIndex is an Index of the same labels, under the
 // same checks, plus Path(u, v), the vertex walk of a shortest path. It
 // freezes like any Index, but the frozen form is the plain CHL — the file
-// keeps the distances and drops the parents (a served index retrieves
-// paths by witness-hub expansion, /paths).
+// keeps the distances and drops the parents (a served index answers
+// /paths with its witness chain [u, h, v]).
 //
 // # Serving
 //
@@ -196,8 +196,10 @@
 // Three richer workloads run over the same labels, on every storage
 // format and deployment shape, with no new file formats. Path
 // reconstruction (FlatIndex.Path, Server.Path, Router.Path, GET
-// /paths) recursively expands witness hubs into the actual vertex
-// walk; consecutive waypoints are segments whose own Query distances
+// /paths) recursively expands witness hubs; on a canonical labeling
+// that stops at the first witness, so the answer is [u, h, v] or
+// [u, v], not the vertex walk (ROADMAP 17), and consecutive waypoints
+// need not share an edge. They are segments whose own Query distances
 // sum to the total exactly, and a bounded query budget guarantees
 // termination even against inconsistent labels. K-nearest neighbors
 // (BatchEngine.KNN, Router.KNN, GET /knn) runs a k-way merge over a

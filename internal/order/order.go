@@ -7,13 +7,15 @@
 // betweenness plants one shortest path tree per sample, and on the bench's
 // road fixture (256 samples) it is most of set-up — order.rank_s in bench/.
 // Its samples run in parallel, and the order it returns does not depend on
-// the worker count. Each sample's Brandes back-propagation walks the
-// shortest-path predecessors its tree recorded, so memory is
-// O(workers·(n+m)).
+// the worker count. Each sample tree settles a bucket at a time from the
+// worker's vheap.Window, as internal/sssp's rows do, and its Brandes
+// back-propagation walks the shortest-path predecessors the tree recorded,
+// so memory is O(workers·(n+m)).
 package order
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -101,7 +103,8 @@ func ByDegree(g *graph.Graph) *Order {
 // finishes one. Their dependency vectors are folded into the scores in
 // sample order, so every score sees the same float additions in the same
 // order as a single worker would make: the order does not depend on
-// `workers`. Memory is O(workers·(n+m)) and nothing is allocated per sample.
+// `workers`. Memory is O(workers·(n+m)), and a sample allocates only where
+// a bucket of its tree holds more entries than any before it.
 func ByApproxBetweenness(g *graph.Graph, samples int, seed int64, workers int) *Order {
 	if g.NumVertices() == 0 {
 		return Identity(0)
@@ -159,34 +162,43 @@ func sampledBetweenness(g *graph.Graph, samples int, seed int64, workers int) []
 	return f.score
 }
 
-// brandes is one worker's scratch for planting sample trees. Vertex v's
-// shortest-path predecessors P[v] (Brandes 2001) are pred[inOff[v] :
-// inOff[v]+npred[v]]: the slots of v's in-arcs, which is as many as v can
-// have.
+// brandes is one worker's scratch for planting sample trees on a bucket
+// window (vheap.Window), as sssp's rows do. Vertex v's shortest-path
+// predecessors P[v] (Brandes 2001) are pred[vs[v].off : vs[v].off +
+// vs[v].npred]: the slots of v's in-arcs, which is as many as v can have.
+// A relaxation reads and writes σ, the offset and the count together, so
+// they share one record; dist is its own array because Window.Next reads
+// it.
 type brandes struct {
 	dist    []uint64 // in units of the graph's 2^-k
-	sigma   []float64
-	settled []int
-	inOff   []int
-	npred   []int32
+	vs      []vert
+	settled []int32
 	pred    []int32
-	h       *vheap.Heap
+	win     *vheap.Window
+}
+
+// vert is a vertex's record in a sample tree.
+type vert struct {
+	sigma float64 // σ: the number of shortest paths from the source
+	off   uint32
+	npred uint32
 }
 
 func newBrandes(g *graph.Graph) *brandes {
 	n := g.NumVertices()
+	if uint64(g.NumArcs()) > math.MaxUint32 {
+		panic(fmt.Sprintf("order: %d arcs do not fit a uint32 predecessor offset", g.NumArcs()))
+	}
 	b := &brandes{
 		dist:    make([]uint64, n),
-		sigma:   make([]float64, n),
-		settled: make([]int, 0, n),
-		inOff:   make([]int, n),
-		npred:   make([]int32, n),
+		vs:      make([]vert, n),
+		settled: make([]int32, 0, n),
 		pred:    make([]int32, g.NumArcs()),
-		h:       vheap.New(n),
+		win:     vheap.NewWindow(vheap.New(n)),
 	}
 	at := 0
-	for v := range b.inOff {
-		b.inOff[v] = at
+	for v := range b.vs {
+		b.vs[v].off = uint32(at)
 		at += g.InDegree(v)
 	}
 	return b
@@ -195,51 +207,62 @@ func newBrandes(g *graph.Graph) *brandes {
 // dependencies plants the shortest path tree of src and writes every
 // vertex's dependency on it into delta: 0 for src itself and for every
 // vertex src does not reach.
+//
+// The tree settles a bucket at a time. A bucket is no wider than the
+// lightest arc, so every predecessor of w lies in an earlier bucket than
+// w: σ[w] is final before w relaxes its arcs, and reverse settle order
+// visits every w before its predecessors, which is what back-propagation
+// needs. A bucket's vertices settle in the order they were queued.
 func (b *brandes) dependencies(g *graph.Graph, src int, delta []float64) {
-	dist, sigma, inOff, npred, pred := b.dist, b.sigma, b.inOff, b.npred, b.pred
+	dist, vs, pred := b.dist, b.vs, b.pred
 	for i := range dist {
 		dist[i] = graph.Unreached
-		sigma[i] = 0
 		delta[i] = 0
 	}
 	settled := b.settled[:0]
-	h := b.h
-	h.Clear()
+	w := b.win
+	w.Start(g.MinUnits())
 	dist[src] = 0
-	sigma[src] = 1
-	npred[src] = 0
-	h.Push(src, 0)
-	// A vertex's first strict improvement resets its P, so P is never read
-	// stale: only settled vertices are read, and src has none.
-	for !h.Empty() {
-		u, du := h.Pop()
-		settled = append(settled, u)
-		heads, wts := g.Neighbors(u)
-		for i, vv := range heads {
-			v := int(vv)
-			nd := du + uint64(wts[i])
-			if nd < dist[v] {
-				dist[v] = nd
-				sigma[v] = sigma[u]
-				pred[inOff[v]] = int32(u)
-				npred[v] = 1
-				h.Push(v, nd)
-			} else if nd == dist[v] {
-				sigma[v] += sigma[u]
-				pred[inOff[v]+int(npred[v])] = int32(u)
-				npred[v]++
+	vs[src].sigma, vs[src].npred = 1, 0
+	w.Queue(src, 0)
+	// A vertex's first strict improvement resets its σ and P, so neither
+	// is read stale: only settled vertices are read, and src has none.
+	for more := true; more; more = w.Next(dist) {
+		for _, e := range w.Bucket() {
+			u := e.V
+			if e.D != dist[u] {
+				continue
+			}
+			settled = append(settled, int32(u))
+			su := vs[u].sigma
+			heads, wts := g.Neighbors(int(u))
+			for i, v := range heads {
+				nd := e.D + uint64(wts[i])
+				if nd < dist[v] {
+					dist[v] = nd
+					r := &vs[v]
+					r.sigma = su
+					pred[r.off] = int32(u)
+					r.npred = 1
+					w.Queue(int(v), nd)
+				} else if nd == dist[v] {
+					r := &vs[v]
+					r.sigma += su
+					pred[r.off+r.npred] = int32(u)
+					r.npred++
+				}
 			}
 		}
 	}
 	// Brandes back-propagation in reverse settle order. P[w] holds exactly
-	// the in-neighbours t with dist[t]+w(t,w) == dist[w], and each t once,
-	// so every delta[t] sees the additions of a scan over w's in-arcs, in
-	// the same order.
+	// the in-neighbours t with dist[t]+w(t,w) == dist[w], each once, so
+	// delta[t] gets one addition per shortest-path successor w of t, in
+	// reverse settle order.
 	for i := len(settled) - 1; i >= 0; i-- {
-		w := settled[i]
-		lo := inOff[w]
-		for _, t := range pred[lo : lo+int(npred[w])] {
-			delta[t] += sigma[t] / sigma[w] * (1 + delta[w])
+		r := vs[settled[i]]
+		dw := delta[settled[i]]
+		for _, t := range pred[r.off : r.off+r.npred] {
+			delta[t] += vs[t].sigma / r.sigma * (1 + dw)
 		}
 	}
 	// The source's own dependency is not betweenness. Adding this 0 (and

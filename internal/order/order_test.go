@@ -192,9 +192,10 @@ func TestSampledBetweennessFoldsInSampleOrder(t *testing.T) {
 }
 
 // TestByApproxBetweennessAllocsFlat: scratch is per worker and per ring
-// slot, never per sample, so 256 samples allocate what 16 do. A heap's
-// array still grows with the widest frontier a worker has seen, so the
-// grid is narrow enough that no frontier outgrows the initial array.
+// slot, never per sample, so 256 samples allocate what 16 do. A window's
+// bucket still grows with the widest frontier a worker has seen, so the
+// grid is narrow enough that no frontier outgrows a bucket's initial
+// capacity.
 func TestByApproxBetweennessAllocsFlat(t *testing.T) {
 	g := graph.RoadGrid(4, 128, 1)
 	allocs := func(samples int) float64 {
@@ -209,6 +210,22 @@ func TestByApproxBetweennessAllocsFlat(t *testing.T) {
 // 256 samples); -cpu sets the worker count.
 func BenchmarkRankBetweenness(b *testing.B) {
 	g := graph.RoadGrid(96, 96, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ByApproxBetweenness(g, 256, 1, 0)
+	}
+}
+
+// BenchmarkRankBetweennessWideWeights is the road hierarchy's graph plus one
+// 2^-10 arc, as BenchmarkPLaNTWideWeights: the unit, and the buckets, are
+// 2^-10 wide, the window spans one unit of the grid's integer weights, and
+// this times the heap the window parks nearly every distance on.
+func BenchmarkRankBetweennessWideWeights(b *testing.B) {
+	road := graph.RoadGrid(96, 96, 1)
+	g, err := road.Splice([]graph.EdgeEdit{{U: 0, V: road.NumVertices() - 1, W: 0x1p-10}})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ByApproxBetweenness(g, 256, 1, 0)

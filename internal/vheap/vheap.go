@@ -4,15 +4,14 @@
 // uint64 distances over dense integer items, and Window, a circular window
 // of buckets in front of such a heap.
 //
-// The heap is popped by the searches whose result follows the exact order
-// of their pops, or that are kept independent of the window:
-// pll.Sequential, the reference builder, and Brandes in internal/order,
-// whose float sums follow tie order.
-// The window serves the searches that settle a bucket at a time:
-// internal/sssp's search behind every plain distance row, and the trees of
-// every pruned-Dijkstra builder (ptree.Tree, plant.Tree), one window per
-// worker's ptree.Scratch. It parks the distances beyond its end on the
-// heap and pulls them back with PopBelow.
+// One search pops the heap directly: pll.Sequential, the reference builder,
+// which is kept independent of the window. Every other search settles a
+// bucket at a time from a window: internal/sssp's search behind every
+// plain distance row, the trees of every pruned-Dijkstra builder
+// (ptree.Tree, plant.Tree; one window per worker's ptree.Scratch), and
+// internal/order's Brandes sample trees (one window per worker). A window
+// parks the distances beyond its end on its heap and pulls them back with
+// PopBelow; that is the heap's only other use.
 //
 // Keys are distances in units of the graph's 2^-k (internal/graph). An
 // entry sits in bucket bits.Len64(key ^ floor), where floor is the last

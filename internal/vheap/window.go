@@ -43,9 +43,23 @@ type Window struct {
 	_      [64]byte
 }
 
+// windowCap is each bucket's initial capacity, carved with every other
+// bucket's from one allocation, as New does for the heap's: a window reused
+// across searches then grows only where a bucket holds more than any
+// before it, not wherever a later search first reaches a bucket.
+const windowCap = 16
+
 // NewWindow returns an empty window that parks the distances beyond its end
 // on h.
-func NewWindow(h *Heap) *Window { return &Window{h: h} }
+func NewWindow(h *Heap) *Window {
+	w := &Window{h: h}
+	c := min(len(h.keys), windowCap)
+	slab := make([]Entry, numBuckets*c)
+	for i := range w.b {
+		w.b[i] = slab[i*c : i*c : (i+1)*c]
+	}
+	return w
+}
 
 // Start empties the window and its heap and makes bucket 0 current, with
 // buckets the largest power of two units not above minArc wide (one unit

@@ -14,9 +14,10 @@ func RankByDegree(g *Graph) *Order { return order.ByDegree(g) }
 // RankByBetweenness ranks vertices by approximate betweenness centrality
 // from `samples` sampled shortest path trees — the paper's ordering for
 // road networks. The samples (clamped to [1, n]) run on GOMAXPROCS
-// goroutines; the order does not depend on how many there are. This is most
-// of set-up on a road graph (order.rank_s in bench/). An empty graph gets
-// the empty order.
+// goroutines; the order does not depend on how many there are. Each sample
+// tree settles a bucket at a time (vheap.Window, as every distance row
+// does). This is most of set-up on a road graph (order.rank_s in bench/).
+// An empty graph gets the empty order.
 func RankByBetweenness(g *Graph, samples int, seed int64) *Order {
 	return order.ByApproxBetweenness(g, samples, seed, 0)
 }
