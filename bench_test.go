@@ -259,6 +259,24 @@ func BenchmarkBuildPLaNT(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildDirected times the directed builders on the traced
+// scoreboard's directed fixture (4,096 vertices, 24,576 arcs, degree
+// order, two workers): PLaNT, Build's default, against seqPLL, the
+// directed reference. Both emit the same labels.
+func BenchmarkBuildDirected(b *testing.B) {
+	g := chl.GenerateRandomDirected(4096, 24576, 9, 1)
+	ord := chl.RankByDegree(g)
+	for _, algo := range []chl.Algorithm{chl.AlgoPLaNT, chl.AlgoSeqPLL} {
+		b.Run(string(algo), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := chl.Build(g, chl.Options{Algorithm: algo, Order: ord, Workers: 2}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkBuildHybrid is the scoreboard's build_hybrid_s row in small: the
 // road fixture's shape (grid, sampled-betweenness hierarchy) on two one-worker
 // nodes, the regime where the growing Common Label Table pays.
@@ -506,6 +524,58 @@ func BenchmarkPatchedQuery(b *testing.B) {
 			st := srv.Stats().Patch
 			b.ReportMetric(float64(st.Fallback)/float64(st.Frozen+st.Corrected+st.Fallback), "fallback/op")
 		})
+	}
+}
+
+// BenchmarkPaths times Server.Path on the serve-live road fixture, once
+// per way a tier answers /paths: the walk over frozen labels ("frozen",
+// updates on), the walk over one Dijkstra row under a 32-op overlay
+// ("overlay"), and the witness triple of a server with no graph
+// ("triple"). vertices/op is the mean length of the answer.
+func BenchmarkPaths(b *testing.B) {
+	g := chl.GenerateRoadGrid(96, 96, 1)
+	ix, err := chl.Build(g, chl.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	serve := func(withGraph bool) *chl.Server {
+		fx, err := ix.Freeze()
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := chl.NewServerFromFlat(fx, 0)
+		if withGraph {
+			if err := s.EnableUpdates(g, ""); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return s
+	}
+	overlay, sn := patchedEngine(b, 64) // one op per two fresh patch vertices: 32 ops
+	sn.Release()
+	rng := rand.New(rand.NewSource(5))
+	n := g.NumVertices()
+	pairs := make([][2]int, 2000)
+	for i := range pairs {
+		pairs[i] = [2]int{rng.Intn(n), rng.Intn(n)}
+	}
+	for _, c := range []struct {
+		name string
+		s    *chl.Server
+	}{{"frozen", serve(true)}, {"overlay", overlay}, {"triple", serve(false)}} {
+		b.Run(c.name, func(b *testing.B) {
+			vertices := 0
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				_, path, _, err := c.s.Path(p[0], p[1])
+				if err != nil {
+					b.Fatal(err)
+				}
+				vertices += len(path)
+			}
+			b.ReportMetric(float64(vertices)/float64(b.N), "vertices/op")
+		})
+		c.s.Close()
 	}
 }
 

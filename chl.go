@@ -60,11 +60,12 @@ type Metrics = metrics.Build
 
 // Options configures Build.
 type Options struct {
-	// Algorithm selects the constructor. Default: the fastest on the
-	// scoreboard for the graph's directedness — AlgoPLaNT for undirected
-	// graphs (build_plant_s is the lowest build_*_s of bench/ on both
-	// build-road and build-scalefree), AlgoSeqPLL for directed ones. Every
-	// canonical constructor emits the same labels.
+	// Algorithm selects the constructor. Default: AlgoPLaNT, the fastest
+	// for either directedness — on undirected graphs build_plant_s is the
+	// lowest build_*_s of bench/ on both build-road and build-scalefree,
+	// and on directed ones BenchmarkBuildDirected times it against
+	// AlgoSeqPLL, which stays the directed reference. Every canonical
+	// constructor emits the same labels.
 	Algorithm Algorithm
 
 	// Order is the network hierarchy R. Nil means RankAuto(g, Seed):
@@ -145,9 +146,9 @@ func Build(g *Graph, opt Options) (ix *Index, err error) {
 	if g.Directed() {
 		var dx *label.DirectedIndex
 		switch opt.Algorithm {
-		case AlgoSeqPLL, "":
+		case AlgoSeqPLL:
 			dx, ix.metrics = pll.SequentialDirected(rg, pll.Options{})
-		case AlgoPLaNT:
+		case AlgoPLaNT, "":
 			dx, ix.metrics = plant.RunDirected(rg, plant.Options{Workers: opt.Workers, Eta: opt.Eta})
 		default:
 			return nil, fmt.Errorf("chl: algorithm %q supports undirected graphs only (use AlgoSeqPLL or AlgoPLaNT for directed graphs)", opt.Algorithm)

@@ -102,7 +102,7 @@ func TestBuildDefaultAlgorithm(t *testing.T) {
 		want string
 	}{
 		{chl.GenerateScaleFree(120, 3, 4), "PLaNT"},
-		{chl.GenerateRandomDirected(60, 200, 7, 4), "seqPLL-directed"},
+		{chl.GenerateRandomDirected(60, 200, 7, 4), "PLaNT-directed"},
 	} {
 		ix, err := chl.Build(c.g, chl.Options{Seed: 1})
 		if err != nil {
@@ -128,7 +128,7 @@ func TestBuildDefaultAlgorithm(t *testing.T) {
 	}
 }
 
-func TestQueryHubIsOnShortestPath(t *testing.T) {
+func TestQueryHubLiesOnShortestPaths(t *testing.T) {
 	g := chl.GenerateRoadGrid(7, 7, 3)
 	ix, err := chl.Build(g, chl.Options{})
 	if err != nil {

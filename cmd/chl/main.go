@@ -11,8 +11,8 @@
 // The graph comes either from a file (-graph: DIMACS for a .gr file, a
 // 0-indexed edge list otherwise, as chlquery and chlrouter read it) or a
 // named synthetic dataset (-dataset, see -list). Without -algo the library
-// picks the builder (PLaNT on undirected graphs, seqPLL on directed
-// ones) and the output names the one that ran. -out freezes the index
+// picks the builder (PLaNT, directed or not) and the output names the
+// one that ran. -out freezes the index
 // and writes the one index file format (exact uint32 unit counts), which
 // cmd/chlquery -load answers from, serves, compresses and splits.
 package main
@@ -42,7 +42,7 @@ func run(args []string, stdout io.Writer) error {
 		dataset   = fs.String("dataset", "", "named synthetic dataset (see -list)")
 		scale     = fs.Float64("scale", 1, "scale factor for -dataset")
 		directed  = fs.Bool("directed", false, "treat the input graph as directed")
-		algo      = fs.String("algo", "", "algorithm: seqpll|sparapll|lcc|gll|plant|dparapll|dgll|dplant|hybrid (default: the library's choice — plant, or seqpll for a directed graph)")
+		algo      = fs.String("algo", "", "algorithm: seqpll|sparapll|lcc|gll|plant|dparapll|dgll|dplant|hybrid (default: the library's choice, plant)")
 		ranking   = fs.String("rank", "auto", "ranking: auto|degree|betweenness|identity")
 		workers   = fs.Int("workers", 0, "shared-memory workers (0 = GOMAXPROCS)")
 		nodes     = fs.Int("nodes", 4, "cluster nodes q for distributed algorithms")

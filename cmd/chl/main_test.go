@@ -23,7 +23,7 @@ func TestDefaultAlgorithmPerDirectedness(t *testing.T) {
 		directed      bool
 	}{
 		{"CAL", "build: PLaNT:", false},
-		{"WND", "build: seqPLL-directed:", true},
+		{"WND", "build: PLaNT-directed:", true},
 	} {
 		out := filepath.Join(t.TempDir(), "ix.flat")
 		var stdout bytes.Buffer

@@ -30,9 +30,10 @@
 //     embarrassingly parallel canonical labeling via ancestor-tracking
 //     Dijkstras. What a tree emits depends on no other tree's labels;
 //     finished trees only prune later ones (Options.Eta, §5.3).
-//     Output: the CHL. Build's default on undirected graphs, because the
-//     scoreboard says so: build_plant_s is the lowest build_*_s of bench/
-//     on both build-road and build-scalefree.
+//     Output: the CHL. Build's default, because the measurements say so:
+//     build_plant_s is the lowest build_*_s of bench/ on both build-road
+//     and build-scalefree, and BenchmarkBuildDirected times it against
+//     seqPLL on a directed graph.
 //   - AlgoDParaPLL, AlgoDGLL, AlgoDPLaNT, AlgoHybrid — the distributed
 //     algorithms of §3/§5, executed on a simulated message-passing cluster
 //     that meters every byte (see below).
@@ -46,12 +47,10 @@
 //	if err != nil { ... }
 //	d := ix.Query(17, 3942)                         // exact shortest distance
 //
-// BuildWithPaths is Build with sequential PLL recording every label's SPT
-// parent (§5.4): its PathIndex is an Index of the same labels, under the
-// same checks, plus Path(u, v), the vertex walk of a shortest path. It
-// freezes like any Index, but the frozen form is the plain CHL — the file
-// keeps the distances and drops the parents (a served index answers
-// /paths with its witness chain [u, h, v]).
+// Shortest paths need no extra labels (§5.4): FlatIndex.Path(g, u, v)
+// walks one over g, the graph the index was built from, reading each
+// vertex's distance from u off the frozen labels — for every builder, on
+// directed graphs too.
 //
 // # Serving
 //
@@ -194,14 +193,14 @@
 // # Query workloads
 //
 // Three richer workloads run over the same labels, on every storage
-// format and deployment shape, with no new file formats. Path
-// reconstruction (FlatIndex.Path, Server.Path, Router.Path, GET
-// /paths) recursively expands witness hubs; on a canonical labeling
-// that stops at the first witness, so the answer is [u, h, v] or
-// [u, v], not the vertex walk (ROADMAP 17), and consecutive waypoints
-// need not share an edge. They are segments whose own Query distances
-// sum to the total exactly, and a bounded query budget guarantees
-// termination even against inconsistent labels. K-nearest neighbors
+// format and deployment shape, with no new file formats. Shortest paths
+// (FlatIndex.Path, Server.Path, Router.Path, GET /paths) are one walk
+// over the graph: from v back to u, each step to the smallest-id
+// in-neighbour on a shortest path, every step an arc, the arcs summing
+// to the distance exactly. Its distances come from the frozen labels,
+// or from one Dijkstra row under an overlay and on the router, which
+// holds no labels; a tier with no graph answers the witness triple
+// [u, h, v] of one query instead. K-nearest neighbors
 // (BatchEngine.KNN, Router.KNN, GET /knn) runs a k-way merge over a
 // label-inverted index derived lazily at load time — never serialized,
 // so the pinned file formats are untouched — returning exactly the
@@ -209,9 +208,8 @@
 // (FlatIndex.MatrixRows, Router.Matrix, POST /matrix) scatter each
 // source run once and probe every target in a single pass, streamed
 // as NDJSON one row at a time so neither end materializes the matrix.
-// On the router, /paths fills the answer cache with its segments,
-// /knn deposits its results as pair answers, and /matrix bypasses the
-// cache; a parity harness pins all three bit-identical to an
+// On the router, /knn deposits its results as pair answers, /matrix
+// bypasses the cache, and /paths reads it only for the witness triple; a parity harness pins all three bit-identical to an
 // in-memory Dijkstra oracle across every cell of the deployment
 // matrix. ARCHITECTURE.md ("Query workloads") has the design.
 //

@@ -177,9 +177,6 @@ func TestBuildRefusesPast32BitLabels(t *testing.T) {
 			t.Errorf("directed %s: Build = %v, %v; want a refusal naming the label", algo, ix, err)
 		}
 	}
-	if px, err := chl.BuildWithPaths(g, chl.Options{Order: ord}); px != nil || err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("BuildWithPaths = %v, %v; want a refusal naming the label", px, err)
-	}
 	// One unit less, and every label fits.
 	ix, err := chl.Build(pathGraph(1<<31, 1<<31-1), chl.Options{Order: ord})
 	if err != nil {

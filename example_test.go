@@ -35,20 +35,28 @@ func ExampleBuild_distributed() {
 	// same answer: true
 }
 
-// Path retrieval reconstructs the actual shortest path, not just its
-// length.
-func ExampleBuildWithPaths() {
+// Path walks the actual shortest path, not just its length: the frozen
+// labels give each vertex's distance, the graph they were built from the
+// arcs, and every step is one arc.
+func ExampleFlatIndex_Path() {
 	g := chl.GenerateRoadGrid(4, 4, 1) // 4×4 grid, vertex ids row-major
-	px, err := chl.BuildWithPaths(g, chl.Options{Seed: 1})
+	ix, err := chl.Build(g, chl.Options{Seed: 1})
 	if err != nil {
 		panic(err)
 	}
-	path, dist, ok := px.Path(0, 15)
+	fx, err := ix.Freeze()
+	if err != nil {
+		panic(err)
+	}
+	dist, path, ok, err := fx.Path(g, 0, 15)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println("reachable:", ok, "hops:", len(path)-1, "length:", dist)
-	fmt.Println("starts at", path[0], "ends at", path[len(path)-1])
+	fmt.Println("path:", path)
 	// Output:
 	// reachable: true hops: 6 length: 20
-	// starts at 0 ends at 15
+	// path: [0 1 5 9 10 14 15]
 }
 
 // Freezing packs the labeling into the flat store; queries answer

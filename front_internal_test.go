@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/delta"
@@ -22,13 +23,14 @@ func TestWriteErrorTable(t *testing.T) {
 	if !delta.Refused(refused) {
 		t.Fatalf("an empty patch is not a refusal: %v", refused)
 	}
-	// The error a /paths request fails with when the labels contradict
-	// themselves: expandPath raises it on either tier (under BatchEngine.Path
-	// and Router.Path alike), so both answer it the same way.
-	hostile := func(u, v int) (float64, int, bool, error) { return 4, 99, true, nil }
-	_, _, _, corrupt := expandPath(0, 5, 10, hostile)
-	if corrupt == nil {
-		t.Fatal("expandPath accepted a witness hub outside the vertex space")
+	// The error a /paths request fails with when the labels and the graph
+	// disagree: here the distances say 5 is reached from 0, and the graph
+	// has no arc into 5. walkPath is the one walk of both tiers, so both
+	// answer it the same way.
+	edgeless := NewGraphBuilder(10, false).MustFinish()
+	_, _, _, corrupt := walkPath(edgeless, 0, 5, func(x int) uint64 { return uint64(x) })
+	if corrupt == nil || !strings.Contains(corrupt.Error(), "disagree at 5") {
+		t.Fatalf("walkPath over a graph with no arc into 5: %v, want an error naming 5", corrupt)
 	}
 	relayed := &statusError{code: http.StatusBadRequest, body: []byte("{\"error\":\"chl: reload x rejected\"}\n")}
 	for _, row := range []struct {

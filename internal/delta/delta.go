@@ -515,24 +515,3 @@ func (o *Overlay) compromised(u, v int, d0 float64) bool {
 // Row returns the full single-source distance row from u on the patched
 // graph — the source of /knn and /matrix rows under an overlay.
 func (o *Overlay) Row(u int) []float64 { return sssp.Dijkstra(o.patched, u) }
-
-// ShortestPath returns an exact shortest u→v vertex walk on the patched
-// graph (nil when unreachable) and its length — the /paths workload
-// under an overlay, where witness-hub expansion is unavailable.
-func (o *Overlay) ShortestPath(u, v int) ([]int, float64) {
-	dist, pred := sssp.ShortestPathTree(o.patched, u)
-	if dist[v] >= graph.Infinity {
-		return nil, graph.Infinity
-	}
-	var path []int
-	for at := v; ; at = pred[at] {
-		path = append(path, at)
-		if at == u {
-			break
-		}
-	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path, dist[v]
-}

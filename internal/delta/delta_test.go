@@ -353,38 +353,38 @@ func TestOverlayFrozenFlag(t *testing.T) {
 	}
 }
 
+// TestShortestPathOnPatched: a row on the patched graph and the graph
+// Materialize returns agree arc by arc, which is all /paths reads under an
+// overlay: every vertex the row reaches, but the source, has an in-arc
+// (w,x) with row[w] + w(w,x) = row[x] exactly, and every row equals the
+// oracle's.
 func TestShortestPathOnPatched(t *testing.T) {
-	g := graph.ErdosRenyi(40, 90, 9, 3)
-	ops := randomOps(g, 5, 2, 2, 3)
-	ov := freezeLabels(g).overlay(t, g, ops, 1)
-	pg := ov.Materialize()
-	want := newOracle(pg)
-	for u := 0; u < 40; u += 3 {
-		for v := 0; v < 40; v += 7 {
-			path, d := ov.ShortestPath(u, v)
-			w := want.dist(u, v)
-			if w >= graph.Infinity {
-				if path != nil {
-					t.Fatalf("(%d,%d): unreachable but got path %v", u, v, path)
+	for _, directed := range []bool{false, true} {
+		g := graph.ErdosRenyi(40, 90, 9, 3)
+		if directed {
+			g = graph.RandomDirected(40, 160, 9, 3)
+		}
+		ops := randomOps(g, 5, 2, 2, 3)
+		ov := freezeLabels(g).overlay(t, g, ops, 1)
+		pg := ov.Materialize()
+		want := newOracle(pg)
+		for u := 0; u < 40; u += 3 {
+			row := ov.Row(u)
+			for x, d := range row {
+				if d != want.dist(u, x) {
+					t.Fatalf("directed=%v: Row(%d)[%d] = %v, want %v", directed, u, x, d, want.dist(u, x))
 				}
-				continue
-			}
-			if d != w {
-				t.Fatalf("(%d,%d): path length %v, want %v", u, v, d, w)
-			}
-			if path[0] != u || path[len(path)-1] != v {
-				t.Fatalf("(%d,%d): endpoints wrong: %v", u, v, path)
-			}
-			var sum float64
-			for i := 0; i+1 < len(path); i++ {
-				ew, has := pg.HasEdge(path[i], path[i+1])
-				if !has {
-					t.Fatalf("(%d,%d): leg (%d,%d) is not a patched edge", u, v, path[i], path[i+1])
+				if x == u || d >= graph.Infinity {
+					continue
 				}
-				sum += ew
-			}
-			if sum != w {
-				t.Fatalf("(%d,%d): legs sum to %v, want %v", u, v, sum, w)
+				tails, wts := pg.InNeighbors(x)
+				found := false
+				for i, w := range tails {
+					found = found || row[w] < graph.Infinity && row[w]+pg.FromUnits(uint64(wts[i])) == d
+				}
+				if !found {
+					t.Fatalf("directed=%v: from %d, no in-arc of %d lies on a shortest path (row %v)", directed, u, x, d)
+				}
 			}
 		}
 	}

@@ -216,6 +216,17 @@ func (rs RunScatter) Probe(run []uint64) (dist float64, hub uint32, ok bool) {
 	return minProbe(best, hub)
 }
 
+// ProbeAt probes v's run in st with the kernel of st's encoding (Probe
+// or ProbeCompressed) and answers in units, as they do: the one-target
+// form of ProbeStore, for a caller that picks its next target from the
+// last answer.
+func (rs RunScatter) ProbeAt(st Store, v int) (units float64, hub uint32, ok bool) {
+	if c, compressed := st.(*CompressedIndex); compressed {
+		return rs.ProbeCompressed(c.Run(v))
+	}
+	return rs.Probe(st.(*FlatIndex).PackedRun(v))
+}
+
 // ProbeStore fills dst[j] with the distance from the scattered run to
 // targets[j]'s run in st (Infinity when they share no hub), probing each
 // target with the kernel of st's encoding. The scattered run must count

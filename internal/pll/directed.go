@@ -26,9 +26,9 @@ func SequentialDirected(g *graph.Graph, opts Options) (*label.DirectedIndex, *me
 	gt := g.Transpose()
 	m := sequential("seqPLL-directed", n, opts, func(s *ptree.Scratch, h int) ptree.Stats {
 		// Forward tree: distances d(h→v); prune via Lout(h) ⋈ Lin(v).
-		st := tree(g, s, lout.Labels(h), lin, h, opts.PruneHubBound, nil)
+		st := tree(g, s, lout.Labels(h), lin, h, opts.PruneHubBound)
 		// Backward tree: distances d(u→h); prune via Lin(h) ⋈ Lout(u).
-		st.Add(tree(gt, s, lin.Labels(h), lout, h, opts.PruneHubBound, nil))
+		st.Add(tree(gt, s, lin.Labels(h), lout, h, opts.PruneHubBound))
 		return st
 	})
 	m.Trees = 2 * int64(n)

@@ -63,7 +63,7 @@ func Sequential(g *graph.Graph, opts Options) (*label.Index, *metrics.Build) {
 	n := g.NumVertices()
 	ix := label.NewIndex(n, g.WeightUnitExp())
 	m := sequential("seqPLL", n, opts, func(s *ptree.Scratch, h int) ptree.Stats {
-		return tree(g, s, ix.Labels(h), ix, h, opts.PruneHubBound, nil)
+		return tree(g, s, ix.Labels(h), ix, h, opts.PruneHubBound)
 	})
 	m.Trees = int64(n)
 	return ix, m
@@ -97,12 +97,11 @@ func sequential(algorithm string, n int, opts Options, root func(s *ptree.Scratc
 // labeling `into`. root is the set hashed for the distance query: L_h itself
 // on an undirected graph, the root's opposite-side labels on a directed one.
 // Labels are appended in ascending root order so Index.Append stays O(1).
-// parent, when non-nil, receives each reached vertex's predecessor.
 //
 // This loop is deliberately not ptree.Tree: it is the reference every other
 // constructor's output is compared against, and a reference that shares the
 // code under test proves nothing.
-func tree(dir *graph.Graph, s *ptree.Scratch, root label.Set, into *label.Index, h int, bound uint32, parent []int32) ptree.Stats {
+func tree(dir *graph.Graph, s *ptree.Scratch, root label.Set, into *label.Index, h int, bound uint32) ptree.Stats {
 	var st ptree.Stats
 	s.Start(h)
 	s.HD.Load(root)
@@ -137,9 +136,6 @@ func tree(dir *graph.Graph, s *ptree.Scratch, root label.Set, into *label.Index,
 					s.Dirty = append(s.Dirty, int32(uu))
 				}
 				s.Dist[u] = nd
-				if parent != nil {
-					parent[u] = int32(v)
-				}
 				s.Heap.Push(u, nd)
 			}
 		}

@@ -5,9 +5,8 @@ import (
 )
 
 // search writes the distances in units from source over g into dist (every
-// cell), and, if pred is non-nil, each improved vertex's predecessor. It
-// stops once the queue drains or target (-1: none) is final; the rest of
-// dist is not final then. It runs on the scratch's bucket window
+// cell). It stops once the queue drains or target (-1: none) is final; the
+// rest of dist is not final then. It runs on the scratch's bucket window
 // (vheap.Window), buckets the largest power of two units not above the
 // lightest arc wide, which it leaves for putScratch.
 //
@@ -15,7 +14,7 @@ import (
 // k lands in bucket k+1 or later: when a bucket is reached every vertex in
 // it has its final distance, and the bucket drains in one pass. dist is the
 // least path sum, exactly, as a heap-ordered Dijkstra computes it.
-func (s *scratch) search(g *graph.Graph, source, target int, dist []uint64, pred []int) {
+func (s *scratch) search(g *graph.Graph, source, target int, dist []uint64) {
 	for i := range dist {
 		dist[i] = graph.Unreached
 	}
@@ -35,9 +34,6 @@ func (s *scratch) search(g *graph.Graph, source, target int, dist []uint64, pred
 					continue
 				}
 				dist[v] = nd
-				if pred != nil {
-					pred[v] = int(e.V)
-				}
 				w.Queue(int(v), nd)
 			}
 		}

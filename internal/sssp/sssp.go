@@ -1,17 +1,16 @@
 // Package sssp provides the reference shortest path searches: Dijkstra,
-// the plain row every labeling is verified against, ShortestPathTree, the
-// same row with predecessors where a path is wanted, and DijkstraTo, the
-// search that stops at its target. DijkstraTo is the one point-to-point
+// the plain row every labeling is verified against (and the row /paths
+// walks where no labels describe the graph), and DijkstraTo, the search
+// that stops at its target. DijkstraTo is the one point-to-point
 // traversal here: the baseline the paper's introduction compares hub
 // labeling to (internal/exp's intro table) and the overlay's fallback
 // (internal/delta).
 //
 // Every search runs in the graph's integer units (internal/graph) and
-// returns float64 distances only at the edge: the rows of Dijkstra and
-// ShortestPathTree and the answer of DijkstraTo are graph.FromUnits of
-// exact sums.
+// returns float64 distances only at the edge: Dijkstra's rows and
+// DijkstraTo's answer are graph.FromUnits of exact sums.
 //
-// All three share one bucket search (bucket.go) on vheap.Window, the
+// Both share one bucket search (bucket.go) on vheap.Window, the
 // bucket queue PLaNT's trees settle from too: buckets a power of two units
 // wide, never wider than the lightest arc, so every vertex is final when
 // its bucket is reached and each bucket drains in one pass. The window
@@ -52,31 +51,16 @@ func putScratch(s *scratch) {
 // Dijkstra computes shortest-path distances from source over g (following
 // outgoing arcs) and returns the distance array; unreachable vertices get
 // graph.Infinity. The array is the caller's.
-func Dijkstra(g *graph.Graph, source int) []float64 { return row(g, source, nil) }
-
-// row runs the search from source and returns its distances as a row.
-func row(g *graph.Graph, source int, pred []int) []float64 {
+func Dijkstra(g *graph.Graph, source int) []float64 {
 	s := getScratch(g.NumVertices())
 	dist := s.dist[:g.NumVertices()]
-	s.search(g, source, -1, dist, pred)
+	s.search(g, source, -1, dist)
 	row := make([]float64, len(dist))
 	for v, d := range dist {
 		row[v] = g.FromUnits(d)
 	}
 	putScratch(s)
 	return row
-}
-
-// ShortestPathTree is Dijkstra that also returns, for every vertex reached
-// from source but source itself, its predecessor on a shortest path (-1
-// elsewhere). Walking pred back from v and summing the arc weights from
-// source onwards reproduces dist[v] exactly.
-func ShortestPathTree(g *graph.Graph, source int) (dist []float64, pred []int) {
-	pred = make([]int, g.NumVertices())
-	for i := range pred {
-		pred[i] = -1
-	}
-	return row(g, source, pred), pred
 }
 
 // DijkstraTo returns the shortest-path distance from s to t, stopping as
@@ -86,7 +70,7 @@ func ShortestPathTree(g *graph.Graph, source int) (dist []float64, pred []int) {
 func DijkstraTo(g *graph.Graph, s, t int) float64 {
 	sc := getScratch(g.NumVertices())
 	dist := sc.dist[:g.NumVertices()]
-	sc.search(g, s, t, dist, nil)
+	sc.search(g, s, t, dist)
 	d := dist[t]
 	putScratch(sc)
 	return g.FromUnits(d)

@@ -63,8 +63,7 @@ func TestDijkstraAgainstBellmanFord(t *testing.T) {
 // TestDijkstraToEqualsFullRow: stopping at the target changes nothing
 // about the value — the same float as the full row's cell, on fractional
 // weights (sixty-fourths, the finest a row adds here), on directed arcs, and on
-// pairs with no path at all. ShortestPathTree's row is the same too, and its
-// predecessor walk re-sums to it exactly.
+// pairs with no path at all.
 func TestDijkstraToEqualsFullRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	fractional := func(directed bool) *graph.Graph {
@@ -88,25 +87,9 @@ func TestDijkstraToEqualsFullRow(t *testing.T) {
 		unreachable := 0
 		for s := 0; s < g.NumVertices(); s++ {
 			row := Dijkstra(g, s)
-			dist, pred := ShortestPathTree(g, s)
 			for v, want := range row {
 				if got := DijkstraTo(g, s, v); got != want {
 					t.Fatalf("%s: DijkstraTo(%d,%d) = %v, Dijkstra row says %v", name, s, v, got, want)
-				}
-				if dist[v] != want || (pred[v] < 0) != (v == s || want == graph.Infinity) {
-					t.Fatalf("%s: ShortestPathTree(%d) at %d: dist %v pred %d, Dijkstra row says %v", name, s, v, dist[v], pred[v], want)
-				}
-				var walk []int
-				for at := v; pred[at] >= 0; at = pred[at] {
-					walk = append(walk, at)
-				}
-				sum, at := 0.0, s
-				for i := len(walk) - 1; i >= 0; i-- {
-					w, _ := g.HasEdge(at, walk[i])
-					sum, at = sum+w, walk[i]
-				}
-				if want != graph.Infinity && sum != want {
-					t.Fatalf("%s: path %d→%d re-sums to %v, want %v", name, s, v, sum, want)
 				}
 				if want == graph.Infinity {
 					unreachable++

@@ -1718,7 +1718,8 @@ func (r *Router) owns(int) bool     { return true }
 func (r *Router) stamp() shardStamp { return shardStamp{} }
 func (r *Router) release()          {}
 
-// dist is QueryHub, also the hubQuerier its Path and KNN expand with.
+// dist is QueryHub, also the hubQuerier of Path's witness triple and of
+// KNN under an overlay.
 func (r *Router) dist(u, v int) (float64, int, bool, error) { return r.queryHub(u, v, true) }
 
 func (r *Router) paths(u, v int) (float64, []int, bool, error) { return r.Path(u, v) }

@@ -8,28 +8,34 @@ import (
 )
 
 // The rich query workloads (/paths, /knn, /matrix) routed through the
-// cluster. Each one decomposes into the shard protocol the router
-// already speaks — pair queries for path expansion, shipped-run scans
-// (/shardscan) for top-k and matrix rows — so every number a workload
-// returns is bit-identical to what /dist would answer for the same
-// pair, on any topology. ARCHITECTURE.md ("Query workloads") has the
-// full walkthrough.
+// cluster. /knn and /matrix decompose into the shard protocol the router
+// already speaks — shipped-run scans (/shardscan) — so every number they
+// return is bit-identical to what /dist would answer for the same pair,
+// on any topology; /paths walks the router's own graph. ARCHITECTURE.md
+// ("Query workloads") has the full walkthrough.
 
-// Path reconstructs the shortest-path witness chain between u and v
-// through the cluster, exactly as Server.Path does on an unsharded
-// index. Every segment query runs through the router's own single-query
-// path — answer cache, singleflight, and cross-shard row joins whose
-// witness ids ride the row fetch — so each consecutive segment's
-// distance is the same number /dist serves for that pair, bit for bit,
-// and a hot path's segments are answered from cache.
+// Path answers /paths through the cluster, as Server.Path does on an
+// unsharded index. The router holds no labels, so with a graph — the
+// overlay's patched graph, or RouterConfig.BaseGraph — it walks one
+// Dijkstra row from u, which gives the path the flat server walks over
+// its labels, byte for byte. Without one it answers the witness triple of
+// one pair query through its single-query path (answer cache,
+// singleflight, cross-shard row joins).
 func (r *Router) Path(u, v int) (dist float64, path []int, reachable bool, err error) {
 	if err := inRange(r.n, u, v); err != nil {
 		return 0, nil, false, err
 	}
-	if st := r.state.Load(); st.patch != nil {
-		return pathPatched(st.patch, u, v)
+	var g *Graph
+	switch st := r.state.Load(); {
+	case st.patch != nil:
+		g = st.patch.Materialize()
+	case r.log != nil:
+		g = r.log.Base()
+	default:
+		return witnessPath(u, v, r.dist)
 	}
-	return expandPath(u, v, r.n, r.dist)
+	r.queries.Add(1)
+	return rowPath(g, u, v)
 }
 
 // KNN returns up to k nearest targets from u through the cluster,

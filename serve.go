@@ -50,19 +50,23 @@ func (h *fxHandle) release() {
 }
 
 // Snapshot is one immutable generation of a served index: a flat index
-// (usually mmap-backed), its batch engine, a cache born with it, and —
-// under outstanding edge updates — the delta overlay correcting its
-// frozen answers. Snapshots are reference-counted: the Server holds one
-// reference while the snapshot is current, and every in-flight query
-// holds one from Acquire to Release. The underlying file mapping is
-// unmapped when the last snapshot sharing it drains — after a hot swap
-// the old generation retires naturally, with no query ever touching
-// unmapped memory and no reader ever blocking a reload.
+// (usually mmap-backed), its batch engine, a cache born with it, the
+// graph its answers are true of when updates are on (fixed with the
+// labels, so one request never reads the labels of one generation and
+// the graph of another), and — under outstanding edge updates — the
+// delta overlay correcting its frozen answers. Snapshots are
+// reference-counted: the Server holds one reference while the snapshot
+// is current, and every in-flight query holds one from Acquire to
+// Release. The underlying file mapping is unmapped when the last
+// snapshot sharing it drains — after a hot swap the old generation
+// retires naturally, with no query ever touching unmapped memory and no
+// reader ever blocking a reload.
 type Snapshot struct {
 	srv      *Server // the server that published it
 	handle   *fxHandle
 	fx       *FlatIndex
 	eng      *BatchEngine
+	g        *Graph // the graph /paths walks: the base, or the overlay's patched graph (nil: updates off)
 	path     string
 	gen      uint64
 	ident    uint64 // snapshot identity: content hash, mixed with the patch-log hash under an overlay
@@ -188,7 +192,7 @@ func NewServer(path string, cacheSize int) (*Server, error) {
 		return nil, err
 	}
 	s := newServer(cacheSize)
-	s.install(fx, path)
+	s.install(fx, path, nil)
 	return s, nil
 }
 
@@ -197,7 +201,7 @@ func NewServer(path string, cacheSize int) (*Server, error) {
 // index files.
 func NewServerFromFlat(fx *FlatIndex, cacheSize int) *Server {
 	s := newServer(cacheSize)
-	s.install(fx, "")
+	s.install(fx, "", nil)
 	return s
 }
 
@@ -332,11 +336,11 @@ func (s *Server) SetPrefault(on bool) {
 	}
 }
 
-// install publishes fx as the next generation and retires the previous
-// snapshot (dropping the server's reference; the mapping closes when the
-// last in-flight query releases).
-func (s *Server) install(fx *FlatIndex, path string) *Snapshot {
-	return s.installHandle(newFxHandle(fx), path, nil)
+// install publishes fx, true of graph g (nil: none), as the next
+// generation and retires the previous snapshot (dropping the server's
+// reference; the mapping closes when the last in-flight query releases).
+func (s *Server) install(fx *FlatIndex, path string, g *Graph) *Snapshot {
+	return s.installHandle(newFxHandle(fx), path, g, nil)
 }
 
 // installHandle publishes one generation over an index handle: a fresh
@@ -346,7 +350,7 @@ func (s *Server) install(fx *FlatIndex, path string) *Snapshot {
 // cache — under an overlay the cache instance is the patch-epoch
 // discriminant, so pre-patch answers can never outlive the graph they
 // were true of.
-func (s *Server) installHandle(h *fxHandle, path string, ov *delta.Overlay) *Snapshot {
+func (s *Server) installHandle(h *fxHandle, path string, g *Graph, ov *delta.Overlay) *Snapshot {
 	fx := h.fx
 	eng := NewBatchEngineFlat(fx)
 	eng.SetCache(newCacheFor(fx, s.cacheSize))
@@ -360,6 +364,7 @@ func (s *Server) installHandle(h *fxHandle, path string, ov *delta.Overlay) *Sna
 		handle:   h,
 		fx:       fx,
 		eng:      eng,
+		g:        g,
 		path:     path,
 		gen:      s.gen.Add(1),
 		ident:    ident,
@@ -482,7 +487,11 @@ func (s *Server) reload(path string) (*Snapshot, error) {
 		// the swap below then publishes an already-warm snapshot.
 		fx.Prefault()
 	}
-	sn := s.install(fx, path)
+	var g *Graph
+	if s.log != nil {
+		g = s.log.Base()
+	}
+	sn := s.install(fx, path, g)
 	s.reloads.Add(1)
 	return sn, nil
 }
@@ -510,7 +519,8 @@ func (s *Server) Close() error {
 // state it last acknowledged. Shard servers cannot enable updates —
 // corrections need the whole vertex space, so the update path lives on
 // plain servers and the Router. The switch is one-way: a second call is
-// refused, because it would swap the base graph under the patch log.
+// refused, because it would swap the base graph under the patch log. It
+// publishes a new generation, which carries g for /paths to walk.
 func (s *Server) EnableUpdates(g *Graph, journalPath string) error {
 	if g == nil {
 		return fmt.Errorf("chl: EnableUpdates needs the base graph the served index was built from")
@@ -537,6 +547,8 @@ func (s *Server) EnableUpdates(g *Graph, journalPath string) error {
 	s.log = log
 	if ov != nil {
 		s.publishLocked(cur, ov)
+	} else {
+		s.installHandle(cur.handle.acquire(), cur.path, g, nil)
 	}
 	return nil
 }
@@ -590,11 +602,11 @@ func (s *Server) update(ops []EdgeOp) (*Snapshot, error) {
 	return s.publishLocked(cur, ov), nil
 }
 
-// publishLocked publishes ov as a new generation sharing cur's index.
-// Callers hold mu.
+// publishLocked publishes ov, with its patched graph, as a new
+// generation sharing cur's index. Callers hold mu.
 func (s *Server) publishLocked(cur *Snapshot, ov *delta.Overlay) *Snapshot {
 	s.updates.Add(1)
-	return s.installHandle(cur.handle.acquire(), cur.path, ov.Serving())
+	return s.installHandle(cur.handle.acquire(), cur.path, ov.Materialize(), ov.Serving())
 }
 
 // Compact folds the outstanding patch log into a fresh frozen index:
@@ -657,7 +669,7 @@ func (s *Server) compact(path string) (*Snapshot, error) {
 	if s.prefault.Load() {
 		fx.Prefault()
 	}
-	sn := s.installHandle(newFxHandle(fx), path, nil)
+	sn := s.installHandle(newFxHandle(fx), path, patched, nil)
 	if err := s.log.Compacted(patched); err != nil {
 		return nil, fmt.Errorf("chl: truncating journal after compaction (updates ARE compacted into generation %d; clear the journal by hand before restarting): %w", sn.gen, err)
 	}
@@ -690,9 +702,9 @@ func (s *Server) Batch(pairs []QueryPair) []float64 {
 	return dists
 }
 
-// Path reconstructs the shortest-path witness chain between u and v on
-// the current snapshot; segment queries go through the snapshot's
-// cache (see BatchEngine.Path).
+// Path answers /paths on the current snapshot: a shortest u→v path
+// walked over its graph (FlatIndex.Path, or a row under an overlay), or,
+// with updates off, the witness triple of one cached pair query.
 func (s *Server) Path(u, v int) (dist float64, path []int, reachable bool, err error) {
 	sn := s.Acquire()
 	defer sn.Release()
@@ -825,7 +837,13 @@ func (sn *Snapshot) batch(_ context.Context, dst []float64, pairs []QueryPair) e
 
 func (sn *Snapshot) paths(u, v int) (float64, []int, bool, error) {
 	sn.srv.queries.Add(1)
-	return sn.eng.Path(u, v)
+	switch {
+	case sn.g == nil:
+		return witnessPath(u, v, sn.eng.hubQuery)
+	case sn.Overlay() != nil:
+		return rowPath(sn.g, u, v)
+	}
+	return sn.fx.Path(sn.g, u, v)
 }
 
 func (sn *Snapshot) knn(u, k int) ([]Neighbor, error) {

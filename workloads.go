@@ -2,123 +2,131 @@ package chl
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/delta"
+	"repro/internal/graph"
 	"repro/internal/label"
+	"repro/internal/sssp"
 )
 
-// Rich query workloads over the packed-label substrate: shortest-path
-// reconstruction (/paths), top-k nearest targets (/knn), and
-// one-to-many/many-to-many distance matrices (/matrix). Every workload
-// reuses the pairwise join kernels — same sum of unit counts, same
-// smallest-hub tie-break — so its numbers agree bit-for-bit with /dist
-// on every tier and storage format. ARCHITECTURE.md ("Query workloads")
-// walks through each one.
+// Rich query workloads over the packed-label substrate: shortest paths
+// (/paths), top-k nearest targets (/knn), and one-to-many/many-to-many
+// distance matrices (/matrix). Every workload reuses the join kernels —
+// same sum of unit counts, same smallest-hub tie-break — so its numbers
+// agree bit-for-bit with /dist on every tier and storage format; a path
+// walks the graph over exact distances, so it is the same path on every
+// tier. ARCHITECTURE.md ("Query workloads") walks through each one.
 
-// hubQuerier answers one distance-with-witness query during path
-// expansion. The three tiers plug in their own: FlatIndex.QueryHub
-// (never errs), BatchEngine.QueryHub (cache-through), and the router's
-// queryHub (cross-shard rows joined at the router, the witness's
-// original id fetched with u's row).
+// hubQuerier answers one distance-with-witness query on a tier:
+// BatchEngine.QueryHub (cache-through, never errs) or the router's
+// queryHub (cross-shard rows joined at the router, the witness's original
+// id fetched with u's row). /knn under an overlay answers each winner
+// through it, and /paths on a tier with no graph its one pair.
 type hubQuerier func(u, v int) (dist float64, hub int, ok bool, err error)
 
-// expandPath reconstructs the witness chain between u and v by
-// recursive hub expansion: the witness hub h of (u,v) lies on a
-// shortest u→v path, so the chain of (u,v) is the chain of (u,h)
-// followed by the chain of (h,v); a segment whose witness is one of
-// its own endpoints cannot be refined further from labels alone and
-// stays atomic. The result is the maximally refined via-vertex
-// sequence — every returned vertex provably lies on one shortest u→v
-// path, in order, and consecutive pairs' label distances sum to the
-// total bit-for-bit (each leg's distance is itself the /dist answer
-// for that pair).
-//
-// n bounds the work: a shortest path over positive weights visits each
-// vertex once, so a well-formed chain makes at most ~2n queries. A
-// querier that misbehaves — witness cycles, legs that do not sum, zero
-// or negative legs, out-of-range hubs — is detected and reported as an
-// error before the budget can loop; FuzzPathExpand drives this with
-// hostile queriers.
-func expandPath(u, v, n int, q hubQuerier) (dist float64, path []int, reachable bool, err error) {
-	if u == v {
-		return 0, []int{u}, true, nil
-	}
-	d, h, ok, err := q(u, v)
-	if err != nil {
-		return 0, nil, false, err
-	}
-	if !ok {
+// walkPath is the one shortest-path walk of /paths, on every tier: the
+// shortest u→v path on g that du describes. du(x) must be d(u,x) on g,
+// exactly, in g's units (graph.Unreached where no path reaches x). From v
+// the walk steps back over in-arcs, at each vertex x to the smallest-id
+// in-neighbour w with du(w) + w(w,x) = du(x), until it reaches u; rows
+// are sorted by id, so the first match is that one. Weights are positive,
+// so every step lowers du strictly and the walk ends without a budget.
+// Ties are pinned, so any two exact sources of du — labels or a search —
+// give the same path. A vertex with no such in-neighbour means du is not
+// a distance on g: the labels and the graph disagree, and the walk fails
+// naming the vertex.
+func walkPath(g *Graph, u, v int, du func(x int) uint64) (dist float64, path []int, reachable bool, err error) {
+	dx := du(v)
+	if dx == graph.Unreached {
 		return Infinity, nil, false, nil
 	}
-	budget := 2*n + 8
-	path, err = appendChain(make([]int, 0, 8), u, v, d, h, n, q, &budget)
-	if err != nil {
+	dist, path = g.FromUnits(dx), []int{v}
+	for x := v; x != u; {
+		tails, wts := g.InNeighbors(x)
+		next := -1
+		for i, w := range tails {
+			if dw := du(int(w)); dw != graph.Unreached && dw+uint64(wts[i]) == dx {
+				next, dx = int(w), dw
+				break
+			}
+		}
+		if next < 0 {
+			return 0, nil, false, fmt.Errorf("chl: labels and graph disagree at %d: no in-neighbour of it lies on a shortest path from %d", x, u)
+		}
+		x = next
+		path = append(path, x)
+	}
+	slices.Reverse(path)
+	return dist, path, true, nil
+}
+
+// Path returns a shortest u→v path on g, the graph the index was built
+// from (original ids): the distance, the vertices from u to v inclusive,
+// each consecutive pair an arc whose weights sum to dist exactly, and
+// reachability. It scatters u's forward run once and probes the backward
+// run of each vertex the walk reads (the /matrix kernels), so it costs one
+// probe per in-arc the walk scans. A graph fitsBase refuses — another
+// vertex count, directedness or unit — is an error, and so is one the
+// labels disagree with (walkPath).
+func (fx *FlatIndex) Path(g *Graph, u, v int) (dist float64, path []int, reachable bool, err error) {
+	n := fx.NumVertices()
+	if g == nil {
+		return 0, nil, false, fmt.Errorf("chl: Path needs the graph the index was built from")
+	}
+	if err := fitsBase(g, n, fx.Directed(), fx.unitExp()); err != nil {
 		return 0, nil, false, err
 	}
-	return d, append(path, v), true, nil
+	if err := inRange(n, u, v); err != nil {
+		return 0, nil, false, err
+	}
+	s := fx.scratch.Get(n)
+	rs := label.ScatterRun(s, fx.fwd.RunInto(nil, u))
+	dist, path, reachable, err = walkPath(g, u, v, func(x int) uint64 {
+		d, _, ok := rs.ProbeAt(fx.bwd, x)
+		if !ok {
+			return graph.Unreached
+		}
+		return uint64(d)
+	})
+	rs.Release()
+	fx.scratch.Put(s) // not deferred: only a clean table goes back
+	return dist, path, reachable, err
 }
 
-// appendChain appends the refined chain of the segment u→v — known to
-// have distance d and witness hub h — to dst, including u and
-// excluding v.
-func appendChain(dst []int, u, v int, d float64, h int, n int, q hubQuerier, budget *int) ([]int, error) {
-	if h == u || h == v {
-		return append(dst, u), nil
-	}
-	if h < 0 || h >= n {
-		return nil, fmt.Errorf("chl: witness hub %d of segment %d→%d outside [0,%d) — corrupt labels?", h, u, v, n)
-	}
-	dl, hl, okl, err := chainQuery(u, h, q, budget)
-	if err != nil {
-		return nil, err
-	}
-	dr, hr, okr, err := chainQuery(h, v, q, budget)
-	if err != nil {
-		return nil, err
-	}
-	// The witness proves d(u,h)+d(h,v) == d with both legs strictly
-	// inside (0,d); anything else means the labels (or a hostile
-	// querier) contradict themselves, and recursing on such legs could
-	// fail to shrink the problem.
-	if !okl || !okr || dl+dr != d || !(dl > 0) || !(dr > 0) {
-		return nil, fmt.Errorf("chl: witness %d of segment %d→%d has inconsistent legs (%g + %g vs %g) — corrupt labels?", h, u, v, dl, dr, d)
-	}
-	if dst, err = appendChain(dst, u, h, dl, hl, n, q, budget); err != nil {
-		return nil, err
-	}
-	return appendChain(dst, h, v, dr, hr, n, q, budget)
-}
-
-// chainQuery is one budgeted querier call during chain refinement.
-func chainQuery(u, v int, q hubQuerier, budget *int) (float64, int, bool, error) {
-	if *budget--; *budget < 0 {
-		return 0, 0, false, fmt.Errorf("chl: path expansion exceeded its query budget — cyclic witness chain?")
-	}
-	return q(u, v)
-}
-
-// Path reconstructs the shortest-path witness chain between u and v
-// (original ids): the distance, the maximally refined via-vertex
-// sequence from u to v inclusive, and reachability. Consecutive
-// vertices of the sequence are segments whose own Query distances sum
-// to dist exactly. Unreachable pairs return (Infinity, nil, false,
-// nil); an error means the labels are inconsistent.
-func (fx *FlatIndex) Path(u, v int) (dist float64, path []int, reachable bool, err error) {
-	return expandPath(u, v, fx.NumVertices(), func(a, b int) (float64, int, bool, error) {
-		d, h, ok := fx.QueryHub(a, b)
-		return d, h, ok, nil
+// rowPath is the walk over one search: a tier without labels of g — a
+// delta overlay's patched graph on either tier, or the router's graph —
+// reads du off one Dijkstra row from u.
+func rowPath(g *Graph, u, v int) (float64, []int, bool, error) {
+	row, k := sssp.Dijkstra(g, u), g.WeightUnitExp()
+	return walkPath(g, u, v, func(x int) uint64 {
+		if row[x] >= Infinity {
+			return graph.Unreached
+		}
+		return uint64(math.Ldexp(row[x], k))
 	})
 }
 
-// Path is FlatIndex.Path through the engine's cache: every segment
-// query fills (and is served from) the pair cache when one is
-// attached; under a delta overlay it is pathPatched.
-func (e *BatchEngine) Path(u, v int) (dist float64, path []int, reachable bool, err error) {
-	if e.ov != nil {
-		return pathPatched(e.ov, u, v)
+// witnessPath is /paths on a tier with no graph to walk (a server without
+// EnableUpdates, a router without BaseGraph): one pair query, answered as
+// its witness triple [u, h, v] — [u, v] when the witness is an endpoint,
+// [u] when u == v. Each vertex lies on a shortest u→v path, but
+// consecutive ones need not share an arc.
+func witnessPath(u, v int, q hubQuerier) (float64, []int, bool, error) {
+	d, h, ok, err := q(u, v)
+	switch {
+	case err != nil:
+		return 0, nil, false, err
+	case !ok:
+		return Infinity, nil, false, nil
+	case u == v:
+		return d, []int{u}, true, nil
+	case h == u || h == v:
+		return d, []int{u, v}, true, nil
 	}
-	return expandPath(u, v, e.fx.NumVertices(), e.hubQuery)
+	return d, []int{u, h, v}, true, nil
 }
 
 // hubQuery is QueryHub as a hubQuerier.
@@ -249,19 +257,6 @@ func (fx *FlatIndex) MatrixRows(sources, targets []int, emit func(u int, dists [
 	}
 	fx.scratch.Put(s) // not deferred: a panicking row leaves the scratch dirty
 	return err
-}
-
-// pathPatched is /paths under overlay ov on either tier. Witness-hub
-// expansion is unavailable there (frozen hubs need not lie on patched
-// shortest paths), so the chain comes from an exact predecessor Dijkstra
-// on the patched graph; each leg is a patched edge, so consecutive Query
-// distances still sum to dist exactly.
-func pathPatched(ov *delta.Overlay, u, v int) (dist float64, path []int, reachable bool, err error) {
-	path, dist = ov.ShortestPath(u, v)
-	if path == nil {
-		return Infinity, nil, false, nil
-	}
-	return dist, path, true, nil
 }
 
 // MatrixRows streams the matrix through the engine: the frozen

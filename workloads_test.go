@@ -94,41 +94,44 @@ func TestRichWorkloadCacheKeying(t *testing.T) {
 // /paths(v,u) are different questions with different answers, and
 // asking one must never pollute the cache for the other — the classic
 // unordered-pairKey regression, pinned on a provably asymmetric pair.
+// Both tiers answer it with the same bytes: the witness triple through
+// the cache without a graph, the walk with one.
 func TestDirectedPathsOrderedPairs(t *testing.T) {
 	g := chl.GenerateRandomDirected(240, 1200, 9, 31)
 	ix, fx := buildDirectedFrozen(t, g)
 	u, v := findAsymmetricPair(t, ix)
-	tc := newTestCluster(t, fx, clusterSpec{shards: 2, cacheSize: 1 << 12})
-	defer tc.close()
-	ts := httptest.NewServer(tc.router.Handler())
-	defer ts.Close()
-
 	duv, dvu := ix.Query(u, v), ix.Query(v, u)
 	if duv == dvu {
 		t.Fatalf("fixture self-check: pair (%d,%d) is not asymmetric", u, v)
 	}
-	// Forward first (fills the cache with the u→v segments), then the
-	// reverse — each must match its own direction of the index.
-	for _, ord := range [][2]float64{{float64(u), duv}, {float64(v), dvu}} {
-		a, b := u, v
-		if int(ord[0]) == v {
-			a, b = v, u
-		}
-		var r pathsParityResp
-		getParity(t, fmt.Sprintf("%s/paths?u=%d&v=%d", ts.URL, a, b), &r)
-		if !r.Reachable || r.Dist != ord[1] {
-			t.Fatalf("/paths(%d,%d) = (%v,%v), directed index says %v", a, b, r.Dist, r.Reachable, ord[1])
-		}
-		if r.Path[0] != a || r.Path[len(r.Path)-1] != b {
-			t.Fatalf("/paths(%d,%d) walk %v runs the wrong way", a, b, r.Path)
-		}
-		// Segments re-sum in the asked direction.
-		var sum float64
-		for i := 0; i+1 < len(r.Path); i++ {
-			sum += ix.Query(r.Path[i], r.Path[i+1])
-		}
-		if sum != r.Dist {
-			t.Fatalf("/paths(%d,%d): directed segments re-sum to %v, total says %v", a, b, sum, r.Dist)
+	for _, graph := range []*chl.Graph{nil, g} {
+		flat, router := pathsTiers(t, fx, graph)
+		// Forward first (fills the cache with the u→v answer), then the
+		// reverse — each must match its own direction of the index.
+		bodies := samePathBodies(t, flat, router, [][2]int{{u, v}, {v, u}})
+		for i, ord := range [][3]float64{{float64(u), float64(v), duv}, {float64(v), float64(u), dvu}} {
+			a, b := int(ord[0]), int(ord[1])
+			var r pathsParityResp
+			if err := json.Unmarshal(bodies[i], &r); err != nil {
+				t.Fatal(err)
+			}
+			if !r.Reachable || r.Dist != ord[2] {
+				t.Fatalf("graph=%v: /paths(%d,%d) = (%v,%v), directed index says %v", graph != nil, a, b, r.Dist, r.Reachable, ord[2])
+			}
+			if r.Path[0] != a || r.Path[len(r.Path)-1] != b {
+				t.Fatalf("graph=%v: /paths(%d,%d) walk %v runs the wrong way", graph != nil, a, b, r.Path)
+			}
+			// Segments re-sum in the asked direction.
+			var sum float64
+			for i := 0; i+1 < len(r.Path); i++ {
+				sum += ix.Query(r.Path[i], r.Path[i+1])
+			}
+			if sum != r.Dist {
+				t.Fatalf("graph=%v: /paths(%d,%d): directed segments re-sum to %v, total says %v", graph != nil, a, b, sum, r.Dist)
+			}
+			if graph != nil {
+				checkWalk(t, g, a, b, r.Dist, r.Path, r.Reachable)
+			}
 		}
 	}
 }
@@ -194,15 +197,19 @@ func TestMatrixStreamsBounded(t *testing.T) {
 }
 
 // TestServerWorkloadGoAPI: the Server-level Path and KNN methods answer
-// identically to the flat index they snapshot — the HTTP handlers are
-// thin shells over these, so this pins the Go API surface directly.
+// identically to the flat index they snapshot (Path over the graph the
+// server holds once updates are on) — the HTTP handlers are thin shells
+// over these, so this pins the Go API surface directly.
 func TestServerWorkloadGoAPI(t *testing.T) {
 	g := chl.GenerateScaleFree(180, 3, 29)
 	fx, _ := buildFlat(t, g)
 	s := chl.NewServerFromFlat(fx, 1<<10)
 	defer s.Close()
+	if err := s.EnableUpdates(g, ""); err != nil {
+		t.Fatal(err)
+	}
 	for _, p := range [][2]int{{0, 99}, {17, 3}, {5, 5}} {
-		wd, wp, wok, werr := fx.Path(p[0], p[1])
+		wd, wp, wok, werr := fx.Path(g, p[0], p[1])
 		gd, gp, gok, gerr := s.Path(p[0], p[1])
 		if gd != wd || gok != wok || (gerr == nil) != (werr == nil) || len(gp) != len(wp) {
 			t.Fatalf("Server.Path(%d,%d) = (%v,%v,%v,%v), FlatIndex.Path says (%v,%v,%v,%v)",
