@@ -34,13 +34,14 @@ type Answer struct {
 // unlikely.
 //
 // The keyspace is pair answers, and nothing else. The rich workloads
-// ride this discipline rather than bending it: /paths fills the cache
-// with its segments (each segment IS a pair query), /knn deposits its
-// results as the (source, neighbor) pair answers they are, and /matrix
-// deliberately stays out. No workload ever mints a key from a non-pair
-// parameter like k — a /knn for (u=3, k=5) and a /dist for (3,5) can
-// therefore never collide (the singleflight layer keeps them apart the
-// same way; see flightKind).
+// ride this discipline rather than bending it: /paths reads the cache
+// only on a tier with no graph, for the one pair query behind its witness
+// triple (a walk reads labels or a search, never cached answers), /knn
+// deposits its results as the (source, neighbor) pair answers they are,
+// and /matrix deliberately stays out. No workload ever mints a key from
+// a non-pair parameter like k — a /knn for (u=3, k=5) and a /dist for
+// (3,5) can therefore never collide (the singleflight layer keeps them
+// apart the same way; see flightKind).
 type Cache struct {
 	shards   []cacheShard
 	mask     uint64
@@ -126,12 +127,17 @@ func mixKey(k uint64) uint64 {
 // undirected caches, ordered for directed ones — and whether it was
 // present, promoting the entry to most-recently-used. Safe for
 // concurrent use.
-func (c *Cache) Get(u, v int) (Answer, bool) {
+func (c *Cache) Get(u, v int) (Answer, bool) { return c.getIf(u, v, nil) }
+
+// getIf is Get for a caller that can use only some answers: an entry
+// usable refuses is neither returned nor promoted, and counts as a miss.
+// A nil usable accepts every entry.
+func (c *Cache) getIf(u, v int, usable func(Answer) bool) (Answer, bool) {
 	key := c.pairKey(u, v)
 	s := &c.shards[mixKey(key)&c.mask]
 	s.mu.Lock()
 	e, ok := s.m[key]
-	if !ok {
+	if !ok || usable != nil && !usable(e.a) {
 		s.mu.Unlock()
 		c.misses.Add(1)
 		return Answer{}, false

@@ -63,8 +63,8 @@
 //	GET  /healthz               → {"ok":true,"generation":N}
 //
 // Served with -graph, /paths walks the graph: every step one arc, read
-// off the frozen labels (off one Dijkstra row on the patched graph under
-// an outstanding POST /update). Without -graph it returns the witness
+// off the frozen labels (off one Dijkstra search on the patched graph
+// under an outstanding POST /update). Without -graph it returns the witness
 // triple [u, h, v] of one query, whose consecutive vertices need not
 // share an arc.
 package main

@@ -27,7 +27,7 @@
 //
 //	GET  /dist?u=17&v=3942      → same schema as a single server, bit-identical answers
 //	POST /batch  [[u,v],...]    → {"dists":[...]}   (-1 marks unreachable pairs)
-//	GET  /paths?u=17&v=3942     → with -graph the arc-by-arc walk over one Dijkstra row (on the patched graph under an overlay); without, the witness triple of one query
+//	GET  /paths?u=17&v=3942     → with -graph the arc-by-arc walk over one Dijkstra search (on the patched graph under an overlay); without, the witness triple of one query
 //	GET  /knn?u=17&k=8          → k nearest targets, merged from per-shard inverted-index scans
 //	POST /matrix {"sources":[...],"targets":[...]} → NDJSON distance rows, streamed per source
 //	GET  /stats                 → per-replica request/error/ejection counters, router cache, generations

@@ -198,11 +198,11 @@
 // over the graph: from v back to u, each step to the smallest-id
 // in-neighbour on a shortest path, every step an arc, the arcs summing
 // to the distance exactly. Its distances come from the frozen labels,
-// or from one Dijkstra row under an overlay and on the router, which
-// holds no labels; a tier with no graph answers the witness triple
-// [u, h, v] of one query instead. K-nearest neighbors
-// (BatchEngine.KNN, Router.KNN, GET /knn) runs a k-way merge over a
-// label-inverted index derived lazily at load time — never serialized,
+// or from one Dijkstra search from u, stopped once v is final, under an
+// overlay and on the router, which holds no labels; a tier with no graph
+// answers the witness triple [u, h, v] of one query instead. K-nearest
+// neighbors (BatchEngine.KNN, Router.KNN, GET /knn) runs a k-way merge
+// over a label-inverted index derived lazily at load time — never serialized,
 // so the pinned file formats are untouched — returning exactly the
 // (dist, hub) pairs QueryHub would answer. Distance matrices
 // (FlatIndex.MatrixRows, Router.Matrix, POST /matrix) scatter each
@@ -219,24 +219,26 @@
 // (internal/delta) over the frozen index so POST /update serves exact
 // answers for a mutated graph without a rebuild: edge patches ("add u v
 // w" / "del u v" / "set u v w" lines, ParsePatchLog) reduce against the
-// base graph, and every query becomes the min of the frozen label join
-// and a corrected path — a Dijkstra over the patch vertices seeded by
-// frozen distances (all of them read off one scan per endpoint of a
-// hub-inverted table of the patch vertices' labels), falling back to an
-// exact search whenever a frozen seed might thread a removed edge.
+// base graph, and every query runs its frozen label join exactly as
+// without updates, then the overlay corrects that distance — the min of
+// the frozen answer and the best path through a patch vertex, read off
+// patched-graph rows of the patch vertices, falling back to an exact
+// search when a removed edge may lie on a frozen shortest path and no
+// path through a patch vertex matches the frozen answer.
 // Untouched pairs stay bit-identical; corrected answers that lose the
-// frozen witness report hub -1. Each
-// accepted batch is journaled-ahead (replayed on restart), advances the
-// overlay epoch, and retires the answer caches exactly once — the epoch
-// extends the snapshot identity and the router's singleflight keys the
-// same way content hashes do. In a cluster the router owns the overlay
-// (RouterConfig.BaseGraph / UpdateJournal): shards stay frozen and the
-// router corrects locally — it joins the endpoint rows it fetches from
-// the shards and hands that distance to the same delta.Overlay.Query the
-// server calls — even for same-shard pairs. POST /compact folds the patches into a fresh
-// snapshot — rebuild over the patched graph, rename, hot-swap with zero
-// dropped queries, truncate the journal. ARCHITECTURE.md ("Dynamic
-// updates") has the correction math and the operator rules.
+// frozen witness report hub -1. Each accepted batch is journaled-ahead
+// (replayed on restart), advances the overlay epoch, and retires the
+// answer caches exactly once — the epoch extends the snapshot identity
+// and the router's singleflight keys the same way content hashes do. In
+// a cluster the router owns the overlay (RouterConfig.BaseGraph /
+// UpdateJournal): shards stay frozen, and the router routes as on a
+// frozen cluster, then corrects — a same-shard pair's forwarded answer
+// and a cross-shard pair's row join alike go to the same
+// delta.Overlay.Query the server calls. POST /compact folds the patches
+// into a fresh snapshot — rebuild over the patched graph, rename,
+// hot-swap with zero dropped queries, truncate the journal.
+// ARCHITECTURE.md ("Dynamic updates") has the correction math and the
+// operator rules.
 //
 // # Distributed execution
 //

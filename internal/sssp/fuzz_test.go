@@ -43,7 +43,8 @@ func fuzzGraph(data []byte) (g *graph.Graph, tame bool, err error) {
 
 // FuzzSSSP holds every entry point of the bucket search to verify's float64
 // Dijkstra with ==, from every source of byte-steered directed and
-// undirected graphs: Dijkstra's row and DijkstraTo for every target.
+// undirected graphs: Dijkstra's row, DijkstraTo for every target, and
+// UnitsTo's entries up to the target's (exact) and beyond it (bounds).
 // A graph that draws an out-of-domain weight (seeds 0–4: 1e±300, 1e13,
 // 1e-3, 0.1 and 0.3) must instead be refused by graph.Finish, naming a
 // weight; seeds 5–8 are in domain.
@@ -78,6 +79,16 @@ func FuzzSSSP(f *testing.F) {
 				if got := DijkstraTo(g, s, v); got != want[v] {
 					t.Fatalf("DijkstraTo(%d, %d) = %v, the float64 oracle says %v", s, v, got, want[v])
 				}
+				UnitsTo(g, s, v, func(du []uint64) {
+					for x, d := range du {
+						if d <= du[v] && g.FromUnits(d) != want[x] {
+							t.Fatalf("UnitsTo(%d, %d): vertex %d at %d units, at most the target's %d, but the float64 oracle says %v", s, v, x, d, du[v], want[x])
+						}
+						if d != graph.Unreached && g.FromUnits(d) < want[x] {
+							t.Fatalf("UnitsTo(%d, %d): vertex %d at %d units, below the float64 oracle's %v", s, v, x, d, want[x])
+						}
+					}
+				})
 			}
 		}
 	})

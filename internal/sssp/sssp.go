@@ -1,10 +1,10 @@
 // Package sssp provides the reference shortest path searches: Dijkstra,
-// the plain row every labeling is verified against (and the row /paths
-// walks where no labels describe the graph), and DijkstraTo, the search
-// that stops at its target. DijkstraTo is the one point-to-point
-// traversal here: the baseline the paper's introduction compares hub
-// labeling to (internal/exp's intro table) and the overlay's fallback
-// (internal/delta).
+// the plain row every labeling is verified against, and DijkstraTo, the
+// search that stops at its target (UnitsTo hands its distances, in units,
+// to the /paths walk where no labels describe the graph). DijkstraTo is
+// the one point-to-point traversal here: the baseline the paper's
+// introduction compares hub labeling to (internal/exp's intro table) and
+// the overlay's fallback (internal/delta).
 //
 // Every search runs in the graph's integer units (internal/graph) and
 // returns float64 distances only at the edge: Dijkstra's rows and
@@ -68,10 +68,20 @@ func Dijkstra(g *graph.Graph, source int) []float64 {
 // graph.Infinity if t is unreachable. It allocates nothing once a scratch
 // is pooled.
 func DijkstraTo(g *graph.Graph, s, t int) float64 {
+	var d uint64
+	UnitsTo(g, s, t, func(du []uint64) { d = du[t] })
+	return g.FromUnits(d)
+}
+
+// UnitsTo searches from s until t is final and calls f with the distances
+// it holds, in g's units: every entry at most du[t] is d(s,·) exactly, and
+// every other one an upper bound or graph.Unreached. Each such entry lies
+// in a bucket the search has drained, where every vertex is final. du is
+// the search's own buffer, valid only until f returns.
+func UnitsTo(g *graph.Graph, s, t int, f func(du []uint64)) {
 	sc := getScratch(g.NumVertices())
 	dist := sc.dist[:g.NumVertices()]
 	sc.search(g, s, t, dist)
-	d := dist[t]
+	f(dist)
 	putScratch(sc)
-	return g.FromUnits(d)
 }

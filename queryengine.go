@@ -336,8 +336,9 @@ func newCacheFor(fx *FlatIndex, capacity int) *Cache {
 func (e *BatchEngine) Cache() *Cache { return e.cache }
 
 // SetOverlay attaches the delta overlay a delta.Log serves (nil
-// detaches). With an overlay attached, every query routes through the
-// corrected path (queryPatched). An attached cache must be scoped to
+// detaches). With an overlay attached, every query runs the kernel it
+// runs without one and the overlay corrects its answer (queryPatched,
+// delta.Overlay.Query). An attached cache must be scoped to
 // exactly one (index, overlay) pair — Server and Router start a fresh
 // cache on every patch batch, which is what keeps pre-patch answers
 // from outliving the graph they were true of.
@@ -442,15 +443,21 @@ func (e *BatchEngine) BatchInto(dst []float64, pairs []QueryPair) {
 	wg.Wait()
 }
 
-// serveRange answers one worker's contiguous slice of a batch. On the
-// frozen index alone that is batchGrouped. Through a cache or an overlay
-// every pair takes the single-pair path, its frozen join on one pooled
-// scratch — which kernel that means, hash join or merge join on a nil
-// scratch, is label's decision (ScratchPool.GetJoinFor, Join).
+// serveRange answers one worker's contiguous slice of a batch, its kernel
+// picked by the cache alone. With no cache batchGrouped answers, and the
+// overlay, when one is attached, corrects each answer after it. Through a
+// cache every pair takes the single-pair path, its frozen join on one
+// pooled scratch — which kernel that means, hash join or merge join on a
+// nil scratch, is label's decision (ScratchPool.GetJoinFor, Join).
 func (e *BatchEngine) serveRange(dst []float64, pairs []QueryPair, lo, hi int) {
 	fx := e.fx
-	if e.cache == nil && e.ov == nil {
+	if e.cache == nil {
 		fx.batchGrouped(dst[lo:hi], pairs[lo:hi])
+		if e.ov != nil {
+			for i := lo; i < hi; i++ {
+				dst[i], _ = e.ov.Query(dst[i], pairs[i].U, pairs[i].V)
+			}
+		}
 		return
 	}
 	s := fx.scratch.GetJoinFor(fx.fwd)

@@ -38,6 +38,10 @@ import (
 //     Θ(1/N) memory per shard. u's row arrives with its hubs' original
 //     ids, so the witness is read off the same response.
 //
+// Edge updates (RouterConfig.BaseGraph) change no route: every pair
+// routes, joins and caches exactly as above, then the delta overlay
+// corrects its frozen answer, forwarded or joined alike.
+//
 // This is not the paper's QDOL (§6), which places every partition pair on
 // one node so that one node answers any pair; internal/query models QDOL,
 // and ROADMAP 16 holds pair placement for the router.
@@ -492,9 +496,10 @@ type RouterConfig struct {
 	// defaults to max(1, ClientQPS).
 	ClientBurst int
 	// BaseGraph enables dynamic edge updates (POST /update): it must be
-	// the exact graph the cluster's shard files were built from. The
-	// router corrects queries locally against a delta overlay — shards
-	// stay frozen and never see updates. Nil disables updates.
+	// the exact graph the cluster's shard files were built from. Queries
+	// route as on a frozen cluster and the router corrects each answer
+	// locally against a delta overlay — shards stay frozen and never see
+	// updates. Nil disables updates.
 	BaseGraph *Graph
 	// UpdateJournal names the router's patch journal: accepted batches
 	// are appended (and fsynced) before they serve, and journaled ops
@@ -629,11 +634,13 @@ func (r *Router) NumVertices() int { return r.n }
 func (r *Router) Directed() bool { return r.directed }
 
 // hubUnknown marks a cached answer whose witness hub was never computed
-// (batch paths only need distances). QueryHub treats such hits as misses.
-const hubUnknown = -1
+// (/batch only needs distances). No answer carries it — a witness is a
+// vertex id, and a corrected answer's is -1 — so a hub-needing lookup
+// refuses exactly these entries.
+const hubUnknown = -2
 
 // Query answers one point-to-point query through the cluster. A miss
-// costs what QueryHub's does (the witness rides the row fetch) and shares
+// costs what QueryHub's does (the witness rides the answer) and shares
 // its flight; only a cached answer without a witness serves Query alone.
 func (r *Router) Query(u, v int) (float64, error) {
 	d, _, _, err := r.queryHub(u, v, false)
@@ -646,9 +653,19 @@ func (r *Router) QueryHub(u, v int) (dist float64, hub int, ok bool, err error) 
 	return r.dist(u, v)
 }
 
-// queryHub is the shared single-query path. needHub only decides cache
-// hits: Query (needHub=false) accepts an answer Batch cached without its
-// witness (hubUnknown), QueryHub refetches it.
+// queryHub is the shared single-query path: one counted query.
+func (r *Router) queryHub(u, v int, needHub bool) (dist float64, hub int, ok bool, err error) {
+	if err := inRange(r.n, u, v); err != nil {
+		return 0, 0, false, err
+	}
+	r.queries.Add(1)
+	return r.answer(r.state.Load(), u, v, needHub)
+}
+
+// answer serves one in-range pair from st's cache or routes it, counting
+// no query (/knn under an overlay answers its winners through it).
+// needHub only decides cache hits: Query accepts an answer Batch cached
+// without its witness (hubUnknown); QueryHub counts it a miss.
 //
 // Concurrent duplicate misses are collapsed (flightGroup): the first
 // caller for a pair routes it, everyone else arriving before it returns
@@ -656,14 +673,10 @@ func (r *Router) QueryHub(u, v int) (dist float64, hub int, ok bool, err error) 
 // costs one backend round trip. The flight key follows the cache's
 // pairKey discipline (ordered for directed clusters); every flight
 // computes the witness, so Query and QueryHub callers share one.
-func (r *Router) queryHub(u, v int, needHub bool) (dist float64, hub int, ok bool, err error) {
-	if err := inRange(r.n, u, v); err != nil {
-		return 0, 0, false, err
-	}
-	st := r.state.Load()
-	r.queries.Add(1)
+func (r *Router) answer(st *routerState, u, v int, needHub bool) (dist float64, hub int, ok bool, err error) {
 	if st.cache != nil {
-		if a, hit := st.cache.Get(u, v); hit && (!needHub || a.Hub != hubUnknown || !a.Reachable) {
+		usable := func(a Answer) bool { return !needHub || a.Hub != hubUnknown || !a.Reachable }
+		if a, hit := st.cache.getIf(u, v, usable); hit {
 			return a.Dist, a.Hub, a.Reachable, nil
 		}
 	}
@@ -677,52 +690,46 @@ func (r *Router) queryHub(u, v int, needHub bool) (dist float64, hub int, ok boo
 	return res.dist, res.hub, res.ok, res.err
 }
 
-// routePair is the leader's half of queryHub: answer the miss from the
-// owning shard(s) and feed the cache.
+// routePair is the leader's half of answer: route the miss exactly as on
+// a frozen cluster, correct the frozen answer under st's overlay, and
+// feed the cache.
 //
-// A same-shard pair on a frozen cluster is forwarded whole — the shard
-// joins locally, witness included. Every other pair is answered from
-// rows: fetch u's forward row, with its hubs' original ids, and v's
-// backward (directed) or forward row; join them here with
-// label.JoinPacked and read the witness's original id at the joined
-// hub's index in u's row. Under a delta overlay every pair takes this
-// path, even a same-shard one (the shard's own /dist would answer from
-// the frozen labels the overlay exists to correct), and queryPatched —
-// the engine tier's own correction and hub contract — corrects the join.
-// Row and ids come from one response, so from one
-// snapshot: a reload can never pair a rank with another snapshot's
-// permutation. Hub-less corrected answers cache under hubUnknown (== -1),
-// so a later hub-needing query recomputes.
+// A same-shard pair is forwarded whole as GET /dist — the shard joins
+// locally, witness included. A cross-shard pair is answered from rows:
+// fetch u's forward row, with its hubs' original ids, and v's backward
+// (directed) or forward row; join them here with label.JoinPacked and
+// read the witness's original id at the joined hub's index in u's row.
+// Row and ids come from one response, so from one snapshot: a reload can
+// never pair a rank with another snapshot's permutation. Either way the
+// answer is a frozen join, which queryPatched — the engine tier's own
+// correction and hub contract — corrects when an overlay is outstanding.
 func (r *Router) routePair(ctx context.Context, st *routerState, u, v int) flightResult {
 	so := newObserver()
-	if su := r.part.Owner(u); st.patch == nil && su == r.part.Owner(v) {
+	res := flightResult{dist: Infinity}
+	if su := r.part.Owner(u); su == r.part.Owner(v) {
 		resp, _, serr := callShard[distResponse](ctx, r, shardCall{sid: su, path: fmt.Sprintf("/dist?u=%d&v=%d", u, v)}, so)
 		if serr != nil {
 			return flightResult{err: &ClusterError{Failed: []*ShardError{serr}}}
 		}
-		res := flightResult{dist: Infinity}
 		if resp.Reachable {
 			res = flightResult{dist: resp.Dist, hub: resp.Hub, ok: true}
 		}
-		r.cachePut(st, so, u, v, res)
-		return res
-	}
-	fwd, bwd := r.pairNeeds(nil, nil, u, v)
-	rows := r.fetchRows(ctx, fwd, bwd, []int{u}, so)
-	if err := so.err(); err != nil {
-		return flightResult{err: err}
-	}
-	rowU, rowV := rows.pair(r.directed, u, v)
-	res := flightResult{dist: Infinity}
-	if d, rank, ok := label.JoinPacked(rowU, rowV); ok {
-		// The joined hub is an entry of rowU, whose words sort by hub.
-		i := sort.Search(len(rowU), func(i int) bool { return uint32(rowU[i]>>32) >= rank })
-		res = flightResult{dist: label.FromUnits(d, r.unitExp), hub: rows.hubIDs[u][i], ok: true}
+	} else {
+		fwd, bwd := r.pairNeeds(nil, nil, u, v)
+		rows := r.fetchRows(ctx, fwd, bwd, []int{u}, so)
+		if err := so.err(); err != nil {
+			return flightResult{err: err}
+		}
+		r.crossJoins.Add(1)
+		rowU, rowV := rows.pair(r.directed, u, v)
+		if d, rank, ok := label.JoinPacked(rowU, rowV); ok {
+			// The joined hub is an entry of rowU, whose words sort by hub.
+			i := sort.Search(len(rowU), func(i int) bool { return uint32(rowU[i]>>32) >= rank })
+			res = flightResult{dist: label.FromUnits(d, r.unitExp), hub: rows.hubIDs[u][i], ok: true}
+		}
 	}
 	if st.patch != nil {
 		res.dist, res.hub, res.ok = queryPatched(st.patch, u, v, res.dist, res.hub)
-	} else {
-		r.crossJoins.Add(1)
 	}
 	r.cachePut(st, so, u, v, res)
 	return res
@@ -739,12 +746,12 @@ func (r *Router) pairNeeds(fwd, bwd []int, u, v int) ([]int, []int) {
 }
 
 // Batch answers a batch of queries through the cluster, returning the
-// distances in order (Infinity for unreachable pairs). Same-shard pairs
-// are forwarded whole, one sub-batch per shard; cross-shard pairs are
-// answered by fetching each involved vertex's label row once per shard
-// and hub-joining at the router. Under a delta overlay every pair needs
-// the overlay's correction, so every miss rides the row fetch and is joined
-// by the overlay (see routePair). All shard traffic for a batch runs
+// distances in order (Infinity for unreachable pairs). Misses route as on
+// a frozen cluster: same-shard pairs are forwarded whole, one POST /batch
+// per shard; cross-shard pairs are answered by fetching each involved
+// vertex's label row once per shard and hub-joining at the router. Under
+// a delta overlay the overlay then corrects every answer, forwarded and
+// joined alike (see routePair). All shard traffic for a batch runs
 // concurrently; each shard request load-balances and fails over within
 // the shard's replica group independently.
 func (r *Router) Batch(pairs []QueryPair) ([]float64, error) {
@@ -777,7 +784,7 @@ func (r *Router) batch(ctx context.Context, dists []float64, pairs []QueryPair) 
 			}
 		}
 		pending = append(pending, i)
-		if su := r.part.Owner(p.U); st.patch == nil && su == r.part.Owner(p.V) {
+		if su := r.part.Owner(p.U); su == r.part.Owner(p.V) {
 			direct[su] = append(direct[su], i)
 			continue
 		}
@@ -810,25 +817,23 @@ func (r *Router) batch(ctx context.Context, dists []float64, pairs []QueryPair) 
 
 	// Join locally with the same kernel and scratch-size policy the
 	// single-process BatchEngine serves with (label.ScratchPool.GetJoin; a
-	// nil scratch merge-joins), then let the overlay, when one is
-	// outstanding, correct each answer.
-	var s *label.HubTable
+	// nil scratch merge-joins).
 	if len(joined) > 0 {
-		s = r.scratch.GetJoin(r.n)
-	}
-	if st.patch == nil {
+		s := r.scratch.GetJoin(r.n)
+		for _, i := range joined {
+			a, b := rows.pair(r.directed, pairs[i].U, pairs[i].V)
+			d, _, _ := label.JoinPackedWith(s, a, b)
+			dists[i] = label.FromUnits(d, r.unitExp)
+		}
+		r.scratch.Put(s) // not deferred: only a clean scratch goes back
 		r.crossJoins.Add(int64(len(joined)))
 	}
-	for _, i := range joined {
-		p := pairs[i]
-		a, b := rows.pair(r.directed, p.U, p.V)
-		d, _, _ := label.JoinPackedWith(s, a, b)
-		dists[i] = label.FromUnits(d, r.unitExp)
-		if st.patch != nil {
-			dists[i], _ = st.patch.Query(dists[i], p.U, p.V)
+	// The overlay, when one is outstanding, corrects every frozen answer.
+	if st.patch != nil {
+		for _, i := range pending {
+			dists[i], _ = st.patch.Query(dists[i], pairs[i].U, pairs[i].V)
 		}
 	}
-	r.scratch.Put(s) // not deferred: only a clean scratch goes back
 
 	// Populate the cache (hub unknown on this path — /batch never needs
 	// witnesses; QueryHub will recompute and upgrade the entry). The
@@ -1718,8 +1723,7 @@ func (r *Router) owns(int) bool     { return true }
 func (r *Router) stamp() shardStamp { return shardStamp{} }
 func (r *Router) release()          {}
 
-// dist is QueryHub, also the hubQuerier of Path's witness triple and of
-// KNN under an overlay.
+// dist is QueryHub, also the hubQuerier of Path's witness triple.
 func (r *Router) dist(u, v int) (float64, int, bool, error) { return r.queryHub(u, v, true) }
 
 func (r *Router) paths(u, v int) (float64, []int, bool, error) { return r.Path(u, v) }

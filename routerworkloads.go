@@ -17,8 +17,8 @@ import (
 // Path answers /paths through the cluster, as Server.Path does on an
 // unsharded index. The router holds no labels, so with a graph — the
 // overlay's patched graph, or RouterConfig.BaseGraph — it walks one
-// Dijkstra row from u, which gives the path the flat server walks over
-// its labels, byte for byte. Without one it answers the witness triple of
+// search from u (rowPath), which gives the path the flat server walks
+// over its labels, byte for byte. Without one it answers the witness triple of
 // one pair query through its single-query path (answer cache,
 // singleflight, cross-shard row joins).
 func (r *Router) Path(u, v int) (dist float64, path []int, reachable bool, err error) {
@@ -59,7 +59,10 @@ func (r *Router) KNN(u, k int) ([]Neighbor, error) {
 	key := flightKeyFor(flightKNN, r.directed, u, k, st.patchEpoch())
 	res := r.flights.do(key, func() { r.collapsed.Add(1) }, func() flightResult {
 		if st.patch != nil {
-			nbs, err := knnPatched(st.patch, u, k, r.dist)
+			// The winners are this /knn's answers, not queries of their own.
+			nbs, err := knnPatched(st.patch, u, k, func(u, v int) (float64, int, bool, error) {
+				return r.answer(st, u, v, true)
+			})
 			return flightResult{neighbors: nbs, err: err}
 		}
 		// Background parent: a flight outlives its leader's client (see

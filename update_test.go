@@ -489,8 +489,8 @@ func TestRouterUpdateWithShardDown(t *testing.T) {
 // TestOverlayPathCounters: every query the overlay answers is counted
 // under the one path that answered it — frozen answer certified,
 // corrected, exact fallback — in /stats and /metrics on both serving
-// tiers, cache hits are not, and a new patch batch starts the counts
-// over (they describe one patch epoch).
+// tiers, cache hits (corrected answers included) are not, and a new
+// patch batch starts the counts over (they describe one patch epoch).
 func TestOverlayPathCounters(t *testing.T) {
 	g := chl.GenerateRandom(180, 520, 9, 11)
 	_, fx := buildFrozen(t, g)
@@ -537,11 +537,10 @@ func TestOverlayPathCounters(t *testing.T) {
 			if ps.Frozen == 0 || ps.Corrected == 0 {
 				t.Fatalf("fixture exercises one path only: %+v", ps)
 			}
-			// A certified answer is cached whole, so asking again never
-			// reaches the overlay. (Hub-less corrected answers may: the
-			// router recomputes them for a caller that wants a hub.)
-			if again := ask(); again.Frozen != ps.Frozen {
-				t.Fatalf("cache hits were counted: frozen %d -> %d", ps.Frozen, again.Frozen)
+			// Every answer is cached whole, corrected ones (hub -1)
+			// included, so asking again never reaches the overlay.
+			if again := ask(); *again != *ps {
+				t.Fatalf("cache hits were counted: %+v -> %+v", ps, again)
 			}
 			ps = tier.patch()
 			resp, err := http.Get(ts.URL + "/metrics")
@@ -1000,4 +999,232 @@ func TestCompactDescribesItsOwnGeneration(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// shardTraffic counts, per shard, the requests a router's HTTP client
+// sends, as "METHOD /path".
+type shardTraffic struct {
+	mu     sync.Mutex
+	shards map[string]int // listener host -> shard id
+	counts []map[string]int
+}
+
+// client is the router's HTTP client, counting every request it sends.
+func (tr *shardTraffic) client() *http.Client {
+	return &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		tr.mu.Lock()
+		if sid, ok := tr.shards[req.URL.Host]; ok {
+			tr.counts[sid][req.Method+" "+req.URL.Path]++
+		}
+		tr.mu.Unlock()
+		return http.DefaultTransport.RoundTrip(req)
+	})}
+}
+
+// watch names c's listeners by shard and starts counting from zero.
+func (tr *shardTraffic) watch(c *testCluster) {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	tr.shards = map[string]int{}
+	for sid, group := range c.backends {
+		for _, ts := range group {
+			tr.shards[strings.TrimPrefix(ts.URL, "http://")] = sid
+		}
+	}
+	tr.counts = make([]map[string]int, len(c.backends))
+	for sid := range tr.counts {
+		tr.counts[sid] = map[string]int{}
+	}
+}
+
+// take returns the counts since the last take, or since watch.
+func (tr *shardTraffic) take() []map[string]int {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	out := tr.counts
+	tr.counts = make([]map[string]int, len(out))
+	for sid := range tr.counts {
+		tr.counts[sid] = map[string]int{}
+	}
+	return out
+}
+
+// TestOverlayRoutesAsFrozen: an outstanding patch batch changes no route.
+// On a 2-shard router with BaseGraph and one patch batch, a same-shard
+// /dist reaches its shard as exactly one GET /dist, a same-shard /batch
+// group as one POST /batch, neither fetches a row (/shardquery), and a
+// repeated /dist of a corrected pair (hub -1) is answered from the
+// router's cache without a shard request. Every answer is the patched
+// graph's.
+func TestOverlayRoutesAsFrozen(t *testing.T) {
+	g := chl.GenerateRoadGrid(12, 12, 1)
+	_, fx := buildFrozen(t, g)
+	traffic := &shardTraffic{}
+	c := newTestCluster(t, fx, clusterSpec{shards: 2, cacheSize: 1 << 10, tweak: func(cfg *chl.RouterConfig) {
+		cfg.BaseGraph = g
+		cfg.Client = traffic.client()
+	}})
+	defer c.close()
+	traffic.watch(c)
+	ts := httptest.NewServer(c.router.Handler())
+	defer ts.Close()
+	ops, err := chl.ParsePatchLog([]byte("add 0 143 1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	postUpdate(t, ts.URL, ops)
+	patched, err := chl.ApplyPatch(g, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := newParityOracle(patched)
+
+	// A same-shard pair the new edge shortens (so its answer is
+	// corrected, hub -1), and a group of other same-shard pairs on one
+	// shard for /batch.
+	n := g.NumVertices()
+	cu, cv := -1, -1
+	var group [][2]int
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			switch {
+			case c.part.Owner(u) != c.part.Owner(v):
+			case cu < 0 && oracle.from(u)[v] < fx.Query(u, v):
+				cu, cv = u, v
+			case len(group) < 6 && (len(group) == 0 || c.part.Owner(u) == c.part.Owner(group[0][0])):
+				group = append(group, [2]int{u, v})
+			}
+		}
+	}
+	if cu < 0 || len(group) < 6 {
+		t.Fatalf("fixture has no corrected same-shard pair (%d,%d) or too small a group %v", cu, cv, group)
+	}
+	// want checks that shard sid got exactly one request, path, and every
+	// other shard none (sid -1: no shard got any).
+	want := func(what string, got []map[string]int, sid int, path string) {
+		t.Helper()
+		for s, paths := range got {
+			switch {
+			case s == sid && (len(paths) != 1 || paths[path] != 1):
+				t.Errorf("%s: shard %d got %v, want exactly one %s", what, s, paths, path)
+			case s != sid && len(paths) != 0:
+				t.Errorf("%s: shard %d got %v, want no request", what, s, paths)
+			}
+		}
+	}
+	traffic.take() // the update contacts no shard; start clean anyway
+
+	dist := func() (float64, float64) {
+		resp, err := http.Get(fmt.Sprintf("%s/dist?u=%d&v=%d", ts.URL, cu, cv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		code, body := decodeJSON(t, resp)
+		if code != http.StatusOK {
+			t.Fatalf("/dist (%d,%d): status %d %v", cu, cv, code, body)
+		}
+		return body["dist"].(float64), body["hub"].(float64)
+	}
+	d, hub := dist()
+	if d != oracle.from(cu)[cv] || hub != -1 {
+		t.Fatalf("/dist (%d,%d) = %v hub %v, want the corrected %v hub -1", cu, cv, d, hub, oracle.from(cu)[cv])
+	}
+	want("same-shard /dist", traffic.take(), c.part.Owner(cu), "GET /dist")
+	if d2, hub2 := dist(); d2 != d || hub2 != hub {
+		t.Fatalf("repeated /dist (%d,%d) = %v hub %v, first %v hub %v", cu, cv, d2, hub2, d, hub)
+	}
+	want("repeated /dist of a corrected pair", traffic.take(), -1, "")
+
+	body, _ := json.Marshal(group)
+	resp, err := http.Post(ts.URL+"/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, got := decodeJSON(t, resp)
+	resp.Body.Close()
+	if code != http.StatusOK {
+		t.Fatalf("/batch: status %d %v", code, got)
+	}
+	for i, p := range group {
+		if d := got["dists"].([]any)[i].(float64); d != oracle.from(p[0])[p[1]] {
+			t.Fatalf("/batch (%d,%d) = %v, patched Dijkstra says %v", p[0], p[1], d, oracle.from(p[0])[p[1]])
+		}
+	}
+	want("same-shard /batch group", traffic.take(), c.part.Owner(group[0][0]), "POST /batch")
+}
+
+// TestRouterRefusedCacheEntryIsAMiss: /batch caches a cross-shard pair
+// without its witness, so a later /dist, which needs one, routes the pair
+// again — and the router's /stats counts that lookup a miss, not a hit.
+func TestRouterRefusedCacheEntryIsAMiss(t *testing.T) {
+	g := chl.GenerateRoadGrid(12, 12, 1)
+	_, fx := buildFrozen(t, g)
+	c := newTestCluster(t, fx, clusterSpec{shards: 2, cacheSize: 1 << 10})
+	defer c.close()
+	ts := httptest.NewServer(c.router.Handler())
+	defer ts.Close()
+	u, v := 0, 1
+	for c.part.Owner(u) == c.part.Owner(v) {
+		v++
+	}
+	if code := postRaw(t, ts.URL+"/batch", fmt.Sprintf("[[%d,%d]]", u, v)); code != http.StatusOK {
+		t.Fatalf("/batch: status %d", code)
+	}
+	before := *c.router.Stats().Cache
+	if code := getStatus(t, fmt.Sprintf("%s/dist?u=%d&v=%d", ts.URL, u, v)); code != http.StatusOK {
+		t.Fatalf("/dist: status %d", code)
+	}
+	after := *c.router.Stats().Cache
+	if after.Hits != before.Hits || after.Misses != before.Misses+1 {
+		t.Fatalf("/dist of a /batch-cached pair: hits %d -> %d, misses %d -> %d; want hits unchanged, misses +1",
+			before.Hits, after.Hits, before.Misses, after.Misses)
+	}
+}
+
+// TestKNNUnderOverlayCountsOneQuery: under an overlay /knn answers each
+// of its k winners through the tier's own pair path, but they are that
+// /knn's answers, not queries of their own: one k=3 /knn adds exactly 1
+// to queries_total on both tiers.
+func TestKNNUnderOverlayCountsOneQuery(t *testing.T) {
+	g := chl.GenerateRoadGrid(12, 12, 1)
+	_, fx := buildFrozen(t, g)
+	ops, err := chl.ParsePatchLog([]byte("add 0 143 1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := chl.NewServerFromFlat(fx, 1<<10)
+	defer flat.Close()
+	if err := flat.EnableUpdates(g, ""); err != nil {
+		t.Fatal(err)
+	}
+	c := newTestCluster(t, fx, clusterSpec{shards: 2, cacheSize: 1 << 10, tweak: func(cfg *chl.RouterConfig) { cfg.BaseGraph = g }})
+	defer c.close()
+	for _, tier := range []struct {
+		name    string
+		h       http.Handler
+		queries func() int64
+	}{
+		{"server", flat.Handler(), func() int64 { return flat.Stats().Queries }},
+		{"router", c.router.Handler(), func() int64 { return c.router.Stats().Queries }},
+	} {
+		t.Run(tier.name, func(t *testing.T) {
+			ts := httptest.NewServer(tier.h)
+			defer ts.Close()
+			postUpdate(t, ts.URL, ops)
+			before := tier.queries()
+			resp, err := http.Get(ts.URL + "/knn?u=0&k=3")
+			if err != nil {
+				t.Fatal(err)
+			}
+			code, body := decodeJSON(t, resp)
+			resp.Body.Close()
+			if nbs, _ := body["neighbors"].([]any); code != http.StatusOK || len(nbs) != 3 {
+				t.Fatalf("/knn?u=0&k=3: status %d %v, want 3 neighbors", code, body)
+			}
+			if got := tier.queries() - before; got != 1 {
+				t.Fatalf("one /knn under an overlay added %d to queries_total, want 1", got)
+			}
+		})
+	}
 }

@@ -2,7 +2,6 @@ package chl
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -98,15 +97,16 @@ func (fx *FlatIndex) Path(g *Graph, u, v int) (dist float64, path []int, reachab
 
 // rowPath is the walk over one search: a tier without labels of g — a
 // delta overlay's patched graph on either tier, or the router's graph —
-// reads du off one Dijkstra row from u.
-func rowPath(g *Graph, u, v int) (float64, []int, bool, error) {
-	row, k := sssp.Dijkstra(g, u), g.WeightUnitExp()
-	return walkPath(g, u, v, func(x int) uint64 {
-		if row[x] >= Infinity {
-			return graph.Unreached
-		}
-		return uint64(math.Ldexp(row[x], k))
+// reads du in units off a search from u that stops once v is final
+// (sssp.UnitsTo). That is exact for the walk: it starts at du(v), and
+// every in-neighbour it accepts is at least the lightest arc closer to u,
+// so already final; an entry not yet final exceeds du(v) and matches no
+// step.
+func rowPath(g *Graph, u, v int) (dist float64, path []int, reachable bool, err error) {
+	sssp.UnitsTo(g, u, v, func(du []uint64) {
+		dist, path, reachable, err = walkPath(g, u, v, func(x int) uint64 { return du[x] })
 	})
+	return dist, path, reachable, err
 }
 
 // witnessPath is /paths on a tier with no graph to walk (a server without
