@@ -362,22 +362,9 @@ func BenchmarkQuery(b *testing.B) {
 
 // BenchmarkFlatQuery is BenchmarkQuery on the frozen packed store through
 // the serving path: same pairs, 8-byte packed entries instead of 16-byte
-// slice elements behind two pointer chases, and a per-worker scratch
-// buffer that replaces the mispredicting merge-join with a hash-join.
+// slice elements behind two pointer chases, and the hash join on a table
+// from the index's pool instead of the mispredicting merge join.
 func BenchmarkFlatQuery(b *testing.B) {
-	_, fx, us, vs := benchServeIndex(b)
-	scratch := fx.NewScratch()
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += fx.QueryWith(scratch, us[i%4096], vs[i%4096])
-	}
-	_ = sink
-}
-
-// BenchmarkFlatQueryMerge is the allocation- and scratch-free flat query
-// (the path big-graph serving uses).
-func BenchmarkFlatQueryMerge(b *testing.B) {
 	_, fx, us, vs := benchServeIndex(b)
 	b.ResetTimer()
 	var sink float64
@@ -387,27 +374,24 @@ func BenchmarkFlatQueryMerge(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkFlatQueryParallel is the hash-join flat query across all
-// available cores. Each RunParallel goroutine allocates its own
-// QueryScratch inside the closure — a query scatters one run into the
-// scratch and clears it before returning, so sharing one across
-// goroutines would race and silently corrupt answers.
+// BenchmarkFlatQueryParallel is the flat query across all available
+// cores: each query takes its own table from the index's pool, so
+// concurrent queries never share one.
 func BenchmarkFlatQueryParallel(b *testing.B) {
 	_, fx, us, vs := benchServeIndex(b)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		scratch := fx.NewScratch() // per goroutine, never shared
 		var sink float64
 		i := 0
 		for pb.Next() {
-			sink += fx.QueryWith(scratch, us[i%4096], vs[i%4096])
+			sink += fx.Query(us[i%4096], vs[i%4096])
 			i++
 		}
 		_ = sink
 	})
 }
 
-// BenchmarkCompressedQuery is BenchmarkFlatQueryMerge on the compressed
+// BenchmarkCompressedQuery is BenchmarkFlatQuery on the compressed
 // sibling of the same index: a merge join that decodes one delta+varint
 // stream per side as it goes instead of reading fixed-width packed
 // entries.
@@ -580,9 +564,10 @@ func BenchmarkPaths(b *testing.B) {
 }
 
 // TestParallelQueryScratchRace drives the same pattern as the parallel
-// benchmarks under plain `go test`, so the CI -race job proves the
-// per-goroutine-scratch discipline (and the scratch-free compressed
-// kernel) actually is data-race-free rather than trusting the comment.
+// benchmarks under plain `go test`, so the CI -race job proves that
+// concurrent queries on one index, each on its own pooled table, and the
+// scratch-free compressed kernel are data-race-free rather than trusting
+// the comment.
 func TestParallelQueryScratchRace(t *testing.T) {
 	g := chl.GenerateScaleFree(400, 3, 2)
 	ix, fx := buildFrozen(t, g)
@@ -598,13 +583,12 @@ func TestParallelQueryScratchRace(t *testing.T) {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
-			scratch := fx.NewScratch() // own scratch per goroutine
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < perWorker; i++ {
 				u, v := rng.Intn(n), rng.Intn(n)
 				want := ix.Query(u, v)
-				if got := fx.QueryWith(scratch, u, v); got != want {
-					errc <- fmt.Errorf("flat QueryWith(%d,%d) = %v, want %v", u, v, got, want)
+				if got := fx.Query(u, v); got != want {
+					errc <- fmt.Errorf("flat Query(%d,%d) = %v, want %v", u, v, got, want)
 					return
 				}
 				if got := cfx.Query(u, v); got != want {

@@ -40,24 +40,16 @@ func kernelParity(t *testing.T, fx, cfx *chl.FlatIndex, pairs int, seed int64) {
 	t.Helper()
 	n := fx.NumVertices()
 	rng := rand.New(rand.NewSource(seed))
-	s := cfx.NewScratch()
 	for i := 0; i < pairs; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
 		want := fx.Query(u, v)
 		if got := cfx.Query(u, v); got != want {
 			t.Fatalf("compressed query(%d,%d) = %v, fixed-width says %v", u, v, got, want)
 		}
-		if got := cfx.QueryWith(s, u, v); got != want {
-			t.Fatalf("compressed QueryWith(%d,%d) = %v, want %v", u, v, got, want)
-		}
 		wd, wh, wok := fx.QueryHub(u, v)
 		gd, gh, gok := cfx.QueryHub(u, v)
 		if gd != wd || gok != wok || (wok && gh != wh) {
 			t.Fatalf("compressed QueryHub(%d,%d) = (%v,%d,%v), want (%v,%d,%v)", u, v, gd, gh, gok, wd, wh, wok)
-		}
-		sd, sh, sok := cfx.QueryHubWith(s, u, v)
-		if sd != wd || sok != wok || (wok && sh != wh) {
-			t.Fatalf("compressed QueryHubWith(%d,%d) = (%v,%d,%v), want (%v,%d,%v)", u, v, sd, sh, sok, wd, wh, wok)
 		}
 	}
 }
@@ -190,7 +182,8 @@ func TestCompressedSaveLoadMmapThaw(t *testing.T) {
 }
 
 // The parallel batch engine serves a compressed index — cached and
-// uncached — identically to the in-memory index.
+// uncached — identically to the in-memory index. The cache fronts single
+// pairs only, so its hits come from the engine's Query.
 func TestCompressedBatchEngine(t *testing.T) {
 	g := chl.GenerateScaleFree(500, 3, 9)
 	ix, fx := buildFrozen(t, g)
@@ -208,8 +201,12 @@ func TestCompressedBatchEngine(t *testing.T) {
 		for round := 0; round < 2; round++ {
 			dists := eng.Batch(pairs)
 			for i, p := range pairs {
-				if want := ix.Query(p.U, p.V); dists[i] != want {
+				want := ix.Query(p.U, p.V)
+				if dists[i] != want {
 					t.Fatalf("cached=%v round %d batch (%d,%d) = %v, want %v", cached, round, p.U, p.V, dists[i], want)
+				}
+				if d := eng.Query(p.U, p.V); d != want {
+					t.Fatalf("cached=%v round %d query (%d,%d) = %v, want %v", cached, round, p.U, p.V, d, want)
 				}
 			}
 		}

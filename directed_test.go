@@ -71,9 +71,9 @@ func directedFixtures() map[string]*chl.Graph {
 	}
 }
 
-// The directed acceptance bar at the lowest layer: the flat engine's
-// four kernels (merge, merge+hub, hash-join, hash-join+hub) answer
-// byte-identically to the in-memory directed index, in both pair orders.
+// The directed acceptance bar at the lowest layer: the flat index's
+// Query and QueryHub answer byte-identically to the in-memory directed
+// index, in both pair orders.
 func TestDirectedFlatParity(t *testing.T) {
 	for name, g := range directedFixtures() {
 		t.Run(name, func(t *testing.T) {
@@ -81,7 +81,6 @@ func TestDirectedFlatParity(t *testing.T) {
 			findAsymmetricPair(t, ix) // fixture sanity
 			n := g.NumVertices()
 			rng := rand.New(rand.NewSource(7))
-			s := fx.NewScratch()
 			unreachable := 0
 			for i := 0; i < 1500; i++ {
 				u, v := rng.Intn(n), rng.Intn(n)
@@ -92,17 +91,10 @@ func TestDirectedFlatParity(t *testing.T) {
 				if got := fx.Query(u, v); got != want {
 					t.Fatalf("flat query(%d→%d) = %v, in-memory says %v", u, v, got, want)
 				}
-				if got := fx.QueryWith(s, u, v); got != want {
-					t.Fatalf("flat hash-join query(%d→%d) = %v, want %v", u, v, got, want)
-				}
 				fd, fh, fok := fx.QueryHub(u, v)
 				wd, wh, wok := ix.QueryHub(u, v)
 				if fd != wd || fok != wok || (wok && fh != wh) {
 					t.Fatalf("flat QueryHub(%d→%d) = (%v,%d,%v), want (%v,%d,%v)", u, v, fd, fh, fok, wd, wh, wok)
-				}
-				sd, sh, sok := fx.QueryHubWith(s, u, v)
-				if sd != wd || sok != wok || (wok && sh != wh) {
-					t.Fatalf("flat QueryHubWith(%d→%d) = (%v,%d,%v), want (%v,%d,%v)", u, v, sd, sh, sok, wd, wh, wok)
 				}
 			}
 			if name == "sparse" && unreachable == 0 {
@@ -165,7 +157,8 @@ func TestDirectedFlatSaveLoadMmap(t *testing.T) {
 
 // The parallel batch engine over a directed index, cached and uncached,
 // matches the in-memory index — including repeat pairs in both orders,
-// which an unordered cache would conflate.
+// which an unordered cache would conflate. The cache fronts single pairs
+// only, so the cached rounds go through the engine's Query.
 func TestDirectedBatchEngine(t *testing.T) {
 	g := chl.GenerateRandomDirected(300, 1500, 9, 4)
 	ix, fx := buildDirectedFrozen(t, g)
@@ -185,11 +178,16 @@ func TestDirectedBatchEngine(t *testing.T) {
 		}
 		pairs[i] = chl.QueryPair{U: rng.Intn(300), V: rng.Intn(300)}
 	}
+	dists := eng.Batch(pairs)
+	for i, p := range pairs {
+		if want := ix.Query(p.U, p.V); dists[i] != want {
+			t.Fatalf("batch (%d→%d) = %v, want %v", p.U, p.V, dists[i], want)
+		}
+	}
 	for round := 0; round < 3; round++ { // later rounds serve from cache
-		dists := eng.Batch(pairs)
-		for i, p := range pairs {
-			if want := ix.Query(p.U, p.V); dists[i] != want {
-				t.Fatalf("round %d batch (%d→%d) = %v, want %v", round, p.U, p.V, dists[i], want)
+		for _, p := range pairs {
+			if d, want := eng.Query(p.U, p.V), ix.Query(p.U, p.V); d != want {
+				t.Fatalf("round %d query (%d→%d) = %v, want %v", round, p.U, p.V, d, want)
 			}
 		}
 	}

@@ -64,11 +64,13 @@
 // A FlatIndex is two label stores (forward and backward runs; the same
 // store twice when undirected), each fixed-width or compressed, and every
 // pairwise query is one call to label.Join, which picks among the
-// surviving kernels: merge join, hash join on a caller's scratch
-// (BenchmarkFlatQuery vs BenchmarkFlatQueryMerge: 1.55× on a
+// surviving kernels: the hash join on a table from the index's pool, the
+// merge join past 2^17 vertices (go test -bench JoinKernels
+// ./internal/label: 0.41–0.52µs hash against 0.76–1.00µs merge on a
 // 32768-vertex scale-free graph), or the streaming merge join on
-// compressed labels. BenchmarkQuery is the slice-based Index on the same
-// pairs (0.93–1.01µs, against 0.78–0.87µs merge and 0.52–0.54µs hash).
+// compressed labels. No caller passes a scratch. BenchmarkQuery is the
+// slice-based Index on the same pairs (0.89–0.93µs, against
+// BenchmarkFlatQuery's 0.44–0.52µs).
 //
 //	fx, _ := ix.Freeze()
 //	fx.SaveFile("road.flat")                        // once
@@ -97,9 +99,9 @@
 // answers bit-identically through a merge join that decodes as it goes,
 // at 1.5–1.7× the fixed-width merge join on the road fixture (the
 // scoreboard's label.join_compressed_ns against label.join_packed_ns) and
-// 2.0–2.2× on 32768-vertex scale-free (BenchmarkCompressedQuery against
-// BenchmarkFlatQueryMerge). Compress is explicit and Decompress inverts
-// it exactly. Index.FreezeCompressed is
+// about 2× on 32768-vertex scale-free (JoinCompressed against JoinPacked
+// in internal/label's BenchmarkJoinKernels). Compress is explicit and
+// Decompress inverts it exactly. Index.FreezeCompressed is
 // Freeze+Compress; cmd/chlquery exposes the conversion as -compress; the
 // scoreboard in bench/ (BENCHMARK.json) measures both formats. The
 // whole serving stack below — Server, shard

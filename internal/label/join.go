@@ -41,8 +41,8 @@ func (sp *ScratchPool) Get(n int) *HubTable {
 	return NewHubTable(n)
 }
 
-// Put returns a table to the pool; a nil table (merge-join callers
-// hold none) is ignored.
+// Put returns a table to the pool; a nil table (GetJoin's answer where
+// the merge join runs) is ignored.
 func (sp *ScratchPool) Put(s *HubTable) {
 	if s != nil {
 		sp.p.Put(s)
@@ -52,8 +52,8 @@ func (sp *ScratchPool) Put(s *HubTable) {
 // hashJoinMaxVertices bounds the pairwise hash join: one table is 8
 // bytes per vertex and random-probed, so past ~1 MiB it is expected to
 // fall out of cache and lose to the sequential merge join. Unverified: the
-// hash join is measured 1.95× faster at 32768 vertices (BenchmarkFlatQuery
-// vs BenchmarkFlatQueryMerge in the root package) and ~1.7× on the
+// hash join is measured about 2× faster at 32768 vertices
+// (BenchmarkJoinKernels, JoinPackedWith vs JoinPacked) and ~1.7× on the
 // scoreboard's 8–9k-vertex fixtures; nothing has been measured near 2^17 —
 // ROADMAP 1(f) asks for the fixture that would place the crossover.
 const hashJoinMaxVertices = 1 << 17

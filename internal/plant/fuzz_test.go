@@ -28,10 +28,11 @@ var roundedWeights = []float64{1, 1.1, 1.3, 2.7, 7.3, 1000.1, 1e6 + 0.3, 1e13 + 
 // a scale of 2^-67 to 2^67, or rounded ones at 1e-20 to 1e20 — and each
 // later triple (u, v, w) adds an arc, or an edge, with weight w drawn from
 // the table. No triple leaves it edgeless, few leave it disconnected. It
-// returns Finish's answer and whether the weights are in domain: each
-// weight drawn (of an edge that is not a self loop, which AddEdge ignores)
-// counts below 2^32 units of the finest unit any of them needs. On 32
-// vertices no path sum reaches 2^53 units then.
+// returns Finish's answer and whether the weights are in domain: the
+// finest unit any weight drawn (of an edge that is not a self loop, which
+// AddEdge ignores) needs is 2^-k with k ≤ graph.MaxUnitExp, and each of
+// them counts below 2^32 units of it. On 32 vertices no path sum reaches
+// 2^53 units then.
 func fuzzGraph(data []byte) (g *graph.Graph, tame bool, err error) {
 	if len(data) < 2 {
 		data = append(data[:len(data):len(data)], 0, 0)
@@ -54,7 +55,7 @@ func fuzzGraph(data []byte) (g *graph.Graph, tame bool, err error) {
 	for _, w := range drawn {
 		k = max(k, graph.UnitExp(w))
 	}
-	tame = true
+	tame = k <= graph.MaxUnitExp
 	for _, w := range drawn {
 		tame = tame && math.Ldexp(w, k) < 1<<32
 	}

@@ -1,6 +1,7 @@
 package sssp
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -8,34 +9,45 @@ import (
 	"repro/internal/verify"
 )
 
-// fuzzWeights spans 1e-300 to 1e300. The in-domain ones, scaled by up to 2
-// in sixteenths, count at most 2^17 units of 2^-5: 1e3 and 1 are more than
-// the window's 1024 buckets apart, so the search parks distances on the
-// heap. The others — below a unit graph.Finish can count in 2^32 (1e±300,
-// 1e13), or not dyadic (1e-3, 0.1, 0.3) — make every graph that draws one
-// out of domain.
+// fuzzWeights spans 1e-300 to 1e300. The ones from 1 to 1e3, scaled by up
+// to 2 in sixteenths, count at most 2^17 units of 2^-5: 1e3 and 1 are more
+// than the window's 1024 buckets apart, so the search parks distances on
+// the heap. The others — below a unit graph.Finish can count in 2^32
+// (1e±300, 1e13), or not dyadic (1e-3, 0.1, 0.3) — leave the domain, unless
+// the scaling makes one dyadic again (0.1 · 1.5625 is 0.15625 = 5·2^-5 in
+// float64).
 var fuzzWeights = []float64{1e-300, 2.5e-300, 1e-3, 0.1, 0.3, 1, 1.5, 2, 3, 7, 1e3, 1e13, 1e300, 1.7e300}
-
-// inDomain reports whether fuzzWeights[i] is one Finish counts.
-func inDomain(i int) bool { return i >= 5 && i <= 10 }
 
 // fuzzGraph steers a graph of 2–25 vertices out of data: the first byte
 // picks the order and the direction, each later triple (u, v, w) adds an
 // arc, or an edge, with a weight drawn from fuzzWeights and scaled by up to
 // 2 in sixteenths. Few triples leave it disconnected. It returns Finish's
-// answer, and whether every weight drawn (of an edge that is not a self
-// loop, which AddEdge ignores) was in domain.
+// answer, and whether the weights are in domain: the finest unit any
+// weight drawn (of an edge that is not a self loop, which AddEdge ignores)
+// needs is 2^-k with k ≤ graph.MaxUnitExp, and each of them counts below
+// 2^32 units of it.
 func fuzzGraph(data []byte) (g *graph.Graph, tame bool, err error) {
 	if len(data) == 0 {
 		data = []byte{0}
 	}
 	n := 2 + int(data[0]>>1)%24
 	b := graph.NewBuilder(n, data[0]&1 == 1)
-	tame = true
+	var drawn []float64
 	for rest := data[1:]; len(rest) >= 3; rest = rest[3:] {
-		u, v, i := int(rest[0])%n, int(rest[1])%n, int(rest[2])%len(fuzzWeights)
-		tame = tame && (u == v || inDomain(i))
-		b.AddEdge(u, v, fuzzWeights[i]*(1+float64(rest[2]/14)/16))
+		u, v := int(rest[0])%n, int(rest[1])%n
+		w := fuzzWeights[int(rest[2])%len(fuzzWeights)] * (1 + float64(rest[2]/14)/16)
+		if u != v {
+			drawn = append(drawn, w)
+		}
+		b.AddEdge(u, v, w)
+	}
+	k := 0
+	for _, w := range drawn {
+		k = max(k, graph.UnitExp(w))
+	}
+	tame = k <= graph.MaxUnitExp
+	for _, w := range drawn {
+		tame = tame && math.Ldexp(w, k) < 1<<32
 	}
 	g, err = b.Finish()
 	return g, tame, err

@@ -66,11 +66,12 @@ func unfallenPairs(eng *BatchEngine, count int) []QueryPair {
 	return pairs
 }
 
-// TestCorrectedQueryDoesNotAllocate pins the corrected path's allocation
-// budget: a BatchEngine.QueryHub the overlay answers without its exact
-// fallback takes every working array from pooled scratch, on a
-// fixed-width index (zero-copy runs) and a compressed one (runs that
-// stream-merge inside label.Join).
+// TestCorrectedQueryDoesNotAllocate pins the single-pair allocation
+// budget: a frozen FlatIndex.QueryHub or BatchEngine.QueryHub, and a
+// BatchEngine.QueryHub the overlay answers without its exact fallback,
+// take every working array from pooled scratch, on a fixed-width index
+// (zero-copy runs, the hash join on a pooled table) and a compressed one
+// (runs that stream-merge inside label.Join).
 func TestCorrectedQueryDoesNotAllocate(t *testing.T) {
 	g := GenerateRoadGrid(24, 24, 1)
 	ix, err := Build(g, Options{})
@@ -86,18 +87,32 @@ func TestCorrectedQueryDoesNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	ops := randomPatch(g, rand.New(rand.NewSource(2)), 8)
+	rng := rand.New(rand.NewSource(3))
+	random := make([]QueryPair, 64)
+	for i := range random {
+		random[i] = QueryPair{U: rng.Intn(g.NumVertices()), V: rng.Intn(g.NumVertices())}
+	}
 	for name, fx := range map[string]*FlatIndex{"packed": packed, "compressed": compressed} {
-		eng := NewBatchEngineFlat(fx)
-		eng.SetOverlay(overlayOver(t, fx, g, ops))
-		pairs := unfallenPairs(eng, 64)
-		i := 0
-		allocs := testing.AllocsPerRun(500, func() {
-			p := pairs[i%len(pairs)]
-			eng.QueryHub(p.U, p.V)
-			i++
-		})
-		if allocs != 0 {
-			t.Errorf("%s: corrected QueryHub allocates %v times per query, want 0", name, allocs)
+		corrected := NewBatchEngineFlat(fx)
+		corrected.SetOverlay(overlayOver(t, fx, g, ops))
+		for _, c := range []struct {
+			query string
+			hub   func(u, v int) (float64, int, bool)
+			pairs []QueryPair
+		}{
+			{"frozen FlatIndex.QueryHub", fx.QueryHub, random},
+			{"frozen BatchEngine.QueryHub", NewBatchEngineFlat(fx).QueryHub, random},
+			{"corrected BatchEngine.QueryHub", corrected.QueryHub, unfallenPairs(corrected, 64)},
+		} {
+			i := 0
+			allocs := testing.AllocsPerRun(500, func() {
+				p := c.pairs[i%len(c.pairs)]
+				c.hub(p.U, p.V)
+				i++
+			})
+			if allocs != 0 {
+				t.Errorf("%s: %s allocates %v times per query, want 0", name, c.query, allocs)
+			}
 		}
 	}
 }

@@ -57,8 +57,8 @@ type FlatIndex struct {
 	inv     *label.Inverted
 
 	// scratch recycles this index's hash-join probe buffers between
-	// /batch, /matrix and /shardscan requests; groups recycles /batch's
-	// by-source chains (*sourceGroups).
+	// single-pair queries and /batch, /matrix and /shardscan requests;
+	// groups recycles /batch's by-source chains (*sourceGroups).
 	scratch label.ScratchPool
 	groups  sync.Pool
 }
@@ -214,44 +214,30 @@ func (fx *FlatIndex) TotalMemory() int64 {
 // Query returns the exact shortest-path distance between original vertex
 // ids u and v (the u→v distance on directed indexes), or Infinity if
 // unreachable.
-func (fx *FlatIndex) Query(u, v int) float64 { return fx.QueryWith(nil, u, v) }
-
-// QueryHub additionally reports the witness hub (as an original id).
-func (fx *FlatIndex) QueryHub(u, v int) (dist float64, hub int, ok bool) {
-	return fx.QueryHubWith(nil, u, v)
-}
-
-// QueryScratch is a per-worker probe buffer for FlatIndex.QueryWith /
-// BatchEngine — label.HubTable, the table the builders' pruning query
-// probes too: 8 bytes per vertex, owned by one goroutine, and clean
-// again whenever a query returns.
-type QueryScratch = label.HubTable
-
-// NewScratch allocates a probe buffer sized for this index.
-func (fx *FlatIndex) NewScratch() *QueryScratch {
-	return label.NewHubTable(fx.NumVertices())
-}
-
-// QueryWith is Query through a hash join over the caller's scratch buffer
-// instead of a merge join — the fast path for serving loops (label.Join
-// picks the kernel; BenchmarkFlatQuery vs BenchmarkFlatQueryMerge, 1.95×
-// on a 32768-vertex scale-free graph). A nil scratch, or a
-// compressed index (whose streams decode as they merge-join),
-// answers exactly as Query does.
-func (fx *FlatIndex) QueryWith(s *QueryScratch, u, v int) float64 {
-	d, _, _ := label.Join(s, fx.fwd, fx.bwd, u, v)
+func (fx *FlatIndex) Query(u, v int) float64 {
+	d, _, _ := fx.join(u, v)
 	return d
 }
 
-// QueryHubWith is QueryWith plus the witness hub (as an original id) —
-// the kernel cached engines use to fill cache entries at hash-join
-// speed.
-func (fx *FlatIndex) QueryHubWith(s *QueryScratch, u, v int) (dist float64, hub int, ok bool) {
-	dist, h, ok := label.Join(s, fx.fwd, fx.bwd, u, v)
+// QueryHub additionally reports the witness hub (as an original id).
+func (fx *FlatIndex) QueryHub(u, v int) (dist float64, hub int, ok bool) {
+	dist, h, ok := fx.join(u, v)
 	if !ok {
 		return dist, 0, false
 	}
 	return dist, fx.perm[h], true
+}
+
+// join is every single pair's frozen join: label.Join on a table from the
+// index's pool, the same kernel /batch runs, and which kernel that is —
+// the hash join, or the merge join past label's size bound or on a
+// compressed store (a nil table) — is label's decision alone
+// (ScratchPool.GetJoinFor).
+func (fx *FlatIndex) join(u, v int) (dist float64, hub uint32, ok bool) {
+	s := fx.scratch.GetJoinFor(fx.fwd)
+	dist, hub, ok = label.Join(s, fx.fwd, fx.bwd, u, v)
+	fx.scratch.Put(s) // not deferred: only a clean scratch goes back
+	return dist, hub, ok
 }
 
 // Thaw unpacks the flat store back into a queryable Index (labels only —
@@ -281,8 +267,9 @@ func (fx *FlatIndex) Thaw() *Index {
 
 // BatchEngine serves point-to-point shortest-distance queries from a
 // FlatIndex at hardware speed: Batch fans the pairs out over a
-// runtime.GOMAXPROCS-sized worker pool, each worker merge-joining its
-// contiguous slice of the batch with zero allocation on the hot path.
+// runtime.GOMAXPROCS-sized worker pool, each worker answering its
+// contiguous slice of the batch from pooled scratch (batchGrouped) with
+// zero allocation on the hot path.
 type BatchEngine struct {
 	fx      *FlatIndex
 	workers int
@@ -310,10 +297,12 @@ func NewBatchEngineFlat(fx *FlatIndex) *BatchEngine {
 func (e *BatchEngine) Index() *FlatIndex { return e.fx }
 
 // SetCache attaches a point-to-point answer cache to the engine (nil
-// detaches). Cached lookups serve repeated pairs without touching the
-// label arrays; misses fall through to the join kernels and populate the
-// cache with the full answer (distance + witness hub). The cache must
-// only ever hold answers from this engine's index — on an index swap,
+// detaches). It fronts the single-pair reads (Query, QueryHub, KNN's
+// deposits): a hit serves a repeated pair without touching the label
+// arrays, a miss runs the frozen join and fills the cache with the full
+// answer (distance + witness hub). Batch and BatchInto neither read nor
+// fill it. The cache must only ever hold answers from this engine's
+// index — on an index swap,
 // start a fresh cache (Server does this per snapshot) — and its key
 // ordering must match the index's directedness (NewDirectedCache for
 // directed indexes): an unordered cache would silently serve d(v→u) for
@@ -360,20 +349,12 @@ func (e *BatchEngine) Query(u, v int) float64 {
 // QueryHub answers one query with its witness hub, through the cache
 // when one is attached.
 func (e *BatchEngine) QueryHub(u, v int) (dist float64, hub int, ok bool) {
-	return e.queryHub(nil, u, v)
-}
-
-// queryHub is QueryHub with the frozen join on the caller's scratch (nil:
-// merge-join), so a batch worker's cache misses run the same kernel its
-// uncached pairs do and the cache always holds the complete answer —
-// /dist can reuse a /batch miss and vice versa.
-func (e *BatchEngine) queryHub(s *QueryScratch, u, v int) (dist float64, hub int, ok bool) {
 	if e.cache != nil {
 		if a, hit := e.cache.Get(u, v); hit {
 			return a.Dist, a.Hub, a.Reachable
 		}
 	}
-	dist, hub, ok = e.fx.QueryHubWith(s, u, v)
+	dist, hub, ok = e.fx.QueryHub(u, v)
 	if e.ov != nil {
 		dist, hub, ok = queryPatched(e.ov, u, v, dist, hub)
 	}
@@ -443,35 +424,23 @@ func (e *BatchEngine) BatchInto(dst []float64, pairs []QueryPair) {
 	wg.Wait()
 }
 
-// serveRange answers one worker's contiguous slice of a batch, its kernel
-// picked by the cache alone. With no cache batchGrouped answers, and the
-// overlay, when one is attached, corrects each answer after it. Through a
-// cache every pair takes the single-pair path, its frozen join on one
-// pooled scratch — which kernel that means, hash join or merge join on a
-// nil scratch, is label's decision (ScratchPool.GetJoinFor, Join).
+// serveRange answers one worker's contiguous slice of a batch:
+// batchGrouped on the frozen index, then the overlay's correction of each
+// answer when one is attached. The cache is not consulted.
 func (e *BatchEngine) serveRange(dst []float64, pairs []QueryPair, lo, hi int) {
-	fx := e.fx
-	if e.cache == nil {
-		fx.batchGrouped(dst[lo:hi], pairs[lo:hi])
-		if e.ov != nil {
-			for i := lo; i < hi; i++ {
-				dst[i], _ = e.ov.Query(dst[i], pairs[i].U, pairs[i].V)
-			}
+	e.fx.batchGrouped(dst[lo:hi], pairs[lo:hi])
+	if e.ov != nil {
+		for i := lo; i < hi; i++ {
+			dst[i], _ = e.ov.Query(dst[i], pairs[i].U, pairs[i].V)
 		}
-		return
 	}
-	s := fx.scratch.GetJoinFor(fx.fwd)
-	for i := lo; i < hi; i++ {
-		dst[i], _, _ = e.queryHub(s, pairs[i].U, pairs[i].V)
-	}
-	fx.scratch.Put(s) // not deferred: only a clean scratch goes back
 }
 
 // sourceGroups chains one worker's share of a batch by source. first[u]
 // is the position of u's first pair, -1 at rest (serving resets every
 // entry linking set); next[i] is the position of the next pair with pair
 // i's source, -1 after the last. targets and row carry one source's group
-// through MatrixRowInto; run holds a compressed source's decoded run.
+// through matrixRowInto; run holds a compressed source's decoded run.
 type sourceGroups struct {
 	first, next []int32
 	targets     []int
@@ -495,7 +464,7 @@ func (g *sourceGroups) link(pairs []QueryPair) {
 
 // batchGrouped answers pairs into dst on the frozen index, scattering each
 // repeated source once: a source with two or more pairs is one /matrix
-// row (MatrixRowInto) over its targets, and a singleton takes the pairwise
+// row (matrixRowInto) over its targets, and a singleton takes the pairwise
 // kernel (label.Join), whose two-sided truncation a one-sided probe lacks.
 // The answers are bit-identical either way. The chains and scratches come
 // from the index's pools and go back on the normal return path only, so a
@@ -531,7 +500,7 @@ func (fx *FlatIndex) batchGrouped(dst []float64, pairs []QueryPair) {
 			g.row = make([]float64, len(g.targets))
 		}
 		row := g.row[:len(g.targets)]
-		fx.MatrixRowInto(gs, row, fx.fwd.RunInto(&g.run, p.U), g.targets)
+		fx.matrixRowInto(gs, row, fx.fwd.RunInto(&g.run, p.U), g.targets)
 		k := 0
 		for j := int32(i); j >= 0; j = g.next[j] {
 			dst[j] = row[k]

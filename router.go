@@ -48,8 +48,8 @@ import (
 //
 // Answers are bit-identical to a single-process FlatIndex over the
 // unsharded file: the fetched rows are byte-identical slices of the
-// shards' entry arrays and the join kernels are shared (label.JoinPacked
-// / JoinPackedWith).
+// shards' entry arrays and the join kernel is shared
+// (label.JoinPackedWith).
 //
 // The router speaks the shard protocol (shardproto.go; ARCHITECTURE.md
 // "Shard protocol") through one call and one row fetch: callShard is the
@@ -697,7 +697,8 @@ func (r *Router) answer(st *routerState, u, v int, needHub bool) (dist float64, 
 // A same-shard pair is forwarded whole as GET /dist — the shard joins
 // locally, witness included. A cross-shard pair is answered from rows:
 // fetch u's forward row, with its hubs' original ids, and v's backward
-// (directed) or forward row; join them here with label.JoinPacked and
+// (directed) or forward row; join them here as batch does
+// (label.JoinPackedWith on a pooled table, label's kernel decision) and
 // read the witness's original id at the joined hub's index in u's row.
 // Row and ids come from one response, so from one snapshot: a reload can
 // never pair a rank with another snapshot's permutation. Either way the
@@ -722,7 +723,10 @@ func (r *Router) routePair(ctx context.Context, st *routerState, u, v int) fligh
 		}
 		r.crossJoins.Add(1)
 		rowU, rowV := rows.pair(r.directed, u, v)
-		if d, rank, ok := label.JoinPacked(rowU, rowV); ok {
+		js := r.scratch.GetJoin(r.n)
+		d, rank, ok := label.JoinPackedWith(js, rowU, rowV)
+		r.scratch.Put(js) // not deferred: only a clean scratch goes back
+		if ok {
 			// The joined hub is an entry of rowU, whose words sort by hub.
 			i := sort.Search(len(rowU), func(i int) bool { return uint32(rowU[i]>>32) >= rank })
 			res = flightResult{dist: label.FromUnits(d, r.unitExp), hub: rows.hubIDs[u][i], ok: true}

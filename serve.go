@@ -1060,7 +1060,7 @@ func (sn *Snapshot) shardScan(w http.ResponseWriter, r *http.Request) error {
 	if len(req.Targets) > 0 {
 		resp.Dists = make([]float64, len(req.Targets))
 		scratch := sn.fx.scratch.Get(n)
-		sn.fx.MatrixRowInto(scratch, resp.Dists, run, req.Targets)
+		sn.fx.matrixRowInto(scratch, resp.Dists, run, req.Targets)
 		sn.fx.scratch.Put(scratch)
 		wireDists(resp.Dists)
 	}

@@ -225,13 +225,13 @@ func knnPatched(ov *delta.Overlay, source, k int, pairQ hubQuerier) ([]Neighbor,
 	return out, nil
 }
 
-// MatrixRowInto fills dst[j] with the distance from the source whose
+// matrixRowInto fills dst[j] with the distance from the source whose
 // forward run is run to targets[j] (Infinity when unreachable) — one
 // scatter of the source run, then one probe per target
 // (label.RunScatter.ProbeStore), instead of a fresh two-sided join per
 // pair. dst must have len(targets); the scratch is the caller's (one per
 // goroutine), clean on entry and left clean on return.
-func (fx *FlatIndex) MatrixRowInto(s *QueryScratch, dst []float64, run []uint64, targets []int) {
+func (fx *FlatIndex) matrixRowInto(s *label.HubTable, dst []float64, run []uint64, targets []int) {
 	rs := label.ScatterRun(s, run)
 	rs.ProbeStore(dst, fx.bwd, targets)
 	rs.Release()
@@ -250,7 +250,7 @@ func (fx *FlatIndex) MatrixRows(sources, targets []int, emit func(u int, dists [
 	var buf []uint64
 	var err error
 	for _, u := range sources {
-		fx.MatrixRowInto(s, row, fx.fwd.RunInto(&buf, u), targets)
+		fx.matrixRowInto(s, row, fx.fwd.RunInto(&buf, u), targets)
 		if err = emit(u, row); err != nil {
 			break
 		}
