@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/chlvet ./...          # whole module (what CI runs)
+//	go run ./cmd/chlvet ./...          # whole module (what go test ./... runs)
 //	go run ./cmd/chlvet ./internal/... # a subtree
 //	go run ./cmd/chlvet -only clockcheck,pairkey ./...
 //	go run ./cmd/chlvet -list          # analyzer names + docs
@@ -14,7 +14,9 @@
 // Diagnostics print as file:line:col: [analyzer] message (fix: hint).
 // The exit status is 0 when the tree is clean, 1 when any finding
 // survives //chlvet:allow filtering, and 2 when the tool itself fails
-// (bad flags, unparseable source, type errors).
+// (bad flags, unreadable or unparseable source). Source is parsed, never
+// type-checked, so a run over the whole module takes a fraction of a
+// second; go test ./... runs it too (TestRepositoryIsClean).
 //
 // A finding is suppressed — with a mandatory justification — by
 // annotating the line (or the line above) with:
@@ -74,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "chlvet:", err)
 		return 2
 	}
-	paths, err := loader.ExpandPatterns(patterns)
+	dirs, err := loader.ExpandPatterns(patterns)
 	if err != nil {
 		fmt.Fprintln(stderr, "chlvet:", err)
 		return 2
@@ -82,8 +84,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	findings := 0
 	failed := false
-	for _, path := range paths {
-		pkg, err := loader.Load(path)
+	for _, dir := range dirs {
+		pkg, err := loader.Load(dir)
 		if err != nil {
 			fmt.Fprintln(stderr, "chlvet:", err)
 			failed = true

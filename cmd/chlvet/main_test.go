@@ -103,6 +103,16 @@ func TestEndToEndCleanModule(t *testing.T) {
 	}
 }
 
+// TestRepositoryIsClean holds this module to its own invariants on
+// every go test ./..., CI's test job included: chlvet only parses, so a
+// whole-module run costs a fraction of a second.
+func TestRepositoryIsClean(t *testing.T) {
+	var out, errw strings.Builder
+	if code := run([]string{"-C", "../..", "./..."}, &out, &errw); code != 0 || out.Len()+errw.Len() > 0 {
+		t.Fatalf("chlvet ./...: exit %d\n%s%s", code, out.String(), errw.String())
+	}
+}
+
 func TestEndToEndToolFailure(t *testing.T) {
 	bin := buildChlvet(t)
 	_, stderr, exit := runChlvet(t, bin, "-only", "nosuch", "./...")

@@ -269,7 +269,8 @@
 // construction, the JSON error contract, distance bit-exactness, and the
 // snapshot acquire/release pairing — are enforced mechanically by
 // cmd/chlvet, the repository's own vet tool (five analyzers in
-// internal/analysis, run clean by CI on every change). A justified
+// internal/analysis, run clean by go test ./... through cmd/chlvet's
+// TestRepositoryIsClean, and so by CI on every change). A justified
 // //chlvet:allow annotation exempts a line; see ARCHITECTURE.md ("Static
 // analysis").
 package chl

@@ -27,10 +27,7 @@ type allowSet map[string]map[int]map[string]bool
 // disable nothing.
 func collectAllows(pkg *Package, known map[string]bool, diags *[]Diagnostic) allowSet {
 	set := allowSet{}
-	files := make([]*ast.File, 0, len(pkg.Files)+len(pkg.TestFiles))
-	files = append(files, pkg.Files...)
-	files = append(files, pkg.TestFiles...)
-	for _, f := range files {
+	for _, f := range pkg.AllFiles() {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				parseAllow(pkg.Fset, c, known, set, diags)

@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 )
@@ -65,24 +64,13 @@ type Analyzer struct {
 	Run func(pass *Pass) error
 }
 
-// Pass carries one analyzer's view of one package.
+// Pass carries one analyzer's view of one package: its FileSet, its
+// Files and its TestFiles, parsed with comments and never type-checked.
+// Every analyzer matches syntax, on test files the same way as on the
+// rest.
 type Pass struct {
 	Analyzer *Analyzer
-	Fset     *token.FileSet
-
-	// Files are the package's non-test files, fully type-checked.
-	Files []*ast.File
-
-	// TestFiles are the package's _test.go files, parsed but not
-	// type-checked (Pass.TypesInfo has no entries for them). Analyzers
-	// with purely syntactic checks may inspect them; the rest skip
-	// them.
-	TestFiles []*ast.File
-
-	// Pkg and TypesInfo hold the type-checked package. TypesInfo is
-	// never nil, but lookups for TestFiles nodes miss.
-	Pkg       *types.Package
-	TypesInfo *types.Info
+	*Package
 
 	diags *[]Diagnostic
 }
@@ -116,23 +104,6 @@ func (p *Pass) Reportf(pos token.Pos, hint, format string, args ...any) {
 	})
 }
 
-// AllFiles returns Files followed by TestFiles.
-func (p *Pass) AllFiles() []*ast.File {
-	out := make([]*ast.File, 0, len(p.Files)+len(p.TestFiles))
-	out = append(out, p.Files...)
-	return append(out, p.TestFiles...)
-}
-
-// IsTest reports whether f is one of the pass's test files.
-func (p *Pass) IsTest(f *ast.File) bool {
-	for _, tf := range p.TestFiles {
-		if tf == f {
-			return true
-		}
-	}
-	return false
-}
-
 // Filename returns the base name of the file containing pos.
 func (p *Pass) Filename(pos token.Pos) string {
 	name := p.Fset.Position(pos).Filename
@@ -144,29 +115,16 @@ func (p *Pass) Filename(pos token.Pos) string {
 
 // pkgCall resolves a call of the form pkg.Fn(...) against an imported
 // package path, alias-aware: it returns Fn's name when call's callee is
-// a selector on the local name file imports importPath under. When type
-// information is available for the selector's base identifier it is
-// consulted too, so a local variable shadowing the package name does
-// not count.
-func (p *Pass) pkgCall(f *ast.File, call *ast.CallExpr, importPath string) (string, bool) {
+// a selector on the local name file imports importPath under. The match
+// is by name alone, so a local variable that shadows the package name
+// (time := ...; time.Now()) still counts: a false positive, never a
+// missed finding, and a justified //chlvet:allow covers it.
+func pkgCall(f *ast.File, call *ast.CallExpr, importPath string) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return "", false
 	}
-	base, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return "", false
-	}
-	// Prefer types: the identifier must denote the imported package.
-	if obj := p.TypesInfo.Uses[base]; obj != nil {
-		pn, ok := obj.(*types.PkgName)
-		if !ok || pn.Imported().Path() != importPath {
-			return "", false
-		}
-		return sel.Sel.Name, true
-	}
-	// Syntactic fallback (test files): match the file's import spec.
-	if localImportName(f, importPath) != base.Name {
+	if base, ok := sel.X.(*ast.Ident); !ok || base.Name != localImportName(f, importPath) {
 		return "", false
 	}
 	return sel.Sel.Name, true
@@ -236,15 +194,7 @@ func run(pkg *Package, analyzers []*Analyzer, bypassAppliesTo bool) []Diagnostic
 		if !bypassAppliesTo && a.AppliesTo != nil && !a.AppliesTo(pkg.RelPath) {
 			continue
 		}
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			TestFiles: pkg.TestFiles,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-			diags:     &diags,
-		}
+		pass := &Pass{Analyzer: a, Package: pkg, diags: &diags}
 		if err := a.Run(pass); err != nil {
 			diags = append(diags, Diagnostic{
 				Analyzer: a.Name,

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -12,9 +11,9 @@ import (
 
 // RunTest drives one analyzer over a fixture package and compares its
 // diagnostics against // want comments, mirroring
-// golang.org/x/tools/go/analysis/analysistest (which this container
-// cannot fetch). The fixture lives at testdata/src/<pkgname> under
-// testdata's parent; every expected finding is annotated on its line:
+// golang.org/x/tools/go/analysis/analysistest, which this module does
+// not depend on. The fixture is the directory testdata/src/<pkgname>;
+// every expected finding is annotated on its line:
 //
 //	start := time.Now() // want "time.Now outside the Clock discipline"
 //
@@ -28,8 +27,7 @@ import (
 // with want comments like any other).
 func RunTest(t *testing.T, testdata string, a *Analyzer, pkgname string) {
 	t.Helper()
-	loader := NewFixtureLoader(filepath.Join(testdata, "src"))
-	pkg, err := loader.Load(pkgname)
+	pkg, err := LoadDir(filepath.Join(testdata, "src", pkgname))
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", pkgname, err)
 	}
@@ -85,10 +83,7 @@ func (w wantSet) reportUnmatched(t *testing.T) {
 func collectWants(t *testing.T, pkg *Package) wantSet {
 	t.Helper()
 	set := wantSet{}
-	files := make([]*ast.File, 0, len(pkg.Files)+len(pkg.TestFiles))
-	files = append(files, pkg.Files...)
-	files = append(files, pkg.TestFiles...)
-	for _, f := range files {
+	for _, f := range pkg.AllFiles() {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				patterns, ok, err := parseWant(c.Text)

@@ -68,7 +68,7 @@ func runClockcheck(pass *Pass) error {
 			if !ok {
 				return true
 			}
-			name, ok := pass.pkgCall(f, call, "time")
+			name, ok := pkgCall(f, call, "time")
 			if !ok || !forbiddenTimeFuncs[name] {
 				return true
 			}

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"sort"
 	"strconv"
@@ -60,20 +59,21 @@ var Errcontract = &Analyzer{
 }
 
 func runErrcontract(pass *Pass) error {
+	statuses := newStatusFolder(pass.Files)
 	for _, f := range pass.Files {
 		if !handlerFiles[pass.Filename(f.Pos())] {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.CompositeLit); ok {
-				pass.checkRequestError(lit)
+				pass.checkRequestError(lit, statuses)
 				return true
 			}
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			if name, ok := pass.pkgCall(f, call, "net/http"); ok && name == "Error" {
+			if name, ok := pkgCall(f, call, "net/http"); ok && name == "Error" {
 				pass.Reportf(call.Pos(),
 					"use httpError(w, code, msg) — clients decode the documented JSON {\"error\": ...} body",
 					"naked http.Error bypasses the JSON error contract")
@@ -84,13 +84,13 @@ func runErrcontract(pass *Pass) error {
 				if errHelpers[enclosingFunc(f, call.Pos())] {
 					return true
 				}
-				if code, ok := pass.constStatus(call, 0); ok && code >= 400 {
+				if code, ok := statuses.arg(call, 0); ok && code >= 400 {
 					pass.Reportf(call.Pos(),
 						"route the error through httpError/writeJSON so the body follows the JSON contract",
 						"direct WriteHeader(%d) outside the error helpers", code)
 				}
 			case callee == "httpError" || callee == "writeJSON":
-				if code, ok := pass.constStatus(call, 1); ok {
+				if code, ok := statuses.arg(call, 1); ok {
 					pass.checkStatus(call.Pos(), code)
 				}
 			}
@@ -102,14 +102,14 @@ func runErrcontract(pass *Pass) error {
 
 // checkRequestError holds a requestError literal's code — the status
 // writeError answers it with — to the documented set too.
-func (p *Pass) checkRequestError(lit *ast.CompositeLit) {
+func (p *Pass) checkRequestError(lit *ast.CompositeLit, statuses statusFolder) {
 	if id, ok := unparen(lit.Type).(*ast.Ident); !ok || id.Name != "requestError" {
 		return
 	}
 	for _, elt := range lit.Elts {
 		if kv, ok := elt.(*ast.KeyValueExpr); ok {
 			if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "code" {
-				if code, ok := p.constExprStatus(kv.Value); ok {
+				if code, ok := statuses.status(kv.Value); ok {
 					p.checkStatus(kv.Pos(), code)
 				}
 			}
@@ -138,60 +138,182 @@ func calleeName(call *ast.CallExpr) string {
 	return ""
 }
 
-// constStatus evaluates call argument arg as a constant int when type
-// information can prove it one, with a syntactic fallback for integer
-// literals and http.StatusXxx selectors.
-func (p *Pass) constStatus(call *ast.CallExpr, arg int) (int64, bool) {
-	if arg >= len(call.Args) {
-		return 0, false
-	}
-	return p.constExprStatus(call.Args[arg])
+// statusFolder folds status codes over a package's non-test files
+// without type information. consts maps each constant they declare, at
+// package level or in a function, to its value expression. Scope is
+// ignored: a name declared twice maps to nil, and so does a name whose
+// value is implicit (an iota repetition); neither folds. httpNames are
+// the names the files import net/http under. folded memoises each
+// constant's fold; a name is entered as not folding while its own value
+// is folded, so a cycle (which parses but does not compile) fails the
+// fold and every constant is folded at most once.
+type statusFolder struct {
+	consts    map[string]ast.Expr
+	httpNames map[string]bool
+	folded    map[string]foldedConst
 }
 
-// constExprStatus is constStatus for one expression.
-func (p *Pass) constExprStatus(e ast.Expr) (int64, bool) {
-	e = unparen(e)
-	if tv, ok := p.TypesInfo.Types[e]; ok && tv.Value != nil && tv.Value.Kind() == constant.Int {
-		if v, ok := constant.Int64Val(tv.Value); ok {
-			return v, true
-		}
+type foldedConst struct {
+	code int64
+	ok   bool
+}
+
+func newStatusFolder(files []*ast.File) statusFolder {
+	t := statusFolder{
+		consts:    map[string]ast.Expr{},
+		httpNames: map[string]bool{},
+		folded:    map[string]foldedConst{},
 	}
-	switch e := e.(type) {
+	for _, f := range files {
+		if name := localImportName(f, "net/http"); name != "" {
+			t.httpNames[name] = true
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			d, ok := n.(*ast.GenDecl)
+			if !ok || d.Tok != token.CONST {
+				return true
+			}
+			for _, spec := range d.Specs {
+				vs := spec.(*ast.ValueSpec)
+				for i, name := range vs.Names {
+					var v ast.Expr
+					if _, dup := t.consts[name.Name]; !dup && len(vs.Values) == len(vs.Names) {
+						v = vs.Values[i]
+					}
+					t.consts[name.Name] = v
+				}
+			}
+			return false
+		})
+	}
+	return t
+}
+
+// arg folds call argument i to a status code; see status.
+func (t statusFolder) arg(call *ast.CallExpr, i int) (int64, bool) {
+	if i >= len(call.Args) {
+		return 0, false
+	}
+	return t.status(call.Args[i])
+}
+
+// status folds e to an integer status code without type information:
+// integer literals, net/http Status* names and the package's own
+// constants, chains of them included, through parentheses and + - *
+// over those. Anything else (a variable, a call, a relayed code) does
+// not fold and is not checked.
+func (t statusFolder) status(e ast.Expr) (int64, bool) {
+	switch e := unparen(e).(type) {
 	case *ast.BasicLit:
-		if v, err := strconv.ParseInt(e.Value, 10, 64); err == nil {
-			return v, true
+		if e.Kind == token.INT {
+			v, err := strconv.ParseInt(e.Value, 0, 64)
+			return v, err == nil
 		}
 	case *ast.SelectorExpr:
-		if base, ok := e.X.(*ast.Ident); ok && base.Name == "http" {
-			if v, ok := httpStatusByName[e.Sel.Name]; ok {
-				return v, true
+		if base, ok := e.X.(*ast.Ident); ok && t.httpNames[base.Name] {
+			v, ok := httpStatusByName[e.Sel.Name]
+			return v, ok
+		}
+	case *ast.Ident:
+		return t.constant(e.Name)
+	case *ast.BinaryExpr:
+		x, okx := t.status(e.X)
+		y, oky := t.status(e.Y)
+		if okx && oky {
+			switch e.Op {
+			case token.ADD:
+				return x + y, true
+			case token.SUB:
+				return x - y, true
+			case token.MUL:
+				return x * y, true
 			}
 		}
 	}
 	return 0, false
 }
 
-// httpStatusByName resolves the net/http status constants used without
-// type information (test-file fixtures). Only the ones that can appear
-// in this codebase's responses are listed; an unknown name simply
-// fails constant evaluation.
+// constant folds the package constant name once and memoises the result.
+func (t statusFolder) constant(name string) (int64, bool) {
+	if c, seen := t.folded[name]; seen {
+		return c.code, c.ok
+	}
+	v := t.consts[name]
+	if v == nil {
+		return 0, false
+	}
+	t.folded[name] = foldedConst{} // in progress: a cycle back here fails
+	code, ok := t.status(v)
+	t.folded[name] = foldedConst{code, ok}
+	return code, ok
+}
+
+// httpStatusByName resolves every status constant net/http declares
+// (src/net/http/status.go), so a status written by any of its names
+// folds; TestHTTPStatusTable holds the table to the toolchain's file.
 var httpStatusByName = map[string]int64{
-	"StatusOK":                    200,
-	"StatusBadRequest":            400,
-	"StatusUnauthorized":          401,
-	"StatusForbidden":             403,
-	"StatusNotFound":              404,
-	"StatusMethodNotAllowed":      405,
-	"StatusConflict":              409,
-	"StatusGone":                  410,
-	"StatusRequestEntityTooLarge": 413,
-	"StatusTeapot":                418,
-	"StatusMisdirectedRequest":    421,
-	"StatusTooManyRequests":       429,
-	"StatusInternalServerError":   500,
-	"StatusNotImplemented":        501,
-	"StatusBadGateway":            502,
-	"StatusServiceUnavailable":    503,
+	"StatusContinue":                      100,
+	"StatusSwitchingProtocols":            101,
+	"StatusProcessing":                    102,
+	"StatusEarlyHints":                    103,
+	"StatusOK":                            200,
+	"StatusCreated":                       201,
+	"StatusAccepted":                      202,
+	"StatusNonAuthoritativeInfo":          203,
+	"StatusNoContent":                     204,
+	"StatusResetContent":                  205,
+	"StatusPartialContent":                206,
+	"StatusMultiStatus":                   207,
+	"StatusAlreadyReported":               208,
+	"StatusIMUsed":                        226,
+	"StatusMultipleChoices":               300,
+	"StatusMovedPermanently":              301,
+	"StatusFound":                         302,
+	"StatusSeeOther":                      303,
+	"StatusNotModified":                   304,
+	"StatusUseProxy":                      305,
+	"StatusTemporaryRedirect":             307,
+	"StatusPermanentRedirect":             308,
+	"StatusBadRequest":                    400,
+	"StatusUnauthorized":                  401,
+	"StatusPaymentRequired":               402,
+	"StatusForbidden":                     403,
+	"StatusNotFound":                      404,
+	"StatusMethodNotAllowed":              405,
+	"StatusNotAcceptable":                 406,
+	"StatusProxyAuthRequired":             407,
+	"StatusRequestTimeout":                408,
+	"StatusConflict":                      409,
+	"StatusGone":                          410,
+	"StatusLengthRequired":                411,
+	"StatusPreconditionFailed":            412,
+	"StatusRequestEntityTooLarge":         413,
+	"StatusRequestURITooLong":             414,
+	"StatusUnsupportedMediaType":          415,
+	"StatusRequestedRangeNotSatisfiable":  416,
+	"StatusExpectationFailed":             417,
+	"StatusTeapot":                        418,
+	"StatusMisdirectedRequest":            421,
+	"StatusUnprocessableEntity":           422,
+	"StatusLocked":                        423,
+	"StatusFailedDependency":              424,
+	"StatusTooEarly":                      425,
+	"StatusUpgradeRequired":               426,
+	"StatusPreconditionRequired":          428,
+	"StatusTooManyRequests":               429,
+	"StatusRequestHeaderFieldsTooLarge":   431,
+	"StatusUnavailableForLegalReasons":    451,
+	"StatusInternalServerError":           500,
+	"StatusNotImplemented":                501,
+	"StatusBadGateway":                    502,
+	"StatusServiceUnavailable":            503,
+	"StatusGatewayTimeout":                504,
+	"StatusHTTPVersionNotSupported":       505,
+	"StatusVariantAlsoNegotiates":         506,
+	"StatusInsufficientStorage":           507,
+	"StatusLoopDetected":                  508,
+	"StatusNotExtended":                   510,
+	"StatusNetworkAuthenticationRequired": 511,
 }
 
 // DocumentedStatusList renders the contract set for docs and tests.

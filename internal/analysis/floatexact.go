@@ -40,7 +40,7 @@ func runFloatexact(pass *Pass) error {
 			default:
 				return true
 			}
-			if pass.isAbsOfDiff(f, e.X) || pass.isAbsOfDiff(f, e.Y) {
+			if isAbsOfDiff(f, e.X) || isAbsOfDiff(f, e.Y) {
 				pass.Reportf(e.Pos(),
 					"the contract is bit-exact: compare answers with ==",
 					"epsilon-tolerance comparison (math.Abs of a difference against a threshold)")
@@ -53,12 +53,12 @@ func runFloatexact(pass *Pass) error {
 
 // isAbsOfDiff matches math.Abs(expr) where expr contains a subtraction
 // at its top level (possibly parenthesized).
-func (p *Pass) isAbsOfDiff(f *ast.File, e ast.Expr) bool {
+func isAbsOfDiff(f *ast.File, e ast.Expr) bool {
 	call, ok := unparen(e).(*ast.CallExpr)
 	if !ok || len(call.Args) != 1 {
 		return false
 	}
-	name, ok := p.pkgCall(f, call, "math")
+	name, ok := pkgCall(f, call, "math")
 	if !ok || name != "Abs" {
 		return false
 	}

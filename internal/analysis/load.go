@@ -5,216 +5,65 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
-	"go/importer"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 )
 
-// Package is one loaded, type-checked package ready for analysis.
+// Package is one parsed package ready for analysis. Nothing is
+// type-checked: every analyzer matches syntax.
 type Package struct {
-	Path    string // import path ("repro/internal/label", or the fixture name under a source root)
-	RelPath string // path relative to the module root: "" for the root package, "internal/label", ...
-	Dir     string
+	RelPath string // directory relative to the module root: "" for the root package, "internal/label", ...
 	Fset    *token.FileSet
 
-	Files     []*ast.File // non-test files, type-checked
-	TestFiles []*ast.File // _test.go files, parsed only
-
-	Types *types.Package
-	Info  *types.Info
+	Files     []*ast.File // non-test files; none in a test-only package
+	TestFiles []*ast.File // _test.go files, the external test package's included
 }
 
-// Loader loads and type-checks packages with no tooling dependencies:
-// module-local import paths resolve against the module directory, the
-// rest (the standard library) through go/importer's source importer,
-// which compiles from GOROOT/src — no compiled export data, no module
-// proxy, no network. Files are selected by go/build for the host
-// GOOS/GOARCH and toolchain, exactly as `go build` would select them here.
-//
-// One Loader shares a FileSet, a type-checker cache, and a stdlib
-// importer across every Load, so a whole-module run type-checks each
-// package exactly once.
-type Loader struct {
-	ModPath string // module path from go.mod ("" when loading from SrcRoot only)
-	ModDir  string
-	SrcRoot string // GOPATH-style fallback root for fixture imports (testdata/src)
-
-	Fset  *token.FileSet
-	std   types.ImporterFrom
-	cache map[string]*Package
-}
-
-// NewLoader returns a loader rooted at the module containing dir,
-// reading the module path from its go.mod.
-func NewLoader(dir string) (*Loader, error) {
-	modDir, modPath, err := findModule(dir)
+// LoadDir parses the package in dir with comments, for the analyzers'
+// allow directives. Files are selected by go/build for the host
+// GOOS/GOARCH and toolchain, exactly as `go build` would select them
+// here. A directory that holds only _test.go files is a package of test
+// files alone, as the go tool lists it.
+func LoadDir(dir string) (*Package, error) {
+	bp, err := build.ImportDir(dir, 0)
 	if err != nil {
 		return nil, err
 	}
-	l := newLoader()
-	l.ModPath, l.ModDir = modPath, modDir
-	return l, nil
-}
-
-// NewFixtureLoader returns a loader that resolves import paths under a
-// GOPATH-style source root (testdata/src): import path "x" loads
-// root/x. Used by the analysistest harness.
-func NewFixtureLoader(root string) *Loader {
-	l := newLoader()
-	l.SrcRoot = root
-	return l
-}
-
-func newLoader() *Loader {
-	fset := token.NewFileSet()
-	return &Loader{
-		Fset:  fset,
-		std:   importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		cache: map[string]*Package{},
-	}
-}
-
-// findModule walks up from dir to the enclosing go.mod.
-func findModule(dir string) (modDir, modPath string, err error) {
-	dir, err = filepath.Abs(dir)
-	if err != nil {
-		return "", "", err
-	}
-	for {
-		data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
-		if err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				line = strings.TrimSpace(line)
-				if rest, ok := strings.CutPrefix(line, "module "); ok {
-					return dir, strings.TrimSpace(rest), nil
-				}
-			}
-			return "", "", fmt.Errorf("chlvet: %s/go.mod has no module line", dir)
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", "", fmt.Errorf("chlvet: no go.mod found above %s", dir)
-		}
-		dir = parent
-	}
-}
-
-// Import implements types.Importer.
-func (l *Loader) Import(path string) (*types.Package, error) { return l.ImportFrom(path, "", 0) }
-
-// ImportFrom implements types.ImporterFrom: module-local and
-// source-root paths load through the Loader itself (cached), the rest
-// through the stdlib source importer.
-func (l *Loader) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.Package, error) {
-	if dir, ok := l.resolve(path); ok {
-		pkg, err := l.load(path, dir)
-		if err != nil {
-			return nil, err
-		}
-		return pkg.Types, nil
-	}
-	return l.std.ImportFrom(path, srcDir, mode)
-}
-
-// resolve maps an import path to a directory when the loader owns it.
-func (l *Loader) resolve(path string) (string, bool) {
-	if l.ModPath != "" {
-		if path == l.ModPath {
-			return l.ModDir, true
-		}
-		if rest, ok := strings.CutPrefix(path, l.ModPath+"/"); ok {
-			return filepath.Join(l.ModDir, filepath.FromSlash(rest)), true
-		}
-	}
-	if l.SrcRoot != "" {
-		dir := filepath.Join(l.SrcRoot, filepath.FromSlash(path))
-		if fi, err := os.Stat(dir); err == nil && fi.IsDir() {
-			return dir, true
-		}
-	}
-	return "", false
-}
-
-// Load loads, parses, and type-checks the package at importPath.
-func (l *Loader) Load(importPath string) (*Package, error) {
-	dir, ok := l.resolve(importPath)
-	if !ok {
-		return nil, fmt.Errorf("chlvet: %s is not under this module", importPath)
-	}
-	return l.load(importPath, dir)
-}
-
-func (l *Loader) load(importPath, dir string) (*Package, error) {
-	if pkg, ok := l.cache[importPath]; ok {
-		if pkg == nil {
-			return nil, fmt.Errorf("chlvet: import cycle through %s", importPath)
-		}
-		return pkg, nil
-	}
-	l.cache[importPath] = nil // cycle guard
-	pkg, err := l.check(importPath, dir)
-	if err != nil {
-		delete(l.cache, importPath)
+	pkg := &Package{Fset: token.NewFileSet()}
+	if pkg.Files, err = parseFiles(pkg.Fset, dir, bp.GoFiles); err != nil {
 		return nil, err
 	}
-	l.cache[importPath] = pkg
+	if pkg.TestFiles, err = parseFiles(pkg.Fset, dir, append(bp.TestGoFiles, bp.XTestGoFiles...)); err != nil {
+		return nil, err
+	}
 	return pkg, nil
 }
 
-func (l *Loader) check(importPath, dir string) (*Package, error) {
-	bp, err := build.ImportDir(dir, 0)
-	if err != nil {
-		return nil, fmt.Errorf("chlvet: %w", err)
-	}
-	files, err := l.parse(dir, bp.GoFiles)
-	if err != nil {
-		return nil, err
-	}
-	testFiles, err := l.parse(dir, append(bp.TestGoFiles, bp.XTestGoFiles...))
-	if err != nil {
-		return nil, err
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("chlvet: no buildable Go files in %s", dir)
-	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}
-	conf := types.Config{Importer: l}
-	tpkg, err := conf.Check(importPath, l.Fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("chlvet: type-checking %s: %w", importPath, err)
-	}
-	rel := ""
-	if l.ModPath != "" && importPath != l.ModPath {
-		rel = strings.TrimPrefix(importPath, l.ModPath+"/")
-	}
-	return &Package{
-		Path:      importPath,
-		RelPath:   rel,
-		Dir:       dir,
-		Fset:      l.Fset,
-		Files:     files,
-		TestFiles: testFiles,
-		Types:     tpkg,
-		Info:      info,
-	}, nil
+// AllFiles returns Files followed by TestFiles.
+func (p *Package) AllFiles() []*ast.File {
+	out := make([]*ast.File, 0, len(p.Files)+len(p.TestFiles))
+	out = append(out, p.Files...)
+	return append(out, p.TestFiles...)
 }
 
-// parse parses the named files of dir, keeping comments for the
-// analyzers' allow directives.
-func (l *Loader) parse(dir string, names []string) ([]*ast.File, error) {
+// IsTest reports whether f is one of the package's test files.
+func (p *Package) IsTest(f *ast.File) bool {
+	for _, tf := range p.TestFiles {
+		if tf == f {
+			return true
+		}
+	}
+	return false
+}
+
+func parseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
 	var files []*ast.File
 	for _, name := range names {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
@@ -223,25 +72,56 @@ func (l *Loader) parse(dir string, names []string) ([]*ast.File, error) {
 	return files, nil
 }
 
-// ExpandPatterns resolves package patterns ("./...", "./internal/label")
-// against the module tree into import paths, in sorted order. Vendored
-// trees, testdata, hidden directories, and nested modules (a directory
-// with its own go.mod, like chlvet's own test fixtures) are skipped,
-// matching the go tool's ./... semantics.
-func (l *Loader) ExpandPatterns(patterns []string) ([]string, error) {
-	if l.ModPath == "" {
-		return nil, fmt.Errorf("chlvet: pattern expansion needs a module root")
+// Loader resolves package patterns and loads packages within one module.
+type Loader struct {
+	ModDir string
+}
+
+// NewLoader returns a loader rooted at the module containing dir: the
+// nearest directory at or above it that holds a go.mod.
+func NewLoader(dir string) (*Loader, error) {
+	start, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
 	}
+	for dir := start; ; dir = filepath.Dir(dir) {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return &Loader{ModDir: dir}, nil
+		}
+		if dir == filepath.Dir(dir) {
+			return nil, fmt.Errorf("no go.mod at or above %s", start)
+		}
+	}
+}
+
+// Load loads the package in the module-relative directory rel, as
+// ExpandPatterns returns it.
+func (l *Loader) Load(rel string) (*Package, error) {
+	pkg, err := LoadDir(filepath.Join(l.ModDir, filepath.FromSlash(rel)))
+	if err != nil {
+		return nil, err
+	}
+	pkg.RelPath = rel
+	return pkg, nil
+}
+
+// ExpandPatterns resolves package patterns ("./...", "./internal/label")
+// against the module tree into module-relative package directories
+// ("" for the root), in sorted order. Vendored trees, testdata, hidden
+// directories, and nested modules (a directory with its own go.mod,
+// like chlvet's own test fixtures) are skipped, matching the go tool's
+// ./... semantics.
+func (l *Loader) ExpandPatterns(patterns []string) ([]string, error) {
 	seen := map[string]bool{}
 	var out []string
-	add := func(rel string) {
-		path := l.ModPath
-		if rel != "" && rel != "." {
-			path += "/" + filepath.ToSlash(rel)
+	add := func(dir string) {
+		rel, _ := filepath.Rel(l.ModDir, dir)
+		if rel = filepath.ToSlash(rel); rel == "." {
+			rel = ""
 		}
-		if !seen[path] {
-			seen[path] = true
-			out = append(out, path)
+		if !seen[rel] {
+			seen[rel] = true
+			out = append(out, rel)
 		}
 	}
 	for _, pat := range patterns {
@@ -257,10 +137,9 @@ func (l *Loader) ExpandPatterns(patterns []string) ([]string, error) {
 			if ok, err := hasGoFiles(root); err != nil {
 				return nil, err
 			} else if !ok {
-				return nil, fmt.Errorf("chlvet: no Go files in %s", root)
+				return nil, fmt.Errorf("no Go files in %s", root)
 			}
-			rel, _ := filepath.Rel(l.ModDir, root)
-			add(rel)
+			add(root)
 			continue
 		}
 		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -283,8 +162,7 @@ func (l *Loader) ExpandPatterns(patterns []string) ([]string, error) {
 			if ok, err := hasGoFiles(path); err != nil {
 				return err
 			} else if ok {
-				rel, _ := filepath.Rel(l.ModDir, path)
-				add(rel)
+				add(path)
 			}
 			return nil
 		})

@@ -33,6 +33,9 @@ func refusals() []error {
 		&requestError{msg: "no code set", code: 413},
 		&requestError{code: http.StatusTeapot, msg: "undocumented"}, // want "undocumented error status 418"
 		&requestError{code: 451},                                    // want "undocumented error status 451"
+		&requestError{code: teapot, msg: "named"},                   // want "undocumented error status 418"
+		&requestError{code: notFound, msg: "named, documented"},
+		&requestError{code: http.StatusUnprocessableEntity}, // want "undocumented error status 422"
 	}
 }
 

@@ -30,11 +30,35 @@ func handle(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(http.StatusServiceUnavailable) // want "direct WriteHeader"
 	w.WriteHeader(http.StatusOK)                 // success statuses are not the contract's business
+	w.WriteHeader(http.StatusGatewayTimeout)     // want "direct WriteHeader\\(504\\)"
 }
+
+// Named statuses fold through the package's constants without type
+// information: chains of them, and + - * over them.
+const (
+	teapot   = http.StatusTeapot
+	kettle   = teapot
+	notFound = http.StatusNotFound
+	tooEarly = (teapot + 7)
+	badGate  = 2*250 + 2
+)
 
 func statuses(w http.ResponseWriter) {
 	httpError(w, http.StatusNotFound, "documented")
-	httpError(w, http.StatusTeapot, "undocumented") // want "undocumented error status 418"
+	httpError(w, http.StatusTeapot, "undocumented")          // want "undocumented error status 418"
+	httpError(w, http.StatusGatewayTimeout, "x")             // want "undocumented error status 504"
+	httpError(w, http.StatusUnavailableForLegalReasons, "x") // want "undocumented error status 451"
 	writeJSON(w, 502, errBody{})
-	writeJSON(w, 451, errBody{}) // want "undocumented error status 451"
+	writeJSON(w, 451, errBody{})   // want "undocumented error status 451"
+	writeJSON(w, 0x1c3, errBody{}) // want "undocumented error status 451"
+
+	httpError(w, teapot, "named")   // want "undocumented error status 418"
+	httpError(w, kettle, "a chain") // want "undocumented error status 418"
+	httpError(w, notFound, "documented")
+	writeJSON(w, tooEarly, errBody{})           // want "undocumented error status 425"
+	writeJSON(w, badGate, errBody{})            // documented: 502
+	writeJSON(w, (notFound-4)*1, errBody{})     // documented: 400
+	writeJSON(w, (teapot+33)-notFound+404, nil) // want "undocumented error status 451"
+	const local = http.StatusGone
+	httpError(w, local, "function-scoped") // want "undocumented error status 410"
 }

@@ -1,11 +1,24 @@
 package analysis
 
 import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os/exec"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestClockcheck(t *testing.T) { RunTest(t, "testdata", Clockcheck, "clockcheck") }
+
+// TestClockcheckTestOnly loads a package of _test.go files alone: the
+// go tool lists it, so chlvet must load it and hold its tests to the
+// no-sleep rule rather than refuse the directory.
+func TestClockcheckTestOnly(t *testing.T) { RunTest(t, "testdata", Clockcheck, "testonly") }
 
 func TestPairkey(t *testing.T) { RunTest(t, "testdata", Pairkey, "pairkey") }
 
@@ -19,8 +32,7 @@ func TestSnapshotref(t *testing.T) { RunTest(t, "testdata", Snapshotref, "snapsh
 // annotations must surface as chlvet pseudo-diagnostics, must not
 // suppress the finding beneath them, and a well-formed one must.
 func TestAllowAnnotations(t *testing.T) {
-	loader := NewFixtureLoader("testdata/src")
-	pkg, err := loader.Load("allowbad")
+	pkg, err := LoadDir("testdata/src/allowbad")
 	if err != nil {
 		t.Fatalf("loading allowbad: %v", err)
 	}
@@ -123,5 +135,80 @@ func TestParseWant(t *testing.T) {
 	}
 	if _, ok, err := parseWant(`// want unquoted`); !ok || err == nil {
 		t.Fatal("malformed want not rejected")
+	}
+}
+
+// TestHTTPStatusTable holds httpStatusByName to the toolchain's own
+// net/http status constants: a status written by any of their names must
+// fold, or errcontract would pass it unchecked.
+func TestHTTPStatusTable(t *testing.T) {
+	out, err := exec.Command("go", "env", "GOROOT").Output()
+	if err != nil {
+		t.Fatalf("go env GOROOT: %v", err)
+	}
+	path := filepath.Join(strings.TrimSpace(string(out)), "src", "net", "http", "status.go")
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, d := range f.Decls {
+		d, ok := d.(*ast.GenDecl)
+		if !ok || d.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range d.Specs {
+			vs := spec.(*ast.ValueSpec)
+			for i, name := range vs.Names {
+				lit, ok := vs.Values[i].(*ast.BasicLit)
+				if !ok || !strings.HasPrefix(name.Name, "Status") {
+					continue
+				}
+				want, _ := strconv.ParseInt(lit.Value, 0, 64)
+				if got, ok := httpStatusByName[name.Name]; !ok || got != want {
+					t.Errorf("httpStatusByName[%q] = %d, %v; net/http declares %d", name.Name, got, ok, want)
+				}
+				n++
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatalf("no Status constants found in %s", path)
+	}
+}
+
+// TestStatusFoldCycles checks that constant cycles, which parse but do
+// not compile, fail the fold and are folded in time linear in the
+// constants: a ring of 60 constants each used on both sides of + would
+// take 2^60 steps without memoisation.
+func TestStatusFoldCycles(t *testing.T) {
+	var src strings.Builder
+	src.WriteString("package p\nconst (\n\ta = a + a\n\tb = c * c\n\tc = b + b\n\td = 400 + 4\n\te = d\n")
+	const ring = 60
+	for i := 0; i < ring; i++ {
+		fmt.Fprintf(&src, "\tr%d = r%d + r%d\n", i, (i+1)%ring, (i+1)%ring)
+	}
+	src.WriteString(")\n")
+	f, err := parser.ParseFile(token.NewFileSet(), "p.go", src.String(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		folder := newStatusFolder([]*ast.File{f})
+		for _, name := range []string{"a", "b", "c", "r0", "r37"} {
+			if code, ok := folder.status(ast.NewIdent(name)); ok {
+				t.Errorf("cyclic constant %s folded to %d", name, code)
+			}
+		}
+		if code, ok := folder.status(ast.NewIdent("e")); !ok || code != 404 {
+			t.Errorf("e folded to %d, %v; want 404", code, ok)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("folding a constant cycle did not end")
 	}
 }

@@ -510,9 +510,10 @@ func (s *Server) Close() error {
 }
 
 // EnableUpdates turns on dynamic edge updates (POST /update): g must be
-// the exact graph the served labels were built from — the correction
-// machinery seeds patched-graph Dijkstras with frozen label distances,
-// so a mismatched graph silently corrupts answers. journalPath, when
+// the exact graph the served labels were built from — the overlay
+// corrects the tier's frozen join against distance rows of g (and of g
+// patched), so a g the labels were not built from silently corrupts
+// answers. journalPath, when
 // non-empty, names the patch journal: every accepted batch is appended
 // (and fsynced) before it is served, and any ops already in the journal
 // are replayed now, so a restarted server resumes exactly the patched
