@@ -8,7 +8,8 @@ package chl_test
 //	go test -bench=. -benchmem
 //
 // regenerates the whole evaluation in miniature; cmd/experiments produces
-// the full-size text report.
+// the full-size text report. Table 4's modelled query modes are benchmarked
+// beside their driver, in internal/exp.
 
 import (
 	"bytes"
@@ -23,7 +24,6 @@ import (
 
 	chl "repro"
 	"repro/internal/exp"
-	"repro/internal/query"
 )
 
 // benchCfg keeps one benchmark iteration to roughly a second.
@@ -47,28 +47,6 @@ func BenchmarkTable3SharedMemory(b *testing.B) {
 	b.ReportMetric(chlALS/float64(len(rows)), "CHL-ALS")
 	b.ReportMetric(spALS/float64(len(rows)), "SparaPLL-ALS")
 	b.ReportMetric(100*(1-chlALS/spALS), "label-reduction-%")
-}
-
-// BenchmarkTable4QueryModes reproduces Table 4: QLSN/QFDL/QDOL throughput,
-// latency and memory at q=16.
-func BenchmarkTable4QueryModes(b *testing.B) {
-	cfg := benchCfg()
-	var rows []exp.Table4Row
-	for i := 0; i < b.N; i++ {
-		rows = exp.Table4(cfg)
-	}
-	var qdol, qfdl float64
-	var count int
-	for _, r := range rows {
-		if !r.Skipped[query.QDOL] && !r.Skipped[query.QFDL] {
-			qdol += r.Throughput[query.QDOL]
-			qfdl += r.Throughput[query.QFDL]
-			count++
-		}
-	}
-	if count > 0 {
-		b.ReportMetric(qdol/qfdl, "QDOL/QFDL-throughput")
-	}
 }
 
 // BenchmarkFigure2LabelsPerSPT reproduces Figure 2's decay series.

@@ -124,7 +124,6 @@ type Index struct {
 	fwd, bwd *label.Index // labels in rank space; bwd == fwd when undirected
 	perm     []int        // rank -> original id
 	rank     []int        // original id -> rank
-	perNode  []*label.Index
 	metrics  *Metrics
 }
 
@@ -172,7 +171,7 @@ func Build(g *Graph, opt Options) (ix *Index, err error) {
 		if err != nil {
 			return nil, err
 		}
-		ix.fwd, ix.perNode, ix.metrics = res.Index, res.PerNode, res.Metrics
+		ix.fwd, ix.metrics = res.Index, res.Metrics
 	default:
 		return nil, fmt.Errorf("chl: unknown algorithm %q", opt.Algorithm)
 	}

@@ -1,20 +1,20 @@
 // Command chlquery loads an index file written by cmd/chl -out and answers
 // point-to-point shortest distance queries — interactively ("u v" per line
-// on stdin), as a random-batch benchmark in the paper's QLSN and QDOL
-// distributed query modes, or as an HTTP serving process over the flat
-// packed label store.
+// on stdin), as a random-batch benchmark timed in wall-clock seconds on
+// this machine, or as an HTTP serving process over the flat packed label
+// store.
 //
 // Usage:
 //
 //	chlquery -load road.flat 17 3942
 //	chlquery -load road.flat                 # interactive: one "u v" per line
-//	chlquery -load road.flat -bench 100000 -mode qdol -nodes 16
+//	chlquery -load road.flat -bench 100000
 //	chlquery -load road.flat -serve :8080
 //
-// The modeled -bench modes (qlsn/qdol) run on the loaded index thawed
-// back into the builder's slice form (FlatIndex.Thaw); QFDL needs the
-// per-node partitions of a distributed build, which no file keeps, so it
-// is not offered. -mode local times the real serving path. Every
+// -bench answers a random batch through the parallel batch engine
+// (chl.NewBatchEngineFlat), the kernel /batch serves with, and reports
+// its wall-clock throughput. The paper's modelled QLSN/QFDL/QDOL cluster
+// modes are reproduced by `experiments -only table4`, not here. Every
 // distance is exact: the file counts it in uint32 units of 2^-k (k = 0
 // for integer weights), and chl refuses to build a label past 2^32 units
 // rather than round it.
@@ -33,9 +33,9 @@
 //
 // Directed indexes (built by cmd/chl over a directed graph) serve
 // through the same flags end to end: the file packs both label halves,
-// -split marks the manifest directed so the router keys its cache on
-// ordered pairs, and /dist?u=&v= answers the u→v distance. Only the
-// simulated -bench modes (qlsn/qdol) remain undirected-only.
+// -bench times ordered pairs, -split marks the manifest directed so the
+// router keys its cache on ordered pairs, and /dist?u=&v= answers the
+// u→v distance.
 //
 // -compress switches -save and -split to the compressed label format
 // (one delta+varint stream per vertex — 71–72% smaller on disk than the
@@ -94,8 +94,6 @@ func main() {
 		savePath  = flag.String("save", "", "write the loaded index (compressed with -compress) to this file")
 		serveAddr = flag.String("serve", "", "serve queries over HTTP on this address (e.g. :8080)")
 		bench     = flag.Int("bench", 0, "run a random batch of this many queries")
-		mode      = flag.String("mode", "qlsn", "query mode for -bench: qlsn|qdol|local")
-		nodes     = flag.Int("nodes", 16, "simulated cluster size for -bench")
 		seed      = flag.Int64("seed", 1, "seed for -bench query generation; also the consistent-hash ring seed for -split")
 		cacheCap  = flag.Int("cache", 1<<16, "answer cache capacity for -serve (0 disables)")
 		prefault  = flag.Bool("prefault", false, "fault mapped indexes fully in before serving them (and before each hot swap)")
@@ -118,12 +116,6 @@ func main() {
 	// mode, which reads as a hang when the user mistyped a flag.
 	if n := flag.NArg(); n != 0 && n != 2 {
 		fatal(fmt.Errorf("expected no positional arguments or exactly two vertex ids, got %d: %q", n, flag.Args()))
-	}
-
-	if *bench > 0 && !strings.EqualFold(*mode, "local") {
-		if _, ok := benchModes[strings.ToLower(*mode)]; !ok {
-			fatal(fmt.Errorf("unknown -mode %q for -bench (want qlsn|qdol|local)", *mode))
-		}
 	}
 
 	if *serveAddr != "" {
@@ -166,7 +158,7 @@ func main() {
 		}
 	}
 	if *bench > 0 {
-		runBench(fx, *bench, *mode, *nodes, *seed)
+		runBench(fx, *bench, *seed)
 		return
 	}
 	if flag.NArg() == 2 {
@@ -375,59 +367,29 @@ func runShardServe(addr string, cacheCap int, prefault bool, shardID int, manife
 	log.Fatal(http.ListenAndServe(addr, s.Handler()))
 }
 
-// benchModes are the modeled cluster modes -bench runs on a loaded index.
-var benchModes = map[string]chl.QueryMode{"qlsn": chl.ModeQLSN, "qdol": chl.ModeQDOL}
-
-func runBench(fx *chl.FlatIndex, count int, modeName string, nodes int, seed int64) {
-	// Directed indexes bench on the real serving path only; fail before
-	// any work rather than deep inside the query-engine constructor.
-	if fx.Directed() && !strings.EqualFold(modeName, "local") {
-		fatal(fmt.Errorf("mode %q simulates the paper's undirected query cluster; directed indexes bench with -mode local (or serve via -serve / a shard cluster)", modeName))
-	}
+// runBench answers count random pairs through the parallel batch engine
+// over the flat store and reports the wall-clock throughput on this
+// machine.
+func runBench(fx *chl.FlatIndex, count int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	n := fx.NumVertices()
 	pairs := make([]chl.QueryPair, count)
 	for i := range pairs {
 		pairs[i] = chl.QueryPair{U: rng.Intn(n), V: rng.Intn(n)}
 	}
-
-	if strings.EqualFold(modeName, "local") {
-		// The real serving path: parallel batch over the flat store,
-		// measured in wall-clock time on this machine.
-		eng := chl.NewBatchEngineFlat(fx)
-		start := time.Now()
-		dists := eng.Batch(pairs)
-		elapsed := time.Since(start).Seconds()
-		var reach int
-		for _, d := range dists {
-			if d != chl.Infinity {
-				reach++
-			}
-		}
-		fmt.Printf("local batch: %d queries in %.3fs = %.2f Mq/s (wall clock), %d reachable\n",
-			count, elapsed, float64(count)/elapsed/1e6, reach)
-		fmt.Printf("  memory: %.2f MiB flat\n", float64(fx.TotalMemory())/(1<<20))
-		return
-	}
-
-	mode := benchModes[strings.ToLower(modeName)]
-	qe, err := chl.NewQueryEngine(fx.Thaw(), mode, nodes)
-	if err != nil {
-		fatal(err)
-	}
-	r := qe.Batch(pairs)
-	fmt.Printf("%s on %d nodes: %d queries\n", mode, nodes, count)
-	fmt.Printf("  throughput: %.2f Mq/s (modeled)\n", r.Throughput/1e6)
-	fmt.Printf("  mean latency: %v (modeled)\n", r.MeanLatency)
-	fmt.Printf("  traffic: %d bytes, %d messages\n", r.BytesSent, r.MessagesSent)
-	var peak int64
-	for _, b := range qe.MemoryPerNode() {
-		if b > peak {
-			peak = b
+	eng := chl.NewBatchEngineFlat(fx)
+	start := time.Now()
+	dists := eng.Batch(pairs)
+	elapsed := time.Since(start).Seconds()
+	var reach int
+	for _, d := range dists {
+		if d != chl.Infinity {
+			reach++
 		}
 	}
-	fmt.Printf("  memory: %.2f MiB total, %.2f MiB peak node\n",
-		float64(qe.TotalMemory())/(1<<20), float64(peak)/(1<<20))
+	fmt.Printf("batch: %d queries in %.3fs = %.2f Mq/s (wall clock), %d reachable\n",
+		count, elapsed, float64(count)/elapsed/1e6, reach)
+	fmt.Printf("  memory: %.2f MiB flat\n", float64(fx.TotalMemory())/(1<<20))
 }
 
 func fatal(err error) {

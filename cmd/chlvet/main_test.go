@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -9,20 +11,28 @@ import (
 	"testing"
 )
 
-// buildChlvet builds the real binary once per test run: the e2e
+// bin is the chlvet binary TestMain builds once for every test: the e2e
 // contract (exit codes, diagnostic format) is what CI and developers
-// see, so the test drives the same artifact they do.
-func buildChlvet(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "chlvet")
-	cmd := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go build ./cmd/chlvet: %v\n%s", err, out)
+// see, so the tests drive the same artifact they do.
+var bin string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "chlvet-test")
+	if err != nil {
+		panic(err)
 	}
-	return bin
+	bin = filepath.Join(dir, "chlvet")
+	code := 1
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "go build ./cmd/chlvet: %v\n%s", err, out)
+	} else {
+		code = m.Run()
+	}
+	os.RemoveAll(dir)
+	os.Exit(code)
 }
 
-func runChlvet(t *testing.T, bin string, args ...string) (stdout, stderr string, exit int) {
+func runChlvet(t *testing.T, args ...string) (stdout, stderr string, exit int) {
 	t.Helper()
 	var outBuf, errBuf bytes.Buffer
 	cmd := exec.Command(bin, args...)
@@ -43,8 +53,7 @@ func runChlvet(t *testing.T, bin string, args ...string) (stdout, stderr string,
 var diagLine = regexp.MustCompile(`^[\w./]+\.go:\d+:\d+: \[(\w+)\] .+ \(fix: .+\)$`)
 
 func TestEndToEndViolatingModule(t *testing.T) {
-	bin := buildChlvet(t)
-	stdout, stderr, exit := runChlvet(t, bin, "-C", "testdata/badmod", "./...")
+	stdout, stderr, exit := runChlvet(t, "-C", "testdata/badmod", "./...")
 	if exit != 1 {
 		t.Fatalf("exit = %d, want 1\nstdout:\n%s\nstderr:\n%s", exit, stdout, stderr)
 	}
@@ -81,8 +90,7 @@ func TestEndToEndViolatingModule(t *testing.T) {
 // the -only subset, or every //chlvet:allow clockcheck in the tree
 // turns into an "unknown analyzer" finding under -only pairkey.
 func TestOnlySubsetKeepsAllowNames(t *testing.T) {
-	bin := buildChlvet(t)
-	stdout, stderr, exit := runChlvet(t, bin, "-C", "testdata/badmod", "-only", "pairkey", "./...")
+	stdout, stderr, exit := runChlvet(t, "-C", "testdata/badmod", "-only", "pairkey", "./...")
 	if exit != 1 {
 		t.Fatalf("exit = %d, want 1\nstdout:\n%s\nstderr:\n%s", exit, stdout, stderr)
 	}
@@ -96,8 +104,7 @@ func TestOnlySubsetKeepsAllowNames(t *testing.T) {
 }
 
 func TestEndToEndCleanModule(t *testing.T) {
-	bin := buildChlvet(t)
-	stdout, stderr, exit := runChlvet(t, bin, "-C", "testdata/goodmod", "./...")
+	stdout, stderr, exit := runChlvet(t, "-C", "testdata/goodmod", "./...")
 	if exit != 0 || stdout != "" {
 		t.Fatalf("clean module: exit = %d, stdout = %q, stderr = %q; want silent success", exit, stdout, stderr)
 	}
@@ -114,8 +121,7 @@ func TestRepositoryIsClean(t *testing.T) {
 }
 
 func TestEndToEndToolFailure(t *testing.T) {
-	bin := buildChlvet(t)
-	_, stderr, exit := runChlvet(t, bin, "-only", "nosuch", "./...")
+	_, stderr, exit := runChlvet(t, "-only", "nosuch", "./...")
 	if exit != 2 {
 		t.Fatalf("unknown analyzer: exit = %d, want 2 (stderr: %s)", exit, stderr)
 	}

@@ -104,8 +104,7 @@ func TestDirectedFlatParity(t *testing.T) {
 	}
 }
 
-// Save → load (heap and mmap) → thaw must preserve directed answers
-// exactly.
+// Save → load (heap and mmap) must preserve directed answers exactly.
 func TestDirectedFlatSaveLoadMmap(t *testing.T) {
 	g := chl.GenerateRandomDirected(250, 1200, 9, 3)
 	ix, fx := buildDirectedFrozen(t, g)
@@ -136,10 +135,6 @@ func TestDirectedFlatSaveLoadMmap(t *testing.T) {
 		}
 	}
 	rng := rand.New(rand.NewSource(11))
-	th := heap.Thaw()
-	if !th.Directed() {
-		t.Fatal("thawed directed index reports undirected")
-	}
 	for i := 0; i < 1000; i++ {
 		u, v := rng.Intn(250), rng.Intn(250)
 		want := ix.Query(u, v)
@@ -148,9 +143,6 @@ func TestDirectedFlatSaveLoadMmap(t *testing.T) {
 		}
 		if mapped.Query(u, v) != want {
 			t.Fatalf("mapped index disagrees at (%d→%d)", u, v)
-		}
-		if th.Query(u, v) != want {
-			t.Fatalf("thawed index disagrees at (%d→%d)", u, v)
 		}
 	}
 }

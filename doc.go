@@ -38,7 +38,8 @@
 //     algorithms of §3/§5, executed on a simulated message-passing cluster
 //     that meters every byte (see below).
 //
-// and the three distributed query modes of §6 (QLSN, QFDL, QDOL).
+// The three distributed query modes of §6 (QLSN, QFDL, QDOL) are modelled
+// for Table 4 by cmd/experiments, not exported here.
 //
 // # Quick start
 //
@@ -59,8 +60,7 @@
 // which is the only form a labeling persists in (FlatIndex.SaveFile /
 // OpenFlat; cmd/chl -out writes it, each distance an exact uint32 count of
 // the index's unit 2^-k — 1 on integer-weighted graphs) and fans
-// batches out over all cores through NewBatchEngine. Thaw turns a loaded
-// FlatIndex back into an Index for the modeled query engines.
+// batches out over all cores through NewBatchEngineFlat.
 // A FlatIndex is two label stores (forward and backward runs; the same
 // store twice when undirected), each fixed-width or compressed, and every
 // pairwise query is one call to label.Join, which picks among the
@@ -249,8 +249,10 @@
 // all traffic, so the quantities the paper's distributed evaluation is
 // about — label traffic, synchronizations, per-node memory, label-size
 // growth — are reproduced exactly; the internal/cluster package doc gives
-// the substitution rationale. Use Options.Nodes > 1 with a distributed algorithm, then
-// NewQueryEngine to query under QLSN/QFDL/QDOL.
+// the substitution rationale. Use Options.Nodes > 1 with a distributed
+// algorithm. The paper's QLSN/QFDL/QDOL query modes are modelled for its
+// Table 4 only, by `go run ./cmd/experiments -only table4`; this package
+// serves through the frozen stack (NewBatchEngineFlat, Server, Router).
 //
 // # Rankings
 //

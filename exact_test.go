@@ -238,9 +238,9 @@ func TestUpdateRefusesUnbuildablePatch(t *testing.T) {
 }
 
 // The quarter-units road grid (unit 2^-2) in process: the builder's
-// Index, every frozen tier and a thawed copy answer every pair as
-// Dijkstra does, and freezing keeps every label — the in-process half of
-// the fixture TestWorkloadParityMatrix serves.
+// Index and every frozen tier answer every pair as Dijkstra does, and
+// freezing keeps every label — the in-process half of the fixture
+// TestWorkloadParityMatrix serves.
 func TestQuarterUnitTiers(t *testing.T) {
 	g := mapWeights(chl.GenerateRoadGrid(12, 12, 3), func(w float64) float64 { return w / 4 })
 	ix, fx := buildFrozen(t, g)
@@ -251,7 +251,6 @@ func TestQuarterUnitTiers(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		queries[name] = x.Query
-		queries[name+" thawed"] = x.Thaw().Query
 	}
 	n := g.NumVertices()
 	for u := 0; u < n; u += 7 {

@@ -130,7 +130,8 @@ func ExampleIndex_Freeze_serving() {
 func ExampleNewCache() {
 	g := chl.GenerateRoadGrid(8, 8, 1)
 	ix, _ := chl.Build(g, chl.Options{Algorithm: chl.AlgoGLL, Seed: 1})
-	eng, _ := chl.NewBatchEngine(ix)
+	fx, _ := ix.Freeze()
+	eng := chl.NewBatchEngineFlat(fx)
 	eng.SetCache(chl.NewCache(1024))
 
 	first := eng.Query(0, 63)  // miss: join over the label arrays
@@ -220,18 +221,4 @@ func ExampleRouter() {
 	// Output:
 	// d(0,63) = 38
 	// matches single process: true
-}
-
-// Query engines deploy a built index across simulated nodes under the
-// paper's three modes.
-func ExampleNewQueryEngine() {
-	g := chl.GenerateScaleFree(200, 3, 2)
-	ix, _ := chl.Build(g, chl.Options{Algorithm: chl.AlgoDPLaNT, Nodes: 6})
-	qe, err := chl.NewQueryEngine(ix, chl.ModeQDOL, 6)
-	if err != nil {
-		panic(err)
-	}
-	d, _ := qe.Query(0, 199)
-	fmt.Println("matches local query:", d == ix.Query(0, 199))
-	// Output: matches local query: true
 }

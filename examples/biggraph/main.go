@@ -1,7 +1,8 @@
 // Big-graph processing: the paper's P2 objective — construct a labeling
 // whose size exceeds what any single node may store, by partitioning labels
-// across a cluster (§5.1 "Label Set Partitioning"), then query it without
-// ever assembling it (QFDL).
+// across a cluster (§5.1 "Label Set Partitioning"). Querying the
+// partitioned labels without assembling them (the paper's QFDL mode) is
+// modelled, beside QLSN and QDOL, by `go run ./cmd/experiments -only table4`.
 //
 // Run with: go run ./examples/biggraph
 package main
@@ -50,21 +51,4 @@ func main() {
 	m := ix.Metrics()
 	fmt.Printf("PLaNT with the same budget: built %.2f MiB of labels, peak node storage %.2f MiB\n",
 		float64(ix.Stats().Bytes)/(1<<20), float64(m.MaxNodeBytes)/(1<<20))
-
-	// Query with fully distributed labels: no node ever holds more than
-	// its partition, queries are broadcast + MIN-reduced.
-	qe, err := chl.NewQueryEngine(ix, chl.ModeQFDL, 8)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var peak int64
-	for _, b := range qe.MemoryPerNode() {
-		if b > peak {
-			peak = b
-		}
-	}
-	fmt.Printf("QFDL deployment: peak node storage %.2f MiB (vs %.2f MiB full)\n",
-		float64(peak)/(1<<20), float64(labelBytes)/(1<<20))
-	d, lat := qe.Query(0, 6143)
-	fmt.Printf("d(0, 6143) = %g in %v modeled latency\n", d, lat)
 }

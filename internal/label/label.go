@@ -8,9 +8,9 @@
 // container (container.go), which holds only Stores.
 //
 // The slice form (Index) is never persisted. The builders emit it,
-// internal/exp's figures and internal/query's modeled engines read it
-// (FlatIndex.Thaw in the root package rebuilds one from a file), and the
-// bench/ scoreboard builds with it; Freeze packs it for everything else.
+// internal/exp's figures and internal/query's modeled engines read it,
+// and the bench/ scoreboard builds with it; Freeze packs it for
+// everything else.
 //
 // Everything in this package operates in rank space: vertex ids have been
 // permuted so that id 0 is the highest-ranked vertex and R(u) > R(v) ⇔

@@ -84,8 +84,9 @@ func refuses(run func()) (refused bool) {
 // pruning off, the growing table and η = 5. Out of domain, the checks are
 // refusals: graph.Finish refuses the rounded weights (seed 6) and exact
 // ones past 2^32 units (seeds 2–5 and 7), naming a weight, and where
-// a canonical label reaches 2^32 units (seed 9) every tree that would emit
-// it, every schedule and PLL refuse it.
+// a canonical label reaches 2^32 units (seed 9; on a directed graph a
+// backward one, testdata/fuzz/FuzzPLaNT/fce970d1d7fb596a) every tree that
+// would emit it, every schedule and PLL refuse it.
 func FuzzPLaNT(f *testing.F) {
 	f.Add([]byte{0})                                                                       // one vertex
 	f.Add([]byte{40, 0})                                                                   // edgeless
@@ -139,6 +140,15 @@ func FuzzPLaNT(f *testing.F) {
 			}
 		}
 		if g.Directed() {
+			// The backward labels are the trees of the transpose, and one
+			// of them can reach 2^32 units where no forward label does.
+			gt := g.Transpose()
+			for h := 0; h < n && !far; h++ {
+				best, dist := verify.MaxRankOnPath(gt, h)
+				for v := range best {
+					far = far || best[v] == int32(h) && dist[v] >= g.FromUnits(1<<32)
+				}
+			}
 			var want *label.DirectedIndex
 			if refuses(func() { want, _ = pll.SequentialDirected(g, pll.Options{}) }) != far {
 				t.Fatalf("pll.SequentialDirected refused: %v, want %v", !far, far)

@@ -27,10 +27,11 @@
 // in the root package and internal/label and is measured by bench/.
 //
 // These modelled engines are kept for one artefact: the Table 4 row of
-// README's "Reproducing the paper's evaluation" (exp.Table4 and `cmd/experiments`, all three modes; `chlquery -bench -mode qlsn|qdol`, without the per-node partitions QFDL needs) — the
-// paper's QLSN/QFDL/QDOL latency, throughput and memory comparison at
-// q = 16, whose orderings TestTable4Shape pins. Nothing else in README
-// needs them; if that table goes, so does this package.
+// README's "Reproducing the paper's evaluation" (exp.Table4, printed by
+// `cmd/experiments -only table4`) — the paper's QLSN/QFDL/QDOL latency,
+// throughput and memory comparison at q = 16, whose orderings
+// TestTable4Shape pins. internal/exp is the only package that imports
+// this one; if that table goes, so does this package.
 //
 // The engines run the real merge-join computations (answers are exact and
 // verified against Dijkstra by the tests) and meter per-node work (label

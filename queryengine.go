@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/delta"
 	"repro/internal/label"
-	"repro/internal/query"
 )
 
 // FlatIndex is a frozen, serving-oriented view of an Index: all labels
@@ -240,31 +238,6 @@ func (fx *FlatIndex) join(u, v int) (dist float64, hub uint32, ok bool) {
 	return dist, hub, ok
 }
 
-// Thaw unpacks the flat store back into a queryable Index (labels only —
-// build metrics and per-node partitions are not part of the flat format).
-// Either storage format thaws to the same Index.
-func (fx *FlatIndex) Thaw() *Index {
-	n := fx.NumVertices()
-	rank := make([]int, n)
-	for pos, v := range fx.perm {
-		rank[v] = pos
-	}
-	// thaw unpacks one store into rank order.
-	thaw := func(st label.Store) *label.Index {
-		ranked := label.NewIndex(n, st.UnitExp())
-		for v := 0; v < n; v++ {
-			ranked.SetLabels(rank[v], st.Labels(v))
-		}
-		return ranked
-	}
-	ix := &Index{n: n, fwd: thaw(fx.fwd), perm: append([]int(nil), fx.perm...), rank: rank}
-	ix.bwd = ix.fwd
-	if fx.Directed() {
-		ix.bwd = thaw(fx.bwd)
-	}
-	return ix
-}
-
 // BatchEngine serves point-to-point shortest-distance queries from a
 // FlatIndex at hardware speed: Batch fans the pairs out over a
 // runtime.GOMAXPROCS-sized worker pool, each worker answering its
@@ -275,16 +248,6 @@ type BatchEngine struct {
 	workers int
 	cache   *Cache         // nil: uncached (the default)
 	ov      *delta.Overlay // nil: frozen index only (the default)
-}
-
-// NewBatchEngine freezes ix (directed or undirected) and returns a
-// parallel batch serving engine over it.
-func NewBatchEngine(ix *Index) (*BatchEngine, error) {
-	fx, err := ix.Freeze()
-	if err != nil {
-		return nil, err
-	}
-	return NewBatchEngineFlat(fx), nil
 }
 
 // NewBatchEngineFlat wraps an already-frozen (for instance, freshly
@@ -514,102 +477,7 @@ func (fx *FlatIndex) batchGrouped(dst []float64, pairs []QueryPair) {
 	fx.groups.Put(g)
 }
 
-// QueryMode selects a distributed query strategy (§6 of the paper).
-type QueryMode = query.Mode
-
-// The three query modes.
-const (
-	// ModeQLSN replicates all labels on every node; each query is
-	// answered locally by the node it emerges on. Lowest latency, highest
-	// memory.
-	ModeQLSN = query.QLSN
-	// ModeQFDL partitions every vertex's labels across all nodes; each
-	// query is broadcast and MIN-reduced. Lowest memory, broadcast-bound
-	// latency.
-	ModeQFDL = query.QFDL
-	// ModeQDOL splits vertices into ζ partitions with C(ζ,2)=q and routes
-	// each query point-to-point to the node owning its partition pair.
-	// Best batch throughput at √q-scaled memory.
-	ModeQDOL = query.QDOL
-)
-
-// QueryEngine answers PPSD queries on a simulated q-node cluster under one
-// of the three modes, translating between original vertex ids and the
-// index's rank space.
-type QueryEngine struct {
-	ix  *Index
-	eng *query.Engine
-}
-
-// NewQueryEngine deploys the index's labels across q simulated nodes.
-// ModeQFDL requires an index built by a distributed algorithm (it reuses
-// the generator-node partitions); QLSN and QDOL work with any undirected
-// index. Directed indexes are not supported by the simulated engines —
-// they serve through the flat stack (Freeze/BatchEngine, Server, Router),
-// which handles them end to end.
-func NewQueryEngine(ix *Index, mode QueryMode, q int) (*QueryEngine, error) {
-	if ix.Directed() {
-		return nil, fmt.Errorf("chl: the simulated query engines support undirected indexes only; directed indexes serve through Freeze/BatchEngine, Server, or Router")
-	}
-	var perNode []*label.Index
-	if mode == ModeQFDL {
-		if ix.perNode == nil {
-			return nil, fmt.Errorf("chl: QFDL needs the per-node label partitions of a distributed Build (AlgoDGLL, AlgoDPLaNT or AlgoHybrid); this index has none — a shared-memory build or one read from a file")
-		}
-		if len(ix.perNode) != q {
-			return nil, fmt.Errorf("chl: QFDL cluster size %d does not match the build's %d nodes", q, len(ix.perNode))
-		}
-		perNode = ix.perNode
-	}
-	eng, err := query.NewEngine(mode, ix.fwd, perNode, q, query.DefaultCostModel())
-	if err != nil {
-		return nil, err
-	}
-	return &QueryEngine{ix: ix, eng: eng}, nil
-}
-
-// Query answers one PPSD query (original ids) and reports its modeled
-// latency on the simulated cluster.
-func (qe *QueryEngine) Query(u, v int) (float64, time.Duration) {
-	return qe.eng.Query(qe.ix.rank[u], qe.ix.rank[v])
-}
-
 // QueryPair is one batch query in original-id space.
 type QueryPair struct {
 	U, V int
 }
-
-// BatchResult reports a batch run; see the internal/query package for the
-// cost model behind the modeled figures.
-type BatchResult struct {
-	Dists          []float64
-	Throughput     float64 // queries per modeled second
-	MeanLatency    time.Duration
-	ModeledSeconds float64
-	BytesSent      int64
-	MessagesSent   int64
-}
-
-// Batch answers a batch of queries emerging at node 0.
-func (qe *QueryEngine) Batch(pairs []QueryPair) *BatchResult {
-	rp := make([]query.Pair, len(pairs))
-	for i, p := range pairs {
-		rp[i] = query.Pair{U: int32(qe.ix.rank[p.U]), V: int32(qe.ix.rank[p.V])}
-	}
-	r := qe.eng.Batch(rp)
-	return &BatchResult{
-		Dists:          r.Dists,
-		Throughput:     r.Throughput,
-		MeanLatency:    r.MeanLatency,
-		ModeledSeconds: r.ModeledSeconds,
-		BytesSent:      r.BytesSent,
-		MessagesSent:   r.MessagesSent,
-	}
-}
-
-// MemoryPerNode returns the label bytes each simulated node stores under
-// this deployment (the memory column of Table 4).
-func (qe *QueryEngine) MemoryPerNode() []int64 { return qe.eng.MemoryPerNode() }
-
-// TotalMemory returns the cluster-wide label storage in bytes.
-func (qe *QueryEngine) TotalMemory() int64 { return qe.eng.TotalMemory() }

@@ -332,10 +332,11 @@ func TestCachedBatchHubParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := chl.NewBatchEngine(ix)
+	fx, err := ix.Freeze()
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng := chl.NewBatchEngineFlat(fx)
 	eng.SetCache(chl.NewCache(1 << 16))
 	rng := rand.New(rand.NewSource(23))
 	pairs := make([]chl.QueryPair, 3000)
