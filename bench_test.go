@@ -259,6 +259,7 @@ func BenchmarkBuildDirected(b *testing.B) {
 // road fixture's shape (grid, sampled-betweenness hierarchy) on two one-worker
 // nodes, the regime where the growing Common Label Table pays.
 func BenchmarkBuildHybrid(b *testing.B) {
+	b.ReportAllocs()
 	g := chl.GenerateRoadGrid(48, 48, 1)
 	ord := chl.RankByBetweenness(g, 64, 1)
 	b.ResetTimer()
@@ -270,6 +271,7 @@ func BenchmarkBuildHybrid(b *testing.B) {
 }
 
 func BenchmarkBuildHybridQ8(b *testing.B) {
+	b.ReportAllocs()
 	g := benchGraph(b)
 	ord := chl.RankByDegree(g)
 	b.ResetTimer()

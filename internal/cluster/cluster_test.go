@@ -114,15 +114,3 @@ func TestCollectivesCountOnce(t *testing.T) {
 		t.Fatalf("two gathers and a barrier counted as %d synchronizations", st.Barriers)
 	}
 }
-
-// The names of the deleted Broadcast, AllReduce and Send/Recv tests. They
-// add no check — each runs the test above that covers what is left of its
-// collective (a broadcast or a reduction is an AllGather, and nothing sends
-// point to point) — and exist only because the repository's test floor
-// still lists them; drop them when a PR has the removal budget.
-func TestBroadcast(t *testing.T)            { TestStatsPerNode(t) }
-func TestAllReduce(t *testing.T)            { TestAllGather(t) }
-func TestAllReduceBits(t *testing.T)        { TestAllGather(t) }
-func TestSendRecv(t *testing.T)             { TestAllGather(t) }
-func TestSendRecvTagFiltering(t *testing.T) { TestCollectivesCountOnce(t) }
-func TestLocalSendIsFree(t *testing.T)      { TestAllGatherSingleNodeFree(t) }

@@ -45,8 +45,10 @@
 // BytesSent, which the η ablation of internal/exp charts.
 //
 // All functions operate in rank space (vertex 0 = highest rank) and return
-// per-node label partitions alongside the assembled index, which is what
-// the QFDL query mode deploys.
+// the assembled index with its owner map: the node that grew each hub's
+// tree. A label belongs to its hub's owner, so the QFDL query mode of
+// internal/query cuts each node's partition from that map; the build makes
+// no second copy of the labels.
 package dist
 
 import (
@@ -114,10 +116,10 @@ func (o Options) normalize() Options {
 type Result struct {
 	// Index is the assembled labeling over all vertices.
 	Index *label.Index
-	// PerNode holds each node's label partition (labels of the trees the
-	// node grew — every label appears on exactly one node). QFDL deploys
-	// these directly.
-	PerNode []*label.Index
+	// Owner maps each rank-space hub to the node that grew its tree (a
+	// value in [0, Options.Nodes)); a label lives on its hub's owner, so
+	// the map partitions Index across the nodes.
+	Owner []int32
 	// Metrics is the instrumentation record of the build.
 	Metrics *metrics.Build
 }
@@ -272,24 +274,13 @@ func (r *run) exec(body func(nd *cluster.Node, c *perNodeCounters) []label.Set) 
 	return table
 }
 
-// result wraps the final table into a Result, cutting the per-node
-// partitions from the ownership map (a label belongs to the node that grew
-// its hub's tree). A nil table, or a node over the limit, is ErrOutOfMemory.
+// result wraps the final table and the ownership map into a Result. A nil
+// table, or a node over the limit, is ErrOutOfMemory.
 func (r *run) result(table []label.Set) (*Result, error) {
 	if table == nil || r.o.MemoryLimitBytes > 0 && r.m.MaxNodeBytes > r.o.MemoryLimitBytes {
 		return nil, ErrOutOfMemory
 	}
 	ix := label.FromSets(table, r.g.WeightUnitExp())
 	r.m.Labels = ix.TotalLabels()
-	per := make([]*label.Index, r.o.Nodes)
-	for q := range per {
-		per[q] = label.NewIndex(r.n, r.g.WeightUnitExp())
-	}
-	ptree.ParallelFor(r.o.Nodes*r.o.WorkersPerNode, r.n, func(_, v int) {
-		for _, l := range table[v] { // hubs ascend: a plain append
-			p := per[r.rootOwner[label.Hub(l)]]
-			p.SetLabels(v, append(p.Labels(v), l))
-		}
-	})
-	return &Result{Index: ix, PerNode: per, Metrics: r.m}, nil
+	return &Result{Index: ix, Owner: r.rootOwner, Metrics: r.m}, nil
 }

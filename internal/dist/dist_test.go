@@ -34,37 +34,35 @@ func TestScheduleCoversRange(t *testing.T) {
 	}
 }
 
-// Every distributed algorithm must hand each label to exactly one node:
-// the per-node partitions have to tile the assembled index.
-func TestPerNodePartitionsTileIndex(t *testing.T) {
-	g := graph.BarabasiAlbert(200, 3, 1)
+// Every distributed algorithm must name, for each hub, the one node that
+// grew its tree: the owner map is what QFDL cuts its partitions from
+// (internal/query's TestQFDLPartitionsTileIndex checks the cut).
+func TestOwnerMapCoversEveryRoot(t *testing.T) {
+	const n, q = 200, 4
+	g := graph.BarabasiAlbert(n, 3, 1)
 	for name, run := range map[string]func() (*Result, error){
-		"DParaPLL": func() (*Result, error) { return DParaPLL(g, Options{Nodes: 4}) },
-		"DGLL":     func() (*Result, error) { return DGLL(g, Options{Nodes: 4}) },
-		"PLaNT":    func() (*Result, error) { return PLaNT(g, Options{Nodes: 4}) },
-		"Hybrid":   func() (*Result, error) { return Hybrid(g, Options{Nodes: 4}) },
+		"DParaPLL": func() (*Result, error) { return DParaPLL(g, Options{Nodes: q}) },
+		"DGLL":     func() (*Result, error) { return DGLL(g, Options{Nodes: q}) },
+		"PLaNT":    func() (*Result, error) { return PLaNT(g, Options{Nodes: q}) },
+		"Hybrid":   func() (*Result, error) { return Hybrid(g, Options{Nodes: q}) },
 	} {
 		res, err := run()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if len(res.PerNode) != 4 {
-			t.Fatalf("%s: %d partitions, want 4", name, len(res.PerNode))
+		if len(res.Owner) != n {
+			t.Fatalf("%s: owner map covers %d hubs, want %d", name, len(res.Owner), n)
 		}
-		var sum int64
-		for _, p := range res.PerNode {
-			sum += p.TotalLabels()
-		}
-		if sum != res.Index.TotalLabels() {
-			t.Fatalf("%s: partitions hold %d labels, index has %d", name, sum, res.Index.TotalLabels())
-		}
-		for v := 0; v < 200; v++ {
-			var got int
-			for _, p := range res.PerNode {
-				got += len(p.Labels(v))
+		roots := make([]int, q)
+		for h, o := range res.Owner {
+			if o < 0 || o >= q {
+				t.Fatalf("%s: hub %d owned by node %d, outside [0,%d)", name, h, o, q)
 			}
-			if got != len(res.Index.Labels(v)) {
-				t.Fatalf("%s: vertex %d has %d partitioned labels, index has %d", name, v, got, len(res.Index.Labels(v)))
+			roots[o]++
+		}
+		for node, c := range roots {
+			if c == 0 {
+				t.Fatalf("%s: node %d owns no root (%v)", name, node, roots)
 			}
 		}
 	}

@@ -60,7 +60,7 @@ func Table4(cfg Config) []Table4Row {
 			batch[i] = query.Pair{U: int32(rng.Intn(p.n)), V: int32(rng.Intn(p.n))}
 		}
 		for _, mode := range []query.Mode{query.QLSN, query.QFDL, query.QDOL} {
-			eng, err := query.NewEngine(mode, res.Index, res.PerNode, Table4Nodes, query.DefaultCostModel())
+			eng, err := query.NewEngine(mode, res.Index, res.Owner, Table4Nodes, query.DefaultCostModel())
 			if err != nil {
 				row.Skipped[mode] = true
 				continue

@@ -6,8 +6,9 @@
 //     node where it emerges. Lowest latency (no network), highest memory,
 //     and batch throughput limited to the emitting node's compute.
 //   - QFDL — Querying with Fully Distributed Labels: every vertex's label
-//     set is partitioned across all q nodes (by generating node, as the
-//     distributed builders leave them). A query is broadcast, every node
+//     set is partitioned across all q nodes (by generating node: each
+//     label goes to the node that grew its hub's tree, which a distributed
+//     build reports as its owner map). A query is broadcast, every node
 //     computes the best distance over its partial labels, and a MIN
 //     reduction produces the answer. Minimum memory per node, but every
 //     query pays a broadcast + reduction.
@@ -103,7 +104,7 @@ type Engine struct {
 
 	// Per-node label storage; layout depends on the mode.
 	full     *label.Index   // the complete labeling: QLSN (accounted q times) and QDOL answer from it
-	perNode  []*label.Index // QFDL partitions
+	perNode  []*label.Index // QFDL partitions, cut from the owner map
 	zeta     int            // QDOL partition count
 	pairNode [][]int        // QDOL: pairNode[a][b] = node owning partition pair (a≤b)
 
@@ -111,10 +112,11 @@ type Engine struct {
 }
 
 // NewEngine deploys labels for the chosen mode. full is the complete
-// labeling; perNode are the per-node partitions produced by the distributed
-// builders (required for QFDL, ignored otherwise — QDOL redistributes from
-// full by vertex partition).
-func NewEngine(mode Mode, full *label.Index, perNode []*label.Index, q int, cm CostModel) (*Engine, error) {
+// labeling; owner maps each hub to the node that grew its tree, as a
+// distributed build returns it (dist.Result.Owner). QFDL requires it and
+// cuts each node's partition from it; the other modes ignore it — QDOL
+// redistributes from full by vertex partition.
+func NewEngine(mode Mode, full *label.Index, owner []int32, q int, cm CostModel) (*Engine, error) {
 	if q < 1 {
 		return nil, fmt.Errorf("query: need q ≥ 1, got %d", q)
 	}
@@ -131,8 +133,9 @@ func NewEngine(mode Mode, full *label.Index, perNode []*label.Index, q int, cm C
 			e.memPerNode[i] = fullBytes
 		}
 	case QFDL:
-		if len(perNode) != q {
-			return nil, fmt.Errorf("query: QFDL needs %d per-node partitions, got %d", q, len(perNode))
+		perNode, err := partition(full, owner, q)
+		if err != nil {
+			return nil, err
 		}
 		e.perNode = perNode
 		for i, p := range perNode {
@@ -143,12 +146,6 @@ func NewEngine(mode Mode, full *label.Index, perNode []*label.Index, q int, cm C
 		zeta := int((1 + math.Sqrt(1+8*float64(q))) / 2)
 		for zeta > 2 && zeta*(zeta-1)/2 > q {
 			zeta--
-		}
-		if zeta < 2 {
-			zeta = 2
-			if q < 1 {
-				return nil, fmt.Errorf("query: QDOL needs at least 1 node")
-			}
 		}
 		e.zeta = zeta
 		e.pairNode = make([][]int, zeta)
@@ -194,6 +191,31 @@ func NewEngine(mode Mode, full *label.Index, perNode []*label.Index, q int, cm C
 	return e, nil
 }
 
+// partition cuts full into QFDL's q per-node partitions: every label goes
+// to the node that owns its hub, so each label is stored exactly once.
+func partition(full *label.Index, owner []int32, q int) ([]*label.Index, error) {
+	n := full.NumVertices()
+	if len(owner) != n {
+		return nil, fmt.Errorf("query: QFDL needs an owner for each of the %d hubs, got %d", n, len(owner))
+	}
+	for h, o := range owner {
+		if o < 0 || int(o) >= q {
+			return nil, fmt.Errorf("query: hub %d is owned by node %d, outside [0,%d)", h, o, q)
+		}
+	}
+	per := make([]*label.Index, q)
+	for i := range per {
+		per[i] = label.NewIndex(n, full.UnitExp())
+	}
+	for v := 0; v < n; v++ {
+		for _, l := range full.Labels(v) { // hubs ascend: a plain append
+			p := per[owner[label.Hub(l)]]
+			p.SetLabels(v, append(p.Labels(v), l))
+		}
+	}
+	return per, nil
+}
+
 // Mode returns the engine's mode.
 func (e *Engine) Mode() Mode { return e.mode }
 
@@ -210,37 +232,13 @@ func (e *Engine) TotalMemory() int64 {
 	return t
 }
 
-// Query answers one PPSD query and reports its modeled latency.
+// Query answers one PPSD query and reports its modeled latency: a batch
+// of one, metered by the same code as Batch.
 func (e *Engine) Query(u, v int) (float64, time.Duration) {
-	switch e.mode {
-	case QLSN:
-		d, entries := queryCounted(e.full, u, v)
-		return d, time.Duration(float64(entries) * e.cm.SecPerEntry * float64(time.Second))
-	case QFDL:
-		// Broadcast query; all nodes scan their partitions concurrently;
-		// MIN-reduce. Latency = broadcast + slowest node + reduction
-		// (folded into BroadcastLatency, as in MPI_Bcast+MPI_Reduce).
-		best := label.Infinity
-		maxEntries := int64(0)
-		for _, p := range e.perNode {
-			d, entries := queryCounted(p, u, v)
-			if d < best {
-				best = d
-			}
-			if entries > maxEntries {
-				maxEntries = entries
-			}
-		}
-		lat := 2*e.cm.BroadcastLatency + time.Duration(float64(maxEntries)*e.cm.SecPerEntry*float64(time.Second))
-		return best, lat
-	case QDOL:
-		// Route to the owning node (P2P out and back), answered there
-		// against complete label sets.
-		d, entries := queryCounted(e.full, u, v)
-		lat := 2*e.cm.P2PLatency + time.Duration(float64(entries)*e.cm.SecPerEntry*float64(time.Second))
-		return d, lat
-	}
-	panic("query: unreachable")
+	var d [1]float64
+	acc := batchAcc{perNodeEntries: make([]int64, e.q)}
+	e.batchRange([]Pair{{U: int32(u), V: int32(v)}}, 0, 1, d[:], &acc)
+	return d[0], acc.latSum
 }
 
 // BatchResult reports a batch run.
@@ -354,7 +352,9 @@ func (e *Engine) batchRange(pairs []Pair, lo, hi int, dists []float64, acc *batc
 			acc.latSum += time.Duration(float64(entries) * e.cm.SecPerEntry * float64(time.Second))
 		}
 	case QFDL:
-		// Every node scans its partition for every query.
+		// Every node scans its partition for every query; MIN-reduce.
+		// Latency = broadcast + slowest node + reduction (folded into
+		// BroadcastLatency, as in MPI_Bcast+MPI_Reduce).
 		for i := lo; i < hi; i++ {
 			p := pairs[i]
 			best := label.Infinity
@@ -375,7 +375,8 @@ func (e *Engine) batchRange(pairs []Pair, lo, hi int, dists []float64, acc *batc
 	case QDOL:
 		// Queries are sorted to their owner nodes (the paper sorts the
 		// batch by destination; the reported throughput includes that
-		// cost, which is linear and folded into SecPerEntry here).
+		// cost, which is linear and folded into SecPerEntry here) and
+		// answered there against complete label sets, P2P out and back.
 		for i := lo; i < hi; i++ {
 			p := pairs[i]
 			owner := e.ownerOf(int(p.U), int(p.V))

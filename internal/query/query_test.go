@@ -2,6 +2,7 @@ package query
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dist"
@@ -26,7 +27,7 @@ func TestModesReturnExactDistances(t *testing.T) {
 		want = append(want, sssp.Dijkstra(g, u)[v])
 	}
 	for _, mode := range []Mode{QLSN, QFDL, QDOL} {
-		eng, err := NewEngine(mode, res.Index, res.PerNode, 6, DefaultCostModel())
+		eng, err := NewEngine(mode, res.Index, res.Owner, 6, DefaultCostModel())
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
@@ -58,7 +59,7 @@ func TestMemoryOrdering(t *testing.T) {
 	}
 	mem := map[Mode]int64{}
 	for _, mode := range []Mode{QLSN, QFDL, QDOL} {
-		eng, err := NewEngine(mode, res.Index, res.PerNode, q, DefaultCostModel())
+		eng, err := NewEngine(mode, res.Index, res.Owner, q, DefaultCostModel())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,12 +88,51 @@ func TestQFDLPartitionMemorySums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(QFDL, res.Index, res.PerNode, q, DefaultCostModel())
+	eng, err := NewEngine(QFDL, res.Index, res.Owner, q, DefaultCostModel())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if eng.TotalMemory() != res.Index.TotalLabels()*label.Bytes {
 		t.Fatalf("QFDL total memory %d != label bytes %d", eng.TotalMemory(), res.Index.TotalLabels()*label.Bytes)
+	}
+}
+
+// QFDL's partitions, cut from a distributed build's owner map, must hold
+// exactly the index's labels, vertex by vertex: every label on one node.
+func TestQFDLPartitionsTileIndex(t *testing.T) {
+	const n, q = 200, 4
+	g := graph.BarabasiAlbert(n, 3, 1)
+	res, err := dist.Hybrid(g, dist.Options{Nodes: q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(QFDL, res.Index, res.Owner, q, DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(eng.perNode) != q {
+		t.Fatalf("%d partitions, want %d", len(eng.perNode), q)
+	}
+	var sum int64
+	for _, p := range eng.perNode {
+		sum += p.TotalLabels()
+	}
+	if sum != res.Index.TotalLabels() {
+		t.Fatalf("partitions hold %d labels, index has %d", sum, res.Index.TotalLabels())
+	}
+	for v := 0; v < n; v++ {
+		var merged label.Set
+		for node, p := range eng.perNode {
+			for _, l := range p.Labels(v) {
+				if o := res.Owner[label.Hub(l)]; int(o) != node {
+					t.Fatalf("vertex %d: hub %d's label on node %d, owner is %d", v, label.Hub(l), node, o)
+				}
+			}
+			merged = merged.Merge(p.Labels(v))
+		}
+		if want := res.Index.Labels(v); !slices.Equal(merged, want) {
+			t.Fatalf("vertex %d: partitions hold %v, index has %v", v, merged, want)
+		}
 	}
 }
 
@@ -112,7 +152,7 @@ func TestThroughputOrdering(t *testing.T) {
 	}
 	thr := map[Mode]float64{}
 	for _, mode := range []Mode{QLSN, QFDL, QDOL} {
-		eng, err := NewEngine(mode, res.Index, res.PerNode, q, DefaultCostModel())
+		eng, err := NewEngine(mode, res.Index, res.Owner, q, DefaultCostModel())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +182,7 @@ func TestLatencyOrdering(t *testing.T) {
 	}
 	lat := map[Mode]float64{}
 	for _, mode := range []Mode{QLSN, QFDL, QDOL} {
-		eng, err := NewEngine(mode, res.Index, res.PerNode, q, DefaultCostModel())
+		eng, err := NewEngine(mode, res.Index, res.Owner, q, DefaultCostModel())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +228,17 @@ func TestEngineErrors(t *testing.T) {
 	g := graph.Path(10, 1)
 	ix, _ := pll.Sequential(g, pll.Options{})
 	if _, err := NewEngine(QFDL, ix, nil, 3, DefaultCostModel()); err == nil {
-		t.Fatal("QFDL without partitions accepted")
+		t.Fatal("QFDL without an owner map accepted")
+	}
+	if _, err := NewEngine(QFDL, ix, make([]int32, 9), 3, DefaultCostModel()); err == nil {
+		t.Fatal("QFDL with an owner map one hub short accepted")
+	}
+	for _, bad := range []int32{3, -1} {
+		owner := make([]int32, 10)
+		owner[4] = bad
+		if _, err := NewEngine(QFDL, ix, owner, 3, DefaultCostModel()); err == nil {
+			t.Fatalf("QFDL with hub 4 owned by node %d of 3 accepted", bad)
+		}
 	}
 	if _, err := NewEngine(Mode("bogus"), ix, nil, 2, DefaultCostModel()); err == nil {
 		t.Fatal("bogus mode accepted")
@@ -225,8 +275,8 @@ func TestEmptyBatchAndSingleNode(t *testing.T) {
 			t.Fatalf("%s: d(0,9) = %v", mode, d)
 		}
 	}
-	// QFDL at q=1 with a single trivial partition.
-	eng, err := NewEngine(QFDL, ix, []*label.Index{ix}, 1, DefaultCostModel())
+	// QFDL at q=1: node 0 owns every hub.
+	eng, err := NewEngine(QFDL, ix, make([]int32, 10), 1, DefaultCostModel())
 	if err != nil {
 		t.Fatal(err)
 	}
