@@ -1,9 +1,11 @@
 package label
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -279,6 +281,18 @@ func TestHashDistMatchesReference(t *testing.T) {
 		}
 		return sum, found
 	}
+	// Both paths are also called directly, on the entries below the bound.
+	below := func(lv Set, bound uint32) Set {
+		for i, e := range lv {
+			if Hub(e) >= bound {
+				return lv[:i]
+			}
+		}
+		return lv
+	}
+	if !hasVector {
+		t.Log("no AVX-512F on this host: the vector kernel is not checked, only the scalar loop")
+	}
 	for cycle := 0; cycle < 1500; cycle++ {
 		switch rng.Intn(3) {
 		case 0:
@@ -318,6 +332,7 @@ func TestHashDistMatchesReference(t *testing.T) {
 						t.Fatalf("cycle %d: query(%v, δ=%v, bound %d) = %v with table %v: smallest common sum %v (found %v)",
 							cycle, lv, delta, b, got, ref, sum, found)
 					}
+					checkCover(t, hd.slot, below(lv, b), delta, want)
 				}
 			}
 		}
@@ -327,14 +342,23 @@ func TestHashDistMatchesReference(t *testing.T) {
 var pruneSink bool
 
 // BenchmarkPruneQuery times the construction kernel on the mix the road
-// fixture measured (ISSUE 22): a root with 64 labels, 10⁴ label sets of 50
-// entries of which two in three name a hub the root has, no witness — the
-// full scan. One op is one pass over all the sets (8 MB: they leave L2).
+// fixture measured: a root with 64 labels, 10⁴ label sets of which two
+// entries in three name a hub the root has, no witness — the full scan.
+// Its sub-benchmarks are the two run lengths the scoreboard's fixtures
+// scan per query, 8 entries on scale-free and 48 on road. Each iteration
+// is one pass over all the sets with the scalar loop and one with the
+// vector kernel, alternating which goes first; scalar_over_simd is the
+// scalar passes' total time over the kernel's, so a value below 1 says the
+// scalar loop wins at that length. Without a kernel on the host only
+// scalar_ns/entry is reported.
 func BenchmarkPruneQuery(b *testing.B) {
-	const (
-		hubs, rootHubs = 9216, 64
-		sets, entries  = 10000, 50
-	)
+	for _, entries := range []int{8, 48} {
+		b.Run(fmt.Sprintf("entries=%d", entries), func(b *testing.B) { benchPruneQuery(b, entries) })
+	}
+}
+
+func benchPruneQuery(b *testing.B, entries int) {
+	const hubs, rootHubs, sets = 9216, 64, 10000
 	rng := rand.New(rand.NewSource(1))
 	perm := rng.Perm(hubs)
 	var root Set
@@ -359,14 +383,47 @@ func BenchmarkPruneQuery(b *testing.B) {
 	}
 	hd := NewHubTable(hubs)
 	hd.Load(root)
+	// Both sides are QueryAgainst's body with one path, called the same way.
+	scalar := func(lv Set) bool { return coverScalar(hd.slot, lv, 1) }
+	vector := func(lv Set) bool {
+		hit, done := coverVector(hd.slot, lv, 1)
+		return hit || coverScalar(hd.slot, lv[done:], 1)
+	}
+	if !hasVector {
+		b.Log("no vector kernel on this host: timing the scalar loop alone")
+	}
 	b.ResetTimer()
+	var ts, tv time.Duration
 	for i := 0; i < b.N; i++ {
-		for _, lv := range lvs {
-			pruneSink = hd.QueryAgainstBounded(lv, 1, hubs) || pruneSink
+		if !hasVector {
+			ts += timePass(lvs, scalar)
+		} else if i%2 == 0 {
+			ts += timePass(lvs, scalar)
+			tv += timePass(lvs, vector)
+		} else {
+			tv += timePass(lvs, vector)
+			ts += timePass(lvs, scalar)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sets*entries), "ns/entry")
+	scanned := float64(b.N * sets * entries)
+	b.ReportMetric(float64(ts)/scanned, "scalar_ns/entry")
+	if hasVector {
+		b.ReportMetric(float64(tv)/scanned, "simd_ns/entry")
+		b.ReportMetric(float64(ts)/float64(tv), "scalar_over_simd")
+	}
 	if pruneSink {
 		b.Fatal("a witness below every distance")
 	}
+}
+
+// timePass times one probe over every set. It stays out of line so that
+// neither probe is inlined into the loop.
+//
+//go:noinline
+func timePass(lvs []Set, probe func(Set) bool) time.Duration {
+	start := time.Now()
+	for _, lv := range lvs {
+		pruneSink = probe(lv) || pruneSink
+	}
+	return time.Since(start)
 }

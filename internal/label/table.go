@@ -1,5 +1,7 @@
 package label
 
+import "sort"
+
 // absent marks a hub the table does not hold. It is far above any sum of
 // two label distances (below 2^33 units), so one test serves both probes:
 // the builders' cover probe compares a sum against min(δ, absent−1), which
@@ -10,9 +12,12 @@ const absent = 1 << 63
 
 // HubTable is the hash of one label run that a list intersection probes
 // (Algorithm 1, line 1: LR = hash(L_h)): one dense array of unit counts
-// indexed by hub id, absent where the run has no label. A probe is one
-// load and one add per entry, slot[hub] + d(e), with no presence check.
-// Both sides of the stack probe it:
+// indexed by hub id, absent where the run has no label. A probe reads
+// slot[hub] + d(e) per entry with no presence check. The cover probe does
+// that eight entries at a time where AVX-512F is present (probe_amd64.s
+// gathers the eight slots in one instruction) and one at a time in
+// coverScalar otherwise; the min-probe is scalar. Both sides of the stack
+// probe the table:
 //
 //   - the builders' cover probe (QueryAgainst, QueryAgainstBounded and
 //     ConcurrentStore's) asks whether some sum is at most δ. The builders
@@ -82,30 +87,32 @@ func (t *HubTable) Reset() {
 // QueryAgainst answers the pruning distance query DQ(v, h, δ) of Algorithm 1
 // lines 11–14: does some hub h' appear in both the loaded root labels LR and
 // in lv with d(v,h') + d(h,h') ≤ δ? It returns true if such a witness
-// exists (meaning the tree can be pruned at v).
+// exists (meaning the tree can be pruned at v). lv need not be sorted.
+// The vector kernel runs where the platform has one (coverVector), and
+// coverScalar over whatever it leaves.
 func (t *HubTable) QueryAgainst(lv Set, delta uint64) bool {
 	slot, d := t.slot, min(delta, absent-1)
-	for _, e := range lv {
-		if uint64(Dist(e))+slot[e>>32] <= d {
-			return true
-		}
-	}
-	return false
+	hit, done := coverVector(slot, lv, d)
+	return hit || coverScalar(slot, lv[done:], d)
 }
 
 // QueryAgainstBounded is QueryAgainst restricted to hubs ranked above bound
-// (hub id < bound). Figure 4's restricted-pruning experiment and the common
-// label table of §5.3 use it. It is kept out of line: inlined into
-// seqPLL's tree loop, the scan's loop counter and label word spilled to
-// the stack on every entry, and a 96×96 road build ran 8% longer.
-//
-//go:noinline
+// (hub id < bound), over an lv sorted by hub id. Figure 4's
+// restricted-pruning experiment and the common label table of §5.3 use it.
+// The cut is read off the last entry, and searched for only when that entry
+// is past the bound.
 func (t *HubTable) QueryAgainstBounded(lv Set, delta uint64, bound uint32) bool {
-	slot, d, end := t.slot, min(delta, absent-1), uint64(bound)<<32
+	if n := len(lv); n > 0 && Hub(lv[n-1]) >= bound {
+		lv = lv[:sort.Search(n, func(i int) bool { return Hub(lv[i]) >= bound })]
+	}
+	return t.QueryAgainst(lv, delta)
+}
+
+// coverScalar is the cover probe one entry at a time: is some
+// Dist(e)+slot[Hub(e)] at most d? It is the reference every vector kernel
+// is held to, and panics on a hub past the table.
+func coverScalar(slot []uint64, lv Set, d uint64) bool {
 	for _, e := range lv {
-		if e >= end {
-			break // lv is sorted by hub id
-		}
 		if uint64(Dist(e))+slot[e>>32] <= d {
 			return true
 		}
