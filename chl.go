@@ -291,7 +291,7 @@ func (ix *Index) Stats() Stats {
 	return st
 }
 
-// Metrics returns the build instrumentation, or nil for a thawed index.
+// Metrics returns the instrumentation of the build that made ix.
 // Build never fills the per-tree series (LabelsPerTree, ExploredPerTree):
 // Figures 2 and 3 record them through internal/exp alone.
 func (ix *Index) Metrics() *Metrics { return ix.metrics }

@@ -207,7 +207,7 @@
 // over a label-inverted index derived lazily at load time — never serialized,
 // so the pinned file formats are untouched — returning exactly the
 // (dist, hub) pairs QueryHub would answer. Distance matrices
-// (FlatIndex.MatrixRows, Router.Matrix, POST /matrix) scatter each
+// (FlatIndex.MatrixRows, BatchEngine.MatrixRows, POST /matrix) scatter each
 // source run once and probe every target in a single pass, streamed
 // as NDJSON one row at a time so neither end materializes the matrix.
 // On the router, /knn deposits its results as pair answers, /matrix
@@ -235,10 +235,10 @@
 // a cluster the router owns the overlay (RouterConfig.BaseGraph /
 // UpdateJournal): shards stay frozen, and the router routes as on a
 // frozen cluster, then corrects — a same-shard pair's forwarded answer
-// and a cross-shard pair's row join alike go to the same
-// delta.Overlay.Query the server calls. POST /compact folds the patches
-// into a fresh snapshot — rebuild over the patched graph, rename,
-// hot-swap with zero dropped queries, truncate the journal.
+// and a cross-shard pair's row join alike go to the delta.Overlay.Query
+// (a pair) or Overlay.Correct (a run) the server calls. POST /compact
+// folds the patches into a fresh snapshot — rebuild over the patched
+// graph, rename, hot-swap with zero dropped queries, truncate the journal.
 // ARCHITECTURE.md ("Dynamic updates") has the correction math and the
 // operator rules.
 //

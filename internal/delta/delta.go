@@ -16,7 +16,7 @@
 // G-shortest u→v path threads a removed edge (the safety test, on base
 // rows of the removal endpoints), d(u,v) survives into G′ and the smaller
 // of the two is exact. When safety fails and the patched rows do not beat
-// the frozen distance, the overlay falls back to an exact Dijkstra on the
+// the frozen distance, the overlay falls back to an exact search on the
 // patched graph. See Overlay.Query for the argument.
 package delta
 
@@ -24,6 +24,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -450,13 +451,13 @@ func (o *Overlay) Stat() Stats {
 }
 
 // Query corrects d0 = d(u,v), the frozen label answer on the base graph,
-// into the distance on the patched graph — the one correction path,
+// into the distance on the patched graph — the single-pair form of Correct,
 // shared by the engine and the router, each of which joins its own frozen
 // labels first. With A = minᵢ d′(u,pᵢ) + d′(pᵢ,v) read off the rows:
 //
 //   - safe (no G-shortest u→v path threads a removed edge): min(A, d0);
 //   - unsafe and A ≤ d0: A;
-//   - otherwise an exact Dijkstra on the patched graph.
+//   - otherwise an exact search on the patched graph that stops at v.
 //
 // Each term of A is a G′ walk, so A ≥ d′, with equality when a shortest
 // G′ path touches P; a G′ path that touches no patch vertex uses only
@@ -468,6 +469,17 @@ func (o *Overlay) Stat() Stats {
 // frozen answer stands (safe, d0 ≤ A, d0 finite); only then does the
 // frozen join's witness hub lie on a patched shortest path.
 func (o *Overlay) Query(d0 float64, u, v int) (dist float64, frozen bool) {
+	dist, path := o.closed(d0, u, v)
+	if path == pathFallback {
+		dist = sssp.DijkstraTo(o.patched, u, v)
+	}
+	o.paths[path].Add(1)
+	return dist, path == pathFrozen
+}
+
+// closed is Query's closed form: the distance and the path that answered
+// (pathFallback: neither closed form is proved exact).
+func (o *Overlay) closed(d0 float64, u, v int) (float64, int) {
 	if u == v {
 		d0 = 0
 	}
@@ -478,20 +490,54 @@ func (o *Overlay) Query(d0 float64, u, v int) (dist float64, frozen bool) {
 			a = d
 		}
 	}
-	path := pathCorrected
-	switch {
-	case !o.compromised(u, v, d0):
-		dist, frozen = min(a, d0), d0 <= a && d0 < graph.Infinity
-	case a <= d0:
-		dist = a
-	default:
-		dist, path = sssp.DijkstraTo(o.patched, u, v), pathFallback
+	switch unsafe := o.compromised(u, v, d0); {
+	case unsafe && a > d0:
+		return 0, pathFallback
+	case !unsafe && d0 <= a && d0 < graph.Infinity:
+		return d0, pathFrozen
 	}
-	if frozen {
-		path = pathFrozen
+	return min(a, d0), pathCorrected
+}
+
+// Correct corrects n frozen answers in place, each as Query does: pair(i)
+// names the i-th pair and where its frozen answer lies. The pairs that fall
+// back take one patched-graph search per source, which stops once all its
+// targets are final. It allocates only for such pairs; a nil overlay
+// changes nothing.
+func (o *Overlay) Correct(n int, pair func(i int) (u, v int, d *float64)) {
+	if o == nil {
+		return
 	}
-	o.paths[path].Add(1)
-	return dist, frozen
+	var fall []fallback
+	for i := 0; i < n; i++ {
+		u, v, d := pair(i)
+		dist, path := o.closed(*d, u, v)
+		o.paths[path].Add(1)
+		if path == pathFallback {
+			fall = append(fall, fallback{u, v, d})
+		} else {
+			*d = dist
+		}
+	}
+	slices.SortFunc(fall, func(a, b fallback) int { return a.u - b.u })
+	var targets []int
+	for lo, hi := 0, 0; lo < len(fall); lo = hi {
+		targets = targets[:0]
+		for hi = lo; hi < len(fall) && fall[hi].u == fall[lo].u; hi++ {
+			targets = append(targets, fall[hi].v)
+		}
+		sssp.UnitsTo(o.patched, fall[lo].u, targets, func(du []uint64) {
+			for _, f := range fall[lo:hi] {
+				*f.d = o.patched.FromUnits(du[f.v])
+			}
+		})
+	}
+}
+
+// fallback is a pair Correct answers by search, and where its answer goes.
+type fallback struct {
+	u, v int
+	d    *float64
 }
 
 // compromised reports whether a G-shortest u→v path may thread a removed
@@ -513,5 +559,5 @@ func (o *Overlay) compromised(u, v int, d0 float64) bool {
 }
 
 // Row returns the full single-source distance row from u on the patched
-// graph — the source of /knn and /matrix rows under an overlay.
+// graph — the source of /knn's ranking under an overlay.
 func (o *Overlay) Row(u int) []float64 { return sssp.Dijkstra(o.patched, u) }

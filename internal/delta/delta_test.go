@@ -429,6 +429,77 @@ func BenchmarkApplyPatch(b *testing.B) {
 	}
 }
 
+// rowSink keeps BenchmarkOverlayMatrix's rows live.
+var rowSink []float64
+
+// BenchmarkOverlayMatrix is one /matrix row under a 32-op overlay on the
+// renumbered 96×96 road: 256 targets, from the deleted edge's endpoint
+// whose row falls back most (fallback-heavy) and from a random source.
+// "Correct" corrects the row's frozen answers (base-graph distances, which
+// the labels answer exactly) through Overlay.Correct; "Row" projects one
+// whole patched row (Overlay.Row) onto the targets. fallbacks/row counts
+// the cells Correct answered by search.
+func BenchmarkOverlayMatrix(b *testing.B) {
+	road := graph.RoadGrid(96, 96, 1)
+	g, _ := road.Permute(rand.New(rand.NewSource(1)).Perm(road.NumVertices()))
+	ops := randomOps(g, 1, 12, 8, 12)
+	red, err := Reduce(g, ops)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ov := NewOverlay(red, ops, 1)
+	rng := rand.New(rand.NewSource(2))
+	targets := make([]int, 256)
+	for j := range targets {
+		targets[j] = rng.Intn(g.NumVertices())
+	}
+	row := make([]float64, len(targets))
+	frozenRow := func(u int) []float64 {
+		base, out := sssp.Dijkstra(g, u), make([]float64, len(targets))
+		for j, t := range targets {
+			out[j] = base[t]
+		}
+		return out
+	}
+	correct := func(u int, frozen []float64) (fallbacks int64) {
+		before := ov.Stat().Fallback
+		copy(row, frozen)
+		ov.Correct(len(row), func(j int) (int, int, *float64) { return u, targets[j], &row[j] })
+		return ov.Stat().Fallback - before
+	}
+	heavy, most := -1, int64(-1)
+	for _, op := range ops {
+		for _, x := range [2]int{op.U, op.V} {
+			if f := correct(x, frozenRow(x)); op.Kind == OpDel && f > most {
+				heavy, most = x, f
+			}
+		}
+	}
+	for _, src := range []struct {
+		name string
+		u    int
+	}{{"beside-deletion", heavy}, {"random", rng.Intn(g.NumVertices())}} {
+		frozen := frozenRow(src.u)
+		b.Run(src.name+"/Correct", func(b *testing.B) {
+			var fallbacks int64
+			for i := 0; i < b.N; i++ {
+				fallbacks += correct(src.u, frozen)
+			}
+			rowSink = row
+			b.ReportMetric(float64(fallbacks)/float64(b.N), "fallbacks/row")
+		})
+		b.Run(src.name+"/Row", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				full := ov.Row(src.u)
+				for j, t := range targets {
+					row[j] = full[t]
+				}
+			}
+			rowSink = row
+		})
+	}
+}
+
 func TestFormatParseFuzzSeedCorpus(t *testing.T) {
 	// The fuzz seeds must stay parseable — they are the regression corpus.
 	for _, seed := range fuzzSeeds {

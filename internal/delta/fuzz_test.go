@@ -174,7 +174,9 @@ func FuzzMaterialize(f *testing.F) {
 // from fuzzLog's base graph by pll.Sequential (SequentialDirected when
 // directed), to a Dijkstra on the patched graph with ==. An answer flagged
 // frozen must be the frozen join's, with a witness hub on a patched
-// shortest path.
+// shortest path. Overlay.Correct then corrects all n² frozen answers in one
+// run, sources interleaved, and each must equal the oracle and Query's,
+// counted once.
 func FuzzOverlayQuery(f *testing.F) {
 	fuzzCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -190,9 +192,11 @@ func FuzzOverlayQuery(f *testing.F) {
 		ov := NewOverlay(red, ops, 1)
 		want := newOracle(red.Materialize())
 		n := base.NumVertices()
+		queried := make([]float64, n*n)
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
 				got, hub, frozen := fl.query(ov, u, v)
+				queried[u*n+v] = got
 				if w := want.dist(u, v); got != w {
 					t.Fatalf("directed=%v %v: d′(%d,%d) = %v, Dijkstra says %v", base.Directed(), ops, u, v, got, w)
 				}
@@ -204,6 +208,23 @@ func FuzzOverlayQuery(f *testing.F) {
 					t.Fatalf("directed=%v %v: (%d,%d) flagged frozen at %v, but the frozen join says %v and witness %d is off the patched shortest paths",
 						base.Directed(), ops, u, v, got, label.FromUnits(d0, fl.fwd.UnitExp()), h)
 				}
+			}
+		}
+		// Pair i is (i mod n, i div n): consecutive pairs change source.
+		dists := make([]float64, n*n)
+		for i := range dists {
+			dists[i], _, _ = label.Join(nil, fl.fwd, fl.bwd, i%n, i/n)
+		}
+		before := ov.Stat()
+		ov.Correct(len(dists), func(i int) (int, int, *float64) { return i % n, i / n, &dists[i] })
+		after := ov.Stat()
+		if counted := (after.Frozen + after.Corrected + after.Fallback) - (before.Frozen + before.Corrected + before.Fallback); counted != int64(n*n) {
+			t.Fatalf("directed=%v %v: Correct over %d pairs counted %d", base.Directed(), ops, n*n, counted)
+		}
+		for i, got := range dists {
+			u, v := i%n, i/n
+			if w := want.dist(u, v); got != w || got != queried[u*n+v] {
+				t.Fatalf("directed=%v %v: Correct gives d′(%d,%d) = %v, Dijkstra says %v, Query %v", base.Directed(), ops, u, v, got, w, queried[u*n+v])
 			}
 		}
 	})

@@ -56,7 +56,9 @@ func fuzzGraph(data []byte) (g *graph.Graph, tame bool, err error) {
 // FuzzSSSP holds every entry point of the bucket search to verify's float64
 // Dijkstra with ==, from every source of byte-steered directed and
 // undirected graphs: Dijkstra's row, DijkstraTo for every target, and
-// UnitsTo's entries up to the target's (exact) and beyond it (bounds).
+// UnitsTo's entries up to its targets' largest distance (exact) and beyond
+// it (bounds), for every single target and for target sets of 0–4
+// vertices drawn from the data (an empty set searches the whole row).
 // A graph that draws an out-of-domain weight (seeds 0–4: 1e±300, 1e13,
 // 1e-3, 0.1 and 0.3) must instead be refused by graph.Finish, naming a
 // weight; seeds 5–8 are in domain.
@@ -81,6 +83,9 @@ func FuzzSSSP(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Finish refused in-domain weights: %v", err)
 		}
+		if len(data) == 0 {
+			data = []byte{0} // fuzzGraph's reading of it
+		}
 		n := g.NumVertices()
 		for s := 0; s < n; s++ {
 			want, row := verify.Dijkstra(g, s), Dijkstra(g, s)
@@ -91,16 +96,37 @@ func FuzzSSSP(f *testing.F) {
 				if got := DijkstraTo(g, s, v); got != want[v] {
 					t.Fatalf("DijkstraTo(%d, %d) = %v, the float64 oracle says %v", s, v, got, want[v])
 				}
-				UnitsTo(g, s, v, func(du []uint64) {
-					for x, d := range du {
-						if d <= du[v] && g.FromUnits(d) != want[x] {
-							t.Fatalf("UnitsTo(%d, %d): vertex %d at %d units, at most the target's %d, but the float64 oracle says %v", s, v, x, d, du[v], want[x])
-						}
-						if d != graph.Unreached && g.FromUnits(d) < want[x] {
-							t.Fatalf("UnitsTo(%d, %d): vertex %d at %d units, below the float64 oracle's %v", s, v, x, d, want[x])
-						}
-					}
-				})
+				checkUnitsTo(t, g, s, []int{v}, want)
+			}
+			for k := 0; k <= 4; k++ {
+				targets := make([]int, k)
+				for j := range targets {
+					targets[j] = int(data[(s*5+k+j)%len(data)]) % n
+				}
+				checkUnitsTo(t, g, s, targets, want)
+			}
+		}
+	})
+}
+
+// checkUnitsTo holds UnitsTo from s over targets to want, the float64
+// oracle's row: every entry at most the largest target's distance
+// (graph.Unreached for an empty set) exact, and none below want.
+func checkUnitsTo(t *testing.T, g *graph.Graph, s int, targets []int, want []float64) {
+	t.Helper()
+	UnitsTo(g, s, targets, func(du []uint64) {
+		bound := uint64(graph.Unreached)
+		for i, v := range targets {
+			if i == 0 || du[v] > bound {
+				bound = du[v]
+			}
+		}
+		for x, d := range du {
+			if d <= bound && g.FromUnits(d) != want[x] {
+				t.Fatalf("UnitsTo(%d, %v): vertex %d at %d units, at most the targets' %d, but the float64 oracle says %v", s, targets, x, d, bound, want[x])
+			}
+			if d != graph.Unreached && g.FromUnits(d) < want[x] {
+				t.Fatalf("UnitsTo(%d, %v): vertex %d at %d units, below the float64 oracle's %v", s, targets, x, d, want[x])
 			}
 		}
 	})

@@ -1,16 +1,16 @@
 // Package sssp provides the reference shortest path searches: Dijkstra,
 // the plain row every labeling is verified against, and DijkstraTo, the
-// search that stops at its target (UnitsTo hands its distances, in units,
-// to the /paths walk where no labels describe the graph). DijkstraTo is
-// the one point-to-point traversal here: the baseline the paper's
-// introduction compares hub labeling to (internal/exp's intro table) and
-// the overlay's fallback (internal/delta).
+// search that stops at its target (UnitsTo, over a target set, hands its
+// distances in units to the /paths walk where no labels describe the graph
+// and to the overlay's fallback, internal/delta). DijkstraTo is the one
+// point-to-point traversal here: the baseline the paper's introduction
+// compares hub labeling to (internal/exp's intro table).
 //
 // Every search runs in the graph's integer units (internal/graph) and
 // returns float64 distances only at the edge: Dijkstra's rows and
 // DijkstraTo's answer are graph.FromUnits of exact sums.
 //
-// Both share one bucket search (bucket.go) on vheap.Window, the
+// All share one bucket search (UnitsTo, bucket.go) on vheap.Window, the
 // bucket queue PLaNT's trees settle from too: buckets a power of two units
 // wide, never wider than the lightest arc, so every vertex is final when
 // its bucket is reached and each bucket drains in one pass. The window
@@ -52,14 +52,12 @@ func putScratch(s *scratch) {
 // outgoing arcs) and returns the distance array; unreachable vertices get
 // graph.Infinity. The array is the caller's.
 func Dijkstra(g *graph.Graph, source int) []float64 {
-	s := getScratch(g.NumVertices())
-	dist := s.dist[:g.NumVertices()]
-	s.search(g, source, -1, dist)
-	row := make([]float64, len(dist))
-	for v, d := range dist {
-		row[v] = g.FromUnits(d)
-	}
-	putScratch(s)
+	row := make([]float64, g.NumVertices())
+	UnitsTo(g, source, nil, func(du []uint64) {
+		for v, d := range du {
+			row[v] = g.FromUnits(d)
+		}
+	})
 	return row
 }
 
@@ -69,19 +67,6 @@ func Dijkstra(g *graph.Graph, source int) []float64 {
 // is pooled.
 func DijkstraTo(g *graph.Graph, s, t int) float64 {
 	var d uint64
-	UnitsTo(g, s, t, func(du []uint64) { d = du[t] })
+	UnitsTo(g, s, []int{t}, func(du []uint64) { d = du[t] })
 	return g.FromUnits(d)
-}
-
-// UnitsTo searches from s until t is final and calls f with the distances
-// it holds, in g's units: every entry at most du[t] is d(s,·) exactly, and
-// every other one an upper bound or graph.Unreached. Each such entry lies
-// in a bucket the search has drained, where every vertex is final. du is
-// the search's own buffer, valid only until f returns.
-func UnitsTo(g *graph.Graph, s, t int, f func(du []uint64)) {
-	sc := getScratch(g.NumVertices())
-	dist := sc.dist[:g.NumVertices()]
-	sc.search(g, s, t, dist)
-	f(dist)
-	putScratch(sc)
 }

@@ -388,15 +388,11 @@ func (e *BatchEngine) BatchInto(dst []float64, pairs []QueryPair) {
 }
 
 // serveRange answers one worker's contiguous slice of a batch:
-// batchGrouped on the frozen index, then the overlay's correction of each
-// answer when one is attached. The cache is not consulted.
+// batchGrouped on the frozen index, then the overlay's correction of the
+// slice. The cache is not consulted.
 func (e *BatchEngine) serveRange(dst []float64, pairs []QueryPair, lo, hi int) {
 	e.fx.batchGrouped(dst[lo:hi], pairs[lo:hi])
-	if e.ov != nil {
-		for i := lo; i < hi; i++ {
-			dst[i], _ = e.ov.Query(dst[i], pairs[i].U, pairs[i].V)
-		}
-	}
+	e.ov.Correct(hi-lo, func(i int) (int, int, *float64) { return pairs[lo+i].U, pairs[lo+i].V, &dst[lo+i] })
 }
 
 // sourceGroups chains one worker's share of a batch by source. first[u]

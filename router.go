@@ -833,11 +833,10 @@ func (r *Router) batch(ctx context.Context, dists []float64, pairs []QueryPair) 
 		r.crossJoins.Add(int64(len(joined)))
 	}
 	// The overlay, when one is outstanding, corrects every frozen answer.
-	if st.patch != nil {
-		for _, i := range pending {
-			dists[i], _ = st.patch.Query(dists[i], pairs[i].U, pairs[i].V)
-		}
-	}
+	st.patch.Correct(len(pending), func(k int) (int, int, *float64) {
+		i := pending[k]
+		return pairs[i].U, pairs[i].V, &dists[i]
+	})
 
 	// Populate the cache (hub unknown on this path — /batch never needs
 	// witnesses; QueryHub will recompute and upgrade the entry). The

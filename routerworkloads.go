@@ -122,28 +122,22 @@ func (r *Router) routeKNN(ctx context.Context, st *routerState, u, k int) ([]Nei
 	return merged, nil
 }
 
-// Matrix streams the sources × targets distance matrix through the
+// matrix streams the sources × targets distance matrix through the
 // cluster: emit is called once per source, in order, with a row of
 // len(targets) distances (Infinity for unreachable), exactly as
-// FlatIndex.MatrixRows does on an unsharded index. The router fetches
+// BatchEngine.MatrixRows does on an unsharded index. The router fetches
 // every source's forward run up front (fetchRows: one /shardquery per
 // owning shard) then, per source, fans the run out to the shards
-// owning targets (/shardscan with the target fragment each shard owns)
-// and assembles the row in target order. The row slice is reused
-// between emits: the matrix itself is never materialized at the
-// router, which is what keeps a many-to-many query's memory at one
-// row.
+// owning targets (/shardscan with the target fragment each shard owns),
+// assembles the row in target order and corrects it (Overlay.Correct).
+// The row slice is reused between emits: the matrix itself is never
+// materialized at the router, which keeps a many-to-many query's memory
+// at one row.
 //
 // Matrix answers are deliberately not cached: a sources×targets sweep
 // would evict the cache's working set with hub-less entries /batch can
 // re-derive anyway. Observed snapshot identities still feed the
 // cache-retirement machinery (noteGenerations).
-func (r *Router) Matrix(sources, targets []int, emit func(u int, dists []float64) error) error {
-	// The exported call has no client to hang up; the /matrix handler
-	// passes its request's context instead.
-	return r.matrix(context.Background(), sources, targets, emit)
-}
-
 func (r *Router) matrix(ctx context.Context, sources, targets []int, emit func(u int, dists []float64) error) error {
 	if err := inRange(r.n, sources...); err != nil {
 		return err
@@ -152,11 +146,7 @@ func (r *Router) matrix(ctx context.Context, sources, targets []int, emit func(u
 		return err
 	}
 	r.queries.Add(int64(len(sources)) * int64(len(targets)))
-	// Under a delta overlay the shard-scan fan-out below would answer
-	// from frozen labels.
-	if st := r.state.Load(); st.patch != nil {
-		return matrixPatched(st.patch, sources, targets, emit)
-	}
+	ov := r.state.Load().patch
 	row := make([]float64, len(targets))
 	so := newObserver()
 	rows := r.fetchRows(ctx, sources, nil, nil, so)
@@ -195,6 +185,7 @@ func (r *Router) matrix(ctx context.Context, sources, targets []int, emit func(u
 		if err := so.err(); err != nil {
 			return err
 		}
+		ov.Correct(len(row), func(j int) (int, int, *float64) { return u, targets[j], &row[j] })
 		if err := emit(u, row); err != nil {
 			return err
 		}

@@ -54,13 +54,13 @@ func (h *fxHandle) release() {
 // graph its answers are true of when updates are on (fixed with the
 // labels, so one request never reads the labels of one generation and
 // the graph of another), and — under outstanding edge updates — the
-// delta overlay correcting its frozen answers. Snapshots are
-// reference-counted: the Server holds one reference while the snapshot
-// is current, and every in-flight query holds one from Acquire to
-// Release. The underlying file mapping is unmapped when the last
-// snapshot sharing it drains — after a hot swap the old generation
-// retires naturally, with no query ever touching unmapped memory and no
-// reader ever blocking a reload.
+// delta overlay correcting its frozen answers. Only the mapping needs
+// counting, so a snapshot's references are its index handle's: the
+// Server holds one while the snapshot is current, and every in-flight
+// query holds one from Acquire to Release. The underlying file mapping
+// is unmapped when the last reference of every snapshot sharing it drains
+// — after a hot swap the old generation retires naturally, with no query
+// ever touching unmapped memory and no reader ever blocking a reload.
 type Snapshot struct {
 	srv      *Server // the server that published it
 	handle   *fxHandle
@@ -71,9 +71,6 @@ type Snapshot struct {
 	gen      uint64
 	ident    uint64 // snapshot identity: content hash, mixed with the patch-log hash under an overlay
 	loadedAt time.Time
-
-	refs      atomic.Int64
-	closeOnce sync.Once
 }
 
 // Index returns the snapshot's flat index.
@@ -104,14 +101,9 @@ func (sn *Snapshot) Ident() uint64 { return sn.ident }
 // updates are outstanding).
 func (sn *Snapshot) Overlay() *delta.Overlay { return sn.eng.Overlay() }
 
-// Release returns a reference taken by Server.Acquire. The last release
-// of a retired snapshot drops its index reference; the mapping closes
-// when no generation shares it any longer.
-func (sn *Snapshot) Release() {
-	if sn.refs.Add(-1) == 0 {
-		sn.closeOnce.Do(func() { sn.handle.release() })
-	}
-}
+// Release returns a reference taken by Server.Acquire; the mapping closes
+// when no generation holds one any longer.
+func (sn *Snapshot) Release() { sn.handle.release() }
 
 // Server serves point-to-point distance queries from a hot-swappable
 // snapshot of a flat index. The current snapshot is an atomic pointer:
@@ -192,7 +184,7 @@ func NewServer(path string, cacheSize int) (*Server, error) {
 		return nil, err
 	}
 	s := newServer(cacheSize)
-	s.install(fx, path, nil)
+	s.installHandle(newFxHandle(fx), path, nil, nil)
 	return s, nil
 }
 
@@ -201,7 +193,7 @@ func NewServer(path string, cacheSize int) (*Server, error) {
 // index files.
 func NewServerFromFlat(fx *FlatIndex, cacheSize int) *Server {
 	s := newServer(cacheSize)
-	s.install(fx, "", nil)
+	s.installHandle(newFxHandle(fx), "", nil, nil)
 	return s
 }
 
@@ -336,17 +328,13 @@ func (s *Server) SetPrefault(on bool) {
 	}
 }
 
-// install publishes fx, true of graph g (nil: none), as the next
-// generation and retires the previous snapshot (dropping the server's
-// reference; the mapping closes when the last in-flight query releases).
-func (s *Server) install(fx *FlatIndex, path string, g *Graph) *Snapshot {
-	return s.installHandle(newFxHandle(fx), path, g, nil)
-}
-
-// installHandle publishes one generation over an index handle: a fresh
-// handle for loads and compactions, the current snapshot's own
-// (re-acquired) handle for patch batches, which swap generations
-// without remapping the file. Every generation is born with a fresh
+// installHandle publishes one generation, true of graph g (nil: none),
+// over an index handle — a fresh handle for loads and compactions, the
+// current snapshot's own (re-acquired) handle for patch batches, which
+// swap generations without remapping the file — and retires the previous
+// one. The reference h carries in is the server's reference to the new
+// snapshot; the old one's is dropped, and its mapping closes when the last
+// in-flight query releases. Every generation is born with a fresh
 // cache — under an overlay the cache instance is the patch-epoch
 // discriminant, so pre-patch answers can never outlive the graph they
 // were true of.
@@ -370,7 +358,6 @@ func (s *Server) installHandle(h *fxHandle, path string, g *Graph, ov *delta.Ove
 		ident:    ident,
 		loadedAt: s.clock.Now(),
 	}
-	sn.refs.Store(1) // the server's own reference
 	if old := s.cur.Swap(sn); old != nil {
 		old.Release()
 	}
@@ -413,7 +400,7 @@ func (s *Server) Acquire() *Snapshot {
 		if sn == nil {
 			panic("chl: Server used after Close")
 		}
-		sn.refs.Add(1)
+		sn.handle.acquire()
 		if s.cur.Load() == sn {
 			return sn
 		}
@@ -491,7 +478,7 @@ func (s *Server) reload(path string) (*Snapshot, error) {
 	if s.log != nil {
 		g = s.log.Base()
 	}
-	sn := s.install(fx, path, g)
+	sn := s.installHandle(newFxHandle(fx), path, g, nil)
 	s.reloads.Add(1)
 	return sn, nil
 }

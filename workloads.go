@@ -103,7 +103,7 @@ func (fx *FlatIndex) Path(g *Graph, u, v int) (dist float64, path []int, reachab
 // so already final; an entry not yet final exceeds du(v) and matches no
 // step.
 func rowPath(g *Graph, u, v int) (dist float64, path []int, reachable bool, err error) {
-	sssp.UnitsTo(g, u, v, func(du []uint64) {
+	sssp.UnitsTo(g, u, []int{v}, func(du []uint64) {
 		dist, path, reachable, err = walkPath(g, u, v, func(x int) uint64 { return du[x] })
 	})
 	return dist, path, reachable, err
@@ -260,29 +260,11 @@ func (fx *FlatIndex) MatrixRows(sources, targets []int, emit func(u int, dists [
 }
 
 // MatrixRows streams the matrix through the engine: the frozen
-// scatter-probe kernel when no overlay is attached, matrixPatched under
-// one.
+// scatter-probe rows, each corrected in place by the overlay before emit
+// (delta.Overlay.Correct; nil corrects nothing).
 func (e *BatchEngine) MatrixRows(sources, targets []int, emit func(u int, dists []float64) error) error {
-	if e.ov == nil {
-		return e.fx.MatrixRows(sources, targets, emit)
-	}
-	return matrixPatched(e.ov, sources, targets, emit)
-}
-
-// matrixPatched is /matrix under overlay ov on either tier: every row is
-// a whole-graph Dijkstra on the patched graph projected onto the target
-// set — each cell the exact patched distance, bit-identical to /dist on
-// the same pair — streamed one reused row at a time.
-func matrixPatched(ov *delta.Overlay, sources, targets []int, emit func(u int, dists []float64) error) error {
-	row := make([]float64, len(targets))
-	for _, u := range sources {
-		full := ov.Row(u)
-		for j, t := range targets {
-			row[j] = full[t]
-		}
-		if err := emit(u, row); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.fx.MatrixRows(sources, targets, func(u int, row []float64) error {
+		e.ov.Correct(len(row), func(j int) (int, int, *float64) { return u, targets[j], &row[j] })
+		return emit(u, row)
+	})
 }
